@@ -13,16 +13,14 @@ use core::time::Duration;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-use ghba_bloom::{
-    BloomFilter, FilterDelta, Fingerprint, Hit, ProbeBatch, SharedShapeArray, SlotMask,
-};
-use ghba_core::exec::{resolve_unique, run_chunked};
+use ghba_bloom::{BloomFilter, FilterDelta, Fingerprint, Hit, SharedShapeArray, SlotMask};
+use ghba_core::exec::run_deduped;
 use ghba_core::{
-    execute_vectored, execute_vectored_concurrent, published_shape, CellWriter, ClusterStats,
-    ConcurrentScheme, ConcurrentStats, EntryPolicy, GhbaConfig, GroupId, LoadFold, LoadReport,
-    MaskCacheLifecycle, MaskCacheStats, Mds, MdsId, MembershipEpoch, NamespaceShards, OpBatch,
-    OpOutcome, OverlayEntry, PathKey, QueryLevel, QueryOutcome, ReconfigReport, SlabOp, SlabSpare,
-    SnapshotCell, UpdateReport, VectoredScheme, WriteKind,
+    execute_vectored, published_shape, walk_items, CellWriter, ClusterStats, ConcurrentStats,
+    EntryPolicy, GhbaConfig, GroupId, LoadFold, LoadReport, MaskCacheStats, Mds, MdsId,
+    MembershipEpoch, NamespaceShards, OpBatch, OpOutcome, OverlayEntry, PathKey, QueryLevel,
+    QueryOutcome, ReconfigReport, SlabOp, SlabSpare, SnapshotCell, UpdateReport, VectoredScheme,
+    WalkItem, WriteKind,
 };
 use ghba_simnet::DetRng;
 
@@ -83,7 +81,7 @@ fn publish_edit(
 /// broadcast fallback still resolves its files), restoring pushes the
 /// extracted filter back; each publishes one successor snapshot with a
 /// bumped epoch, so pinned walks finish against the mirror they
-/// admitted under and mask caches revalidate.
+/// admitted under.
 ///
 /// Owner pushes for a retired server (its slab column is gone) are
 /// safe: `push_update` checks the published mirror under the writer
@@ -133,63 +131,12 @@ impl HbaReconfigHandle {
     }
 }
 
-/// HBA's analogue of the G-HBA mask cache: the full-mirror L2 probe
-/// masks out only the entry's own slot (`mask_all_except`), so the cache
-/// is one mask per entry server. Lifetime follows
-/// [`ghba_core::MaskCacheMode`] through the shared
-/// [`MaskCacheLifecycle`] state machine: persistent entries are
-/// validated lazily against the cluster's [`MembershipEpoch`] (bumped
-/// by every join/leave — HBA has no groups, so the per-group refinement
-/// does not apply), per-batch entries live between
-/// `batch_begin`/`batch_end`, and `Off` rebuilds per walk. The entry
-/// vector is sorted by server id and consulted by binary search, same
-/// `O(log N)` hit path as the G-HBA cache.
-#[derive(Debug, Clone, Default)]
-struct HbaMaskCache {
-    life: MaskCacheLifecycle,
-    /// entry → its all-except-self candidate mask; sorted by entry.
-    l2: Vec<(MdsId, SlotMask)>,
-}
-
-impl HbaMaskCache {
-    fn clear(&mut self) {
-        self.l2.clear();
-    }
-
-    /// The cached mask of `entry` (valid by construction: the lifecycle
-    /// clears the cache whenever the membership epoch moves).
-    fn mask(&self, entry: MdsId) -> Option<&SlotMask> {
-        self.l2
-            .binary_search_by_key(&entry, |(id, _)| *id)
-            .ok()
-            .map(|at| &self.l2[at].1)
-    }
-}
-
-/// The read-phase result for one query of a batched HBA walk (see the
-/// G-HBA `WalkVerdict`): outcome plus deferred counter bumps.
-#[derive(Debug, Clone)]
-struct WalkVerdict {
+/// One pinned walk's result: the outcome plus the false-hit tallies
+/// `[l1, l2]`, recorded per occurrence by the run's splice.
+#[derive(Debug)]
+struct Walked {
     outcome: QueryOutcome,
-    l1_false: u32,
-    l2_false: u32,
-}
-
-/// Reusable per-worker walk arena (probe batch, row table, verdict
-/// buffers, per-query working vectors — fully re-initialized per walk,
-/// so chunk walks pay no per-call allocations).
-#[derive(Debug, Clone, Default)]
-struct WalkScratch {
-    batch: ProbeBatch,
-    live_rows: Vec<u32>,
-    verdicts: Vec<WalkVerdict>,
-    /// Per-query resolution slots, `None` until the query's level lands.
-    slots: Vec<Option<WalkVerdict>>,
-    /// Per-query false-hit tallies `[l1, l2]`.
-    falses: Vec<[u32; 2]>,
-    latency: Vec<Duration>,
-    messages: Vec<u32>,
-    fps: Vec<Fingerprint>,
+    falses: [u64; 2],
 }
 
 /// A simulated HBA metadata cluster (complete replica mirror per server).
@@ -226,11 +173,10 @@ pub struct HbaCluster {
     rng: Mutex<DetRng>,
     stats: ClusterStats,
     next_mds: u16,
-    mask_cache: HbaMaskCache,
+    /// Lifetime `(hits, misses)` of L2 mask consults already folded out
+    /// of `cstats` (the reset-scoped view lives in `stats`).
+    mask_lifetime: (u64, u64),
     shim_entry: EntryPolicy,
-    /// Per-worker walk arenas (arena 0 doubles as the sequential
-    /// scratch), grown lazily to the configured worker count.
-    scratch: Vec<WalkScratch>,
     /// Pending writes recorded by the pin-once pipeline, replayed into
     /// `mdss` at the next `&mut` drain point.
     shards: NamespaceShards,
@@ -259,9 +205,8 @@ impl Clone for HbaCluster {
             rng: Mutex::new(self.rng.lock().expect("rng poisoned").clone()),
             stats: self.stats.clone(),
             next_mds: self.next_mds,
-            mask_cache: self.mask_cache.clone(),
+            mask_lifetime: self.mask_lifetime,
             shim_entry: self.shim_entry,
-            scratch: self.scratch.clone(),
             shards: NamespaceShards::new(self.config.write_shards),
             cstats: ConcurrentStats::new(),
             load_fold: Mutex::new(LoadFold::new()),
@@ -291,9 +236,8 @@ impl HbaCluster {
             rng: Mutex::new(rng),
             stats: ClusterStats::default(),
             next_mds: 0,
-            mask_cache: HbaMaskCache::default(),
+            mask_lifetime: (0, 0),
             shim_entry: EntryPolicy::Random,
-            scratch: Vec::new(),
             shards,
             cstats: ConcurrentStats::new(),
             load_fold: Mutex::new(LoadFold::new()),
@@ -361,7 +305,7 @@ impl HbaCluster {
     #[must_use]
     pub fn mask_cache_stats(&self) -> MaskCacheStats {
         MaskCacheStats::assemble(
-            self.mask_cache.life.stats(),
+            self.mask_lifetime,
             (self.stats.mask_cache_hits, self.stats.mask_cache_misses),
             self.cstats.pending_mask(),
         )
@@ -611,9 +555,8 @@ impl HbaCluster {
         };
         // Sparse dirty-row application: cost scales with the delta, not
         // with the O(m) filter width. No epoch bump: a publish refreshes
-        // filter *content* under the same membership, so cached masks
-        // stay valid and pinned walks keep probing the bits they
-        // admitted against.
+        // filter *content* under the same membership, so pinned walks
+        // keep probing the bits they admitted against.
         let work = (*writer.base()).clone();
         publish_edit(&mut writer, work, &[SlabOp::Delta(origin, delta.clone())]);
         drop(writer);
@@ -643,16 +586,18 @@ impl HbaCluster {
         self.lookup_from(entry, path)
     }
 
-    /// The HBA query walk: L1 LRU → full replica array → broadcast.
+    /// The HBA query walk from `entry`: L1 LRU → full replica array →
+    /// broadcast, against one pinned mirror. A found home fills the
+    /// entry server's L1 LRU array, and level, latency and false-hit
+    /// statistics are in [`stats`](HbaCluster::stats) when the call
+    /// returns.
     ///
     /// # Panics
     ///
     /// Panics if `entry` is unknown.
     pub fn lookup_from(&mut self, entry: MdsId, path: &str) -> QueryOutcome {
-        self.maybe_drain();
-        let fp = Fingerprint::of(path);
-        let snap = self.shared.pin();
-        self.lookup_one(&snap, entry, path, &fp)
+        let mut outcomes = self.lookup_items(&[(entry, path, Fingerprint::of(path))]);
+        outcomes.pop().expect("one query, one outcome")
     }
 
     /// Looks up a batch of paths, each from a random entry server.
@@ -664,745 +609,134 @@ impl HbaCluster {
         self.lookup_batch_from(&queries)
     }
 
-    /// Resolves a batch of concurrent lookups level by level: every query
-    /// past L1 joins one [`ProbeBatch`] against the full-mirror published
-    /// slab, so HBA amortizes row loads across the batch exactly like
-    /// G-HBA (the fair-comparison requirement).
+    /// Resolves a batch of concurrent lookups through the one pinned
+    /// walk: one mirror pin for the batch, repeated `(entry, path)`
+    /// pairs walked once, large batches chunked across the exec pool —
+    /// the same execution G-HBA's `lookup_batch_from` gets (the
+    /// fair-comparison requirement). L1 fills apply in stream order
+    /// when the batch completes.
     ///
     /// # Panics
     ///
     /// Panics if any entry is unknown.
     pub fn lookup_batch_from(&mut self, queries: &[(MdsId, &str)]) -> Vec<QueryOutcome> {
         // Hash once; every level reuses the fingerprint.
-        let prehashed: Vec<(MdsId, &str, Fingerprint)> = queries
+        let items: Vec<WalkItem<'_>> = queries
             .iter()
             .map(|&(entry, path)| (entry, path, Fingerprint::of(path)))
             .collect();
-        self.lookup_batch_prehashed(&prehashed)
+        self.lookup_items(&items)
     }
 
-    /// The batched walk behind [`lookup_batch_from`], taking queries whose
-    /// fingerprints were already computed at batch admission.
-    ///
-    /// Same three-phase execution as the G-HBA walk: masks prepare on
-    /// the dispatching thread, the read phase splits into per-worker
-    /// chunks (when `executor.workers > 1` and the batch reaches
-    /// `executor.min_parallel_batch`) that walk the full-mirror slab
-    /// read-only, and verdicts splice back in stream order —
-    /// bit-identical to `workers = 1` at every worker count
-    /// (property-tested; the fair-comparison requirement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry is unknown.
-    ///
-    /// [`lookup_batch_from`]: HbaCluster::lookup_batch_from
-    fn lookup_batch_prehashed(
-        &mut self,
-        queries: &[(MdsId, &str, Fingerprint)],
-    ) -> Vec<QueryOutcome> {
-        let total = queries.len();
-        if total == 0 {
-            return Vec::new();
-        }
+    /// Every `&mut` read entry: drain, pin one mirror, run the pinned
+    /// walk, then apply the L1 LRU fill per occurrence in stream order
+    /// and fold the atomic recorders into `stats` before returning.
+    fn lookup_items(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
         self.maybe_drain();
-        // Pin one probe snapshot for the whole batch: every query —
-        // across every worker chunk — probes this one consistent mirror,
-        // however many publishes land while the walk runs.
         let snap = self.shared.pin();
-        if total == 1 {
-            // The scratch-reusing scalar fast path (no batch plumbing).
-            let (entry, path, fp) = queries[0];
-            return vec![self.lookup_one(&snap, entry, path, &fp)];
-        }
-        self.prepare_masks(&snap, queries);
-        // Cross-chunk fingerprint dedup, same contract as the G-HBA
-        // walk: the read phase is a pure function of `(entry, path)`
-        // under the pinned snapshot, so each distinct pair walks once
-        // and duplicates share the verdict — effects still apply once
-        // per occurrence, in stream order.
-        let (uniques, assign) = resolve_unique(queries, |&(entry, path, _)| (entry, path));
-        let deduped: Vec<(MdsId, &str, Fingerprint)> = uniques
-            .iter()
-            .map(|&first| queries[first as usize])
-            .collect();
-        let executor = self.config.executor;
-        let mut arenas = core::mem::take(&mut self.scratch);
-        let walked = {
-            let shared: &HbaCluster = self;
-            let snap = &snap;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_chunked(&deduped, executor, &mut arenas, |chunk, arena| {
-                    shared.walk_chunk(snap, chunk, arena)
-                })
-            }))
-        };
-        let used = match walked {
-            Ok(used) => used,
-            Err(payload) => {
-                // A poisoned chunk must not cost the cluster its warmed
-                // per-worker arenas: restore them before re-raising.
-                self.scratch = arenas;
-                std::panic::resume_unwind(payload);
+        let outcomes = self.fused_pinned(&snap, items);
+        for (&(entry, _, fp), outcome) in items.iter().zip(&outcomes) {
+            if let Some(home) = outcome.home {
+                if let Some(lru) = self.mdss.get_mut(&entry).and_then(Mds::lru_mut) {
+                    lru.record_fp(&fp, home);
+                }
             }
-        };
-        let mut resolved: Vec<WalkVerdict> = Vec::with_capacity(deduped.len());
-        for arena in arenas.iter_mut().take(used) {
-            resolved.append(&mut arena.verdicts);
         }
-        debug_assert_eq!(
-            resolved.len(),
-            deduped.len(),
-            "chunks cover the deduplicated batch exactly once"
-        );
-        let mut outcomes = Vec::with_capacity(total);
-        for (qi, &slot) in assign.iter().enumerate() {
-            let (entry, _, fp) = queries[qi];
-            let verdict = resolved[slot as usize].clone();
-            // Load mirror: one record per occurrence, pseudo-group 0.
-            self.cstats.record_group_walk(
-                GroupId(0),
-                entry,
-                verdict.outcome.level,
-                u64::from(verdict.l1_false) + u64::from(verdict.l2_false),
-            );
-            outcomes.push(self.apply_verdict(&fp, verdict));
-        }
-        self.scratch = arenas;
+        self.fold_stats();
         outcomes
-    }
-
-    /// Validates (or rebuilds) the all-except-self masks of the batch's
-    /// entry servers on the dispatching thread; the (possibly parallel)
-    /// read phase then consults the cache strictly read-only.
-    fn prepare_masks(&mut self, snap: &HbaSnapshot, queries: &[(MdsId, &str, Fingerprint)]) {
-        if self
-            .mask_cache
-            .life
-            .begin_walk(self.config.mask_cache, snap.epoch)
-        {
-            self.mask_cache.clear();
-        }
-        for &(entry, _, _) in queries {
-            // Unknown entries panic inside the walk itself.
-            if !self.mdss.contains_key(&entry) {
-                continue;
-            }
-            match self
-                .mask_cache
-                .l2
-                .binary_search_by_key(&entry, |(id, _)| *id)
-            {
-                Ok(_) => {
-                    self.mask_cache.life.hit();
-                    self.stats.mask_cache_hits += 1;
-                    self.cstats.record_group_mask(GroupId(0), true);
-                }
-                Err(at) => {
-                    self.mask_cache.life.miss();
-                    self.stats.mask_cache_misses += 1;
-                    self.cstats.record_group_mask(GroupId(0), false);
-                    let mask = snap.slab.mask_all_except(entry);
-                    self.mask_cache.l2.insert(at, (entry, mask));
-                }
-            }
-        }
-    }
-
-    /// Resolves one chunk of a batched walk **read-only** (L1 → full
-    /// mirror → broadcast, one slab pass per level across the chunk),
-    /// deferring every side effect into `scratch.verdicts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry is unknown.
-    fn walk_chunk(
-        &self,
-        snap: &HbaSnapshot,
-        queries: &[(MdsId, &str, Fingerprint)],
-        scratch: &mut WalkScratch,
-    ) {
-        let WalkScratch {
-            batch,
-            live_rows,
-            verdicts,
-            slots,
-            falses,
-            latency,
-            messages,
-            fps,
-        } = scratch;
-        let model = self.config.latency.clone();
-        let total = queries.len();
-        verdicts.clear();
-        slots.clear();
-        slots.resize(total, None);
-        falses.clear();
-        falses.resize(total, [0; 2]);
-        latency.clear();
-        latency.resize(total, model.dispatch);
-        messages.clear();
-        messages.resize(total, 0);
-        fps.clear();
-        fps.extend(queries.iter().map(|&(_, _, fp)| fp));
-        // One live-filter row table for the whole chunk (entry probes at
-        // L2, every server's probe in the broadcast fallback), derived
-        // through the ProbeBatch fastmod machinery.
-        let live_shape = published_shape(&self.config);
-        let k_live = live_shape.hashes as usize;
-        batch.clear();
-        for fp in fps.iter() {
-            batch.push(*fp);
-        }
-        batch.derive_rows_into(live_shape, live_rows);
-        let mut active: Vec<usize> = Vec::with_capacity(total);
-
-        // L1: each entry server's LRU array.
-        for (qi, &(entry, path, _)) in queries.iter().enumerate() {
-            assert!(self.mdss.contains_key(&entry), "unknown entry MDS");
-            let fp = fps[qi];
-            let l1_hit = self
-                .mdss
-                .get(&entry)
-                .and_then(Mds::lru)
-                .map(|lru| lru.query_fp(&fp));
-            if let Some(Hit::Unique(candidate)) = l1_hit {
-                latency[qi] += model.memory_probe;
-                if let Some(home) =
-                    self.verify_at(candidate, entry, path, &mut latency[qi], &mut messages[qi])
-                {
-                    slots[qi] = Some(self.assemble(
-                        snap.epoch,
-                        entry,
-                        home,
-                        QueryLevel::L1Lru,
-                        latency[qi],
-                        messages[qi],
-                        falses[qi],
-                    ));
-                    continue;
-                }
-                falses[qi][0] += 1;
-            } else if l1_hit.is_some() {
-                latency[qi] += model.memory_probe;
-            }
-            active.push(qi);
-        }
-
-        // L2: the complete replica array (N − 1 replicas + own filter) —
-        // one batched bit-sliced pass over the published slab for the
-        // whole chunk, plus each entry's fresher live filter in place of
-        // its own published snapshot.
-        batch.clear();
-        for &qi in &active {
-            let (entry, _, _) = queries[qi];
-            let mask = self.mask_cache.mask(entry).expect("mask prepared");
-            let held = self.mdss.len() - 1;
-            let entry_mds = &self.mdss[&entry];
-            let resident = entry_mds.resident_replicas(held);
-            latency[qi] += model.array_probe(held + 1, held - resident);
-            batch.push_masked(fps[qi], mask.clone());
-        }
-        let hits = snap.slab.query_batch(batch);
-        let mut next_active = Vec::with_capacity(active.len());
-        for (&qi, hit) in active.iter().zip(&hits) {
-            let (entry, path, _) = queries[qi];
-            let mut positives = hit.candidates().to_vec();
-            if self.mdss[&entry].probe_live_rows(&live_rows[qi * k_live..(qi + 1) * k_live]) {
-                positives.push(entry);
-            }
-            if positives.len() == 1 {
-                let candidate = positives[0];
-                if let Some(home) =
-                    self.verify_at(candidate, entry, path, &mut latency[qi], &mut messages[qi])
-                {
-                    slots[qi] = Some(self.assemble(
-                        snap.epoch,
-                        entry,
-                        home,
-                        QueryLevel::L2Segment,
-                        latency[qi],
-                        messages[qi],
-                        falses[qi],
-                    ));
-                    continue;
-                }
-                falses[qi][1] += 1;
-            }
-            next_active.push(qi);
-        }
-        let active = next_active;
-
-        // Fallback: system-wide broadcast (authoritative); recipients'
-        // live probes reuse the chunk's precomputed row table.
-        for &qi in &active {
-            let (entry, path, _) = queries[qi];
-            let rows = &live_rows[qi * k_live..(qi + 1) * k_live];
-            let others = self.mdss.len() - 1;
-            messages[qi] += 2 * others as u32;
-            latency[qi] += model.multicast_rtt(others) + model.memory_probe;
-            let mut found = None;
-            let mut verify_cost = Duration::ZERO;
-            for (&id, mds) in &self.mdss {
-                if mds.probe_live_rows(rows) {
-                    verify_cost = verify_cost.max(mds.metadata_access_cost(&model));
-                    if mds.stores(path) {
-                        found = Some(id);
-                    }
-                }
-            }
-            latency[qi] += verify_cost;
-            slots[qi] = Some(match found {
-                Some(home) => self.assemble(
-                    snap.epoch,
-                    entry,
-                    home,
-                    QueryLevel::L4Global,
-                    latency[qi],
-                    messages[qi],
-                    falses[qi],
-                ),
-                None => {
-                    let latency = latency[qi].mul_f64(self.config.contention_factor(messages[qi]));
-                    WalkVerdict {
-                        outcome: QueryOutcome {
-                            home: None,
-                            level: QueryLevel::Nonexistent,
-                            latency,
-                            messages: messages[qi],
-                            entry,
-                            epoch: snap.epoch,
-                        },
-                        l1_false: falses[qi][0],
-                        l2_false: falses[qi][1],
-                    }
-                }
-            });
-        }
-
-        batch.clear();
-        live_rows.clear();
-        verdicts.extend(
-            slots
-                .drain(..)
-                .map(|slot| slot.expect("every query resolved by the broadcast")),
-        );
-    }
-
-    /// Builds a resolved query's verdict (contention applied, pinned
-    /// epoch stamped). Pure.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        &self,
-        epoch: MembershipEpoch,
-        entry: MdsId,
-        home: MdsId,
-        level: QueryLevel,
-        latency: Duration,
-        messages: u32,
-        falses: [u32; 2],
-    ) -> WalkVerdict {
-        let latency = latency.mul_f64(self.config.contention_factor(messages));
-        WalkVerdict {
-            outcome: QueryOutcome {
-                home: Some(home),
-                level,
-                latency,
-                messages,
-                entry,
-                epoch,
-            },
-            l1_false: falses[0],
-            l2_false: falses[1],
-        }
-    }
-
-    /// Applies one verdict's deferred effects in stream order (counter
-    /// bumps, the LRU fill, statistics) and returns the outcome.
-    fn apply_verdict(&mut self, fp: &Fingerprint, verdict: WalkVerdict) -> QueryOutcome {
-        let WalkVerdict {
-            outcome,
-            l1_false,
-            l2_false,
-        } = verdict;
-        for (label, count) in [("l1_false_hits", l1_false), ("l2_false_hits", l2_false)] {
-            if count > 0 {
-                self.stats.counters.add(label, count.into());
-            }
-        }
-        if let Some(home) = outcome.home {
-            if let Some(lru) = self.mdss.get_mut(&outcome.entry).and_then(Mds::lru_mut) {
-                lru.record_fp(fp, home);
-            }
-        }
-        self.stats.levels.record(outcome.level);
-        self.stats.lookup_latency.record(outcome.latency);
-        outcome
-    }
-
-    fn verify_at(
-        &self,
-        candidate: MdsId,
-        entry: MdsId,
-        path: &str,
-        latency: &mut Duration,
-        messages: &mut u32,
-    ) -> Option<MdsId> {
-        let model = self.config.latency.clone();
-        if candidate != entry {
-            *messages += 2;
-            *latency += model.unicast_rtt();
-        }
-        let mds = self.mdss.get(&candidate)?;
-        *latency += mds.metadata_access_cost(&model);
-        mds.stores(path).then_some(candidate)
-    }
-
-    /// The scratch-reusing scalar walk behind single-query lookups
-    /// (`B = 1` batches and [`lookup_from`](HbaCluster::lookup_from)):
-    /// the same L1 → full mirror → broadcast escalation as
-    /// [`walk_chunk`](HbaCluster::walk_chunk), minus the batch plumbing
-    /// (no [`ProbeBatch`] assembly, no row-table derivation, no verdict
-    /// buffers). Per-query accounting is bit-identical to the batched
-    /// walk (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` is unknown.
-    fn lookup_one(
-        &mut self,
-        snap: &HbaSnapshot,
-        entry: MdsId,
-        path: &str,
-        fp: &Fingerprint,
-    ) -> QueryOutcome {
-        assert!(self.mdss.contains_key(&entry), "unknown entry MDS");
-        self.prepare_masks(snap, &[(entry, path, *fp)]);
-        let model = self.config.latency.clone();
-        let mut latency = model.dispatch;
-        let mut messages = 0u32;
-        let mut group_falses = 0u64;
-
-        // L1: the entry server's LRU array.
-        let l1_hit = self
-            .mdss
-            .get(&entry)
-            .and_then(Mds::lru)
-            .map(|lru| lru.query_fp(fp));
-        if let Some(hit) = l1_hit {
-            latency += model.memory_probe;
-            if let Hit::Unique(candidate) = hit {
-                if let Some(home) =
-                    self.verify_at(candidate, entry, path, &mut latency, &mut messages)
-                {
-                    self.cstats.record_group_walk(
-                        GroupId(0),
-                        entry,
-                        QueryLevel::L1Lru,
-                        group_falses,
-                    );
-                    return self.finish(
-                        entry,
-                        fp,
-                        home,
-                        QueryLevel::L1Lru,
-                        latency,
-                        messages,
-                        snap.epoch,
-                    );
-                }
-                self.stats.counters.incr("l1_false_hits");
-                group_falses += 1;
-            }
-        }
-
-        // L2: the complete replica array, plus the entry's fresher live
-        // filter in place of its own published snapshot.
-        let held = self.mdss.len() - 1;
-        let hit = {
-            let mask = self.mask_cache.mask(entry).expect("mask prepared");
-            snap.slab.query_fp_masked(fp, mask)
-        };
-        let resident = self.mdss[&entry].resident_replicas(held);
-        latency += model.array_probe(held + 1, held - resident);
-        let mut positives = hit.candidates().to_vec();
-        if self.mdss[&entry].probe_live_fp(fp) {
-            positives.push(entry);
-        }
-        if positives.len() == 1 {
-            if let Some(home) =
-                self.verify_at(positives[0], entry, path, &mut latency, &mut messages)
-            {
-                self.cstats.record_group_walk(
-                    GroupId(0),
-                    entry,
-                    QueryLevel::L2Segment,
-                    group_falses,
-                );
-                return self.finish(
-                    entry,
-                    fp,
-                    home,
-                    QueryLevel::L2Segment,
-                    latency,
-                    messages,
-                    snap.epoch,
-                );
-            }
-            self.stats.counters.incr("l2_false_hits");
-            group_falses += 1;
-        }
-
-        // Fallback: system-wide broadcast (authoritative).
-        let others = self.mdss.len() - 1;
-        messages += 2 * others as u32;
-        latency += model.multicast_rtt(others) + model.memory_probe;
-        let mut found = None;
-        let mut verify_cost = Duration::ZERO;
-        for (&id, mds) in &self.mdss {
-            if mds.probe_live_fp(fp) {
-                verify_cost = verify_cost.max(mds.metadata_access_cost(&model));
-                if mds.stores(path) {
-                    found = Some(id);
-                }
-            }
-        }
-        latency += verify_cost;
-        self.cstats.record_group_walk(
-            GroupId(0),
-            entry,
-            match found {
-                Some(_) => QueryLevel::L4Global,
-                None => QueryLevel::Nonexistent,
-            },
-            group_falses,
-        );
-        match found {
-            Some(home) => self.finish(
-                entry,
-                fp,
-                home,
-                QueryLevel::L4Global,
-                latency,
-                messages,
-                snap.epoch,
-            ),
-            None => {
-                let latency = latency.mul_f64(self.config.contention_factor(messages));
-                self.stats.levels.record(QueryLevel::Nonexistent);
-                self.stats.lookup_latency.record(latency);
-                QueryOutcome {
-                    home: None,
-                    level: QueryLevel::Nonexistent,
-                    latency,
-                    messages,
-                    entry,
-                    epoch: snap.epoch,
-                }
-            }
-        }
-    }
-
-    /// Records a successful scalar lookup (LRU fill, level counters,
-    /// contention inflation) — the same effects
-    /// [`apply_verdict`](HbaCluster::apply_verdict) applies when
-    /// splicing a batched walk.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &mut self,
-        entry: MdsId,
-        fp: &Fingerprint,
-        home: MdsId,
-        level: QueryLevel,
-        latency: Duration,
-        messages: u32,
-        epoch: MembershipEpoch,
-    ) -> QueryOutcome {
-        if let Some(lru) = self.mdss.get_mut(&entry).and_then(Mds::lru_mut) {
-            lru.record_fp(fp, home);
-        }
-        let latency = latency.mul_f64(self.config.contention_factor(messages));
-        self.stats.levels.record(level);
-        self.stats.lookup_latency.record(latency);
-        QueryOutcome {
-            home: Some(home),
-            level,
-            latency,
-            messages,
-            entry,
-            epoch,
-        }
     }
 
     /// A lookup through `&self`, safe to call from many threads at once
     /// — and concurrently with an [`HbaReconfigHandle`] retiring and
-    /// restoring mirrors: the walk pins one snapshot and probes it end
-    /// to end, builds its all-except-self mask on the fly from the
-    /// pinned slab, observes this era's pending concurrent writes
-    /// through the namespace-shard overlay, and records level/latency
+    /// restoring mirrors: the same pinned walk as
+    /// [`lookup_from`](HbaCluster::lookup_from) without its `&mut`
+    /// epilogue. It observes this era's pending concurrent writes
+    /// through the namespace-shard overlay, records level/latency
     /// statistics into wait-free atomic counters (folded at the next
-    /// `&mut` drain). Fills no LRU; latency and message accounting are
-    /// otherwise identical to [`lookup_from`](HbaCluster::lookup_from).
+    /// `&mut` drain), and **fills no LRU**.
     ///
     /// # Panics
     ///
     /// Panics if `entry` is unknown.
     #[must_use]
     pub fn lookup_concurrent(&self, entry: MdsId, path: &str) -> QueryOutcome {
-        let fp = Fingerprint::of(path);
         let snap = self.shared.pin();
-        let mut memo = HashMap::new();
-        self.walk_pinned(&snap, entry, path, &fp, &mut memo)
-    }
-
-    /// Whether `candidate`'s live filter probes positive for `fp`,
-    /// overlaid with this era's pending writes (see the G-HBA
-    /// counterpart: pending creates probe positive at their recorded
-    /// home; pending removes stay visible until the drain).
-    fn probe_live_pinned(&self, candidate: MdsId, fp: &Fingerprint, overlay: OverlayEntry) -> bool {
-        if overlay == OverlayEntry::Created(candidate) {
-            return true;
-        }
-        self.mdss[&candidate].probe_live_fp(fp)
-    }
-
-    /// [`verify_at`](HbaCluster::verify_at) overlaid with this era's
-    /// pending writes.
-    fn verify_at_pinned(
-        &self,
-        candidate: MdsId,
-        entry: MdsId,
-        path: &str,
-        overlay: OverlayEntry,
-        latency: &mut Duration,
-        messages: &mut u32,
-    ) -> Option<MdsId> {
-        let model = self.config.latency.clone();
-        if candidate != entry {
-            *messages += 2;
-            *latency += model.unicast_rtt();
-        }
-        let mds = self.mdss.get(&candidate)?;
-        *latency += mds.metadata_access_cost(&model);
-        let stores = match overlay {
-            OverlayEntry::Created(home) => candidate == home,
-            OverlayEntry::Removed => false,
-            OverlayEntry::Untracked => mds.stores(path),
-        };
-        stores.then_some(candidate)
-    }
-
-    /// Finishes a pinned walk: contention inflation, pinned epoch, and
-    /// the atomic statistics the drain later folds.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_pinned(
-        &self,
-        epoch: MembershipEpoch,
-        entry: MdsId,
-        home: Option<MdsId>,
-        level: QueryLevel,
-        latency: Duration,
-        messages: u32,
-        falses: [u64; 2],
-    ) -> QueryOutcome {
-        let outcome = self.readonly_outcome(epoch, entry, home, level, latency, messages);
-        self.cstats.record_lookup(outcome.level, outcome.latency);
-        self.cstats.record_false_hits(falses[0], falses[1], 0, 0);
-        // Load mirror: HBA has no groups — everything reports under the
-        // pseudo-group 0 (see `load_report`).
-        self.cstats
-            .record_group_walk(GroupId(0), entry, outcome.level, falses.iter().sum());
-        outcome
+        let mut outcomes = self.fused_pinned(&snap, &[(entry, path, Fingerprint::of(path))]);
+        outcomes.pop().expect("one query, one outcome")
     }
 
     /// The L1 → full mirror → broadcast escalation of one query against
-    /// a pinned snapshot, from `&self` (the read engine of
-    /// [`lookup_concurrent`](HbaCluster::lookup_concurrent) and of the
-    /// pin-once batch pipeline). `memo` caches the all-except-self L2
-    /// masks for the caller's chosen scope; memo traffic feeds the
-    /// shared mask-cache hit/miss accounting.
+    /// a pinned snapshot, from `&self` — **the** HBA walk: every read
+    /// entry resolves through it. `memo` caches the all-except-self L2
+    /// masks for one chunk of a run; memo traffic feeds the mask-cache
+    /// hit/miss accounting. What a finished walk records is decided per
+    /// occurrence by [`fused_pinned`](Self::fused_pinned)'s splice.
     fn walk_pinned(
         &self,
         snap: &HbaSnapshot,
-        entry: MdsId,
-        path: &str,
-        fp: &Fingerprint,
+        (entry, path, fp): WalkItem<'_>,
         memo: &mut HashMap<MdsId, SlotMask>,
-    ) -> QueryOutcome {
-        assert!(self.mdss.contains_key(&entry), "unknown entry MDS");
-        let overlay = self.shards.overlay_keyed(path, fp);
-        let model = self.config.latency.clone();
+    ) -> Walked {
+        let entry_mds = self.mdss.get(&entry).expect("unknown entry MDS");
+        let overlay = self.shards.overlay_keyed(path, &fp);
+        let model = &self.config.latency;
         let mut latency = model.dispatch;
         let mut messages = 0u32;
         let mut falses = [0u64; 2];
+        // Forwards the query to a level's unique candidate and verifies
+        // against its store; `None` on a false positive.
+        let verify = |candidate: MdsId, latency: &mut Duration, messages: &mut u32| {
+            if candidate != entry {
+                *messages += 2;
+                *latency += model.unicast_rtt();
+            }
+            let mds = self.mdss.get(&candidate)?;
+            *latency += mds.metadata_access_cost(model);
+            overlay.stores(mds, path).then_some(candidate)
+        };
+        let done = |home: Option<MdsId>, level, latency: Duration, messages, falses| Walked {
+            outcome: QueryOutcome {
+                home,
+                level,
+                latency: latency.mul_f64(self.config.contention_factor(messages)),
+                messages,
+                entry,
+                epoch: snap.epoch,
+            },
+            falses,
+        };
 
         // L1: the entry server's LRU array (probe only; no fill).
-        let l1_hit = self
-            .mdss
-            .get(&entry)
-            .and_then(Mds::lru)
-            .map(|lru| lru.query_fp(fp));
-        if let Some(hit) = l1_hit {
+        if let Some(hit) = entry_mds.lru().map(|lru| lru.query_fp(&fp)) {
             latency += model.memory_probe;
             if let Hit::Unique(candidate) = hit {
-                if let Some(home) = self.verify_at_pinned(
-                    candidate,
-                    entry,
-                    path,
-                    overlay,
-                    &mut latency,
-                    &mut messages,
-                ) {
-                    return self.finish_pinned(
-                        snap.epoch,
-                        entry,
-                        Some(home),
-                        QueryLevel::L1Lru,
-                        latency,
-                        messages,
-                        falses,
-                    );
+                if let Some(home) = verify(candidate, &mut latency, &mut messages) {
+                    return done(Some(home), QueryLevel::L1Lru, latency, messages, falses);
                 }
                 falses[0] += 1;
             }
         }
 
-        // L2: the complete replica array under the pinned mirror.
+        // L2: the complete replica array under the pinned mirror, plus
+        // the entry's fresher live filter in place of its own published
+        // snapshot.
         let held = self.mdss.len() - 1;
-        if let std::collections::hash_map::Entry::Vacant(slot) = memo.entry(entry) {
-            self.cstats.record_mask(false);
-            self.cstats.record_group_mask(GroupId(0), false);
-            slot.insert(snap.slab.mask_all_except(entry));
-        } else {
-            self.cstats.record_mask(true);
-            self.cstats.record_group_mask(GroupId(0), true);
-        }
-        let mask = memo.get(&entry).expect("just ensured");
-        let hit = snap.slab.query_fp_masked(fp, mask);
-        let resident = self.mdss[&entry].resident_replicas(held);
+        let cached = memo.contains_key(&entry);
+        self.cstats.record_mask(cached);
+        self.cstats.record_group_mask(GroupId(0), cached);
+        let mask = memo
+            .entry(entry)
+            .or_insert_with(|| snap.slab.mask_all_except(entry));
+        let hit = snap.slab.query_fp_masked(&fp, mask);
+        let resident = entry_mds.resident_replicas(held);
         latency += model.array_probe(held + 1, held - resident);
         let mut positives = hit.candidates().to_vec();
-        if self.probe_live_pinned(entry, fp, overlay) {
+        if overlay.probes_live(entry_mds, &fp) {
             positives.push(entry);
         }
         if positives.len() == 1 {
-            if let Some(home) = self.verify_at_pinned(
-                positives[0],
-                entry,
-                path,
-                overlay,
-                &mut latency,
-                &mut messages,
-            ) {
-                return self.finish_pinned(
-                    snap.epoch,
-                    entry,
-                    Some(home),
-                    QueryLevel::L2Segment,
-                    latency,
-                    messages,
-                    falses,
-                );
+            if let Some(home) = verify(positives[0], &mut latency, &mut messages) {
+                return done(Some(home), QueryLevel::L2Segment, latency, messages, falses);
             }
             falses[1] += 1;
         }
@@ -1414,14 +748,9 @@ impl HbaCluster {
         let mut found = None;
         let mut verify_cost = Duration::ZERO;
         for (&id, mds) in &self.mdss {
-            if self.probe_live_pinned(id, fp, overlay) {
-                verify_cost = verify_cost.max(mds.metadata_access_cost(&model));
-                let stores = match overlay {
-                    OverlayEntry::Created(home) => id == home,
-                    OverlayEntry::Removed => false,
-                    OverlayEntry::Untracked => mds.stores(path),
-                };
-                if stores {
+            if overlay.probes_live(mds, &fp) {
+                verify_cost = verify_cost.max(mds.metadata_access_cost(model));
+                if overlay.stores(mds, path) {
                     found = Some(id);
                 }
             }
@@ -1431,55 +760,36 @@ impl HbaCluster {
             Some(_) => QueryLevel::L4Global,
             None => QueryLevel::Nonexistent,
         };
-        self.finish_pinned(snap.epoch, entry, found, level, latency, messages, falses)
+        done(found, level, latency, messages, falses)
     }
 
-    /// Resolves a fused run of lookups against a pinned snapshot from
-    /// `&self`: cross-chunk dedup, chunked pinned walks across the exec
-    /// pool, outcomes spliced back in stream order (the concurrent
-    /// counterpart of
-    /// [`lookup_batch_prehashed`](HbaCluster::lookup_batch_prehashed)).
-    fn fused_pinned(&self, snap: &HbaSnapshot, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let items: Vec<(MdsId, &str, Fingerprint)> = queries
-            .iter()
-            .map(|&(entry, key)| (entry, key.path(), *key.fingerprint()))
-            .collect();
-        if items.len() == 1 {
-            let (entry, path, fp) = items[0];
-            let mut memo = HashMap::new();
-            return vec![self.walk_pinned(snap, entry, path, &fp, &mut memo)];
-        }
-        let (uniques, assign) = resolve_unique(&items, |&(entry, path, _)| (entry, path));
-        let deduped: Vec<(MdsId, &str, Fingerprint)> =
-            uniques.iter().map(|&first| items[first as usize]).collect();
-        #[derive(Default)]
-        struct PinArena {
-            outcomes: Vec<QueryOutcome>,
-            memo: HashMap<MdsId, SlotMask>,
-        }
-        let mut arenas: Vec<PinArena> = Vec::new();
-        let used = run_chunked(
-            &deduped,
+    /// Walks a run of queries against one pinned mirror — cross-chunk
+    /// `(entry, path)` dedup, chunked walks across the exec pool — then
+    /// splices in stream order, recording level, latency, false-hit and
+    /// load statistics **per occurrence** (duplicates are real traffic).
+    /// HBA has no groups: load reports under the pseudo-group 0 (see
+    /// [`load_report`](HbaCluster::load_report)).
+    fn fused_pinned(&self, snap: &HbaSnapshot, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
+        let (resolved, assign) = run_deduped(
+            items,
             self.config.executor,
-            &mut arenas,
-            |chunk, arena| {
-                for &(entry, path, fp) in chunk {
-                    let outcome = self.walk_pinned(snap, entry, path, &fp, &mut arena.memo);
-                    arena.outcomes.push(outcome);
-                }
-            },
+            |&(entry, path, _)| (entry, path),
+            |item, memo: &mut HashMap<MdsId, SlotMask>| self.walk_pinned(snap, item, memo),
         );
-        let mut resolved: Vec<QueryOutcome> = Vec::with_capacity(deduped.len());
-        for arena in arenas.iter_mut().take(used) {
-            resolved.append(&mut arena.outcomes);
-        }
-        debug_assert_eq!(resolved.len(), deduped.len());
         assign
             .iter()
-            .map(|&slot| resolved[slot as usize].clone())
+            .map(|&slot| {
+                let Walked { outcome, falses } = &resolved[slot as usize];
+                self.cstats.record_lookup(outcome.level, outcome.latency);
+                self.cstats.record_false_hits(falses[0], falses[1], 0, 0);
+                self.cstats.record_group_walk(
+                    GroupId(0),
+                    outcome.entry,
+                    outcome.level,
+                    falses.iter().sum(),
+                );
+                outcome.clone()
+            })
             .collect()
     }
 
@@ -1582,6 +892,14 @@ impl HbaCluster {
         }
     }
 
+    /// Folds the atomic recorders into `stats` and the lifetime mask
+    /// counters.
+    fn fold_stats(&mut self) {
+        let (hits, misses) = self.cstats.fold_into(&mut self.stats);
+        self.mask_lifetime.0 += hits;
+        self.mask_lifetime.1 += misses;
+    }
+
     /// Reconciles everything the `&self` pipeline deferred: folds the
     /// atomic statistics, replays the shard write logs against the
     /// authoritative stores and live filters, and syncs each staged
@@ -1592,8 +910,7 @@ impl HbaCluster {
     /// [`total_files`](HbaCluster::total_files)) after concurrent
     /// batches.
     pub fn drain_concurrent(&mut self) {
-        let (hits, misses) = self.cstats.fold_into(&mut self.stats);
-        self.mask_cache.life.absorb(hits, misses);
+        self.fold_stats();
         if !self.shards.is_dirty() {
             return;
         }
@@ -1637,29 +954,6 @@ impl HbaCluster {
         }
     }
 
-    /// Finishes a side-effect-free lookup: applies the contention
-    /// inflation and stamps the pinned epoch, touching no statistics
-    /// and no caches.
-    fn readonly_outcome(
-        &self,
-        epoch: MembershipEpoch,
-        entry: MdsId,
-        home: Option<MdsId>,
-        level: QueryLevel,
-        latency: Duration,
-        messages: u32,
-    ) -> QueryOutcome {
-        let latency = latency.mul_f64(self.config.contention_factor(messages));
-        QueryOutcome {
-            home,
-            level,
-            latency,
-            messages,
-            entry,
-            epoch,
-        }
-    }
-
     /// Per-MDS filter memory: own filter + LRU + `N − 1` replicas.
     #[must_use]
     pub fn filter_memory_bytes(&self, id: MdsId) -> usize {
@@ -1681,25 +975,8 @@ impl VectoredScheme for HbaCluster {
         self.config().lru_capacity > 0
     }
 
-    fn batch_begin(&mut self) {
-        self.maybe_drain();
-        if self.mask_cache.life.arm(self.config.mask_cache) {
-            self.mask_cache.clear();
-        }
-    }
-
-    fn batch_end(&mut self) {
-        if self.mask_cache.life.disarm(self.config.mask_cache) {
-            self.mask_cache.clear();
-        }
-    }
-
     fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
-        let prehashed: Vec<(MdsId, &str, Fingerprint)> = queries
-            .iter()
-            .map(|&(entry, key)| (entry, key.path(), *key.fingerprint()))
-            .collect();
-        self.lookup_batch_prehashed(&prehashed)
+        self.lookup_items(&walk_items(queries))
     }
 
     fn apply_create(&mut self, key: &PathKey, home: MdsId) {
@@ -1711,37 +988,34 @@ impl VectoredScheme for HbaCluster {
     }
 }
 
-impl ConcurrentScheme for HbaCluster {
-    /// An owned pin on the published mirror: lock-free to take, valid
-    /// across successor publishes, never blocks a publisher while held.
-    type Pinned = Arc<HbaSnapshot>;
+/// One `execute_concurrent` batch: the shared cluster bound to the
+/// mirror pinned at admission (an owned pin: lock-free to take, valid
+/// across successor publishes, never blocks a publisher while held).
+struct PinnedBatch<'a> {
+    cluster: &'a HbaCluster,
+    snap: Arc<HbaSnapshot>,
+}
 
-    fn pin_batch(&self) -> Self::Pinned {
-        self.shared.pin()
+impl VectoredScheme for PinnedBatch<'_> {
+    fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId {
+        self.cluster.entry_for(policy, op_index)
     }
 
-    fn resolve_entry_concurrent(&self, policy: EntryPolicy, op_index: usize) -> MdsId {
-        self.entry_for(policy, op_index)
+    fn repeat_sensitive(&self) -> bool {
+        // The pinned walk never fills L1: a repeat observes nothing.
+        false
     }
 
-    fn lookup_fused_pinned(
-        &self,
-        pinned: &Self::Pinned,
-        queries: &[(MdsId, &PathKey)],
-    ) -> Vec<QueryOutcome> {
-        self.fused_pinned(pinned, queries)
+    fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
+        self.cluster.fused_pinned(&self.snap, &walk_items(queries))
     }
 
-    fn apply_create_concurrent(&self, key: &PathKey, home: MdsId) {
-        self.apply_create_shared(key, home);
+    fn apply_create(&mut self, key: &PathKey, home: MdsId) {
+        self.cluster.apply_create_shared(key, home);
     }
 
-    fn apply_remove_concurrent(&self, key: &PathKey) -> Option<MdsId> {
-        self.apply_remove_shared(key)
-    }
-
-    fn commit_batch(&self, _pinned: &Self::Pinned) {
-        self.commit_concurrent();
+    fn apply_remove(&mut self, key: &PathKey) -> Option<MdsId> {
+        self.cluster.apply_remove_shared(key)
     }
 }
 
@@ -1759,7 +1033,13 @@ impl ghba_core::MetadataService for HbaCluster {
     }
 
     fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome> {
-        execute_vectored_concurrent(self, batch)
+        let mut pinned = PinnedBatch {
+            cluster: self,
+            snap: self.shared.pin(),
+        };
+        let outcomes = execute_vectored(&mut pinned, batch);
+        self.commit_concurrent();
+        outcomes
     }
 
     fn filter_memory_per_mds(&self) -> usize {

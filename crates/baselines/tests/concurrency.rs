@@ -10,13 +10,13 @@
 //!   mirror is live, via broadcast while it is retired).
 //! * **Degradation** — with a mirror retired and no restore racing, the
 //!   walk provably falls back to the broadcast level and still resolves.
-//! * **Equivalence** — with no reconfiguration interleaving, the
-//!   snapshot-pinned concurrent walk is bit-identical to the mutating
-//!   barrier-style walk for both HBA and BFA, query by query.
+//! * **Equivalence** — the pin-once `execute_concurrent` entry matches
+//!   the `&mut self` `execute` entry batch by batch, and both account
+//!   repeated lookups per occurrence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ghba_baselines::{BfaCluster, HbaCluster};
+use ghba_baselines::HbaCluster;
 use ghba_core::{GhbaConfig, MdsId, QueryLevel};
 
 fn config() -> GhbaConfig {
@@ -154,50 +154,6 @@ fn hba_retired_mirror_degrades_to_broadcast() {
     );
 }
 
-/// With no reconfiguration interleaving, the side-effect-free
-/// concurrent walk is bit-identical — home, level, latency, messages,
-/// epoch — to the mutating walk for both HBA and BFA. The concurrent
-/// walk runs first so both observe the same LRU state; the mutating
-/// walk's fill then advances the state for the next pair.
-#[test]
-fn concurrent_walk_matches_barrier_walk_without_churn() {
-    // HBA: LRU + array + broadcast levels all exercised.
-    let mut hba = HbaCluster::with_servers(config(), 9);
-    for i in 0..90 {
-        hba.create_file(&format!("/eq/f{i}"));
-    }
-    hba.flush_all_updates();
-    for i in 0..200 {
-        let entry = MdsId((i % 9) as u16);
-        let path = if i % 7 == 6 {
-            format!("/eq/absent{i}")
-        } else {
-            format!("/eq/f{}", i * 3 % 90)
-        };
-        let concurrent = hba.lookup_concurrent(entry, &path);
-        let barrier = hba.lookup_from(entry, &path);
-        assert_eq!(concurrent, barrier, "HBA walks diverged at query {i}");
-    }
-
-    // BFA: the same property with the LRU level disabled by construction.
-    let mut bfa = BfaCluster::with_servers(config(), 9, 8.0);
-    for i in 0..90 {
-        bfa.inner_mut().create_file(&format!("/eq/f{i}"));
-    }
-    bfa.inner_mut().flush_all_updates();
-    for i in 0..200 {
-        let entry = MdsId((i % 9) as u16);
-        let path = if i % 7 == 6 {
-            format!("/eq/absent{i}")
-        } else {
-            format!("/eq/f{}", i * 3 % 90)
-        };
-        let concurrent = bfa.lookup_concurrent(entry, &path);
-        let barrier = bfa.inner_mut().lookup_from(entry, &path);
-        assert_eq!(concurrent, barrier, "BFA walks diverged at query {i}");
-    }
-}
-
 /// The pin-once `execute_concurrent` pipeline matches the `&mut self`
 /// funnel for mixed HBA batches, and after `drain_concurrent` + flush
 /// both clusters converge to the same homes. Epochs are excluded from
@@ -272,6 +228,42 @@ fn hba_concurrent_pipeline_matches_funnel() {
             pinned.true_home(path),
             Some(truth),
             "clusters disagree on the home of {path}"
+        );
+    }
+}
+
+/// Duplicates are traffic: a flash-crowd batch repeating one `(entry,
+/// path)` pair walks the pair once but must account every occurrence —
+/// level counters, latency samples and the load report — identically
+/// through both entries.
+#[test]
+fn hba_duplicate_lookups_are_accounted_per_occurrence() {
+    use ghba_core::{EntryPolicy, MetadataService, OpBatch};
+
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(1)));
+    for _ in 0..5 {
+        batch.push_lookup("/dup/hot");
+    }
+    batch.push_lookup("/dup/absent");
+    for concurrent in [false, true] {
+        let mut hba = HbaCluster::with_servers(config().with_lru_capacity(0), 8);
+        hba.create_file("/dup/hot");
+        hba.flush_all_updates();
+        hba.reset_stats();
+        if concurrent {
+            let _ = hba.execute_concurrent(&batch);
+            hba.drain_concurrent();
+        } else {
+            let _ = hba.execute(&batch);
+        }
+        let levels = hba.stats().levels;
+        assert_eq!(levels.total(), 6, "concurrent={concurrent}: {levels:?}");
+        assert_eq!(levels.nonexistent, 1, "concurrent={concurrent}");
+        assert_eq!(hba.stats().lookup_latency.count(), 6);
+        assert_eq!(
+            hba.load_report().fresh_lookups,
+            6,
+            "concurrent={concurrent}"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The PR-5 headline benchmark: the data-parallel batch execution
-//! engine and the per-group epoch invalidation it rides with.
+//! engine's worker sweep.
 //!
-//! **Part A — worker sweep.** The same Zipf-head mixed `OpBatch` (a
+//! The same Zipf-head mixed `OpBatch` (a
 //! flash-crowd lookup burst with creates sprinkled through, so fused
 //! runs split and writes stay in stream order between the parallel read
 //! phases) executes against identically populated G-HBA clusters whose
@@ -16,26 +16,15 @@
 //! 1-core container the sweep degenerates to measuring dispatch
 //! overhead, not speedup — rerun on a multicore host before quoting.
 //!
-//! **Part B — warm-cache rebalance churn.** Two Persistent-mask-cache
-//! clusters — per-group epochs vs the all-or-nothing `Global` reference
-//! granularity — serve short shim-style lookup rounds between
-//! standalone single-group rebalances (the churn a background balancer
-//! produces). Per-group epochs invalidate only the rebalanced group's
-//! masks, so rounds probing *other* groups keep a ≥ 0.99 hit rate;
-//! the global flush cold-starts every mask each round and the same
-//! rounds drop to ≈ 0. Hit rates come from `mask_cache_stats` deltas
-//! after warm-up and are printed (and recorded in the committed
-//! `BENCH_PR5.json`).
+//! The per-group-vs-global epoch churn comparison that used to ride
+//! along here is settled (verdict recorded in `BENCH_PR5.json`);
+//! per-group epochs are the only behaviour left.
 //!
-//! `GHBA_PAR_FILES` / `GHBA_PAR_OPS` / `GHBA_PAR_ROUNDS` shrink the
-//! namespace, the batch, and the churn loop for CI smoke runs (numbers
-//! from shrunken runs are noise).
+//! `GHBA_PAR_FILES` / `GHBA_PAR_OPS` shrink the namespace and the batch
+//! for CI smoke runs (numbers from shrunken runs are noise).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ghba::core::{
-    EpochGranularity, ExecutorConfig, GhbaCluster, GhbaConfig, MaskCacheMode, MetadataService,
-    OpBatch,
-};
+use ghba::core::{ExecutorConfig, GhbaCluster, GhbaConfig, MetadataService, OpBatch};
 use ghba::replay::populate;
 use ghba::simnet::DetRng;
 use std::hint::black_box;
@@ -44,8 +33,6 @@ use std::hint::black_box;
 const DEFAULT_FILES: u64 = 16_000;
 /// Ops per batch iteration (override: `GHBA_PAR_OPS`).
 const DEFAULT_OPS: u64 = 1_024;
-/// Churn rounds in part B (override: `GHBA_PAR_ROUNDS`).
-const DEFAULT_ROUNDS: u64 = 64;
 /// Servers in the simulated cluster (16 groups of 8; slab stride 2).
 const SERVERS: usize = 128;
 /// The flash-crowd hot set: most lookups land on these few paths.
@@ -113,7 +100,7 @@ fn build_batch(files: u64, ops: u64, first_new: u64) -> OpBatch {
     batch
 }
 
-/// Part A: per-lookup wall time of the same mixed batch at each worker
+/// Per-lookup wall time of the same mixed batch at each worker
 /// count.
 fn bench_worker_sweep(c: &mut Criterion, files: u64, ops: u64) {
     let batch = build_batch(files, ops, files);
@@ -155,68 +142,10 @@ fn bench_worker_sweep(c: &mut Criterion, files: u64, ops: u64) {
     );
 }
 
-/// Part B: mask-cache hit rate across single-group rebalance churn,
-/// per-group epochs vs the global flush.
-fn bench_rebalance_churn(files: u64, rounds: u64) {
-    let run = |granularity: EpochGranularity| -> (f64, u64, u64) {
-        let config = base_config()
-            .with_mask_cache(MaskCacheMode::Persistent)
-            .with_epoch_granularity(granularity);
-        let mut cluster = build_cluster(files, config);
-        // Shim-style probe rounds through 8 entries in distinct groups
-        // (group size is 8, ids dense: server 8g sits in group g).
-        let probes: Vec<ghba::core::MdsId> = (0..8u16).map(|g| ghba::core::MdsId(g * 8)).collect();
-        let probe_groups: Vec<_> = probes
-            .iter()
-            .map(|&id| cluster.group_of(id).expect("grouped"))
-            .collect();
-        // Churn targets: groups none of the probe entries belong to —
-        // the background-balancer case whose invalidations per-group
-        // epochs confine.
-        let churn: Vec<_> = cluster
-            .server_ids()
-            .into_iter()
-            .filter_map(|id| cluster.group_of(id))
-            .filter(|gid| !probe_groups.contains(gid))
-            .collect();
-        assert!(!churn.is_empty(), "probe groups must not cover the cluster");
-        let mut rng = DetRng::new(0x7E8);
-        // Warm every probed entry's masks, then measure from here.
-        for &entry in &probes {
-            let _ = cluster.lookup_from(entry, &path_of(0));
-        }
-        let (h0, m0) = cluster.mask_cache_stats().lifetime();
-        for round in 0..rounds {
-            let gid = churn[round as usize % churn.len()];
-            cluster.rebalance_group(gid);
-            for &entry in &probes {
-                let _ = cluster.lookup_from(entry, &path_of(rng.below(files)));
-            }
-        }
-        let (h1, m1) = cluster.mask_cache_stats().lifetime();
-        let (hits, misses) = (h1 - h0, m1 - m0);
-        let rate = hits as f64 / (hits + misses).max(1) as f64;
-        (rate, hits, misses)
-    };
-    let (pg_rate, pg_hits, pg_misses) = run(EpochGranularity::PerGroup);
-    let (gl_rate, gl_hits, gl_misses) = run(EpochGranularity::Global);
-    eprintln!(
-        "par_exec churn ({rounds} single-group rebalances): per-group epochs \
-         {pg_hits} hits / {pg_misses} misses (hit rate {pg_rate:.4}); \
-         global flush {gl_hits} hits / {gl_misses} misses (hit rate {gl_rate:.4})"
-    );
-    assert!(
-        pg_rate > gl_rate,
-        "per-group epochs must retain more warm masks than the global flush"
-    );
-}
-
 fn bench_par_exec(c: &mut Criterion) {
     let files = env_size("GHBA_PAR_FILES", DEFAULT_FILES);
     let ops = env_size("GHBA_PAR_OPS", DEFAULT_OPS);
-    let rounds = env_size("GHBA_PAR_ROUNDS", DEFAULT_ROUNDS);
     bench_worker_sweep(c, files, ops);
-    bench_rebalance_churn(files, rounds);
 }
 
 criterion_group!(benches, bench_par_exec);

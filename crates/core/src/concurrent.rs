@@ -36,6 +36,7 @@ use ghba_bloom::Fingerprint;
 use crate::cluster::ClusterStats;
 use crate::ids::{GroupId, MdsId};
 use crate::load::LoadRecorder;
+use crate::mds::Mds;
 use crate::op::PathKey;
 use crate::query::QueryLevel;
 
@@ -78,15 +79,23 @@ impl AtomicLatency {
     }
 
     /// Resets the accumulator and returns the drained parts in
-    /// `merge_parts` order.
+    /// `merge_parts` order. Every `&mut` read folds right after its
+    /// walk, so the common drain holds one sample: only non-zero words
+    /// pay an atomic swap (the caller guarantees no live recorder, so a
+    /// word read as zero stays zero).
     fn drain(&self) -> (u64, u128, u64, u64, [u64; 64]) {
+        let mut buckets = [0u64; 64];
+        if self.count.load(Ordering::Relaxed) == 0 {
+            return (0, 0, u64::MAX, 0, buckets);
+        }
         let count = self.count.swap(0, Ordering::Relaxed);
         let sum = u128::from(self.sum_nanos.swap(0, Ordering::Relaxed));
         let min = self.min_nanos.swap(u64::MAX, Ordering::Relaxed);
         let max = self.max_nanos.swap(0, Ordering::Relaxed);
-        let mut buckets = [0u64; 64];
         for (slot, bucket) in buckets.iter_mut().zip(&self.buckets) {
-            *slot = bucket.swap(0, Ordering::Relaxed);
+            if bucket.load(Ordering::Relaxed) != 0 {
+                *slot = bucket.swap(0, Ordering::Relaxed);
+            }
         }
         (count, sum, min, max, buckets)
     }
@@ -294,6 +303,32 @@ pub enum OverlayEntry {
     Removed,
     /// The latest pending write created this path at the given home.
     Created(MdsId),
+}
+
+impl OverlayEntry {
+    /// Whether `mds`'s live filter answers positive for `fp`, overlaid
+    /// with this era's pending writes: a pending create at `mds` probes
+    /// positive even though the real filter has not been touched yet. A
+    /// pending *remove* cannot be reflected (the counting filter only
+    /// decrements at drain), so a stale positive survives until the
+    /// drain — it fails verification and costs accounting, never a
+    /// wrong home.
+    #[must_use]
+    pub fn probes_live(self, mds: &Mds, fp: &Fingerprint) -> bool {
+        self == OverlayEntry::Created(mds.id()) || mds.probe_live_fp(fp)
+    }
+
+    /// Whether `mds` stores `path`, overlaid with this era's pending
+    /// writes: a pending create is stored at its recorded home, a
+    /// pending remove nowhere.
+    #[must_use]
+    pub fn stores(self, mds: &Mds, path: &str) -> bool {
+        match self {
+            OverlayEntry::Created(home) => mds.id() == home,
+            OverlayEntry::Removed => false,
+            OverlayEntry::Untracked => mds.stores(path),
+        }
+    }
 }
 
 /// The kind of a pending write, tagged with the home server it targets.

@@ -2,65 +2,6 @@
 
 use ghba_simnet::LatencyModel;
 
-use crate::ids::MembershipEpoch;
-
-/// How long the L2/L3 candidate-mask cache of a lookup walk lives (see
-/// `MaskCache` in `cluster.rs`).
-///
-/// Masks and membership snapshots depend only on cluster layout, which
-/// **writes never touch** — only reconfiguration (join/leave/fail/split/
-/// merge/rebalance) changes them. The modes trade invalidation plumbing
-/// for amortization reach:
-///
-/// * [`Persistent`](MaskCacheMode::Persistent) — cache entries survive
-///   across batches *and* across the 1-op string shims, validated
-///   lazily against the cluster's membership epoch (every
-///   reconfiguration bumps it). The default.
-/// * [`PerBatch`](MaskCacheMode::PerBatch) — the pre-epoch behaviour:
-///   entries live for one `OpBatch` (armed by `batch_begin`, dropped by
-///   `batch_end`), or one walk outside the op pipeline.
-/// * [`Off`](MaskCacheMode::Off) — rebuild every mask per walk; the
-///   cache-free reference the property tests compare against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MaskCacheMode {
-    /// Epoch-validated, survives across batches and string shims.
-    #[default]
-    Persistent,
-    /// Scoped to one executing `OpBatch` (the pre-PR-4 behaviour).
-    PerBatch,
-    /// No caching; every walk rebuilds its masks (reference semantics).
-    Off,
-}
-
-/// How fine-grained the persistent mask cache's invalidation fences are.
-///
-/// Candidate masks and membership snapshots are derived per entry server
-/// (L2) and per group (L3); a reconfiguration invalidates only the groups
-/// whose placement it actually touched. The granularity selects whether
-/// the cache exploits that:
-///
-/// * [`PerGroup`](EpochGranularity::PerGroup) (default) — every cache
-///   entry is tagged with its group's
-///   [`GroupEpoch`](crate::GroupEpoch); a single-group rebalance,
-///   split, or merge bumps only the involved groups, so every other
-///   entry stays warm. Joins/leaves/fail-stops place or drop a replica
-///   in *every* group and therefore still bump them all.
-/// * [`Global`](EpochGranularity::Global) — every reconfiguration bumps
-///   every group: the all-or-nothing flush of the pre-PR-5 design, kept
-///   as the reference the property tests (and the `par_exec` bench's
-///   churn comparison) run against.
-///
-/// Outcomes are identical under both granularities (property-tested);
-/// only how much derived state survives a reconfiguration differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EpochGranularity {
-    /// Tag cache entries per group; invalidate only touched groups.
-    #[default]
-    PerGroup,
-    /// Any reconfiguration invalidates every cached mask (reference).
-    Global,
-}
-
 /// Sizing of the data-parallel batch execution engine (see
 /// [`crate::exec`]).
 ///
@@ -119,115 +60,6 @@ impl ExecutorConfig {
     }
 }
 
-/// The lifetime state machine shared by every scheme's derived-state
-/// cache (G-HBA's L2/L3 `MaskCache`, HBA's per-entry mask cache): armed
-/// flag for [`MaskCacheMode::PerBatch`], build epoch for
-/// [`MaskCacheMode::Persistent`], and hit/miss counters. Keeping the
-/// mode-validation logic in one place means the schemes' cache lifetime
-/// semantics cannot diverge.
-///
-/// Every method that can invalidate returns `true` when the holder must
-/// drop its cached entries; the counters survive drops.
-#[derive(Debug, Clone, Default)]
-pub struct MaskCacheLifecycle {
-    armed: bool,
-    epoch: MembershipEpoch,
-    hits: u64,
-    misses: u64,
-}
-
-impl MaskCacheLifecycle {
-    /// Called at the top of every walk: `true` if the cache contents
-    /// are stale under `mode` (older epoch, unarmed per-batch scope, or
-    /// caching off) and must be dropped before use.
-    #[must_use]
-    pub fn begin_walk(&mut self, mode: MaskCacheMode, epoch: MembershipEpoch) -> bool {
-        match mode {
-            MaskCacheMode::Persistent => {
-                if self.epoch == epoch {
-                    false
-                } else {
-                    self.epoch = epoch;
-                    true
-                }
-            }
-            MaskCacheMode::PerBatch => !self.armed,
-            MaskCacheMode::Off => true,
-        }
-    }
-
-    /// Variant of [`begin_walk`](MaskCacheLifecycle::begin_walk) for
-    /// caches whose entries carry their **own** validity tags (G-HBA's
-    /// per-group-epoch mask cache): under
-    /// [`MaskCacheMode::Persistent`] the holder validates entry by
-    /// entry, so no bulk drop ever happens here — only the
-    /// `PerBatch`-unarmed and `Off` cases still clear wholesale.
-    #[must_use]
-    pub fn begin_walk_keyed(&mut self, mode: MaskCacheMode) -> bool {
-        match mode {
-            MaskCacheMode::Persistent => false,
-            MaskCacheMode::PerBatch => !self.armed,
-            MaskCacheMode::Off => true,
-        }
-    }
-
-    /// Arms the per-batch scope (a no-op outside
-    /// [`MaskCacheMode::PerBatch`]); `true` if the holder must start
-    /// the batch with dropped entries.
-    #[must_use]
-    pub fn arm(&mut self, mode: MaskCacheMode) -> bool {
-        if mode == MaskCacheMode::PerBatch {
-            self.armed = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Disarms the per-batch scope (a no-op outside
-    /// [`MaskCacheMode::PerBatch`]); `true` if the holder must drop its
-    /// entries now that the batch ended.
-    #[must_use]
-    pub fn disarm(&mut self, mode: MaskCacheMode) -> bool {
-        if mode == MaskCacheMode::PerBatch {
-            self.armed = false;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the per-batch scope is currently armed.
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Records a consultation answered from cache.
-    pub fn hit(&mut self) {
-        self.hits += 1;
-    }
-
-    /// Records a consultation that had to build the entry.
-    pub fn miss(&mut self) {
-        self.misses += 1;
-    }
-
-    /// Absorbs counters recorded out-of-band (the atomic recorders of
-    /// the `&self` walk path fold their mask-cache consults here at
-    /// drain time).
-    pub fn absorb(&mut self, hits: u64, misses: u64) {
-        self.hits += hits;
-        self.misses += misses;
-    }
-
-    /// Lifetime `(hits, misses)`.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 /// Tunable parameters of a [`GhbaCluster`](crate::GhbaCluster).
 ///
 /// Defaults follow the paper's recommended operating point; override
@@ -274,11 +106,6 @@ pub struct GhbaConfig {
     /// the queueing delay multicast fan-out induces under load (the
     /// "queuing" the paper folds into `U(laten.)`). Zero disables it.
     pub contention_per_message: f64,
-    /// Lifetime of the L2/L3 candidate-mask cache (see [`MaskCacheMode`]).
-    pub mask_cache: MaskCacheMode,
-    /// Invalidation granularity of the persistent mask cache (see
-    /// [`EpochGranularity`]).
-    pub epoch_granularity: EpochGranularity,
     /// Sizing of the parallel batch execution engine (see
     /// [`ExecutorConfig`]).
     pub executor: ExecutorConfig,
@@ -305,8 +132,6 @@ impl Default for GhbaConfig {
             latency: LatencyModel::default(),
             memory_per_mds: None,
             contention_per_message: 0.0,
-            mask_cache: MaskCacheMode::default(),
-            epoch_granularity: EpochGranularity::default(),
             executor: ExecutorConfig::default(),
             write_shards: 16,
         }
@@ -416,20 +241,6 @@ impl GhbaConfig {
         self
     }
 
-    /// Returns `self` with a different mask-cache lifetime.
-    #[must_use]
-    pub fn with_mask_cache(mut self, mode: MaskCacheMode) -> Self {
-        self.mask_cache = mode;
-        self
-    }
-
-    /// Returns `self` with a different epoch-invalidation granularity.
-    #[must_use]
-    pub fn with_epoch_granularity(mut self, granularity: EpochGranularity) -> Self {
-        self.epoch_granularity = granularity;
-        self
-    }
-
     /// Returns `self` with a different executor sizing.
     #[must_use]
     pub fn with_executor(mut self, executor: ExecutorConfig) -> Self {
@@ -536,15 +347,11 @@ mod tests {
     fn executor_defaults_are_sequential() {
         let c = GhbaConfig::default();
         assert_eq!(c.executor.workers, 1);
-        assert_eq!(c.epoch_granularity, EpochGranularity::PerGroup);
-        let c = c
-            .with_workers(4)
-            .with_executor(
-                ExecutorConfig::default()
-                    .with_workers(2)
-                    .with_min_parallel_batch(8),
-            )
-            .with_epoch_granularity(EpochGranularity::Global);
+        let c = c.with_workers(4).with_executor(
+            ExecutorConfig::default()
+                .with_workers(2)
+                .with_min_parallel_batch(8),
+        );
         assert_eq!(
             c.executor,
             ExecutorConfig {
@@ -552,23 +359,11 @@ mod tests {
                 min_parallel_batch: 8
             }
         );
-        assert_eq!(c.epoch_granularity, EpochGranularity::Global);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = GhbaConfig::default().with_workers(0);
-    }
-
-    #[test]
-    fn keyed_walk_never_bulk_drops_persistent_entries() {
-        let mut life = MaskCacheLifecycle::default();
-        assert!(!life.begin_walk_keyed(MaskCacheMode::Persistent));
-        assert!(life.begin_walk_keyed(MaskCacheMode::Off));
-        assert!(life.begin_walk_keyed(MaskCacheMode::PerBatch));
-        assert!(life.arm(MaskCacheMode::PerBatch));
-        assert!(!life.begin_walk_keyed(MaskCacheMode::PerBatch));
-        assert!(life.disarm(MaskCacheMode::PerBatch));
     }
 }

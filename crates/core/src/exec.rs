@@ -9,8 +9,8 @@
 //! read-shared and the per-query verdicts of a fused lookup run are
 //! independent, so the walk is embarrassingly parallel across
 //! fingerprints — the schemes split a large run into per-worker chunks,
-//! each walked against `&self` with its own scratch arena, and hand the
-//! chunk closures to [`run_jobs`]. The pool is **zero-dependency**
+//! each walked against `&self` with its own arena, and hand the chunk
+//! closures to [`run_jobs`]. The pool is **zero-dependency**
 //! (std threads, a mutex-guarded injector queue, a condvar — no rayon)
 //! and **persistent**: worker threads are spawned on first use, parked
 //! between calls, and reused by every cluster, node, and bench in the
@@ -41,19 +41,15 @@
 //! simple: by the time `run_jobs` returns, every chunk's verdicts are
 //! fully written and can be stitched back together in batch order.
 //!
-//! # Use from `&self`: the pin-once pipeline
+//! # Use from `&self`
 //!
-//! Nothing in the engine requires `&mut` anything: [`run_chunked`]
-//! borrows its arena `Vec` from the caller, so a scheme that owns no
-//! reusable scratch can dispatch with a **local** arena vector from a
-//! shared reference — exactly what the pin-once concurrent pipeline
-//! (`execute_concurrent`) does. Each fused run pins one snapshot, hands
-//! `run_chunked` a fresh `Vec` of chunk arenas (outcomes + per-chunk
-//! mask memo), and splices the results; the closures capture only
-//! `&self` and the pinned snapshot, both `Sync`. The arenas are not
-//! reused across calls on that path — the allocation is one `Vec` per
-//! fused run, a fraction of the walk cost — and in exchange any number
-//! of threads can drive fused runs through one scheme concurrently.
+//! Nothing in the engine requires `&mut` anything: the schemes' one
+//! pinned walk dispatches from a shared reference through
+//! [`run_deduped`], whose chunk arenas (results + per-chunk memo) are
+//! local to the call; the closures capture only `&self` and the pinned
+//! snapshot, both `Sync`. The allocation is one `Vec` per run, a
+//! fraction of the walk cost, and in exchange any number of threads can
+//! drive runs through one scheme concurrently.
 //!
 //! # Non-goals
 //!
@@ -326,6 +322,45 @@ where
         assign.push(slot);
     }
     (uniques, assign)
+}
+
+/// Walks a run of `items` once per distinct `key`, chunked across the
+/// pool: [`resolve_unique`] dedup, then [`run_chunked`] with one
+/// `M`-typed memo per chunk (whatever `walk` wants to reuse between the
+/// items of a chunk). Returns `(resolved, assign)` — `resolved` holds
+/// one result per distinct key in first-occurrence order and
+/// `assign[i]` indexes the result answering `items[i]`, so the caller
+/// splices per occurrence in stream order. A single item walks inline
+/// with no dedup or dispatch plumbing.
+pub fn run_deduped<T, K, M, R, F>(
+    items: &[T],
+    executor: crate::config::ExecutorConfig,
+    key: impl Fn(&T) -> K,
+    walk: F,
+) -> (Vec<R>, Vec<u32>)
+where
+    T: Copy + Sync,
+    K: std::hash::Hash + Eq,
+    M: Send + Default,
+    R: Send,
+    F: Fn(T, &mut M) -> R + Sync,
+{
+    if let [item] = items {
+        return (vec![walk(*item, &mut M::default())], vec![0]);
+    }
+    let (uniques, assign) = resolve_unique(items, key);
+    let deduped: Vec<T> = uniques.iter().map(|&first| items[first as usize]).collect();
+    let mut arenas: Vec<(Vec<R>, M)> = Vec::new();
+    let used = run_chunked(&deduped, executor, &mut arenas, |chunk, (out, memo)| {
+        out.extend(chunk.iter().map(|&item| walk(item, memo)));
+    });
+    let resolved: Vec<R> = arenas
+        .into_iter()
+        .take(used)
+        .flat_map(|(out, _)| out)
+        .collect();
+    debug_assert_eq!(resolved.len(), deduped.len());
+    (resolved, assign)
 }
 
 #[cfg(test)]

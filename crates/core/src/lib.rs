@@ -17,6 +17,29 @@
 //!    entire system);
 //! 4. **L4** — a system-wide multicast, authoritative by construction.
 //!
+//! # One walk, one driver
+//!
+//! That hierarchy is implemented **once**: a pinned walk that resolves
+//! one query against one immutable [`RouteSnapshot`] from `&self`.
+//! Every read entry is that walk plus a thin epilogue:
+//!
+//! * `&self` entries ([`GhbaCluster::lookup_concurrent`],
+//!   [`MetadataService::execute_concurrent`]) record statistics into
+//!   wait-free atomic counters and **never fill L1**; the owner folds
+//!   them (and replays pending writes) at its next `&mut` entry or an
+//!   explicit [`GhbaCluster::drain_concurrent`].
+//! * `&mut` entries ([`GhbaCluster::lookup_from`],
+//!   [`GhbaCluster::lookup_batch_from`], [`MetadataService::execute`])
+//!   drain first, run the same walk, then apply the L1 LRU fill per
+//!   occurrence in stream order and **fold the statistics before
+//!   returning**.
+//!
+//! Mixed op batches run through one driver, [`execute_vectored`], over
+//! one hook trait, [`VectoredScheme`]: `execute` hands it the scheme
+//! itself, `execute_concurrent` a per-batch value binding `&self` to
+//! the snapshot pinned at admission. L2/L3 candidate masks live in one
+//! snapshot-resident cache validated per `(group, GroupEpoch)`.
+//!
 //! Group membership is elastic: joins trigger light-weight replica
 //! migration and, on overflow, group splits; departures trigger merges
 //! ([`GhbaCluster::add_mds`], [`GhbaCluster::remove_mds`]). Replica
@@ -68,15 +91,15 @@ pub mod wal;
 pub use adapt::{AdaptAction, ControllerConfig, GroupController, TargetM};
 pub use cluster::{ClusterStats, GhbaCluster};
 pub use concurrent::{ConcurrentStats, NamespaceShards, OverlayEntry, WriteKind, WriteRecord};
-pub use config::{EpochGranularity, ExecutorConfig, GhbaConfig, MaskCacheLifecycle, MaskCacheMode};
+pub use config::{ExecutorConfig, GhbaConfig};
 pub use group::{Group, IdFilterArray};
 pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};
 pub use mds::{published_shape, Mds, META_ENTRY_BYTES};
 pub use metadata::{FileAttrs, MetadataStore};
 pub use op::{
-    execute_vectored, execute_vectored_concurrent, ConcurrentScheme, EntryPolicy, MetadataOp,
-    OpBatch, OpOutcome, PathKey, VectoredScheme,
+    execute_vectored, walk_items, EntryPolicy, MetadataOp, OpBatch, OpOutcome, PathKey,
+    VectoredScheme, WalkItem,
 };
 pub use query::{LevelCounts, QueryLevel, QueryOutcome};
 pub use reconcile::Reconciler;

@@ -8,9 +8,9 @@
 //!
 //! * `LoadRecorder` (private) — fixed-capacity tables of wait-free atomic
 //!   counters, embedded in [`ConcurrentStats`](crate::ConcurrentStats),
-//!   recorded on the `lookup_concurrent`/`walk_pinned` hot paths (and
-//!   mirrored by the owner-side batched walk) with one slot index plus
-//!   a handful of relaxed `fetch_add`s per walk. No locks, no
+//!   recorded once per lookup occurrence by the pinned walk's splice
+//!   (every read entry, `&mut` or `&self`) with one slot index plus a
+//!   handful of relaxed `fetch_add`s. No locks, no
 //!   allocation, callable from `&self` while reconfiguration publishes
 //!   successor snapshots.
 //! * `LoadWindows` (private) — the owner-side fold state: each call to
@@ -30,16 +30,13 @@
 //! memory or a lock. The same scheme covers the per-entry-server table
 //! that feeds member-imbalance rates.
 //!
-//! False-hit accounting is recorded with full fidelity on both the
-//! pinned (`&self`) and the owner batched walks. Mask-consult rates
-//! cover two caches with one validity contract — the pinned walk's
-//! snapshot-resident shared cache and the owner walk's persistent
-//! cache, both tagged and validated per `(group, GroupEpoch)` — so a
-//! group's `mask_hit_rate` staying ≥ 0.99 through someone *else's*
-//! reconfiguration is the observable form of the per-group-epoch
-//! guarantee on either path. The controller's decisions deliberately
-//! depend only on traffic share, shape, and member imbalance, which
-//! are identical across cache modes (see [`crate::adapt`]).
+//! False-hit accounting is recorded with full fidelity. Mask-consult
+//! rates cover the snapshot-resident shared cache, tagged and validated
+//! per `(group, GroupEpoch)` — so a group's `mask_hit_rate` staying
+//! ≥ 0.99 through someone *else's* reconfiguration is the observable
+//! form of the per-group-epoch guarantee. The controller's decisions
+//! deliberately depend only on traffic share, shape, and member
+//! imbalance (see [`crate::adapt`]).
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::BTreeMap;
@@ -464,13 +461,10 @@ pub(crate) fn build_report(
 }
 
 /// Unified L2/L3 mask-cache accounting: **one documented accessor, two
-/// scopes**. Before this type, the lifetime view
-/// (`MaskCacheLifecycle`-backed, spanning every batch since
+/// scopes**: the lifetime view (spanning every walk since
 /// construction) and the reset-scoped view (the
 /// [`ClusterStats`](crate::ClusterStats) fields, cleared by
-/// `reset_stats`) diverged in naming and in *when* concurrent-path
-/// consults became visible (only after a drain). Both scopes now come
-/// from one accessor that also folds in consults still sitting in the
+/// `reset_stats`). Both also fold in consults still sitting in the
 /// atomic recorders, so a `&self` reader — the load report, a
 /// controller, a bench — sees every consult that has happened, drained
 /// or not.

@@ -11,10 +11,10 @@
 //! explicit [`EntryPolicy`] instead of baking "random entry server" into
 //! each scheme.
 //!
-//! Schemes execute a batch through the shared [`execute_vectored`]
-//! pipeline (via the [`VectoredScheme`] hooks): maximal runs of
-//! consecutive lookups are fused into one L1→L4 batched slab pass, writes
-//! apply in stream order with their gated delta publishes, and
+//! Schemes execute a batch through the one shared [`execute_vectored`]
+//! driver (via the [`VectoredScheme`] hooks): maximal runs of
+//! consecutive lookups are fused into one L1→L4 walk run against one
+//! pinned snapshot, writes apply in stream order, and
 //! [`MetadataOp::Rename`] performs a full metadata migration (remove at
 //! the old home, create at the policy-chosen new home) whose
 //! [`OpOutcome::Renamed`] reports both homes.
@@ -24,49 +24,51 @@
 //! would. The run fusion flushes before every write and before a
 //! repeated `(entry, path)` pair, so a repeat observes the earlier
 //! lookup's L1 cache fill exactly as a sequential stream would. The one
-//! deliberate divergence is the concurrent-request model inherited from
-//! the batched walk: an L1 fill produced by an earlier lookup at the
-//! same entry for a *different* path is not seen by the later probes of
-//! the same fused run — observable only through an L1 Bloom false
-//! positive or an eviction reordering, both vanishingly rare at sane L1
-//! geometries (the property tests pin outcome equality across all three
-//! schemes under flash-crowd batches).
+//! deliberate divergence is the concurrent-request model of a fused
+//! run: an L1 fill produced by an earlier lookup at the same entry for
+//! a *different* path is not seen by the later probes of the same run —
+//! observable only through an L1 Bloom false positive or an eviction
+//! reordering, both vanishingly rare at sane L1 geometries (the
+//! property tests pin outcome equality across all three schemes under
+//! flash-crowd batches).
 //!
-//! # The pin-once concurrent pipeline
+//! # Two entries, one driver
 //!
-//! [`execute_vectored_concurrent`] is the `&self` twin of
-//! [`execute_vectored`], driven through the [`ConcurrentScheme`] hooks.
-//! Its lifetime rules:
+//! `MetadataService::execute` hands the driver the scheme itself
+//! (`&mut`); `MetadataService::execute_concurrent` hands it a per-batch
+//! value binding `&self` to the snapshot pinned at admission. What
+//! differs is only what the hooks do:
 //!
-//! * **Pin once per batch.** The scheme pins one route snapshot at batch
-//!   admission ([`ConcurrentScheme::pin_batch`]) and every fused read
-//!   run of the batch walks that same snapshot — not one pin per
-//!   `lookup` call. A reconfiguration publishing mid-batch is therefore
-//!   observed by the *next* batch, never by half of this one; the pin
-//!   is dropped (and the epoch guard released) only when the batch's
-//!   outcomes are assembled.
-//! * **Writes are ordered per shard, not per batch.** Mutations from
-//!   `&self` append to namespace write shards (hash of the path's
-//!   fingerprint → shard) under that shard's lock alone. Two batches
-//!   writing distinct shards never contend; two writes to the same
-//!   path always land in the same shard, so their order is total.
-//! * **Cross-shard renames are remove-then-create.** A rename removes
-//!   `from` under its shard's lock, *releases it*, then creates `to`
-//!   under the target shard's lock — no op ever holds two shard locks,
-//!   so shard locks are single and there is no lock-order cycle to
-//!   deadlock on.
-//! * **Publishes stay a single atomic swap.** Pending create bits are
-//!   folded into the published probe columns through the same
-//!   `SlabOp`/`CellWriter` path the sequential pipeline uses
-//!   ([`ConcurrentScheme::commit_batch`]), under the slab writer lock,
-//!   so readers still observe probe state flip in one swap.
+//! * **`&mut` entry.** Each fused run drains pending `&self` state,
+//!   pins a snapshot, walks, fills the L1 LRU per occurrence in stream
+//!   order, and folds the walk statistics before returning. Writes hit
+//!   the authoritative stores directly, with their gated delta
+//!   publishes.
+//! * **`&self` entry — pin once per batch.** Every fused read run of
+//!   the batch walks the one snapshot pinned at admission; a
+//!   reconfiguration publishing mid-batch is observed by the *next*
+//!   batch, never by half of this one. The walk never fills L1.
+//! * **`&self` writes are ordered per shard, not per batch.** Mutations
+//!   append to namespace write shards (hash of the path's fingerprint →
+//!   shard) under that shard's lock alone. Two batches writing distinct
+//!   shards never contend; two writes to the same path always land in
+//!   the same shard, so their order is total. A rename removes `from`
+//!   under its shard's lock, *releases it*, then creates `to` under the
+//!   target shard's lock — no op ever holds two shard locks, so there
+//!   is no lock-order cycle to deadlock on.
+//! * **`&self` publishes stay a single atomic swap.** After the driver
+//!   returns, pending create bits are folded into the published probe
+//!   columns through the same `SlabOp`/`CellWriter` path the `&mut`
+//!   writes use, under the slab writer lock, so readers still observe
+//!   probe state flip in one swap. A batch that panics mid-flight
+//!   leaves its pending records for the next commit or owner drain.
 //!
-//! Executed single-threaded against a quiescent scheme, the concurrent
-//! pipeline is **bit-identical** to the sequential one (same RNG stream,
-//! same fusion boundaries at `lru_capacity = 0`); under true concurrency
-//! the interleaving of distinct-path writes is arbitrary by design and
-//! the property suites assert semantic equivalence (every path resolves
-//! to its true home) instead.
+//! Executed single-threaded against a quiescent scheme, the two entries
+//! are **bit-identical** at `lru_capacity = 0` (same RNG stream, same
+//! fusion boundaries); under true concurrency the interleaving of
+//! distinct-path writes is arbitrary by design and the property suites
+//! assert semantic equivalence (every path resolves to its true home)
+//! instead.
 
 use ghba_bloom::Fingerprint;
 
@@ -119,6 +121,19 @@ impl PathKey {
     pub fn fingerprint(&self) -> &Fingerprint {
         &self.fp
     }
+}
+
+/// One query of a walk run: entry server, pathname, and the path's
+/// hash-once fingerprint.
+pub type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
+
+/// A fused run's queries as walk items (reusing admission fingerprints).
+#[must_use]
+pub fn walk_items<'a>(queries: &[(MdsId, &'a PathKey)]) -> Vec<WalkItem<'a>> {
+    queries
+        .iter()
+        .map(|&(entry, key)| (entry, key.path(), *key.fingerprint()))
+        .collect()
 }
 
 /// How a batch's ops choose their serving MDS (the lookup entry server,
@@ -410,237 +425,52 @@ impl OpOutcome {
 /// The scheme hooks [`execute_vectored`] drives: entry-policy resolution,
 /// fused lookup runs, and the write primitives.
 ///
-/// Implemented by `GhbaCluster` and by the HBA/BFA baselines so all three
-/// share one batch pipeline (fusion rules, rename migration, outcome
-/// assembly) and therefore one, property-tested, execution semantics.
+/// Implemented by `GhbaCluster` and the HBA baseline for their `&mut`
+/// entry, and by each scheme's small per-batch value that binds a shared
+/// reference to the snapshot pinned at admission (the `&self` entry), so
+/// every scheme and both entries share one batch pipeline (fusion rules,
+/// rename migration, outcome assembly) and therefore one,
+/// property-tested, execution semantics.
 pub trait VectoredScheme {
     /// Resolves the serving MDS for op `op_index` under `policy`.
-    /// [`EntryPolicy::Random`] must draw from the scheme's deterministic
-    /// RNG exactly as the scheme's legacy per-call random pick did.
+    /// [`EntryPolicy::Random`] must draw from the scheme's one
+    /// deterministic RNG stream, so a single-threaded replay draws the
+    /// same servers through either entry.
     fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId;
 
-    /// `true` when the scheme maintains per-entry L1 state (an LRU
-    /// filter array) whose cache fills make a repeated `(entry, path)`
-    /// pair order-sensitive within a fused run — the pipeline then
-    /// splits the run so the later lookup observes the earlier one's
-    /// fill, exactly as a sequential stream would. Schemes without an L1
-    /// level (e.g. BFA, or clusters configured with `lru_capacity = 0`)
-    /// return `false` and fuse straight through flash-crowd repeats.
-    fn repeat_sensitive(&self) -> bool {
-        true
-    }
+    /// `true` when a fused run's lookups fill per-entry L1 state (an LRU
+    /// filter array), which makes a repeated `(entry, path)` pair
+    /// order-sensitive within the run — the pipeline then splits the run
+    /// so the later lookup observes the earlier one's fill, exactly as a
+    /// sequential stream would. Schemes without an L1 level (BFA, or
+    /// clusters configured with `lru_capacity = 0`) and the `&self`
+    /// entries (which never fill L1) return `false` and fuse straight
+    /// through flash-crowd repeats.
+    fn repeat_sensitive(&self) -> bool;
 
-    /// Resolves a fused run of concurrent lookups — one batched walk of
-    /// the scheme's hierarchy, reusing each key's admission fingerprint —
-    /// returning one outcome per query in order.
+    /// Resolves a fused run of concurrent lookups — one walk of the
+    /// scheme's hierarchy against one pinned snapshot, reusing each
+    /// key's admission fingerprint — returning one outcome per query in
+    /// order.
     fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome>;
 
-    /// Called once before the pipeline starts a batch. Schemes arm
-    /// batch-lifetime caches here: state that only reconfiguration could
-    /// invalidate (candidate slot masks, membership snapshots) stays
-    /// valid for the whole batch, because membership changes can never
-    /// interleave with an executing batch. Anything writes can touch
-    /// (filter contents, memory budgets) must not be cached across runs.
-    fn batch_begin(&mut self) {}
-
-    /// Called once after the batch completes; schemes drop their
-    /// batch-lifetime caches so later calls never observe stale state
-    /// across an intervening reconfiguration.
-    fn batch_end(&mut self) {}
-
-    /// Creates `key` at `home` (store + live filter + gated delta
-    /// publish), reusing the admission fingerprint.
+    /// Creates `key` at `home`, reusing the admission fingerprint: on
+    /// the `&mut` entry store, live filter and gated delta publish; on
+    /// the `&self` entry a pending record in `key`'s namespace shard.
     fn apply_create(&mut self, key: &PathKey, home: MdsId);
 
-    /// Removes `key` from its home, returning the former home.
+    /// Removes `key` from its home, returning the former home (`None`
+    /// if the path is homed nowhere — then nothing changes).
     fn apply_remove(&mut self, key: &PathKey) -> Option<MdsId>;
 }
 
-/// The scheme hooks [`execute_vectored_concurrent`] drives: the
-/// `&self` twin of [`VectoredScheme`] for the pin-once pipeline.
-///
-/// The contract mirrors [`VectoredScheme`] hook for hook, with the
-/// lifetime differences spelled out in the module-level docs: one
-/// snapshot pin per batch, writes appended to namespace shards under
-/// per-shard locks, and a commit that folds pending create bits into
-/// the published probe state through one slab swap.
-pub trait ConcurrentScheme {
-    /// The batch-lifetime snapshot pin. Holding it keeps the pinned
-    /// route snapshot's epoch guard alive for the whole batch.
-    type Pinned;
-
-    /// Pins the route snapshot every fused run of this batch walks.
-    fn pin_batch(&self) -> Self::Pinned;
-
-    /// Resolves the serving MDS for op `op_index` under `policy`, from
-    /// `&self`. [`EntryPolicy::Random`] must consume the scheme's
-    /// deterministic RNG stream exactly as
-    /// [`VectoredScheme::resolve_entry`] does, so a single-threaded
-    /// concurrent replay draws the same servers as a sequential one.
-    fn resolve_entry_concurrent(&self, policy: EntryPolicy, op_index: usize) -> MdsId;
-
-    /// Whether a repeated `(entry, path)` pair must split a fused run.
-    /// Defaults to `false`: the `&self` walk performs no L1 cache
-    /// fills, so a repeat can observe nothing the first occurrence
-    /// produced. (This matches the sequential pipeline's fusion
-    /// boundaries exactly when `lru_capacity = 0`.)
-    fn repeat_sensitive_concurrent(&self) -> bool {
-        false
-    }
-
-    /// Resolves a fused run of concurrent lookups against the pinned
-    /// snapshot, returning one outcome per query in order.
-    fn lookup_fused_pinned(
-        &self,
-        pinned: &Self::Pinned,
-        queries: &[(MdsId, &PathKey)],
-    ) -> Vec<QueryOutcome>;
-
-    /// Appends a pending create of `key` at `home` to its namespace
-    /// shard.
-    fn apply_create_concurrent(&self, key: &PathKey, home: MdsId);
-
-    /// Appends a pending removal of `key`, returning the home it was
-    /// removed from (`None` if the path is homed nowhere — then nothing
-    /// is appended).
-    fn apply_remove_concurrent(&self, key: &PathKey) -> Option<MdsId>;
-
-    /// Folds the batch's pending create bits into the published probe
-    /// state (one slab writer pass, one atomic swap). Called once after
-    /// the batch's ops complete; a batch that panics mid-flight leaves
-    /// its pending records for the next commit or owner drain instead.
-    fn commit_batch(&self, pinned: &Self::Pinned);
-}
-
-/// Executes `batch` against `scheme` from a **shared** reference: the
-/// pin-once twin of [`execute_vectored`].
-///
-/// Same control flow op for op — identical fusion rules (modulo
-/// [`ConcurrentScheme::repeat_sensitive_concurrent`], which defaults to
-/// `false` because the `&self` walk fills no L1 cache), identical
-/// rename semantics (the new home is drawn only when the source
-/// existed, so the RNG stream stays aligned with the sequential
-/// pipeline), and one [`ConcurrentScheme::commit_batch`] after the last
-/// op. Any number of threads may run this concurrently against the same
-/// scheme; writes serialize per namespace shard and reads walk the
-/// snapshot pinned at their own batch's admission.
-pub fn execute_vectored_concurrent<S: ConcurrentScheme + ?Sized>(
-    scheme: &S,
-    batch: &OpBatch,
-) -> Vec<OpOutcome> {
-    let ops = batch.ops();
-    let policy = batch.entry_policy();
-    let mut outcomes: Vec<Option<OpOutcome>> = vec![None; ops.len()];
-    let mut run: Vec<(usize, MdsId)> = Vec::new();
-
-    let pinned = scheme.pin_batch();
-
-    fn flush<S: ConcurrentScheme + ?Sized>(
-        scheme: &S,
-        pinned: &S::Pinned,
-        ops: &[MetadataOp],
-        run: &mut Vec<(usize, MdsId)>,
-        outcomes: &mut [Option<OpOutcome>],
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        let queries: Vec<(MdsId, &PathKey)> = run
-            .iter()
-            .map(|&(i, entry)| {
-                let MetadataOp::Lookup(key) = &ops[i] else {
-                    unreachable!("only lookups join the fused run");
-                };
-                (entry, key)
-            })
-            .collect();
-        for (&(i, _), outcome) in run.iter().zip(scheme.lookup_fused_pinned(pinned, &queries)) {
-            outcomes[i] = Some(OpOutcome::Resolved(outcome));
-        }
-        run.clear();
-    }
-
-    let repeat_sensitive = scheme.repeat_sensitive_concurrent();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            MetadataOp::Lookup(key) => {
-                let entry = scheme.resolve_entry_concurrent(policy, i);
-                let repeat = repeat_sensitive
-                    && run
-                        .iter()
-                        .any(|&(j, e)| e == entry && ops[j].path() == key.path());
-                if repeat {
-                    flush(scheme, &pinned, ops, &mut run, &mut outcomes);
-                }
-                run.push((i, entry));
-            }
-            MetadataOp::Create(key) => {
-                flush(scheme, &pinned, ops, &mut run, &mut outcomes);
-                let home = scheme.resolve_entry_concurrent(policy, i);
-                scheme.apply_create_concurrent(key, home);
-                outcomes[i] = Some(OpOutcome::Created { home });
-            }
-            MetadataOp::Remove(key) => {
-                flush(scheme, &pinned, ops, &mut run, &mut outcomes);
-                let home = scheme.apply_remove_concurrent(key);
-                outcomes[i] = Some(OpOutcome::Removed { home });
-            }
-            MetadataOp::Rename { from, to } => {
-                flush(scheme, &pinned, ops, &mut run, &mut outcomes);
-                // Remove under `from`'s shard lock, release, create
-                // under `to`'s — never both at once (see the
-                // shard-ordering rules in the module docs).
-                let old_home = scheme.apply_remove_concurrent(from);
-                let new_home = old_home.map(|_| {
-                    let home = scheme.resolve_entry_concurrent(policy, i);
-                    scheme.apply_create_concurrent(to, home);
-                    home
-                });
-                outcomes[i] = Some(OpOutcome::Renamed { old_home, new_home });
-            }
-        }
-    }
-    flush(scheme, &pinned, ops, &mut run, &mut outcomes);
-    scheme.commit_batch(&pinned);
-    drop(pinned);
-    outcomes
-        .into_iter()
-        .map(|outcome| outcome.expect("every op produced an outcome"))
-        .collect()
-}
-
-/// Arms a scheme's batch-lifetime caches for the duration of one
-/// [`execute_vectored`] call: [`VectoredScheme::batch_begin`] on
-/// construction, [`VectoredScheme::batch_end`] on drop.
-///
-/// Pairing through a drop guard instead of two manual calls makes the
-/// arm/disarm **exception-safe**: any exit from the pipeline — including
-/// a panic unwinding out of `resolve_entry` (unknown pinned server) or a
-/// scheme hook — still disarms, so a poisoned batch can never leak an
-/// armed cache into the next call.
-struct ArmedBatch<'a, S: VectoredScheme + ?Sized> {
-    scheme: &'a mut S,
-}
-
-impl<'a, S: VectoredScheme + ?Sized> ArmedBatch<'a, S> {
-    fn new(scheme: &'a mut S) -> Self {
-        scheme.batch_begin();
-        ArmedBatch { scheme }
-    }
-}
-
-impl<S: VectoredScheme + ?Sized> Drop for ArmedBatch<'_, S> {
-    fn drop(&mut self) {
-        self.scheme.batch_end();
-    }
-}
-
 /// Executes `batch` against `scheme`: the one mixed-op pipeline every
-/// scheme shares.
+/// scheme and both entries share.
 ///
 /// * Maximal runs of consecutive lookups are **fused** and resolved by
-///   one [`VectoredScheme::lookup_fused`] call (one batched slab pass per
-///   level); a run is split only before a repeated `(entry, path)` pair,
+///   one [`VectoredScheme::lookup_fused`] call; a run is split only
+///   before a repeated `(entry, path)` pair on
+///   [`repeat_sensitive`](VectoredScheme::repeat_sensitive) schemes,
 ///   whose later occurrence must observe the earlier lookup's L1 cache
 ///   fill exactly as a sequential replay would. Inside `lookup_fused`
 ///   the schemes may execute a large run **data-parallel** — chunked
@@ -649,12 +479,12 @@ impl<S: VectoredScheme + ?Sized> Drop for ArmedBatch<'_, S> {
 ///   (`ExecutorConfig`; outcomes bit-identical to `workers = 1`) —
 ///   which is why writes stay sequential in stream order *between* the
 ///   parallel read phases.
-/// * Writes execute in stream order. Their filter mutations accumulate in
-///   the home's live filter and ship as one grouped sparse `FilterDelta`
-///   when the gated drift check publishes — at most one publish per
-///   gate-window per MDS, never one per op.
-/// * [`MetadataOp::Rename`] migrates: remove at the old home, create at
-///   the policy-chosen new home (drawn only when the source existed).
+/// * Writes execute in stream order.
+/// * [`MetadataOp::Rename`] migrates: remove at the old home, then
+///   create at the policy-chosen new home (drawn only when the source
+///   existed, so the RNG stream is the same through either entry) —
+///   never both at once, so the `&self` entry holds one shard lock at
+///   a time.
 ///
 /// Outcomes match issuing every op as its own 1-op batch, up to the
 /// concurrent-request caveat spelled out in the module-level docs:
@@ -669,7 +499,7 @@ pub fn execute_vectored<S: VectoredScheme + ?Sized>(
     let policy = batch.entry_policy();
     let mut outcomes: Vec<Option<OpOutcome>> = vec![None; ops.len()];
     // The fused read run: `(op index, entry server)` pairs awaiting one
-    // batched lookup pass.
+    // lookup pass.
     let mut run: Vec<(usize, MdsId)> = Vec::new();
 
     fn flush<S: VectoredScheme + ?Sized>(
@@ -697,10 +527,6 @@ pub fn execute_vectored<S: VectoredScheme + ?Sized>(
     }
 
     let repeat_sensitive = scheme.repeat_sensitive();
-    // Arm through a drop guard: `batch_end` runs on every exit path,
-    // panics included (see [`ArmedBatch`]).
-    let armed = ArmedBatch::new(scheme);
-    let scheme = &mut *armed.scheme;
     for (i, op) in ops.iter().enumerate() {
         match op {
             MetadataOp::Lookup(key) => {
@@ -740,7 +566,6 @@ pub fn execute_vectored<S: VectoredScheme + ?Sized>(
         }
     }
     flush(scheme, ops, &mut run, &mut outcomes);
-    drop(armed);
     outcomes
         .into_iter()
         .map(|outcome| outcome.expect("every op produced an outcome"))
@@ -750,93 +575,6 @@ pub fn execute_vectored<S: VectoredScheme + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryLevel;
-
-    /// A scheme that records hook pairing and can be poisoned to panic
-    /// mid-batch (the regression surface of the arm/disarm drop guard).
-    #[derive(Default)]
-    struct HookProbe {
-        armed: bool,
-        begins: u32,
-        ends: u32,
-        poison_lookup: bool,
-    }
-
-    impl VectoredScheme for HookProbe {
-        fn resolve_entry(&mut self, _policy: EntryPolicy, _op_index: usize) -> MdsId {
-            MdsId(0)
-        }
-
-        fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
-            assert!(self.armed, "fused run outside an armed batch");
-            if self.poison_lookup {
-                panic!("poisoned batch");
-            }
-            queries
-                .iter()
-                .map(|&(entry, _)| QueryOutcome {
-                    home: None,
-                    level: QueryLevel::Nonexistent,
-                    latency: core::time::Duration::ZERO,
-                    messages: 0,
-                    entry,
-                    epoch: crate::ids::MembershipEpoch::default(),
-                })
-                .collect()
-        }
-
-        fn batch_begin(&mut self) {
-            self.begins += 1;
-            self.armed = true;
-        }
-
-        fn batch_end(&mut self) {
-            self.ends += 1;
-            self.armed = false;
-        }
-
-        fn apply_create(&mut self, _key: &PathKey, _home: MdsId) {}
-
-        fn apply_remove(&mut self, _key: &PathKey) -> Option<MdsId> {
-            None
-        }
-    }
-
-    #[test]
-    fn batch_hooks_pair_on_success() {
-        let mut probe = HookProbe::default();
-        let mut batch = OpBatch::new();
-        batch.push_lookup("/a");
-        batch.push_create("/b");
-        batch.push_lookup("/c");
-        let outcomes = execute_vectored(&mut probe, &batch);
-        assert_eq!(outcomes.len(), 3);
-        assert!(!probe.armed);
-        assert_eq!((probe.begins, probe.ends), (1, 1));
-    }
-
-    #[test]
-    fn poisoned_batch_disarms_cache() {
-        let mut probe = HookProbe {
-            poison_lookup: true,
-            ..HookProbe::default()
-        };
-        let mut batch = OpBatch::new();
-        batch.push_lookup("/poison");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = execute_vectored(&mut probe, &batch);
-        }));
-        assert!(result.is_err(), "the poisoned lookup must panic");
-        // The drop guard must have disarmed during unwinding: no armed
-        // state leaks into the next batch.
-        assert!(!probe.armed, "panic leaked an armed batch cache");
-        assert_eq!(probe.begins, probe.ends);
-        probe.poison_lookup = false;
-        let outcomes = execute_vectored(&mut probe, &batch);
-        assert_eq!(outcomes.len(), 1);
-        assert!(!probe.armed);
-        assert_eq!((probe.begins, probe.ends), (2, 2));
-    }
 
     #[test]
     fn round_robin_resolves_at_cursor_extremes_without_overflow() {

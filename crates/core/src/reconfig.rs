@@ -274,17 +274,6 @@ impl RouteEdit<'_> {
 }
 
 impl GhbaCluster {
-    /// Commits an edit and evicts the mask-cache state of any group it
-    /// dissolved (the owner-side half of snapshot retirement: the epochs
-    /// left with the snapshot, the cached masks live here).
-    pub(crate) fn finish_edit(&mut self, mut edit: RouteEdit<'_>) {
-        let dissolved = core::mem::take(&mut edit.dissolved);
-        edit.commit();
-        for gid in dissolved {
-            self.mask_cache.forget_group(gid);
-        }
-    }
-
     /// Adds a new MDS to the cluster, joining the most suitable group
     /// (§3.1) and splitting it if it overflows `M` (§3.2). Returns the new
     /// server's id; per-operation costs are in the accumulated
@@ -306,7 +295,7 @@ impl GhbaCluster {
         self.mdss.insert(id, Mds::new(id, &self.config));
 
         let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes, self.config.epoch_granularity);
+        let mut edit = RouteEdit::begin(&routes);
         edit.push_op(SlabOp::Push(id));
 
         // Choose the smallest group with room; otherwise the smallest
@@ -376,7 +365,7 @@ impl GhbaCluster {
         // confined to the touched group.
         edit.touch_all_groups();
         edit.bump_epoch();
-        self.finish_edit(edit);
+        edit.commit();
         self.refresh_replica_charges();
         self.stats.migrated_replicas += report.migrated_replicas;
         self.stats.reconfig_messages += report.messages;
@@ -432,7 +421,7 @@ impl GhbaCluster {
         }
 
         let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes, self.config.epoch_granularity);
+        let mut edit = RouteEdit::begin(&routes);
         edit.push_op(SlabOp::Remove(id));
 
         // 2. Migrate the replicas the departing member held to the other
@@ -481,11 +470,9 @@ impl GhbaCluster {
         }
 
         // 4. Forget the server; purge hot-cache entries pointing at it
-        //    (the fail-over rule of §4.5) and its cached L2 mask (ids
-        //    are never reused, so the entry could only leak).
+        //    (the fail-over rule of §4.5).
         edit.work.group_of.remove(&id);
         self.mdss.remove(&id);
-        self.mask_cache.forget_entry(id);
         for mds in self.mdss.values_mut() {
             if let Some(lru) = mds.lru_mut() {
                 lru.purge_home(id);
@@ -512,7 +499,7 @@ impl GhbaCluster {
         // group's origin masks (and the former holders' held sets) moved.
         edit.touch_all_groups();
         edit.bump_epoch();
-        self.finish_edit(edit);
+        edit.commit();
         self.refresh_replica_charges();
         self.stats.migrated_replicas += report.migrated_replicas;
         self.stats.reconfig_messages += report.messages;
@@ -539,7 +526,7 @@ impl GhbaCluster {
         self.maybe_drain();
         let mut report = ReconfigReport::default();
         let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes, self.config.epoch_granularity);
+        let mut edit = RouteEdit::begin(&routes);
         let gid = edit
             .work
             .group_of
@@ -561,7 +548,6 @@ impl GhbaCluster {
         }
         edit.work.group_of.remove(&id);
         self.mdss.remove(&id);
-        self.mask_cache.forget_entry(id);
 
         // Survivors drop the dead server's replica and hot-cache entries
         // (one heartbeat-timeout notice per group).
@@ -614,7 +600,7 @@ impl GhbaCluster {
         // masks moved.
         edit.touch_all_groups();
         edit.bump_epoch();
-        self.finish_edit(edit);
+        edit.commit();
         self.refresh_replica_charges();
         self.stats.migrated_replicas += report.migrated_replicas;
         self.stats.reconfig_messages += report.messages;
@@ -627,9 +613,7 @@ impl GhbaCluster {
     /// group's** [`GroupEpoch`](crate::GroupEpoch): a rebalance shuffles
     /// held replicas among the group's members and touches nothing any
     /// other group's masks depend on, which is exactly the case the
-    /// per-group invalidation keeps warm (under
-    /// [`EpochGranularity::PerGroup`](crate::EpochGranularity); the
-    /// `Global` reference granularity still flushes everything).
+    /// per-group invalidation keeps warm.
     ///
     /// Public so churn workloads (the `par_exec` bench, operator-driven
     /// re-balancing) can trigger the single-group reconfiguration path
@@ -640,7 +624,7 @@ impl GhbaCluster {
     /// Panics if `gid` is not a live group.
     pub fn rebalance_group(&mut self, gid: GroupId) -> u64 {
         let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes, self.config.epoch_granularity);
+        let mut edit = RouteEdit::begin(&routes);
         assert!(
             edit.work.groups.contains_key(&gid),
             "group exists: {gid} is not live"

@@ -17,8 +17,7 @@ use std::sync::Arc;
 use crate::cluster::GhbaCluster;
 use crate::ids::MdsId;
 use crate::op::{
-    execute_vectored, execute_vectored_concurrent, ConcurrentScheme, EntryPolicy, OpBatch,
-    OpOutcome, PathKey, VectoredScheme,
+    execute_vectored, walk_items, EntryPolicy, OpBatch, OpOutcome, PathKey, VectoredScheme,
 };
 use crate::query::QueryOutcome;
 use crate::snapshot::RouteSnapshot;
@@ -37,25 +36,38 @@ pub trait MetadataService {
     fn server_count(&self) -> usize;
 
     /// Executes a typed op batch, returning one [`OpOutcome`] per op in
-    /// admission order.
+    /// admission order, through the one shared driver
+    /// ([`crate::execute_vectored`]) and the scheme's one hierarchy walk.
     ///
-    /// Native implementations fuse consecutive lookups into one batched
-    /// L1→L4 slab pass, apply writes in stream order with gated grouped
-    /// delta publishes, and migrate renames end-to-end; outcomes are
-    /// bit-identical to executing every op as its own 1-op batch (see
-    /// [`crate::execute_vectored`]).
+    /// Contract of this `&mut` entry: pending `&self` state is drained
+    /// first; each fused run of consecutive lookups pins one probe
+    /// snapshot and walks it; a found home **fills the entry server's
+    /// L1 LRU**, per occurrence in stream order, so a later run (or a
+    /// repeated `(entry, path)` pair, which splits the run) observes
+    /// it; lookup statistics are **folded into the scheme's stats
+    /// before the call returns**; writes apply to the authoritative
+    /// stores in stream order with their gated grouped delta publishes;
+    /// renames migrate end-to-end. Outcomes are bit-identical to
+    /// executing every op as its own 1-op batch.
     fn execute(&mut self, batch: &OpBatch) -> Vec<OpOutcome>;
 
     /// Executes a typed op batch through a **shared reference**: the
-    /// pin-once concurrent pipeline. The scheme pins one probe snapshot
-    /// at batch admission, fans fused lookup runs across its exec pool,
-    /// records writes into sharded overlay logs, and folds the batch's
-    /// create bits into the published probe state as a single atomic
-    /// snapshot swap at commit — so any number of threads may call this
-    /// on the same service while reconfiguration publishes successor
-    /// snapshots. Authoritative per-server state is reconciled at the
-    /// next `&mut` entry point (any [`execute`](MetadataService::execute)
-    /// call, or `GhbaCluster::drain_concurrent` explicitly).
+    /// same driver and the same walk as
+    /// [`execute`](MetadataService::execute), bound to one probe
+    /// snapshot pinned at batch admission.
+    ///
+    /// Contract of this `&self` entry: every fused run of the batch
+    /// walks that one pin (fanned across the exec pool); the walk
+    /// **never fills L1** and records its statistics into wait-free
+    /// atomic counters; writes append to fingerprint-sharded overlay
+    /// logs that later lookups of the same era observe; the batch's
+    /// create bits fold into the published probe state as a single
+    /// atomic snapshot swap at commit — so any number of threads may
+    /// call this on the same service while reconfiguration publishes
+    /// successor snapshots. Authoritative per-server state and the
+    /// scheme's stats are reconciled at the next `&mut` entry point (any
+    /// [`execute`](MetadataService::execute) call, or
+    /// `GhbaCluster::drain_concurrent` explicitly).
     ///
     /// Single-threaded, the outcome stream is bit-identical to
     /// [`execute`](MetadataService::execute) on schemes without an L1
@@ -176,20 +188,8 @@ impl VectoredScheme for GhbaCluster {
         self.config().lru_capacity > 0
     }
 
-    fn batch_begin(&mut self) {
-        GhbaCluster::batch_begin(self);
-    }
-
-    fn batch_end(&mut self) {
-        GhbaCluster::batch_end(self);
-    }
-
     fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
-        let prehashed: Vec<(MdsId, &str, ghba_bloom::Fingerprint)> = queries
-            .iter()
-            .map(|&(entry, key)| (entry, key.path(), *key.fingerprint()))
-            .collect();
-        self.lookup_batch_prehashed(&prehashed)
+        self.lookup_items(&walk_items(queries))
     }
 
     fn apply_create(&mut self, key: &PathKey, home: MdsId) {
@@ -201,41 +201,37 @@ impl VectoredScheme for GhbaCluster {
     }
 }
 
-impl ConcurrentScheme for GhbaCluster {
-    /// An owned pin on the routing snapshot: lock-free to take, valid
-    /// across successor publishes, never blocks a publisher while held.
-    type Pinned = Arc<RouteSnapshot>;
+/// One `execute_concurrent` batch: the shared cluster bound to the
+/// routing snapshot pinned at admission. An owned pin — lock-free to
+/// take, valid across successor publishes, never blocks a publisher
+/// while held — dropped when the batch's outcomes are assembled.
+struct PinnedBatch<'a> {
+    cluster: &'a GhbaCluster,
+    snap: Arc<RouteSnapshot>,
+}
 
-    fn pin_batch(&self) -> Self::Pinned {
-        self.pin_route_snapshot()
+impl VectoredScheme for PinnedBatch<'_> {
+    fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId {
+        self.cluster.entry_for(policy, op_index)
     }
 
-    fn resolve_entry_concurrent(&self, policy: EntryPolicy, op_index: usize) -> MdsId {
-        self.entry_for(policy, op_index)
+    fn repeat_sensitive(&self) -> bool {
+        // The pinned walk never fills the L1 cache, so a repeated path
+        // cannot observe an earlier op of the same fused run.
+        false
     }
 
-    // `repeat_sensitive_concurrent` keeps the default `false`: the
-    // pinned walk never fills the L1 cache, so a repeated path cannot
-    // observe an earlier op of the same fused run.
-
-    fn lookup_fused_pinned(
-        &self,
-        pinned: &Self::Pinned,
-        queries: &[(MdsId, &PathKey)],
-    ) -> Vec<QueryOutcome> {
-        GhbaCluster::lookup_fused_pinned(self, pinned, queries)
+    fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
+        self.cluster
+            .lookup_fused_pinned(&self.snap, &walk_items(queries))
     }
 
-    fn apply_create_concurrent(&self, key: &PathKey, home: MdsId) {
-        self.apply_create_shared(key, home);
+    fn apply_create(&mut self, key: &PathKey, home: MdsId) {
+        self.cluster.apply_create_shared(key, home);
     }
 
-    fn apply_remove_concurrent(&self, key: &PathKey) -> Option<MdsId> {
-        self.apply_remove_shared(key)
-    }
-
-    fn commit_batch(&self, _pinned: &Self::Pinned) {
-        self.commit_concurrent();
+    fn apply_remove(&mut self, key: &PathKey) -> Option<MdsId> {
+        self.cluster.apply_remove_shared(key)
     }
 }
 
@@ -253,7 +249,13 @@ impl MetadataService for GhbaCluster {
     }
 
     fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome> {
-        execute_vectored_concurrent(self, batch)
+        let mut pinned = PinnedBatch {
+            cluster: self,
+            snap: self.pin_route_snapshot(),
+        };
+        let outcomes = execute_vectored(&mut pinned, batch);
+        self.commit_concurrent();
+        outcomes
     }
 
     fn filter_memory_per_mds(&self) -> usize {
@@ -281,7 +283,7 @@ impl MetadataService for GhbaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GhbaConfig, MaskCacheMode};
+    use crate::config::GhbaConfig;
 
     fn config() -> GhbaConfig {
         GhbaConfig::default()
@@ -332,26 +334,5 @@ mod tests {
             MetadataService::lookup(&mut cluster, "/rr/batched").entry,
             ids[3]
         );
-    }
-
-    /// A batch that panics mid-pipeline (pinned to an unknown server)
-    /// must not leak an armed per-batch cache into the next call.
-    #[test]
-    fn poisoned_ghba_batch_does_not_leak_armed_cache() {
-        let mut cluster =
-            GhbaCluster::with_servers(config().with_mask_cache(MaskCacheMode::PerBatch), 8);
-        cluster.create("/p/keep");
-        let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(99)));
-        batch.push_lookup("/p/keep");
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = cluster.execute(&batch);
-        }));
-        assert!(poisoned.is_err(), "pinned unknown server must panic");
-        assert!(
-            !cluster.mask_cache_armed(),
-            "stale armed cache leaked past the poisoned batch"
-        );
-        // The next (valid) call runs cleanly on a cold cache.
-        assert!(cluster.lookup("/p/keep").home.is_some());
     }
 }

@@ -341,9 +341,10 @@ impl SlabSpare {
 
 /// One entry server's shared L2 state: its held-replica candidate mask
 /// plus the held count the probe-latency model needs, tagged with the
-/// `(gid, GroupEpoch)` it was built under — the same validity contract
-/// as the owner walk's persistent `MaskCache`.
-#[derive(Debug)]
+/// `(gid, GroupEpoch)` it was built under: the tag (plus the `gid`
+/// check covering servers that changed groups in a split or merge) is
+/// the entry's entire validity condition.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SharedL2 {
     pub(crate) gid: GroupId,
     pub(crate) tag: GroupEpoch,
@@ -354,16 +355,20 @@ pub(crate) struct SharedL2 {
 /// One group's shared L3 state: the member list with held counts (the
 /// multicast latency inputs) and the group-mirror candidate mask,
 /// tagged like [`SharedL2`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct SharedL3 {
     pub(crate) tag: GroupEpoch,
     pub(crate) mask: SlotMask,
     pub(crate) member_held: Vec<(MdsId, usize)>,
 }
 
-/// Cross-snapshot shared candidate-mask cache for the pinned (`&self`)
-/// walk — the lock-free read path's counterpart of the owner walk's
-/// persistent `MaskCache`.
+/// Cross-snapshot shared candidate-mask cache for the pinned walk.
+///
+/// Slot masks and membership snapshots depend only on cluster layout
+/// (slot assignment, group placement) — state that **writes never
+/// touch**; only reconfiguration invalidates them. Anything budget- or
+/// filter-dependent (probe durations, live-filter verdicts) is
+/// deliberately *not* cached here and is recomputed per walk.
 ///
 /// The cache object is shared (one `Arc`, cloned into every successor
 /// [`RouteSnapshot`]), so masks built by one reader warm every later
@@ -404,11 +409,13 @@ impl SharedMaskCache {
     }
 
     /// Publishes a freshly built L2 state (last writer wins).
-    pub(crate) fn put_l2(&self, entry: MdsId, fresh: Arc<SharedL2>) {
+    pub(crate) fn put_l2(&self, entry: MdsId, fresh: SharedL2) -> Arc<SharedL2> {
+        let fresh = Arc::new(fresh);
         self.l2
             .write()
             .expect("mask cache poisoned")
-            .insert(entry, fresh);
+            .insert(entry, Arc::clone(&fresh));
+        fresh
     }
 
     /// The cached L3 state of `gid` if it was built under `tag`.
@@ -418,11 +425,13 @@ impl SharedMaskCache {
     }
 
     /// Publishes a freshly built L3 state (last writer wins).
-    pub(crate) fn put_l3(&self, gid: GroupId, fresh: Arc<SharedL3>) {
+    pub(crate) fn put_l3(&self, gid: GroupId, fresh: SharedL3) -> Arc<SharedL3> {
+        let fresh = Arc::new(fresh);
         self.l3
             .write()
             .expect("mask cache poisoned")
-            .insert(gid, fresh);
+            .insert(gid, Arc::clone(&fresh));
+        fresh
     }
 
     /// Evicts a dissolved group's L3 state. Its former members' L2
@@ -430,6 +439,28 @@ impl SharedMaskCache {
     /// consultation.
     fn evict_group(&self, gid: GroupId) {
         self.l3.write().expect("mask cache poisoned").remove(&gid);
+    }
+
+    /// Checks every cached entry that is valid under `snap` — its
+    /// `(gid, tag)` matches what `snap` reports — against the state
+    /// rebuilt from `snap`: a mismatch is a stale mask a pinned walk
+    /// would have served. Entries tagged for another epoch are skipped;
+    /// no walk pinned to `snap` accepts them.
+    pub(crate) fn check_against(&self, snap: &RouteSnapshot) -> Result<(), String> {
+        for (&entry, cached) in self.l2.read().expect("mask cache poisoned").iter() {
+            let valid = snap.group_of(entry) == Some(cached.gid)
+                && snap.group_epoch(cached.gid) == cached.tag;
+            if valid && **cached != snap.build_l2(entry, cached.gid) {
+                return Err(format!("cached L2 mask of {entry} is stale"));
+            }
+        }
+        for (&gid, cached) in self.l3.read().expect("mask cache poisoned").iter() {
+            let valid = snap.group(gid).is_some() && snap.group_epoch(gid) == cached.tag;
+            if valid && **cached != snap.build_l3(gid) {
+                return Err(format!("cached L3 mask of {gid} is stale"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -512,6 +543,40 @@ impl RouteSnapshot {
             None => Vec::new(),
         }
     }
+
+    /// Builds `entry`'s L2 state from this snapshot: the candidate mask
+    /// over the replicas it holds, tagged with its group's epoch.
+    pub(crate) fn build_l2(&self, entry: MdsId, gid: GroupId) -> SharedL2 {
+        let held = self.replicas_held_by(entry);
+        SharedL2 {
+            gid,
+            tag: self.group_epoch(gid),
+            mask: self.slab.subset_mask(held.iter().copied()),
+            held: held.len(),
+        }
+    }
+
+    /// Builds `gid`'s L3 state from this snapshot. The group's replicas
+    /// collectively mirror every server outside it, so one masked slab
+    /// probe covers all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gid` is not a live group.
+    pub(crate) fn build_l3(&self, gid: GroupId) -> SharedL3 {
+        let group = self.group(gid).expect("group is live");
+        SharedL3 {
+            tag: self.group_epoch(gid),
+            mask: self
+                .slab
+                .subset_mask(group.replica_origins().iter().copied()),
+            member_held: group
+                .members()
+                .iter()
+                .map(|&member| (member, group.replicas_held_by(member).len()))
+                .collect(),
+        }
+    }
 }
 
 /// The cell type G-HBA publishes its routing snapshots through.
@@ -532,10 +597,6 @@ pub(crate) struct RouteEdit<'a> {
     writer: CellWriter<'a, RouteSnapshot, SlabSpare>,
     pub(crate) work: RouteSnapshot,
     ops: Vec<SlabOp>,
-    granularity: crate::config::EpochGranularity,
-    /// Groups dissolved by this edit (merges, emptied groups): the
-    /// owner evicts their cached L3 masks after committing.
-    pub(crate) dissolved: Vec<GroupId>,
 }
 
 impl fmt::Debug for RouteEdit<'_> {
@@ -548,18 +609,13 @@ impl fmt::Debug for RouteEdit<'_> {
 
 impl<'a> RouteEdit<'a> {
     /// Opens an edit against the cell's current snapshot.
-    pub(crate) fn begin(
-        cell: &'a SnapshotCell<RouteSnapshot, SlabSpare>,
-        granularity: crate::config::EpochGranularity,
-    ) -> Self {
+    pub(crate) fn begin(cell: &'a SnapshotCell<RouteSnapshot, SlabSpare>) -> Self {
         let writer = cell.edit();
         let work = (*writer.base()).clone();
         RouteEdit {
             writer,
             work,
             ops: Vec::new(),
-            granularity,
-            dissolved: Vec::new(),
         }
     }
 
@@ -591,13 +647,12 @@ impl<'a> RouteEdit<'a> {
         gid
     }
 
-    /// Removes a dissolved group and its epoch entry, recording it so
-    /// the owner can evict its cached masks.
+    /// Removes a dissolved group, its epoch entry and its cached L3
+    /// mask.
     pub(crate) fn remove_group(&mut self, gid: GroupId) -> Option<Arc<Group>> {
         let group = self.work.groups.remove(&gid);
         self.work.group_epochs.remove(&gid);
         if group.is_some() {
-            self.dissolved.push(gid);
             self.work.masks.evict_group(gid);
         }
         group
@@ -610,16 +665,11 @@ impl<'a> RouteEdit<'a> {
     }
 
     /// Records that this edit changed state `gid`'s derived masks
-    /// depend on (membership, replica placement, or held counts). Under
-    /// [`EpochGranularity::Global`](crate::EpochGranularity) this
-    /// degrades to the all-or-nothing flush.
+    /// depend on (membership, replica placement, or held counts): only
+    /// that group's cached masks go cold, every other group's stay warm
+    /// through the publish.
     pub(crate) fn touch_group(&mut self, gid: GroupId) {
-        match self.granularity {
-            crate::config::EpochGranularity::PerGroup => {
-                self.work.group_epochs.entry(gid).or_default().bump();
-            }
-            crate::config::EpochGranularity::Global => self.touch_all_groups(),
-        }
+        self.work.group_epochs.entry(gid).or_default().bump();
     }
 
     /// Bumps every live group's epoch — the invalidation scope of
@@ -667,7 +717,6 @@ impl<'a> RouteEdit<'a> {
 pub struct ReconfigHandle {
     pub(crate) routes: RouteCell,
     pub(crate) max_group_size: usize,
-    pub(crate) granularity: crate::config::EpochGranularity,
 }
 
 impl ReconfigHandle {
@@ -706,7 +755,7 @@ impl ReconfigHandle {
     /// moves, or `None` if the group is no longer live.
     #[must_use]
     pub fn rebalance_group(&self, gid: GroupId) -> Option<u64> {
-        let mut edit = RouteEdit::begin(&self.routes, self.granularity);
+        let mut edit = RouteEdit::begin(&self.routes);
         if !edit.work.groups.contains_key(&gid) {
             return None;
         }
@@ -722,7 +771,7 @@ impl ReconfigHandle {
     /// the split rule to leave both halves non-empty.
     #[must_use]
     pub fn split_group(&self, gid: GroupId) -> Option<GroupId> {
-        let mut edit = RouteEdit::begin(&self.routes, self.granularity);
+        let mut edit = RouteEdit::begin(&self.routes);
         let take = self.max_group_size / 2 + 1;
         let len = edit.work.groups.get(&gid).map(|g| g.len())?;
         if len <= take {
@@ -737,7 +786,7 @@ impl ReconfigHandle {
     /// Returns `false` (without publishing) unless both groups are live,
     /// distinct, and fit within the configured maximum together.
     pub fn merge_groups(&self, a: GroupId, b: GroupId) -> bool {
-        let mut edit = RouteEdit::begin(&self.routes, self.granularity);
+        let mut edit = RouteEdit::begin(&self.routes);
         if a == b {
             return false;
         }

@@ -76,8 +76,7 @@ impl GhbaCluster {
         // admitted against.
         {
             let routes = std::sync::Arc::clone(&self.routes);
-            let mut edit =
-                crate::snapshot::RouteEdit::begin(&routes, self.config.epoch_granularity);
+            let mut edit = crate::snapshot::RouteEdit::begin(&routes);
             edit.push_op(crate::snapshot::SlabOp::Delta(origin, delta.clone()));
             edit.commit();
         }

@@ -1131,7 +1131,7 @@ impl GhbaCluster {
         // filter (sparse deltas; no epoch movement — a publish refreshes
         // content under the same layout).
         let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes, self.config.epoch_granularity);
+        let mut edit = RouteEdit::begin(&routes);
         let mut ops: Vec<(MdsId, FilterDelta)> = Vec::new();
         for (&id, mds) in &self.mdss {
             let Some(column) = edit.work.slab.extract(id) else {
@@ -1182,7 +1182,7 @@ impl GhbaCluster {
             ));
         }
         let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes, self.config.epoch_granularity);
+        let mut edit = RouteEdit::begin(&routes);
         let old: Vec<GroupId> = edit.work.groups.keys().copied().collect();
         for gid in old {
             edit.remove_group(gid);
@@ -1206,7 +1206,7 @@ impl GhbaCluster {
                 .group_epochs
                 .insert(shape.gid, GroupEpoch(shape.epoch));
         }
-        self.finish_edit(edit);
+        edit.commit();
         self.refresh_replica_charges();
         Ok(())
     }

@@ -8,11 +8,9 @@
 //!   `lookup_concurrent` walk while a reconfiguration handle publishes
 //!   splits, merges, and rebalances. Every outcome must name the true
 //!   home and carry an epoch no older than the pre-churn snapshot.
-//! * **Equivalence** — with no reconfiguration interleaving, the
-//!   snapshot-pinned concurrent walk is bit-identical to the mutating
-//!   barrier-style walk, query by query; and the pin-once
-//!   `execute_concurrent` pipeline matches the `&mut self` funnel
-//!   batch by batch, at every write-shard count.
+//! * **Equivalence** — the pin-once `execute_concurrent` entry matches
+//!   the `&mut self` `execute` entry batch by batch, at every
+//!   write-shard count.
 //! * **Write races** — whole mixed batches (creates, lookups,
 //!   cross-shard renames) run from `&self` on many threads, racing
 //!   each other and reconfiguration churn, and the post-drain state
@@ -123,31 +121,6 @@ fn lookups_resolve_through_reconfig_churn() {
     }
 }
 
-/// With no reconfiguration interleaving, the side-effect-free
-/// concurrent walk is bit-identical — home, level, latency, messages,
-/// epoch — to the mutating walk, query by query. The concurrent walk
-/// runs first so both observe the same LRU state; the mutating walk's
-/// fill then advances the state for the next pair.
-#[test]
-fn concurrent_walk_matches_barrier_walk_without_churn() {
-    let mut cluster = GhbaCluster::with_servers(config(), 15);
-    for i in 0..100 {
-        cluster.create_file(&format!("/eq/f{i}"));
-    }
-    cluster.flush_all_updates();
-    for i in 0..200 {
-        let entry = MdsId((i % 15) as u16);
-        let path = if i % 7 == 6 {
-            format!("/eq/absent{i}")
-        } else {
-            format!("/eq/f{}", i * 3 % 100)
-        };
-        let concurrent = cluster.lookup_concurrent(entry, &path);
-        let barrier = cluster.lookup_from(entry, &path);
-        assert_eq!(concurrent, barrier, "walks diverged at query {i}");
-    }
-}
-
 /// Asserts two outcome vectors match except for the membership epoch:
 /// the funnel publishes via `flush_all_updates` while the pin-once
 /// pipeline publishes via `drain_concurrent`, so the two clusters bump
@@ -241,6 +214,43 @@ fn concurrent_pipeline_matches_funnel_across_shard_counts() {
                 "clusters disagree on the home of {path} with {shards} shards"
             );
         }
+    }
+}
+
+/// Duplicates are traffic: a flash-crowd batch repeating one `(entry,
+/// path)` pair walks the pair once but must account every occurrence —
+/// level counters, latency samples, and the per-group load telemetry
+/// the `GroupController` splits on — identically through both entries.
+#[test]
+fn duplicate_lookups_are_accounted_per_occurrence() {
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(1)));
+    for _ in 0..5 {
+        batch.push_lookup("/dup/hot");
+    }
+    batch.push_lookup("/dup/absent");
+    for concurrent in [false, true] {
+        let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
+        cluster.create_file("/dup/hot");
+        cluster.flush_all_updates();
+        cluster.reset_stats();
+        if concurrent {
+            let _ = cluster.execute_concurrent(&batch);
+            cluster.drain_concurrent();
+        } else {
+            let _ = cluster.execute(&batch);
+        }
+        let levels = cluster.stats().levels;
+        assert_eq!(levels.total(), 6, "concurrent={concurrent}: {levels:?}");
+        assert_eq!(levels.nonexistent, 1, "concurrent={concurrent}");
+        assert_eq!(cluster.stats().lookup_latency.count(), 6);
+        let report = cluster.load_report();
+        assert_eq!(report.fresh_lookups, 6, "concurrent={concurrent}");
+        let gid = cluster.group_of(MdsId(1)).expect("grouped");
+        let row = report.groups.iter().find(|g| g.gid == gid);
+        assert!(
+            row.is_some_and(|g| g.share > 0.99),
+            "concurrent={concurrent}: the crowd's group must carry the traffic"
+        );
     }
 }
 

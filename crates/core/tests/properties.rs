@@ -2,8 +2,8 @@
 //! sequences.
 
 use ghba_core::{
-    ControllerConfig, EntryPolicy, EpochGranularity, ExecutorConfig, GhbaCluster, GhbaConfig,
-    GroupController, MaskCacheMode, MdsId, MetadataService, OpBatch,
+    ControllerConfig, EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, GroupController, MdsId,
+    MetadataService, OpBatch,
 };
 use proptest::prelude::*;
 
@@ -271,56 +271,52 @@ proptest! {
     /// reconfiguration events (join, graceful leave, fail-stop,
     /// standalone single-group rebalances, and online-controller ticks
     /// planning real split/merge/rebalance actions from live
-    /// telemetry) with mixed op batches, the
-    /// persistent mask cache never serves a stale mask at **either**
-    /// invalidation granularity — per-group epoch invalidation, the
-    /// all-or-nothing global flush, and the cache-free walk all produce
-    /// bit-identical outcomes (homes, levels, latencies, message
-    /// counts, entry servers) for the same stream.
+    /// telemetry) with mixed op batches, the snapshot-resident shared
+    /// mask cache — the one every walk consults — never holds a stale
+    /// mask. Invariant 8 of `check_invariants` (every cached L2/L3
+    /// entry valid under the published snapshot equals the mask and
+    /// held counts rebuilt from it) is checked after every step, and
+    /// every lookup of every batch names its ground-truth home.
     #[test]
-    fn per_group_epochs_match_global_flush_and_cache_free_walks(
+    fn shared_mask_cache_never_serves_a_stale_mask(
         ops in proptest::collection::vec(arb_stream_op(), 1..36),
         seed in 0u64..500,
     ) {
-        let base = GhbaConfig::default()
+        let config = GhbaConfig::default()
             .with_max_group_size(3)
             .with_filter_capacity(400)
             .with_lru_capacity(32)
             .with_update_threshold(128)
             .with_seed(seed);
-        let mut per_group = GhbaCluster::with_servers(
-            base.clone()
-                .with_mask_cache(MaskCacheMode::Persistent)
-                .with_epoch_granularity(EpochGranularity::PerGroup),
-            6,
-        );
-        let mut global = GhbaCluster::with_servers(
-            base.clone()
-                .with_mask_cache(MaskCacheMode::Persistent)
-                .with_epoch_granularity(EpochGranularity::Global),
-            6,
-        );
-        let mut free =
-            GhbaCluster::with_servers(base.with_mask_cache(MaskCacheMode::Off), 6);
+        let mut cluster = GhbaCluster::with_servers(config, 6);
         let mut next_fresh = 10_000u32;
         let mut controller = churn_controller();
         for (step, op) in ops.into_iter().enumerate() {
             let results = {
-                let mut clusters = [&mut per_group, &mut global, &mut free];
+                let mut clusters = [&mut cluster];
                 apply_stream_op(&mut clusters, &op, &mut next_fresh, &mut controller)
             };
-            if let Some(results) = results {
-                prop_assert_eq!(
-                    &results[0], &results[2],
-                    "step {}: per-group epochs diverged from the cache-free walk", step
-                );
-                prop_assert_eq!(
-                    &results[1], &results[2],
-                    "step {}: global flush diverged from the cache-free walk", step
-                );
+            if let (StreamOp::Batch(items, _), Some(results)) = (&op, results) {
+                // A lookup that is the batch's last word on its path
+                // must agree with the post-batch ground truth: found
+                // iff stored, at a server that stores it (the stream
+                // may create one path at several homes).
+                for (i, ((kind, f), outcome)) in items.iter().zip(&results[0]).enumerate() {
+                    let last_word = items[i + 1..].iter().all(|(_, later)| later != f);
+                    if kind % 4 == 0 && last_word {
+                        let path = format!("/e/f{f}");
+                        let stored = match outcome.home() {
+                            Some(home) => cluster.mds(home).is_some_and(|m| m.stores(&path)),
+                            None => cluster.true_home(&path).is_none(),
+                        };
+                        prop_assert!(
+                            stored,
+                            "step {}: lookup {} disagrees with ground truth", step, i
+                        );
+                    }
+                }
             }
-            prop_assert_eq!(per_group.membership_epoch(), free.membership_epoch());
-            if let Err(violation) = per_group.check_invariants() {
+            if let Err(violation) = cluster.check_invariants() {
                 return Err(TestCaseError::fail(format!("step {step}: {violation}")));
             }
         }
