@@ -4,7 +4,7 @@
 //! to everyone and queries probe the full array directly. The suffix is
 //! the bit/file ratio (BFA8 = 8 bits per file, BFA16 = 16).
 
-use ghba_core::{EntryPolicy, GhbaConfig, MdsId, OpBatch, OpOutcome};
+use ghba_core::{EntryPolicy, GhbaConfig, OpBatch, OpOutcome};
 
 use crate::hba::HbaCluster;
 
@@ -40,43 +40,17 @@ impl BfaCluster {
         }
     }
 
-    /// Number of servers.
-    #[must_use]
-    pub fn server_count(&self) -> usize {
-        self.inner.server_count()
-    }
-
-    /// Per-MDS filter memory in bytes.
-    #[must_use]
-    pub fn filter_memory_bytes(&self, id: MdsId) -> usize {
-        self.inner.filter_memory_bytes(id)
-    }
-
-    /// Access to the underlying cluster for population and updates.
+    /// Access to the underlying cluster for population, updates and
+    /// membership changes.
     pub fn inner_mut(&mut self) -> &mut HbaCluster {
         &mut self.inner
     }
 
-    /// Access to the underlying cluster.
+    /// Access to the underlying cluster (`lookup_concurrent`, the
+    /// retire/restore handle, per-server accounting).
     #[must_use]
     pub fn inner(&self) -> &HbaCluster {
         &self.inner
-    }
-
-    /// A cloneable handle that retires/restores published mirrors
-    /// concurrently with lookups (see
-    /// [`crate::HbaReconfigHandle`]).
-    #[must_use]
-    pub fn reconfig_handle(&self) -> crate::HbaReconfigHandle {
-        self.inner.reconfig_handle()
-    }
-
-    /// A side-effect-free lookup through `&self`, safe to run from many
-    /// threads concurrently with handle-driven retire/restore churn
-    /// (see [`HbaCluster::lookup_concurrent`]).
-    #[must_use]
-    pub fn lookup_concurrent(&self, entry: MdsId, path: &str) -> ghba_core::QueryOutcome {
-        self.inner.lookup_concurrent(entry, path)
     }
 }
 

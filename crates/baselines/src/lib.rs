@@ -2,9 +2,13 @@
 //! and the evaluation figures):
 //!
 //! * [`HbaCluster`] — HBA (Zhu, Jiang & Wang): every server mirrors every
-//!   filter; fast until the mirror outgrows RAM.
+//!   filter; fast until the mirror outgrows RAM. A re-export: it is
+//!   `ghba_core`'s one cluster engine under the full-mirror layout, so
+//!   HBA and G-HBA share the walk, the op pipeline and the update
+//!   cadence line for line and differ only in where replicas live.
 //! * [`BfaCluster`] — pure Bloom Filter Arrays (BFA8/BFA16), HBA without
-//!   the LRU level; the Table 5 normalization baseline.
+//!   the LRU level (a thin wrapper that disables it and names the
+//!   scheme); the Table 5 normalization baseline.
 //! * [`HashPlacement`] — modular-hash replica placement, the
 //!   reconfiguration strawman of Figure 11.
 //!
@@ -21,4 +25,4 @@ mod hba;
 
 pub use bfa::BfaCluster;
 pub use hashing::{expected_hash_migrations, HashPlacement};
-pub use hba::{HbaCluster, HbaReconfigHandle, HbaSnapshot};
+pub use hba::{HbaCluster, HbaReconfigHandle};

@@ -12,12 +12,19 @@
 //!   walk provably falls back to the broadcast level and still resolves.
 //! * **Equivalence** — the pin-once `execute_concurrent` entry matches
 //!   the `&mut self` `execute` entry batch by batch, and both account
-//!   repeated lookups per occurrence.
+//!   repeated lookups and broadcast false positives per occurrence.
+//! * **Invariants** — every test ends on `check_invariants` (the slab
+//!   tracks exactly the live servers and mirrors their published
+//!   filters), and a property test holds it — and ground truth — after
+//!   every step of arbitrary create/remove/join/leave/concurrent-batch/
+//!   retire+restore interleavings on HBA and BFA8.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ghba_baselines::HbaCluster;
-use ghba_core::{GhbaConfig, MdsId, QueryLevel};
+use ghba_baselines::{BfaCluster, HbaCluster};
+use ghba_core::{EntryPolicy, GhbaConfig, MdsId, MetadataService, OpBatch, OpOutcome, QueryLevel};
+use proptest::prelude::*;
 
 fn config() -> GhbaConfig {
     GhbaConfig::default()
@@ -102,6 +109,7 @@ fn hba_lookups_resolve_through_retire_restore_churn() {
     for (i, path) in paths.iter().enumerate() {
         assert_eq!(cluster.lookup_from(MdsId(0), path).home, Some(truths[i]));
     }
+    cluster.check_invariants().expect("every mirror restored");
 }
 
 /// With a mirror retired and nothing racing, lookups homed at the
@@ -152,6 +160,7 @@ fn hba_retired_mirror_degrades_to_broadcast() {
         QueryLevel::L4Global,
         "restored mirror serves from the array again"
     );
+    cluster.check_invariants().expect("mirror restored intact");
 }
 
 /// The pin-once `execute_concurrent` pipeline matches the `&mut self`
@@ -163,8 +172,6 @@ fn hba_retired_mirror_degrades_to_broadcast() {
 /// lookup races a pending remove of the same fingerprint.
 #[test]
 fn hba_concurrent_pipeline_matches_funnel() {
-    use ghba_core::{EntryPolicy, MetadataService, OpBatch, OpOutcome};
-
     let cfg = config()
         .with_lru_capacity(0)
         .with_update_threshold(1 << 24)
@@ -230,6 +237,8 @@ fn hba_concurrent_pipeline_matches_funnel() {
             "clusters disagree on the home of {path}"
         );
     }
+    funnel.check_invariants().expect("funnel mirrors in sync");
+    pinned.check_invariants().expect("drained mirrors in sync");
 }
 
 /// Duplicates are traffic: a flash-crowd batch repeating one `(entry,
@@ -238,8 +247,6 @@ fn hba_concurrent_pipeline_matches_funnel() {
 /// through both entries.
 #[test]
 fn hba_duplicate_lookups_are_accounted_per_occurrence() {
-    use ghba_core::{EntryPolicy, MetadataService, OpBatch};
-
     let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(1)));
     for _ in 0..5 {
         batch.push_lookup("/dup/hot");
@@ -265,5 +272,219 @@ fn hba_duplicate_lookups_are_accounted_per_occurrence() {
             6,
             "concurrent={concurrent}"
         );
+        hba.check_invariants()
+            .expect("lookups leave the mirror alone");
+    }
+}
+
+/// The broadcast level pays a disk verification for every server whose
+/// live filter answers positive without storing the path — and must
+/// count it (`l4_false_positive_disk_checks`), as the G-HBA walk always
+/// has. Filters sized for 16 files hold ~70 each, so absent paths light
+/// up most servers at the broadcast.
+#[test]
+fn hba_broadcast_false_positives_are_counted() {
+    let cfg = config().with_filter_capacity(16).with_lru_capacity(0);
+    let absent: Vec<String> = (0..24).map(|i| format!("/fp/absent{i}")).collect();
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+    for path in &absent {
+        batch.push_lookup(path);
+    }
+    for concurrent in [false, true] {
+        let mut hba = HbaCluster::with_servers(cfg.clone(), 6);
+        for i in 0..400 {
+            hba.create_file(&format!("/fp/f{i}"));
+        }
+        hba.flush_all_updates();
+        hba.reset_stats();
+        // An absent path always escalates to the broadcast, where no
+        // positive server stores it.
+        let expected: u64 = absent
+            .iter()
+            .map(|path| {
+                hba.server_ids()
+                    .into_iter()
+                    .filter(|&id| hba.mds(id).expect("live").probe_live(path))
+                    .count() as u64
+            })
+            .sum();
+        assert!(expected > 0, "filters too roomy for the test to bite");
+        if concurrent {
+            let _ = hba.execute_concurrent(&batch);
+            hba.drain_concurrent();
+        } else {
+            let _ = hba.execute(&batch);
+        }
+        assert_eq!(hba.stats().levels.nonexistent, absent.len() as u64);
+        assert_eq!(
+            hba.stats().counters.get("l4_false_positive_disk_checks"),
+            expected,
+            "concurrent={concurrent}"
+        );
+        hba.check_invariants()
+            .expect("lookups leave the mirror alone");
+    }
+}
+
+/// One step of the mirror interleaving stream.
+#[derive(Debug, Clone)]
+enum Step {
+    Create(u16),
+    Remove(u16),
+    AddMds,
+    RemoveMds(u8),
+    /// A mixed `(kind, file)` batch through `execute_concurrent`; with
+    /// `Some(pick)` a mirror is retired between the batch's commit and
+    /// the owner drain, then restored and pushed.
+    Batch(Vec<(u8, u16)>, Option<u8>),
+    RetireRestore(u8),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0u16..60).prop_map(Step::Create),
+        1 => (0u16..60).prop_map(Step::Remove),
+        1 => Just(Step::AddMds),
+        1 => any::<u8>().prop_map(Step::RemoveMds),
+        3 => (
+            proptest::collection::vec((0u8..8, 0u16..60), 1..16),
+            any::<bool>(),
+            any::<u8>(),
+        )
+            .prop_map(|(ops, retire, pick)| Step::Batch(ops, retire.then_some(pick))),
+        1 => any::<u8>().prop_map(Step::RetireRestore),
+    ]
+}
+
+/// Drives `steps` against `scheme` (an HBA, or a BFA wrapping one —
+/// `hba` reaches the cluster underneath), checking the structural
+/// invariants and every live path's ground truth after every step.
+fn drive_mirror<S: MetadataService>(
+    mut scheme: S,
+    hba: fn(&mut S) -> &mut HbaCluster,
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let path_of = |f: u16| format!("/m/f{f}");
+    let mut live: BTreeSet<String> = BTreeSet::new();
+    let mut fresh = 0u32;
+    for (n, step) in steps.iter().enumerate() {
+        match step {
+            Step::Create(f) => {
+                if live.insert(path_of(*f)) {
+                    hba(&mut scheme).create_file(&path_of(*f));
+                }
+            }
+            Step::Remove(f) => {
+                let removed = hba(&mut scheme).remove_file(&path_of(*f));
+                prop_assert_eq!(removed.is_some(), live.remove(&path_of(*f)));
+            }
+            Step::AddMds => {
+                if scheme.server_count() < 10 {
+                    hba(&mut scheme).add_mds();
+                }
+            }
+            Step::RemoveMds(pick) => {
+                let ids = hba(&mut scheme).server_ids();
+                if ids.len() > 3 {
+                    let victim = ids[*pick as usize % ids.len()];
+                    hba(&mut scheme).remove_mds(victim).expect("removable");
+                }
+            }
+            Step::Batch(items, retire) => {
+                let mut batch = OpBatch::new();
+                let mut expect_found = Vec::new();
+                for (kind, f) in items {
+                    let path = path_of(*f);
+                    // A path lives at one home: creating a live one again
+                    // is a lookup here.
+                    match kind % 4 {
+                        1 if live.insert(path.clone()) => batch.push_create(path),
+                        0 | 1 => {
+                            expect_found.push(Some(live.contains(&path)));
+                            batch.push_lookup(path);
+                            continue;
+                        }
+                        2 => {
+                            live.remove(&path);
+                            batch.push_remove(path);
+                        }
+                        _ => {
+                            let to = format!("/m/r{fresh}");
+                            fresh += 1;
+                            if live.remove(&path) {
+                                live.insert(to.clone());
+                            }
+                            batch.push_rename(path, to);
+                        }
+                    }
+                    expect_found.push(None);
+                }
+                let outcomes = scheme.execute_concurrent(&batch);
+                for (i, (outcome, expected)) in outcomes.iter().zip(&expect_found).enumerate() {
+                    if let (OpOutcome::Resolved(query), Some(found)) = (outcome, expected) {
+                        prop_assert_eq!(query.found(), *found, "step {} op {}", n, i);
+                    }
+                }
+                let cluster = hba(&mut scheme);
+                match retire {
+                    Some(pick) => {
+                        let ids = cluster.server_ids();
+                        let victim = ids[*pick as usize % ids.len()];
+                        let handle = cluster.reconfig_handle();
+                        let filter = handle.retire_mds(victim).expect("published");
+                        cluster.drain_concurrent();
+                        prop_assert!(handle.restore_mds(victim, &filter));
+                        cluster.push_update(victim);
+                    }
+                    None => cluster.drain_concurrent(),
+                }
+            }
+            Step::RetireRestore(pick) => {
+                let cluster = hba(&mut scheme);
+                let ids = cluster.server_ids();
+                let victim = ids[*pick as usize % ids.len()];
+                let handle = cluster.reconfig_handle();
+                let filter = handle.retire_mds(victim).expect("published");
+                for path in &live {
+                    let outcome = cluster.lookup_concurrent(ids[0], path);
+                    prop_assert_eq!(outcome.home, cluster.true_home(path), "retired: {}", path);
+                }
+                prop_assert!(handle.restore_mds(victim, &filter));
+            }
+        }
+        let cluster = hba(&mut scheme);
+        if let Err(violation) = cluster.check_invariants() {
+            return Err(TestCaseError::fail(format!("step {n}: {violation}")));
+        }
+        prop_assert_eq!(cluster.total_files(), live.len(), "step {}", n);
+        let entry = cluster.server_ids()[0];
+        for path in &live {
+            let truth = cluster.true_home(path);
+            prop_assert!(truth.is_some(), "step {}: lost {}", n, path);
+            prop_assert_eq!(cluster.lookup_concurrent(entry, path).home, truth);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any interleaving of owner writes, membership changes, concurrent
+    /// batches and handle-driven retire+restore leaves the full mirror
+    /// structurally sound and every live path at its true home — on HBA
+    /// and on BFA8 alike.
+    #[test]
+    fn mirror_invariants_hold_under_arbitrary_interleavings(
+        steps in proptest::collection::vec(arb_step(), 1..40),
+        seed in 0u64..1000,
+    ) {
+        let cfg = GhbaConfig::default()
+            .with_filter_capacity(500)
+            .with_update_threshold(16)
+            .with_write_shards(4)
+            .with_seed(seed);
+        drive_mirror(HbaCluster::with_servers(cfg.clone(), 6), |hba| hba, &steps)?;
+        drive_mirror(BfaCluster::with_servers(cfg, 6, 8.0), BfaCluster::inner_mut, &steps)?;
     }
 }

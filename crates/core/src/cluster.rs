@@ -1,9 +1,17 @@
-//! The G-HBA metadata cluster: construction, the L1→L4 query walk, and
-//! file create/remove.
+//! The cluster engine: construction, the one pinned L1→L4 walk, file
+//! create/remove, and the pin-once `&self` pipeline's commit and drain —
+//! written once, generic over the replica layout.
 //!
-//! Reconfiguration (join/leave/split/merge) lives in [`crate::reconfig`];
-//! the replica-update protocol in [`crate::update`].
+//! [`Cluster`] is everything that does not depend on where replicas
+//! live; its [`Topology`] parameter decides the rest. There are exactly
+//! two layouts: [`Grouped`] (G-HBA, [`GhbaCluster`]; placement in
+//! [`crate::reconfig`]) and [`FullMirror`](crate::FullMirror) (HBA/BFA,
+//! [`HbaCluster`](crate::HbaCluster); in [`crate::mirror`]). The
+//! membership wrappers live in [`crate::reconfig`], the replica-update
+//! protocol in [`crate::update`].
 
+use core::fmt;
+use core::marker::PhantomData;
 use core::time::Duration;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -19,9 +27,11 @@ use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use crate::mds::{published_shape, Mds};
 use crate::op::{EntryPolicy, PathKey, WalkItem};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
+use crate::reconfig::ReconfigReport;
 use crate::snapshot::{
     route_cell, ReconfigHandle, RouteCell, RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp,
 };
+use crate::update::UpdateReport;
 
 /// Aggregate statistics of a cluster's lifetime.
 #[derive(Debug, Clone, Default)]
@@ -45,8 +55,8 @@ pub struct ClusterStats {
     /// Group merges performed.
     pub merges: u64,
     /// L2/L3 mask-cache consultations answered from cache since the last
-    /// [`reset_stats`](GhbaCluster::reset_stats) (the figure-binary view
-    /// of [`mask_cache_stats`](GhbaCluster::mask_cache_stats), which
+    /// [`reset_stats`](Cluster::reset_stats) (the figure-binary view
+    /// of [`mask_cache_stats`](Cluster::mask_cache_stats), which
     /// keeps lifetime totals).
     pub mask_cache_hits: u64,
     /// L2/L3 mask-cache consultations that had to (re)build their entry
@@ -57,21 +67,21 @@ pub struct ClusterStats {
 }
 
 /// Chunk-local candidate-mask memo for the pinned walk: a lock-free L0
-/// in front of the cross-snapshot
-/// [`SharedMaskCache`](crate::snapshot::SharedMaskCache) embedded in
-/// the route snapshot. Masks reached through a pinned
+/// in front of whatever longer-lived cache the topology keeps (the
+/// grouped layout's cross-snapshot
+/// [`SharedMaskCache`](crate::snapshot::SharedMaskCache); the full
+/// mirror has none). Masks reached through a pinned
 /// snapshot stay valid for exactly as long as that snapshot is pinned —
 /// no revalidation needed within a walk scope (one `lookup_concurrent`
-/// call, one fused-run chunk) — so the memo holds `Arc`s cloned out of
-/// the shared cache (or freshly built into it) and drops them with the
-/// pin. Memo and shared-cache hits both count as mask-cache hits in the
-/// atomic recorders; only a genuine build counts as a miss.
+/// call, one fused-run chunk) — so the memo holds `Arc`s and drops them
+/// with the pin. Memo and shared-cache hits both count as mask-cache
+/// hits in the atomic recorders; only a genuine build counts as a miss.
 #[derive(Debug, Default)]
-struct PinnedMemo {
+pub(crate) struct PinnedMemo {
     /// Per-entry L2 state: candidate mask + held-replica count.
-    l2: HashMap<MdsId, Arc<SharedL2>>,
+    pub(crate) l2: HashMap<MdsId, Arc<SharedL2>>,
     /// Per-group L3 state: group-mirror mask + member held counts.
-    l3: HashMap<GroupId, Arc<SharedL3>>,
+    pub(crate) l3: HashMap<GroupId, Arc<SharedL3>>,
 }
 
 /// One pinned walk's result: the outcome plus the false-hit tallies
@@ -82,6 +92,86 @@ struct Walked {
     outcome: QueryOutcome,
     falses: [u64; 4],
 }
+
+/// What a replica layout decides for the [`Cluster`] engine — and
+/// nothing else: everything not listed here is written once, in this
+/// module, [`crate::update`], [`crate::reconfig`] and
+/// [`crate::service`]. Crate-private and implemented exactly twice
+/// ([`Grouped`], [`FullMirror`](crate::FullMirror)), which seals it.
+pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
+    /// Scheme name for reports.
+    const NAME: &'static str;
+    /// Fork constant of the cluster's deterministic rng stream.
+    const RNG_FORK: u64;
+
+    /// The (pseudo-)group a walk entering at `entry` belongs to: its
+    /// mask consults and load telemetry are attributed there.
+    fn walk_group(snap: &RouteSnapshot, entry: MdsId) -> GroupId;
+
+    /// `entry`'s L2 candidate state — which published columns it probes
+    /// locally and how many replicas that is — through `memo`.
+    fn l2(
+        cluster: &Cluster<Self>,
+        snap: &RouteSnapshot,
+        entry: MdsId,
+        gid: GroupId,
+        memo: &mut PinnedMemo,
+    ) -> Arc<SharedL2>;
+
+    /// The L3 group-multicast stage's state, or `None` when the layout
+    /// has no level between the entry's own array and the broadcast.
+    fn l3(
+        cluster: &Cluster<Self>,
+        snap: &RouteSnapshot,
+        gid: GroupId,
+        memo: &mut PinnedMemo,
+    ) -> Option<Arc<SharedL3>>;
+
+    /// Replicas `id` holds (the memory charge behind Table 5).
+    fn held_replicas(cluster: &Cluster<Self>, snap: &RouteSnapshot, id: MdsId) -> usize;
+
+    /// The `(group, members)` rows of a load report.
+    fn load_shape(cluster: &Cluster<Self>, snap: &RouteSnapshot) -> Vec<(GroupId, Vec<MdsId>)>;
+
+    /// Servers one origin's filter refresh must reach under an ideal
+    /// multicast: one holder per foreign group, or everyone else.
+    fn replica_holders(cluster: &Cluster<Self>, snap: &RouteSnapshot) -> usize;
+
+    /// Cost accounting of one `push_update` of `origin`'s
+    /// `delta_bytes`-sized delta (the slab column is already refreshed).
+    fn update_fanout(
+        cluster: &mut Cluster<Self>,
+        snap: &RouteSnapshot,
+        origin: MdsId,
+        delta_bytes: u64,
+    ) -> UpdateReport {
+        let _ = origin;
+        let recipients = Self::replica_holders(cluster, snap);
+        UpdateReport {
+            messages: recipients as u64,
+            bytes: delta_bytes * recipients as u64,
+            latency: cluster.config.latency.multicast_rtt(recipients),
+            refreshed: true,
+        }
+    }
+
+    /// Places the just-inserted server `id` (slab column, replicas,
+    /// groups) and publishes the result.
+    fn join(cluster: &mut Cluster<Self>, id: MdsId) -> ReconfigReport;
+
+    /// Re-homes `id`'s files, unplaces it and publishes the result; the
+    /// server is gone from the cluster when this returns.
+    fn leave(cluster: &mut Cluster<Self>, id: MdsId) -> ReconfigReport;
+
+    /// The layout's own structural invariants under `snap`.
+    fn check_layout(cluster: &Cluster<Self>, snap: &RouteSnapshot) -> Result<(), String>;
+}
+
+/// The grouped replica layout of G-HBA (§2.2): servers in groups of at
+/// most `M`, each group collectively mirroring the system. Names the
+/// layout of [`GhbaCluster`]; never constructed.
+#[derive(Debug, Clone, Copy)]
+pub struct Grouped;
 
 /// A simulated G-HBA metadata server cluster.
 ///
@@ -98,8 +188,14 @@ struct Walked {
 /// let outcome = cluster.lookup("/projects/paper.tex");
 /// assert_eq!(outcome.home, Some(home));
 /// ```
+pub type GhbaCluster = Cluster<Grouped>;
+
+/// A simulated metadata server cluster: the scheme-agnostic engine
+/// behind [`GhbaCluster`] and [`HbaCluster`](crate::HbaCluster), which
+/// differ only in the replica layout `T` (see the crate docs for what a
+/// layout decides). Name it through those aliases.
 #[derive(Debug)]
-pub struct GhbaCluster {
+pub struct Cluster<T: Topology> {
     pub(crate) config: GhbaConfig,
     pub(crate) mdss: BTreeMap<MdsId, Mds>,
     /// The published routing state — the bit-sliced slab of every
@@ -119,18 +215,18 @@ pub struct GhbaCluster {
     pub(crate) stats: ClusterStats,
     /// Namespace write shards of the pin-once pipeline: pending creates
     /// and removes recorded from `&self`, replayed into `mdss` by
-    /// [`drain_concurrent`](GhbaCluster::drain_concurrent) at the next
+    /// [`drain_concurrent`](Cluster::drain_concurrent) at the next
     /// `&mut` entry point.
     pub(crate) shards: NamespaceShards,
     /// Atomic statistics recorded by `&self` walks and commits, folded
-    /// into [`GhbaCluster::stats`] at the same drain points.
+    /// into [`Cluster::stats`] at the same drain points.
     pub(crate) cstats: ConcurrentStats,
     /// Lifetime `(hits, misses)` of L2/L3 mask consults already folded
     /// out of `cstats` (the reset-scoped view lives in `stats`).
     mask_lifetime: (u64, u64),
     /// Owner-side fold of the per-group load windows recorded by
     /// `cstats` on the `&self` walks (see [`crate::load`]). Behind a
-    /// mutex so [`load_report`](GhbaCluster::load_report) works from
+    /// mutex so [`load_report`](Cluster::load_report) works from
     /// `&self` (a controller samples while lookups run); touched only
     /// at report cadence, never on the walk hot path.
     pub(crate) load_fold: Mutex<crate::load::LoadFold>,
@@ -144,15 +240,17 @@ pub struct GhbaCluster {
     /// layout compact; deliberately **not** cloned — a clone is an
     /// independent in-memory twin, not a second writer of the same log.
     pub(crate) wal: Option<Box<crate::wal::Wal>>,
+    topology: PhantomData<T>,
 }
 
-impl Clone for GhbaCluster {
+impl<T: Topology> Clone for Cluster<T> {
     /// Clones the cluster into an **independent** instance: the clone
     /// gets its own snapshot cell seeded with the currently published
-    /// snapshot. Immutable storage (the slab, per-group placement) is
-    /// shared structurally via `Arc` until either side's next edit
-    /// copies-on-write, so the clone is cheap and the two clusters can
-    /// never observe each other's subsequent reconfigurations.
+    /// snapshot and its own (cold) mask cache. Immutable storage (the
+    /// slab, per-group placement) is shared structurally via `Arc` until
+    /// either side's next edit copies-on-write, so the clone is cheap
+    /// and the two clusters can never observe each other's subsequent
+    /// reconfigurations.
     fn clone(&self) -> Self {
         // Pending `&self`-path writes are not cloned: drain them (any
         // `&mut` entry point) before cloning a cluster that executed
@@ -161,8 +259,11 @@ impl Clone for GhbaCluster {
             !self.shards.is_dirty(),
             "clone with undrained concurrent writes pending"
         );
-        let snapshot = (*self.routes.pin()).clone();
-        GhbaCluster {
+        let mut snapshot = (*self.routes.pin()).clone();
+        // Cached masks are validated by `(group, epoch)` alone, and two
+        // diverging clusters mint the same epochs for different layouts.
+        snapshot.masks = Arc::default();
+        Cluster {
             config: self.config.clone(),
             mdss: self.mdss.clone(),
             routes: route_cell(snapshot),
@@ -175,18 +276,19 @@ impl Clone for GhbaCluster {
             load_fold: Mutex::new(crate::load::LoadFold::new()),
             shim_entry: self.shim_entry,
             wal: None,
+            topology: PhantomData,
         }
     }
 }
 
-impl GhbaCluster {
+impl<T: Topology> Cluster<T> {
     /// Creates an empty cluster.
     #[must_use]
     pub fn new(config: GhbaConfig) -> Self {
-        let rng = DetRng::new(config.seed).fork(0xC105);
+        let rng = DetRng::new(config.seed).fork(T::RNG_FORK);
         let slab = SharedShapeArray::new(published_shape(&config));
         let shards = NamespaceShards::new(config.write_shards);
-        GhbaCluster {
+        Cluster {
             config,
             mdss: BTreeMap::new(),
             routes: route_cell(RouteSnapshot::empty(slab)),
@@ -199,40 +301,38 @@ impl GhbaCluster {
             load_fold: Mutex::new(crate::load::LoadFold::new()),
             shim_entry: EntryPolicy::Random,
             wal: None,
+            topology: PhantomData,
         }
+    }
+
+    /// Creates a cluster of `servers` MDSs joined one by one (grouped
+    /// into groups of at most `config.max_group_size` with balanced
+    /// replica placement under G-HBA; fully mirrored under HBA). The
+    /// build-time reconfiguration traffic is *not* counted in the stats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `servers == 0`.
+    #[must_use]
+    pub fn with_servers(config: GhbaConfig, servers: usize) -> Self {
+        assert!(servers > 0, "cluster needs at least one server");
+        let mut cluster = Cluster::new(config);
+        for _ in 0..servers {
+            cluster.add_mds();
+        }
+        cluster.reset_stats();
+        cluster
     }
 
     /// The current membership epoch. Advanced at least once by every
     /// reconfiguration path (join, leave, fail-stop, split, merge,
-    /// rebalance — compound operations advance it per internal step, so
-    /// this is an invalidation fence, not an operation counter); derived
-    /// routing state cached under an older epoch is stale and must be
-    /// rebuilt.
+    /// rebalance, mirror retire/restore — compound operations advance
+    /// it per internal step, so this is an invalidation fence, not an
+    /// operation counter); derived routing state cached under an older
+    /// epoch is stale and must be rebuilt.
     #[must_use]
     pub fn membership_epoch(&self) -> MembershipEpoch {
         self.routes.pin().epoch
-    }
-
-    /// The configuration version of `gid` under the currently published
-    /// snapshot (default epoch for groups never touched — including
-    /// groups that do not exist, which no valid cache entry can name).
-    #[must_use]
-    pub fn group_epoch(&self, gid: GroupId) -> GroupEpoch {
-        self.routes.pin().group_epoch(gid)
-    }
-
-    /// A cloneable, thread-safe handle that publishes group
-    /// reconfigurations — rebalances, splits, merges — through the
-    /// snapshot cell **concurrently with lookups** on other threads.
-    /// Handle-driven operations are pure routing edits (they move
-    /// replica *placement*, not server state) and do not update this
-    /// cluster's aggregate [`ClusterStats`].
-    #[must_use]
-    pub fn reconfig_handle(&self) -> ReconfigHandle {
-        ReconfigHandle {
-            routes: Arc::clone(&self.routes),
-            max_group_size: self.config.max_group_size,
-        }
     }
 
     /// L2/L3 mask-cache accounting, both scopes, one source of truth —
@@ -240,7 +340,7 @@ impl GhbaCluster {
     /// on the pinned walk counts too), a miss one that had to build the
     /// entry. `lifetime_*` spans the cluster's whole life; `window_*`
     /// is the reset-scoped view the figure binaries read (cleared by
-    /// [`reset_stats`](GhbaCluster::reset_stats)). Consults recorded on
+    /// [`reset_stats`](Cluster::reset_stats)). Consults recorded on
     /// `&self` walks but not yet drained are folded into both scopes,
     /// so this is exact at any moment without a drain barrier.
     #[must_use]
@@ -255,7 +355,9 @@ impl GhbaCluster {
     /// Closes the open telemetry window and returns a
     /// [`LoadReport`](crate::load::LoadReport)
     /// snapshot: one row per live group under the currently published
-    /// snapshot, rates window-decayed across successive calls (see
+    /// snapshot (HBA has no groups: every server reports under the
+    /// pseudo-group `GroupId(0)`, one row whose share is 1.0 by
+    /// construction), rates window-decayed across successive calls (see
     /// [`crate::load`]). Works from `&self` — a controller samples on
     /// its own cadence while lookups and reconfigurations run — and
     /// deliberately does **not** drain the pending write shards or the
@@ -263,32 +365,10 @@ impl GhbaCluster {
     #[must_use]
     pub fn load_report(&self) -> crate::load::LoadReport {
         let snap = self.routes.pin();
-        let shape: Vec<(GroupId, Vec<MdsId>)> = snap
-            .groups
-            .iter()
-            .map(|(&gid, group)| (gid, group.members().to_vec()))
-            .collect();
+        let shape = T::load_shape(self, &snap);
         let mut fold = self.load_fold.lock().expect("load fold poisoned");
         let fresh = fold.close_window(&self.cstats);
         fold.report(snap.epoch, fresh, &shape)
-    }
-
-    /// Creates a cluster of `servers` MDSs, grouped into groups of at most
-    /// `config.max_group_size`, with replica placement balanced. The
-    /// build-time reconfiguration traffic is *not* counted in the stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers == 0`.
-    #[must_use]
-    pub fn with_servers(config: GhbaConfig, servers: usize) -> Self {
-        assert!(servers > 0, "cluster needs at least one server");
-        let mut cluster = GhbaCluster::new(config);
-        for _ in 0..servers {
-            cluster.add_mds();
-        }
-        cluster.reset_stats();
-        cluster
     }
 
     /// The active configuration.
@@ -303,44 +383,16 @@ impl GhbaCluster {
         self.mdss.len()
     }
 
-    /// Number of groups.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.routes.pin().groups.len()
-    }
-
     /// All server ids, ascending.
     #[must_use]
     pub fn server_ids(&self) -> Vec<MdsId> {
         self.mdss.keys().copied().collect()
     }
 
-    /// Sizes of all groups, ascending by group id.
-    #[must_use]
-    pub fn group_sizes(&self) -> Vec<usize> {
-        self.routes.pin().groups.values().map(|g| g.len()).collect()
-    }
-
     /// Borrow a server.
     #[must_use]
     pub fn mds(&self, id: MdsId) -> Option<&Mds> {
         self.mdss.get(&id)
-    }
-
-    /// The group a server belongs to (under the currently published
-    /// snapshot).
-    #[must_use]
-    pub fn group_of(&self, id: MdsId) -> Option<GroupId> {
-        self.routes.pin().group_of(id)
-    }
-
-    /// A group under the currently published snapshot. Returns a shared
-    /// handle to the immutable group object: subsequent reconfigurations
-    /// replace the snapshot rather than mutating it, so the handle stays
-    /// consistent for as long as the caller holds it.
-    #[must_use]
-    pub fn group(&self, id: GroupId) -> Option<Arc<Group>> {
-        self.routes.pin().groups.get(&id).cloned()
     }
 
     /// Lifetime statistics.
@@ -363,18 +415,11 @@ impl GhbaCluster {
         self.mdss.values().map(Mds::file_count).sum()
     }
 
-    /// Replicas held by `id` (origins from other groups placed on it),
-    /// under the currently published snapshot.
-    #[must_use]
-    pub fn replicas_held_by(&self, id: MdsId) -> Vec<MdsId> {
-        self.routes.pin().replicas_held_by(id)
-    }
-
     /// Per-MDS filter memory (own filter + LRU + held replicas) in bytes —
     /// the Table 5 quantity.
     #[must_use]
     pub fn filter_memory_bytes(&self, id: MdsId) -> usize {
-        let held = self.replicas_held_by(id).len();
+        let held = T::held_replicas(self, &self.routes.pin(), id);
         self.mdss
             .get(&id)
             .map_or(0, |mds| mds.filter_memory_bytes(held))
@@ -426,13 +471,10 @@ impl GhbaCluster {
     ///
     /// Panics if `home` is not a member of the cluster.
     pub fn create_file_at(&mut self, path: &str, home: MdsId) {
-        self.maybe_drain();
-        let mds = self.mdss.get_mut(&home).expect("home must exist");
-        mds.create_local(path);
-        self.maybe_publish(home);
+        self.create_fp(path, &Fingerprint::of(path), home);
     }
 
-    /// Pre-hashed variant of [`create_file_at`](GhbaCluster::create_file_at)
+    /// Pre-hashed variant of [`create_file_at`](Cluster::create_file_at)
     /// for the batched op pipeline: reuses the key's admission
     /// fingerprint instead of re-hashing the path bytes.
     ///
@@ -440,9 +482,13 @@ impl GhbaCluster {
     ///
     /// Panics if `home` is not a member of the cluster.
     pub fn create_file_keyed(&mut self, key: &PathKey, home: MdsId) {
+        self.create_fp(key.path(), key.fingerprint(), home);
+    }
+
+    fn create_fp(&mut self, path: &str, fp: &Fingerprint, home: MdsId) {
         self.maybe_drain();
         let mds = self.mdss.get_mut(&home).expect("home must exist");
-        mds.create_local_fp(key.path(), key.fingerprint());
+        mds.create_local_fp(path, fp);
         self.maybe_publish(home);
     }
 
@@ -450,22 +496,21 @@ impl GhbaCluster {
     /// The caller typically locates the home with a [`lookup`] first; this
     /// method does the authoritative sweep directly.
     ///
-    /// [`lookup`]: GhbaCluster::lookup
+    /// [`lookup`]: Cluster::lookup
     pub fn remove_file(&mut self, path: &str) -> Option<MdsId> {
+        self.remove_fp(path, &Fingerprint::of(path))
+    }
+
+    /// Pre-hashed variant of [`remove_file`](Cluster::remove_file).
+    pub fn remove_file_keyed(&mut self, key: &PathKey) -> Option<MdsId> {
+        self.remove_fp(key.path(), key.fingerprint())
+    }
+
+    fn remove_fp(&mut self, path: &str, fp: &Fingerprint) -> Option<MdsId> {
         self.maybe_drain();
         let home = self.true_home(path)?;
         let mds = self.mdss.get_mut(&home).expect("home exists");
-        mds.remove_local(path);
-        self.maybe_publish(home);
-        Some(home)
-    }
-
-    /// Pre-hashed variant of [`remove_file`](GhbaCluster::remove_file).
-    pub fn remove_file_keyed(&mut self, key: &PathKey) -> Option<MdsId> {
-        self.maybe_drain();
-        let home = self.true_home(key.path())?;
-        let mds = self.mdss.get_mut(&home).expect("home exists");
-        mds.remove_local_fp(key.path(), key.fingerprint());
+        mds.remove_local_fp(path, fp);
         self.maybe_publish(home);
         Some(home)
     }
@@ -494,10 +539,11 @@ impl GhbaCluster {
     }
 
     /// Looks `path` up starting from a chosen entry MDS, walking the
-    /// L1 → L2 → L3 → L4 hierarchy of §2.3 against one pinned routing
+    /// hierarchy of §2.3 — L1 → L2 → L3 → L4 under G-HBA; L1 → full
+    /// mirror → broadcast under HBA — against one pinned routing
     /// snapshot. A found home fills the entry server's L1 LRU array, and
     /// level, latency and false-hit statistics are in
-    /// [`stats`](GhbaCluster::stats) when the call returns.
+    /// [`stats`](Cluster::stats) when the call returns.
     ///
     /// # Panics
     ///
@@ -508,37 +554,31 @@ impl GhbaCluster {
     }
 
     /// Looks `path` up from `entry` through a **shared reference**: the
-    /// same pinned walk as [`lookup_from`](GhbaCluster::lookup_from)
+    /// same pinned walk as [`lookup_from`](Cluster::lookup_from)
     /// without its `&mut` epilogue. Level and latency statistics are
     /// recorded into wait-free atomic counters (folded into
-    /// [`stats`](GhbaCluster::stats) at the next `&mut` drain point),
+    /// [`stats`](Cluster::stats) at the next `&mut` drain point),
     /// pending same-era writes are observed through the namespace-shard
     /// overlay, and **no L1 cache fill is performed** (the walk is
     /// read-only on `Mds` state) — so any number of threads may call it
-    /// while a [`ReconfigHandle`] publishes successor snapshots and
+    /// while a reconfiguration handle publishes successor snapshots and
     /// other threads execute concurrent write batches.
     ///
     /// # Panics
     ///
     /// Panics if `entry` is not a member of the cluster.
+    #[must_use]
     pub fn lookup_concurrent(&self, entry: MdsId, path: &str) -> QueryOutcome {
         let snap = self.routes.pin();
         let mut outcomes = self.lookup_fused_pinned(&snap, &[(entry, path, Fingerprint::of(path))]);
         outcomes.pop().expect("one query, one outcome")
     }
 
-    /// Pins and returns the current routing snapshot (lock-free; the
-    /// returned `Arc` stays valid across successor publishes). The
-    /// pin-once pipeline calls this once per batch.
-    pub(crate) fn pin_route_snapshot(&self) -> Arc<RouteSnapshot> {
-        self.routes.pin()
-    }
-
     /// The mask state under `key` for a walk pinned to a snapshot: the
-    /// chunk memo first, then the snapshot's shared cache (`shared`),
-    /// then a fresh `build` published into both. Memo and shared-cache
-    /// answers count as mask-cache hits, a build as a miss.
-    fn memoized<K: std::hash::Hash + Eq, V>(
+    /// chunk memo first, then the topology's longer-lived cache
+    /// (`shared`), then a fresh `build`. Memo and shared-cache answers
+    /// count as mask-cache hits, a build as a miss.
+    pub(crate) fn memoized<K: std::hash::Hash + Eq, V>(
         &self,
         gid: GroupId,
         memo: &mut HashMap<K, Arc<V>>,
@@ -558,13 +598,15 @@ impl GhbaCluster {
         state
     }
 
-    /// The L1 → L4 escalation of one query against a pinned snapshot,
-    /// from `&self` — **the** walk: every read entry of the cluster,
-    /// `&mut` or `&self`, single or batched, resolves through it. `memo`
-    /// caches the L2/L3 candidate masks per `(entry, group)` for the
-    /// lifetime the caller chooses (one chunk of a run). The walk reads
-    /// `Mds` state only; what a finished walk records is decided per
-    /// occurrence by [`lookup_fused_pinned`](Self::lookup_fused_pinned)'s splice.
+    /// The L1 → L2 → \[L3\] → L4 escalation of one query against a
+    /// pinned snapshot, from `&self` — **the** walk: every read entry of
+    /// every scheme, `&mut` or `&self`, single or batched, resolves
+    /// through it. The topology supplies the L2 candidate state and —
+    /// iff it has a group level — the L3 stage; `memo` caches both per
+    /// `(entry, group)` for the lifetime the caller chooses (one chunk
+    /// of a run). The walk reads `Mds` state only; what a finished walk
+    /// records is decided per occurrence by
+    /// [`lookup_fused_pinned`](Self::lookup_fused_pinned)'s splice.
     fn walk_pinned(
         &self,
         snap: &RouteSnapshot,
@@ -573,7 +615,7 @@ impl GhbaCluster {
     ) -> Walked {
         let entry_mds = self.mdss.get(&entry).expect("unknown entry MDS");
         let overlay = self.shards.overlay_keyed(path, &fp);
-        let gid = snap.group_of(entry).expect("entry has a group");
+        let gid = T::walk_group(snap, entry);
         let model = &self.config.latency;
         let mut latency = model.dispatch;
         let mut messages = 0u32;
@@ -613,15 +655,9 @@ impl GhbaCluster {
             }
         }
 
-        // ---- L2: the entry's segment array (θ replicas + own). ----
-        let tag = snap.group_epoch(gid);
-        let l2 = self.memoized(
-            gid,
-            &mut memo.l2,
-            entry,
-            || snap.masks.l2(entry, gid, tag),
-            || snap.masks.put_l2(entry, snap.build_l2(entry, gid)),
-        );
+        // ---- L2: the entry's own array (its held replicas — θ of them
+        // under G-HBA, all N − 1 under HBA) plus its live filter. ----
+        let l2 = T::l2(self, snap, entry, gid, memo);
         let hit = snap.slab.query_fp_masked(&fp, &l2.mask);
         let resident = entry_mds.resident_replicas(l2.held);
         latency += model.array_probe(l2.held + 1, l2.held - resident);
@@ -636,40 +672,35 @@ impl GhbaCluster {
             falses[1] += 1;
         }
 
-        // ---- L3: multicast within the entry's group. ----
-        let l3 = self.memoized(
-            gid,
-            &mut memo.l3,
-            gid,
-            || snap.masks.l3(gid, tag),
-            || snap.masks.put_l3(gid, snap.build_l3(gid)),
-        );
-        let peer_count = l3.member_held.len().saturating_sub(1);
-        // Peers probe their held replicas in parallel: pay the slowest.
-        let worst_probe = l3
-            .member_held
-            .iter()
-            .filter(|&&(member, _)| member != entry)
-            .map(|&(member, held)| {
-                let resident = self.mdss[&member].resident_replicas(held);
-                model.array_probe(held + 1, held - resident)
-            })
-            .max()
-            .unwrap_or(Duration::ZERO);
-        let hit = snap.slab.query_fp_masked(&fp, &l3.mask);
-        messages += 2 * peer_count as u32;
-        latency += model.multicast_rtt(peer_count) + worst_probe;
-        let mut positives = hit.candidates().to_vec();
-        for &(member, _) in &l3.member_held {
-            if overlay.probes_live(&self.mdss[&member], &fp) {
-                positives.push(member);
+        // ---- L3: multicast within the entry's group, if any. ----
+        if let Some(l3) = T::l3(self, snap, gid, memo) {
+            let peer_count = l3.member_held.len().saturating_sub(1);
+            // Peers probe their held replicas in parallel: pay the slowest.
+            let worst_probe = l3
+                .member_held
+                .iter()
+                .filter(|&&(member, _)| member != entry)
+                .map(|&(member, held)| {
+                    let resident = self.mdss[&member].resident_replicas(held);
+                    model.array_probe(held + 1, held - resident)
+                })
+                .max()
+                .unwrap_or(Duration::ZERO);
+            let hit = snap.slab.query_fp_masked(&fp, &l3.mask);
+            messages += 2 * peer_count as u32;
+            latency += model.multicast_rtt(peer_count) + worst_probe;
+            let mut positives = hit.candidates().to_vec();
+            for &(member, _) in &l3.member_held {
+                if overlay.probes_live(&self.mdss[&member], &fp) {
+                    positives.push(member);
+                }
             }
-        }
-        if positives.len() == 1 {
-            if let Some(home) = verify(positives[0], &mut latency, &mut messages) {
-                return done(Some(home), QueryLevel::L3Group, latency, messages, falses);
+            if positives.len() == 1 {
+                if let Some(home) = verify(positives[0], &mut latency, &mut messages) {
+                    return done(Some(home), QueryLevel::L3Group, latency, messages, falses);
+                }
+                falses[2] += 1;
             }
-            falses[2] += 1;
         }
 
         // ---- L4: system-wide multicast; authoritative. ----
@@ -724,9 +755,8 @@ impl GhbaCluster {
                 let [l1, l2, l3, l4_disk] = *falses;
                 self.cstats.record_lookup(outcome.level, outcome.latency);
                 self.cstats.record_false_hits(l1, l2, l3, l4_disk);
-                let gid = snap.group_of(outcome.entry).expect("entry has a group");
                 self.cstats.record_group_walk(
-                    gid,
+                    T::walk_group(snap, outcome.entry),
                     outcome.entry,
                     outcome.level,
                     falses.iter().sum(),
@@ -775,9 +805,10 @@ impl GhbaCluster {
     /// removes stay invisible to probes until the owner drain), and the
     /// touched homes are marked for the drain to reconcile their
     /// server-side published filters. Replica-update traffic is
-    /// accounted per staged home as one ideal multicast to every
-    /// foreign group — a simplification of `push_update`'s per-group
-    /// IDBFA location, recorded into the atomic stats.
+    /// accounted per staged home as one ideal multicast to the
+    /// topology's replica holders (every foreign group under G-HBA — a
+    /// simplification of `push_update`'s per-group IDBFA location —
+    /// every other server under HBA), recorded into the atomic stats.
     ///
     /// Staging runs at the `&mut` writes' publish cadence, not per
     /// batch: a home's creates accumulate in its staging buffer
@@ -806,7 +837,7 @@ impl GhbaCluster {
         // apply to.
         let mut edit = RouteEdit::begin(&routes);
         let mut ops: Vec<(MdsId, FilterDelta)> = Vec::new();
-        let foreign_groups = edit.work.groups.len().saturating_sub(1);
+        let holders = T::replica_holders(self, &edit.work);
         for (home, fps) in pending {
             // A column may be absent (the home retired concurrently);
             // its creates stay in the log for the owner drain.
@@ -823,13 +854,10 @@ impl GhbaCluster {
             if delta.is_empty() {
                 continue;
             }
-            if foreign_groups > 0 {
-                let bytes = delta.wire_bytes() as u64 * foreign_groups as u64;
-                self.cstats.record_update(
-                    foreign_groups as u64,
-                    bytes,
-                    model.multicast_rtt(foreign_groups),
-                );
+            if holders > 0 {
+                let bytes = delta.wire_bytes() as u64 * holders as u64;
+                self.cstats
+                    .record_update(holders as u64, bytes, model.multicast_rtt(holders));
             }
             ops.push((home, delta));
         }
@@ -851,7 +879,7 @@ impl GhbaCluster {
         }
     }
 
-    /// Folds the atomic recorders into [`stats`](GhbaCluster::stats) and
+    /// Folds the atomic recorders into [`stats`](Cluster::stats) and
     /// the lifetime mask counters.
     fn fold_stats(&mut self) {
         let (hits, misses) = self.cstats.fold_into(&mut self.stats);
@@ -860,18 +888,18 @@ impl GhbaCluster {
     }
 
     /// Reconciles everything the `&self` pipeline deferred: folds the
-    /// atomic statistics into [`stats`](GhbaCluster::stats), replays the
+    /// atomic statistics into [`stats`](Cluster::stats), replays the
     /// namespace shards' ordered write logs against the authoritative
     /// stores and live filters (shard-index order; per-path order is
     /// total because a path always hashes to the same shard), and syncs
     /// each staged home's server-side published filter with its slab
     /// column so `column == published` holds again (the
-    /// [`check_invariants`](GhbaCluster::check_invariants) contract).
+    /// [`check_invariants`](Cluster::check_invariants) contract).
     ///
     /// Runs automatically at every `&mut` entry point (lookups, writes,
     /// updates, reconfigurations, stat resets); call it explicitly
     /// before inspecting state through `&self` views such as
-    /// [`true_home`](GhbaCluster::true_home) or `check_invariants`
+    /// [`true_home`](Cluster::true_home) or `check_invariants`
     /// after concurrent batches.
     pub fn drain_concurrent(&mut self) {
         self.fold_stats();
@@ -931,13 +959,16 @@ impl GhbaCluster {
             let Some(mds) = self.mdss.get_mut(&home) else {
                 continue;
             };
+            // A mirror retired since staging has no column: leave the
+            // server's publish baseline alone, so the first push after
+            // the restore folds everything into the restored column.
+            let Some(column) = edit.work.slab.extract(home) else {
+                continue;
+            };
             // Refresh the server's own published filter from its
             // (just replayed) live state, then overwrite the
             // column's changed words to match it exactly.
             let _ = mds.publish();
-            let Some(column) = edit.work.slab.extract(home) else {
-                continue;
-            };
             if let Ok(delta) = FilterDelta::between(&column, mds.published()) {
                 if !delta.is_empty() {
                     ops.push((home, delta));
@@ -951,7 +982,7 @@ impl GhbaCluster {
     }
 
     /// Pending concurrent write records awaiting the next
-    /// [`drain_concurrent`](GhbaCluster::drain_concurrent) — the
+    /// [`drain_concurrent`](Cluster::drain_concurrent) — the
     /// namespace shard logs' combined length. Zero (lock-free) when the
     /// cluster is clean. Network replicas report this through their
     /// drain acknowledgements so tests can observe the background
@@ -977,7 +1008,7 @@ impl GhbaCluster {
     }
 
     /// Resolves a batch of concurrent lookups through the one pinned
-    /// walk (see [`lookup_from`](GhbaCluster::lookup_from)): the batch
+    /// walk (see [`lookup_from`](Cluster::lookup_from)): the batch
     /// pins one snapshot, repeated `(entry, path)` pairs walk once, and
     /// batches of at least `executor.min_parallel_batch` queries split
     /// into `executor.workers` chunks walked concurrently (bit-identical
@@ -987,7 +1018,7 @@ impl GhbaCluster {
     /// [`ExecutorConfig`]: crate::ExecutorConfig
     ///
     /// Per-query accounting (latency, messages, level counters) is
-    /// identical to running [`lookup_from`](GhbaCluster::lookup_from) once
+    /// identical to running [`lookup_from`](Cluster::lookup_from) once
     /// per query; the only visible difference is the concurrent-request
     /// model: the queries of one batch model simultaneous clients, so no
     /// L1 cache fill produced by one query of the batch is observed by
@@ -1018,7 +1049,7 @@ impl GhbaCluster {
     /// Every `&mut` read entry: drain, pin one snapshot, run the pinned
     /// walk, then apply the one thing the `&self` entries cannot — the
     /// L1 LRU fill, per occurrence in stream order — and fold the
-    /// atomic recorders so [`stats`](GhbaCluster::stats) is current when
+    /// atomic recorders so [`stats`](Cluster::stats) is current when
     /// the call returns.
     pub(crate) fn lookup_items(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
         self.maybe_drain();
@@ -1038,7 +1069,16 @@ impl GhbaCluster {
     /// Checks every structural invariant of the cluster; returns a
     /// description of the first violation.
     ///
-    /// Invariants (the properties §2.2 and §3.1–3.2 argue for):
+    /// Shared by both layouts: the bit-sliced published slab tracks
+    /// exactly the live servers and mirrors every server's published
+    /// filter exactly (the hash-once L2/L3 probes depend on it;
+    /// invariant 7 below). A mirror an
+    /// [`HbaReconfigHandle`](crate::HbaReconfigHandle) retired and has
+    /// not restored is reported as a lost column — retirement is a
+    /// degraded state, not an invariant-preserving one.
+    ///
+    /// The grouped layout adds the properties §2.2 and §3.1–3.2 argue
+    /// for:
     /// 1. every server belongs to exactly one group, consistently indexed;
     /// 2. no group exceeds `M` members;
     /// 3. **mirror**: each group stores replicas of exactly the servers
@@ -1047,20 +1087,16 @@ impl GhbaCluster {
     /// 5. replica load within each group is balanced within one replica;
     /// 6. the IDBFA locates every replica (its candidates include the true
     ///    holder — counting filters have no false negatives);
-    /// 7. the bit-sliced published slab mirrors every server's published
-    ///    filter exactly (the hash-once L2/L3 probes depend on it);
     /// 8. **no stale mask**: every cached L2/L3 entry of the snapshot's
     ///    shared mask cache whose `(gid, tag)` is valid under the pinned
     ///    snapshot equals the mask and held counts rebuilt from that
     ///    snapshot — an epoch bump missed by any reconfiguration path
-    ///    shows up here, not as a wrong candidate set in a walk.
+    ///    shows up here, not as a wrong candidate set in a walk — and no
+    ///    departed server still owns a cached L2 entry.
     pub fn check_invariants(&self) -> Result<(), String> {
         let snap = self.routes.pin();
-        let slab_ids: Vec<MdsId> = {
-            let mut ids: Vec<MdsId> = snap.slab.ids().collect();
-            ids.sort_unstable();
-            ids
-        };
+        let mut slab_ids: Vec<MdsId> = snap.slab.ids().collect();
+        slab_ids.sort_unstable();
         if slab_ids != self.server_ids() {
             return Err(format!(
                 "published slab tracks {} servers, cluster has {}",
@@ -1077,71 +1113,66 @@ impl GhbaCluster {
                 return Err(format!("published slab column of {id} is stale"));
             }
         }
-        for (&id, &gid) in &snap.group_of {
-            let group = snap
-                .groups
-                .get(&gid)
-                .ok_or_else(|| format!("{id} maps to missing {gid}"))?;
-            if !group.contains(id) {
-                return Err(format!("{id} not a member of its {gid}"));
-            }
+        T::check_layout(self, &snap)
+    }
+}
+
+impl GhbaCluster {
+    /// The configuration version of `gid` under the currently published
+    /// snapshot (default epoch for groups never touched — including
+    /// groups that do not exist, which no valid cache entry can name).
+    #[must_use]
+    pub fn group_epoch(&self, gid: GroupId) -> GroupEpoch {
+        self.routes.pin().group_epoch(gid)
+    }
+
+    /// A cloneable, thread-safe handle that publishes group
+    /// reconfigurations — rebalances, splits, merges — through the
+    /// snapshot cell **concurrently with lookups** on other threads.
+    /// Handle-driven operations are pure routing edits (they move
+    /// replica *placement*, not server state) and do not update this
+    /// cluster's aggregate [`ClusterStats`].
+    #[must_use]
+    pub fn reconfig_handle(&self) -> ReconfigHandle {
+        ReconfigHandle {
+            routes: Arc::clone(&self.routes),
+            max_group_size: self.config.max_group_size,
         }
-        let all: Vec<MdsId> = self.server_ids();
-        for group in snap.groups.values() {
-            if group.len() > self.config.max_group_size {
-                return Err(format!(
-                    "{} has {} members (max {})",
-                    group.id(),
-                    group.len(),
-                    self.config.max_group_size
-                ));
-            }
-            for &member in group.members() {
-                if snap.group_of.get(&member) != Some(&group.id()) {
-                    return Err(format!("{member} membership index inconsistent"));
-                }
-            }
-            let expected: Vec<MdsId> = all
-                .iter()
-                .copied()
-                .filter(|id| !group.contains(*id))
-                .collect();
-            let origins = group.replica_origins();
-            if origins != expected {
-                return Err(format!(
-                    "{} mirror incomplete: has {} replicas, expected {}",
-                    group.id(),
-                    origins.len(),
-                    expected.len()
-                ));
-            }
-            for origin in origins {
-                let holder = group
-                    .holder_of(origin)
-                    .ok_or_else(|| format!("{} lost holder of {origin}", group.id()))?;
-                if !group.contains(holder) {
-                    return Err(format!("{} replica held by non-member", group.id()));
-                }
-                if !group
-                    .locate_via_idbfa(origin)
-                    .candidates()
-                    .contains(&holder)
-                {
-                    return Err(format!(
-                        "{} IDBFA cannot locate replica of {origin}",
-                        group.id()
-                    ));
-                }
-            }
-            if !group.is_empty() && group.balance_spread() > 1 {
-                return Err(format!(
-                    "{} unbalanced: spread {}",
-                    group.id(),
-                    group.balance_spread()
-                ));
-            }
-        }
-        snap.masks.check_against(&snap)
+    }
+
+    /// Number of groups.
+    #[must_use]
+    pub fn group_count(&self) -> usize {
+        self.routes.pin().groups.len()
+    }
+
+    /// Sizes of all groups, ascending by group id.
+    #[must_use]
+    pub fn group_sizes(&self) -> Vec<usize> {
+        self.routes.pin().groups.values().map(|g| g.len()).collect()
+    }
+
+    /// The group a server belongs to (under the currently published
+    /// snapshot).
+    #[must_use]
+    pub fn group_of(&self, id: MdsId) -> Option<GroupId> {
+        self.routes.pin().group_of(id)
+    }
+
+    /// A group under the currently published snapshot. Returns a shared
+    /// handle to the immutable group object: subsequent reconfigurations
+    /// replace the snapshot rather than mutating it, so the handle stays
+    /// consistent for as long as the caller holds it.
+    #[must_use]
+    pub fn group(&self, id: GroupId) -> Option<Arc<Group>> {
+        self.routes.pin().groups.get(&id).cloned()
+    }
+
+    /// Replicas held by `id` (origins from other groups placed on it),
+    /// under the currently published snapshot.
+    #[must_use]
+    pub fn replicas_held_by(&self, id: MdsId) -> Vec<MdsId> {
+        self.routes.pin().replicas_held_by(id)
     }
 }
 
@@ -1347,6 +1378,12 @@ mod tests {
         let (_, misses_rebuilt) = cluster.mask_cache_stats().lifetime();
         assert_eq!(misses_rebuilt, misses_after + 2, "L2 + L3 both rebuild");
         cluster.check_invariants().expect("no stale mask");
+        // A departure, graceful or fail-stop, takes the departed entry's
+        // cached L2 mask with it (invariant 8 rejects a leaked one).
+        cluster.remove_mds(MdsId(3)).expect("removable");
+        cluster.check_invariants().expect("departed entry evicted");
+        cluster.fail_mds(MdsId(7)).expect("failable");
+        cluster.check_invariants().expect("failed entry evicted");
     }
 
     /// `ClusterStats` mirrors the mask-cache counters for the figure

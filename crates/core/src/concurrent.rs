@@ -108,7 +108,7 @@ impl AtomicLatency {
 /// drains everything into the owner's stats and must only run once the
 /// caller holds `&mut` on the owning cluster (no live recorders).
 #[derive(Debug)]
-pub struct ConcurrentStats {
+pub(crate) struct ConcurrentStats {
     dirty: AtomicBool,
     levels: [AtomicU64; 5],
     lookup: AtomicLatency,
@@ -295,7 +295,7 @@ impl ConcurrentStats {
 
 /// What the write overlay knows about a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverlayEntry {
+pub(crate) enum OverlayEntry {
     /// No pending write touches this path; the real stores are
     /// authoritative.
     Untracked,
@@ -369,7 +369,7 @@ struct Shard {
 /// at most one shard lock (and none at all while the structure is
 /// clean — the common case — thanks to the `dirty` fast path).
 #[derive(Debug)]
-pub struct NamespaceShards {
+pub(crate) struct NamespaceShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
     dirty: AtomicBool,
@@ -401,11 +401,6 @@ impl NamespaceShards {
             pending_creates: Mutex::new(BTreeMap::new()),
             staged: Mutex::new(BTreeSet::new()),
         }
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Whether any pending write or staged publish exists.
@@ -443,14 +438,6 @@ impl NamespaceShards {
                 WriteKind::Remove(_) => OverlayEntry::Removed,
             },
         }
-    }
-
-    /// Whether any create past the staging watermark exists — a cheap
-    /// pre-check (one atomic load, no shard locks) so a reads-only (or
-    /// removes-only) batch commit can skip the slab writer lock
-    /// entirely.
-    pub fn has_unpublished_creates(&self) -> bool {
-        self.unpublished_create_count() > 0
     }
 
     /// Creates recorded but not yet staged into the published probe

@@ -45,7 +45,7 @@
 //!
 //! Nothing in the engine requires `&mut` anything: the schemes' one
 //! pinned walk dispatches from a shared reference through
-//! [`run_deduped`], whose chunk arenas (results + per-chunk memo) are
+//! `run_deduped`, whose chunk arenas (results + per-chunk memo) are
 //! local to the call; the closures capture only `&self` and the pinned
 //! snapshot, both `Sync`. The allocation is one `Vec` per run, a
 //! fraction of the walk cost, and in exchange any number of threads can
@@ -332,7 +332,7 @@ where
 /// `assign[i]` indexes the result answering `items[i]`, so the caller
 /// splices per occurrence in stream order. A single item walks inline
 /// with no dedup or dispatch plumbing.
-pub fn run_deduped<T, K, M, R, F>(
+pub(crate) fn run_deduped<T, K, M, R, F>(
     items: &[T],
     executor: crate::config::ExecutorConfig,
     key: impl Fn(&T) -> K,

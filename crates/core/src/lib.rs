@@ -7,7 +7,7 @@
 //! the whole system through Bloom filter replicas while each server stores
 //! only `≈(N − M′)/M′` of them.
 //!
-//! Queries walk a four-level hierarchy ([`GhbaCluster::lookup_from`]):
+//! Queries walk a four-level hierarchy ([`Cluster::lookup_from`]):
 //!
 //! 1. **L1** — the entry server's LRU Bloom filter array (temporal
 //!    locality);
@@ -17,34 +17,56 @@
 //!    entire system);
 //! 4. **L4** — a system-wide multicast, authoritative by construction.
 //!
-//! # One walk, one driver
+//! # One walk, one driver, one engine
 //!
 //! That hierarchy is implemented **once**: a pinned walk that resolves
 //! one query against one immutable [`RouteSnapshot`] from `&self`.
 //! Every read entry is that walk plus a thin epilogue:
 //!
-//! * `&self` entries ([`GhbaCluster::lookup_concurrent`],
+//! * `&self` entries ([`Cluster::lookup_concurrent`],
 //!   [`MetadataService::execute_concurrent`]) record statistics into
 //!   wait-free atomic counters and **never fill L1**; the owner folds
 //!   them (and replays pending writes) at its next `&mut` entry or an
-//!   explicit [`GhbaCluster::drain_concurrent`].
-//! * `&mut` entries ([`GhbaCluster::lookup_from`],
-//!   [`GhbaCluster::lookup_batch_from`], [`MetadataService::execute`])
+//!   explicit [`Cluster::drain_concurrent`].
+//! * `&mut` entries ([`Cluster::lookup_from`],
+//!   [`Cluster::lookup_batch_from`], [`MetadataService::execute`])
 //!   drain first, run the same walk, then apply the L1 LRU fill per
 //!   occurrence in stream order and **fold the statistics before
 //!   returning**.
 //!
-//! Mixed op batches run through one driver, [`execute_vectored`], over
-//! one hook trait, [`VectoredScheme`]: `execute` hands it the scheme
-//! itself, `execute_concurrent` a per-batch value binding `&self` to
-//! the snapshot pinned at admission. L2/L3 candidate masks live in one
+//! Mixed op batches run through one driver over one set of hooks:
+//! `execute` hands it the cluster itself, `execute_concurrent` a
+//! per-batch value binding `&self` to the snapshot pinned at admission.
+//!
+//! The cluster is one engine too. [`Cluster`] owns everything that does
+//! not depend on where replicas live — servers, snapshot cell, rng,
+//! stats, shard logs, atomic recorders, load fold, shim policy, optional
+//! WAL, and the walk, driver hooks, update cadence, commit and drain —
+//! and is parameterised by a sealed replica layout with exactly two
+//! implementations: [`Grouped`] ([`GhbaCluster`]) and [`FullMirror`]
+//! ([`HbaCluster`], the paper's baseline: every server mirrors every
+//! filter). The baseline therefore shares G-HBA's op path line for
+//! line, and a difference in the numbers is a difference in layout. A
+//! layout decides only:
+//!
+//! * the level structure of the walk — the L2 candidate state of an
+//!   entry (its θ held replicas vs all `N − 1`), whether an L3 group
+//!   stage exists, and which (pseudo-)group a walk's load is charged to;
+//! * join/leave placement and its [`ReconfigReport`];
+//! * who a replica update reaches (one holder per foreign group, located
+//!   through the IDBFA, vs everyone else);
+//! * the held-replica count behind the memory charge;
+//! * the rows of a load report;
+//! * its own structural invariants, the scheme name and the rng fork.
+//!
+//! L2/L3 candidate masks of the grouped layout live in one
 //! snapshot-resident cache validated per `(group, GroupEpoch)`.
 //!
 //! Group membership is elastic: joins trigger light-weight replica
 //! migration and, on overflow, group splits; departures trigger merges
-//! ([`GhbaCluster::add_mds`], [`GhbaCluster::remove_mds`]). Replica
+//! ([`Cluster::add_mds`], [`Cluster::remove_mds`]). Replica
 //! staleness is governed by the XOR-distance update protocol
-//! ([`GhbaCluster::push_update`]).
+//! ([`Cluster::push_update`]).
 //!
 //! # Quick start
 //!
@@ -68,10 +90,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The public `Cluster` is bounded by the crate-private `Topology` on
+// purpose: that is what seals the engine to its two layouts.
+#![allow(private_bounds)]
 
 pub mod adapt;
 mod cluster;
-pub mod concurrent;
+mod concurrent;
 mod config;
 pub mod exec;
 mod group;
@@ -79,6 +104,7 @@ mod ids;
 pub mod load;
 mod mds;
 mod metadata;
+mod mirror;
 mod op;
 mod query;
 mod reconcile;
@@ -89,23 +115,21 @@ mod update;
 pub mod wal;
 
 pub use adapt::{AdaptAction, ControllerConfig, GroupController, TargetM};
-pub use cluster::{ClusterStats, GhbaCluster};
-pub use concurrent::{ConcurrentStats, NamespaceShards, OverlayEntry, WriteKind, WriteRecord};
+pub use cluster::{Cluster, ClusterStats, GhbaCluster, Grouped};
+pub use concurrent::{WriteKind, WriteRecord};
 pub use config::{ExecutorConfig, GhbaConfig};
 pub use group::{Group, IdFilterArray};
 pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};
 pub use mds::{published_shape, Mds, META_ENTRY_BYTES};
 pub use metadata::{FileAttrs, MetadataStore};
-pub use op::{
-    execute_vectored, walk_items, EntryPolicy, MetadataOp, OpBatch, OpOutcome, PathKey,
-    VectoredScheme, WalkItem,
-};
+pub use mirror::{FullMirror, HbaCluster, HbaReconfigHandle};
+pub use op::{EntryPolicy, MetadataOp, OpBatch, OpOutcome, PathKey};
 pub use query::{LevelCounts, QueryLevel, QueryOutcome};
 pub use reconcile::Reconciler;
 pub use reconfig::{ReconfigError, ReconfigReport};
 pub use service::MetadataService;
-pub use snapshot::{CellWriter, ReconfigHandle, RouteSnapshot, SlabOp, SlabSpare, SnapshotCell};
+pub use snapshot::{CellWriter, ReconfigHandle, RouteSnapshot, SnapshotCell};
 pub use update::UpdateReport;
 pub use wal::{
     Checkpoint, SyncPolicy, Wal, WalError, WalEvent, WalOptions, WalRecord, WalRecovery,

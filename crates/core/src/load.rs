@@ -7,7 +7,7 @@
 //! three pieces:
 //!
 //! * `LoadRecorder` (private) — fixed-capacity tables of wait-free atomic
-//!   counters, embedded in [`ConcurrentStats`](crate::ConcurrentStats),
+//!   counters, embedded in `ConcurrentStats`,
 //!   recorded once per lookup occurrence by the pinned walk's splice
 //!   (every read entry, `&mut` or `&self`) with one slot index plus a
 //!   handful of relaxed `fetch_add`s. No locks, no
@@ -110,7 +110,7 @@ impl RawLoadWindow {
 
 /// Fixed-capacity atomic tables recording per-group and per-entry
 /// traffic from `&self`. Owned by
-/// [`ConcurrentStats`](crate::ConcurrentStats); see the module docs.
+/// `ConcurrentStats`; see the module docs.
 #[derive(Debug)]
 pub(crate) struct LoadRecorder {
     groups: Box<[GroupSlot]>,
@@ -372,7 +372,7 @@ impl LoadFold {
 
     /// Closes `stats`' open load window and folds it into the decayed
     /// rates, returning the raw walk count of the just-closed window.
-    pub fn close_window(&mut self, stats: &crate::ConcurrentStats) -> u64 {
+    pub(crate) fn close_window(&mut self, stats: &crate::concurrent::ConcurrentStats) -> u64 {
         let raw = stats.load_recorder().drain_window();
         let fresh = raw.total_lookups();
         self.windows.fold(&raw);
@@ -381,7 +381,7 @@ impl LoadFold {
 
     /// Builds the stable [`LoadReport`] snapshot from the folded rates
     /// plus the live shape `(gid, members)` and the window's raw walk
-    /// count (from [`close_window`](Self::close_window)).
+    /// count.
     #[must_use]
     pub fn report(
         &self,

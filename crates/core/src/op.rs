@@ -11,8 +11,8 @@
 //! explicit [`EntryPolicy`] instead of baking "random entry server" into
 //! each scheme.
 //!
-//! Schemes execute a batch through the one shared [`execute_vectored`]
-//! driver (via the [`VectoredScheme`] hooks): maximal runs of
+//! Schemes execute a batch through the one shared `execute_vectored`
+//! driver (via the `VectoredScheme` hooks): maximal runs of
 //! consecutive lookups are fused into one L1→L4 walk run against one
 //! pinned snapshot, writes apply in stream order, and
 //! [`MetadataOp::Rename`] performs a full metadata migration (remove at
@@ -125,11 +125,10 @@ impl PathKey {
 
 /// One query of a walk run: entry server, pathname, and the path's
 /// hash-once fingerprint.
-pub type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
+pub(crate) type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
 
 /// A fused run's queries as walk items (reusing admission fingerprints).
-#[must_use]
-pub fn walk_items<'a>(queries: &[(MdsId, &'a PathKey)]) -> Vec<WalkItem<'a>> {
+pub(crate) fn walk_items<'a>(queries: &[(MdsId, &'a PathKey)]) -> Vec<WalkItem<'a>> {
     queries
         .iter()
         .map(|&(entry, key)| (entry, key.path(), *key.fingerprint()))
@@ -425,13 +424,13 @@ impl OpOutcome {
 /// The scheme hooks [`execute_vectored`] drives: entry-policy resolution,
 /// fused lookup runs, and the write primitives.
 ///
-/// Implemented by `GhbaCluster` and the HBA baseline for their `&mut`
-/// entry, and by each scheme's small per-batch value that binds a shared
-/// reference to the snapshot pinned at admission (the `&self` entry), so
-/// every scheme and both entries share one batch pipeline (fusion rules,
-/// rename migration, outcome assembly) and therefore one,
-/// property-tested, execution semantics.
-pub trait VectoredScheme {
+/// Implemented twice, both generic over the cluster's topology: by the
+/// cluster itself for the `&mut` entry, and by the small per-batch value
+/// that binds a shared reference to the snapshot pinned at admission
+/// (the `&self` entry), so every scheme and both entries share one batch
+/// pipeline (fusion rules, rename migration, outcome assembly) and
+/// therefore one, property-tested, execution semantics.
+pub(crate) trait VectoredScheme {
     /// Resolves the serving MDS for op `op_index` under `policy`.
     /// [`EntryPolicy::Random`] must draw from the scheme's one
     /// deterministic RNG stream, so a single-threaded replay draws the
@@ -491,7 +490,7 @@ pub trait VectoredScheme {
 /// within a fused run, an earlier same-entry lookup's L1 fill for a
 /// *different* path is not observed (an L1-false-positive-grade effect;
 /// same-path repeats are split exactly so the common case is exact).
-pub fn execute_vectored<S: VectoredScheme + ?Sized>(
+pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
     scheme: &mut S,
     batch: &OpBatch,
 ) -> Vec<OpOutcome> {

@@ -6,6 +6,11 @@
 //! versus `N` for HBA (full mirror copy) and up to `N − M′` for modular
 //! hash placement.
 //!
+//! The membership entry points (`add_mds`, `remove_mds`) are written once
+//! on the generic [`Cluster`]; what a join or a leave *places* is the
+//! layout's decision — the grouped one is the [`Topology`] impl at the
+//! bottom of this file, the full mirror's lives in [`crate::mirror`].
+//!
 //! Every operation here is a **routing edit**: it opens a
 //! [`RouteEdit`] against the published snapshot, builds the successor
 //! configuration off to the side (copy-on-write per group, slab
@@ -17,11 +22,14 @@ use core::fmt;
 
 use std::sync::Arc;
 
-use crate::cluster::GhbaCluster;
+use ghba_bloom::Hit;
+
+use crate::cluster::{Cluster, GhbaCluster, Grouped, PinnedMemo, Topology};
 use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
 use crate::mds::Mds;
-use crate::snapshot::{RouteEdit, SlabOp};
+use crate::snapshot::{RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
+use crate::update::UpdateReport;
 
 /// What one reconfiguration operation cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,6 +109,14 @@ impl RouteEdit<'_> {
         moves
     }
 
+    /// [`rebalance_bumping`](Self::rebalance_bumping), its moves (one
+    /// message each) added to `report`.
+    pub(crate) fn rebalance_into(&mut self, gid: GroupId, report: &mut ReconfigReport) {
+        let moves = self.rebalance_bumping(gid);
+        report.migrated_replicas += moves;
+        report.messages += moves;
+    }
+
     /// A rebalance carrying its own invalidation: advances the
     /// membership epoch and `gid`'s [`GroupEpoch`](crate::GroupEpoch)
     /// (placement moved, so the group's derived masks are stale), then
@@ -160,9 +176,7 @@ impl RouteEdit<'_> {
             let (copies, msgs) = self.rebuild_coverage(g);
             report.migrated_replicas += copies;
             report.messages += msgs;
-            let moves = self.rebalance_bumping(g);
-            report.migrated_replicas += moves;
-            report.messages += moves;
+            self.rebalance_into(g, &mut report);
             // New IDBFA multicast within the group.
             report.messages += (self.work.groups[&g].len() as u64).saturating_sub(1);
         }
@@ -216,9 +230,7 @@ impl RouteEdit<'_> {
         let (copies, msgs) = self.rebuild_coverage(a);
         report.migrated_replicas += copies;
         report.messages += msgs;
-        let moves = self.rebalance_bumping(a);
-        report.migrated_replicas += moves;
-        report.messages += moves;
+        self.rebalance_into(a, &mut report);
         report.messages += (self.work.groups[&a].len() as u64).saturating_sub(1);
 
         // Only the surviving group's layout changed.
@@ -255,6 +267,12 @@ impl RouteEdit<'_> {
         (copies, messages)
     }
 
+    /// Ids of every live group but `gid`, ascending.
+    pub(crate) fn groups_except(&self, gid: GroupId) -> Vec<GroupId> {
+        let gids = self.work.groups.keys().copied();
+        gids.filter(|&g| g != gid).collect()
+    }
+
     /// The pair of distinct groups with the smallest combined size, if
     /// that size fits within `max_group_size`.
     pub(crate) fn mergeable_pair(&self, max_group_size: usize) -> Option<(GroupId, GroupId)> {
@@ -271,30 +289,240 @@ impl RouteEdit<'_> {
             None
         }
     }
+
+    /// Merges while two groups fit in one (§3.2), adding the costs to
+    /// `report`. Returns the number of merges.
+    pub(crate) fn merge_while_fitting(
+        &mut self,
+        max_group_size: usize,
+        report: &mut ReconfigReport,
+    ) -> u64 {
+        let mut merges = 0;
+        while let Some((a, b)) = self.mergeable_pair(max_group_size) {
+            let merge_report = self.merge(a, b);
+            report.migrated_replicas += merge_report.migrated_replicas;
+            report.messages += merge_report.messages;
+            report.merged = true;
+            merges += 1;
+        }
+        merges
+    }
 }
 
-impl GhbaCluster {
-    /// Adds a new MDS to the cluster, joining the most suitable group
-    /// (§3.1) and splitting it if it overflows `M` (§3.2). Returns the new
-    /// server's id; per-operation costs are in the accumulated
-    /// [`stats`](GhbaCluster::stats) and the returned report of
+impl<T: Topology> Cluster<T> {
+    /// Adds a new MDS to the cluster. Under G-HBA it joins the most
+    /// suitable group (§3.1), splitting it if it overflows `M` (§3.2);
+    /// under HBA the newcomer receives **all `N` existing replicas** (to
+    /// hold the full mirror) and broadcasts its own filter to everyone —
+    /// the cost Figures 11/15 contrast. Returns the new server's id;
+    /// per-operation costs are in the accumulated
+    /// [`stats`](Cluster::stats) and the returned report of
     /// [`add_mds_reported`].
     ///
-    /// [`add_mds_reported`]: GhbaCluster::add_mds_reported
+    /// [`add_mds_reported`]: Cluster::add_mds_reported
     pub fn add_mds(&mut self) -> MdsId {
         self.add_mds_reported().0
     }
 
-    /// Like [`add_mds`](GhbaCluster::add_mds), also returning the cost
+    /// Like [`add_mds`](Cluster::add_mds), also returning the cost
     /// report for this single operation.
     pub fn add_mds_reported(&mut self) -> (MdsId, ReconfigReport) {
         self.maybe_drain();
-        let mut report = ReconfigReport::default();
         let id = MdsId(self.next_mds);
         self.next_mds += 1;
         self.mdss.insert(id, Mds::new(id, &self.config));
+        let report = T::join(self, id);
+        self.account_reconfig(&report);
+        (id, report)
+    }
 
-        let routes = Arc::clone(&self.routes);
+    /// Removes an MDS: re-homes its files to the lightest peer
+    /// (group-mate when the layout has groups), unplaces it — G-HBA
+    /// migrates its held replicas within the group, deletes its replica
+    /// everywhere, and merges groups that now fit together (§3.1–3.2);
+    /// HBA notifies everyone to drop its replica — and purges hot-cache
+    /// entries pointing at it.
+    ///
+    /// # Errors
+    ///
+    /// [`ReconfigError::UnknownMds`] if `id` is not in the cluster;
+    /// [`ReconfigError::LastServer`] when only one server remains.
+    pub fn remove_mds(&mut self, id: MdsId) -> Result<ReconfigReport, ReconfigError> {
+        self.check_departure(id)?;
+        self.maybe_drain();
+        let report = T::leave(self, id);
+        self.account_reconfig(&report);
+        Ok(report)
+    }
+
+    fn check_departure(&self, id: MdsId) -> Result<(), ReconfigError> {
+        if !self.mdss.contains_key(&id) {
+            return Err(ReconfigError::UnknownMds(id));
+        }
+        if self.mdss.len() == 1 {
+            return Err(ReconfigError::LastServer);
+        }
+        Ok(())
+    }
+
+    /// The common epilogue of every membership change: memory charges
+    /// follow the new placement, the report joins the lifetime stats.
+    fn account_reconfig(&mut self, report: &ReconfigReport) {
+        self.refresh_replica_charges();
+        self.stats.migrated_replicas += report.migrated_replicas;
+        self.stats.reconfig_messages += report.messages;
+    }
+
+    /// Re-homes a departing server's `files` at `target` and publishes
+    /// the target's grown filter; returns the messages that cost. The
+    /// paper focuses on replica migration; file re-homing is our
+    /// documented completion of the departure path.
+    pub(crate) fn rehome_files(&mut self, files: &[String], target: MdsId) -> u64 {
+        let target_mds = self.mdss.get_mut(&target).expect("target exists");
+        for path in files {
+            target_mds.create_local(path);
+        }
+        files.len() as u64 + self.push_update(target).messages
+    }
+
+    /// Drops a departed server from the cluster and purges hot-cache
+    /// entries pointing at it (the fail-over rule of §4.5).
+    pub(crate) fn forget_mds(&mut self, id: MdsId) {
+        self.mdss.remove(&id);
+        for mds in self.mdss.values_mut() {
+            if let Some(lru) = mds.lru_mut() {
+                lru.purge_home(id);
+            }
+        }
+    }
+
+    /// Re-derives every server's replica memory charge from the published
+    /// placement (called after any reconfiguration).
+    pub(crate) fn refresh_replica_charges(&mut self) {
+        let snap = self.routes.pin();
+        let held: Vec<(MdsId, usize)> = self
+            .mdss
+            .keys()
+            .map(|&id| (id, T::held_replicas(self, &snap, id)))
+            .collect();
+        for (id, count) in held {
+            self.mdss
+                .get_mut(&id)
+                .expect("listed server exists")
+                .set_replica_charge(count);
+        }
+    }
+}
+
+impl Topology for Grouped {
+    const NAME: &'static str = "G-HBA";
+    const RNG_FORK: u64 = 0xC105;
+
+    fn walk_group(snap: &RouteSnapshot, entry: MdsId) -> GroupId {
+        snap.group_of(entry).expect("entry has a group")
+    }
+
+    /// The θ replicas `entry` holds, from the snapshot-resident shared
+    /// cache when its `(gid, GroupEpoch)` tag is still valid.
+    fn l2(
+        cluster: &GhbaCluster,
+        snap: &RouteSnapshot,
+        entry: MdsId,
+        gid: GroupId,
+        memo: &mut PinnedMemo,
+    ) -> Arc<SharedL2> {
+        cluster.memoized(
+            gid,
+            &mut memo.l2,
+            entry,
+            || snap.masks.l2(entry, gid, snap.group_epoch(gid)),
+            || snap.masks.put_l2(entry, snap.build_l2(entry, gid)),
+        )
+    }
+
+    fn l3(
+        cluster: &GhbaCluster,
+        snap: &RouteSnapshot,
+        gid: GroupId,
+        memo: &mut PinnedMemo,
+    ) -> Option<Arc<SharedL3>> {
+        Some(cluster.memoized(
+            gid,
+            &mut memo.l3,
+            gid,
+            || snap.masks.l3(gid, snap.group_epoch(gid)),
+            || snap.masks.put_l3(gid, snap.build_l3(gid)),
+        ))
+    }
+
+    fn held_replicas(_: &GhbaCluster, snap: &RouteSnapshot, id: MdsId) -> usize {
+        snap.replicas_held_by(id).len()
+    }
+
+    fn load_shape(_: &GhbaCluster, snap: &RouteSnapshot) -> Vec<(GroupId, Vec<MdsId>)> {
+        snap.groups
+            .iter()
+            .map(|(&gid, group)| (gid, group.members().to_vec()))
+            .collect()
+    }
+
+    fn replica_holders(_: &GhbaCluster, snap: &RouteSnapshot) -> usize {
+        snap.groups.len().saturating_sub(1)
+    }
+
+    /// Unlike HBA's system-wide broadcast, G-HBA addresses **one server
+    /// per group**: the replica holder, located through the group's
+    /// IDBFA. A multi-hit in the IDBFA costs only extra dropped messages
+    /// (the paper's "light false positive penalty", §3.4).
+    fn update_fanout(
+        cluster: &mut GhbaCluster,
+        snap: &RouteSnapshot,
+        origin: MdsId,
+        delta_bytes: u64,
+    ) -> UpdateReport {
+        let own_group = snap.group_of(origin);
+        let mut report = UpdateReport {
+            refreshed: true,
+            ..UpdateReport::default()
+        };
+        let mut recipient_groups = 0usize;
+        for group in snap.groups.values() {
+            if Some(group.id()) == own_group {
+                continue;
+            }
+            recipient_groups += 1;
+            match group.locate_via_idbfa(origin) {
+                Hit::Unique(_) => {
+                    report.messages += 1;
+                }
+                Hit::Multiple(candidates) => {
+                    // Send to every candidate; the non-holders drop it.
+                    report.messages += candidates.len() as u64;
+                    cluster
+                        .stats
+                        .counters
+                        .add("idbfa_dropped_updates", candidates.len() as u64 - 1);
+                }
+                Hit::None => {
+                    // Counting filters have no false negatives, so this
+                    // means the group holds no replica (e.g. mid-
+                    // reconfiguration); fall back to a group multicast.
+                    report.messages += group.len() as u64;
+                    cluster.stats.counters.incr("idbfa_fallback_multicasts");
+                }
+            }
+            report.bytes += delta_bytes;
+        }
+        // All groups are contacted in parallel: one multicast round over
+        // the recipient set.
+        report.latency = cluster.config.latency.multicast_rtt(recipient_groups);
+        report
+    }
+
+    fn join(cluster: &mut GhbaCluster, id: MdsId) -> ReconfigReport {
+        let mut report = ReconfigReport::default();
+        let max_group_size = cluster.config.max_group_size;
+        let routes = Arc::clone(&cluster.routes);
         let mut edit = RouteEdit::begin(&routes);
         edit.push_op(SlabOp::Push(id));
 
@@ -304,16 +532,8 @@ impl GhbaCluster {
             .work
             .groups
             .values()
-            .filter(|g| g.len() < self.config.max_group_size)
-            .min_by_key(|g| (g.len(), g.id()))
-            .map(|g| g.id())
-            .or_else(|| {
-                edit.work
-                    .groups
-                    .values()
-                    .min_by_key(|g| (g.len(), g.id()))
-                    .map(|g| g.id())
-            });
+            .min_by_key(|g| (g.len() >= max_group_size, g.len(), g.id()))
+            .map(|g| g.id());
         let gid = match target {
             Some(gid) => gid,
             None => {
@@ -327,14 +547,7 @@ impl GhbaCluster {
 
         // The newcomer's (empty) filter becomes a replica in every other
         // group: one message per group, placed on the lightest member.
-        let other_gids: Vec<GroupId> = edit
-            .work
-            .groups
-            .keys()
-            .copied()
-            .filter(|&g| g != gid)
-            .collect();
-        for g in other_gids {
+        for g in edit.groups_except(gid) {
             let group = edit.group_mut(g);
             let lightest = group.lightest_member().expect("groups are non-empty");
             group.place_replica(id, lightest);
@@ -343,20 +556,18 @@ impl GhbaCluster {
 
         // Light-weight migration: heavy members offload replicas to the
         // newcomer until the group is balanced (±1).
-        let moves = edit.rebalance_bumping(gid);
-        report.migrated_replicas += moves;
-        report.messages += moves;
+        edit.rebalance_into(gid, &mut report);
 
         // The updated IDBFA is multicast to the other group members.
         let group_len = edit.work.groups[&gid].len() as u64;
         report.messages += group_len.saturating_sub(1);
 
-        if edit.work.groups[&gid].len() > self.config.max_group_size {
-            let (_new_gid, split_report) = edit.split(gid, self.config.max_group_size);
+        if edit.work.groups[&gid].len() > max_group_size {
+            let (_new_gid, split_report) = edit.split(gid, max_group_size);
             report.migrated_replicas += split_report.migrated_replicas;
             report.messages += split_report.messages;
             report.split = true;
-            self.stats.splits += 1;
+            cluster.stats.splits += 1;
         }
 
         // A join places the newcomer's replica in *every* group (and may
@@ -366,40 +577,21 @@ impl GhbaCluster {
         edit.touch_all_groups();
         edit.bump_epoch();
         edit.commit();
-        self.refresh_replica_charges();
-        self.stats.migrated_replicas += report.migrated_replicas;
-        self.stats.reconfig_messages += report.messages;
-        (id, report)
+        report
     }
 
-    /// Removes an MDS: re-homes its files to the lightest peer, migrates
-    /// its held replicas within the group, deletes its replica everywhere,
-    /// and merges groups that now fit together (§3.1–3.2).
-    ///
-    /// # Errors
-    ///
-    /// [`ReconfigError::UnknownMds`] if `id` is not in the cluster;
-    /// [`ReconfigError::LastServer`] when only one server remains.
-    pub fn remove_mds(&mut self, id: MdsId) -> Result<ReconfigReport, ReconfigError> {
-        if !self.mdss.contains_key(&id) {
-            return Err(ReconfigError::UnknownMds(id));
-        }
-        if self.mdss.len() == 1 {
-            return Err(ReconfigError::LastServer);
-        }
-        self.maybe_drain();
+    fn leave(cluster: &mut GhbaCluster, id: MdsId) -> ReconfigReport {
         let mut report = ReconfigReport::default();
-        let gid = self.routes.pin().group_of(id).expect("member has a group");
+        let gid = Self::walk_group(&cluster.routes.pin(), id);
 
         // 1. Re-home the departing server's files to the lightest peer
-        //    (group-mate when possible). The paper focuses on replica
-        //    migration; file re-homing is our documented completion of the
-        //    departure path. This publishes the target's grown filter as
-        //    its own edit, *before* the removal edit below.
-        let files = self.mdss.get_mut(&id).expect("exists").evacuate();
+        //    (group-mate when possible). This publishes the target's
+        //    grown filter as its own edit, *before* the removal edit
+        //    below.
+        let files = cluster.mdss.get_mut(&id).expect("exists").evacuate();
         if !files.is_empty() {
-            let snap = self.routes.pin();
-            let target = self
+            let snap = cluster.routes.pin();
+            let target = cluster
                 .mdss
                 .iter()
                 .filter(|(&mid, _)| mid != id)
@@ -409,18 +601,12 @@ impl GhbaCluster {
                 })
                 .map(|(&mid, _)| mid)
                 .expect("another server exists");
-            report.rehomed_files = files.len() as u64;
-            report.messages += files.len() as u64;
-            let target_mds = self.mdss.get_mut(&target).expect("target exists");
-            for path in &files {
-                target_mds.create_local(path);
-            }
             drop(snap);
-            let update = self.push_update(target);
-            report.messages += update.messages;
+            report.rehomed_files = files.len() as u64;
+            report.messages += cluster.rehome_files(&files, target);
         }
 
-        let routes = Arc::clone(&self.routes);
+        let routes = Arc::clone(&cluster.routes);
         let mut edit = RouteEdit::begin(&routes);
         edit.push_op(SlabOp::Remove(id));
 
@@ -453,62 +639,108 @@ impl GhbaCluster {
         // 3. Every other group drops the departed server's replica (one
         //    deletion notice each), then rebalances: the drop can leave
         //    the former holder one light.
-        let other_gids: Vec<GroupId> = edit
-            .work
-            .groups
-            .keys()
-            .copied()
-            .filter(|&g| g != gid)
-            .collect();
-        for g in other_gids {
+        for g in edit.groups_except(gid) {
             if edit.group_mut(g).drop_replica(id).is_some() {
                 report.messages += 1;
             }
-            let moves = edit.rebalance_bumping(g);
-            report.migrated_replicas += moves;
-            report.messages += moves;
+            edit.rebalance_into(g, &mut report);
         }
 
-        // 4. Forget the server; purge hot-cache entries pointing at it
-        //    (the fail-over rule of §4.5).
-        edit.work.group_of.remove(&id);
-        self.mdss.remove(&id);
-        for mds in self.mdss.values_mut() {
-            if let Some(lru) = mds.lru_mut() {
-                lru.purge_home(id);
-            }
-        }
+        // 4. Forget the server (and its cached mask).
+        edit.forget_server(id);
+        cluster.forget_mds(id);
         if edit.work.groups[&gid].is_empty() {
             edit.remove_group(gid);
         } else {
-            let moves = edit.rebalance_bumping(gid);
-            report.migrated_replicas += moves;
-            report.messages += moves;
+            edit.rebalance_into(gid, &mut report);
         }
 
         // 5. Merge while two groups fit in one (§3.2).
-        while let Some((a, b)) = edit.mergeable_pair(self.config.max_group_size) {
-            let merge_report = edit.merge(a, b);
-            report.migrated_replicas += merge_report.migrated_replicas;
-            report.messages += merge_report.messages;
-            report.merged = true;
-            self.stats.merges += 1;
-        }
+        cluster.stats.merges +=
+            edit.merge_while_fitting(cluster.config.max_group_size, &mut report);
 
         // Every group dropped the departed server's replica, so every
         // group's origin masks (and the former holders' held sets) moved.
         edit.touch_all_groups();
         edit.bump_epoch();
         edit.commit();
-        self.refresh_replica_charges();
-        self.stats.migrated_replicas += report.migrated_replicas;
-        self.stats.reconfig_messages += report.messages;
-        Ok(report)
+        report
     }
 
+    /// Invariants 1–6 and 8 of [`Cluster::check_invariants`].
+    fn check_layout(cluster: &GhbaCluster, snap: &RouteSnapshot) -> Result<(), String> {
+        for (&id, &gid) in &snap.group_of {
+            let group = snap
+                .groups
+                .get(&gid)
+                .ok_or_else(|| format!("{id} maps to missing {gid}"))?;
+            if !group.contains(id) {
+                return Err(format!("{id} not a member of its {gid}"));
+            }
+        }
+        let all: Vec<MdsId> = cluster.server_ids();
+        for group in snap.groups.values() {
+            if group.len() > cluster.config.max_group_size {
+                return Err(format!(
+                    "{} has {} members (max {})",
+                    group.id(),
+                    group.len(),
+                    cluster.config.max_group_size
+                ));
+            }
+            for &member in group.members() {
+                if snap.group_of.get(&member) != Some(&group.id()) {
+                    return Err(format!("{member} membership index inconsistent"));
+                }
+            }
+            let expected: Vec<MdsId> = all
+                .iter()
+                .copied()
+                .filter(|id| !group.contains(*id))
+                .collect();
+            let origins = group.replica_origins();
+            if origins != expected {
+                return Err(format!(
+                    "{} mirror incomplete: has {} replicas, expected {}",
+                    group.id(),
+                    origins.len(),
+                    expected.len()
+                ));
+            }
+            for origin in origins {
+                let holder = group
+                    .holder_of(origin)
+                    .ok_or_else(|| format!("{} lost holder of {origin}", group.id()))?;
+                if !group.contains(holder) {
+                    return Err(format!("{} replica held by non-member", group.id()));
+                }
+                if !group
+                    .locate_via_idbfa(origin)
+                    .candidates()
+                    .contains(&holder)
+                {
+                    return Err(format!(
+                        "{} IDBFA cannot locate replica of {origin}",
+                        group.id()
+                    ));
+                }
+            }
+            if !group.is_empty() && group.balance_spread() > 1 {
+                return Err(format!(
+                    "{} unbalanced: spread {}",
+                    group.id(),
+                    group.balance_spread()
+                ));
+            }
+        }
+        snap.masks.check_against(snap)
+    }
+}
+
+impl GhbaCluster {
     /// Fail-stops an MDS (§4.5): heart-beat detection removes its Bloom
     /// filters from every survivor so false positives stop pointing at it,
-    /// but — unlike a graceful [`remove_mds`](GhbaCluster::remove_mds) —
+    /// but — unlike a graceful [`remove_mds`](Cluster::remove_mds) —
     /// its files are **lost** until higher-level recovery re-creates them;
     /// the metadata service itself stays functional at degraded coverage.
     ///
@@ -517,22 +749,12 @@ impl GhbaCluster {
     /// [`ReconfigError::UnknownMds`] if `id` is not in the cluster;
     /// [`ReconfigError::LastServer`] when only one server remains.
     pub fn fail_mds(&mut self, id: MdsId) -> Result<ReconfigReport, ReconfigError> {
-        if !self.mdss.contains_key(&id) {
-            return Err(ReconfigError::UnknownMds(id));
-        }
-        if self.mdss.len() == 1 {
-            return Err(ReconfigError::LastServer);
-        }
+        self.check_departure(id)?;
         self.maybe_drain();
         let mut report = ReconfigReport::default();
         let routes = Arc::clone(&self.routes);
         let mut edit = RouteEdit::begin(&routes);
-        let gid = edit
-            .work
-            .group_of
-            .get(&id)
-            .copied()
-            .expect("member has a group");
+        let gid = Grouped::walk_group(&edit.work, id);
         edit.push_op(SlabOp::Remove(id));
 
         // The crash takes its files and its held replicas with it; the
@@ -546,28 +768,16 @@ impl GhbaCluster {
             }
             group.remove_member(id);
         }
-        edit.work.group_of.remove(&id);
-        self.mdss.remove(&id);
+        edit.forget_server(id);
 
         // Survivors drop the dead server's replica and hot-cache entries
         // (one heartbeat-timeout notice per group).
-        let other_gids: Vec<GroupId> = edit
-            .work
-            .groups
-            .keys()
-            .copied()
-            .filter(|&g| g != gid)
-            .collect();
-        for g in other_gids {
+        for g in edit.groups_except(gid) {
             if edit.group_mut(g).drop_replica(id).is_some() {
                 report.messages += 1;
             }
         }
-        for mds in self.mdss.values_mut() {
-            if let Some(lru) = mds.lru_mut() {
-                lru.purge_home(id);
-            }
-        }
+        self.forget_mds(id);
 
         // Restore the mirror invariant: re-fetch lost replicas, rebalance,
         // merge shrunken groups.
@@ -577,23 +787,13 @@ impl GhbaCluster {
             let (copies, msgs) = edit.rebuild_coverage(gid);
             report.migrated_replicas += copies;
             report.messages += msgs;
-            let moves = edit.rebalance_bumping(gid);
-            report.migrated_replicas += moves;
-            report.messages += moves;
+            edit.rebalance_into(gid, &mut report);
         }
-        while let Some((a, b)) = edit.mergeable_pair(self.config.max_group_size) {
-            let merge_report = edit.merge(a, b);
-            report.migrated_replicas += merge_report.migrated_replicas;
-            report.messages += merge_report.messages;
-            report.merged = true;
-            self.stats.merges += 1;
-        }
+        self.stats.merges += edit.merge_while_fitting(self.config.max_group_size, &mut report);
         // Other groups may have been left one replica light.
         let gids: Vec<GroupId> = edit.work.groups.keys().copied().collect();
         for g in gids {
-            let moves = edit.rebalance_bumping(g);
-            report.migrated_replicas += moves;
-            report.messages += moves;
+            edit.rebalance_into(g, &mut report);
         }
 
         // Every survivor dropped the dead server's replica: all origin
@@ -601,9 +801,7 @@ impl GhbaCluster {
         edit.touch_all_groups();
         edit.bump_epoch();
         edit.commit();
-        self.refresh_replica_charges();
-        self.stats.migrated_replicas += report.migrated_replicas;
-        self.stats.reconfig_messages += report.messages;
+        self.account_reconfig(&report);
         Ok(report)
     }
 
@@ -623,50 +821,23 @@ impl GhbaCluster {
     ///
     /// Panics if `gid` is not a live group.
     pub fn rebalance_group(&mut self, gid: GroupId) -> u64 {
-        let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes);
-        assert!(
-            edit.work.groups.contains_key(&gid),
-            "group exists: {gid} is not live"
-        );
-        let moves = edit.rebalance_bumping(gid);
-        edit.commit();
+        let moves = self
+            .reconfig_handle()
+            .rebalance_group(gid)
+            .unwrap_or_else(|| panic!("{gid} is not live"));
         if moves > 0 {
-            // A standalone rebalance must leave memory charges correct
-            // on its own (the compound reconfigurations refresh the
-            // whole cluster afterwards, but a direct caller gets no such
-            // sweep); only this group's members' held counts moved.
+            // Unlike a handle-driven rebalance, the owner's leaves the
+            // memory charges correct on its own; only this group's
+            // members' held counts moved.
             let snap = self.routes.pin();
-            let group = snap.group(gid).expect("group exists");
-            let member_held: Vec<(MdsId, usize)> = group
-                .members()
-                .iter()
-                .map(|&member| (member, group.replicas_held_by(member).len()))
-                .collect();
-            for (member, count) in member_held {
+            for &member in snap.group(gid).expect("group is live").members() {
+                let held = snap.replicas_held_by(member).len();
                 self.mdss
                     .get_mut(&member)
                     .expect("group member exists")
-                    .set_replica_charge(count);
+                    .set_replica_charge(held);
             }
         }
         moves
-    }
-
-    /// Re-derives every server's replica memory charge from the published
-    /// placement maps (called after any reconfiguration).
-    pub(crate) fn refresh_replica_charges(&mut self) {
-        let snap = self.routes.pin();
-        let held: Vec<(MdsId, usize)> = self
-            .mdss
-            .keys()
-            .map(|&id| (id, snap.replicas_held_by(id).len()))
-            .collect();
-        for (id, count) in held {
-            self.mdss
-                .get_mut(&id)
-                .expect("listed server exists")
-                .set_replica_charge(count);
-        }
     }
 }

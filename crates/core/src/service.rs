@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::cluster::GhbaCluster;
+use crate::cluster::{Cluster, Topology};
 use crate::ids::MdsId;
 use crate::op::{
     execute_vectored, walk_items, EntryPolicy, OpBatch, OpOutcome, PathKey, VectoredScheme,
@@ -24,8 +24,9 @@ use crate::snapshot::RouteSnapshot;
 
 /// A distributed metadata lookup scheme under test.
 ///
-/// Implemented by [`GhbaCluster`] here and by the HBA / BFA baselines in
-/// `ghba-baselines`. Only [`execute`](MetadataService::execute) and the
+/// Implemented once for the cluster engine — [`GhbaCluster`](crate::GhbaCluster)
+/// and [`HbaCluster`](crate::HbaCluster) share that impl — and by the BFA
+/// wrapper in `ghba-baselines`. Only [`execute`](MetadataService::execute) and the
 /// three descriptive methods are required; every string-call entry point
 /// is a 1-op-batch shim.
 pub trait MetadataService {
@@ -37,7 +38,7 @@ pub trait MetadataService {
 
     /// Executes a typed op batch, returning one [`OpOutcome`] per op in
     /// admission order, through the one shared driver
-    /// ([`crate::execute_vectored`]) and the scheme's one hierarchy walk.
+    /// and the engine's one hierarchy walk.
     ///
     /// Contract of this `&mut` entry: pending `&self` state is drained
     /// first; each fused run of consecutive lookups pins one probe
@@ -178,13 +179,14 @@ pub trait MetadataService {
     }
 }
 
-impl VectoredScheme for GhbaCluster {
+impl<T: Topology> VectoredScheme for Cluster<T> {
     fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId {
         self.entry_for(policy, op_index)
     }
 
     fn repeat_sensitive(&self) -> bool {
-        // No LRU level ⇒ no per-entry fill a repeat could observe.
+        // No LRU level ⇒ no per-entry fill a repeat could observe (this
+        // is every BFA, which runs with `lru_capacity = 0`).
         self.config().lru_capacity > 0
     }
 
@@ -205,12 +207,12 @@ impl VectoredScheme for GhbaCluster {
 /// routing snapshot pinned at admission. An owned pin — lock-free to
 /// take, valid across successor publishes, never blocks a publisher
 /// while held — dropped when the batch's outcomes are assembled.
-struct PinnedBatch<'a> {
-    cluster: &'a GhbaCluster,
+struct PinnedBatch<'a, T: Topology> {
+    cluster: &'a Cluster<T>,
     snap: Arc<RouteSnapshot>,
 }
 
-impl VectoredScheme for PinnedBatch<'_> {
+impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {
     fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId {
         self.cluster.entry_for(policy, op_index)
     }
@@ -235,9 +237,12 @@ impl VectoredScheme for PinnedBatch<'_> {
     }
 }
 
-impl MetadataService for GhbaCluster {
+/// The one implementation behind G-HBA and HBA (BFA wraps the latter):
+/// both entries hand the shared driver the same hooks, so the schemes
+/// differ in their replica layout and nowhere else.
+impl<T: Topology> MetadataService for Cluster<T> {
     fn scheme_name(&self) -> &'static str {
-        "G-HBA"
+        T::NAME
     }
 
     fn server_count(&self) -> usize {
@@ -251,7 +256,7 @@ impl MetadataService for GhbaCluster {
     fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome> {
         let mut pinned = PinnedBatch {
             cluster: self,
-            snap: self.pin_route_snapshot(),
+            snap: self.routes.pin(),
         };
         let outcomes = execute_vectored(&mut pinned, batch);
         self.commit_concurrent();
@@ -283,6 +288,7 @@ impl MetadataService for GhbaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::GhbaCluster;
     use crate::config::GhbaConfig;
 
     fn config() -> GhbaConfig {

@@ -19,9 +19,10 @@
 //!   with a single slot flip. Readers pinned to the old snapshot finish
 //!   undisturbed; new lookups see the new epoch.
 //!
-//! The cell is generic so the threaded prototype reuses it for its
-//! `ClusterMap` (replacing an `RwLock` on the node hot path), and the
-//! HBA baseline for its published slab.
+//! Both replica layouts of the cluster engine publish through the same
+//! snapshot type — the full mirror's is a [`RouteSnapshot`] with no
+//! groups — and the cell is generic so the threaded prototype reuses it
+//! for its `ClusterMap` (replacing an `RwLock` on the node hot path).
 
 use core::fmt;
 use std::cell::UnsafeCell;
@@ -77,8 +78,7 @@ impl<T> Slot<T> {
 /// The writer publishes into the *inactive* slot (reader-free by
 /// induction: the previous publish drained it) and flips `active`; the
 /// displaced `Arc` is handed back to the caller, whose reference count
-/// tells it whether the old snapshot can be recycled in place (see
-/// [`SlabSpare`]).
+/// tells it whether the old snapshot can be recycled in place.
 pub struct SnapshotCell<T, W = ()> {
     slots: [Slot<T>; 2],
     active: AtomicUsize,
@@ -193,7 +193,7 @@ impl<T, W> CellWriter<'_, T, W> {
     /// displaced snapshot. Readers pinned to the displaced snapshot
     /// keep it alive through their own `Arc`s; once those drop, the
     /// returned `Arc` is the last reference and the caller may recycle
-    /// its storage (see [`SlabSpare::recycle`]).
+    /// its storage.
     ///
     /// # Blocking
     ///
@@ -254,7 +254,7 @@ impl<T, W> CellWriter<'_, T, W> {
 /// spare slab (see [`SlabSpare`]). Sparse by construction: a delta
 /// touches only the changed bit-rows, a push/remove one column.
 #[derive(Debug, Clone)]
-pub enum SlabOp {
+pub(crate) enum SlabOp {
     /// Append a fresh (empty) column for a joining server.
     Push(MdsId),
     /// Append a column initialized from a full filter (restoring a
@@ -292,20 +292,20 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
 /// when a long-lived pin still holds the displaced slab does the spare
 /// fall back to a deep copy.
 #[derive(Debug)]
-pub struct SlabSpare {
+pub(crate) struct SlabSpare {
     slab: SharedShapeArray<MdsId>,
 }
 
 impl SlabSpare {
     /// Wraps a mirror of the currently published slab.
-    pub fn new(mirror: SharedShapeArray<MdsId>) -> Self {
+    pub(crate) fn new(mirror: SharedShapeArray<MdsId>) -> Self {
         SlabSpare { slab: mirror }
     }
 
     /// Applies `ops` to the spare and hands it out as the successor
     /// snapshot's slab. The caller must publish it and then call
     /// [`recycle`](SlabSpare::recycle) with the displaced slab.
-    pub fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
+    pub(crate) fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
         apply_slab_ops(&mut self.slab, ops);
         let shape = self.slab.shape();
         Arc::new(core::mem::replace(
@@ -318,7 +318,7 @@ impl SlabSpare {
     /// up with the edit's ops (cheap, sparse) when its storage came
     /// back exclusively, or deep-copies the published slab when a
     /// reader still pins it (rare: pins last one batch).
-    pub fn recycle(
+    pub(crate) fn recycle(
         &mut self,
         displaced: Option<SharedShapeArray<MdsId>>,
         ops: &[SlabOp],
@@ -389,9 +389,11 @@ pub(crate) struct SharedL3 {
 ///   for its own epoch (both remain correct for their consumers; the
 ///   loser rebuilds — a miss, never a wrong mask).
 ///
-/// Entries are keyed by ids that are never recycled, so the maps are
-/// bounded by the ids ever live (`u16` space); merges evict their
-/// dissolved group eagerly ([`RouteEdit::remove_group`]).
+/// Entries are keyed by ids that are never recycled and evicted with
+/// their key: a merge drops its dissolved group's L3 entry
+/// ([`RouteEdit::remove_group`]), a departure the departed server's L2
+/// entry ([`RouteEdit::forget_server`]), so the maps stay bounded by the
+/// live layout.
 #[derive(Debug, Default)]
 pub(crate) struct SharedMaskCache {
     l2: RwLock<HashMap<MdsId, Arc<SharedL2>>>,
@@ -441,13 +443,25 @@ impl SharedMaskCache {
         self.l3.write().expect("mask cache poisoned").remove(&gid);
     }
 
+    /// Evicts a departed server's L2 state (no walk can enter there
+    /// again: server ids are never recycled).
+    fn evict_entry(&self, entry: MdsId) {
+        self.l2.write().expect("mask cache poisoned").remove(&entry);
+    }
+
     /// Checks every cached entry that is valid under `snap` — its
     /// `(gid, tag)` matches what `snap` reports — against the state
     /// rebuilt from `snap`: a mismatch is a stale mask a pinned walk
     /// would have served. Entries tagged for another epoch are skipped;
-    /// no walk pinned to `snap` accepts them.
+    /// no walk pinned to `snap` accepts them. An L2 entry of a server
+    /// `snap` no longer lists is a leak: departures evict theirs.
     pub(crate) fn check_against(&self, snap: &RouteSnapshot) -> Result<(), String> {
         for (&entry, cached) in self.l2.read().expect("mask cache poisoned").iter() {
+            if snap.group_of(entry).is_none() {
+                return Err(format!(
+                    "cached L2 mask of departed {entry} was never evicted"
+                ));
+            }
             let valid = snap.group_of(entry) == Some(cached.gid)
                 && snap.group_epoch(cached.gid) == cached.tag;
             if valid && **cached != snap.build_l2(entry, cached.gid) {
@@ -579,7 +593,7 @@ impl RouteSnapshot {
     }
 }
 
-/// The cell type G-HBA publishes its routing snapshots through.
+/// The cell type a cluster publishes its routing snapshots through.
 pub(crate) type RouteCell = Arc<SnapshotCell<RouteSnapshot, SlabSpare>>;
 
 /// Builds a fresh cell around `snapshot` (spare slab mirrored from it).
@@ -610,7 +624,13 @@ impl fmt::Debug for RouteEdit<'_> {
 impl<'a> RouteEdit<'a> {
     /// Opens an edit against the cell's current snapshot.
     pub(crate) fn begin(cell: &'a SnapshotCell<RouteSnapshot, SlabSpare>) -> Self {
-        let writer = cell.edit();
+        RouteEdit::over(cell.edit())
+    }
+
+    /// Opens an edit under a writer lock the caller already holds (to
+    /// decide, against the stable base, whether there is anything to
+    /// edit before paying for the working copy).
+    pub(crate) fn over(writer: CellWriter<'a, RouteSnapshot, SlabSpare>) -> Self {
         let work = (*writer.base()).clone();
         RouteEdit {
             writer,
@@ -656,6 +676,12 @@ impl<'a> RouteEdit<'a> {
             self.work.masks.evict_group(gid);
         }
         group
+    }
+
+    /// Unindexes a departed server and evicts its cached L2 mask.
+    pub(crate) fn forget_server(&mut self, id: MdsId) {
+        self.work.group_of.remove(&id);
+        self.work.masks.evict_entry(id);
     }
 
     /// Advances the membership epoch (see

@@ -3,23 +3,25 @@
 //! Each home MDS tracks how far its live filter has drifted from the
 //! published snapshot its peers hold, via the XOR (Hamming) distance of the
 //! two bit vectors. Once the drift crosses the configured threshold, the
-//! home pushes a sparse [`FilterDelta`] — and, unlike HBA's system-wide
-//! broadcast, G-HBA addresses **one server per group**: the replica holder,
-//! located through the group's IDBFA. A multi-hit in the IDBFA costs only
-//! extra dropped messages (the paper's "light false positive penalty").
+//! home pushes a sparse `FilterDelta`. The protocol is written once on
+//! the generic [`Cluster`]; who receives the delta is the layout's
+//! decision ([`Topology::update_fanout`]): HBA broadcasts system-wide,
+//! G-HBA addresses **one server per group** — the replica holder,
+//! located through the group's IDBFA (a multi-hit there costs only extra
+//! dropped messages, the paper's "light false positive penalty").
 
 use core::time::Duration;
+use std::sync::Arc;
 
-use ghba_bloom::Hit;
-
-use crate::cluster::GhbaCluster;
+use crate::cluster::{Cluster, Topology};
 use crate::ids::MdsId;
+use crate::snapshot::{RouteEdit, SlabOp};
 
 /// Cost accounting for one replica-update push.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateReport {
-    /// Messages sent (one per IDBFA candidate per group; non-holders drop
-    /// theirs).
+    /// Messages sent (G-HBA: one per IDBFA candidate per group,
+    /// non-holders drop theirs; HBA: one per other server).
     pub messages: u64,
     /// Bytes of delta traffic.
     pub bytes: u64,
@@ -31,7 +33,7 @@ pub struct UpdateReport {
     pub refreshed: bool,
 }
 
-impl GhbaCluster {
+impl<T: Topology> Cluster<T> {
     /// Cheap drift gate called after every mutation: publishes only when
     /// the mutation count suggests the XOR distance may have crossed the
     /// threshold, and the exact distance confirms it.
@@ -52,16 +54,28 @@ impl GhbaCluster {
         }
     }
 
-    /// Unconditionally refreshes `origin`'s replicas across all groups,
-    /// returning the cost report. A no-op (with `refreshed: false`) when
-    /// the live filter matches the published snapshot.
+    /// Unconditionally refreshes `origin`'s replicas — one holder per
+    /// foreign group under G-HBA, **all** other servers under HBA (the
+    /// Figure 12 contrast) — returning the cost report. A no-op (with
+    /// `refreshed: false`) when the live filter matches the published
+    /// snapshot, or when a handle retired `origin`'s mirror: the delta
+    /// then stays unconsumed, so the first push after the restore folds
+    /// the accumulated drift into the restored column.
     ///
     /// # Panics
     ///
     /// Panics if `origin` is not in the cluster.
     pub fn push_update(&mut self, origin: MdsId) -> UpdateReport {
         self.maybe_drain();
+        let routes = Arc::clone(&self.routes);
+        // Take the writer lock *before* consuming the delta, so a
+        // concurrent retire cannot drop `origin`'s column between the
+        // check and the publish.
+        let writer = routes.edit();
         let mds = self.mdss.get_mut(&origin).expect("origin must exist");
+        if !writer.base().slab.contains_id(origin) {
+            return UpdateReport::default();
+        }
         let delta = match mds.publish() {
             Some(delta) => delta,
             None => return UpdateReport::default(),
@@ -74,53 +88,17 @@ impl GhbaCluster {
         // *content* under the same layout, so cached masks stay valid,
         // and in-flight pinned walks keep probing the exact bits they
         // admitted against.
-        {
-            let routes = std::sync::Arc::clone(&self.routes);
-            let mut edit = crate::snapshot::RouteEdit::begin(&routes);
-            edit.push_op(crate::snapshot::SlabOp::Delta(origin, delta.clone()));
-            edit.commit();
-        }
+        let delta_bytes = delta.wire_bytes() as u64;
+        let mut edit = RouteEdit::over(writer);
+        edit.push_op(SlabOp::Delta(origin, delta));
+        edit.commit();
         let snap = self.routes.pin();
         debug_assert_eq!(
             snap.slab.extract(origin).as_ref(),
             self.mdss.get(&origin).map(|mds| mds.published()),
             "sparse delta application diverged from the published snapshot"
         );
-        let own_group = snap.group_of(origin);
-        let mut report = UpdateReport {
-            refreshed: true,
-            ..UpdateReport::default()
-        };
-        let mut recipient_groups = 0usize;
-        for group in snap.groups.values() {
-            if Some(group.id()) == own_group {
-                continue;
-            }
-            recipient_groups += 1;
-            match group.locate_via_idbfa(origin) {
-                Hit::Unique(_) => {
-                    report.messages += 1;
-                }
-                Hit::Multiple(candidates) => {
-                    // Send to every candidate; the non-holders drop it.
-                    report.messages += candidates.len() as u64;
-                    self.stats
-                        .counters
-                        .add("idbfa_dropped_updates", candidates.len() as u64 - 1);
-                }
-                Hit::None => {
-                    // Counting filters have no false negatives, so this
-                    // means the group holds no replica (e.g. mid-
-                    // reconfiguration); fall back to a group multicast.
-                    report.messages += group.len() as u64;
-                    self.stats.counters.incr("idbfa_fallback_multicasts");
-                }
-            }
-            report.bytes += delta.wire_bytes() as u64;
-        }
-        // All groups are contacted in parallel: one multicast round over
-        // the recipient set.
-        report.latency = self.config.latency.multicast_rtt(recipient_groups);
+        let report = T::update_fanout(self, &snap, origin, delta_bytes);
         self.stats.update_messages += report.messages;
         self.stats.update_bytes += report.bytes;
         self.stats.update_latency.record(report.latency);
@@ -129,7 +107,7 @@ impl GhbaCluster {
 
     /// Pushes updates for every server whose live filter drifted at all —
     /// a barrier used by experiments that need fresh replicas (and by
-    /// departures).
+    /// departures). Returns the summed cost (latency: the slowest push).
     pub fn flush_all_updates(&mut self) -> UpdateReport {
         // Write-ahead: drain (and log) pending concurrent writes first so
         // the flush record lands *after* the drain whose effects it

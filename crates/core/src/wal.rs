@@ -87,7 +87,7 @@ use std::time::{Duration, Instant};
 
 use ghba_bloom::{BloomFilter, FilterDelta, Fingerprint};
 
-use crate::cluster::GhbaCluster;
+use crate::cluster::{Cluster, GhbaCluster, Topology};
 use crate::concurrent::{WriteKind, WriteRecord};
 use crate::config::GhbaConfig;
 use crate::group::Group;
@@ -552,7 +552,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Captures a checkpoint of `cluster` (which must have no pending
     /// concurrent writes — the owner drains before calling).
-    pub(crate) fn capture(cluster: &GhbaCluster, wal_seq: u64) -> Checkpoint {
+    pub(crate) fn capture<T: Topology>(cluster: &Cluster<T>, wal_seq: u64) -> Checkpoint {
         let snap = cluster.routes.pin();
         let groups = snap
             .groups
@@ -976,6 +976,22 @@ impl Wal {
 // Cluster integration: attach, checkpoint, recover.
 // ---------------------------------------------------------------------------
 
+impl<T: Topology> Cluster<T> {
+    /// Installs an automatic checkpoint when the attached WAL's
+    /// threshold has been reached (called at the end of every drain,
+    /// when the cluster is momentarily clean).
+    pub(crate) fn maybe_checkpoint(&mut self) {
+        if !self.wal.as_ref().is_some_and(|wal| wal.checkpoint_due()) {
+            return;
+        }
+        let mut wal = self.wal.take().expect("checked above");
+        let checkpoint = Checkpoint::capture(self, wal.last_seq());
+        wal.install_checkpoint(&checkpoint)
+            .expect("checkpoint install failed: the log can no longer be bounded");
+        self.wal = Some(wal);
+    }
+}
+
 impl GhbaCluster {
     /// Attaches an open WAL: every subsequent shard-log drain and flush
     /// barrier is logged (and synced per the WAL's policy) before its
@@ -1024,20 +1040,6 @@ impl GhbaCluster {
         let result = wal.install_checkpoint(&checkpoint);
         self.wal = Some(wal);
         result.map(|()| true)
-    }
-
-    /// Installs an automatic checkpoint when the attached WAL's
-    /// threshold has been reached (called at the end of every drain,
-    /// when the cluster is momentarily clean).
-    pub(crate) fn maybe_checkpoint(&mut self) {
-        if !self.wal.as_ref().is_some_and(|wal| wal.checkpoint_due()) {
-            return;
-        }
-        let mut wal = self.wal.take().expect("checked above");
-        let checkpoint = Checkpoint::capture(self, wal.last_seq());
-        wal.install_checkpoint(&checkpoint)
-            .expect("checkpoint install failed: the log can no longer be bounded");
-        self.wal = Some(wal);
     }
 
     /// Rebuilds a serving cluster from a WAL directory: construct the

@@ -103,7 +103,7 @@ fn drain<S: MetadataService + ?Sized>(
 /// [`MetadataService::execute`] in a single call. Writes never flush the window: the execute pipeline
 /// resolves read runs through the batched slab paths and applies writes
 /// in stream order between them, outcome-identical to a sequential replay
-/// of the same ops (see `ghba_core::execute_vectored`).
+/// of the same ops.
 pub fn replay<S: MetadataService + ?Sized>(
     service: &mut S,
     records: impl IntoIterator<Item = TraceRecord>,
