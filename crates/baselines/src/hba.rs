@@ -33,7 +33,11 @@ mod tests {
         for i in 0..100 {
             let path = format!("/h/f{i}");
             let truth = hba.true_home(&path);
-            assert_eq!(hba.lookup(&path).home, truth);
+            let outcome = hba.lookup(&path);
+            assert_eq!(outcome.home, truth);
+            // Full mirror, freshly flushed: one verify round trip at
+            // most, never a group multicast.
+            assert!(outcome.messages <= 2, "{path}: {outcome:?}");
         }
     }
 

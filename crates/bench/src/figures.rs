@@ -11,11 +11,10 @@ use std::io::{self, Write};
 use ghba::replay::{populate, replay};
 use ghba_analysis::{AnalyticModel, MemoryModel};
 use ghba_baselines::{expected_hash_migrations, HashPlacement, HbaCluster};
-use ghba_cluster::{PrototypeCluster, Scheme};
-use ghba_core::{GhbaCluster, MdsId};
-use ghba_trace::{intensify, TraceStats, WorkloadGenerator, WorkloadProfile};
+use ghba_core::{GhbaCluster, GhbaConfig, MdsId, MetadataService, UpdateReport};
+use ghba_trace::{intensify, TraceRecord, TraceStats, WorkloadGenerator, WorkloadProfile};
 
-use crate::common::{filter_bytes, header, ms, p_lru_of, row, sim_config, sized};
+use crate::common::{budget, filter_bytes, header, ms, p_lru_of, row, sim_config, sized};
 
 /// Builds a populated G-HBA cluster for one (N, M, workload) cell and
 /// measures mean lookup latency over a replay slice.
@@ -168,6 +167,58 @@ pub fn fig7(out: &mut impl Write) -> io::Result<()> {
     )
 }
 
+/// One latency cell per checkpoint for one scheme: populate `paths`,
+/// `flush` every replica fresh, then replay `checkpoints` consecutive
+/// slices of `chunk` records and report each slice's mean modelled
+/// lookup latency.
+fn checkpoint_latencies<S: MetadataService>(
+    mut cluster: S,
+    flush: fn(&mut S) -> UpdateReport,
+    paths: &[String],
+    mut records: impl Iterator<Item = TraceRecord>,
+    checkpoints: usize,
+    chunk: usize,
+) -> Vec<String> {
+    populate(&mut cluster, paths.iter().cloned());
+    let _ = flush(&mut cluster);
+    (0..checkpoints)
+        .map(|_| {
+            let report = replay(&mut cluster, records.by_ref().take(chunk));
+            format!("{}ms", ms(report.mean_latency()))
+        })
+        .collect()
+}
+
+/// The HBA and G-HBA rows of a latency-vs-#ops table: both aliases of
+/// the one engine, same configuration, population and record stream
+/// (`records` starts the stream afresh for each).
+fn hba_vs_ghba<I: Iterator<Item = TraceRecord>>(
+    config: &GhbaConfig,
+    n: usize,
+    paths: &[String],
+    records: impl Fn() -> I,
+    checkpoints: usize,
+    chunk: usize,
+) -> [(&'static str, Vec<String>); 2] {
+    let hba = checkpoint_latencies(
+        HbaCluster::with_servers(config.clone(), n),
+        HbaCluster::flush_all_updates,
+        paths,
+        records(),
+        checkpoints,
+        chunk,
+    );
+    let ghba = checkpoint_latencies(
+        GhbaCluster::with_servers(config.clone(), n),
+        GhbaCluster::flush_all_updates,
+        paths,
+        records(),
+        checkpoints,
+        chunk,
+    );
+    [("HBA", hba), ("G-HBA", ghba)]
+}
+
 /// Figures 8–10: average latency vs operations replayed, HBA vs G-HBA,
 /// under shrinking memory.
 pub fn fig8_9_10(out: &mut impl Write, figure: u8) -> io::Result<()> {
@@ -200,50 +251,27 @@ pub fn fig8_9_10(out: &mut impl Write, figure: u8) -> io::Result<()> {
     const FILTER_LIVE_BYTES: usize = 14_000;
     let max_gb: f64 = labels.iter().map(|l| parse_gb(l)).fold(0.0, f64::max);
 
-    header(out, &{
-        let mut cells = vec!["scheme", "memory"];
-        cells.extend(
-            ["@1", "@2", "@3", "@4", "@5", "@6"]
-                .iter()
-                .take(checkpoints),
-        );
-        cells
-    })?;
+    header(
+        out,
+        &["scheme", "memory", "@1", "@2", "@3", "@4", "@5", "@6"],
+    )?;
 
     for label in labels {
         let gb = parse_gb(label);
         // Map the paper's absolute sizes onto the scaled demand: the
         // largest label ≈ everything fits, the smallest ≈ heavy spill.
         let bytes = ((demand as f64) * (gb / max_gb)).round() as usize;
-        for scheme in ["HBA", "G-HBA"] {
+        let config = sim_config(0xF800 + u64::from(figure))
+            .with_max_group_size(m)
+            .with_memory_per_mds(bytes);
+        let generator = WorkloadGenerator::new(profile.clone(), 0xF80 + u64::from(figure));
+        let paths: Vec<String> = (0..pop as u64)
+            .map(|i| generator.path_of(i % generator.initial_population()))
+            .collect();
+        let rows = hba_vs_ghba(&config, n, &paths, || generator.clone(), checkpoints, chunk);
+        for (scheme, latencies) in rows {
             let mut cells = vec![scheme.to_string(), label.to_string()];
-            let config = sim_config(0xF800 + u64::from(figure))
-                .with_max_group_size(m)
-                .with_memory_per_mds(bytes);
-            let generator = WorkloadGenerator::new(profile.clone(), 0xF80 + u64::from(figure));
-            let paths =
-                (0..pop as u64).map(|i| generator.path_of(i % generator.initial_population()));
-            if scheme == "HBA" {
-                let mut cluster = HbaCluster::with_servers(config, n);
-                populate(&mut cluster, paths);
-                cluster.flush_all_updates();
-                cluster.reset_stats();
-                let mut stream = generator;
-                for _ in 0..checkpoints {
-                    let report = replay(&mut cluster, stream.by_ref().take(chunk));
-                    cells.push(format!("{}ms", ms(report.mean_latency())));
-                }
-            } else {
-                let mut cluster = GhbaCluster::with_servers(config, n);
-                populate(&mut cluster, paths);
-                cluster.flush_all_updates();
-                cluster.reset_stats();
-                let mut stream = generator;
-                for _ in 0..checkpoints {
-                    let report = replay(&mut cluster, stream.by_ref().take(chunk));
-                    cells.push(format!("{}ms", ms(report.mean_latency())));
-                }
-            }
+            cells.extend(latencies);
             row(out, &cells)?;
         }
     }
@@ -348,27 +376,27 @@ pub fn fig12(out: &mut impl Write) -> io::Result<()> {
         for (n, m) in [(30usize, 6usize), (100, 9)] {
             // G-HBA measured.
             let config = sim_config(0xF12).with_max_group_size(m);
-            let mut ghba_cluster = GhbaCluster::with_servers(config.clone(), n);
+            let mut grouped = GhbaCluster::with_servers(config.clone(), n);
             let generator = WorkloadGenerator::new(profile.clone(), 0xF12);
-            let ids = ghba_cluster.server_ids();
+            let ids = grouped.server_ids();
             for k in 0..update_rounds {
                 let home = ids[k % ids.len()];
                 for i in 0..40 {
-                    ghba_cluster.create_file_at(&generator.path_of((k * 40 + i) as u64), home);
+                    grouped.create_file_at(&generator.path_of((k * 40 + i) as u64), home);
                 }
-                ghba_cluster.push_update(home);
+                grouped.push_update(home);
             }
-            let ghba_avg = ghba_cluster.stats().update_latency.mean();
+            let ghba_avg = grouped.stats().update_latency.mean();
             // HBA measured.
-            let mut hba_cluster = HbaCluster::with_servers(config, n);
+            let mut mirror = HbaCluster::with_servers(config, n);
             for k in 0..update_rounds {
                 let home = MdsId((k % n) as u16);
                 for i in 0..40 {
-                    hba_cluster.create_file_at(&generator.path_of((k * 40 + i) as u64), home);
+                    mirror.create_file_at(&generator.path_of((k * 40 + i) as u64), home);
                 }
-                hba_cluster.push_update(home);
+                mirror.push_update(home);
             }
-            let hba_avg = hba_cluster.stats().update_latency.mean();
+            let hba_avg = mirror.stats().update_latency.mean();
             for (scheme, avg) in [("G-HBA", ghba_avg), ("HBA", hba_avg)] {
                 row(
                     out,
@@ -420,56 +448,52 @@ pub fn fig13(out: &mut impl Write) -> io::Result<()> {
     )
 }
 
-/// Figure 14: prototype query latency under the intensified HP trace.
+/// Figure 14: query latency under the intensified HP trace with a RAM
+/// budget that holds a quarter of HBA's replicas.
+///
+/// The paper measures this on its 60-node prototype; here both rows come
+/// from the one cluster engine (the system `ghba-net` deploys), so the
+/// latencies are the engine's modelled ones and byte-deterministic.
 pub fn fig14(out: &mut impl Write) -> io::Result<()> {
     writeln!(
         out,
-        "\n## Figure 14 — prototype query latency (threads + channels)\n"
+        "\n## Figure 14 — query latency, intensified HP trace, constrained RAM\n"
     )?;
     let n = sized(60, 12);
     let tif = sized(60, 8) as u32;
     let pop = sized(3_000, 600);
     let checkpoints = 5usize;
     let chunk = sized(3_000, 500);
-    header(out, &{
-        let mut cells = vec!["scheme"];
-        cells.extend(["@1", "@2", "@3", "@4", "@5"].iter().take(checkpoints));
-        cells
-    })?;
-    let profile = WorkloadProfile::hp();
-    for scheme in [Scheme::Ghba { max_group_size: 7 }, Scheme::Hba] {
-        let mut cluster =
-            PrototypeCluster::spawn(scheme, sim_config(0xF14).with_update_threshold(128), n);
-        let mut stream = intensify(&profile, tif, 0xF14);
-        let paths: Vec<String> = stream.hot_paths(pop as u64 / u64::from(tif)).collect();
-        for path in &paths {
-            cluster.create(path);
-        }
-        cluster.flush_updates();
-        let mut cells = vec![match scheme {
-            Scheme::Ghba { .. } => "G-HBA".to_string(),
-            Scheme::Hba => "HBA".to_string(),
-        }];
-        for _ in 0..checkpoints {
-            let mut total = core::time::Duration::ZERO;
-            let mut count = 0u32;
-            for record in stream.by_ref().take(chunk) {
-                if record.op.is_read() {
-                    // Map the record onto a pre-populated path so the
-                    // prototype measures hit latency, as the paper does.
-                    let idx = ghba_bloom::hash::hash_one(&record.path, 7) as usize % paths.len();
-                    let path = &paths[idx];
-                    total += cluster.lookup(path).latency;
-                    count += 1;
-                }
+    header(out, &["scheme", "@1", "@2", "@3", "@4", "@5"])?;
+    // One budget for both schemes: local structures, a full LRU array,
+    // the metadata of every file touched (pop + ~8 % creates) and N/4
+    // replica filters — all of G-HBA's ~N/M, a quarter of HBA's N − 1.
+    // HBA fits only while its LRU array is still cold.
+    let touched = pop + checkpoints * chunk / 12;
+    let metacache = touched.div_ceil(n) * ghba_core::META_ENTRY_BYTES;
+    let config = sim_config(0xF14)
+        .with_update_threshold(128)
+        .with_max_group_size(7)
+        .with_memory_per_mds(budget(n, n / 4, metacache));
+    let stream = || intensify(&WorkloadProfile::hp(), tif, 0xF14);
+    let paths: Vec<String> = stream().hot_paths(pop as u64 / u64::from(tif)).collect();
+    // Map every read record onto a pre-populated path so the figure
+    // measures hit latency, as the paper does; writes pass through and
+    // grow the metadata and LRU charges.
+    let records = || {
+        stream().map(|mut record| {
+            if record.op.is_read() {
+                let idx = ghba_bloom::hash::hash_one(&record.path, 7) as usize % paths.len();
+                record.path.clone_from(&paths[idx]);
             }
-            cells.push(format!(
-                "{:.1}µs",
-                total.as_secs_f64() * 1e6 / f64::from(count.max(1))
-            ));
-        }
+            record
+        })
+    };
+    let rows = hba_vs_ghba(&config, n, &paths, records, checkpoints, chunk);
+    for (scheme, latencies) in rows {
+        let mut cells = vec![scheme.to_string()];
+        cells.extend(latencies);
         row(out, &cells)?;
-        cluster.shutdown();
     }
     writeln!(
         out,
@@ -477,28 +501,24 @@ pub fn fig14(out: &mut impl Write) -> io::Result<()> {
     )
 }
 
-/// Figure 15: prototype messages per node insertion.
+/// Figure 15: messages per node insertion, ten consecutive joins on each
+/// alias of the one engine (`ReconfigReport::messages` is the deployed
+/// system's only join-traffic accounting: a join never crosses the wire).
 pub fn fig15(out: &mut impl Write) -> io::Result<()> {
-    writeln!(
-        out,
-        "\n## Figure 15 — prototype messages per node insertion\n"
-    )?;
+    writeln!(out, "\n## Figure 15 — messages per node insertion\n")?;
     let n = sized(60, 12);
-    let additions = 10usize;
     header(out, &["new node #", "G-HBA msgs", "HBA msgs"])?;
-    let mut ghba =
-        PrototypeCluster::spawn(Scheme::Ghba { max_group_size: 7 }, sim_config(0xF15), n);
-    let mut hba = PrototypeCluster::spawn(Scheme::Hba, sim_config(0xF15), n);
-    for k in 1..=additions {
-        let (_, ghba_msgs) = ghba.add_node();
-        let (_, hba_msgs) = hba.add_node();
+    let config = sim_config(0xF15).with_max_group_size(7);
+    let mut ghba = GhbaCluster::with_servers(config.clone(), n);
+    let mut hba = HbaCluster::with_servers(config, n);
+    for k in 1..=10 {
+        let ghba_msgs = ghba.add_mds_reported().1.messages;
+        let hba_msgs = hba.add_mds_reported().1.messages;
         row(
             out,
             &[k.to_string(), ghba_msgs.to_string(), hba_msgs.to_string()],
         )?;
     }
-    ghba.shutdown();
-    hba.shutdown();
     writeln!(
         out,
         "\nPaper: HBA ≈ 2N messages per insertion and climbing; G-HBA several \

@@ -1012,8 +1012,7 @@ impl<T: Topology> Cluster<T> {
     /// pins one snapshot, repeated `(entry, path)` pairs walk once, and
     /// batches of at least `executor.min_parallel_batch` queries split
     /// into `executor.workers` chunks walked concurrently (bit-identical
-    /// outcomes; see the [`crate::exec`] module docs and
-    /// [`ExecutorConfig`]).
+    /// outcomes; see [`ExecutorConfig`]).
     ///
     /// [`ExecutorConfig`]: crate::ExecutorConfig
     ///

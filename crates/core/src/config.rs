@@ -2,8 +2,8 @@
 
 use ghba_simnet::LatencyModel;
 
-/// Sizing of the data-parallel batch execution engine (see
-/// [`crate::exec`]).
+/// Sizing of the data-parallel batch execution engine (the crate's
+/// internal worker pool).
 ///
 /// `workers` is the number of chunks a large fused-lookup run is split
 /// into, each walked concurrently against the shared read-only slab

@@ -13,7 +13,7 @@
 //! closures to [`run_jobs`]. The pool is **zero-dependency**
 //! (std threads, a mutex-guarded injector queue, a condvar — no rayon)
 //! and **persistent**: worker threads are spawned on first use, parked
-//! between calls, and reused by every cluster, node, and bench in the
+//! between calls, and reused by every cluster and bench in the
 //! process, so a steady stream of batches never pays thread spawns.
 //!
 //! # Execution contract

@@ -20,7 +20,7 @@
 //! # One walk, one driver, one engine
 //!
 //! That hierarchy is implemented **once**: a pinned walk that resolves
-//! one query against one immutable [`RouteSnapshot`] from `&self`.
+//! one query against one immutable routing snapshot from `&self`.
 //! Every read entry is that walk plus a thin epilogue:
 //!
 //! * `&self` entries ([`Cluster::lookup_concurrent`],
@@ -98,7 +98,7 @@ pub mod adapt;
 mod cluster;
 mod concurrent;
 mod config;
-pub mod exec;
+mod exec;
 mod group;
 mod ids;
 pub mod load;
@@ -129,7 +129,7 @@ pub use query::{LevelCounts, QueryLevel, QueryOutcome};
 pub use reconcile::Reconciler;
 pub use reconfig::{ReconfigError, ReconfigReport};
 pub use service::MetadataService;
-pub use snapshot::{CellWriter, ReconfigHandle, RouteSnapshot, SnapshotCell};
+pub use snapshot::ReconfigHandle;
 pub use update::UpdateReport;
 pub use wal::{
     Checkpoint, SyncPolicy, Wal, WalError, WalEvent, WalOptions, WalRecord, WalRecovery,

@@ -30,9 +30,8 @@ pub const META_ENTRY_BYTES: usize = 512;
 
 /// The shape every server's live/published filter uses under `config`.
 ///
-/// All servers of a cluster share it, which is what lets a cluster (and the
-/// HBA baseline, and the threaded prototype's nodes) keep published
-/// replicas in one bit-sliced
+/// All servers of a cluster share it, which is what lets a cluster (either
+/// replica layout) keep published replicas in one bit-sliced
 /// [`SharedShapeArray`](ghba_bloom::SharedShapeArray).
 #[must_use]
 pub fn published_shape(config: &GhbaConfig) -> FilterShape {
@@ -277,9 +276,8 @@ impl Mds {
     /// otherwise pays the exact O(m) distance, restarts the cadence on an
     /// under-threshold result, and returns `Some(exceeded)`.
     ///
-    /// Every publish gate (G-HBA, HBA, the threaded prototype) goes
-    /// through here so no call site can forget the cadence reset and
-    /// silently regress to per-mutation O(m) checks.
+    /// Every publish gate goes through here so no call site can forget
+    /// the cadence reset and silently regress to per-mutation O(m) checks.
     pub fn drift_exceeds(&mut self, gate: u64, threshold: usize) -> Option<bool> {
         if !self.drift_check_due(gate) {
             return None;

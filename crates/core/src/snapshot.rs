@@ -21,8 +21,7 @@
 //!
 //! Both replica layouts of the cluster engine publish through the same
 //! snapshot type — the full mirror's is a [`RouteSnapshot`] with no
-//! groups — and the cell is generic so the threaded prototype reuses it
-//! for its `ClusterMap` (replacing an `RwLock` on the node hot path).
+//! groups.
 
 use core::fmt;
 use std::cell::UnsafeCell;
@@ -521,12 +520,6 @@ impl RouteSnapshot {
             next_group: 0,
             masks: Arc::new(SharedMaskCache::default()),
         }
-    }
-
-    /// The membership epoch this snapshot was published under.
-    #[must_use]
-    pub fn epoch(&self) -> MembershipEpoch {
-        self.epoch
     }
 
     /// The configuration version of `gid` under this snapshot (default

@@ -1,7 +1,6 @@
-//! Trace-record → [`OpBatch`] translation for networked clients.
-//!
-//! Mirrors the facade replay driver's mapping exactly, so a networked
-//! replay issues the same op stream an in-process replay would:
+//! Trace-record → [`OpBatch`] translation — the one mapping, used by the
+//! networked clients and by the facade's in-process replay driver alike,
+//! so both issue the same op stream:
 //!
 //! * `Open`/`Close`/`Stat`/`Readdir` → one lookup;
 //! * `Create` → one create;

@@ -11,13 +11,11 @@
 //!   [`OpOutcome`] per op, `Resolved` outcomes complete with level,
 //!   latency, message count, and pinned epoch;
 //! * **Gossip** — [`Gossip`] frames announce a membership view and its
-//!   epoch to peers (ported from the in-process prototype's
-//!   `ReplicaInstall`/epoch machinery in `ghba-cluster`);
+//!   epoch to peers;
 //! * **Group probes** — [`GroupProbe`] multicasts a bare fingerprint
 //!   (the hash-once admission fingerprint travels as its two lanes;
 //!   the path bytes stay home) and [`ProbeReply`] returns the servers
-//!   whose published filters claim it — the wire form of the
-//!   `GroupProbe`/`ProbeReply` messages in `ghba-cluster::Message`;
+//!   whose published filters claim it;
 //! * **Control** — [`Drain`] forces a replica's reconciliation +
 //!   publish flush (a barrier for tests and orderly shutdown),
 //!   [`Stats`] samples a replica's counters, [`Ping`]/[`Pong`] probe

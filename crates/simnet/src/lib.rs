@@ -19,7 +19,7 @@
 //! Design note: the original work drove a Linux prototype; we replace the
 //! asynchronous runtime with *deterministic* simulation so results are
 //! reproducible in CI, and cover real concurrency separately in
-//! `ghba-cluster`.
+//! `ghba-net` (processes over TCP) and the engine's concurrency suites.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

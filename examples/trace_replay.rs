@@ -29,12 +29,12 @@ fn main() {
         operations, profile.name
     );
 
-    let mut ghba_cluster = GhbaCluster::with_servers(config.clone(), 30);
-    let mut hba_cluster = HbaCluster::with_servers(config, 30);
+    let mut grouped = GhbaCluster::with_servers(config.clone(), 30);
+    let mut mirror = HbaCluster::with_servers(config, 30);
 
     for (name, service) in [
-        ("G-HBA", &mut ghba_cluster as &mut dyn MetadataService),
-        ("HBA", &mut hba_cluster as &mut dyn MetadataService),
+        ("G-HBA", &mut grouped as &mut dyn MetadataService),
+        ("HBA", &mut mirror as &mut dyn MetadataService),
     ] {
         let stream = intensify(&profile, tif, 7);
         // Populate the hot head of every subtrace's namespace.

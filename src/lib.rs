@@ -17,7 +17,6 @@
 //! * [`baselines`] — HBA, BFA, and hash-placement comparators;
 //! * [`analysis`] — the paper's closed-form models (Equations 1–4,
 //!   optimal group size, Table 5);
-//! * [`cluster`] — the threaded message-passing prototype;
 //! * [`net`] — the multi-process networked deployment (binary wire
 //!   protocol, rendezvous/replica/loadgen binaries, loopback harness);
 //! * [`replay`] — drive any scheme with any workload;
@@ -46,7 +45,6 @@
 pub use ghba_analysis as analysis;
 pub use ghba_baselines as baselines;
 pub use ghba_bloom as bloom;
-pub use ghba_cluster as cluster;
 pub use ghba_core as core;
 pub use ghba_net as net;
 pub use ghba_simnet as simnet;

@@ -10,9 +10,10 @@
 
 use core::time::Duration;
 
-use ghba_core::{LevelCounts, MetadataService, OpBatch, OpOutcome};
+use ghba_core::{EntryPolicy, LevelCounts, MetadataService, OpBatch, OpOutcome};
+use ghba_net::record_batches;
 use ghba_simnet::LatencyStats;
-use ghba_trace::{MetaOp, TraceRecord};
+use ghba_trace::TraceRecord;
 
 /// Aggregate results of one replay.
 #[derive(Debug, Clone, Default)]
@@ -67,76 +68,41 @@ pub fn populate<S: MetadataService + ?Sized>(
 /// runs and orders the writes.
 const OP_WINDOW: usize = 128;
 
-/// Executes the queued window and folds its lookup outcomes into
-/// `report`.
-fn drain<S: MetadataService + ?Sized>(
-    service: &mut S,
-    report: &mut ReplayReport,
-    batch: &mut OpBatch,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    for outcome in service.execute(batch) {
-        if let OpOutcome::Resolved(outcome) = outcome {
-            report.levels.record(outcome.level);
-            report.latency.record(outcome.latency);
-            report.messages += u64::from(outcome.messages);
-            if outcome.found() {
-                report.found += 1;
-            } else {
-                report.missing += 1;
-            }
-        }
-    }
-    batch.clear();
-}
-
 /// Replays `records` against `service`, translating metadata operations
-/// into typed ops: reads become lookups, `create` inserts, `unlink` looks
-/// up then removes, `rename` migrates to the record's destination (or a
-/// suffixed path for legacy records without one).
+/// into typed ops through [`record_batches`] (the one record → op
+/// mapping, shared with the networked clients): reads become lookups,
+/// `create` inserts, `unlink` looks up then removes, `rename` migrates to
+/// the record's destination (or a suffixed path for legacy records
+/// without one).
 ///
 /// Up to 128 consecutive records ([`OP_WINDOW`](self) internally) are
 /// admitted into one mixed [`OpBatch`] — the window models concurrent
 /// client requests arriving at the cluster — and drained through
-/// [`MetadataService::execute`] in a single call. Writes never flush the window: the execute pipeline
-/// resolves read runs through the batched slab paths and applies writes
-/// in stream order between them, outcome-identical to a sequential replay
-/// of the same ops.
+/// [`MetadataService::execute`] in a single call. Writes never flush the
+/// window: the execute pipeline resolves read runs through the batched
+/// slab paths and applies writes in stream order between them,
+/// outcome-identical to a sequential replay of the same ops.
 pub fn replay<S: MetadataService + ?Sized>(
     service: &mut S,
     records: impl IntoIterator<Item = TraceRecord>,
 ) -> ReplayReport {
     let mut report = ReplayReport::default();
-    let mut batch = OpBatch::new();
-    for record in records {
-        report.operations += 1;
-        match record.op {
-            MetaOp::Open | MetaOp::Close | MetaOp::Stat | MetaOp::Readdir => {
-                batch.push_lookup(record.path);
+    let mut operations = 0;
+    let records = records.into_iter().inspect(|_| operations += 1);
+    for batch in record_batches(records, OP_WINDOW, EntryPolicy::Random) {
+        for outcome in service.execute(&batch) {
+            if let OpOutcome::Resolved(outcome) = outcome {
+                report.levels.record(outcome.level);
+                report.latency.record(outcome.latency);
+                report.messages += u64::from(outcome.messages);
+                if outcome.found() {
+                    report.found += 1;
+                } else {
+                    report.missing += 1;
+                }
             }
-            MetaOp::Create => {
-                batch.push_create(record.path);
-            }
-            MetaOp::Unlink => {
-                // The unlinking client resolves the path first (the
-                // recorded lookup), then removes it; a miss makes the
-                // remove a no-op, exactly like the sequential protocol.
-                batch.push_lookup(record.path.clone());
-                batch.push_remove(record.path);
-            }
-            MetaOp::Rename => {
-                let to = record
-                    .rename_to
-                    .unwrap_or_else(|| format!("{}~renamed", record.path));
-                batch.push_rename(record.path, to);
-            }
-        }
-        if batch.len() >= OP_WINDOW {
-            drain(service, &mut report, &mut batch);
         }
     }
-    drain(service, &mut report, &mut batch);
+    report.operations = operations;
     report
 }

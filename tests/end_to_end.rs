@@ -55,11 +55,10 @@ fn replay_is_deterministic() {
 
 #[test]
 fn all_schemes_agree_on_ground_truth() {
-    let mut ghba_cluster = GhbaCluster::with_servers(config(), 12);
-    let mut hba_cluster = HbaCluster::with_servers(config(), 12);
-    let mut bfa_cluster = BfaCluster::with_servers(config(), 12, 8.0);
-    let services: [&mut dyn MetadataService; 3] =
-        [&mut ghba_cluster, &mut hba_cluster, &mut bfa_cluster];
+    let mut grouped = GhbaCluster::with_servers(config(), 12);
+    let mut mirror = HbaCluster::with_servers(config(), 12);
+    let mut bfa = BfaCluster::with_servers(config(), 12, 8.0);
+    let services: [&mut dyn MetadataService; 3] = [&mut grouped, &mut mirror, &mut bfa];
     for service in services {
         for i in 0..100 {
             service.create(&format!("/agree/f{i}"));
@@ -74,10 +73,10 @@ fn all_schemes_agree_on_ground_truth() {
 
 #[test]
 fn ghba_uses_less_filter_memory_than_hba() {
-    let ghba_cluster = GhbaCluster::with_servers(config(), 20);
-    let hba_cluster = HbaCluster::with_servers(config(), 20);
-    let g = ghba_cluster.filter_memory_per_mds();
-    let h = hba_cluster.filter_memory_per_mds();
+    let grouped = GhbaCluster::with_servers(config(), 20);
+    let mirror = HbaCluster::with_servers(config(), 20);
+    let g = grouped.filter_memory_per_mds();
+    let h = mirror.filter_memory_per_mds();
     assert!(
         g * 2 < h,
         "G-HBA {g} bytes should be well under half of HBA {h}"
@@ -106,16 +105,16 @@ fn update_traffic_scales_with_groups_not_servers() {
     // threshold suppresses auto-publish during population, so the explicit
     // push below always has pending changes regardless of hash family.
     let quiet = config().with_update_threshold(usize::MAX);
-    let mut ghba_cluster = GhbaCluster::with_servers(quiet.clone(), 25); // 5 groups
-    let mut hba_cluster = HbaCluster::with_servers(quiet, 25);
-    let home_g = ghba_cluster.server_ids()[0];
-    let home_h = hba_cluster.server_ids()[0];
+    let mut grouped = GhbaCluster::with_servers(quiet.clone(), 25); // 5 groups
+    let mut mirror = HbaCluster::with_servers(quiet, 25);
+    let home_g = grouped.server_ids()[0];
+    let home_h = mirror.server_ids()[0];
     for i in 0..50 {
-        ghba_cluster.create_file_at(&format!("/u/f{i}"), home_g);
-        hba_cluster.create_file_at(&format!("/u/f{i}"), home_h);
+        grouped.create_file_at(&format!("/u/f{i}"), home_g);
+        mirror.create_file_at(&format!("/u/f{i}"), home_h);
     }
-    let g = ghba_cluster.push_update(home_g);
-    let h = hba_cluster.push_update(home_h);
+    let g = grouped.push_update(home_g);
+    let h = mirror.push_update(home_h);
     assert!(g.refreshed && h.refreshed);
     assert!(
         g.messages <= 8,
@@ -123,6 +122,26 @@ fn update_traffic_scales_with_groups_not_servers() {
         g.messages
     );
     assert_eq!(h.messages, 24, "HBA updates broadcast to N−1");
+}
+
+#[test]
+fn join_traffic_is_2n_for_hba_and_a_fraction_of_it_for_ghba() {
+    // Figure 15 as an invariant, at the prototype's operating point.
+    let config = config().with_max_group_size(7);
+    let mut grouped = GhbaCluster::with_servers(config.clone(), 60);
+    let mut mirror = HbaCluster::with_servers(config, 60);
+    // HBA: the newcomer fetches every existing replica and every
+    // existing server installs the newcomer's — two messages each.
+    assert_eq!(mirror.add_mds_reported().1.messages, 2 * 60);
+    assert_eq!(mirror.add_mds_reported().1.messages, 2 * 61);
+    // G-HBA: one replica install per group plus light migration.
+    let report = grouped.add_mds_reported().1;
+    assert!(!report.split, "⌈60 / 7⌉ groups leave room for one more");
+    assert!(
+        report.messages * 3 < 2 * 60,
+        "G-HBA join cost {} should be under a third of HBA's 120",
+        report.messages
+    );
 }
 
 #[test]

@@ -207,11 +207,10 @@ proptest! {
 /// home, the old path misses — for every scheme.
 #[test]
 fn rename_round_trip_all_schemes() {
-    let mut ghba_cluster = GhbaCluster::with_servers(config(7), 10);
-    let mut hba_cluster = HbaCluster::with_servers(config(7), 10);
-    let mut bfa_cluster = BfaCluster::with_servers(config(7), 10, 8.0);
-    let services: [&mut dyn MetadataService; 3] =
-        [&mut ghba_cluster, &mut hba_cluster, &mut bfa_cluster];
+    let mut grouped = GhbaCluster::with_servers(config(7), 10);
+    let mut mirror = HbaCluster::with_servers(config(7), 10);
+    let mut bfa = BfaCluster::with_servers(config(7), 10, 8.0);
+    let services: [&mut dyn MetadataService; 3] = [&mut grouped, &mut mirror, &mut bfa];
     for service in services {
         let mut batch = OpBatch::new();
         batch.push_create("/r/source");
