@@ -182,6 +182,25 @@ impl BloomFilter {
             .all(|idx| self.words[idx / 64] >> (idx % 64) & 1 == 1)
     }
 
+    /// Membership test against precomputed probe rows, as derived for this
+    /// filter's [`shape`](BloomFilter::shape) by
+    /// [`Fingerprint::probe_rows_into`] or
+    /// [`crate::ProbeBatch::derive_rows_into`]. Answers identically to
+    /// [`contains_fp`](BloomFilter::contains_fp) for the same item, and to
+    /// [`CountingBloomFilter::contains_rows`](crate::CountingBloomFilter::contains_rows)
+    /// on the counting filter this one projects — over an eighth of the
+    /// memory (one bit per row instead of one byte).
+    ///
+    /// # Panics
+    ///
+    /// Panics (via indexing) if a row is outside this filter's width,
+    /// i.e. the rows were derived for a different shape.
+    #[must_use]
+    pub fn contains_rows(&self, rows: &[u32]) -> bool {
+        rows.iter()
+            .all(|&idx| self.words[idx as usize / 64] >> (idx % 64) & 1 == 1)
+    }
+
     /// Resets the filter to empty, keeping its shape.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -364,6 +383,18 @@ mod tests {
         let f = sample_filter();
         for i in 0..100u32 {
             assert!(f.contains(&format!("file-{i}")));
+        }
+    }
+
+    #[test]
+    fn contains_rows_matches_contains_fp() {
+        let f = sample_filter();
+        let mut rows = Vec::new();
+        for i in 0..400u32 {
+            let fp = Fingerprint::of(&format!("file-{i}"));
+            rows.clear();
+            fp.probe_rows_into(f.seed(), f.bit_len(), f.hash_count(), &mut rows);
+            assert_eq!(f.contains_rows(&rows), f.contains_fp(&fp), "file-{i}");
         }
     }
 

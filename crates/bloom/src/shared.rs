@@ -1614,56 +1614,96 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         out
     }
 
-    fn reduce(&self, fp: &Fingerprint, candidates: &[u64]) -> Hit<I> {
-        if self.stride == 1 {
-            // Fast path covering arrays of up to 64 slots: the whole
-            // candidate mask lives in one register.
-            let mut mask = candidates[0] & self.live[0];
-            for row in fp.probes(self.shape.seed, self.shape.bits, self.shape.hashes) {
-                mask &= self.slab[row];
-                if mask == 0 {
-                    return Hit::None;
-                }
+    /// Hints the cache at the probe rows of an upcoming
+    /// [`and_rows`](SharedShapeArray::and_rows) (rows outside the array
+    /// are ignored): a caller that derived a whole chunk's rows up front
+    /// issues this an item or two ahead, so the reduction finds its `k`
+    /// scattered lines in L1 whether or not the slab still sits in this
+    /// core's cache — which on a shared host is not the caller's to decide.
+    pub fn prefetch_rows(&self, rows: &[u32]) {
+        for &row in rows {
+            if (row as usize) < self.shape.bits {
+                prefetch_row(&self.slab, self.stride, row as usize, PrefetchHint::Near);
             }
-            return self.classify(&[mask]);
         }
-        let mut mask: Vec<u64> = candidates
-            .iter()
-            .zip(&self.live)
-            .map(|(c, l)| c & l)
-            .collect();
-        for row in fp.probes(self.shape.seed, self.shape.bits, self.shape.hashes) {
+    }
+
+    /// The unmasked row-AND of one probe: fills `out` (resized to the
+    /// array's stride) with `live ∧ rows[0] ∧ … ∧ rows[k-1]` and returns
+    /// whether any slot survived (`false` = early exit, `out` all zero).
+    /// `rows` are the item's probe rows for this array's shape
+    /// ([`Fingerprint::probes`] or [`ProbeBatch::derive_rows_into`]).
+    ///
+    /// Because the reduction is monotone — `(mask ∧ live) ∧ rows ==
+    /// mask ∧ (live ∧ rows)` — one such pass answers the item under
+    /// *every* candidate mask: read each with
+    /// [`positives_under`](SharedShapeArray::positives_under).
+    pub fn and_rows<R>(&self, rows: R, out: &mut Vec<u64>) -> bool
+    where
+        R: IntoIterator<Item = usize>,
+    {
+        out.clear();
+        out.extend_from_slice(&self.live);
+        if self.stride == 1 {
+            // Arrays of up to 64 slots: the whole mask lives in one
+            // register.
+            let mut mask = out[0];
+            for row in rows {
+                if mask == 0 {
+                    break;
+                }
+                mask &= self.slab[row];
+            }
+            out[0] = mask;
+            return mask != 0;
+        }
+        for row in rows {
             let slice = &self.slab[row * self.stride..(row + 1) * self.stride];
-            let mut any = 0u64;
-            for (m, s) in mask.iter_mut().zip(slice) {
-                *m &= s;
-                any |= *m;
+            if and_reduce_into(out, slice) == 0 {
+                return false;
             }
-            if any == 0 {
-                return Hit::None;
-            }
+        }
+        true
+    }
+
+    /// The positives of an [`and_rows`](SharedShapeArray::and_rows)
+    /// result under `mask`: how many slots of `anded ∧ mask` are set, and
+    /// the id of the slot when exactly one is — the count and unique
+    /// candidate [`query_fp_masked`](SharedShapeArray::query_fp_masked)
+    /// reports, without materializing a [`Hit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` predates a capacity growth of this array.
+    #[must_use]
+    pub fn positives_under(&self, anded: &[u64], mask: &SlotMask) -> (u32, Option<I>) {
+        assert_eq!(
+            mask.words.len(),
+            self.stride,
+            "SlotMask predates a capacity growth; rebuild it"
+        );
+        let (positives, slot) = tally_bits(anded.iter().zip(&mask.words).map(|(a, m)| a & m));
+        let unique = (positives == 1).then(|| self.slots[slot].expect("live slot has an id"));
+        (positives, unique)
+    }
+
+    fn reduce(&self, fp: &Fingerprint, candidates: &[u64]) -> Hit<I> {
+        let mut mask = Vec::with_capacity(self.stride);
+        let rows = fp.probes(self.shape.seed, self.shape.bits, self.shape.hashes);
+        if !self.and_rows(rows, &mut mask) {
+            return Hit::None;
+        }
+        for (m, c) in mask.iter_mut().zip(candidates) {
+            *m &= c;
         }
         self.classify(&mask)
     }
 
     fn classify(&self, mask: &[u64]) -> Hit<I> {
-        // Single pass: popcount and remember the last non-zero word (for
-        // a unique hit it is the only one).
-        let mut positives = 0u32;
-        let mut hit_word = 0usize;
-        for (word, &bits) in mask.iter().enumerate() {
-            if bits != 0 {
-                positives += bits.count_ones();
-                hit_word = word;
-            }
-        }
-        match positives {
-            0 => Hit::None,
-            1 => {
-                let slot = hit_word * 64 + mask[hit_word].trailing_zeros() as usize;
-                Hit::Unique(self.slots[slot].expect("live slot has an id"))
-            }
-            _ => {
+        match tally_bits(mask.iter().copied()) {
+            (0, _) => Hit::None,
+            (1, slot) => Hit::Unique(self.slots[slot].expect("live slot has an id")),
+            (positives, _) => {
                 let mut ids = Vec::with_capacity(positives as usize);
                 for (word, &bits) in mask.iter().enumerate() {
                     let mut remaining = bits;
@@ -1677,6 +1717,20 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
             }
         }
     }
+}
+
+/// One pass over a surviving-slot mask: its popcount and the lowest slot
+/// of its last non-zero word (for a unique hit, the hit).
+fn tally_bits(words: impl Iterator<Item = u64>) -> (u32, usize) {
+    let mut positives = 0u32;
+    let mut slot = 0usize;
+    for (word, bits) in words.enumerate() {
+        if bits != 0 {
+            positives += bits.count_ones();
+            slot = word * 64 + bits.trailing_zeros() as usize;
+        }
+    }
+    (positives, slot)
 }
 
 #[cfg(test)]
@@ -1700,6 +1754,15 @@ mod tests {
             }
         }
         array
+    }
+
+    /// A prefetch is a hint: rows past the array are skipped, not read.
+    #[test]
+    fn prefetch_rows_ignores_rows_outside_the_array() {
+        let array = array_with(&[(1, &["a"])]);
+        let bits = shape().bits as u32;
+        array.prefetch_rows(&[0, bits - 1, bits, u32::MAX]);
+        assert_eq!(array.query("a"), Hit::Unique(1));
     }
 
     #[test]

@@ -499,6 +499,62 @@ proptest! {
         prop_assert_eq!(rows, expected);
     }
 
+    /// The slab identity the pinned walk rests on: one unmasked row-AND
+    /// (`and_rows`) read under any candidate mask (`positives_under`)
+    /// answers exactly like a masked probe — same positive count, same id
+    /// when unique, nothing on an early exit — at stride 1 and beyond,
+    /// after removals and after a capacity growth; and a mask that
+    /// predates the growth still panics instead of dropping slots.
+    #[test]
+    fn and_rows_under_mask_matches_masked_query(
+        slots in 1u16..140,
+        inserts in proptest::collection::vec(("[a-z]{1,10}", 0u16..140), 0..200),
+        removed in proptest::collection::vec(0u16..140, 0..8),
+        probes in proptest::collection::vec("[a-z]{1,10}", 1..24),
+        subsets in proptest::collection::vec(proptest::collection::vec(0u16..150, 0..12), 1..6),
+        seed in any::<u64>(),
+    ) {
+        let shape = ghba_bloom::FilterShape { bits: 2048, hashes: 5, seed };
+        // Starts at one word of slots; more than 64 pushes grow it.
+        let mut sliced = SharedShapeArray::new(shape);
+        sliced.push(0u16).unwrap();
+        let stale = sliced.subset_mask([0u16]);
+        for id in 1..slots {
+            sliced.push(id).unwrap();
+        }
+        for (item, home) in &inserts {
+            let _ = sliced.insert(*home, item);
+        }
+        for id in &removed {
+            sliced.remove(*id);
+        }
+        let masks: Vec<_> = subsets
+            .iter()
+            .map(|subset| sliced.subset_mask(subset.iter().copied()))
+            .chain([sliced.mask_all_except(0)])
+            .collect();
+        let mut anded = Vec::new();
+        for probe in probes.iter().chain(inserts.iter().map(|(item, _)| item)) {
+            let fp = Fingerprint::of(probe.as_str());
+            let survived = sliced.and_rows(fp.probes(shape.seed, shape.bits, shape.hashes), &mut anded);
+            prop_assert_eq!(survived, anded.iter().any(|&word| word != 0));
+            prop_assert_eq!(survived, sliced.query_fp(&fp) != Hit::None);
+            for mask in &masks {
+                let expected = sliced.query_fp_masked(&fp, mask);
+                let (positives, unique) = sliced.positives_under(&anded, mask);
+                prop_assert_eq!(positives as usize, expected.candidates().len());
+                match expected {
+                    Hit::Unique(id) => prop_assert_eq!(unique, Some(id)),
+                    _ => prop_assert_eq!(unique, None),
+                }
+            }
+        }
+        if slots > 64 {
+            let read_stale = std::panic::catch_unwind(|| sliced.positives_under(&anded, &stale));
+            prop_assert!(read_stale.is_err(), "a pre-growth mask must be refused");
+        }
+    }
+
     /// Hit classification is consistent with candidate count.
     #[test]
     fn hit_classification(ids in proptest::collection::vec(any::<u16>(), 0..10)) {

@@ -9,17 +9,42 @@
 //! [`HbaCluster`](crate::HbaCluster); in [`crate::mirror`]). The
 //! membership wrappers live in [`crate::reconfig`], the replica-update
 //! protocol in [`crate::update`].
+//!
+//! # What a fused run pays once
+//!
+//! A run of lookups (`lookup_fused_pinned`) is deduplicated, chunked
+//! across the exec pool, walked, and spliced back per occurrence:
+//!
+//! * **Plans.** What a walk needs that depends only on `(pin, entry)` —
+//!   the entry's `&Mds`, group, L2 candidate state and modelled probe
+//!   cost; its group's L3 state with each member's `&Mds` and probe
+//!   cost — is resolved once per chunk (`EntryPlan` / `GroupPlan`).
+//!   Sound because neither `mdss` nor the pinned snapshot can change
+//!   while the run borrows the cluster.
+//! * **Rows.** `walk_chunk` derives every item's `k` probe rows in one
+//!   pass and prefetches them two items ahead; the walk ANDs them over
+//!   the slab once ([`SharedShapeArray::and_rows`]), reads L2 and L3 as
+//!   that result under each level's mask, and probes every live filter
+//!   with them — through its one-bit-per-row projection while that is
+//!   exact ([`Mds::probe_live_rows`]), so the scattered reads of a walk
+//!   stay within a working set a shared cache is less likely to evict.
+//! * **Tally.** The splice counts lookups per occurrence and mask
+//!   consults per walk into a plain `WalkTally`, folded into the atomic
+//!   recorders once per run: one RMW per non-zero word, none if the run
+//!   panics.
 
 use core::fmt;
 use core::marker::PhantomData;
 use core::time::Duration;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ghba_bloom::{FilterDelta, Fingerprint, Hit, SharedShapeArray};
+use ghba_bloom::{FilterDelta, Fingerprint, Hit, ProbeBatch, SharedShapeArray};
 use ghba_simnet::{Counters, DetRng, LatencyStats};
 
-use crate::concurrent::{ConcurrentStats, NamespaceShards, OverlayEntry, WriteKind, WriteRecord};
+use crate::concurrent::{
+    ConcurrentStats, NamespaceShards, OverlayEntry, WalkTally, WriteKind, WriteRecord,
+};
 use crate::config::GhbaConfig;
 use crate::exec::run_deduped;
 use crate::group::Group;
@@ -66,31 +91,65 @@ pub struct ClusterStats {
     pub counters: Counters,
 }
 
-/// Chunk-local candidate-mask memo for the pinned walk: a lock-free L0
-/// in front of whatever longer-lived cache the topology keeps (the
-/// grouped layout's cross-snapshot
-/// [`SharedMaskCache`](crate::snapshot::SharedMaskCache); the full
-/// mirror has none). Masks reached through a pinned
-/// snapshot stay valid for exactly as long as that snapshot is pinned —
-/// no revalidation needed within a walk scope (one `lookup_concurrent`
-/// call, one fused-run chunk) — so the memo holds `Arc`s and drops them
-/// with the pin. Memo and shared-cache hits both count as mask-cache
-/// hits in the atomic recorders; only a genuine build counts as a miss.
-#[derive(Debug, Default)]
-pub(crate) struct PinnedMemo {
-    /// Per-entry L2 state: candidate mask + held-replica count.
-    pub(crate) l2: HashMap<MdsId, Arc<SharedL2>>,
-    /// Per-group L3 state: group-mirror mask + member held counts.
-    pub(crate) l3: HashMap<GroupId, Arc<SharedL3>>,
+/// What every walk entering at one server reuses under a pin: all of it
+/// a pure function of `(pin, entry)`, because no [`Mds`] mutates while a
+/// run holds the cluster by reference.
+#[derive(Debug)]
+struct EntryPlan<'a> {
+    mds: &'a Mds,
+    /// The (pseudo-)group the entry's walks are attributed to.
+    gid: GroupId,
+    /// The entry's L2 candidate state and the modelled cost of probing
+    /// it, built when the first walk from this entry reaches L2 — an L1
+    /// hit consults nothing.
+    l2: Option<(Arc<SharedL2>, Duration)>,
 }
 
-/// One pinned walk's result: the outcome plus the false-hit tallies
-/// `[l1, l2, l3, l4 disk checks]`, recorded per occurrence by the
-/// run's splice.
+/// One group's L3 stage under a pin: the shared state plus each member
+/// (in `l3.member_held` order) with the modelled cost of its own array
+/// probe.
+#[derive(Debug)]
+struct GroupPlan<'a> {
+    l3: Arc<SharedL3>,
+    members: Vec<(&'a Mds, Duration)>,
+}
+
+/// One chunk's arena for the pinned walk: the entry and group plans
+/// (indexed by `MdsId.0` / `GroupId.0`; a lock-free L0 in front of
+/// whatever longer-lived mask cache the topology keeps, valid exactly as
+/// long as the snapshot stays pinned), every item's probe rows, and the
+/// row-AND scratch.
+#[derive(Debug, Default)]
+struct ChunkPlan<'a> {
+    entries: Vec<Option<EntryPlan<'a>>>,
+    groups: Vec<Option<GroupPlan<'a>>>,
+    probes: ProbeBatch,
+    /// `k` rows per chunk item, item-major.
+    rows: Vec<u32>,
+    anded: Vec<u64>,
+}
+
+/// Slot `id` of an id-indexed plan table, grown on demand.
+fn plan_slot<P>(plans: &mut Vec<Option<P>>, id: u16) -> &mut Option<P> {
+    let at = usize::from(id);
+    if plans.len() <= at {
+        plans.resize_with(at + 1, || None);
+    }
+    &mut plans[at]
+}
+
+/// One pinned walk's result: the outcome, the group it is attributed to
+/// and the false-hit tallies `[l1, l2, l3, l4 disk checks]`, recorded
+/// per occurrence by the run's splice — plus how its `[L2, L3]` mask
+/// consults were answered (`None` = level not reached, `Some(false)` =
+/// built), recorded once per walk: a plan or shared-cache answer counts
+/// as a mask-cache hit, only a genuine build as a miss.
 #[derive(Debug)]
 struct Walked {
     outcome: QueryOutcome,
+    gid: GroupId,
     falses: [u64; 4],
+    consults: [Option<bool>; 2],
 }
 
 /// What a replica layout decides for the [`Cluster`] engine — and
@@ -109,23 +168,23 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
     fn walk_group(snap: &RouteSnapshot, entry: MdsId) -> GroupId;
 
     /// `entry`'s L2 candidate state — which published columns it probes
-    /// locally and how many replicas that is — through `memo`.
+    /// locally and how many replicas that is — and whether a cache
+    /// answered (`false` = built here). Consulted once per run plan.
     fn l2(
         cluster: &Cluster<Self>,
         snap: &RouteSnapshot,
         entry: MdsId,
         gid: GroupId,
-        memo: &mut PinnedMemo,
-    ) -> Arc<SharedL2>;
+    ) -> (Arc<SharedL2>, bool);
 
-    /// The L3 group-multicast stage's state, or `None` when the layout
-    /// has no level between the entry's own array and the broadcast.
+    /// The L3 group-multicast stage's state and whether a cache answered
+    /// it, or `None` when the layout has no level between the entry's
+    /// own array and the broadcast.
     fn l3(
         cluster: &Cluster<Self>,
         snap: &RouteSnapshot,
         gid: GroupId,
-        memo: &mut PinnedMemo,
-    ) -> Option<Arc<SharedL3>>;
+    ) -> Option<(Arc<SharedL3>, bool)>;
 
     /// Replicas `id` holds (the memory charge behind Table 5).
     fn held_replicas(cluster: &Cluster<Self>, snap: &RouteSnapshot, id: MdsId) -> usize;
@@ -336,8 +395,8 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// L2/L3 mask-cache accounting, both scopes, one source of truth —
-    /// a hit is a mask consultation answered from cache (memoized reuse
-    /// on the pinned walk counts too), a miss one that had to build the
+    /// a hit is a mask consultation answered from cache (a run plan's
+    /// reuse on the pinned walk counts too), a miss one that had to build the
     /// entry. `lifetime_*` spans the cluster's whole life; `window_*`
     /// is the reset-scoped view the figure binaries read (cleared by
     /// [`reset_stats`](Cluster::reset_stats)). Consults recorded on
@@ -425,30 +484,33 @@ impl<T: Topology> Cluster<T> {
             .map_or(0, |mds| mds.filter_memory_bytes(held))
     }
 
+    /// A uniformly random server: the draw `rng.choose(&server_ids())`
+    /// makes, without listing the ids.
     fn pick_random_mds(&self) -> MdsId {
-        let ids = self.server_ids();
-        *self
+        let at = self
             .rng
             .lock()
             .expect("rng poisoned")
-            .choose(&ids)
-            .expect("cluster is never empty here")
+            .index(self.mdss.len());
+        *self.mdss.keys().nth(at).expect("index below server count")
     }
 
     /// Resolves the serving MDS for op `op_index` of a batch under
-    /// `policy` (see [`EntryPolicy`]). Callable from `&self`: the random
-    /// policy draws from the mutex-guarded deterministic stream.
+    /// `policy` (see [`EntryPolicy`]) among `ids` — this cluster's
+    /// [`server_ids`](Cluster::server_ids), listed once per batch.
+    /// Callable from `&self`: the random policy draws from the
+    /// mutex-guarded deterministic stream.
     ///
     /// # Panics
     ///
     /// Panics if the cluster has no servers or a pinned server is absent.
-    pub(crate) fn entry_for(&self, policy: EntryPolicy, op_index: usize) -> MdsId {
-        if policy == EntryPolicy::Random {
-            return self.pick_random_mds();
-        }
+    pub(crate) fn entry_for(&self, ids: &[MdsId], policy: EntryPolicy, op_index: usize) -> MdsId {
         policy
-            .resolve_deterministic(&self.server_ids(), op_index)
-            .expect("non-random policy resolves deterministically")
+            .resolve_deterministic(ids, op_index)
+            .unwrap_or_else(|| {
+                let mut rng = self.rng.lock().expect("rng poisoned");
+                *rng.choose(ids).expect("cluster is never empty here")
+            })
     }
 
     /// Creates metadata for `path` at a uniformly random home MDS (the
@@ -574,52 +636,57 @@ impl<T: Topology> Cluster<T> {
         outcomes.pop().expect("one query, one outcome")
     }
 
-    /// The mask state under `key` for a walk pinned to a snapshot: the
-    /// chunk memo first, then the topology's longer-lived cache
-    /// (`shared`), then a fresh `build`. Memo and shared-cache answers
-    /// count as mask-cache hits, a build as a miss.
-    pub(crate) fn memoized<K: std::hash::Hash + Eq, V>(
-        &self,
-        gid: GroupId,
-        memo: &mut HashMap<K, Arc<V>>,
-        key: K,
-        shared: impl FnOnce() -> Option<Arc<V>>,
-        build: impl FnOnce() -> Arc<V>,
-    ) -> Arc<V> {
-        let known = memo.get(&key).cloned();
-        let hit = known.is_some();
-        let cached = known.or_else(shared);
-        self.cstats.record_mask(cached.is_some());
-        self.cstats.record_group_mask(gid, cached.is_some());
-        let state = cached.unwrap_or_else(build);
-        if !hit {
-            memo.insert(key, Arc::clone(&state));
-        }
-        state
-    }
-
-    /// The L1 → L2 → \[L3\] → L4 escalation of one query against a
+    /// The L1 → L2 → \[L3\] → L4 escalation of chunk item `at` against a
     /// pinned snapshot, from `&self` — **the** walk: every read entry of
     /// every scheme, `&mut` or `&self`, single or batched, resolves
-    /// through it. The topology supplies the L2 candidate state and —
-    /// iff it has a group level — the L3 stage; `memo` caches both per
-    /// `(entry, group)` for the lifetime the caller chooses (one chunk
-    /// of a run). The walk reads `Mds` state only; what a finished walk
-    /// records is decided per occurrence by
+    /// through it. What depends only on `(pin, entry)` comes from `plan`
+    /// (the topology supplies the L2 candidate state and — iff it has a
+    /// group level — the L3 stage, once per plan); the item's probe rows
+    /// serve every level: one unmasked row-AND of the slab that L2 and L3
+    /// each read under their own mask — `(mask ∧ live) ∧ rows =
+    /// mask ∧ (live ∧ rows)` — and every live-filter probe. The walk
+    /// reads `Mds` state only; what a finished walk records is decided
+    /// per occurrence by
     /// [`lookup_fused_pinned`](Self::lookup_fused_pinned)'s splice.
-    fn walk_pinned(
-        &self,
+    fn walk_pinned<'a>(
+        &'a self,
         snap: &RouteSnapshot,
         (entry, path, fp): WalkItem<'_>,
-        memo: &mut PinnedMemo,
+        at: usize,
+        plan: &mut ChunkPlan<'a>,
     ) -> Walked {
-        let entry_mds = self.mdss.get(&entry).expect("unknown entry MDS");
-        let overlay = self.shards.overlay_keyed(path, &fp);
-        let gid = T::walk_group(snap, entry);
+        let ChunkPlan {
+            entries,
+            groups,
+            rows,
+            anded,
+            ..
+        } = plan;
+        let k = snap.slab.shape().hashes as usize;
+        let rows = &rows[at * k..(at + 1) * k];
         let model = &self.config.latency;
+
+        let entry_plan = plan_slot(entries, entry.0).get_or_insert_with(|| EntryPlan {
+            mds: self.mdss.get(&entry).expect("unknown entry MDS"),
+            gid: T::walk_group(snap, entry),
+            l2: None,
+        });
+        let (entry_mds, gid) = (entry_plan.mds, entry_plan.gid);
+
+        let overlay = self.shards.overlay_keyed(path, &fp);
+        // Whether `mds`'s live filter answers positive, overlaid with
+        // this era's pending writes: a pending create at `mds` probes
+        // positive even though the real filter has not been touched yet.
+        // A pending *remove* cannot be reflected (the counting filter
+        // only decrements at drain), so a stale positive survives until
+        // the drain — it fails verification and costs accounting, never
+        // a wrong home.
+        let probes_live =
+            |mds: &Mds| overlay == OverlayEntry::Created(mds.id()) || mds.probe_live_rows(rows);
         let mut latency = model.dispatch;
         let mut messages = 0u32;
         let mut falses = [0u64; 4];
+        let mut consults = [None; 2];
         // Forwards the query to a level's unique candidate and verifies
         // against its store, accounting the round trip and the metadata
         // access; `None` on a false positive.
@@ -632,24 +699,34 @@ impl<T: Topology> Cluster<T> {
             *latency += mds.metadata_access_cost(model);
             overlay.stores(mds, path).then_some(candidate)
         };
-        let done = |home: Option<MdsId>, level, latency: Duration, messages, falses| Walked {
-            outcome: QueryOutcome {
-                home,
-                level,
-                latency: latency.mul_f64(self.config.contention_factor(messages)),
-                messages,
-                entry,
-                epoch: snap.epoch,
-            },
-            falses,
-        };
+        let done =
+            |home: Option<MdsId>, level, latency: Duration, messages, falses, consults| Walked {
+                outcome: QueryOutcome {
+                    home,
+                    level,
+                    latency: latency.mul_f64(self.config.contention_factor(messages)),
+                    messages,
+                    entry,
+                    epoch: snap.epoch,
+                },
+                gid,
+                falses,
+                consults,
+            };
 
         // ---- L1: the entry server's LRU Bloom filter array. ----
         if let Some(hit) = entry_mds.lru().map(|lru| lru.query_fp(&fp)) {
             latency += model.memory_probe;
             if let Hit::Unique(candidate) = hit {
                 if let Some(home) = verify(candidate, &mut latency, &mut messages) {
-                    return done(Some(home), QueryLevel::L1Lru, latency, messages, falses);
+                    return done(
+                        Some(home),
+                        QueryLevel::L1Lru,
+                        latency,
+                        messages,
+                        falses,
+                        consults,
+                    );
                 }
                 falses[0] += 1;
             }
@@ -657,47 +734,94 @@ impl<T: Topology> Cluster<T> {
 
         // ---- L2: the entry's own array (its held replicas — θ of them
         // under G-HBA, all N − 1 under HBA) plus its live filter. ----
-        let l2 = T::l2(self, snap, entry, gid, memo);
-        let hit = snap.slab.query_fp_masked(&fp, &l2.mask);
-        let resident = entry_mds.resident_replicas(l2.held);
-        latency += model.array_probe(l2.held + 1, l2.held - resident);
-        let mut positives = hit.candidates().to_vec();
-        if overlay.probes_live(entry_mds, &fp) {
-            positives.push(entry);
+        consults[0] = Some(true);
+        let (l2, l2_probe) = &*entry_plan.l2.get_or_insert_with(|| {
+            let (l2, cached) = T::l2(self, snap, entry, gid);
+            consults[0] = Some(cached);
+            let resident = entry_mds.resident_replicas(l2.held);
+            let probe = model.array_probe(l2.held + 1, l2.held - resident);
+            (l2, probe)
+        });
+        latency += *l2_probe;
+        snap.slab
+            .and_rows(rows.iter().map(|&row| row as usize), anded);
+        let (mut positives, mut candidate) = snap.slab.positives_under(anded, &l2.mask);
+        let entry_live = probes_live(entry_mds);
+        if entry_live {
+            positives += 1;
+            candidate = Some(entry);
         }
-        if positives.len() == 1 {
-            if let Some(home) = verify(positives[0], &mut latency, &mut messages) {
-                return done(Some(home), QueryLevel::L2Segment, latency, messages, falses);
+        if let (1, Some(candidate)) = (positives, candidate) {
+            if let Some(home) = verify(candidate, &mut latency, &mut messages) {
+                return done(
+                    Some(home),
+                    QueryLevel::L2Segment,
+                    latency,
+                    messages,
+                    falses,
+                    consults,
+                );
             }
             falses[1] += 1;
         }
 
         // ---- L3: multicast within the entry's group, if any. ----
-        if let Some(l3) = T::l3(self, snap, gid, memo) {
-            let peer_count = l3.member_held.len().saturating_sub(1);
+        let group = match plan_slot(groups, gid.0) {
+            Some(group) => {
+                consults[1] = Some(true);
+                Some(&*group)
+            }
+            vacant => {
+                *vacant = T::l3(self, snap, gid).map(|(l3, cached)| {
+                    consults[1] = Some(cached);
+                    let members = l3
+                        .member_held
+                        .iter()
+                        .map(|&(member, held)| {
+                            let mds = &self.mdss[&member];
+                            let resident = mds.resident_replicas(held);
+                            (mds, model.array_probe(held + 1, held - resident))
+                        })
+                        .collect();
+                    GroupPlan { l3, members }
+                });
+                vacant.as_ref()
+            }
+        };
+        if let Some(GroupPlan { l3, members }) = group {
+            let peer_count = members.len().saturating_sub(1);
             // Peers probe their held replicas in parallel: pay the slowest.
-            let worst_probe = l3
-                .member_held
+            let worst_probe = members
                 .iter()
-                .filter(|&&(member, _)| member != entry)
-                .map(|&(member, held)| {
-                    let resident = self.mdss[&member].resident_replicas(held);
-                    model.array_probe(held + 1, held - resident)
-                })
+                .filter(|(member, _)| member.id() != entry)
+                .map(|&(_, probe)| probe)
                 .max()
                 .unwrap_or(Duration::ZERO);
-            let hit = snap.slab.query_fp_masked(&fp, &l3.mask);
             messages += 2 * peer_count as u32;
             latency += model.multicast_rtt(peer_count) + worst_probe;
-            let mut positives = hit.candidates().to_vec();
-            for &(member, _) in &l3.member_held {
-                if overlay.probes_live(&self.mdss[&member], &fp) {
-                    positives.push(member);
+            let (mut positives, mut candidate) = snap.slab.positives_under(anded, &l3.mask);
+            for &(member, _) in members {
+                // The entry's own verdict stands from L2.
+                let live = if member.id() == entry {
+                    entry_live
+                } else {
+                    probes_live(member)
+                };
+                if live {
+                    positives += 1;
+                    candidate = Some(member.id());
                 }
             }
-            if positives.len() == 1 {
-                if let Some(home) = verify(positives[0], &mut latency, &mut messages) {
-                    return done(Some(home), QueryLevel::L3Group, latency, messages, falses);
+            if let (1, Some(candidate)) = (positives, candidate) {
+                if let Some(home) = verify(candidate, &mut latency, &mut messages) {
+                    return done(
+                        Some(home),
+                        QueryLevel::L3Group,
+                        latency,
+                        messages,
+                        falses,
+                        consults,
+                    );
                 }
                 falses[2] += 1;
             }
@@ -710,7 +834,7 @@ impl<T: Topology> Cluster<T> {
         let mut found: Option<MdsId> = None;
         let mut verify_cost = Duration::ZERO;
         for (&id, mds) in &self.mdss {
-            if overlay.probes_live(mds, &fp) {
+            if probes_live(mds) {
                 verify_cost = verify_cost.max(mds.metadata_access_cost(model));
                 if overlay.stores(mds, path) {
                     found = Some(id);
@@ -724,19 +848,50 @@ impl<T: Topology> Cluster<T> {
             Some(_) => QueryLevel::L4Global,
             None => QueryLevel::Nonexistent,
         };
-        done(found, level, latency, messages, falses)
+        done(found, level, latency, messages, falses, consults)
+    }
+
+    /// Walks one chunk of a run: derives every item's `k` probe rows up
+    /// front (one shared-modulus fastmod pass, no hardware division), then
+    /// runs [`walk_pinned`](Self::walk_pinned) per item against the
+    /// chunk's plan, with the slab rows of the item two ahead prefetched:
+    /// the walk is bound by its scattered row reads, and a host that
+    /// shares its cache decides from moment to moment how many of them
+    /// miss — asking early takes most of that out of an item's time.
+    fn walk_chunk<'a>(
+        &'a self,
+        snap: &RouteSnapshot,
+        items: &[WalkItem<'_>],
+        plan: &mut ChunkPlan<'a>,
+        out: &mut Vec<Walked>,
+    ) {
+        plan.probes.clear();
+        for &(_, _, fp) in items {
+            plan.probes.push(fp);
+        }
+        plan.probes
+            .derive_rows_into(snap.slab.shape(), &mut plan.rows);
+        let k = snap.slab.shape().hashes as usize;
+        out.reserve(items.len());
+        for (at, &item) in items.iter().enumerate() {
+            if let Some(ahead) = plan.rows.get((at + 2) * k..(at + 3) * k) {
+                snap.slab.prefetch_rows(ahead);
+            }
+            out.push(self.walk_pinned(snap, item, at, plan));
+        }
     }
 
     /// Resolves a fused run of lookups against one pinned snapshot from
     /// `&self` — the read engine of every entry: cross-chunk
     /// `(entry, path)` dedup (the walk is a pure function of the pair
     /// under the pin, so a Zipf-head run walks each distinct pair once),
-    /// chunked walks across the exec pool with chunk-local mask memos,
-    /// then a stream-order splice that records level, latency,
-    /// false-hit and per-group load statistics **per occurrence** —
-    /// duplicates are real traffic, and the group controller must see
-    /// the flash crowd it exists to split. A run whose walk panics
-    /// records none of its lookups.
+    /// chunked walks across the exec pool with chunk-local plans, then a
+    /// stream-order splice that counts level, latency, false-hit and
+    /// per-group load statistics **per occurrence** — duplicates are
+    /// real traffic, and the group controller must see the flash crowd
+    /// it exists to split — and mask consults per walk into a
+    /// [`WalkTally`] folded into the atomic recorders once. A run whose
+    /// walk panics records nothing.
     pub(crate) fn lookup_fused_pinned(
         &self,
         snap: &RouteSnapshot,
@@ -746,24 +901,29 @@ impl<T: Topology> Cluster<T> {
             items,
             self.config.executor,
             |&(entry, path, _)| (entry, path),
-            |item, memo: &mut PinnedMemo| self.walk_pinned(snap, item, memo),
+            |chunk, plan: &mut ChunkPlan<'_>, out| self.walk_chunk(snap, chunk, plan, out),
         );
-        assign
+        let mut tally = WalkTally::default();
+        for walked in &resolved {
+            for cached in walked.consults.into_iter().flatten() {
+                tally.mask(walked.gid, cached);
+            }
+        }
+        let outcomes = assign
             .iter()
             .map(|&slot| {
-                let Walked { outcome, falses } = &resolved[slot as usize];
-                let [l1, l2, l3, l4_disk] = *falses;
-                self.cstats.record_lookup(outcome.level, outcome.latency);
-                self.cstats.record_false_hits(l1, l2, l3, l4_disk);
-                self.cstats.record_group_walk(
-                    T::walk_group(snap, outcome.entry),
-                    outcome.entry,
-                    outcome.level,
-                    falses.iter().sum(),
-                );
+                let Walked {
+                    outcome,
+                    gid,
+                    falses,
+                    ..
+                } = &resolved[slot as usize];
+                tally.lookup(*gid, outcome.entry, outcome.level, outcome.latency, *falses);
                 outcome.clone()
             })
-            .collect()
+            .collect();
+        self.cstats.absorb(&tally);
+        outcomes
     }
 
     /// Records a pending create of `key` at `home` from `&self` (the
@@ -1000,9 +1160,10 @@ impl<T: Topology> Cluster<T> {
     /// Panics if the cluster has no servers.
     pub fn lookup_batch<S: AsRef<str>>(&mut self, paths: &[S]) -> Vec<QueryOutcome> {
         assert!(!self.mdss.is_empty(), "cluster has no servers");
+        let ids = self.server_ids();
         let queries: Vec<(MdsId, &str)> = paths
             .iter()
-            .map(|path| (self.pick_random_mds(), path.as_ref()))
+            .map(|path| (self.entry_for(&ids, EntryPolicy::Random, 0), path.as_ref()))
             .collect();
         self.lookup_batch_from(&queries)
     }
@@ -1317,6 +1478,7 @@ mod tests {
         // worker (chunks of 24 at 96 queries / 4 workers; index 80 is
         // chunk 3).
         borrowed[80].0 = MdsId(999);
+        let mask_before = cluster.mask_cache_stats();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = cluster.lookup_batch_from(&borrowed);
         }));
@@ -1332,8 +1494,12 @@ mod tests {
             "unexpected panic: {message}"
         );
         // A poisoned read phase applies no effects at all (all-or-
-        // nothing splice): statistics saw none of the batch.
+        // nothing splice): statistics, mask counters and load windows
+        // saw none of the batch, sibling chunks' walks included.
         assert_eq!(cluster.stats().lookup_latency.count(), 0);
+        assert!(!cluster.cstats.is_dirty());
+        assert_eq!(cluster.mask_cache_stats(), mask_before);
+        assert_eq!(cluster.load_report().fresh_lookups, 0);
         // The cluster (and the process-wide pool) keep serving.
         borrowed[80].0 = MdsId(0);
         let outcomes = cluster.lookup_batch_from(&borrowed);

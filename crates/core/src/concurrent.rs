@@ -32,10 +32,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
 use ghba_bloom::Fingerprint;
+use ghba_simnet::LatencyStats;
 
 use crate::cluster::ClusterStats;
 use crate::ids::{GroupId, MdsId};
-use crate::load::LoadRecorder;
+use crate::load::{add_nonzero, LoadRecorder, LoadTally};
 use crate::mds::Mds;
 use crate::op::PathKey;
 use crate::query::QueryLevel;
@@ -64,18 +65,26 @@ impl AtomicLatency {
     }
 
     fn record(&self, latency: Duration) {
-        let nanos = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        // Same ×2 logarithmic geometry as `LatencyStats::record`.
-        let bucket = if nanos == 0 {
-            0
-        } else {
-            (63 - nanos.leading_zeros()) as usize
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        let mut one = LatencyStats::new();
+        one.record(latency);
+        self.absorb(&one);
+    }
+
+    /// Adds locally accumulated samples: one RMW per non-zero word.
+    fn absorb(&self, samples: &LatencyStats) {
+        let (count, sum_nanos, min_nanos, max_nanos, buckets) = samples.parts();
+        if count == 0 {
+            return;
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        // Truncating: the atomic word wraps the same way.
+        self.sum_nanos
+            .fetch_add(sum_nanos as u64, Ordering::Relaxed);
+        self.min_nanos.fetch_min(min_nanos, Ordering::Relaxed);
+        self.max_nanos.fetch_max(max_nanos, Ordering::Relaxed);
+        for (bucket, &n) in self.buckets.iter().zip(buckets) {
+            add_nonzero(bucket, n);
+        }
     }
 
     /// Resets the accumulator and returns the drained parts in
@@ -101,10 +110,62 @@ impl AtomicLatency {
     }
 }
 
+/// What one fused run counted, in plain words: the splice records every
+/// lookup **occurrence** (level, latency, false hits, load attribution)
+/// and every walk's mask consults here, and [`ConcurrentStats::absorb`]
+/// folds the lot into the atomics once per run — so a run whose walk
+/// panics has recorded nothing.
+#[derive(Debug, Default)]
+pub(crate) struct WalkTally {
+    levels: [u64; 5],
+    lookup: LatencyStats,
+    /// `[l1, l2, l3, l4 disk checks]`.
+    falses: [u64; 4],
+    /// Mask consults `[hits, misses]`.
+    mask: [u64; 2],
+    load: LoadTally,
+}
+
+impl WalkTally {
+    /// Counts one resolved lookup entering through `entry` of group
+    /// `gid`: the level that served it, its modeled latency, and the
+    /// false hits `[l1, l2, l3, l4 disk checks]` its walk paid.
+    pub fn lookup(
+        &mut self,
+        gid: GroupId,
+        entry: MdsId,
+        level: QueryLevel,
+        latency: Duration,
+        falses: [u64; 4],
+    ) {
+        let idx = match level {
+            QueryLevel::L1Lru => 0,
+            QueryLevel::L2Segment => 1,
+            QueryLevel::L3Group => 2,
+            QueryLevel::L4Global => 3,
+            QueryLevel::Nonexistent => 4,
+        };
+        self.levels[idx] += 1;
+        self.lookup.record(latency);
+        for (total, n) in self.falses.iter_mut().zip(falses) {
+            *total += n;
+        }
+        self.load.walk(gid, entry, level, falses.iter().sum());
+    }
+
+    /// Counts one L2/L3 mask consult of group `gid` (a plan or cache
+    /// answer is a hit, a fresh build a miss).
+    pub fn mask(&mut self, gid: GroupId, hit: bool) {
+        self.mask[usize::from(!hit)] += 1;
+        self.load.mask(gid, hit);
+    }
+}
+
 /// Atomic accounting for walks and publishes performed from `&self`.
 ///
 /// Every counter mirrors a field (or named counter) of `ClusterStats`.
-/// Recording is wait-free; [`fold_into`](ConcurrentStats::fold_into)
+/// Recording is wait-free ([`absorb`](ConcurrentStats::absorb) once per
+/// run); [`fold_into`](ConcurrentStats::fold_into)
 /// drains everything into the owner's stats and must only run once the
 /// caller holds `&mut` on the owning cluster (no live recorders).
 #[derive(Debug)]
@@ -163,65 +224,28 @@ impl ConcurrentStats {
         self.dirty.store(true, Ordering::Release);
     }
 
-    /// Records one resolved lookup: the level that served it and its
-    /// modeled latency.
-    pub fn record_lookup(&self, level: QueryLevel, latency: Duration) {
-        let idx = match level {
-            QueryLevel::L1Lru => 0,
-            QueryLevel::L2Segment => 1,
-            QueryLevel::L3Group => 2,
-            QueryLevel::L4Global => 3,
-            QueryLevel::Nonexistent => 4,
-        };
-        self.levels[idx].fetch_add(1, Ordering::Relaxed);
-        self.lookup.record(latency);
-        self.touch();
-    }
-
-    /// Records false-hit escalations observed during one walk.
-    pub fn record_false_hits(&self, l1: u64, l2: u64, l3: u64, l4_disk: u64) {
-        if l1 | l2 | l3 | l4_disk == 0 {
-            return;
-        }
-        self.l1_false.fetch_add(l1, Ordering::Relaxed);
-        self.l2_false.fetch_add(l2, Ordering::Relaxed);
-        self.l3_false.fetch_add(l3, Ordering::Relaxed);
-        self.l4_disk.fetch_add(l4_disk, Ordering::Relaxed);
-        self.touch();
-    }
-
-    /// Records one mask-cache consult (memoized mask reuse counts as a
-    /// hit, a fresh build as a miss).
-    pub fn record_mask(&self, hit: bool) {
-        if hit {
-            self.mask_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.mask_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        self.touch();
-    }
-
-    /// Attributes one finished walk to its entry group for the load
-    /// telemetry: traffic, escalation depth, and charged false hits.
-    /// Does **not** set the dirty flag — load windows are closed by
+    /// Folds one run's [`WalkTally`] in: one RMW per non-zero word.
+    /// Load telemetry deliberately stays outside the `dirty` protocol —
+    /// its windows are closed by
     /// [`LoadFold::close_window`](crate::load::LoadFold::close_window),
     /// not by the stats fold.
-    pub fn record_group_walk(
-        &self,
-        gid: GroupId,
-        entry: MdsId,
-        level: QueryLevel,
-        false_hits: u64,
-    ) {
-        self.load.record_walk(gid, entry, level, false_hits);
-    }
-
-    /// Attributes one L2/L3 mask consult to `gid` for the load
-    /// telemetry. Companion of
-    /// [`record_mask`](ConcurrentStats::record_mask); same dirty-flag
-    /// exemption as [`record_group_walk`](Self::record_group_walk).
-    pub fn record_group_mask(&self, gid: GroupId, hit: bool) {
-        self.load.record_mask(gid, hit);
+    pub fn absorb(&self, tally: &WalkTally) {
+        for (word, &n) in self.levels.iter().zip(&tally.levels) {
+            add_nonzero(word, n);
+        }
+        self.lookup.absorb(&tally.lookup);
+        let [l1, l2, l3, l4_disk] = tally.falses;
+        add_nonzero(&self.l1_false, l1);
+        add_nonzero(&self.l2_false, l2);
+        add_nonzero(&self.l3_false, l3);
+        add_nonzero(&self.l4_disk, l4_disk);
+        let [hits, misses] = tally.mask;
+        add_nonzero(&self.mask_hits, hits);
+        add_nonzero(&self.mask_misses, misses);
+        if tally.lookup.count() + hits + misses > 0 {
+            self.touch();
+        }
+        self.load.absorb(&tally.load);
     }
 
     /// Not-yet-folded mask consults `(hits, misses)` — peeked, not
@@ -306,18 +330,6 @@ pub(crate) enum OverlayEntry {
 }
 
 impl OverlayEntry {
-    /// Whether `mds`'s live filter answers positive for `fp`, overlaid
-    /// with this era's pending writes: a pending create at `mds` probes
-    /// positive even though the real filter has not been touched yet. A
-    /// pending *remove* cannot be reflected (the counting filter only
-    /// decrements at drain), so a stale positive survives until the
-    /// drain — it fails verification and costs accounting, never a
-    /// wrong home.
-    #[must_use]
-    pub fn probes_live(self, mds: &Mds, fp: &Fingerprint) -> bool {
-        self == OverlayEntry::Created(mds.id()) || mds.probe_live_fp(fp)
-    }
-
     /// Whether `mds` stores `path`, overlaid with this era's pending
     /// writes: a pending create is stored at its recorded home, a
     /// pending remove nowhere.
@@ -648,7 +660,6 @@ mod tests {
 
     #[test]
     fn atomic_latency_matches_latency_stats_geometry() {
-        use ghba_simnet::LatencyStats;
         let atomic = AtomicLatency::new();
         let mut reference = LatencyStats::new();
         for nanos in [0u64, 1, 7, 1024, 65_537, 1_000_000_000] {

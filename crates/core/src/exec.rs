@@ -45,11 +45,12 @@
 //!
 //! Nothing in the engine requires `&mut` anything: the schemes' one
 //! pinned walk dispatches from a shared reference through
-//! `run_deduped`, whose chunk arenas (results + per-chunk memo) are
-//! local to the call; the closures capture only `&self` and the pinned
-//! snapshot, both `Sync`. The allocation is one `Vec` per run, a
-//! fraction of the walk cost, and in exchange any number of threads can
-//! drive runs through one scheme concurrently.
+//! `run_deduped`, whose chunk arenas (results + per-chunk memo — for the
+//! walk, the chunk's plan and probe rows) are local to the call; the
+//! closures capture only `&self` and the pinned snapshot, both `Sync`.
+//! The allocation is a few `Vec`s per run, a fraction of the walk cost,
+//! and in exchange any number of threads can drive runs through one
+//! scheme concurrently.
 //!
 //! # Non-goals
 //!
@@ -235,63 +236,11 @@ pub fn run_jobs(jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
 
 /// Splits `total` items into `workers` contiguous chunks of near-equal
 /// size, returning the chunk length (the last chunk may be shorter).
-/// Used by every scheme's parallel walk so the partitioning — and with
-/// it the worker-local memoization boundaries — is uniform.
+/// Used by the parallel walk so the partitioning — and with it the
+/// worker-local plan boundaries — is uniform.
 #[must_use]
 pub fn chunk_len(total: usize, workers: usize) -> usize {
     total.div_ceil(workers.max(1)).max(1)
-}
-
-/// The one chunk-dispatch shape every parallel read phase shares: gate
-/// on `executor` (`workers = 1` or a sub-`min_parallel_batch` batch
-/// runs as a single inline chunk with no pool involvement), split
-/// `items` into contiguous per-worker chunks, pair each chunk with its
-/// own arena from `arenas` (grown with `A::default` as needed — the
-/// caller keeps the vector across calls so arenas persist), and run
-/// `walk(chunk, arena)` for every pair through [`run_jobs`] (chunk 0
-/// inline, the rest on the pool; wait-for-all; deterministic panic
-/// propagation).
-///
-/// Returns the number of arenas used; `arenas[..used]` hold the chunk
-/// results **in item order**, ready for a stream-order splice. Keeping
-/// the gating and arena handling here — instead of copy-pasted per
-/// scheme — means a fix to either applies everywhere at once.
-pub fn run_chunked<T, A, F>(
-    items: &[T],
-    executor: crate::config::ExecutorConfig,
-    arenas: &mut Vec<A>,
-    walk: F,
-) -> usize
-where
-    T: Sync,
-    A: Send + Default,
-    F: Fn(&[T], &mut A) + Sync,
-{
-    let total = items.len();
-    if total == 0 {
-        return 0;
-    }
-    let workers = executor.workers.min(total);
-    let chunks = if workers > 1 && total >= executor.min_parallel_batch {
-        workers
-    } else {
-        1
-    };
-    let size = chunk_len(total, chunks);
-    let used = total.div_ceil(size);
-    if arenas.len() < used {
-        arenas.resize_with(used, A::default);
-    }
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
-        .chunks(size)
-        .zip(arenas.iter_mut())
-        .map(|(chunk, arena)| {
-            let walk = &walk;
-            Box::new(move || walk(chunk, arena)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_jobs(jobs);
-    used
 }
 
 /// Cross-chunk deduplication for batched walks whose read phase is a
@@ -301,7 +250,7 @@ where
 /// `uniques` owning item `i`'s key. Callers walk only
 /// `uniques`-selected items and fan each result back out through
 /// `assign` — duplicates landing in *different* workers' chunks (which
-/// chunk-local memoization cannot see) are resolved exactly once.
+/// chunk-local plans cannot see) are resolved exactly once.
 ///
 /// With no duplicate keys, `uniques` is `0..items.len()` and `assign`
 /// is the identity, so the fast path costs one hash-map pass.
@@ -310,7 +259,7 @@ where
     K: std::hash::Hash + Eq,
     F: Fn(&T) -> K,
 {
-    let mut slots: std::collections::HashMap<K, u32> = std::collections::HashMap::new();
+    let mut slots = std::collections::HashMap::with_capacity(items.len());
     let mut uniques = Vec::with_capacity(items.len());
     let mut assign = Vec::with_capacity(items.len());
     for (index, item) in items.iter().enumerate() {
@@ -325,13 +274,20 @@ where
 }
 
 /// Walks a run of `items` once per distinct `key`, chunked across the
-/// pool: [`resolve_unique`] dedup, then [`run_chunked`] with one
-/// `M`-typed memo per chunk (whatever `walk` wants to reuse between the
-/// items of a chunk). Returns `(resolved, assign)` — `resolved` holds
-/// one result per distinct key in first-occurrence order and
-/// `assign[i]` indexes the result answering `items[i]`, so the caller
-/// splices per occurrence in stream order. A single item walks inline
-/// with no dedup or dispatch plumbing.
+/// pool — the one chunk-dispatch shape of the read phase.
+/// [`resolve_unique`] dedup; then, gated on `executor` (`workers = 1` or
+/// a sub-`min_parallel_batch` run is a single inline chunk with no pool
+/// involvement), contiguous per-worker chunks, each with its own
+/// `M`-typed memo (whatever `walk` wants to reuse between the items of a
+/// chunk), run as `walk(chunk, memo, out)` — appending one result per
+/// chunk item — through [`run_jobs`] (chunk 0 inline, the rest on the
+/// pool; wait-for-all; deterministic panic propagation).
+///
+/// Returns `(resolved, assign)` — `resolved` holds one result per
+/// distinct key in first-occurrence order and `assign[i]` indexes the
+/// result answering `items[i]`, so the caller splices per occurrence in
+/// stream order. A single item walks inline with no dedup or dispatch
+/// plumbing.
 pub(crate) fn run_deduped<T, K, M, R, F>(
     items: &[T],
     executor: crate::config::ExecutorConfig,
@@ -343,23 +299,36 @@ where
     K: std::hash::Hash + Eq,
     M: Send + Default,
     R: Send,
-    F: Fn(T, &mut M) -> R + Sync,
+    F: Fn(&[T], &mut M, &mut Vec<R>) + Sync,
 {
-    if let [item] = items {
-        return (vec![walk(*item, &mut M::default())], vec![0]);
+    if items.len() == 1 {
+        let mut out = Vec::with_capacity(1);
+        walk(items, &mut M::default(), &mut out);
+        return (out, vec![0]);
     }
     let (uniques, assign) = resolve_unique(items, key);
     let deduped: Vec<T> = uniques.iter().map(|&first| items[first as usize]).collect();
+    let total = deduped.len();
+    let workers = executor.workers.min(total);
+    let chunks = if workers > 1 && total >= executor.min_parallel_batch {
+        workers
+    } else {
+        1
+    };
+    let size = chunk_len(total, chunks);
     let mut arenas: Vec<(Vec<R>, M)> = Vec::new();
-    let used = run_chunked(&deduped, executor, &mut arenas, |chunk, (out, memo)| {
-        out.extend(chunk.iter().map(|&item| walk(item, memo)));
-    });
-    let resolved: Vec<R> = arenas
-        .into_iter()
-        .take(used)
-        .flat_map(|(out, _)| out)
+    arenas.resize_with(total.div_ceil(size), Default::default);
+    let jobs = deduped
+        .chunks(size)
+        .zip(&mut arenas)
+        .map(|(chunk, (out, memo))| {
+            let walk = &walk;
+            Box::new(move || walk(chunk, memo, out)) as Box<dyn FnOnce() + Send + '_>
+        })
         .collect();
-    debug_assert_eq!(resolved.len(), deduped.len());
+    run_jobs(jobs);
+    let resolved: Vec<R> = arenas.into_iter().flat_map(|(out, _)| out).collect();
+    debug_assert_eq!(resolved.len(), total);
     (resolved, assign)
 }
 

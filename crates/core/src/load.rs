@@ -7,12 +7,11 @@
 //! three pieces:
 //!
 //! * `LoadRecorder` (private) — fixed-capacity tables of wait-free atomic
-//!   counters, embedded in `ConcurrentStats`,
-//!   recorded once per lookup occurrence by the pinned walk's splice
-//!   (every read entry, `&mut` or `&self`) with one slot index plus a
-//!   handful of relaxed `fetch_add`s. No locks, no
-//!   allocation, callable from `&self` while reconfiguration publishes
-//!   successor snapshots.
+//!   counters, embedded in `ConcurrentStats`. The pinned walk's splice
+//!   (every read entry, `&mut` or `&self`) counts each lookup occurrence
+//!   into a plain `LoadTally` and folds it in once per run with one
+//!   relaxed `fetch_add` per non-zero word. No locks, callable from
+//!   `&self` while reconfiguration publishes successor snapshots.
 //! * `LoadWindows` (private) — the owner-side fold state: each call to
 //!   [`GhbaCluster::load_report`](crate::GhbaCluster::load_report)
 //!   closes one *window* (swap-to-zero on the atomics) and folds it
@@ -62,7 +61,7 @@ struct GroupSlot {
     l4_walks: AtomicU64,
     /// False hits charged to walks entering through this group.
     false_hits: AtomicU64,
-    /// L2/L3 mask consults answered from a cache or memo.
+    /// L2/L3 mask consults answered from a cache or a run plan.
     mask_hits: AtomicU64,
     /// L2/L3 mask consults that had to build the mask.
     mask_misses: AtomicU64,
@@ -108,6 +107,56 @@ impl RawLoadWindow {
     }
 }
 
+/// One run's load — walks and mask consults — counted in plain words by
+/// the splice and folded into the [`LoadRecorder`] once per run. Both
+/// tables are indexed by recorder slot and grow on demand.
+#[derive(Debug, Default)]
+pub(crate) struct LoadTally {
+    groups: Vec<RawGroupWindow>,
+    entries: Vec<u64>,
+}
+
+impl LoadTally {
+    fn group(&mut self, gid: GroupId) -> &mut RawGroupWindow {
+        let slot = group_slot(gid);
+        if self.groups.len() <= slot {
+            self.groups.resize(slot + 1, RawGroupWindow::default());
+        }
+        &mut self.groups[slot]
+    }
+
+    /// Counts one finished walk attributed to entry group `gid`:
+    /// traffic, escalation depth, and false hits.
+    pub(crate) fn walk(&mut self, gid: GroupId, entry: MdsId, level: QueryLevel, false_hits: u64) {
+        let window = self.group(gid);
+        window.lookups += 1;
+        match level {
+            QueryLevel::L1Lru | QueryLevel::L2Segment => {}
+            QueryLevel::L3Group => window.l3_walks += 1,
+            QueryLevel::L4Global | QueryLevel::Nonexistent => {
+                window.l3_walks += 1;
+                window.l4_walks += 1;
+            }
+        }
+        window.false_hits += false_hits;
+        let slot = entry_slot(entry);
+        if self.entries.len() <= slot {
+            self.entries.resize(slot + 1, 0);
+        }
+        self.entries[slot] += 1;
+    }
+
+    /// Counts one L2/L3 mask consult attributed to group `gid`.
+    pub(crate) fn mask(&mut self, gid: GroupId, hit: bool) {
+        let window = self.group(gid);
+        if hit {
+            window.mask_hits += 1;
+        } else {
+            window.mask_misses += 1;
+        }
+    }
+}
+
 /// Fixed-capacity atomic tables recording per-group and per-entry
 /// traffic from `&self`. Owned by
 /// `ConcurrentStats`; see the module docs.
@@ -115,6 +164,14 @@ impl RawLoadWindow {
 pub(crate) struct LoadRecorder {
     groups: Box<[GroupSlot]>,
     entries: Box<[AtomicU64]>,
+}
+
+/// Folds a locally counted `n` into a shared statistic: no RMW for zero.
+#[inline]
+pub(crate) fn add_nonzero(word: &AtomicU64, n: u64) {
+    if n > 0 {
+        word.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 #[inline]
@@ -135,40 +192,19 @@ impl LoadRecorder {
         }
     }
 
-    /// Records one finished walk attributed to entry group `gid`:
-    /// traffic, escalation depth, and false hits.
-    pub(crate) fn record_walk(
-        &self,
-        gid: GroupId,
-        entry: MdsId,
-        level: QueryLevel,
-        false_hits: u64,
-    ) {
-        let slot = &self.groups[group_slot(gid)];
-        slot.lookups.fetch_add(1, Ordering::Relaxed);
-        match level {
-            QueryLevel::L1Lru | QueryLevel::L2Segment => {}
-            QueryLevel::L3Group => {
-                slot.l3_walks.fetch_add(1, Ordering::Relaxed);
-            }
-            QueryLevel::L4Global | QueryLevel::Nonexistent => {
-                slot.l3_walks.fetch_add(1, Ordering::Relaxed);
-                slot.l4_walks.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Adds a run's locally counted load into the open window: one RMW
+    /// per non-zero word.
+    pub(crate) fn absorb(&self, tally: &LoadTally) {
+        for (slot, window) in self.groups.iter().zip(&tally.groups) {
+            add_nonzero(&slot.lookups, window.lookups);
+            add_nonzero(&slot.l3_walks, window.l3_walks);
+            add_nonzero(&slot.l4_walks, window.l4_walks);
+            add_nonzero(&slot.false_hits, window.false_hits);
+            add_nonzero(&slot.mask_hits, window.mask_hits);
+            add_nonzero(&slot.mask_misses, window.mask_misses);
         }
-        if false_hits > 0 {
-            slot.false_hits.fetch_add(false_hits, Ordering::Relaxed);
-        }
-        self.entries[entry_slot(entry)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one L2/L3 mask consult attributed to group `gid`.
-    pub(crate) fn record_mask(&self, gid: GroupId, hit: bool) {
-        let slot = &self.groups[group_slot(gid)];
-        if hit {
-            slot.mask_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            slot.mask_misses.fetch_add(1, Ordering::Relaxed);
+        for (slot, &count) in self.entries.iter().zip(&tally.entries) {
+            add_nonzero(slot, count);
         }
     }
 
@@ -534,11 +570,13 @@ mod tests {
     #[test]
     fn recorder_attributes_walks_and_masks_per_group() {
         let recorder = LoadRecorder::new();
-        recorder.record_walk(GroupId(0), MdsId(0), QueryLevel::L2Segment, 0);
-        recorder.record_walk(GroupId(0), MdsId(1), QueryLevel::L3Group, 1);
-        recorder.record_walk(GroupId(2), MdsId(5), QueryLevel::L4Global, 2);
-        recorder.record_mask(GroupId(0), true);
-        recorder.record_mask(GroupId(0), false);
+        let mut tally = LoadTally::default();
+        tally.walk(GroupId(0), MdsId(0), QueryLevel::L2Segment, 0);
+        tally.walk(GroupId(0), MdsId(1), QueryLevel::L3Group, 1);
+        tally.walk(GroupId(2), MdsId(5), QueryLevel::L4Global, 2);
+        tally.mask(GroupId(0), true);
+        tally.mask(GroupId(0), false);
+        recorder.absorb(&tally);
         let raw = recorder.drain_window();
         assert_eq!(raw.total_lookups(), 3);
         let g0 = raw.groups.iter().find(|&&(s, _)| s == 0).expect("g0").1;
@@ -557,13 +595,15 @@ mod tests {
     #[test]
     fn overflow_ids_share_the_final_slot() {
         let recorder = LoadRecorder::new();
-        recorder.record_walk(GroupId(u16::MAX), MdsId(u16::MAX), QueryLevel::L2Segment, 0);
-        recorder.record_walk(
+        let mut tally = LoadTally::default();
+        tally.walk(GroupId(u16::MAX), MdsId(u16::MAX), QueryLevel::L2Segment, 0);
+        tally.walk(
             GroupId((LOAD_GROUP_SLOTS - 1) as u16),
             MdsId(9),
             QueryLevel::L2Segment,
             0,
         );
+        recorder.absorb(&tally);
         let raw = recorder.drain_window();
         assert_eq!(raw.groups.len(), 1);
         assert_eq!(raw.groups[0].0, LOAD_GROUP_SLOTS - 1);
@@ -579,12 +619,14 @@ mod tests {
             (GroupId(1), vec![MdsId(2), MdsId(3)]),
         ];
         // Window 1: group 0 hot, all traffic through mds0.
+        let mut tally = LoadTally::default();
         for _ in 0..90 {
-            recorder.record_walk(GroupId(0), MdsId(0), QueryLevel::L3Group, 0);
+            tally.walk(GroupId(0), MdsId(0), QueryLevel::L3Group, 0);
         }
         for _ in 0..10 {
-            recorder.record_walk(GroupId(1), MdsId(2), QueryLevel::L2Segment, 0);
+            tally.walk(GroupId(1), MdsId(2), QueryLevel::L2Segment, 0);
         }
+        recorder.absorb(&tally);
         let raw = recorder.drain_window();
         windows.fold(&raw);
         let report = build_report(&windows, MembershipEpoch(3), raw.total_lookups(), &shape);

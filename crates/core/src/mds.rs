@@ -215,21 +215,27 @@ impl Mds {
         self.live.contains(path)
     }
 
-    /// Hash-once variant of [`probe_live`](Mds::probe_live): reuses the
-    /// fingerprint the query walk computed at its entry server.
-    #[must_use]
-    pub fn probe_live_fp(&self, fp: &Fingerprint) -> bool {
-        self.live.contains_fp(fp)
-    }
-
-    /// Precomputed-rows variant of [`probe_live_fp`](Mds::probe_live_fp):
-    /// `rows` must be derived for this cluster's shared live-filter shape
-    /// ([`published_shape`]). Lets a batched sweep derive each
-    /// fingerprint's rows once and probe every server's live filter with
-    /// them — identical answers to `probe_live_fp` for the same item.
+    /// Hash-once variant of [`probe_live`](Mds::probe_live) over
+    /// precomputed probe rows: `rows` must be derived for this cluster's
+    /// shared live-filter shape ([`published_shape`]). The pinned walk
+    /// derives each fingerprint's rows once and probes every level's
+    /// live filters with them — identical answers to `probe_live` for
+    /// the same item.
+    ///
+    /// Reads the plain projection while it is exact (no unlink since its
+    /// last rebuild): one bit per row instead of one counter byte, so the
+    /// live filters a walk touches — one at L2, a group's at L3, all `N`
+    /// at L4 — take an eighth of the cache (16 KB instead of 128 KB per
+    /// server at the benchmark's shape). A walk is bound by these
+    /// scattered reads, and the smaller they keep its working set, the
+    /// less its speed depends on what else shares the host's cache.
     #[must_use]
     pub fn probe_live_rows(&self, rows: &[u32]) -> bool {
-        self.live.contains_rows(rows)
+        if self.live_plain_dirty {
+            self.live.contains_rows(rows)
+        } else {
+            self.live_plain.contains_rows(rows)
+        }
     }
 
     /// Hamming distance between the live filter and the published
@@ -443,6 +449,47 @@ mod tests {
         assert!(!mds.stores("/x"));
         assert!(!mds.probe_live("/x"));
         assert!(!mds.remove_local("/x"));
+    }
+
+    /// `probe_live_rows` answers like `probe_live` whichever filter it
+    /// reads: the plain projection while clean, the counters once an
+    /// unlink has left it stale, the rebuilt projection afterwards.
+    #[test]
+    fn row_probe_agrees_with_live_filter_clean_and_dirty() {
+        let config = test_config();
+        let shape = published_shape(&config);
+        let mut mds = Mds::new(MdsId(0), &config);
+        let paths: Vec<String> = (0..300).map(|i| format!("/rows/f{i}")).collect();
+        let agree = |mds: &Mds, when: &str| {
+            let mut rows = Vec::new();
+            for path in &paths {
+                rows.clear();
+                Fingerprint::of(path.as_str()).probe_rows_into(
+                    shape.seed,
+                    shape.bits,
+                    shape.hashes,
+                    &mut rows,
+                );
+                assert_eq!(
+                    mds.probe_live_rows(&rows),
+                    mds.probe_live(path),
+                    "{when}: {path}"
+                );
+            }
+        };
+        for path in &paths[..200] {
+            mds.create_local(path);
+        }
+        assert!(!mds.live_plain_dirty);
+        agree(&mds, "clean");
+        for path in &paths[..120] {
+            assert!(mds.remove_local(path));
+        }
+        assert!(mds.live_plain_dirty);
+        agree(&mds, "dirty");
+        let _ = mds.publish();
+        assert!(!mds.live_plain_dirty);
+        agree(&mds, "rebuilt");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use ghba_bloom::BloomFilter;
 
-use crate::cluster::{Cluster, PinnedMemo, Topology};
+use crate::cluster::{Cluster, Topology};
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use crate::reconfig::ReconfigReport;
 use crate::snapshot::{RouteCell, RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
@@ -62,36 +62,23 @@ impl Topology for FullMirror {
     }
 
     /// Every published column but the entry's own (its fresher live
-    /// filter stands in for that one), memoized per chunk only.
+    /// filter stands in for that one): built per run plan, never cached.
     fn l2(
         cluster: &HbaCluster,
         snap: &RouteSnapshot,
         entry: MdsId,
         gid: GroupId,
-        memo: &mut PinnedMemo,
-    ) -> Arc<SharedL2> {
-        cluster.memoized(
+    ) -> (Arc<SharedL2>, bool) {
+        let built = SharedL2 {
             gid,
-            &mut memo.l2,
-            entry,
-            || None,
-            || {
-                Arc::new(SharedL2 {
-                    gid,
-                    tag: GroupEpoch::default(),
-                    mask: snap.slab.mask_all_except(entry),
-                    held: cluster.mdss.len() - 1,
-                })
-            },
-        )
+            tag: GroupEpoch::default(),
+            mask: snap.slab.mask_all_except(entry),
+            held: cluster.mdss.len() - 1,
+        };
+        (Arc::new(built), false)
     }
 
-    fn l3(
-        _: &HbaCluster,
-        _: &RouteSnapshot,
-        _: GroupId,
-        _: &mut PinnedMemo,
-    ) -> Option<Arc<SharedL3>> {
+    fn l3(_: &HbaCluster, _: &RouteSnapshot, _: GroupId) -> Option<(Arc<SharedL3>, bool)> {
         None
     }
 

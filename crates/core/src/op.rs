@@ -12,9 +12,12 @@
 //! each scheme.
 //!
 //! Schemes execute a batch through the one shared `execute_vectored`
-//! driver (via the `VectoredScheme` hooks): maximal runs of
+//! driver (via the `VectoredScheme` hooks): entries resolve against the
+//! scheme's server list taken once per batch, maximal runs of
 //! consecutive lookups are fused into one L1→L4 walk run against one
-//! pinned snapshot, writes apply in stream order, and
+//! pinned snapshot (per-entry plans, probe rows and the statistics
+//! tally are per run — see [`crate::cluster`]), writes apply in stream
+//! order, and
 //! [`MetadataOp::Rename`] performs a full metadata migration (remove at
 //! the old home, create at the policy-chosen new home) whose
 //! [`OpOutcome::Renamed`] reports both homes.
@@ -69,6 +72,8 @@
 //! distinct-path writes is arbitrary by design and the property suites
 //! assert semantic equivalence (every path resolves to its true home)
 //! instead.
+
+use std::collections::HashMap;
 
 use ghba_bloom::Fingerprint;
 
@@ -431,11 +436,14 @@ impl OpOutcome {
 /// pipeline (fusion rules, rename migration, outcome assembly) and
 /// therefore one, property-tested, execution semantics.
 pub(crate) trait VectoredScheme {
-    /// Resolves the serving MDS for op `op_index` under `policy`.
+    /// Resolves the serving MDS for op `op_index` under `policy` among
+    /// `ids`, the scheme's live servers in ascending order (listed once
+    /// per batch by [`execute_vectored`]'s caller: membership cannot
+    /// change while the batch borrows the scheme).
     /// [`EntryPolicy::Random`] must draw from the scheme's one
     /// deterministic RNG stream, so a single-threaded replay draws the
     /// same servers through either entry.
-    fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId;
+    fn resolve_entry(&mut self, ids: &[MdsId], policy: EntryPolicy, op_index: usize) -> MdsId;
 
     /// `true` when a fused run's lookups fill per-entry L1 state (an LRU
     /// filter array), which makes a repeated `(entry, path)` pair
@@ -463,15 +471,18 @@ pub(crate) trait VectoredScheme {
     fn apply_remove(&mut self, key: &PathKey) -> Option<MdsId>;
 }
 
-/// Executes `batch` against `scheme`: the one mixed-op pipeline every
-/// scheme and both entries share.
+/// Executes `batch` against `scheme`, whose live servers are `ids`
+/// (ascending): the one mixed-op pipeline every scheme and both entries
+/// share.
 ///
 /// * Maximal runs of consecutive lookups are **fused** and resolved by
 ///   one [`VectoredScheme::lookup_fused`] call; a run is split only
 ///   before a repeated `(entry, path)` pair on
 ///   [`repeat_sensitive`](VectoredScheme::repeat_sensitive) schemes,
 ///   whose later occurrence must observe the earlier lookup's L1 cache
-///   fill exactly as a sequential replay would. Inside `lookup_fused`
+///   fill exactly as a sequential replay would (found through a per-run
+///   set of `(entry, fingerprint)` pairs, not a scan of the run). Inside
+///   `lookup_fused`
 ///   the schemes may execute a large run **data-parallel** — chunked
 ///   across the worker pool against the shared read-only slab, with
 ///   side effects spliced back in stream order
@@ -492,14 +503,17 @@ pub(crate) trait VectoredScheme {
 /// same-path repeats are split exactly so the common case is exact).
 pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
     scheme: &mut S,
+    ids: &[MdsId],
     batch: &OpBatch,
 ) -> Vec<OpOutcome> {
     let ops = batch.ops();
     let policy = batch.entry_policy();
     let mut outcomes: Vec<Option<OpOutcome>> = vec![None; ops.len()];
     // The fused read run: `(op index, entry server)` pairs awaiting one
-    // lookup pass.
+    // lookup pass, and — on repeat-sensitive schemes — the same pairs
+    // keyed by `(entry, fingerprint lanes)` → op index of the first.
     let mut run: Vec<(usize, MdsId)> = Vec::new();
+    let mut seen: HashMap<(MdsId, (u64, u64)), usize> = HashMap::new();
 
     fn flush<S: VectoredScheme + ?Sized>(
         scheme: &mut S,
@@ -529,21 +543,31 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
     for (i, op) in ops.iter().enumerate() {
         match op {
             MetadataOp::Lookup(key) => {
-                let entry = scheme.resolve_entry(policy, i);
-                let repeat = repeat_sensitive
-                    && run
-                        .iter()
-                        .any(|&(j, e)| e == entry && ops[j].path() == key.path());
-                if repeat {
-                    // The later lookup must see the earlier one's L1
-                    // fill, as a sequential stream would.
-                    flush(scheme, ops, &mut run, &mut outcomes);
+                let entry = scheme.resolve_entry(ids, policy, i);
+                if repeat_sensitive {
+                    let pair = (entry, key.fingerprint().lanes());
+                    // Equal lanes are the same path up to a 128-bit
+                    // collision; the path compare keeps a collision
+                    // from splitting the run.
+                    if seen
+                        .get(&pair)
+                        .is_some_and(|&j| ops[j].path() == key.path())
+                    {
+                        // The later lookup must see the earlier one's
+                        // L1 fill, as a sequential stream would.
+                        flush(scheme, ops, &mut run, &mut outcomes);
+                    }
+                    if run.is_empty() {
+                        // Every flush empties the run: the set restarts.
+                        seen.clear();
+                    }
+                    seen.entry(pair).or_insert(i);
                 }
                 run.push((i, entry));
             }
             MetadataOp::Create(key) => {
                 flush(scheme, ops, &mut run, &mut outcomes);
-                let home = scheme.resolve_entry(policy, i);
+                let home = scheme.resolve_entry(ids, policy, i);
                 scheme.apply_create(key, home);
                 outcomes[i] = Some(OpOutcome::Created { home });
             }
@@ -556,7 +580,7 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
                 flush(scheme, ops, &mut run, &mut outcomes);
                 let old_home = scheme.apply_remove(from);
                 let new_home = old_home.map(|_| {
-                    let home = scheme.resolve_entry(policy, i);
+                    let home = scheme.resolve_entry(ids, policy, i);
                     scheme.apply_create(to, home);
                     home
                 });

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use ghba_bloom::Hit;
 
-use crate::cluster::{Cluster, GhbaCluster, Grouped, PinnedMemo, Topology};
+use crate::cluster::{Cluster, GhbaCluster, Grouped, Topology};
 use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
 use crate::mds::Mds;
@@ -425,34 +425,22 @@ impl Topology for Grouped {
     /// The θ replicas `entry` holds, from the snapshot-resident shared
     /// cache when its `(gid, GroupEpoch)` tag is still valid.
     fn l2(
-        cluster: &GhbaCluster,
+        _: &GhbaCluster,
         snap: &RouteSnapshot,
         entry: MdsId,
         gid: GroupId,
-        memo: &mut PinnedMemo,
-    ) -> Arc<SharedL2> {
-        cluster.memoized(
-            gid,
-            &mut memo.l2,
-            entry,
-            || snap.masks.l2(entry, gid, snap.group_epoch(gid)),
-            || snap.masks.put_l2(entry, snap.build_l2(entry, gid)),
-        )
+    ) -> (Arc<SharedL2>, bool) {
+        match snap.masks.l2(entry, gid, snap.group_epoch(gid)) {
+            Some(cached) => (cached, true),
+            None => (snap.masks.put_l2(entry, snap.build_l2(entry, gid)), false),
+        }
     }
 
-    fn l3(
-        cluster: &GhbaCluster,
-        snap: &RouteSnapshot,
-        gid: GroupId,
-        memo: &mut PinnedMemo,
-    ) -> Option<Arc<SharedL3>> {
-        Some(cluster.memoized(
-            gid,
-            &mut memo.l3,
-            gid,
-            || snap.masks.l3(gid, snap.group_epoch(gid)),
-            || snap.masks.put_l3(gid, snap.build_l3(gid)),
-        ))
+    fn l3(_: &GhbaCluster, snap: &RouteSnapshot, gid: GroupId) -> Option<(Arc<SharedL3>, bool)> {
+        Some(match snap.masks.l3(gid, snap.group_epoch(gid)) {
+            Some(cached) => (cached, true),
+            None => (snap.masks.put_l3(gid, snap.build_l3(gid)), false),
+        })
     }
 
     fn held_replicas(_: &GhbaCluster, snap: &RouteSnapshot, id: MdsId) -> usize {

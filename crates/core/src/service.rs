@@ -180,8 +180,8 @@ pub trait MetadataService {
 }
 
 impl<T: Topology> VectoredScheme for Cluster<T> {
-    fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId {
-        self.entry_for(policy, op_index)
+    fn resolve_entry(&mut self, ids: &[MdsId], policy: EntryPolicy, op_index: usize) -> MdsId {
+        self.entry_for(ids, policy, op_index)
     }
 
     fn repeat_sensitive(&self) -> bool {
@@ -213,8 +213,8 @@ struct PinnedBatch<'a, T: Topology> {
 }
 
 impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {
-    fn resolve_entry(&mut self, policy: EntryPolicy, op_index: usize) -> MdsId {
-        self.cluster.entry_for(policy, op_index)
+    fn resolve_entry(&mut self, ids: &[MdsId], policy: EntryPolicy, op_index: usize) -> MdsId {
+        self.cluster.entry_for(ids, policy, op_index)
     }
 
     fn repeat_sensitive(&self) -> bool {
@@ -250,7 +250,9 @@ impl<T: Topology> MetadataService for Cluster<T> {
     }
 
     fn execute(&mut self, batch: &OpBatch) -> Vec<OpOutcome> {
-        execute_vectored(self, batch)
+        // Listed once per batch: no op of a batch changes membership.
+        let ids = self.server_ids();
+        execute_vectored(self, &ids, batch)
     }
 
     fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome> {
@@ -258,7 +260,7 @@ impl<T: Topology> MetadataService for Cluster<T> {
             cluster: self,
             snap: self.routes.pin(),
         };
-        let outcomes = execute_vectored(&mut pinned, batch);
+        let outcomes = execute_vectored(&mut pinned, &self.server_ids(), batch);
         self.commit_concurrent();
         outcomes
     }

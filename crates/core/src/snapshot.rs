@@ -366,8 +366,11 @@ pub(crate) struct SharedL3 {
 /// Slot masks and membership snapshots depend only on cluster layout
 /// (slot assignment, group placement) — state that **writes never
 /// touch**; only reconfiguration invalidates them. Anything budget- or
-/// filter-dependent (probe durations, live-filter verdicts) is
-/// deliberately *not* cached here and is recomputed per walk.
+/// filter-dependent is deliberately *not* cached here: live-filter
+/// verdicts are recomputed per walk, probe durations per run plan —
+/// which is sound because no `Mds` (and so no memory budget) mutates
+/// while a run holds the cluster by reference, and a plan never
+/// outlives its run.
 ///
 /// The cache object is shared (one `Arc`, cloned into every successor
 /// [`RouteSnapshot`]), so masks built by one reader warm every later

@@ -16,9 +16,13 @@
 //!   each other and reconfiguration churn, and the post-drain state
 //!   must be exactly what each batch reported.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ghba_core::{EntryPolicy, GhbaCluster, GhbaConfig, MdsId, MetadataService, OpBatch, OpOutcome};
+use ghba_core::{
+    ClusterStats, EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, LoadReport, MdsId,
+    MetadataService, OpBatch, OpOutcome, QueryLevel,
+};
 
 fn config() -> GhbaConfig {
     GhbaConfig::default()
@@ -217,41 +221,139 @@ fn concurrent_pipeline_matches_funnel_across_shard_counts() {
     }
 }
 
-/// Duplicates are traffic: a flash-crowd batch repeating one `(entry,
-/// path)` pair walks the pair once but must account every occurrence —
-/// level counters, latency samples, and the per-group load telemetry
-/// the `GroupController` splits on — identically through both entries.
+/// Duplicates are traffic: a flash-crowd batch — the same hot paths
+/// through every entry, each `(entry, path)` pair repeated within and
+/// across chunks — walks each pair once but accounts every occurrence.
+/// Through either entry it leaves the statistics, the load report (what
+/// the `GroupController` splits on) and the mask-consult counters
+/// exactly where the same ops issued as 1-op batches leave them, except
+/// that a repeated pair consults its masks once.
 #[test]
-fn duplicate_lookups_are_accounted_per_occurrence() {
-    let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(1)));
-    for _ in 0..5 {
-        batch.push_lookup("/dup/hot");
-    }
-    batch.push_lookup("/dup/absent");
-    for concurrent in [false, true] {
-        let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
-        cluster.create_file("/dup/hot");
-        cluster.flush_all_updates();
-        cluster.reset_stats();
-        if concurrent {
-            let _ = cluster.execute_concurrent(&batch);
-            cluster.drain_concurrent();
+fn fused_runs_tally_what_one_op_batches_record() {
+    const SERVERS: usize = 12;
+    let paths = ["/crowd/a", "/crowd/b", "/crowd/c", "/crowd/d", "/absent"];
+    // Op `i` enters at server `e = i % 12` (round robin) for path
+    // `(e + i / 12 % 2) % 5`: 24 distinct pairs, four occurrences each.
+    let path_of = |i: usize| paths[(i % SERVERS + i / SERVERS % 2) % paths.len()];
+    for (workers, concurrent) in [(1, true), (4, true), (1, false), (4, false)] {
+        let build = || {
+            let executor = ExecutorConfig::default()
+                .with_workers(workers)
+                .with_min_parallel_batch(8);
+            let config = config().with_lru_capacity(0).with_executor(executor);
+            let mut cluster = GhbaCluster::with_servers(config, SERVERS);
+            for path in &paths[..4] {
+                cluster.create_file(path);
+            }
+            cluster.flush_all_updates();
+            cluster.reset_stats();
+            cluster
+        };
+        let mut fused = build();
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+        (0..96).for_each(|i| batch.push_lookup(path_of(i)));
+        let outcomes = if concurrent {
+            fused.execute_concurrent(&batch)
         } else {
-            let _ = cluster.execute(&batch);
+            fused.execute(&batch)
+        };
+        fused.drain_concurrent();
+        let mut single = build();
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let mut one = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: i });
+            one.push_lookup(path_of(i));
+            assert_eq!(&single.execute_concurrent(&one)[0], outcome, "op {i}");
         }
-        let levels = cluster.stats().levels;
-        assert_eq!(levels.total(), 6, "concurrent={concurrent}: {levels:?}");
-        assert_eq!(levels.nonexistent, 1, "concurrent={concurrent}");
-        assert_eq!(cluster.stats().lookup_latency.count(), 6);
-        let report = cluster.load_report();
-        assert_eq!(report.fresh_lookups, 6, "concurrent={concurrent}");
-        let gid = cluster.group_of(MdsId(1)).expect("grouped");
-        let row = report.groups.iter().find(|g| g.gid == gid);
-        assert!(
-            row.is_some_and(|g| g.share > 0.99),
-            "concurrent={concurrent}: the crowd's group must carry the traffic"
+        single.drain_concurrent();
+
+        let (got, want) = (fused.stats(), single.stats());
+        assert_eq!(got.levels.total(), 96);
+        assert_eq!(
+            got.levels, want.levels,
+            "workers={workers} concurrent={concurrent}"
         );
+        assert_eq!(
+            got.lookup_latency, want.lookup_latency,
+            "workers={workers} concurrent={concurrent}"
+        );
+        let counters = |stats: &ClusterStats| {
+            stats
+                .counters
+                .iter()
+                .map(|(l, n)| (l.to_owned(), n))
+                .collect::<BTreeMap<_, _>>()
+        };
+        assert_eq!(counters(got), counters(want), "false-hit counters");
+        // Everything in the load report but the mask hit rate (consults
+        // are per walk, below) comes from per-occurrence counts.
+        let per_occurrence = |mut report: LoadReport| {
+            report.groups.iter_mut().for_each(|g| g.mask_hit_rate = 1.0);
+            report
+        };
+        let got = per_occurrence(fused.load_report());
+        assert_eq!(got.fresh_lookups, 96);
+        assert_eq!(
+            got,
+            per_occurrence(single.load_report()),
+            "workers={workers} concurrent={concurrent}"
+        );
+
+        // One consult per slab level reached per distinct walk (L2
+        // always — no L1 here — and L3 when the walk went past L2);
+        // misses are masks actually built on this cold cluster: one per
+        // entry plus one per group whose walks reached L3 (racing chunks
+        // may each build a group's before either publishes it).
+        let walks: BTreeMap<_, _> = outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, outcome)| outcome.query().map(|q| ((q.entry, path_of(i)), q.level)))
+            .collect::<Option<_>>()
+            .expect("lookups resolve");
+        assert_eq!(walks.len(), 24);
+        let past_l2 = walks
+            .iter()
+            .filter(|&(_, &level)| level != QueryLevel::L2Segment);
+        let groups: BTreeSet<_> = past_l2
+            .clone()
+            .map(|(&(e, _), _)| fused.group_of(e))
+            .collect();
+        let mask = fused.mask_cache_stats();
+        let consults = (walks.len() + past_l2.count()) as u64;
+        assert_eq!(
+            mask.window_hits + mask.window_misses,
+            consults,
+            "workers={workers} concurrent={concurrent}"
+        );
+        let built = (SERVERS + groups.len()) as u64;
+        assert_eq!(single.mask_cache_stats().window_misses, built);
+        assert!(
+            mask.window_misses >= built,
+            "every mask is built at least once"
+        );
+        assert!(workers > 1 || mask.window_misses == built);
     }
+}
+
+/// A batch that panics (its pinned entry is unknown) has recorded
+/// nothing: statistics, load report and mask counters all stay put.
+#[test]
+fn panicking_batch_records_nothing() {
+    let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
+    cluster.create_file("/poison/f");
+    cluster.flush_all_updates();
+    cluster.reset_stats();
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(999)));
+    (0..16).for_each(|_| batch.push_lookup("/poison/f"));
+    let mask_before = cluster.mask_cache_stats();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = cluster.execute_concurrent(&batch);
+    }));
+    assert!(result.is_err(), "an unknown pinned entry must panic");
+    assert_eq!(cluster.load_report().fresh_lookups, 0);
+    cluster.drain_concurrent();
+    assert_eq!(cluster.stats().levels.total(), 0);
+    assert_eq!(cluster.stats().lookup_latency.count(), 0);
+    assert_eq!(cluster.mask_cache_stats(), mask_before);
 }
 
 /// Whole mixed batches run from `&self` on three threads while a

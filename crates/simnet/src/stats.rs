@@ -166,6 +166,20 @@ impl LatencyStats {
         }
     }
 
+    /// The raw accumulator fields, in
+    /// [`merge_parts`](LatencyStats::merge_parts) order — how a locally
+    /// filled accumulator folds into an atomic recorder.
+    #[must_use]
+    pub fn parts(&self) -> (u64, u128, u64, u64, &[u64; 64]) {
+        (
+            self.count,
+            self.sum_nanos,
+            self.min_nanos,
+            self.max_nanos,
+            &self.buckets,
+        )
+    }
+
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.count += other.count;
