@@ -18,9 +18,10 @@
 //! Equal work per iteration (the whole trace), so
 //! `flush_on_write / mixed_batch` *is* the replay throughput ratio — the
 //! ISSUE-3 acceptance bar is ≥ 1.5×. Run with
-//! `CRITERION_JSON=BENCH_PR3.json cargo bench --bench op_batch` to dump
-//! machine-readable means (see `BENCH_PR3.json` at the repo root for the
-//! committed snapshot and `EXPERIMENTS.md` for how to read it).
+//! `CRITERION_JSON=<path> cargo bench --bench op_batch` to dump
+//! machine-readable means (see the PR 3 row of `BENCH_HISTORY.md` at the
+//! repo root for the recorded run and `EXPERIMENTS.md` for how to read
+//! it).
 //!
 //! `GHBA_OP_FILES` / `GHBA_OP_OPS` shrink the populated namespace and
 //! the trace for CI smoke runs (numbers from shrunken runs are noise).

@@ -17,7 +17,7 @@
 //! overhead, not speedup — rerun on a multicore host before quoting.
 //!
 //! The per-group-vs-global epoch churn comparison that used to ride
-//! along here is settled (verdict recorded in `BENCH_PR5.json`);
+//! along here is settled (verdict recorded in `BENCH_HISTORY.md`, PR 5);
 //! per-group epochs are the only behaviour left.
 //!
 //! `GHBA_PAR_FILES` / `GHBA_PAR_OPS` shrink the namespace and the batch

@@ -31,7 +31,7 @@
 //! tail stays under the un-checkpointed one and recovery replays only
 //! past the watermark. Wall numbers are printed for context; no timing
 //! ordering is asserted (container noise owns that), the shape of the
-//! curve is what `BENCH_PR10.json` records.
+//! curve is what `BENCH_HISTORY.md` (PR 10) records.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

@@ -134,10 +134,10 @@ impl Fingerprint {
     /// that want a fingerprint's whole probe set materialized at once
     /// (tracing, debugging, precomputed probe tables).
     ///
-    /// The batched probe path
-    /// ([`crate::SharedShapeArray::query_batch`]) does *not* call this:
-    /// its kernel derives rows inline with a shared-modulus fastmod so
-    /// the derivation overlaps the slab loads.
+    /// The batched probe paths do *not* call this: they derive a whole
+    /// batch's rows with one shared-modulus fastmod
+    /// ([`crate::ProbeBatch::derive_rows_into`]), which the property
+    /// tests pin against this division-based sequence.
     ///
     /// # Panics
     ///

@@ -33,19 +33,20 @@
 //!
 //! The probe seam is deliberately **read-shared**: every query entry
 //! point ([`SharedShapeArray::query_fp`], [`query_fp_masked`],
-//! [`query_batch`]) takes `&self`, and all per-pass working memory lives
-//! in the caller-owned [`ProbeBatch`] scratch arena — the array itself
-//! holds no interior mutability anywhere (plain `Vec`s and a `HashMap`;
-//! the only atomics are the process-wide CPU-feature detection caches).
-//! `SharedShapeArray<I>` is therefore `Sync` whenever `I` is, and N
-//! threads may probe one slab concurrently so long as each brings its
-//! own `ProbeBatch` — exactly how the parallel batch execution engine
+//! [`query_batch`], [`and_rows`]) takes `&self`, and the working memory
+//! of a probe (its rows, its row-AND words) is the caller's — a
+//! [`ProbeBatch`] or the caller's own buffers. The array itself holds no
+//! interior mutability anywhere (plain `Vec`s and a `HashMap`, no
+//! atomics). `SharedShapeArray<I>` is therefore `Sync` whenever `I` is,
+//! and N threads may probe one slab concurrently so long as each brings
+//! its own buffers — exactly how the parallel batch execution engine
 //! upstream fans one fused lookup run out across workers against the
 //! shared published slab. Compile-time assertions below pin the seam so
 //! an accidental `Cell` can never silently revoke it.
 //!
 //! [`query_fp_masked`]: SharedShapeArray::query_fp_masked
 //! [`query_batch`]: SharedShapeArray::query_batch
+//! [`and_rows`]: SharedShapeArray::and_rows
 //!
 //! # Examples
 //!
@@ -125,81 +126,36 @@ impl SlotMask {
 }
 
 /// A batch of fingerprints (each with an optional candidate [`SlotMask`])
-/// resolved by [`SharedShapeArray::query_batch`] in **one pipelined slab
-/// pass**.
+/// resolved together by [`SharedShapeArray::query_batch`].
 ///
 /// Metadata servers see many concurrent lookups at once (queued client
 /// requests, a drained multicast mailbox); probing them one at a time pays
-/// `k × stride` cold row loads per fingerprint, serialized as far as the
-/// out-of-order window reaches. A batch derives every fingerprint's probe
-/// rows up front (shared-modulus fastmod, no division), walks them with
-/// the next fingerprints' rows software-prefetched ahead, and reduces each
-/// row through SIMD kernels with the candidate mask held in registers —
-/// so the cache misses of *different* lookups overlap instead of queueing
-/// behind one another.
+/// one hardware division per probe row and `k × stride` cold row loads per
+/// fingerprint. A batch derives every fingerprint's probe rows up front
+/// ([`derive_rows_into`](ProbeBatch::derive_rows_into): one shared-modulus
+/// fastmod, no division), so a caller can prefetch the rows of the items
+/// ahead while it reduces the current one — the schedule of the cluster's
+/// pinned walk, and of `query_batch`.
 ///
 /// Build once, [`clear`](ProbeBatch::clear), and reuse: the batch also
-/// carries the pass's scratch buffers (candidate masks, probe cursors,
-/// row lists), so a reused batch allocates only the result vector.
-///
-/// # Within-batch dedup
-///
-/// Flash-crowd (Zipf-head) bursts queue the *same* fingerprint many times
-/// in one batch. [`SharedShapeArray::query_batch`] dedups before the slab
-/// pass: the `k × stride` row-AND runs **once per unique fingerprint**,
-/// whatever candidate masks the duplicates carry. Equal-mask duplicates
-/// share the representative's [`Hit`] outright; duplicates under
-/// *different* masks (the same hot path entering through different
-/// servers) share one unmasked reduction, with each duplicate's mask
-/// applied to the surviving words at classification — a `stride`-word
-/// AND instead of a full row walk. An all-distinct batch takes a cheap
-/// sorted-scan fast path (no mask comparisons, scratch-backed, no
-/// per-call allocation).
+/// carries `query_batch`'s two scratch buffers (the row table and the
+/// row-AND words), so a reused batch allocates only the result vector.
+/// Duplicate fingerprints are not merged here — each queued item is
+/// reduced and read under its own mask; the cluster dedups a run upstream,
+/// before it ever builds a batch.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeBatch {
     fps: Vec<Fingerprint>,
     masks: Vec<Option<SlotMask>>,
-    scratch: BatchScratch,
-}
-
-/// Reusable working memory for one batched slab pass (lives inside
-/// [`ProbeBatch`]; every field is fully re-initialized per query).
-#[derive(Debug, Clone, Default)]
-struct BatchScratch {
-    /// `B × stride` candidate-mask words.
-    mask_words: Vec<u64>,
-    /// Per-fingerprint probe cursors (`h1` advanced in place, `h2` fixed).
-    h1: Vec<u64>,
-    h2: Vec<u64>,
-    /// Probe rows, `B × k`, fingerprint-major.
+    /// `query_batch` scratch: `k` probe rows per fingerprint, item-major.
     rows: Vec<u32>,
-    /// Per-fingerprint packed `(positives << 32) | slot` verdicts computed
-    /// in-kernel while the mask is register-resident (`u64::MAX` = defer
-    /// to the full [`SharedShapeArray::classify`] scan).
-    verdicts: Vec<u64>,
-    /// Query indices sorted by fingerprint lanes (dedup detection).
-    order: Vec<u32>,
-    /// `rep[i]` = earliest query with `i`'s fingerprint.
-    rep: Vec<u32>,
-    /// Representative queries in push order (the set the pass runs on).
-    sel: Vec<u32>,
-    /// Original index → position in `sel` (valid for representatives).
-    pos: Vec<u32>,
-    /// `mixed[r]` (valid for representatives): `r`'s duplicates carry
-    /// *differing* candidate masks, so the row-AND ran unmasked (live
-    /// slots) and each duplicate's mask applies at classification.
-    mixed: Vec<bool>,
-    /// Per-duplicate classification scratch (`survivors ∧ mask`).
-    fanout: Vec<u64>,
-    /// Mixed-group classification memo: `(representative, query)` pairs
-    /// naming the first query classified under each distinct mask, so
-    /// later duplicates repeating that mask reuse its verdict.
-    classified: Vec<(u32, u32)>,
+    /// `query_batch` scratch: the current item's row-AND, `stride` words.
+    anded: Vec<u64>,
 }
 
 // The concurrent probe seam, enforced at compile time: a read-only slab
-// shared across worker threads (`Sync`), with each worker's scratch
-// arena free to move to its thread (`Send`). See the module-level
+// shared across worker threads (`Sync`), with each worker's batch free
+// to move to its thread (`Send`). See the module-level
 // "Concurrency" section.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
@@ -223,7 +179,7 @@ impl ProbeBatch {
         ProbeBatch {
             fps: Vec::with_capacity(capacity),
             masks: Vec::with_capacity(capacity),
-            scratch: BatchScratch::default(),
+            ..ProbeBatch::default()
         }
     }
 
@@ -256,12 +212,6 @@ impl ProbeBatch {
         self.fps.is_empty()
     }
 
-    /// The queued fingerprints, in push order.
-    #[must_use]
-    pub fn fingerprints(&self) -> &[Fingerprint] {
-        &self.fps
-    }
-
     /// Empties the batch, keeping its allocations for reuse.
     pub fn clear(&mut self) {
         self.fps.clear();
@@ -274,32 +224,37 @@ impl ProbeBatch {
     /// `FastMod` magic across the whole batch instead of one hardware
     /// division per probe.
     ///
-    /// This is how *non-slab* filters join a batched pass: an L4 global
-    /// sweep probes every server's live counting filter with the same
-    /// fingerprints the slab levels used, so the caller derives the row
-    /// table once here and hands each filter its precomputed rows
+    /// The rows serve the slab ([`SharedShapeArray::prefetch_rows`],
+    /// [`SharedShapeArray::and_rows`]) and every *non-slab* filter of the
+    /// same family alike: an L4 global sweep probes each server's live
+    /// counting filter with the rows the slab levels used
     /// (`CountingBloomFilter::contains_rows`). Row `j` of fingerprint `q`
     /// lands at `out[q * k + j]`, identical to
     /// [`Fingerprint::probes`](Fingerprint::probes) for the same shape.
     ///
+    /// `shape` must be a slab's shape: [`SharedShapeArray::with_capacity`]
+    /// is where its rows are checked to fit a `u32`.
+    ///
     /// # Panics
     ///
-    /// Panics if `shape.bits` is zero or does not fit in a `u32`.
-    pub fn derive_rows_into(&self, shape: crate::FilterShape, out: &mut Vec<u32>) {
-        assert!(shape.bits > 0, "filter must have at least one bit");
-        assert!(
-            u32::try_from(shape.bits).is_ok(),
-            "filter wider than u32 rows"
-        );
-        out.clear();
-        out.reserve(self.fps.len() * shape.hashes as usize);
-        let fm = FastMod::new(shape.bits as u64);
-        for fp in &self.fps {
-            let (mut cursor, step) = fp.pair(shape.seed);
-            for _ in 0..shape.hashes {
-                out.push(fm.rem(cursor) as u32);
-                cursor = cursor.wrapping_add(step);
-            }
+    /// Panics if `shape.bits` is zero.
+    pub fn derive_rows_into(&self, shape: FilterShape, out: &mut Vec<u32>) {
+        derive_rows(&self.fps, shape, out);
+    }
+}
+
+/// [`ProbeBatch::derive_rows_into`] over a bare fingerprint slice.
+fn derive_rows(fps: &[Fingerprint], shape: FilterShape, out: &mut Vec<u32>) {
+    assert!(shape.bits > 0, "filter must have at least one bit");
+    debug_assert!(u32::try_from(shape.bits).is_ok(), "rows must fit a u32");
+    out.clear();
+    out.reserve(fps.len() * shape.hashes as usize);
+    let fm = FastMod::new(shape.bits as u64);
+    for fp in fps {
+        let (mut cursor, step) = fp.pair(shape.seed);
+        for _ in 0..shape.hashes {
+            out.push(fm.rem(cursor) as u32);
+            cursor = cursor.wrapping_add(step);
         }
     }
 }
@@ -307,49 +262,8 @@ impl ProbeBatch {
 /// ANDs `src` into `dst` and returns the OR of the resulting words (zero
 /// means every candidate died and the query can stop early).
 ///
-/// AVX2 variant, selected at compile time with
-/// `-C target-feature=+avx2`: four 64-bit lanes per op via explicit
-/// intrinsics.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-#[inline(always)]
-fn and_reduce_into(dst: &mut [u64], src: &[u64]) -> u64 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_setzero_si256,
-        _mm256_storeu_si256,
-    };
-    let n = dst.len().min(src.len());
-    // SAFETY: `loadu`/`storeu` tolerate unaligned pointers and every access
-    // is bounded by `n`, the shorter of the two slices.
-    unsafe {
-        let mut any = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast::<__m256i>());
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
-            let m = _mm256_and_si256(d, s);
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast::<__m256i>(), m);
-            any = _mm256_or_si256(any, m);
-            i += 4;
-        }
-        let mut tail = 0u64;
-        while i < n {
-            dst[i] &= src[i];
-            tail |= dst[i];
-            i += 1;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), any);
-        lanes[0] | lanes[1] | lanes[2] | lanes[3] | tail
-    }
-}
-
-/// ANDs `src` into `dst` and returns the OR of the resulting words (zero
-/// means every candidate died and the query can stop early).
-///
-/// Portable variant: explicit 4-wide `u64` chunks with independent
-/// accumulator lanes, a shape LLVM autovectorizes to 256-bit ops when the
-/// target allows it.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
+/// Explicit 4-wide `u64` chunks with independent accumulator lanes, a
+/// shape LLVM autovectorizes to 256-bit ops when the target allows it.
 #[inline(always)]
 fn and_reduce_into(dst: &mut [u64], src: &[u64]) -> u64 {
     let mut any4 = [0u64; 4];
@@ -373,72 +287,16 @@ fn and_reduce_into(dst: &mut [u64], src: &[u64]) -> u64 {
     any
 }
 
-/// `true` once the running CPU is known to support AVX2 (checked once,
-/// cached). Compile with `-C target-feature=+avx2` to skip the check
-/// entirely.
-#[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
-fn avx2_detected() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        0 => {
-            let yes = std::arch::is_x86_feature_detected!("avx2");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-        state => state == 2,
-    }
-}
-
-/// `true` once the running CPU is known to support AVX-512F (checked
-/// once, cached): 8 × u64 per AND, halving the vector ops of the wide
-/// batch kernel relative to AVX2.
-#[cfg(all(target_arch = "x86_64", not(target_feature = "avx512f")))]
-fn avx512_detected() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        0 => {
-            let yes = std::arch::is_x86_feature_detected!("avx512f");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-        state => state == 2,
-    }
-}
-
-/// `true` once the running CPU is known to support AVX512VPOPCNTDQ on
-/// top of AVX-512F (checked once, cached): the batch kernel's
-/// classify — a popcount over every mask word — then runs as 8 × u64
-/// `vpopcntq` folded into the last AND row instead of a scalar
-/// `popcnt` chain after it.
-#[cfg(all(target_arch = "x86_64", not(target_feature = "avx512vpopcntdq")))]
-fn avx512vpopcnt_detected() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        0 => {
-            let yes = std::arch::is_x86_feature_detected!("avx512vpopcntdq")
-                && std::arch::is_x86_feature_detected!("avx512f");
-            STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-        state => state == 2,
-    }
-}
-
 /// Precomputed magic for Lemire's exact 64-bit **fastmod**: `n % d` as
 /// three widening multiplies instead of a hardware division.
 ///
 /// Every probe index of a batch reduces by the *same* modulus (the filter
-/// width `m`), so the magic is computed once per [`query_batch`] call and
-/// the `B × k` index derivations stay off the (long-latency, poorly
-/// pipelined) divider. Exact for every `n` and `d > 0` — see Lemire,
-/// Kaser & Kurz, "Faster remainder by direct computation" (2019); the
-/// unit test pins it against `%` and the property tests pin the batch
-/// path against the division-based sequential probes.
-///
-/// [`query_batch`]: SharedShapeArray::query_batch
+/// width `m`), so the magic is computed once per
+/// [`ProbeBatch::derive_rows_into`] call and the `B × k` index derivations
+/// stay off the (long-latency, poorly pipelined) divider. Exact for every
+/// `n` and `d > 0` — see Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation" (2019); the unit test pins it against `%` and the property
+/// tests pin the batch path against the division-based sequential probes.
 #[derive(Debug, Clone, Copy)]
 struct FastMod {
     /// `2^128 / d + 1`.
@@ -506,460 +364,27 @@ fn advise_hugepages(words: &[u64]) {
     let _ = words;
 }
 
-/// Prefetch target level: `NEAR` pulls into L1 (next rows to reduce),
-/// `FAR` into L2 (rows a whole fingerprint ahead), keeping L1 fill
-/// buffers free for demand loads.
-#[derive(Clone, Copy)]
-enum PrefetchHint {
-    Near,
-    Far,
-}
-
-/// Hints the prefetcher at one slab word.
+/// Hints the prefetcher at one slab word (into L1).
 #[inline(always)]
-fn prefetch_word(slab: &[u64], word_offset: usize, hint: PrefetchHint) {
+fn prefetch_word(slab: &[u64], word_offset: usize) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a pure hint (no dereference), and callers pass
     // offsets inside the slab.
     unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0, _MM_HINT_T1};
-        let ptr = slab.as_ptr().add(word_offset).cast::<i8>();
-        match hint {
-            PrefetchHint::Near => _mm_prefetch(ptr, _MM_HINT_T0),
-            PrefetchHint::Far => _mm_prefetch(ptr, _MM_HINT_T1),
-        }
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch(slab.as_ptr().add(word_offset).cast::<i8>(), _MM_HINT_T0);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (slab, word_offset, hint);
+    let _ = (slab, word_offset);
 }
 
 /// Hints the prefetcher at a whole probe row (both cache lines when the
 /// row spans more than one).
 #[inline(always)]
-fn prefetch_row(slab: &[u64], stride: usize, row: usize, hint: PrefetchHint) {
-    prefetch_word(slab, row * stride, hint);
+fn prefetch_row(slab: &[u64], stride: usize, row: usize) {
+    prefetch_word(slab, row * stride);
     if stride > 8 {
-        prefetch_word(slab, row * stride + 8, hint);
-    }
-}
-
-/// The wide-row (stride > 1) batch reduction, with overlap tricks a lone
-/// [`SharedShapeArray::query_fp`] walk cannot apply:
-///
-/// * **Shared-modulus fastmod derivation** — all `B × k` probe rows (the
-///   same `(h1 + j·h2) mod m` stream as [`crate::hash::ProbeIndices`])
-///   are derived up front with one precomputed [`FastMod`] magic: three
-///   pipelined multiplies each, no hardware division anywhere.
-/// * **Cross-fingerprint prefetch** — while fingerprint `q` is reduced,
-///   every probe row of fingerprint `q+1` is software-prefetched, so the
-///   next walk's line fetches resolve under the current walk's ANDs.
-/// * **Register-resident masks** — with the stride a compile-time `S`,
-///   each fingerprint's candidate mask is copied into a fixed-size local,
-///   ANDed across all `k` rows without touching memory, and stored back
-///   once; the reduction is bounds-check-free and fully unrolled.
-///
-/// A fingerprint whose mask zeroes stops early (bit-identical to the
-/// sequential early exit). `S == 0` selects the dynamic-stride fallback
-/// (`stride` is then read from the argument).
-///
-/// Marked `#[inline(always)]` so the AVX2-enabled wrapper compiles its own
-/// fully vectorized copy of the whole pass (not just the innermost
-/// reduction).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn batch_pass_body<const S: usize>(
-    slab: &[u64],
-    stride: usize,
-    fm: FastMod,
-    k: usize,
-    h1: &[u64],
-    h2: &[u64],
-    rows: &mut Vec<u32>,
-    masks: &mut [u64],
-    verdicts: &mut [u64],
-) {
-    let stride = if S == 0 { stride } else { S };
-    let b = h1.len();
-    rows.clear();
-    rows.reserve(b * k);
-    for q in 0..b {
-        let mut cursor = h1[q];
-        let step = h2[q];
-        for _ in 0..k {
-            rows.push(fm.rem(cursor) as u32);
-            cursor = cursor.wrapping_add(step);
-        }
-    }
-    // Two fingerprints of prefetch depth: at DRAM-resident slab sizes a
-    // single fingerprint's reduction (~hundreds of ns) barely covers one
-    // memory round trip, so keep two walks' worth of lines in flight —
-    // the next walk's rows in L1, the one after in L2 (far prefetches
-    // stay out of the L1 fill buffers demand loads need).
-    for &row in &rows[..k.min(b * k)] {
-        prefetch_row(slab, stride, row as usize, PrefetchHint::Near);
-    }
-    if b > 1 {
-        for &row in &rows[k..(2 * k).min(b * k)] {
-            prefetch_row(slab, stride, row as usize, PrefetchHint::Far);
-        }
-    }
-    for q in 0..b {
-        if q + 1 < b {
-            // Promote the next fingerprint's rows to L1...
-            for &row in &rows[(q + 1) * k..(q + 2) * k] {
-                prefetch_row(slab, stride, row as usize, PrefetchHint::Near);
-            }
-        }
-        if q + 2 < b {
-            // ...and stage the one after into L2.
-            for &row in &rows[(q + 2) * k..(q + 3) * k] {
-                prefetch_row(slab, stride, row as usize, PrefetchHint::Far);
-            }
-        }
-        if S == 0 {
-            let mask = &mut masks[q * stride..(q + 1) * stride];
-            for &row in &rows[q * k..(q + 1) * k] {
-                let base = row as usize * stride;
-                if and_reduce_into(mask, &slab[base..base + stride]) == 0 {
-                    break;
-                }
-            }
-            verdicts[q] = u64::MAX;
-        } else {
-            // Fixed-size views: the mask lives in registers across all k
-            // rows, and the backend sees exact lengths (no bounds checks,
-            // full unroll).
-            let mask_slot: &mut [u64; S] = (&mut masks[q * S..(q + 1) * S])
-                .try_into()
-                .expect("mask is S words");
-            // No early-exit test: at wide strides the surviving candidate
-            // set rarely zeroes before the last rows (N × fill^j decays
-            // from hundreds), so the per-row OR-reduce + branch costs more
-            // than the loads it could skip — and ANDing into an all-zero
-            // mask is a semantic no-op either way.
-            let mut mask = *mask_slot;
-            for &row in &rows[q * k..(q + 1) * k] {
-                if S == 1 && mask[0] == 0 {
-                    // Single-word masks die fast on absent items; wider
-                    // masks rarely zero before the tail (see above), so
-                    // only S == 1 keeps the early exit.
-                    break;
-                }
-                let base = row as usize * S;
-                let row: &[u64; S] = slab[base..base + S].try_into().expect("row is S words");
-                for (m, r) in mask.iter_mut().zip(row) {
-                    *m &= r;
-                }
-            }
-            // Classify while the mask is still in registers: popcount and
-            // locate the (single, for a unique hit) surviving word without
-            // re-reading the stored mask.
-            let mut positives = 0u32;
-            let mut hit_word = 0usize;
-            for (w, &word) in mask.iter().enumerate() {
-                positives += word.count_ones();
-                if word != 0 {
-                    hit_word = w;
-                }
-            }
-            let slot = hit_word * 64 + mask[hit_word].trailing_zeros().min(63) as usize;
-            verdicts[q] = (u64::from(positives) << 32) | slot as u64;
-            *mask_slot = mask;
-        }
-    }
-}
-
-/// The wide-stride batch reduction with the classify **folded into the
-/// last AND row**: instead of ANDing all `k` rows and then walking the
-/// finished mask a second time for the popcount/hit-word scan (as
-/// [`batch_pass_body`] does), the last row's AND, the population count,
-/// and the surviving-word tracking run in one fused loop while the mask
-/// words sit in registers.
-///
-/// On its own the fusion is a wash — the second walk touches registers,
-/// not memory. It exists for the AVX512VPOPCNTDQ clones below: with
-/// `vpopcntq` available the fused loop vectorizes end to end (AND +
-/// popcount + nonzero test per 8-word vector), where the split form
-/// forces the popcount chain back to scalar `popcnt` over extracted
-/// words. Only instantiated at strides ≥ 8 (S ∈ {8, 16, 32}): narrower
-/// masks classify faster scalar, and the S == 1 early exit matters
-/// there.
-///
-/// Bit-identical to [`batch_pass_body`] (same masks, same packed
-/// verdicts; property-tested below) — wide strides take no early exit
-/// in either body, so peeling the last row changes no observable state.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn batch_pass_classify_body<const S: usize>(
-    slab: &[u64],
-    fm: FastMod,
-    k: usize,
-    h1: &[u64],
-    h2: &[u64],
-    rows: &mut Vec<u32>,
-    masks: &mut [u64],
-    verdicts: &mut [u64],
-) {
-    debug_assert!(k >= 1, "a filter probes at least one row");
-    let b = h1.len();
-    rows.clear();
-    rows.reserve(b * k);
-    for q in 0..b {
-        let mut cursor = h1[q];
-        let step = h2[q];
-        for _ in 0..k {
-            rows.push(fm.rem(cursor) as u32);
-            cursor = cursor.wrapping_add(step);
-        }
-    }
-    // Same two-fingerprint prefetch depth as `batch_pass_body`.
-    for &row in &rows[..k.min(b * k)] {
-        prefetch_row(slab, S, row as usize, PrefetchHint::Near);
-    }
-    if b > 1 {
-        for &row in &rows[k..(2 * k).min(b * k)] {
-            prefetch_row(slab, S, row as usize, PrefetchHint::Far);
-        }
-    }
-    for q in 0..b {
-        if q + 1 < b {
-            for &row in &rows[(q + 1) * k..(q + 2) * k] {
-                prefetch_row(slab, S, row as usize, PrefetchHint::Near);
-            }
-        }
-        if q + 2 < b {
-            for &row in &rows[(q + 2) * k..(q + 3) * k] {
-                prefetch_row(slab, S, row as usize, PrefetchHint::Far);
-            }
-        }
-        let mask_slot: &mut [u64; S] = (&mut masks[q * S..(q + 1) * S])
-            .try_into()
-            .expect("mask is S words");
-        let mut mask = *mask_slot;
-        let qrows = &rows[q * k..(q + 1) * k];
-        // All but the last row: the plain register-resident AND chain.
-        for &row in &qrows[..k - 1] {
-            let base = row as usize * S;
-            let row: &[u64; S] = slab[base..base + S].try_into().expect("row is S words");
-            for (m, r) in mask.iter_mut().zip(row) {
-                *m &= r;
-            }
-        }
-        // The last row: AND fused with the popcount classify.
-        let base = qrows[k - 1] as usize * S;
-        let row: &[u64; S] = slab[base..base + S].try_into().expect("row is S words");
-        let mut positives = 0u32;
-        let mut hit_word = 0usize;
-        for (w, (m, r)) in mask.iter_mut().zip(row).enumerate() {
-            *m &= r;
-            positives += m.count_ones();
-            if *m != 0 {
-                hit_word = w;
-            }
-        }
-        let slot = hit_word * 64 + mask[hit_word].trailing_zeros().min(63) as usize;
-        verdicts[q] = (u64::from(positives) << 32) | slot as u64;
-        *mask_slot = mask;
-    }
-}
-
-macro_rules! batch_pass_variants {
-    ($($name:ident => $s:literal),+ $(,)?) => {
-        $(
-            /// AVX2 clone of [`batch_pass_body`] at this stride,
-            /// dispatched at runtime when the build baseline lacks AVX2
-            /// but the CPU has it.
-            #[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name(
-                slab: &[u64],
-                stride: usize,
-                fm: FastMod,
-                k: usize,
-                h1: &[u64],
-                h2: &[u64],
-                rows: &mut Vec<u32>,
-                masks: &mut [u64],
-                verdicts: &mut [u64],
-            ) {
-                batch_pass_body::<$s>(slab, stride, fm, k, h1, h2, rows, masks, verdicts);
-            }
-        )+
-    };
-}
-
-batch_pass_variants! {
-    batch_pass_avx2_dyn => 0,
-    batch_pass_avx2_1 => 1,
-    batch_pass_avx2_2 => 2,
-    batch_pass_avx2_4 => 4,
-    batch_pass_avx2_8 => 8,
-    batch_pass_avx2_16 => 16,
-    batch_pass_avx2_32 => 32,
-}
-
-macro_rules! batch_pass_variants_512 {
-    ($($name:ident => $s:literal),+ $(,)?) => {
-        $(
-            /// AVX-512F clone of [`batch_pass_body`] at this stride,
-            /// dispatched at runtime when the CPU supports 512-bit
-            /// vectors (8 × u64 per AND).
-            #[cfg(all(target_arch = "x86_64", not(target_feature = "avx512f")))]
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx512f")]
-            unsafe fn $name(
-                slab: &[u64],
-                stride: usize,
-                fm: FastMod,
-                k: usize,
-                h1: &[u64],
-                h2: &[u64],
-                rows: &mut Vec<u32>,
-                masks: &mut [u64],
-                verdicts: &mut [u64],
-            ) {
-                batch_pass_body::<$s>(slab, stride, fm, k, h1, h2, rows, masks, verdicts);
-            }
-        )+
-    };
-}
-
-batch_pass_variants_512! {
-    batch_pass_avx512_dyn => 0,
-    batch_pass_avx512_8 => 8,
-    batch_pass_avx512_16 => 16,
-    batch_pass_avx512_32 => 32,
-}
-
-macro_rules! batch_pass_variants_vpopcnt {
-    ($($name:ident => $s:literal),+ $(,)?) => {
-        $(
-            /// AVX512VPOPCNTDQ clone of [`batch_pass_classify_body`] at
-            /// this stride, dispatched at runtime when the CPU has
-            /// vector popcount: the classify's per-word `count_ones`
-            /// lowers to `vpopcntq` inside the fused last-AND loop.
-            #[cfg(all(target_arch = "x86_64", not(target_feature = "avx512vpopcntdq")))]
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx512f", enable = "avx512vpopcntdq")]
-            unsafe fn $name(
-                slab: &[u64],
-                fm: FastMod,
-                k: usize,
-                h1: &[u64],
-                h2: &[u64],
-                rows: &mut Vec<u32>,
-                masks: &mut [u64],
-                verdicts: &mut [u64],
-            ) {
-                batch_pass_classify_body::<$s>(slab, fm, k, h1, h2, rows, masks, verdicts);
-            }
-        )+
-    };
-}
-
-batch_pass_variants_vpopcnt! {
-    batch_pass_vpopcnt_8 => 8,
-    batch_pass_vpopcnt_16 => 16,
-    batch_pass_vpopcnt_32 => 32,
-}
-
-/// Runs the batch reduction with the widest vector width available (the
-/// compile-time AVX2 path when the build targets it, a runtime-dispatched
-/// AVX2 clone when only the CPU does) and a stride-specialized kernel for
-/// the common power-of-two strides. CPUs with AVX512VPOPCNTDQ take the
-/// fused-classify kernel ([`batch_pass_classify_body`]) at strides ≥ 8,
-/// where the popcount classify vectorizes inside the last AND row.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_pass(
-    slab: &[u64],
-    stride: usize,
-    fm: FastMod,
-    k: usize,
-    h1: &[u64],
-    h2: &[u64],
-    rows: &mut Vec<u32>,
-    masks: &mut [u64],
-    verdicts: &mut [u64],
-) {
-    #[cfg(all(target_arch = "x86_64", not(target_feature = "avx512vpopcntdq")))]
-    if k >= 1 && matches!(stride, 8 | 16 | 32) && avx512vpopcnt_detected() {
-        // SAFETY: `avx512vpopcnt_detected` confirmed both instruction
-        // sets (AVX-512F for the wide ANDs, VPOPCNTDQ for the fused
-        // classify).
-        unsafe {
-            match stride {
-                8 => batch_pass_vpopcnt_8(slab, fm, k, h1, h2, rows, masks, verdicts),
-                16 => batch_pass_vpopcnt_16(slab, fm, k, h1, h2, rows, masks, verdicts),
-                _ => batch_pass_vpopcnt_32(slab, fm, k, h1, h2, rows, masks, verdicts),
-            }
-        }
-        return;
-    }
-    #[cfg(all(target_arch = "x86_64", not(target_feature = "avx512f")))]
-    if stride >= 8 && avx512_detected() {
-        // SAFETY: `avx512_detected` confirmed the instruction set.
-        unsafe {
-            match stride {
-                8 => batch_pass_avx512_8(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                16 => batch_pass_avx512_16(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                32 => batch_pass_avx512_32(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                _ => batch_pass_avx512_dyn(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-            }
-        }
-        return;
-    }
-    #[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
-    if avx2_detected() {
-        // SAFETY: `avx2_detected` confirmed the instruction set.
-        unsafe {
-            match stride {
-                1 => batch_pass_avx2_1(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                2 => batch_pass_avx2_2(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                4 => batch_pass_avx2_4(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                8 => batch_pass_avx2_8(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                16 => batch_pass_avx2_16(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                32 => batch_pass_avx2_32(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-                _ => batch_pass_avx2_dyn(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-            }
-        }
-        return;
-    }
-    match stride {
-        1 => batch_pass_body::<1>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-        2 => batch_pass_body::<2>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-        4 => batch_pass_body::<4>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-        8 => batch_pass_body::<8>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-        16 => batch_pass_body::<16>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-        32 => batch_pass_body::<32>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-        _ => batch_pass_body::<0>(slab, stride, fm, k, h1, h2, rows, masks, verdicts),
-    }
-}
-
-/// Transposes a 64×64 bit matrix in place: bit `c` of `m[r]` moves to bit
-/// `r` of `m[c]` (LSB-first on both axes).
-///
-/// The classic recursive block swap (Hacker's Delight §7-3, adapted to the
-/// LSB-first convention this crate uses): at granularity `j` the upper-left
-/// and lower-right sub-blocks stay put while the off-diagonal sub-blocks
-/// swap, in `O(64 · log 64)` word operations — the engine behind
-/// [`SharedShapeArray::from_filters`]'s bulk load.
-fn transpose_64x64(m: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut mask = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            // Swap M[k][c + j] (high sub-columns of the upper row) with
-            // M[k + j][c] (low sub-columns of the lower row) for every
-            // low sub-column c selected by `mask`.
-            let t = ((m[k] >> j) ^ m[k + j]) & mask;
-            m[k] ^= t << j;
-            m[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
+        prefetch_word(slab, row * stride + 8);
     }
 }
 
@@ -968,7 +393,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape.bits == 0` or `shape.hashes == 0`.
+    /// Panics where [`with_capacity`](SharedShapeArray::with_capacity) does.
     #[must_use]
     pub fn new(shape: FilterShape) -> Self {
         Self::with_capacity(shape, 64)
@@ -978,11 +403,17 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     ///
     /// # Panics
     ///
-    /// Panics if `shape.bits == 0` or `shape.hashes == 0`.
+    /// Panics if `shape.bits == 0`, `shape.hashes == 0`, or `shape.bits`
+    /// does not fit in a `u32` (probe rows travel as `u32`s; see
+    /// [`ProbeBatch::derive_rows_into`]).
     #[must_use]
     pub fn with_capacity(shape: FilterShape, capacity: usize) -> Self {
         assert!(shape.bits > 0, "filters must have at least one bit");
         assert!(shape.hashes > 0, "filters must use at least one hash");
+        assert!(
+            u32::try_from(shape.bits).is_ok(),
+            "filter wider than u32 rows"
+        );
         let stride = capacity.max(1).div_ceil(64);
         let slab = vec![0; shape.bits * stride];
         advise_hugepages(&slab);
@@ -996,75 +427,6 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
             index: HashMap::new(),
             items: Vec::new(),
         }
-    }
-
-    /// Builds an array from same-shape `(id, filter)` pairs.
-    ///
-    /// Bulk loads (restart recovery, mass replica installs) go through a
-    /// **64×64 block bit-matrix transpose** instead of the slot-at-a-time
-    /// bit scatter of [`push_filter`](SharedShapeArray::push_filter): each
-    /// block of up to 64 filters contributes one source word per 64
-    /// bit-rows, the 64×64 block is transposed in registers
-    /// (`O(64 log 64)` word ops), and whole slab words are written at
-    /// once — ~64× fewer memory touches than scattering each set bit
-    /// individually. The result is bit-identical to pushing the filters
-    /// one by one (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BloomError::IncompatibleFilters`] on a shape mismatch and
-    /// [`BloomError::DuplicateId`] on a repeated id.
-    pub fn from_filters<T>(iter: T) -> Result<Self, BloomError>
-    where
-        T: IntoIterator<Item = (I, BloomFilter)>,
-    {
-        let filters: Vec<(I, BloomFilter)> = iter.into_iter().collect();
-        let Some((_, first)) = filters.first() else {
-            // No filters means no shape to adopt; an arbitrary non-empty
-            // shape keeps the array usable (every query answers `None`).
-            return Ok(Self::new(FilterShape {
-                bits: 64,
-                hashes: 1,
-                seed: 0,
-            }));
-        };
-        let shape = first.shape();
-        let mut array = Self::with_capacity(shape, filters.len());
-        for (id, filter) in &filters {
-            array.check_shape(filter)?;
-            let slot = array.allocate_slot(*id)?;
-            debug_assert_eq!(slot + 1, array.slots.len(), "fresh slots are dense");
-            array.items[slot] = filter.item_count();
-        }
-        // Slots were allocated densely (0, 1, 2, …), so the filters of
-        // block `w` occupy exactly slab-word column `w`: transpose each
-        // 64-filter × 64-bit-row block straight into its column words.
-        let words_per_filter = shape.bits.div_ceil(64);
-        let stride = array.stride;
-        for (column, chunk) in filters.chunks(64).enumerate() {
-            for w in 0..words_per_filter {
-                let mut block = [0u64; 64];
-                let mut nonzero = 0u64;
-                for (j, (_, filter)) in chunk.iter().enumerate() {
-                    let word = filter.words()[w];
-                    block[j] = word;
-                    nonzero |= word;
-                }
-                if nonzero == 0 {
-                    continue;
-                }
-                transpose_64x64(&mut block);
-                let base_row = w * 64;
-                let top = 64.min(shape.bits - base_row);
-                for (bit, &word) in block.iter().enumerate().take(top) {
-                    if word != 0 {
-                        // Fresh zeroed slab: plain assignment suffices.
-                        array.slab[(base_row + bit) * stride + column] = word;
-                    }
-                }
-            }
-        }
-        Ok(array)
     }
 
     /// The shape shared by every slot.
@@ -1343,7 +705,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     /// AND-reduction, regardless of how many filters the array holds.
     #[must_use]
     pub fn query_fp(&self, fp: &Fingerprint) -> Hit<I> {
-        self.reduce(fp, &self.live)
+        self.classify(&self.and_fp(fp))
     }
 
     /// Masked hash-once probe: only slots in `mask` are candidates.
@@ -1353,12 +715,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     /// mask would silently exclude every slot beyond the old capacity).
     #[must_use]
     pub fn query_fp_masked(&self, fp: &Fingerprint, mask: &SlotMask) -> Hit<I> {
-        assert_eq!(
-            mask.words.len(),
-            self.stride,
-            "SlotMask predates a capacity growth; rebuild it"
-        );
-        self.reduce(fp, &mask.words)
+        self.classify_under(&mut self.and_fp(fp), mask)
     }
 
     /// Convenience: probe only the slots of `ids` (builds a transient mask).
@@ -1367,31 +724,20 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         self.query_fp_masked(fp, &mask)
     }
 
-    /// Resolves a whole [`ProbeBatch`] in one pipelined slab pass,
-    /// returning one [`Hit`] per queued fingerprint, in push order.
+    /// Resolves a whole [`ProbeBatch`], returning one [`Hit`] per queued
+    /// fingerprint, in push order.
     ///
     /// Answers are **bit-identical** to calling [`query_fp`] /
     /// [`query_fp_masked`] once per fingerprint (the property tests assert
-    /// it); only the work schedule differs, in ways a lone query cannot
-    /// match:
-    ///
-    /// * **Step-major interleaving** — probe step `j` runs for *every*
-    ///   fingerprint before step `j+1`: the B row loads of one step are
-    ///   independent, so their cache/TLB misses overlap B-wide, where a
-    ///   single query's serial walk overlaps only as far as the
-    ///   out-of-order window reaches. The next step's rows are derived and
-    ///   software-prefetched while the current step's AND-reductions run.
-    /// * **SIMD reduction** — rows are ANDed through the 4-wide chunked
-    ///   path: AVX2 at compile time under `-C target-feature=+avx2`, or a
-    ///   runtime-dispatched AVX2 clone of the whole pass when only the CPU
-    ///   supports it, with stride-specialized (bounds-check-free, fully
-    ///   unrolled) kernels for the common power-of-two strides.
-    /// * **Shared-modulus fastmod** — all `B × k` probe-index reductions
-    ///   use one precomputed `FastMod` magic instead of hardware
-    ///   division, keeping the divider off the critical path.
-    /// * **Amortized scratch** — masks, cursors, and liveness live in the
-    ///   batch and are reused across calls; a reused batch allocates only
-    ///   the result vector.
+    /// it). The work is the cluster's pinned walk's, primitive for
+    /// primitive: every probe row derived up front
+    /// ([`ProbeBatch::derive_rows_into`]), the rows of the item two ahead
+    /// prefetched ([`prefetch_rows`](SharedShapeArray::prefetch_rows)),
+    /// one unmasked row-AND per item
+    /// ([`and_rows`](SharedShapeArray::and_rows)), and the survivors read
+    /// under the item's own mask — so timing this times the production
+    /// kernel. The batch's scratch is reused across calls; only the result
+    /// vector is allocated.
     ///
     /// [`query_fp`]: SharedShapeArray::query_fp
     /// [`query_fp_masked`]: SharedShapeArray::query_fp_masked
@@ -1403,215 +749,27 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     /// [`query_fp_masked`](SharedShapeArray::query_fp_masked)).
     #[must_use]
     pub fn query_batch(&self, batch: &mut ProbeBatch) -> Vec<Hit<I>> {
-        let b = batch.len();
-        if b == 0 {
-            return Vec::new();
-        }
-        let stride = self.stride;
-        let k = self.shape.hashes as usize;
         let ProbeBatch {
             fps,
-            masks: query_masks,
-            scratch,
-        } = batch;
-        let BatchScratch {
-            mask_words,
-            h1,
-            h2,
+            masks,
             rows,
-            verdicts,
-            order,
-            rep,
-            sel,
-            pos,
-            mixed,
-            fanout,
-            classified,
-        } = scratch;
-        // ---- Within-batch duplicate dedup (flash crowds). ----
-        // Queries with the same fingerprint reduce the same `k` rows, so
-        // the row-AND runs once per **unique fingerprint** and the result
-        // fans out — even when the duplicates carry *different* candidate
-        // masks (the same hot path entering through different servers).
-        // Equal-mask duplicates share the representative's verdict
-        // outright; a group with differing masks runs the representative
-        // unmasked (live slots) and applies each duplicate's mask to the
-        // surviving words at classification, which is bit-identical
-        // because the AND-reduction is monotone:
-        // `(mask ∧ live) ∧ rows == mask ∧ (live ∧ rows)`.
-        // Detection is a sorted scan over the fingerprint lanes: an
-        // all-distinct batch (the common case) pays one small sort and no
-        // mask comparisons.
-        rep.clear();
-        rep.extend(0..b as u32);
-        mixed.clear();
-        mixed.resize(b, false);
-        let mut dups = 0usize;
-        if b > 1 {
-            order.clear();
-            order.extend(0..b as u32);
-            order.sort_unstable_by_key(|&i| (fps[i as usize].lanes(), i));
-            let mut start = 0usize;
-            while start < b {
-                let lanes = fps[order[start] as usize].lanes();
-                let mut end = start + 1;
-                while end < b && fps[order[end] as usize].lanes() == lanes {
-                    end += 1;
-                }
-                // The earliest query of the group (order is sorted by
-                // (lanes, i)) represents every later duplicate.
-                let r = order[start] as usize;
-                let mut group_mixed = false;
-                for &oj in &order[start + 1..end] {
-                    let j = oj as usize;
-                    group_mixed |= query_masks[r] != query_masks[j];
-                    rep[j] = r as u32;
-                    dups += 1;
-                }
-                mixed[r] = group_mixed;
-                start = end;
+            anded,
+        } = batch;
+        derive_rows(fps, self.shape, rows);
+        let k = self.shape.hashes as usize;
+        let mut hits = Vec::with_capacity(masks.len());
+        for (at, mask) in masks.iter().enumerate() {
+            if let Some(ahead) = rows.get((at + 2) * k..(at + 3) * k) {
+                self.prefetch_rows(ahead);
             }
+            let item = &rows[at * k..(at + 1) * k];
+            self.and_rows(item.iter().map(|&row| row as usize), anded);
+            hits.push(match mask {
+                Some(mask) => self.classify_under(anded, mask),
+                None => self.classify(anded),
+            });
         }
-        sel.clear();
-        pos.clear();
-        pos.resize(b, 0);
-        for i in 0..b {
-            if rep[i] == i as u32 {
-                pos[i] = sel.len() as u32;
-                sel.push(i as u32);
-            }
-        }
-        let uniq = sel.len();
-        debug_assert_eq!(uniq + dups, b);
-
-        // Per-representative candidate masks, flattened: representative
-        // `q` owns words [q * stride, (q + 1) * stride). Every word is
-        // overwritten below, so a stale scratch buffer is safe to reuse.
-        mask_words.resize(uniq * stride, 0);
-        let masks = &mut mask_words[..uniq * stride];
-        for (chunk, &i) in masks.chunks_exact_mut(stride).zip(sel.iter()) {
-            match &query_masks[i as usize] {
-                // A mixed-group representative probes every live slot;
-                // its own mask (with its duplicates') applies at
-                // classification below.
-                Some(mask) if !mixed[i as usize] => {
-                    assert_eq!(
-                        mask.words.len(),
-                        stride,
-                        "SlotMask predates a capacity growth; rebuild it"
-                    );
-                    for ((dst, cand), live) in chunk.iter_mut().zip(&mask.words).zip(&self.live) {
-                        *dst = cand & live;
-                    }
-                }
-                _ => chunk.copy_from_slice(&self.live),
-            }
-        }
-        // Each representative's probe cursor: the `(h1, h2)` double-
-        // hashing pair, advanced step by step inside the pass
-        // (bit-identical to [`crate::hash::ProbeIndices`] by construction;
-        // the property tests pin the equivalence).
-        let fm = FastMod::new(self.shape.bits as u64);
-        h1.clear();
-        h2.clear();
-        for &i in sel.iter() {
-            let (a, bb) = fps[i as usize].pair(self.shape.seed);
-            h1.push(a);
-            h2.push(bb);
-        }
-
-        let hits: Vec<Hit<I>> = if stride == 1 {
-            // Single-word masks (≤ 64 slots): each query's whole state
-            // fits in registers and the sequential walk is already near
-            // optimal, so the batch win is the shared fastmod derivation
-            // and the amortized scratch — walk each fingerprint to
-            // completion with everything register-resident.
-            for q in 0..uniq {
-                let mut cursor = h1[q];
-                let step = h2[q];
-                let mut mask = masks[q];
-                for _ in 0..k {
-                    if mask == 0 {
-                        break;
-                    }
-                    let row = fm.rem(cursor) as usize;
-                    cursor = cursor.wrapping_add(step);
-                    mask &= self.slab[row];
-                }
-                masks[q] = mask;
-            }
-            masks.chunks_exact(1).map(|m| self.classify(m)).collect()
-        } else {
-            verdicts.clear();
-            verdicts.resize(uniq, u64::MAX);
-            run_batch_pass(&self.slab, stride, fm, k, h1, h2, rows, masks, verdicts);
-            masks
-                .chunks_exact(stride)
-                .zip(verdicts.iter())
-                .map(|(mask, &verdict)| {
-                    if verdict == u64::MAX {
-                        return self.classify(mask);
-                    }
-                    match verdict >> 32 {
-                        0 => Hit::None,
-                        1 => {
-                            let slot = (verdict & 0xFFFF_FFFF) as usize;
-                            Hit::Unique(self.slots[slot].expect("live slot has an id"))
-                        }
-                        _ => self.classify(mask),
-                    }
-                })
-                .collect()
-        };
-        if dups == 0 {
-            return hits;
-        }
-        // Fan each representative's verdict out to its duplicates. For a
-        // mixed-mask group the stored surviving words are the *unmasked*
-        // reduction, so each duplicate's candidate mask ANDs in here —
-        // one `stride`-word pass per **distinct** mask instead of a full
-        // `k × stride` row walk each: duplicates repeating a mask the
-        // group already classified (the flash-crowd shape: many repeats
-        // under few masks) reuse the memoized verdict, preserving the
-        // old per-`(fingerprint, mask)` amortization.
-        let masks: &[u64] = masks;
-        classified.clear();
-        let mut out: Vec<Hit<I>> = Vec::with_capacity(b);
-        for i in 0..b {
-            let r = rep[i] as usize;
-            let p = pos[r] as usize;
-            let hit = if !mixed[r] {
-                hits[p].clone()
-            } else {
-                match &query_masks[i] {
-                    None => hits[p].clone(),
-                    Some(mask) => {
-                        assert_eq!(
-                            mask.words.len(),
-                            stride,
-                            "SlotMask predates a capacity growth; rebuild it"
-                        );
-                        let memo = classified.iter().find(|&&(cr, ci)| {
-                            cr == rep[i] && query_masks[ci as usize] == query_masks[i]
-                        });
-                        match memo {
-                            // `ci < i`, so its verdict is already in `out`.
-                            Some(&(_, ci)) => out[ci as usize].clone(),
-                            None => {
-                                let survivors = &masks[p * stride..(p + 1) * stride];
-                                fanout.clear();
-                                fanout
-                                    .extend(survivors.iter().zip(&mask.words).map(|(s, m)| s & m));
-                                classified.push((rep[i], i as u32));
-                                self.classify(fanout)
-                            }
-                        }
-                    }
-                }
-            };
-            out.push(hit);
-        }
-        out
+        hits
     }
 
     /// Hints the cache at the probe rows of an upcoming
@@ -1623,7 +781,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     pub fn prefetch_rows(&self, rows: &[u32]) {
         for &row in rows {
             if (row as usize) < self.shape.bits {
-                prefetch_row(&self.slab, self.stride, row as usize, PrefetchHint::Near);
+                prefetch_row(&self.slab, self.stride, row as usize);
             }
         }
     }
@@ -1687,16 +845,27 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         (positives, unique)
     }
 
-    fn reduce(&self, fp: &Fingerprint, candidates: &[u64]) -> Hit<I> {
-        let mut mask = Vec::with_capacity(self.stride);
+    /// [`and_rows`](SharedShapeArray::and_rows) over `fp`'s own
+    /// (division-derived) probe sequence.
+    fn and_fp(&self, fp: &Fingerprint) -> Vec<u64> {
+        let mut anded = Vec::with_capacity(self.stride);
         let rows = fp.probes(self.shape.seed, self.shape.bits, self.shape.hashes);
-        if !self.and_rows(rows, &mut mask) {
-            return Hit::None;
+        self.and_rows(rows, &mut anded);
+        anded
+    }
+
+    /// Narrows an [`and_rows`](SharedShapeArray::and_rows) result to the
+    /// candidates of `mask` in place and classifies what is left.
+    fn classify_under(&self, anded: &mut [u64], mask: &SlotMask) -> Hit<I> {
+        assert_eq!(
+            mask.words.len(),
+            self.stride,
+            "SlotMask predates a capacity growth; rebuild it"
+        );
+        for (word, candidates) in anded.iter_mut().zip(&mask.words) {
+            *word &= candidates;
         }
-        for (m, c) in mask.iter_mut().zip(candidates) {
-            *m &= c;
-        }
-        self.classify(&mask)
+        self.classify(anded)
     }
 
     fn classify(&self, mask: &[u64]) -> Hit<I> {
@@ -1810,6 +979,14 @@ mod tests {
             assert_eq!(array.query(item), Hit::Unique(7));
         }
         assert_eq!(array.extract(7).unwrap(), filter);
+        // A column past the first word of slots (after a growth), too.
+        for id in 100u16..170 {
+            array.push(id).unwrap();
+        }
+        array.push_filter(8u16, &filter).unwrap();
+        assert_eq!(array.query("y"), Hit::Multiple(vec![7, 8]));
+        assert_eq!(array.extract(8).unwrap(), filter);
+        assert_eq!(array.extract(7).unwrap(), filter);
     }
 
     #[test]
@@ -1866,117 +1043,16 @@ mod tests {
         assert_eq!(array.query_fp_masked(&fp, &mask), Hit::Unique(2));
     }
 
+    /// Duplicates under differing masks each get their own mask's answer:
+    /// the batch merges nothing, whatever repeats in it.
     #[test]
-    fn transpose_64x64_is_a_transpose() {
-        // Identity stays identity.
-        let mut ident = [0u64; 64];
-        for (i, w) in ident.iter_mut().enumerate() {
-            *w = 1 << i;
-        }
-        let mut m = ident;
-        transpose_64x64(&mut m);
-        assert_eq!(m, ident);
-        // A single off-diagonal bit moves to its mirrored position:
-        // M[3][17] -> M[17][3].
-        let mut m = [0u64; 64];
-        m[3] = 1 << 17;
-        transpose_64x64(&mut m);
-        let mut expected = [0u64; 64];
-        expected[17] = 1 << 3;
-        assert_eq!(m, expected);
-        // Involution on a pseudo-random matrix.
-        let mut m = [0u64; 64];
-        let mut x = 0x12345u64;
-        for w in m.iter_mut() {
-            x = crate::hash::splitmix64(x);
-            *w = x;
-        }
-        let original = m;
-        transpose_64x64(&mut m);
-        assert_ne!(m, original);
-        transpose_64x64(&mut m);
-        assert_eq!(m, original);
-    }
-
-    /// The fused-classify kernel (the body behind the AVX512VPOPCNTDQ
-    /// dispatch tier) must be bit-identical to the split kernel — same
-    /// derived rows, same finished masks, same packed verdicts — at
-    /// every stride the dispatcher can route to it, including the
-    /// `k == 1` peel boundary and all-zero starting masks.
-    #[test]
-    fn fused_classify_kernel_matches_split_kernel() {
-        fn lcg(state: &mut u64) -> u64 {
-            *state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *state
-        }
-        fn check<const S: usize>(k: usize) {
-            let row_count = 97usize;
-            let mut seed = 0x5EED ^ (S as u64) << 8 ^ k as u64;
-            let slab: Vec<u64> = (0..row_count * S).map(|_| lcg(&mut seed)).collect();
-            let fm = FastMod::new(row_count as u64);
-            let b = 33usize;
-            let h1: Vec<u64> = (0..b).map(|_| lcg(&mut seed)).collect();
-            let h2: Vec<u64> = (0..b).map(|_| lcg(&mut seed) | 1).collect();
-            // Starting masks across the interesting shapes: all-ones
-            // (the untargeted query), sparse (subset masks), all-zero.
-            let base_masks: Vec<u64> = (0..b * S)
-                .map(|i| match (i / S) % 3 {
-                    0 => u64::MAX,
-                    1 => lcg(&mut seed) & lcg(&mut seed),
-                    _ => 0,
-                })
-                .collect();
-            let (mut rows_a, mut rows_b) = (Vec::new(), Vec::new());
-            let mut masks_a = base_masks.clone();
-            let mut masks_b = base_masks;
-            let mut verdicts_a = vec![0u64; b];
-            let mut verdicts_b = vec![0u64; b];
-            batch_pass_body::<S>(
-                &slab,
-                S,
-                fm,
-                k,
-                &h1,
-                &h2,
-                &mut rows_a,
-                &mut masks_a,
-                &mut verdicts_a,
-            );
-            batch_pass_classify_body::<S>(
-                &slab,
-                fm,
-                k,
-                &h1,
-                &h2,
-                &mut rows_b,
-                &mut masks_b,
-                &mut verdicts_b,
-            );
-            assert_eq!(rows_a, rows_b, "derived rows diverged at stride {S}");
-            assert_eq!(masks_a, masks_b, "masks diverged at stride {S}, k {k}");
-            assert_eq!(
-                verdicts_a, verdicts_b,
-                "verdicts diverged at stride {S}, k {k}"
-            );
-        }
-        for k in [1, 2, 5, 8] {
-            check::<8>(k);
-            check::<16>(k);
-            check::<32>(k);
-        }
-    }
-
-    #[test]
-    fn query_batch_dedups_duplicate_fingerprints() {
+    fn query_batch_answers_duplicates_under_their_own_masks() {
         let array = array_with(&[(1, &["hot", "x"]), (2, &["cold"]), (3, &["hot"])]);
         let hot = Fingerprint::of("hot");
         let cold = Fingerprint::of("cold");
         let mut batch = ProbeBatch::new();
-        // Duplicates with equal masks (share the verdict), differing
-        // masks (share one row-AND, masks applied at classification),
-        // plus distinct fingerprints.
+        // One fingerprint unmasked twice, under one mask twice and under
+        // another mask, with a distinct fingerprint in between.
         batch.push(hot);
         batch.push(cold);
         batch.push(hot);
@@ -1995,19 +1071,6 @@ mod tests {
                 Hit::Unique(3),
             ]
         );
-    }
-
-    #[test]
-    fn from_filters_builds_matching_array() {
-        let mut a = BloomFilter::new(4096, 5, 11);
-        a.insert("a");
-        let mut b = BloomFilter::new(4096, 5, 11);
-        b.insert("b");
-        let array = SharedShapeArray::from_filters([(1u16, a), (2u16, b)]).unwrap();
-        assert_eq!(array.query("a"), Hit::Unique(1));
-        assert_eq!(array.query("b"), Hit::Unique(2));
-        let empty = SharedShapeArray::<u16>::from_filters([]).unwrap();
-        assert_eq!(empty.query("anything"), Hit::None);
     }
 
     #[test]
@@ -2153,150 +1216,17 @@ mod tests {
         let _ = array.query_batch(&mut batch);
     }
 
+    /// Probe rows travel as `u32`s, so a wider filter is refused where the
+    /// slab is built (before its allocation), not on the first lookup.
     #[test]
-    #[ignore = "manual profiling aid"]
-    fn profile_batch_kernel() {
-        use std::time::Instant;
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "filter wider than u32 rows")]
+    fn shape_wider_than_u32_rows_is_refused_at_construction() {
         let shape = FilterShape {
-            bits: 320_000,
-            hashes: 11,
-            seed: 9,
+            bits: u32::MAX as usize + 1,
+            ..shape()
         };
-        let n: u16 = 1024;
-        let items: u64 = 20_000;
-        let mut array = SharedShapeArray::new(shape);
-        for id in 0..n {
-            array.push(id).unwrap();
-            for i in 0..items {
-                array.insert_fp(id, &Fingerprint::of(&(id, i))).unwrap();
-            }
-        }
-        let fps: Vec<Fingerprint> = (0..512u64)
-            .map(|i| Fingerprint::of(&((i % u64::from(n)) as u16, i % items)))
-            .collect();
-        let reps = 20_000usize;
-        let b = 16usize;
-        let stride = array.stride;
-        let k = shape.hashes as usize;
-
-        let mut sink = 0usize;
-        let t = Instant::now();
-        for r in 0..reps {
-            for j in 0..b {
-                sink += array
-                    .query_fp(&fps[(r * b + j) % fps.len()])
-                    .candidates()
-                    .len();
-            }
-        }
-        println!(
-            "sequential      {:8.1} ns/lookup",
-            t.elapsed().as_nanos() as f64 / (reps * b) as f64
-        );
-
-        let t = Instant::now();
-        let mut batch = ProbeBatch::with_capacity(b);
-        for r in 0..reps {
-            batch.clear();
-            for j in 0..b {
-                batch.push(fps[(r * b + j) % fps.len()]);
-            }
-            sink += array
-                .query_batch(&mut batch)
-                .iter()
-                .map(|h| h.candidates().len())
-                .sum::<usize>();
-        }
-        println!(
-            "query_batch     {:8.1} ns/lookup",
-            t.elapsed().as_nanos() as f64 / (reps * b) as f64
-        );
-
-        // Kernel only: reused buffers, cursors rederived, no classify.
-        let mut masks = vec![0u64; b * stride];
-        let mut h1 = vec![0u64; b];
-        let mut h2 = vec![0u64; b];
-        let mut rows: Vec<u32> = Vec::new();
-        let mut verdicts = vec![u64::MAX; b];
-        let fm = FastMod::new(shape.bits as u64);
-        let t = Instant::now();
-        for r in 0..reps {
-            for chunk in masks.chunks_exact_mut(stride) {
-                chunk.copy_from_slice(&array.live);
-            }
-            for j in 0..b {
-                let (a, bb) = fps[(r * b + j) % fps.len()].pair(shape.seed);
-                h1[j] = a;
-                h2[j] = bb;
-            }
-            run_batch_pass(
-                &array.slab,
-                stride,
-                fm,
-                k,
-                &h1,
-                &h2,
-                &mut rows,
-                &mut masks,
-                &mut verdicts,
-            );
-            sink += masks[0] as usize & 1;
-        }
-        println!(
-            "kernel+derive   {:8.1} ns/lookup",
-            t.elapsed().as_nanos() as f64 / (reps * b) as f64
-        );
-
-        // Portable body, no AVX2 dispatch.
-        let t = Instant::now();
-        for r in 0..reps {
-            for chunk in masks.chunks_exact_mut(stride) {
-                chunk.copy_from_slice(&array.live);
-            }
-            for j in 0..b {
-                let (a, bb) = fps[(r * b + j) % fps.len()].pair(shape.seed);
-                h1[j] = a;
-                h2[j] = bb;
-            }
-            batch_pass_body::<16>(
-                &array.slab,
-                stride,
-                fm,
-                k,
-                &h1,
-                &h2,
-                &mut rows,
-                &mut masks,
-                &mut verdicts,
-            );
-            sink += masks[0] as usize & 1;
-        }
-        println!(
-            "kernel portable {:8.1} ns/lookup",
-            t.elapsed().as_nanos() as f64 / (reps * b) as f64
-        );
-
-        // Alloc + classify overheads.
-        let t = Instant::now();
-        for _ in 0..reps {
-            let m = vec![0u64; b * stride];
-            sink += m[0] as usize;
-        }
-        println!(
-            "masks alloc     {:8.1} ns/lookup",
-            t.elapsed().as_nanos() as f64 / (reps * b) as f64
-        );
-        let t = Instant::now();
-        for _ in 0..reps {
-            for chunk in masks.chunks_exact(stride) {
-                sink += array.classify(chunk).candidates().len();
-            }
-        }
-        println!(
-            "classify        {:8.1} ns/lookup",
-            t.elapsed().as_nanos() as f64 / (reps * b) as f64
-        );
-        assert!(sink > 0);
+        let _ = SharedShapeArray::<u16>::with_capacity(shape, 64);
     }
 
     #[test]
@@ -2310,7 +1240,7 @@ mod tests {
     }
 
     /// The read-sharing seam end to end: N threads probe one slab
-    /// concurrently, each with its own `ProbeBatch` scratch arena, and
+    /// concurrently, each with its own `ProbeBatch`, and
     /// every thread's batched answers equal the sequential reference.
     #[test]
     fn concurrent_query_batches_match_sequential() {
