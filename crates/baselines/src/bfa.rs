@@ -45,13 +45,6 @@ impl BfaCluster {
     pub fn inner_mut(&mut self) -> &mut HbaCluster {
         &mut self.inner
     }
-
-    /// Access to the underlying cluster (`lookup_concurrent`, the
-    /// retire/restore handle, per-server accounting).
-    #[must_use]
-    pub fn inner(&self) -> &HbaCluster {
-        &self.inner
-    }
 }
 
 impl ghba_core::MetadataService for BfaCluster {

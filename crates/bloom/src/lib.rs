@@ -15,8 +15,8 @@
 //!   word-row loads plus an AND-reduction instead of N filter walks;
 //! * [`Fingerprint`] ([`hash`]) — hash-once digests: one pass over the item
 //!   bytes derives every filter's probe stream by O(1) seed-mixing;
-//! * [`LruBloomArray`] and [`GenerationalLruArray`] — the L1 "hot data"
-//!   structures capturing temporal locality;
+//! * [`LruBloomArray`] — the L1 "hot data" structure capturing temporal
+//!   locality;
 //! * [`ops`] — filter set algebra (union / intersection / XOR) and the
 //!   sparse [`FilterDelta`] used by the replica-update protocol;
 //! * [`analysis`] — closed-form false-rate formulas, including the paper's
@@ -61,6 +61,6 @@ pub use counting::CountingBloomFilter;
 pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;
 pub use hash::Fingerprint;
-pub use lru::{GenerationalLruArray, LruBloomArray};
+pub use lru::LruBloomArray;
 pub use ops::FilterDelta;
 pub use shared::{ProbeBatch, SharedShapeArray, SlotMask};

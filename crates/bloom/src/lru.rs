@@ -1,26 +1,19 @@
-//! The L1 structure: LRU Bloom filter arrays capturing temporal locality.
+//! The L1 structure: an LRU Bloom filter array capturing temporal locality.
 //!
 //! §2.1 of the paper: *"each MDS is designed to maintain 'hot data', i.e.,
 //! home MDS information for recently accessed files, that are stored in an
-//! LRU Bloom filter array."* Plain Bloom filters cannot evict, so this module
-//! offers two constructions:
-//!
-//! * [`LruBloomArray`] — **exact LRU** (the default, as in the HBA journal
-//!   version): an explicit recency queue over 128-bit file fingerprints
-//!   drives evictions, and per-home *counting* filters answer the actual
-//!   probabilistic query. The queue is bookkeeping only — queries never read
-//!   it, so L1 keeps the paper's false-positive behaviour.
-//! * [`GenerationalLruArray`] — **approximate LRU** via double buffering:
-//!   two plain-filter generations per home, rotated when the active one
-//!   fills. Cheaper (no queue, no counters) but coarser eviction; shipped as
-//!   the ablation variant exercised in `benches/ablation_lru.rs`.
+//! LRU Bloom filter array."* Plain Bloom filters cannot evict, so
+//! [`LruBloomArray`] is an **exact LRU** (as in the HBA journal version):
+//! an explicit recency queue over 128-bit file fingerprints drives
+//! evictions, and per-home *counting* filters answer the actual
+//! probabilistic query. The queue is bookkeeping only — queries never read
+//! it, so L1 keeps the paper's false-positive behaviour.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
 use crate::array::Hit;
 use crate::counting::CountingBloomFilter;
-use crate::filter::BloomFilter;
 use crate::hash::Fingerprint;
 
 /// Exact-LRU Bloom filter array over recently accessed `(file, home)` pairs.
@@ -257,117 +250,6 @@ impl<I: Copy + Eq> LruBloomArray<I> {
     }
 }
 
-/// Approximate-LRU variant: two plain-filter generations per home.
-///
-/// Inserts go to the *current* generation; once it has absorbed
-/// `generation_capacity` records, the *previous* generation is dropped and
-/// the current one takes its place. Queries consult both generations, so an
-/// item survives between one and two generation lifetimes — classic
-/// double-buffered aging.
-#[derive(Debug, Clone)]
-pub struct GenerationalLruArray<I> {
-    generation_capacity: usize,
-    filter_bits: usize,
-    filter_hashes: u32,
-    seed: u64,
-    current: Vec<(I, BloomFilter)>,
-    previous: Vec<(I, BloomFilter)>,
-    current_count: usize,
-    rotations: u64,
-}
-
-impl<I: Copy + Eq> GenerationalLruArray<I> {
-    /// Creates a generational array that rotates after
-    /// `generation_capacity` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is zero.
-    #[must_use]
-    pub fn new(
-        generation_capacity: usize,
-        filter_bits: usize,
-        filter_hashes: u32,
-        seed: u64,
-    ) -> Self {
-        assert!(generation_capacity > 0, "capacity must be positive");
-        assert!(filter_bits > 0, "filters must have at least one bit");
-        assert!(filter_hashes > 0, "filters must use at least one hash");
-        GenerationalLruArray {
-            generation_capacity,
-            filter_bits,
-            filter_hashes,
-            seed,
-            current: Vec::new(),
-            previous: Vec::new(),
-            current_count: 0,
-            rotations: 0,
-        }
-    }
-
-    /// How many times the generations have rotated.
-    #[must_use]
-    pub fn rotations(&self) -> u64 {
-        self.rotations
-    }
-
-    fn current_filter_mut(&mut self, home: I) -> &mut BloomFilter {
-        if let Some(pos) = self.current.iter().position(|(id, _)| *id == home) {
-            return &mut self.current[pos].1;
-        }
-        self.current.push((
-            home,
-            BloomFilter::new(self.filter_bits, self.filter_hashes, self.seed),
-        ));
-        &mut self.current.last_mut().expect("just pushed").1
-    }
-
-    /// Records an access to `item` with home `home`, rotating generations
-    /// when the current one is full.
-    pub fn record<T: Hash + ?Sized>(&mut self, item: &T, home: I) {
-        self.current_filter_mut(home).insert(item);
-        self.current_count += 1;
-        if self.current_count >= self.generation_capacity {
-            self.previous = std::mem::take(&mut self.current);
-            self.current_count = 0;
-            self.rotations += 1;
-        }
-    }
-
-    /// Probes both generations and classifies positives (a home positive in
-    /// either generation counts once).
-    #[must_use]
-    pub fn query<T: Hash + ?Sized>(&self, item: &T) -> Hit<I> {
-        let mut positives: Vec<I> = Vec::new();
-        for (id, filter) in self.current.iter().chain(&self.previous) {
-            if filter.contains(item) && !positives.contains(id) {
-                positives.push(*id);
-            }
-        }
-        match positives.len() {
-            0 => Hit::None,
-            1 => Hit::Unique(positives[0]),
-            _ => Hit::Multiple(positives),
-        }
-    }
-
-    /// Forgets all filters for `home` in both generations.
-    pub fn purge_home(&mut self, home: I) {
-        self.current.retain(|(id, _)| *id != home);
-        self.previous.retain(|(id, _)| *id != home);
-    }
-
-    /// Total heap footprint of both generations in bytes.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.current
-            .iter()
-            .chain(&self.previous)
-            .map(|(_, f)| f.memory_bytes())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,34 +318,6 @@ mod tests {
         for i in 9_984..10_000u32 {
             assert!(lru.query(&i).is_unique(), "recent item {i} missing");
         }
-    }
-
-    #[test]
-    fn generational_rotation_ages_out_items() {
-        let mut lru = GenerationalLruArray::new(4, 2048, 4, 5);
-        for i in 0..4u32 {
-            lru.record(&i, 1u32);
-        }
-        assert_eq!(lru.rotations(), 1);
-        // Items are now in the previous generation: still visible.
-        assert_eq!(lru.query(&0u32), Hit::Unique(1));
-        for i in 4..8u32 {
-            lru.record(&i, 1u32);
-        }
-        assert_eq!(lru.rotations(), 2);
-        // First batch dropped with the second rotation.
-        assert_eq!(lru.query(&0u32), Hit::None);
-        assert_eq!(lru.query(&7u32), Hit::Unique(1));
-    }
-
-    #[test]
-    fn generational_purge_home() {
-        let mut lru = GenerationalLruArray::new(100, 2048, 4, 5);
-        lru.record("x", 1u32);
-        lru.record("y", 2u32);
-        lru.purge_home(1);
-        assert_eq!(lru.query("x"), Hit::None);
-        assert_eq!(lru.query("y"), Hit::Unique(2));
     }
 
     #[test]

@@ -801,9 +801,8 @@ impl GhbaCluster {
     /// other group's masks depend on, which is exactly the case the
     /// per-group invalidation keeps warm.
     ///
-    /// Public so churn workloads (the `par_exec` bench, operator-driven
-    /// re-balancing) can trigger the single-group reconfiguration path
-    /// directly.
+    /// Public so churn workloads and operator-driven re-balancing can
+    /// trigger the single-group reconfiguration path directly.
     ///
     /// # Panics
     ///

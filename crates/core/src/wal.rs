@@ -34,7 +34,17 @@
 //! * [`SyncPolicy::GroupCommit`] — appends are written to the OS
 //!   immediately but synced at most once per interval. A drained batch
 //!   survives process kill (SIGKILL included: the page cache outlives
-//!   the process); power loss may lose up to one interval of drains.
+//!   the process). Under power loss the bound is **not** one interval:
+//!   there is no timer, only a check when an append *arrives* — it
+//!   syncs if the interval has elapsed since the last sync — so a tail
+//!   appended inside the interval stays unsynced until the next append,
+//!   however long that takes. A `ghba-net` replica is bounded (to about
+//!   one interval plus one reconciler tick) only because every tick's
+//!   [`flush_all_updates`](GhbaCluster::flush_all_updates) appends a
+//!   flush record; an embedder whose appends stop has no bound short
+//!   of [`detach_wal`](GhbaCluster::detach_wal) + [`Wal::sync`].
+//!   Closing the gap belongs with the per-batch
+//!   `Ack::{Visible, Durable}` work (ROADMAP direction 5).
 //! * [`SyncPolicy::None`] — no explicit sync. Survives process kill;
 //!   power loss may lose everything since the last checkpoint install
 //!   (which always syncs).
@@ -123,7 +133,9 @@ const CKPT_TMP: &str = "checkpoint.tmp";
 pub enum SyncPolicy {
     /// `fdatasync` after every appended record.
     EveryBatch,
-    /// Sync at most once per interval (group commit).
+    /// Sync when an append arrives at least one interval after the last
+    /// sync (group commit). Append-driven, not timer-driven: the tail
+    /// appended inside an interval stays unsynced until the next append.
     GroupCommit(Duration),
     /// Never sync explicitly; the OS flushes on its own schedule.
     None,

@@ -3,9 +3,9 @@
 //!
 //! This is real TCP end to end (real frames, real accept loops, real
 //! thread-per-connection replicas), just without process boundaries —
-//! the configuration the end-to-end tests and the `net_throughput`
-//! bench run, and a deterministic twin of the multi-process deployment
-//! the binaries provide.
+//! the configuration the end-to-end tests and `ghba-benchmark`'s
+//! `net_mixed` workload run, and a deterministic twin of the
+//! multi-process deployment the binaries provide.
 //!
 //! [`LoopbackNet::ground_truth`] builds the in-process
 //! [`Federation`] with the *same* base config, replica count, and

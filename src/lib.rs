@@ -6,7 +6,7 @@
 //! clusters of metadata servers, built on grouped Bloom filter arrays.
 //!
 //! This facade crate re-exports the whole workspace and adds the
-//! trace-replay driver used by the examples and benchmarks:
+//! trace-replay driver used by the examples and figure binaries:
 //!
 //! * [`bloom`] — Bloom filter toolkit (plain/counting filters, arrays,
 //!   LRU arrays, set algebra, false-rate analysis);
