@@ -165,23 +165,6 @@ impl CountingBloomFilter {
             .all(|idx| self.counters[idx] > 0)
     }
 
-    /// Membership test against precomputed probe rows, as derived for this
-    /// filter's [`shape`](CountingBloomFilter::shape) by
-    /// [`Fingerprint::probe_rows_into`] or
-    /// [`crate::ProbeBatch::derive_rows_into`]. Answers identically to
-    /// [`contains_fp`](CountingBloomFilter::contains_fp) for the same item
-    /// — the row derivation is shared across a whole batched sweep instead
-    /// of re-run per `(query, filter)` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics (via indexing) if a row is outside this filter's width,
-    /// i.e. the rows were derived for a different shape.
-    #[must_use]
-    pub fn contains_rows(&self, rows: &[u32]) -> bool {
-        rows.iter().all(|&idx| self.counters[idx as usize] > 0)
-    }
-
     /// Removes one occurrence of `item`, decrementing its counters.
     ///
     /// Saturated counters (255) are left untouched per the standard rule.
@@ -192,26 +175,44 @@ impl CountingBloomFilter {
     /// if some counter for `item` is already zero (the item was definitely
     /// never inserted, or was already removed).
     pub fn remove<T: Hash + ?Sized>(&mut self, item: &T) -> Result<(), BloomError> {
-        self.remove_fp(&Fingerprint::of(item))
+        self.remove_fp(&Fingerprint::of(item), None)
     }
 
-    /// Hash-once variant of [`remove`](CountingBloomFilter::remove).
+    /// Hash-once variant of [`remove`](CountingBloomFilter::remove) that
+    /// can keep a plain projection exact: given `plain` equal to
+    /// [`to_bloom_filter`](CountingBloomFilter::to_bloom_filter) before
+    /// the call, it clears the bit of every counter this removal takes to
+    /// zero (saturated counters stay set) and copies the item count, so
+    /// the equality holds after it — in O(k), not O(m).
     ///
     /// # Errors
     ///
     /// Returns [`BloomError::AbsentItem`] under the same conditions as
     /// [`remove`](CountingBloomFilter::remove).
-    pub fn remove_fp(&mut self, fp: &Fingerprint) -> Result<(), BloomError> {
+    pub fn remove_fp(
+        &mut self,
+        fp: &Fingerprint,
+        mut plain: Option<&mut BloomFilter>,
+    ) -> Result<(), BloomError> {
         if !self.contains_fp(fp) {
             return Err(BloomError::AbsentItem);
         }
+        debug_assert!(plain.as_ref().is_none_or(|p| p.shape() == self.shape()));
         for idx in fp.probes(self.seed, self.bits, self.hashes) {
             let c = &mut self.counters[idx];
             if *c != u8::MAX {
                 *c -= 1;
+                if *c == 0 {
+                    if let Some(plain) = plain.as_mut() {
+                        plain.words_mut()[idx / 64] &= !(1 << (idx % 64));
+                    }
+                }
             }
         }
         self.items = self.items.saturating_sub(1);
+        if let Some(plain) = plain {
+            plain.set_items(self.items);
+        }
         Ok(())
     }
 
@@ -240,8 +241,10 @@ impl CountingBloomFilter {
     }
 
     /// Collapses the counters into a plain [`BloomFilter`] with the same
-    /// shape (counter > 0 ⇒ bit set). Used when shipping a snapshot over the
-    /// network: replicas are plain filters, only the owner needs counters.
+    /// shape (counter > 0 ⇒ bit set): replicas are plain filters, only the
+    /// owner needs counters. O(m) — the reference projection tests compare
+    /// against; an owner keeps its own projection equal to it in O(k) per
+    /// mutation (`insert_fp` on both, [`remove_fp`](Self::remove_fp)).
     #[must_use]
     pub fn to_bloom_filter(&self) -> BloomFilter {
         let mut plain = BloomFilter::new(self.bits, self.hashes, self.seed);

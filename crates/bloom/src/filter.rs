@@ -187,9 +187,8 @@ impl BloomFilter {
     /// [`Fingerprint::probe_rows_into`] or
     /// [`crate::ProbeBatch::derive_rows_into`]. Answers identically to
     /// [`contains_fp`](BloomFilter::contains_fp) for the same item, and to
-    /// [`CountingBloomFilter::contains_rows`](crate::CountingBloomFilter::contains_rows)
-    /// on the counting filter this one projects — over an eighth of the
-    /// memory (one bit per row instead of one byte).
+    /// the counting filter this one projects — over an eighth of the memory
+    /// (one bit per row instead of one counter byte).
     ///
     /// # Panics
     ///

@@ -58,7 +58,9 @@ pub fn symmetric_difference(a: &BloomFilter, b: &BloomFilter) -> Result<BloomFil
 }
 
 /// A sparse, wire-friendly encoding of "how to turn filter `old` into
-/// filter `new`": the 64-bit words that changed, by index.
+/// filter `new`": the 64-bit words that changed, by index. Beside each it
+/// keeps `old ^ new`, so applying it visits only the bits that flipped; a
+/// receiver derives those from its own copy, so they are not wire payload.
 ///
 /// When a home MDS refreshes the replicas of its filter, shipping a
 /// `FilterDelta` instead of the whole filter shrinks update traffic in
@@ -81,7 +83,8 @@ pub fn symmetric_difference(a: &BloomFilter, b: &BloomFilter) -> Result<BloomFil
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterDelta {
     shape: crate::error::FilterShape,
-    changed: Vec<(u32, u64)>,
+    /// `(word index, new value, old ^ new)`.
+    changed: Vec<(u32, u64, u64)>,
     new_items: usize,
 }
 
@@ -104,7 +107,7 @@ impl FilterDelta {
             .zip(new.words())
             .enumerate()
             .filter(|(_, (o, n))| o != n)
-            .map(|(i, (_, n))| (i as u32, *n))
+            .map(|(i, (o, n))| (i as u32, *n, o ^ n))
             .collect();
         Ok(FilterDelta {
             shape: old.shape(),
@@ -150,11 +153,11 @@ impl FilterDelta {
         if self
             .changed
             .iter()
-            .any(|&(idx, _)| idx as usize >= word_count)
+            .any(|&(idx, ..)| idx as usize >= word_count)
         {
             return Err(BloomError::Corrupt("delta word index out of range"));
         }
-        for &(idx, word) in &self.changed {
+        for &(idx, word, _) in &self.changed {
             target.words_mut()[idx as usize] = word;
         }
         target.set_items(self.new_items);
@@ -167,13 +170,13 @@ impl FilterDelta {
         self.shape
     }
 
-    /// The changed 64-bit words as `(word index, new value)` pairs — the
-    /// sparse payload [`SharedShapeArray::apply_delta`] writes directly
-    /// into a slab column.
+    /// The changed 64-bit words as `(word index, new value, old ^ new)` —
+    /// the sparse payload [`SharedShapeArray::apply_delta`] writes directly
+    /// into a slab column, one cell per set bit of `old ^ new`.
     ///
     /// [`SharedShapeArray::apply_delta`]: crate::SharedShapeArray::apply_delta
     #[must_use]
-    pub fn changed_words(&self) -> &[(u32, u64)] {
+    pub fn changed_words(&self) -> &[(u32, u64, u64)] {
         &self.changed
     }
 

@@ -227,8 +227,8 @@ impl ProbeBatch {
     /// The rows serve the slab ([`SharedShapeArray::prefetch_rows`],
     /// [`SharedShapeArray::and_rows`]) and every *non-slab* filter of the
     /// same family alike: an L4 global sweep probes each server's live
-    /// counting filter with the rows the slab levels used
-    /// (`CountingBloomFilter::contains_rows`). Row `j` of fingerprint `q`
+    /// filter with the rows the slab levels used
+    /// ([`BloomFilter::contains_rows`]). Row `j` of fingerprint `q`
     /// lands at `out[q * k + j]`, identical to
     /// [`Fingerprint::probes`](Fingerprint::probes) for the same shape.
     ///
@@ -590,10 +590,11 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         }
     }
 
-    /// Applies a sparse [`FilterDelta`] directly to `id`'s column: only the
-    /// bit-rows of the delta's changed words are touched — `O(64 × changed
-    /// words)` — instead of the three full-column passes an
-    /// extract/apply/replace round trip would cost.
+    /// Applies a sparse [`FilterDelta`] directly to `id`'s column, which
+    /// must hold the delta's `old` side: only the cells of bits that
+    /// flipped are written — `O(popcount(old ^ new))`, ≤ `k` per create —
+    /// instead of the three full-column passes an extract/apply/replace
+    /// round trip would cost.
     ///
     /// # Errors
     ///
@@ -612,21 +613,26 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         if delta
             .changed_words()
             .iter()
-            .any(|&(idx, _)| idx as usize >= word_count)
+            .any(|&(idx, ..)| idx as usize >= word_count)
         {
             return Err(BloomError::Corrupt("delta word index out of range"));
         }
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-        for &(idx, new_word) in delta.changed_words() {
-            let base = idx as usize * 64;
-            let top = (base + 64).min(self.shape.bits);
-            for row in base..top {
+        for &(idx, new_word, flips) in delta.changed_words() {
+            let mut remaining = flips;
+            while remaining != 0 {
+                let at = remaining.trailing_zeros() as usize;
+                let row = idx as usize * 64 + at;
+                if row >= self.shape.bits {
+                    break; // padding of a ragged last word
+                }
                 let cell = &mut self.slab[row * self.stride + word];
-                if new_word >> (row - base) & 1 == 1 {
+                if new_word >> at & 1 == 1 {
                     *cell |= bit;
                 } else {
                     *cell &= !bit;
                 }
+                remaining &= remaining - 1;
             }
         }
         self.items[slot] = delta.new_items();

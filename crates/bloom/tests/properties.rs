@@ -80,6 +80,53 @@ proptest! {
         prop_assert_eq!(replica, new);
     }
 
+    /// Flip-sparse `apply_delta(between(old, new))` on a column holding
+    /// `old` equals `replace_filter(new)` bit for bit — at stride 1, 2 and
+    /// 4, with a ragged last word, on a slot that was removed and reused —
+    /// and leaves every other column alone. Flips are not wire payload,
+    /// and one create flips at most `k` cells.
+    #[test]
+    fn flip_sparse_delta_matches_replace(
+        base in arb_items(),
+        gone in 0usize..200,
+        extra in arb_items(),
+        columns in prop_oneof![Just(3u16), Just(70u16), Just(200u16)],
+    ) {
+        let shape = ghba_bloom::FilterShape { bits: 1000, hashes: 4, seed: 2 };
+        let filter_of = |items: &[String]| {
+            let mut f = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
+            for item in items { f.insert(item); }
+            f
+        };
+        let old = filter_of(&base);
+        let new = filter_of(&[&base[gone.min(base.len())..], &extra[..]].concat());
+        let mut sliced = SharedShapeArray::new(shape);
+        for id in 0..columns {
+            sliced.push_filter(id, if id % 2 == 0 { &old } else { &new }).unwrap();
+        }
+        sliced.remove(columns / 2);
+        sliced.push_filter(columns, &old).unwrap(); // reuses the freed slot
+        let mut expected = sliced.clone();
+        expected.replace_filter(columns, &new).unwrap();
+
+        let delta = FilterDelta::between(&old, &new).unwrap();
+        prop_assert_eq!(delta.wire_bytes(), 24 + 12 * delta.len());
+        sliced.apply_delta(columns, &delta).unwrap();
+        for id in 0..=columns {
+            prop_assert_eq!(sliced.extract(id), expected.extract(id), "column {}", id);
+        }
+
+        let mut one = old.clone();
+        one.insert("one more create");
+        let flips: u32 = FilterDelta::between(&old, &one)
+            .unwrap()
+            .changed_words()
+            .iter()
+            .map(|&(_, _, flips)| flips.count_ones())
+            .sum();
+        prop_assert!(flips <= shape.hashes);
+    }
+
     /// Counting filters: inserting then removing every item restores
     /// definite absence for items inserted exactly once, as long as no
     /// counter saturates.

@@ -25,9 +25,10 @@
 //!   pass and prefetches them two items ahead; the walk ANDs them over
 //!   the slab once ([`SharedShapeArray::and_rows`]), reads L2 and L3 as
 //!   that result under each level's mask, and probes every live filter
-//!   with them — through its one-bit-per-row projection while that is
-//!   exact ([`Mds::probe_live_rows`]), so the scattered reads of a walk
-//!   stay within a working set a shared cache is less likely to evict.
+//!   with them — through its one-bit-per-row projection, which every
+//!   mutation keeps exact ([`Mds::probe_live_rows`]), so the scattered
+//!   reads of a walk stay within a working set a shared cache is less
+//!   likely to evict.
 //! * **Tally.** The splice counts lookups per occurrence and mask
 //!   consults per walk into a plain `WalkTally`, folded into the atomic
 //!   recorders once per run: one RMW per non-zero word, none if the run
@@ -570,7 +571,7 @@ impl<T: Topology> Cluster<T> {
 
     fn remove_fp(&mut self, path: &str, fp: &Fingerprint) -> Option<MdsId> {
         self.maybe_drain();
-        let home = self.true_home(path)?;
+        let home = self.locate_home(path, fp)?;
         let mds = self.mdss.get_mut(&home).expect("home exists");
         mds.remove_local_fp(path, fp);
         self.maybe_publish(home);
@@ -585,6 +586,29 @@ impl<T: Topology> Cluster<T> {
             .iter()
             .find(|(_, mds)| mds.stores(path))
             .map(|(&id, _)| id)
+    }
+
+    /// The home a remove of `path` targets, found through the live
+    /// filters: the path's `k` rows are derived once and only servers
+    /// whose live projection answers positive are asked for a keyed store
+    /// lookup. Bloom filters have no false negatives, so the first hit in
+    /// id order is [`true_home`](Cluster::true_home)'s answer — for `N`
+    /// bit-probes and about one store lookup instead of `N`.
+    fn locate_home(&self, path: &str, fp: &Fingerprint) -> Option<MdsId> {
+        let shape = published_shape(&self.config);
+        let mut rows = Vec::with_capacity(shape.hashes as usize);
+        fp.probe_rows_into(shape.seed, shape.bits, shape.hashes, &mut rows);
+        let home = self
+            .mdss
+            .iter()
+            .find(|(_, mds)| mds.probe_live_rows(&rows) && mds.stores(path))
+            .map(|(&id, _)| id);
+        debug_assert_eq!(
+            home,
+            self.true_home(path),
+            "live filter missed a stored path"
+        );
+        home
     }
 
     /// Looks `path` up starting from a uniformly random entry MDS (the
@@ -936,9 +960,9 @@ impl<T: Topology> Cluster<T> {
 
     /// Records a pending removal of `key` from `&self`, returning the
     /// home it will be removed from: the overlay answers for paths this
-    /// era already wrote, the authoritative stores for the rest (safe to
-    /// sweep from `&self` — `mdss` only mutates under `&mut`, which
-    /// cannot run concurrently).
+    /// era already wrote, [`locate_home`](Self::locate_home) for the rest
+    /// (safe from `&self` — `mdss` only mutates under `&mut`, which cannot
+    /// run concurrently).
     pub(crate) fn apply_remove_shared(&self, key: &PathKey) -> Option<MdsId> {
         match self.shards.overlay(key) {
             OverlayEntry::Created(home) => {
@@ -947,7 +971,7 @@ impl<T: Topology> Cluster<T> {
             }
             OverlayEntry::Removed => None,
             OverlayEntry::Untracked => {
-                let home = self.true_home(key.path())?;
+                let home = self.locate_home(key.path(), key.fingerprint())?;
                 self.shards.record_remove(key, home);
                 Some(home)
             }

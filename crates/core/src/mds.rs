@@ -48,17 +48,12 @@ pub struct Mds {
     id: MdsId,
     store: MetadataStore,
     live: CountingBloomFilter,
-    /// Plain (bit-vector) projection of `live`, maintained incrementally on
-    /// creates and rebuilt **lazily** after unlinks: a remove may drop
-    /// counters to zero, so the projection goes stale until
-    /// [`drift_bits`](Mds::drift_bits) or [`publish`](Mds::publish) next
-    /// needs it. Unlink itself stays O(k) instead of O(m).
+    /// Plain (bit-vector) projection of `live`, kept **exact** after every
+    /// mutation in O(k): a create sets its bits in both, an unlink clears
+    /// the bit of each counter it takes to zero. Row probes, the drift
+    /// check and the publish read it as is — nothing on those paths ever
+    /// re-projects the counters.
     live_plain: BloomFilter,
-    /// `true` while `live_plain` lags `live` (set by unlinks).
-    live_plain_dirty: bool,
-    /// O(m) projection rebuilds performed (observability for the lazy
-    /// path; tests assert rebuilds scale with publish checks, not unlinks).
-    plain_rebuilds: u64,
     published: BloomFilter,
     lru: Option<LruBloomArray<MdsId>>,
     memory: Option<MemoryBudget>,
@@ -92,8 +87,6 @@ impl Mds {
             store: MetadataStore::new(),
             live,
             live_plain,
-            live_plain_dirty: false,
-            plain_rebuilds: 0,
             published,
             lru,
             memory,
@@ -159,8 +152,6 @@ impl Mds {
         // property checkpoint/WAL recovery rebuilds it from).
         if !existed {
             self.live.insert_fp(fp);
-            // Keep the plain projection current when it is clean; when it
-            // is dirty the pending rebuild overwrites this anyway.
             self.live_plain.insert_fp(fp);
         }
         self.mutations_since_publish += 1;
@@ -179,26 +170,12 @@ impl Mds {
         if self.store.remove(path).is_none() {
             return false;
         }
-        let removed = self.live.remove_fp(fp);
+        let removed = self.live.remove_fp(fp, Some(&mut self.live_plain));
         debug_assert!(removed.is_ok(), "live filter desynchronized from store");
-        // Counters may have dropped to zero, so the plain projection is now
-        // stale. Defer the O(m) rebuild until `drift_bits`/`publish`
-        // actually needs it — unlink itself stays O(k).
-        self.live_plain_dirty = true;
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
         self.recharge_metacache();
         true
-    }
-
-    /// Rebuilds the plain projection from the counting filter if an unlink
-    /// left it stale.
-    fn refresh_plain(&mut self) {
-        if self.live_plain_dirty {
-            self.live_plain = self.live.to_bloom_filter();
-            self.live_plain_dirty = false;
-            self.plain_rebuilds += 1;
-        }
     }
 
     /// Authoritative membership check (the "disk" verification of L4 and
@@ -222,20 +199,16 @@ impl Mds {
     /// live filters with them — identical answers to `probe_live` for
     /// the same item.
     ///
-    /// Reads the plain projection while it is exact (no unlink since its
-    /// last rebuild): one bit per row instead of one counter byte, so the
-    /// live filters a walk touches — one at L2, a group's at L3, all `N`
-    /// at L4 — take an eighth of the cache (16 KB instead of 128 KB per
-    /// server at the benchmark's shape). A walk is bound by these
+    /// Reads the (always exact) plain projection: one bit per row instead
+    /// of one counter byte, so the live filters a walk touches — one at
+    /// L2, a group's at L3, all `N` at L4 — take an eighth of the cache
+    /// (16 KB instead of 128 KB per server at the benchmark's shape). A
+    /// walk is bound by these
     /// scattered reads, and the smaller they keep its working set, the
     /// less its speed depends on what else shares the host's cache.
     #[must_use]
     pub fn probe_live_rows(&self, rows: &[u32]) -> bool {
-        if self.live_plain_dirty {
-            self.live.contains_rows(rows)
-        } else {
-            self.live_plain.contains_rows(rows)
-        }
+        self.live_plain.contains_rows(rows)
     }
 
     /// Hamming distance between the live filter and the published
@@ -243,8 +216,7 @@ impl Mds {
     /// check; gate it with [`drift_check_due`](Mds::drift_check_due) on
     /// hot paths.
     #[must_use]
-    pub fn drift_bits(&mut self) -> usize {
-        self.refresh_plain();
+    pub fn drift_bits(&self) -> usize {
         self.live_plain
             .xor_distance(&self.published)
             .expect("live and published share geometry")
@@ -300,7 +272,6 @@ impl Mds {
     /// the delta that must be shipped to replica holders, or `None` if
     /// nothing changed.
     pub fn publish(&mut self) -> Option<FilterDelta> {
-        self.refresh_plain();
         let delta = FilterDelta::between(&self.published, &self.live_plain)
             .expect("published and live share geometry");
         self.mutations_since_publish = 0;
@@ -308,7 +279,10 @@ impl Mds {
         if delta.is_empty() {
             return None;
         }
-        self.published = self.live_plain.clone();
+        delta
+            .apply(&mut self.published)
+            .expect("delta was computed against published");
+        debug_assert_eq!(self.published, self.live_plain);
         Some(delta)
     }
 
@@ -343,7 +317,6 @@ impl Mds {
         let paths: Vec<String> = self.store.drain().map(|(p, _)| p).collect();
         self.live.clear();
         self.live_plain.clear();
-        self.live_plain_dirty = false;
         self.published.clear();
         self.mutations_since_publish = 0;
         self.mutations_since_drift_check = 0;
@@ -451,45 +424,60 @@ mod tests {
         assert!(!mds.remove_local("/x"));
     }
 
-    /// `probe_live_rows` answers like `probe_live` whichever filter it
-    /// reads: the plain projection while clean, the counters once an
-    /// unlink has left it stale, the rebuilt projection afterwards.
-    #[test]
-    fn row_probe_agrees_with_live_filter_clean_and_dirty() {
-        let config = test_config();
+    /// Replays `(op, file)` pairs — 0/1 create (or re-create), 2 remove
+    /// (or remove-absent), 3 publish — on a deliberately tiny shape: 24
+    /// counters, k = 2, so items share counters and some probe one row
+    /// twice. After **every** op the plain projection must equal the
+    /// reference re-projection (words and item count) and row probes must
+    /// agree with `probe_live`.
+    fn replay_checked(ops: impl IntoIterator<Item = (u8, u16)>) -> Mds {
+        let config = test_config()
+            .with_filter_capacity(8)
+            .with_bits_per_file(3.0);
         let shape = published_shape(&config);
         let mut mds = Mds::new(MdsId(0), &config);
-        let paths: Vec<String> = (0..300).map(|i| format!("/rows/f{i}")).collect();
-        let agree = |mds: &Mds, when: &str| {
-            let mut rows = Vec::new();
-            for path in &paths {
-                rows.clear();
-                Fingerprint::of(path.as_str()).probe_rows_into(
-                    shape.seed,
-                    shape.bits,
-                    shape.hashes,
-                    &mut rows,
-                );
-                assert_eq!(
-                    mds.probe_live_rows(&rows),
-                    mds.probe_live(path),
-                    "{when}: {path}"
-                );
+        let mut rows = Vec::new();
+        for (op, file) in ops {
+            let path = format!("/t/f{file}");
+            match op {
+                0 | 1 => mds.create_local(&path),
+                2 => {
+                    let stored = mds.stores(&path);
+                    assert_eq!(mds.remove_local(&path), stored);
+                }
+                _ => {
+                    let _ = mds.publish();
+                    assert_eq!(mds.drift_bits(), 0);
+                }
             }
-        };
-        for path in &paths[..200] {
-            mds.create_local(path);
+            assert_eq!(mds.live_plain, mds.live.to_bloom_filter(), "{op} {path}");
+            rows.clear();
+            Fingerprint::of(path.as_str()).probe_rows_into(
+                shape.seed,
+                shape.bits,
+                shape.hashes,
+                &mut rows,
+            );
+            assert_eq!(mds.probe_live_rows(&rows), mds.probe_live(&path), "{path}");
         }
-        assert!(!mds.live_plain_dirty);
-        agree(&mds, "clean");
-        for path in &paths[..120] {
-            assert!(mds.remove_local(path));
+        mds
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Random streams after 2,900 files came and went, which pins some
+        /// (not all) of the 24 counters at `u8::MAX`: those bits must stay
+        /// set through every unlink, every other bit must clear exactly
+        /// when its counter reaches zero.
+        #[test]
+        fn plain_projection_is_exact_after_every_op(
+            ops in proptest::collection::vec((0u8..4, 0u16..40), 1..400),
+        ) {
+            let ballast = (0..2).flat_map(|op| (0..2_900).map(move |f| (op * 2, f)));
+            let mds = replay_checked(ballast.chain(ops));
+            proptest::prop_assert_eq!(mds.live.max_counter(), u8::MAX);
         }
-        assert!(mds.live_plain_dirty);
-        agree(&mds, "dirty");
-        let _ = mds.publish();
-        assert!(!mds.live_plain_dirty);
-        agree(&mds, "rebuilt");
     }
 
     #[test]
@@ -548,8 +536,6 @@ mod tests {
         for i in 0..150 {
             assert!(mds.remove_local(&format!("/rm/f{i}")));
         }
-        // Unlinks defer the O(m) projection rebuild entirely.
-        assert_eq!(mds.plain_rebuilds, 0);
         for i in 0..150 {
             assert!(!mds.stores(&format!("/rm/f{i}")));
         }
@@ -558,12 +544,7 @@ mod tests {
             assert!(mds.stores(&path));
             assert!(mds.probe_live(&path), "no false negatives for {path}");
         }
-        // The first consumer of the plain projection pays exactly one
-        // rebuild; repeat reads stay free until the next unlink.
         assert!(mds.drift_bits() > 0);
-        assert_eq!(mds.plain_rebuilds, 1);
-        let _ = mds.drift_bits();
-        assert_eq!(mds.plain_rebuilds, 1);
         mds.publish().expect("live drifted from published");
         assert_eq!(mds.drift_bits(), 0);
         assert_eq!(mds.published().item_count(), 50);
@@ -572,17 +553,15 @@ mod tests {
         }
     }
 
+    /// A create between an unlink and the next publish (the case the
+    /// retired lazy projection had to special-case) as one `replay_checked`
+    /// input: files 0 = keep, 1 = gone, 2 = after.
     #[test]
-    fn create_while_plain_dirty_publishes_correctly() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        mds.create_local("/keep");
-        mds.create_local("/gone");
-        assert!(mds.remove_local("/gone")); // leaves the projection dirty
-        mds.create_local("/after-dirty");
-        let _ = mds.publish().expect("changes pending");
-        assert!(mds.published().contains("/keep"));
-        assert!(mds.published().contains("/after-dirty"));
-        assert!(!mds.published().contains("/gone"));
+    fn create_after_unlink_publishes_correctly() {
+        let mds = replay_checked([(0, 0), (0, 1), (2, 1), (0, 2), (3, 0)]);
+        assert!(mds.published().contains("/t/f0"));
+        assert!(mds.published().contains("/t/f2"));
+        assert_eq!(mds.published().item_count(), 2);
         assert_eq!(mds.drift_bits(), 0);
     }
 

@@ -11,10 +11,18 @@
 //!
 //! The closure is the whole contract — the reconciler knows nothing of
 //! clusters. The network replica (the first consumer) passes a closure
-//! that write-locks its shared cluster and calls
-//! [`drain_concurrent`](GhbaCluster::drain_concurrent); because readers
-//! hold the lock only for the duration of one batch, the drain slips
-//! between batches instead of stalling the accept loop.
+//! that write-locks its shared cluster and, under that lock, replays the
+//! shard logs ([`drain_concurrent`](GhbaCluster::drain_concurrent), WAL
+//! append included) and publishes every drifted filter
+//! (`flush_all_updates`, with its WAL flush record). Batches wait that
+//! long: on the benchmark's `net_mixed` fleet (24 servers per replica,
+//! 25 ms cadence, one shared CPU) the lock is held ≈ 2.0 ms per tick —
+//! 0.7 ms drain, 1.2 ms flush — down from 9.9 ms when the flush still
+//! re-projected every live filter and rewrote whole slab words.
+//!
+//! The thread sleeps `cadence` *after* each tick, so the real period is
+//! cadence + tick time (+ scheduling): that 25 ms cadence ran at ≈ 39 ms
+//! before and ≈ 29 ms after.
 //!
 //! Shutdown is prompt and joining: [`Reconciler::shutdown`] (or drop)
 //! signals a condvar, so the thread exits within one lock handoff even

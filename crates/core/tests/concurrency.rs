@@ -221,6 +221,38 @@ fn concurrent_pipeline_matches_funnel_across_shard_counts() {
     }
 }
 
+/// A `&self` remove names the ground-truth home whichever way it finds
+/// it: from this era's overlay for a path with a pending create or
+/// remove, through the live filters for every other stored path.
+#[test]
+fn concurrent_remove_locates_true_home_beside_pending_overlay_entries() {
+    let mut cluster = GhbaCluster::with_servers(config(), 12);
+    let stored: Vec<String> = (0..40).map(|i| format!("/loc/f{i}")).collect();
+    let homes: Vec<MdsId> = stored.iter().map(|p| cluster.create_file(p)).collect();
+
+    let mut pending = OpBatch::new();
+    pending.push_create("/loc/new");
+    pending.push_remove(&stored[0]);
+    let first = cluster.execute_concurrent(&pending);
+    let OpOutcome::Created { home: new_home } = first[0] else {
+        panic!("create outcome expected, got {:?}", first[0]);
+    };
+
+    let mut removes = OpBatch::new();
+    removes.push_remove("/loc/new");
+    for path in &stored {
+        removes.push_remove(path);
+    }
+    let mut expected = vec![Some(new_home), None]; // overlay: created, removed
+    expected.extend(homes[1..].iter().copied().map(Some)); // live filters
+    let got = cluster.execute_concurrent(&removes);
+    for (outcome, home) in got.iter().zip(expected) {
+        assert_eq!(*outcome, OpOutcome::Removed { home });
+    }
+    cluster.drain_concurrent();
+    assert!(stored.iter().all(|p| cluster.true_home(p).is_none()));
+}
+
 /// Duplicates are traffic: a flash-crowd batch — the same hot paths
 /// through every entry, each `(entry, path)` pair repeated within and
 /// across chunks — walks each pair once but accounts every occurrence.

@@ -189,6 +189,22 @@ fn test_config(seed: u64) -> GhbaConfig {
         .with_seed(seed)
 }
 
+/// A path re-created at a second home without a remove is stored twice:
+/// the filter-guided locate and the ground-truth sweep both answer the
+/// lowest id, then the other.
+#[test]
+fn remove_of_a_doubly_homed_path_takes_the_lowest_id_first() {
+    let mut cluster = GhbaCluster::with_servers(test_config(3), 7);
+    let ids = cluster.server_ids();
+    cluster.create_file_at("/twice", ids[5]);
+    cluster.create_file_at("/twice", ids[2]);
+    for expected in [ids[2], ids[5]] {
+        assert_eq!(cluster.true_home("/twice"), Some(expected));
+        assert_eq!(cluster.remove_file("/twice"), Some(expected));
+    }
+    assert_eq!(cluster.remove_file("/twice"), None);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -223,7 +239,11 @@ proptest! {
                 }
                 Op::Remove(f) => {
                     let path = format!("/p/f{f}");
+                    // The remove locates its home through the live
+                    // filters; the store sweep is the ground truth.
+                    let truth = cluster.true_home(&path);
                     let removed = cluster.remove_file(&path);
+                    prop_assert_eq!(removed, truth, "step {}: filter-guided locate", step);
                     prop_assert_eq!(removed.is_some(), live_paths.remove(&f));
                 }
                 Op::AddMds => {
