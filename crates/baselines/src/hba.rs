@@ -5,7 +5,7 @@
 //! server holds a complete mirror; queries are L1 (LRU), the full array,
 //! then a system-wide broadcast. [`HbaCluster`] is `ghba_core`'s cluster
 //! engine under the full-mirror layout (`ghba_core::FullMirror`): the
-//! pinned walk, op pipeline, update cadence, commit and drain are the
+//! pinned walk, op pipeline, update cadence and drain are the
 //! very code G-HBA runs, so the comparison is like-for-like by
 //! construction. This module re-exports it and keeps the baseline's unit
 //! tests.

@@ -167,9 +167,11 @@ fn hba_retired_mirror_degrades_to_broadcast() {
 /// funnel for mixed HBA batches, and after `drain_concurrent` + flush
 /// both clusters converge to the same homes. Epochs are excluded from
 /// the comparison (the two pipelines publish mirrors at different
-/// cadences); L1 is disabled because the pinned walk never fills the
-/// LRU, and removes sit at the tail of each batch so no in-batch
-/// lookup races a pending remove of the same fingerprint.
+/// cadences). The set-up meets the three conditions of the
+/// `MetadataService::execute_concurrent` contract: (a) L1 disabled,
+/// (b) the update threshold raised so no home's drift crosses it inside
+/// a batch, (c) removes at the tail of each batch, so no lookup follows
+/// a remove of the same fingerprint.
 #[test]
 fn hba_concurrent_pipeline_matches_funnel() {
     let cfg = config()
@@ -334,8 +336,8 @@ enum Step {
     AddMds,
     RemoveMds(u8),
     /// A mixed `(kind, file)` batch through `execute_concurrent`; with
-    /// `Some(pick)` a mirror is retired between the batch's commit and
-    /// the owner drain, then restored and pushed.
+    /// `Some(pick)` a mirror is retired between the batch and the owner
+    /// drain, then restored and pushed.
     Batch(Vec<(u8, u16)>, Option<u8>),
     RetireRestore(u8),
 }
@@ -481,6 +483,9 @@ proptest! {
     ) {
         let cfg = GhbaConfig::default()
             .with_filter_capacity(500)
+            // Gate 1: every owner-side write publishes, so the mirror's
+            // columns move between the concurrent batches (which never
+            // publish) and around the retire-before-drain interleaving.
             .with_update_threshold(16)
             .with_write_shards(4)
             .with_seed(seed);

@@ -1,6 +1,6 @@
 //! The cluster engine: construction, the one pinned L1→L4 walk, file
-//! create/remove, and the pin-once `&self` pipeline's commit and drain —
-//! written once, generic over the replica layout.
+//! create/remove, and the pin-once `&self` pipeline's write records and
+//! their drain — written once, generic over the replica layout.
 //!
 //! [`Cluster`] is everything that does not depend on where replicas
 //! live; its [`Topology`] parameter decides the rest. There are exactly
@@ -40,7 +40,7 @@ use core::time::Duration;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ghba_bloom::{FilterDelta, Fingerprint, Hit, ProbeBatch, SharedShapeArray};
+use ghba_bloom::{Fingerprint, Hit, ProbeBatch, SharedShapeArray};
 use ghba_simnet::{Counters, DetRng, LatencyStats};
 
 use crate::concurrent::{
@@ -54,9 +54,7 @@ use crate::mds::{published_shape, Mds};
 use crate::op::{EntryPolicy, PathKey, WalkItem};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::reconfig::ReconfigReport;
-use crate::snapshot::{
-    route_cell, ReconfigHandle, RouteCell, RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp,
-};
+use crate::snapshot::{route_cell, ReconfigHandle, RouteCell, RouteSnapshot, SharedL2, SharedL3};
 use crate::update::UpdateReport;
 
 /// Aggregate statistics of a cluster's lifetime.
@@ -193,10 +191,6 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
     /// The `(group, members)` rows of a load report.
     fn load_shape(cluster: &Cluster<Self>, snap: &RouteSnapshot) -> Vec<(GroupId, Vec<MdsId>)>;
 
-    /// Servers one origin's filter refresh must reach under an ideal
-    /// multicast: one holder per foreign group, or everyone else.
-    fn replica_holders(cluster: &Cluster<Self>, snap: &RouteSnapshot) -> usize;
-
     /// Cost accounting of one `push_update` of `origin`'s
     /// `delta_bytes`-sized delta (the slab column is already refreshed).
     fn update_fanout(
@@ -204,16 +198,7 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
         snap: &RouteSnapshot,
         origin: MdsId,
         delta_bytes: u64,
-    ) -> UpdateReport {
-        let _ = origin;
-        let recipients = Self::replica_holders(cluster, snap);
-        UpdateReport {
-            messages: recipients as u64,
-            bytes: delta_bytes * recipients as u64,
-            latency: cluster.config.latency.multicast_rtt(recipients),
-            refreshed: true,
-        }
-    }
+    ) -> UpdateReport;
 
     /// Places the just-inserted server `id` (slab column, replicas,
     /// groups) and publishes the result.
@@ -278,7 +263,7 @@ pub struct Cluster<T: Topology> {
     /// [`drain_concurrent`](Cluster::drain_concurrent) at the next
     /// `&mut` entry point.
     pub(crate) shards: NamespaceShards,
-    /// Atomic statistics recorded by `&self` walks and commits, folded
+    /// Atomic statistics recorded by `&self` walks, folded
     /// into [`Cluster::stats`] at the same drain points.
     pub(crate) cstats: ConcurrentStats,
     /// Lifetime `(hits, misses)` of L2/L3 mask consults already folded
@@ -978,83 +963,6 @@ impl<T: Topology> Cluster<T> {
         }
     }
 
-    /// Folds this era's pending create bits into the published probe
-    /// columns: one staging pass under the slab writer lock, one
-    /// [`SlabOp::Delta`] per touched home, one atomic snapshot swap —
-    /// exactly the publish path the sequential update protocol uses, so
-    /// readers never observe a half-published column. Called once per
-    /// concurrent batch by the pipeline.
-    ///
-    /// Only creates stage (published columns are plain Bloom filters;
-    /// removes stay invisible to probes until the owner drain), and the
-    /// touched homes are marked for the drain to reconcile their
-    /// server-side published filters. Replica-update traffic is
-    /// accounted per staged home as one ideal multicast to the
-    /// topology's replica holders (every foreign group under G-HBA — a
-    /// simplification of `push_update`'s per-group IDBFA location —
-    /// every other server under HBA), recorded into the atomic stats.
-    ///
-    /// Staging runs at the `&mut` writes' publish cadence, not per
-    /// batch: a home's creates accumulate in its staging buffer
-    /// (visible to every walk through the overlay) until enough are
-    /// pending to plausibly cross the drift threshold — the same
-    /// per-origin amortization `maybe_publish`'s gate gives them.
-    /// A batch with no ripe home pays one atomic load (plus one short
-    /// buffer-map lock past the total-count bar) and never touches the
-    /// writer lock.
-    pub(crate) fn commit_concurrent(&self) {
-        let gate = self.config.publish_gate();
-        if self.shards.unpublished_create_count() < gate {
-            return;
-        }
-        // Extraction transfers ownership of the ripe fingerprints to
-        // this committer, so racing committers stage disjoint sets.
-        let pending = self.shards.stage_ripe_creates(gate);
-        if pending.is_empty() {
-            return;
-        }
-        let model = self.config.latency.clone();
-        let routes = Arc::clone(&self.routes);
-        // The writer lock serializes this staging pass with every other
-        // publisher (other committers, push_update, reconfig handles),
-        // so each delta is computed against exactly the columns it will
-        // apply to.
-        let mut edit = RouteEdit::begin(&routes);
-        let mut ops: Vec<(MdsId, FilterDelta)> = Vec::new();
-        let holders = T::replica_holders(self, &edit.work);
-        for (home, fps) in pending {
-            // A column may be absent (the home retired concurrently);
-            // its creates stay in the log for the owner drain.
-            let Some(old) = edit.work.slab.extract(home) else {
-                continue;
-            };
-            let mut fresh = old.clone();
-            for fp in &fps {
-                fresh.insert_fp(fp);
-            }
-            let Ok(delta) = FilterDelta::between(&old, &fresh) else {
-                continue;
-            };
-            if delta.is_empty() {
-                continue;
-            }
-            if holders > 0 {
-                let bytes = delta.wire_bytes() as u64 * holders as u64;
-                self.cstats
-                    .record_update(holders as u64, bytes, model.multicast_rtt(holders));
-            }
-            ops.push((home, delta));
-        }
-        let staged: Vec<MdsId> = ops.iter().map(|&(home, _)| home).collect();
-        for (home, delta) in ops {
-            edit.push_op(SlabOp::Delta(home, delta));
-        }
-        edit.commit();
-        if !staged.is_empty() {
-            self.shards.mark_staged(staged);
-        }
-    }
-
     /// Drains pending concurrent state if any exists: the cheap
     /// two-atomic-load gate every `&mut` entry point passes through.
     pub(crate) fn maybe_drain(&mut self) {
@@ -1072,34 +980,33 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// Reconciles everything the `&self` pipeline deferred: folds the
-    /// atomic statistics into [`stats`](Cluster::stats), replays the
-    /// namespace shards' ordered write logs against the authoritative
+    /// atomic statistics into [`stats`](Cluster::stats), takes the
+    /// namespace shards' ordered write logs, appends them to the WAL if
+    /// one is attached, and replays them against the authoritative
     /// stores and live filters (shard-index order; per-path order is
-    /// total because a path always hashes to the same shard), and syncs
-    /// each staged home's server-side published filter with its slab
-    /// column so `column == published` holds again (the
-    /// [`check_invariants`](Cluster::check_invariants) contract).
+    /// total because a path always hashes to the same shard). It
+    /// publishes nothing: the replayed drift reaches the published
+    /// columns at the next `push_update`/`flush_all_updates`, like any
+    /// owner-side write's.
     ///
     /// Runs automatically at every `&mut` entry point (lookups, writes,
     /// updates, reconfigurations, stat resets); call it explicitly
-    /// before inspecting state through `&self` views such as
-    /// [`true_home`](Cluster::true_home) or `check_invariants`
-    /// after concurrent batches.
+    /// before inspecting the stores through `&self` views such as
+    /// [`true_home`](Cluster::true_home) after concurrent batches.
     pub fn drain_concurrent(&mut self) {
         self.fold_stats();
         if !self.shards.is_dirty() {
             return;
         }
-        let (records, staged) = self.shards.take_all();
+        let records = self.shards.take_all();
         // Write-ahead: the drained batch is logged (and, per policy,
         // synced) before any of its effects publish — recovery can then
         // never observe an effect the log is missing.
         if let Some(wal) = self.wal.as_mut() {
-            wal.append_drain(&records, &staged)
+            wal.append_drain(&records)
                 .expect("WAL append failed: cannot publish unlogged effects");
         }
         self.apply_write_records(&records);
-        self.reconcile_staged(&staged);
         self.maybe_checkpoint();
     }
 
@@ -1124,45 +1031,6 @@ impl<T: Topology> Cluster<T> {
                 }
             }
         }
-    }
-
-    /// Syncs each staged home's server-side published filter with its
-    /// slab column so `column == published` holds again.
-    ///
-    /// No per-record `maybe_publish`: staged create bits are already in
-    /// the columns, and the gated publish cadence resumes with the next
-    /// owner-side write.
-    pub(crate) fn reconcile_staged(&mut self, staged: &[MdsId]) {
-        if staged.is_empty() {
-            return;
-        }
-        let routes = Arc::clone(&self.routes);
-        let mut edit = RouteEdit::begin(&routes);
-        let mut ops: Vec<(MdsId, FilterDelta)> = Vec::new();
-        for &home in staged {
-            let Some(mds) = self.mdss.get_mut(&home) else {
-                continue;
-            };
-            // A mirror retired since staging has no column: leave the
-            // server's publish baseline alone, so the first push after
-            // the restore folds everything into the restored column.
-            let Some(column) = edit.work.slab.extract(home) else {
-                continue;
-            };
-            // Refresh the server's own published filter from its
-            // (just replayed) live state, then overwrite the
-            // column's changed words to match it exactly.
-            let _ = mds.publish();
-            if let Ok(delta) = FilterDelta::between(&column, mds.published()) {
-                if !delta.is_empty() {
-                    ops.push((home, delta));
-                }
-            }
-        }
-        for (home, delta) in ops {
-            edit.push_op(SlabOp::Delta(home, delta));
-        }
-        edit.commit();
     }
 
     /// Pending concurrent write records awaiting the next
@@ -1271,6 +1139,10 @@ impl<T: Topology> Cluster<T> {
     /// 5. replica load within each group is balanced within one replica;
     /// 6. the IDBFA locates every replica (its candidates include the true
     ///    holder — counting filters have no false negatives);
+    /// 7. **column == published** (both layouts, checked first). Only
+    ///    `push_update`, membership changes and checkpoint restore write
+    ///    a column, each together with the server's own filter, so this
+    ///    holds from `&self` with undrained concurrent writes pending too;
     /// 8. **no stale mask**: every cached L2/L3 entry of the snapshot's
     ///    shared mask cache whose `(gid, tag)` is valid under the pinned
     ///    snapshot equals the mask and held counts rebuilt from that

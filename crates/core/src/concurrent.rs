@@ -5,7 +5,7 @@
 //! but left two gaps that this module closes:
 //!
 //! * **Stats from `&self`** — [`ConcurrentStats`] mirrors the hot
-//!   counters of `ClusterStats` (level counts, lookup/update latency,
+//!   counters of `ClusterStats` (level counts, lookup latency,
 //!   mask-cache hits, false-hit counters) word-for-word in atomics, so
 //!   pinned walks running from a shared reference can record accounting
 //!   that the owner later folds into the authoritative `ClusterStats`
@@ -19,6 +19,8 @@
 //!   entry point (the *drain*), in shard-index order; per-path ordering
 //!   is preserved because a path always hashes to the same shard, and
 //!   records for distinct paths commute on the underlying stores.
+//!   Recording takes nothing global and publishes nothing: published
+//!   columns move only at the owner's `push_update`, after the drain.
 //!
 //! Neither type performs any synchronization beyond its own locks and
 //! atomics: folding or draining requires the caller to hold `&mut` on
@@ -28,7 +30,7 @@
 
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use core::time::Duration;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ghba_bloom::Fingerprint;
@@ -62,12 +64,6 @@ impl AtomicLatency {
             max_nanos: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
-    }
-
-    fn record(&self, latency: Duration) {
-        let mut one = LatencyStats::new();
-        one.record(latency);
-        self.absorb(&one);
     }
 
     /// Adds locally accumulated samples: one RMW per non-zero word.
@@ -161,7 +157,7 @@ impl WalkTally {
     }
 }
 
-/// Atomic accounting for walks and publishes performed from `&self`.
+/// Atomic accounting for walks performed from `&self`.
 ///
 /// Every counter mirrors a field (or named counter) of `ClusterStats`.
 /// Recording is wait-free ([`absorb`](ConcurrentStats::absorb) once per
@@ -173,9 +169,6 @@ pub(crate) struct ConcurrentStats {
     dirty: AtomicBool,
     levels: [AtomicU64; 5],
     lookup: AtomicLatency,
-    update: AtomicLatency,
-    update_messages: AtomicU64,
-    update_bytes: AtomicU64,
     mask_hits: AtomicU64,
     mask_misses: AtomicU64,
     l1_false: AtomicU64,
@@ -202,9 +195,6 @@ impl ConcurrentStats {
             dirty: AtomicBool::new(false),
             levels: std::array::from_fn(|_| AtomicU64::new(0)),
             lookup: AtomicLatency::new(),
-            update: AtomicLatency::new(),
-            update_messages: AtomicU64::new(0),
-            update_bytes: AtomicU64::new(0),
             mask_hits: AtomicU64::new(0),
             mask_misses: AtomicU64::new(0),
             l1_false: AtomicU64::new(0),
@@ -218,10 +208,6 @@ impl ConcurrentStats {
     /// Whether anything has been recorded since the last fold.
     pub fn is_dirty(&self) -> bool {
         self.dirty.load(Ordering::Acquire)
-    }
-
-    fn touch(&self) {
-        self.dirty.store(true, Ordering::Release);
     }
 
     /// Folds one run's [`WalkTally`] in: one RMW per non-zero word.
@@ -243,7 +229,7 @@ impl ConcurrentStats {
         add_nonzero(&self.mask_hits, hits);
         add_nonzero(&self.mask_misses, misses);
         if tally.lookup.count() + hits + misses > 0 {
-            self.touch();
+            self.dirty.store(true, Ordering::Release);
         }
         self.load.absorb(&tally.load);
     }
@@ -263,15 +249,6 @@ impl ConcurrentStats {
         &self.load
     }
 
-    /// Records one staged publish: replica-update messages, wire bytes,
-    /// and the modeled propagation latency.
-    pub fn record_update(&self, messages: u64, bytes: u64, latency: Duration) {
-        self.update_messages.fetch_add(messages, Ordering::Relaxed);
-        self.update_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.update.record(latency);
-        self.touch();
-    }
-
     /// Drains every counter into `stats` and returns the folded
     /// `(mask_hits, mask_misses)` pair so callers with a separate
     /// lifetime view of the mask cache can absorb it too.
@@ -289,13 +266,6 @@ impl ConcurrentStats {
         stats
             .lookup_latency
             .merge_parts(count, sum, min, max, &buckets);
-        let (count, sum, min, max, buckets) = self.update.drain();
-        stats
-            .update_latency
-            .merge_parts(count, sum, min, max, &buckets);
-
-        stats.update_messages += self.update_messages.swap(0, Ordering::Relaxed);
-        stats.update_bytes += self.update_bytes.swap(0, Ordering::Relaxed);
 
         for (label, counter) in [
             ("l1_false_hits", &self.l1_false),
@@ -385,19 +355,6 @@ pub(crate) struct NamespaceShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
     dirty: AtomicBool,
-    /// Creates recorded but not yet staged, counted across all shards:
-    /// the cheap publish-cadence gate (one atomic load per batch
-    /// commit, no shard locks).
-    unpublished_creates: AtomicU64,
-    /// Per-home staging buffers: the fingerprints of unstaged creates,
-    /// keyed by home, so `stage_ripe_creates` can publish one home's
-    /// accumulated delta without scanning the shard logs or touching
-    /// homes still under the cadence bar.
-    pending_creates: Mutex<BTreeMap<MdsId, Vec<Fingerprint>>>,
-    /// Homes whose published probe columns carry staged create bits
-    /// that the server's own published filter does not know about yet;
-    /// the drain reconciles them.
-    staged: Mutex<BTreeSet<MdsId>>,
 }
 
 impl NamespaceShards {
@@ -409,13 +366,10 @@ impl NamespaceShards {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n - 1,
             dirty: AtomicBool::new(false),
-            unpublished_creates: AtomicU64::new(0),
-            pending_creates: Mutex::new(BTreeMap::new()),
-            staged: Mutex::new(BTreeSet::new()),
         }
     }
 
-    /// Whether any pending write or staged publish exists.
+    /// Whether any pending write exists.
     pub fn is_dirty(&self) -> bool {
         self.dirty.load(Ordering::Acquire)
     }
@@ -452,14 +406,6 @@ impl NamespaceShards {
         }
     }
 
-    /// Creates recorded but not yet staged into the published probe
-    /// state — the batch commit compares this against the publish
-    /// cadence so staging amortizes like the sequential drift gate
-    /// instead of paying a column clone per batch.
-    pub fn unpublished_create_count(&self) -> u64 {
-        self.unpublished_creates.load(Ordering::Acquire)
-    }
-
     /// Pending write records across all shards, awaiting the next
     /// drain. Lock-free (zero) when clean; long-running `&self`-only
     /// servers use this to observe whether their background reconciler
@@ -475,29 +421,15 @@ impl NamespaceShards {
     }
 
     fn record(&self, key: &PathKey, kind: WriteKind) {
-        let create_home = match kind {
-            WriteKind::Create(home) => Some(home),
-            WriteKind::Remove(_) => None,
-        };
-        {
-            let mut shard = self.lock_for(key.fingerprint());
-            let idx = shard.log.len();
-            shard.log.push(WriteRecord {
-                path: key.path().to_owned(),
-                fp: *key.fingerprint(),
-                kind,
-            });
-            shard.latest.insert(key.path().to_owned(), idx);
-        }
-        if let Some(home) = create_home {
-            self.pending_creates
-                .lock()
-                .expect("pending set poisoned")
-                .entry(home)
-                .or_default()
-                .push(*key.fingerprint());
-            self.unpublished_creates.fetch_add(1, Ordering::AcqRel);
-        }
+        let mut shard = self.lock_for(key.fingerprint());
+        let idx = shard.log.len();
+        shard.log.push(WriteRecord {
+            path: key.path().to_owned(),
+            fp: *key.fingerprint(),
+            kind,
+        });
+        shard.latest.insert(key.path().to_owned(), idx);
+        drop(shard);
         self.dirty.store(true, Ordering::Release);
     }
 
@@ -511,76 +443,22 @@ impl NamespaceShards {
         self.record(key, WriteKind::Remove(home));
     }
 
-    /// Extracts the staging buffers of every home holding at least
-    /// `min_per_home` unstaged creates, transferring ownership of their
-    /// fingerprints to the caller (who folds them into the published
-    /// probe state). Homes below the bar keep accumulating — the
-    /// per-home analog of the sequential drift gate, so one busy home
-    /// publishes one amortized delta instead of every batch paying a
-    /// column clone for a handful of bits.
-    ///
-    /// Only *creates* are staged: published columns are plain Bloom
-    /// filters, so pending removes cannot be reflected there and stay
-    /// invisible to probes until the drain — the same staleness window
-    /// the sequential pipeline's publish gate already tolerates.
-    pub fn stage_ripe_creates(&self, min_per_home: u64) -> Vec<(MdsId, Vec<Fingerprint>)> {
-        let min = min_per_home.max(1) as usize;
-        let mut pending = self.pending_creates.lock().expect("pending set poisoned");
-        let ripe: Vec<MdsId> = pending
-            .iter()
-            .filter(|(_, fps)| fps.len() >= min)
-            .map(|(&home, _)| home)
-            .collect();
-        let mut staged = 0u64;
-        let out: Vec<(MdsId, Vec<Fingerprint>)> = ripe
-            .into_iter()
-            .map(|home| {
-                let fps = pending.remove(&home).expect("just listed");
-                staged += fps.len() as u64;
-                (home, fps)
-            })
-            .collect();
-        drop(pending);
-        if staged > 0 {
-            self.unpublished_creates.fetch_sub(staged, Ordering::AcqRel);
-        }
-        out
-    }
-
-    /// Marks homes whose columns now carry staged create bits, so the
-    /// drain knows to reconcile their published filters.
-    pub fn mark_staged(&self, homes: impl IntoIterator<Item = MdsId>) {
-        let mut staged = self.staged.lock().expect("staged set poisoned");
-        staged.extend(homes);
-        self.dirty.store(true, Ordering::Release);
-    }
-
     /// Drains every pending write (shard-index order, log order within
-    /// a shard) and the staged-home set, resetting the structure to
-    /// clean. Per-path ordering is total because a path always lands in
-    /// the same shard.
+    /// a shard), resetting the structure to clean. Per-path ordering is
+    /// total because a path always lands in the same shard.
     ///
     /// Requires external synchronization (the owner's `&mut`): a
     /// concurrent `record_*` during the drain would land in an
     /// arbitrary position.
-    pub fn take_all(&self) -> (Vec<WriteRecord>, Vec<MdsId>) {
+    pub fn take_all(&self) -> Vec<WriteRecord> {
         let mut records = Vec::new();
         for slot in &self.shards {
             let mut shard = slot.lock().expect("namespace shard poisoned");
             records.append(&mut shard.log);
             shard.latest.clear();
         }
-        self.pending_creates
-            .lock()
-            .expect("pending set poisoned")
-            .clear();
-        let staged = {
-            let mut staged = self.staged.lock().expect("staged set poisoned");
-            std::mem::take(&mut *staged)
-        };
-        self.unpublished_creates.store(0, Ordering::Release);
         self.dirty.store(false, Ordering::Release);
-        (records, staged.into_iter().collect())
+        records
     }
 }
 
@@ -601,61 +479,15 @@ mod tests {
         assert_eq!(shards.overlay(&key), OverlayEntry::Removed);
         assert!(shards.is_dirty());
 
-        let (records, staged) = shards.take_all();
-        assert_eq!(records.len(), 2);
-        assert!(staged.is_empty());
+        // Per-path order survives the drain; a second drain finds nothing.
+        let kinds: Vec<WriteKind> = shards.take_all().into_iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            [WriteKind::Create(MdsId(3)), WriteKind::Remove(MdsId(3))]
+        );
         assert!(!shards.is_dirty());
         assert_eq!(shards.overlay(&key), OverlayEntry::Untracked);
-    }
-
-    #[test]
-    fn staging_covers_each_create_exactly_once() {
-        let shards = NamespaceShards::new(2);
-        shards.record_create(&PathKey::new("/x"), MdsId(1));
-        shards.record_create(&PathKey::new("/y"), MdsId(1));
-        shards.record_remove(&PathKey::new("/y"), MdsId(1));
-        assert_eq!(shards.unpublished_create_count(), 2);
-
-        let staged = shards.stage_ripe_creates(1);
-        let total: usize = staged.iter().map(|(_, fps)| fps.len()).sum();
-        assert_eq!(total, 2, "removes are not staged, creates are");
-        assert!(staged.iter().all(|(home, _)| *home == MdsId(1)));
-        assert_eq!(shards.unpublished_create_count(), 0);
-
-        // Second staging pass sees nothing new.
-        assert!(shards.stage_ripe_creates(1).is_empty());
-
-        shards.record_create(&PathKey::new("/z"), MdsId(2));
-        let staged = shards.stage_ripe_creates(1);
-        assert_eq!(staged.len(), 1);
-        assert_eq!(staged[0].0, MdsId(2));
-        assert_eq!(staged[0].1.len(), 1);
-    }
-
-    #[test]
-    fn staging_gate_holds_back_homes_under_the_bar() {
-        let shards = NamespaceShards::new(2);
-        for i in 0..3 {
-            shards.record_create(&PathKey::new(format!("/busy/{i}")), MdsId(1));
-        }
-        shards.record_create(&PathKey::new("/quiet"), MdsId(2));
-
-        // Only the home with >= 3 pending creates is ripe.
-        let staged = shards.stage_ripe_creates(3);
-        assert_eq!(staged.len(), 1);
-        assert_eq!(staged[0].0, MdsId(1));
-        assert_eq!(staged[0].1.len(), 3);
-        assert_eq!(shards.unpublished_create_count(), 1, "/quiet accumulates");
-
-        // The held-back home stages once it crosses the bar.
-        for i in 0..2 {
-            shards.record_create(&PathKey::new(format!("/quiet/{i}")), MdsId(2));
-        }
-        let staged = shards.stage_ripe_creates(3);
-        assert_eq!(staged.len(), 1);
-        assert_eq!(staged[0].0, MdsId(2));
-        assert_eq!(staged[0].1.len(), 3);
-        assert_eq!(shards.unpublished_create_count(), 0);
+        assert!(shards.take_all().is_empty());
     }
 
     #[test]
@@ -663,7 +495,9 @@ mod tests {
         let atomic = AtomicLatency::new();
         let mut reference = LatencyStats::new();
         for nanos in [0u64, 1, 7, 1024, 65_537, 1_000_000_000] {
-            atomic.record(Duration::from_nanos(nanos));
+            let mut one = LatencyStats::new();
+            one.record(Duration::from_nanos(nanos));
+            atomic.absorb(&one);
             reference.record(Duration::from_nanos(nanos));
         }
         let (count, sum, min, max, buckets) = atomic.drain();

@@ -41,7 +41,7 @@
 //! The cluster is one engine too. [`Cluster`] owns everything that does
 //! not depend on where replicas live — servers, snapshot cell, rng,
 //! stats, shard logs, atomic recorders, load fold, shim policy, optional
-//! WAL, and the walk, driver hooks, update cadence, commit and drain —
+//! WAL, and the walk, driver hooks, update cadence and drain —
 //! and is parameterised by a sealed replica layout with exactly two
 //! implementations: [`Grouped`] ([`GhbaCluster`]) and [`FullMirror`]
 //! ([`HbaCluster`], the paper's baseline: every server mirrors every

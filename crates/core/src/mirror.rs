@@ -11,7 +11,7 @@
 //! explore.
 //!
 //! Everything else — the pinned walk, the op pipeline, the update
-//! cadence, commit and drain — is the engine G-HBA runs on, so a
+//! cadence and the drain — is the engine G-HBA runs on, so a
 //! difference in the numbers is a difference in layout. The published
 //! state is a [`RouteSnapshot`] with no groups: just the slab and the
 //! membership epoch.
@@ -24,6 +24,7 @@ use crate::cluster::{Cluster, Topology};
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use crate::reconfig::ReconfigReport;
 use crate::snapshot::{RouteCell, RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
+use crate::update::UpdateReport;
 
 /// The full-mirror replica layout of HBA: every server holds every other
 /// server's filter. Names the layout of [`HbaCluster`]; never
@@ -90,8 +91,20 @@ impl Topology for FullMirror {
         vec![(EVERYONE, cluster.server_ids())]
     }
 
-    fn replica_holders(cluster: &HbaCluster, _: &RouteSnapshot) -> usize {
-        cluster.mdss.len().saturating_sub(1)
+    /// HBA's system-wide broadcast: one message per other server.
+    fn update_fanout(
+        cluster: &mut HbaCluster,
+        _: &RouteSnapshot,
+        _: MdsId,
+        delta_bytes: u64,
+    ) -> UpdateReport {
+        let recipients = cluster.mdss.len().saturating_sub(1);
+        UpdateReport {
+            messages: recipients as u64,
+            bytes: delta_bytes * recipients as u64,
+            latency: cluster.config.latency.multicast_rtt(recipients),
+            refreshed: true,
+        }
     }
 
     fn join(cluster: &mut HbaCluster, id: MdsId) -> ReconfigReport {

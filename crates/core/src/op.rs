@@ -59,12 +59,11 @@
 //!   under its shard's lock, *releases it*, then creates `to` under the
 //!   target shard's lock — no op ever holds two shard locks, so there
 //!   is no lock-order cycle to deadlock on.
-//! * **`&self` publishes stay a single atomic swap.** After the driver
-//!   returns, pending create bits are folded into the published probe
-//!   columns through the same `SlabOp`/`CellWriter` path the `&mut`
-//!   writes use, under the slab writer lock, so readers still observe
-//!   probe state flip in one swap. A batch that panics mid-flight
-//!   leaves its pending records for the next commit or owner drain.
+//! * **The `&self` entry never publishes.** Pending writes are visible
+//!   to the era's walks through the overlay and the home's live probe;
+//!   published columns move only at `push_update`/`flush_all_updates`,
+//!   after the owner drain replayed the logs. A batch that panics
+//!   mid-flight leaves its pending records for that drain.
 //!
 //! Executed single-threaded against a quiescent scheme, the two entries
 //! are **bit-identical** at `lru_capacity = 0` (same RNG stream, same

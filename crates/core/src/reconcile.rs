@@ -11,14 +11,16 @@
 //!
 //! The closure is the whole contract — the reconciler knows nothing of
 //! clusters. The network replica (the first consumer) passes a closure
-//! that write-locks its shared cluster and, under that lock, replays the
-//! shard logs ([`drain_concurrent`](GhbaCluster::drain_concurrent), WAL
-//! append included) and publishes every drifted filter
-//! (`flush_all_updates`, with its WAL flush record). Batches wait that
-//! long: on the benchmark's `net_mixed` fleet (24 servers per replica,
-//! 25 ms cadence, one shared CPU) the lock is held ≈ 2.0 ms per tick —
-//! 0.7 ms drain, 1.2 ms flush — down from 9.9 ms when the flush still
-//! re-projected every live filter and rewrote whole slab words.
+//! that write-locks its shared cluster and, under that lock, runs the two
+//! halves of a tick: the drain
+//! ([`drain_concurrent`](GhbaCluster::drain_concurrent): fold stats, take
+//! the shard logs, WAL append, replay — it publishes nothing) and the
+//! flush (`flush_all_updates`: its WAL flush record, then one
+//! `push_update` per drifted filter — the only publisher). Batches wait
+//! that long: on the benchmark's `net_mixed` fleet (24 servers per
+//! replica, 25 ms cadence, one shared CPU) the lock is held ≈ 2.0 ms per
+//! tick — 0.7 ms drain, 1.2 ms flush — down from 9.9 ms when the flush
+//! still re-projected every live filter and rewrote whole slab words.
 //!
 //! The thread sleeps `cadence` *after* each tick, so the real period is
 //! cadence + tick time (+ scheduling): that 25 ms cadence ran at ≈ 39 ms

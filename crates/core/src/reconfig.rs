@@ -454,10 +454,6 @@ impl Topology for Grouped {
             .collect()
     }
 
-    fn replica_holders(_: &GhbaCluster, snap: &RouteSnapshot) -> usize {
-        snap.groups.len().saturating_sub(1)
-    }
-
     /// Unlike HBA's system-wide broadcast, G-HBA addresses **one server
     /// per group**: the replica holder, located through the group's
     /// IDBFA. A multi-hit in the IDBFA costs only extra dropped messages

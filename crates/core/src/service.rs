@@ -61,20 +61,26 @@ pub trait MetadataService {
     /// walks that one pin (fanned across the exec pool); the walk
     /// **never fills L1** and records its statistics into wait-free
     /// atomic counters; writes append to fingerprint-sharded overlay
-    /// logs that later lookups of the same era observe; the batch's
-    /// create bits fold into the published probe state as a single
-    /// atomic snapshot swap at commit — so any number of threads may
-    /// call this on the same service while reconfiguration publishes
-    /// successor snapshots. Authoritative per-server state and the
-    /// scheme's stats are reconciled at the next `&mut` entry point (any
-    /// [`execute`](MetadataService::execute) call, or
-    /// `GhbaCluster::drain_concurrent` explicitly).
+    /// logs, one shard lock each, visible to the same era's walks
+    /// through that overlay and the home's live probe (so a pending
+    /// create resolves at its true home, at L4 from a foreign group).
+    /// **Nothing here publishes**: published columns move only at
+    /// `push_update`/`flush_all_updates`, so this entry never takes the
+    /// route writer lock and any number of threads may call it while
+    /// reconfiguration publishes successor snapshots. Authoritative
+    /// per-server state and the scheme's stats are reconciled at the
+    /// next `&mut` entry point (any [`execute`](MetadataService::execute)
+    /// call, or `GhbaCluster::drain_concurrent` explicitly).
     ///
-    /// Single-threaded, the outcome stream is bit-identical to
-    /// [`execute`](MetadataService::execute) on schemes without an L1
-    /// cache fill (`lru_capacity == 0`); under concurrency outcomes stay
-    /// semantically correct (every resolved home is the true home at
-    /// pin time modulo this era's pending writes).
+    /// Single-threaded, the outcome stream equals
+    /// [`execute`](MetadataService::execute)'s exactly when (a)
+    /// `lru_capacity == 0` (no L1 fill to observe), (b) no home's drift
+    /// crosses `update_threshold_bits` inside the batch (the funnel
+    /// would publish there), and (c) no lookup follows a remove of the
+    /// same fingerprint in the batch (a pending remove stays in the live
+    /// probe until the drain: same home, different latency). Under
+    /// concurrency every resolved home is the true home at pin time
+    /// modulo this era's pending writes.
     ///
     /// The default panics: schemes opt in by overriding. G-HBA, HBA, and
     /// BFA all do.
@@ -260,9 +266,7 @@ impl<T: Topology> MetadataService for Cluster<T> {
             cluster: self,
             snap: self.routes.pin(),
         };
-        let outcomes = execute_vectored(&mut pinned, &self.server_ids(), batch);
-        self.commit_concurrent();
-        outcomes
+        execute_vectored(&mut pinned, &self.server_ids(), batch)
     }
 
     fn filter_memory_per_mds(&self) -> usize {

@@ -7,7 +7,7 @@
 //! point: the shard-log drain. When
 //! [`drain_concurrent`](GhbaCluster::drain_concurrent) takes the
 //! pending write records out of the namespace shards, the batch —
-//! every resolved [`WriteRecord`] plus the staged-home publish set — is
+//! every resolved [`WriteRecord`], in drain order — is
 //! appended (and, per policy, synced) **before any effect is applied**,
 //! so nothing the cluster ever published can be missing from the log.
 //! [`flush_all_updates`](GhbaCluster::flush_all_updates) barriers are
@@ -111,7 +111,7 @@ const WAL_MAGIC: [u8; 4] = *b"GWAL";
 const CKPT_MAGIC: [u8; 4] = *b"GCKP";
 /// On-disk format version (bump on any layout change, and regenerate
 /// the golden fixtures alongside).
-pub const WAL_VERSION: u16 = 1;
+pub const WAL_VERSION: u16 = 2;
 
 /// Record kind tags.
 const KIND_DRAIN: u8 = 1;
@@ -201,13 +201,10 @@ impl std::error::Error for WalError {
 /// One durable event, as decoded from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalEvent {
-    /// One shard-log drain: the resolved write records (in drain order)
-    /// plus the homes whose staged publishes the drain reconciled.
+    /// One shard-log drain: the resolved write records, in drain order.
     Drain {
         /// Resolved namespace writes, in total (drain) order.
         records: Vec<WriteRecord>,
-        /// Homes whose published filters the drain synchronized.
-        staged: Vec<MdsId>,
     },
     /// A `flush_all_updates` barrier (every drifted filter published).
     FlushAll,
@@ -365,7 +362,7 @@ fn unframe(bytes: &[u8]) -> Result<(&[u8], usize), WalError> {
 // Record codec.
 // ---------------------------------------------------------------------------
 
-fn encode_drain_payload(records: &[WriteRecord], staged: &[MdsId]) -> Vec<u8> {
+fn encode_drain_payload(records: &[WriteRecord]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(
         &u32::try_from(records.len())
@@ -383,14 +380,6 @@ fn encode_drain_payload(records: &[WriteRecord], staged: &[MdsId]) -> Vec<u8> {
         out.extend_from_slice(&a.to_le_bytes());
         out.extend_from_slice(&b.to_le_bytes());
         push_str(&mut out, &record.path);
-    }
-    out.extend_from_slice(
-        &u32::try_from(staged.len())
-            .expect("count fits")
-            .to_le_bytes(),
-    );
-    for home in staged {
-        out.extend_from_slice(&home.0.to_le_bytes());
     }
     out
 }
@@ -411,7 +400,7 @@ fn record_body(seq: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
 #[must_use]
 pub fn encode_record(seq: u64, event: &WalEvent) -> Vec<u8> {
     let (kind, payload) = match event {
-        WalEvent::Drain { records, staged } => (KIND_DRAIN, encode_drain_payload(records, staged)),
+        WalEvent::Drain { records } => (KIND_DRAIN, encode_drain_payload(records)),
         WalEvent::FlushAll => (KIND_FLUSH, Vec::new()),
     };
     frame(&record_body(seq, kind, &payload))
@@ -465,12 +454,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize), WalError> {
                 };
                 records.push(WriteRecord { path, fp, kind });
             }
-            let staged_count = reader.u32("staged count")? as usize;
-            let mut staged = Vec::with_capacity(staged_count.min(1 << 16));
-            for _ in 0..staged_count {
-                staged.push(MdsId(reader.u16("staged home")?));
-            }
-            WalEvent::Drain { records, staged }
+            WalEvent::Drain { records }
         }
         KIND_FLUSH => WalEvent::FlushAll,
         other => return Err(WalError::Corrupt(format!("unknown record kind {other}"))),
@@ -892,12 +876,8 @@ impl Wal {
     /// # Errors
     ///
     /// [`WalError::Io`] when the append or sync fails.
-    pub fn append_drain(
-        &mut self,
-        records: &[WriteRecord],
-        staged: &[MdsId],
-    ) -> Result<u64, WalError> {
-        let payload = encode_drain_payload(records, staged);
+    pub fn append_drain(&mut self, records: &[WriteRecord]) -> Result<u64, WalError> {
+        let payload = encode_drain_payload(records);
         self.append_raw(KIND_DRAIN, &payload)
     }
 
@@ -1230,7 +1210,7 @@ impl GhbaCluster {
     /// [`recover`](GhbaCluster::recover) attaches it afterwards).
     fn replay_wal_event(&mut self, event: &WalEvent) -> Result<(), WalError> {
         match event {
-            WalEvent::Drain { records, staged } => {
+            WalEvent::Drain { records } => {
                 for record in records {
                     if let WriteKind::Create(home) = record.kind {
                         if !self.mdss.contains_key(&home) {
@@ -1241,7 +1221,6 @@ impl GhbaCluster {
                     }
                 }
                 self.apply_write_records(records);
-                self.reconcile_staged(staged);
             }
             WalEvent::FlushAll => {
                 let _ = self.flush_all_updates();
@@ -1281,7 +1260,6 @@ mod tests {
                     kind: WriteKind::Remove(MdsId(3)),
                 },
             ],
-            staged: vec![MdsId(1), MdsId(3)],
         };
         let bytes = encode_record(7, &event);
         let (record, consumed) = decode_record(&bytes).expect("round trip");
@@ -1305,7 +1283,6 @@ mod tests {
                 fp: Fingerprint::of("/t/OTHER"),
                 kind: WriteKind::Create(MdsId(0)),
             }],
-            staged: vec![],
         };
         // encode_record writes the (wrong) lanes verbatim; the CRC is
         // valid, so only the semantic re-verification can catch it.
@@ -1324,7 +1301,6 @@ mod tests {
                 fp: Fingerprint::of("/p/q"),
                 kind: WriteKind::Create(MdsId(1)),
             }],
-            staged: vec![MdsId(1)],
         };
         let bytes = encode_record(9, &event);
         for cut in 0..bytes.len() {
@@ -1343,7 +1319,6 @@ mod tests {
                 fp: Fingerprint::of("/flip/me"),
                 kind: WriteKind::Remove(MdsId(2)),
             }],
-            staged: vec![],
         };
         let clean = encode_record(3, &event);
         for byte in 0..clean.len() {

@@ -151,12 +151,12 @@ fn assert_outcomes_match(round: usize, funnel: &[OpOutcome], pinned: &[OpOutcome
 /// write-shard count, and after `drain_concurrent` + flush both
 /// clusters converge to the same homes.
 ///
-/// The update threshold is raised so the funnel never publishes
-/// mid-batch (the concurrent pipeline commits deltas only at batch
-/// end), L1 is disabled (the pinned walk never fills the LRU), and
-/// removes sit at the tail of each batch (a pending remove stays
-/// invisible to live probes until drain, so a lookup *after* a remove
-/// of the same fingerprint would diverge in latency, never in home).
+/// Set up to meet the three conditions of the
+/// [`MetadataService::execute_concurrent`] contract: (a) L1 is disabled,
+/// (b) the update threshold is raised so no home's drift crosses it
+/// inside a batch (the funnel would publish there, the `&self` entry
+/// never publishes), and (c) removes sit at the tail of each batch, so
+/// no lookup follows a remove of the same fingerprint.
 #[test]
 fn concurrent_pipeline_matches_funnel_across_shard_counts() {
     for shards in [1usize, 4, 32] {
@@ -224,33 +224,109 @@ fn concurrent_pipeline_matches_funnel_across_shard_counts() {
 /// A `&self` remove names the ground-truth home whichever way it finds
 /// it: from this era's overlay for a path with a pending create or
 /// remove, through the live filters for every other stored path.
+///
+/// The second input is the long era: 300 creates pending on one home
+/// with no drain — past any publish gate. Nothing publishes from `&self`,
+/// so an entry in a foreign group finds each one a level late (L4:
+/// overlay + the home's live probe) but at its true home, and at L2/L3
+/// once a drain and a flush have shipped the home's drift.
 #[test]
 fn concurrent_remove_locates_true_home_beside_pending_overlay_entries() {
-    let mut cluster = GhbaCluster::with_servers(config(), 12);
-    let stored: Vec<String> = (0..40).map(|i| format!("/loc/f{i}")).collect();
-    let homes: Vec<MdsId> = stored.iter().map(|p| cluster.create_file(p)).collect();
+    for era_creates in [1usize, 300] {
+        let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
+        let stored: Vec<String> = (0..40).map(|i| format!("/loc/f{i}")).collect();
+        let homes: Vec<MdsId> = stored.iter().map(|p| cluster.create_file(p)).collect();
+        let new_home = MdsId(0);
+        let foreign = cluster
+            .server_ids()
+            .into_iter()
+            .find(|&id| cluster.group_of(id) != cluster.group_of(new_home))
+            .expect("12 servers at M = 5 form several groups");
 
-    let mut pending = OpBatch::new();
-    pending.push_create("/loc/new");
-    pending.push_remove(&stored[0]);
-    let first = cluster.execute_concurrent(&pending);
-    let OpOutcome::Created { home: new_home } = first[0] else {
-        panic!("create outcome expected, got {:?}", first[0]);
+        let mut pending = OpBatch::new().with_entry(EntryPolicy::Pinned(new_home));
+        let mut lookups = OpBatch::new().with_entry(EntryPolicy::Pinned(foreign));
+        for i in 0..era_creates {
+            pending.push_create(format!("/loc/new{i}"));
+            lookups.push_lookup(format!("/loc/new{i}"));
+        }
+        pending.push_remove(&stored[0]);
+        cluster.execute_concurrent(&pending);
+        let resolved = |cluster: &GhbaCluster| -> Vec<(Option<MdsId>, QueryLevel)> {
+            let outcomes = cluster.execute_concurrent(&lookups);
+            let queries = outcomes.iter().map(|o| o.query().expect("lookup outcome"));
+            queries.map(|q| (q.home, q.level)).collect()
+        };
+        assert!(
+            resolved(&cluster)
+                .iter()
+                .all(|&found| found == (Some(new_home), QueryLevel::L4Global)),
+            "{era_creates} pending creates, no drain: true home, one level late"
+        );
+
+        let mut removes = OpBatch::new();
+        removes.push_remove("/loc/new0");
+        for path in &stored {
+            removes.push_remove(path);
+        }
+        let mut expected = vec![Some(new_home), None]; // overlay: created, removed
+        expected.extend(homes[1..].iter().copied().map(Some)); // live filters
+        let got = cluster.execute_concurrent(&removes);
+        for (outcome, home) in got.iter().zip(expected) {
+            assert_eq!(*outcome, OpOutcome::Removed { home });
+        }
+        cluster.drain_concurrent();
+        assert!(stored.iter().all(|p| cluster.true_home(p).is_none()));
+        assert_eq!(cluster.true_home("/loc/new0"), None, "create, then remove");
+
+        cluster.flush_all_updates();
+        assert!(
+            resolved(&cluster)[1..]
+                .iter()
+                .all(|&(home, level)| home == Some(new_home)
+                    && matches!(level, QueryLevel::L2Segment | QueryLevel::L3Group)),
+            "{era_creates} creates drained and flushed: served from the replica"
+        );
+    }
+}
+
+/// The `&self` entry never publishes: with the publish gate at its
+/// minimum (threshold 16 ⇒ gate 1), create-heavy `execute_concurrent`
+/// batches leave every published filter as it was and `column ==
+/// published` (invariant 7) holds with the writes still pending. The
+/// drain publishes nothing either: every replica-update message in the
+/// statistics is one `push_update` accounted in its `UpdateReport`.
+#[test]
+fn concurrent_writes_publish_nothing_before_the_owner_flush() {
+    let mut cluster = GhbaCluster::with_servers(config().with_update_threshold(16), 12);
+    assert_eq!(cluster.config().publish_gate(), 1);
+    let published = |cluster: &GhbaCluster| -> Vec<_> {
+        let ids = cluster.server_ids().into_iter();
+        ids.map(|id| cluster.mds(id).expect("live").published().clone())
+            .collect()
     };
+    let before = published(&cluster);
 
-    let mut removes = OpBatch::new();
-    removes.push_remove("/loc/new");
-    for path in &stored {
-        removes.push_remove(path);
+    for round in 0..4 {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: round });
+        for i in 0..60 {
+            batch.push_create(format!("/gate/r{round}/f{i}"));
+        }
+        batch.push_lookup(format!("/gate/r{round}/f0"));
+        cluster.execute_concurrent(&batch);
+        cluster
+            .check_invariants()
+            .expect("column == published with concurrent writes pending");
+        assert_eq!(published(&cluster), before, "round {round}");
     }
-    let mut expected = vec![Some(new_home), None]; // overlay: created, removed
-    expected.extend(homes[1..].iter().copied().map(Some)); // live filters
-    let got = cluster.execute_concurrent(&removes);
-    for (outcome, home) in got.iter().zip(expected) {
-        assert_eq!(*outcome, OpOutcome::Removed { home });
-    }
+
     cluster.drain_concurrent();
-    assert!(stored.iter().all(|p| cluster.true_home(p).is_none()));
+    assert_eq!(cluster.stats().update_messages, 0, "a drain published");
+
+    let flushed = cluster.flush_all_updates();
+    assert!(flushed.messages > 0, "20 creates per server drifted");
+    assert_eq!(cluster.stats().update_messages, flushed.messages);
+    assert_eq!(cluster.stats().update_bytes, flushed.bytes);
+    cluster.check_invariants().expect("post-flush invariants");
 }
 
 /// Duplicates are traffic: a flash-crowd batch — the same hot paths

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use ghba_bloom::Fingerprint;
-use ghba_core::wal::{decode_record, encode_record};
+use ghba_core::wal::{crc32, decode_record, encode_record, WAL_VERSION};
 use ghba_core::{
     Checkpoint, EntryPolicy, GhbaCluster, GhbaConfig, GroupId, MdsId, MetadataService, OpBatch,
     SyncPolicy, Wal, WalError, WalEvent, WalOptions, WalRecord, WriteKind, WriteRecord,
@@ -117,7 +117,6 @@ fn golden_records() -> Vec<WalRecord> {
                     record("/golden/a", WriteKind::Create, 2),
                     record("/golden/b", WriteKind::Create, 0),
                 ],
-                staged: vec![MdsId(0), MdsId(2)],
             },
         },
         WalRecord {
@@ -128,7 +127,6 @@ fn golden_records() -> Vec<WalRecord> {
             seq: 3,
             event: WalEvent::Drain {
                 records: vec![record("/golden/a", WriteKind::Remove, 2)],
-                staged: vec![],
             },
         },
     ]
@@ -142,7 +140,7 @@ fn golden_log_bytes() -> Vec<u8> {
 }
 
 /// The canonical cluster whose checkpoint is frozen in
-/// `tests/data/checkpoint_v1.bin` — fully deterministic (seeded RNG,
+/// `tests/data/checkpoint_v2.bin` — fully deterministic (seeded RNG,
 /// deterministic entry policies), so re-deriving it must reproduce the
 /// fixture byte for byte.
 fn golden_cluster() -> GhbaCluster {
@@ -171,7 +169,7 @@ fn golden_wal_records_are_byte_exact() {
 
 #[test]
 fn golden_checkpoint_is_byte_exact() {
-    let fixture: &[u8] = include_bytes!("data/checkpoint_v1.bin");
+    let fixture: &[u8] = include_bytes!("data/checkpoint_v2.bin");
     let expected = golden_cluster().capture_checkpoint();
     assert_eq!(
         expected.to_bytes(),
@@ -187,6 +185,33 @@ fn golden_checkpoint_is_byte_exact() {
     );
 }
 
+/// A well-formed v1 frame (valid checksum, version field 1) is refused
+/// with a typed error before any of its body is interpreted, so nothing
+/// v1 code wrote (its drain records carried a trailing home list) can be
+/// half-decoded or replayed.
+#[test]
+fn v1_frames_are_refused_by_the_version_check() {
+    assert_eq!(WAL_VERSION, 2);
+    // `[len u32][crc u32][magic 4][version u16]…`: restamp the version
+    // and the checksum over the body.
+    let as_v1 = |mut bytes: Vec<u8>| {
+        bytes[12..14].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&bytes[8..]);
+        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    };
+    let record = as_v1(encode_record(1, &golden_records()[0].event));
+    assert!(matches!(
+        decode_record(&record),
+        Err(WalError::Corrupt(detail)) if detail == "unsupported wal version 1"
+    ));
+    let checkpoint = as_v1(include_bytes!("data/checkpoint_v2.bin").to_vec());
+    assert!(matches!(
+        Checkpoint::from_bytes(&checkpoint),
+        Err(WalError::Corrupt(detail)) if detail == "unsupported checkpoint version 1"
+    ));
+}
+
 /// Regenerates the golden fixtures after an intentional format change:
 /// `cargo test -p ghba-core --test wal -- --ignored regenerate`.
 #[test]
@@ -196,7 +221,7 @@ fn regenerate_golden_fixtures() {
     fs::create_dir_all(dir).expect("create fixture dir");
     fs::write(format!("{dir}/wal_records.bin"), golden_log_bytes()).expect("write records");
     fs::write(
-        format!("{dir}/checkpoint_v1.bin"),
+        format!("{dir}/checkpoint_v2.bin"),
         golden_cluster().capture_checkpoint().to_bytes(),
     )
     .expect("write checkpoint");
@@ -224,13 +249,9 @@ fn arb_write(selector: (bool, u16, u16)) -> WriteRecord {
 fn arb_event() -> impl Strategy<Value = WalEvent> {
     prop_oneof![
         1 => Just(WalEvent::FlushAll),
-        4 => (
-            proptest::collection::vec((any::<bool>(), any::<u16>(), any::<u16>()), 0..12),
-            proptest::collection::vec(0u16..32, 0..8),
-        )
-            .prop_map(|(writes, staged)| WalEvent::Drain {
+        4 => proptest::collection::vec((any::<bool>(), any::<u16>(), any::<u16>()), 0..12)
+            .prop_map(|writes| WalEvent::Drain {
                 records: writes.into_iter().map(arb_write).collect(),
-                staged: staged.into_iter().map(MdsId).collect(),
             }),
     ]
 }

@@ -11,9 +11,10 @@
 //!   [`MetadataService::execute_concurrent`]. Any number of batches
 //!   execute in parallel; each pins one route snapshot and appends its
 //!   writes to the fingerprint-sharded namespace logs.
-//! * **Draining** (`&mut self`): pending write records are reconciled
-//!   into the authoritative stores and staged filter publishes are
-//!   flushed. Two triggers exist: the background [`Reconciler`] thread
+//! * **Draining** (`&mut self`): the shard logs are taken, appended to
+//!   the WAL, and replayed into the authoritative stores, then every
+//!   drifted filter is flushed to its replicas (serving itself never
+//!   publishes). Two triggers exist: the background [`Reconciler`] thread
 //!   ticks on a configurable cadence
 //!   ([`ReplicaConfig::drain_cadence`]), and clients force a
 //!   synchronous barrier with [`NetMessage::Drain`] (answered by
@@ -196,16 +197,17 @@ struct ReplicaShared {
 }
 
 impl ReplicaShared {
-    /// Drains under the write lock; returns records reconciled.
-    fn drain(&self) -> (u64, u64) {
+    /// Drains under the write lock; returns records reconciled. None
+    /// are left pending: the drain takes every shard log while the write
+    /// lock keeps batches out, which is why a barrier reply's `pending`
+    /// is 0 without a second sweep of the shard locks.
+    fn drain(&self) -> u64 {
         let mut cluster = self.cluster.write().expect("cluster lock poisoned");
         let before = cluster.pending_concurrent_writes();
         cluster.drain_concurrent();
         let _ = cluster.flush_all_updates();
-        let after = cluster.pending_concurrent_writes();
-        self.drained_total
-            .fetch_add(before.saturating_sub(after), Ordering::Relaxed);
-        (before.saturating_sub(after), after)
+        self.drained_total.fetch_add(before, Ordering::Relaxed);
+        before
     }
 
     /// One control-plane tick: closes the cluster's load window and
@@ -240,8 +242,11 @@ impl Service for ReplicaShared {
                 ServiceReply::Message(NetMessage::BatchReply { seq, outcomes })
             }
             NetMessage::Drain => {
-                let (drained, pending) = self.drain();
-                ServiceReply::Message(NetMessage::DrainAck { drained, pending })
+                let drained = self.drain();
+                ServiceReply::Message(NetMessage::DrainAck {
+                    drained,
+                    pending: 0,
+                })
             }
             NetMessage::GroupProbe { qid, fp } => {
                 let cluster = self.cluster.read().expect("cluster lock poisoned");
@@ -351,7 +356,7 @@ impl ReplicaServer {
             let shared = Arc::clone(&shared);
             let mut controller = config.controller.clone().map(GroupController::new);
             Reconciler::spawn(config.drain_cadence, move || {
-                let _ = shared.drain();
+                shared.drain();
                 if let Some(controller) = controller.as_mut() {
                     shared.adapt_tick(controller);
                 }
