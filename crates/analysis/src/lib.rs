@@ -9,6 +9,7 @@
 //! * False-rate formulas, including Equation 1, live in
 //!   [`ghba_bloom::analysis`] and are re-exported as [`falserate`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -16,6 +16,7 @@
 //! [`ghba_core::MetadataService`], so experiments drive them and G-HBA
 //! through one interface.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

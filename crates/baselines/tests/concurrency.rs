@@ -1,4 +1,4 @@
-//! Lock-free snapshot concurrency for the mirror-based baselines:
+//! Snapshot concurrency for the mirror-based baselines:
 //! HBA/BFA lookups served *through* retire/restore reconfiguration.
 //!
 //! Counterpart of the G-HBA `concurrency` suite in `ghba-core`:

@@ -6,6 +6,7 @@
 //! sweep sizes; `golden/` pins the quick battery's output byte for byte.
 //! Performance is measured by `benchmark/` at the repo root, not here.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

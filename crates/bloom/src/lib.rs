@@ -41,12 +41,12 @@
 //! # Ok::<(), ghba_bloom::BloomError>(())
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
 mod array;
-mod compact;
 mod counting;
 mod error;
 mod filter;
@@ -56,7 +56,6 @@ pub mod ops;
 mod shared;
 
 pub use array::{BloomFilterArray, Hit};
-pub use compact::CompactCountingBloomFilter;
 pub use counting::CountingBloomFilter;
 pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;

@@ -355,6 +355,7 @@ fn advise_hugepages(words: &[u64]) {
             // SAFETY: purely advisory syscall over a page-aligned range
             // inside this live allocation; the kernel never moves or
             // invalidates the memory.
+            #[allow(unsafe_code)]
             unsafe {
                 libc_shim::madvise(lo as *mut core::ffi::c_void, hi - lo, MADV_HUGEPAGE);
             }
@@ -370,6 +371,7 @@ fn prefetch_word(slab: &[u64], word_offset: usize) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a pure hint (no dereference), and callers pass
     // offsets inside the slab.
+    #[allow(unsafe_code)]
     unsafe {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch(slab.as_ptr().add(word_offset).cast::<i8>(), _MM_HINT_T0);

@@ -1,8 +1,8 @@
 //! Property-based tests for the Bloom filter toolkit.
 
 use ghba_bloom::{
-    analysis, hash, ops, BloomFilter, BloomFilterArray, CompactCountingBloomFilter,
-    CountingBloomFilter, FilterDelta, Fingerprint, Hit, LruBloomArray, SharedShapeArray,
+    analysis, hash, ops, BloomFilter, BloomFilterArray, CountingBloomFilter, FilterDelta,
+    Fingerprint, Hit, LruBloomArray, SharedShapeArray,
 };
 use proptest::prelude::*;
 
@@ -225,32 +225,6 @@ proptest! {
         let f_small = analysis::standard_fpp(m, n, k);
         let f_large = analysis::standard_fpp(m, n + 100, k);
         prop_assert!(f_large >= f_small);
-    }
-
-    /// The nibble-packed counting filter agrees bit-for-bit with the
-    /// byte-counter one under any insert/remove interleaving that stays
-    /// below saturation.
-    #[test]
-    fn compact_agrees_with_byte_counting(
-        ops in proptest::collection::vec(("[a-z]{1,8}", any::<bool>()), 0..200),
-    ) {
-        let mut compact = CompactCountingBloomFilter::new(8_192, 4, 11);
-        let mut full = CountingBloomFilter::new(8_192, 4, 11);
-        for (item, insert) in &ops {
-            if *insert {
-                compact.insert(item);
-                full.insert(item);
-            } else {
-                let a = compact.remove(item);
-                let b = full.remove(item);
-                prop_assert_eq!(a.is_ok(), b.is_ok());
-            }
-        }
-        prop_assume!(compact.max_counter() < 15);
-        for (item, _) in &ops {
-            prop_assert_eq!(compact.contains(item), full.contains(item));
-        }
-        prop_assert_eq!(compact.item_count(), full.item_count());
     }
 
     /// Hash-once invariant: for any item, seed, and geometry, the probe

@@ -246,10 +246,10 @@ pub struct Cluster<T: Topology> {
     /// The published routing state — the bit-sliced slab of every
     /// server's published snapshot, the group/membership tables, and the
     /// per-group epochs — as an immutable [`RouteSnapshot`] behind a
-    /// lock-free snapshot cell. Lookups pin one snapshot at admission
-    /// and walk L1–L4 against it end to end; reconfiguration builds the
-    /// successor off to the side and publishes it with one pointer swap,
-    /// so readers are never blocked (see [`crate::snapshot`]).
+    /// snapshot cell. Lookups pin one snapshot at admission and walk
+    /// L1–L4 against it end to end; reconfiguration builds the successor
+    /// off to the side and publishes it with one pointer swap, so a pin
+    /// never waits for an edit or another pin (see [`crate::snapshot`]).
     pub(crate) routes: RouteCell,
     pub(crate) next_mds: u16,
     /// Behind a mutex so [`EntryPolicy::Random`] can draw from the one

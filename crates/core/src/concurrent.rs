@@ -1,8 +1,8 @@
 //! Shared-reference execution support: atomic statistics and sharded
 //! write ownership.
 //!
-//! PR 6 made individual lookups flow through reconfiguration lock-free,
-//! but left two gaps that this module closes:
+//! PR 6 made individual lookups flow through reconfiguration (each pins
+//! an immutable snapshot), but left two gaps that this module closes:
 //!
 //! * **Stats from `&self`** — [`ConcurrentStats`] mirrors the hot
 //!   counters of `ClusterStats` (level counts, lookup latency,

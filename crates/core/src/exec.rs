@@ -168,6 +168,7 @@ pub fn run_jobs(jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
             // job ran or panicked). No dispatched closure can therefore
             // be executed, or even dropped, after the borrowed data goes
             // out of scope.
+            #[allow(unsafe_code)]
             let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
             state.queue.push_back(Task {
                 job,

@@ -88,6 +88,7 @@
 //! cluster.check_invariants().expect("mirror and balance preserved");
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // The public `Cluster` is bounded by the crate-private `Topology` on

@@ -16,7 +16,7 @@
 //! configuration off to the side (copy-on-write per group, slab
 //! mutations queued as [`SlabOp`]s), and publishes it with one pointer
 //! swap. Pinned lookups keep resolving against the epoch they admitted
-//! under for the whole duration — reconfiguration never blocks reads.
+//! under for the whole duration — an open edit never blocks reads.
 
 use core::fmt;
 

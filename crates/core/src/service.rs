@@ -210,8 +210,8 @@ impl<T: Topology> VectoredScheme for Cluster<T> {
 }
 
 /// One `execute_concurrent` batch: the shared cluster bound to the
-/// routing snapshot pinned at admission. An owned pin — lock-free to
-/// take, valid across successor publishes, never blocks a publisher
+/// routing snapshot pinned at admission. An owned pin — one `Arc` clone
+/// to take, valid across successor publishes, never blocks a publisher
 /// while held — dropped when the batch's outcomes are assembled.
 struct PinnedBatch<'a, T: Topology> {
     cluster: &'a Cluster<T>,

@@ -1,101 +1,54 @@
-//! Lock-free epoch snapshots: immutable routing state swapped by an
-//! atomic pointer, so lookups are served *through* reconfiguration.
-//!
-//! Before this module, every reconfiguration was a full mutation
-//! barrier: `&mut self` on the cluster meant no batch could be in
-//! flight while a split/merge/rebalance rewrote the membership tables,
-//! so churn serialized the whole cluster. The fix is the classic
-//! RCU/arc-swap shape, built on `std` alone:
+//! Epoch snapshots: immutable routing state replaced whole behind one
+//! pointer, so lookups are served *through* reconfiguration.
 //!
 //! * All published probe state — the bit-sliced replica slab, the
 //!   group/membership tables, the per-group epochs — lives in one
 //!   **immutable** [`RouteSnapshot`] behind a [`SnapshotCell`].
-//! * A lookup **pins** the current snapshot with two atomic RMWs and
-//!   walks L1–L4 against it end to end (including across the parallel
-//!   chunk walkers, which already treat the state as read-only).
+//! * A lookup **pins** the current snapshot — an `Arc` clone under a
+//!   read lock held for that clone only — and walks L1–L4 against it end
+//!   to end (including across the parallel chunk walkers, which already
+//!   treat the state as read-only).
 //! * A reconfiguration builds the **successor** snapshot off to the
 //!   side — copy-on-write per group via [`Arc::make_mut`], sparse
 //!   [`SlabOp`]s against a writer-private spare slab — and publishes it
-//!   with a single slot flip. Readers pinned to the old snapshot finish
-//!   undisturbed; new lookups see the new epoch.
+//!   with one pointer swap under the write lock. Readers pinned to the
+//!   old snapshot finish undisturbed; new lookups see the new epoch.
+//! * Writers serialise on a writer mutex that readers never touch, so a
+//!   reader waits at most one pointer swap and a publisher at most one
+//!   `Arc` clone; neither ever waits for a *pin* or an open *edit*.
 //!
 //! Both replica layouts of the cluster engine publish through the same
 //! snapshot type — the full mirror's is a [`RouteSnapshot`] with no
 //! groups.
 
 use core::fmt;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use ghba_bloom::{BloomFilter, FilterDelta, SharedShapeArray, SlotMask};
 
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::RwLock;
 
-/// One of the cell's two value slots: the `Arc` being published plus a
-/// count of readers currently *cloning out of* the slot (not of
-/// outstanding pins — a pin holds the `Arc` itself once cloned, so the
-/// guard is held only for the few instructions of the clone).
-struct Slot<T> {
-    refs: AtomicUsize,
-    value: UnsafeCell<Option<Arc<T>>>,
-}
-
-impl<T> Slot<T> {
-    fn new(value: Option<Arc<T>>) -> Self {
-        Slot {
-            refs: AtomicUsize::new(0),
-            value: UnsafeCell::new(value),
-        }
-    }
-}
-
-/// A lock-free publication cell: readers [`pin`](SnapshotCell::pin) the
-/// current immutable snapshot without taking any lock, while a single
-/// writer (serialized by an internal mutex that also guards the
-/// writer-private scratch state `W`) swaps in successors.
+/// A publication cell: readers [`pin`](SnapshotCell::pin) the current
+/// immutable snapshot, a writer (serialised by an internal mutex that
+/// also guards the writer-private scratch state `W`) replaces it whole.
 ///
-/// # Protocol
-///
-/// Two slots hold at most one `Arc<T>` each; `active` names the slot
-/// readers should use. A reader loads `active`, increments that slot's
-/// guard, re-checks `active`, and only then clones the `Arc` — so a
-/// writer that flips `active` away can wait for the guard to drain and
-/// then reclaim the displaced slot knowing no reader is mid-clone.
-/// Readers never block: a reader that loses the race re-reads `active`
-/// and retries against the new slot.
-///
-/// The guard handshake is a store-buffering (Dekker) shape — reader:
-/// raise guard, re-check `active`; writer: flip `active`, read guard —
-/// so those four operations use `SeqCst` (see `pin`); plain
-/// Acquire/Release would let both sides miss each other and race the
-/// writer's reclamation against a reader's clone.
-///
-/// The writer publishes into the *inactive* slot (reader-free by
-/// induction: the previous publish drained it) and flips `active`; the
-/// displaced `Arc` is handed back to the caller, whose reference count
-/// tells it whether the old snapshot can be recycled in place.
+/// `current` is locked only for an `Arc` clone (a pin) or one pointer
+/// swap (a publish); the successor is allocated before the write lock is
+/// taken and the displaced `Arc` is dropped or recycled after it is
+/// released. [`edit`](SnapshotCell::edit) takes `writer` and never
+/// `current`, so an edit held open for a whole migration delays no pin.
+/// Neither critical section can panic, and a poisoned `current` would
+/// still hold a whole `Arc`, so poison on it is ignored.
 pub struct SnapshotCell<T, W = ()> {
-    slots: [Slot<T>; 2],
-    active: AtomicUsize,
+    current: RwLock<Arc<T>>,
     writer: Mutex<W>,
 }
 
-// SAFETY: the `UnsafeCell`s are only written by the single writer (the
-// `writer` mutex serializes publishes) while the guarded-slot protocol
-// proves no reader is accessing the written slot; everything readers
-// extract is an `Arc<T>`, so `T` must be shareable and sendable.
-unsafe impl<T: Send + Sync, W: Send> Sync for SnapshotCell<T, W> {}
-unsafe impl<T: Send + Sync, W: Send> Send for SnapshotCell<T, W> {}
-
 impl<T, W> fmt::Debug for SnapshotCell<T, W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("active", &self.active.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+        f.debug_struct("SnapshotCell").finish_non_exhaustive()
     }
 }
 
@@ -105,50 +58,16 @@ impl<T, W> SnapshotCell<T, W> {
     /// when the writer needs none).
     pub fn new(initial: T, writer_state: W) -> Self {
         SnapshotCell {
-            slots: [Slot::new(Some(Arc::new(initial))), Slot::new(None)],
-            active: AtomicUsize::new(0),
+            current: RwLock::new(Arc::new(initial)),
             writer: Mutex::new(writer_state),
         }
     }
 
-    /// Pins the current snapshot: lock-free, two atomic RMWs on the
-    /// fast path. The returned `Arc` stays valid — and immutable — for
-    /// as long as the caller holds it, however many successors are
-    /// published meanwhile.
+    /// Pins the current snapshot. The returned `Arc` stays valid — and
+    /// immutable — for as long as the caller holds it, however many
+    /// successors are published meanwhile.
     pub fn pin(&self) -> Arc<T> {
-        loop {
-            let at = self.active.load(Ordering::Acquire);
-            let slot = &self.slots[at];
-            // The guard-raise and the `active` re-check pair with the
-            // writer's flip-then-drain in `publish` as a store-buffering
-            // (Dekker) protocol: each side stores then loads what the
-            // other stores. Acquire/Release cannot order that shape —
-            // both sides may read the stale value and miss each other —
-            // so all four operations are `SeqCst`: in the single total
-            // order, either our re-check sees the writer's flip (we
-            // bail below without touching the value), or our increment
-            // precedes the writer's drain load, which then sees
-            // `refs > 0` and waits for us.
-            slot.refs.fetch_add(1, Ordering::SeqCst);
-            if self.active.load(Ordering::SeqCst) == at {
-                // SAFETY: the slot was active after we raised its
-                // guard, so the writer (which only touches a slot once
-                // it is inactive *and* drained) cannot be mutating it:
-                // the SeqCst pairing above guarantees a writer that
-                // flipped this slot away before our re-check is seen
-                // here, and one that flips after sees our guard. The
-                // re-check also synchronizes with the publishing store,
-                // so the value is fully written.
-                let pinned = unsafe { (*slot.value.get()).clone() };
-                slot.refs.fetch_sub(1, Ordering::Release);
-                if let Some(arc) = pinned {
-                    return arc;
-                }
-            } else {
-                slot.refs.fetch_sub(1, Ordering::Release);
-            }
-            core::hint::spin_loop();
-        }
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Opens the writer side: takes the writer lock (serializing
@@ -188,63 +107,18 @@ impl<T, W> CellWriter<'_, T, W> {
         &mut self.state
     }
 
-    /// Publishes `next` with a single slot flip and returns the
-    /// displaced snapshot. Readers pinned to the displaced snapshot
-    /// keep it alive through their own `Arc`s; once those drop, the
-    /// returned `Arc` is the last reference and the caller may recycle
-    /// its storage.
-    ///
-    /// # Blocking
-    ///
-    /// Readers never block, but the publisher does: after the flip it
-    /// spin-waits (yielding) for readers still inside the displaced
-    /// slot's guard window — the few instructions between raising the
-    /// guard and cloning the `Arc` out, *not* the lifetime of the pin.
-    /// In the common case the guard is already zero and the wait is a
-    /// single load; the wait is unbounded only if the OS preempts a
-    /// reader inside that window, in which case the publisher (and, via
-    /// the writer mutex it holds, every queued publisher) stalls until
-    /// that reader is rescheduled. Lookups proceed unimpeded against
-    /// the freshly published snapshot throughout; only reconfiguration
-    /// latency is exposed to this inversion.
+    /// Publishes `next` with one pointer swap and returns the displaced
+    /// snapshot. Readers pinned to the displaced snapshot keep it alive
+    /// through their own `Arc`s; once those drop, the returned `Arc` is
+    /// the last reference and the caller may recycle its storage.
     pub fn publish(&mut self, next: T) -> Arc<T> {
-        let at = self.cell.active.load(Ordering::Acquire);
-        let to = 1 - at;
-        let incoming = &self.cell.slots[to];
-        // SAFETY: slot `to` is inactive, and no reader has cloned from
-        // it since the previous publish drained it — a reader raising
-        // its guard on an inactive slot re-checks `active` and bails
-        // before ever touching the value. The writer lock makes us the
-        // only writer.
-        unsafe {
-            *incoming.value.get() = Some(Arc::new(next));
-        }
-        // The flip and the drain load below are the writer's half of
-        // the store-buffering pair with `pin`'s guard-raise/re-check;
-        // see the comment there for why all four must be `SeqCst`.
-        // `SeqCst` subsumes the Release needed to publish the value
-        // write above and the Acquire needed to observe guard exits.
-        self.cell.active.store(to, Ordering::SeqCst);
-        // Drain readers still mid-clone in the displaced slot (a few
-        // instructions each), then reclaim it. See "Blocking" above.
-        // Bounded backoff: the guard window is a handful of instructions,
-        // so a short spin almost always observes the exit without paying
-        // a scheduler round trip; only a reader preempted inside the
-        // window escalates us to `yield_now`.
-        let outgoing = &self.cell.slots[at];
-        let mut spins = 0u32;
-        while outgoing.refs.load(Ordering::SeqCst) != 0 {
-            if spins < 64 {
-                spins += 1;
-                core::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: the slot is inactive (we just flipped `active`) and
-        // drained, so no reader can be reading the value.
-        let displaced = unsafe { (*outgoing.value.get()).take() };
-        displaced.expect("the active slot always holds a snapshot")
+        let next = Arc::new(next);
+        let mut current = self
+            .cell
+            .current
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        core::mem::replace(&mut *current, next)
     }
 }
 
@@ -602,7 +476,7 @@ pub(crate) fn route_cell(snapshot: RouteSnapshot) -> RouteCell {
 /// (cheap: `Arc` clones per group plus the index maps) being mutated
 /// off to the side, plus the slab ops to fold in at commit. Holds the
 /// cell's writer lock, so edits — owner-driven or from a
-/// [`ReconfigHandle`] — serialize; readers are never blocked.
+/// [`ReconfigHandle`] — serialize; an open edit delays no pin.
 pub(crate) struct RouteEdit<'a> {
     writer: CellWriter<'a, RouteSnapshot, SlabSpare>,
     pub(crate) work: RouteSnapshot,
@@ -830,7 +704,7 @@ impl ReconfigHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
 
     #[test]
@@ -871,6 +745,35 @@ mod tests {
         drop(displaced.clone());
         assert_eq!(Arc::strong_count(&displaced), 1);
         assert_eq!(Arc::try_unwrap(displaced).expect("exclusive"), vec![1]);
+    }
+
+    /// An edit held open on another thread delays no pin: `edit` takes
+    /// the writer mutex only. A cell that held `current` across the edit
+    /// would hang the pins until the editor's watchdog gives up.
+    #[test]
+    fn pins_do_not_wait_for_an_open_edit() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cell: Arc<SnapshotCell<u32>> = Arc::new(SnapshotCell::new(7, ()));
+        let (opened_tx, opened_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let editor = {
+            let cell = Arc::clone(&cell);
+            thread::spawn(move || {
+                let mut writer = cell.edit();
+                opened_tx.send(()).expect("main thread waits for the edit");
+                let released = release_rx.recv_timeout(Duration::from_secs(10));
+                writer.publish(8);
+                released.is_ok()
+            })
+        };
+        opened_rx.recv().expect("editor opened its edit");
+        let all_base = (0..1_000).all(|_| *cell.pin() == 7);
+        let _ = release_tx.send(());
+        let released = editor.join().expect("editor panicked");
+        assert!(released, "pins blocked behind an open edit");
+        assert!(all_base, "an unpublished edit was visible to a pin");
+        assert_eq!(*cell.pin(), 8);
     }
 
     /// Readers hammering `pin` observe only fully-formed, monotonically
@@ -915,11 +818,9 @@ mod tests {
     }
 
     /// Under reader/writer contention every published snapshot is
-    /// dropped exactly once and never observed torn — the practical
-    /// stand-in for a loom model of the SeqCst guard handshake (loom is
-    /// not a dependency): a writer-side drain racing a reader's clone
-    /// shows up here as a payload-canary failure, a refcount crash, or
-    /// a drop-count mismatch.
+    /// dropped exactly once and never observed torn: a publish racing a
+    /// reader's clone would show up here as a payload-canary failure, a
+    /// refcount crash, or a drop-count mismatch.
     #[test]
     fn every_snapshot_dropped_exactly_once_under_contention() {
         const CANARY: u64 = 0x5EED_CAFE;

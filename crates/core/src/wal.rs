@@ -84,9 +84,15 @@
 //! seed/geometry is a typed error, never a silently wrong cluster),
 //! then replay the log tail above the watermark through the same
 //! drain/flush code paths the original execution took. Torn or
-//! truncated tails — a crash mid-append — are truncated to the last
-//! complete, CRC-valid, sequence-monotonic record: recovery **never
-//! panics** on malformed bytes (the PR-8 malformed-frame discipline).
+//! truncated tails — a crash mid-append: a frame that is short,
+//! over-long, empty or fails its checksum — are truncated to the last
+//! complete, CRC-valid, sequence-monotonic record. A frame that is
+//! complete and CRC-valid but does not decode (a record of another
+//! format version, an unknown kind) is *not* a tail: [`Wal::open`]
+//! returns its [`WalError::Corrupt`] and leaves the log untouched
+//! rather than erasing everything behind it. Either way recovery
+//! **never panics** on malformed bytes (the PR-8 malformed-frame
+//! discipline).
 
 use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
@@ -346,6 +352,11 @@ fn unframe(bytes: &[u8]) -> Result<(&[u8], usize), WalError> {
     if len > MAX_FRAME_BYTES {
         return Err(WalError::Corrupt(format!("frame length {len} exceeds cap")));
     }
+    // Eight zero bytes would otherwise pass (the CRC of nothing is 0): a
+    // zero-filled tail is a file extended by a write that never landed.
+    if len == 0 {
+        return Err(WalError::Corrupt("empty frame".into()));
+    }
     let expected_crc = u32::from_le_bytes(bytes[4..8].try_into().expect("sized"));
     let end = 8usize
         .checked_add(len)
@@ -416,6 +427,11 @@ pub fn encode_record(seq: u64, event: &WalEvent) -> Vec<u8> {
 /// [`WalError::Corrupt`] on any malformed byte sequence.
 pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize), WalError> {
     let (body, consumed) = unframe(bytes)?;
+    Ok((decode_body(body)?, consumed))
+}
+
+/// Decodes the body of one complete, CRC-valid frame.
+fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
     let mut reader = ByteReader::new(body);
     if reader.take(4, "record magic")? != WAL_MAGIC {
         return Err(WalError::Corrupt("bad record magic".into()));
@@ -460,7 +476,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize), WalError> {
         other => return Err(WalError::Corrupt(format!("unknown record kind {other}"))),
     };
     reader.finish("record")?;
-    Ok((WalRecord { seq, event }, consumed))
+    Ok(WalRecord { seq, event })
 }
 
 // ---------------------------------------------------------------------------
@@ -782,7 +798,11 @@ impl Wal {
     /// [`WalError::Io`] on filesystem failures; [`WalError::Corrupt`]
     /// when an *installed checkpoint* is unreadable (a torn log tail is
     /// recovered from, but a damaged checkpoint has nothing to recover
-    /// with and must not be silently ignored).
+    /// with and must not be silently ignored), or when a complete,
+    /// CRC-valid log frame does not decode (another format version, an
+    /// unknown kind, a fingerprint that does not match its path): that
+    /// is not tail damage, so nothing is truncated and `wal.log` is left
+    /// byte for byte as found.
     pub fn open(dir: &Path, options: WalOptions) -> Result<(Wal, WalRecovery), WalError> {
         fs::create_dir_all(dir)?;
         // A leftover tmp file is a checkpoint install that never reached
@@ -804,21 +824,24 @@ impl Wal {
         let mut good = 0usize;
         let mut prev_seq: Option<u64> = None;
         while good < bytes.len() {
-            match decode_record(&bytes[good..]) {
-                Ok((record, consumed)) => {
-                    if prev_seq.is_some_and(|prev| record.seq <= prev) {
-                        // Sequence regressed: everything from here on is
-                        // stale or scrambled — treat as tail damage.
-                        break;
-                    }
-                    prev_seq = Some(record.seq);
-                    records.push(record);
-                    good += consumed;
-                }
-                // Torn tail (crash mid-append) or tail corruption:
-                // recover to the last complete record, never panic.
-                Err(_) => break,
+            // A frame that is short, over-long or fails its checksum is a
+            // torn tail (crash mid-append) or tail corruption: recover
+            // to the last complete record, never panic.
+            let Ok((body, consumed)) = unframe(&bytes[good..]) else {
+                break;
+            };
+            // A complete, CRC-valid frame that does not decode was
+            // written that way (another format version, an unknown
+            // kind): refuse it and leave the log as it is.
+            let record = decode_body(body)?;
+            if prev_seq.is_some_and(|prev| record.seq <= prev) {
+                // Sequence regressed: everything from here on is
+                // stale or scrambled — treat as tail damage.
+                break;
             }
+            prev_seq = Some(record.seq);
+            records.push(record);
+            good += consumed;
         }
         let truncated_bytes = (bytes.len() - good) as u64;
         let mut log = OpenOptions::new()
@@ -1044,8 +1067,9 @@ impl GhbaCluster {
     ///
     /// # Errors
     ///
-    /// [`WalError::Corrupt`] for undecodable checkpoints or records
-    /// that name unknown servers; [`WalError::ConfigMismatch`] when the
+    /// [`WalError::Corrupt`] for undecodable checkpoints, complete log
+    /// frames that do not decode (see [`Wal::open`]) or records that
+    /// name unknown servers; [`WalError::ConfigMismatch`] when the
     /// checkpoint's config guard or server roster differs from
     /// `config`/`servers`; [`WalError::Io`] on filesystem failures.
     /// Torn log tails are not errors (they truncate cleanly).

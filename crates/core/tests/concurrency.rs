@@ -1,4 +1,4 @@
-//! Lock-free snapshot concurrency: G-HBA lookups served *through*
+//! Snapshot concurrency: G-HBA lookups served *through*
 //! reconfiguration.
 //!
 //! Three families of guarantees (the HBA/BFA counterparts live in the

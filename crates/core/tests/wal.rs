@@ -210,6 +210,22 @@ fn v1_frames_are_refused_by_the_version_check() {
         Checkpoint::from_bytes(&checkpoint),
         Err(WalError::Corrupt(detail)) if detail == "unsupported checkpoint version 1"
     ));
+    // The directory case: a complete v1 record in `wal.log` is not a
+    // torn tail, so opening refuses it and truncates nothing.
+    let dir = temp_dir("v1-log");
+    fs::create_dir_all(&dir).expect("create dir");
+    fs::write(dir.join("wal.log"), &record).expect("write v1 log");
+    let opts = options(SyncPolicy::None, 0);
+    assert!(matches!(
+        Wal::open(&dir, opts),
+        Err(WalError::Corrupt(detail)) if detail == "unsupported wal version 1"
+    ));
+    assert!(matches!(
+        GhbaCluster::recover(test_config(), 6, &dir, opts),
+        Err(WalError::Corrupt(detail)) if detail == "unsupported wal version 1"
+    ));
+    assert_eq!(fs::read(dir.join("wal.log")).expect("read log"), record);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Regenerates the golden fixtures after an intentional format change:
@@ -437,10 +453,18 @@ fn recovery_from_checkpoint_plus_tail_matches_and_bounds_the_log() {
 
 /// A crash torn mid-append recovers to exactly the state as of the last
 /// *complete* drain: run N drains, snapshot durable state after each,
-/// then truncate the log mid-final-record and recover.
+/// then tear the final record and recover.
 #[test]
 fn torn_tail_recovers_to_the_previous_drain_state() {
-    let dir = temp_dir("torn-drain");
+    // Cut a few bytes off the log tail.
+    torn_tail_case("torn-drain", |log, _| log.truncate(log.len() - 3));
+    // The file was extended but the final record's bytes never landed:
+    // a zero-filled tail (which frames as "length 0, checksum 0").
+    torn_tail_case("zero-tail", |log, last| log[last..].fill(0));
+}
+
+fn torn_tail_case(name: &str, tear: fn(&mut Vec<u8>, usize)) {
+    let dir = temp_dir(name);
     let opts = options(SyncPolicy::EveryBatch, 0);
     let paths = workload_paths();
     let mut snapshots = Vec::new();
@@ -458,10 +482,19 @@ fn torn_tail_recovers_to_the_previous_drain_state() {
             snapshots.push(durable_state(&mut cluster));
         }
     }
-    // Tear the final record: cut a few bytes off the log tail.
     let log_path = dir.join("wal.log");
-    let log = fs::read(&log_path).expect("read log");
-    fs::write(&log_path, &log[..log.len() - 3]).expect("tear tail");
+    let mut log = fs::read(&log_path).expect("read log");
+    // Offset of the final record.
+    let mut last = 0;
+    loop {
+        let (_, consumed) = decode_record(&log[last..]).expect("the log is clean so far");
+        if last + consumed == log.len() {
+            break;
+        }
+        last += consumed;
+    }
+    tear(&mut log, last);
+    fs::write(&log_path, &log).expect("tear tail");
 
     let mut recovered = GhbaCluster::recover(test_config(), 6, &dir, opts).expect("recover");
     recovered.check_invariants().expect("recovered invariants");

@@ -34,6 +34,7 @@
 //! `loadgen --clients <k> ...` compose into a real deployment; see
 //! each binary's `--help`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

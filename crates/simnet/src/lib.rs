@@ -21,6 +21,7 @@
 //! reproducible in CI, and cover real concurrency separately in
 //! `ghba-net` (processes over TCP) and the engine's concurrency suites.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -23,6 +23,7 @@
 //! * [`TraceRecord`], [`MetaOp`], [`TraceStats`] — the replayable unit and
 //!   its aggregate statistics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -42,6 +42,8 @@
 //! assert_eq!(report.operations, 2_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ghba_analysis as analysis;
 pub use ghba_baselines as baselines;
 pub use ghba_bloom as bloom;
