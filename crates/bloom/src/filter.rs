@@ -301,7 +301,16 @@ impl BloomFilter {
     /// `seed: u64 LE` · `items: u64 LE` · words (`u64 LE` each).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 + 4 + 8 + 8 + self.words.len() * 8);
+        let mut out = Vec::new();
+        self.write_bytes_into(&mut out);
+        out
+    }
+
+    /// Appends the [`to_bytes`](BloomFilter::to_bytes) serialization to
+    /// `out` — for a caller assembling a larger buffer (a checkpoint
+    /// frame) that would otherwise copy the filter twice.
+    pub fn write_bytes_into(&self, out: &mut Vec<u8>) {
+        out.reserve(4 + 8 + 4 + 8 + 8 + self.words.len() * 8);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.bits as u64).to_le_bytes());
         out.extend_from_slice(&self.hashes.to_le_bytes());
@@ -310,7 +319,6 @@ impl BloomFilter {
         for w in &self.words {
             out.extend_from_slice(&w.to_le_bytes());
         }
-        out
     }
 
     /// Decodes a filter from [`to_bytes`](BloomFilter::to_bytes) output.

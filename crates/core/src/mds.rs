@@ -141,8 +141,9 @@ impl Mds {
 
     /// Pre-hashed variant of [`create_local`](Mds::create_local): callers
     /// holding the path's admission-time fingerprint (a batched op
-    /// pipeline) skip the byte pass entirely.
-    pub fn create_local_fp(&mut self, path: &str, fp: &Fingerprint) {
+    /// pipeline) skip the byte pass entirely, and one holding an owned
+    /// `String` (checkpoint restore) hands it to the store.
+    pub fn create_local_fp(&mut self, path: impl AsRef<str> + Into<String>, fp: &Fingerprint) {
         let existed = self.store.create(path).is_some();
         // Re-creating an existing path bumps its version but must not
         // double-insert into the counting filter: the live filter holds
@@ -294,6 +295,15 @@ impl Mds {
             self.mutations_since_publish,
             self.mutations_since_drift_check,
         )
+    }
+
+    /// Checkpoint restore: adopts the decoded namespace — the store is
+    /// sized once for it and takes each path `String` as it is.
+    pub(crate) fn restore_files(&mut self, files: Vec<(String, (u64, u64))>) {
+        self.store.reserve(files.len());
+        for (path, (a, b)) in files {
+            self.create_local_fp(path, &Fingerprint::from_lanes(a, b));
+        }
     }
 
     /// Checkpoint restore: overwrites the published snapshot and the

@@ -46,10 +46,12 @@ impl MetadataStore {
 
     /// Inserts metadata for `path`, returning the previous attributes if
     /// the path already existed (idempotent re-create bumps the version).
-    pub fn create(&mut self, path: &str) -> Option<FileAttrs> {
+    /// An owned `String` is moved into the table, a `&str` copied only
+    /// when the path is new.
+    pub fn create(&mut self, path: impl AsRef<str> + Into<String>) -> Option<FileAttrs> {
         let ino = self.next_ino;
         self.next_ino += 1;
-        match self.files.get_mut(path) {
+        match self.files.get_mut(path.as_ref()) {
             Some(attrs) => {
                 let old = *attrs;
                 attrs.version += 1;
@@ -57,7 +59,7 @@ impl MetadataStore {
             }
             None => {
                 self.files.insert(
-                    path.to_owned(),
+                    path.into(),
                     FileAttrs {
                         ino,
                         size: 0,
@@ -67,6 +69,11 @@ impl MetadataStore {
                 None
             }
         }
+    }
+
+    /// Makes room for `additional` more files without rehashing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.files.reserve(additional);
     }
 
     /// `true` if metadata for `path` is stored here. This is the

@@ -103,14 +103,21 @@ impl PathKey {
 
     /// Reassembles a `PathKey` from a pathname and a fingerprint computed
     /// elsewhere — the wire-decode path, where the fingerprint arrived in
-    /// the frame alongside the path bytes. Returns `None` when `fp` is
-    /// not `path`'s fingerprint: the pair is corrupt and the decoder must
-    /// reject the frame rather than admit a key whose probe stream
-    /// disagrees with its pathname.
-    #[must_use]
-    pub fn from_parts(path: impl Into<String>, fp: Fingerprint) -> Option<Self> {
+    /// the frame alongside the path bytes.
+    ///
+    /// # Errors
+    ///
+    /// Hands `path` back when `fp` is not its fingerprint: the pair is
+    /// corrupt and the decoder must reject the frame (naming the path)
+    /// rather than admit a key whose probe stream disagrees with its
+    /// pathname.
+    pub fn from_parts(path: impl Into<String>, fp: Fingerprint) -> Result<Self, String> {
         let path = path.into();
-        (Fingerprint::of(path.as_str()) == fp).then_some(PathKey { path, fp })
+        if Fingerprint::of(path.as_str()) == fp {
+            Ok(PathKey { path, fp })
+        } else {
+            Err(path)
+        }
     }
 
     /// The pathname.

@@ -44,7 +44,7 @@
 //!   flush record; an embedder whose appends stop has no bound short
 //!   of [`detach_wal`](GhbaCluster::detach_wal) + [`Wal::sync`].
 //!   Closing the gap belongs with the per-batch
-//!   `Ack::{Visible, Durable}` work (ROADMAP direction 5).
+//!   `Ack::{Visible, Durable}` work (ROADMAP direction 1).
 //! * [`SyncPolicy::None`] — no explicit sync. Survives process kill;
 //!   power loss may lose everything since the last checkpoint install
 //!   (which always syncs).
@@ -54,6 +54,31 @@
 //! (written tmp → fsync → rename, then the log is truncated — a crash
 //! between rename and truncate is safe because replay skips records at
 //! or below the checkpoint's sequence watermark).
+//!
+//! # What durability costs
+//!
+//! Every durable byte is encoded once, in place, into the one buffer
+//! the [`Wal`] owns (frame header reserved, body written behind it,
+//! length and checksum patched in) and checksummed eight bytes per
+//! step. Measured with `ghba-benchmark`'s `write_churn` (48 servers,
+//! traced rounds, one 2-core host; PR 21, parent → change):
+//!
+//! * **An append is O(drain).** 43.5 bytes and ≈ 96 ns per write record
+//!   (`wal.tax_ns_per_record`, 207 ns before), no allocation once the
+//!   buffer has grown to a drain's size, one `write` per drain.
+//! * **A checkpoint is O(namespace).** It walks every store, hashes and
+//!   sorts every path and writes every published filter: 2.5 MB in
+//!   ≈ 11.8 ms at 50 k files (19.6 ms before), 7.9 MB in ≈ 46 ms at
+//!   200 k (86 ms before). Of the 50 k figure ≈ 2.2 ms is
+//!   re-fingerprinting the paths, ≈ 3.0 ms sorting them, ≈ 1.8 ms the
+//!   checksum (≈ 1.4 GB/s), ≈ 0.7 ms the copy, and ≈ 3.5 ms the file
+//!   write, `fsync`, rename and log truncation. It allocates one sorted
+//!   `(&str, lanes)` list per server and nothing per path.
+//!
+//! Checkpoints still run on the draining thread, inside the drain that
+//! crossed `checkpoint_every`: every request behind that drain waits the
+//! whole O(namespace) term. Taking them off the serving path, or making
+//! them incremental, is ROADMAP direction 2's *A fleet that checkpoints*.
 //!
 //! # What is *not* durable
 //!
@@ -94,6 +119,7 @@
 //! **never panics** on malformed bytes (the PR-8 malformed-frame
 //! discipline).
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -108,7 +134,7 @@ use crate::concurrent::{WriteKind, WriteRecord};
 use crate::config::GhbaConfig;
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
-use crate::mds::published_shape;
+use crate::mds::{published_shape, Mds};
 use crate::snapshot::{RouteEdit, SlabOp};
 
 /// Magic prefix of every WAL record body.
@@ -177,6 +203,9 @@ pub enum WalError {
     Corrupt(String),
     /// A checkpoint captured under an incompatible configuration.
     ConfigMismatch(String),
+    /// A record or checkpoint too large for one frame: refused before
+    /// anything is written, because no reader would accept it back.
+    TooLarge(String),
 }
 
 impl From<std::io::Error> for WalError {
@@ -191,6 +220,7 @@ impl std::fmt::Display for WalError {
             WalError::Io(err) => write!(f, "wal i/o: {err}"),
             WalError::Corrupt(detail) => write!(f, "wal corrupt: {detail}"),
             WalError::ConfigMismatch(detail) => write!(f, "wal config mismatch: {detail}"),
+            WalError::TooLarge(detail) => write!(f, "wal frame too large: {detail}"),
         }
     }
 }
@@ -227,11 +257,14 @@ pub struct WalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][i]`
+/// is the CRC state after byte `i` followed by `k` zero bytes, so eight
+/// lookups — one per table — advance the state over eight input bytes.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -244,20 +277,45 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// The IEEE CRC32 of `bytes` (the checksum guarding every frame).
+/// The IEEE CRC32 of `bytes` (the checksum guarding every frame), eight
+/// bytes per step.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -329,17 +387,39 @@ fn read_str(reader: &mut ByteReader<'_>, what: &str) -> Result<String, WalError>
     String::from_utf8(bytes.to_vec()).map_err(|_| WalError::Corrupt(format!("{what} is not utf-8")))
 }
 
-/// Frames `body` as `[len u32][crc u32][body]`.
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("body fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+/// The length prefix of a `body_len`-byte frame body — refused, typed,
+/// when it exceeds `cap`: [`unframe`] would not read that frame back.
+fn frame_len(body_len: usize, cap: usize) -> Result<u32, WalError> {
+    u32::try_from(body_len)
+        .ok()
+        .filter(|_| body_len <= cap)
+        .ok_or_else(|| {
+            WalError::TooLarge(format!("frame body of {body_len} bytes exceeds cap {cap}"))
+        })
+}
+
+/// **The** frame writer: appends one `[len u32][crc u32][body]` frame to
+/// `out`, letting `body` encode straight behind the reserved header and
+/// patching length and checksum in afterwards — no second buffer.
+///
+/// # Errors
+///
+/// [`WalError::TooLarge`] when the body exceeds `cap`; `out` is then
+/// back at its original length, so nothing of the refused frame can be
+/// written anywhere.
+fn write_frame(
+    out: &mut Vec<u8>,
+    cap: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WalError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    body(out);
+    let len = frame_len(out.len() - start - 8, cap).inspect_err(|_| out.truncate(start))?;
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Unframes one `[len][crc][body]` frame from the head of `bytes`,
@@ -373,48 +453,59 @@ fn unframe(bytes: &[u8]) -> Result<(&[u8], usize), WalError> {
 // Record codec.
 // ---------------------------------------------------------------------------
 
-fn encode_drain_payload(records: &[WriteRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(
-        &u32::try_from(records.len())
-            .expect("count fits")
-            .to_le_bytes(),
-    );
-    for record in records {
-        let (op, home) = match record.kind {
-            WriteKind::Create(home) => (0u8, home),
-            WriteKind::Remove(home) => (1u8, home),
+/// Appends one framed record to `out` (layout: [`encode_record`]).
+/// `drain` is the batch of a [`WalEvent::Drain`]; `None` is a
+/// [`WalEvent::FlushAll`], which has no payload.
+fn write_record(
+    out: &mut Vec<u8>,
+    seq: u64,
+    drain: Option<&[WriteRecord]>,
+) -> Result<(), WalError> {
+    write_frame(out, MAX_FRAME_BYTES, |body| {
+        body.extend_from_slice(&WAL_MAGIC);
+        body.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        body.extend_from_slice(&seq.to_le_bytes());
+        let Some(records) = drain else {
+            body.push(KIND_FLUSH);
+            return;
         };
-        out.push(op);
-        out.extend_from_slice(&home.0.to_le_bytes());
-        let (a, b) = record.fp.lanes();
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-        push_str(&mut out, &record.path);
-    }
-    out
-}
-
-fn record_body(seq: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + 2 + 8 + 1 + payload.len());
-    body.extend_from_slice(&WAL_MAGIC);
-    body.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.push(kind);
-    body.extend_from_slice(payload);
-    body
+        body.push(KIND_DRAIN);
+        body.extend_from_slice(
+            &u32::try_from(records.len())
+                .expect("count fits")
+                .to_le_bytes(),
+        );
+        for record in records {
+            let (op, home) = match record.kind {
+                WriteKind::Create(home) => (0u8, home),
+                WriteKind::Remove(home) => (1u8, home),
+            };
+            body.push(op);
+            body.extend_from_slice(&home.0.to_le_bytes());
+            let (a, b) = record.fp.lanes();
+            body.extend_from_slice(&a.to_le_bytes());
+            body.extend_from_slice(&b.to_le_bytes());
+            push_str(body, &record.path);
+        }
+    })
 }
 
 /// Encodes one record as it is laid out on disk (the golden-file
 /// surface): `[len u32][crc u32]["GWAL"][version u16][seq u64][kind u8]
 /// [payload]`, all little-endian.
+///
+/// # Panics
+///
+/// Panics if the record body exceeds the frame cap (256 MB).
 #[must_use]
 pub fn encode_record(seq: u64, event: &WalEvent) -> Vec<u8> {
-    let (kind, payload) = match event {
-        WalEvent::Drain { records } => (KIND_DRAIN, encode_drain_payload(records)),
-        WalEvent::FlushAll => (KIND_FLUSH, Vec::new()),
+    let drain = match event {
+        WalEvent::Drain { records } => Some(records.as_slice()),
+        WalEvent::FlushAll => None,
     };
-    frame(&record_body(seq, kind, &payload))
+    let mut out = Vec::new();
+    write_record(&mut out, seq, drain).expect("record fits one frame");
+    out
 }
 
 /// Decodes one record from the head of `bytes`, returning it and the
@@ -561,11 +652,164 @@ pub struct Checkpoint {
     pub servers: Vec<ServerState>,
 }
 
-impl Checkpoint {
-    /// Captures a checkpoint of `cluster` (which must have no pending
-    /// concurrent writes — the owner drains before calling).
-    pub(crate) fn capture<T: Topology>(cluster: &Cluster<T>, wal_seq: u64) -> Checkpoint {
-        let snap = cluster.routes.pin();
+/// A server's published filter as the checkpoint encoder reads it.
+enum PublishedView<'a> {
+    /// The live filter, serialized straight into the frame.
+    Filter(&'a BloomFilter),
+    /// Already [`BloomFilter::to_bytes`] (an owned [`ServerState`]).
+    Bytes(&'a [u8]),
+}
+
+/// One server as the checkpoint encoder reads it, borrowed from a live
+/// [`Mds`] or from an owned [`ServerState`].
+struct ServerView<'a> {
+    id: MdsId,
+    since_publish: u64,
+    since_drift: u64,
+    /// `(path, fingerprint lanes)`, sorted by path.
+    files: Vec<(&'a str, (u64, u64))>,
+    published: PublishedView<'a>,
+}
+
+impl<'a> ServerView<'a> {
+    fn of_mds(mds: &'a Mds) -> Self {
+        let mut files: Vec<(&str, (u64, u64))> = mds
+            .store()
+            .paths()
+            .map(|path| (path, Fingerprint::of(path).lanes()))
+            .collect();
+        files.sort_unstable();
+        let (since_publish, since_drift) = mds.durable_counters();
+        ServerView {
+            id: mds.id(),
+            since_publish,
+            since_drift,
+            files,
+            published: PublishedView::Filter(mds.published()),
+        }
+    }
+
+    fn of_state(state: &'a ServerState) -> Self {
+        ServerView {
+            id: state.id,
+            since_publish: state.since_publish,
+            since_drift: state.since_drift,
+            files: state
+                .files
+                .iter()
+                .map(|(path, lanes)| (path.as_str(), *lanes))
+                .collect(),
+            published: PublishedView::Bytes(&state.published),
+        }
+    }
+
+    fn into_owned(self) -> ServerState {
+        ServerState {
+            id: self.id,
+            since_publish: self.since_publish,
+            since_drift: self.since_drift,
+            files: self
+                .files
+                .into_iter()
+                .map(|(path, lanes)| (path.to_owned(), lanes))
+                .collect(),
+            published: match self.published {
+                PublishedView::Filter(filter) => filter.to_bytes(),
+                PublishedView::Bytes(bytes) => bytes.to_vec(),
+            },
+        }
+    }
+}
+
+/// A checkpoint as its one layout encoder reads it: a borrowed view of
+/// either a live cluster (the serving path — no path `String`, filter
+/// or body is copied on the way into the frame) or an owned
+/// [`Checkpoint`]. `servers` yields one [`ServerView`] at a time,
+/// ascending by id, so only one server's sorted path list exists at once.
+struct CheckpointView<'a, S> {
+    epoch: u64,
+    wal_seq: u64,
+    guard: ConfigGuard,
+    next_group: u16,
+    groups: Cow<'a, [GroupShape]>,
+    servers: S,
+}
+
+impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
+    /// Appends the checkpoint to `out` as laid out on disk: one CRC
+    /// frame around `["GCKP"][version][epoch][wal_seq][guard][shape]
+    /// [servers]`. The only place that knows the layout.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::TooLarge`] when the body exceeds `cap` (`out` is left
+    /// as it was).
+    fn encode_into(self, out: &mut Vec<u8>, cap: usize) -> Result<(), WalError> {
+        let count = |n: usize| u32::try_from(n).expect("count fits").to_le_bytes();
+        write_frame(out, cap, |body| {
+            body.extend_from_slice(&CKPT_MAGIC);
+            body.extend_from_slice(&WAL_VERSION.to_le_bytes());
+            body.extend_from_slice(&self.epoch.to_le_bytes());
+            body.extend_from_slice(&self.wal_seq.to_le_bytes());
+            body.extend_from_slice(&self.guard.seed.to_le_bytes());
+            body.extend_from_slice(&self.guard.max_group_size.to_le_bytes());
+            body.extend_from_slice(&self.guard.filter_bits.to_le_bytes());
+            body.extend_from_slice(&self.guard.filter_hashes.to_le_bytes());
+            body.extend_from_slice(&self.guard.write_shards.to_le_bytes());
+            body.extend_from_slice(&self.next_group.to_le_bytes());
+            body.extend_from_slice(&count(self.groups.len()));
+            for group in self.groups.iter() {
+                body.extend_from_slice(&group.gid.0.to_le_bytes());
+                body.extend_from_slice(&group.epoch.to_le_bytes());
+                body.extend_from_slice(&count(group.members.len()));
+                for member in &group.members {
+                    body.extend_from_slice(&member.0.to_le_bytes());
+                }
+            }
+            body.extend_from_slice(&count(self.servers.len()));
+            for server in self.servers {
+                body.extend_from_slice(&server.id.0.to_le_bytes());
+                body.extend_from_slice(&server.since_publish.to_le_bytes());
+                body.extend_from_slice(&server.since_drift.to_le_bytes());
+                body.extend_from_slice(&count(server.files.len()));
+                for (path, (a, b)) in server.files {
+                    body.extend_from_slice(&a.to_le_bytes());
+                    body.extend_from_slice(&b.to_le_bytes());
+                    push_str(body, path);
+                }
+                // Length-prefixed like a frame: reserve, write, patch.
+                let at = body.len();
+                body.extend_from_slice(&[0; 4]);
+                match server.published {
+                    PublishedView::Filter(filter) => filter.write_bytes_into(body),
+                    PublishedView::Bytes(bytes) => body.extend_from_slice(bytes),
+                }
+                let len = count(body.len() - at - 4);
+                body[at..at + 4].copy_from_slice(&len);
+            }
+        })
+    }
+
+    fn into_owned(self) -> Checkpoint {
+        Checkpoint {
+            epoch: self.epoch,
+            wal_seq: self.wal_seq,
+            guard: self.guard,
+            next_group: self.next_group,
+            groups: self.groups.into_owned(),
+            servers: self.servers.map(ServerView::into_owned).collect(),
+        }
+    }
+}
+
+impl<T: Topology> Cluster<T> {
+    /// The checkpoint view of the current state (which must have no
+    /// pending concurrent writes — the owner drains before calling).
+    fn checkpoint_view(
+        &self,
+        wal_seq: u64,
+    ) -> CheckpointView<'_, impl ExactSizeIterator<Item = ServerView<'_>>> {
+        let snap = self.routes.pin();
         let groups = snap
             .groups
             .iter()
@@ -575,95 +819,43 @@ impl Checkpoint {
                 members: group.members().to_vec(),
             })
             .collect();
-        let servers = cluster
-            .mdss
-            .values()
-            .map(|mds| {
-                let mut files: Vec<(String, (u64, u64))> = mds
-                    .store()
-                    .paths()
-                    .map(|path| (path.to_owned(), Fingerprint::of(path).lanes()))
-                    .collect();
-                files.sort();
-                let (since_publish, since_drift) = mds.durable_counters();
-                ServerState {
-                    id: mds.id(),
-                    since_publish,
-                    since_drift,
-                    files,
-                    published: mds.published().to_bytes(),
-                }
-            })
-            .collect();
-        Checkpoint {
+        CheckpointView {
             epoch: snap.epoch.0,
             wal_seq,
-            guard: ConfigGuard::of(&cluster.config),
+            guard: ConfigGuard::of(&self.config),
             next_group: snap.next_group,
-            groups,
-            servers,
+            groups: Cow::Owned(groups),
+            servers: self.mdss.values().map(ServerView::of_mds),
+        }
+    }
+}
+
+impl Checkpoint {
+    fn view(&self) -> CheckpointView<'_, impl ExactSizeIterator<Item = ServerView<'_>>> {
+        CheckpointView {
+            epoch: self.epoch,
+            wal_seq: self.wal_seq,
+            guard: self.guard.clone(),
+            next_group: self.next_group,
+            groups: Cow::Borrowed(&self.groups),
+            servers: self.servers.iter().map(ServerView::of_state),
         }
     }
 
-    /// Serializes the checkpoint as laid out on disk: one CRC frame
-    /// around `["GCKP"][version][epoch][wal_seq][guard][shape][servers]`.
+    /// Serializes the checkpoint as laid out on disk (one CRC frame; the
+    /// encoder the serving path streams a live cluster through).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body exceeds the frame cap (256 MB);
+    /// [`Wal::install_checkpoint`] returns the typed error instead.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&CKPT_MAGIC);
-        body.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        body.extend_from_slice(&self.epoch.to_le_bytes());
-        body.extend_from_slice(&self.wal_seq.to_le_bytes());
-        body.extend_from_slice(&self.guard.seed.to_le_bytes());
-        body.extend_from_slice(&self.guard.max_group_size.to_le_bytes());
-        body.extend_from_slice(&self.guard.filter_bits.to_le_bytes());
-        body.extend_from_slice(&self.guard.filter_hashes.to_le_bytes());
-        body.extend_from_slice(&self.guard.write_shards.to_le_bytes());
-        body.extend_from_slice(&self.next_group.to_le_bytes());
-        body.extend_from_slice(
-            &u32::try_from(self.groups.len())
-                .expect("count fits")
-                .to_le_bytes(),
-        );
-        for group in &self.groups {
-            body.extend_from_slice(&group.gid.0.to_le_bytes());
-            body.extend_from_slice(&group.epoch.to_le_bytes());
-            body.extend_from_slice(
-                &u32::try_from(group.members.len())
-                    .expect("count fits")
-                    .to_le_bytes(),
-            );
-            for member in &group.members {
-                body.extend_from_slice(&member.0.to_le_bytes());
-            }
-        }
-        body.extend_from_slice(
-            &u32::try_from(self.servers.len())
-                .expect("count fits")
-                .to_le_bytes(),
-        );
-        for server in &self.servers {
-            body.extend_from_slice(&server.id.0.to_le_bytes());
-            body.extend_from_slice(&server.since_publish.to_le_bytes());
-            body.extend_from_slice(&server.since_drift.to_le_bytes());
-            body.extend_from_slice(
-                &u32::try_from(server.files.len())
-                    .expect("count fits")
-                    .to_le_bytes(),
-            );
-            for (path, (a, b)) in &server.files {
-                body.extend_from_slice(&a.to_le_bytes());
-                body.extend_from_slice(&b.to_le_bytes());
-                push_str(&mut body, path);
-            }
-            body.extend_from_slice(
-                &u32::try_from(server.published.len())
-                    .expect("count fits")
-                    .to_le_bytes(),
-            );
-            body.extend_from_slice(&server.published);
-        }
-        frame(&body)
+        let mut out = Vec::new();
+        self.view()
+            .encode_into(&mut out, MAX_FRAME_BYTES)
+            .expect("checkpoint fits one frame");
+        out
     }
 
     /// Decodes a checkpoint from [`to_bytes`](Checkpoint::to_bytes)
@@ -784,6 +976,11 @@ pub struct Wal {
     options: WalOptions,
     last_sync: Instant,
     appended_since_checkpoint: u64,
+    /// The one encode buffer: every record and checkpoint frame is
+    /// built here in place and written from here, so an append
+    /// allocates nothing once it has grown to a drain's size (and it
+    /// keeps the size of the largest checkpoint installed through it).
+    buf: Vec<u8>,
 }
 
 impl Wal {
@@ -864,6 +1061,7 @@ impl Wal {
             options,
             last_sync: Instant::now(),
             appended_since_checkpoint,
+            buf: Vec::new(),
         };
         Ok((
             wal,
@@ -898,10 +1096,11 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] when the append or sync fails.
+    /// [`WalError::Io`] when the append or sync fails;
+    /// [`WalError::TooLarge`] (nothing written) for a batch beyond the
+    /// frame cap.
     pub fn append_drain(&mut self, records: &[WriteRecord]) -> Result<u64, WalError> {
-        let payload = encode_drain_payload(records);
-        self.append_raw(KIND_DRAIN, &payload)
+        self.append(Some(records))
     }
 
     /// Appends one flush-barrier record (see [`WalEvent::FlushAll`]).
@@ -910,13 +1109,14 @@ impl Wal {
     ///
     /// [`WalError::Io`] when the append or sync fails.
     pub fn append_flush(&mut self) -> Result<u64, WalError> {
-        self.append_raw(KIND_FLUSH, &[])
+        self.append(None)
     }
 
-    fn append_raw(&mut self, kind: u8, payload: &[u8]) -> Result<u64, WalError> {
+    fn append(&mut self, drain: Option<&[WriteRecord]>) -> Result<u64, WalError> {
         let seq = self.next_seq;
-        self.log
-            .write_all(&frame(&record_body(seq, kind, payload)))?;
+        self.buf.clear();
+        write_record(&mut self.buf, seq, drain)?;
+        self.log.write_all(&self.buf)?;
         match self.options.sync {
             SyncPolicy::EveryBatch => self.log.sync_data()?,
             SyncPolicy::GroupCommit(interval) => {
@@ -966,13 +1166,27 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] when any step fails (an installed older
-    /// checkpoint stays intact in that case).
+    /// [`WalError::TooLarge`] for a checkpoint beyond the frame cap —
+    /// refused before any file is touched, so the installed checkpoint
+    /// and the full log still recover; [`WalError::Io`] when any step
+    /// fails (an installed older checkpoint stays intact in that case).
     pub fn install_checkpoint(&mut self, checkpoint: &Checkpoint) -> Result<(), WalError> {
+        self.install_view(checkpoint.view(), MAX_FRAME_BYTES)
+    }
+
+    /// [`install_checkpoint`](Wal::install_checkpoint) of a borrowed
+    /// view, encoded into the log's own buffer under frame cap `cap`.
+    fn install_view<'a>(
+        &mut self,
+        view: CheckpointView<'a, impl ExactSizeIterator<Item = ServerView<'a>>>,
+        cap: usize,
+    ) -> Result<(), WalError> {
+        self.buf.clear();
+        view.encode_into(&mut self.buf, cap)?;
         let tmp = self.dir.join(CKPT_TMP);
         {
             let mut file = File::create(&tmp)?;
-            file.write_all(&checkpoint.to_bytes())?;
+            file.write_all(&self.buf)?;
             file.sync_all()?;
         }
         fs::rename(&tmp, self.dir.join(CKPT_FILE))?;
@@ -996,14 +1210,22 @@ impl<T: Topology> Cluster<T> {
     /// threshold has been reached (called at the end of every drain,
     /// when the cluster is momentarily clean).
     pub(crate) fn maybe_checkpoint(&mut self) {
-        if !self.wal.as_ref().is_some_and(|wal| wal.checkpoint_due()) {
-            return;
+        if self.wal.as_ref().is_some_and(|wal| wal.checkpoint_due()) {
+            self.checkpoint_attached(MAX_FRAME_BYTES)
+                .expect("checkpoint install failed: the log can no longer be bounded");
         }
-        let mut wal = self.wal.take().expect("checked above");
-        let checkpoint = Checkpoint::capture(self, wal.last_seq());
-        wal.install_checkpoint(&checkpoint)
-            .expect("checkpoint install failed: the log can no longer be bounded");
+    }
+
+    /// Streams the current state (no pending concurrent writes) through
+    /// the attached WAL as its new checkpoint, under frame cap `cap`;
+    /// `Ok(false)` without a WAL.
+    fn checkpoint_attached(&mut self, cap: usize) -> Result<bool, WalError> {
+        let Some(mut wal) = self.wal.take() else {
+            return Ok(false);
+        };
+        let result = wal.install_view(self.checkpoint_view(wal.last_seq()), cap);
         self.wal = Some(wal);
+        result.map(|()| true)
     }
 }
 
@@ -1036,7 +1258,7 @@ impl GhbaCluster {
     pub fn capture_checkpoint(&mut self) -> Checkpoint {
         self.maybe_drain();
         let wal_seq = self.wal.as_ref().map_or(0, |wal| wal.last_seq());
-        Checkpoint::capture(self, wal_seq)
+        self.checkpoint_view(wal_seq).into_owned()
     }
 
     /// Captures and installs a checkpoint through the attached WAL
@@ -1045,16 +1267,11 @@ impl GhbaCluster {
     ///
     /// # Errors
     ///
-    /// Propagates [`WalError::Io`] from the install.
+    /// Propagates [`WalError::Io`] and [`WalError::TooLarge`] from the
+    /// install (see [`Wal::install_checkpoint`]).
     pub fn checkpoint_now(&mut self) -> Result<bool, WalError> {
         self.maybe_drain();
-        let Some(mut wal) = self.wal.take() else {
-            return Ok(false);
-        };
-        let checkpoint = Checkpoint::capture(self, wal.last_seq());
-        let result = wal.install_checkpoint(&checkpoint);
-        self.wal = Some(wal);
-        result.map(|()| true)
+        self.checkpoint_attached(MAX_FRAME_BYTES)
     }
 
     /// Rebuilds a serving cluster from a WAL directory: construct the
@@ -1086,7 +1303,7 @@ impl GhbaCluster {
         let (wal, recovery) = Wal::open(dir, options)?;
         let mut cluster = GhbaCluster::with_servers(config, servers);
         let watermark = recovery.checkpoint.as_ref().map_or(0, |c| c.wal_seq);
-        if let Some(checkpoint) = &recovery.checkpoint {
+        if let Some(checkpoint) = recovery.checkpoint {
             cluster.restore_checkpoint(checkpoint)?;
         }
         for record in &recovery.records {
@@ -1099,7 +1316,7 @@ impl GhbaCluster {
         Ok(cluster)
     }
 
-    fn restore_checkpoint(&mut self, checkpoint: &Checkpoint) -> Result<(), WalError> {
+    fn restore_checkpoint(&mut self, checkpoint: Checkpoint) -> Result<(), WalError> {
         let guard = ConfigGuard::of(&self.config);
         if guard != checkpoint.guard {
             return Err(WalError::ConfigMismatch(format!(
@@ -1128,10 +1345,10 @@ impl GhbaCluster {
                 })
         };
         if !shape_matches {
-            self.restore_group_shape(checkpoint)?;
+            self.restore_group_shape(&checkpoint)?;
         }
         let expected_shape = published_shape(&self.config);
-        for state in &checkpoint.servers {
+        for state in checkpoint.servers {
             let published = BloomFilter::from_bytes(&state.published)
                 .map_err(|err| WalError::Corrupt(format!("checkpoint filter: {err}")))?;
             if published.shape() != expected_shape {
@@ -1140,9 +1357,7 @@ impl GhbaCluster {
                 ));
             }
             let mds = self.mdss.get_mut(&state.id).expect("roster validated");
-            for (path, (a, b)) in &state.files {
-                mds.create_local_fp(path, &Fingerprint::from_lanes(*a, *b));
-            }
+            mds.restore_files(state.files);
             mds.restore_published(published, state.since_publish, state.since_drift);
         }
         // Synchronize every slab column with its restored published
@@ -1257,6 +1472,7 @@ impl GhbaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EntryPolicy, MetadataService, OpBatch};
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -1267,6 +1483,127 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The definition, one bit at a time: what the tables must agree with.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+            }
+        }
+        !crc
+    }
+
+    /// Every way a slice can meet the 8-byte stride — each length 0..=70
+    /// (no full word, a tail of every size, several words) at each start
+    /// offset 0..8 — plus the known vectors and one large buffer.
+    #[test]
+    fn crc32_agrees_with_the_bitwise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut buffer = vec![0u8; 1 << 20];
+        for byte in &mut buffer {
+            // xorshift64: any fixed, byte-diverse stream will do.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = (state >> 32) as u8;
+        }
+        for offset in 0..8 {
+            for len in 0..=70 {
+                // A region of its own per case, so the sweep's ≈ 2,500
+                // words reach every entry of every table, not one prefix.
+                let at = (offset * 71 + len) * 128 + offset;
+                let slice = &buffer[at..at + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+        for known in [
+            &b""[..],
+            b"123456789",
+            b"The quick brown fox jumps over the lazy dog",
+        ] {
+            assert_eq!(crc32(known), crc32_reference(known));
+        }
+        assert_eq!(crc32(&buffer), crc32_reference(&buffer), "1 MB buffer");
+    }
+
+    /// The encode side enforces the cap the decode side checks: a body
+    /// one byte over it is refused, typed, with the buffer as it was.
+    #[test]
+    fn a_body_one_byte_over_the_cap_is_refused() {
+        assert_eq!(
+            frame_len(MAX_FRAME_BYTES, MAX_FRAME_BYTES).ok(),
+            Some(1 << 28)
+        );
+        assert!(matches!(
+            frame_len(MAX_FRAME_BYTES + 1, MAX_FRAME_BYTES),
+            Err(WalError::TooLarge(_))
+        ));
+        let mut out = b"before".to_vec();
+        write_frame(&mut out, 16, |body| body.extend_from_slice(&[7; 16])).expect("at the cap");
+        let (body, consumed) = unframe(&out[6..]).expect("reads back");
+        assert_eq!((body, consumed), (&[7u8; 16][..], 24));
+        out.truncate(6);
+        assert!(matches!(
+            write_frame(&mut out, 16, |body| body.extend_from_slice(&[7; 17])),
+            Err(WalError::TooLarge(_))
+        ));
+        assert_eq!(out, b"before");
+    }
+
+    /// A refused checkpoint touches nothing: the installed checkpoint
+    /// and the log tail above it are byte-identical afterwards, and the
+    /// directory still recovers to the state before the attempt.
+    #[test]
+    fn a_refused_install_leaves_checkpoint_and_log_untouched() {
+        let dir = std::env::temp_dir().join(format!("ghba-wal-unit-{}-cap", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let config = GhbaConfig::default()
+            .with_filter_capacity(500)
+            .with_lru_capacity(0);
+        let options = WalOptions {
+            sync: SyncPolicy::None,
+            checkpoint_every: 0,
+        };
+        let (wal, _) = Wal::open(&dir, options).expect("fresh wal");
+        let mut cluster = GhbaCluster::with_servers(config.clone(), 4);
+        cluster.attach_wal(wal);
+        let create = |cluster: &mut GhbaCluster, path: &str| {
+            let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(0)));
+            batch.push_create(path);
+            cluster.execute_concurrent(&batch);
+            cluster.drain_concurrent();
+        };
+        create(&mut cluster, "/cap/old");
+        assert!(cluster.checkpoint_now().expect("first install"));
+        create(&mut cluster, "/cap/tail");
+        let read = |name: &str| fs::read(dir.join(name)).expect("file exists");
+        let before = (read(CKPT_FILE), read(LOG_FILE));
+        assert!(!before.1.is_empty(), "the log holds the tail record");
+
+        assert!(matches!(
+            cluster.checkpoint_attached(64),
+            Err(WalError::TooLarge(_))
+        ));
+        let wal = cluster.detach_wal().expect("still attached");
+        assert_eq!(wal.tail_len(), 1, "the tail is still owed a checkpoint");
+        assert!(!dir.join(CKPT_TMP).exists());
+        assert_eq!((read(CKPT_FILE), read(LOG_FILE)), before);
+
+        let expected = cluster.capture_checkpoint();
+        drop(wal);
+        let mut recovered = GhbaCluster::recover(config, 4, &dir, options).expect("recovers");
+        let mut state = recovered.capture_checkpoint();
+        state.wal_seq = 0;
+        assert_eq!(state, expected);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

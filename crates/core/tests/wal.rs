@@ -6,7 +6,7 @@
 //! WAL tail is bit-identical to its uninterrupted in-memory twin.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use ghba_bloom::Fingerprint;
 use ghba_core::wal::{crc32, decode_record, encode_record, WAL_VERSION};
@@ -101,6 +101,21 @@ fn assert_lookups_identical(a: &GhbaCluster, b: &GhbaCluster) {
             "outcomes diverge from entry server {entry}"
         );
     }
+}
+
+/// Installs a checkpoint and holds the two users of the layout encoder to
+/// each other at that watermark: the bytes the serving path streamed
+/// from the live cluster into `checkpoint.bin` are the bytes of the owned
+/// capture, and decode back to it.
+fn assert_installed_checkpoint_is_the_capture(cluster: &mut GhbaCluster, dir: &Path) {
+    assert!(cluster.checkpoint_now().expect("install checkpoint"));
+    let installed = fs::read(dir.join("checkpoint.bin")).expect("checkpoint installed");
+    let capture = cluster.capture_checkpoint();
+    assert_eq!(installed, capture.to_bytes());
+    assert_eq!(
+        Checkpoint::from_bytes(&installed).expect("installed checkpoint decodes"),
+        capture
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -529,7 +544,7 @@ fn recovery_restores_a_reshaped_group_layout() {
         let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
         cluster.attach_wal(wal);
         run_workload(&mut cluster);
-        cluster.checkpoint_now().expect("install checkpoint");
+        assert_installed_checkpoint_is_the_capture(&mut cluster, &dir);
     }
     let mut recovered = GhbaCluster::recover(config, 8, &dir, opts).expect("recover");
     recovered.check_invariants().expect("recovered invariants");
@@ -644,6 +659,7 @@ proptest! {
         let mut recovered = GhbaCluster::recover(test_config(), 5, &dir, opts).expect("recover");
         recovered.check_invariants().expect("recovered invariants");
         prop_assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+        assert_installed_checkpoint_is_the_capture(&mut recovered, &dir);
         let _ = fs::remove_dir_all(&dir);
     }
 }

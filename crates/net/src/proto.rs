@@ -227,7 +227,7 @@ fn put_path_key(w: &mut ByteWriter, key: &PathKey) {
 fn get_path_key(r: &mut ByteReader<'_>) -> Result<PathKey, WireError> {
     let path = r.string()?;
     let fp = get_fingerprint(r)?;
-    PathKey::from_parts(path.clone(), fp).ok_or(WireError::CorruptFingerprint { path })
+    PathKey::from_parts(path, fp).map_err(|path| WireError::CorruptFingerprint { path })
 }
 
 fn put_entry_policy(w: &mut ByteWriter, policy: EntryPolicy) {

@@ -62,12 +62,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Milliseconds since the epoch (truncating).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since the epoch as a float.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
