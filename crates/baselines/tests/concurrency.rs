@@ -438,7 +438,9 @@ fn drive_mirror<S: MetadataService>(
                         prop_assert!(handle.restore_mds(victim, &filter));
                         cluster.push_update(victim);
                     }
-                    None => cluster.drain_concurrent(),
+                    None => {
+                        cluster.drain_concurrent();
+                    }
                 }
             }
             Step::RetireRestore(pick) => {

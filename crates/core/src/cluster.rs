@@ -10,17 +10,23 @@
 //! membership wrappers live in [`crate::reconfig`], the replica-update
 //! protocol in [`crate::update`].
 //!
-//! # What a fused run pays once
+//! # What a pin pays once
 //!
 //! A run of lookups (`lookup_fused_pinned`) is deduplicated, chunked
-//! across the exec pool, walked, and spliced back per occurrence:
+//! across the exec pool, walked, and spliced back per occurrence — through
+//! a `WalkArena` that lives as long as the pin it serves: one
+//! `execute_concurrent` batch, however many writes cut it into runs; one
+//! run for the entries whose pin lasts one run (`lookup_concurrent`, and
+//! the `&mut` entry, whose writes mutate `Mds` state between runs).
 //!
 //! * **Plans.** What a walk needs that depends only on `(pin, entry)` —
 //!   the entry's `&Mds`, group, L2 candidate state and modelled probe
 //!   cost; its group's L3 state with each member's `&Mds` and probe
-//!   cost — is resolved once per chunk (`EntryPlan` / `GroupPlan`).
-//!   Sound because neither `mdss` nor the pinned snapshot can change
-//!   while the run borrows the cluster.
+//!   cost — is resolved once per arena (`EntryPlan` / `GroupPlan`; pool
+//!   chunks of a parallel run plan chunk-locally). Sound because neither
+//!   `mdss` nor the pinned snapshot can change while the arena's owner
+//!   borrows the cluster; the overlay and the live filters, which a
+//!   batch's own writes do move, are consulted per walk.
 //! * **Rows.** `walk_chunk` derives every item's `k` probe rows in one
 //!   pass and prefetches them two items ahead; the walk ANDs them over
 //!   the slab once ([`SharedShapeArray::and_rows`]), reads L2 and L3 as
@@ -30,9 +36,9 @@
 //!   reads of a walk stay within a working set a shared cache is less
 //!   likely to evict.
 //! * **Tally.** The splice counts lookups per occurrence and mask
-//!   consults per walk into a plain `WalkTally`, folded into the atomic
-//!   recorders once per run: one RMW per non-zero word, none if the run
-//!   panics.
+//!   consults per walk into the arena's plain `WalkTally`, folded into
+//!   the atomic recorders once per arena, by its owner, after its last
+//!   run returned: one RMW per non-zero word, none if a run panicked.
 
 use core::fmt;
 use core::marker::PhantomData;
@@ -91,8 +97,8 @@ pub struct ClusterStats {
 }
 
 /// What every walk entering at one server reuses under a pin: all of it
-/// a pure function of `(pin, entry)`, because no [`Mds`] mutates while a
-/// run holds the cluster by reference.
+/// a pure function of `(pin, entry)`, because no [`Mds`] mutates while
+/// the arena's owner holds the cluster by reference.
 #[derive(Debug)]
 struct EntryPlan<'a> {
     mds: &'a Mds,
@@ -113,11 +119,11 @@ struct GroupPlan<'a> {
     members: Vec<(&'a Mds, Duration)>,
 }
 
-/// One chunk's arena for the pinned walk: the entry and group plans
+/// One chunk's plan for the pinned walk: the entry and group plans
 /// (indexed by `MdsId.0` / `GroupId.0`; a lock-free L0 in front of
 /// whatever longer-lived mask cache the topology keeps, valid exactly as
-/// long as the snapshot stays pinned), every item's probe rows, and the
-/// row-AND scratch.
+/// long as the snapshot stays pinned and the cluster stays borrowed),
+/// every item's probe rows, and the row-AND scratch.
 #[derive(Debug, Default)]
 struct ChunkPlan<'a> {
     entries: Vec<Option<EntryPlan<'a>>>,
@@ -126,6 +132,18 @@ struct ChunkPlan<'a> {
     /// `k` rows per chunk item, item-major.
     rows: Vec<u32>,
     anded: Vec<u64>,
+}
+
+/// Everything the pinned walk keeps between the fused runs of one pin:
+/// the plan every run's inline chunk walks through, and the tally every
+/// run's splice counts into. Whoever owns the pin owns the arena and
+/// hands the tally over once, when the pin's last run has returned
+/// ([`Cluster::absorb_walks`]) — an arena dropped without that (its
+/// batch panicked) has recorded nothing.
+#[derive(Debug, Default)]
+pub(crate) struct WalkArena<'a> {
+    plan: ChunkPlan<'a>,
+    tally: WalkTally,
 }
 
 /// Slot `id` of an id-indexed plan table, grown on demand.
@@ -168,7 +186,8 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
 
     /// `entry`'s L2 candidate state — which published columns it probes
     /// locally and how many replicas that is — and whether a cache
-    /// answered (`false` = built here). Consulted once per run plan.
+    /// answered (`false` = built here). Consulted once per plan: per
+    /// entry and pin, plus once per pool chunk a parallel run fans out to.
     fn l2(
         cluster: &Cluster<Self>,
         snap: &RouteSnapshot,
@@ -381,9 +400,9 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// L2/L3 mask-cache accounting, both scopes, one source of truth —
-    /// a hit is a mask consultation answered from cache (a run plan's
-    /// reuse on the pinned walk counts too), a miss one that had to build the
-    /// entry. `lifetime_*` spans the cluster's whole life; `window_*`
+    /// a hit is a mask consultation answered from cache (a pin's plan
+    /// reused by a later walk counts too), a miss one that had to build
+    /// the entry. `lifetime_*` spans the cluster's whole life; `window_*`
     /// is the reset-scoped view the figure binaries read (cleared by
     /// [`reset_stats`](Cluster::reset_stats)). Consults recorded on
     /// `&self` walks but not yet drained are folded into both scopes,
@@ -641,7 +660,7 @@ impl<T: Topology> Cluster<T> {
     #[must_use]
     pub fn lookup_concurrent(&self, entry: MdsId, path: &str) -> QueryOutcome {
         let snap = self.routes.pin();
-        let mut outcomes = self.lookup_fused_pinned(&snap, &[(entry, path, Fingerprint::of(path))]);
+        let mut outcomes = self.lookup_run(&snap, &[(entry, path, Fingerprint::of(path))]);
         outcomes.pop().expect("one query, one outcome")
     }
 
@@ -894,31 +913,38 @@ impl<T: Topology> Cluster<T> {
     /// `&self` — the read engine of every entry: cross-chunk
     /// `(entry, path)` dedup (the walk is a pure function of the pair
     /// under the pin, so a Zipf-head run walks each distinct pair once),
-    /// chunked walks across the exec pool with chunk-local plans, then a
-    /// stream-order splice that counts level, latency, false-hit and
-    /// per-group load statistics **per occurrence** — duplicates are
-    /// real traffic, and the group controller must see the flash crowd
-    /// it exists to split — and mask consults per walk into a
-    /// [`WalkTally`] folded into the atomic recorders once. A run whose
-    /// walk panics records nothing.
-    pub(crate) fn lookup_fused_pinned(
-        &self,
+    /// chunked walks across the exec pool — the inline chunk through
+    /// `arena`'s plan, which earlier runs of the same pin already filled,
+    /// pool chunks through chunk-local ones — then a stream-order splice
+    /// that counts level, latency, false-hit and per-group load
+    /// statistics **per occurrence** — duplicates are real traffic, and
+    /// the group controller must see the flash crowd it exists to split
+    /// — and mask consults per walk into `arena`'s [`WalkTally`]. Nothing
+    /// reaches the atomic recorders here: the arena's owner folds the
+    /// tally in once ([`absorb_walks`](Self::absorb_walks)), so a run
+    /// whose walk panics records nothing.
+    ///
+    /// `arena` must have served only runs of this cluster under `snap`.
+    pub(crate) fn lookup_fused_pinned<'a>(
+        &'a self,
         snap: &RouteSnapshot,
         items: &[WalkItem<'_>],
+        arena: &mut WalkArena<'a>,
     ) -> Vec<QueryOutcome> {
+        let WalkArena { plan, tally } = arena;
         let (resolved, assign) = run_deduped(
             items,
             self.config.executor,
             |&(entry, path, _)| (entry, path),
-            |chunk, plan: &mut ChunkPlan<'_>, out| self.walk_chunk(snap, chunk, plan, out),
+            plan,
+            |chunk, plan: &mut ChunkPlan<'a>, out| self.walk_chunk(snap, chunk, plan, out),
         );
-        let mut tally = WalkTally::default();
         for walked in &resolved {
             for cached in walked.consults.into_iter().flatten() {
                 tally.mask(walked.gid, cached);
             }
         }
-        let outcomes = assign
+        assign
             .iter()
             .map(|&slot| {
                 let Walked {
@@ -930,8 +956,22 @@ impl<T: Topology> Cluster<T> {
                 tally.lookup(*gid, outcome.entry, outcome.level, outcome.latency, *falses);
                 outcome.clone()
             })
-            .collect();
-        self.cstats.absorb(&tally);
+            .collect()
+    }
+
+    /// Folds what `arena`'s runs counted into the atomic recorders: the
+    /// one hand-over per pin.
+    pub(crate) fn absorb_walks(&self, arena: &WalkArena<'_>) {
+        self.cstats.absorb(&arena.tally);
+    }
+
+    /// One fused run under its own arena, absorbed on return: the entries
+    /// whose pin lasts one run (`lookup_concurrent`, and the `&mut`
+    /// entry, whose writes mutate `Mds` state between runs).
+    fn lookup_run(&self, snap: &RouteSnapshot, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
+        let mut arena = WalkArena::default();
+        let outcomes = self.lookup_fused_pinned(snap, items, &mut arena);
+        self.absorb_walks(&arena);
         outcomes
     }
 
@@ -993,10 +1033,11 @@ impl<T: Topology> Cluster<T> {
     /// updates, reconfigurations, stat resets); call it explicitly
     /// before inspecting the stores through `&self` views such as
     /// [`true_home`](Cluster::true_home) after concurrent batches.
-    pub fn drain_concurrent(&mut self) {
+    /// Returns the number of write records it replayed.
+    pub fn drain_concurrent(&mut self) -> u64 {
         self.fold_stats();
         if !self.shards.is_dirty() {
-            return;
+            return 0;
         }
         let records = self.shards.take_all();
         // Write-ahead: the drained batch is logged (and, per policy,
@@ -1008,6 +1049,7 @@ impl<T: Topology> Cluster<T> {
         }
         self.apply_write_records(&records);
         self.maybe_checkpoint();
+        records.len() as u64
     }
 
     /// Replays drained write records against the authoritative stores
@@ -1106,7 +1148,7 @@ impl<T: Topology> Cluster<T> {
     pub(crate) fn lookup_items(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
         self.maybe_drain();
         let snap = self.routes.pin();
-        let outcomes = self.lookup_fused_pinned(&snap, items);
+        let outcomes = self.lookup_run(&snap, items);
         for (&(entry, _, fp), outcome) in items.iter().zip(&outcomes) {
             if let Some(home) = outcome.home {
                 if let Some(lru) = self.mdss.get_mut(&entry).and_then(Mds::lru_mut) {

@@ -106,11 +106,12 @@ impl AtomicLatency {
     }
 }
 
-/// What one fused run counted, in plain words: the splice records every
-/// lookup **occurrence** (level, latency, false hits, load attribution)
-/// and every walk's mask consults here, and [`ConcurrentStats::absorb`]
-/// folds the lot into the atomics once per run — so a run whose walk
-/// panics has recorded nothing.
+/// What the fused runs of one pin counted, in plain words: each run's
+/// splice records every lookup **occurrence** (level, latency, false
+/// hits, load attribution) and every walk's mask consults here, and the
+/// pin's owner folds the lot into the atomics once
+/// ([`ConcurrentStats::absorb`]) after its last run returned — so a
+/// batch one of whose walks panics has recorded nothing.
 #[derive(Debug, Default)]
 pub(crate) struct WalkTally {
     levels: [u64; 5],
@@ -161,7 +162,8 @@ impl WalkTally {
 ///
 /// Every counter mirrors a field (or named counter) of `ClusterStats`.
 /// Recording is wait-free ([`absorb`](ConcurrentStats::absorb) once per
-/// run); [`fold_into`](ConcurrentStats::fold_into)
+/// pin: per `execute_concurrent` batch, per run elsewhere);
+/// [`fold_into`](ConcurrentStats::fold_into)
 /// drains everything into the owner's stats and must only run once the
 /// caller holds `&mut` on the owning cluster (no live recorders).
 #[derive(Debug)]
@@ -210,7 +212,7 @@ impl ConcurrentStats {
         self.dirty.load(Ordering::Acquire)
     }
 
-    /// Folds one run's [`WalkTally`] in: one RMW per non-zero word.
+    /// Folds one pin's [`WalkTally`] in: one RMW per non-zero word.
     /// Load telemetry deliberately stays outside the `dirty` protocol —
     /// its windows are closed by
     /// [`LoadFold::close_window`](crate::load::LoadFold::close_window),

@@ -45,12 +45,12 @@
 //!
 //! Nothing in the engine requires `&mut` anything: the schemes' one
 //! pinned walk dispatches from a shared reference through
-//! `run_deduped`, whose chunk arenas (results + per-chunk memo — for the
-//! walk, the chunk's plan and probe rows) are local to the call; the
-//! closures capture only `&self` and the pinned snapshot, both `Sync`.
-//! The allocation is a few `Vec`s per run, a fraction of the walk cost,
-//! and in exchange any number of threads can drive runs through one
-//! scheme concurrently.
+//! `run_deduped`. The inline chunk works in the caller's memo (for the
+//! walk, the plan its pin keeps across runs); pool chunks get results +
+//! memo local to the call; the closures capture only `&self` and the
+//! pinned snapshot, both `Sync`. The allocation is a few `Vec`s per
+//! run, a fraction of the walk cost, and in exchange any number of
+//! threads can drive runs through one scheme concurrently.
 //!
 //! # Non-goals
 //!
@@ -238,7 +238,7 @@ pub fn run_jobs(jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
 /// Splits `total` items into `workers` contiguous chunks of near-equal
 /// size, returning the chunk length (the last chunk may be shorter).
 /// Used by the parallel walk so the partitioning — and with it the
-/// worker-local plan boundaries — is uniform.
+/// chunk-local plan boundaries — is uniform.
 #[must_use]
 pub fn chunk_len(total: usize, workers: usize) -> usize {
     total.div_ceil(workers.max(1)).max(1)
@@ -278,11 +278,14 @@ where
 /// pool — the one chunk-dispatch shape of the read phase.
 /// [`resolve_unique`] dedup; then, gated on `executor` (`workers = 1` or
 /// a sub-`min_parallel_batch` run is a single inline chunk with no pool
-/// involvement), contiguous per-worker chunks, each with its own
-/// `M`-typed memo (whatever `walk` wants to reuse between the items of a
-/// chunk), run as `walk(chunk, memo, out)` — appending one result per
-/// chunk item — through [`run_jobs`] (chunk 0 inline, the rest on the
-/// pool; wait-for-all; deterministic panic propagation).
+/// involvement), contiguous per-worker chunks run as
+/// `walk(chunk, memo, out)` — appending one result per chunk item —
+/// through [`run_jobs`] (chunk 0 inline, the rest on the pool;
+/// wait-for-all; deterministic panic propagation). `memo` is whatever
+/// `walk` wants to reuse between items: chunk 0 — the whole run unless
+/// it fans out — gets the **caller's**, so a caller that keeps it across
+/// runs amortises it over all of them; pool chunks get a chunk-local
+/// default each.
 ///
 /// Returns `(resolved, assign)` — `resolved` holds one result per
 /// distinct key in first-occurrence order and `assign[i]` indexes the
@@ -293,6 +296,7 @@ pub(crate) fn run_deduped<T, K, M, R, F>(
     items: &[T],
     executor: crate::config::ExecutorConfig,
     key: impl Fn(&T) -> K,
+    memo: &mut M,
     walk: F,
 ) -> (Vec<R>, Vec<u32>)
 where
@@ -302,33 +306,30 @@ where
     R: Send,
     F: Fn(&[T], &mut M, &mut Vec<R>) + Sync,
 {
+    let mut resolved = Vec::new();
     if items.len() == 1 {
-        let mut out = Vec::with_capacity(1);
-        walk(items, &mut M::default(), &mut out);
-        return (out, vec![0]);
+        walk(items, memo, &mut resolved);
+        return (resolved, vec![0]);
     }
     let (uniques, assign) = resolve_unique(items, key);
     let deduped: Vec<T> = uniques.iter().map(|&first| items[first as usize]).collect();
     let total = deduped.len();
     let workers = executor.workers.min(total);
-    let chunks = if workers > 1 && total >= executor.min_parallel_batch {
-        workers
-    } else {
-        1
-    };
-    let size = chunk_len(total, chunks);
-    let mut arenas: Vec<(Vec<R>, M)> = Vec::new();
-    arenas.resize_with(total.div_ceil(size), Default::default);
-    let jobs = deduped
-        .chunks(size)
-        .zip(&mut arenas)
-        .map(|(chunk, (out, memo))| {
-            let walk = &walk;
-            Box::new(move || walk(chunk, memo, out)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_jobs(jobs);
-    let resolved: Vec<R> = arenas.into_iter().flat_map(|(out, _)| out).collect();
+    if workers <= 1 || total < executor.min_parallel_batch {
+        walk(&deduped, memo, &mut resolved);
+        return (resolved, assign);
+    }
+    let mut chunks = deduped.chunks(chunk_len(total, workers));
+    let head = chunks.next().expect("a parallel run has items");
+    let mut tails: Vec<(Vec<R>, M)> = Vec::new();
+    tails.resize_with(chunks.len(), Default::default);
+    let walk = &walk;
+    let inline: Box<dyn FnOnce() + Send + '_> = Box::new(|| walk(head, memo, &mut resolved));
+    let pooled = chunks.zip(&mut tails).map(|(chunk, (out, memo))| {
+        Box::new(move || walk(chunk, memo, out)) as Box<dyn FnOnce() + Send + '_>
+    });
+    run_jobs(std::iter::once(inline).chain(pooled).collect());
+    resolved.extend(tails.into_iter().flat_map(|(out, _)| out));
     debug_assert_eq!(resolved.len(), total);
     (resolved, assign)
 }

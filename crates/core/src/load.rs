@@ -9,8 +9,9 @@
 //! * `LoadRecorder` (private) — fixed-capacity tables of wait-free atomic
 //!   counters, embedded in `ConcurrentStats`. The pinned walk's splice
 //!   (every read entry, `&mut` or `&self`) counts each lookup occurrence
-//!   into a plain `LoadTally` and folds it in once per run with one
-//!   relaxed `fetch_add` per non-zero word. No locks, callable from
+//!   into a plain `LoadTally`, folded in once per pin — per
+//!   `execute_concurrent` batch, per run elsewhere — with one relaxed
+//!   `fetch_add` per non-zero word. No locks, callable from
 //!   `&self` while reconfiguration publishes successor snapshots.
 //! * `LoadWindows` (private) — the owner-side fold state: each call to
 //!   [`GhbaCluster::load_report`](crate::GhbaCluster::load_report)
@@ -61,7 +62,7 @@ struct GroupSlot {
     l4_walks: AtomicU64,
     /// False hits charged to walks entering through this group.
     false_hits: AtomicU64,
-    /// L2/L3 mask consults answered from a cache or a run plan.
+    /// L2/L3 mask consults answered from a cache or a pin's plan.
     mask_hits: AtomicU64,
     /// L2/L3 mask consults that had to build the mask.
     mask_misses: AtomicU64,
@@ -107,8 +108,8 @@ impl RawLoadWindow {
     }
 }
 
-/// One run's load — walks and mask consults — counted in plain words by
-/// the splice and folded into the [`LoadRecorder`] once per run. Both
+/// One pin's load — walks and mask consults — counted in plain words by
+/// its runs' splices and folded into the [`LoadRecorder`] once. Both
 /// tables are indexed by recorder slot and grow on demand.
 #[derive(Debug, Default)]
 pub(crate) struct LoadTally {
@@ -192,7 +193,7 @@ impl LoadRecorder {
         }
     }
 
-    /// Adds a run's locally counted load into the open window: one RMW
+    /// Adds a pin's locally counted load into the open window: one RMW
     /// per non-zero word.
     pub(crate) fn absorb(&self, tally: &LoadTally) {
         for (slot, window) in self.groups.iter().zip(&tally.groups) {

@@ -63,7 +63,10 @@ impl Topology for FullMirror {
     }
 
     /// Every published column but the entry's own (its fresher live
-    /// filter stands in for that one): built per run plan, never cached.
+    /// filter stands in for that one): built per plan, never cached — so
+    /// HBA's mask-miss count is one per entry per pin: per
+    /// `execute_concurrent` batch (it was per fused run before the
+    /// batch kept its plans across writes), per run on the `&mut` entry.
     fn l2(
         cluster: &HbaCluster,
         snap: &RouteSnapshot,

@@ -15,9 +15,10 @@
 //! driver (via the `VectoredScheme` hooks): entries resolve against the
 //! scheme's server list taken once per batch, maximal runs of
 //! consecutive lookups are fused into one L1→L4 walk run against one
-//! pinned snapshot (per-entry plans, probe rows and the statistics
-//! tally are per run — see [`crate::cluster`]), writes apply in stream
-//! order, and
+//! pinned snapshot (probe rows are per run; per-entry plans and the
+//! statistics tally live as long as the pin — the batch on the `&self`
+//! entry, the run on the `&mut` one; see [`crate::cluster`]), writes
+//! apply in stream order, and
 //! [`MetadataOp::Rename`] performs a full metadata migration (remove at
 //! the old home, create at the policy-chosen new home) whose
 //! [`OpOutcome::Renamed`] reports both homes.
@@ -48,9 +49,12 @@
 //!   the authoritative stores directly, with their gated delta
 //!   publishes.
 //! * **`&self` entry — pin once per batch.** Every fused read run of
-//!   the batch walks the one snapshot pinned at admission; a
-//!   reconfiguration publishing mid-batch is observed by the *next*
-//!   batch, never by half of this one. The walk never fills L1.
+//!   the batch walks the one snapshot pinned at admission, through the
+//!   one walk arena of that pin: a write ends a run, not the plans the
+//!   runs before it built, and the batch's statistics are folded into
+//!   the atomic recorders once, after its last op. A reconfiguration
+//!   publishing mid-batch is observed by the *next* batch (and its fresh
+//!   arena), never by half of this one. The walk never fills L1.
 //! * **`&self` writes are ordered per shard, not per batch.** Mutations
 //!   append to namespace write shards (hash of the path's fingerprint →
 //!   shard) under that shard's lock alone. Two batches writing distinct
@@ -63,7 +67,8 @@
 //!   to the era's walks through the overlay and the home's live probe;
 //!   published columns move only at `push_update`/`flush_all_updates`,
 //!   after the owner drain replayed the logs. A batch that panics
-//!   mid-flight leaves its pending records for that drain.
+//!   mid-flight leaves its pending records for that drain and none of
+//!   its lookups in the statistics.
 //!
 //! Executed single-threaded against a quiescent scheme, the two entries
 //! are **bit-identical** at `lru_capacity = 0` (same RNG stream, same
@@ -137,14 +142,6 @@ impl PathKey {
 /// One query of a walk run: entry server, pathname, and the path's
 /// hash-once fingerprint.
 pub(crate) type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
-
-/// A fused run's queries as walk items (reusing admission fingerprints).
-pub(crate) fn walk_items<'a>(queries: &[(MdsId, &'a PathKey)]) -> Vec<WalkItem<'a>> {
-    queries
-        .iter()
-        .map(|&(entry, key)| (entry, key.path(), *key.fingerprint()))
-        .collect()
-}
 
 /// How a batch's ops choose their serving MDS (the lookup entry server,
 /// and the home for creates and rename targets).
@@ -306,8 +303,15 @@ impl OpBatch {
     /// Creates an empty batch under [`EntryPolicy::Random`].
     #[must_use]
     pub fn new() -> Self {
+        OpBatch::with_capacity(0)
+    }
+
+    /// Creates an empty batch under [`EntryPolicy::Random`] with room
+    /// for `ops` ops.
+    #[must_use]
+    pub fn with_capacity(ops: usize) -> Self {
         OpBatch {
-            ops: Vec::new(),
+            ops: Vec::with_capacity(ops),
             entry: EntryPolicy::Random,
         }
     }
@@ -462,10 +466,10 @@ pub(crate) trait VectoredScheme {
     fn repeat_sensitive(&self) -> bool;
 
     /// Resolves a fused run of concurrent lookups — one walk of the
-    /// scheme's hierarchy against one pinned snapshot, reusing each
-    /// key's admission fingerprint — returning one outcome per query in
-    /// order.
-    fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome>;
+    /// scheme's hierarchy against one pinned snapshot, each item
+    /// carrying its key's admission fingerprint — returning one outcome
+    /// per item in order.
+    fn lookup_fused(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome>;
 
     /// Creates `key` at `home`, reusing the admission fingerprint: on
     /// the `&mut` entry store, live filter and gated delta publish; on
@@ -482,7 +486,10 @@ pub(crate) trait VectoredScheme {
 /// share.
 ///
 /// * Maximal runs of consecutive lookups are **fused** and resolved by
-///   one [`VectoredScheme::lookup_fused`] call; a run is split only
+///   one [`VectoredScheme::lookup_fused`] call (what a scheme keeps
+///   from one run of a batch to the next — the `&self` entry's plans
+///   and tally — is the scheme value's business, not the driver's); a
+///   run is split only
 ///   before a repeated `(entry, path)` pair on
 ///   [`repeat_sensitive`](VectoredScheme::repeat_sensitive) schemes,
 ///   whose later occurrence must observe the earlier lookup's L1 cache
@@ -530,16 +537,16 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
         if run.is_empty() {
             return;
         }
-        let queries: Vec<(MdsId, &PathKey)> = run
+        let items: Vec<WalkItem<'_>> = run
             .iter()
             .map(|&(i, entry)| {
                 let MetadataOp::Lookup(key) = &ops[i] else {
                     unreachable!("only lookups join the fused run");
                 };
-                (entry, key)
+                (entry, key.path(), *key.fingerprint())
             })
             .collect();
-        for (&(i, _), outcome) in run.iter().zip(scheme.lookup_fused(&queries)) {
+        for (&(i, _), outcome) in run.iter().zip(scheme.lookup_fused(&items)) {
             outcomes[i] = Some(OpOutcome::Resolved(outcome));
         }
         run.clear();

@@ -15,16 +15,22 @@
 //! halves of a tick: the drain
 //! ([`drain_concurrent`](GhbaCluster::drain_concurrent): fold stats, take
 //! the shard logs, WAL append, replay — it publishes nothing) and the
-//! flush (`flush_all_updates`: its WAL flush record, then one
-//! `push_update` per drifted filter — the only publisher). Batches wait
-//! that long: on the benchmark's `net_mixed` fleet (24 servers per
-//! replica, 25 ms cadence, one shared CPU) the lock is held ≈ 2.0 ms per
-//! tick — 0.7 ms drain, 1.2 ms flush — down from 9.9 ms when the flush
-//! still re-projected every live filter and rewrote whole slab words.
+//! flush (`flush_all_updates`: its WAL flush record, then every drifted
+//! filter's delta through the one column publisher, as one successor
+//! snapshot). Batches wait that long: on the benchmark's `net_mixed`
+//! fleet (24 servers per replica, 25 ms cadence, one shared CPU) the lock
+//! is held ≈ 1.3 ms per tick — ≈ 0.65 ms draining ≈ 550 records and
+//! ≈ 0.6 ms flushing: 0.25 ms collecting the 24 servers' deltas
+//! (`Mds::publish`, ≈ 10 µs each), 0.25 ms in the one commit (every
+//! delta applied to the spare slab and, after the swap, to the displaced
+//! one) and 0.03 ms of fan-out accounting. It was ≈ 1.9 ms (0.6 ms +
+//! 1.3 ms) while the flush was 24 `push_update`s — 24 writer locks,
+//! working copies and swaps, each parking a freshly zeroed 1 MB
+//! placeholder in the spare — and 9.9 ms when it still re-projected
+//! every live filter and rewrote whole slab words.
 //!
 //! The thread sleeps `cadence` *after* each tick, so the real period is
-//! cadence + tick time (+ scheduling): that 25 ms cadence ran at ≈ 39 ms
-//! before and ≈ 29 ms after.
+//! cadence + tick time (+ scheduling).
 //!
 //! Shutdown is prompt and joining: [`Reconciler::shutdown`] (or drop)
 //! signals a condvar, so the thread exits within one lock handoff even

@@ -14,10 +14,10 @@
 
 use std::sync::Arc;
 
-use crate::cluster::{Cluster, Topology};
+use crate::cluster::{Cluster, Topology, WalkArena};
 use crate::ids::MdsId;
 use crate::op::{
-    execute_vectored, walk_items, EntryPolicy, OpBatch, OpOutcome, PathKey, VectoredScheme,
+    execute_vectored, EntryPolicy, OpBatch, OpOutcome, PathKey, VectoredScheme, WalkItem,
 };
 use crate::query::QueryOutcome;
 use crate::snapshot::RouteSnapshot;
@@ -58,12 +58,18 @@ pub trait MetadataService {
     /// snapshot pinned at batch admission.
     ///
     /// Contract of this `&self` entry: every fused run of the batch
-    /// walks that one pin (fanned across the exec pool); the walk
-    /// **never fills L1** and records its statistics into wait-free
-    /// atomic counters; writes append to fingerprint-sharded overlay
-    /// logs, one shard lock each, visible to the same era's walks
-    /// through that overlay and the home's live probe (so a pending
-    /// create resolves at its true home, at L4 from a foreign group).
+    /// walks that one pin (fanned across the exec pool) through one
+    /// walk arena — what depends only on `(pin, entry)` is planned once
+    /// per batch, not once per run, which no outcome, statistic or
+    /// counter can tell from 1-op batches (except that HBA, which
+    /// builds its L2 mask per plan instead of caching it, counts that
+    /// build once per batch); the walk **never fills L1**, and its
+    /// statistics reach the wait-free atomic counters once, after the
+    /// batch's last op — a batch that panics records none. Writes
+    /// append to fingerprint-sharded overlay logs, one shard lock each,
+    /// visible to the same era's walks through that overlay and the
+    /// home's live probe (so a pending create resolves at its true
+    /// home, at L4 from a foreign group).
     /// **Nothing here publishes**: published columns move only at
     /// `push_update`/`flush_all_updates`, so this entry never takes the
     /// route writer lock and any number of threads may call it while
@@ -196,8 +202,8 @@ impl<T: Topology> VectoredScheme for Cluster<T> {
         self.config().lru_capacity > 0
     }
 
-    fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
-        self.lookup_items(&walk_items(queries))
+    fn lookup_fused(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
+        self.lookup_items(items)
     }
 
     fn apply_create(&mut self, key: &PathKey, home: MdsId) {
@@ -212,10 +218,14 @@ impl<T: Topology> VectoredScheme for Cluster<T> {
 /// One `execute_concurrent` batch: the shared cluster bound to the
 /// routing snapshot pinned at admission. An owned pin — one `Arc` clone
 /// to take, valid across successor publishes, never blocks a publisher
-/// while held — dropped when the batch's outcomes are assembled.
+/// while held — dropped when the batch's outcomes are assembled. The
+/// pin's walk arena lives as long: under `&self` no `Mds` mutates and
+/// the pin is fixed, so what the batch's first run planned holds for
+/// its last, however many writes it recorded in between.
 struct PinnedBatch<'a, T: Topology> {
     cluster: &'a Cluster<T>,
     snap: Arc<RouteSnapshot>,
+    arena: WalkArena<'a>,
 }
 
 impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {
@@ -229,9 +239,9 @@ impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {
         false
     }
 
-    fn lookup_fused(&mut self, queries: &[(MdsId, &PathKey)]) -> Vec<QueryOutcome> {
+    fn lookup_fused(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
         self.cluster
-            .lookup_fused_pinned(&self.snap, &walk_items(queries))
+            .lookup_fused_pinned(&self.snap, items, &mut self.arena)
     }
 
     fn apply_create(&mut self, key: &PathKey, home: MdsId) {
@@ -265,8 +275,13 @@ impl<T: Topology> MetadataService for Cluster<T> {
         let mut pinned = PinnedBatch {
             cluster: self,
             snap: self.routes.pin(),
+            arena: WalkArena::default(),
         };
-        execute_vectored(&mut pinned, &self.server_ids(), batch)
+        let outcomes = execute_vectored(&mut pinned, &self.server_ids(), batch);
+        // Explicitly, not in `Drop`: a batch that panicked above has
+        // recorded nothing.
+        self.absorb_walks(&pinned.arena);
+        outcomes
     }
 
     fn filter_memory_per_mds(&self) -> usize {

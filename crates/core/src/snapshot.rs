@@ -44,6 +44,10 @@ use std::collections::{BTreeMap, HashMap};
 pub struct SnapshotCell<T, W = ()> {
     current: RwLock<Arc<T>>,
     writer: Mutex<W>,
+    /// Successors published so far — how the unit tests hold "one flush,
+    /// one swap"; not a statistic anything else may read.
+    #[cfg(test)]
+    publishes: core::sync::atomic::AtomicU64,
 }
 
 impl<T, W> fmt::Debug for SnapshotCell<T, W> {
@@ -60,7 +64,14 @@ impl<T, W> SnapshotCell<T, W> {
         SnapshotCell {
             current: RwLock::new(Arc::new(initial)),
             writer: Mutex::new(writer_state),
+            #[cfg(test)]
+            publishes: core::sync::atomic::AtomicU64::new(0),
         }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn publishes(&self) -> u64 {
+        self.publishes.load(core::sync::atomic::Ordering::Relaxed)
     }
 
     /// Pins the current snapshot. The returned `Arc` stays valid — and
@@ -112,6 +123,10 @@ impl<T, W> CellWriter<'_, T, W> {
     /// through their own `Arc`s; once those drop, the returned `Arc` is
     /// the last reference and the caller may recycle its storage.
     pub fn publish(&mut self, next: T) -> Arc<T> {
+        #[cfg(test)]
+        self.cell
+            .publishes
+            .fetch_add(1, core::sync::atomic::Ordering::Relaxed);
         let next = Arc::new(next);
         let mut current = self
             .cell
@@ -166,25 +181,25 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
 /// fall back to a deep copy.
 #[derive(Debug)]
 pub(crate) struct SlabSpare {
-    slab: SharedShapeArray<MdsId>,
+    /// `None` only between [`advance`](SlabSpare::advance) and
+    /// [`recycle`](SlabSpare::recycle), while the successor is out being
+    /// published.
+    slab: Option<SharedShapeArray<MdsId>>,
 }
 
 impl SlabSpare {
     /// Wraps a mirror of the currently published slab.
     pub(crate) fn new(mirror: SharedShapeArray<MdsId>) -> Self {
-        SlabSpare { slab: mirror }
+        SlabSpare { slab: Some(mirror) }
     }
 
     /// Applies `ops` to the spare and hands it out as the successor
     /// snapshot's slab. The caller must publish it and then call
     /// [`recycle`](SlabSpare::recycle) with the displaced slab.
     pub(crate) fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
-        apply_slab_ops(&mut self.slab, ops);
-        let shape = self.slab.shape();
-        Arc::new(core::mem::replace(
-            &mut self.slab,
-            SharedShapeArray::new(shape),
-        ))
+        let mut slab = self.slab.take().expect("spare restocked after a publish");
+        apply_slab_ops(&mut slab, ops);
+        Arc::new(slab)
     }
 
     /// Restocks the spare after a publish: catches the displaced slab
@@ -197,18 +212,19 @@ impl SlabSpare {
         ops: &[SlabOp],
         published: &SharedShapeArray<MdsId>,
     ) {
-        match displaced {
+        let slab = match displaced {
             Some(mut slab) => {
                 apply_slab_ops(&mut slab, ops);
-                self.slab = slab;
+                slab
             }
-            None => self.slab = published.clone(),
-        }
+            None => published.clone(),
+        };
         debug_assert_eq!(
-            self.slab.len(),
+            slab.len(),
             published.len(),
             "recycled spare diverged from the published slab"
         );
+        self.slab = Some(slab);
     }
 }
 
@@ -241,10 +257,11 @@ pub(crate) struct SharedL3 {
 /// (slot assignment, group placement) — state that **writes never
 /// touch**; only reconfiguration invalidates them. Anything budget- or
 /// filter-dependent is deliberately *not* cached here: live-filter
-/// verdicts are recomputed per walk, probe durations per run plan —
-/// which is sound because no `Mds` (and so no memory budget) mutates
-/// while a run holds the cluster by reference, and a plan never
-/// outlives its run.
+/// verdicts are recomputed per walk, probe durations once per pin's
+/// plan — which is sound because no `Mds` (and so no memory budget)
+/// mutates while the plan's owner holds the cluster by reference, and
+/// a plan never outlives its pin (the `&mut` entry, whose writes do
+/// mutate `Mds` state, plans per run).
 ///
 /// The cache object is shared (one `Arc`, cloned into every successor
 /// [`RouteSnapshot`]), so masks built by one reader warm every later
@@ -492,15 +509,10 @@ impl fmt::Debug for RouteEdit<'_> {
 }
 
 impl<'a> RouteEdit<'a> {
-    /// Opens an edit against the cell's current snapshot.
+    /// Opens an edit against the cell's current snapshot. Dropping it
+    /// uncommitted publishes nothing.
     pub(crate) fn begin(cell: &'a SnapshotCell<RouteSnapshot, SlabSpare>) -> Self {
-        RouteEdit::over(cell.edit())
-    }
-
-    /// Opens an edit under a writer lock the caller already holds (to
-    /// decide, against the stable base, whether there is anything to
-    /// edit before paying for the working copy).
-    pub(crate) fn over(writer: CellWriter<'a, RouteSnapshot, SlabSpare>) -> Self {
+        let writer = cell.edit();
         let work = (*writer.base()).clone();
         RouteEdit {
             writer,
@@ -897,11 +909,11 @@ mod tests {
         }
         let ids: Vec<MdsId> = published.ids().collect();
         assert_eq!(ids, vec![MdsId(0), MdsId(2)]);
-        assert_eq!(
-            spare.slab.ids().collect::<Vec<_>>(),
-            ids,
-            "spare mirrors the published slab"
-        );
+        let spare_ids = |spare: &SlabSpare| {
+            let slab = spare.slab.as_ref().expect("restocked");
+            slab.ids().collect::<Vec<_>>()
+        };
+        assert_eq!(spare_ids(&spare), ids, "spare mirrors the published slab");
         // A held reference forces the deep-copy fallback; the spare must
         // still mirror the published slab afterwards.
         let hold = Arc::clone(&published);
@@ -915,14 +927,8 @@ mod tests {
         spare.recycle(displaced, &ops, &published);
         // The push reuses the slot the removal tombstoned, so slot order
         // is [0, 3, 2]; what matters is spare == published.
-        assert_eq!(
-            spare.slab.ids().collect::<Vec<_>>(),
-            published.ids().collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            spare.slab.ids().collect::<Vec<_>>(),
-            vec![MdsId(0), MdsId(3), MdsId(2)]
-        );
+        assert_eq!(spare_ids(&spare), published.ids().collect::<Vec<_>>());
+        assert_eq!(spare_ids(&spare), vec![MdsId(0), MdsId(3), MdsId(2)]);
         drop(hold);
     }
 }

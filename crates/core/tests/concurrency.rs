@@ -20,8 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ghba_core::{
-    ClusterStats, EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, LoadReport, MdsId,
-    MetadataService, OpBatch, OpOutcome, QueryLevel,
+    ClusterStats, EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, HbaCluster, LoadReport,
+    MdsId, MetadataService, OpBatch, OpOutcome, QueryLevel,
 };
 
 fn config() -> GhbaConfig {
@@ -463,6 +463,206 @@ fn panicking_batch_records_nothing() {
     assert_eq!(cluster.stats().lookup_latency.count(), 0);
     assert_eq!(cluster.mask_cache_stats(), mask_before);
 }
+
+/// A seeded mixed batch of 64 ops under `policy`. The head is scripted
+/// for a cluster of [`REUSE_SERVERS`] servers (so under round robin op
+/// 12 enters where op 0 did) over the paths `/reuse/base{from..}`; the
+/// tail is drawn from `seed`. Paths repeat across runs, never within
+/// one: a pair repeated inside a run walks — and consults its masks —
+/// once (`fused_runs_tally_what_one_op_batches_record`), which is not
+/// what is compared here.
+fn reuse_batch(policy: EntryPolicy, tag: &str, from: usize, seed: u64) -> OpBatch {
+    let base = |i: usize| format!("/reuse/base{}", from + i);
+    let mut batch = OpBatch::new().with_entry(policy);
+    batch.push_lookup(base(0)); // 0: plans its entry
+    batch.push_lookup(base(1));
+    batch.push_lookup("/reuse/absent"); // 2: walks to L4, plans its group
+    batch.push_create(format!("/reuse/{tag}/new"));
+    batch.push_lookup(base(2));
+    batch.push_remove(base(3));
+    batch.push_lookup(base(3)); // 6: remove, then lookup
+    batch.push_lookup(base(0));
+    batch.push_rename(base(4), format!("/reuse/{tag}/moved"));
+    batch.push_lookup(format!("/reuse/{tag}/moved"));
+    batch.push_lookup(base(4)); // 10: the old name
+    batch.push_lookup(base(2));
+    batch.push_lookup(format!("/reuse/{tag}/new")); // 12: op 0's plan, built before the create
+    batch.push_lookup(base(1)); // 13: op 1's pair again, three writes later
+    let mut rng = ghba_simnet::DetRng::new(seed);
+    let mut fresh = 0;
+    let mut run: BTreeSet<String> = batch.ops()[9..].iter().map(|op| op.path().into()).collect();
+    while batch.len() < 64 {
+        match rng.index(10) {
+            0 => {
+                batch.push_create(format!("/reuse/{tag}/t{fresh}"));
+                fresh += 1;
+                run.clear();
+            }
+            1 => {
+                batch.push_remove(base(5 + rng.index(10)));
+                run.clear();
+            }
+            draw => {
+                let path = match draw {
+                    2 if fresh > 0 => format!("/reuse/{tag}/t{}", rng.index(fresh)),
+                    _ => base(rng.index(15)),
+                };
+                if run.insert(path.clone()) {
+                    batch.push_lookup(path);
+                }
+            }
+        }
+    }
+    batch
+}
+
+const REUSE_SERVERS: usize = 12;
+
+/// Plan reuse across writes is invisible: a mixed batch executed once
+/// through `execute_concurrent` — every fused run walking through the
+/// one arena of the batch's pin, the tally absorbed once — leaves
+/// outcomes, statistics, load report and mask-consult counters where the
+/// same ops issued as 1-op batches (a fresh arena each) leave them on a
+/// twin. `$exact_masks`: the layout caches its masks, so hits and misses
+/// agree too, not just their sum (HBA builds its L2 mask per plan: once
+/// per entry per batch fused, once per walk alone). A reconfiguration
+/// published between two batches (`$reconfigure`) is what the next
+/// batch's fresh arena plans against.
+macro_rules! plan_reuse_is_invisible {
+    ($name:ident, $cluster:ty, $exact_masks:expr, $reconfigure:expr) => {
+        #[test]
+        fn $name() {
+            let build = || {
+                let cfg = config().with_lru_capacity(0);
+                let mut cluster = <$cluster>::with_servers(cfg, REUSE_SERVERS);
+                for i in 0..60 {
+                    cluster.create_file(&format!("/reuse/base{i}"));
+                }
+                cluster.flush_all_updates();
+                cluster.reset_stats();
+                cluster
+            };
+            let (mut fused, mut single) = (build(), build());
+            let run = |fused: &$cluster, single: &$cluster, batch: &OpBatch| {
+                let outcomes = fused.execute_concurrent(batch);
+                for (i, (op, outcome)) in batch.ops().iter().zip(&outcomes).enumerate() {
+                    let policy = match batch.entry_policy() {
+                        EntryPolicy::RoundRobin { start } => {
+                            EntryPolicy::RoundRobin { start: start + i }
+                        }
+                        same => same,
+                    };
+                    let mut one = OpBatch::new().with_entry(policy);
+                    one.push(op.clone());
+                    assert_eq!(&single.execute_concurrent(&one)[0], outcome, "op {i}");
+                }
+                outcomes
+            };
+            let settled = |fused: &mut $cluster, single: &mut $cluster| {
+                fused.drain_concurrent();
+                single.drain_concurrent();
+                let (got, want) = (fused.stats(), single.stats());
+                assert_eq!(got.levels, want.levels);
+                assert_eq!(got.lookup_latency, want.lookup_latency);
+                let counters = |stats: &ClusterStats| {
+                    let counters = stats.counters.iter();
+                    counters
+                        .map(|(l, n)| (l.to_owned(), n))
+                        .collect::<BTreeMap<_, _>>()
+                };
+                assert_eq!(counters(got), counters(want), "false-hit counters");
+                let (got, want) = (fused.mask_cache_stats(), single.mask_cache_stats());
+                assert_eq!(
+                    got.window_hits + got.window_misses,
+                    want.window_hits + want.window_misses,
+                    "one consult per slab level a walk reached"
+                );
+                let comparable = |mut report: LoadReport| {
+                    if !$exact_masks {
+                        report.groups.iter_mut().for_each(|g| g.mask_hit_rate = 1.0);
+                    }
+                    report
+                };
+                if $exact_masks {
+                    assert_eq!(got, want);
+                }
+                assert_eq!(
+                    comparable(fused.load_report()),
+                    comparable(single.load_report())
+                );
+            };
+
+            let sprayed = reuse_batch(EntryPolicy::RoundRobin { start: 5 }, "rr", 0, 7);
+            let outcomes = run(&fused, &single, &sprayed);
+            let OpOutcome::Created { home } = outcomes[3] else {
+                panic!("op 3 was a create");
+            };
+            let resolved = |i: usize| outcomes[i].query().expect("a lookup");
+            assert_eq!(resolved(12).entry, resolved(0).entry);
+            assert_eq!(resolved(12).home, Some(home), "pending create: overlay");
+            assert_eq!(resolved(6).home, None, "pending remove: overlay");
+            assert_eq!(resolved(9).home, outcomes[8].home(), "renamed");
+            assert_eq!(resolved(10).home, None, "the old name is gone");
+            assert_eq!(
+                (resolved(13).entry, resolved(13).home),
+                (resolved(1).entry, resolved(1).home)
+            );
+            let sticky = reuse_batch(EntryPolicy::Pinned(MdsId(7)), "pin", 20, 8);
+            run(&fused, &single, &sticky);
+            settled(&mut fused, &mut single);
+
+            let before = fused.membership_epoch();
+            $reconfigure(&fused);
+            $reconfigure(&single);
+            let epoch = fused.membership_epoch();
+            assert!(epoch > before, "a reconfiguration was published");
+            let after = reuse_batch(EntryPolicy::RoundRobin { start: 0 }, "again", 40, 9);
+            for (i, outcome) in run(&fused, &single, &after).iter().enumerate() {
+                if let Some(query) = outcome.query() {
+                    assert_eq!(query.epoch, epoch, "op {i} walked a stale pin");
+                }
+            }
+            settled(&mut fused, &mut single);
+            fused.check_invariants().expect("no stale mask");
+            for i in 0..60 {
+                let path = format!("/reuse/base{i}");
+                assert_eq!(
+                    fused.lookup_concurrent(MdsId(1), &path).home,
+                    fused.true_home(&path)
+                );
+            }
+        }
+    };
+}
+
+plan_reuse_is_invisible!(
+    plan_reuse_across_writes_is_invisible_grouped,
+    GhbaCluster,
+    true,
+    |cluster: &GhbaCluster| {
+        let handle = cluster.reconfig_handle();
+        let biggest = handle
+            .group_ids()
+            .into_iter()
+            .max_by_key(|&gid| handle.group_members(gid).map_or(0, |m| m.len()))
+            .expect("groups exist");
+        handle.split_group(biggest).expect("a group of 5 splits");
+        for gid in handle.group_ids() {
+            let _ = handle.rebalance_group(gid);
+        }
+    }
+);
+
+plan_reuse_is_invisible!(
+    plan_reuse_across_writes_is_invisible_mirrored,
+    HbaCluster,
+    false,
+    |cluster: &HbaCluster| {
+        let handle = cluster.reconfig_handle();
+        let filter = handle.retire_mds(MdsId(3)).expect("published");
+        assert!(handle.restore_mds(MdsId(3), &filter));
+    }
+);
 
 /// Whole mixed batches run from `&self` on three threads while a
 /// reconfiguration handle publishes rebalances, splits, and merges.

@@ -12,7 +12,7 @@ use ghba_core::{MdsId, OpBatch, OpOutcome};
 
 use crate::proto::NetMessage;
 use crate::route::{execute_sharded, BatchTransport};
-use crate::wire::WireError;
+use crate::wire::{WireCodec, WireError};
 
 /// One replica's counters, as sampled by [`NetClient::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,15 +182,16 @@ impl NetClient {
         self.reconnects
     }
 
-    /// Sends one request on replica `replica`'s connection and reads
-    /// the reply. On a transport loss (I/O error or the replica
-    /// closing the connection), re-fetches the replica map from the
-    /// rendezvous, reconnects, and retries under [`RetryPolicy`].
-    fn request(&mut self, replica: usize, msg: &NetMessage) -> Result<NetMessage, WireError> {
+    /// Sends one request — `payload`, an encoded [`NetMessage`] — on
+    /// replica `replica`'s connection and reads the reply. On a
+    /// transport loss (I/O error or the replica closing the
+    /// connection), re-fetches the replica map from the rendezvous,
+    /// reconnects, and retries under [`RetryPolicy`].
+    fn request(&mut self, replica: usize, payload: &[u8]) -> Result<NetMessage, WireError> {
         let mut backoff = self.retry.initial_backoff;
         let mut attempts_left = self.retry.attempts;
         loop {
-            match self.request_once(replica, msg) {
+            match self.request_once(replica, payload) {
                 Ok(reply) => return Ok(reply),
                 // Only transport losses are worth a reconnect; a
                 // replica that *answered* with an error stays final.
@@ -213,9 +214,9 @@ impl NetClient {
     }
 
     /// One send/receive on the current connection, no retry.
-    fn request_once(&mut self, replica: usize, msg: &NetMessage) -> Result<NetMessage, WireError> {
+    fn request_once(&mut self, replica: usize, payload: &[u8]) -> Result<NetMessage, WireError> {
         let conn = &mut self.conns[replica];
-        msg.write_to(&mut conn.writer)?;
+        WireCodec::write_payload(&mut conn.writer, payload)?;
         match NetMessage::read_from(&mut conn.reader)? {
             Some(NetMessage::ErrorReply { code, detail }) => Err(WireError::Protocol {
                 detail: format!(
@@ -267,7 +268,7 @@ impl NetClient {
     pub fn drain_all(&mut self) -> Result<Vec<(u64, u64)>, WireError> {
         let mut acks = Vec::with_capacity(self.conns.len());
         for replica in 0..self.conns.len() {
-            match self.request(replica, &NetMessage::Drain)? {
+            match self.request(replica, &NetMessage::Drain.encode())? {
                 NetMessage::DrainAck { drained, pending } => acks.push((drained, pending)),
                 reply => {
                     return Err(WireError::Protocol {
@@ -285,7 +286,7 @@ impl NetClient {
     ///
     /// Propagates the first transport or protocol failure.
     pub fn stats(&mut self, replica: usize) -> Result<ReplicaStats, WireError> {
-        match self.request(replica, &NetMessage::Stats)? {
+        match self.request(replica, &NetMessage::Stats.encode())? {
             NetMessage::StatsReply {
                 pending,
                 batches_served,
@@ -315,7 +316,7 @@ impl NetClient {
     ) -> Result<Vec<(u16, Vec<MdsId>)>, WireError> {
         let mut replies = Vec::with_capacity(self.conns.len());
         for replica in 0..self.conns.len() {
-            match self.request(replica, &NetMessage::GroupProbe { qid, fp: *fp })? {
+            match self.request(replica, &NetMessage::GroupProbe { qid, fp: *fp }.encode())? {
                 NetMessage::ProbeReply {
                     qid: echoed,
                     replica: index,
@@ -356,7 +357,7 @@ impl NetClient {
     /// Propagates the first transport or protocol failure.
     pub fn ping_all(&mut self, nonce: u64) -> Result<(), WireError> {
         for replica in 0..self.conns.len() {
-            match self.request(replica, &NetMessage::Ping { nonce })? {
+            match self.request(replica, &NetMessage::Ping { nonce }.encode())? {
                 NetMessage::Pong { nonce: echoed } if echoed == nonce => {}
                 reply => {
                     return Err(WireError::Protocol {
@@ -390,13 +391,7 @@ impl BatchTransport for NetClient {
     fn execute_on(&mut self, replica: usize, batch: &OpBatch) -> Result<Vec<OpOutcome>, WireError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match self.request(
-            replica,
-            &NetMessage::ExecuteBatch {
-                seq,
-                batch: batch.clone(),
-            },
-        )? {
+        match self.request(replica, &NetMessage::encode_execute_batch(seq, batch))? {
             NetMessage::BatchReply {
                 seq: echoed,
                 outcomes,

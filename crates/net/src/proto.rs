@@ -304,10 +304,16 @@ fn put_batch(w: &mut ByteWriter, batch: &OpBatch) {
     }
 }
 
+fn put_execute_batch(w: &mut ByteWriter, seq: u64, batch: &OpBatch) {
+    w.u8(tags::EXECUTE_BATCH);
+    w.u64(seq);
+    put_batch(w, batch);
+}
+
 fn get_batch(r: &mut ByteReader<'_>) -> Result<OpBatch, WireError> {
     let policy = get_entry_policy(r)?;
     let n = r.u32()? as usize;
-    let mut batch = OpBatch::new().with_entry(policy);
+    let mut batch = OpBatch::with_capacity(n.min(65_536)).with_entry(policy);
     for _ in 0..n {
         batch.push(get_op(r)?);
     }
@@ -446,11 +452,7 @@ impl NetMessage {
                     w.string(addr);
                 }
             }
-            NetMessage::ExecuteBatch { seq, batch } => {
-                w.u8(tags::EXECUTE_BATCH);
-                w.u64(*seq);
-                put_batch(&mut w, batch);
-            }
+            NetMessage::ExecuteBatch { seq, batch } => put_execute_batch(&mut w, *seq, batch),
             NetMessage::BatchReply { seq, outcomes } => {
                 w.u8(tags::BATCH_REPLY);
                 w.u64(*seq);
@@ -511,6 +513,17 @@ impl NetMessage {
                 w.string(detail);
             }
         }
+        w.into_bytes()
+    }
+
+    /// The payload [`encode`](NetMessage::encode) produces for
+    /// [`NetMessage::ExecuteBatch`], from a **borrowed** batch: a sender
+    /// that keeps its batch does not clone every path into a message
+    /// just to serialise it.
+    #[must_use]
+    pub fn encode_execute_batch(seq: u64, batch: &OpBatch) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_execute_batch(&mut w, seq, batch);
         w.into_bytes()
     }
 

@@ -21,10 +21,12 @@
 //!   [`NetMessage::DrainAck`] once the **write** lock has been taken,
 //!   the logs replayed, and all pending publishes pushed). Serving
 //!   pauses for as long as that lock is held — log replay, WAL append
-//!   and the flush of every drifted filter: ≈ 2 ms per tick on the
-//!   benchmark's 24-server replicas (9.9 ms before the flush cost only
-//!   what changed; breakdown in `ghba-core`'s `reconcile.rs`). The
-//!   cadence is the sleep *between* ticks, not their period.
+//!   and the flush of every drifted filter as one successor snapshot:
+//!   ≈ 1.3 ms per tick on the benchmark's 24-server replicas (≈ 1.9 ms
+//!   while the flush swapped one snapshot per server, 9.9 ms before it
+//!   cost only what changed; breakdown in `ghba-core`'s
+//!   `reconcile.rs`). The cadence is the sleep *between* ticks, not
+//!   their period.
 //!
 //! The end-to-end tests exploit the split: they set a long cadence (so
 //! the background thread never interferes) and place explicit `Drain`
@@ -197,17 +199,17 @@ struct ReplicaShared {
 }
 
 impl ReplicaShared {
-    /// Drains under the write lock; returns records reconciled. None
-    /// are left pending: the drain takes every shard log while the write
-    /// lock keeps batches out, which is why a barrier reply's `pending`
-    /// is 0 without a second sweep of the shard locks.
+    /// Drains under the write lock; returns records reconciled — the
+    /// drain's own count of what it replayed, one sweep of the shard
+    /// locks. None are left pending: the drain takes every shard log
+    /// while the write lock keeps batches out, which is why a barrier
+    /// reply's `pending` is 0 without another sweep.
     fn drain(&self) -> u64 {
         let mut cluster = self.cluster.write().expect("cluster lock poisoned");
-        let before = cluster.pending_concurrent_writes();
-        cluster.drain_concurrent();
+        let drained = cluster.drain_concurrent();
         let _ = cluster.flush_all_updates();
-        self.drained_total.fetch_add(before, Ordering::Relaxed);
-        before
+        self.drained_total.fetch_add(drained, Ordering::Relaxed);
+        drained
     }
 
     /// One control-plane tick: closes the cluster's load window and

@@ -407,9 +407,12 @@ impl WireCodec {
         if (len as usize) < FRAME_HEADER {
             return Err(WireError::RuntFrame { len });
         }
-        let mut body = vec![0u8; len as usize];
-        r.read_exact(&mut body)?;
-        let mut reader = ByteReader::new(&body);
+        // Magic + version are checked from the stack before anything is
+        // allocated, and the payload is read straight into the buffer
+        // that is returned: one allocation and no copy per frame.
+        let mut header = [0u8; FRAME_HEADER - 1];
+        r.read_exact(&mut header)?;
+        let mut reader = ByteReader::new(&header);
         let magic = reader.u32()?;
         if magic != WIRE_MAGIC {
             return Err(WireError::BadMagic { found: magic });
@@ -418,7 +421,9 @@ impl WireCodec {
         if version != WIRE_VERSION {
             return Err(WireError::UnsupportedVersion { found: version });
         }
-        Ok(Some(body.split_off(FRAME_HEADER - 1)))
+        let mut payload = vec![0u8; len as usize - header.len()];
+        r.read_exact(&mut payload)?;
+        Ok(Some(payload))
     }
 }
 
