@@ -145,7 +145,19 @@ impl CountingBloomFilter {
 
     /// Hash-once variant of [`insert`](CountingBloomFilter::insert).
     pub fn insert_fp(&mut self, fp: &Fingerprint) {
-        for idx in fp.probes(self.seed, self.bits, self.hashes) {
+        self.insert_rows(fp.probes(self.seed, self.bits, self.hashes));
+    }
+
+    /// Inserts one item given its probe rows for this filter's
+    /// [`shape`](CountingBloomFilter::shape) — [`Fingerprint::probes`], or
+    /// rows a caller derived once for several filters of the shape
+    /// ([`crate::RowDeriver`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics (via indexing) if a row is outside this filter's width.
+    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        for idx in rows {
             self.counters[idx] = self.counters[idx].saturating_add(1);
         }
         self.items += 1;
@@ -179,11 +191,8 @@ impl CountingBloomFilter {
     }
 
     /// Hash-once variant of [`remove`](CountingBloomFilter::remove) that
-    /// can keep a plain projection exact: given `plain` equal to
-    /// [`to_bloom_filter`](CountingBloomFilter::to_bloom_filter) before
-    /// the call, it clears the bit of every counter this removal takes to
-    /// zero (saturated counters stay set) and copies the item count, so
-    /// the equality holds after it — in O(k), not O(m).
+    /// can keep a plain projection exact: see
+    /// [`remove_rows`](CountingBloomFilter::remove_rows).
     ///
     /// # Errors
     ///
@@ -192,13 +201,32 @@ impl CountingBloomFilter {
     pub fn remove_fp(
         &mut self,
         fp: &Fingerprint,
+        plain: Option<&mut BloomFilter>,
+    ) -> Result<(), BloomError> {
+        self.remove_rows(fp.probes(self.seed, self.bits, self.hashes), plain)
+    }
+
+    /// Removes one item given its probe rows (see
+    /// [`insert_rows`](CountingBloomFilter::insert_rows)). Given `plain`
+    /// equal to [`to_bloom_filter`](CountingBloomFilter::to_bloom_filter)
+    /// before the call, it clears the bit of every counter this removal
+    /// takes to zero (saturated counters stay set) and copies the item
+    /// count, so the equality holds after it — in O(k), not O(m).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BloomError::AbsentItem`] — without modifying any counter —
+    /// if some row's counter is already zero.
+    pub fn remove_rows(
+        &mut self,
+        rows: impl Iterator<Item = usize> + Clone,
         mut plain: Option<&mut BloomFilter>,
     ) -> Result<(), BloomError> {
-        if !self.contains_fp(fp) {
+        if !rows.clone().all(|idx| self.counters[idx] > 0) {
             return Err(BloomError::AbsentItem);
         }
         debug_assert!(plain.as_ref().is_none_or(|p| p.shape() == self.shape()));
-        for idx in fp.probes(self.seed, self.bits, self.hashes) {
+        for idx in rows {
             let c = &mut self.counters[idx];
             if *c != u8::MAX {
                 *c -= 1;

@@ -160,7 +160,18 @@ impl BloomFilter {
     /// Hash-once variant of [`insert`](BloomFilter::insert): consumes a
     /// precomputed [`Fingerprint`] instead of re-hashing the item bytes.
     pub fn insert_fp(&mut self, fp: &Fingerprint) {
-        for idx in fp.probes(self.seed, self.bits, self.hashes) {
+        self.insert_rows(fp.probes(self.seed, self.bits, self.hashes));
+    }
+
+    /// Inserts one item given its probe rows for this filter's
+    /// [`shape`](BloomFilter::shape), as
+    /// [`contains_rows`](BloomFilter::contains_rows) reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics (via indexing) if a row is outside this filter's width.
+    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        for idx in rows {
             self.words[idx / 64] |= 1 << (idx % 64);
         }
         self.items += 1;

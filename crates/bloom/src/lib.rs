@@ -59,7 +59,7 @@ pub use array::{BloomFilterArray, Hit};
 pub use counting::CountingBloomFilter;
 pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;
-pub use hash::Fingerprint;
+pub use hash::{BuildLaneHasher, Fingerprint};
 pub use lru::LruBloomArray;
 pub use ops::FilterDelta;
-pub use shared::{ProbeBatch, SharedShapeArray, SlotMask};
+pub use shared::{ProbeBatch, RowDeriver, SharedShapeArray, SlotMask};

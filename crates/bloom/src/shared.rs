@@ -245,15 +245,48 @@ impl ProbeBatch {
 
 /// [`ProbeBatch::derive_rows_into`] over a bare fingerprint slice.
 fn derive_rows(fps: &[Fingerprint], shape: FilterShape, out: &mut Vec<u32>) {
-    assert!(shape.bits > 0, "filter must have at least one bit");
-    debug_assert!(u32::try_from(shape.bits).is_ok(), "rows must fit a u32");
+    let deriver = RowDeriver::new(shape);
     out.clear();
     out.reserve(fps.len() * shape.hashes as usize);
-    let fm = FastMod::new(shape.bits as u64);
     for fp in fps {
-        let (mut cursor, step) = fp.pair(shape.seed);
-        for _ in 0..shape.hashes {
-            out.push(fm.rem(cursor) as u32);
+        deriver.rows_into(fp, out);
+    }
+}
+
+/// The probe-row derivation of one filter family with its fastmod magic
+/// computed once: whoever probes or mutates filters of one shape for
+/// longer than a batch (a cluster's write path) keeps one and never
+/// divides again. Yields exactly [`Fingerprint::probes`] for the shape.
+#[derive(Debug, Clone, Copy)]
+pub struct RowDeriver {
+    fm: FastMod,
+    seed: u64,
+    hashes: u32,
+}
+
+impl RowDeriver {
+    /// Precomputes the derivation for `shape`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shape.bits` is zero.
+    #[must_use]
+    pub fn new(shape: FilterShape) -> Self {
+        assert!(shape.bits > 0, "filter must have at least one bit");
+        debug_assert!(u32::try_from(shape.bits).is_ok(), "rows must fit a u32");
+        RowDeriver {
+            fm: FastMod::new(shape.bits as u64),
+            seed: shape.seed,
+            hashes: shape.hashes,
+        }
+    }
+
+    /// Appends `fp`'s `k` probe rows to `out`.
+    #[inline]
+    pub fn rows_into(&self, fp: &Fingerprint, out: &mut Vec<u32>) {
+        let (mut cursor, step) = fp.pair(self.seed);
+        for _ in 0..self.hashes {
+            out.push(self.fm.rem(cursor) as u32);
             cursor = cursor.wrapping_add(step);
         }
     }

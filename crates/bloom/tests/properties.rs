@@ -484,6 +484,56 @@ proptest! {
         prop_assert_eq!(rows, expected);
     }
 
+    /// Rows ≡ fingerprint: a counting filter and its plain projection
+    /// mutated through `insert_rows` / `remove_rows` — rows from one
+    /// `RowDeriver` — stay identical (counters, words, `item_count`) to
+    /// twins mutated through `insert_fp` / `remove_fp`, after every op,
+    /// on a deliberately tiny shape: 23 counters and k = 2, so items
+    /// share counters and some probe one row twice (an odd width: the
+    /// probe step is odd), after 3,400 files of ballast pinned counters
+    /// at `u8::MAX`. Removing an absent item is
+    /// refused by both without touching a counter.
+    #[test]
+    fn row_mutations_match_fingerprint_mutations(
+        ops in proptest::collection::vec((any::<bool>(), 0u16..40), 1..300),
+        seed in any::<u64>(),
+    ) {
+        let shape = ghba_bloom::FilterShape { bits: 23, hashes: 2, seed };
+        let deriver = ghba_bloom::RowDeriver::new(shape);
+        let mut by_fp = CountingBloomFilter::new(shape.bits, shape.hashes, seed);
+        let mut by_rows = by_fp.clone();
+        let mut plain_fp = BloomFilter::new(shape.bits, shape.hashes, seed);
+        let mut plain_rows = plain_fp.clone();
+        let mut rows = Vec::new();
+        let ballast = (0..3_400u16).map(|file| (true, 1_000 + file));
+        let mut twice = false;
+        for (insert, file) in ballast.chain(ops) {
+            let fp = Fingerprint::of(&file);
+            rows.clear();
+            deriver.rows_into(&fp, &mut rows);
+            twice |= rows[0] == rows[1];
+            let indices = rows.iter().map(|&row| row as usize);
+            if insert {
+                by_fp.insert_fp(&fp);
+                plain_fp.insert_fp(&fp);
+                by_rows.insert_rows(indices.clone());
+                plain_rows.insert_rows(indices);
+            } else {
+                let before = by_rows.clone();
+                let removed = by_rows.remove_rows(indices, Some(&mut plain_rows));
+                prop_assert_eq!(by_fp.remove_fp(&fp, Some(&mut plain_fp)), removed.clone());
+                if removed.is_err() {
+                    prop_assert_eq!(&by_rows, &before);
+                }
+            }
+            prop_assert_eq!(&by_rows, &by_fp);
+            prop_assert_eq!(&plain_rows, &plain_fp);
+            prop_assert_eq!(&plain_rows, &by_rows.to_bloom_filter());
+        }
+        prop_assert_eq!(by_rows.max_counter(), u8::MAX);
+        prop_assert!(twice, "no ballast item probed one row twice");
+    }
+
     /// The slab identity the pinned walk rests on: one unmasked row-AND
     /// (`and_rows`) read under any candidate mask (`positives_under`)
     /// answers exactly like a masked probe — same positive count, same id

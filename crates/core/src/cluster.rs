@@ -46,7 +46,7 @@ use core::time::Duration;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use ghba_bloom::{Fingerprint, Hit, ProbeBatch, SharedShapeArray};
+use ghba_bloom::{Fingerprint, Hit, ProbeBatch, RowDeriver, SharedShapeArray};
 use ghba_simnet::{Counters, DetRng, LatencyStats};
 
 use crate::concurrent::{
@@ -56,8 +56,8 @@ use crate::config::GhbaConfig;
 use crate::exec::run_deduped;
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
-use crate::mds::{published_shape, Mds};
-use crate::op::{EntryPolicy, PathKey, WalkItem};
+use crate::mds::{published_shape, row_indices, Mds};
+use crate::op::{EntryPolicy, PathKey, WalkItem, WalkKey};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::reconfig::ReconfigReport;
 use crate::snapshot::{route_cell, ReconfigHandle, RouteCell, RouteSnapshot, SharedL2, SharedL3};
@@ -304,6 +304,13 @@ pub struct Cluster<T: Topology> {
     /// layout compact; deliberately **not** cloned — a clone is an
     /// independent in-memory twin, not a second writer of the same log.
     pub(crate) wal: Option<Box<crate::wal::Wal>>,
+    /// The probe-row derivation of [`published_shape`], its fastmod magic
+    /// computed once: the write path (drain, replay, remove) never
+    /// divides to place a row.
+    rows: RowDeriver,
+    /// Scratch the drain and the `&mut` remove keep: the `k` probe rows
+    /// of the record being applied.
+    row_scratch: Vec<u32>,
     topology: PhantomData<T>,
 }
 
@@ -340,6 +347,8 @@ impl<T: Topology> Clone for Cluster<T> {
             load_fold: Mutex::new(crate::load::LoadFold::new()),
             shim_entry: self.shim_entry,
             wal: None,
+            rows: self.rows,
+            row_scratch: Vec::new(),
             topology: PhantomData,
         }
     }
@@ -350,7 +359,8 @@ impl<T: Topology> Cluster<T> {
     #[must_use]
     pub fn new(config: GhbaConfig) -> Self {
         let rng = DetRng::new(config.seed).fork(T::RNG_FORK);
-        let slab = SharedShapeArray::new(published_shape(&config));
+        let shape = published_shape(&config);
+        let slab = SharedShapeArray::new(shape);
         let shards = NamespaceShards::new(config.write_shards);
         Cluster {
             config,
@@ -365,6 +375,8 @@ impl<T: Topology> Cluster<T> {
             load_fold: Mutex::new(crate::load::LoadFold::new()),
             shim_entry: EntryPolicy::Random,
             wal: None,
+            rows: RowDeriver::new(shape),
+            row_scratch: Vec::new(),
             topology: PhantomData,
         }
     }
@@ -575,11 +587,15 @@ impl<T: Topology> Cluster<T> {
 
     fn remove_fp(&mut self, path: &str, fp: &Fingerprint) -> Option<MdsId> {
         self.maybe_drain();
-        let home = self.locate_home(path, fp)?;
-        let mds = self.mdss.get_mut(&home).expect("home exists");
-        mds.remove_local_fp(path, fp);
-        self.maybe_publish(home);
-        Some(home)
+        let mut rows = std::mem::take(&mut self.row_scratch);
+        let home = self.locate_home(path, fp, &mut rows);
+        if let Some(home) = home {
+            let mds = self.mdss.get_mut(&home).expect("home exists");
+            mds.remove_local_rows(path, fp, row_indices(&rows));
+            self.maybe_publish(home);
+        }
+        self.row_scratch = rows;
+        home
     }
 
     /// Ground-truth home of `path` (authoritative store sweep, no filter
@@ -593,19 +609,20 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// The home a remove of `path` targets, found through the live
-    /// filters: the path's `k` rows are derived once and only servers
-    /// whose live projection answers positive are asked for a keyed store
-    /// lookup. Bloom filters have no false negatives, so the first hit in
-    /// id order is [`true_home`](Cluster::true_home)'s answer — for `N`
-    /// bit-probes and about one store lookup instead of `N`.
-    fn locate_home(&self, path: &str, fp: &Fingerprint) -> Option<MdsId> {
-        let shape = published_shape(&self.config);
-        let mut rows = Vec::with_capacity(shape.hashes as usize);
-        fp.probe_rows_into(shape.seed, shape.bits, shape.hashes, &mut rows);
+    /// filters: the path's `k` rows are derived once — into `rows`, the
+    /// caller's scratch, through the cluster's precomputed fastmod — and
+    /// only servers whose live projection answers positive are asked for
+    /// a keyed store lookup. Bloom filters have no false negatives, so
+    /// the first hit in id order is [`true_home`](Cluster::true_home)'s
+    /// answer — for `N` bit-probes and about one store lookup instead of
+    /// `N`, with no allocation, division or byte-wise hash.
+    fn locate_home(&self, path: &str, fp: &Fingerprint, rows: &mut Vec<u32>) -> Option<MdsId> {
+        rows.clear();
+        self.rows.rows_into(fp, rows);
         let home = self
             .mdss
             .iter()
-            .find(|(_, mds)| mds.probe_live_rows(&rows) && mds.stores(path))
+            .find(|(_, mds)| mds.probe_live_rows(rows) && mds.stores_fp(path, fp))
             .map(|(&id, _)| id);
         debug_assert_eq!(
             home,
@@ -725,7 +742,7 @@ impl<T: Topology> Cluster<T> {
             }
             let mds = self.mdss.get(&candidate)?;
             *latency += mds.metadata_access_cost(model);
-            overlay.stores(mds, path).then_some(candidate)
+            overlay.stores(mds, path, &fp).then_some(candidate)
         };
         let done =
             |home: Option<MdsId>, level, latency: Duration, messages, falses, consults| Walked {
@@ -864,7 +881,7 @@ impl<T: Topology> Cluster<T> {
         for (&id, mds) in &self.mdss {
             if probes_live(mds) {
                 verify_cost = verify_cost.max(mds.metadata_access_cost(model));
-                if overlay.stores(mds, path) {
+                if overlay.stores(mds, path, &fp) {
                     found = Some(id);
                 } else {
                     falses[3] += 1;
@@ -935,7 +952,7 @@ impl<T: Topology> Cluster<T> {
         let (resolved, assign) = run_deduped(
             items,
             self.config.executor,
-            |&(entry, path, _)| (entry, path),
+            WalkKey::of,
             plan,
             |chunk, plan: &mut ChunkPlan<'a>, out| self.walk_chunk(snap, chunk, plan, out),
         );
@@ -987,20 +1004,22 @@ impl<T: Topology> Cluster<T> {
     /// home it will be removed from: the overlay answers for paths this
     /// era already wrote, [`locate_home`](Self::locate_home) for the rest
     /// (safe from `&self` — `mdss` only mutates under `&mut`, which cannot
-    /// run concurrently).
-    pub(crate) fn apply_remove_shared(&self, key: &PathKey) -> Option<MdsId> {
-        match self.shards.overlay(key) {
-            OverlayEntry::Created(home) => {
-                self.shards.record_remove(key, home);
-                Some(home)
-            }
-            OverlayEntry::Removed => None,
+    /// run concurrently), with the batch's arena lending the row scratch
+    /// no run is using.
+    pub(crate) fn apply_remove_shared(
+        &self,
+        key: &PathKey,
+        arena: &mut WalkArena<'_>,
+    ) -> Option<MdsId> {
+        let home = match self.shards.overlay(key) {
+            OverlayEntry::Created(home) => home,
+            OverlayEntry::Removed => return None,
             OverlayEntry::Untracked => {
-                let home = self.locate_home(key.path(), key.fingerprint())?;
-                self.shards.record_remove(key, home);
-                Some(home)
+                self.locate_home(key.path(), key.fingerprint(), &mut arena.plan.rows)?
             }
-        }
+        };
+        self.shards.record_remove(key, home);
+        Some(home)
     }
 
     /// Drains pending concurrent state if any exists: the cheap
@@ -1040,6 +1059,7 @@ impl<T: Topology> Cluster<T> {
             return 0;
         }
         let records = self.shards.take_all();
+        let replayed = records.len() as u64;
         // Write-ahead: the drained batch is logged (and, per policy,
         // synced) before any of its effects publish — recovery can then
         // never observe an effect the log is missing.
@@ -1047,32 +1067,40 @@ impl<T: Topology> Cluster<T> {
             wal.append_drain(&records)
                 .expect("WAL append failed: cannot publish unlogged effects");
         }
-        self.apply_write_records(&records);
+        self.apply_write_records(records);
         self.maybe_checkpoint();
-        records.len() as u64
+        replayed
     }
 
     /// Replays drained write records against the authoritative stores
     /// and live filters (shard-index order; per-path order is total
-    /// because a path always hashes to the same shard).
-    pub(crate) fn apply_write_records(&mut self, records: &[WriteRecord]) {
-        for record in records {
-            match record.kind {
+    /// because a path always hashes to the same shard). Each record's
+    /// probe rows are derived once, division-free, and serve both of its
+    /// home's live filters; each record is consumed: a create's path
+    /// `String` becomes its store's key, a remove's is dropped — the copy
+    /// made when the write was recorded is the only one a path ever gets.
+    pub(crate) fn apply_write_records(&mut self, records: Vec<WriteRecord>) {
+        let mut rows = std::mem::take(&mut self.row_scratch);
+        for WriteRecord { path, fp, kind } in records {
+            rows.clear();
+            self.rows.rows_into(&fp, &mut rows);
+            match kind {
                 WriteKind::Create(home) => {
                     self.mdss
                         .get_mut(&home)
                         .expect("pending create targets a live home")
-                        .create_local_fp(&record.path, &record.fp);
+                        .create_local_rows(path, &fp, row_indices(&rows));
                 }
                 WriteKind::Remove(home) => {
                     // The home may have retired since the record was
                     // appended; its store went with it.
                     if let Some(mds) = self.mdss.get_mut(&home) {
-                        mds.remove_local_fp(&record.path, &record.fp);
+                        mds.remove_local_rows(&path, &fp, row_indices(&rows));
                     }
                 }
             }
         }
+        self.row_scratch = rows;
     }
 
     /// Pending concurrent write records awaiting the next
@@ -1293,6 +1321,57 @@ mod tests {
         }
         cluster.flush_all_updates();
         cluster
+    }
+
+    /// The drain's rows-once, path-moved replay leaves every server —
+    /// store, counters, plain projection, both cadence counters — exactly
+    /// where the same writes through `create_local_fp` / `remove_local_fp`
+    /// leave a twin: creates, re-creates, removes, a remove of an absent
+    /// path, a remove at a home that has retired.
+    #[test]
+    fn drained_records_apply_like_fingerprint_mutations() {
+        let mut cluster = GhbaCluster::with_servers(batch_config(), 6);
+        let mut twin: BTreeMap<MdsId, Mds> = cluster.mdss.clone();
+        let writes: Vec<(String, WriteKind)> = (0..400u16)
+            .map(|i| {
+                let path = format!("/d/f{}", i % 90);
+                let home = MdsId((i % 90) % 6);
+                let kind = match i % 7 {
+                    0 | 3 => WriteKind::Remove(home),
+                    5 => WriteKind::Remove(MdsId(99)),
+                    _ => WriteKind::Create(home),
+                };
+                (path, kind)
+            })
+            .collect();
+        for (path, kind) in &writes {
+            let fp = Fingerprint::of(path.as_str());
+            match *kind {
+                WriteKind::Create(home) => {
+                    twin.get_mut(&home)
+                        .unwrap()
+                        .create_local_fp(path.as_str(), &fp);
+                }
+                WriteKind::Remove(home) => {
+                    if let Some(mds) = twin.get_mut(&home) {
+                        mds.remove_local_fp(path, &fp);
+                    }
+                }
+            }
+        }
+        let records = writes
+            .into_iter()
+            .map(|(path, kind)| WriteRecord {
+                fp: Fingerprint::of(path.as_str()),
+                path,
+                kind,
+            })
+            .collect();
+        cluster.apply_write_records(records);
+        assert!(cluster.total_files() > 0);
+        for (id, mds) in &cluster.mdss {
+            assert_eq!(mds.write_state(), twin[id].write_state(), "{id}");
+        }
     }
 
     /// A batch of concurrent lookups over distinct paths resolves exactly

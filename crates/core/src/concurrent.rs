@@ -21,6 +21,12 @@
 //!   records for distinct paths commute on the underlying stores.
 //!   Recording takes nothing global and publishes nothing: published
 //!   columns move only at the owner's `push_update`, after the drain.
+//!   The overlay is keyed by the admission fingerprint (hash-once runs
+//!   admission → filters → overlay → store; trust model in
+//!   [`ghba_bloom::hash`]) and owns no copy of a path: an entry is the
+//!   index of the fingerprint's latest record, verified against that
+//!   record's path on every hit, so two pending paths sharing all 128
+//!   bits cost a scan of their shard's log, never an answer.
 //!
 //! Neither type performs any synchronization beyond its own locks and
 //! atomics: folding or draining requires the caller to hold `&mut` on
@@ -33,7 +39,7 @@ use core::time::Duration;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use ghba_bloom::Fingerprint;
+use ghba_bloom::{BuildLaneHasher, Fingerprint};
 use ghba_simnet::LatencyStats;
 
 use crate::cluster::ClusterStats;
@@ -306,11 +312,11 @@ impl OverlayEntry {
     /// writes: a pending create is stored at its recorded home, a
     /// pending remove nowhere.
     #[must_use]
-    pub fn stores(self, mds: &Mds, path: &str) -> bool {
+    pub fn stores(self, mds: &Mds, path: &str, fp: &Fingerprint) -> bool {
         match self {
             OverlayEntry::Created(home) => mds.id() == home,
             OverlayEntry::Removed => false,
-            OverlayEntry::Untracked => mds.stores(path),
+            OverlayEntry::Untracked => mds.stores_fp(path, fp),
         }
     }
 }
@@ -337,12 +343,25 @@ pub struct WriteRecord {
 }
 
 /// One namespace shard: an ordered log of pending writes plus an index
-/// of the latest record per path (the overlay).
+/// of the latest record per fingerprint (the overlay).
 #[derive(Debug, Default)]
 struct Shard {
     log: Vec<WriteRecord>,
-    /// path → index of the latest record for it in `log`.
-    latest: HashMap<String, usize>,
+    /// Fingerprint → index in `log` of the latest record carrying it.
+    latest: HashMap<Fingerprint, usize, BuildLaneHasher>,
+}
+
+impl Shard {
+    /// The latest pending record for `path`. The indexed record is it
+    /// unless another pending path shares all 128 bits of `fp`; then the
+    /// records before it are scanned, newest first.
+    fn latest_for(&self, path: &str, fp: &Fingerprint) -> Option<&WriteRecord> {
+        let &idx = self.latest.get(fp)?;
+        self.log[..=idx]
+            .iter()
+            .rev()
+            .find(|record| record.fp == *fp && record.path == path)
+    }
 }
 
 /// Namespace partitioned into independently locked write shards.
@@ -398,13 +417,10 @@ impl NamespaceShards {
         if !self.is_dirty() {
             return OverlayEntry::Untracked;
         }
-        let shard = self.lock_for(fp);
-        match shard.latest.get(path) {
+        match self.lock_for(fp).latest_for(path, fp).map(|r| &r.kind) {
             None => OverlayEntry::Untracked,
-            Some(&idx) => match shard.log[idx].kind {
-                WriteKind::Create(home) => OverlayEntry::Created(home),
-                WriteKind::Remove(_) => OverlayEntry::Removed,
-            },
+            Some(&WriteKind::Create(home)) => OverlayEntry::Created(home),
+            Some(WriteKind::Remove(_)) => OverlayEntry::Removed,
         }
     }
 
@@ -430,7 +446,7 @@ impl NamespaceShards {
             fp: *key.fingerprint(),
             kind,
         });
-        shard.latest.insert(key.path().to_owned(), idx);
+        shard.latest.insert(*key.fingerprint(), idx);
         drop(shard);
         self.dirty.store(true, Ordering::Release);
     }
@@ -506,5 +522,56 @@ mod tests {
         let mut folded = LatencyStats::new();
         folded.merge_parts(count, sum, min, max, &buckets);
         assert_eq!(folded, reference);
+    }
+
+    /// Two pending paths sharing all 128 fingerprint bits (forged: no
+    /// such pair is known) each read their own overlay entry through
+    /// create → remove → re-create, a third path on that fingerprint is
+    /// untracked, and the drain loses and reorders nothing.
+    #[test]
+    fn forged_fingerprint_collisions_cannot_change_an_answer() {
+        let shards = NamespaceShards::new(4);
+        let fp = Fingerprint::from_lanes(7, 9);
+        let a = PathKey::forged("/a", fp);
+        let b = PathKey::forged("/b", fp);
+        let c = PathKey::forged("/c", fp);
+        let read = |key: &PathKey| shards.overlay(key);
+
+        shards.record_create(&a, MdsId(1));
+        assert_eq!(read(&a), OverlayEntry::Created(MdsId(1)));
+        assert_eq!(read(&b), OverlayEntry::Untracked);
+        shards.record_create(&b, MdsId(2));
+        assert_eq!(read(&a), OverlayEntry::Created(MdsId(1)), "behind b's");
+        assert_eq!(read(&b), OverlayEntry::Created(MdsId(2)));
+        shards.record_remove(&a, MdsId(1));
+        assert_eq!(read(&a), OverlayEntry::Removed);
+        assert_eq!(read(&b), OverlayEntry::Created(MdsId(2)), "behind a's");
+        shards.record_create(&a, MdsId(3));
+        shards.record_remove(&b, MdsId(2));
+        assert_eq!(read(&a), OverlayEntry::Created(MdsId(3)));
+        assert_eq!(read(&b), OverlayEntry::Removed);
+        assert_eq!(read(&c), OverlayEntry::Untracked);
+
+        let drained: Vec<(String, WriteKind)> = shards
+            .take_all()
+            .into_iter()
+            .map(|record| (record.path, record.kind))
+            .collect();
+        let expected = [
+            ("/a", WriteKind::Create(MdsId(1))),
+            ("/b", WriteKind::Create(MdsId(2))),
+            ("/a", WriteKind::Remove(MdsId(1))),
+            ("/a", WriteKind::Create(MdsId(3))),
+            ("/b", WriteKind::Remove(MdsId(2))),
+        ]
+        .map(|(path, kind)| (path.to_owned(), kind));
+        assert_eq!(drained, expected);
+        assert_eq!(read(&a), OverlayEntry::Untracked);
+    }
+
+    /// A record holds one copy of its path and nothing else grew.
+    #[test]
+    fn a_write_record_is_no_larger_than_its_path_lanes_and_kind() {
+        assert!(core::mem::size_of::<WriteRecord>() <= 48);
     }
 }

@@ -65,6 +65,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Condvar, Mutex, OnceLock};
 
+use ghba_bloom::BuildLaneHasher;
+
 /// A caught panic payload, en route back to the dispatching thread.
 type Panic = Box<dyn std::any::Any + Send + 'static>;
 
@@ -254,13 +256,16 @@ pub fn chunk_len(total: usize, workers: usize) -> usize {
 /// chunk-local plans cannot see) are resolved exactly once.
 ///
 /// With no duplicate keys, `uniques` is `0..items.len()` and `assign`
-/// is the identity, so the fast path costs one hash-map pass.
+/// is the identity, so the fast path costs one hash-map pass — under
+/// [`BuildLaneHasher`]: the walk's key hashes its admission fingerprint
+/// (`WalkKey`), not its path bytes.
 pub fn resolve_unique<T, K, F>(items: &[T], key: F) -> (Vec<u32>, Vec<u32>)
 where
     K: std::hash::Hash + Eq,
     F: Fn(&T) -> K,
 {
-    let mut slots = std::collections::HashMap::with_capacity(items.len());
+    let mut slots =
+        std::collections::HashMap::with_capacity_and_hasher(items.len(), BuildLaneHasher);
     let mut uniques = Vec::with_capacity(items.len());
     let mut assign = Vec::with_capacity(items.len());
     for (index, item) in items.iter().enumerate() {
@@ -356,6 +361,26 @@ mod tests {
         for (i, &slot) in assign.iter().enumerate() {
             assert_eq!(items[uniques[slot as usize] as usize], items[i]);
         }
+    }
+
+    /// The walk's key: equal `(entry, lane)` with different paths (a
+    /// forged lane collision) stay two walks; true repeats still merge,
+    /// and a repeat at another entry does not.
+    #[test]
+    fn resolve_unique_compares_paths_on_equal_lanes() {
+        use crate::ids::MdsId;
+        use crate::op::{WalkItem, WalkKey};
+        use ghba_bloom::Fingerprint;
+        let fp = Fingerprint::from_lanes(42, 0);
+        let items: [WalkItem<'_>; 4] = [
+            (MdsId(1), "/a", fp),
+            (MdsId(1), "/b", fp),
+            (MdsId(1), "/a", fp),
+            (MdsId(2), "/a", fp),
+        ];
+        let (uniques, assign) = resolve_unique(&items, WalkKey::of);
+        assert_eq!(uniques, vec![0, 1, 3]);
+        assert_eq!(assign, vec![0, 1, 0, 2]);
     }
 
     #[test]

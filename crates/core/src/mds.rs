@@ -12,6 +12,7 @@
 
 use ghba_bloom::{
     BloomFilter, CountingBloomFilter, FilterDelta, FilterShape, Fingerprint, LruBloomArray,
+    RowDeriver,
 };
 use ghba_simnet::MemoryBudget;
 
@@ -40,6 +41,11 @@ pub fn published_shape(config: &GhbaConfig) -> FilterShape {
         hashes: config.filter_hashes(),
         seed: config.seed ^ 0x5E6_3E47, // filter family distinct from LRU's
     }
+}
+
+/// Probe rows as the filters' `*_rows` mutations read them.
+pub(crate) fn row_indices(rows: &[u32]) -> impl Iterator<Item = usize> + Clone + '_ {
+    rows.iter().map(|&row| row as usize)
 }
 
 /// One metadata server.
@@ -141,10 +147,24 @@ impl Mds {
 
     /// Pre-hashed variant of [`create_local`](Mds::create_local): callers
     /// holding the path's admission-time fingerprint (a batched op
-    /// pipeline) skip the byte pass entirely, and one holding an owned
-    /// `String` (checkpoint restore) hands it to the store.
-    pub fn create_local_fp(&mut self, path: impl AsRef<str> + Into<String>, fp: &Fingerprint) {
-        let existed = self.store.create(path).is_some();
+    /// pipeline) skip the byte pass entirely.
+    pub fn create_local_fp(&mut self, path: impl Into<String>, fp: &Fingerprint) {
+        let FilterShape { bits, hashes, seed } = self.live.shape();
+        self.create_local_rows(path, fp, fp.probes(seed, bits, hashes));
+    }
+
+    /// [`create_local_fp`](Mds::create_local_fp) for a caller that also
+    /// holds `fp`'s probe rows for [`published_shape`] — a drain or a
+    /// restore derives them division-free, once for both live filters —
+    /// and whose owned `String` (a drained record's, a decoder's) becomes
+    /// the store's key as it is.
+    pub(crate) fn create_local_rows(
+        &mut self,
+        path: impl Into<String>,
+        fp: &Fingerprint,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) {
+        let existed = self.store.create_fp(path, fp).is_some();
         // Re-creating an existing path bumps its version but must not
         // double-insert into the counting filter: the live filter holds
         // exactly one count per stored path, so a later remove clears its
@@ -152,8 +172,8 @@ impl Mds {
         // and so live state stays a pure function of the namespace (the
         // property checkpoint/WAL recovery rebuilds it from).
         if !existed {
-            self.live.insert_fp(fp);
-            self.live_plain.insert_fp(fp);
+            self.live.insert_rows(rows.clone());
+            self.live_plain.insert_rows(rows);
         }
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
@@ -168,10 +188,22 @@ impl Mds {
 
     /// Pre-hashed variant of [`remove_local`](Mds::remove_local).
     pub fn remove_local_fp(&mut self, path: &str, fp: &Fingerprint) -> bool {
-        if self.store.remove(path).is_none() {
+        let FilterShape { bits, hashes, seed } = self.live.shape();
+        self.remove_local_rows(path, fp, fp.probes(seed, bits, hashes))
+    }
+
+    /// [`remove_local_fp`](Mds::remove_local_fp) over precomputed probe
+    /// rows (see [`create_local_rows`](Mds::create_local_rows)).
+    pub(crate) fn remove_local_rows(
+        &mut self,
+        path: &str,
+        fp: &Fingerprint,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) -> bool {
+        if self.store.remove_fp(path, fp).is_none() {
             return false;
         }
-        let removed = self.live.remove_fp(fp, Some(&mut self.live_plain));
+        let removed = self.live.remove_rows(rows, Some(&mut self.live_plain));
         debug_assert!(removed.is_ok(), "live filter desynchronized from store");
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
@@ -184,6 +216,13 @@ impl Mds {
     #[must_use]
     pub fn stores(&self, path: &str) -> bool {
         self.store.contains(path)
+    }
+
+    /// [`stores`](Mds::stores) for a caller holding `path`'s fingerprint:
+    /// the verification of a walk hashes no bytes.
+    #[must_use]
+    pub fn stores_fp(&self, path: &str, fp: &Fingerprint) -> bool {
+        self.store.contains_fp(path, fp)
     }
 
     /// Probes the live local filter: no false negatives for files homed
@@ -297,12 +336,32 @@ impl Mds {
         )
     }
 
+    /// Everything a write touches — the store's files with their
+    /// attributes (sorted), both live filters, both cadence counters —
+    /// for twin comparisons.
+    #[cfg(test)]
+    pub(crate) fn write_state(&self) -> impl PartialEq + core::fmt::Debug + '_ {
+        let mut files: Vec<_> = self
+            .store
+            .paths()
+            .map(|path| (path, *self.store.get(path).expect("listed")))
+            .collect();
+        files.sort_unstable_by_key(|&(path, _)| path);
+        (files, &self.live, &self.live_plain, self.durable_counters())
+    }
+
     /// Checkpoint restore: adopts the decoded namespace — the store is
-    /// sized once for it and takes each path `String` as it is.
+    /// sized once for it and takes each path `String` as it is, and each
+    /// file's probe rows come from one `RowDeriver` (no division).
     pub(crate) fn restore_files(&mut self, files: Vec<(String, (u64, u64))>) {
         self.store.reserve(files.len());
+        let deriver = RowDeriver::new(self.live.shape());
+        let mut rows = Vec::new();
         for (path, (a, b)) in files {
-            self.create_local_fp(path, &Fingerprint::from_lanes(a, b));
+            let fp = Fingerprint::from_lanes(a, b);
+            rows.clear();
+            deriver.rows_into(&fp, &mut rows);
+            self.create_local_rows(path, &fp, row_indices(&rows));
         }
     }
 

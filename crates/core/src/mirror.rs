@@ -141,7 +141,7 @@ impl Topology for FullMirror {
                 .min_by_key(|(&mid, mds)| (mds.file_count(), mid))
                 .map(|(&mid, _)| mid)
                 .expect("another server exists");
-            report.messages += cluster.rehome_files(&files, target);
+            report.messages += cluster.rehome_files(files, target);
         }
         // Drop notices to every remaining server.
         report.messages += cluster.mdss.len() as u64;

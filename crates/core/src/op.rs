@@ -77,9 +77,10 @@
 //! assert semantic equivalence (every path resolves to its true home)
 //! instead.
 
+use core::hash::{Hash, Hasher};
 use std::collections::HashMap;
 
-use ghba_bloom::Fingerprint;
+use ghba_bloom::{BuildLaneHasher, Fingerprint};
 
 use crate::ids::MdsId;
 use crate::query::QueryOutcome;
@@ -125,6 +126,16 @@ impl PathKey {
         }
     }
 
+    /// A key whose fingerprint need not be its path's: how tests forge
+    /// the 128-bit collisions the tables behind the filters must survive.
+    #[cfg(test)]
+    pub(crate) fn forged(path: &str, fp: Fingerprint) -> Self {
+        PathKey {
+            path: path.to_owned(),
+            fp,
+        }
+    }
+
     /// The pathname.
     #[must_use]
     pub fn path(&self) -> &str {
@@ -142,6 +153,35 @@ impl PathKey {
 /// One query of a walk run: entry server, pathname, and the path's
 /// hash-once fingerprint.
 pub(crate) type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
+
+/// What a run is deduplicated by: a walk is a pure function of
+/// `(entry, path)` under a pin. Hashed as `(entry, first lane)` — the
+/// admission fingerprint, no second pass over the path bytes — and
+/// compared entry, lane, then path, so the bytes are read only on equal
+/// lanes and a lane collision can never merge two paths.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct WalkKey<'a> {
+    entry: MdsId,
+    lane: u64,
+    path: &'a str,
+}
+
+impl<'a> WalkKey<'a> {
+    pub fn of(&(entry, path, fp): &WalkItem<'a>) -> Self {
+        WalkKey {
+            entry,
+            lane: fp.lanes().0,
+            path,
+        }
+    }
+}
+
+impl Hash for WalkKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u16(self.entry.0);
+        state.write_u64(self.lane);
+    }
+}
 
 /// How a batch's ops choose their serving MDS (the lookup entry server,
 /// and the home for creates and rename targets).
@@ -526,7 +566,7 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
     // lookup pass, and — on repeat-sensitive schemes — the same pairs
     // keyed by `(entry, fingerprint lanes)` → op index of the first.
     let mut run: Vec<(usize, MdsId)> = Vec::new();
-    let mut seen: HashMap<(MdsId, (u64, u64)), usize> = HashMap::new();
+    let mut seen: HashMap<(MdsId, Fingerprint), usize, BuildLaneHasher> = HashMap::default();
 
     fn flush<S: VectoredScheme + ?Sized>(
         scheme: &mut S,
@@ -558,7 +598,7 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
             MetadataOp::Lookup(key) => {
                 let entry = scheme.resolve_entry(ids, policy, i);
                 if repeat_sensitive {
-                    let pair = (entry, key.fingerprint().lanes());
+                    let pair = (entry, *key.fingerprint());
                     // Equal lanes are the same path up to a 128-bit
                     // collision; the path compare keeps a collision
                     // from splitting the run.

@@ -22,7 +22,7 @@ use core::fmt;
 
 use std::sync::Arc;
 
-use ghba_bloom::Hit;
+use ghba_bloom::{Fingerprint, Hit};
 
 use crate::cluster::{Cluster, GhbaCluster, Grouped, Topology};
 use crate::group::Group;
@@ -377,12 +377,15 @@ impl<T: Topology> Cluster<T> {
     /// the target's grown filter; returns the messages that cost. The
     /// paper focuses on replica migration; file re-homing is our
     /// documented completion of the departure path.
-    pub(crate) fn rehome_files(&mut self, files: &[String], target: MdsId) -> u64 {
+    pub(crate) fn rehome_files(&mut self, files: Vec<String>, target: MdsId) -> u64 {
+        let moved = files.len() as u64;
         let target_mds = self.mdss.get_mut(&target).expect("target exists");
         for path in files {
-            target_mds.create_local(path);
+            // An evacuated store hands over paths, not fingerprints.
+            let fp = Fingerprint::of(path.as_str());
+            target_mds.create_local_fp(path, &fp);
         }
-        files.len() as u64 + self.push_update(target).messages
+        moved + self.push_update(target).messages
     }
 
     /// Drops a departed server from the cluster and purges hot-cache
@@ -587,7 +590,7 @@ impl Topology for Grouped {
                 .expect("another server exists");
             drop(snap);
             report.rehomed_files = files.len() as u64;
-            report.messages += cluster.rehome_files(&files, target);
+            report.messages += cluster.rehome_files(files, target);
         }
 
         let routes = Arc::clone(&cluster.routes);

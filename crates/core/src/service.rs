@@ -249,7 +249,7 @@ impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {
     }
 
     fn apply_remove(&mut self, key: &PathKey) -> Option<MdsId> {
-        self.cluster.apply_remove_shared(key)
+        self.cluster.apply_remove_shared(key, &mut self.arena)
     }
 }
 

@@ -1306,11 +1306,11 @@ impl GhbaCluster {
         if let Some(checkpoint) = recovery.checkpoint {
             cluster.restore_checkpoint(checkpoint)?;
         }
-        for record in &recovery.records {
+        for record in recovery.records {
             if record.seq <= watermark {
                 continue;
             }
-            cluster.replay_wal_event(&record.event)?;
+            cluster.replay_wal_event(record.event)?;
         }
         cluster.wal = Some(Box::new(wal));
         Ok(cluster)
@@ -1446,11 +1446,13 @@ impl GhbaCluster {
 
     /// Replays one logged event through the same paths the original
     /// execution took (the attached WAL must be `None` while replaying;
-    /// [`recover`](GhbaCluster::recover) attaches it afterwards).
-    fn replay_wal_event(&mut self, event: &WalEvent) -> Result<(), WalError> {
+    /// [`recover`](GhbaCluster::recover) attaches it afterwards). The
+    /// decoded records are consumed: a replayed create's path moves into
+    /// its store exactly as a drained one's does.
+    fn replay_wal_event(&mut self, event: WalEvent) -> Result<(), WalError> {
         match event {
             WalEvent::Drain { records } => {
-                for record in records {
+                for record in &records {
                     if let WriteKind::Create(home) = record.kind {
                         if !self.mdss.contains_key(&home) {
                             return Err(WalError::Corrupt(format!(
