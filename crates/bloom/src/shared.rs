@@ -39,9 +39,9 @@
 //! interior mutability anywhere (plain `Vec`s and a `HashMap`, no
 //! atomics). `SharedShapeArray<I>` is therefore `Sync` whenever `I` is,
 //! and N threads may probe one slab concurrently so long as each brings
-//! its own buffers — exactly how the parallel batch execution engine
-//! upstream fans one fused lookup run out across workers against the
-//! shared published slab. Compile-time assertions below pin the seam so
+//! its own buffers — exactly how a replica's connection threads each
+//! walk their own batch against the shared published slab.
+//! Compile-time assertions below pin the seam so
 //! an accidental `Cell` can never silently revoke it.
 //!
 //! [`query_fp_masked`]: SharedShapeArray::query_fp_masked
@@ -815,7 +815,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
 
     /// Hints the cache at the probe rows of an upcoming
     /// [`and_rows`](SharedShapeArray::and_rows) (rows outside the array
-    /// are ignored): a caller that derived a whole chunk's rows up front
+    /// are ignored): a caller that derived a whole run's rows up front
     /// issues this an item or two ahead, so the reduction finds its `k`
     /// scattered lines in L1 whether or not the slab still sits in this
     /// core's cache — which on a shared host is not the caller's to decide.

@@ -12,21 +12,24 @@
 //!
 //! # What a pin pays once
 //!
-//! A run of lookups (`lookup_fused_pinned`) is deduplicated, chunked
-//! across the exec pool, walked, and spliced back per occurrence — through
-//! a `WalkArena` that lives as long as the pin it serves: one
-//! `execute_concurrent` batch, however many writes cut it into runs; one
-//! run for the entries whose pin lasts one run (`lookup_concurrent`, and
-//! the `&mut` entry, whose writes mutate `Mds` state between runs).
+//! A batch runs on the thread that submitted it; a replica serves
+//! batches concurrently on its connection threads, each under its own
+//! pin. A run of lookups (`lookup_fused_pinned`) is deduplicated,
+//! walked, and spliced back per occurrence — through a `WalkArena` that
+//! lives as long as the pin it serves: one `execute_concurrent` batch,
+//! however many writes cut it into runs; one run for the entries whose
+//! pin lasts one run (`lookup_concurrent`, and the `&mut` entry, whose
+//! writes mutate `Mds` state between runs). A one-item run walks with
+//! no dedup map.
 //!
 //! * **Plans.** What a walk needs that depends only on `(pin, entry)` —
 //!   the entry's `&Mds`, group, L2 candidate state and modelled probe
 //!   cost; its group's L3 state with each member's `&Mds` and probe
-//!   cost — is resolved once per arena (`EntryPlan` / `GroupPlan`; pool
-//!   chunks of a parallel run plan chunk-locally). Sound because neither
-//!   `mdss` nor the pinned snapshot can change while the arena's owner
-//!   borrows the cluster; the overlay and the live filters, which a
-//!   batch's own writes do move, are consulted per walk.
+//!   cost — is resolved once per arena (`EntryPlan` / `GroupPlan`).
+//!   Sound because neither `mdss` nor the pinned snapshot can change
+//!   while the arena's owner borrows the cluster; the overlay and the
+//!   live filters, which a batch's own writes do move, are consulted per
+//!   walk.
 //! * **Rows.** `walk_chunk` derives every item's `k` probe rows in one
 //!   pass and prefetches them two items ahead; the walk ANDs them over
 //!   the slab once ([`SharedShapeArray::and_rows`]), reads L2 and L3 as
@@ -53,11 +56,10 @@ use crate::concurrent::{
     ConcurrentStats, NamespaceShards, OverlayEntry, WalkTally, WriteKind, WriteRecord,
 };
 use crate::config::GhbaConfig;
-use crate::exec::run_deduped;
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use crate::mds::{published_shape, row_indices, Mds};
-use crate::op::{EntryPolicy, PathKey, WalkItem, WalkKey};
+use crate::op::{resolve_unique, EntryPolicy, PathKey, WalkItem, WalkKey};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::reconfig::ReconfigReport;
 use crate::snapshot::{route_cell, ReconfigHandle, RouteCell, RouteSnapshot, SharedL2, SharedL3};
@@ -119,30 +121,24 @@ struct GroupPlan<'a> {
     members: Vec<(&'a Mds, Duration)>,
 }
 
-/// One chunk's plan for the pinned walk: the entry and group plans
-/// (indexed by `MdsId.0` / `GroupId.0`; a lock-free L0 in front of
-/// whatever longer-lived mask cache the topology keeps, valid exactly as
-/// long as the snapshot stays pinned and the cluster stays borrowed),
-/// every item's probe rows, and the row-AND scratch.
+/// Everything the pinned walk keeps between the fused runs of one pin:
+/// the entry and group plans (indexed by `MdsId.0` / `GroupId.0`; a
+/// lock-free L0 in front of whatever longer-lived mask cache the
+/// topology keeps, valid exactly as long as the snapshot stays pinned
+/// and the cluster stays borrowed), the current run's probe rows, the
+/// row-AND scratch, and the tally every run's splice counts into.
+/// Whoever owns the pin owns the arena and hands the tally over once,
+/// when the pin's last run has returned ([`Cluster::absorb_walks`]) —
+/// an arena dropped without that (its batch panicked) has recorded
+/// nothing.
 #[derive(Debug, Default)]
-struct ChunkPlan<'a> {
+pub(crate) struct WalkArena<'a> {
     entries: Vec<Option<EntryPlan<'a>>>,
     groups: Vec<Option<GroupPlan<'a>>>,
     probes: ProbeBatch,
-    /// `k` rows per chunk item, item-major.
+    /// `k` rows per walked item, item-major.
     rows: Vec<u32>,
     anded: Vec<u64>,
-}
-
-/// Everything the pinned walk keeps between the fused runs of one pin:
-/// the plan every run's inline chunk walks through, and the tally every
-/// run's splice counts into. Whoever owns the pin owns the arena and
-/// hands the tally over once, when the pin's last run has returned
-/// ([`Cluster::absorb_walks`]) — an arena dropped without that (its
-/// batch panicked) has recorded nothing.
-#[derive(Debug, Default)]
-pub(crate) struct WalkArena<'a> {
-    plan: ChunkPlan<'a>,
     tally: WalkTally,
 }
 
@@ -186,8 +182,8 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
 
     /// `entry`'s L2 candidate state — which published columns it probes
     /// locally and how many replicas that is — and whether a cache
-    /// answered (`false` = built here). Consulted once per plan: per
-    /// entry and pin, plus once per pool chunk a parallel run fans out to.
+    /// answered (`false` = built here). Consulted once per entry and
+    /// pin: the walk arena keeps the answer.
     fn l2(
         cluster: &Cluster<Self>,
         snap: &RouteSnapshot,
@@ -681,12 +677,12 @@ impl<T: Topology> Cluster<T> {
         outcomes.pop().expect("one query, one outcome")
     }
 
-    /// The L1 → L2 → \[L3\] → L4 escalation of chunk item `at` against a
+    /// The L1 → L2 → \[L3\] → L4 escalation of walked item `at` against a
     /// pinned snapshot, from `&self` — **the** walk: every read entry of
     /// every scheme, `&mut` or `&self`, single or batched, resolves
-    /// through it. What depends only on `(pin, entry)` comes from `plan`
+    /// through it. What depends only on `(pin, entry)` comes from `arena`
     /// (the topology supplies the L2 candidate state and — iff it has a
-    /// group level — the L3 stage, once per plan); the item's probe rows
+    /// group level — the L3 stage, once per arena); the item's probe rows
     /// serve every level: one unmasked row-AND of the slab that L2 and L3
     /// each read under their own mask — `(mask ∧ live) ∧ rows =
     /// mask ∧ (live ∧ rows)` — and every live-filter probe. The walk
@@ -698,15 +694,15 @@ impl<T: Topology> Cluster<T> {
         snap: &RouteSnapshot,
         (entry, path, fp): WalkItem<'_>,
         at: usize,
-        plan: &mut ChunkPlan<'a>,
+        arena: &mut WalkArena<'a>,
     ) -> Walked {
-        let ChunkPlan {
+        let WalkArena {
             entries,
             groups,
             rows,
             anded,
             ..
-        } = plan;
+        } = arena;
         let k = snap.slab.shape().hashes as usize;
         let rows = &rows[at * k..(at + 1) * k];
         let model = &self.config.latency;
@@ -896,50 +892,53 @@ impl<T: Topology> Cluster<T> {
         done(found, level, latency, messages, falses, consults)
     }
 
-    /// Walks one chunk of a run: derives every item's `k` probe rows up
-    /// front (one shared-modulus fastmod pass, no hardware division), then
-    /// runs [`walk_pinned`](Self::walk_pinned) per item against the
-    /// chunk's plan, with the slab rows of the item two ahead prefetched:
-    /// the walk is bound by its scattered row reads, and a host that
-    /// shares its cache decides from moment to moment how many of them
-    /// miss — asking early takes most of that out of an item's time.
+    /// Walks the distinct items of a run: derives every item's `k` probe
+    /// rows up front (one shared-modulus fastmod pass, no hardware
+    /// division), then runs [`walk_pinned`](Self::walk_pinned) per item
+    /// against `arena`'s plans, with the slab rows of the item two ahead
+    /// prefetched: the walk is bound by its scattered row reads, and a
+    /// host that shares its cache decides from moment to moment how many
+    /// of them miss — asking early takes most of that out of an item's
+    /// time.
     fn walk_chunk<'a>(
         &'a self,
         snap: &RouteSnapshot,
         items: &[WalkItem<'_>],
-        plan: &mut ChunkPlan<'a>,
-        out: &mut Vec<Walked>,
-    ) {
-        plan.probes.clear();
+        arena: &mut WalkArena<'a>,
+    ) -> Vec<Walked> {
+        arena.probes.clear();
         for &(_, _, fp) in items {
-            plan.probes.push(fp);
+            arena.probes.push(fp);
         }
-        plan.probes
-            .derive_rows_into(snap.slab.shape(), &mut plan.rows);
+        arena
+            .probes
+            .derive_rows_into(snap.slab.shape(), &mut arena.rows);
         let k = snap.slab.shape().hashes as usize;
-        out.reserve(items.len());
+        let mut out = Vec::with_capacity(items.len());
         for (at, &item) in items.iter().enumerate() {
-            if let Some(ahead) = plan.rows.get((at + 2) * k..(at + 3) * k) {
+            if let Some(ahead) = arena.rows.get((at + 2) * k..(at + 3) * k) {
                 snap.slab.prefetch_rows(ahead);
             }
-            out.push(self.walk_pinned(snap, item, at, plan));
+            out.push(self.walk_pinned(snap, item, at, arena));
         }
+        out
     }
 
     /// Resolves a fused run of lookups against one pinned snapshot from
-    /// `&self` — the read engine of every entry: cross-chunk
-    /// `(entry, path)` dedup (the walk is a pure function of the pair
-    /// under the pin, so a Zipf-head run walks each distinct pair once),
-    /// chunked walks across the exec pool — the inline chunk through
-    /// `arena`'s plan, which earlier runs of the same pin already filled,
-    /// pool chunks through chunk-local ones — then a stream-order splice
-    /// that counts level, latency, false-hit and per-group load
-    /// statistics **per occurrence** — duplicates are real traffic, and
-    /// the group controller must see the flash crowd it exists to split
-    /// — and mask consults per walk into `arena`'s [`WalkTally`]. Nothing
-    /// reaches the atomic recorders here: the arena's owner folds the
-    /// tally in once ([`absorb_walks`](Self::absorb_walks)), so a run
-    /// whose walk panics records nothing.
+    /// `&self`, on the calling thread — the read engine of every entry:
+    /// `(entry, path)` dedup ([`resolve_unique`]; the walk is a pure
+    /// function of the pair under the pin, so a Zipf-head run walks each
+    /// distinct pair once), one
+    /// [`walk_chunk`](Self::walk_chunk) over the distinct items through
+    /// `arena`'s plans, which earlier runs of the same pin already
+    /// filled, then a stream-order splice that counts level, latency,
+    /// false-hit and per-group load statistics **per occurrence** —
+    /// duplicates are real traffic, and the group controller must see the
+    /// flash crowd it exists to split — and mask consults per walk into
+    /// `arena`'s [`WalkTally`]. Nothing reaches the atomic recorders
+    /// here: the arena's owner folds the tally in once
+    /// ([`absorb_walks`](Self::absorb_walks)), so a run whose walk panics
+    /// records nothing.
     ///
     /// `arena` must have served only runs of this cluster under `snap`.
     pub(crate) fn lookup_fused_pinned<'a>(
@@ -948,14 +947,15 @@ impl<T: Topology> Cluster<T> {
         items: &[WalkItem<'_>],
         arena: &mut WalkArena<'a>,
     ) -> Vec<QueryOutcome> {
-        let WalkArena { plan, tally } = arena;
-        let (resolved, assign) = run_deduped(
-            items,
-            self.config.executor,
-            WalkKey::of,
-            plan,
-            |chunk, plan: &mut ChunkPlan<'a>, out| self.walk_chunk(snap, chunk, plan, out),
-        );
+        let (resolved, assign) = if items.len() == 1 {
+            (self.walk_chunk(snap, items, arena), vec![0])
+        } else {
+            let (uniques, assign) = resolve_unique(items, WalkKey::of);
+            let distinct: Vec<WalkItem<'_>> =
+                uniques.iter().map(|&first| items[first as usize]).collect();
+            (self.walk_chunk(snap, &distinct, arena), assign)
+        };
+        let tally = &mut arena.tally;
         for walked in &resolved {
             for cached in walked.consults.into_iter().flatten() {
                 tally.mask(walked.gid, cached);
@@ -1015,7 +1015,7 @@ impl<T: Topology> Cluster<T> {
             OverlayEntry::Created(home) => home,
             OverlayEntry::Removed => return None,
             OverlayEntry::Untracked => {
-                self.locate_home(key.path(), key.fingerprint(), &mut arena.plan.rows)?
+                self.locate_home(key.path(), key.fingerprint(), &mut arena.rows)?
             }
         };
         self.shards.record_remove(key, home);
@@ -1131,13 +1131,9 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// Resolves a batch of concurrent lookups through the one pinned
-    /// walk (see [`lookup_from`](Cluster::lookup_from)): the batch
-    /// pins one snapshot, repeated `(entry, path)` pairs walk once, and
-    /// batches of at least `executor.min_parallel_batch` queries split
-    /// into `executor.workers` chunks walked concurrently (bit-identical
-    /// outcomes; see [`ExecutorConfig`]).
-    ///
-    /// [`ExecutorConfig`]: crate::ExecutorConfig
+    /// walk (see [`lookup_from`](Cluster::lookup_from)) on the calling
+    /// thread: the batch pins one snapshot and repeated `(entry, path)`
+    /// pairs walk once.
     ///
     /// Per-query accounting (latency, messages, level counters) is
     /// identical to running [`lookup_from`](Cluster::lookup_from) once
@@ -1153,9 +1149,7 @@ impl<T: Topology> Cluster<T> {
     ///
     /// # Panics
     ///
-    /// Panics if any entry is not a member of the cluster (in a parallel
-    /// walk the assert fires on the worker owning the chunk and the
-    /// panic is re-raised here, after sibling chunks finish; a poisoned
+    /// Panics if any entry is not a member of the cluster (a poisoned
     /// batch applies none of its effects).
     pub fn lookup_batch_from(&mut self, queries: &[(MdsId, &str)]) -> Vec<QueryOutcome> {
         // Hash each path once at its entry server; the fingerprint drives
@@ -1426,25 +1420,13 @@ mod tests {
         assert!(cluster.lookup_batch_from(&[]).is_empty());
     }
 
-    fn parallel_config(workers: usize) -> GhbaConfig {
-        batch_config().with_executor(
-            crate::config::ExecutorConfig::default()
-                .with_workers(workers)
-                .with_min_parallel_batch(8),
-        )
-    }
-
-    fn populated_parallel_cluster(workers: usize) -> GhbaCluster {
-        let mut cluster = GhbaCluster::with_servers(parallel_config(workers), 15);
-        for i in 0..300 {
-            cluster.create_file(&format!("/b/f{i}"));
-        }
-        cluster.flush_all_updates();
-        cluster
-    }
-
-    fn batch_queries() -> Vec<(MdsId, String)> {
-        (0..96)
+    /// A query deep in a batch names an unknown entry MDS: the walk
+    /// panics after the items before it walked, the panic reaches the
+    /// caller, and the cluster keeps serving.
+    #[test]
+    fn poisoned_batch_panics_and_cluster_survives() {
+        let mut cluster = populated_cluster();
+        let queries: Vec<(MdsId, String)> = (0..96)
             .map(|i| {
                 let path = if i % 8 == 7 {
                     format!("/missing/f{i}")
@@ -1453,53 +1435,17 @@ mod tests {
                 };
                 (MdsId(i % 15), path)
             })
-            .collect()
-    }
-
-    /// The parallel walk resolves a large batch bit-identically to the
-    /// single-threaded walk, worker count by worker count, including
-    /// the spliced statistics.
-    #[test]
-    fn parallel_lookup_batch_matches_sequential_walk() {
-        let mut sequential = populated_parallel_cluster(1);
-        let queries = batch_queries();
-        let borrowed: Vec<(MdsId, &str)> = queries
-            .iter()
-            .map(|(entry, path)| (*entry, path.as_str()))
             .collect();
-        let expected = sequential.lookup_batch_from(&borrowed);
-        for workers in [2, 4, 7] {
-            let mut parallel = populated_parallel_cluster(workers);
-            let got = parallel.lookup_batch_from(&borrowed);
-            assert_eq!(got, expected, "{workers} workers diverged");
-            assert_eq!(parallel.stats().levels, sequential.stats().levels);
-            assert_eq!(
-                parallel.stats().lookup_latency.count(),
-                sequential.stats().lookup_latency.count()
-            );
-        }
-    }
-
-    /// A chunk walking on a pool worker panics (unknown entry MDS); the
-    /// panic propagates to the dispatching thread after sibling chunks
-    /// finish, and the cluster keeps serving.
-    #[test]
-    fn poisoned_parallel_worker_propagates_and_cluster_survives() {
-        let mut cluster = populated_parallel_cluster(4);
-        let queries = batch_queries();
         let mut borrowed: Vec<(MdsId, &str)> = queries
             .iter()
             .map(|(entry, path)| (*entry, path.as_str()))
             .collect();
-        // Poison a query deep in the batch: its chunk lands on a pool
-        // worker (chunks of 24 at 96 queries / 4 workers; index 80 is
-        // chunk 3).
         borrowed[80].0 = MdsId(999);
         let mask_before = cluster.mask_cache_stats();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = cluster.lookup_batch_from(&borrowed);
         }));
-        let payload = result.expect_err("the poisoned chunk must panic");
+        let payload = result.expect_err("the poisoned batch must panic");
         let message = payload
             .downcast_ref::<&'static str>()
             .copied()
@@ -1512,12 +1458,12 @@ mod tests {
         );
         // A poisoned read phase applies no effects at all (all-or-
         // nothing splice): statistics, mask counters and load windows
-        // saw none of the batch, sibling chunks' walks included.
+        // saw none of the batch, the walks before the panic included.
         assert_eq!(cluster.stats().lookup_latency.count(), 0);
         assert!(!cluster.cstats.is_dirty());
         assert_eq!(cluster.mask_cache_stats(), mask_before);
         assert_eq!(cluster.load_report().fresh_lookups, 0);
-        // The cluster (and the process-wide pool) keep serving.
+        // The cluster keeps serving.
         borrowed[80].0 = MdsId(0);
         let outcomes = cluster.lookup_batch_from(&borrowed);
         assert_eq!(outcomes.len(), borrowed.len());

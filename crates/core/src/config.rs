@@ -2,64 +2,6 @@
 
 use ghba_simnet::LatencyModel;
 
-/// Sizing of the data-parallel batch execution engine (the crate's
-/// internal worker pool).
-///
-/// `workers` is the number of chunks a large fused-lookup run is split
-/// into, each walked concurrently against the shared read-only slab
-/// (worker 1 is the calling thread; workers 2..N run on the persistent
-/// process-wide pool). `workers = 1` — the default — never touches the
-/// pool and takes the exact single-threaded walk. Batches smaller than
-/// `min_parallel_batch` also stay single-threaded: below that size the
-/// chunk dispatch overhead outweighs the overlap.
-///
-/// Parallel outcomes are bit-identical to `workers = 1` at every worker
-/// count (property-tested): the read phase is pure, and all side
-/// effects (LRU fills, statistics) are spliced back in stream order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutorConfig {
-    /// Concurrent chunks per fused lookup run (1 = sequential).
-    pub workers: usize,
-    /// Minimum lookups in a run before it is worth parallelizing.
-    pub min_parallel_batch: usize,
-}
-
-impl Default for ExecutorConfig {
-    /// Sequential execution (`workers = 1`), 64-lookup parallel floor.
-    fn default() -> Self {
-        ExecutorConfig {
-            workers: 1,
-            min_parallel_batch: 64,
-        }
-    }
-}
-
-impl ExecutorConfig {
-    /// Returns `self` with a different worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "executor needs at least one worker");
-        self.workers = workers;
-        self
-    }
-
-    /// Returns `self` with a different parallel floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min == 0`.
-    #[must_use]
-    pub fn with_min_parallel_batch(mut self, min: usize) -> Self {
-        assert!(min > 0, "parallel floor must be positive");
-        self.min_parallel_batch = min;
-        self
-    }
-}
-
 /// Tunable parameters of a [`GhbaCluster`](crate::GhbaCluster).
 ///
 /// Defaults follow the paper's recommended operating point; override
@@ -106,9 +48,6 @@ pub struct GhbaConfig {
     /// the queueing delay multicast fan-out induces under load (the
     /// "queuing" the paper folds into `U(laten.)`). Zero disables it.
     pub contention_per_message: f64,
-    /// Sizing of the parallel batch execution engine (see
-    /// [`ExecutorConfig`]).
-    pub executor: ExecutorConfig,
     /// Number of namespace write shards for the pin-once concurrent
     /// pipeline (rounded up to a power of two; minimum 1). Writes on
     /// distinct shards apply concurrently under independent locks.
@@ -132,7 +71,6 @@ impl Default for GhbaConfig {
             latency: LatencyModel::default(),
             memory_per_mds: None,
             contention_per_message: 0.0,
-            executor: ExecutorConfig::default(),
             write_shards: 16,
         }
     }
@@ -241,25 +179,6 @@ impl GhbaConfig {
         self
     }
 
-    /// Returns `self` with a different executor sizing.
-    #[must_use]
-    pub fn with_executor(mut self, executor: ExecutorConfig) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Returns `self` with `workers` parallel walk chunks (1 =
-    /// sequential, the default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.executor = self.executor.with_workers(workers);
-        self
-    }
-
     /// The queueing inflation factor for a query that exchanged
     /// `messages` messages.
     #[must_use]
@@ -341,29 +260,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_group_size_rejected() {
         let _ = GhbaConfig::default().with_max_group_size(0);
-    }
-
-    #[test]
-    fn executor_defaults_are_sequential() {
-        let c = GhbaConfig::default();
-        assert_eq!(c.executor.workers, 1);
-        let c = c.with_workers(4).with_executor(
-            ExecutorConfig::default()
-                .with_workers(2)
-                .with_min_parallel_batch(8),
-        );
-        assert_eq!(
-            c.executor,
-            ExecutorConfig {
-                workers: 2,
-                min_parallel_batch: 8
-            }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let _ = GhbaConfig::default().with_workers(0);
     }
 }

@@ -88,7 +88,7 @@
 //! cluster.check_invariants().expect("mirror and balance preserved");
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 // The public `Cluster` is bounded by the crate-private `Topology` on
@@ -99,7 +99,6 @@ pub mod adapt;
 mod cluster;
 mod concurrent;
 mod config;
-mod exec;
 mod group;
 mod ids;
 pub mod load;
@@ -118,7 +117,7 @@ pub mod wal;
 pub use adapt::{AdaptAction, ControllerConfig, GroupController, TargetM};
 pub use cluster::{Cluster, ClusterStats, GhbaCluster, Grouped};
 pub use concurrent::{WriteKind, WriteRecord};
-pub use config::{ExecutorConfig, GhbaConfig};
+pub use config::GhbaConfig;
 pub use group::{Group, IdFilterArray};
 pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};

@@ -183,6 +183,36 @@ impl Hash for WalkKey<'_> {
     }
 }
 
+/// Deduplication for batched walks whose read phase is a pure function
+/// of a per-item key: returns `(uniques, assign)` where `uniques` lists
+/// the index of the **first occurrence** of each distinct key in item
+/// order, and `assign[i]` is the position within `uniques` owning item
+/// `i`'s key. Callers walk only `uniques`-selected items and fan each
+/// result back out through `assign`.
+///
+/// With no duplicate keys, `uniques` is `0..items.len()` and `assign`
+/// is the identity, so the fast path costs one hash-map pass — under
+/// [`BuildLaneHasher`]: the walk's key hashes its admission fingerprint
+/// ([`WalkKey`]), not its path bytes.
+pub(crate) fn resolve_unique<T, K, F>(items: &[T], key: F) -> (Vec<u32>, Vec<u32>)
+where
+    K: Hash + Eq,
+    F: Fn(&T) -> K,
+{
+    let mut slots = HashMap::with_capacity_and_hasher(items.len(), BuildLaneHasher);
+    let mut uniques = Vec::with_capacity(items.len());
+    let mut assign = Vec::with_capacity(items.len());
+    for (index, item) in items.iter().enumerate() {
+        let next = uniques.len() as u32;
+        let slot = *slots.entry(key(item)).or_insert_with(|| {
+            uniques.push(index as u32);
+            next
+        });
+        assign.push(slot);
+    }
+    (uniques, assign)
+}
+
 /// How a batch's ops choose their serving MDS (the lookup entry server,
 /// and the home for creates and rename targets).
 ///
@@ -534,15 +564,10 @@ pub(crate) trait VectoredScheme {
 ///   [`repeat_sensitive`](VectoredScheme::repeat_sensitive) schemes,
 ///   whose later occurrence must observe the earlier lookup's L1 cache
 ///   fill exactly as a sequential replay would (found through a per-run
-///   set of `(entry, fingerprint)` pairs, not a scan of the run). Inside
-///   `lookup_fused`
-///   the schemes may execute a large run **data-parallel** — chunked
-///   across the worker pool against the shared read-only slab, with
-///   side effects spliced back in stream order
-///   (`ExecutorConfig`; outcomes bit-identical to `workers = 1`) —
-///   which is why writes stay sequential in stream order *between* the
-///   parallel read phases.
-/// * Writes execute in stream order.
+///   set of `(entry, fingerprint)` pairs, not a scan of the run). A run
+///   walks on the thread that submitted the batch (the concurrency
+///   model is stated once, in [`crate::cluster`]).
+/// * Writes execute in stream order, between the read runs.
 /// * [`MetadataOp::Rename`] migrates: remove at the old home, then
 ///   create at the policy-chosen new home (drawn only when the source
 ///   existed, so the RNG stream is the same through either entry) —
@@ -651,6 +676,49 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resolve_unique_identity_without_duplicates() {
+        let items = ["a", "b", "c"];
+        let (uniques, assign) = resolve_unique(&items, |s| *s);
+        assert_eq!(uniques, vec![0, 1, 2]);
+        assert_eq!(assign, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn resolve_unique_maps_duplicates_to_first_occurrence() {
+        let items = ["x", "y", "x", "z", "y", "x"];
+        let (uniques, assign) = resolve_unique(&items, |s| *s);
+        assert_eq!(uniques, vec![0, 1, 3]);
+        assert_eq!(assign, vec![0, 1, 0, 2, 1, 0]);
+        for (i, &slot) in assign.iter().enumerate() {
+            assert_eq!(items[uniques[slot as usize] as usize], items[i]);
+        }
+    }
+
+    /// The walk's key: equal `(entry, lane)` with different paths (a
+    /// forged lane collision) stay two walks; true repeats still merge,
+    /// and a repeat at another entry does not.
+    #[test]
+    fn resolve_unique_compares_paths_on_equal_lanes() {
+        let fp = Fingerprint::from_lanes(42, 0);
+        let items: [WalkItem<'_>; 4] = [
+            (MdsId(1), "/a", fp),
+            (MdsId(1), "/b", fp),
+            (MdsId(1), "/a", fp),
+            (MdsId(2), "/a", fp),
+        ];
+        let (uniques, assign) = resolve_unique(&items, WalkKey::of);
+        assert_eq!(uniques, vec![0, 1, 3]);
+        assert_eq!(assign, vec![0, 1, 0, 2]);
+    }
+
+    #[test]
+    fn resolve_unique_empty() {
+        let (uniques, assign) = resolve_unique::<u32, u32, _>(&[], |&v| v);
+        assert!(uniques.is_empty());
+        assert!(assign.is_empty());
+    }
 
     #[test]
     fn round_robin_resolves_at_cursor_extremes_without_overflow() {

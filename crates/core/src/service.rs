@@ -57,10 +57,12 @@ pub trait MetadataService {
     /// [`execute`](MetadataService::execute), bound to one probe
     /// snapshot pinned at batch admission.
     ///
-    /// Contract of this `&self` entry: every fused run of the batch
-    /// walks that one pin (fanned across the exec pool) through one
-    /// walk arena — what depends only on `(pin, entry)` is planned once
-    /// per batch, not once per run, which no outcome, statistic or
+    /// Contract of this `&self` entry: the batch runs on the calling
+    /// thread (parallelism is many threads submitting batches, each
+    /// under its own pin). Every fused run of the batch walks that one
+    /// pin through one walk arena — what depends only on `(pin, entry)`
+    /// is planned once per batch, not once per run, which no outcome,
+    /// statistic or
     /// counter can tell from 1-op batches (except that HBA, which
     /// builds its L2 mask per plan instead of caching it, counts that
     /// build once per batch); the walk **never fills L1**, and its

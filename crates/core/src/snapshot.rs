@@ -6,8 +6,7 @@
 //!   **immutable** [`RouteSnapshot`] behind a [`SnapshotCell`].
 //! * A lookup **pins** the current snapshot — an `Arc` clone under a
 //!   read lock held for that clone only — and walks L1–L4 against it end
-//!   to end (including across the parallel chunk walkers, which already
-//!   treat the state as read-only).
+//!   to end; any number of threads may walk their own pins at once.
 //! * A reconfiguration builds the **successor** snapshot off to the
 //!   side — copy-on-write per group via [`Arc::make_mut`], sparse
 //!   [`SlabOp`]s against a writer-private spare slab — and publishes it

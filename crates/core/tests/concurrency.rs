@@ -20,8 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ghba_core::{
-    ClusterStats, EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, HbaCluster, LoadReport,
-    MdsId, MetadataService, OpBatch, OpOutcome, QueryLevel,
+    ClusterStats, EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, LoadReport, MdsId,
+    MetadataService, OpBatch, OpOutcome, QueryLevel,
 };
 
 fn config() -> GhbaConfig {
@@ -330,8 +330,8 @@ fn concurrent_writes_publish_nothing_before_the_owner_flush() {
 }
 
 /// Duplicates are traffic: a flash-crowd batch — the same hot paths
-/// through every entry, each `(entry, path)` pair repeated within and
-/// across chunks — walks each pair once but accounts every occurrence.
+/// through every entry, each `(entry, path)` pair repeated four times
+/// in one run — walks each pair once but accounts every occurrence.
 /// Through either entry it leaves the statistics, the load report (what
 /// the `GroupController` splits on) and the mask-consult counters
 /// exactly where the same ops issued as 1-op batches leave them, except
@@ -343,13 +343,9 @@ fn fused_runs_tally_what_one_op_batches_record() {
     // Op `i` enters at server `e = i % 12` (round robin) for path
     // `(e + i / 12 % 2) % 5`: 24 distinct pairs, four occurrences each.
     let path_of = |i: usize| paths[(i % SERVERS + i / SERVERS % 2) % paths.len()];
-    for (workers, concurrent) in [(1, true), (4, true), (1, false), (4, false)] {
+    for concurrent in [true, false] {
         let build = || {
-            let executor = ExecutorConfig::default()
-                .with_workers(workers)
-                .with_min_parallel_batch(8);
-            let config = config().with_lru_capacity(0).with_executor(executor);
-            let mut cluster = GhbaCluster::with_servers(config, SERVERS);
+            let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), SERVERS);
             for path in &paths[..4] {
                 cluster.create_file(path);
             }
@@ -376,13 +372,10 @@ fn fused_runs_tally_what_one_op_batches_record() {
 
         let (got, want) = (fused.stats(), single.stats());
         assert_eq!(got.levels.total(), 96);
-        assert_eq!(
-            got.levels, want.levels,
-            "workers={workers} concurrent={concurrent}"
-        );
+        assert_eq!(got.levels, want.levels, "concurrent={concurrent}");
         assert_eq!(
             got.lookup_latency, want.lookup_latency,
-            "workers={workers} concurrent={concurrent}"
+            "concurrent={concurrent}"
         );
         let counters = |stats: &ClusterStats| {
             stats
@@ -403,14 +396,13 @@ fn fused_runs_tally_what_one_op_batches_record() {
         assert_eq!(
             got,
             per_occurrence(single.load_report()),
-            "workers={workers} concurrent={concurrent}"
+            "concurrent={concurrent}"
         );
 
         // One consult per slab level reached per distinct walk (L2
         // always — no L1 here — and L3 when the walk went past L2);
         // misses are masks actually built on this cold cluster: one per
-        // entry plus one per group whose walks reached L3 (racing chunks
-        // may each build a group's before either publishes it).
+        // entry plus one per group whose walks reached L3.
         let walks: BTreeMap<_, _> = outcomes
             .iter()
             .enumerate()
@@ -430,15 +422,11 @@ fn fused_runs_tally_what_one_op_batches_record() {
         assert_eq!(
             mask.window_hits + mask.window_misses,
             consults,
-            "workers={workers} concurrent={concurrent}"
+            "concurrent={concurrent}"
         );
         let built = (SERVERS + groups.len()) as u64;
         assert_eq!(single.mask_cache_stats().window_misses, built);
-        assert!(
-            mask.window_misses >= built,
-            "every mask is built at least once"
-        );
-        assert!(workers > 1 || mask.window_misses == built);
+        assert_eq!(mask.window_misses, built, "concurrent={concurrent}");
     }
 }
 

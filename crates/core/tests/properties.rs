@@ -2,8 +2,8 @@
 //! sequences.
 
 use ghba_core::{
-    ControllerConfig, EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, GroupController, MdsId,
-    MetadataService, OpBatch,
+    ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, MdsId,
+    MetadataService, OpBatch, OpOutcome,
 };
 use proptest::prelude::*;
 
@@ -41,10 +41,9 @@ enum StreamOp {
     /// Standalone single-group rebalance: the reconfiguration class the
     /// per-group epochs keep every *other* group warm across.
     Rebalance(u8),
-    /// One online-controller tick: close the lead cluster's load
-    /// window, plan on the report, and actuate the *identical* action
-    /// list on every lock-step cluster — controller-driven churn
-    /// interleaved with the batch stream.
+    /// One online-controller tick: close the cluster's load window,
+    /// plan on the report, and actuate the actions — controller-driven
+    /// churn interleaved with the batch stream.
     AdaptTick,
     Flush,
 }
@@ -73,19 +72,17 @@ fn churn_controller() -> GroupController {
     )
 }
 
-/// Drives one `StreamOp` against a set of clusters that must stay in
-/// lock step (they share seeds, so deterministic policies and RNG draws
-/// agree). Returns the executed batches' outcomes, one vector per
-/// cluster, for the caller to compare.
+/// Drives one `StreamOp` against `cluster`, returning a batch's
+/// outcomes.
 fn apply_stream_op(
-    clusters: &mut [&mut GhbaCluster],
+    cluster: &mut GhbaCluster,
     op: &StreamOp,
     next_fresh: &mut u32,
     controller: &mut GroupController,
-) -> Option<Vec<Vec<ghba_core::OpOutcome>>> {
+) -> Option<Vec<OpOutcome>> {
     match op {
         StreamOp::Batch(items, pol) => {
-            let ids = clusters[0].server_ids();
+            let ids = cluster.server_ids();
             let policy = match pol % 3 {
                 0 => EntryPolicy::Random,
                 1 => EntryPolicy::Pinned(ids[*pol as usize % ids.len()]),
@@ -107,75 +104,52 @@ fn apply_stream_op(
                     }
                 }
             }
-            Some(
-                clusters
-                    .iter_mut()
-                    .map(|cluster| cluster.execute(&batch))
-                    .collect(),
-            )
+            Some(cluster.execute(&batch))
         }
         StreamOp::AddMds => {
-            if clusters[0].server_count() < 14 {
-                for cluster in clusters.iter_mut() {
-                    cluster.add_mds();
-                }
+            if cluster.server_count() < 14 {
+                cluster.add_mds();
             }
             None
         }
         StreamOp::RemoveMds(pick) => {
-            if clusters[0].server_count() > 2 {
-                let ids = clusters[0].server_ids();
+            if cluster.server_count() > 2 {
+                let ids = cluster.server_ids();
                 let victim = ids[*pick as usize % ids.len()];
-                for cluster in clusters.iter_mut() {
-                    cluster.remove_mds(victim).expect("removable");
-                }
+                cluster.remove_mds(victim).expect("removable");
             }
             None
         }
         StreamOp::FailMds(pick) => {
-            if clusters[0].server_count() > 2 {
-                let ids = clusters[0].server_ids();
+            if cluster.server_count() > 2 {
+                let ids = cluster.server_ids();
                 let victim = ids[*pick as usize % ids.len()];
-                for cluster in clusters.iter_mut() {
-                    cluster.fail_mds(victim).expect("failable");
-                }
+                cluster.fail_mds(victim).expect("failable");
             }
             None
         }
         StreamOp::Rebalance(pick) => {
-            let gids: Vec<_> = clusters[0]
+            let gids: Vec<_> = cluster
                 .server_ids()
                 .into_iter()
-                .filter_map(|id| clusters[0].group_of(id))
+                .filter_map(|id| cluster.group_of(id))
                 .collect();
             if !gids.is_empty() {
                 let gid = gids[*pick as usize % gids.len()];
-                for cluster in clusters.iter_mut() {
-                    cluster.rebalance_group(gid);
-                }
+                cluster.rebalance_group(gid);
             }
             None
         }
         StreamOp::AdaptTick => {
-            // Plan once, on the lead cluster's telemetry; handle-driven
-            // actions are deterministic, so applying the same list to
-            // every cluster preserves lock step exactly like the
-            // explicit Rebalance event does.
-            let report = clusters[0].load_report();
-            let max = clusters[0].reconfig_handle().max_group_size();
-            let actions = controller.plan(&report, max);
-            for cluster in clusters.iter_mut() {
-                let handle = cluster.reconfig_handle();
-                for action in &actions {
-                    action.apply(&handle);
-                }
+            let report = cluster.load_report();
+            let handle = cluster.reconfig_handle();
+            for action in controller.plan(&report, handle.max_group_size()) {
+                action.apply(&handle);
             }
             None
         }
         StreamOp::Flush => {
-            for cluster in clusters.iter_mut() {
-                cluster.flush_all_updates();
-            }
+            cluster.flush_all_updates();
             None
         }
     }
@@ -312,16 +286,13 @@ proptest! {
         let mut next_fresh = 10_000u32;
         let mut controller = churn_controller();
         for (step, op) in ops.into_iter().enumerate() {
-            let results = {
-                let mut clusters = [&mut cluster];
-                apply_stream_op(&mut clusters, &op, &mut next_fresh, &mut controller)
-            };
-            if let (StreamOp::Batch(items, _), Some(results)) = (&op, results) {
+            let outcomes = apply_stream_op(&mut cluster, &op, &mut next_fresh, &mut controller);
+            if let (StreamOp::Batch(items, _), Some(outcomes)) = (&op, outcomes) {
                 // A lookup that is the batch's last word on its path
                 // must agree with the post-batch ground truth: found
                 // iff stored, at a server that stores it (the stream
                 // may create one path at several homes).
-                for (i, ((kind, f), outcome)) in items.iter().zip(&results[0]).enumerate() {
+                for (i, ((kind, f), outcome)) in items.iter().zip(&outcomes).enumerate() {
                     let last_word = items[i + 1..].iter().all(|(_, later)| later != f);
                     if kind % 4 == 0 && last_word {
                         let path = format!("/e/f{f}");
@@ -340,57 +311,6 @@ proptest! {
                 return Err(TestCaseError::fail(format!("step {step}: {violation}")));
             }
         }
-    }
-
-    /// Parallel-execution acceptance: the data-parallel walk is
-    /// bit-identical to the sequential walk at every worker count, for
-    /// the same mixed-op stream under arbitrary reconfig interleavings
-    /// (`fail_mds` included). The parallel floor is dropped to 2 so even
-    /// small generated batches exercise the chunked path.
-    #[test]
-    fn parallel_execute_matches_sequential_across_worker_counts(
-        ops in proptest::collection::vec(arb_stream_op(), 1..24),
-        seed in 0u64..300,
-        workers in prop_oneof![Just(2usize), Just(4), Just(7)],
-    ) {
-        let base = GhbaConfig::default()
-            .with_max_group_size(3)
-            .with_filter_capacity(400)
-            .with_lru_capacity(32)
-            .with_update_threshold(128)
-            .with_seed(seed);
-        let mut sequential = GhbaCluster::with_servers(base.clone(), 6);
-        let mut parallel = GhbaCluster::with_servers(
-            base.with_executor(
-                ExecutorConfig::default()
-                    .with_workers(workers)
-                    .with_min_parallel_batch(2),
-            ),
-            6,
-        );
-        let mut next_fresh = 50_000u32;
-        let mut controller = churn_controller();
-        for (step, op) in ops.into_iter().enumerate() {
-            let results = {
-                let mut clusters = [&mut sequential, &mut parallel];
-                apply_stream_op(&mut clusters, &op, &mut next_fresh, &mut controller)
-            };
-            if let Some(results) = results {
-                prop_assert_eq!(
-                    &results[1], &results[0],
-                    "step {}: {} workers diverged from sequential", step, workers
-                );
-            }
-        }
-        prop_assert_eq!(
-            sequential.stats().levels,
-            parallel.stats().levels,
-            "level statistics must agree after the stream"
-        );
-        prop_assert_eq!(
-            sequential.stats().lookup_latency.count(),
-            parallel.stats().lookup_latency.count()
-        );
     }
 
     /// The update protocol messages are bounded by candidates across

@@ -5,8 +5,8 @@
 
 use ghba::baselines::{BfaCluster, HbaCluster};
 use ghba::core::{
-    EntryPolicy, ExecutorConfig, GhbaCluster, GhbaConfig, MdsId, MetadataOp, MetadataService,
-    OpBatch, OpOutcome, QueryOutcome,
+    EntryPolicy, GhbaCluster, GhbaConfig, MdsId, MetadataOp, MetadataService, OpBatch, OpOutcome,
+    QueryOutcome,
 };
 use ghba::replay::replay;
 use ghba::simnet::SimTime;
@@ -132,55 +132,6 @@ proptest! {
         let got = batched.execute(&batch_of(&ops, EntryPolicy::Random));
         let want = sequential(&mut one_by_one, &ops, EntryPolicy::Random);
         prop_assert_eq!(&got, &want, "BFA diverged");
-    }
-
-    /// Parallel-execution acceptance across **all three schemes**: the
-    /// data-parallel batch engine (worker counts 2, 4, 7; parallel floor
-    /// dropped to 2 so every fused run takes the chunked path) is
-    /// bit-identical to the sequential executor for the same mixed
-    /// batch — homes, levels, latencies, message counts, entry servers.
-    #[test]
-    fn parallel_batch_matches_sequential_all_schemes(
-        ops in proptest::collection::vec(arb_op(), 8..96),
-        seed in 0u64..200,
-        workers in prop_oneof![Just(2usize), Just(4), Just(7)],
-    ) {
-        let parallel_config = |seed: u64| {
-            config(seed).with_executor(
-                ExecutorConfig::default()
-                    .with_workers(workers)
-                    .with_min_parallel_batch(2),
-            )
-        };
-        let batch = batch_of(&ops, EntryPolicy::Random);
-
-        // G-HBA.
-        let mut sequential = GhbaCluster::with_servers(config(seed), 9);
-        let mut parallel = GhbaCluster::with_servers(parallel_config(seed), 9);
-        seed_files(&mut sequential);
-        seed_files(&mut parallel);
-        let want = sequential.execute(&batch);
-        let got = parallel.execute(&batch);
-        prop_assert_eq!(&got, &want, "G-HBA diverged at {} workers", workers);
-        prop_assert_eq!(sequential.stats().levels, parallel.stats().levels);
-
-        // HBA.
-        let mut sequential = HbaCluster::with_servers(config(seed), 9);
-        let mut parallel = HbaCluster::with_servers(parallel_config(seed), 9);
-        seed_files(&mut sequential);
-        seed_files(&mut parallel);
-        let want = sequential.execute(&batch);
-        let got = parallel.execute(&batch);
-        prop_assert_eq!(&got, &want, "HBA diverged at {} workers", workers);
-
-        // BFA (8 bits/file, no LRU level).
-        let mut sequential = BfaCluster::with_servers(config(seed), 9, 8.0);
-        let mut parallel = BfaCluster::with_servers(parallel_config(seed), 9, 8.0);
-        seed_files(&mut sequential);
-        seed_files(&mut parallel);
-        let want = sequential.execute(&batch);
-        let got = parallel.execute(&batch);
-        prop_assert_eq!(&got, &want, "BFA diverged at {} workers", workers);
     }
 
     /// The same equivalence under the deterministic round-robin policy
