@@ -605,6 +605,61 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         }
     }
 
+    /// Writes many columns at once, each with
+    /// [`replace_filter`](SharedShapeArray::replace_filter)'s semantics
+    /// (its bits and its item count replace the slot's): the restore of a
+    /// whole published slab in one pass over the rows.
+    ///
+    /// The slots of one slab word are loaded together. For each 64-bit
+    /// word index of the filters, the words of up to 64 filters form a
+    /// 64×64 bit block that one transpose turns into 64 slab rows,
+    /// each written with one masked store — instead of one scattered
+    /// read-modify-write per set bit and a full column pass per filter.
+    /// An id named twice ends with its last filter, as sequential
+    /// `replace_filter` calls would leave it.
+    ///
+    /// # Errors
+    ///
+    /// [`BloomError::IncompatibleFilters`] on a shape mismatch or
+    /// [`BloomError::UnknownId`] for an absent id — both found before any
+    /// column is touched.
+    pub fn load_filters<'f>(
+        &mut self,
+        columns: impl IntoIterator<Item = (I, &'f BloomFilter)>,
+    ) -> Result<(), BloomError> {
+        let mut by_slot = Vec::new();
+        for (id, filter) in columns {
+            self.check_shape(filter)?;
+            by_slot.push((self.slot_of(id).ok_or(BloomError::UnknownId)?, filter));
+        }
+        // Stable: a repeated slot keeps its call order, so the last wins.
+        by_slot.sort_by_key(|&(slot, _)| slot);
+        let bits = self.shape.bits;
+        let mut block = [0u64; 64];
+        for group in by_slot.chunk_by(|a, b| a.0 / 64 == b.0 / 64) {
+            let word = group[0].0 / 64;
+            let mut loaded = 0u64;
+            for &(slot, filter) in group {
+                loaded |= 1 << (slot % 64);
+                self.items[slot] = filter.item_count();
+            }
+            for (w, first_row) in (0..bits).step_by(64).enumerate() {
+                block.fill(0);
+                for &(slot, filter) in group {
+                    block[slot % 64] = filter.words()[w];
+                }
+                transpose64(&mut block);
+                // A ragged last word's padding rows do not exist.
+                let rows = (bits - first_row).min(64);
+                for (row, &cells) in (first_row..).zip(&block[..rows]) {
+                    let cell = &mut self.slab[row * self.stride + word];
+                    *cell = (*cell & !loaded) | cells;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Transposes `filter`'s set bits into `slot`'s column.
     fn write_column(&mut self, slot: usize, filter: &BloomFilter) {
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
@@ -929,6 +984,45 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     }
 }
 
+/// Two arrays are equal when their shape, capacity, slot assignment, free
+/// list, columns and item counts are (the id index follows from the
+/// slots).
+impl<I: Copy + Eq + Hash> PartialEq for SharedShapeArray<I> {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.stride == other.stride
+            && self.slots == other.slots
+            && self.free == other.free
+            && self.live == other.live
+            && self.items == other.items
+            && self.slab == other.slab
+    }
+}
+
+impl<I: Copy + Eq + Hash> Eq for SharedShapeArray<I> {}
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of `block[i]` becomes
+/// bit `i` of `block[j]`. Six rounds of block swaps — 32×32 quadrants,
+/// then 16×16, … down to single bits — each a mask-and-shift over 32
+/// word pairs (Hacker's Delight §7-3, least-significant bit first).
+fn transpose64(block: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        // Row `k` of each `2 × width` run pairs with row `k + width`.
+        for run in block.chunks_exact_mut(2 * width) {
+            let (low, high) = run.split_at_mut(width);
+            for (a, b) in low.iter_mut().zip(high) {
+                let swap = ((*a >> width) ^ *b) & mask;
+                *b ^= swap;
+                *a ^= swap << width;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
 /// One pass over a surviving-slot mask: its popcount and the lowest slot
 /// of its last non-zero word (for a unique hit, the hit).
 fn tally_bits(words: impl Iterator<Item = u64>) -> (u32, usize) {
@@ -1139,6 +1233,90 @@ mod tests {
             array.apply_delta(1, &alien),
             Err(BloomError::IncompatibleFilters { .. })
         ));
+    }
+
+    /// The transpose against its definition, one bit at a time, on the
+    /// identity, single bits, full rows and a pseudo-random block — and
+    /// twice is the identity.
+    #[test]
+    fn transpose64_matches_the_bitwise_reference() {
+        let reference = |block: &[u64; 64]| {
+            let mut out = [0u64; 64];
+            for (i, &word) in block.iter().enumerate() {
+                for (j, cell) in out.iter_mut().enumerate() {
+                    *cell |= (word >> j & 1) << i;
+                }
+            }
+            out
+        };
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let mut random = [0u64; 64];
+        for word in &mut random {
+            x = crate::hash::splitmix64(x);
+            *word = x;
+        }
+        let identity: [u64; 64] = core::array::from_fn(|i| 1 << i);
+        let single: [u64; 64] = core::array::from_fn(|i| u64::from(i == 5) << 62);
+        let row: [u64; 64] = core::array::from_fn(|i| if i == 63 { u64::MAX } else { 0 });
+        for block in [identity, single, row, random, [0; 64], [u64::MAX; 64]] {
+            let mut got = block;
+            transpose64(&mut got);
+            assert_eq!(got, reference(&block));
+            transpose64(&mut got);
+            assert_eq!(got, block);
+        }
+    }
+
+    /// One bulk load of columns across two slab words — a ragged 1000-bit
+    /// shape, a recycled slot, a column loaded over old bits and one id
+    /// named twice — equals one `replace_filter` per column; nothing is
+    /// touched when any column is refused.
+    #[test]
+    fn load_filters_matches_replace_per_column() {
+        let shape = FilterShape {
+            bits: 1000,
+            hashes: 4,
+            seed: 2,
+        };
+        let filter_of = |tag: u32, n: u32| {
+            let mut filter = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
+            for i in 0..n {
+                filter.insert(&format!("{tag}/{i}"));
+            }
+            filter
+        };
+        let mut array = SharedShapeArray::new(shape);
+        for id in 0u16..100 {
+            array
+                .push_filter(id, &filter_of(u32::from(id), 30))
+                .unwrap();
+        }
+        array.remove(7);
+        array.push(200).unwrap(); // recycles slot 7
+        let load: Vec<(u16, BloomFilter)> = [(3, 40), (200, 20), (70, 0), (99, 60), (3, 10)]
+            .into_iter()
+            .map(|(id, n)| (id, filter_of(1_000 + u32::from(id), n)))
+            .collect();
+        let mut expected = array.clone();
+        for (id, filter) in &load {
+            expected.replace_filter(*id, filter).unwrap();
+        }
+        let before = array.clone();
+        let alien = BloomFilter::new(128, 2, 9);
+        assert!(matches!(
+            array.load_filters([(3, &load[0].1), (4, &alien)]),
+            Err(BloomError::IncompatibleFilters { .. })
+        ));
+        assert_eq!(
+            array.load_filters([(3, &load[0].1), (500, &load[0].1)]),
+            Err(BloomError::UnknownId)
+        );
+        assert!(array == before, "a refused load touches nothing");
+        array
+            .load_filters(load.iter().map(|(id, filter)| (*id, filter)))
+            .unwrap();
+        assert!(array == expected);
+        assert_eq!(array.extract(3).unwrap(), load[4].1, "the last load wins");
     }
 
     #[test]

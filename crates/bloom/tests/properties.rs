@@ -127,6 +127,59 @@ proptest! {
         prop_assert!(flips <= shape.hashes);
     }
 
+    /// One bulk `load_filters` equals one `replace_filter` per column, in
+    /// call order — the whole array compared: every loaded and every
+    /// bystander column, every item count, the slot assignment — at
+    /// stride 1, 2 and 3, with a ragged last word or without, over
+    /// columns that already held bits, into slots recycled after a
+    /// `remove`, with ids loaded twice.
+    #[test]
+    fn bulk_load_matches_replace_per_column(
+        stride in 1usize..4,
+        bits in prop_oneof![Just(1000usize), Just(1024), Just(333)],
+        slots in 1usize..193,
+        removed in proptest::collection::vec(0u16..193, 0..6),
+        loads in proptest::collection::vec((any::<u16>(), 0u32..60), 0..24),
+        seed in any::<u64>(),
+    ) {
+        let shape = ghba_bloom::FilterShape { bits, hashes: 4, seed };
+        let filter_of = |tag: u32, items: u32| {
+            let mut f = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
+            for item in 0..items { f.insert(&(tag, item)); }
+            f
+        };
+        let mut sliced = SharedShapeArray::with_capacity(shape, stride * 64);
+        let slots = slots.min(stride * 64) as u16;
+        for id in 0..slots {
+            sliced.push_filter(id, &filter_of(u32::from(id), 25)).unwrap();
+        }
+        let mut recycled = 1_000u16;
+        for id in removed {
+            if sliced.remove(id) {
+                sliced.push(recycled).unwrap();
+                recycled += 1;
+            }
+        }
+        prop_assert_eq!(sliced.memory_bytes(), bits * stride * 8);
+        let ids: Vec<u16> = sliced.ids().collect();
+        let loads: Vec<(u16, BloomFilter)> = loads
+            .iter()
+            .enumerate()
+            .map(|(at, &(pick, items))| {
+                (ids[usize::from(pick) % ids.len()], filter_of(10_000 + at as u32, items))
+            })
+            .collect();
+        let mut expected = sliced.clone();
+        for (id, filter) in &loads {
+            expected.replace_filter(*id, filter).unwrap();
+        }
+        sliced.load_filters(loads.iter().map(|(id, filter)| (*id, filter))).unwrap();
+        for &id in &ids {
+            prop_assert_eq!(sliced.extract(id), expected.extract(id), "column {}", id);
+        }
+        prop_assert!(sliced == expected, "the arrays differ outside the live columns");
+    }
+
     /// Counting filters: inserting then removing every item restores
     /// definite absence for items inserted exactly once, as long as no
     /// counter saturates.

@@ -1204,9 +1204,11 @@ impl<T: Topology> Cluster<T> {
     /// 6. the IDBFA locates every replica (its candidates include the true
     ///    holder — counting filters have no false negatives);
     /// 7. **column == published** (both layouts, checked first). Only
-    ///    `push_update`, membership changes and checkpoint restore write
-    ///    a column, each together with the server's own filter, so this
-    ///    holds from `&self` with undrained concurrent writes pending too;
+    ///    `push_update` / `flush_all_updates` (a delta per drifted
+    ///    column), membership changes and checkpoint restore (every
+    ///    column in one bulk load) write a column, each together with the
+    ///    server's own filter, so this holds from `&self` with undrained
+    ///    concurrent writes pending too;
     /// 8. **no stale mask**: every cached L2/L3 entry of the snapshot's
     ///    shared mask cache whose `(gid, tag)` is valid under the pinned
     ///    snapshot equals the mask and held counts rebuilt from that

@@ -326,6 +326,16 @@ impl Mds {
         Some(delta)
     }
 
+    /// Whether [`publish`](Mds::publish) would change this server: a
+    /// drifted live filter to publish, or cadence counters to restart
+    /// (both durable — a checkpoint captures the counters). The drift is
+    /// computed only when both counters are already zero.
+    pub(crate) fn publish_changes_state(&self) -> bool {
+        self.mutations_since_publish != 0
+            || self.mutations_since_drift_check != 0
+            || self.drift_bits() != 0
+    }
+
     /// The publish-cadence counters `(since_publish, since_drift_check)`
     /// — captured into checkpoints so recovery resumes the gated drift
     /// protocol exactly where the crash left it.
@@ -351,14 +361,15 @@ impl Mds {
     }
 
     /// Checkpoint restore: adopts the decoded namespace — the store is
-    /// sized once for it and takes each path `String` as it is, and each
+    /// sized once for it and takes each path `String` as it is, each
+    /// path is hashed once (a checkpoint stores no fingerprint), and each
     /// file's probe rows come from one `RowDeriver` (no division).
-    pub(crate) fn restore_files(&mut self, files: Vec<(String, (u64, u64))>) {
+    pub(crate) fn restore_files(&mut self, files: Vec<String>) {
         self.store.reserve(files.len());
         let deriver = RowDeriver::new(self.live.shape());
         let mut rows = Vec::new();
-        for (path, (a, b)) in files {
-            let fp = Fingerprint::from_lanes(a, b);
+        for path in files {
+            let fp = Fingerprint::of(path.as_str());
             rows.clear();
             deriver.rows_into(&fp, &mut rows);
             self.create_local_rows(path, &fp, row_indices(&rows));

@@ -204,6 +204,13 @@ impl MetadataStore {
         self.files.keys().map(|key| &*key.path)
     }
 
+    /// Iterates `(lane, path)` in arbitrary order: each stored path with
+    /// the fingerprint lane it is keyed by — what a checkpoint sorts by,
+    /// without hashing a path again.
+    pub(crate) fn keyed_paths(&self) -> impl Iterator<Item = (u64, &str)> {
+        self.files.keys().map(|key| (key.lane, &*key.path))
+    }
+
     /// Drains every entry out of the store (used when a departing MDS
     /// hands its files to a peer).
     pub fn drain(&mut self) -> impl Iterator<Item = (String, FileAttrs)> + '_ {

@@ -15,7 +15,8 @@
 //! halves of a tick: the drain
 //! ([`drain_concurrent`](GhbaCluster::drain_concurrent): fold stats, take
 //! the shard logs, WAL append, replay — it publishes nothing) and the
-//! flush (`flush_all_updates`: its WAL flush record, then every drifted
+//! flush (`flush_all_updates`: its WAL flush record when it will change
+//! anything — else only a due group-commit sync — then every drifted
 //! filter's delta through the one column publisher, as one successor
 //! snapshot). Batches wait that long: on the benchmark's `net_mixed`
 //! fleet (24 servers per replica, 25 ms cadence, one shared CPU) the lock

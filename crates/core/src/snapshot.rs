@@ -138,8 +138,9 @@ impl<T, W> CellWriter<'_, T, W> {
 
 /// One deferred mutation of the published slab, recorded during a
 /// routing edit and applied to both the successor and the recycled
-/// spare slab (see [`SlabSpare`]). Sparse by construction: a delta
-/// touches only the changed bit-rows, a push/remove one column.
+/// spare slab (see [`SlabSpare`]). Sparse by construction — a delta
+/// touches only the changed bit-rows, a push/remove one column — except
+/// a restore's load, which writes every column it names in one pass.
 #[derive(Debug, Clone)]
 pub(crate) enum SlabOp {
     /// Append a fresh (empty) column for a joining server.
@@ -151,6 +152,9 @@ pub(crate) enum SlabOp {
     Remove(MdsId),
     /// Fold a sparse publish delta into a server's column.
     Delta(MdsId, FilterDelta),
+    /// Replace the columns of many servers at once (checkpoint restore:
+    /// every restored published filter, one transposed pass).
+    Load(Vec<(MdsId, BloomFilter)>),
 }
 
 fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
@@ -166,6 +170,9 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
             SlabOp::Delta(id, delta) => slab
                 .apply_delta(*id, delta)
                 .expect("slab tracks every published server"),
+            SlabOp::Load(columns) => slab
+                .load_filters(columns.iter().map(|(id, filter)| (*id, filter)))
+                .expect("restored columns match the slab shape and roster"),
         }
     }
 }

@@ -16,11 +16,13 @@
 //! successor snapshot — the modelled traffic is per origin (each pays
 //! its own fan-out), the snapshot machinery per call. Nothing else on a
 //! live cluster writes a filter delta into a published column
-//! (checkpoint restore, in [`crate::wal`], re-derives the columns of a
-//! cluster that is not serving yet).
+//! (checkpoint restore, in [`crate::wal`], loads every column of a
+//! cluster that is not serving yet in one bulk pass, with no delta).
 
 use core::time::Duration;
 use std::sync::Arc;
+
+use ghba_bloom::SharedShapeArray;
 
 use crate::cluster::{Cluster, Topology};
 use crate::ids::MdsId;
@@ -76,7 +78,7 @@ impl<T: Topology> Cluster<T> {
     /// Panics if `origin` is not in the cluster.
     pub fn push_update(&mut self, origin: MdsId) -> UpdateReport {
         self.maybe_drain();
-        self.publish_columns(&[origin])
+        self.publish_columns(&[origin], false)
     }
 
     /// Pushes updates for every server whose live filter drifted at all —
@@ -88,11 +90,7 @@ impl<T: Topology> Cluster<T> {
         // the flush record lands *after* the drain whose effects it
         // publishes.
         self.maybe_drain();
-        if let Some(wal) = self.wal.as_mut() {
-            wal.append_flush()
-                .expect("WAL append failed: cannot publish unlogged flush");
-        }
-        self.publish_columns(&self.server_ids())
+        self.publish_columns(&self.server_ids(), true)
     }
 
     /// The one column publisher: folds the drift of every server of
@@ -102,13 +100,17 @@ impl<T: Topology> Cluster<T> {
     /// accounts each refreshed origin's fan-out against that one
     /// successor. Returns the summed cost (latency: the slowest push;
     /// the default report when nothing was refreshed, and then nothing
-    /// is published either).
-    fn publish_columns(&mut self, origins: &[MdsId]) -> UpdateReport {
+    /// is published either). A flush barrier (`logged`) is written ahead
+    /// to the attached WAL first (see [`log_flush`](Cluster::log_flush)).
+    fn publish_columns(&mut self, origins: &[MdsId], logged: bool) -> UpdateReport {
         let routes = Arc::clone(&self.routes);
         // Take the writer lock *before* consuming a delta, so a
         // concurrent retire cannot drop an origin's column between the
         // check and the publish.
         let mut edit = RouteEdit::begin(&routes);
+        if logged {
+            self.log_flush(origins, &edit.work.slab);
+        }
         let mut refreshed = Vec::new();
         for &origin in origins {
             let mds = self.mdss.get_mut(&origin).expect("origin must exist");
@@ -148,6 +150,32 @@ impl<T: Topology> Cluster<T> {
             total.refreshed |= report.refreshed;
         }
         total
+    }
+
+    /// Write-ahead for a flush barrier over `origins`, decided before
+    /// any server or column changes: the record is appended only when
+    /// the flush will change durable state — some origin with a column in
+    /// `slab` whose publish refreshes it or restarts its drift cadence
+    /// (the counters a checkpoint captures). A flush that changes nothing
+    /// logs nothing, so an idle tick leaves the log as it was; it only
+    /// lets a [`GroupCommit`](crate::SyncPolicy::GroupCommit) tail reach
+    /// disk once its interval has passed ([`Wal::sync_if_due`]).
+    ///
+    /// [`Wal::sync_if_due`]: crate::Wal::sync_if_due
+    fn log_flush(&mut self, origins: &[MdsId], slab: &SharedShapeArray<MdsId>) {
+        let Some(wal) = self.wal.as_mut() else {
+            return;
+        };
+        let changes = origins
+            .iter()
+            .any(|&id| slab.contains_id(id) && self.mdss[&id].publish_changes_state());
+        if changes {
+            wal.append_flush()
+                .expect("WAL append failed: cannot publish unlogged flush");
+        } else {
+            wal.sync_if_due()
+                .expect("WAL sync failed: the group-commit tail cannot reach disk");
+        }
     }
 }
 

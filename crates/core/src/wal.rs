@@ -12,7 +12,10 @@
 //! so nothing the cluster ever published can be missing from the log.
 //! [`flush_all_updates`](GhbaCluster::flush_all_updates) barriers are
 //! logged the same way, so the publish *history* (which filters were
-//! refreshed when) replays exactly, not just the namespace.
+//! refreshed when) replays exactly, not just the namespace — except a
+//! barrier that would change nothing (no drift to publish, no cadence
+//! counter to restart), which logs nothing: replaying it would change
+//! nothing either, and an idle replica's log stops growing.
 //!
 //! The log deliberately records post-admission `WriteRecord`s rather
 //! than raw `OpBatch`es: by drain time every write has a resolved home,
@@ -20,7 +23,10 @@
 //! concurrent batches interleaved — the drain order *is* the total
 //! order. Records are length-prefixed, CRC-checked, sequence-numbered,
 //! and carry a versioned header, mirroring the wire-frame discipline of
-//! `crates/net` (including the fingerprint re-verification on decode).
+//! `crates/net`. They hold paths, never fingerprints: the decoder derives
+//! each write's fingerprint from its path, so a record whose fingerprint
+//! disagrees with its path cannot be written, and the CRC is what
+//! detects damage.
 //!
 //! # Durability contract, per [`SyncPolicy`]
 //!
@@ -34,17 +40,20 @@
 //! * [`SyncPolicy::GroupCommit`] — appends are written to the OS
 //!   immediately but synced at most once per interval. A drained batch
 //!   survives process kill (SIGKILL included: the page cache outlives
-//!   the process). Under power loss the bound is **not** one interval:
-//!   there is no timer, only a check when an append *arrives* — it
-//!   syncs if the interval has elapsed since the last sync — so a tail
-//!   appended inside the interval stays unsynced until the next append,
-//!   however long that takes. A `ghba-net` replica is bounded (to about
-//!   one interval plus one reconciler tick) only because every tick's
-//!   [`flush_all_updates`](GhbaCluster::flush_all_updates) appends a
-//!   flush record; an embedder whose appends stop has no bound short
-//!   of [`detach_wal`](GhbaCluster::detach_wal) + [`Wal::sync`].
-//!   Closing the gap belongs with the per-batch
-//!   `Ack::{Visible, Durable}` work (ROADMAP direction 1).
+//!   the process). Under power loss the bound is one interval plus one
+//!   *caller tick*: there is no timer, but every append and every
+//!   [`flush_all_updates`](GhbaCluster::flush_all_updates) checks the
+//!   deadline — an append syncs when the interval has elapsed since the
+//!   last sync, and a flush with nothing to log calls
+//!   [`Wal::sync_if_due`], which syncs an unsynced tail on the same
+//!   condition. A `ghba-net` replica's reconciler flushes every tick, so
+//!   its tail reaches disk about one interval plus one tick after it was
+//!   written, without an idle tick writing a record. An embedder that
+//!   neither appends nor flushes has no bound short of
+//!   [`Wal::sync_if_due`] on its own clock or
+//!   [`detach_wal`](GhbaCluster::detach_wal) + [`Wal::sync`]; an ack
+//!   that waits for the sync is the per-batch `Ack::{Visible, Durable}`
+//!   work (ROADMAP direction 1).
 //! * [`SyncPolicy::None`] — no explicit sync. Survives process kill;
 //!   power loss may lose everything since the last checkpoint install
 //!   (which always syncs).
@@ -60,25 +69,61 @@
 //! Every durable byte is encoded once, in place, into the one buffer
 //! the [`Wal`] owns (frame header reserved, body written behind it,
 //! length and checksum patched in) and checksummed eight bytes per
-//! step. Measured with `ghba-benchmark`'s `write_churn` (48 servers,
-//! traced rounds, one 2-core host; PR 21, parent → change):
+//! step. No byte is a fingerprint (format 3): a write record is
+//! `[op][home][path]` and a checkpoint entry the length-prefixed path,
+//! 16 bytes less each than format 2's. Measured with `ghba-benchmark`'s
+//! `write_churn` (48 servers, one 2-core host; PR 26, parent → change):
 //!
-//! * **An append is O(drain).** 43.5 bytes and ≈ 96 ns per write record
-//!   (`wal.tax_ns_per_record`, 207 ns before), no allocation once the
-//!   buffer has grown to a drain's size, one `write` per drain.
-//! * **A checkpoint is O(namespace).** It walks every store, hashes and
-//!   sorts every path and writes every published filter: 2.5 MB in
-//!   ≈ 11.8 ms at 50 k files (19.6 ms before), 7.9 MB in ≈ 46 ms at
-//!   200 k (86 ms before). Of the 50 k figure ≈ 2.2 ms is
-//!   re-fingerprinting the paths, ≈ 3.0 ms sorting them, ≈ 1.8 ms the
-//!   checksum (≈ 1.4 GB/s), ≈ 0.7 ms the copy, and ≈ 3.5 ms the file
-//!   write, `fsync`, rename and log truncation. It allocates one sorted
-//!   `(&str, lanes)` list per server and nothing per path.
+//! * **An append is O(drain).** ≈ 25.3 bytes per write op
+//!   (`wal.bytes_per_write_op`, 43.6 before) and ≈ 31–47 ns per write
+//!   record (`wal.tax_ns_per_record`, 72–92 ns before), no allocation
+//!   once the buffer has grown to a drain's size, one `write` per drain.
+//! * **A checkpoint is O(namespace).** It walks every store, sorts every
+//!   path by the fingerprint lane its store is keyed by (integer
+//!   compares; a path is read only when two lanes tie; nothing is
+//!   hashed) and writes every published filter: 1.74 MB in ≈ 5.8 ms at
+//!   50 k files (`wal.checkpoint_ms`; 2.55 MB in ≈ 10.4 ms before). With
+//!   timers around each step (medians of 30 installs): ≈ 1.7 ms
+//!   collecting and sorting the `(lane, &str)` lists (4.6 ms before,
+//!   when each path was re-fingerprinted and sorted by bytes), ≈ 1.1 ms
+//!   the checksum (1.7 ms), ≈ 0.9 ms the copy, and ≈ 2.6 ms the file
+//!   write, `fsync`, rename and log truncation (3.9 ms). It allocates
+//!   per server, never per path.
 //!
 //! Checkpoints still run on the draining thread, inside the drain that
 //! crossed `checkpoint_every`: every request behind that drain waits the
 //! whole O(namespace) term. Taking them off the serving path, or making
-//! them incremental, is ROADMAP direction 2's *A fleet that checkpoints*.
+//! them incremental (per-server segments), is what is left of ROADMAP
+//! direction 2.
+//!
+//! # What recovery costs
+//!
+//! A restart reads each byte once and writes each slab column once: the
+//! checkpoint decodes to paths and filter bytes (no lanes to read or
+//! verify), each server's store and live filters take its paths with one
+//! hash per path, and every restored published filter reaches the slab
+//! in **one** slab op that loads all columns at once — for each
+//! 64-bit word index, the words of up to 64 filters are one 64×64 bit
+//! transpose and 64 masked row stores
+//! ([`SharedShapeArray::load_filters`](ghba_bloom::SharedShapeArray::load_filters)),
+//! applied to the spare slab and the displaced one like any publish.
+//! Before (format 2) the slab step extracted every column (a pass over
+//! all 128,000 rows per server), diffed it against the restored filter
+//! and applied the delta twice: ≈ 140 µs per server whatever it held.
+//! `write_churn`'s restart, by phase (timers around each, medians of 30
+//! restarts of a 50 k-file namespace; parent → change):
+//!
+//! * reading `checkpoint.bin`: 0.35 → 0.24 ms (2.55 → 1.74 MB);
+//! * decoding it: 4.7 → 2.9 ms (no per-path re-hash to verify lanes);
+//! * adopting the namespace: 4.3 → 5.2 ms (the one hash per path now
+//!   happens here);
+//! * the slab: 6.7 → 0.63 ms;
+//! * replaying the ≈ 97-record tail: 9.7 → 9.6 ms (unchanged — its last
+//!   flush applies the whole tail's drift to two slabs).
+//!
+//! End to end, `recovery_ms` fell 36.7 → 26.9 ms on `write_churn`,
+//! 42.2 → 30.2 ms on `read_hot`, 43.1 → 28.8 ms on `reconfig_reads` and
+//! 14.2 → 8.2 ms on `net_mixed` (CHANGES.md, PR 26).
 //!
 //! # What is *not* durable
 //!
@@ -127,7 +172,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ghba_bloom::{BloomFilter, FilterDelta, Fingerprint};
+use ghba_bloom::{BloomFilter, Fingerprint};
 
 use crate::cluster::{Cluster, GhbaCluster, Topology};
 use crate::concurrent::{WriteKind, WriteRecord};
@@ -143,7 +188,7 @@ const WAL_MAGIC: [u8; 4] = *b"GWAL";
 const CKPT_MAGIC: [u8; 4] = *b"GCKP";
 /// On-disk format version (bump on any layout change, and regenerate
 /// the golden fixtures alongside).
-pub const WAL_VERSION: u16 = 2;
+pub const WAL_VERSION: u16 = 3;
 
 /// Record kind tags.
 const KIND_DRAIN: u8 = 1;
@@ -165,9 +210,10 @@ const CKPT_TMP: &str = "checkpoint.tmp";
 pub enum SyncPolicy {
     /// `fdatasync` after every appended record.
     EveryBatch,
-    /// Sync when an append arrives at least one interval after the last
-    /// sync (group commit). Append-driven, not timer-driven: the tail
-    /// appended inside an interval stays unsynced until the next append.
+    /// Sync at most once per interval (group commit): when an append
+    /// arrives, or an idle flush calls [`Wal::sync_if_due`], at least one
+    /// interval after the last sync. There is no timer: the tail appended
+    /// inside an interval stays unsynced until the next append or flush.
     GroupCommit(Duration),
     /// Never sync explicitly; the OS flushes on its own schedule.
     None,
@@ -482,9 +528,6 @@ fn write_record(
             };
             body.push(op);
             body.extend_from_slice(&home.0.to_le_bytes());
-            let (a, b) = record.fp.lanes();
-            body.extend_from_slice(&a.to_le_bytes());
-            body.extend_from_slice(&b.to_le_bytes());
             push_str(body, &record.path);
         }
     })
@@ -492,7 +535,10 @@ fn write_record(
 
 /// Encodes one record as it is laid out on disk (the golden-file
 /// surface): `[len u32][crc u32]["GWAL"][version u16][seq u64][kind u8]
-/// [payload]`, all little-endian.
+/// [payload]`, all little-endian. A drain's payload is `[count u32]`
+/// then `[op u8][home u16][path len u32][path]` per write: the path, not
+/// its fingerprint — the decoder derives that, so a record's `fp` is not
+/// stored.
 ///
 /// # Panics
 ///
@@ -509,9 +555,10 @@ pub fn encode_record(seq: u64, event: &WalEvent) -> Vec<u8> {
 }
 
 /// Decodes one record from the head of `bytes`, returning it and the
-/// bytes consumed. Every malformed shape — truncation, checksum
-/// mismatch, bad magic or version, non-utf-8 paths, a fingerprint that
-/// does not match its path — is a typed [`WalError`], never a panic.
+/// bytes consumed; each write's fingerprint is derived from its path
+/// ([`Fingerprint::of`], once). Every malformed shape — truncation,
+/// checksum mismatch, bad magic or version, non-utf-8 paths, an unknown
+/// op or kind — is a typed [`WalError`], never a panic.
 ///
 /// # Errors
 ///
@@ -542,18 +589,8 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
             for _ in 0..count {
                 let op = reader.u8("write op")?;
                 let home = MdsId(reader.u16("write home")?);
-                let a = reader.u64("fingerprint lane")?;
-                let b = reader.u64("fingerprint lane")?;
                 let path = read_str(&mut reader, "write path")?;
-                let fp = Fingerprint::from_lanes(a, b);
-                // The same re-verification the wire decoder applies to
-                // `PathKey`s: a fingerprint must be *the* fingerprint
-                // of its path, or the record has been tampered with.
-                if Fingerprint::of(path.as_str()) != fp {
-                    return Err(WalError::Corrupt(format!(
-                        "fingerprint does not match path {path:?}"
-                    )));
-                }
+                let fp = Fingerprint::of(path.as_str());
                 let kind = match op {
                     0 => WriteKind::Create(home),
                     1 => WriteKind::Remove(home),
@@ -615,9 +652,8 @@ pub struct GroupShape {
     pub members: Vec<MdsId>,
 }
 
-/// One server's durable state: its namespace (sorted by path, each
-/// entry fingerprint-tagged), its published filter bytes, and the
-/// publish-cadence counters.
+/// One server's durable state: its namespace (paths only), its
+/// published filter bytes, and the publish-cadence counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerState {
     /// The server id.
@@ -626,8 +662,11 @@ pub struct ServerState {
     pub since_publish: u64,
     /// Mutations since the last exact drift check.
     pub since_drift: u64,
-    /// `(path, fingerprint lanes)`, sorted by path.
-    pub files: Vec<(String, (u64, u64))>,
+    /// Every stored path, in `(lane, path)` order — `lane` being the
+    /// first lane of the path's [`Fingerprint`], the one its store is
+    /// keyed by. No lane is stored: restore derives each path's
+    /// fingerprint once.
+    pub files: Vec<String>,
     /// [`BloomFilter::to_bytes`] of the published filter.
     pub published: Vec<u8>,
 }
@@ -648,7 +687,8 @@ pub struct Checkpoint {
     pub next_group: u16,
     /// Every live group's shape, ascending by id.
     pub groups: Vec<GroupShape>,
-    /// Every server's durable state, ascending by id.
+    /// Every server's durable state, ascending by id: its paths in
+    /// `(lane, path)` order, no fingerprint lane stored.
     pub servers: Vec<ServerState>,
 }
 
@@ -666,25 +706,24 @@ struct ServerView<'a> {
     id: MdsId,
     since_publish: u64,
     since_drift: u64,
-    /// `(path, fingerprint lanes)`, sorted by path.
-    files: Vec<(&'a str, (u64, u64))>,
+    /// Every stored path, in `(lane, path)` order.
+    files: Vec<&'a str>,
     published: PublishedView<'a>,
 }
 
 impl<'a> ServerView<'a> {
+    /// Sorts the store by the lane it is keyed by, then the path:
+    /// integer compares, a path read only when two lanes tie, and no
+    /// path hashed.
     fn of_mds(mds: &'a Mds) -> Self {
-        let mut files: Vec<(&str, (u64, u64))> = mds
-            .store()
-            .paths()
-            .map(|path| (path, Fingerprint::of(path).lanes()))
-            .collect();
-        files.sort_unstable();
+        let mut keyed: Vec<(u64, &str)> = mds.store().keyed_paths().collect();
+        keyed.sort_unstable();
         let (since_publish, since_drift) = mds.durable_counters();
         ServerView {
             id: mds.id(),
             since_publish,
             since_drift,
-            files,
+            files: keyed.into_iter().map(|(_, path)| path).collect(),
             published: PublishedView::Filter(mds.published()),
         }
     }
@@ -694,11 +733,7 @@ impl<'a> ServerView<'a> {
             id: state.id,
             since_publish: state.since_publish,
             since_drift: state.since_drift,
-            files: state
-                .files
-                .iter()
-                .map(|(path, lanes)| (path.as_str(), *lanes))
-                .collect(),
+            files: state.files.iter().map(String::as_str).collect(),
             published: PublishedView::Bytes(&state.published),
         }
     }
@@ -708,11 +743,7 @@ impl<'a> ServerView<'a> {
             id: self.id,
             since_publish: self.since_publish,
             since_drift: self.since_drift,
-            files: self
-                .files
-                .into_iter()
-                .map(|(path, lanes)| (path.to_owned(), lanes))
-                .collect(),
+            files: self.files.into_iter().map(str::to_owned).collect(),
             published: match self.published {
                 PublishedView::Filter(filter) => filter.to_bytes(),
                 PublishedView::Bytes(bytes) => bytes.to_vec(),
@@ -772,9 +803,7 @@ impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
                 body.extend_from_slice(&server.since_publish.to_le_bytes());
                 body.extend_from_slice(&server.since_drift.to_le_bytes());
                 body.extend_from_slice(&count(server.files.len()));
-                for (path, (a, b)) in server.files {
-                    body.extend_from_slice(&a.to_le_bytes());
-                    body.extend_from_slice(&b.to_le_bytes());
+                for path in server.files {
                     push_str(body, path);
                 }
                 // Length-prefixed like a frame: reserve, write, patch.
@@ -915,15 +944,7 @@ impl Checkpoint {
             let file_count = reader.u32("file count")? as usize;
             let mut files = Vec::with_capacity(file_count.min(1 << 16));
             for _ in 0..file_count {
-                let a = reader.u64("file lane")?;
-                let b = reader.u64("file lane")?;
-                let path = read_str(&mut reader, "file path")?;
-                if Fingerprint::of(path.as_str()) != Fingerprint::from_lanes(a, b) {
-                    return Err(WalError::Corrupt(format!(
-                        "checkpoint fingerprint does not match path {path:?}"
-                    )));
-                }
-                files.push((path, (a, b)));
+                files.push(read_str(&mut reader, "file path")?);
             }
             let published_len = reader.u32("published length")? as usize;
             let published = reader.take(published_len, "published filter")?.to_vec();
@@ -975,6 +996,8 @@ pub struct Wal {
     next_seq: u64,
     options: WalOptions,
     last_sync: Instant,
+    /// Something was appended since the last sync.
+    unsynced: bool,
     appended_since_checkpoint: u64,
     /// The one encode buffer: every record and checkpoint frame is
     /// built here in place and written from here, so an append
@@ -997,9 +1020,8 @@ impl Wal {
     /// recovered from, but a damaged checkpoint has nothing to recover
     /// with and must not be silently ignored), or when a complete,
     /// CRC-valid log frame does not decode (another format version, an
-    /// unknown kind, a fingerprint that does not match its path): that
-    /// is not tail damage, so nothing is truncated and `wal.log` is left
-    /// byte for byte as found.
+    /// unknown kind or op): that is not tail damage, so nothing is
+    /// truncated and `wal.log` is left byte for byte as found.
     pub fn open(dir: &Path, options: WalOptions) -> Result<(Wal, WalRecovery), WalError> {
         fs::create_dir_all(dir)?;
         // A leftover tmp file is a checkpoint install that never reached
@@ -1060,6 +1082,7 @@ impl Wal {
             next_seq: last_seq + 1,
             options,
             last_sync: Instant::now(),
+            unsynced: false,
             appended_since_checkpoint,
             buf: Vec::new(),
         };
@@ -1117,14 +1140,10 @@ impl Wal {
         self.buf.clear();
         write_record(&mut self.buf, seq, drain)?;
         self.log.write_all(&self.buf)?;
+        self.unsynced = true;
         match self.options.sync {
-            SyncPolicy::EveryBatch => self.log.sync_data()?,
-            SyncPolicy::GroupCommit(interval) => {
-                if self.last_sync.elapsed() >= interval {
-                    self.log.sync_data()?;
-                    self.last_sync = Instant::now();
-                }
-            }
+            SyncPolicy::EveryBatch => self.sync()?,
+            SyncPolicy::GroupCommit(_) => self.sync_if_due()?,
             SyncPolicy::None => {}
         }
         self.next_seq += 1;
@@ -1141,7 +1160,29 @@ impl Wal {
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.log.sync_data()?;
         self.last_sync = Instant::now();
+        self.unsynced = false;
         Ok(())
+    }
+
+    /// The group-commit deadline, checked without an append: under
+    /// [`SyncPolicy::GroupCommit`] only, syncs when something appended
+    /// is still unsynced and the interval has passed since the last
+    /// sync; a no-op otherwise. An idle flush calls it, so a tail that
+    /// stopped growing still reaches disk one interval (plus one caller
+    /// tick) after it was written.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Io`] when the sync fails.
+    pub fn sync_if_due(&mut self) -> Result<(), WalError> {
+        match self.options.sync {
+            SyncPolicy::GroupCommit(interval)
+                if self.unsynced && self.last_sync.elapsed() >= interval =>
+            {
+                self.sync()
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Whether the automatic-checkpoint threshold has been reached.
@@ -1195,7 +1236,7 @@ impl Wal {
         }
         self.log.set_len(0)?;
         self.log.seek(SeekFrom::Start(0))?;
-        self.log.sync_data()?;
+        self.sync()?;
         self.appended_since_checkpoint = 0;
         Ok(())
     }
@@ -1348,6 +1389,7 @@ impl GhbaCluster {
             self.restore_group_shape(&checkpoint)?;
         }
         let expected_shape = published_shape(&self.config);
+        let mut columns = Vec::with_capacity(checkpoint.servers.len());
         for state in checkpoint.servers {
             let published = BloomFilter::from_bytes(&state.published)
                 .map_err(|err| WalError::Corrupt(format!("checkpoint filter: {err}")))?;
@@ -1358,27 +1400,15 @@ impl GhbaCluster {
             }
             let mds = self.mdss.get_mut(&state.id).expect("roster validated");
             mds.restore_files(state.files);
-            mds.restore_published(published, state.since_publish, state.since_drift);
+            mds.restore_published(published.clone(), state.since_publish, state.since_drift);
+            columns.push((state.id, published));
         }
-        // Synchronize every slab column with its restored published
-        // filter (sparse deltas; no epoch movement — a publish refreshes
-        // content under the same layout).
+        // Every slab column takes its restored published filter in one
+        // transposed pass over the rows (no epoch movement — a publish
+        // refreshes content under the same layout).
         let routes = Arc::clone(&self.routes);
         let mut edit = RouteEdit::begin(&routes);
-        let mut ops: Vec<(MdsId, FilterDelta)> = Vec::new();
-        for (&id, mds) in &self.mdss {
-            let Some(column) = edit.work.slab.extract(id) else {
-                continue;
-            };
-            if let Ok(delta) = FilterDelta::between(&column, mds.published()) {
-                if !delta.is_empty() {
-                    ops.push((id, delta));
-                }
-            }
-        }
-        for (id, delta) in ops {
-            edit.push_op(SlabOp::Delta(id, delta));
-        }
+        edit.push_op(SlabOp::Load(columns));
         edit.commit();
         Ok(())
     }
@@ -1638,22 +1668,69 @@ mod tests {
         assert_eq!(record.event, WalEvent::FlushAll);
     }
 
+    /// A record stores its path, not its fingerprint: one written with a
+    /// fingerprint that is not its path's is byte-identical to the honest
+    /// one and decodes to the path's own — a mismatched pair cannot reach
+    /// the log, so there is nothing left for a decoder to re-verify.
     #[test]
-    fn tampered_fingerprint_is_rejected() {
-        let event = WalEvent::Drain {
+    fn a_forged_fingerprint_is_not_stored() {
+        let write = |fp| WalEvent::Drain {
             records: vec![WriteRecord {
                 path: "/t/x".into(),
-                fp: Fingerprint::of("/t/OTHER"),
+                fp,
                 kind: WriteKind::Create(MdsId(0)),
             }],
         };
-        // encode_record writes the (wrong) lanes verbatim; the CRC is
-        // valid, so only the semantic re-verification can catch it.
-        let bytes = encode_record(1, &event);
-        assert!(matches!(
-            decode_record(&bytes),
-            Err(WalError::Corrupt(detail)) if detail.contains("fingerprint")
-        ));
+        let forged = encode_record(1, &write(Fingerprint::of("/t/OTHER")));
+        let honest = write(Fingerprint::of("/t/x"));
+        assert_eq!(forged, encode_record(1, &honest));
+        let (record, _) = decode_record(&forged).expect("decodes");
+        assert_eq!(record.event, honest);
+        // Header, count, then `[op][home u16][len u32][path]`: no lanes.
+        assert_eq!(
+            forged.len(),
+            8 + 4 + 2 + 8 + 1 + 4 + 1 + 2 + 4 + "/t/x".len()
+        );
+    }
+
+    /// An idle flush is the group-commit deadline: after a logged drain
+    /// whose sync the interval deferred, a flush with nothing to publish
+    /// appends nothing, syncs nothing while the interval runs, and syncs
+    /// the tail once it has passed.
+    #[test]
+    fn an_idle_flush_syncs_a_due_group_commit_tail() {
+        let dir = std::env::temp_dir().join(format!("ghba-wal-unit-{}-tick", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fn attached(cluster: &mut GhbaCluster) -> &mut Wal {
+            cluster.wal.as_deref_mut().expect("attached")
+        }
+        let interval = Duration::from_secs(60);
+        let options = WalOptions {
+            sync: SyncPolicy::GroupCommit(interval),
+            checkpoint_every: 0,
+        };
+        let (wal, _) = Wal::open(&dir, options).expect("fresh wal");
+        let mut cluster = GhbaCluster::with_servers(GhbaConfig::default().with_lru_capacity(0), 4);
+        cluster.attach_wal(wal);
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(1)));
+        batch.push_create("/tick/a");
+        cluster.execute_concurrent(&batch);
+        cluster.flush_all_updates();
+        assert_eq!(attached(&mut cluster).next_seq(), 3, "the drain, the flush");
+        assert!(attached(&mut cluster).unsynced, "inside the interval");
+
+        cluster.flush_all_updates();
+        assert_eq!(attached(&mut cluster).next_seq(), 3, "an idle flush");
+        assert!(attached(&mut cluster).unsynced, "still inside the interval");
+
+        let due = Instant::now();
+        attached(&mut cluster).last_sync = due.checked_sub(interval).expect("up a minute");
+        cluster.flush_all_updates();
+        let wal = attached(&mut cluster);
+        assert_eq!(wal.next_seq(), 3, "an idle flush logs nothing");
+        assert!(!wal.unsynced, "the due tail was synced");
+        assert!(wal.last_sync >= due);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

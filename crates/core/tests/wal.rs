@@ -155,7 +155,7 @@ fn golden_log_bytes() -> Vec<u8> {
 }
 
 /// The canonical cluster whose checkpoint is frozen in
-/// `tests/data/checkpoint_v2.bin` — fully deterministic (seeded RNG,
+/// `tests/data/checkpoint_v3.bin` — fully deterministic (seeded RNG,
 /// deterministic entry policies), so re-deriving it must reproduce the
 /// fixture byte for byte.
 fn golden_cluster() -> GhbaCluster {
@@ -184,7 +184,7 @@ fn golden_wal_records_are_byte_exact() {
 
 #[test]
 fn golden_checkpoint_is_byte_exact() {
-    let fixture: &[u8] = include_bytes!("data/checkpoint_v2.bin");
+    let fixture: &[u8] = include_bytes!("data/checkpoint_v3.bin");
     let expected = golden_cluster().capture_checkpoint();
     assert_eq!(
         expected.to_bytes(),
@@ -200,47 +200,61 @@ fn golden_checkpoint_is_byte_exact() {
     );
 }
 
-/// A well-formed v1 frame (valid checksum, version field 1) is refused
-/// with a typed error before any of its body is interpreted, so nothing
-/// v1 code wrote (its drain records carried a trailing home list) can be
-/// half-decoded or replayed.
+/// A well-formed frame of an older format (valid checksum, version field
+/// 1 or 2) is refused with a typed error before any of its body is
+/// interpreted, so nothing older code wrote — v1's drain records carried
+/// a trailing home list, v2's entries carried 16 bytes of fingerprint
+/// lanes before each path — can be half-decoded or replayed. No reader
+/// of an older version is kept.
 #[test]
 fn v1_frames_are_refused_by_the_version_check() {
-    assert_eq!(WAL_VERSION, 2);
+    assert_eq!(WAL_VERSION, 3);
     // `[len u32][crc u32][magic 4][version u16]…`: restamp the version
     // and the checksum over the body.
-    let as_v1 = |mut bytes: Vec<u8>| {
-        bytes[12..14].copy_from_slice(&1u16.to_le_bytes());
+    let as_version = |version: u16, mut bytes: Vec<u8>| {
+        bytes[12..14].copy_from_slice(&version.to_le_bytes());
         let crc = crc32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         bytes
     };
-    let record = as_v1(encode_record(1, &golden_records()[0].event));
-    assert!(matches!(
-        decode_record(&record),
-        Err(WalError::Corrupt(detail)) if detail == "unsupported wal version 1"
-    ));
-    let checkpoint = as_v1(include_bytes!("data/checkpoint_v2.bin").to_vec());
-    assert!(matches!(
-        Checkpoint::from_bytes(&checkpoint),
-        Err(WalError::Corrupt(detail)) if detail == "unsupported checkpoint version 1"
-    ));
-    // The directory case: a complete v1 record in `wal.log` is not a
-    // torn tail, so opening refuses it and truncates nothing.
-    let dir = temp_dir("v1-log");
-    fs::create_dir_all(&dir).expect("create dir");
-    fs::write(dir.join("wal.log"), &record).expect("write v1 log");
-    let opts = options(SyncPolicy::None, 0);
-    assert!(matches!(
-        Wal::open(&dir, opts),
-        Err(WalError::Corrupt(detail)) if detail == "unsupported wal version 1"
-    ));
-    assert!(matches!(
-        GhbaCluster::recover(test_config(), 6, &dir, opts),
-        Err(WalError::Corrupt(detail)) if detail == "unsupported wal version 1"
-    ));
-    assert_eq!(fs::read(dir.join("wal.log")).expect("read log"), record);
-    let _ = fs::remove_dir_all(&dir);
+    for version in [1u16, 2] {
+        let refused = format!("unsupported wal version {version}");
+        let record = as_version(version, encode_record(1, &golden_records()[0].event));
+        assert!(matches!(
+            decode_record(&record),
+            Err(WalError::Corrupt(detail)) if detail == refused
+        ));
+        let checkpoint = as_version(version, include_bytes!("data/checkpoint_v3.bin").to_vec());
+        assert!(matches!(
+            Checkpoint::from_bytes(&checkpoint),
+            Err(WalError::Corrupt(detail))
+                if detail == format!("unsupported checkpoint version {version}")
+        ));
+        // The directory case: a complete old record in `wal.log` is not
+        // a torn tail, so opening refuses it and truncates nothing.
+        let dir = temp_dir(&format!("v{version}-log"));
+        fs::create_dir_all(&dir).expect("create dir");
+        fs::write(dir.join("wal.log"), &record).expect("write old log");
+        let opts = options(SyncPolicy::None, 0);
+        assert!(matches!(
+            Wal::open(&dir, opts),
+            Err(WalError::Corrupt(detail)) if detail == refused
+        ));
+        assert!(matches!(
+            GhbaCluster::recover(test_config(), 6, &dir, opts),
+            Err(WalError::Corrupt(detail)) if detail == refused
+        ));
+        assert_eq!(fs::read(dir.join("wal.log")).expect("read log"), record);
+        // An old checkpoint in the directory is refused the same way.
+        fs::remove_file(dir.join("wal.log")).expect("drop the log");
+        fs::write(dir.join("checkpoint.bin"), &checkpoint).expect("write old checkpoint");
+        assert!(matches!(
+            GhbaCluster::recover(test_config(), 6, &dir, opts),
+            Err(WalError::Corrupt(detail))
+                if detail == format!("unsupported checkpoint version {version}")
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Regenerates the golden fixtures after an intentional format change:
@@ -252,7 +266,7 @@ fn regenerate_golden_fixtures() {
     fs::create_dir_all(dir).expect("create fixture dir");
     fs::write(format!("{dir}/wal_records.bin"), golden_log_bytes()).expect("write records");
     fs::write(
-        format!("{dir}/checkpoint_v2.bin"),
+        format!("{dir}/checkpoint_v3.bin"),
         golden_cluster().capture_checkpoint().to_bytes(),
     )
     .expect("write checkpoint");
@@ -553,6 +567,120 @@ fn recovery_restores_a_reshaped_group_layout() {
         recovered.reconfig_handle().group_ids(),
         twin.reconfig_handle().group_ids()
     );
+    assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+    assert_lookups_identical(&recovered, &twin);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Recovery of a cluster wider than one slab word (70 servers: stride 2)
+/// from checkpoint + tail: the restore's bulk column load maps slots past
+/// 63 to the second word of every row.
+#[test]
+fn recovery_past_64_servers_matches_from_checkpoint_plus_tail() {
+    const SERVERS: usize = 70;
+    let dir = temp_dir("wide");
+    let opts = options(SyncPolicy::None, 4);
+    // `run_workload`'s paths, each batch's entries spread over every
+    // server so that columns past slot 63 are published too.
+    let drive = |cluster: &mut GhbaCluster| {
+        let paths = workload_paths();
+        for (w, chunk) in paths.chunks(40).enumerate() {
+            let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 40 * w });
+            for path in chunk {
+                batch.push_create(path);
+            }
+            cluster.execute_concurrent(&batch);
+            cluster.drain_concurrent();
+            cluster.flush_all_updates();
+        }
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 60 });
+        for path in &paths[..20] {
+            batch.push_remove(path);
+        }
+        cluster.execute_concurrent(&batch);
+        cluster.drain_concurrent();
+    };
+    let mut twin = GhbaCluster::with_servers(test_config(), SERVERS);
+    drive(&mut twin);
+    {
+        let mut cluster = GhbaCluster::with_servers(test_config(), SERVERS);
+        let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+        cluster.attach_wal(wal);
+        drive(&mut cluster);
+        let wal = cluster.wal().expect("attached");
+        assert!(
+            wal.tail_len() > 0 && wal.tail_len() < wal.last_seq(),
+            "recovery must load a checkpoint and replay a tail (tail {} of {})",
+            wal.tail_len(),
+            wal.last_seq()
+        );
+    }
+    let mut recovered = GhbaCluster::recover(test_config(), SERVERS, &dir, opts).expect("recover");
+    recovered.check_invariants().expect("recovered invariants");
+    let wide = (64..SERVERS as u16)
+        .filter(|&id| {
+            recovered
+                .mds(MdsId(id))
+                .is_some_and(|mds| mds.published().ones() > 0)
+        })
+        .count();
+    assert!(wide > 0, "no published column past slot 63 to restore");
+    assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+    assert_lookups_identical(&recovered, &twin);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An idle replica's log stops growing: drain + flush rounds with
+/// nothing to drain or publish leave `wal.log` byte-identical and the
+/// sequence where it was, and recovery without those flushes is the
+/// twin that ran them. A flush that publishes nothing but restarts a
+/// drift cadence (a create and a remove of one path in one drain) is
+/// still logged, because its counters are durable state.
+#[test]
+fn idle_flushes_log_nothing_and_recover_bit_identically() {
+    let dir = temp_dir("idle");
+    let opts = options(SyncPolicy::EveryBatch, 0);
+    let idle_rounds = |cluster: &mut GhbaCluster| {
+        for _ in 0..5 {
+            cluster.drain_concurrent();
+            cluster.flush_all_updates();
+        }
+    };
+    let ghost = |cluster: &mut GhbaCluster| {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(2)));
+        batch.push_create("/idle/ghost");
+        batch.push_remove("/idle/ghost");
+        cluster.execute_concurrent(&batch);
+        cluster.flush_all_updates();
+    };
+    let mut twin = GhbaCluster::with_servers(test_config(), 6);
+    run_workload(&mut twin);
+    twin.flush_all_updates();
+    idle_rounds(&mut twin);
+    ghost(&mut twin);
+    {
+        let mut cluster = GhbaCluster::with_servers(test_config(), 6);
+        let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+        cluster.attach_wal(wal);
+        run_workload(&mut cluster);
+        cluster.flush_all_updates();
+        let log = || fs::read(dir.join("wal.log")).expect("read log");
+        let (before, seq) = (log(), cluster.wal().expect("attached").next_seq());
+        idle_rounds(&mut cluster);
+        assert_eq!(log(), before, "idle rounds wrote to the log");
+        assert_eq!(cluster.wal().expect("attached").next_seq(), seq);
+
+        ghost(&mut cluster);
+        assert_eq!(
+            cluster.wal().expect("attached").next_seq(),
+            seq + 2,
+            "the ghost's drain and the flush that restarts its cadence"
+        );
+        idle_rounds(&mut cluster);
+        assert_eq!(cluster.wal().expect("attached").next_seq(), seq + 2);
+    }
+    let mut recovered = GhbaCluster::recover(test_config(), 6, &dir, opts).expect("recover");
+    recovered.check_invariants().expect("recovered invariants");
     assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
     assert_lookups_identical(&recovered, &twin);
     let _ = fs::remove_dir_all(&dir);
