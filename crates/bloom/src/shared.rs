@@ -493,6 +493,15 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         self.slots.iter().filter_map(|slot| *slot)
     }
 
+    /// Live slots with their ids, in slot order. Slot `s` is bit `s % 64`
+    /// of word `s / 64` of an [`and_rows`](SharedShapeArray::and_rows)
+    /// result: a caller that maps its ids to slots once reads any id's
+    /// verdict from that result with no id lookup.
+    pub fn slot_ids(&self) -> impl Iterator<Item = (usize, I)> + '_ {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(slot, id)| id.map(|id| (slot, id)))
+    }
+
     /// `true` if a slot for `id` is live.
     #[must_use]
     pub fn contains_id(&self, id: I) -> bool {
@@ -1164,6 +1173,32 @@ mod tests {
                 hit.candidates().contains(&id),
                 "lost {id} after growth: {hit:?}"
             );
+        }
+    }
+
+    /// `slot_ids` names the bit of each id's verdict in a row-AND: past
+    /// the first word, and in a recycled slot.
+    #[test]
+    fn slot_ids_locate_each_verdict_in_a_row_and() {
+        let mut array = SharedShapeArray::new(shape());
+        for id in 0u16..70 {
+            array.push(id).unwrap();
+        }
+        assert!(array.remove(3));
+        array.push(300).unwrap();
+        for id in array.ids().collect::<Vec<_>>() {
+            array.insert(id, &format!("file-{id}")).unwrap();
+        }
+        let slots: Vec<(usize, u16)> = array.slot_ids().collect();
+        assert!(slots.contains(&(3, 300)), "the freed slot is reused");
+        let ids: Vec<u16> = slots.iter().map(|&(_, id)| id).collect();
+        assert_eq!(ids, array.ids().collect::<Vec<_>>());
+        let mut anded = Vec::new();
+        for (slot, id) in slots {
+            let fp = Fingerprint::of(&format!("file-{id}"));
+            let shape = shape();
+            array.and_rows(fp.probes(shape.seed, shape.bits, shape.hashes), &mut anded);
+            assert_eq!(anded[slot / 64] >> (slot % 64) & 1, 1, "{id} at {slot}");
         }
     }
 

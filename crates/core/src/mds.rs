@@ -9,6 +9,12 @@
 //!   replica. It lags the live filter until the XOR-distance threshold
 //!   triggers a refresh (§3.4) — the lag is what sends queries to L4 in
 //!   Figure 13.
+//!
+//! The lag runs from a server's first mutation after a publish to its
+//! next publish. Outside it the server is **clean**
+//! ([`Mds::is_clean`]) and its two filters are one: every bit of the
+//! live filter is a bit of its published column in the cluster's slab,
+//! which is where a walk reads a clean server's live verdict from.
 
 use ghba_bloom::{
     BloomFilter, CountingBloomFilter, FilterDelta, FilterShape, Fingerprint, LruBloomArray,
@@ -267,6 +273,21 @@ impl Mds {
     #[must_use]
     pub fn mutations_since_publish(&self) -> u64 {
         self.mutations_since_publish
+    }
+
+    /// `true` when nothing mutated this server since its last publish —
+    /// and then its live filter equals its published one, bit for bit.
+    /// Every live-filter change bumps the counter this reads (a
+    /// re-create bumps it without moving a bit: dirty does not mean the
+    /// filters differ). A new server starts clean, and only
+    /// [`publish`](Mds::publish), [`evacuate`](Mds::evacuate) and a
+    /// checkpoint restore zero the counter — the first two leave the
+    /// filters equal, and a restore zeroes it only for a server captured
+    /// clean, whose live filter the replayed namespace rebuilds.
+    /// `Cluster::check_invariants` checks it (invariant 9).
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.mutations_since_publish == 0
     }
 
     /// `true` when enough mutations have accumulated — since the last

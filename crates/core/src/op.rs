@@ -568,6 +568,10 @@ pub(crate) trait VectoredScheme {
 ///   walks on the thread that submitted the batch (the concurrency
 ///   model is stated once, in [`crate::cluster`]).
 /// * Writes execute in stream order, between the read runs.
+/// * Outcomes are assembled once, into the returned vector: a run
+///   covers contiguous ops, so a flushed run's outcomes and then each
+///   write's are pushed in stream order (debug builds check each index)
+///   — no per-op placeholder, no second pass.
 /// * [`MetadataOp::Rename`] migrates: remove at the old home, then
 ///   create at the policy-chosen new home (drawn only when the source
 ///   existed, so the RNG stream is the same through either entry) —
@@ -586,18 +590,25 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
 ) -> Vec<OpOutcome> {
     let ops = batch.ops();
     let policy = batch.entry_policy();
-    let mut outcomes: Vec<Option<OpOutcome>> = vec![None; ops.len()];
+    let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(ops.len());
     // The fused read run: `(op index, entry server)` pairs awaiting one
     // lookup pass, and — on repeat-sensitive schemes — the same pairs
     // keyed by `(entry, fingerprint lanes)` → op index of the first.
     let mut run: Vec<(usize, MdsId)> = Vec::new();
     let mut seen: HashMap<(MdsId, Fingerprint), usize, BuildLaneHasher> = HashMap::default();
 
+    // Op `i` finishes next: a fused run covers contiguous lookups (every
+    // write flushes it first), so ops finish in stream order.
+    fn push(outcomes: &mut Vec<OpOutcome>, i: usize, outcome: OpOutcome) {
+        debug_assert_eq!(outcomes.len(), i, "op {i} finished out of stream order");
+        outcomes.push(outcome);
+    }
+
     fn flush<S: VectoredScheme + ?Sized>(
         scheme: &mut S,
         ops: &[MetadataOp],
         run: &mut Vec<(usize, MdsId)>,
-        outcomes: &mut [Option<OpOutcome>],
+        outcomes: &mut Vec<OpOutcome>,
     ) {
         if run.is_empty() {
             return;
@@ -612,7 +623,7 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
             })
             .collect();
         for (&(i, _), outcome) in run.iter().zip(scheme.lookup_fused(&items)) {
-            outcomes[i] = Some(OpOutcome::Resolved(outcome));
+            push(outcomes, i, OpOutcome::Resolved(outcome));
         }
         run.clear();
     }
@@ -647,12 +658,12 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
                 flush(scheme, ops, &mut run, &mut outcomes);
                 let home = scheme.resolve_entry(ids, policy, i);
                 scheme.apply_create(key, home);
-                outcomes[i] = Some(OpOutcome::Created { home });
+                push(&mut outcomes, i, OpOutcome::Created { home });
             }
             MetadataOp::Remove(key) => {
                 flush(scheme, ops, &mut run, &mut outcomes);
                 let home = scheme.apply_remove(key);
-                outcomes[i] = Some(OpOutcome::Removed { home });
+                push(&mut outcomes, i, OpOutcome::Removed { home });
             }
             MetadataOp::Rename { from, to } => {
                 flush(scheme, ops, &mut run, &mut outcomes);
@@ -662,15 +673,13 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
                     scheme.apply_create(to, home);
                     home
                 });
-                outcomes[i] = Some(OpOutcome::Renamed { old_home, new_home });
+                push(&mut outcomes, i, OpOutcome::Renamed { old_home, new_home });
             }
         }
     }
     flush(scheme, ops, &mut run, &mut outcomes);
+    debug_assert_eq!(outcomes.len(), ops.len(), "every op produced an outcome");
     outcomes
-        .into_iter()
-        .map(|outcome| outcome.expect("every op produced an outcome"))
-        .collect()
 }
 
 #[cfg(test)]

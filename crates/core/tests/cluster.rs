@@ -1,7 +1,10 @@
 //! Behavioural tests for the G-HBA cluster: query hierarchy, elastic
 //! membership, the update protocol, and structural invariants.
 
-use ghba_core::{GhbaCluster, GhbaConfig, MetadataService, QueryLevel, ReconfigError};
+use ghba_core::{
+    EntryPolicy, GhbaCluster, GhbaConfig, Mds, MdsId, MetadataService, OpBatch, QueryLevel,
+    ReconfigError,
+};
 
 fn small_config() -> GhbaConfig {
     GhbaConfig::default()
@@ -286,6 +289,61 @@ fn removing_files_updates_membership() {
     cluster.flush_all_updates();
     let outcome = cluster.lookup(path);
     assert!(!outcome.found(), "removed file still found at {home}");
+}
+
+/// Invariant 9 (a clean server's live filter is its published one)
+/// through every writer that moves a server's cleanliness: drained
+/// writes and the flush after them, a re-create of a stored path (dirty,
+/// no bit moved) and a fail-stop departure. Every lookup checks, in
+/// debug builds, that each slab-answered probe equals the live one.
+#[test]
+fn clean_servers_publish_their_live_filters() {
+    let mut cluster = GhbaCluster::with_servers(small_config(), 9);
+    let clean = |cluster: &GhbaCluster| -> Vec<MdsId> {
+        let ids = cluster.server_ids().into_iter();
+        ids.filter(|&id| cluster.mds(id).is_some_and(Mds::is_clean))
+            .collect()
+    };
+    let held = |cluster: &GhbaCluster, step: &str| {
+        cluster
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{step}: {e}"));
+        for i in 0..36 {
+            let path = format!("/clean/f{i}");
+            assert_eq!(
+                cluster.lookup_concurrent(MdsId(4), &path).home,
+                cluster.true_home(&path)
+            );
+        }
+    };
+    assert_eq!(clean(&cluster).len(), 9, "a new server is clean");
+
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+    (0..36).for_each(|i| batch.push_create(format!("/clean/f{i}")));
+    cluster.execute_concurrent(&batch);
+    cluster.drain_concurrent();
+    assert_eq!(clean(&cluster), [], "a drained write dirties its home");
+    held(&cluster, "drained");
+    cluster.flush_all_updates();
+    assert_eq!(clean(&cluster).len(), 9, "the flush published every home");
+    held(&cluster, "flushed");
+
+    let home = cluster.true_home("/clean/f0").expect("stored");
+    cluster.create_file_at("/clean/f0", home);
+    let mds = cluster.mds(home).expect("live");
+    assert!(
+        !mds.is_clean() && mds.drift_bits() == 0,
+        "dirty, no bit moved"
+    );
+    held(&cluster, "re-created");
+
+    // The departure frees a slot and moves no survivor's filter.
+    let victim = MdsId(7);
+    let mut survivors = clean(&cluster);
+    survivors.retain(|&id| id != victim);
+    cluster.fail_mds(victim).expect("failable");
+    assert_eq!(clean(&cluster), survivors);
+    held(&cluster, "failed");
 }
 
 #[test]

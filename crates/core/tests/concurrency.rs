@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ghba_core::{
-    ClusterStats, EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, LoadReport, MdsId,
+    ClusterStats, EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, LoadReport, Mds, MdsId,
     MetadataService, OpBatch, OpOutcome, QueryLevel,
 };
 
@@ -650,6 +650,175 @@ plan_reuse_is_invisible!(
         let filter = handle.retire_mds(MdsId(3)).expect("published");
         assert!(handle.restore_mds(MdsId(3), &filter));
     }
+);
+
+/// The slab answer is invisible. A clean server's live probes are read
+/// from the walk's row-AND; its **dirtied twin** — the same cluster with
+/// one stored path re-created on every server, which makes every server
+/// dirty and moves no bit — probes every live filter for real. The
+/// cluster mixes clean servers, dirty ones (files created after the
+/// flush), pending writes in the overlay and, under HBA, a clean server
+/// whose column a handle retired (`$retire`). Lookups from every entry,
+/// through `execute_concurrent` (pending writes in the overlay) and then
+/// `execute` (after its drain), must equal the twin's in every outcome
+/// field, statistic, false-hit counter, mask consult and load report.
+macro_rules! slab_answer_is_invisible {
+    ($name:ident, $cluster:ty, $retire:expr) => {
+        #[test]
+        fn $name() {
+            const SERVERS: u16 = 12;
+            let cfg = config()
+                .with_lru_capacity(0)
+                .with_update_threshold(usize::MAX);
+            let mut cluster = <$cluster>::with_servers(cfg, usize::from(SERVERS));
+            for i in 0..120u16 {
+                cluster.create_file_at(&format!("/twin/f{i}"), MdsId(i % SERVERS));
+            }
+            cluster.flush_all_updates();
+            for i in 0..8u16 {
+                cluster.create_file_at(&format!("/twin/late{i}"), MdsId(i % 4));
+            }
+            let mut twin = cluster.clone();
+            for id in 0..SERVERS {
+                twin.create_file_at(&format!("/twin/f{id}"), MdsId(id));
+            }
+            let clean = |cluster: &$cluster| -> Vec<u16> {
+                let ids = cluster.server_ids().into_iter();
+                ids.filter(|&id| cluster.mds(id).is_some_and(Mds::is_clean))
+                    .map(|id| id.0)
+                    .collect()
+            };
+            assert_eq!(clean(&cluster), (4..SERVERS).collect::<Vec<_>>());
+            assert_eq!(clean(&twin), [], "the twin probes every live filter");
+            for side in [&mut cluster, &mut twin] {
+                side.reset_stats();
+                $retire(&*side);
+                let mut writes = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+                (0..6).for_each(|i| writes.push_create(format!("/twin/pending{i}")));
+                writes.push_remove("/twin/f7");
+                side.execute_concurrent(&writes);
+            }
+
+            let lookups = |entry: u16| {
+                let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(entry)));
+                (0..120).for_each(|i| batch.push_lookup(format!("/twin/f{i}")));
+                (0..8).for_each(|i| batch.push_lookup(format!("/twin/late{i}")));
+                (0..6).for_each(|i| batch.push_lookup(format!("/twin/pending{i}")));
+                (0..6).for_each(|i| batch.push_lookup(format!("/twin/absent{i}")));
+                batch
+            };
+            let settled = |cluster: &mut $cluster, twin: &mut $cluster| {
+                cluster.drain_concurrent();
+                twin.drain_concurrent();
+                let (got, want) = (cluster.stats(), twin.stats());
+                assert_eq!(got.levels, want.levels);
+                assert_eq!(got.lookup_latency, want.lookup_latency);
+                let counters = |stats: &ClusterStats| {
+                    let counters = stats.counters.iter();
+                    counters
+                        .map(|(l, n)| (l.to_owned(), n))
+                        .collect::<BTreeMap<_, _>>()
+                };
+                assert_eq!(counters(got), counters(want), "false-hit counters");
+                assert_eq!(cluster.mask_cache_stats(), twin.mask_cache_stats());
+                assert_eq!(cluster.load_report(), twin.load_report());
+            };
+            for entry in 0..SERVERS {
+                let batch = lookups(entry);
+                let got = cluster.execute_concurrent(&batch);
+                assert_eq!(
+                    got,
+                    twin.execute_concurrent(&batch),
+                    "entry {entry}, pinned"
+                );
+            }
+            settled(&mut cluster, &mut twin);
+            assert!(!clean(&cluster).is_empty(), "the drain left clean servers");
+            for entry in 0..SERVERS {
+                let batch = lookups(entry);
+                let got = cluster.execute(&batch);
+                assert_eq!(got, twin.execute(&batch), "entry {entry}, owner");
+            }
+            settled(&mut cluster, &mut twin);
+        }
+    };
+}
+
+slab_answer_is_invisible!(
+    slab_answer_is_invisible_grouped,
+    GhbaCluster,
+    |_: &GhbaCluster| {}
+);
+
+slab_answer_is_invisible!(
+    slab_answer_is_invisible_mirrored,
+    HbaCluster,
+    |cluster: &HbaCluster| {
+        // A clean server: without its column, it is probed live.
+        let retired = cluster.reconfig_handle().retire_mds(MdsId(9));
+        assert!(retired.is_some());
+    }
+);
+
+/// Nothing refuses a create of a path another server stores: a second
+/// `Create` from another entry homes it twice. Through either entry, on
+/// either layout, a walk that reaches L4 with both copies visible
+/// reports the highest-id copy, and a remove takes the lowest first.
+macro_rules! doubly_homed_path {
+    ($name:ident, $cluster:ty) => {
+        #[test]
+        fn $name() {
+            let (low, high) = (MdsId(2), MdsId(8));
+            for concurrent in [false, true] {
+                let cfg = config()
+                    .with_lru_capacity(0)
+                    .with_update_threshold(usize::MAX);
+                let mut cluster = <$cluster>::with_servers(cfg, 12);
+                let run = |cluster: &mut $cluster, entry: MdsId, op: fn(&mut OpBatch)| {
+                    let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(entry));
+                    op(&mut batch);
+                    let outcomes = if concurrent {
+                        let outcomes = cluster.execute_concurrent(&batch);
+                        cluster.drain_concurrent();
+                        outcomes
+                    } else {
+                        cluster.execute(&batch)
+                    };
+                    outcomes.into_iter().next().expect("one op")
+                };
+                for home in [high, low] {
+                    let created = run(&mut cluster, home, |b| b.push_create("/twice"));
+                    assert_eq!(created.home(), Some(home));
+                }
+                assert_eq!(cluster.true_home("/twice"), Some(low));
+                // Neither copy is published: an entry that is not a home
+                // (nor, under G-HBA, in a home's group) sweeps L4.
+                let mut swept = 0;
+                for entry in cluster.server_ids() {
+                    let outcome = run(&mut cluster, entry, |b| b.push_lookup("/twice"));
+                    let query = outcome.query().expect("a lookup");
+                    if query.level == QueryLevel::L4Global {
+                        swept += 1;
+                        assert_eq!(query.home, Some(high), "from {entry}");
+                    }
+                }
+                assert!(swept > 0, "concurrent={concurrent}");
+                for home in [Some(low), Some(high), None] {
+                    let removed = run(&mut cluster, MdsId(0), |b| b.push_remove("/twice"));
+                    assert_eq!(removed.home(), home, "concurrent={concurrent}");
+                }
+            }
+        }
+    };
+}
+
+doubly_homed_path!(
+    doubly_homed_path_resolves_high_and_removes_low_grouped,
+    GhbaCluster
+);
+doubly_homed_path!(
+    doubly_homed_path_resolves_high_and_removes_low_mirrored,
+    HbaCluster
 );
 
 /// Whole mixed batches run from `&self` on three threads while a

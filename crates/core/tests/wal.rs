@@ -630,6 +630,48 @@ fn recovery_past_64_servers_matches_from_checkpoint_plus_tail() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A restore lands each server's publish cadence from the checkpoint
+/// alone (the log is truncated behind it): servers captured clean come
+/// back clean — their replayed live filters are their restored published
+/// ones (invariant 9) — servers captured dirty come back dirty, and every
+/// walk, which answers the clean ones from the slab, matches the twin.
+#[test]
+fn a_restore_brings_clean_servers_back_clean() {
+    const DIRTY: [MdsId; 2] = [MdsId(0), MdsId(3)];
+    let dir = temp_dir("clean");
+    let opts = options(SyncPolicy::EveryBatch, 0);
+    let drive = |cluster: &mut GhbaCluster| {
+        run_workload(cluster);
+        cluster.flush_all_updates();
+        for home in DIRTY {
+            let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(home));
+            batch.push_create(format!("/wal/late{}", home.0));
+            cluster.execute_concurrent(&batch);
+        }
+        cluster.drain_concurrent();
+    };
+    let mut twin = GhbaCluster::with_servers(test_config(), 6);
+    drive(&mut twin);
+    {
+        let mut cluster = GhbaCluster::with_servers(test_config(), 6);
+        let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+        cluster.attach_wal(wal);
+        drive(&mut cluster);
+        assert!(cluster.checkpoint_now().expect("install checkpoint"));
+        assert_eq!(cluster.wal().expect("attached").tail_len(), 0);
+    }
+    let mut recovered = GhbaCluster::recover(test_config(), 6, &dir, opts).expect("recover");
+    recovered.check_invariants().expect("recovered invariants");
+    for id in recovered.server_ids() {
+        let clean = |cluster: &GhbaCluster| cluster.mds(id).expect("live").is_clean();
+        assert_eq!(clean(&recovered), !DIRTY.contains(&id), "{id}");
+        assert_eq!(clean(&recovered), clean(&twin), "{id}");
+    }
+    assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+    assert_lookups_identical(&recovered, &twin);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// An idle replica's log stops growing: drain + flush rounds with
 /// nothing to drain or publish leave `wal.log` byte-identical and the
 /// sequence where it was, and recovery without those flushes is the

@@ -6,8 +6,7 @@
 //! batch, a unicode pathname, and every `OpOutcome` shape. Any future
 //! touch of the codec must keep these bytes parsing — and re-encoding
 //! — **byte-identically**; a change that breaks this test breaks every
-//! peer already deployed on version 1. (Mirrors the trace crate's
-//! `tests/golden.rs` discipline for its text format.)
+//! peer already deployed on version 1.
 //!
 //! Regenerate (only alongside a deliberate `WIRE_VERSION` bump):
 //! `cargo test -p ghba-net --test golden -- --ignored regenerate`.

@@ -29,7 +29,6 @@
 
 mod generator;
 mod intensify;
-pub mod io;
 mod loadcurve;
 mod namespace;
 mod partition;
