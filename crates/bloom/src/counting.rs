@@ -187,60 +187,50 @@ impl CountingBloomFilter {
     /// if some counter for `item` is already zero (the item was definitely
     /// never inserted, or was already removed).
     pub fn remove<T: Hash + ?Sized>(&mut self, item: &T) -> Result<(), BloomError> {
-        self.remove_fp(&Fingerprint::of(item), None)
+        self.remove_fp(&Fingerprint::of(item))
     }
 
-    /// Hash-once variant of [`remove`](CountingBloomFilter::remove) that
-    /// can keep a plain projection exact: see
-    /// [`remove_rows`](CountingBloomFilter::remove_rows).
+    /// Hash-once variant of [`remove`](CountingBloomFilter::remove).
     ///
     /// # Errors
     ///
     /// Returns [`BloomError::AbsentItem`] under the same conditions as
     /// [`remove`](CountingBloomFilter::remove).
-    pub fn remove_fp(
-        &mut self,
-        fp: &Fingerprint,
-        plain: Option<&mut BloomFilter>,
-    ) -> Result<(), BloomError> {
-        self.remove_rows(fp.probes(self.seed, self.bits, self.hashes), plain)
+    pub fn remove_fp(&mut self, fp: &Fingerprint) -> Result<(), BloomError> {
+        let rows = fp.probes(self.seed, self.bits, self.hashes);
+        self.remove_rows(rows, |_| {})
     }
 
     /// Removes one item given its probe rows (see
-    /// [`insert_rows`](CountingBloomFilter::insert_rows)). Given `plain`
-    /// equal to [`to_bloom_filter`](CountingBloomFilter::to_bloom_filter)
-    /// before the call, it clears the bit of every counter this removal
-    /// takes to zero (saturated counters stay set) and copies the item
-    /// count, so the equality holds after it — in O(k), not O(m).
+    /// [`insert_rows`](CountingBloomFilter::insert_rows)), calling
+    /// `zeroed` with every row whose counter this removal takes to zero
+    /// (saturated counters stay set): exactly the bits the
+    /// [`to_bloom_filter`](CountingBloomFilter::to_bloom_filter)
+    /// projection loses, so an owner keeping its own projection clears
+    /// those and stays exact in O(k), not O(m).
     ///
     /// # Errors
     ///
-    /// Returns [`BloomError::AbsentItem`] — without modifying any counter —
-    /// if some row's counter is already zero.
+    /// Returns [`BloomError::AbsentItem`] — without modifying any counter
+    /// or calling `zeroed` — if some row's counter is already zero.
     pub fn remove_rows(
         &mut self,
         rows: impl Iterator<Item = usize> + Clone,
-        mut plain: Option<&mut BloomFilter>,
+        mut zeroed: impl FnMut(usize),
     ) -> Result<(), BloomError> {
         if !rows.clone().all(|idx| self.counters[idx] > 0) {
             return Err(BloomError::AbsentItem);
         }
-        debug_assert!(plain.as_ref().is_none_or(|p| p.shape() == self.shape()));
         for idx in rows {
             let c = &mut self.counters[idx];
             if *c != u8::MAX {
                 *c -= 1;
                 if *c == 0 {
-                    if let Some(plain) = plain.as_mut() {
-                        plain.words_mut()[idx / 64] &= !(1 << (idx % 64));
-                    }
+                    zeroed(idx);
                 }
             }
         }
         self.items = self.items.saturating_sub(1);
-        if let Some(plain) = plain {
-            plain.set_items(self.items);
-        }
         Ok(())
     }
 
@@ -272,7 +262,8 @@ impl CountingBloomFilter {
     /// shape (counter > 0 ⇒ bit set): replicas are plain filters, only the
     /// owner needs counters. O(m) — the reference projection tests compare
     /// against; an owner keeps its own projection equal to it in O(k) per
-    /// mutation (`insert_fp` on both, [`remove_fp`](Self::remove_fp)).
+    /// mutation (set an insert's rows, clear what
+    /// [`remove_rows`](Self::remove_rows) reports).
     #[must_use]
     pub fn to_bloom_filter(&self) -> BloomFilter {
         let mut plain = BloomFilter::new(self.bits, self.hashes, self.seed);
@@ -283,6 +274,25 @@ impl CountingBloomFilter {
         }
         plain.set_items(self.items);
         plain
+    }
+
+    /// Whether `plain` holds exactly this filter's bits: same shape, and
+    /// bit `i` set ⇔ counter `i` > 0 — the
+    /// [`to_bloom_filter`](Self::to_bloom_filter) comparison without
+    /// building the projection (item counts are not compared). O(m): an
+    /// invariant check of a projection kept elsewhere.
+    #[must_use]
+    pub fn projects_to(&self, plain: &BloomFilter) -> bool {
+        plain.shape() == self.shape()
+            && self
+                .counters
+                .chunks(64)
+                .zip(plain.words())
+                .all(|(counters, &word)| {
+                    let set = counters.iter().enumerate();
+                    let bits = set.fold(0u64, |bits, (i, &c)| bits | u64::from(c > 0) << i);
+                    bits == word
+                })
     }
 
     /// Largest counter value (diagnostics: how close to saturation).
@@ -341,6 +351,30 @@ mod tests {
         assert_eq!(plain.item_count(), 200);
         assert_eq!(plain.shape(), f.shape());
         assert_eq!(plain.ones(), f.ones());
+    }
+
+    /// `projects_to` agrees with comparing against `to_bloom_filter`:
+    /// one flipped bit either way, or another shape, breaks it; the item
+    /// count does not.
+    #[test]
+    fn projects_to_matches_the_reference_projection() {
+        let mut f = CountingBloomFilter::new(200, 3, 4);
+        for i in 0..30u32 {
+            f.insert(&i);
+        }
+        let plain = f.to_bloom_filter();
+        assert!(f.projects_to(&plain));
+        let mut counted = plain.clone();
+        counted.set_items(0);
+        assert!(f.projects_to(&counted));
+        let set = (0..200).find(|&i| plain.words()[i / 64] >> (i % 64) & 1 == 1);
+        let clear = (0..200).find(|&i| plain.words()[i / 64] >> (i % 64) & 1 == 0);
+        for bit in [set.unwrap(), clear.unwrap()] {
+            let mut flipped = plain.clone();
+            flipped.words_mut()[bit / 64] ^= 1 << (bit % 64);
+            assert!(!f.projects_to(&flipped), "bit {bit}");
+        }
+        assert!(!f.projects_to(&BloomFilter::new(200, 3, 5)));
     }
 
     #[test]

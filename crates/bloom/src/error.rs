@@ -35,12 +35,13 @@ pub enum BloomError {
         /// Shape of the right-hand filter.
         right: FilterShape,
     },
-    /// An identifier was inserted twice into a [`BloomFilterArray`].
-    ///
-    /// [`BloomFilterArray`]: crate::BloomFilterArray
+    /// An identifier was inserted twice into an array.
     DuplicateId,
     /// An operation referenced an identifier absent from the array.
     UnknownId,
+    /// A slot was asked of an array that had already given it to
+    /// another identifier.
+    SlotTaken,
     /// A serialized filter failed validation while decoding.
     Corrupt(&'static str),
     /// A counting-filter removal was requested for an item that is not
@@ -56,6 +57,7 @@ impl fmt::Display for BloomError {
             }
             BloomError::DuplicateId => write!(f, "identifier already present in array"),
             BloomError::UnknownId => write!(f, "identifier not present in array"),
+            BloomError::SlotTaken => write!(f, "slot already holds another identifier"),
             BloomError::Corrupt(what) => write!(f, "corrupt filter encoding: {what}"),
             BloomError::AbsentItem => write!(f, "item not present in counting filter"),
         }
@@ -98,6 +100,7 @@ mod tests {
         for err in [
             BloomError::DuplicateId,
             BloomError::UnknownId,
+            BloomError::SlotTaken,
             BloomError::Corrupt("magic"),
             BloomError::AbsentItem,
         ] {

@@ -8,24 +8,22 @@
 //!   (MDS) maintains over its local files and replicates to peers;
 //! * [`CountingBloomFilter`] — deletable filters, used by the ID Bloom
 //!   filter array (IDBFA) that tracks replica placement within a group;
-//! * [`BloomFilterArray`] — a keyed array of filters probed together,
-//!   classifying results as zero / unique / multiple [`Hit`]s;
-//! * [`SharedShapeArray`] — the bit-sliced hot-path variant for arrays
-//!   whose filters share one [`FilterShape`]: an N-filter probe is `k`
-//!   word-row loads plus an AND-reduction instead of N filter walks;
+//! * [`SharedShapeArray`] — an array of filters sharing one
+//!   [`FilterShape`], bit-sliced so an N-filter probe is `k` word-row
+//!   loads plus an AND-reduction instead of N filter walks, classifying
+//!   results as zero / unique / multiple [`Hit`]s;
 //! * [`Fingerprint`] ([`hash`]) — hash-once digests: one pass over the item
 //!   bytes derives every filter's probe stream by O(1) seed-mixing;
 //! * [`LruBloomArray`] — the L1 "hot data" structure capturing temporal
 //!   locality;
-//! * [`ops`] — filter set algebra (union / intersection / XOR) and the
-//!   sparse [`FilterDelta`] used by the replica-update protocol;
+//! * [`ops`] — filter set algebra (union / intersection / XOR);
 //! * [`analysis`] — closed-form false-rate formulas, including the paper's
 //!   Equation (1).
 //!
 //! # Quick start
 //!
 //! ```
-//! use ghba_bloom::{BloomFilter, BloomFilterArray, Hit};
+//! use ghba_bloom::{BloomFilter, Hit, SharedShapeArray};
 //!
 //! // Each MDS summarizes its local files…
 //! let mut mds0 = BloomFilter::for_items(10_000, 12.0);
@@ -34,9 +32,9 @@
 //! mds1.insert("/home/alice/notes.txt");
 //!
 //! // …and peers assemble replicas into an array they can query.
-//! let mut array = BloomFilterArray::new();
-//! array.push(0u16, mds0)?;
-//! array.push(1u16, mds1)?;
+//! let mut array = SharedShapeArray::new(mds0.shape());
+//! array.push_filter(0u16, &mds0)?;
+//! array.push_filter(1u16, &mds1)?;
 //! assert_eq!(array.query("/home/alice/notes.txt"), Hit::Unique(1));
 //! # Ok::<(), ghba_bloom::BloomError>(())
 //! ```
@@ -46,7 +44,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-mod array;
 mod counting;
 mod error;
 mod filter;
@@ -55,11 +52,9 @@ mod lru;
 pub mod ops;
 mod shared;
 
-pub use array::{BloomFilterArray, Hit};
 pub use counting::CountingBloomFilter;
 pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;
 pub use hash::{BuildLaneHasher, Fingerprint};
 pub use lru::LruBloomArray;
-pub use ops::FilterDelta;
-pub use shared::{ProbeBatch, RowDeriver, SharedShapeArray, SlotMask};
+pub use shared::{Hit, ProbeBatch, RowDeriver, SharedShapeArray, SlotMask};

@@ -12,9 +12,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
-use crate::array::Hit;
 use crate::counting::CountingBloomFilter;
 use crate::hash::Fingerprint;
+use crate::shared::Hit;
 
 /// Exact-LRU Bloom filter array over recently accessed `(file, home)` pairs.
 ///

@@ -24,10 +24,23 @@
 //!   probe rows are the same for every slot and the AND-reduction is sound.
 //! * Probe sequences come from [`Fingerprint`] seed-mixing and are *bit
 //!   identical* to [`crate::hash::probe_indices`] / [`BloomFilter`] probes:
-//!   a `SharedShapeArray` answers exactly like a [`BloomFilterArray`] built
-//!   from the same inserts (the property tests assert this).
+//!   a `SharedShapeArray` answers exactly like the same filters probed one
+//!   by one (the property tests hold it to a reference array of plain
+//!   filters).
 //! * Freed slots are zeroed immediately and masked out of every query, so
 //!   recycling a slot can never leak a predecessor's bits.
+//!
+//! # Twin arrays
+//!
+//! Two arrays of one shape can share a slot layout: one allocates
+//! ([`push`](SharedShapeArray::push) returns the slot) and the other
+//! follows ([`push_at`](SharedShapeArray::push_at)), so one slot index
+//! names one filter in both. That is how a cluster keeps every server's
+//! *live* filter in one array and its *published* filter in another:
+//! [`copy_blocks_from`](SharedShapeArray::copy_blocks_from) publishes
+//! the blocks of rows a column changed in, and
+//! [`column_distance`](SharedShapeArray::column_distance) measures how far
+//! the two columns of a slot drifted apart.
 //!
 //! # Concurrency
 //!
@@ -69,11 +82,51 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::array::Hit;
 use crate::error::{BloomError, FilterShape};
 use crate::filter::BloomFilter;
 use crate::hash::Fingerprint;
-use crate::ops::FilterDelta;
+
+/// Outcome of probing an array of filters: how many filters answered
+/// positively.
+///
+/// Per §2.1 of the paper, only [`Hit::Unique`] counts as a success; both
+/// [`Hit::None`] and [`Hit::Multiple`] escalate the query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Hit<I> {
+    /// No filter matched; the item is definitely not represented here.
+    None,
+    /// Exactly one filter matched — the candidate home server.
+    Unique(I),
+    /// Two or more filters matched; ambiguous, must escalate.
+    Multiple(Vec<I>),
+}
+
+impl<I> Hit<I> {
+    /// `true` for [`Hit::Unique`].
+    #[must_use]
+    pub fn is_unique(&self) -> bool {
+        matches!(self, Hit::Unique(_))
+    }
+
+    /// The unique candidate, if any.
+    #[must_use]
+    pub fn unique(&self) -> Option<&I> {
+        match self {
+            Hit::Unique(id) => Some(id),
+            _ => None,
+        }
+    }
+
+    /// All positive candidates (empty for [`Hit::None`]).
+    #[must_use]
+    pub fn candidates(&self) -> &[I] {
+        match self {
+            Hit::None => &[],
+            Hit::Unique(id) => std::slice::from_ref(id),
+            Hit::Multiple(ids) => ids,
+        }
+    }
+}
 
 /// A bit-sliced array of same-shape Bloom filters probed as one.
 ///
@@ -502,13 +555,37 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         slots.filter_map(|(slot, id)| id.map(|id| (slot, id)))
     }
 
+    /// The ids of the live slots set in `words` — an
+    /// [`and_rows`](SharedShapeArray::and_rows) result, or the same words
+    /// of a twin array with this array's slot layout — in slot order.
+    pub fn ids_in<'a>(&'a self, words: &'a [u64]) -> impl Iterator<Item = I> + 'a {
+        let slots = words.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut remaining = bits;
+            core::iter::from_fn(move || {
+                let bit = (remaining != 0).then(|| remaining.trailing_zeros() as usize)?;
+                remaining &= remaining - 1;
+                Some(word * 64 + bit)
+            })
+        });
+        slots.filter_map(|slot| self.id_at(slot))
+    }
+
+    /// The id whose filter `slot` holds, if the slot is live.
+    #[must_use]
+    pub fn id_at(&self, slot: usize) -> Option<I> {
+        self.slots.get(slot).copied().flatten()
+    }
+
     /// `true` if a slot for `id` is live.
     #[must_use]
     pub fn contains_id(&self, id: I) -> bool {
         self.slot_of(id).is_some()
     }
 
-    fn slot_of(&self, id: I) -> Option<usize> {
+    /// `id`'s slot, if it is live. One id lookup: a hot path that asks
+    /// about the same ids again maps them to slots once.
+    #[must_use]
+    pub fn slot_of(&self, id: I) -> Option<usize> {
         self.index.get(&id).copied()
     }
 
@@ -530,33 +607,55 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         if self.contains_id(id) {
             return Err(BloomError::DuplicateId);
         }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(id);
-                slot
-            }
-            None => {
-                if self.slots.len() == self.stride * 64 {
-                    self.grow();
-                }
-                self.slots.push(Some(id));
-                self.items.push(0);
-                self.slots.len() - 1
-            }
-        };
-        self.items[slot] = 0;
-        self.live[slot / 64] |= 1 << (slot % 64);
-        self.index.insert(id, slot);
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        self.occupy(slot, id);
         Ok(slot)
     }
 
-    /// Adds an empty filter slot for `id`.
+    /// Gives the free (or not yet allocated) `slot` to `id`.
+    fn occupy(&mut self, slot: usize, id: I) {
+        while self.slots.len() <= slot {
+            if self.slots.len() == self.stride * 64 {
+                self.grow();
+            }
+            self.slots.push(None);
+            self.items.push(0);
+        }
+        self.slots[slot] = Some(id);
+        self.items[slot] = 0;
+        self.live[slot / 64] |= 1 << (slot % 64);
+        self.index.insert(id, slot);
+    }
+
+    /// Adds an empty filter slot for `id` and returns its slot.
     ///
     /// # Errors
     ///
     /// Returns [`BloomError::DuplicateId`] if `id` is already present.
-    pub fn push(&mut self, id: I) -> Result<(), BloomError> {
-        self.allocate_slot(id).map(|_| ())
+    pub fn push(&mut self, id: I) -> Result<usize, BloomError> {
+        self.allocate_slot(id)
+    }
+
+    /// Adds an empty filter slot for `id` at `slot`, which must be free
+    /// or past the last slot: the array follows a slot layout a twin
+    /// array decided (see *Twin arrays* in the module docs). Slots
+    /// skipped on the way become free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BloomError::DuplicateId`] if `id` is already present,
+    /// [`BloomError::SlotTaken`] if another id holds `slot`.
+    pub fn push_at(&mut self, id: I, slot: usize) -> Result<(), BloomError> {
+        if self.contains_id(id) {
+            return Err(BloomError::DuplicateId);
+        }
+        if self.id_at(slot).is_some() {
+            return Err(BloomError::SlotTaken);
+        }
+        self.free.extend(self.slots.len()..slot);
+        self.free.retain(|&free| free != slot);
+        self.occupy(slot, id);
+        Ok(())
     }
 
     /// Adds a slot for `id` holding a copy of `filter`'s bits.
@@ -689,57 +788,195 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         }
     }
 
-    /// Applies a sparse [`FilterDelta`] directly to `id`'s column, which
-    /// must hold the delta's `old` side: only the cells of bits that
-    /// flipped are written — `O(popcount(old ^ new))`, ≤ `k` per create —
-    /// instead of the three full-column passes an extract/apply/replace
-    /// round trip would cost.
+    /// The word holding bit `row` of column `slot`, and that bit.
+    fn cell(&mut self, slot: usize, row: usize) -> (&mut u64, u64) {
+        debug_assert!(row < self.shape.bits && slot < self.slots.len());
+        (
+            &mut self.slab[row * self.stride + slot / 64],
+            1 << (slot % 64),
+        )
+    }
+
+    /// Sets bit `row` of column `slot`; returns whether it was clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics (via indexing) if `row` or `slot` is outside the array.
+    pub fn set_cell(&mut self, slot: usize, row: usize) -> bool {
+        let (cell, bit) = self.cell(slot, row);
+        let flipped = *cell & bit == 0;
+        *cell |= bit;
+        flipped
+    }
+
+    /// Clears bit `row` of column `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (via indexing) if `row` or `slot` is outside the array.
+    pub fn clear_cell(&mut self, slot: usize, row: usize) {
+        let (cell, bit) = self.cell(slot, row);
+        *cell &= !bit;
+    }
+
+    /// Copies columns from `source`, a twin array of this one's shape and
+    /// slot layout, over the rows that may differ — the publish of a live
+    /// array into the published one. Each origin is `(slot, blocks,
+    /// items)`: bit `b` of `blocks` marks rows `64·b .. 64·b + 64` of the
+    /// column at `slot` in both arrays; where a copy changed one of the
+    /// column's 64-bit filter words, the slot's item count becomes
+    /// `items`. Returns, per origin in call order, how many of its words
+    /// changed — the size of the delta a replica would be sent.
+    ///
+    /// One pass over the marked blocks, however many origins share them.
+    /// For each slab word and each 64 blocks, the origins' block bits are
+    /// one 64×64 bit transpose: per block, the mask of origin slots to
+    /// copy. Each row of a block is then one masked store, and the bits
+    /// it flipped gather into a per-block mask that a second transpose
+    /// turns back into one word per origin. A slot may be named once.
     ///
     /// # Errors
     ///
-    /// Returns [`BloomError::IncompatibleFilters`] on a shape mismatch,
-    /// [`BloomError::UnknownId`] if `id` is absent, or
-    /// [`BloomError::Corrupt`] if the delta indexes past the filter.
-    pub fn apply_delta(&mut self, id: I, delta: &FilterDelta) -> Result<(), BloomError> {
-        if delta.shape() != self.shape {
+    /// [`BloomError::IncompatibleFilters`] on a shape mismatch,
+    /// [`BloomError::UnknownId`] when a slot is not live in both arrays —
+    /// both found before any cell is touched.
+    pub fn copy_blocks_from(
+        &mut self,
+        source: &Self,
+        origins: &[(usize, &[u64], usize)],
+    ) -> Result<Vec<u32>, BloomError> {
+        if source.shape != self.shape {
             return Err(BloomError::IncompatibleFilters {
                 left: self.shape,
-                right: delta.shape(),
+                right: source.shape,
             });
         }
-        let slot = self.slot_of(id).ok_or(BloomError::UnknownId)?;
-        let word_count = self.shape.bits.div_ceil(64);
-        if delta
-            .changed_words()
-            .iter()
-            .any(|&(idx, ..)| idx as usize >= word_count)
-        {
-            return Err(BloomError::Corrupt("delta word index out of range"));
+        let mut by_slot = Vec::with_capacity(origins.len());
+        for (at, &(slot, ..)) in origins.iter().enumerate() {
+            if self.id_at(slot).is_none() || source.id_at(slot).is_none() {
+                return Err(BloomError::UnknownId);
+            }
+            by_slot.push((slot, at));
         }
-        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-        for &(idx, new_word, flips) in delta.changed_words() {
-            let mut remaining = flips;
-            while remaining != 0 {
-                let at = remaining.trailing_zeros() as usize;
-                let row = idx as usize * 64 + at;
-                if row >= self.shape.bits {
-                    break; // padding of a ragged last word
+        by_slot.sort_unstable();
+        let bits = self.shape.bits;
+        let blocks = bits.div_ceil(64);
+        let mut changed = vec![0u32; origins.len()];
+        for group in by_slot.chunk_by(|a, b| a.0 / 64 == b.0 / 64) {
+            let word = group[0].0 / 64;
+            for first_block in (0..blocks).step_by(64) {
+                let mut masks = [0u64; 64];
+                for &(slot, at) in group {
+                    masks[slot % 64] = origins[at].1.get(first_block / 64).copied().unwrap_or(0);
                 }
-                let cell = &mut self.slab[row * self.stride + word];
-                if new_word >> at & 1 == 1 {
-                    *cell |= bit;
-                } else {
-                    *cell &= !bit;
+                if masks.iter().all(|&mask| mask == 0) {
+                    continue;
                 }
-                remaining &= remaining - 1;
+                transpose64(&mut masks);
+                let mut flipped = [0u64; 64];
+                for (block, (&mask, flips)) in
+                    (first_block..blocks).zip(masks.iter().zip(&mut flipped))
+                {
+                    if mask == 0 {
+                        continue;
+                    }
+                    for row in block * 64..(block * 64 + 64).min(bits) {
+                        let src = source.slab[row * source.stride + word];
+                        let dst = &mut self.slab[row * self.stride + word];
+                        let diff = (*dst ^ src) & mask;
+                        *dst ^= diff;
+                        *flips |= diff;
+                    }
+                }
+                transpose64(&mut flipped);
+                for &(slot, at) in group {
+                    changed[at] += flipped[slot % 64].count_ones();
+                }
             }
         }
-        self.items[slot] = delta.new_items();
-        Ok(())
+        for (&(slot, _, items), &words) in origins.iter().zip(&changed) {
+            if words != 0 {
+                self.items[slot] = items;
+            }
+        }
+        Ok(changed)
     }
 
-    /// Reconstructs `id`'s slot as a standalone [`BloomFilter`] (used when
-    /// shipping a replica or applying a [`crate::FilterDelta`]).
+    /// How many bits of column `slot` differ between this array and
+    /// `other`, a twin of its shape and slot layout, within the 64-row
+    /// blocks `blocks` marks (bit `b` ⇒ rows `64·b .. 64·b + 64`; marks
+    /// past the last row are ignored) — the drift of a live column from
+    /// its published one, paid only where it can be.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has another shape or `slot` is outside either
+    /// array.
+    #[must_use]
+    pub fn column_distance(&self, other: &Self, slot: usize, blocks: &[u64]) -> usize {
+        assert_eq!(self.shape, other.shape, "twin arrays share a shape");
+        let (word, bit) = (slot / 64, slot % 64);
+        let rows = self.shape.bits;
+        let mut distance = 0;
+        for (first_block, &marks) in (0..rows.div_ceil(64)).step_by(64).zip(blocks) {
+            let mut remaining = marks;
+            while remaining != 0 {
+                let first = (first_block + remaining.trailing_zeros() as usize) * 64;
+                remaining &= remaining - 1;
+                for row in first..(first + 64).min(rows) {
+                    let a = self.slab[row * self.stride + word];
+                    let b = other.slab[row * other.stride + word];
+                    distance += ((a ^ b) >> bit & 1) as usize;
+                }
+            }
+        }
+        distance
+    }
+
+    /// Reads many columns at once, as standalone filters in call order:
+    /// the inverse of [`load_filters`](SharedShapeArray::load_filters).
+    /// For each 64-bit word index of the filters, the slab words of up to
+    /// 64 slots form a 64×64 bit block that one transpose turns
+    /// into one word of each filter — instead of one strided pass over
+    /// every row per column.
+    ///
+    /// # Errors
+    ///
+    /// [`BloomError::UnknownId`] for an absent id.
+    pub fn extract_filters(
+        &self,
+        ids: impl IntoIterator<Item = I>,
+    ) -> Result<Vec<BloomFilter>, BloomError> {
+        let FilterShape { bits, hashes, seed } = self.shape;
+        let mut by_slot = Vec::new();
+        let mut filters = Vec::new();
+        for (at, id) in ids.into_iter().enumerate() {
+            let slot = self.slot_of(id).ok_or(BloomError::UnknownId)?;
+            by_slot.push((slot, at));
+            let mut filter = BloomFilter::new(bits, hashes, seed);
+            filter.set_items(self.items[slot]);
+            filters.push(filter);
+        }
+        by_slot.sort_unstable();
+        let mut block = [0u64; 64];
+        for group in by_slot.chunk_by(|a, b| a.0 / 64 == b.0 / 64) {
+            let word = group[0].0 / 64;
+            for (w, first_row) in (0..bits).step_by(64).enumerate() {
+                block.fill(0);
+                // A ragged last word's padding rows do not exist.
+                for (cells, row) in block.iter_mut().zip(first_row..bits) {
+                    *cells = self.slab[row * self.stride + word];
+                }
+                transpose64(&mut block);
+                for &(slot, at) in group {
+                    filters[at].words_mut()[w] = block[slot % 64];
+                }
+            }
+        }
+        Ok(filters)
+    }
+
+    /// Reconstructs `id`'s slot as a standalone [`BloomFilter`].
     #[must_use]
     pub fn extract(&self, id: I) -> Option<BloomFilter> {
         let slot = self.slot_of(id)?;
@@ -977,18 +1214,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         match tally_bits(mask.iter().copied()) {
             (0, _) => Hit::None,
             (1, slot) => Hit::Unique(self.slots[slot].expect("live slot has an id")),
-            (positives, _) => {
-                let mut ids = Vec::with_capacity(positives as usize);
-                for (word, &bits) in mask.iter().enumerate() {
-                    let mut remaining = bits;
-                    while remaining != 0 {
-                        let slot = word * 64 + remaining.trailing_zeros() as usize;
-                        ids.push(self.slots[slot].expect("live slot has an id"));
-                        remaining &= remaining - 1;
-                    }
-                }
-                Hit::Multiple(ids)
-            }
+            _ => Hit::Multiple(self.ids_in(mask).collect()),
         }
     }
 }
@@ -1244,30 +1470,195 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_matches_full_replace() {
-        let mut old_filter = BloomFilter::new(4096, 5, 11);
-        old_filter.insert("kept");
-        let mut new_filter = old_filter.clone();
-        for i in 0..40u32 {
-            new_filter.insert(&format!("added-{i}"));
+    fn hit_candidates_accessor() {
+        let hit = Hit::Multiple(vec![1u32, 2]);
+        assert_eq!(hit.candidates(), &[1, 2]);
+        assert!(Hit::<u32>::None.candidates().is_empty());
+        assert_eq!(Hit::Unique(9u32).candidates(), &[9]);
+        assert_eq!(Hit::Unique(9u32).unique(), Some(&9));
+        assert!(Hit::Unique(9u32).is_unique());
+    }
+
+    /// A twin follows its leader's slots: past the first word (the skipped
+    /// slots become free), into a freed slot, and never into a taken one.
+    #[test]
+    fn push_at_follows_a_twin_layout() {
+        let mut leader = SharedShapeArray::new(shape());
+        let mut twin = SharedShapeArray::new(shape());
+        for id in 0u16..70 {
+            let slot = leader.push(id).unwrap();
+            if id % 3 != 1 {
+                twin.push_at(id, slot).unwrap();
+            }
         }
-        let delta = FilterDelta::between(&old_filter, &new_filter).unwrap();
+        assert!(leader.remove(5));
+        assert!(twin.remove(5));
+        let slot = leader.push(500).unwrap();
+        assert_eq!(slot, 5, "the leader recycles the freed slot");
+        twin.push_at(500, slot).unwrap();
+        for id in (1u16..70).step_by(3) {
+            twin.push_at(id, leader.slot_of(id).unwrap()).unwrap();
+        }
+        let pairs = |array: &SharedShapeArray<u16>| array.slot_ids().collect::<Vec<_>>();
+        assert_eq!(pairs(&twin), pairs(&leader));
+        assert_eq!(twin.push_at(900, 5), Err(BloomError::SlotTaken));
+        assert_eq!(twin.push_at(500, 80), Err(BloomError::DuplicateId));
+        // A slot far past the end grows the array and frees the gap.
+        twin.push_at(901, 200).unwrap();
+        assert_eq!(twin.push(902).unwrap(), 199, "the gap is free");
+    }
 
-        let mut array = SharedShapeArray::new(shape());
-        array.push_filter(1u16, &old_filter).unwrap();
-        array.push_filter(2u16, &new_filter).unwrap(); // bystander column
-        array.apply_delta(1u16, &delta).unwrap();
-        assert_eq!(array.extract(1).unwrap(), new_filter);
-        assert_eq!(array.extract(2).unwrap(), new_filter);
+    /// Cell writes land in their column only, report a flip once, and
+    /// `ids_in` names the slots set in a row-AND.
+    #[test]
+    fn cell_writes_and_ids_in() {
+        let mut array = array_with(&[(1, &[]), (2, &[]), (3, &["x"])]);
+        let rows: Vec<usize> = Fingerprint::of("x")
+            .probes(shape().seed, shape().bits, shape().hashes)
+            .collect();
+        let slot = array.slot_of(1).unwrap();
+        let flips: Vec<bool> = rows.iter().map(|&row| array.set_cell(slot, row)).collect();
+        assert!(flips.iter().any(|&flip| flip));
+        assert!(rows.iter().all(|&row| !array.set_cell(slot, row)));
+        let mut anded = Vec::new();
+        array.and_rows(rows.iter().copied(), &mut anded);
+        assert_eq!(array.ids_in(&anded).collect::<Vec<_>>(), vec![1, 3]);
+        for &row in &rows {
+            array.clear_cell(slot, row);
+        }
+        assert_eq!(array.query("x"), Hit::Unique(3));
+    }
 
-        assert_eq!(array.apply_delta(9, &delta), Err(BloomError::UnknownId));
-        let alien =
-            FilterDelta::between(&BloomFilter::new(128, 2, 9), &BloomFilter::new(128, 2, 9))
+    /// The masked copy against its reference — extract both columns, copy
+    /// the marked rows one by one, diff word by word: ragged 1000-bit
+    /// shape, stride 2, origins sharing blocks and slab words, an origin
+    /// whose marked blocks hold no difference, an unmarked difference
+    /// left alone, item counts moving only with a changed word.
+    #[test]
+    fn copy_blocks_matches_a_row_by_row_reference() {
+        let shape = FilterShape {
+            bits: 1000,
+            hashes: 4,
+            seed: 2,
+        };
+        let filter_of = |tag: u32, n: u32| {
+            let mut filter = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
+            for i in 0..n {
+                filter.insert(&format!("{tag}/{i}"));
+            }
+            filter
+        };
+        let (mut published, mut live) =
+            (SharedShapeArray::new(shape), SharedShapeArray::new(shape));
+        for id in 0u16..100 {
+            published
+                .push_filter(id, &filter_of(u32::from(id), 20))
                 .unwrap();
+            live.push_filter(id, &filter_of(u32::from(id) + u32::from(id % 4 != 0), 25))
+                .unwrap();
+        }
+        let blocks = shape.bits.div_ceil(64);
+        let marks = |pick: fn(usize) -> bool| -> Vec<u64> {
+            let mut words = vec![0u64; blocks.div_ceil(64)];
+            for block in (0..blocks).filter(|&b| pick(b)) {
+                words[block / 64] |= 1 << (block % 64);
+            }
+            words
+        };
+        let all = marks(|_| true);
+        let odd = marks(|b| b % 2 == 1);
+        let origins: Vec<(usize, &[u64], usize)> = vec![
+            (3, &all, 31),
+            (64, &odd, 32),
+            (70, &all, 33),
+            (8, &all, 34), // id 8: live == published
+            (99, &odd, 35),
+        ];
+        let (live_8, published_8) = (live.extract(8).unwrap(), published.extract(8).unwrap());
+        live.replace_filter(8, &published_8).unwrap();
+        let mut expected = published.clone();
+        let mut want = Vec::new();
+        for &(slot, marked, items) in &origins {
+            let id = slot as u16;
+            let (from, mut to) = (live.extract(id).unwrap(), expected.extract(id).unwrap());
+            let before = to.words().to_vec();
+            for row in 0..shape.bits {
+                if marked[row / 64 / 64] >> (row / 64 % 64) & 1 == 1 {
+                    let bit = 1 << (row % 64);
+                    to.words_mut()[row / 64] =
+                        (to.words()[row / 64] & !bit) | (from.words()[row / 64] & bit);
+                }
+            }
+            let words = before
+                .iter()
+                .zip(to.words())
+                .filter(|(a, b)| a != b)
+                .count();
+            if words > 0 {
+                to.set_items(items);
+            }
+            expected.replace_filter(id, &to).unwrap();
+            want.push(words as u32);
+        }
+        assert_ne!(live_8, published_8, "a differing column made equal");
+        assert_eq!(want[3], 0);
+        assert_eq!(published.copy_blocks_from(&live, &origins), Ok(want));
+        assert!(published == expected);
+        assert_ne!(published.extract(99), live.extract(99), "odd blocks only");
+
+        assert_eq!(
+            published.copy_blocks_from(&live, &[(100, &all, 0)]),
+            Err(BloomError::UnknownId)
+        );
+        let alien = SharedShapeArray::<u16>::new(FilterShape { bits: 128, ..shape });
         assert!(matches!(
-            array.apply_delta(1, &alien),
+            published.copy_blocks_from(&alien, &[]),
             Err(BloomError::IncompatibleFilters { .. })
         ));
+    }
+
+    /// The distance over marked blocks counts exactly the differing bits
+    /// those blocks hold.
+    #[test]
+    fn column_distance_counts_marked_differences() {
+        let mut a = array_with(&[(1, &["p", "q"]), (2, &["r"])]);
+        let b = array_with(&[(1, &["p"]), (2, &["r", "s"])]);
+        let all = vec![u64::MAX; 4096usize.div_ceil(64).div_ceil(64)];
+        let full = |a: &SharedShapeArray<u16>, id| {
+            let theirs = b.extract(id).unwrap();
+            a.extract(id).unwrap().xor_distance(&theirs).unwrap()
+        };
+        a.insert(1, "t").unwrap();
+        for id in [1, 2] {
+            let slot = a.slot_of(id).unwrap();
+            assert!(full(&a, id) > 0);
+            assert_eq!(a.column_distance(&b, slot, &all), full(&a, id));
+            assert_eq!(a.column_distance(&b, slot, &vec![0; all.len()]), 0);
+        }
+    }
+
+    /// One bulk extraction equals `extract` per id, in call order, across
+    /// two slab words and a ragged last filter word.
+    #[test]
+    fn extract_filters_matches_extract_per_column() {
+        let shape = FilterShape {
+            bits: 1000,
+            hashes: 4,
+            seed: 6,
+        };
+        let mut array = SharedShapeArray::new(shape);
+        for id in 0u16..90 {
+            let mut filter = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
+            for i in 0..u32::from(id % 7) * 9 {
+                filter.insert(&(id, i));
+            }
+            array.push_filter(id, &filter).unwrap();
+        }
+        let ids = [70u16, 3, 89, 0, 64, 3];
+        let got = array.extract_filters(ids).unwrap();
+        let want: Vec<BloomFilter> = ids.iter().map(|&id| array.extract(id).unwrap()).collect();
+        assert_eq!(got, want);
+        assert_eq!(array.extract_filters([1, 500]), Err(BloomError::UnknownId));
     }
 
     /// The transpose against its definition, one bit at a time, on the

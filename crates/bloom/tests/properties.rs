@@ -1,10 +1,20 @@
 //! Property-based tests for the Bloom filter toolkit.
 
+mod reference;
+
 use ghba_bloom::{
-    analysis, hash, ops, BloomFilter, BloomFilterArray, CountingBloomFilter, FilterDelta,
-    Fingerprint, Hit, LruBloomArray, SharedShapeArray,
+    analysis, hash, ops, BloomFilter, CountingBloomFilter, FilterShape, Fingerprint, Hit,
+    LruBloomArray, SharedShapeArray,
 };
 use proptest::prelude::*;
+use reference::BloomFilterArray;
+
+/// `filter` with bit `row` cleared, through the public byte layout.
+fn clear_bit(filter: &BloomFilter, row: usize) -> BloomFilter {
+    let mut bytes = filter.to_bytes();
+    bytes[32 + row / 8] &= !(1 << (row % 8));
+    BloomFilter::from_bytes(&bytes).expect("a valid filter stays valid")
+}
 
 fn arb_items() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z/]{1,24}", 0..200)
@@ -67,32 +77,21 @@ proptest! {
         prop_assert_eq!(a.xor_distance(&a).unwrap(), 0);
     }
 
-    /// Deltas reconstruct the target filter exactly, regardless of churn.
+    /// The publish copy equals a per-column reference — extract the column
+    /// before and after, copy the marked rows one by one, diff word by
+    /// word — at stride 1, 2 and 4, with a ragged last word, for origins
+    /// sharing blocks and slab words, in a slot removed and reused, for an
+    /// origin with nothing marked; unmarked rows and every other column
+    /// stay as they were, and an item count moves only with a word.
     #[test]
-    fn delta_reconstructs(base in arb_items(), extra in arb_items()) {
-        let mut old = BloomFilter::new(4096, 4, 2);
-        for item in &base { old.insert(item); }
-        let mut new = old.clone();
-        for item in &extra { new.insert(item); }
-        let delta = FilterDelta::between(&old, &new).unwrap();
-        let mut replica = old.clone();
-        delta.apply(&mut replica).unwrap();
-        prop_assert_eq!(replica, new);
-    }
-
-    /// Flip-sparse `apply_delta(between(old, new))` on a column holding
-    /// `old` equals `replace_filter(new)` bit for bit — at stride 1, 2 and
-    /// 4, with a ragged last word, on a slot that was removed and reused —
-    /// and leaves every other column alone. Flips are not wire payload,
-    /// and one create flips at most `k` cells.
-    #[test]
-    fn flip_sparse_delta_matches_replace(
+    fn block_copy_matches_a_per_column_reference(
         base in arb_items(),
         gone in 0usize..200,
         extra in arb_items(),
         columns in prop_oneof![Just(3u16), Just(70u16), Just(200u16)],
+        picks in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..12),
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 1000, hashes: 4, seed: 2 };
+        let shape = FilterShape { bits: 1000, hashes: 4, seed: 2 };
         let filter_of = |items: &[String]| {
             let mut f = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
             for item in items { f.insert(item); }
@@ -100,31 +99,59 @@ proptest! {
         };
         let old = filter_of(&base);
         let new = filter_of(&[&base[gone.min(base.len())..], &extra[..]].concat());
-        let mut sliced = SharedShapeArray::new(shape);
+        let (mut published, mut live) = (SharedShapeArray::new(shape), SharedShapeArray::new(shape));
         for id in 0..columns {
-            sliced.push_filter(id, if id % 2 == 0 { &old } else { &new }).unwrap();
+            published.push_filter(id, &old).unwrap();
+            live.push_filter(id, if id % 2 == 0 { &new } else { &old }).unwrap();
         }
-        sliced.remove(columns / 2);
-        sliced.push_filter(columns, &old).unwrap(); // reuses the freed slot
-        let mut expected = sliced.clone();
-        expected.replace_filter(columns, &new).unwrap();
-
-        let delta = FilterDelta::between(&old, &new).unwrap();
-        prop_assert_eq!(delta.wire_bytes(), 24 + 12 * delta.len());
-        sliced.apply_delta(columns, &delta).unwrap();
-        for id in 0..=columns {
-            prop_assert_eq!(sliced.extract(id), expected.extract(id), "column {}", id);
+        for array in [&mut published, &mut live] {
+            array.remove(columns / 2);
         }
-
-        let mut one = old.clone();
-        one.insert("one more create");
-        let flips: u32 = FilterDelta::between(&old, &one)
-            .unwrap()
-            .changed_words()
+        published.push_filter(columns, &old).unwrap(); // reuses the freed slot
+        live.push_filter(columns, &new).unwrap();
+        let mut slots: Vec<(usize, u64)> = picks
             .iter()
-            .map(|&(_, _, flips)| flips.count_ones())
-            .sum();
-        prop_assert!(flips <= shape.hashes);
+            .filter_map(|&(id, marks)| {
+                let slot = live.slot_of(id % (columns + 1))?;
+                Some((slot, u64::from(marks)))
+            })
+            .collect();
+        slots.sort_unstable_by_key(|&(slot, _)| slot);
+        slots.dedup_by_key(|&mut (slot, _)| slot);
+        let marks: Vec<[u64; 1]> = slots.iter().map(|&(_, marks)| [marks]).collect();
+        let origins: Vec<(usize, &[u64], usize)> = slots
+            .iter()
+            .zip(&marks)
+            .enumerate()
+            .map(|(at, (&(slot, _), marks))| (slot, &marks[..], 100 + at))
+            .collect();
+
+        let mut expected = published.clone();
+        let mut want = Vec::new();
+        let ids: Vec<(usize, u16)> = live.slot_ids().collect();
+        for &(slot, marked, items) in &origins {
+            let id = ids.iter().find(|&&(s, _)| s == slot).unwrap().1;
+            let from = live.extract(id).unwrap().to_bytes();
+            let mut to = expected.extract(id).unwrap().to_bytes();
+            let before = to.clone();
+            const HEADER: usize = 32;
+            for row in (0..shape.bits).filter(|row| marked[0] >> (row / 64) & 1 == 1) {
+                let (byte, bit) = (HEADER + row / 8, 1u8 << (row % 8));
+                to[byte] = (to[byte] & !bit) | (from[byte] & bit);
+            }
+            let words = before[HEADER..]
+                .chunks(8)
+                .zip(to[HEADER..].chunks(8))
+                .filter(|(a, b)| a != b)
+                .count();
+            if words > 0 {
+                to[24..HEADER].copy_from_slice(&(items as u64).to_le_bytes());
+            }
+            expected.replace_filter(id, &BloomFilter::from_bytes(&to).unwrap()).unwrap();
+            want.push(words as u32);
+        }
+        prop_assert_eq!(published.copy_blocks_from(&live, &origins), Ok(want));
+        prop_assert!(published == expected, "the copy strayed outside its marked rows");
     }
 
     /// One bulk `load_filters` equals one `replace_filter` per column, in
@@ -132,7 +159,8 @@ proptest! {
     /// bystander column, every item count, the slot assignment — at
     /// stride 1, 2 and 3, with a ragged last word or without, over
     /// columns that already held bits, into slots recycled after a
-    /// `remove`, with ids loaded twice.
+    /// `remove`, with ids loaded twice — and the bulk extraction reads
+    /// them back exactly like one `extract` per id.
     #[test]
     fn bulk_load_matches_replace_per_column(
         stride in 1usize..4,
@@ -142,7 +170,7 @@ proptest! {
         loads in proptest::collection::vec((any::<u16>(), 0u32..60), 0..24),
         seed in any::<u64>(),
     ) {
-        let shape = ghba_bloom::FilterShape { bits, hashes: 4, seed };
+        let shape = FilterShape { bits, hashes: 4, seed };
         let filter_of = |tag: u32, items: u32| {
             let mut f = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
             for item in 0..items { f.insert(&(tag, item)); }
@@ -178,6 +206,11 @@ proptest! {
             prop_assert_eq!(sliced.extract(id), expected.extract(id), "column {}", id);
         }
         prop_assert!(sliced == expected, "the arrays differ outside the live columns");
+        // The bulk extraction is the loader's inverse, in any order.
+        let mut order: Vec<u16> = loads.iter().map(|&(id, _)| id).chain(ids.iter().rev().copied()).collect();
+        order.truncate(order.len().min(80));
+        let one_by_one: Vec<BloomFilter> = order.iter().map(|&id| sliced.extract(id).unwrap()).collect();
+        prop_assert_eq!(sliced.extract_filters(order).unwrap(), one_by_one);
     }
 
     /// Counting filters: inserting then removing every item restores
@@ -330,7 +363,7 @@ proptest! {
         seed in any::<u64>(),
         homes in 1u16..70,
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 8192, hashes: 5, seed };
+        let shape = FilterShape { bits: 8192, hashes: 5, seed };
         let mut plain: BloomFilterArray<u16> = (0..homes)
             .map(|id| (id, BloomFilter::new(shape.bits, shape.hashes, shape.seed)))
             .collect();
@@ -360,7 +393,7 @@ proptest! {
         subset in proptest::collection::vec(0u16..16, 0..16),
         probe in "[a-z]{1,10}",
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 4096, hashes: 4, seed: 3 };
+        let shape = FilterShape { bits: 4096, hashes: 4, seed: 3 };
         let mut sliced = SharedShapeArray::new(shape);
         let mut filters: Vec<BloomFilter> = (0..16)
             .map(|_| BloomFilter::new(shape.bits, shape.hashes, shape.seed))
@@ -397,7 +430,7 @@ proptest! {
         seed in any::<u64>(),
         homes in 1u16..70,
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 8192, hashes: 5, seed };
+        let shape = FilterShape { bits: 8192, hashes: 5, seed };
         let mut sliced = SharedShapeArray::new(shape);
         for id in 0..homes {
             sliced.push(id).unwrap();
@@ -437,7 +470,7 @@ proptest! {
         pattern in proptest::collection::vec((0usize..4, 0u16..40), 1..48),
         seed in any::<u64>(),
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 4096, hashes: 5, seed };
+        let shape = FilterShape { bits: 4096, hashes: 5, seed };
         let mut sliced = SharedShapeArray::new(shape);
         for id in 0..40u16 {
             sliced.push(id).unwrap();
@@ -486,7 +519,7 @@ proptest! {
         // 130 slots ⇒ stride 3: the wide-stride kernel with in-kernel
         // classification runs, and mixed-mask groups must bypass its
         // (unmasked) verdict for their masked members.
-        let shape = ghba_bloom::FilterShape { bits: 4096, hashes: 5, seed };
+        let shape = FilterShape { bits: 4096, hashes: 5, seed };
         let mut sliced = SharedShapeArray::new(shape);
         for id in 0..130u16 {
             sliced.push(id).unwrap();
@@ -524,7 +557,7 @@ proptest! {
         hashes in 1u32..12,
         seed in any::<u64>(),
     ) {
-        let shape = ghba_bloom::FilterShape { bits, hashes, seed };
+        let shape = FilterShape { bits, hashes, seed };
         let mut batch = ghba_bloom::ProbeBatch::new();
         let mut expected: Vec<u32> = Vec::new();
         for item in &items {
@@ -537,10 +570,11 @@ proptest! {
         prop_assert_eq!(rows, expected);
     }
 
-    /// Rows ≡ fingerprint: a counting filter and its plain projection
-    /// mutated through `insert_rows` / `remove_rows` — rows from one
-    /// `RowDeriver` — stay identical (counters, words, `item_count`) to
-    /// twins mutated through `insert_fp` / `remove_fp`, after every op,
+    /// Rows ≡ fingerprint: a counting filter mutated through `insert_rows`
+    /// / `remove_rows` — rows from one `RowDeriver` — stays identical
+    /// (counters, `item_count`) to a twin mutated through `insert_fp` /
+    /// `remove_fp`, and a plain projection that sets an insert's rows and
+    /// clears the rows a removal reports stays exact, after every op,
     /// on a deliberately tiny shape: 23 counters and k = 2, so items
     /// share counters and some probe one row twice (an odd width: the
     /// probe step is odd), after 3,400 files of ballast pinned counters
@@ -551,12 +585,11 @@ proptest! {
         ops in proptest::collection::vec((any::<bool>(), 0u16..40), 1..300),
         seed in any::<u64>(),
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 23, hashes: 2, seed };
+        let shape = FilterShape { bits: 23, hashes: 2, seed };
         let deriver = ghba_bloom::RowDeriver::new(shape);
         let mut by_fp = CountingBloomFilter::new(shape.bits, shape.hashes, seed);
         let mut by_rows = by_fp.clone();
-        let mut plain_fp = BloomFilter::new(shape.bits, shape.hashes, seed);
-        let mut plain_rows = plain_fp.clone();
+        let mut plain_rows = BloomFilter::new(shape.bits, shape.hashes, seed);
         let mut rows = Vec::new();
         let ballast = (0..3_400u16).map(|file| (true, 1_000 + file));
         let mut twice = false;
@@ -568,20 +601,24 @@ proptest! {
             let indices = rows.iter().map(|&row| row as usize);
             if insert {
                 by_fp.insert_fp(&fp);
-                plain_fp.insert_fp(&fp);
                 by_rows.insert_rows(indices.clone());
                 plain_rows.insert_rows(indices);
             } else {
                 let before = by_rows.clone();
-                let removed = by_rows.remove_rows(indices, Some(&mut plain_rows));
-                prop_assert_eq!(by_fp.remove_fp(&fp, Some(&mut plain_fp)), removed.clone());
+                let mut zeroed = Vec::new();
+                let removed = by_rows.remove_rows(indices, |row| zeroed.push(row));
+                prop_assert_eq!(by_fp.remove_fp(&fp), removed.clone());
                 if removed.is_err() {
                     prop_assert_eq!(&by_rows, &before);
+                    prop_assert!(zeroed.is_empty(), "a refused removal reported rows");
+                }
+                for row in zeroed {
+                    plain_rows = clear_bit(&plain_rows, row);
                 }
             }
             prop_assert_eq!(&by_rows, &by_fp);
-            prop_assert_eq!(&plain_rows, &plain_fp);
-            prop_assert_eq!(&plain_rows, &by_rows.to_bloom_filter());
+            prop_assert!(by_rows.projects_to(&plain_rows));
+            prop_assert!(by_rows.projects_to(&by_rows.to_bloom_filter()));
         }
         prop_assert_eq!(by_rows.max_counter(), u8::MAX);
         prop_assert!(twice, "no ballast item probed one row twice");
@@ -602,7 +639,7 @@ proptest! {
         subsets in proptest::collection::vec(proptest::collection::vec(0u16..150, 0..12), 1..6),
         seed in any::<u64>(),
     ) {
-        let shape = ghba_bloom::FilterShape { bits: 2048, hashes: 5, seed };
+        let shape = FilterShape { bits: 2048, hashes: 5, seed };
         // Starts at one word of slots; more than 64 pushes grow it.
         let mut sliced = SharedShapeArray::new(shape);
         sliced.push(0u16).unwrap();

@@ -123,7 +123,7 @@ pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};
 pub use mds::{published_shape, Mds, META_ENTRY_BYTES};
 pub use metadata::{FileAttrs, MetadataStore};
-pub use mirror::{FullMirror, HbaCluster, HbaReconfigHandle};
+pub use mirror::{FullMirror, HbaCluster, HbaReconfigHandle, RetiredColumn};
 pub use op::{EntryPolicy, MetadataOp, OpBatch, OpOutcome, PathKey};
 pub use query::{LevelCounts, QueryLevel, QueryOutcome};
 pub use reconcile::Reconciler;

@@ -1,24 +1,31 @@
-//! Per-server state: the metadata store, the live and published Bloom
-//! filters, the L1 LRU array, and the memory budget.
+//! Per-server state: the metadata store, the counting filter behind the
+//! server's live column, the L1 LRU array, the memory budget and the
+//! publish cadence.
 //!
-//! Two filters per server is the heart of the staleness model:
+//! A server's Bloom filter exists twice, and each copy is **one column**
+//! of one of the cluster's two bit-sliced slabs, at the same slot
+//! ([`Mds::slot`]):
 //!
-//! * the **live** filter (counting, so `unlink` works) tracks the store
-//!   exactly and is probed by L4 and by the server itself;
-//! * the **published** filter is the snapshot other servers hold as a
-//!   replica. It lags the live filter until the XOR-distance threshold
-//!   triggers a refresh (§3.4) — the lag is what sends queries to L4 in
-//!   Figure 13.
+//! * the **live** column, in the cluster's live slab, tracks the store
+//!   exactly. The counting filter kept here is what makes `unlink`
+//!   work: a create sets its rows' cells, a remove clears the cell of
+//!   every counter it takes to zero. Walks read it, and the remove's
+//!   locator;
+//! * the **published** column, in the pinned snapshot's slab, is the
+//!   replica other servers hold. It lags the live column until the
+//!   XOR-distance threshold triggers a refresh (§3.4) — the lag is what
+//!   sends queries to L4 in Figure 13.
 //!
 //! The lag runs from a server's first mutation after a publish to its
-//! next publish. Outside it the server is **clean**
-//! ([`Mds::is_clean`]) and its two filters are one: every bit of the
-//! live filter is a bit of its published column in the cluster's slab,
-//! which is where a walk reads a clean server's live verdict from.
+//! next publish. Outside it the server is **clean** ([`Mds::is_clean`])
+//! and its two columns are equal, bit for bit. Inside it, the
+//! *dirty-block bitmap* marks every 64-row block of the column in which
+//! a live cell flipped since the publish: the columns differ nowhere
+//! else, so the drift check and the publish read those blocks only.
 
 use ghba_bloom::{
-    BloomFilter, CountingBloomFilter, FilterDelta, FilterShape, Fingerprint, LruBloomArray,
-    RowDeriver,
+    BloomFilter, CountingBloomFilter, FilterShape, Fingerprint, LruBloomArray, RowDeriver,
+    SharedShapeArray,
 };
 use ghba_simnet::MemoryBudget;
 
@@ -38,8 +45,8 @@ pub const META_ENTRY_BYTES: usize = 512;
 /// The shape every server's live/published filter uses under `config`.
 ///
 /// All servers of a cluster share it, which is what lets a cluster (either
-/// replica layout) keep published replicas in one bit-sliced
-/// [`SharedShapeArray`](ghba_bloom::SharedShapeArray).
+/// replica layout) keep live filters and published replicas in two
+/// bit-sliced [`SharedShapeArray`]s.
 #[must_use]
 pub fn published_shape(config: &GhbaConfig) -> FilterShape {
     FilterShape {
@@ -54,37 +61,45 @@ pub(crate) fn row_indices(rows: &[u32]) -> impl Iterator<Item = usize> + Clone +
     rows.iter().map(|&row| row as usize)
 }
 
+/// The slab of every server's live column (see the module docs).
+pub(crate) type LiveSlab = SharedShapeArray<MdsId>;
+
+/// Marks the 64-row block holding `row` in a dirty-block bitmap.
+fn mark_block(dirty: &mut [u64], row: usize) {
+    let block = row / 64;
+    dirty[block / 64] |= 1 << (block % 64);
+}
+
 /// One metadata server.
 #[derive(Debug, Clone)]
 pub struct Mds {
     id: MdsId,
+    /// This server's column in both slabs.
+    slot: usize,
     store: MetadataStore,
-    live: CountingBloomFilter,
-    /// Plain (bit-vector) projection of `live`, kept **exact** after every
-    /// mutation in O(k): a create sets its bits in both, an unlink clears
-    /// the bit of each counter it takes to zero. Row probes, the drift
-    /// check and the publish read it as is — nothing on those paths ever
-    /// re-projects the counters.
-    live_plain: BloomFilter,
-    published: BloomFilter,
+    /// The counters behind the live column: one count per stored path on
+    /// each of its rows, so a remove knows which cells to clear.
+    counts: CountingBloomFilter,
+    /// One bit per 64-row block of the column, set where a live cell
+    /// flipped since the last publish (or everywhere, for a column that
+    /// arrived by another route while the server was dirty).
+    dirty: Vec<u64>,
     lru: Option<LruBloomArray<MdsId>>,
     memory: Option<MemoryBudget>,
     mutations_since_publish: u64,
     /// Mutations since the last *exact* drift check (or publish), so the
-    /// O(m) XOR distance runs at the gated cadence instead of on every
+    /// drift distance runs at the gated cadence instead of on every
     /// mutation once the publish gate is passed.
     mutations_since_drift_check: u64,
     replica_charge_count: usize,
 }
 
 impl Mds {
-    /// Creates an empty server under `config`.
+    /// Creates an empty server under `config`, whose column is `slot` of
+    /// the cluster's slabs.
     #[must_use]
-    pub fn new(id: MdsId, config: &GhbaConfig) -> Self {
+    pub(crate) fn new(id: MdsId, slot: usize, config: &GhbaConfig) -> Self {
         let FilterShape { bits, hashes, seed } = published_shape(config);
-        let live = CountingBloomFilter::new(bits, hashes, seed);
-        let live_plain = BloomFilter::new(bits, hashes, seed);
-        let published = BloomFilter::new(bits, hashes, seed);
         let lru = (config.lru_capacity > 0).then(|| {
             LruBloomArray::new(
                 config.lru_capacity,
@@ -96,10 +111,10 @@ impl Mds {
         let memory = config.memory_per_mds.map(MemoryBudget::new);
         let mut mds = Mds {
             id,
+            slot,
             store: MetadataStore::new(),
-            live,
-            live_plain,
-            published,
+            counts: CountingBloomFilter::new(bits, hashes, seed),
+            dirty: vec![0; bits.div_ceil(64).div_ceil(64)],
             lru,
             memory,
             mutations_since_publish: 0,
@@ -116,6 +131,12 @@ impl Mds {
         self.id
     }
 
+    /// This server's column in the live slab and in the published one:
+    /// its bit of a row-AND of either.
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
+    }
+
     /// The authoritative metadata store.
     #[must_use]
     pub fn store(&self) -> &MetadataStore {
@@ -126,12 +147,6 @@ impl Mds {
     #[must_use]
     pub fn file_count(&self) -> usize {
         self.store.len()
-    }
-
-    /// The snapshot filter other groups hold as this server's replica.
-    #[must_use]
-    pub fn published(&self) -> &BloomFilter {
-        &self.published
     }
 
     /// The L1 LRU array, if enabled.
@@ -145,63 +160,86 @@ impl Mds {
         self.lru.as_mut()
     }
 
-    /// Inserts `path` into the store and live filter (hashing it once for
-    /// both filter projections).
-    pub fn create_local(&mut self, path: &str) {
-        self.create_local_fp(path, &Fingerprint::of(path));
-    }
-
-    /// Pre-hashed variant of [`create_local`](Mds::create_local): callers
-    /// holding the path's admission-time fingerprint (a batched op
-    /// pipeline) skip the byte pass entirely.
-    pub fn create_local_fp(&mut self, path: impl Into<String>, fp: &Fingerprint) {
-        let FilterShape { bits, hashes, seed } = self.live.shape();
-        self.create_local_rows(path, fp, fp.probes(seed, bits, hashes));
-    }
-
-    /// [`create_local_fp`](Mds::create_local_fp) for a caller that also
-    /// holds `fp`'s probe rows for [`published_shape`] — a drain or a
-    /// restore derives them division-free, once for both live filters —
-    /// and whose owned `String` (a drained record's, a decoder's) becomes
-    /// the store's key as it is.
-    pub(crate) fn create_local_rows(
+    /// Stores `path` and counts it; `true` when it is new here (a
+    /// re-create bumps its version and the cadence, not a counter).
+    fn admit(
         &mut self,
         path: impl Into<String>,
         fp: &Fingerprint,
-        rows: impl Iterator<Item = usize> + Clone,
-    ) {
+        rows: impl Iterator<Item = usize>,
+    ) -> bool {
         let existed = self.store.create_fp(path, fp).is_some();
-        // Re-creating an existing path bumps its version but must not
-        // double-insert into the counting filter: the live filter holds
-        // exactly one count per stored path, so a later remove clears its
-        // bits fully instead of stranding a permanent false positive —
-        // and so live state stays a pure function of the namespace (the
-        // property checkpoint/WAL recovery rebuilds it from).
+        // The counting filter holds exactly one count per stored path, so
+        // a later remove clears its bits fully instead of stranding a
+        // permanent false positive — and live state stays a pure function
+        // of the namespace (the property checkpoint/WAL recovery rebuilds
+        // it from).
         if !existed {
-            self.live.insert_rows(rows.clone());
-            self.live_plain.insert_rows(rows);
+            self.counts.insert_rows(rows);
         }
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
         self.recharge_metacache();
+        !existed
     }
 
-    /// Removes `path` from the store and live filter; returns `false` when
-    /// the path was not homed here.
-    pub fn remove_local(&mut self, path: &str) -> bool {
-        self.remove_local_fp(path, &Fingerprint::of(path))
+    /// Inserts `path` into the store, the counting filter and the live
+    /// column (`live`, the cluster's live slab) — with `path`'s
+    /// admission-time fingerprint, so no byte is hashed here.
+    pub(crate) fn create_local_fp(
+        &mut self,
+        live: &mut LiveSlab,
+        path: impl Into<String>,
+        fp: &Fingerprint,
+    ) {
+        let FilterShape { bits, hashes, seed } = self.counts.shape();
+        self.create_local_rows(live, path, fp, fp.probes(seed, bits, hashes));
     }
 
-    /// Pre-hashed variant of [`remove_local`](Mds::remove_local).
-    pub fn remove_local_fp(&mut self, path: &str, fp: &Fingerprint) -> bool {
-        let FilterShape { bits, hashes, seed } = self.live.shape();
-        self.remove_local_rows(path, fp, fp.probes(seed, bits, hashes))
+    /// [`create_local_fp`](Mds::create_local_fp) for a caller that also
+    /// holds `fp`'s probe rows for [`published_shape`] — a drain derives
+    /// them division-free, once for the counters and the column — and
+    /// whose owned `String` (a drained record's) becomes the store's key
+    /// as it is. A new path sets its rows' cells and marks the blocks of
+    /// the cells that flipped.
+    pub(crate) fn create_local_rows(
+        &mut self,
+        live: &mut LiveSlab,
+        path: impl Into<String>,
+        fp: &Fingerprint,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) {
+        if self.admit(path, fp, rows.clone()) {
+            for row in rows {
+                if live.set_cell(self.slot, row) {
+                    mark_block(&mut self.dirty, row);
+                }
+            }
+        }
+    }
+
+    /// Removes `path` from the store, the counting filter and the live
+    /// column; returns `false` when the path was not homed here. (The
+    /// cluster removes through [`remove_local_rows`](Mds::remove_local_rows)
+    /// with rows it derived once; tests remove by fingerprint.)
+    #[cfg(test)]
+    pub(crate) fn remove_local_fp(
+        &mut self,
+        live: &mut LiveSlab,
+        path: &str,
+        fp: &Fingerprint,
+    ) -> bool {
+        let FilterShape { bits, hashes, seed } = self.counts.shape();
+        self.remove_local_rows(live, path, fp, fp.probes(seed, bits, hashes))
     }
 
     /// [`remove_local_fp`](Mds::remove_local_fp) over precomputed probe
-    /// rows (see [`create_local_rows`](Mds::create_local_rows)).
+    /// rows (see [`create_local_rows`](Mds::create_local_rows)): the cell
+    /// of every counter the removal takes to zero is cleared and its
+    /// block marked.
     pub(crate) fn remove_local_rows(
         &mut self,
+        live: &mut LiveSlab,
         path: &str,
         fp: &Fingerprint,
         rows: impl Iterator<Item = usize> + Clone,
@@ -209,7 +247,11 @@ impl Mds {
         if self.store.remove_fp(path, fp).is_none() {
             return false;
         }
-        let removed = self.live.remove_rows(rows, Some(&mut self.live_plain));
+        let (slot, dirty) = (self.slot, &mut self.dirty);
+        let removed = self.counts.remove_rows(rows, |row| {
+            live.clear_cell(slot, row);
+            mark_block(dirty, row);
+        });
         debug_assert!(removed.is_ok(), "live filter desynchronized from store");
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
@@ -231,41 +273,31 @@ impl Mds {
         self.store.contains_fp(path, fp)
     }
 
-    /// Probes the live local filter: no false negatives for files homed
-    /// here; false positives possible.
+    /// Probes the live filter through its counters: no false negatives
+    /// for files homed here; false positives possible. Answers exactly
+    /// like the server's live column.
     #[must_use]
     pub fn probe_live(&self, path: &str) -> bool {
-        self.live.contains(path)
+        self.counts.contains(path)
     }
 
-    /// Hash-once variant of [`probe_live`](Mds::probe_live) over
-    /// precomputed probe rows: `rows` must be derived for this cluster's
-    /// shared live-filter shape ([`published_shape`]). The pinned walk
-    /// derives each fingerprint's rows once and probes every level's
-    /// live filters with them — identical answers to `probe_live` for
-    /// the same item.
-    ///
-    /// Reads the (always exact) plain projection: one bit per row instead
-    /// of one counter byte, so the live filters a walk touches — one at
-    /// L2, a group's at L3, all `N` at L4 — take an eighth of the cache
-    /// (16 KB instead of 128 KB per server at the benchmark's shape). A
-    /// walk is bound by these
-    /// scattered reads, and the smaller they keep its working set, the
-    /// less its speed depends on what else shares the host's cache.
-    #[must_use]
-    pub fn probe_live_rows(&self, rows: &[u32]) -> bool {
-        self.live_plain.contains_rows(rows)
+    /// The counters behind the live column (the invariant check compares
+    /// the column against them).
+    pub(crate) fn counts(&self) -> &CountingBloomFilter {
+        &self.counts
     }
 
-    /// Hamming distance between the live filter and the published
-    /// snapshot — Eq. §3.4's update trigger. This is the *exact* O(m)
-    /// check; gate it with [`drift_check_due`](Mds::drift_check_due) on
-    /// hot paths.
-    #[must_use]
-    pub fn drift_bits(&self) -> usize {
-        self.live_plain
-            .xor_distance(&self.published)
-            .expect("live and published share geometry")
+    /// The dirty-block bitmap: bit `b` marks rows `64·b .. 64·b + 64` of
+    /// the column, where the live and published columns may differ.
+    pub(crate) fn dirty_blocks(&self) -> &[u64] {
+        &self.dirty
+    }
+
+    /// Marks every block dirty: the published column arrived by a route
+    /// that is not a publish of this live column (a checkpoint restore),
+    /// so nothing is known about where the two differ.
+    pub(crate) fn mark_all_blocks(&mut self) {
+        self.dirty.fill(u64::MAX);
     }
 
     /// Mutations since the last publish (a cheap proxy consulted before
@@ -276,15 +308,14 @@ impl Mds {
     }
 
     /// `true` when nothing mutated this server since its last publish —
-    /// and then its live filter equals its published one, bit for bit.
-    /// Every live-filter change bumps the counter this reads (a
-    /// re-create bumps it without moving a bit: dirty does not mean the
-    /// filters differ). A new server starts clean, and only
-    /// [`publish`](Mds::publish), [`evacuate`](Mds::evacuate) and a
-    /// checkpoint restore zero the counter — the first two leave the
-    /// filters equal, and a restore zeroes it only for a server captured
-    /// clean, whose live filter the replayed namespace rebuilds.
-    /// `Cluster::check_invariants` checks it (invariant 9).
+    /// and then its live column equals its published one, bit for bit.
+    /// Every live-cell change bumps the counter this reads (a re-create
+    /// bumps it without moving a bit: dirty does not mean the columns
+    /// differ). A new server starts clean, and only a publish, an
+    /// evacuation and a checkpoint restore zero the counter — the first
+    /// two leave the columns equal, and a restore zeroes it only for a
+    /// server captured clean, whose live column the replayed namespace
+    /// rebuilds. `Cluster::check_invariants` checks it (invariant 9).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.mutations_since_publish == 0
@@ -292,7 +323,7 @@ impl Mds {
 
     /// `true` when enough mutations have accumulated — since the last
     /// publish *and* since the last exact check — that paying for the
-    /// O(m) [`drift_bits`](Mds::drift_bits) distance is warranted.
+    /// exact drift distance is warranted.
     ///
     /// Without the second clause, a server whose drift hovers under the
     /// threshold would recompute the exact distance on **every** mutation
@@ -310,51 +341,19 @@ impl Mds {
         self.mutations_since_drift_check = 0;
     }
 
-    /// The whole gated drift protocol in one call: `None` when the
-    /// cadence says an exact check is not yet due (no filter touched);
-    /// otherwise pays the exact O(m) distance, restarts the cadence on an
-    /// under-threshold result, and returns `Some(exceeded)`.
-    ///
-    /// Every publish gate goes through here so no call site can forget
-    /// the cadence reset and silently regress to per-mutation O(m) checks.
-    pub fn drift_exceeds(&mut self, gate: u64, threshold: usize) -> Option<bool> {
-        if !self.drift_check_due(gate) {
-            return None;
-        }
-        if self.drift_bits() < threshold {
-            self.note_drift_checked();
-            Some(false)
-        } else {
-            Some(true)
-        }
-    }
-
-    /// Refreshes the published snapshot from the live filter, returning
-    /// the delta that must be shipped to replica holders, or `None` if
-    /// nothing changed.
-    pub fn publish(&mut self) -> Option<FilterDelta> {
-        let delta = FilterDelta::between(&self.published, &self.live_plain)
-            .expect("published and live share geometry");
+    /// Records a publish of this server's column: the cadence restarts and
+    /// no block is dirty any more.
+    pub(crate) fn mark_published(&mut self) {
         self.mutations_since_publish = 0;
         self.mutations_since_drift_check = 0;
-        if delta.is_empty() {
-            return None;
-        }
-        delta
-            .apply(&mut self.published)
-            .expect("delta was computed against published");
-        debug_assert_eq!(self.published, self.live_plain);
-        Some(delta)
+        self.dirty.fill(0);
     }
 
-    /// Whether [`publish`](Mds::publish) would change this server: a
-    /// drifted live filter to publish, or cadence counters to restart
-    /// (both durable — a checkpoint captures the counters). The drift is
-    /// computed only when both counters are already zero.
+    /// Whether a publish would change this server's durable state: a
+    /// cadence counter to restart (a checkpoint captures them). A clean
+    /// server has no drift to publish either (invariant 9).
     pub(crate) fn publish_changes_state(&self) -> bool {
-        self.mutations_since_publish != 0
-            || self.mutations_since_drift_check != 0
-            || self.drift_bits() != 0
+        self.mutations_since_publish != 0 || self.mutations_since_drift_check != 0
     }
 
     /// The publish-cadence counters `(since_publish, since_drift_check)`
@@ -367,9 +366,15 @@ impl Mds {
         )
     }
 
-    /// Everything a write touches — the store's files with their
-    /// attributes (sorted), both live filters, both cadence counters —
-    /// for twin comparisons.
+    /// Net number of paths counted in the live filter — the item count a
+    /// refreshed published column takes.
+    pub(crate) fn item_count(&self) -> usize {
+        self.counts.item_count()
+    }
+
+    /// Everything a write touches here — the store's files with their
+    /// attributes (sorted), the counters, the dirty blocks, both cadence
+    /// counters — for twin comparisons (the live column is the cluster's).
     #[cfg(test)]
     pub(crate) fn write_state(&self) -> impl PartialEq + core::fmt::Debug + '_ {
         let mut files: Vec<_> = self
@@ -378,49 +383,56 @@ impl Mds {
             .map(|path| (path, *self.store.get(path).expect("listed")))
             .collect();
         files.sort_unstable_by_key(|&(path, _)| path);
-        (files, &self.live, &self.live_plain, self.durable_counters())
+        (files, &self.counts, &self.dirty, self.durable_counters())
     }
 
     /// Checkpoint restore: adopts the decoded namespace — the store is
     /// sized once for it and takes each path `String` as it is, each
     /// path is hashed once (a checkpoint stores no fingerprint), and each
-    /// file's probe rows come from one `RowDeriver` (no division).
-    pub(crate) fn restore_files(&mut self, files: Vec<String>) {
+    /// file's probe rows come from one `RowDeriver` (no division). The
+    /// live column is returned as a filter built while inserting, for the
+    /// caller to load into the live slab with everyone else's in one
+    /// pass; nothing else keeps it.
+    pub(crate) fn restore_files(&mut self, files: Vec<String>) -> BloomFilter {
+        let shape = self.counts.shape();
+        let mut column = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
         self.store.reserve(files.len());
-        let deriver = RowDeriver::new(self.live.shape());
+        let deriver = RowDeriver::new(shape);
         let mut rows = Vec::new();
         for path in files {
             let fp = Fingerprint::of(path.as_str());
             rows.clear();
             deriver.rows_into(&fp, &mut rows);
-            self.create_local_rows(path, &fp, row_indices(&rows));
+            if self.admit(path, &fp, row_indices(&rows)) {
+                column.insert_rows(row_indices(&rows));
+            }
+        }
+        column
+    }
+
+    /// Checkpoint restore: lands the publish-cadence counters. Called
+    /// *after* the namespace has been replayed (which bumps them), so the
+    /// captured values win. A server captured dirty has its published
+    /// column from the checkpoint, not from a publish of this live column:
+    /// every block is marked.
+    pub(crate) fn restore_counters(&mut self, since_publish: u64, since_drift: u64) {
+        self.mutations_since_publish = since_publish;
+        self.mutations_since_drift_check = since_drift;
+        if since_publish == 0 {
+            self.dirty.fill(0);
+        } else {
+            self.mark_all_blocks();
         }
     }
 
-    /// Checkpoint restore: overwrites the published snapshot and the
-    /// publish-cadence counters. Called *after* the namespace has been
-    /// replayed into the live filters (which bumps the counters), so
-    /// the restore must come last to land the captured values.
-    pub(crate) fn restore_published(
-        &mut self,
-        published: BloomFilter,
-        since_publish: u64,
-        since_drift: u64,
-    ) {
-        self.published = published;
-        self.mutations_since_publish = since_publish;
-        self.mutations_since_drift_check = since_drift;
-    }
-
-    /// Hands every file (path and attributes) to the caller and resets the
-    /// filters — the departing-server path of group reconfiguration.
-    pub fn evacuate(&mut self) -> Vec<String> {
+    /// Hands every file (path and attributes) to the caller and empties
+    /// the store, the counters and the cadence — the departing-server
+    /// path of group reconfiguration. The live column goes with the
+    /// server, when the cluster forgets it.
+    pub(crate) fn evacuate(&mut self) -> Vec<String> {
         let paths: Vec<String> = self.store.drain().map(|(p, _)| p).collect();
-        self.live.clear();
-        self.live_plain.clear();
-        self.published.clear();
-        self.mutations_since_publish = 0;
-        self.mutations_since_drift_check = 0;
+        self.counts.clear();
+        self.mark_published();
         paths
     }
 
@@ -441,14 +453,20 @@ impl Mds {
         }
     }
 
+    /// Bytes of one plain filter of this cluster's shape — one published
+    /// column, one replica.
+    fn filter_bytes(&self) -> usize {
+        self.counts.counter_len().div_ceil(64) * 8
+    }
+
     /// Total bytes of filter structures this server keeps (its own filter,
     /// its LRU array, and `held` replicas) — the per-MDS figure behind
     /// Table 5.
     #[must_use]
     pub fn filter_memory_bytes(&self, held: usize) -> usize {
-        self.published.memory_bytes()
+        self.filter_bytes()
             + self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes)
-            + held * self.published.memory_bytes()
+            + held * self.filter_bytes()
     }
 
     /// Expected cost of serving one metadata access at this server: a
@@ -483,9 +501,9 @@ impl Mds {
     }
 
     fn recharge_memory(&mut self) {
-        let local = self.published.memory_bytes() + self.live.memory_bytes();
+        let local = self.filter_bytes() + self.counts.memory_bytes();
         let lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
-        let replicas = self.replica_charge_count * self.published.memory_bytes();
+        let replicas = self.replica_charge_count * self.filter_bytes();
         if let Some(budget) = &mut self.memory {
             budget.charge(CHARGE_LOCAL, 0, local);
             budget.charge(CHARGE_LRU, 0, lru);
@@ -506,151 +524,103 @@ mod tests {
             .with_seed(5)
     }
 
+    /// A server with its column in a fresh live slab.
+    fn server(config: &GhbaConfig) -> (Mds, LiveSlab) {
+        let mut live = LiveSlab::new(published_shape(config));
+        let slot = live.push(MdsId(0)).expect("fresh slab");
+        (Mds::new(MdsId(0), slot, config), live)
+    }
+
+    fn live_column(live: &LiveSlab) -> BloomFilter {
+        live.extract(MdsId(0)).expect("pushed")
+    }
+
     #[test]
     fn create_then_probe_and_verify() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        mds.create_local("/a/b/c");
+        let (mut mds, mut live) = server(&test_config());
+        mds.create_local_fp(&mut live, "/a/b/c", &Fingerprint::of("/a/b/c"));
         assert!(mds.stores("/a/b/c"));
         assert!(mds.probe_live("/a/b/c"));
+        assert!(live_column(&live).contains("/a/b/c"));
         assert_eq!(mds.file_count(), 1);
+        assert!(!mds.is_clean());
     }
 
     #[test]
     fn remove_clears_filter_membership() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        mds.create_local("/x");
-        assert!(mds.remove_local("/x"));
+        let (mut mds, mut live) = server(&test_config());
+        let fp = Fingerprint::of("/x");
+        mds.create_local_fp(&mut live, "/x", &fp);
+        assert!(mds.remove_local_fp(&mut live, "/x", &fp));
         assert!(!mds.stores("/x"));
         assert!(!mds.probe_live("/x"));
-        assert!(!mds.remove_local("/x"));
+        assert_eq!(live_column(&live).ones(), 0);
+        assert!(!mds.remove_local_fp(&mut live, "/x", &fp));
     }
 
     /// Replays `(op, file)` pairs — 0/1 create (or re-create), 2 remove
-    /// (or remove-absent), 3 publish — on a deliberately tiny shape: 24
-    /// counters, k = 2, so items share counters and some probe one row
-    /// twice. After **every** op the plain projection must equal the
-    /// reference re-projection (words and item count) and row probes must
-    /// agree with `probe_live`.
-    fn replay_checked(ops: impl IntoIterator<Item = (u8, u16)>) -> Mds {
+    /// (or remove-absent), 3 publish into a published twin slab — on a
+    /// deliberately tiny shape: 24 counters, k = 2, so items share
+    /// counters and some probe one row twice. After **every** op the live
+    /// column must be the counters' projection, a row-AND of the live
+    /// slab must agree with `probe_live`, and the live and published
+    /// columns may differ only in marked blocks.
+    fn replay_checked(ops: impl IntoIterator<Item = (u8, u16)>) -> (Mds, LiveSlab, LiveSlab) {
         let config = test_config()
             .with_filter_capacity(8)
             .with_bits_per_file(3.0);
         let shape = published_shape(&config);
-        let mut mds = Mds::new(MdsId(0), &config);
-        let mut rows = Vec::new();
+        let (mut mds, mut live) = server(&config);
+        let mut published = LiveSlab::new(shape);
+        published.push_at(MdsId(0), mds.slot()).expect("twin slot");
+        let (mut rows, mut anded) = (Vec::new(), Vec::new());
+        let clean_blocks =
+            |mds: &Mds| -> Vec<u64> { mds.dirty_blocks().iter().map(|w| !w).collect() };
         for (op, file) in ops {
             let path = format!("/t/f{file}");
+            let fp = Fingerprint::of(path.as_str());
             match op {
-                0 | 1 => mds.create_local(&path),
+                0 | 1 => mds.create_local_fp(&mut live, path.as_str(), &fp),
                 2 => {
                     let stored = mds.stores(&path);
-                    assert_eq!(mds.remove_local(&path), stored);
+                    assert_eq!(mds.remove_local_fp(&mut live, &path, &fp), stored);
                 }
                 _ => {
-                    let _ = mds.publish();
-                    assert_eq!(mds.drift_bits(), 0);
+                    let blocks = mds.dirty_blocks().to_vec();
+                    let origin = [(mds.slot(), &blocks[..], mds.item_count())];
+                    published.copy_blocks_from(&live, &origin).expect("twins");
+                    mds.mark_published();
+                    assert!(mds.is_clean());
                 }
             }
-            assert_eq!(mds.live_plain, mds.live.to_bloom_filter(), "{op} {path}");
-            rows.clear();
-            Fingerprint::of(path.as_str()).probe_rows_into(
-                shape.seed,
-                shape.bits,
-                shape.hashes,
-                &mut rows,
+            assert!(mds.counts.projects_to(&live_column(&live)), "{op} {path}");
+            let outside = published.column_distance(&live, mds.slot(), &clean_blocks(&mds));
+            assert_eq!(
+                outside, 0,
+                "{op} {path}: a difference outside the marked blocks"
             );
-            assert_eq!(mds.probe_live_rows(&rows), mds.probe_live(&path), "{path}");
+            rows.clear();
+            fp.probe_rows_into(shape.seed, shape.bits, shape.hashes, &mut rows);
+            live.and_rows(row_indices(&rows), &mut anded);
+            assert_eq!(anded[0] & 1 == 1, mds.probe_live(&path), "{path}");
         }
-        mds
+        (mds, live, published)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
         /// Random streams after 2,900 files came and went, which pins some
-        /// (not all) of the 24 counters at `u8::MAX`: those bits must stay
-        /// set through every unlink, every other bit must clear exactly
+        /// (not all) of the 24 counters at `u8::MAX`: those cells must stay
+        /// set through every unlink, every other cell must clear exactly
         /// when its counter reaches zero.
         #[test]
-        fn plain_projection_is_exact_after_every_op(
+        fn live_column_is_exact_after_every_op(
             ops in proptest::collection::vec((0u8..4, 0u16..40), 1..400),
         ) {
             let ballast = (0..2).flat_map(|op| (0..2_900).map(move |f| (op * 2, f)));
-            let mds = replay_checked(ballast.chain(ops));
-            proptest::prop_assert_eq!(mds.live.max_counter(), u8::MAX);
-        }
-    }
-
-    #[test]
-    fn published_lags_until_publish() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        mds.create_local("/fresh");
-        assert!(!mds.published().contains("/fresh"));
-        assert!(mds.drift_bits() > 0);
-        let delta = mds.publish().expect("changes pending");
-        assert!(!delta.is_empty());
-        assert!(mds.published().contains("/fresh"));
-        assert_eq!(mds.drift_bits(), 0);
-        assert_eq!(mds.mutations_since_publish(), 0);
-    }
-
-    #[test]
-    fn publish_without_changes_is_none() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        assert!(mds.publish().is_none());
-        mds.create_local("/a");
-        let _ = mds.publish();
-        assert!(mds.publish().is_none());
-    }
-
-    #[test]
-    fn delta_applies_to_stale_replica() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        let mut replica = mds.published().clone();
-        for i in 0..50 {
-            mds.create_local(&format!("/f{i}"));
-        }
-        let delta = mds.publish().unwrap();
-        delta.apply(&mut replica).unwrap();
-        assert_eq!(&replica, mds.published());
-    }
-
-    #[test]
-    fn evacuate_returns_all_files_and_clears() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        mds.create_local("/a");
-        mds.create_local("/b");
-        let mut files = mds.evacuate();
-        files.sort();
-        assert_eq!(files, vec!["/a".to_owned(), "/b".to_owned()]);
-        assert_eq!(mds.file_count(), 0);
-        assert!(!mds.probe_live("/a"));
-        assert_eq!(mds.drift_bits(), 0);
-    }
-
-    #[test]
-    fn remove_heavy_workload_keeps_filter_and_store_in_sync() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
-        for i in 0..200 {
-            mds.create_local(&format!("/rm/f{i}"));
-        }
-        for i in 0..150 {
-            assert!(mds.remove_local(&format!("/rm/f{i}")));
-        }
-        for i in 0..150 {
-            assert!(!mds.stores(&format!("/rm/f{i}")));
-        }
-        for i in 150..200 {
-            let path = format!("/rm/f{i}");
-            assert!(mds.stores(&path));
-            assert!(mds.probe_live(&path), "no false negatives for {path}");
-        }
-        assert!(mds.drift_bits() > 0);
-        mds.publish().expect("live drifted from published");
-        assert_eq!(mds.drift_bits(), 0);
-        assert_eq!(mds.published().item_count(), 50);
-        for i in 150..200 {
-            assert!(mds.published().contains(&format!("/rm/f{i}")));
+            let (mds, ..) = replay_checked(ballast.chain(ops));
+            proptest::prop_assert_eq!(mds.counts.max_counter(), u8::MAX);
         }
     }
 
@@ -659,22 +629,65 @@ mod tests {
     /// input: files 0 = keep, 1 = gone, 2 = after.
     #[test]
     fn create_after_unlink_publishes_correctly() {
-        let mds = replay_checked([(0, 0), (0, 1), (2, 1), (0, 2), (3, 0)]);
-        assert!(mds.published().contains("/t/f0"));
-        assert!(mds.published().contains("/t/f2"));
-        assert_eq!(mds.published().item_count(), 2);
-        assert_eq!(mds.drift_bits(), 0);
+        let (mds, live, published) = replay_checked([(0, 0), (0, 1), (2, 1), (0, 2), (3, 0)]);
+        let column = published.extract(MdsId(0)).expect("pushed");
+        assert!(column.contains("/t/f0"));
+        assert!(column.contains("/t/f2"));
+        assert_eq!(column.item_count(), 2);
+        assert_eq!(live_column(&live).xor_distance(&column), Ok(0));
+        assert!(mds.dirty_blocks().iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn evacuate_returns_all_files_and_clears() {
+        let (mut mds, mut live) = server(&test_config());
+        for path in ["/a", "/b"] {
+            mds.create_local_fp(&mut live, path, &Fingerprint::of(path));
+        }
+        let mut files = mds.evacuate();
+        files.sort();
+        assert_eq!(files, vec!["/a".to_owned(), "/b".to_owned()]);
+        assert_eq!(mds.file_count(), 0);
+        assert!(!mds.probe_live("/a"));
+        assert!(mds.is_clean());
+    }
+
+    #[test]
+    fn remove_heavy_workload_keeps_filter_and_store_in_sync() {
+        let (mut mds, mut live) = server(&test_config());
+        let fp = |i: u32| Fingerprint::of(format!("/rm/f{i}").as_str());
+        for i in 0..200 {
+            mds.create_local_fp(&mut live, format!("/rm/f{i}"), &fp(i));
+        }
+        for i in 0..150 {
+            assert!(mds.remove_local_fp(&mut live, &format!("/rm/f{i}"), &fp(i)));
+        }
+        let column = live_column(&live);
+        for i in 0..150 {
+            assert!(!mds.stores(&format!("/rm/f{i}")));
+        }
+        for i in 150..200 {
+            let path = format!("/rm/f{i}");
+            assert!(mds.stores(&path));
+            assert!(column.contains(&path), "no false negatives for {path}");
+        }
+        assert_eq!(mds.item_count(), 50);
+        assert!(mds.counts.projects_to(&column));
     }
 
     #[test]
     fn drift_check_cadence_is_gated() {
-        let mut mds = Mds::new(MdsId(0), &test_config());
+        let (mut mds, mut live) = server(&test_config());
+        let mut create = |mds: &mut Mds, i: u32| {
+            let path = format!("/g/f{i}");
+            mds.create_local_fp(&mut live, path.as_str(), &Fingerprint::of(path.as_str()));
+        };
         let gate = 10;
         for i in 0..9 {
-            mds.create_local(&format!("/g/f{i}"));
+            create(&mut mds, i);
         }
         assert!(!mds.drift_check_due(gate));
-        mds.create_local("/g/f9");
+        create(&mut mds, 9);
         assert!(mds.drift_check_due(gate));
         // An under-threshold exact check restarts the cadence: the next
         // exact check must wait another `gate` mutations, even though the
@@ -682,30 +695,27 @@ mod tests {
         mds.note_drift_checked();
         assert!(!mds.drift_check_due(gate));
         for i in 10..19 {
-            mds.create_local(&format!("/g/f{i}"));
+            create(&mut mds, i);
         }
         assert!(!mds.drift_check_due(gate));
-        mds.create_local("/g/f19");
+        create(&mut mds, 19);
         assert!(mds.drift_check_due(gate));
-        mds.publish().expect("changes pending");
+        mds.mark_published();
         assert!(!mds.drift_check_due(gate));
     }
 
     #[test]
     fn unlimited_memory_keeps_all_replicas_resident() {
-        let mds = Mds::new(MdsId(0), &test_config());
+        let (mds, _) = server(&test_config());
         assert_eq!(mds.resident_replicas(50), 50);
     }
 
     #[test]
     fn tight_memory_spills_replicas() {
-        let filter_bytes = {
-            let probe = Mds::new(MdsId(0), &test_config());
-            probe.published().memory_bytes()
-        };
+        let filter_bytes = test_config().filter_bits().div_ceil(64) * 8;
         // Room for local structures plus ~3 replicas.
         let config = test_config().with_memory_per_mds(filter_bytes * 14);
-        let mut mds = Mds::new(MdsId(0), &config);
+        let (mut mds, _) = server(&config);
         mds.set_replica_charge(10);
         let resident = mds.resident_replicas(10);
         assert!(resident < 10, "expected spill, all resident");
@@ -714,15 +724,18 @@ mod tests {
 
     #[test]
     fn lru_disabled_when_capacity_zero() {
-        let config = test_config().with_lru_capacity(0);
-        let mds = Mds::new(MdsId(0), &config);
+        let (mds, _) = server(&test_config().with_lru_capacity(0));
         assert!(mds.lru().is_none());
     }
 
+    /// A replica costs one plain filter of the cluster's shape, whatever
+    /// slab holds it.
     #[test]
     fn filter_memory_counts_replicas() {
-        let mds = Mds::new(MdsId(0), &test_config());
-        let own = mds.published().memory_bytes();
+        let config = test_config();
+        let (mds, live) = server(&config);
+        let own = BloomFilter::new(config.filter_bits(), 1, 0).memory_bytes();
+        assert_eq!(live_column(&live).memory_bytes(), own);
         assert_eq!(
             mds.filter_memory_bytes(4) - mds.filter_memory_bytes(0),
             4 * own

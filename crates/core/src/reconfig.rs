@@ -330,7 +330,10 @@ impl<T: Topology> Cluster<T> {
         self.maybe_drain();
         let id = MdsId(self.next_mds);
         self.next_mds += 1;
-        self.mdss.insert(id, Mds::new(id, &self.config));
+        // The live slab allocates the slot; the join's edit gives the
+        // published slab the same one.
+        let slot = self.live.push(id).expect("server ids are never recycled");
+        self.mdss.insert(id, Mds::new(id, slot, &self.config));
         let report = T::join(self, id);
         self.account_reconfig(&report);
         (id, report)
@@ -383,15 +386,18 @@ impl<T: Topology> Cluster<T> {
         for path in files {
             // An evacuated store hands over paths, not fingerprints.
             let fp = Fingerprint::of(path.as_str());
-            target_mds.create_local_fp(path, &fp);
+            target_mds.create_local_fp(&mut self.live, path, &fp);
         }
         moved + self.push_update(target).messages
     }
 
-    /// Drops a departed server from the cluster and purges hot-cache
-    /// entries pointing at it (the fail-over rule of §4.5).
+    /// Drops a departed server — its state and its live column — from
+    /// the cluster and purges hot-cache entries pointing at it (the
+    /// fail-over rule of §4.5). Its published column goes in the same
+    /// departure's edit, so both slabs free its slot.
     pub(crate) fn forget_mds(&mut self, id: MdsId) {
         self.mdss.remove(&id);
+        self.live.remove(id);
         for mds in self.mdss.values_mut() {
             if let Some(lru) = mds.lru_mut() {
                 lru.purge_home(id);
@@ -511,7 +517,7 @@ impl Topology for Grouped {
         let max_group_size = cluster.config.max_group_size;
         let routes = Arc::clone(&cluster.routes);
         let mut edit = RouteEdit::begin(&routes);
-        edit.push_op(SlabOp::Push(id));
+        edit.push_op(SlabOp::Push(id, cluster.mdss[&id].slot()));
 
         // Choose the smallest group with room; otherwise the smallest
         // group outright (it will split).

@@ -23,7 +23,7 @@
 use core::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use ghba_bloom::{BloomFilter, FilterDelta, SharedShapeArray, SlotMask};
+use ghba_bloom::{BloomFilter, SharedShapeArray, SlotMask};
 
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
@@ -138,43 +138,59 @@ impl<T, W> CellWriter<'_, T, W> {
 
 /// One deferred mutation of the published slab, recorded during a
 /// routing edit and applied to both the successor and the recycled
-/// spare slab (see [`SlabSpare`]). Sparse by construction — a delta
-/// touches only the changed bit-rows, a push/remove one column — except
-/// a restore's load, which writes every column it names in one pass.
+/// spare slab (see [`SlabSpare`]). Sparse by construction — a push or
+/// remove touches one column, a publish the blocks its origins dirtied —
+/// except a restore's load, which writes every column it names in one
+/// pass. A publish borrows what it copies from (`'a`): the edit is
+/// committed while the cluster's live slab is still borrowed.
 #[derive(Debug, Clone)]
-pub(crate) enum SlabOp {
-    /// Append a fresh (empty) column for a joining server.
-    Push(MdsId),
-    /// Append a column initialized from a full filter (restoring a
+pub(crate) enum SlabOp<'a> {
+    /// Give a joining server an empty column at its live slab's slot.
+    Push(MdsId, usize),
+    /// Give a server back its column at `slot`, holding `filter` (a
     /// retired server's published snapshot).
-    PushFilter(MdsId, BloomFilter),
+    PushFilter(MdsId, usize, BloomFilter),
     /// Drop a departing server's column.
     Remove(MdsId),
-    /// Fold a sparse publish delta into a server's column.
-    Delta(MdsId, FilterDelta),
+    /// Publish: copy the origins' live cells into their published ones
+    /// over the blocks they dirtied — `(slot, dirty blocks, item count)`
+    /// each, from the live slab — in one masked pass
+    /// ([`SharedShapeArray::copy_blocks_from`]).
+    Copy(&'a SharedShapeArray<MdsId>, Vec<(usize, &'a [u64], usize)>),
     /// Replace the columns of many servers at once (checkpoint restore:
     /// every restored published filter, one transposed pass).
     Load(Vec<(MdsId, BloomFilter)>),
 }
 
-fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
+/// Applies `ops` in order; returns the changed-word counts the edit's
+/// [`SlabOp::Copy`] reported, one per origin (empty without one).
+fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp<'_>]) -> Vec<u32> {
+    let mut changed = Vec::new();
     for op in ops {
         match op {
-            SlabOp::Push(id) => slab.push(*id).expect("fresh id is unique in the slab"),
-            SlabOp::PushFilter(id, filter) => slab
-                .push_filter(*id, filter)
-                .expect("restored column matches the slab shape"),
+            SlabOp::Push(id, slot) => slab
+                .push_at(*id, *slot)
+                .expect("a joining server's live slot is free in the published slab"),
+            SlabOp::PushFilter(id, slot, filter) => {
+                slab.push_at(*id, *slot)
+                    .expect("a restored column's slot is free");
+                slab.replace_filter(*id, filter)
+                    .expect("restored column matches the slab shape");
+            }
             SlabOp::Remove(id) => {
                 slab.remove(*id);
             }
-            SlabOp::Delta(id, delta) => slab
-                .apply_delta(*id, delta)
-                .expect("slab tracks every published server"),
+            SlabOp::Copy(live, origins) => {
+                changed = slab
+                    .copy_blocks_from(live, origins)
+                    .expect("every origin has its column at one slot of both slabs");
+            }
             SlabOp::Load(columns) => slab
                 .load_filters(columns.iter().map(|(id, filter)| (*id, filter)))
                 .expect("restored columns match the slab shape and roster"),
         }
     }
+    changed
 }
 
 /// The writer-private spare slab that keeps slab-touching publishes
@@ -188,8 +204,9 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp]) {
 #[derive(Debug)]
 pub(crate) struct SlabSpare {
     /// `None` only between [`advance`](SlabSpare::advance) and
-    /// [`recycle`](SlabSpare::recycle), while the successor is out being
-    /// published.
+    /// [`recycle`](SlabSpare::recycle) or
+    /// [`restock`](SlabSpare::restock), while the successor is being
+    /// built and published.
     slab: Option<SharedShapeArray<MdsId>>,
 }
 
@@ -200,12 +217,22 @@ impl SlabSpare {
     }
 
     /// Applies `ops` to the spare and hands it out as the successor
-    /// snapshot's slab. The caller must publish it and then call
-    /// [`recycle`](SlabSpare::recycle) with the displaced slab.
-    pub(crate) fn advance(&mut self, ops: &[SlabOp]) -> Arc<SharedShapeArray<MdsId>> {
+    /// snapshot's slab, with what [`apply_slab_ops`] reported. The caller
+    /// must publish it and then call [`recycle`](SlabSpare::recycle) with
+    /// the displaced slab — or, when the ops left it equal to the
+    /// published slab, hand it back through
+    /// [`restock`](SlabSpare::restock).
+    pub(crate) fn advance(&mut self, ops: &[SlabOp<'_>]) -> (SharedShapeArray<MdsId>, Vec<u32>) {
         let mut slab = self.slab.take().expect("spare restocked after a publish");
-        apply_slab_ops(&mut slab, ops);
-        Arc::new(slab)
+        let changed = apply_slab_ops(&mut slab, ops);
+        (slab, changed)
+    }
+
+    /// Takes back a slab [`advance`](SlabSpare::advance) handed out whose
+    /// ops changed nothing: it still mirrors the published slab.
+    pub(crate) fn restock(&mut self, slab: SharedShapeArray<MdsId>) {
+        debug_assert!(self.slab.is_none(), "one spare at a time");
+        self.slab = Some(slab);
     }
 
     /// Restocks the spare after a publish: catches the displaced slab
@@ -215,7 +242,7 @@ impl SlabSpare {
     pub(crate) fn recycle(
         &mut self,
         displaced: Option<SharedShapeArray<MdsId>>,
-        ops: &[SlabOp],
+        ops: &[SlabOp<'_>],
         published: &SharedShapeArray<MdsId>,
     ) {
         let slab = match displaced {
@@ -503,7 +530,7 @@ pub(crate) fn route_cell(snapshot: RouteSnapshot) -> RouteCell {
 pub(crate) struct RouteEdit<'a> {
     writer: CellWriter<'a, RouteSnapshot, SlabSpare>,
     pub(crate) work: RouteSnapshot,
-    ops: Vec<SlabOp>,
+    ops: Vec<SlabOp<'a>>,
 }
 
 impl fmt::Debug for RouteEdit<'_> {
@@ -529,7 +556,7 @@ impl<'a> RouteEdit<'a> {
 
     /// Queues a slab mutation for commit. Edits never read the slab
     /// back, so deferred application is invisible to them.
-    pub(crate) fn push_op(&mut self, op: SlabOp) {
+    pub(crate) fn push_op(&mut self, op: SlabOp<'a>) {
         self.ops.push(op);
     }
 
@@ -597,14 +624,23 @@ impl<'a> RouteEdit<'a> {
 
     /// Publishes the successor snapshot with one pointer swap, folding
     /// the queued slab ops through the spare-slab recycling protocol.
-    pub(crate) fn commit(mut self) {
+    /// Returns the changed-word counts of the edit's [`SlabOp::Copy`], one
+    /// per origin (empty without one). A copy that came alone and changed
+    /// no word publishes nothing: the spare still mirrors the published
+    /// slab and is kept as it is.
+    pub(crate) fn commit(mut self) -> Vec<u32> {
         if self.ops.is_empty() {
             // The slab is untouched: the successor shares the published
             // slab's storage and the spare stays a valid mirror.
             self.writer.publish(self.work);
-            return;
+            return Vec::new();
         }
-        let published = self.writer.state().advance(&self.ops);
+        let (slab, changed) = self.writer.state().advance(&self.ops);
+        if matches!(self.ops[..], [SlabOp::Copy(..)]) && changed.iter().all(|&words| words == 0) {
+            self.writer.state().restock(slab);
+            return changed;
+        }
+        let published = Arc::new(slab);
         self.work.slab = Arc::clone(&published);
         let prev = self.writer.publish(self.work);
         let displaced = match Arc::try_unwrap(prev) {
@@ -614,6 +650,7 @@ impl<'a> RouteEdit<'a> {
         self.writer
             .state()
             .recycle(displaced, &self.ops, &published);
+        changed
     }
 }
 
@@ -904,12 +941,12 @@ mod tests {
         let mut filter = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
         filter.insert("hello");
         let rounds: Vec<Vec<SlabOp>> = vec![
-            vec![SlabOp::Push(MdsId(0)), SlabOp::Push(MdsId(1))],
-            vec![SlabOp::PushFilter(MdsId(2), filter)],
+            vec![SlabOp::Push(MdsId(0), 0), SlabOp::Push(MdsId(1), 1)],
+            vec![SlabOp::PushFilter(MdsId(2), 2, filter)],
             vec![SlabOp::Remove(MdsId(1))],
         ];
         for ops in &rounds {
-            let next = spare.advance(ops);
+            let next = Arc::new(spare.advance(ops).0);
             let displaced = Arc::try_unwrap(core::mem::replace(&mut published, next)).ok();
             spare.recycle(displaced, ops, &published);
         }
@@ -923,8 +960,8 @@ mod tests {
         // A held reference forces the deep-copy fallback; the spare must
         // still mirror the published slab afterwards.
         let hold = Arc::clone(&published);
-        let ops = vec![SlabOp::Push(MdsId(3))];
-        let next = spare.advance(&ops);
+        let ops = vec![SlabOp::Push(MdsId(3), 1)];
+        let next = Arc::new(spare.advance(&ops).0);
         let displaced = Arc::try_unwrap(core::mem::replace(&mut published, next)).ok();
         assert!(
             displaced.is_none(),

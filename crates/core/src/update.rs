@@ -1,23 +1,38 @@
 //! The replica-update protocol (§3.4).
 //!
-//! Each home MDS tracks how far its live filter has drifted from the
-//! published snapshot its peers hold, via the XOR (Hamming) distance of the
-//! two bit vectors. Once the drift crosses the configured threshold, the
-//! home pushes a sparse `FilterDelta`. The protocol is written once on
-//! the generic [`Cluster`]; who receives the delta is the layout's
-//! decision ([`Topology::update_fanout`]): HBA broadcasts system-wide,
-//! G-HBA addresses **one server per group** — the replica holder,
-//! located through the group's IDBFA (a multi-hit there costs only extra
-//! dropped messages, the paper's "light false positive penalty").
+//! Each home MDS tracks how far its live column has drifted from the
+//! published column its peers hold, via the XOR (Hamming) distance of the
+//! two. Once the drift crosses the configured threshold, the home pushes
+//! the changed 64-bit words of its filter (a sparse delta of
+//! `24 + 12 × changed words` bytes). The protocol is written once on the
+//! generic [`Cluster`]; who receives the delta is the layout's decision
+//! ([`Topology::update_fanout`]): HBA broadcasts system-wide, G-HBA
+//! addresses **one server per group** — the replica holder, located
+//! through the group's IDBFA (a multi-hit there costs only extra dropped
+//! messages, the paper's "light false positive penalty").
 //!
 //! There is one publisher, `publish_columns`: [`Cluster::push_update`]
 //! hands it one origin, [`Cluster::flush_all_updates`] every server, and
-//! either way the deltas it collects reach the published slab as **one**
-//! successor snapshot — the modelled traffic is per origin (each pays
-//! its own fan-out), the snapshot machinery per call. Nothing else on a
-//! live cluster writes a filter delta into a published column
-//! (checkpoint restore, in [`crate::wal`], loads every column of a
-//! cluster that is not serving yet in one bulk pass, with no delta).
+//! either way the origins reach the published slab as **one** successor
+//! snapshot — the modelled traffic is per origin (each pays its own
+//! fan-out), the snapshot machinery per call. Nothing else on a live
+//! cluster writes a published column's cells (checkpoint restore, in
+//! [`crate::wal`], loads every column of a cluster that is not serving
+//! yet in one bulk pass).
+//!
+//! # The masked copy
+//!
+//! A server's live and published columns sit at one slot of two slabs of
+//! one shape, and differ only in the 64-row blocks its dirty-block bitmap
+//! marks. A publish is therefore one pass over the blocks its origins
+//! dirtied ([`SharedShapeArray::copy_blocks_from`]): per block, one
+//! masked store per row copies every origin's cells at once, and the
+//! bits it flipped count each origin's changed words — the delta's size,
+//! with no per-server delta built, applied or diffed. The same copy,
+//! one [`SlabOp::Copy`], catches the recycled spare slab up. The drift
+//! check reads the same blocks ([`Cluster::drift_bits`]).
+//!
+//! [`SharedShapeArray::copy_blocks_from`]: ghba_bloom::SharedShapeArray::copy_blocks_from
 
 use core::time::Duration;
 use std::sync::Arc;
@@ -27,6 +42,12 @@ use ghba_bloom::SharedShapeArray;
 use crate::cluster::{Cluster, Topology};
 use crate::ids::MdsId;
 use crate::snapshot::{RouteEdit, SlabOp};
+
+/// Bytes a replica-update delta of `words` changed 64-bit words occupies
+/// on the wire: 4 (index) + 8 (word) per word plus a 24-byte header.
+fn delta_wire_bytes(words: u32) -> u64 {
+    24 + 12 * u64::from(words)
+}
 
 /// Cost accounting for one replica-update push.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,29 +70,38 @@ impl<T: Topology> Cluster<T> {
     /// the mutation count suggests the XOR distance may have crossed the
     /// threshold, and the exact distance confirms it.
     ///
-    /// The exact O(m) distance runs at the gated *cadence*, not on every
+    /// The exact distance runs at the gated *cadence*, not on every
     /// mutation: after a check comes up under threshold, another `gate`
     /// mutations must accumulate before the next one (the
-    /// `drift_exact_checks` counter makes the cadence observable).
+    /// `drift_exact_checks` counter makes the cadence observable). It
+    /// reads only the origin's dirty blocks ([`drift_bits`]); a server a
+    /// handle retired has no published column to drift from, and is not
+    /// checked until its column is back.
+    ///
+    /// [`drift_bits`]: Cluster::drift_bits
     pub(crate) fn maybe_publish(&mut self, origin: MdsId) -> Option<UpdateReport> {
         let threshold = self.config.update_threshold_bits;
         let gate = self.config.publish_gate();
-        let exceeded = self.mdss.get_mut(&origin)?.drift_exceeds(gate, threshold)?;
+        if !self.mdss.get(&origin)?.drift_check_due(gate) {
+            return None;
+        }
+        let drift = self.drift_bits(origin)?;
         self.stats.counters.incr("drift_exact_checks");
-        if exceeded {
-            Some(self.push_update(origin))
-        } else {
+        if drift < threshold {
+            self.mdss.get_mut(&origin)?.note_drift_checked();
             None
+        } else {
+            Some(self.push_update(origin))
         }
     }
 
     /// Unconditionally refreshes `origin`'s replicas — one holder per
     /// foreign group under G-HBA, **all** other servers under HBA (the
     /// Figure 12 contrast) — returning the cost report. A no-op (with
-    /// `refreshed: false`) when the live filter matches the published
-    /// snapshot, or when a handle retired `origin`'s mirror: the delta
-    /// then stays unconsumed, so the first push after the restore folds
-    /// the accumulated drift into the restored column.
+    /// `refreshed: false`) when the live column matches the published
+    /// one, or when a handle retired `origin`'s mirror: the drift then
+    /// stays unconsumed, so the first push after the restore folds the
+    /// accumulated drift into the restored column.
     ///
     /// # Panics
     ///
@@ -81,7 +111,7 @@ impl<T: Topology> Cluster<T> {
         self.publish_columns(&[origin], false)
     }
 
-    /// Pushes updates for every server whose live filter drifted at all —
+    /// Pushes updates for every server whose live column drifted at all —
     /// a barrier used by experiments that need fresh replicas (and by
     /// departures) — as **one** successor snapshot. Returns the summed
     /// cost (latency: the slowest push).
@@ -93,54 +123,75 @@ impl<T: Topology> Cluster<T> {
         self.publish_columns(&self.server_ids(), true)
     }
 
-    /// The one column publisher: folds the drift of every server of
-    /// `origins` (ascending) into its published column through one
-    /// routing edit — one writer lock, one working copy, one spare-slab
-    /// recycle, one pointer swap however many servers drifted — then
-    /// accounts each refreshed origin's fan-out against that one
-    /// successor. Returns the summed cost (latency: the slowest push;
-    /// the default report when nothing was refreshed, and then nothing
-    /// is published either). A flush barrier (`logged`) is written ahead
-    /// to the attached WAL first (see [`log_flush`](Cluster::log_flush)).
+    /// The one column publisher: copies the live cells of every server of
+    /// `origins` (ascending) that has a published column into it, over
+    /// the blocks it dirtied, through one routing edit — one writer lock,
+    /// one masked pass per slab (the successor's and the recycled
+    /// spare's), one pointer swap however many servers drifted — then
+    /// accounts each origin whose copy changed a word against that one
+    /// successor. Every origin with a column restarts its cadence, moved
+    /// or not. Returns the summed cost (latency: the slowest push; the
+    /// default report when no word changed, and then nothing is
+    /// published either). A flush barrier (`logged`) is written ahead to
+    /// the attached WAL first (see [`log_flush`](Cluster::log_flush)).
     fn publish_columns(&mut self, origins: &[MdsId], logged: bool) -> UpdateReport {
         let routes = Arc::clone(&self.routes);
-        // Take the writer lock *before* consuming a delta, so a
-        // concurrent retire cannot drop an origin's column between the
-        // check and the publish.
+        // Take the writer lock *before* reading a column, so a concurrent
+        // retire cannot drop an origin's column between the check and
+        // the publish.
         let mut edit = RouteEdit::begin(&routes);
         if logged {
             self.log_flush(origins, &edit.work.slab);
         }
-        let mut refreshed = Vec::new();
+        let (mut published, mut dirty, mut copies) = (Vec::new(), Vec::new(), Vec::new());
         for &origin in origins {
-            let mds = self.mdss.get_mut(&origin).expect("origin must exist");
+            let mds = self.mdss.get(&origin).expect("origin must exist");
             if !edit.work.slab.contains_id(origin) {
                 continue;
             }
-            // The sparse delta touches only the bit-rows of changed words
-            // — cost scales with churn since the last publish, not with
-            // the O(m) filter width.
-            if let Some(delta) = mds.publish() {
-                refreshed.push((origin, delta.wire_bytes() as u64));
-                edit.push_op(SlabOp::Delta(origin, delta));
+            debug_assert_eq!(edit.work.slab.slot_of(origin), Some(mds.slot()));
+            published.push(origin);
+            if mds.dirty_blocks().iter().any(|&blocks| blocks != 0) {
+                dirty.push(origin);
+                copies.push((mds.slot(), mds.dirty_blocks(), mds.item_count()));
             }
         }
-        if refreshed.is_empty() {
-            return UpdateReport::default();
+        let changed = if copies.is_empty() {
+            // Nothing to copy: the edit ends here, unpublished.
+            drop(edit);
+            Vec::new()
+        } else {
+            // No epoch bump: a publish refreshes filter *content* under
+            // the same layout, so cached masks stay valid, and in-flight
+            // pinned walks keep probing the exact bits they admitted
+            // against.
+            edit.push_op(SlabOp::Copy(&self.live, copies));
+            edit.commit()
+        };
+        for origin in &published {
+            self.mdss
+                .get_mut(origin)
+                .expect("origin must exist")
+                .mark_published();
         }
-        // No epoch bump: a publish refreshes filter *content* under the
-        // same layout, so cached masks stay valid, and in-flight pinned
-        // walks keep probing the exact bits they admitted against.
-        edit.commit();
         let snap = self.routes.pin();
-        let mut total = UpdateReport::default();
-        for (origin, delta_bytes) in refreshed {
+        #[cfg(debug_assertions)]
+        for &origin in &published {
+            let mds = &self.mdss[&origin];
+            let all = vec![u64::MAX; mds.dirty_blocks().len()];
             debug_assert_eq!(
-                snap.slab.extract(origin).as_ref(),
-                self.mdss.get(&origin).map(|mds| mds.published()),
-                "sparse delta application diverged from the published snapshot"
+                snap.slab.column_distance(&self.live, mds.slot(), &all),
+                0,
+                "the masked copy left {origin}'s published column behind its live one"
             );
-            let report = T::update_fanout(self, &snap, origin, delta_bytes);
+        }
+        let refreshed = dirty
+            .into_iter()
+            .zip(changed)
+            .filter(|&(_, words)| words != 0);
+        let mut total = UpdateReport::default();
+        for (origin, words) in refreshed {
+            let report = T::update_fanout(self, &snap, origin, delta_wire_bytes(words));
             self.stats.update_messages += report.messages;
             self.stats.update_bytes += report.bytes;
             self.stats.update_latency.record(report.latency);
@@ -155,8 +206,9 @@ impl<T: Topology> Cluster<T> {
     /// Write-ahead for a flush barrier over `origins`, decided before
     /// any server or column changes: the record is appended only when
     /// the flush will change durable state — some origin with a column in
-    /// `slab` whose publish refreshes it or restarts its drift cadence
-    /// (the counters a checkpoint captures). A flush that changes nothing
+    /// `slab` whose publish restarts its drift cadence (the counters a
+    /// checkpoint captures; a server with none to restart is clean and
+    /// has no drift to publish either). A flush that changes nothing
     /// logs nothing, so an idle tick leaves the log as it was; it only
     /// lets a [`GroupCommit`](crate::SyncPolicy::GroupCommit) tail reach
     /// disk once its interval has passed ([`Wal::sync_if_due`]).
@@ -184,11 +236,15 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
+    use ghba_bloom::BloomFilter;
+
     use super::UpdateReport;
-    use crate::cluster::{Cluster, GhbaCluster, Topology};
+    use crate::cluster::{Cluster, ClusterStats, GhbaCluster, Topology};
     use crate::config::GhbaConfig;
     use crate::ids::MdsId;
     use crate::mirror::HbaCluster;
+    use crate::op::{EntryPolicy, OpBatch};
+    use crate::service::MetadataService;
 
     const SERVERS: u16 = 9;
     /// Never written to: the server with no drift.
@@ -230,7 +286,7 @@ mod tests {
         let ids = flushed.server_ids();
         let stale: BTreeMap<MdsId, _> = ids
             .iter()
-            .map(|&id| (id, flushed.mds(id).expect("live").published().clone()))
+            .map(|&id| (id, flushed.published_filter(id)))
             .collect();
         let before = flushed.routes.pin();
         let swaps = flushed.routes.publishes();
@@ -268,23 +324,21 @@ mod tests {
         let after = flushed.routes.pin();
         assert!(!Arc::ptr_eq(&before, &after));
         for &id in &ids {
-            let mds = flushed.mds(id).expect("live");
+            let published = after.slab.extract(id);
             if retired.contains(&id) {
-                assert_eq!(mds.published(), &stale[&id], "{id}: delta consumed");
-                assert!(after.slab.extract(id).is_none());
+                assert!(published.is_none() && stale[&id].is_none(), "{id}");
+                assert!(
+                    !flushed.mds(id).expect("live").is_clean(),
+                    "{id}: drift consumed"
+                );
                 continue;
             }
-            assert_eq!(before.slab.extract(id).as_ref(), Some(&stale[&id]), "{id}");
+            assert_eq!(before.slab.extract(id), stale[&id], "{id}");
+            assert_eq!(flushed.drift_bits(id), Some(0), "{id}");
+            assert_eq!(published == stale[&id], id == QUIET, "{id}");
             assert_eq!(
-                after.slab.extract(id).as_ref(),
-                Some(mds.published()),
-                "{id}"
-            );
-            assert_eq!(mds.drift_bits(), 0, "{id}");
-            assert_eq!(mds.published() == &stale[&id], id == QUIET, "{id}");
-            assert_eq!(
-                pushed.routes.pin().slab.extract(id).as_ref(),
-                Some(mds.published()),
+                pushed.published_filter(id),
+                published,
                 "{id}: twins diverged"
             );
         }
@@ -301,6 +355,21 @@ mod tests {
         let swaps = flushed.routes.publishes();
         assert_eq!(flushed.flush_all_updates(), UpdateReport::default());
         assert_eq!(flushed.routes.publishes(), swaps);
+        // A create and a remove of one path flip cells and move no bit:
+        // the flush copies the marked blocks, changes no word and swaps
+        // nothing in.
+        flushed.create_file_at("/flush/ghost", QUIET);
+        assert_eq!(flushed.remove_file("/flush/ghost"), Some(QUIET));
+        assert!(flushed
+            .mds(QUIET)
+            .expect("live")
+            .dirty_blocks()
+            .iter()
+            .any(|&w| w != 0));
+        assert_eq!(flushed.flush_all_updates(), UpdateReport::default());
+        assert_eq!(flushed.routes.publishes(), swaps);
+        assert!(flushed.mds(QUIET).expect("live").is_clean());
+        flushed.check_invariants().expect("nothing moved");
     }
 
     #[test]
@@ -358,10 +427,10 @@ mod tests {
         );
     }
 
-    /// The published slab is refreshed by sparse delta application; it
-    /// must stay bit-identical to every server's published snapshot.
+    /// Every flush leaves each server clean with its published column
+    /// equal to its live one, through creates and removes.
     #[test]
-    fn push_update_keeps_slab_in_sync_via_deltas() {
+    fn flushes_keep_the_published_slab_in_sync() {
         let config = GhbaConfig::default()
             .with_filter_capacity(2_000)
             .with_max_group_size(4)
@@ -381,6 +450,176 @@ mod tests {
             cluster
                 .check_invariants()
                 .expect("published slab mirrors every snapshot");
+            for id in cluster.server_ids() {
+                assert!(cluster.mds(id).expect("live").is_clean(), "{id}");
+            }
+        }
+    }
+
+    /// Bytes of a serialized filter before its words.
+    const HEADER: usize = 32;
+
+    /// The publish the masked copy replaced, as a reference: for every
+    /// server with a published column, extract that column and the live
+    /// one and diff them word by word; where a word changed, the live
+    /// column with the server's item count is the expected published one,
+    /// and `24 + 12 × changed words` bytes go through the layout's
+    /// fan-out. Returns the expected columns and the statistics a twin
+    /// accumulated.
+    fn reference_publish<T: Topology>(
+        cluster: &Cluster<T>,
+    ) -> (BTreeMap<MdsId, BloomFilter>, ClusterStats) {
+        let mut twin = cluster.clone();
+        let snap = cluster.routes.pin();
+        let mut columns = BTreeMap::new();
+        for (&id, mds) in &cluster.mdss {
+            let Some(old) = snap.slab.extract(id) else {
+                continue;
+            };
+            let mut new = cluster.live.extract(id).expect("a live column").to_bytes();
+            let old_words = old.to_bytes()[HEADER..].to_vec();
+            let words = old_words
+                .chunks(8)
+                .zip(new[HEADER..].chunks(8))
+                .filter(|(a, b)| a != b)
+                .count() as u64;
+            if words == 0 {
+                columns.insert(id, old);
+                continue;
+            }
+            new[24..HEADER].copy_from_slice(&(mds.item_count() as u64).to_le_bytes());
+            columns.insert(id, BloomFilter::from_bytes(&new).expect("valid"));
+            let report = T::update_fanout(&mut twin, &snap, id, 24 + 12 * words);
+            twin.stats.update_messages += report.messages;
+            twin.stats.update_bytes += report.bytes;
+            twin.stats.update_latency.record(report.latency);
+        }
+        (columns, twin.stats.clone())
+    }
+
+    /// Drains, then holds one `flush_all_updates` to
+    /// [`reference_publish`]: every published column (bits and item
+    /// count), the update messages, bytes and latency statistics and the
+    /// counters the fan-out keeps. Returns the expected columns.
+    fn publish_matches_reference<T: Topology>(
+        cluster: &mut Cluster<T>,
+    ) -> BTreeMap<MdsId, BloomFilter> {
+        cluster.drain_concurrent();
+        let (columns, want) = reference_publish(cluster);
+        cluster.flush_all_updates();
+        for (&id, column) in &columns {
+            assert_eq!(cluster.published_filter(id).as_ref(), Some(column), "{id}");
+        }
+        let got = cluster.stats();
+        assert_eq!(got.update_messages, want.update_messages);
+        assert_eq!(got.update_bytes, want.update_bytes);
+        assert_eq!(got.update_latency, want.update_latency);
+        let counters = |stats: &ClusterStats| -> BTreeMap<String, u64> {
+            let counters = stats.counters.iter();
+            counters.map(|(label, n)| (label.to_owned(), n)).collect()
+        };
+        assert_eq!(counters(got), counters(&want));
+        cluster
+            .check_invariants()
+            .expect("the publish keeps both slabs exact");
+        columns
+    }
+
+    /// Re-creates a stored path: dirty, no bit moved.
+    const RECREATED: MdsId = MdsId(5);
+    /// Creates and removes one path: blocks marked, no bit moved.
+    const GHOST: MdsId = MdsId(6);
+
+    /// Two rounds of writes through both entries on 70 servers (two slab
+    /// words), each published by one flush held to the reference. Round
+    /// two has an origin whose only write was a re-create and one whose
+    /// create and remove cancel out — neither is refreshed — and, between
+    /// its writes and its flush, whatever `between` does (a mirror retired,
+    /// written to and restored).
+    fn masked_publish_matches_the_reference<T: Topology>(
+        between: impl Fn(&mut Cluster<T>),
+    ) -> (Cluster<T>, BTreeMap<MdsId, BloomFilter>) {
+        let config = GhbaConfig::default()
+            .with_filter_capacity(400)
+            .with_max_group_size(8)
+            .with_update_threshold(usize::MAX)
+            .with_write_shards(4)
+            .with_seed(31);
+        let mut cluster: Cluster<T> = Cluster::with_servers(config, 70);
+        let concurrent = |cluster: &mut Cluster<T>, round: u16, entry| {
+            let mut batch = OpBatch::new().with_entry(entry);
+            for i in 0..140 {
+                batch.push_create(format!("/ref/r{round}/c{i}"));
+            }
+            for i in (0..140).step_by(7) {
+                batch.push_remove(format!("/ref/r{round}/c{i}"));
+            }
+            cluster.execute_concurrent(&batch);
+        };
+        for i in 0..700u16 {
+            let home = MdsId(i % 70);
+            if home != QUIET {
+                cluster.create_file_at(&format!("/ref/f{i}"), home);
+            }
+        }
+        concurrent(&mut cluster, 0, EntryPolicy::RoundRobin { start: 0 });
+        publish_matches_reference(&mut cluster);
+
+        // Round two leaves RECREATED and GHOST to their one write each.
+        cluster.create_file_at("/ref/f5", RECREATED);
+        cluster.create_file_at("/ref/ghost", GHOST);
+        assert_eq!(cluster.remove_file("/ref/ghost"), Some(GHOST));
+        for i in (0..700u16)
+            .step_by(9)
+            .filter(|i| ![5, 6].contains(&(i % 70)))
+        {
+            cluster.remove_file(&format!("/ref/f{i}"));
+        }
+        concurrent(&mut cluster, 1, EntryPolicy::Pinned(MdsId(66)));
+        cluster.drain_concurrent();
+        between(&mut cluster);
+        let dirty = |cluster: &Cluster<T>, id| !cluster.mds(id).expect("live").is_clean();
+        assert!(dirty(&cluster, RECREATED) && dirty(&cluster, GHOST));
+        let stale = [RECREATED, GHOST].map(|id| cluster.published_filter(id));
+        let columns = publish_matches_reference(&mut cluster);
+        assert_eq!(
+            [RECREATED, GHOST].map(|id| cluster.published_filter(id)),
+            stale
+        );
+        assert!(!dirty(&cluster, RECREATED) && !dirty(&cluster, GHOST));
+        (cluster, columns)
+    }
+
+    /// A checkpoint captured after the stream writes exactly the bytes
+    /// of a checkpoint whose published filters are the reference's.
+    #[test]
+    fn masked_publish_matches_the_reference_grouped() {
+        let (mut cluster, columns) = masked_publish_matches_the_reference::<crate::Grouped>(|_| {});
+        let capture = cluster.capture_checkpoint();
+        let mut expected = capture.clone();
+        for server in &mut expected.servers {
+            server.published = columns[&server.id].to_bytes();
+        }
+        assert_eq!(capture.to_bytes(), expected.to_bytes());
+    }
+
+    /// A server whose mirror was retired, written to while retired and
+    /// restored is published by the flush like any other.
+    #[test]
+    fn masked_publish_matches_the_reference_mirrored() {
+        const BACK: MdsId = MdsId(7);
+        let (cluster, _) = masked_publish_matches_the_reference::<crate::FullMirror>(|cluster| {
+            let handle = cluster.reconfig_handle();
+            let column = handle.retire_mds(BACK).expect("published");
+            for i in 0..30 {
+                cluster.create_file_at(&format!("/ref/back{i}"), BACK);
+            }
+            assert!(cluster.published_filter(BACK).is_none());
+            assert!(handle.restore_mds(BACK, &column));
+        });
+        for i in 0..30 {
+            let published = cluster.published_filter(BACK).expect("restored");
+            assert!(published.contains(&format!("/ref/back{i}")));
         }
     }
 }

@@ -88,7 +88,13 @@
 //!   when each path was re-fingerprinted and sorted by bytes), ≈ 1.1 ms
 //!   the checksum (1.7 ms), ≈ 0.9 ms the copy, and ≈ 2.6 ms the file
 //!   write, `fsync`, rename and log truncation (3.9 ms). It allocates
-//!   per server, never per path.
+//!   per server, never per path. A published filter exists only as a
+//!   slab column, so the writer first reads all of them in one
+//!   transposed pass over the slab
+//!   ([`SharedShapeArray::extract_filters`](ghba_bloom::SharedShapeArray::extract_filters),
+//!   the inverse of the restore's load): ≈ 0.32 ms for 48 columns of
+//!   128,000 bits timed alone on a 2-core host, against ≈ 5.5–6 ms for
+//!   48 one-column extractions; the bytes it writes are the same.
 //!
 //! Checkpoints still run on the draining thread, inside the drain that
 //! crossed `checkpoint_every`: every request behind that drain waits the
@@ -100,18 +106,20 @@
 //!
 //! A restart reads each byte once and writes each slab column once: the
 //! checkpoint decodes to paths and filter bytes (no lanes to read or
-//! verify), each server's store and live filters take its paths with one
-//! hash per path, and every restored published filter reaches the slab
-//! in **one** slab op that loads all columns at once — for each
-//! 64-bit word index, the words of up to 64 filters are one 64×64 bit
-//! transpose and 64 masked row stores
-//! ([`SharedShapeArray::load_filters`](ghba_bloom::SharedShapeArray::load_filters)),
-//! applied to the spare slab and the displaced one like any publish.
+//! verify), each server's store and counters take its paths with one
+//! hash per path while its live column is built in a filter of its own,
+//! and each slab takes all its columns in **one** load — the live slab
+//! the columns just built (dropped right after), the published slab the
+//! restored filters as one slab op applied to the spare slab and the
+//! displaced one like any publish. For each 64-bit word index, the words
+//! of up to 64 filters are one 64×64 bit transpose and 64 masked row
+//! stores
+//! ([`SharedShapeArray::load_filters`](ghba_bloom::SharedShapeArray::load_filters)).
 //! Before (format 2) the slab step extracted every column (a pass over
 //! all 128,000 rows per server), diffed it against the restored filter
 //! and applied the delta twice: ≈ 140 µs per server whatever it held.
 //! `write_churn`'s restart, by phase (timers around each, medians of 30
-//! restarts of a 50 k-file namespace; parent → change):
+//! restarts of a 50 k-file namespace; format 2 → format 3):
 //!
 //! * reading `checkpoint.bin`: 0.35 → 0.24 ms (2.55 → 1.74 MB);
 //! * decoding it: 4.7 → 2.9 ms (no per-path re-hash to verify lanes);
@@ -124,6 +132,15 @@
 //! End to end, `recovery_ms` fell 36.7 → 26.9 ms on `write_churn`,
 //! 42.2 → 30.2 ms on `read_hot`, 43.1 → 28.8 ms on `reconfig_reads` and
 //! 14.2 → 8.2 ms on `net_mixed` (CHANGES.md, PR 26).
+//!
+//! Since the live filters became one slab and a publish one masked copy,
+//! the tail's last flush copies only the blocks each server
+//! dirtied — every block of a server the checkpoint caught dirty — in
+//! one pass per slab. Medians of 40 `write_churn` restarts (4 seeds, one
+//! 2-core host), parent → change: decoding 3.79 → 3.80 ms, building the
+//! startup cluster 1.39 → 1.36, restoring the checkpoint 4.23 → 4.67
+//! (the live columns built while inserting, then loaded), replaying the
+//! 97-record tail 7.22 → 5.08, of which its last flush 3.73 → 0.98.
 //!
 //! # What is *not* durable
 //!
@@ -694,8 +711,9 @@ pub struct Checkpoint {
 
 /// A server's published filter as the checkpoint encoder reads it.
 enum PublishedView<'a> {
-    /// The live filter, serialized straight into the frame.
-    Filter(&'a BloomFilter),
+    /// The server's column, read out of the published slab with every
+    /// other one in one pass, serialized straight into the frame.
+    Filter(BloomFilter),
     /// Already [`BloomFilter::to_bytes`] (an owned [`ServerState`]).
     Bytes(&'a [u8]),
 }
@@ -715,7 +733,7 @@ impl<'a> ServerView<'a> {
     /// Sorts the store by the lane it is keyed by, then the path:
     /// integer compares, a path read only when two lanes tie, and no
     /// path hashed.
-    fn of_mds(mds: &'a Mds) -> Self {
+    fn of_mds(mds: &'a Mds, published: BloomFilter) -> Self {
         let mut keyed: Vec<(u64, &str)> = mds.store().keyed_paths().collect();
         keyed.sort_unstable();
         let (since_publish, since_drift) = mds.durable_counters();
@@ -724,7 +742,7 @@ impl<'a> ServerView<'a> {
             since_publish,
             since_drift,
             files: keyed.into_iter().map(|(_, path)| path).collect(),
-            published: PublishedView::Filter(mds.published()),
+            published: PublishedView::Filter(published),
         }
     }
 
@@ -809,7 +827,7 @@ impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
                 // Length-prefixed like a frame: reserve, write, patch.
                 let at = body.len();
                 body.extend_from_slice(&[0; 4]);
-                match server.published {
+                match &server.published {
                     PublishedView::Filter(filter) => filter.write_bytes_into(body),
                     PublishedView::Bytes(bytes) => body.extend_from_slice(bytes),
                 }
@@ -834,11 +852,20 @@ impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
 impl<T: Topology> Cluster<T> {
     /// The checkpoint view of the current state (which must have no
     /// pending concurrent writes — the owner drains before calling).
+    /// Every published column is read in one transposed pass over the
+    /// slab ([`SharedShapeArray::extract_filters`], the inverse of the
+    /// restore's load).
+    ///
+    /// [`SharedShapeArray::extract_filters`]: ghba_bloom::SharedShapeArray::extract_filters
     fn checkpoint_view(
         &self,
         wal_seq: u64,
     ) -> CheckpointView<'_, impl ExactSizeIterator<Item = ServerView<'_>>> {
         let snap = self.routes.pin();
+        let published = snap
+            .slab
+            .extract_filters(self.mdss.keys().copied())
+            .expect("every server of a durable cluster has a published column");
         let groups = snap
             .groups
             .iter()
@@ -854,7 +881,11 @@ impl<T: Topology> Cluster<T> {
             guard: ConfigGuard::of(&self.config),
             next_group: snap.next_group,
             groups: Cow::Owned(groups),
-            servers: self.mdss.values().map(ServerView::of_mds),
+            servers: self
+                .mdss
+                .values()
+                .zip(published)
+                .map(|(mds, filter)| ServerView::of_mds(mds, filter)),
         }
     }
 }
@@ -1390,6 +1421,7 @@ impl GhbaCluster {
         }
         let expected_shape = published_shape(&self.config);
         let mut columns = Vec::with_capacity(checkpoint.servers.len());
+        let mut live = Vec::with_capacity(checkpoint.servers.len());
         for state in checkpoint.servers {
             let published = BloomFilter::from_bytes(&state.published)
                 .map_err(|err| WalError::Corrupt(format!("checkpoint filter: {err}")))?;
@@ -1399,13 +1431,19 @@ impl GhbaCluster {
                 ));
             }
             let mds = self.mdss.get_mut(&state.id).expect("roster validated");
-            mds.restore_files(state.files);
-            mds.restore_published(published.clone(), state.since_publish, state.since_drift);
+            live.push((state.id, mds.restore_files(state.files)));
+            mds.restore_counters(state.since_publish, state.since_drift);
             columns.push((state.id, published));
         }
-        // Every slab column takes its restored published filter in one
-        // transposed pass over the rows (no epoch movement — a publish
-        // refreshes content under the same layout).
+        // Each slab takes its columns in one transposed pass over the
+        // rows: the live slab the projections built while inserting
+        // (dropped right after), the published slab the restored filters
+        // (no epoch movement — a publish refreshes content under the
+        // same layout).
+        self.live
+            .load_filters(live.iter().map(|(id, column)| (*id, column)))
+            .expect("restored live columns match the live slab");
+        drop(live);
         let routes = Arc::clone(&self.routes);
         let mut edit = RouteEdit::begin(&routes);
         edit.push_op(SlabOp::Load(columns));

@@ -291,8 +291,8 @@ fn concurrent_remove_locates_true_home_beside_pending_overlay_entries() {
 
 /// The `&self` entry never publishes: with the publish gate at its
 /// minimum (threshold 16 ⇒ gate 1), create-heavy `execute_concurrent`
-/// batches leave every published filter as it was and `column ==
-/// published` (invariant 7) holds with the writes still pending. The
+/// batches leave every published filter as it was and both slabs stay
+/// exact (invariant 7) with the writes still pending. The
 /// drain publishes nothing either: every replica-update message in the
 /// statistics is one `push_update` accounted in its `UpdateReport`.
 #[test]
@@ -301,7 +301,7 @@ fn concurrent_writes_publish_nothing_before_the_owner_flush() {
     assert_eq!(cluster.config().publish_gate(), 1);
     let published = |cluster: &GhbaCluster| -> Vec<_> {
         let ids = cluster.server_ids().into_iter();
-        ids.map(|id| cluster.mds(id).expect("live").published().clone())
+        ids.map(|id| cluster.published_filter(id).expect("published"))
             .collect()
     };
     let before = published(&cluster);
@@ -315,7 +315,7 @@ fn concurrent_writes_publish_nothing_before_the_owner_flush() {
         cluster.execute_concurrent(&batch);
         cluster
             .check_invariants()
-            .expect("column == published with concurrent writes pending");
+            .expect("both slabs exact with concurrent writes pending");
         assert_eq!(published(&cluster), before, "round {round}");
     }
 

@@ -2,7 +2,7 @@
 //! sequences.
 
 use ghba_core::{
-    ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, MdsId,
+    ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, HbaCluster, MdsId,
     MetadataService, OpBatch, OpOutcome,
 };
 use proptest::prelude::*;
@@ -155,6 +155,155 @@ fn apply_stream_op(
     }
 }
 
+/// One step of the live-slab stream: every writer of a live column, the
+/// publishers, and membership changes, through both entries.
+#[derive(Debug, Clone)]
+enum LiveStep {
+    /// An owner create (or re-create) of file `f` at the server `pick`
+    /// selects.
+    Create(u16, u8),
+    /// An owner remove of file `f` (an absent remove when it lives
+    /// nowhere).
+    Remove(u16),
+    /// A mixed `(kind, file)` batch through the `&self` entry, left
+    /// pending for the next drain (`kind % 3`: lookup, create, remove).
+    Concurrent(Vec<(u8, u16)>, u8),
+    /// The same through the `&mut` entry.
+    Owner(Vec<(u8, u16)>, u8),
+    Drain,
+    Flush,
+    Push(u8),
+    Join,
+    Leave(u8),
+    /// Under HBA: retire a server's mirror, write to the server, restore
+    /// the mirror and publish it.
+    RetireWriteRestore(u8, u16),
+}
+
+fn arb_live_step() -> impl Strategy<Value = LiveStep> {
+    let batch = || proptest::collection::vec((0u8..3, 0u16..300), 1..24);
+    prop_oneof![
+        4 => (0u16..300, any::<u8>()).prop_map(|(f, pick)| LiveStep::Create(f, pick)),
+        2 => (0u16..300).prop_map(LiveStep::Remove),
+        3 => (batch(), any::<u8>()).prop_map(|(ops, at)| LiveStep::Concurrent(ops, at)),
+        2 => (batch(), any::<u8>()).prop_map(|(ops, at)| LiveStep::Owner(ops, at)),
+        2 => Just(LiveStep::Drain),
+        1 => Just(LiveStep::Flush),
+        2 => any::<u8>().prop_map(LiveStep::Push),
+        1 => Just(LiveStep::Join),
+        1 => any::<u8>().prop_map(LiveStep::Leave),
+        1 => (any::<u8>(), 0u16..300).prop_map(|(pick, f)| LiveStep::RetireWriteRestore(pick, f)),
+    ]
+}
+
+/// Drives a [`LiveStep`] stream against a cluster of 66 servers — so
+/// slots span two slab words — and checks every invariant after every
+/// step: both slabs hold every server at one slot, each live column is
+/// its counters' projection, a published column differs from its live
+/// one only in the server's dirty blocks, a clean server's two columns
+/// are one. Pending writes of the `&self` entry stay pending across
+/// owner steps that do not drain. `$retire` handles `RetireWriteRestore`.
+macro_rules! drive_live_stream {
+    ($name:ident, $cluster:ty, $retire:expr) => {
+        fn $name(steps: &[LiveStep], seed: u64) -> Result<(), TestCaseError> {
+            let config = GhbaConfig::default()
+                .with_max_group_size(8)
+                .with_filter_capacity(48)
+                .with_update_threshold(24)
+                .with_write_shards(4)
+                .with_seed(seed);
+            let mut cluster = <$cluster>::with_servers(config, 66);
+            let path = |f: u16| format!("/live/f{f}");
+            let batch = |ops: &[(u8, u16)], at: u8, ids: &[MdsId]| {
+                let entry = ids[usize::from(at) % ids.len()];
+                let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(entry));
+                for &(kind, f) in ops {
+                    match kind % 3 {
+                        0 => batch.push_lookup(path(f)),
+                        1 => batch.push_create(path(f)),
+                        _ => batch.push_remove(path(f)),
+                    }
+                }
+                batch
+            };
+            for (n, step) in steps.iter().enumerate() {
+                let ids = cluster.server_ids();
+                let pick = |at: u8| ids[usize::from(at) % ids.len()];
+                match step {
+                    LiveStep::Create(f, at) => cluster.create_file_at(&path(*f), pick(*at)),
+                    LiveStep::Remove(f) => {
+                        cluster.drain_concurrent();
+                        let truth = cluster.true_home(&path(*f));
+                        prop_assert_eq!(cluster.remove_file(&path(*f)), truth, "step {}", n);
+                    }
+                    LiveStep::Concurrent(ops, at) => {
+                        cluster.execute_concurrent(&batch(ops, *at, &ids));
+                    }
+                    LiveStep::Owner(ops, at) => {
+                        cluster.execute(&batch(ops, *at, &ids));
+                    }
+                    LiveStep::Drain => {
+                        cluster.drain_concurrent();
+                    }
+                    LiveStep::Flush => {
+                        cluster.flush_all_updates();
+                        for id in cluster.server_ids() {
+                            prop_assert!(cluster.mds(id).expect("live").is_clean(), "step {}", n);
+                        }
+                    }
+                    LiveStep::Push(at) => {
+                        cluster.push_update(pick(*at));
+                        prop_assert!(cluster.mds(pick(*at)).expect("live").is_clean());
+                    }
+                    LiveStep::Join => {
+                        if cluster.server_count() < 72 {
+                            cluster.add_mds();
+                        }
+                    }
+                    LiveStep::Leave(at) => {
+                        if cluster.server_count() > 62 {
+                            cluster.remove_mds(pick(*at)).expect("removable");
+                        }
+                    }
+                    LiveStep::RetireWriteRestore(at, f) => {
+                        let retire: fn(&mut $cluster, MdsId, &str) = $retire;
+                        retire(&mut cluster, pick(*at), &path(*f));
+                    }
+                }
+                if let Err(violation) = cluster.check_invariants() {
+                    return Err(TestCaseError::fail(format!(
+                        "step {n} ({step:?}): {violation}"
+                    )));
+                }
+            }
+            cluster.drain_concurrent();
+            for f in 0..300 {
+                let entry = cluster.server_ids()[usize::from(f) % cluster.server_count()];
+                let outcome = cluster.lookup_concurrent(entry, &path(f));
+                prop_assert_eq!(
+                    outcome.home.is_some(),
+                    cluster.true_home(&path(f)).is_some()
+                );
+            }
+            Ok(())
+        }
+    };
+}
+
+drive_live_stream!(drive_grouped, GhbaCluster, |_, _, _| {});
+
+drive_live_stream!(drive_mirrored, HbaCluster, |cluster, victim, path| {
+    let handle = cluster.reconfig_handle();
+    let column = handle.retire_mds(victim).expect("published");
+    cluster.create_file_at(path, victim);
+    cluster
+        .check_invariants()
+        .expect_err("a retired mirror is a lost column");
+    assert!(handle.restore_mds(victim, &column));
+    cluster.push_update(victim);
+    assert!(cluster.mds(victim).expect("live").is_clean());
+});
+
 fn test_config(seed: u64) -> GhbaConfig {
     GhbaConfig::default()
         .with_max_group_size(3)
@@ -229,6 +378,20 @@ proptest! {
             let path = format!("/p/f{f}");
             prop_assert!(cluster.lookup(&path).found(), "lost {}", path);
         }
+    }
+
+    /// The live slab stays exact, and the published slab its lagging
+    /// twin, under arbitrary streams of creates, re-creates, removes,
+    /// absent removes, drains, flushes, pushes, joins and leaves through
+    /// both entries — on G-HBA, and on HBA with mirrors retired, written
+    /// to and restored along the way.
+    #[test]
+    fn live_slab_is_exact_under_arbitrary_streams(
+        steps in proptest::collection::vec(arb_live_step(), 1..40),
+        seed in 0u64..1000,
+    ) {
+        drive_grouped(&steps, seed)?;
+        drive_mirrored(&steps, seed)?;
     }
 
     /// Group sizes never exceed M; group count tracks ceil(N/M) from below.

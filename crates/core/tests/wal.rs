@@ -620,8 +620,8 @@ fn recovery_past_64_servers_matches_from_checkpoint_plus_tail() {
     let wide = (64..SERVERS as u16)
         .filter(|&id| {
             recovered
-                .mds(MdsId(id))
-                .is_some_and(|mds| mds.published().ones() > 0)
+                .published_filter(MdsId(id))
+                .is_some_and(|published| published.ones() > 0)
         })
         .count();
     assert!(wide > 0, "no published column past slot 63 to restore");

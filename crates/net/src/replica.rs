@@ -252,15 +252,7 @@ impl Service for ReplicaShared {
             }
             NetMessage::GroupProbe { qid, fp } => {
                 let cluster = self.cluster.read().expect("cluster lock poisoned");
-                let positives = cluster
-                    .server_ids()
-                    .into_iter()
-                    .filter(|&id| {
-                        cluster
-                            .mds(id)
-                            .is_some_and(|mds| mds.published().contains_fp(&fp))
-                    })
-                    .collect();
+                let positives = cluster.published_positives(&fp);
                 ServiceReply::Message(NetMessage::ProbeReply {
                     qid,
                     replica: self.replica,
