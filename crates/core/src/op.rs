@@ -449,6 +449,23 @@ impl OpBatch {
     pub fn clear(&mut self) {
         self.ops.clear();
     }
+
+    /// Empties the batch like [`clear`](OpBatch::clear), moving every
+    /// op's path `String` into `pool` so a decoder can refill them
+    /// instead of allocating new ones.
+    pub fn recycle_paths(&mut self, pool: &mut Vec<String>) {
+        for op in self.ops.drain(..) {
+            match op {
+                MetadataOp::Create(key) | MetadataOp::Lookup(key) | MetadataOp::Remove(key) => {
+                    pool.push(key.path);
+                }
+                MetadataOp::Rename { from, to } => {
+                    pool.push(from.path);
+                    pool.push(to.path);
+                }
+            }
+        }
+    }
 }
 
 /// The per-op result of [`MetadataService::execute`]
@@ -685,6 +702,19 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recycle_paths_empties_the_batch_into_the_pool() {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(3)));
+        batch.push_lookup("/a");
+        batch.push_rename("/b", "/c");
+        batch.push_remove("/d");
+        let mut pool = vec![String::from("/kept")];
+        batch.recycle_paths(&mut pool);
+        assert!(batch.is_empty());
+        assert_eq!(batch.entry_policy(), EntryPolicy::Pinned(MdsId(3)));
+        assert_eq!(pool, ["/kept", "/a", "/b", "/c", "/d"]);
+    }
 
     #[test]
     fn resolve_unique_identity_without_duplicates() {

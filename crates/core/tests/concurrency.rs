@@ -821,6 +821,17 @@ doubly_homed_path!(
     HbaCluster
 );
 
+/// Raises its flag when dropped by a panicking thread.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Whole mixed batches run from `&self` on three threads while a
 /// reconfiguration handle publishes rebalances, splits, and merges.
 /// Each thread asserts its in-batch view (a created path resolves to
@@ -879,6 +890,9 @@ fn concurrent_batches_race_reconfig_churn() {
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
                 scope.spawn(move || {
+                    // A panicking worker stops the churner, so the scope
+                    // can join it and the test fails instead of hanging.
+                    let _stop_on_panic = StopOnPanic(stop);
                     let mut placements = Vec::new();
                     for round in 0..ROUNDS {
                         let created: Vec<String> = (0..4)

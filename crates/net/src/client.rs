@@ -2,8 +2,23 @@
 //! keeps one connection per replica, and executes sharded batches
 //! through the same [`execute_sharded`] planner the in-process
 //! [`Federation`](crate::route::Federation) uses.
+//!
+//! # A wave crosses the wire once
+//!
+//! [`NetClient`] overrides [`BatchTransport::execute_wave`]: each
+//! replica's `ExecuteBatch` frame is encoded straight from the caller's
+//! borrowed batch into that connection's reused out-buffer, every frame
+//! of the wave is written before any reply is read, and the replies are
+//! read, in replica order, into the connection's reused in-buffer. The
+//! replicas therefore work on one wave concurrently, and a path is
+//! copied once: from the batch into the frame.
+//!
+//! [`RetryPolicy`] stays per replica inside a wave. A transport loss on
+//! replica `r` reconnects `r` and resends the frame still in its
+//! out-buffer, under the same `seq`; a reply already read from another
+//! replica is kept and never requested again.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -11,7 +26,7 @@ use ghba_bloom::Fingerprint;
 use ghba_core::{MdsId, OpBatch, OpOutcome};
 
 use crate::proto::NetMessage;
-use crate::route::{execute_sharded, BatchTransport};
+use crate::route::{execute_sharded, BatchTransport, Pick};
 use crate::wire::{WireCodec, WireError};
 
 /// One replica's counters, as sampled by [`NetClient::stats`].
@@ -25,10 +40,16 @@ pub struct ReplicaStats {
     pub gossip_epoch: u64,
 }
 
+/// One replica connection and the two buffers every request reuses.
 struct Conn {
     replica: u16,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The last frame sent, kept until its reply is read: a retry
+    /// resends it as is.
+    out: Vec<u8>,
+    /// The last reply's payload.
+    inbuf: Vec<u8>,
 }
 
 /// Bounded reconnect policy for lost replica connections.
@@ -182,56 +203,88 @@ impl NetClient {
         self.reconnects
     }
 
-    /// Sends one request — `payload`, an encoded [`NetMessage`] — on
-    /// replica `replica`'s connection and reads the reply. On a
-    /// transport loss (I/O error or the replica closing the
-    /// connection), re-fetches the replica map from the rendezvous,
-    /// reconnects, and retries under [`RetryPolicy`].
-    fn request(&mut self, replica: usize, payload: &[u8]) -> Result<NetMessage, WireError> {
+    /// Sends `msg` on replica `replica`'s connection and reads the
+    /// reply, retrying a transport loss (see [`NetClient::reply`]).
+    fn request(&mut self, replica: usize, msg: &NetMessage) -> Result<NetMessage, WireError> {
+        msg.encode_frame_into(&mut self.conns[replica].out);
+        let sent = self.send(replica);
+        self.reply(replica, sent)
+    }
+
+    /// Writes the frame in replica `replica`'s out-buffer.
+    fn send(&mut self, replica: usize) -> Result<(), WireError> {
+        let conn = &mut self.conns[replica];
+        conn.writer.write_all(&conn.out)?;
+        Ok(())
+    }
+
+    /// Reads replica `replica`'s reply to the frame in its out-buffer,
+    /// whose send had outcome `sent`. On a transport loss (an I/O error
+    /// on either side, or the replica closing the connection),
+    /// re-fetches the replica map from the rendezvous, reconnects, and
+    /// resends the frame under [`RetryPolicy`].
+    fn reply(
+        &mut self,
+        replica: usize,
+        sent: Result<(), WireError>,
+    ) -> Result<NetMessage, WireError> {
         let mut backoff = self.retry.initial_backoff;
         let mut attempts_left = self.retry.attempts;
+        let mut attempt = sent.and_then(|()| self.receive(replica));
         loop {
-            match self.request_once(replica, payload) {
+            match attempt {
                 Ok(reply) => return Ok(reply),
                 // Only transport losses are worth a reconnect; a
                 // replica that *answered* with an error stays final.
-                Err(err @ WireError::Io(_)) if attempts_left > 0 => err,
+                Err(WireError::Io(_)) if attempts_left > 0 => {}
                 Err(err) => return Err(err),
-            };
+            }
             attempts_left -= 1;
             std::thread::sleep(backoff);
             backoff = (backoff * 2).min(self.retry.max_backoff);
             match self.reconnect(replica) {
                 Ok(()) => self.reconnects += 1,
                 // The replica may still be re-registering: the next
-                // `request_once` on the stale connection fails fast and
-                // spends another attempt, so the budget stays bounded —
-                // but surface the rendezvous-side error once it's gone.
+                // attempt on the stale connection fails fast and spends
+                // another attempt, so the budget stays bounded — but
+                // surface the rendezvous-side error once it's gone.
                 Err(reconnect_err) if attempts_left == 0 => return Err(reconnect_err),
                 Err(_) => {}
             }
+            attempt = self.send(replica).and_then(|()| self.receive(replica));
         }
     }
 
-    /// One send/receive on the current connection, no retry.
-    fn request_once(&mut self, replica: usize, payload: &[u8]) -> Result<NetMessage, WireError> {
+    /// Reads one reply on replica `replica`'s current connection, no
+    /// retry.
+    fn receive(&mut self, replica: usize) -> Result<NetMessage, WireError> {
         let conn = &mut self.conns[replica];
-        WireCodec::write_payload(&mut conn.writer, payload)?;
-        match NetMessage::read_from(&mut conn.reader)? {
-            Some(NetMessage::ErrorReply { code, detail }) => Err(WireError::Protocol {
+        if !WireCodec::read_payload_into(&mut conn.reader, &mut conn.inbuf)? {
+            // A clean EOF is the same loss as a reset for our purposes:
+            // classify as I/O so the retry path reconnects.
+            return Err(WireError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                format!("replica {} closed the connection", conn.replica),
+            )));
+        }
+        match NetMessage::decode(&conn.inbuf)? {
+            NetMessage::ErrorReply { code, detail } => Err(WireError::Protocol {
                 detail: format!(
                     "replica {} rejected the request ({code}): {detail}",
                     conn.replica
                 ),
             }),
-            Some(reply) => Ok(reply),
-            // A clean EOF is the same loss as a reset for our purposes:
-            // classify as I/O so the retry path reconnects.
-            None => Err(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                format!("replica {} closed the connection", conn.replica),
-            ))),
+            reply => Ok(reply),
         }
+    }
+
+    /// Writes `msg` to every replica without awaiting a reply.
+    fn broadcast(&mut self, msg: &NetMessage) -> Result<(), WireError> {
+        for replica in 0..self.conns.len() {
+            msg.encode_frame_into(&mut self.conns[replica].out);
+            self.send(replica)?;
+        }
+        Ok(())
     }
 
     /// Re-fetches the replica map (a restarted replica re-registers
@@ -246,7 +299,10 @@ impl NetClient {
             .ok_or_else(|| WireError::Protocol {
                 detail: format!("replica {index} is no longer in the rendezvous map"),
             })?;
-        self.conns[replica] = open_conn(index, &addr)?;
+        let (reader, writer) = open_stream(&addr)?;
+        let conn = &mut self.conns[replica];
+        conn.reader = reader;
+        conn.writer = writer;
         Ok(())
     }
 
@@ -268,7 +324,7 @@ impl NetClient {
     pub fn drain_all(&mut self) -> Result<Vec<(u64, u64)>, WireError> {
         let mut acks = Vec::with_capacity(self.conns.len());
         for replica in 0..self.conns.len() {
-            match self.request(replica, &NetMessage::Drain.encode())? {
+            match self.request(replica, &NetMessage::Drain)? {
                 NetMessage::DrainAck { drained, pending } => acks.push((drained, pending)),
                 reply => {
                     return Err(WireError::Protocol {
@@ -286,7 +342,7 @@ impl NetClient {
     ///
     /// Propagates the first transport or protocol failure.
     pub fn stats(&mut self, replica: usize) -> Result<ReplicaStats, WireError> {
-        match self.request(replica, &NetMessage::Stats.encode())? {
+        match self.request(replica, &NetMessage::Stats)? {
             NetMessage::StatsReply {
                 pending,
                 batches_served,
@@ -316,7 +372,7 @@ impl NetClient {
     ) -> Result<Vec<(u16, Vec<MdsId>)>, WireError> {
         let mut replies = Vec::with_capacity(self.conns.len());
         for replica in 0..self.conns.len() {
-            match self.request(replica, &NetMessage::GroupProbe { qid, fp: *fp }.encode())? {
+            match self.request(replica, &NetMessage::GroupProbe { qid, fp: *fp })? {
                 NetMessage::ProbeReply {
                     qid: echoed,
                     replica: index,
@@ -340,14 +396,10 @@ impl NetClient {
     ///
     /// Propagates the first write failure.
     pub fn gossip(&mut self, epoch: u64, members: &[MdsId]) -> Result<(), WireError> {
-        for conn in &mut self.conns {
-            NetMessage::Gossip {
-                epoch,
-                members: members.to_vec(),
-            }
-            .write_to(&mut conn.writer)?;
-        }
-        Ok(())
+        self.broadcast(&NetMessage::Gossip {
+            epoch,
+            members: members.to_vec(),
+        })
     }
 
     /// Pings every replica and verifies the echoed nonce.
@@ -357,7 +409,7 @@ impl NetClient {
     /// Propagates the first transport or protocol failure.
     pub fn ping_all(&mut self, nonce: u64) -> Result<(), WireError> {
         for replica in 0..self.conns.len() {
-            match self.request(replica, &NetMessage::Ping { nonce }.encode())? {
+            match self.request(replica, &NetMessage::Ping { nonce })? {
                 NetMessage::Pong { nonce: echoed } if echoed == nonce => {}
                 reply => {
                     return Err(WireError::Protocol {
@@ -376,10 +428,7 @@ impl NetClient {
     ///
     /// Propagates the first write failure.
     pub fn shutdown_fleet(&mut self) -> Result<(), WireError> {
-        for conn in &mut self.conns {
-            NetMessage::Shutdown.write_to(&mut conn.writer)?;
-        }
-        Ok(())
+        self.broadcast(&NetMessage::Shutdown)
     }
 }
 
@@ -391,40 +440,111 @@ impl BatchTransport for NetClient {
     fn execute_on(&mut self, replica: usize, batch: &OpBatch) -> Result<Vec<OpOutcome>, WireError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match self.request(replica, &NetMessage::encode_execute_batch(seq, batch))? {
-            NetMessage::BatchReply {
-                seq: echoed,
-                outcomes,
-            } if echoed == seq => {
-                if outcomes.len() == batch.len() {
-                    Ok(outcomes)
-                } else {
-                    Err(WireError::Protocol {
-                        detail: format!(
-                            "replica {replica} answered {} outcomes for {} ops",
-                            outcomes.len(),
-                            batch.len()
-                        ),
-                    })
+        NetMessage::encode_execute_frame_into(
+            &mut self.conns[replica].out,
+            seq,
+            batch,
+            (0..batch.len()).map(Pick::Op),
+        );
+        let sent = self.send(replica);
+        let reply = self.reply(replica, sent)?;
+        batch_outcomes(replica, seq, batch.len(), reply)
+    }
+
+    /// Sends every non-empty list's frame, then reads every reply (see
+    /// the module docs). Every reply is read even after one fails, so
+    /// no connection is left holding an unread reply.
+    fn execute_wave(
+        &mut self,
+        batch: &OpBatch,
+        picks: &[Vec<Pick>],
+    ) -> Result<Vec<Vec<OpOutcome>>, WireError> {
+        let mut sent = Vec::with_capacity(picks.len());
+        for (replica, list) in picks.iter().enumerate() {
+            if list.is_empty() {
+                sent.push(None);
+                continue;
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            NetMessage::encode_execute_frame_into(
+                &mut self.conns[replica].out,
+                seq,
+                batch,
+                list.iter().copied(),
+            );
+            sent.push(Some((seq, self.send(replica))));
+        }
+        let mut outcomes = Vec::with_capacity(picks.len());
+        let mut first_err = None;
+        for (replica, sent) in sent.into_iter().enumerate() {
+            let Some((seq, sent)) = sent else {
+                outcomes.push(Vec::new());
+                continue;
+            };
+            match self
+                .reply(replica, sent)
+                .and_then(|reply| batch_outcomes(replica, seq, picks[replica].len(), reply))
+            {
+                Ok(list) => outcomes.push(list),
+                Err(err) => {
+                    first_err.get_or_insert(err);
                 }
             }
-            reply => Err(WireError::Protocol {
-                detail: format!("expected BatchReply(seq={seq}), got {reply:?}"),
-            }),
         }
+        first_err.map_or(Ok(outcomes), Err)
     }
 }
 
-/// Opens one replica connection (nodelay, split read/write halves).
+/// Checks a reply to the `ExecuteBatch` of `ops` ops sent to `replica`
+/// under `seq`: a `BatchReply` echoing `seq` with one outcome per op.
+fn batch_outcomes(
+    replica: usize,
+    seq: u64,
+    ops: usize,
+    reply: NetMessage,
+) -> Result<Vec<OpOutcome>, WireError> {
+    match reply {
+        NetMessage::BatchReply {
+            seq: echoed,
+            outcomes,
+        } if echoed == seq => {
+            if outcomes.len() == ops {
+                Ok(outcomes)
+            } else {
+                Err(WireError::Protocol {
+                    detail: format!(
+                        "replica {replica} answered {} outcomes for {ops} ops",
+                        outcomes.len(),
+                    ),
+                })
+            }
+        }
+        reply => Err(WireError::Protocol {
+            detail: format!("expected BatchReply(seq={seq}), got {reply:?}"),
+        }),
+    }
+}
+
+/// Opens one replica connection with empty buffers.
 fn open_conn(replica: u16, addr: &str) -> Result<Conn, WireError> {
+    let (reader, writer) = open_stream(addr)?;
+    Ok(Conn {
+        replica,
+        reader,
+        writer,
+        out: Vec::new(),
+        inbuf: Vec::new(),
+    })
+}
+
+/// Connects to `addr` (nodelay) and splits the stream into a buffered
+/// read half and a write half.
+fn open_stream(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), WireError> {
     let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
     stream.set_nodelay(true).ok();
     let read_half = stream.try_clone().map_err(WireError::Io)?;
-    Ok(Conn {
-        replica,
-        reader: BufReader::new(read_half),
-        writer: stream,
-    })
+    Ok((BufReader::new(read_half), stream))
 }
 
 /// One-shot rendezvous map fetch.

@@ -54,5 +54,5 @@ pub use loopback::{FleetSpec, LoopbackNet};
 pub use proto::NetMessage;
 pub use rendezvous::Rendezvous;
 pub use replica::{ReplicaConfig, ReplicaServer};
-pub use route::{execute_sharded, replica_config, replica_of, BatchTransport, Federation};
+pub use route::{execute_sharded, replica_config, replica_of, BatchTransport, Federation, Pick};
 pub use wire::{Frame, WireCodec, WireError, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};

@@ -49,6 +49,7 @@ use ghba_core::{
     QueryOutcome,
 };
 
+use crate::route::{split_halves, Pick};
 use crate::wire::{ByteReader, ByteWriter, Frame, WireCodec, WireError};
 
 /// Every message of wire version 1.
@@ -183,7 +184,15 @@ mod tags {
     pub const ERROR_REPLY: u8 = 17;
 }
 
-fn put_mds(w: &mut ByteWriter, id: MdsId) {
+/// [`MetadataOp`] discriminants inside an `ExecuteBatch` body.
+mod op_tags {
+    pub const CREATE: u8 = 0;
+    pub const LOOKUP: u8 = 1;
+    pub const REMOVE: u8 = 2;
+    pub const RENAME: u8 = 3;
+}
+
+fn put_mds(w: &mut ByteWriter<'_>, id: MdsId) {
     w.u16(id.0);
 }
 
@@ -191,7 +200,7 @@ fn get_mds(r: &mut ByteReader<'_>) -> Result<MdsId, WireError> {
     Ok(MdsId(r.u16()?))
 }
 
-fn put_mds_list(w: &mut ByteWriter, ids: &[MdsId]) {
+fn put_mds_list(w: &mut ByteWriter<'_>, ids: &[MdsId]) {
     w.u32(ids.len() as u32);
     for &id in ids {
         put_mds(w, id);
@@ -207,7 +216,7 @@ fn get_mds_list(r: &mut ByteReader<'_>) -> Result<Vec<MdsId>, WireError> {
     Ok(ids)
 }
 
-fn put_fingerprint(w: &mut ByteWriter, fp: &Fingerprint) {
+fn put_fingerprint(w: &mut ByteWriter<'_>, fp: &Fingerprint) {
     let (a, b) = fp.lanes();
     w.u64(a);
     w.u64(b);
@@ -219,18 +228,29 @@ fn get_fingerprint(r: &mut ByteReader<'_>) -> Result<Fingerprint, WireError> {
     Ok(Fingerprint::from_lanes(a, b))
 }
 
-fn put_path_key(w: &mut ByteWriter, key: &PathKey) {
+fn put_path_key(w: &mut ByteWriter<'_>, key: &PathKey) {
     w.string(key.path());
     put_fingerprint(w, key.fingerprint());
 }
 
-fn get_path_key(r: &mut ByteReader<'_>) -> Result<PathKey, WireError> {
-    let path = r.string()?;
+/// Decodes a key whose path `String` comes from `pool` when it holds
+/// one: cleared, then filled from the frame's UTF-8-checked bytes. The
+/// path is still re-hashed against the fingerprint that travelled.
+fn get_path_key(r: &mut ByteReader<'_>, pool: &mut Vec<String>) -> Result<PathKey, WireError> {
+    let path = r.str_ref()?;
     let fp = get_fingerprint(r)?;
-    PathKey::from_parts(path, fp).map_err(|path| WireError::CorruptFingerprint { path })
+    let owned = match pool.pop() {
+        Some(mut owned) => {
+            owned.clear();
+            owned.push_str(path);
+            owned
+        }
+        None => path.to_owned(),
+    };
+    PathKey::from_parts(owned, fp).map_err(|path| WireError::CorruptFingerprint { path })
 }
 
-fn put_entry_policy(w: &mut ByteWriter, policy: EntryPolicy) {
+fn put_entry_policy(w: &mut ByteWriter<'_>, policy: EntryPolicy) {
     match policy {
         EntryPolicy::Random => w.u8(0),
         EntryPolicy::Pinned(id) => {
@@ -258,36 +278,37 @@ fn get_entry_policy(r: &mut ByteReader<'_>) -> Result<EntryPolicy, WireError> {
     }
 }
 
-fn put_op(w: &mut ByteWriter, op: &MetadataOp) {
-    match op {
-        MetadataOp::Create(key) => {
-            w.u8(0);
-            put_path_key(w, key);
-        }
-        MetadataOp::Lookup(key) => {
-            w.u8(1);
-            put_path_key(w, key);
-        }
-        MetadataOp::Remove(key) => {
-            w.u8(2);
-            put_path_key(w, key);
-        }
-        MetadataOp::Rename { from, to } => {
-            w.u8(3);
-            put_path_key(w, from);
-            put_path_key(w, to);
-        }
+fn put_keyed(w: &mut ByteWriter<'_>, tag: u8, key: &PathKey) {
+    w.u8(tag);
+    put_path_key(w, key);
+}
+
+/// Encodes the op `pick` names in `ops`: the op itself, or one half of
+/// a split rename as the `Remove` / `Create` it stands for.
+fn put_pick(w: &mut ByteWriter<'_>, ops: &[MetadataOp], pick: Pick) {
+    match pick {
+        Pick::Op(i) => match &ops[i] {
+            MetadataOp::Create(key) => put_keyed(w, op_tags::CREATE, key),
+            MetadataOp::Lookup(key) => put_keyed(w, op_tags::LOOKUP, key),
+            MetadataOp::Remove(key) => put_keyed(w, op_tags::REMOVE, key),
+            MetadataOp::Rename { from, to } => {
+                put_keyed(w, op_tags::RENAME, from);
+                put_path_key(w, to);
+            }
+        },
+        Pick::RemoveFrom(i) => put_keyed(w, op_tags::REMOVE, split_halves(&ops[i]).0),
+        Pick::CreateTo(i) => put_keyed(w, op_tags::CREATE, split_halves(&ops[i]).1),
     }
 }
 
-fn get_op(r: &mut ByteReader<'_>) -> Result<MetadataOp, WireError> {
+fn get_op(r: &mut ByteReader<'_>, pool: &mut Vec<String>) -> Result<MetadataOp, WireError> {
     match r.u8()? {
-        0 => Ok(MetadataOp::Create(get_path_key(r)?)),
-        1 => Ok(MetadataOp::Lookup(get_path_key(r)?)),
-        2 => Ok(MetadataOp::Remove(get_path_key(r)?)),
-        3 => Ok(MetadataOp::Rename {
-            from: get_path_key(r)?,
-            to: get_path_key(r)?,
+        op_tags::CREATE => Ok(MetadataOp::Create(get_path_key(r, pool)?)),
+        op_tags::LOOKUP => Ok(MetadataOp::Lookup(get_path_key(r, pool)?)),
+        op_tags::REMOVE => Ok(MetadataOp::Remove(get_path_key(r, pool)?)),
+        op_tags::RENAME => Ok(MetadataOp::Rename {
+            from: get_path_key(r, pool)?,
+            to: get_path_key(r, pool)?,
         }),
         value => Err(WireError::UnknownEnum {
             what: "MetadataOp",
@@ -296,31 +317,44 @@ fn get_op(r: &mut ByteReader<'_>) -> Result<MetadataOp, WireError> {
     }
 }
 
-fn put_batch(w: &mut ByteWriter, batch: &OpBatch) {
-    put_entry_policy(w, batch.entry_policy());
-    w.u32(batch.len() as u32);
-    for op in batch.ops() {
-        put_op(w, op);
-    }
-}
-
-fn put_execute_batch(w: &mut ByteWriter, seq: u64, batch: &OpBatch) {
+/// The one `ExecuteBatch` writer: tag, seq, `batch`'s policy, then the
+/// ops `picks` names, borrowed from `batch`.
+fn put_execute_batch(
+    w: &mut ByteWriter<'_>,
+    seq: u64,
+    batch: &OpBatch,
+    picks: impl ExactSizeIterator<Item = Pick>,
+) {
     w.u8(tags::EXECUTE_BATCH);
     w.u64(seq);
-    put_batch(w, batch);
-}
-
-fn get_batch(r: &mut ByteReader<'_>) -> Result<OpBatch, WireError> {
-    let policy = get_entry_policy(r)?;
-    let n = r.u32()? as usize;
-    let mut batch = OpBatch::with_capacity(n.min(65_536)).with_entry(policy);
-    for _ in 0..n {
-        batch.push(get_op(r)?);
+    put_entry_policy(w, batch.entry_policy());
+    w.u32(picks.len() as u32);
+    for pick in picks {
+        put_pick(w, batch.ops(), pick);
     }
-    Ok(batch)
 }
 
-fn put_level(w: &mut ByteWriter, level: QueryLevel) {
+/// An `ExecuteBatch` body after the tag, up to its ops: `(seq, policy,
+/// op count)`.
+fn get_execute_header(r: &mut ByteReader<'_>) -> Result<(u64, EntryPolicy, usize), WireError> {
+    Ok((r.u64()?, get_entry_policy(r)?, r.u32()? as usize))
+}
+
+/// Decodes `n` ops onto `batch`, their paths' `String`s taken from
+/// `pool` while it holds one.
+fn get_ops(
+    r: &mut ByteReader<'_>,
+    n: usize,
+    batch: &mut OpBatch,
+    pool: &mut Vec<String>,
+) -> Result<(), WireError> {
+    for _ in 0..n {
+        batch.push(get_op(r, pool)?);
+    }
+    Ok(())
+}
+
+fn put_level(w: &mut ByteWriter<'_>, level: QueryLevel) {
     w.u8(match level {
         QueryLevel::L1Lru => 0,
         QueryLevel::L2Segment => 1,
@@ -344,7 +378,7 @@ fn get_level(r: &mut ByteReader<'_>) -> Result<QueryLevel, WireError> {
     }
 }
 
-fn put_opt_mds(w: &mut ByteWriter, id: Option<MdsId>) {
+fn put_opt_mds(w: &mut ByteWriter<'_>, id: Option<MdsId>) {
     match id {
         None => w.u8(0),
         Some(id) => {
@@ -365,7 +399,7 @@ fn get_opt_mds(r: &mut ByteReader<'_>) -> Result<Option<MdsId>, WireError> {
     }
 }
 
-fn put_query_outcome(w: &mut ByteWriter, q: &QueryOutcome) {
+fn put_query_outcome(w: &mut ByteWriter<'_>, q: &QueryOutcome) {
     put_opt_mds(w, q.home);
     put_level(w, q.level);
     // Nanosecond precision covers every simulated latency the models
@@ -387,7 +421,7 @@ fn get_query_outcome(r: &mut ByteReader<'_>) -> Result<QueryOutcome, WireError> 
     })
 }
 
-fn put_outcome(w: &mut ByteWriter, outcome: &OpOutcome) {
+fn put_outcome(w: &mut ByteWriter<'_>, outcome: &OpOutcome) {
     match outcome {
         OpOutcome::Created { home } => {
             w.u8(0);
@@ -427,93 +461,111 @@ fn get_outcome(r: &mut ByteReader<'_>) -> Result<OpOutcome, WireError> {
     }
 }
 
+/// The one message writer behind [`NetMessage::encode`] and
+/// [`NetMessage::encode_frame_into`]: tag byte + body.
+fn put_message(w: &mut ByteWriter<'_>, msg: &NetMessage) {
+    match msg {
+        NetMessage::RegisterReplica { replica, addr } => {
+            w.u8(tags::REGISTER_REPLICA);
+            w.u16(*replica);
+            w.string(addr);
+        }
+        NetMessage::RegisterAck { epoch } => {
+            w.u8(tags::REGISTER_ACK);
+            w.u64(*epoch);
+        }
+        NetMessage::FetchMap => w.u8(tags::FETCH_MAP),
+        NetMessage::MapReply { epoch, replicas } => {
+            w.u8(tags::MAP_REPLY);
+            w.u64(*epoch);
+            w.u32(replicas.len() as u32);
+            for (index, addr) in replicas {
+                w.u16(*index);
+                w.string(addr);
+            }
+        }
+        NetMessage::ExecuteBatch { seq, batch } => {
+            put_execute_batch(w, *seq, batch, (0..batch.len()).map(Pick::Op))
+        }
+        NetMessage::BatchReply { seq, outcomes } => {
+            w.u8(tags::BATCH_REPLY);
+            w.u64(*seq);
+            w.u32(outcomes.len() as u32);
+            for outcome in outcomes {
+                put_outcome(w, outcome);
+            }
+        }
+        NetMessage::Gossip { epoch, members } => {
+            w.u8(tags::GOSSIP);
+            w.u64(*epoch);
+            put_mds_list(w, members);
+        }
+        NetMessage::GroupProbe { qid, fp } => {
+            w.u8(tags::GROUP_PROBE);
+            w.u64(*qid);
+            put_fingerprint(w, fp);
+        }
+        NetMessage::ProbeReply {
+            qid,
+            replica,
+            positives,
+        } => {
+            w.u8(tags::PROBE_REPLY);
+            w.u64(*qid);
+            w.u16(*replica);
+            put_mds_list(w, positives);
+        }
+        NetMessage::Drain => w.u8(tags::DRAIN),
+        NetMessage::DrainAck { drained, pending } => {
+            w.u8(tags::DRAIN_ACK);
+            w.u64(*drained);
+            w.u64(*pending);
+        }
+        NetMessage::Stats => w.u8(tags::STATS),
+        NetMessage::StatsReply {
+            pending,
+            batches_served,
+            gossip_epoch,
+        } => {
+            w.u8(tags::STATS_REPLY);
+            w.u64(*pending);
+            w.u64(*batches_served);
+            w.u64(*gossip_epoch);
+        }
+        NetMessage::Ping { nonce } => {
+            w.u8(tags::PING);
+            w.u64(*nonce);
+        }
+        NetMessage::Pong { nonce } => {
+            w.u8(tags::PONG);
+            w.u64(*nonce);
+        }
+        NetMessage::Shutdown => w.u8(tags::SHUTDOWN),
+        NetMessage::ErrorReply { code, detail } => {
+            w.u8(tags::ERROR_REPLY);
+            w.u16(*code);
+            w.string(detail);
+        }
+    }
+}
+
 impl NetMessage {
     /// Encodes the message payload: tag byte + body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            NetMessage::RegisterReplica { replica, addr } => {
-                w.u8(tags::REGISTER_REPLICA);
-                w.u16(*replica);
-                w.string(addr);
-            }
-            NetMessage::RegisterAck { epoch } => {
-                w.u8(tags::REGISTER_ACK);
-                w.u64(*epoch);
-            }
-            NetMessage::FetchMap => w.u8(tags::FETCH_MAP),
-            NetMessage::MapReply { epoch, replicas } => {
-                w.u8(tags::MAP_REPLY);
-                w.u64(*epoch);
-                w.u32(replicas.len() as u32);
-                for (index, addr) in replicas {
-                    w.u16(*index);
-                    w.string(addr);
-                }
-            }
-            NetMessage::ExecuteBatch { seq, batch } => put_execute_batch(&mut w, *seq, batch),
-            NetMessage::BatchReply { seq, outcomes } => {
-                w.u8(tags::BATCH_REPLY);
-                w.u64(*seq);
-                w.u32(outcomes.len() as u32);
-                for outcome in outcomes {
-                    put_outcome(&mut w, outcome);
-                }
-            }
-            NetMessage::Gossip { epoch, members } => {
-                w.u8(tags::GOSSIP);
-                w.u64(*epoch);
-                put_mds_list(&mut w, members);
-            }
-            NetMessage::GroupProbe { qid, fp } => {
-                w.u8(tags::GROUP_PROBE);
-                w.u64(*qid);
-                put_fingerprint(&mut w, fp);
-            }
-            NetMessage::ProbeReply {
-                qid,
-                replica,
-                positives,
-            } => {
-                w.u8(tags::PROBE_REPLY);
-                w.u64(*qid);
-                w.u16(*replica);
-                put_mds_list(&mut w, positives);
-            }
-            NetMessage::Drain => w.u8(tags::DRAIN),
-            NetMessage::DrainAck { drained, pending } => {
-                w.u8(tags::DRAIN_ACK);
-                w.u64(*drained);
-                w.u64(*pending);
-            }
-            NetMessage::Stats => w.u8(tags::STATS),
-            NetMessage::StatsReply {
-                pending,
-                batches_served,
-                gossip_epoch,
-            } => {
-                w.u8(tags::STATS_REPLY);
-                w.u64(*pending);
-                w.u64(*batches_served);
-                w.u64(*gossip_epoch);
-            }
-            NetMessage::Ping { nonce } => {
-                w.u8(tags::PING);
-                w.u64(*nonce);
-            }
-            NetMessage::Pong { nonce } => {
-                w.u8(tags::PONG);
-                w.u64(*nonce);
-            }
-            NetMessage::Shutdown => w.u8(tags::SHUTDOWN),
-            NetMessage::ErrorReply { code, detail } => {
-                w.u8(tags::ERROR_REPLY);
-                w.u16(*code);
-                w.string(detail);
-            }
-        }
-        w.into_bytes()
+        let mut payload = Vec::new();
+        put_message(&mut ByteWriter::new(&mut payload), self);
+        payload
+    }
+
+    /// Encodes the message as one complete frame into `frame`, replacing
+    /// its contents and keeping its allocation: the bytes of
+    /// [`Frame::from_payload`] over [`encode`](NetMessage::encode)'s
+    /// payload, written in place.
+    pub fn encode_frame_into(&self, frame: &mut Vec<u8>) {
+        let mut w = ByteWriter::open_frame(frame);
+        put_message(&mut w, self);
+        w.close_frame();
     }
 
     /// The payload [`encode`](NetMessage::encode) produces for
@@ -522,9 +574,58 @@ impl NetMessage {
     /// just to serialise it.
     #[must_use]
     pub fn encode_execute_batch(seq: u64, batch: &OpBatch) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        put_execute_batch(&mut w, seq, batch);
-        w.into_bytes()
+        let mut payload = Vec::new();
+        put_execute_batch(
+            &mut ByteWriter::new(&mut payload),
+            seq,
+            batch,
+            (0..batch.len()).map(Pick::Op),
+        );
+        payload
+    }
+
+    /// Encodes the [`NetMessage::ExecuteBatch`] frame of the sub-batch
+    /// `picks` names in `batch` (under `batch`'s policy) into `frame`,
+    /// replacing its contents: the frame of the materialised sub-batch,
+    /// without cloning a path into one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pick names an op `batch` does not have, or a split
+    /// half names an op that is not a rename.
+    pub fn encode_execute_frame_into(
+        frame: &mut Vec<u8>,
+        seq: u64,
+        batch: &OpBatch,
+        picks: impl ExactSizeIterator<Item = Pick>,
+    ) {
+        let mut w = ByteWriter::open_frame(frame);
+        put_execute_batch(&mut w, seq, batch, picks);
+        w.close_frame();
+    }
+
+    /// Decodes an [`NetMessage::ExecuteBatch`] payload into `batch`,
+    /// returning its `seq`, or `Ok(None)` (`batch` untouched) when the
+    /// payload is another message. `batch`'s previous paths go back to
+    /// `pool` first, and every decoded path's `String` is taken from
+    /// `pool` while it holds one, so a connection that keeps both
+    /// allocates no path buffer it already has. Every check of
+    /// [`NetMessage::decode`] holds, with the same [`WireError`].
+    pub fn decode_execute_batch_into(
+        payload: &[u8],
+        batch: &mut OpBatch,
+        pool: &mut Vec<String>,
+    ) -> Result<Option<u64>, WireError> {
+        let mut r = ByteReader::new(payload);
+        if r.u8()? != tags::EXECUTE_BATCH {
+            return Ok(None);
+        }
+        batch.recycle_paths(pool);
+        let (seq, policy, n) = get_execute_header(&mut r)?;
+        *batch = std::mem::take(batch).with_entry(policy);
+        get_ops(&mut r, n, batch, pool)?;
+        r.finish()?;
+        Ok(Some(seq))
     }
 
     /// Decodes one message from a frame payload (tag byte + body),
@@ -549,10 +650,12 @@ impl NetMessage {
                 }
                 NetMessage::MapReply { epoch, replicas }
             }
-            tags::EXECUTE_BATCH => NetMessage::ExecuteBatch {
-                seq: r.u64()?,
-                batch: get_batch(&mut r)?,
-            },
+            tags::EXECUTE_BATCH => {
+                let (seq, policy, n) = get_execute_header(&mut r)?;
+                let mut batch = OpBatch::with_capacity(n.min(65_536)).with_entry(policy);
+                get_ops(&mut r, n, &mut batch, &mut Vec::new())?;
+                NetMessage::ExecuteBatch { seq, batch }
+            }
             tags::BATCH_REPLY => {
                 let seq = r.u64()?;
                 let n = r.u32()? as usize;
@@ -603,7 +706,9 @@ impl NetMessage {
     /// payload).
     #[must_use]
     pub fn to_frame(&self) -> Frame {
-        Frame::from_payload(&self.encode())
+        let mut bytes = Vec::new();
+        self.encode_frame_into(&mut bytes);
+        Frame::from_closed(bytes)
     }
 
     /// Parses one framed message from the front of `bytes`, returning
@@ -615,15 +720,20 @@ impl NetMessage {
 
     /// Writes the message as one frame and flushes.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), WireError> {
-        WireCodec::write_payload(w, &self.encode())
+        let mut frame = Vec::new();
+        self.encode_frame_into(&mut frame);
+        w.write_all(&frame)?;
+        w.flush()?;
+        Ok(())
     }
 
     /// Reads one framed message; `Ok(None)` on clean end-of-stream.
     pub fn read_from(r: &mut impl Read) -> Result<Option<NetMessage>, WireError> {
-        match WireCodec::read_payload(r)? {
-            None => Ok(None),
-            Some(payload) => Ok(Some(NetMessage::decode(&payload)?)),
+        let mut payload = Vec::new();
+        if !WireCodec::read_payload_into(r, &mut payload)? {
+            return Ok(None);
         }
+        NetMessage::decode(&payload).map(Some)
     }
 }
 

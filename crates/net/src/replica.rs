@@ -47,8 +47,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use ghba_core::{
-    ControllerConfig, GhbaCluster, GhbaConfig, GroupController, MdsId, MetadataService, Reconciler,
-    SyncPolicy, WalOptions,
+    ControllerConfig, GhbaCluster, GhbaConfig, GroupController, MdsId, MetadataService, OpBatch,
+    OpOutcome, Reconciler, SyncPolicy, WalOptions,
 };
 
 use crate::proto::NetMessage;
@@ -228,21 +228,24 @@ impl ReplicaShared {
 }
 
 impl Service for ReplicaShared {
+    /// Runs `batch` under the read lock: the pin-once pipeline, then
+    /// the served-batch count and the crash injection.
+    fn execute(&self, batch: &OpBatch) -> Option<Vec<OpOutcome>> {
+        let cluster = self.cluster.read().expect("cluster lock poisoned");
+        let outcomes = cluster.execute_concurrent(batch);
+        drop(cluster);
+        let served = self.batches_served.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.crash_after_batches > 0 && served >= self.crash_after_batches {
+            // Fault injection: die like a SIGKILL would — no reply, no
+            // drain, no unwinding. Whatever the WAL synced is all
+            // recovery gets.
+            std::process::abort();
+        }
+        Some(outcomes)
+    }
+
     fn handle(&self, msg: NetMessage) -> ServiceReply {
         match msg {
-            NetMessage::ExecuteBatch { seq, batch } => {
-                let cluster = self.cluster.read().expect("cluster lock poisoned");
-                let outcomes = cluster.execute_concurrent(&batch);
-                drop(cluster);
-                let served = self.batches_served.fetch_add(1, Ordering::Relaxed) + 1;
-                if self.crash_after_batches > 0 && served >= self.crash_after_batches {
-                    // Fault injection: die like a SIGKILL would — no
-                    // reply, no drain, no unwinding. Whatever the WAL
-                    // synced is all recovery gets.
-                    std::process::abort();
-                }
-                ServiceReply::Message(NetMessage::BatchReply { seq, outcomes })
-            }
             NetMessage::Drain => {
                 let drained = self.drain();
                 ServiceReply::Message(NetMessage::DrainAck {
@@ -492,7 +495,6 @@ fn wire_to_io(err: WireError) -> std::io::Error {
 mod tests {
     use super::*;
     use crate::rendezvous::Rendezvous;
-    use ghba_core::OpBatch;
     use std::io::BufReader;
     use std::net::TcpStream;
 

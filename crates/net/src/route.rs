@@ -38,6 +38,18 @@
 //! decomposition the concurrent pipeline itself uses for cross-shard
 //! renames (no op ever holds two shards), lifted one level to
 //! cross-replica.
+//!
+//! # Picks: the planner borrows
+//!
+//! A wave is one list of [`Pick`]s per replica: positions in the
+//! caller's batch (`Op(i)`), or one half of the split rename at `i`
+//! (`RemoveFrom(i)`, `CreateTo(i)`). Planning clones no path. A wave
+//! goes to [`BatchTransport::execute_wave`] whole, so a transport can
+//! send every replica's frame before it reads any reply — the TCP
+//! [`NetClient`](crate::client::NetClient) does, encoding each frame
+//! straight from the borrowed batch. Wave 2 runs only when some split
+//! rename's source existed; a split rename's slot keeps the index of its
+//! wave-2 outcome, so stitching is one pass.
 
 use ghba_core::{
     GhbaCluster, GhbaConfig, MetadataOp, MetadataService, OpBatch, OpOutcome, PathKey,
@@ -79,6 +91,30 @@ pub fn replica_config(base: &GhbaConfig, replica: usize) -> GhbaConfig {
     config
 }
 
+/// One op of a wave's per-replica list, named by its position in the
+/// caller's batch: the planner borrows the batch and clones nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pick {
+    /// Op `i` of the batch, as it is.
+    Op(usize),
+    /// Wave 1's half of the split rename at op `i`: `Remove(from)`.
+    RemoveFrom(usize),
+    /// Wave 2's half of the split rename at op `i`: `Create(to)`.
+    CreateTo(usize),
+}
+
+/// The `(from, to)` keys of a rename a split [`Pick`] names.
+///
+/// # Panics
+///
+/// Panics if `op` is not a rename: the planner only splits renames.
+pub(crate) fn split_halves(op: &MetadataOp) -> (&PathKey, &PathKey) {
+    match op {
+        MetadataOp::Rename { from, to } => (from, to),
+        _ => panic!("a split pick names a rename, not {op:?}"),
+    }
+}
+
 /// A transport that can execute an [`OpBatch`] on one replica of a
 /// fleet. [`execute_sharded`] is generic over this seam; everything
 /// above it (partitioning, rename waves, stitching) is shared.
@@ -89,25 +125,67 @@ pub trait BatchTransport {
     /// Executes `batch` on replica `replica`, returning one outcome per
     /// op in order.
     fn execute_on(&mut self, replica: usize, batch: &OpBatch) -> Result<Vec<OpOutcome>, WireError>;
+
+    /// Executes one wave: `picks[r]` on replica `r`, each list as one
+    /// sub-batch of `batch` under `batch`'s policy. Returns one outcome
+    /// list per replica, empty for an empty list (which runs nowhere).
+    ///
+    /// The default materialises each non-empty list as an [`OpBatch`]
+    /// and runs it through [`execute_on`](BatchTransport::execute_on),
+    /// one replica after another; a transport that can send a wave
+    /// from the borrowed batch overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first transport failure.
+    fn execute_wave(
+        &mut self,
+        batch: &OpBatch,
+        picks: &[Vec<Pick>],
+    ) -> Result<Vec<Vec<OpOutcome>>, WireError> {
+        let mut outcomes = Vec::with_capacity(picks.len());
+        for (replica, list) in picks.iter().enumerate() {
+            if list.is_empty() {
+                outcomes.push(Vec::new());
+                continue;
+            }
+            let mut sub = OpBatch::with_capacity(list.len()).with_entry(batch.entry_policy());
+            for &pick in list {
+                let (Pick::Op(i) | Pick::RemoveFrom(i) | Pick::CreateTo(i)) = pick;
+                let op = &batch.ops()[i];
+                sub.push(match pick {
+                    Pick::Op(_) => op.clone(),
+                    Pick::RemoveFrom(_) => MetadataOp::Remove(split_halves(op).0.clone()),
+                    Pick::CreateTo(_) => MetadataOp::Create(split_halves(op).1.clone()),
+                });
+            }
+            outcomes.push(self.execute_on(replica, &sub)?);
+        }
+        Ok(outcomes)
+    }
 }
 
 /// How op `i` of the original batch is answered by the waves.
 enum Slot {
-    /// Answered directly by sub-op `index` of wave 1 on `replica`.
+    /// Answered directly by outcome `index` of wave 1 on `replica`.
     Direct { replica: usize, index: usize },
     /// A rename split across replicas: wave 1's `Remove(from)` is
-    /// sub-op `remove_index` on `from_replica`; wave 2 creates `to` on
-    /// its own replica iff the source existed.
+    /// outcome `remove_index` on `from_replica`; wave 2's `Create(to)`,
+    /// sent iff the source existed, is outcome `create_index` on
+    /// `to_replica`.
     SplitRename {
         from_replica: usize,
         remove_index: usize,
-        to: PathKey,
+        to_replica: usize,
+        create_index: Option<usize>,
     },
 }
 
 /// Executes `batch` across the fleet behind `transport`: partition by
 /// fingerprint, run wave 1 on every involved replica, run wave 2 for
-/// the split renames, stitch outcomes back into original op order.
+/// the split renames whose source existed, stitch outcomes back into
+/// original op order. The waves are lists of [`Pick`]s into `batch`;
+/// no path is cloned to plan.
 ///
 /// Sub-batches inherit `batch`'s [`EntryPolicy`](ghba_core::EntryPolicy)
 /// verbatim; deterministic policies (`Pinned`, `RoundRobin`) therefore
@@ -123,63 +201,48 @@ pub fn execute_sharded<T: BatchTransport + ?Sized>(
     let replicas = transport.replica_count();
     assert!(replicas > 0, "a fleet needs at least one replica");
 
-    // Wave 1: partition ops into per-replica sub-batches.
-    let mut subs: Vec<OpBatch> = (0..replicas)
-        .map(|_| OpBatch::new().with_entry(batch.entry_policy()))
-        .collect();
+    // Wave 1: partition ops into per-replica pick lists.
+    let mut wave1: Vec<Vec<Pick>> = vec![Vec::new(); replicas];
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
-    for op in batch.ops() {
-        match op {
+    for (i, op) in batch.ops().iter().enumerate() {
+        let (replica, pick) = match op {
             MetadataOp::Create(key) | MetadataOp::Lookup(key) | MetadataOp::Remove(key) => {
-                let replica = replica_of(key, replicas);
-                slots.push(Slot::Direct {
-                    replica,
-                    index: subs[replica].len(),
-                });
-                subs[replica].push(op.clone());
+                (replica_of(key, replicas), Pick::Op(i))
             }
             MetadataOp::Rename { from, to } => {
                 let from_replica = replica_of(from, replicas);
                 let to_replica = replica_of(to, replicas);
                 if from_replica == to_replica {
-                    slots.push(Slot::Direct {
-                        replica: from_replica,
-                        index: subs[from_replica].len(),
-                    });
-                    subs[from_replica].push(op.clone());
+                    (from_replica, Pick::Op(i))
                 } else {
                     slots.push(Slot::SplitRename {
                         from_replica,
-                        remove_index: subs[from_replica].len(),
-                        to: to.clone(),
+                        remove_index: wave1[from_replica].len(),
+                        to_replica,
+                        create_index: None,
                     });
-                    subs[from_replica].push(MetadataOp::Remove(from.clone()));
+                    wave1[from_replica].push(Pick::RemoveFrom(i));
+                    continue;
                 }
             }
-        }
+        };
+        slots.push(Slot::Direct {
+            replica,
+            index: wave1[replica].len(),
+        });
+        wave1[replica].push(pick);
     }
-
-    let mut wave1: Vec<Vec<OpOutcome>> = Vec::with_capacity(replicas);
-    for (replica, sub) in subs.iter().enumerate() {
-        if sub.is_empty() {
-            wave1.push(Vec::new());
-        } else {
-            wave1.push(transport.execute_on(replica, sub)?);
-        }
-    }
+    let wave1 = transport.execute_wave(batch, &wave1)?;
 
     // Wave 2: conditional creates for the split renames whose source
-    // existed.
-    let mut creates: Vec<OpBatch> = (0..replicas)
-        .map(|_| OpBatch::new().with_entry(batch.entry_policy()))
-        .collect();
-    // (original op index, to replica, index into its wave-2 batch)
-    let mut pending: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
+    // existed; skipped when none did.
+    let mut wave2: Vec<Vec<Pick>> = Vec::new();
+    for (i, slot) in slots.iter_mut().enumerate() {
         let Slot::SplitRename {
             from_replica,
             remove_index,
-            to,
+            to_replica,
+            create_index,
         } = slot
         else {
             continue;
@@ -192,37 +255,37 @@ pub fn execute_sharded<T: BatchTransport + ?Sized>(
             });
         };
         if home.is_some() {
-            let to_replica = replica_of(to, replicas);
-            pending.push((i, to_replica, creates[to_replica].len()));
-            creates[to_replica].push(MetadataOp::Create(to.clone()));
+            if wave2.is_empty() {
+                wave2 = vec![Vec::new(); replicas];
+            }
+            *create_index = Some(wave2[*to_replica].len());
+            wave2[*to_replica].push(Pick::CreateTo(i));
         }
     }
-    let mut wave2: Vec<Vec<OpOutcome>> = Vec::with_capacity(replicas);
-    for (replica, sub) in creates.iter().enumerate() {
-        if sub.is_empty() {
-            wave2.push(Vec::new());
-        } else {
-            wave2.push(transport.execute_on(replica, sub)?);
-        }
-    }
+    let wave2 = if wave2.is_empty() {
+        Vec::new()
+    } else {
+        transport.execute_wave(batch, &wave2)?
+    };
 
     // Stitch.
     let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(batch.len());
-    for (i, slot) in slots.iter().enumerate() {
-        match slot {
-            Slot::Direct { replica, index } => outcomes.push(wave1[*replica][*index].clone()),
+    for slot in &slots {
+        match *slot {
+            Slot::Direct { replica, index } => outcomes.push(wave1[replica][index].clone()),
             Slot::SplitRename {
                 from_replica,
                 remove_index,
-                ..
+                to_replica,
+                create_index,
             } => {
-                let OpOutcome::Removed { home: old_home } = wave1[*from_replica][*remove_index]
+                let OpOutcome::Removed { home: old_home } = wave1[from_replica][remove_index]
                 else {
                     unreachable!("checked while planning wave 2");
                 };
-                let new_home = match pending.iter().find(|(op, _, _)| *op == i) {
+                let new_home = match create_index {
                     None => None,
-                    Some(&(_, to_replica, index)) => {
+                    Some(index) => {
                         let OpOutcome::Created { home } = wave2[to_replica][index] else {
                             return Err(WireError::Protocol {
                                 detail: format!(

@@ -11,6 +11,19 @@
 //! [`NetMessage::ErrorReply`] before the connection closes — the
 //! decoder's errors are data, never panics.
 //!
+//! # A connection's buffers
+//!
+//! `conn_loop` owns an in-buffer, an out-buffer, one [`OpBatch`] and a
+//! pool of path `String`s, all kept across frames. Every frame is read
+//! into the in-buffer. An `ExecuteBatch` decodes into the kept batch
+//! ([`NetMessage::decode_execute_batch_into`]): each path's `String`
+//! comes from the pool, to which the previous batch's paths returned, so
+//! the pool never holds more paths than the largest batch the connection
+//! has seen. The batch goes to [`Service::execute`], and its reply is
+//! encoded in place into the out-buffer and written with one
+//! `write_all`. Every other message goes through
+//! [`NetMessage::decode`] and [`Service::handle`].
+//!
 //! # Shutdown without timeouts
 //!
 //! Blocking reads never carry read timeouts (a timeout firing
@@ -26,14 +39,16 @@
 //! [`NetMessage::Shutdown`] frame funnel through the same path, and
 //! every thread is joined before [`ServerCore::shutdown`] returns.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use ghba_core::{OpBatch, OpOutcome};
+
 use crate::proto::NetMessage;
-use crate::wire::WireError;
+use crate::wire::{WireCodec, WireError};
 
 /// Error code carried by [`NetMessage::ErrorReply`] for malformed
 /// requests.
@@ -55,6 +70,13 @@ pub(crate) enum ServiceReply {
 /// One request/reply service dispatched by [`conn_loop`].
 pub(crate) trait Service: Send + Sync + 'static {
     fn handle(&self, msg: NetMessage) -> ServiceReply;
+
+    /// Executes a batch decoded into the connection's kept buffers, or
+    /// returns `None` when the service serves no batches: the frame
+    /// then reaches [`Service::handle`] as a [`NetMessage::ExecuteBatch`].
+    fn execute(&self, _batch: &OpBatch) -> Option<Vec<OpOutcome>> {
+        None
+    }
 }
 
 /// Tracked clones of every live connection, so shutdown can fail their
@@ -205,33 +227,55 @@ fn conn_loop(stream: TcpStream, service: &dyn Service, stop: &AtomicBool, poke_a
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    let mut inbuf = Vec::new();
+    let mut out = Vec::new();
+    let mut batch = OpBatch::new();
+    let mut pool = Vec::new();
     loop {
-        match NetMessage::read_from(&mut reader) {
-            Ok(Some(msg)) => match service.handle(msg) {
-                ServiceReply::Message(reply) => {
-                    if reply.write_to(&mut writer).is_err() {
-                        break;
-                    }
-                }
-                ServiceReply::Silent => {}
-                ServiceReply::Shutdown => {
-                    stop.store(true, Ordering::Release);
-                    // Poke the accept loop awake so the server winds
-                    // down without waiting for another client.
-                    let _ = TcpStream::connect(poke_addr);
+        let request = WireCodec::read_payload_into(&mut reader, &mut inbuf).and_then(|more| {
+            if !more {
+                return Ok(None);
+            }
+            Ok(Some(
+                match NetMessage::decode_execute_batch_into(&inbuf, &mut batch, &mut pool)? {
+                    Some(seq) => match service.execute(&batch) {
+                        Some(outcomes) => {
+                            ServiceReply::Message(NetMessage::BatchReply { seq, outcomes })
+                        }
+                        None => service.handle(NetMessage::ExecuteBatch {
+                            seq,
+                            batch: std::mem::take(&mut batch),
+                        }),
+                    },
+                    None => service.handle(NetMessage::decode(&inbuf)?),
+                },
+            ))
+        });
+        match request {
+            Ok(Some(ServiceReply::Message(reply))) => {
+                reply.encode_frame_into(&mut out);
+                if writer.write_all(&out).is_err() {
                     break;
                 }
-            },
-            Ok(None) => break,
-            Err(WireError::Io(_)) => break,
+            }
+            Ok(Some(ServiceReply::Silent)) => {}
+            Ok(Some(ServiceReply::Shutdown)) => {
+                stop.store(true, Ordering::Release);
+                // Poke the accept loop awake so the server winds
+                // down without waiting for another client.
+                let _ = TcpStream::connect(poke_addr);
+                break;
+            }
+            Ok(None) | Err(WireError::Io(_)) => break,
             Err(err) => {
                 // Malformed frame: answer with a typed error, then
                 // close (the stream position is unrecoverable).
-                let _ = NetMessage::ErrorReply {
+                NetMessage::ErrorReply {
                     code: ERR_BAD_REQUEST,
                     detail: err.to_string(),
                 }
-                .write_to(&mut writer);
+                .encode_frame_into(&mut out);
+                let _ = writer.write_all(&out);
                 break;
             }
         }

@@ -35,6 +35,19 @@
 //!
 //! The property suite (`tests/properties.rs`) feeds random byte
 //! prefixes through [`Frame::parse`] to pin the no-panic guarantee.
+//!
+//! # The in-place frame
+//!
+//! There is one frame writer and one frame reader. A frame is written in
+//! place into a caller's buffer: [`ByteWriter::open_frame`] clears it and
+//! writes a placeholder length, the magic and the version, the message
+//! is encoded after them, and [`ByteWriter::close_frame`] patches the
+//! length. [`WireCodec::read_payload_into`] reads a frame's payload into
+//! a caller's buffer, with every check above made before the buffer
+//! grows. [`Frame::from_payload`], [`WireCodec::write_payload`] and
+//! [`WireCodec::read_payload`] are thin wrappers over the two, so a
+//! connection that keeps its buffers frames every message without
+//! allocating or copying its payload a second time.
 
 use std::io::{Read, Write};
 
@@ -235,11 +248,15 @@ impl<'a> ByteReader<'a> {
         ))
     }
 
+    /// Reads a length-prefixed UTF-8 string, borrowed from the frame.
+    pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        self.str_ref().map(str::to_owned)
     }
 
     /// Asserts the body is fully consumed (the end-of-message check).
@@ -253,18 +270,53 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Append-only encoder for frame bodies (the write twin of
+/// Append-only encoder into a caller's buffer (the write twin of
 /// [`ByteReader`]).
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
+///
+/// [`ByteWriter::new`] appends a bare payload; [`ByteWriter::open_frame`]
+/// is the one place a frame starts: it writes a placeholder length, the
+/// magic and the version, the message is encoded after them in place,
+/// and [`ByteWriter::close_frame`] patches the length. A connection that
+/// keeps its buffer therefore frames every message without allocating
+/// or copying the payload a second time.
+#[derive(Debug)]
+pub struct ByteWriter<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl ByteWriter {
-    /// An empty writer.
+impl<'a> ByteWriter<'a> {
+    /// A writer appending to `buf`.
     #[must_use]
-    pub fn new() -> Self {
-        ByteWriter::default()
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
+    /// Clears `buf` and opens a frame in it: placeholder length, magic,
+    /// version. Encode the message, then [`close_frame`](Self::close_frame).
+    #[must_use]
+    pub fn open_frame(buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        ByteWriter { buf }
+    }
+
+    /// Patches the length prefix of the frame [`open_frame`](Self::open_frame)
+    /// started: everything after the prefix.
+    pub fn close_frame(self) {
+        debug_assert_eq!(
+            self.buf[4..8],
+            WIRE_MAGIC.to_le_bytes(),
+            "not an open frame"
+        );
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Appends raw bytes.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends one byte.
@@ -292,12 +344,6 @@ impl ByteWriter {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    /// The encoded bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
 }
 
 /// One complete wire frame: length prefix + header + message body, as
@@ -311,12 +357,16 @@ impl Frame {
     /// Frames an already-encoded message payload (`tag` + body).
     #[must_use]
     pub fn from_payload(payload: &[u8]) -> Frame {
-        let len = (payload.len() + FRAME_HEADER - 1) as u32;
-        let mut bytes = Vec::with_capacity(4 + len as usize);
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(payload);
+        let mut bytes = Vec::with_capacity(4 + FRAME_HEADER - 1 + payload.len());
+        let mut w = ByteWriter::open_frame(&mut bytes);
+        w.bytes(payload);
+        w.close_frame();
+        Frame { bytes }
+    }
+
+    /// Wraps the bytes of a frame [`ByteWriter::open_frame`] wrote and
+    /// [`ByteWriter::close_frame`] closed.
+    pub(crate) fn from_closed(bytes: Vec<u8>) -> Frame {
         Frame { bytes }
     }
 
@@ -372,8 +422,7 @@ pub struct WireCodec;
 impl WireCodec {
     /// Writes one frame carrying `payload` (`tag` + body) and flushes.
     pub fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-        let frame = Frame::from_payload(payload);
-        w.write_all(frame.bytes())?;
+        w.write_all(Frame::from_payload(payload).bytes())?;
         w.flush()?;
         Ok(())
     }
@@ -382,13 +431,21 @@ impl WireCodec {
     /// end-of-stream (the peer closed between frames); end-of-stream
     /// *inside* a frame is an error like any other short read.
     pub fn read_payload(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+        let mut payload = Vec::new();
+        Ok(Self::read_payload_into(r, &mut payload)?.then_some(payload))
+    }
+
+    /// Reads one frame's message payload into `payload`, replacing its
+    /// contents and keeping its allocation. Returns `Ok(false)` on a
+    /// clean end-of-stream between frames.
+    pub fn read_payload_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, WireError> {
         let mut len_buf = [0u8; 4];
         let mut filled = 0;
         while filled < len_buf.len() {
             let n = r.read(&mut len_buf[filled..])?;
             if n == 0 {
                 if filled == 0 {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 return Err(WireError::Truncated {
                     needed: len_buf.len(),
@@ -407,9 +464,8 @@ impl WireCodec {
         if (len as usize) < FRAME_HEADER {
             return Err(WireError::RuntFrame { len });
         }
-        // Magic + version are checked from the stack before anything is
-        // allocated, and the payload is read straight into the buffer
-        // that is returned: one allocation and no copy per frame.
+        // Magic + version are checked from the stack before the buffer
+        // grows, and the payload is read straight into it.
         let mut header = [0u8; FRAME_HEADER - 1];
         r.read_exact(&mut header)?;
         let mut reader = ByteReader::new(&header);
@@ -421,9 +477,10 @@ impl WireCodec {
         if version != WIRE_VERSION {
             return Err(WireError::UnsupportedVersion { found: version });
         }
-        let mut payload = vec![0u8; len as usize - header.len()];
-        r.read_exact(&mut payload)?;
-        Ok(Some(payload))
+        // Only growth is zero-filled; `read_exact` overwrites the rest.
+        payload.resize(len as usize - header.len(), 0);
+        r.read_exact(payload)?;
+        Ok(true)
     }
 }
 
@@ -507,6 +564,49 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut cursor = std::io::Cursor::new(buf);
         assert!(WireCodec::read_payload(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn read_payload_into_reuses_its_buffer_and_refuses_before_growing() {
+        let mut stream = Vec::new();
+        WireCodec::write_payload(&mut stream, &[1u8; 40]).expect("write");
+        WireCodec::write_payload(&mut stream, &[2u8, 3]).expect("write");
+        let mut cursor = std::io::Cursor::new(stream);
+        let mut payload = Vec::new();
+        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload).expect("first"));
+        assert_eq!(payload, [1u8; 40]);
+        let held = payload.as_ptr();
+        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload).expect("second"));
+        assert_eq!(payload, [2, 3]);
+        assert_eq!(
+            payload.as_ptr(),
+            held,
+            "a shorter payload reuses the buffer"
+        );
+        assert!(!WireCodec::read_payload_into(&mut cursor, &mut payload).expect("eof"));
+
+        let mut bytes = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 16]);
+        let mut fresh = Vec::new();
+        assert!(matches!(
+            WireCodec::read_payload_into(&mut bytes.as_slice(), &mut fresh),
+            Err(WireError::Oversized { .. })
+        ));
+        assert_eq!(fresh.capacity(), 0, "refused before any allocation");
+    }
+
+    #[test]
+    fn an_open_frame_replaces_the_buffer_and_matches_from_payload() {
+        let mut buf = vec![0xAA; 64];
+        let mut w = ByteWriter::open_frame(&mut buf);
+        w.u8(7);
+        w.string("path");
+        w.close_frame();
+        let mut payload = Vec::new();
+        let mut p = ByteWriter::new(&mut payload);
+        p.u8(7);
+        p.string("path");
+        assert_eq!(buf, Frame::from_payload(&payload).bytes());
     }
 
     #[test]

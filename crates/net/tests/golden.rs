@@ -18,6 +18,7 @@ use ghba_core::{
     EntryPolicy, MdsId, MembershipEpoch, OpBatch, OpOutcome, QueryLevel, QueryOutcome,
 };
 use ghba_net::proto::NetMessage;
+use ghba_net::wire::Frame;
 
 const GOLDEN: &[u8] = include_bytes!("data/frames.bin");
 
@@ -129,6 +130,18 @@ fn canonical_messages_reencode_byte_identically() {
         "re-encoding the canonical messages must reproduce the fixture byte for byte; \
          if the format changed deliberately, bump WIRE_VERSION and regenerate"
     );
+}
+
+/// The in-place frame writer reproduces `Frame::from_payload` over the
+/// payload, message by message, in one reused buffer.
+#[test]
+fn encode_frame_into_matches_the_framed_payload() {
+    let mut frame = Vec::new();
+    for msg in canonical_messages() {
+        msg.encode_frame_into(&mut frame);
+        assert_eq!(frame, Frame::from_payload(&msg.encode()).bytes(), "{msg:?}");
+        assert_eq!(frame, msg.to_frame().bytes(), "{msg:?}");
+    }
 }
 
 #[test]

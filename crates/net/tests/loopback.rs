@@ -284,6 +284,68 @@ fn client_reconnects_after_replica_restart() {
     rendezvous.shutdown();
 }
 
+/// Retry inside a wave is per replica: with replica 1 restarted under
+/// a stale connection, a batch touching both replicas in both waves
+/// reconnects replica 1 and resends its frame, while replica 0 serves
+/// each of its frames exactly once — and the outcomes are the
+/// in-process fleet's.
+#[test]
+fn retry_inside_a_wave_resends_only_the_lost_replica() {
+    let mut net =
+        LoopbackNet::launch(FleetSpec::new(2, SERVERS, base_config())).expect("fleet launches");
+    let mut truth = net.ground_truth();
+    let mut client = net.client().expect("client connects");
+    client
+        .ping_all(1)
+        .expect("fleet answers before the restart");
+    let served_before = client.stats(0).expect("stats").batches_served;
+
+    // Wave 1 creates on both replicas and removes a source created on
+    // replica 1; wave 2 creates its destination on replica 0.
+    let on = |replica: usize, stem: &str| {
+        (0..)
+            .map(|i| format!("/wave/{stem}{i}"))
+            .find(|path| ghba_net::replica_of(&ghba_core::PathKey::new(path.clone()), 2) == replica)
+            .expect("some path lands there")
+    };
+    let (src, dst) = (on(1, "src"), on(0, "dst"));
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+    batch.push_create(on(0, "a"));
+    batch.push_create(src.clone());
+    batch.push_rename(src, dst.clone());
+    batch.push_lookup(dst);
+
+    net.kill_replica(1);
+    net.restart_replica(1).expect("replica restarts");
+    let outcomes = client
+        .execute(&batch)
+        .expect("the wave rides out the restart");
+    assert!(
+        client.reconnects() >= 1,
+        "replica 1 was reached by reconnect"
+    );
+    assert_eq!(
+        outcomes,
+        execute_sharded(&mut truth, &batch).expect("ground truth")
+    );
+    assert!(
+        matches!(
+            outcomes[2],
+            OpOutcome::Renamed {
+                old_home: Some(_),
+                new_home: Some(_)
+            }
+        ),
+        "the rename ran both waves"
+    );
+    assert_eq!(
+        client.stats(0).expect("stats").batches_served,
+        served_before + 2,
+        "replica 0 serves one frame per wave, none re-sent"
+    );
+    net.shutdown();
+}
+
 /// The rendezvous liveness sweep prunes a replica that stops answering
 /// pings — and only that one: the live replica stays registered while
 /// the dead entry disappears and the epoch advances past the prune.
