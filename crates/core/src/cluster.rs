@@ -75,6 +75,7 @@ use crate::config::GhbaConfig;
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use crate::mds::{published_shape, row_indices, LiveSlab, Mds};
+use crate::metadata::CompactPath;
 use crate::op::{resolve_unique, EntryPolicy, PathKey, WalkItem, WalkKey};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::reconfig::ReconfigReport;
@@ -624,10 +625,10 @@ impl<T: Topology> Cluster<T> {
     ///
     /// Panics if `home` is not a member of the cluster.
     pub fn create_file_keyed(&mut self, key: &PathKey, home: MdsId) {
-        self.create_fp(key.path(), key.fingerprint(), home);
+        self.create_fp(key.compact_path().clone(), key.fingerprint(), home);
     }
 
-    fn create_fp(&mut self, path: &str, fp: &Fingerprint, home: MdsId) {
+    fn create_fp(&mut self, path: impl Into<CompactPath>, fp: &Fingerprint, home: MdsId) {
         self.maybe_drain();
         let mds = self.mdss.get_mut(&home).expect("home must exist");
         mds.create_local_fp(&mut self.live, path, fp);
@@ -640,15 +641,15 @@ impl<T: Topology> Cluster<T> {
     ///
     /// [`lookup`]: Cluster::lookup
     pub fn remove_file(&mut self, path: &str) -> Option<MdsId> {
-        self.remove_fp(path, &Fingerprint::of(path))
+        self.remove_fp(path.as_bytes(), &Fingerprint::of(path))
     }
 
     /// Pre-hashed variant of [`remove_file`](Cluster::remove_file).
     pub fn remove_file_keyed(&mut self, key: &PathKey) -> Option<MdsId> {
-        self.remove_fp(key.path(), key.fingerprint())
+        self.remove_fp(key.compact_path().as_bytes(), key.fingerprint())
     }
 
-    fn remove_fp(&mut self, path: &str, fp: &Fingerprint) -> Option<MdsId> {
+    fn remove_fp(&mut self, path: &[u8], fp: &Fingerprint) -> Option<MdsId> {
         self.maybe_drain();
         let (mut rows, mut anded) = std::mem::take(&mut self.row_scratch);
         let home = self.locate_home(path, fp, &mut rows, &mut anded);
@@ -684,7 +685,7 @@ impl<T: Topology> Cluster<T> {
     /// see [`walk_pinned`](Self::walk_pinned)).
     fn locate_home(
         &self,
-        path: &str,
+        path: &[u8],
         fp: &Fingerprint,
         rows: &mut Vec<u32>,
         anded: &mut Vec<u64>,
@@ -699,7 +700,7 @@ impl<T: Topology> Cluster<T> {
             .min();
         debug_assert_eq!(
             home,
-            self.true_home(path),
+            self.true_home(core::str::from_utf8(path).expect("a path is UTF-8")),
             "live filter missed a stored path"
         );
         home
@@ -729,7 +730,7 @@ impl<T: Topology> Cluster<T> {
     ///
     /// Panics if `entry` is not a member of the cluster.
     pub fn lookup_from(&mut self, entry: MdsId, path: &str) -> QueryOutcome {
-        let mut outcomes = self.lookup_items(&[(entry, path, Fingerprint::of(path))]);
+        let mut outcomes = self.lookup_items(&[(entry, path.as_bytes(), Fingerprint::of(path))]);
         outcomes.pop().expect("one query, one outcome")
     }
 
@@ -750,7 +751,8 @@ impl<T: Topology> Cluster<T> {
     #[must_use]
     pub fn lookup_concurrent(&self, entry: MdsId, path: &str) -> QueryOutcome {
         let snap = self.routes.pin();
-        let mut outcomes = self.lookup_run(&snap, &[(entry, path, Fingerprint::of(path))]);
+        let mut outcomes =
+            self.lookup_run(&snap, &[(entry, path.as_bytes(), Fingerprint::of(path))]);
         outcomes.pop().expect("one query, one outcome")
     }
 
@@ -1187,7 +1189,7 @@ impl<T: Topology> Cluster<T> {
             OverlayEntry::Created(home) => home,
             OverlayEntry::Removed => return None,
             OverlayEntry::Untracked => self.locate_home(
-                key.path(),
+                key.compact_path().as_bytes(),
                 key.fingerprint(),
                 &mut arena.rows,
                 &mut arena.anded,
@@ -1251,9 +1253,10 @@ impl<T: Topology> Cluster<T> {
     /// and live filters (shard-index order; per-path order is total
     /// because a path always hashes to the same shard). Each record's
     /// probe rows are derived once, division-free, and serve its home's
-    /// counters and live column; each record is consumed: a create's path
-    /// `String` becomes its store's key, a remove's is dropped — the copy
-    /// made when the write was recorded is the only one a path ever gets.
+    /// counters and live column; each record is consumed: a create's
+    /// [`CompactPath`] moves into its store's bucket, a remove's is
+    /// dropped — a short path is never allocated on the way, and a long
+    /// one's box made when the write was recorded is the only one it gets.
     pub(crate) fn apply_write_records(&mut self, records: Vec<WriteRecord>) {
         let rows = &mut self.row_scratch.0;
         for WriteRecord { path, fp, kind } in records {
@@ -1270,7 +1273,12 @@ impl<T: Topology> Cluster<T> {
                     // The home may have retired since the record was
                     // appended; its store went with it.
                     if let Some(mds) = self.mdss.get_mut(&home) {
-                        mds.remove_local_rows(&mut self.live, &path, &fp, row_indices(rows));
+                        mds.remove_local_rows(
+                            &mut self.live,
+                            path.as_bytes(),
+                            &fp,
+                            row_indices(rows),
+                        );
                     }
                 }
             }
@@ -1331,7 +1339,7 @@ impl<T: Topology> Cluster<T> {
         // real deployment travels inside the multicast probe messages).
         let items: Vec<WalkItem<'_>> = queries
             .iter()
-            .map(|&(entry, path)| (entry, path, Fingerprint::of(path)))
+            .map(|&(entry, path)| (entry, path.as_bytes(), Fingerprint::of(path)))
             .collect();
         self.lookup_items(&items)
     }
@@ -1574,7 +1582,7 @@ mod tests {
             .into_iter()
             .map(|(path, kind)| WriteRecord {
                 fp: Fingerprint::of(path.as_str()),
-                path,
+                path: path.into(),
                 kind,
             })
             .collect();

@@ -27,6 +27,11 @@
 //!   index of the fingerprint's latest record, verified against that
 //!   record's path on every hit, so two pending paths sharing all 128
 //!   bits cost a scan of their shard's log, never an answer.
+//! * **A short recorded write allocates nothing.** A record's path is a
+//!   [`CompactPath`] copied by value out of the op's key (32 bytes; a
+//!   path over [`INLINE_PATH_BYTES`](crate::metadata::INLINE_PATH_BYTES)
+//!   is boxed once here), the drain moves it into the store bucket, and
+//!   an overlay hit compares its bytes in the record it already read.
 //!
 //! Neither type performs any synchronization beyond its own locks and
 //! atomics: folding or draining requires the caller to hold `&mut` on
@@ -46,6 +51,7 @@ use crate::cluster::ClusterStats;
 use crate::ids::{GroupId, MdsId};
 use crate::load::{add_nonzero, LoadRecorder, LoadTally};
 use crate::mds::Mds;
+use crate::metadata::CompactPath;
 use crate::op::PathKey;
 use crate::query::QueryLevel;
 
@@ -312,7 +318,7 @@ impl OverlayEntry {
     /// writes: a pending create is stored at its recorded home, a
     /// pending remove nowhere.
     #[must_use]
-    pub fn stores(self, mds: &Mds, path: &str, fp: &Fingerprint) -> bool {
+    pub fn stores(self, mds: &Mds, path: &[u8], fp: &Fingerprint) -> bool {
         match self {
             OverlayEntry::Created(home) => mds.id() == home,
             OverlayEntry::Removed => false,
@@ -335,7 +341,7 @@ pub enum WriteKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteRecord {
     /// The path the write targets.
-    pub path: String,
+    pub path: CompactPath,
     /// The path's fingerprint (precomputed at record time).
     pub fp: Fingerprint,
     /// Create-at-home or remove-from-home.
@@ -355,12 +361,12 @@ impl Shard {
     /// The latest pending record for `path`. The indexed record is it
     /// unless another pending path shares all 128 bits of `fp`; then the
     /// records before it are scanned, newest first.
-    fn latest_for(&self, path: &str, fp: &Fingerprint) -> Option<&WriteRecord> {
+    fn latest_for(&self, path: &[u8], fp: &Fingerprint) -> Option<&WriteRecord> {
         let &idx = self.latest.get(fp)?;
         self.log[..=idx]
             .iter()
             .rev()
-            .find(|record| record.fp == *fp && record.path == path)
+            .find(|record| record.fp == *fp && record.path.as_bytes() == path)
     }
 }
 
@@ -407,13 +413,13 @@ impl NamespaceShards {
 
     /// Consults the overlay for `key`. Lock-free when clean.
     pub fn overlay(&self, key: &PathKey) -> OverlayEntry {
-        self.overlay_keyed(key.path(), key.fingerprint())
+        self.overlay_keyed(key.compact_path().as_bytes(), key.fingerprint())
     }
 
     /// [`overlay`](NamespaceShards::overlay) for callers holding the
     /// path and its precomputed fingerprint separately (the pinned walk
     /// never re-hashes).
-    pub fn overlay_keyed(&self, path: &str, fp: &Fingerprint) -> OverlayEntry {
+    pub fn overlay_keyed(&self, path: &[u8], fp: &Fingerprint) -> OverlayEntry {
         if !self.is_dirty() {
             return OverlayEntry::Untracked;
         }
@@ -442,7 +448,7 @@ impl NamespaceShards {
         let mut shard = self.lock_for(key.fingerprint());
         let idx = shard.log.len();
         shard.log.push(WriteRecord {
-            path: key.path().to_owned(),
+            path: key.compact_path().clone(),
             fp: *key.fingerprint(),
             kind,
         });
@@ -555,7 +561,7 @@ mod tests {
         let drained: Vec<(String, WriteKind)> = shards
             .take_all()
             .into_iter()
-            .map(|record| (record.path, record.kind))
+            .map(|record| (record.path.into_string(), record.kind))
             .collect();
         let expected = [
             ("/a", WriteKind::Create(MdsId(1))),
@@ -569,9 +575,10 @@ mod tests {
         assert_eq!(read(&a), OverlayEntry::Untracked);
     }
 
-    /// A record holds one copy of its path and nothing else grew.
+    /// A record holds its path (inline when short), the lanes and the
+    /// kind, and nothing else.
     #[test]
     fn a_write_record_is_no_larger_than_its_path_lanes_and_kind() {
-        assert!(core::mem::size_of::<WriteRecord>() <= 48);
+        assert!(core::mem::size_of::<WriteRecord>() <= 56);
     }
 }

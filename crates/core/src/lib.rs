@@ -122,7 +122,7 @@ pub use group::{Group, IdFilterArray};
 pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};
 pub use mds::{published_shape, Mds, META_ENTRY_BYTES};
-pub use metadata::{FileAttrs, MetadataStore};
+pub use metadata::{CompactPath, FileAttrs, MetadataStore, INLINE_PATH_BYTES};
 pub use mirror::{FullMirror, HbaCluster, HbaReconfigHandle, RetiredColumn};
 pub use op::{EntryPolicy, MetadataOp, OpBatch, OpOutcome, PathKey};
 pub use query::{LevelCounts, QueryLevel, QueryOutcome};

@@ -31,7 +31,7 @@ use ghba_simnet::MemoryBudget;
 
 use crate::config::GhbaConfig;
 use crate::ids::MdsId;
-use crate::metadata::MetadataStore;
+use crate::metadata::{CompactPath, MetadataStore};
 
 /// Charge labels within each server's [`MemoryBudget`].
 const CHARGE_LOCAL: &str = "local";
@@ -164,7 +164,7 @@ impl Mds {
     /// re-create bumps its version and the cadence, not a counter).
     fn admit(
         &mut self,
-        path: impl Into<String>,
+        path: impl Into<CompactPath>,
         fp: &Fingerprint,
         rows: impl Iterator<Item = usize>,
     ) -> bool {
@@ -189,7 +189,7 @@ impl Mds {
     pub(crate) fn create_local_fp(
         &mut self,
         live: &mut LiveSlab,
-        path: impl Into<String>,
+        path: impl Into<CompactPath>,
         fp: &Fingerprint,
     ) {
         let FilterShape { bits, hashes, seed } = self.counts.shape();
@@ -199,13 +199,13 @@ impl Mds {
     /// [`create_local_fp`](Mds::create_local_fp) for a caller that also
     /// holds `fp`'s probe rows for [`published_shape`] — a drain derives
     /// them division-free, once for the counters and the column — and
-    /// whose owned `String` (a drained record's) becomes the store's key
-    /// as it is. A new path sets its rows' cells and marks the blocks of
-    /// the cells that flipped.
+    /// whose [`CompactPath`] (a drained record's) moves into the store's
+    /// bucket as it is. A new path sets its rows' cells and marks the
+    /// blocks of the cells that flipped.
     pub(crate) fn create_local_rows(
         &mut self,
         live: &mut LiveSlab,
-        path: impl Into<String>,
+        path: impl Into<CompactPath>,
         fp: &Fingerprint,
         rows: impl Iterator<Item = usize> + Clone,
     ) {
@@ -230,7 +230,7 @@ impl Mds {
         fp: &Fingerprint,
     ) -> bool {
         let FilterShape { bits, hashes, seed } = self.counts.shape();
-        self.remove_local_rows(live, path, fp, fp.probes(seed, bits, hashes))
+        self.remove_local_rows(live, path.as_bytes(), fp, fp.probes(seed, bits, hashes))
     }
 
     /// [`remove_local_fp`](Mds::remove_local_fp) over precomputed probe
@@ -240,7 +240,7 @@ impl Mds {
     pub(crate) fn remove_local_rows(
         &mut self,
         live: &mut LiveSlab,
-        path: &str,
+        path: &[u8],
         fp: &Fingerprint,
         rows: impl Iterator<Item = usize> + Clone,
     ) -> bool {
@@ -266,10 +266,10 @@ impl Mds {
         self.store.contains(path)
     }
 
-    /// [`stores`](Mds::stores) for a caller holding `path`'s fingerprint:
-    /// the verification of a walk hashes no bytes.
+    /// [`stores`](Mds::stores) for a caller holding the path's bytes and
+    /// fingerprint: the verification of a walk hashes no bytes.
     #[must_use]
-    pub fn stores_fp(&self, path: &str, fp: &Fingerprint) -> bool {
+    pub fn stores_fp(&self, path: &[u8], fp: &Fingerprint) -> bool {
         self.store.contains_fp(path, fp)
     }
 
@@ -387,20 +387,26 @@ impl Mds {
     }
 
     /// Checkpoint restore: adopts the decoded namespace — the store is
-    /// sized once for it and takes each path `String` as it is, each
-    /// path is hashed once (a checkpoint stores no fingerprint), and each
+    /// sized once for it and takes each [`CompactPath`] as it is, each
+    /// path is hashed once over its bytes (a checkpoint stores no
+    /// fingerprint, and the decoder already checked the UTF-8), and each
     /// file's probe rows come from one `RowDeriver` (no division). The
     /// live column is returned as a filter built while inserting, for the
     /// caller to load into the live slab with everyone else's in one
     /// pass; nothing else keeps it.
-    pub(crate) fn restore_files(&mut self, files: Vec<String>) -> BloomFilter {
+    ///
+    /// The hash belongs here, not in the decoder: beside the inserts its
+    /// byte loop overlaps their cache misses, and in the decoder it does
+    /// not (restoring 200k files, the decode took ≈ 5 ms longer for a
+    /// restore ≈ 3 ms shorter).
+    pub(crate) fn restore_files(&mut self, files: Vec<CompactPath>) -> BloomFilter {
         let shape = self.counts.shape();
         let mut column = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
         self.store.reserve(files.len());
         let deriver = RowDeriver::new(shape);
         let mut rows = Vec::new();
         for path in files {
-            let fp = Fingerprint::of(path.as_str());
+            let fp = Fingerprint::of(&path);
             rows.clear();
             deriver.rows_into(&fp, &mut rows);
             if self.admit(path, &fp, row_indices(&rows)) {
@@ -429,8 +435,8 @@ impl Mds {
     /// the store, the counters and the cadence — the departing-server
     /// path of group reconfiguration. The live column goes with the
     /// server, when the cluster forgets it.
-    pub(crate) fn evacuate(&mut self) -> Vec<String> {
-        let paths: Vec<String> = self.store.drain().map(|(p, _)| p).collect();
+    pub(crate) fn evacuate(&mut self) -> Vec<CompactPath> {
+        let paths: Vec<CompactPath> = self.store.drain().map(|(p, _)| p).collect();
         self.counts.clear();
         self.mark_published();
         paths
@@ -644,7 +650,11 @@ mod tests {
         for path in ["/a", "/b"] {
             mds.create_local_fp(&mut live, path, &Fingerprint::of(path));
         }
-        let mut files = mds.evacuate();
+        let mut files: Vec<String> = mds
+            .evacuate()
+            .into_iter()
+            .map(CompactPath::into_string)
+            .collect();
         files.sort();
         assert_eq!(files, vec!["/a".to_owned(), "/b".to_owned()]);
         assert_eq!(mds.file_count(), 0);

@@ -9,7 +9,9 @@
 //! [`Fingerprint`] was computed **once at batch admission** and travels
 //! through every filter probe of every level, and the batch names an
 //! explicit [`EntryPolicy`] instead of baking "random entry server" into
-//! each scheme.
+//! each scheme. The key's path is a [`CompactPath`]: a short one lives
+//! inline in its op slot and travels by value into the shard log and
+//! the store bucket, so admitting it allocates nothing.
 //!
 //! Schemes execute a batch through the one shared `execute_vectored`
 //! driver (via the `VectoredScheme` hooks): entries resolve against the
@@ -83,6 +85,7 @@ use std::collections::HashMap;
 use ghba_bloom::{BuildLaneHasher, Fingerprint};
 
 use crate::ids::MdsId;
+use crate::metadata::CompactPath;
 use crate::query::QueryOutcome;
 
 /// A pathname plus its hash-once [`Fingerprint`], computed exactly once
@@ -92,19 +95,25 @@ use crate::query::QueryOutcome;
 /// live-filter sweeps, multicast recipients — derives its probe stream
 /// from this fingerprint by O(1) seed-mixing; the path bytes are never
 /// re-hashed.
+///
+/// The path is a [`CompactPath`]: a short one is held inline in the key
+/// (and so in the batch's op slot), and copied by value into the shard
+/// log and the store bucket — admission allocates nothing for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathKey {
-    path: String,
+    path: CompactPath,
     fp: Fingerprint,
 }
 
 impl PathKey {
     /// Admits `path`: the single byte pass of the hash-once design.
     #[must_use]
-    pub fn new(path: impl Into<String>) -> Self {
-        let path = path.into();
-        let fp = Fingerprint::of(path.as_str());
-        PathKey { path, fp }
+    pub fn new(path: impl AsRef<str>) -> Self {
+        let path = path.as_ref();
+        PathKey {
+            fp: Fingerprint::of(path),
+            path: path.into(),
+        }
     }
 
     /// Reassembles a `PathKey` from a pathname and a fingerprint computed
@@ -117,12 +126,15 @@ impl PathKey {
     /// corrupt and the decoder must reject the frame (naming the path)
     /// rather than admit a key whose probe stream disagrees with its
     /// pathname.
-    pub fn from_parts(path: impl Into<String>, fp: Fingerprint) -> Result<Self, String> {
-        let path = path.into();
-        if Fingerprint::of(path.as_str()) == fp {
-            Ok(PathKey { path, fp })
+    pub fn from_parts(path: impl AsRef<str>, fp: Fingerprint) -> Result<Self, String> {
+        let path = path.as_ref();
+        if Fingerprint::of(path) == fp {
+            Ok(PathKey {
+                path: path.into(),
+                fp,
+            })
         } else {
-            Err(path)
+            Err(path.to_owned())
         }
     }
 
@@ -131,14 +143,22 @@ impl PathKey {
     #[cfg(test)]
     pub(crate) fn forged(path: &str, fp: Fingerprint) -> Self {
         PathKey {
-            path: path.to_owned(),
+            path: path.into(),
             fp,
         }
     }
 
-    /// The pathname.
+    /// The pathname (a short one's UTF-8 is checked again: hot code
+    /// reads [`compact_path`](PathKey::compact_path)'s bytes instead).
     #[must_use]
     pub fn path(&self) -> &str {
+        self.path.as_str()
+    }
+
+    /// The pathname as held: compared and written as bytes, copied by
+    /// value into a write record.
+    #[must_use]
+    pub fn compact_path(&self) -> &CompactPath {
         &self.path
     }
 
@@ -150,9 +170,9 @@ impl PathKey {
     }
 }
 
-/// One query of a walk run: entry server, pathname, and the path's
+/// One query of a walk run: entry server, pathname bytes, and the path's
 /// hash-once fingerprint.
-pub(crate) type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
+pub(crate) type WalkItem<'a> = (MdsId, &'a [u8], Fingerprint);
 
 /// What a run is deduplicated by: a walk is a pure function of
 /// `(entry, path)` under a pin. Hashed as `(entry, first lane)` — the
@@ -163,7 +183,7 @@ pub(crate) type WalkItem<'a> = (MdsId, &'a str, Fingerprint);
 pub(crate) struct WalkKey<'a> {
     entry: MdsId,
     lane: u64,
-    path: &'a str,
+    path: &'a [u8],
 }
 
 impl<'a> WalkKey<'a> {
@@ -405,22 +425,22 @@ impl OpBatch {
     }
 
     /// Admits a lookup (hashing the path once).
-    pub fn push_lookup(&mut self, path: impl Into<String>) {
+    pub fn push_lookup(&mut self, path: impl AsRef<str>) {
         self.push(MetadataOp::Lookup(PathKey::new(path)));
     }
 
     /// Admits a create (hashing the path once).
-    pub fn push_create(&mut self, path: impl Into<String>) {
+    pub fn push_create(&mut self, path: impl AsRef<str>) {
         self.push(MetadataOp::Create(PathKey::new(path)));
     }
 
     /// Admits a remove (hashing the path once).
-    pub fn push_remove(&mut self, path: impl Into<String>) {
+    pub fn push_remove(&mut self, path: impl AsRef<str>) {
         self.push(MetadataOp::Remove(PathKey::new(path)));
     }
 
     /// Admits a rename (hashing both paths once).
-    pub fn push_rename(&mut self, from: impl Into<String>, to: impl Into<String>) {
+    pub fn push_rename(&mut self, from: impl AsRef<str>, to: impl AsRef<str>) {
         self.push(MetadataOp::Rename {
             from: PathKey::new(from),
             to: PathKey::new(to),
@@ -448,23 +468,6 @@ impl OpBatch {
     /// Empties the batch (keeping its allocation and policy).
     pub fn clear(&mut self) {
         self.ops.clear();
-    }
-
-    /// Empties the batch like [`clear`](OpBatch::clear), moving every
-    /// op's path `String` into `pool` so a decoder can refill them
-    /// instead of allocating new ones.
-    pub fn recycle_paths(&mut self, pool: &mut Vec<String>) {
-        for op in self.ops.drain(..) {
-            match op {
-                MetadataOp::Create(key) | MetadataOp::Lookup(key) | MetadataOp::Remove(key) => {
-                    pool.push(key.path);
-                }
-                MetadataOp::Rename { from, to } => {
-                    pool.push(from.path);
-                    pool.push(to.path);
-                }
-            }
-        }
     }
 }
 
@@ -636,7 +639,7 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
                 let MetadataOp::Lookup(key) = &ops[i] else {
                     unreachable!("only lookups join the fused run");
                 };
-                (entry, key.path(), *key.fingerprint())
+                (entry, key.path.as_bytes(), key.fp)
             })
             .collect();
         for (&(i, _), outcome) in run.iter().zip(scheme.lookup_fused(&items)) {
@@ -655,10 +658,9 @@ pub(crate) fn execute_vectored<S: VectoredScheme + ?Sized>(
                     // Equal lanes are the same path up to a 128-bit
                     // collision; the path compare keeps a collision
                     // from splitting the run.
-                    if seen
-                        .get(&pair)
-                        .is_some_and(|&j| ops[j].path() == key.path())
-                    {
+                    if seen.get(&pair).is_some_and(
+                        |&j| matches!(&ops[j], MetadataOp::Lookup(first) if first.path == key.path),
+                    ) {
                         // The later lookup must see the earlier one's
                         // L1 fill, as a sequential stream would.
                         flush(scheme, ops, &mut run, &mut outcomes);
@@ -704,19 +706,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recycle_paths_empties_the_batch_into_the_pool() {
-        let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(3)));
-        batch.push_lookup("/a");
-        batch.push_rename("/b", "/c");
-        batch.push_remove("/d");
-        let mut pool = vec![String::from("/kept")];
-        batch.recycle_paths(&mut pool);
-        assert!(batch.is_empty());
-        assert_eq!(batch.entry_policy(), EntryPolicy::Pinned(MdsId(3)));
-        assert_eq!(pool, ["/kept", "/a", "/b", "/c", "/d"]);
-    }
-
-    #[test]
     fn resolve_unique_identity_without_duplicates() {
         let items = ["a", "b", "c"];
         let (uniques, assign) = resolve_unique(&items, |s| *s);
@@ -742,10 +731,10 @@ mod tests {
     fn resolve_unique_compares_paths_on_equal_lanes() {
         let fp = Fingerprint::from_lanes(42, 0);
         let items: [WalkItem<'_>; 4] = [
-            (MdsId(1), "/a", fp),
-            (MdsId(1), "/b", fp),
-            (MdsId(1), "/a", fp),
-            (MdsId(2), "/a", fp),
+            (MdsId(1), b"/a", fp),
+            (MdsId(1), b"/b", fp),
+            (MdsId(1), b"/a", fp),
+            (MdsId(2), b"/a", fp),
         ];
         let (uniques, assign) = resolve_unique(&items, WalkKey::of);
         assert_eq!(uniques, vec![0, 1, 3]);

@@ -28,6 +28,7 @@ use crate::cluster::{Cluster, GhbaCluster, Grouped, Topology};
 use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
 use crate::mds::Mds;
+use crate::metadata::CompactPath;
 use crate::snapshot::{RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
 use crate::update::UpdateReport;
 
@@ -380,12 +381,12 @@ impl<T: Topology> Cluster<T> {
     /// the target's grown filter; returns the messages that cost. The
     /// paper focuses on replica migration; file re-homing is our
     /// documented completion of the departure path.
-    pub(crate) fn rehome_files(&mut self, files: Vec<String>, target: MdsId) -> u64 {
+    pub(crate) fn rehome_files(&mut self, files: Vec<CompactPath>, target: MdsId) -> u64 {
         let moved = files.len() as u64;
         let target_mds = self.mdss.get_mut(&target).expect("target exists");
         for path in files {
             // An evacuated store hands over paths, not fingerprints.
-            let fp = Fingerprint::of(path.as_str());
+            let fp = Fingerprint::of(&path);
             target_mds.create_local_fp(&mut self.live, path, &fp);
         }
         moved + self.push_update(target).messages

@@ -197,6 +197,7 @@ use crate::config::GhbaConfig;
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 use crate::mds::{published_shape, Mds};
+use crate::metadata::CompactPath;
 use crate::snapshot::{RouteEdit, SlabOp};
 
 /// Magic prefix of every WAL record body.
@@ -439,15 +440,21 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&u32::try_from(s.len()).expect("path fits u32").to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+fn push_path(out: &mut Vec<u8>, path: &[u8]) {
+    out.extend_from_slice(
+        &u32::try_from(path.len())
+            .expect("path fits u32")
+            .to_le_bytes(),
+    );
+    out.extend_from_slice(path);
 }
 
-fn read_str(reader: &mut ByteReader<'_>, what: &str) -> Result<String, WalError> {
+/// Reads a length-prefixed path, borrowed and UTF-8-checked: the one
+/// check a decoded path gets on its way to the store.
+fn read_str<'a>(reader: &mut ByteReader<'a>, what: &str) -> Result<&'a str, WalError> {
     let len = reader.u32(what)? as usize;
     let bytes = reader.take(len, what)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| WalError::Corrupt(format!("{what} is not utf-8")))
+    core::str::from_utf8(bytes).map_err(|_| WalError::Corrupt(format!("{what} is not utf-8")))
 }
 
 /// The length prefix of a `body_len`-byte frame body — refused, typed,
@@ -545,7 +552,7 @@ fn write_record(
             };
             body.push(op);
             body.extend_from_slice(&home.0.to_le_bytes());
-            push_str(body, &record.path);
+            push_path(body, record.path.as_bytes());
         }
     })
 }
@@ -607,13 +614,17 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
                 let op = reader.u8("write op")?;
                 let home = MdsId(reader.u16("write home")?);
                 let path = read_str(&mut reader, "write path")?;
-                let fp = Fingerprint::of(path.as_str());
+                let fp = Fingerprint::of(path);
                 let kind = match op {
                     0 => WriteKind::Create(home),
                     1 => WriteKind::Remove(home),
                     other => return Err(WalError::Corrupt(format!("unknown write op {other}"))),
                 };
-                records.push(WriteRecord { path, fp, kind });
+                records.push(WriteRecord {
+                    path: path.into(),
+                    fp,
+                    kind,
+                });
             }
             WalEvent::Drain { records }
         }
@@ -681,9 +692,8 @@ pub struct ServerState {
     pub since_drift: u64,
     /// Every stored path, in `(lane, path)` order — `lane` being the
     /// first lane of the path's [`Fingerprint`], the one its store is
-    /// keyed by. No lane is stored: restore derives each path's
-    /// fingerprint once.
-    pub files: Vec<String>,
+    /// keyed by. No lane is stored: restore hashes each path once.
+    pub files: Vec<CompactPath>,
     /// [`BloomFilter::to_bytes`] of the published filter.
     pub published: Vec<u8>,
 }
@@ -725,16 +735,16 @@ struct ServerView<'a> {
     since_publish: u64,
     since_drift: u64,
     /// Every stored path, in `(lane, path)` order.
-    files: Vec<&'a str>,
+    files: Vec<&'a [u8]>,
     published: PublishedView<'a>,
 }
 
 impl<'a> ServerView<'a> {
-    /// Sorts the store by the lane it is keyed by, then the path:
-    /// integer compares, a path read only when two lanes tie, and no
-    /// path hashed.
+    /// Sorts the store by the lane it is keyed by, then the path bytes
+    /// (`str`'s order is byte order): integer compares, a path read only
+    /// when two lanes tie, and no path hashed or checked.
     fn of_mds(mds: &'a Mds, published: BloomFilter) -> Self {
-        let mut keyed: Vec<(u64, &str)> = mds.store().keyed_paths().collect();
+        let mut keyed: Vec<(u64, &[u8])> = mds.store().keyed_paths().collect();
         keyed.sort_unstable();
         let (since_publish, since_drift) = mds.durable_counters();
         ServerView {
@@ -751,7 +761,7 @@ impl<'a> ServerView<'a> {
             id: state.id,
             since_publish: state.since_publish,
             since_drift: state.since_drift,
-            files: state.files.iter().map(String::as_str).collect(),
+            files: state.files.iter().map(CompactPath::as_bytes).collect(),
             published: PublishedView::Bytes(&state.published),
         }
     }
@@ -761,7 +771,13 @@ impl<'a> ServerView<'a> {
             id: self.id,
             since_publish: self.since_publish,
             since_drift: self.since_drift,
-            files: self.files.into_iter().map(str::to_owned).collect(),
+            files: self
+                .files
+                .into_iter()
+                .map(|bytes| {
+                    CompactPath::from(core::str::from_utf8(bytes).expect("a stored path is UTF-8"))
+                })
+                .collect(),
             published: match self.published {
                 PublishedView::Filter(filter) => filter.to_bytes(),
                 PublishedView::Bytes(bytes) => bytes.to_vec(),
@@ -822,7 +838,7 @@ impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
                 body.extend_from_slice(&server.since_drift.to_le_bytes());
                 body.extend_from_slice(&count(server.files.len()));
                 for path in server.files {
-                    push_str(body, path);
+                    push_path(body, path);
                 }
                 // Length-prefixed like a frame: reserve, write, patch.
                 let at = body.len();
@@ -975,7 +991,7 @@ impl Checkpoint {
             let file_count = reader.u32("file count")? as usize;
             let mut files = Vec::with_capacity(file_count.min(1 << 16));
             for _ in 0..file_count {
-                files.push(read_str(&mut reader, "file path")?);
+                files.push(CompactPath::from(read_str(&mut reader, "file path")?));
             }
             let published_len = reader.u32("published length")? as usize;
             let published = reader.take(published_len, "published filter")?.to_vec();

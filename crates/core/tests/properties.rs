@@ -1,10 +1,14 @@
 //! Property-based tests: cluster invariants under arbitrary operation
-//! sequences.
+//! sequences. File paths span 1–64 bytes ([`paths::path_of`]), so both
+//! representations of a store key's path are exercised.
+
+mod paths;
 
 use ghba_core::{
     ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, HbaCluster, MdsId,
     MetadataService, OpBatch, OpOutcome,
 };
+use paths::path_of;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -92,13 +96,13 @@ fn apply_stream_op(
             };
             let mut batch = OpBatch::new().with_entry(policy);
             for (kind, f) in items {
-                let path = format!("/e/f{f}");
+                let path = path_of("e", u32::from(*f));
                 match kind % 4 {
                     0 => batch.push_lookup(path),
                     1 => batch.push_create(path),
                     2 => batch.push_remove(path),
                     _ => {
-                        let to = format!("/e/r{next_fresh}");
+                        let to = path_of("e/r", *next_fresh);
                         *next_fresh += 1;
                         batch.push_rename(path, to);
                     }
@@ -213,7 +217,7 @@ macro_rules! drive_live_stream {
                 .with_write_shards(4)
                 .with_seed(seed);
             let mut cluster = <$cluster>::with_servers(config, 66);
-            let path = |f: u16| format!("/live/f{f}");
+            let path = |f: u16| path_of("live", u32::from(f));
             let batch = |ops: &[(u8, u16)], at: u8, ids: &[MdsId]| {
                 let entry = ids[usize::from(at) % ids.len()];
                 let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(entry));
@@ -328,14 +332,14 @@ proptest! {
         for (step, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Create(f) => {
-                    let path = format!("/p/f{f}");
+                    let path = path_of("p", u32::from(f));
                     if !live_paths.contains(&f) {
                         cluster.create_file(&path);
                         live_paths.insert(f);
                     }
                 }
                 Op::Lookup(f) => {
-                    let path = format!("/p/f{f}");
+                    let path = path_of("p", u32::from(f));
                     let outcome = cluster.lookup(&path);
                     let truth = cluster.true_home(&path);
                     prop_assert_eq!(
@@ -345,7 +349,7 @@ proptest! {
                     prop_assert_eq!(outcome.found(), live_paths.contains(&f));
                 }
                 Op::Remove(f) => {
-                    let path = format!("/p/f{f}");
+                    let path = path_of("p", u32::from(f));
                     // The remove locates its home through the live
                     // filters; the store sweep is the ground truth.
                     let truth = cluster.true_home(&path);
@@ -375,7 +379,7 @@ proptest! {
         }
         // Every live file is still findable at the end.
         for f in live_paths {
-            let path = format!("/p/f{f}");
+            let path = path_of("p", u32::from(f));
             prop_assert!(cluster.lookup(&path).found(), "lost {}", path);
         }
     }
@@ -442,7 +446,7 @@ proptest! {
                 for (i, ((kind, f), outcome)) in items.iter().zip(&outcomes).enumerate() {
                     let last_word = items[i + 1..].iter().all(|(_, later)| later != f);
                     if kind % 4 == 0 && last_word {
-                        let path = format!("/e/f{f}");
+                        let path = path_of("e", u32::from(*f));
                         let stored = match outcome.home() {
                             Some(home) => cluster.mds(home).is_some_and(|m| m.stores(&path)),
                             None => cluster.true_home(&path).is_none(),

@@ -3,7 +3,11 @@
 //! round-trips, the corruption sweep (bit flips and truncations yield
 //! typed errors and clean tail recovery, never a panic), and
 //! end-to-end recover-equivalence: a cluster rebuilt from checkpoint +
-//! WAL tail is bit-identical to its uninterrupted in-memory twin.
+//! WAL tail is bit-identical to its uninterrupted in-memory twin. The
+//! property suites' paths span 1–64 bytes ([`paths::path_of`]): short
+//! ones held inline, long ones boxed.
+
+mod paths;
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -13,7 +17,9 @@ use ghba_core::wal::{crc32, decode_record, encode_record, WAL_VERSION};
 use ghba_core::{
     Checkpoint, EntryPolicy, GhbaCluster, GhbaConfig, GroupId, MdsId, MetadataService, OpBatch,
     SyncPolicy, Wal, WalError, WalEvent, WalOptions, WalRecord, WriteKind, WriteRecord,
+    INLINE_PATH_BYTES,
 };
+use paths::path_of;
 use proptest::prelude::*;
 
 fn test_config() -> GhbaConfig {
@@ -41,7 +47,7 @@ fn options(sync: SyncPolicy, checkpoint_every: u64) -> WalOptions {
 
 fn record(path: &str, kind: fn(MdsId) -> WriteKind, home: u16) -> WriteRecord {
     WriteRecord {
-        path: path.to_owned(),
+        path: path.into(),
         fp: Fingerprint::of(path),
         kind: kind(MdsId(home)),
     }
@@ -278,7 +284,7 @@ fn regenerate_golden_fixtures() {
 
 fn arb_write(selector: (bool, u16, u16)) -> WriteRecord {
     let (remove, home, file) = selector;
-    let path = format!("/prop/d{}/f{file}", file % 11);
+    let path = path_of(&format!("prop/d{}", file % 11), u32::from(file));
     let kind = if remove {
         WriteKind::Remove(MdsId(home % 32))
     } else {
@@ -286,7 +292,7 @@ fn arb_write(selector: (bool, u16, u16)) -> WriteRecord {
     };
     WriteRecord {
         fp: Fingerprint::of(path.as_str()),
-        path,
+        path: path.into(),
         kind,
     }
 }
@@ -672,6 +678,72 @@ fn a_restore_brings_clean_servers_back_clean() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Paths of exactly `INLINE_PATH_BYTES` (the most a path holds inline)
+/// and one byte more (boxed), ending in a one-, two- or three-byte
+/// character, through create, rename, remove, drain, a checkpoint and a
+/// WAL tail: the recovered cluster is its twin, path for path.
+#[test]
+fn paths_at_the_inline_capacity_recover_bit_identically() {
+    let dir = temp_dir("inline-capacity");
+    let opts = options(SyncPolicy::EveryBatch, 0);
+    let sized = |len: usize, last: &str| format!("/{}{last}", "c".repeat(len - 1 - last.len()));
+    let paths: Vec<String> = [INLINE_PATH_BYTES, INLINE_PATH_BYTES + 1]
+        .into_iter()
+        .flat_map(|len| ["a", "é", "€"].map(|last| sized(len, last)))
+        .collect();
+    let renamed: Vec<String> = paths.iter().map(|p| p.replacen('c', "r", 1)).collect();
+    let drive = |cluster: &mut GhbaCluster, checkpoint: bool| {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 1 });
+        for path in &paths {
+            batch.push_create(path);
+        }
+        cluster.execute_concurrent(&batch);
+        cluster.drain_concurrent();
+        if checkpoint {
+            assert!(cluster.checkpoint_now().expect("install checkpoint"));
+        }
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 4 });
+        for (from, to) in paths.iter().zip(&renamed).step_by(2) {
+            batch.push_rename(from, to);
+        }
+        batch.push_remove(&paths[1]);
+        batch.push_remove(&renamed[4]);
+        cluster.execute_concurrent(&batch);
+        cluster.drain_concurrent();
+        cluster.flush_all_updates();
+    };
+    let mut twin = GhbaCluster::with_servers(test_config(), 6);
+    drive(&mut twin, false);
+    {
+        let mut cluster = GhbaCluster::with_servers(test_config(), 6);
+        let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+        cluster.attach_wal(wal);
+        drive(&mut cluster, true);
+        assert!(
+            cluster.wal().expect("attached").tail_len() > 0,
+            "a tail to replay"
+        );
+    }
+    let mut recovered = GhbaCluster::recover(test_config(), 6, &dir, opts).expect("recover");
+    recovered.check_invariants().expect("recovered invariants");
+    assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+    let stored = |cluster: &GhbaCluster, path: &str| cluster.true_home(path).is_some();
+    for (i, (path, to)) in paths.iter().zip(&renamed).enumerate() {
+        let (moved, gone) = (i % 2 == 0, i == 1 || i == 4);
+        assert_eq!(stored(&recovered, path), !moved && !gone, "{path}");
+        assert_eq!(stored(&recovered, to), moved && !gone, "{to}");
+    }
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(2)));
+    for path in paths.iter().chain(&renamed) {
+        batch.push_lookup(path);
+    }
+    assert_eq!(
+        recovered.execute_concurrent(&batch),
+        twin.execute_concurrent(&batch)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// An idle replica's log stops growing: drain + flush rounds with
 /// nothing to drain or publish leave `wal.log` byte-identical and the
 /// sequence where it was, and recovery without those flushes is the
@@ -774,14 +846,14 @@ fn recovery_refuses_a_mismatched_configuration() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Arbitrary create/remove streams with arbitrary drain and flush
-    /// points recover bit-identically from checkpoint + tail — at every
-    /// sync policy and checkpoint cadence.
+    /// Arbitrary create/remove/rename streams with arbitrary drain and
+    /// flush points recover bit-identically from checkpoint + tail — at
+    /// every sync policy and checkpoint cadence.
     #[test]
     fn arbitrary_workloads_recover_bit_identically(
         steps in proptest::collection::vec(
             (
-                proptest::collection::vec((any::<bool>(), any::<u16>()), 1..10),
+                proptest::collection::vec((0u8..3, any::<u16>()), 1..10),
                 any::<bool>(),
             ),
             1..8,
@@ -800,12 +872,12 @@ proptest! {
         let drive = |cluster: &mut GhbaCluster| {
             for (w, (ops, flush)) in steps.iter().enumerate() {
                 let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: w });
-                for &(remove, file) in ops {
-                    let path = format!("/pw/d{}/f{}", file % 5, file % 97);
-                    if remove {
-                        batch.push_remove(&path);
-                    } else {
-                        batch.push_create(&path);
+                for &(kind, file) in ops {
+                    let path = path_of(&format!("pw/d{}", file % 5), u32::from(file % 97));
+                    match kind {
+                        0 => batch.push_create(&path),
+                        1 => batch.push_remove(&path),
+                        _ => batch.push_rename(&path, path_of("pw/r", u32::from(file % 97))),
                     }
                 }
                 cluster.execute_concurrent(&batch);

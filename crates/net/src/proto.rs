@@ -229,25 +229,19 @@ fn get_fingerprint(r: &mut ByteReader<'_>) -> Result<Fingerprint, WireError> {
 }
 
 fn put_path_key(w: &mut ByteWriter<'_>, key: &PathKey) {
-    w.string(key.path());
+    let path = key.compact_path().as_bytes();
+    w.u32(path.len() as u32);
+    w.bytes(path);
     put_fingerprint(w, key.fingerprint());
 }
 
-/// Decodes a key whose path `String` comes from `pool` when it holds
-/// one: cleared, then filled from the frame's UTF-8-checked bytes. The
+/// Decodes a key from the frame's borrowed, UTF-8-checked path: a short
+/// path lands inline in the key, so nothing is allocated for it. The
 /// path is still re-hashed against the fingerprint that travelled.
-fn get_path_key(r: &mut ByteReader<'_>, pool: &mut Vec<String>) -> Result<PathKey, WireError> {
+fn get_path_key(r: &mut ByteReader<'_>) -> Result<PathKey, WireError> {
     let path = r.str_ref()?;
     let fp = get_fingerprint(r)?;
-    let owned = match pool.pop() {
-        Some(mut owned) => {
-            owned.clear();
-            owned.push_str(path);
-            owned
-        }
-        None => path.to_owned(),
-    };
-    PathKey::from_parts(owned, fp).map_err(|path| WireError::CorruptFingerprint { path })
+    PathKey::from_parts(path, fp).map_err(|path| WireError::CorruptFingerprint { path })
 }
 
 fn put_entry_policy(w: &mut ByteWriter<'_>, policy: EntryPolicy) {
@@ -301,14 +295,14 @@ fn put_pick(w: &mut ByteWriter<'_>, ops: &[MetadataOp], pick: Pick) {
     }
 }
 
-fn get_op(r: &mut ByteReader<'_>, pool: &mut Vec<String>) -> Result<MetadataOp, WireError> {
+fn get_op(r: &mut ByteReader<'_>) -> Result<MetadataOp, WireError> {
     match r.u8()? {
-        op_tags::CREATE => Ok(MetadataOp::Create(get_path_key(r, pool)?)),
-        op_tags::LOOKUP => Ok(MetadataOp::Lookup(get_path_key(r, pool)?)),
-        op_tags::REMOVE => Ok(MetadataOp::Remove(get_path_key(r, pool)?)),
+        op_tags::CREATE => Ok(MetadataOp::Create(get_path_key(r)?)),
+        op_tags::LOOKUP => Ok(MetadataOp::Lookup(get_path_key(r)?)),
+        op_tags::REMOVE => Ok(MetadataOp::Remove(get_path_key(r)?)),
         op_tags::RENAME => Ok(MetadataOp::Rename {
-            from: get_path_key(r, pool)?,
-            to: get_path_key(r, pool)?,
+            from: get_path_key(r)?,
+            to: get_path_key(r)?,
         }),
         value => Err(WireError::UnknownEnum {
             what: "MetadataOp",
@@ -340,16 +334,10 @@ fn get_execute_header(r: &mut ByteReader<'_>) -> Result<(u64, EntryPolicy, usize
     Ok((r.u64()?, get_entry_policy(r)?, r.u32()? as usize))
 }
 
-/// Decodes `n` ops onto `batch`, their paths' `String`s taken from
-/// `pool` while it holds one.
-fn get_ops(
-    r: &mut ByteReader<'_>,
-    n: usize,
-    batch: &mut OpBatch,
-    pool: &mut Vec<String>,
-) -> Result<(), WireError> {
+/// Decodes `n` ops onto `batch`.
+fn get_ops(r: &mut ByteReader<'_>, n: usize, batch: &mut OpBatch) -> Result<(), WireError> {
     for _ in 0..n {
-        batch.push(get_op(r, pool)?);
+        batch.push(get_op(r)?);
     }
     Ok(())
 }
@@ -606,24 +594,22 @@ impl NetMessage {
 
     /// Decodes an [`NetMessage::ExecuteBatch`] payload into `batch`,
     /// returning its `seq`, or `Ok(None)` (`batch` untouched) when the
-    /// payload is another message. `batch`'s previous paths go back to
-    /// `pool` first, and every decoded path's `String` is taken from
-    /// `pool` while it holds one, so a connection that keeps both
-    /// allocates no path buffer it already has. Every check of
-    /// [`NetMessage::decode`] holds, with the same [`WireError`].
+    /// payload is another message. `batch` is cleared first and keeps
+    /// its op vector, and a short path lands inline in its op slot, so a
+    /// connection that keeps the batch allocates nothing per path. Every
+    /// check of [`NetMessage::decode`] holds, with the same [`WireError`].
     pub fn decode_execute_batch_into(
         payload: &[u8],
         batch: &mut OpBatch,
-        pool: &mut Vec<String>,
     ) -> Result<Option<u64>, WireError> {
         let mut r = ByteReader::new(payload);
         if r.u8()? != tags::EXECUTE_BATCH {
             return Ok(None);
         }
-        batch.recycle_paths(pool);
+        batch.clear();
         let (seq, policy, n) = get_execute_header(&mut r)?;
         *batch = std::mem::take(batch).with_entry(policy);
-        get_ops(&mut r, n, batch, pool)?;
+        get_ops(&mut r, n, batch)?;
         r.finish()?;
         Ok(Some(seq))
     }
@@ -653,7 +639,7 @@ impl NetMessage {
             tags::EXECUTE_BATCH => {
                 let (seq, policy, n) = get_execute_header(&mut r)?;
                 let mut batch = OpBatch::with_capacity(n.min(65_536)).with_entry(policy);
-                get_ops(&mut r, n, &mut batch, &mut Vec::new())?;
+                get_ops(&mut r, n, &mut batch)?;
                 NetMessage::ExecuteBatch { seq, batch }
             }
             tags::BATCH_REPLY => {

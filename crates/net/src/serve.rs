@@ -13,16 +13,18 @@
 //!
 //! # A connection's buffers
 //!
-//! `conn_loop` owns an in-buffer, an out-buffer, one [`OpBatch`] and a
-//! pool of path `String`s, all kept across frames. Every frame is read
-//! into the in-buffer. An `ExecuteBatch` decodes into the kept batch
-//! ([`NetMessage::decode_execute_batch_into`]): each path's `String`
-//! comes from the pool, to which the previous batch's paths returned, so
-//! the pool never holds more paths than the largest batch the connection
-//! has seen. The batch goes to [`Service::execute`], and its reply is
-//! encoded in place into the out-buffer and written with one
-//! `write_all`. Every other message goes through
-//! [`NetMessage::decode`] and [`Service::handle`].
+//! `conn_loop` owns an in-buffer, an out-buffer and one [`OpBatch`], all
+//! kept across frames. Every frame is read into the in-buffer. An
+//! `ExecuteBatch` decodes into the kept batch
+//! ([`NetMessage::decode_execute_batch_into`]), whose op vector keeps its
+//! allocation: a path of at most
+//! [`INLINE_PATH_BYTES`](ghba_core::INLINE_PATH_BYTES) bytes lands inline
+//! in its op slot, so decoding allocates nothing for it. A longer path
+//! costs one box per decode (no workload of the benchmark sends one).
+//! The batch goes to [`Service::execute`], and its reply is encoded in
+//! place into the out-buffer and written with one `write_all`. Every
+//! other message goes through [`NetMessage::decode`] and
+//! [`Service::handle`].
 //!
 //! # Shutdown without timeouts
 //!
@@ -230,14 +232,13 @@ fn conn_loop(stream: TcpStream, service: &dyn Service, stop: &AtomicBool, poke_a
     let mut inbuf = Vec::new();
     let mut out = Vec::new();
     let mut batch = OpBatch::new();
-    let mut pool = Vec::new();
     loop {
         let request = WireCodec::read_payload_into(&mut reader, &mut inbuf).and_then(|more| {
             if !more {
                 return Ok(None);
             }
             Ok(Some(
-                match NetMessage::decode_execute_batch_into(&inbuf, &mut batch, &mut pool)? {
+                match NetMessage::decode_execute_batch_into(&inbuf, &mut batch)? {
                     Some(seq) => match service.execute(&batch) {
                         Some(outcomes) => {
                             ServiceReply::Message(NetMessage::BatchReply { seq, outcomes })

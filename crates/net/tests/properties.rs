@@ -1,12 +1,17 @@
 //! Property tests for the wire codec: arbitrary `OpBatch`es (renames
 //! and empty batches included) survive the frame round trip exactly,
 //! and the decoder never panics on malformed bytes — truncations,
-//! corrupt prefixes, random garbage. The in-place writers and the pooled
-//! decoder are held to the plain ones: the frame a wave writes from its
-//! borrowed batch is the frame of the materialised sub-batch, and the
-//! pooled decode of a frame sequence is `NetMessage::decode`'s, errors
-//! included.
+//! corrupt prefixes, random garbage. The in-place writers and the
+//! kept-batch decoder are held to the plain ones: the frame a wave
+//! writes from its borrowed batch is the frame of the materialised
+//! sub-batch, and the decode of a frame sequence into one kept batch is
+//! `NetMessage::decode`'s, errors included. Paths span 1–64 bytes with
+//! non-ASCII characters, on both sides of the inline capacity.
 
+#[path = "../../core/tests/paths/mod.rs"]
+mod paths;
+
+use paths::path_of;
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
@@ -25,12 +30,22 @@ fn arb_policy() -> impl Strategy<Value = EntryPolicy> {
     ]
 }
 
+/// A path of 1–64 bytes: free-form characters (up to 21, of one to
+/// three bytes), or a file id's sized path (a sixteenth of them exactly
+/// at the inline capacity, another sixteenth one byte over).
+fn arb_path() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-z0-9/._ é€-]{1,21}",
+        (0u64..100_000).prop_map(|id| path_of("w", id as u32)),
+    ]
+}
+
 fn arb_op() -> impl Strategy<Value = MetadataOp> {
     prop_oneof![
-        "[a-z0-9/._ -]{1,32}".prop_map(|p| MetadataOp::Create(PathKey::new(p))),
-        "[a-z0-9/._ -]{1,32}".prop_map(|p| MetadataOp::Lookup(PathKey::new(p))),
-        "[a-z0-9/._ -]{1,32}".prop_map(|p| MetadataOp::Remove(PathKey::new(p))),
-        ("[a-z0-9/]{1,24}", "[a-z0-9/]{1,24}").prop_map(|(from, to)| MetadataOp::Rename {
+        arb_path().prop_map(|p| MetadataOp::Create(PathKey::new(p))),
+        arb_path().prop_map(|p| MetadataOp::Lookup(PathKey::new(p))),
+        arb_path().prop_map(|p| MetadataOp::Remove(PathKey::new(p))),
+        (arb_path(), arb_path()).prop_map(|(from, to)| MetadataOp::Rename {
             from: PathKey::new(from),
             to: PathKey::new(to),
         }),
@@ -48,8 +63,14 @@ fn arb_pool_ops() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     proptest::collection::vec((0u64..4, 0u64..12, 0u64..12), 0..32)
 }
 
+/// A dozen file names: 0 is exactly at the inline capacity, 1 one byte
+/// over.
+fn pool_name(i: u64) -> String {
+    path_of("pool", i as u32)
+}
+
 fn pool_batch(policy: EntryPolicy, ops: &[(u64, u64, u64)]) -> OpBatch {
-    let name = |i: u64| format!("/pool/{}/f{i}", "d".repeat(i as usize));
+    let name = pool_name;
     let mut batch = OpBatch::new().with_entry(policy);
     for &(kind, a, b) in ops {
         match kind {
@@ -134,28 +155,16 @@ fn small_fleet(replicas: usize) -> Federation {
 }
 
 /// `NetMessage::decode_execute_batch_into` over `frames` in order with
-/// one kept batch and pool, checked against `NetMessage::decode` frame
-/// by frame: same batch and `seq`, or the same error.
-fn check_pooled_decode(payloads: &[Vec<u8>]) {
+/// one kept batch, checked against `NetMessage::decode` frame by frame:
+/// same batch and `seq`, or the same error.
+fn check_kept_batch_decode(payloads: &[Vec<u8>]) {
     let mut batch = OpBatch::new();
-    let mut pool = Vec::new();
-    let mut most_paths = 0;
     for (i, payload) in payloads.iter().enumerate() {
-        let pooled = NetMessage::decode_execute_batch_into(payload, &mut batch, &mut pool);
-        match (NetMessage::decode(payload), pooled) {
-            (Ok(NetMessage::ExecuteBatch { seq, batch: plain }), Ok(Some(pooled_seq))) => {
-                assert_eq!(pooled_seq, seq, "frame {i}");
+        let kept = NetMessage::decode_execute_batch_into(payload, &mut batch);
+        match (NetMessage::decode(payload), kept) {
+            (Ok(NetMessage::ExecuteBatch { seq, batch: plain }), Ok(Some(kept_seq))) => {
+                assert_eq!(kept_seq, seq, "frame {i}");
                 assert_eq!(batch, plain, "frame {i}");
-                let paths = plain
-                    .ops()
-                    .iter()
-                    .map(|op| 1 + usize::from(matches!(op, MetadataOp::Rename { .. })))
-                    .sum::<usize>();
-                most_paths = most_paths.max(paths);
-                assert!(
-                    pool.len() + paths <= most_paths,
-                    "frame {i}: the pool outgrew the largest batch"
-                );
             }
             (Ok(other), Ok(None)) => {
                 assert!(
@@ -163,8 +172,8 @@ fn check_pooled_decode(payloads: &[Vec<u8>]) {
                     "frame {i}"
                 );
             }
-            (Err(plain), Err(pooled)) => assert_eq!(pooled.to_string(), plain.to_string()),
-            (plain, pooled) => panic!("frame {i}: decode gave {plain:?}, pooled {pooled:?}"),
+            (Err(plain), Err(kept)) => assert_eq!(kept.to_string(), plain.to_string()),
+            (plain, kept) => panic!("frame {i}: decode gave {plain:?}, kept batch {kept:?}"),
         }
     }
 }
@@ -304,7 +313,7 @@ proptest! {
         let policy = EntryPolicy::RoundRobin { start: start as usize };
         let mut setup = OpBatch::new().with_entry(policy);
         for i in 0..12 {
-            setup.push_create(format!("/pool/{}/f{i}", "d".repeat(i)));
+            setup.push_create(pool_name(i));
         }
         let batch = pool_batch(policy, &ops);
         let mut checker = FrameChecker {
@@ -332,10 +341,10 @@ proptest! {
         prop_assert_eq!(checked, execute_sharded(&mut truth, &batch).expect("ground truth"));
     }
 
-    /// Random sequences of batches decode through one kept batch and
-    /// pool exactly as `NetMessage::decode` decodes them.
+    /// Random sequences of batches decode through one kept batch
+    /// exactly as `NetMessage::decode` decodes them.
     #[test]
-    fn pooled_decode_matches_decode(batches in proptest::collection::vec(arb_pool_ops(), 1..6)) {
+    fn kept_batch_decode_matches_decode(batches in proptest::collection::vec(arb_pool_ops(), 1..6)) {
         let payloads: Vec<Vec<u8>> = batches
             .iter()
             .enumerate()
@@ -343,14 +352,15 @@ proptest! {
                 NetMessage::encode_execute_batch(seq as u64, &pool_batch(EntryPolicy::Random, ops))
             })
             .collect();
-        check_pooled_decode(&payloads);
+        check_kept_batch_decode(&payloads);
     }
 }
 
-/// A long path then a short one, a rename after lookups, an empty
-/// batch and other messages between batches, through one kept batch.
+/// A long path then short ones, a rename after lookups, a rename from a
+/// path at the inline capacity to one a byte over, an empty batch and
+/// other messages between batches, through one kept batch.
 #[test]
-fn pooled_decode_of_a_frame_sequence_matches_decode() {
+fn kept_batch_decode_of_a_frame_sequence_matches_decode() {
     let mut long = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 2 });
     long.push_create(format!("/long/{}", "x".repeat(300)));
     long.push_lookup("/long/a");
@@ -358,6 +368,7 @@ fn pooled_decode_of_a_frame_sequence_matches_decode() {
     short.push_lookup("/s");
     short.push_lookup("/t");
     short.push_rename("/s", "/u");
+    short.push_rename(pool_name(0), pool_name(1));
     let payloads = vec![
         NetMessage::encode_execute_batch(1, &long),
         NetMessage::Ping { nonce: 5 }.encode(),
@@ -366,59 +377,14 @@ fn pooled_decode_of_a_frame_sequence_matches_decode() {
         NetMessage::Drain.encode(),
         NetMessage::encode_execute_batch(4, &long),
     ];
-    check_pooled_decode(&payloads);
+    check_kept_batch_decode(&payloads);
 }
 
-/// A path whose buffer the pool already holds is refilled in place: the
-/// second batch's paths live in the first batch's allocations.
-#[test]
-fn pooled_decode_reuses_path_buffers() {
-    let mut first = OpBatch::new();
-    first.push_lookup(format!("/first/{}", "a".repeat(64)));
-    first.push_rename(
-        format!("/first/{}", "b".repeat(64)),
-        format!("/first/{}", "c".repeat(64)),
-    );
-    let mut second = OpBatch::new();
-    second.push_create("/second/a");
-    second.push_lookup("/second/b");
-    second.push_remove("/second/c");
-    let mut batch = OpBatch::new();
-    let mut pool = Vec::new();
-    NetMessage::decode_execute_batch_into(
-        &NetMessage::encode_execute_batch(0, &first),
-        &mut batch,
-        &mut pool,
-    )
-    .expect("decodes");
-    let held: Vec<*const u8> = batch.ops().iter().flat_map(op_path_ptrs).collect();
-    NetMessage::decode_execute_batch_into(
-        &NetMessage::encode_execute_batch(1, &second),
-        &mut batch,
-        &mut pool,
-    )
-    .expect("decodes");
-    assert_eq!(batch, second);
-    for ptr in batch.ops().iter().flat_map(op_path_ptrs) {
-        assert!(held.contains(&ptr), "a path was allocated afresh");
-    }
-    assert!(pool.is_empty(), "three paths back, three taken");
-}
-
-fn op_path_ptrs(op: &MetadataOp) -> Vec<*const u8> {
-    match op {
-        MetadataOp::Create(key) | MetadataOp::Lookup(key) | MetadataOp::Remove(key) => {
-            vec![key.path().as_ptr()]
-        }
-        MetadataOp::Rename { from, to } => vec![from.path().as_ptr(), to.path().as_ptr()],
-    }
-}
-
-/// Each corruption mid-batch fails the pooled decode with the error
+/// Each corruption mid-batch fails the kept-batch decode with the error
 /// `NetMessage::decode` returns: a bad fingerprint, bad UTF-8, a
 /// trailing byte, an unknown op tag.
 #[test]
-fn pooled_decode_fails_like_decode() {
+fn kept_batch_decode_fails_like_decode() {
     let mut batch = OpBatch::new().with_entry(EntryPolicy::Random);
     batch.push_lookup("/ok/a");
     batch.push_create("/ok/b");
@@ -447,8 +413,8 @@ fn pooled_decode_fails_like_decode() {
             "decode gave {plain:?}"
         );
     }
-    // One kept batch and pool across the clean and the corrupt frames.
+    // One kept batch across the clean and the corrupt frames.
     let mut payloads = vec![clean];
     payloads.extend(cases.into_iter().map(|(payload, _)| payload));
-    check_pooled_decode(&payloads);
+    check_kept_batch_decode(&payloads);
 }
