@@ -21,8 +21,7 @@ pub mod optimal;
 /// re-exported from the Bloom filter substrate.
 pub mod falserate {
     pub use ghba_bloom::analysis::{
-        array_ambiguity, intersection_tightness, optimal_fpp, optimal_hash_count,
-        segment_false_hit, staleness_rates, standard_fpp, union_fpp,
+        array_ambiguity, optimal_fpp, optimal_hash_count, segment_false_hit, standard_fpp,
     };
 }
 

@@ -4,7 +4,7 @@
 //! to everyone and queries probe the full array directly. The suffix is
 //! the bit/file ratio (BFA8 = 8 bits per file, BFA16 = 16).
 
-use ghba_core::{EntryPolicy, GhbaConfig, OpBatch, OpOutcome};
+use ghba_core::{GhbaConfig, OpBatch, OpOutcome};
 
 use crate::hba::HbaCluster;
 
@@ -69,14 +69,6 @@ impl ghba_core::MetadataService for BfaCluster {
 
     fn filter_memory_per_mds(&self) -> usize {
         self.inner.filter_memory_per_mds()
-    }
-
-    fn set_shim_policy(&mut self, policy: EntryPolicy) {
-        ghba_core::MetadataService::set_shim_policy(&mut self.inner, policy);
-    }
-
-    fn next_shim_policy(&mut self, ops: usize) -> EntryPolicy {
-        ghba_core::MetadataService::next_shim_policy(&mut self.inner, ops)
     }
 }
 

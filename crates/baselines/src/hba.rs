@@ -15,7 +15,10 @@ pub use ghba_core::{HbaCluster, HbaReconfigHandle};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ghba_core::{GhbaConfig, MdsId, MetadataService, QueryLevel, QueryOutcome, ReconfigError};
+    use ghba_core::{
+        EntryPolicy, GhbaConfig, MdsId, MetadataService, OpBatch, OpOutcome, QueryLevel,
+        ReconfigError,
+    };
 
     fn config() -> GhbaConfig {
         GhbaConfig::default()
@@ -102,8 +105,10 @@ mod tests {
         assert_eq!(lone.remove_mds(MdsId(0)), Err(ReconfigError::LastServer));
     }
 
+    /// A fused lookup batch resolves like the same lookups one by one
+    /// from the same entries.
     #[test]
-    fn lookup_batch_matches_sequential_lookups() {
+    fn fused_lookups_match_sequential_lookups() {
         let build = || {
             let mut hba = HbaCluster::with_servers(config(), 8);
             for i in 0..120 {
@@ -114,25 +119,21 @@ mod tests {
         };
         let mut sequential = build();
         let mut batched = build();
-        let queries: Vec<(MdsId, String)> = (0..32)
-            .map(|i| {
-                let path = if i % 8 == 7 {
-                    format!("/absent/f{i}")
-                } else {
-                    format!("/batch/f{}", i * 3 % 120)
-                };
-                (MdsId(i % 8), path)
-            })
-            .collect();
-        let borrowed: Vec<(MdsId, &str)> = queries
-            .iter()
-            .map(|(entry, path)| (*entry, path.as_str()))
-            .collect();
-        let expected: Vec<QueryOutcome> = borrowed
-            .iter()
-            .map(|&(entry, path)| sequential.lookup_from(entry, path))
-            .collect();
-        assert_eq!(batched.lookup_batch_from(&borrowed), expected);
+        // Round robin over 8 servers: op `i` enters at `MdsId(i % 8)`.
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+        let mut expected = Vec::new();
+        for i in 0..32 {
+            let path = if i % 8 == 7 {
+                format!("/absent/f{i}")
+            } else {
+                format!("/batch/f{}", i * 3 % 120)
+            };
+            expected.push(OpOutcome::Resolved(
+                sequential.lookup_from(MdsId(i % 8), &path),
+            ));
+            batch.push_lookup(path);
+        }
+        assert_eq!(batched.execute(&batch), expected);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //!   its optimum `(0.6185)^{m/n}` at `k = (m/n)·ln 2` (Broder &
 //!   Mitzenmacher, cited as \[30\]);
 //! * Equation (1): the probability `f⁺_g` that a **segment** Bloom filter
-//!   array of `θ` replicas returns a *false unique hit*;
-//! * bounds on the false rates of unioned and intersected filters
-//!   (§3.4 propositions).
+//!   array of `θ` replicas returns a *false unique hit*.
 
 /// `ln 2`, the constant relating bits-per-item to the optimal hash count.
 pub const LN2: f64 = core::f64::consts::LN_2;
@@ -93,58 +91,6 @@ pub fn array_ambiguity(theta: usize, bits_per_item: f64) -> f64 {
     (1.0 - none - exactly_one).max(0.0)
 }
 
-/// False-positive probability of the union filter `BF(A) | BF(B)` when `A`
-/// has `n_a` items, `B` has `n_b`, both in `m` bits with `k` hashes.
-///
-/// The union behaves like a single filter holding `n_a + n_b` items (an
-/// upper bound that the paper's Property 1 discussion uses: the union's
-/// false rate exceeds either operand's).
-#[must_use]
-pub fn union_fpp(m: usize, n_a: usize, n_b: usize, k: u32) -> f64 {
-    standard_fpp(m, n_a + n_b, k)
-}
-
-/// The §3.4 tightness statement for intersections: the probability that the
-/// bitwise-AND filter is *strictly looser* than the true `BF(A ∩ B)`,
-/// `(1 − (1 − 1/m)^{k·|A−A∩B|}) · (1 − (1 − 1/m)^{k·|B−A∩B|})`.
-///
-/// `a_only` and `b_only` are `|A − (A∩B)|` and `|B − (A∩B)|`.
-#[must_use]
-pub fn intersection_tightness(m: usize, k: u32, a_only: usize, b_only: usize) -> f64 {
-    if m == 0 {
-        return 1.0;
-    }
-    let base = 1.0 - 1.0 / m as f64;
-    let p_a = 1.0 - base.powf(f64::from(k) * a_only as f64);
-    let p_b = 1.0 - base.powf(f64::from(k) * b_only as f64);
-    p_a * p_b
-}
-
-/// False-rate inflation caused by staleness: with `d` of the `m` bits of a
-/// replica out of date (the XOR distance to the live filter), missing
-/// updates inflate both false positives (stale 1-bits) and false negatives
-/// (missing 1-bits).
-///
-/// This simple symmetric model splits the stale bits evenly and reports
-/// `(false_positive_boost, false_negative_prob)` for a `k`-hash probe, in
-/// the spirit of the authors' companion analysis (Zhu & Jiang, ICPP'06).
-#[must_use]
-pub fn staleness_rates(m: usize, k: u32, stale_bits: usize) -> (f64, f64) {
-    if m == 0 || stale_bits == 0 {
-        return (0.0, 0.0);
-    }
-    let half = stale_bits as f64 / 2.0;
-    let p_bit_stale_set = (half / m as f64).min(1.0);
-    // A query for an absent item goes all-k into stale-set bits with
-    // probability ≈ (fraction)^k — tiny; the dominant term is one stale bit
-    // completing an otherwise (k−1)-matching probe. We report the one-probe
-    // approximation.
-    let fp_boost = 1.0 - (1.0 - p_bit_stale_set).powi(k as i32);
-    // A present item is missed if any of its k bits is stale-clear.
-    let fn_prob = 1.0 - (1.0 - p_bit_stale_set).powi(k as i32);
-    (fp_boost, fn_prob)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,37 +160,6 @@ mod tests {
         let loose = segment_false_hit(10, 8.0);
         let tight = segment_false_hit(10, 16.0);
         assert!(tight < loose);
-    }
-
-    #[test]
-    fn union_fpp_exceeds_each_operand() {
-        let m = 10_000;
-        let k = 5;
-        let both = union_fpp(m, 500, 700, k);
-        assert!(both >= standard_fpp(m, 500, k));
-        assert!(both >= standard_fpp(m, 700, k));
-    }
-
-    #[test]
-    fn intersection_tightness_monotone_in_disjoint_parts() {
-        let low = intersection_tightness(10_000, 5, 10, 10);
-        let high = intersection_tightness(10_000, 5, 1_000, 1_000);
-        assert!(high > low);
-        assert_eq!(intersection_tightness(10_000, 5, 0, 10), 0.0);
-    }
-
-    #[test]
-    fn staleness_rates_zero_when_fresh() {
-        assert_eq!(staleness_rates(1_000, 5, 0), (0.0, 0.0));
-    }
-
-    #[test]
-    fn staleness_rates_grow_with_drift() {
-        let (fp1, fn1) = staleness_rates(10_000, 5, 10);
-        let (fp2, fn2) = staleness_rates(10_000, 5, 1_000);
-        assert!(fp2 > fp1);
-        assert!(fn2 > fn1);
-        assert!(fp2 <= 1.0 && fn2 <= 1.0);
     }
 
     #[test]

@@ -16,9 +16,9 @@ use crate::hash::{probe_indices, Fingerprint};
 /// [`clear`](BloomFilter::clear); false positives occur with a probability
 /// controlled by the bits-per-item ratio (see [`analysis`]).
 ///
-/// Two filters are *compatible* (and may be combined with
-/// [`union_assign`](BloomFilter::union_assign) and friends) iff they share
-/// the same length, hash count, and hash seed — see [`FilterShape`].
+/// Two filters are *compatible* (and may be compared with
+/// [`xor_distance`](BloomFilter::xor_distance)) iff they share the same
+/// length, hash count, and hash seed — see [`FilterShape`].
 ///
 /// # Examples
 ///
@@ -131,8 +131,8 @@ impl BloomFilter {
 
     /// Number of items inserted since creation or the last clear.
     ///
-    /// This is bookkeeping, not a property of the bit vector: union and
-    /// delta application update it additively as an upper bound.
+    /// This is bookkeeping, not a property of the bit vector: a filter
+    /// extracted from a slab column carries the count its column kept.
     #[must_use]
     pub fn item_count(&self) -> usize {
         self.items
@@ -231,7 +231,7 @@ impl BloomFilter {
 
     /// Estimated false-positive probability from the *observed* fill ratio:
     /// `(ones/m)^k`. Unlike [`theoretical_fpp`](BloomFilter::theoretical_fpp)
-    /// this needs no item count and reflects unions and deltas.
+    /// this needs no item count.
     #[must_use]
     pub fn estimated_fpp(&self) -> f64 {
         self.fill_ratio().powi(self.hashes as i32)
@@ -253,37 +253,6 @@ impl BloomFilter {
                 right: other.shape(),
             })
         }
-    }
-
-    /// In-place union (Property 1 of the paper: `BF(A∪B) = BF(A) | BF(B)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BloomError::IncompatibleFilters`] when shapes differ.
-    pub fn union_assign(&mut self, other: &BloomFilter) -> Result<(), BloomError> {
-        self.check_compatible(other)?;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-        self.items += other.items;
-        Ok(())
-    }
-
-    /// In-place intersection (Property 2: `BF(A∩B) ⊆ BF(A) & BF(B)`).
-    ///
-    /// The result over-approximates the intersection of the underlying sets;
-    /// see [`analysis::intersection_tightness`] for the error bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BloomError::IncompatibleFilters`] when shapes differ.
-    pub fn intersect_assign(&mut self, other: &BloomFilter) -> Result<(), BloomError> {
-        self.check_compatible(other)?;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-        self.items = self.items.min(other.items);
-        Ok(())
     }
 
     /// Number of bit positions where the two filters differ (Hamming
@@ -451,42 +420,6 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.item_count(), 0);
         assert!(!f.contains("file-0"));
-    }
-
-    #[test]
-    fn union_covers_both_sets() {
-        let mut a = BloomFilter::new(2048, 4, 7);
-        let mut b = BloomFilter::new(2048, 4, 7);
-        a.insert("alpha");
-        b.insert("beta");
-        a.union_assign(&b).unwrap();
-        assert!(a.contains("alpha"));
-        assert!(a.contains("beta"));
-        assert_eq!(a.item_count(), 2);
-    }
-
-    #[test]
-    fn union_rejects_mismatched_seed() {
-        let mut a = BloomFilter::new(2048, 4, 7);
-        let b = BloomFilter::new(2048, 4, 8);
-        assert!(matches!(
-            a.union_assign(&b),
-            Err(BloomError::IncompatibleFilters { .. })
-        ));
-    }
-
-    #[test]
-    fn intersect_keeps_common_items() {
-        let mut a = BloomFilter::new(4096, 4, 7);
-        let mut b = BloomFilter::new(4096, 4, 7);
-        for item in ["x", "y", "shared"] {
-            a.insert(item);
-        }
-        for item in ["p", "q", "shared"] {
-            b.insert(item);
-        }
-        a.intersect_assign(&b).unwrap();
-        assert!(a.contains("shared"));
     }
 
     #[test]

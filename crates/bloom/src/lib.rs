@@ -16,7 +16,6 @@
 //!   bytes derives every filter's probe stream by O(1) seed-mixing;
 //! * [`LruBloomArray`] — the L1 "hot data" structure capturing temporal
 //!   locality;
-//! * [`ops`] — filter set algebra (union / intersection / XOR);
 //! * [`analysis`] — closed-form false-rate formulas, including the paper's
 //!   Equation (1).
 //!
@@ -49,7 +48,6 @@ mod error;
 mod filter;
 pub mod hash;
 mod lru;
-pub mod ops;
 mod shared;
 
 pub use counting::CountingBloomFilter;

@@ -320,10 +320,6 @@ pub struct Cluster<T: Topology> {
     /// `&self` (a controller samples while lookups run); touched only
     /// at report cadence, never on the walk hot path.
     pub(crate) load_fold: Mutex<crate::load::LoadFold>,
-    /// Entry policy the 1-op string shims execute under (see
-    /// [`MetadataService::set_shim_policy`](crate::MetadataService::set_shim_policy));
-    /// round-robin state advances here, on the service, across calls.
-    pub(crate) shim_entry: EntryPolicy,
     /// The attached write-ahead log, if any (see [`crate::wal`]): every
     /// shard-log drain and flush barrier is appended here before its
     /// effects apply. Boxed to keep the common (undurable) cluster
@@ -372,7 +368,6 @@ impl<T: Topology> Clone for Cluster<T> {
             cstats: ConcurrentStats::new(),
             mask_lifetime: self.mask_lifetime,
             load_fold: Mutex::new(crate::load::LoadFold::new()),
-            shim_entry: self.shim_entry,
             wal: None,
             rows: self.rows,
             row_scratch: Default::default(),
@@ -401,7 +396,6 @@ impl<T: Topology> Cluster<T> {
             cstats: ConcurrentStats::new(),
             mask_lifetime: (0, 0),
             load_fold: Mutex::new(crate::load::LoadFold::new()),
-            shim_entry: EntryPolicy::Random,
             wal: None,
             rows: RowDeriver::new(shape),
             row_scratch: Default::default(),
@@ -1296,54 +1290,6 @@ impl<T: Topology> Cluster<T> {
         self.shards.pending_record_count()
     }
 
-    /// Looks up a batch of paths, each from a uniformly random entry MDS —
-    /// the paper's client model applied to a burst of concurrent requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster has no servers.
-    pub fn lookup_batch<S: AsRef<str>>(&mut self, paths: &[S]) -> Vec<QueryOutcome> {
-        assert!(!self.mdss.is_empty(), "cluster has no servers");
-        let ids = self.server_ids();
-        let queries: Vec<(MdsId, &str)> = paths
-            .iter()
-            .map(|path| (self.entry_for(&ids, EntryPolicy::Random, 0), path.as_ref()))
-            .collect();
-        self.lookup_batch_from(&queries)
-    }
-
-    /// Resolves a batch of concurrent lookups through the one pinned
-    /// walk (see [`lookup_from`](Cluster::lookup_from)) on the calling
-    /// thread: the batch pins one snapshot and repeated `(entry, path)`
-    /// pairs walk once.
-    ///
-    /// Per-query accounting (latency, messages, level counters) is
-    /// identical to running [`lookup_from`](Cluster::lookup_from) once
-    /// per query; the only visible difference is the concurrent-request
-    /// model: the queries of one batch model simultaneous clients, so no
-    /// L1 cache fill produced by one query of the batch is observed by
-    /// another query of the same batch — fills apply in stream order
-    /// when the batch completes. Observable only through an L1 Bloom
-    /// false positive or an LRU eviction reordering, both vanishingly
-    /// rare at sane L1 geometries; the vectored op pipeline additionally
-    /// splits fused runs at repeated `(entry, path)` pairs, so the
-    /// common hot-repeat case stays exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry is not a member of the cluster (a poisoned
-    /// batch applies none of its effects).
-    pub fn lookup_batch_from(&mut self, queries: &[(MdsId, &str)]) -> Vec<QueryOutcome> {
-        // Hash each path once at its entry server; the fingerprint drives
-        // every filter probe of the whole L1 → L4 escalation (and in a
-        // real deployment travels inside the multicast probe messages).
-        let items: Vec<WalkItem<'_>> = queries
-            .iter()
-            .map(|&(entry, path)| (entry, path.as_bytes(), Fingerprint::of(path)))
-            .collect();
-        self.lookup_items(&items)
-    }
-
     /// Every `&mut` read entry: drain, pin one snapshot, run the pinned
     /// walk, then apply the one thing the `&self` entries cannot — the
     /// L1 LRU fill, per occurrence in stream order — and fold the
@@ -1521,6 +1467,8 @@ impl GhbaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{OpBatch, OpOutcome};
+    use crate::service::MetadataService;
 
     fn batch_config() -> GhbaConfig {
         GhbaConfig::default()
@@ -1597,56 +1545,33 @@ mod tests {
             .expect("drained writes keep both slabs exact");
     }
 
-    /// A batch of concurrent lookups over distinct paths resolves exactly
-    /// like the same lookups issued sequentially from the same entries —
-    /// homes, levels, latencies, messages, and stats all agree.
+    /// A batch of fused lookups over distinct paths resolves exactly like
+    /// the same lookups issued one by one from the same entries — homes,
+    /// levels, latencies, messages, and stats all agree.
     #[test]
-    fn lookup_batch_matches_sequential_lookups() {
+    fn fused_lookups_match_sequential_lookups() {
         let mut sequential = populated_cluster();
         let mut batched = populated_cluster();
-        let queries: Vec<(MdsId, String)> = (0..64)
-            .map(|i| {
-                let path = if i % 8 == 7 {
-                    format!("/missing/f{i}")
-                } else {
-                    format!("/b/f{}", i * 4 % 300)
-                };
-                (MdsId(i % 15), path)
-            })
-            .collect();
-        let borrowed: Vec<(MdsId, &str)> = queries
-            .iter()
-            .map(|(entry, path)| (*entry, path.as_str()))
-            .collect();
-        let expected: Vec<QueryOutcome> = borrowed
-            .iter()
-            .map(|&(entry, path)| sequential.lookup_from(entry, path))
-            .collect();
-        let got = batched.lookup_batch_from(&borrowed);
-        assert_eq!(got, expected);
+        // Round robin over 15 servers: op `i` enters at `MdsId(i % 15)`.
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+        let mut expected = Vec::new();
+        for i in 0..64 {
+            let path = if i % 8 == 7 {
+                format!("/missing/f{i}")
+            } else {
+                format!("/b/f{}", i * 4 % 300)
+            };
+            expected.push(OpOutcome::Resolved(
+                sequential.lookup_from(MdsId(i % 15), &path),
+            ));
+            batch.push_lookup(path);
+        }
+        assert_eq!(batched.execute(&batch), expected);
         assert_eq!(batched.stats().levels, sequential.stats().levels);
         assert_eq!(
             batched.stats().lookup_latency.count(),
             sequential.stats().lookup_latency.count()
         );
-    }
-
-    /// `lookup_batch` draws one random entry per path, consuming the rng
-    /// stream exactly as sequential `lookup` calls would.
-    #[test]
-    fn lookup_batch_random_entries_match_sequential_rng() {
-        let mut sequential = populated_cluster();
-        let mut batched = populated_cluster();
-        let paths: Vec<String> = (0..32).map(|i| format!("/b/f{}", i * 9 % 300)).collect();
-        let expected: Vec<QueryOutcome> =
-            paths.iter().map(|path| sequential.lookup(path)).collect();
-        assert_eq!(batched.lookup_batch(&paths), expected);
-    }
-
-    #[test]
-    fn empty_lookup_batch_is_empty() {
-        let mut cluster = populated_cluster();
-        assert!(cluster.lookup_batch_from(&[]).is_empty());
     }
 
     /// A query deep in a batch names an unknown entry MDS: the walk
@@ -1665,14 +1590,14 @@ mod tests {
                 (MdsId(i % 15), path)
             })
             .collect();
-        let mut borrowed: Vec<(MdsId, &str)> = queries
+        let mut items: Vec<WalkItem<'_>> = queries
             .iter()
-            .map(|(entry, path)| (*entry, path.as_str()))
+            .map(|(entry, path)| (*entry, path.as_bytes(), Fingerprint::of(path.as_str())))
             .collect();
-        borrowed[80].0 = MdsId(999);
+        items[80].0 = MdsId(999);
         let mask_before = cluster.mask_cache_stats();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = cluster.lookup_batch_from(&borrowed);
+            let _ = cluster.lookup_items(&items);
         }));
         let payload = result.expect_err("the poisoned batch must panic");
         let message = payload
@@ -1693,9 +1618,9 @@ mod tests {
         assert_eq!(cluster.mask_cache_stats(), mask_before);
         assert_eq!(cluster.load_report().fresh_lookups, 0);
         // The cluster keeps serving.
-        borrowed[80].0 = MdsId(0);
-        let outcomes = cluster.lookup_batch_from(&borrowed);
-        assert_eq!(outcomes.len(), borrowed.len());
+        items[80].0 = MdsId(0);
+        let outcomes = cluster.lookup_items(&items);
+        assert_eq!(outcomes.len(), items.len());
         cluster.check_invariants().expect("invariants hold");
     }
 

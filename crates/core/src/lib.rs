@@ -28,8 +28,7 @@
 //!   wait-free atomic counters and **never fill L1**; the owner folds
 //!   them (and replays pending writes) at its next `&mut` entry or an
 //!   explicit [`Cluster::drain_concurrent`].
-//! * `&mut` entries ([`Cluster::lookup_from`],
-//!   [`Cluster::lookup_batch_from`], [`MetadataService::execute`])
+//! * `&mut` entries ([`Cluster::lookup_from`], [`MetadataService::execute`])
 //!   drain first, run the same walk, then apply the L1 LRU fill per
 //!   occurrence in stream order and **fold the statistics before
 //!   returning**.
@@ -40,7 +39,7 @@
 //!
 //! The cluster is one engine too. [`Cluster`] owns everything that does
 //! not depend on where replicas live — servers, snapshot cell, rng,
-//! stats, shard logs, atomic recorders, load fold, shim policy, optional
+//! stats, shard logs, atomic recorders, load fold, optional
 //! WAL, and the walk, driver hooks, update cadence and drain —
 //! and is parameterised by a sealed replica layout with exactly two
 //! implementations: [`Grouped`] ([`GhbaCluster`]) and [`FullMirror`]

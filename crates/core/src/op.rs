@@ -290,13 +290,11 @@ impl EntryPolicy {
     /// Returns the policy for a batch of `ops` ops and advances any
     /// round-robin cursor past them **in place**.
     ///
-    /// This is how round-robin state survives the string-call shims:
-    /// each shim builds a fresh 1-op [`OpBatch`], so the cursor must
-    /// live on the *service* (see
-    /// [`MetadataService::set_shim_policy`](crate::MetadataService::set_shim_policy))
-    /// and step forward here on every call — otherwise each shim batch
-    /// would re-enter at `start` and pin a single server. Stateless
-    /// policies return unchanged.
+    /// This is how round-robin state survives a stream of batches: a
+    /// client that cuts its ops into fresh batches keeps the cursor and
+    /// steps it forward here per batch — otherwise each batch would
+    /// re-enter at `start` and pin a single server. Stateless policies
+    /// return unchanged.
     pub fn advance(&mut self, ops: usize) -> EntryPolicy {
         let current = *self;
         if let EntryPolicy::RoundRobin { start } = self {

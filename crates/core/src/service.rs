@@ -9,8 +9,10 @@
 //! [`OpBatch`] (mixed creates/lookups/removes/renames under an explicit
 //! [`EntryPolicy`](crate::EntryPolicy)) and returns per-op
 //! [`OpOutcome`]s. The classic string calls (`create`, `lookup`,
-//! `remove`, …) are provided shims expressed as 1-op batches — same
-//! semantics, none of the batching.
+//! `remove`, …) are provided shims expressed as 1-op batches under
+//! [`EntryPolicy::Random`](crate::EntryPolicy::Random), the paper's
+//! client model — same semantics, none of the batching. A caller that
+//! wants another policy, or more than one op, builds the batch.
 
 use std::sync::Arc;
 
@@ -104,33 +106,10 @@ pub trait MetadataService {
     /// array, held replicas) — the Table 5 quantity.
     fn filter_memory_per_mds(&self) -> usize;
 
-    /// Sets the [`EntryPolicy`] the string-call shims execute under.
-    ///
-    /// The shims each build a **fresh** 1-op batch, so stateful policies
-    /// cannot live on the batch: `RoundRobin { start }` state must
-    /// persist on the service and advance across calls (otherwise every
-    /// shim call would re-enter at `start` and the "round robin" would
-    /// pin one server). Schemes store the policy and advance any cursor
-    /// in [`next_shim_policy`](MetadataService::next_shim_policy); the
-    /// default implementation ignores the request and keeps the
-    /// historical `Random` behaviour.
-    fn set_shim_policy(&mut self, policy: EntryPolicy) {
-        let _ = policy;
-    }
-
-    /// Returns the policy for the next shim batch of `ops` ops,
-    /// advancing any service-side round-robin cursor past them. The
-    /// default is [`EntryPolicy::Random`] (the paper's client model).
-    fn next_shim_policy(&mut self, ops: usize) -> EntryPolicy {
-        let _ = ops;
-        EntryPolicy::Random
-    }
-
     /// Creates metadata for `path` at a random home, returning it.
     /// Back-compat shim: a 1-op [`OpBatch`].
     fn create(&mut self, path: &str) -> MdsId {
-        let policy = self.next_shim_policy(1);
-        let mut batch = OpBatch::new().with_entry(policy);
+        let mut batch = OpBatch::new();
         batch.push_create(path);
         match self.execute(&batch).pop() {
             Some(OpOutcome::Created { home }) => home,
@@ -141,8 +120,7 @@ pub trait MetadataService {
     /// Looks up the home MDS of `path` from a random entry server.
     /// Back-compat shim: a 1-op [`OpBatch`].
     fn lookup(&mut self, path: &str) -> QueryOutcome {
-        let policy = self.next_shim_policy(1);
-        let mut batch = OpBatch::new().with_entry(policy);
+        let mut batch = OpBatch::new();
         batch.push_lookup(path);
         match self.execute(&batch).pop() {
             Some(OpOutcome::Resolved(outcome)) => outcome,
@@ -150,29 +128,10 @@ pub trait MetadataService {
         }
     }
 
-    /// Resolves a batch of concurrent lookups, each from a random entry
-    /// server, returning one outcome per path in order. Shim over one
-    /// all-lookup [`OpBatch`].
-    fn lookup_batch(&mut self, paths: &[&str]) -> Vec<QueryOutcome> {
-        let policy = self.next_shim_policy(paths.len());
-        let mut batch = OpBatch::new().with_entry(policy);
-        for path in paths {
-            batch.push_lookup(*path);
-        }
-        self.execute(&batch)
-            .into_iter()
-            .map(|outcome| match outcome {
-                OpOutcome::Resolved(outcome) => outcome,
-                other => unreachable!("lookup op yields Resolved, got {other:?}"),
-            })
-            .collect()
-    }
-
     /// Removes `path`'s metadata, returning its former home.
     /// Back-compat shim: a 1-op [`OpBatch`].
     fn remove(&mut self, path: &str) -> Option<MdsId> {
-        let policy = self.next_shim_policy(1);
-        let mut batch = OpBatch::new().with_entry(policy);
+        let mut batch = OpBatch::new();
         batch.push_remove(path);
         match self.execute(&batch).pop() {
             Some(OpOutcome::Removed { home }) => home,
@@ -183,8 +142,7 @@ pub trait MetadataService {
     /// Renames `from` to `to` (metadata migration), returning the old and
     /// new homes. Shim: a 1-op [`OpBatch`].
     fn rename(&mut self, from: &str, to: &str) -> (Option<MdsId>, Option<MdsId>) {
-        let policy = self.next_shim_policy(1);
-        let mut batch = OpBatch::new().with_entry(policy);
+        let mut batch = OpBatch::new();
         batch.push_rename(from, to);
         match self.execute(&batch).pop() {
             Some(OpOutcome::Renamed { old_home, new_home }) => (old_home, new_home),
@@ -297,71 +255,5 @@ impl<T: Topology> MetadataService for Cluster<T> {
             .map(|id| self.filter_memory_bytes(id))
             .sum();
         total / n
-    }
-
-    fn set_shim_policy(&mut self, policy: EntryPolicy) {
-        self.shim_entry = policy;
-    }
-
-    fn next_shim_policy(&mut self, ops: usize) -> EntryPolicy {
-        self.shim_entry.advance(ops)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cluster::GhbaCluster;
-    use crate::config::GhbaConfig;
-
-    fn config() -> GhbaConfig {
-        GhbaConfig::default()
-            .with_filter_capacity(1_000)
-            .with_max_group_size(4)
-            .with_seed(5)
-    }
-
-    /// N string-shim calls under a service-side round-robin policy visit
-    /// N distinct entry servers in id order: the cursor persists on the
-    /// service, not on the (fresh-per-call) 1-op batch.
-    #[test]
-    fn round_robin_shim_state_persists_across_calls() {
-        let n = 10;
-        let mut cluster = GhbaCluster::with_servers(config(), n);
-        cluster.create("/rr/file");
-        cluster.set_shim_policy(EntryPolicy::RoundRobin { start: 0 });
-        let ids = cluster.server_ids();
-        // `GhbaCluster::lookup` (the inherent walk) shadows the trait
-        // shim, so name the shim explicitly — it is the 1-op-batch path
-        // under audit here.
-        let entries: Vec<MdsId> = (0..n)
-            .map(|_| MetadataService::lookup(&mut cluster, "/rr/file").entry)
-            .collect();
-        assert_eq!(entries, ids, "shim calls must advance the cursor");
-        // The cursor wraps: the next call re-enters at the first server.
-        assert_eq!(
-            MetadataService::lookup(&mut cluster, "/rr/file").entry,
-            ids[0]
-        );
-    }
-
-    /// `lookup_batch` advances the cursor by its whole length, so a
-    /// following 1-op shim continues where the batch left off.
-    #[test]
-    fn round_robin_cursor_advances_past_batches() {
-        let mut cluster = GhbaCluster::with_servers(config(), 8);
-        cluster.create("/rr/batched");
-        cluster.set_shim_policy(EntryPolicy::RoundRobin { start: 0 });
-        let ids = cluster.server_ids();
-        let outcomes = MetadataService::lookup_batch(
-            &mut cluster,
-            &["/rr/batched", "/rr/batched", "/rr/batched"],
-        );
-        let entries: Vec<MdsId> = outcomes.iter().map(|o| o.entry).collect();
-        assert_eq!(entries, ids[..3]);
-        assert_eq!(
-            MetadataService::lookup(&mut cluster, "/rr/batched").entry,
-            ids[3]
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! Control-plane acceptance tests: the online [`GroupController`]
 //! against real clusters and against adversarial synthetic telemetry.
 //!
-//! Three properties anchor the suite (the ISSUE-9 satellite bars):
+//! Four properties anchor the suite:
 //!
 //! * **No oscillation**: a stable uniform load — real traffic, spread
 //!   evenly — produces *zero* actions, tick after tick, because every
@@ -11,12 +11,16 @@
 //! * **Model agreement**: the controller's online `PaperModel` target
 //!   tracks the offline [`AnalyticModel`] optimum the analysis crate
 //!   derives from the paper (both sit on the √N ridge).
+//! * **A day's shape**: a flash crowd that migrates splits both hot
+//!   regions, an overnight trough merges split remnants back toward M*,
+//!   and every group no action names keeps its warm mask cache.
 
 use ghba_analysis::AnalyticModel;
 use ghba_core::{
-    ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, GroupId, LoadFold,
-    MdsId, MembershipEpoch, MetadataService, OpBatch, TargetM,
+    AdaptAction, ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, GroupId,
+    LoadFold, MdsId, MembershipEpoch, MetadataService, OpBatch, TargetM,
 };
+use ghba_simnet::DetRng;
 use proptest::prelude::*;
 
 fn config(seed: u64) -> GhbaConfig {
@@ -122,6 +126,243 @@ fn paper_model_agrees_with_the_analytic_optimum() {
             "N={n}: online target {online} strayed from analytic optimum {offline}"
         );
     }
+}
+
+/// One phase of a simulated day: `windows` traffic windows, each
+/// offering `intensity` × [`NOMINAL_OPS`] lookups, `hot_focus` of them
+/// entering through the hot region — the first group's servers, or the
+/// last group's once the crowd has moved (`late`).
+struct Phase {
+    name: &'static str,
+    windows: u64,
+    intensity: f64,
+    hot_focus: f64,
+    late: bool,
+}
+
+/// Lookups per window at intensity 1.0.
+const NOMINAL_OPS: f64 = 400.0;
+
+/// A working day with a flash crowd: a calm night, a ramp and a day
+/// plateau, a 6× flash crowd 90 % of which enters through one region,
+/// and a cooldown whose skew lands on a second region.
+#[rustfmt::skip]
+const FLASH_DAY: &[Phase] = &[
+    Phase { name: "night",    windows: 12, intensity: 0.2, hot_focus: 0.0, late: false },
+    Phase { name: "ramp",     windows: 9,  intensity: 1.0, hot_focus: 0.3, late: false },
+    Phase { name: "day",      windows: 12, intensity: 2.0, hot_focus: 0.1, late: false },
+    Phase { name: "flash",    windows: 9,  intensity: 6.0, hot_focus: 0.9, late: false },
+    Phase { name: "cooldown", windows: 9,  intensity: 1.5, hot_focus: 0.4, late: true },
+    Phase { name: "evening",  windows: 9,  intensity: 0.5, hot_focus: 0.0, late: true },
+];
+
+/// The night after a scale-out: dusk keeps a residual skew on the
+/// day's region, the long trough leaves only a batch region busy (every
+/// other group idles below the cold bar), and dawn is uniform.
+#[rustfmt::skip]
+const OVERNIGHT: &[Phase] = &[
+    Phase { name: "dusk",     windows: 15, intensity: 1.0, hot_focus: 0.3, late: false },
+    Phase { name: "trough",   windows: 30, intensity: 0.3, hot_focus: 0.8, late: true },
+    Phase { name: "dawn",     windows: 15, intensity: 0.6, hot_focus: 0.0, late: true },
+];
+
+/// 48 servers in groups of at most `max_group_size`, holding 2,000
+/// files spread over 61 directories.
+fn day_cluster(max_group_size: usize) -> (GhbaCluster, Vec<String>) {
+    let config = GhbaConfig::default()
+        .with_filter_capacity(8_000)
+        .with_lru_capacity(0)
+        .with_max_group_size(max_group_size)
+        .with_seed(0xD1A);
+    let mut cluster = GhbaCluster::with_servers(config, 48);
+    let paths: Vec<String> = (0..2_000)
+        .map(|i| format!("/scn/d{}/f{i}", i % 61))
+        .collect();
+    let mut batch = OpBatch::new();
+    for path in &paths {
+        batch.push_create(path);
+    }
+    cluster.execute(&batch);
+    cluster.flush_all_updates();
+    (cluster, paths)
+}
+
+/// Drives `day` at `cluster`: per window, its lookups from `&self`,
+/// then one controller tick. Returns every accepted action with its
+/// window and phase. Both hot regions are frozen as server sets before
+/// the first tick, so a split of the group holding one keeps it.
+fn drive_day(
+    cluster: &mut GhbaCluster,
+    controller: &mut GroupController,
+    day: &[Phase],
+    paths: &[String],
+) -> Vec<(u64, &'static str, AdaptAction)> {
+    let servers = cluster.server_ids();
+    let handle = cluster.reconfig_handle();
+    let gids = handle.group_ids();
+    let first = handle.group_members(gids[0]).expect("first group");
+    let last = handle
+        .group_members(gids[gids.len() - 1])
+        .expect("last group");
+    let mut actions = Vec::new();
+    let mut window = 0u64;
+    for phase in day {
+        let region = if phase.late { &last } else { &first };
+        for _ in 0..phase.windows {
+            let mut rng = DetRng::new(0x5CE7A).fork(window);
+            for _ in 0..(NOMINAL_OPS * phase.intensity).round() as u64 {
+                let entry = if rng.chance(phase.hot_focus) {
+                    region[rng.index(region.len())]
+                } else {
+                    servers[rng.index(servers.len())]
+                };
+                let path = &paths[rng.index(paths.len())];
+                assert!(cluster.lookup_concurrent(entry, path).found(), "{path}");
+            }
+            let load = cluster.load_report();
+            for action in controller.actuate(&load, &cluster.reconfig_handle()) {
+                actions.push((window, phase.name, action));
+            }
+            window += 1;
+        }
+    }
+    actions
+}
+
+/// Groups no action (nor `also_touched`) ever named kept their
+/// per-group epochs, so their shared mask caches stayed warm (hit rate
+/// ≥ 0.99) through every reconfiguration. Only groups still at their
+/// original `members` count — minted groups start cold — and at least
+/// `at_least` of them, so the assertion is not vacuous.
+fn assert_untouched_groups_stay_warm(
+    cluster: &GhbaCluster,
+    actions: &[(u64, &'static str, AdaptAction)],
+    also_touched: &[GroupId],
+    members: usize,
+    at_least: usize,
+) {
+    let touched: Vec<GroupId> = actions
+        .iter()
+        .flat_map(|(_, _, a)| {
+            let (x, y) = a.touches();
+            std::iter::once(x).chain(y)
+        })
+        .chain(also_touched.iter().copied())
+        .collect();
+    let mut untouched = 0;
+    for g in &cluster.load_report().groups {
+        if !touched.contains(&g.gid) && g.members == members {
+            untouched += 1;
+            assert!(
+                g.mask_hit_rate >= 0.99,
+                "group {:?} lost its warm mask cache through {actions:?}: {}",
+                g.gid,
+                g.mask_hit_rate
+            );
+        }
+    }
+    assert!(untouched >= at_least, "the assertion must not be vacuous");
+}
+
+/// A flash crowd splits the group it enters through; when its skew
+/// moves to a second region, that region splits too. Calm phases
+/// trigger nothing, and the group no split names stays warm.
+#[test]
+fn a_migrating_flash_crowd_splits_both_hot_regions() {
+    let (mut cluster, paths) = day_cluster(16);
+    let epoch = cluster.membership_epoch();
+    let mut controller = GroupController::new(ControllerConfig::default());
+    let actions = drive_day(&mut cluster, &mut controller, FLASH_DAY, &paths);
+
+    let splits: Vec<GroupId> = actions
+        .iter()
+        .filter_map(|(_, _, a)| match a {
+            AdaptAction::Split(gid) => Some(*gid),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        splits.contains(&GroupId(0)),
+        "the flash crowd must split the first group, got {actions:?}"
+    );
+    assert!(
+        splits.iter().any(|gid| *gid != GroupId(0)),
+        "the migrated cooldown skew must split a second region, got {actions:?}"
+    );
+    assert!(
+        cluster.membership_epoch().0 - epoch.0 >= 2,
+        "each split publishes an epoch"
+    );
+    assert!(cluster.group_count() >= 5);
+    cluster.check_invariants().expect("routes stay sound");
+    for (w, phase, action) in &actions {
+        assert!(
+            !matches!(*phase, "night" | "evening"),
+            "action {action:?} fired in a calm phase (window {w})"
+        );
+    }
+    // Group 1 is never named, so it stays warm through both splits
+    // (minted groups are smaller than the original 16).
+    assert_untouched_groups_stay_warm(&cluster, &actions, &[], 16, 1);
+}
+
+/// After a flash-crowd day split three groups (8 → 3 + 5, nine groups
+/// of mean 5.3, under M* = round(√48) = 7), the overnight trough merges
+/// remnants back toward M*, only in the trough, without splitting, and
+/// every group no merge names stays warm. The night replays exactly.
+#[test]
+fn an_overnight_trough_merges_back_toward_m_star() {
+    let run = || {
+        let (mut cluster, paths) = day_cluster(8);
+        let handle = cluster.reconfig_handle();
+        // The last minted group doubles as tonight's batch region, so
+        // the trough's focus lands on a group too small to split.
+        let day_split: Vec<GroupId> = handle.group_ids().into_iter().take(3).collect();
+        for gid in &day_split {
+            handle.split_group(*gid).expect("flash-crowd split");
+        }
+        assert_eq!(cluster.group_count(), 9);
+        let epoch = cluster.membership_epoch();
+        let mut controller = GroupController::new(ControllerConfig::default());
+        let actions = drive_day(&mut cluster, &mut controller, OVERNIGHT, &paths);
+        (cluster, day_split, epoch, actions)
+    };
+    let (cluster, day_split, epoch, actions) = run();
+
+    let merges: Vec<_> = actions
+        .iter()
+        .filter(|(_, _, a)| matches!(a, AdaptAction::Merge(..)))
+        .collect();
+    assert!(
+        !merges.is_empty(),
+        "the trough must merge split remnants, got {actions:?}"
+    );
+    assert!(
+        !actions
+            .iter()
+            .any(|(_, _, a)| matches!(a, AdaptAction::Split(_))),
+        "a contraction pass must not expand, got {actions:?}"
+    );
+    for (w, phase, action) in &merges {
+        assert_eq!(
+            *phase, "trough",
+            "merge {action:?} fired outside the trough (window {w})"
+        );
+    }
+    let (target, pre_mean) = (7.0, 48.0 / 9.0);
+    let post_mean = 48.0 / cluster.group_count() as f64;
+    assert!(cluster.group_count() < 9);
+    assert!(
+        (post_mean - target).abs() < (pre_mean - target).abs(),
+        "mean group size must move toward M*: {pre_mean:.2} → {post_mean:.2}"
+    );
+    assert!(cluster.membership_epoch().0 - epoch.0 >= merges.len() as u64);
+    cluster.check_invariants().expect("routes stay sound");
+    // Yesterday's splits count as touched too.
+    assert_untouched_groups_stay_warm(&cluster, &actions, &day_split, 8, 3);
+
+    let (_, _, _, twin) = run();
+    assert_eq!(actions, twin, "same seed, same merges");
 }
 
 /// Builds a synthetic `LoadReport` from fuzzed rows: `groups` is a

@@ -17,8 +17,6 @@
 //! * [`ClientPartition`] — the "intensified Zipf, K-client partition"
 //!   profile: per-client streams for a networked load-generator fleet,
 //!   write-disjoint but overlapping on the shared Zipf-hot head;
-//! * [`LoadCurve`] — time-varying intensity and skew phases (the
-//!   diurnal + flash-crowd curve driving the adaptive-control bench);
 //! * [`Namespace`], [`Zipf`], [`LocalityStack`] — the building blocks;
 //! * [`TraceRecord`], [`MetaOp`], [`TraceStats`] — the replayable unit and
 //!   its aggregate statistics.
@@ -29,7 +27,6 @@
 
 mod generator;
 mod intensify;
-mod loadcurve;
 mod namespace;
 mod partition;
 mod profiles;
@@ -38,7 +35,6 @@ mod zipf;
 
 pub use generator::WorkloadGenerator;
 pub use intensify::{intensify, IntensifiedTrace};
-pub use loadcurve::{LoadCurve, LoadPhase};
 pub use namespace::Namespace;
 pub use partition::{ClientPartition, ClientWorkload, DEFAULT_SHARED_READ_RATIO};
 pub use profiles::{OpMix, WorkloadProfile};

@@ -9,7 +9,7 @@
 //! trace-replay driver used by the examples and figure binaries:
 //!
 //! * [`bloom`] — Bloom filter toolkit (plain/counting filters, arrays,
-//!   LRU arrays, set algebra, false-rate analysis);
+//!   LRU arrays, false-rate analysis);
 //! * [`simnet`] — deterministic simulation substrate (virtual clock,
 //!   seeded RNG, latency and memory models);
 //! * [`trace`] — synthetic INS/RES/HP workloads with TIF intensification;
@@ -19,9 +19,7 @@
 //!   optimal group size, Table 5);
 //! * [`net`] — the multi-process networked deployment (binary wire
 //!   protocol, rendezvous/replica/loadgen binaries, loopback harness);
-//! * [`replay`] — drive any scheme with any workload;
-//! * [`scenario`] — time-varying load curves on the simnet event queue,
-//!   with the online group controller ticking in-band.
+//! * [`replay`] — drive any scheme with any workload.
 //!
 //! ## Quick start
 //!
@@ -53,4 +51,3 @@ pub use ghba_simnet as simnet;
 pub use ghba_trace as trace;
 
 pub mod replay;
-pub mod scenario;
