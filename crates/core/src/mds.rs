@@ -482,14 +482,19 @@ impl Mds {
     /// The metadata cache is the *lowest*-priority memory charge: Bloom
     /// filter replicas evict it first (they are probed on every query),
     /// which is how memory pressure turns into the latency growth of
-    /// Figures 8–10.
+    /// Figures 8–10. Without a memory budget everything is resident and
+    /// the cost is the memory probe alone — the blend's exact value
+    /// (`mul_f64(0.0)` is zero), without its float round trip on every
+    /// verification.
     #[must_use]
     pub fn metadata_access_cost(&self, model: &ghba_simnet::LatencyModel) -> core::time::Duration {
-        let resident = match &self.memory {
-            Some(budget) => budget.resident_fraction(CHARGE_METACACHE),
-            None => 1.0,
-        };
-        model.memory_probe + model.disk_access.mul_f64(1.0 - resident)
+        match &self.memory {
+            Some(budget) => {
+                let resident = budget.resident_fraction(CHARGE_METACACHE);
+                model.memory_probe + model.disk_access.mul_f64(1.0 - resident)
+            }
+            None => model.memory_probe,
+        }
     }
 
     fn recharge_metacache(&mut self) {

@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use ghba_bloom::{BloomFilter, SharedShapeArray, SlotMask};
 
 use crate::group::Group;
-use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
-use std::collections::{BTreeMap, HashMap};
+use crate::ids::{GroupEpoch, GroupId, IdMap, MdsId, MembershipEpoch};
+use std::collections::HashMap;
 
 /// A publication cell: readers [`pin`](SnapshotCell::pin) the current
 /// immutable snapshot, a writer (serialised by an internal mutex that
@@ -417,11 +417,11 @@ pub struct RouteSnapshot {
     pub(crate) slab: Arc<SharedShapeArray<MdsId>>,
     /// Live groups; copy-on-write per group, so an edit touching one
     /// group shares every other group's storage with its predecessor.
-    pub(crate) groups: BTreeMap<GroupId, Arc<Group>>,
+    pub(crate) groups: IdMap<GroupId, Arc<Group>>,
     /// Server → group membership index.
-    pub(crate) group_of: BTreeMap<MdsId, GroupId>,
+    pub(crate) group_of: IdMap<MdsId, GroupId>,
     /// Per-group configuration versions (see [`GroupEpoch`]).
-    pub(crate) group_epochs: BTreeMap<GroupId, GroupEpoch>,
+    pub(crate) group_epochs: IdMap<GroupId, GroupEpoch>,
     /// The membership epoch this snapshot was published under.
     pub(crate) epoch: MembershipEpoch,
     /// Monotonic group-id allocator (ids are never recycled); lives in
@@ -440,9 +440,9 @@ impl RouteSnapshot {
     pub(crate) fn empty(slab: SharedShapeArray<MdsId>) -> Self {
         RouteSnapshot {
             slab: Arc::new(slab),
-            groups: BTreeMap::new(),
-            group_of: BTreeMap::new(),
-            group_epochs: BTreeMap::new(),
+            groups: IdMap::new(),
+            group_of: IdMap::new(),
+            group_epochs: IdMap::new(),
             epoch: MembershipEpoch::default(),
             next_group: 0,
             masks: Arc::new(SharedMaskCache::default()),
@@ -610,7 +610,7 @@ impl<'a> RouteEdit<'a> {
     /// that group's cached masks go cold, every other group's stay warm
     /// through the publish.
     pub(crate) fn touch_group(&mut self, gid: GroupId) {
-        self.work.group_epochs.entry(gid).or_default().bump();
+        self.work.group_epochs.get_or_default(gid).bump();
     }
 
     /// Bumps every live group's epoch — the invalidation scope of
@@ -618,7 +618,7 @@ impl<'a> RouteEdit<'a> {
     pub(crate) fn touch_all_groups(&mut self) {
         let gids: Vec<GroupId> = self.work.groups.keys().copied().collect();
         for gid in gids {
-            self.work.group_epochs.entry(gid).or_default().bump();
+            self.work.group_epochs.get_or_default(gid).bump();
         }
     }
 

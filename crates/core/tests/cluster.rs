@@ -205,6 +205,39 @@ fn leave_preserves_files_and_invariants() {
     let _ = report;
 }
 
+/// Servers are indexed by id, and ids are never recycled: a graceful
+/// leave and a fail-stop in the middle of the id range leave two holes
+/// that every by-id path must step over — the roster still ascends,
+/// every stored file resolves to its true home, and a newcomer takes a
+/// fresh id past the holes.
+#[test]
+fn holes_in_the_id_space_keep_order_and_homes() {
+    let mut cluster = populated(12, 240);
+    cluster.remove_mds(MdsId(5)).expect("removable");
+    cluster.fail_mds(MdsId(8)).expect("failable");
+    let joined = cluster.add_mds();
+    assert_eq!(joined, MdsId(12));
+    for i in 240..300 {
+        cluster.create_file(&format!("/data/d{}/f{i}", i % 37));
+    }
+    let ids = cluster.server_ids();
+    assert_eq!(ids.len(), 11);
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    assert!(!ids.contains(&MdsId(5)) && !ids.contains(&MdsId(8)));
+    cluster
+        .check_invariants()
+        .expect("invariants with holes in the id space");
+    let mut stored = 0;
+    for i in 0..300 {
+        let path = format!("/data/d{}/f{i}", i % 37);
+        let home = cluster.true_home(&path);
+        stored += usize::from(home.is_some());
+        assert_eq!(cluster.lookup(&path).home, home, "{path}");
+    }
+    assert_eq!(stored, cluster.total_files());
+    assert!(stored > 240, "only the failed server's files are lost");
+}
+
 #[test]
 fn departures_trigger_merges() {
     // 5 servers, M=4 → groups of 4 and 1. Removing one from the big group
