@@ -96,6 +96,7 @@
 
 pub mod adapt;
 mod cluster;
+pub mod codec;
 mod concurrent;
 mod config;
 mod group;

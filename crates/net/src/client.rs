@@ -8,7 +8,10 @@
 //! [`NetClient`] overrides [`BatchTransport::execute_wave`]: each
 //! replica's `ExecuteBatch` frame is encoded straight from the caller's
 //! borrowed batch into that connection's reused out-buffer, every frame
-//! of the wave is written before any reply is read, and the replies are
+//! of the wave is encoded before any is written (a frame over
+//! [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) fails the wave with
+//! [`WireError::Oversized`] and sends nothing), every frame is written
+//! before any reply is read, and the replies are
 //! read, in replica order, into the connection's reused in-buffer. The
 //! replicas therefore work on one wave concurrently, and a path is
 //! copied once: from the batch into the frame.
@@ -206,7 +209,7 @@ impl NetClient {
     /// Sends `msg` on replica `replica`'s connection and reads the
     /// reply, retrying a transport loss (see [`NetClient::reply`]).
     fn request(&mut self, replica: usize, msg: &NetMessage) -> Result<NetMessage, WireError> {
-        msg.encode_frame_into(&mut self.conns[replica].out);
+        msg.encode_frame_into(&mut self.conns[replica].out)?;
         let sent = self.send(replica);
         self.reply(replica, sent)
     }
@@ -281,7 +284,7 @@ impl NetClient {
     /// Writes `msg` to every replica without awaiting a reply.
     fn broadcast(&mut self, msg: &NetMessage) -> Result<(), WireError> {
         for replica in 0..self.conns.len() {
-            msg.encode_frame_into(&mut self.conns[replica].out);
+            msg.encode_frame_into(&mut self.conns[replica].out)?;
             self.send(replica)?;
         }
         Ok(())
@@ -445,15 +448,16 @@ impl BatchTransport for NetClient {
             seq,
             batch,
             (0..batch.len()).map(Pick::Op),
-        );
+        )?;
         let sent = self.send(replica);
         let reply = self.reply(replica, sent)?;
         batch_outcomes(replica, seq, batch.len(), reply)
     }
 
-    /// Sends every non-empty list's frame, then reads every reply (see
-    /// the module docs). Every reply is read even after one fails, so
-    /// no connection is left holding an unread reply.
+    /// Encodes every non-empty list's frame, sends them all, then reads
+    /// every reply (see the module docs). A frame over the cap fails the
+    /// wave before any frame is sent. Every reply is read even after one
+    /// fails, so no connection is left holding an unread reply.
     fn execute_wave(
         &mut self,
         batch: &OpBatch,
@@ -472,8 +476,13 @@ impl BatchTransport for NetClient {
                 seq,
                 batch,
                 list.iter().copied(),
-            );
-            sent.push(Some((seq, self.send(replica))));
+            )?;
+            sent.push(Some((seq, Ok(()))));
+        }
+        for (replica, entry) in sent.iter_mut().enumerate() {
+            if let Some((_, outcome)) = entry {
+                *outcome = self.send(replica);
+            }
         }
         let mut outcomes = Vec::with_capacity(picks.len());
         let mut first_err = None;

@@ -44,13 +44,14 @@ use std::io::{Read, Write};
 use std::time::Duration;
 
 use ghba_bloom::Fingerprint;
+use ghba_core::codec::{ByteReader, ByteWriter};
 use ghba_core::{
     EntryPolicy, MdsId, MembershipEpoch, MetadataOp, OpBatch, OpOutcome, PathKey, QueryLevel,
     QueryOutcome,
 };
 
 use crate::route::{split_halves, Pick};
-use crate::wire::{ByteReader, ByteWriter, Frame, WireCodec, WireError};
+use crate::wire::{close_frame, open_frame, Frame, WireCodec, WireError};
 
 /// Every message of wire version 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,19 +202,11 @@ fn get_mds(r: &mut ByteReader<'_>) -> Result<MdsId, WireError> {
 }
 
 fn put_mds_list(w: &mut ByteWriter<'_>, ids: &[MdsId]) {
-    w.u32(ids.len() as u32);
-    for &id in ids {
-        put_mds(w, id);
-    }
+    w.list(ids, |w, &id| put_mds(w, id));
 }
 
 fn get_mds_list(r: &mut ByteReader<'_>) -> Result<Vec<MdsId>, WireError> {
-    let n = r.u32()? as usize;
-    let mut ids = Vec::with_capacity(n.min(4_096));
-    for _ in 0..n {
-        ids.push(get_mds(r)?);
-    }
-    Ok(ids)
+    r.list(4_096, get_mds)
 }
 
 fn put_fingerprint(w: &mut ByteWriter<'_>, fp: &Fingerprint) {
@@ -229,9 +222,7 @@ fn get_fingerprint(r: &mut ByteReader<'_>) -> Result<Fingerprint, WireError> {
 }
 
 fn put_path_key(w: &mut ByteWriter<'_>, key: &PathKey) {
-    let path = key.compact_path().as_bytes();
-    w.u32(path.len() as u32);
-    w.bytes(path);
+    w.byte_str(key.compact_path().as_bytes());
     put_fingerprint(w, key.fingerprint());
 }
 
@@ -456,7 +447,7 @@ fn put_message(w: &mut ByteWriter<'_>, msg: &NetMessage) {
         NetMessage::RegisterReplica { replica, addr } => {
             w.u8(tags::REGISTER_REPLICA);
             w.u16(*replica);
-            w.string(addr);
+            w.str(addr);
         }
         NetMessage::RegisterAck { epoch } => {
             w.u8(tags::REGISTER_ACK);
@@ -466,11 +457,10 @@ fn put_message(w: &mut ByteWriter<'_>, msg: &NetMessage) {
         NetMessage::MapReply { epoch, replicas } => {
             w.u8(tags::MAP_REPLY);
             w.u64(*epoch);
-            w.u32(replicas.len() as u32);
-            for (index, addr) in replicas {
+            w.list(replicas, |w, (index, addr)| {
                 w.u16(*index);
-                w.string(addr);
-            }
+                w.str(addr);
+            });
         }
         NetMessage::ExecuteBatch { seq, batch } => {
             put_execute_batch(w, *seq, batch, (0..batch.len()).map(Pick::Op))
@@ -478,10 +468,7 @@ fn put_message(w: &mut ByteWriter<'_>, msg: &NetMessage) {
         NetMessage::BatchReply { seq, outcomes } => {
             w.u8(tags::BATCH_REPLY);
             w.u64(*seq);
-            w.u32(outcomes.len() as u32);
-            for outcome in outcomes {
-                put_outcome(w, outcome);
-            }
+            w.list(outcomes, put_outcome);
         }
         NetMessage::Gossip { epoch, members } => {
             w.u8(tags::GOSSIP);
@@ -532,7 +519,7 @@ fn put_message(w: &mut ByteWriter<'_>, msg: &NetMessage) {
         NetMessage::ErrorReply { code, detail } => {
             w.u8(tags::ERROR_REPLY);
             w.u16(*code);
-            w.string(detail);
+            w.str(detail);
         }
     }
 }
@@ -549,11 +536,12 @@ impl NetMessage {
     /// Encodes the message as one complete frame into `frame`, replacing
     /// its contents and keeping its allocation: the bytes of
     /// [`Frame::from_payload`] over [`encode`](NetMessage::encode)'s
-    /// payload, written in place.
-    pub fn encode_frame_into(&self, frame: &mut Vec<u8>) {
-        let mut w = ByteWriter::open_frame(frame);
+    /// payload, written in place — or [`WireError::Oversized`], `frame`
+    /// left empty, for a frame over [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN).
+    pub fn encode_frame_into(&self, frame: &mut Vec<u8>) -> Result<(), WireError> {
+        let (mut w, len) = open_frame(frame);
         put_message(&mut w, self);
-        w.close_frame();
+        close_frame(w, len)
     }
 
     /// The payload [`encode`](NetMessage::encode) produces for
@@ -575,7 +563,8 @@ impl NetMessage {
     /// Encodes the [`NetMessage::ExecuteBatch`] frame of the sub-batch
     /// `picks` names in `batch` (under `batch`'s policy) into `frame`,
     /// replacing its contents: the frame of the materialised sub-batch,
-    /// without cloning a path into one.
+    /// without cloning a path into one; [`WireError::Oversized`] as
+    /// [`encode_frame_into`](NetMessage::encode_frame_into).
     ///
     /// # Panics
     ///
@@ -586,10 +575,10 @@ impl NetMessage {
         seq: u64,
         batch: &OpBatch,
         picks: impl ExactSizeIterator<Item = Pick>,
-    ) {
-        let mut w = ByteWriter::open_frame(frame);
+    ) -> Result<(), WireError> {
+        let (mut w, len) = open_frame(frame);
         put_execute_batch(&mut w, seq, batch, picks);
-        w.close_frame();
+        close_frame(w, len)
     }
 
     /// Decodes an [`NetMessage::ExecuteBatch`] payload into `batch`,
@@ -627,30 +616,20 @@ impl NetMessage {
             },
             tags::REGISTER_ACK => NetMessage::RegisterAck { epoch: r.u64()? },
             tags::FETCH_MAP => NetMessage::FetchMap,
-            tags::MAP_REPLY => {
-                let epoch = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut replicas = Vec::with_capacity(n.min(4_096));
-                for _ in 0..n {
-                    replicas.push((r.u16()?, r.string()?));
-                }
-                NetMessage::MapReply { epoch, replicas }
-            }
+            tags::MAP_REPLY => NetMessage::MapReply {
+                epoch: r.u64()?,
+                replicas: r.list(4_096, |r| Ok::<_, WireError>((r.u16()?, r.string()?)))?,
+            },
             tags::EXECUTE_BATCH => {
                 let (seq, policy, n) = get_execute_header(&mut r)?;
                 let mut batch = OpBatch::with_capacity(n.min(65_536)).with_entry(policy);
                 get_ops(&mut r, n, &mut batch)?;
                 NetMessage::ExecuteBatch { seq, batch }
             }
-            tags::BATCH_REPLY => {
-                let seq = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut outcomes = Vec::with_capacity(n.min(65_536));
-                for _ in 0..n {
-                    outcomes.push(get_outcome(&mut r)?);
-                }
-                NetMessage::BatchReply { seq, outcomes }
-            }
+            tags::BATCH_REPLY => NetMessage::BatchReply {
+                seq: r.u64()?,
+                outcomes: r.list(65_536, get_outcome)?,
+            },
             tags::GOSSIP => NetMessage::Gossip {
                 epoch: r.u64()?,
                 members: get_mds_list(&mut r)?,
@@ -689,12 +668,11 @@ impl NetMessage {
     }
 
     /// Encodes into a complete wire [`Frame`] (length prefix + header +
-    /// payload).
-    #[must_use]
-    pub fn to_frame(&self) -> Frame {
+    /// payload); [`WireError::Oversized`] over the cap.
+    pub fn to_frame(&self) -> Result<Frame, WireError> {
         let mut bytes = Vec::new();
-        self.encode_frame_into(&mut bytes);
-        Frame::from_closed(bytes)
+        self.encode_frame_into(&mut bytes)?;
+        Ok(Frame::from_closed(bytes))
     }
 
     /// Parses one framed message from the front of `bytes`, returning
@@ -704,10 +682,11 @@ impl NetMessage {
         Ok((NetMessage::decode(payload)?, consumed))
     }
 
-    /// Writes the message as one frame and flushes.
+    /// Writes the message as one frame and flushes; an oversized frame
+    /// is refused before any byte is written.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), WireError> {
         let mut frame = Vec::new();
-        self.encode_frame_into(&mut frame);
+        self.encode_frame_into(&mut frame)?;
         w.write_all(&frame)?;
         w.flush()?;
         Ok(())
@@ -727,11 +706,12 @@ impl NetMessage {
 mod tests {
     use super::*;
 
-    fn round_trip(msg: &NetMessage) {
-        let frame = msg.to_frame();
-        let (decoded, consumed) = NetMessage::parse_frame(frame.bytes()).expect("well-formed");
+    fn round_trip(msg: &NetMessage) -> Result<(), WireError> {
+        let frame = msg.to_frame()?;
+        let (decoded, consumed) = NetMessage::parse_frame(frame.bytes())?;
         assert_eq!(&decoded, msg);
         assert_eq!(consumed, frame.bytes().len());
+        Ok(())
     }
 
     fn sample_batch() -> OpBatch {
@@ -744,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn every_message_round_trips() {
+    fn every_message_round_trips() -> Result<(), WireError> {
         let q = QueryOutcome {
             home: Some(MdsId(4)),
             level: QueryLevel::L3Group,
@@ -812,20 +792,21 @@ mod tests {
                 detail: "not a rendezvous".into(),
             },
         ] {
-            round_trip(&msg);
+            round_trip(&msg)?;
         }
+        Ok(())
     }
 
     #[test]
-    fn empty_batch_round_trips() {
+    fn empty_batch_round_trips() -> Result<(), WireError> {
         round_trip(&NetMessage::ExecuteBatch {
             seq: 0,
             batch: OpBatch::new(),
-        });
+        })?;
         round_trip(&NetMessage::BatchReply {
             seq: 0,
             outcomes: Vec::new(),
-        });
+        })
     }
 
     #[test]

@@ -31,9 +31,11 @@
 //! Blocking reads never carry read timeouts (a timeout firing
 //! mid-frame would desynchronize the stream). Instead:
 //!
-//! * every accepted stream is tracked in a [`ConnRegistry`] of
+//! * every live connection is tracked in a [`ConnRegistry`] of
 //!   `try_clone`d handles; shutdown calls `shutdown(Both)` on each,
-//!   which fails the worker's blocking read immediately;
+//!   which fails the worker's blocking read immediately. A connection
+//!   whose loop ends shuts its stream down and leaves the registry, so
+//!   the peer sees the close at once;
 //! * the accept loop is unblocked by a self-connection "poke" after
 //!   the stop flag is raised.
 //!
@@ -41,10 +43,11 @@
 //! [`NetMessage::Shutdown`] frame funnel through the same path, and
 //! every thread is joined before [`ServerCore::shutdown`] returns.
 
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use ghba_core::{OpBatch, OpOutcome};
@@ -82,31 +85,40 @@ pub(crate) trait Service: Send + Sync + 'static {
 }
 
 /// Tracked clones of every live connection, so shutdown can fail their
-/// blocking reads from outside.
+/// blocking reads from outside. A connection leaves when its loop ends.
 #[derive(Default)]
 pub(crate) struct ConnRegistry {
-    streams: Mutex<Vec<TcpStream>>,
+    streams: Mutex<BTreeMap<u64, TcpStream>>,
 }
 
 impl ConnRegistry {
-    fn track(&self, stream: &TcpStream) {
-        if let Ok(clone) = stream.try_clone() {
-            self.streams
-                .lock()
-                .expect("connection registry poisoned")
-                .push(clone);
-        }
+    fn streams(&self) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
+        self.streams.lock().expect("connection registry poisoned")
+    }
+
+    /// Tracks a clone of `stream` under a key unique among the live
+    /// connections (`None` when the clone fails).
+    fn track(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let mut streams = self.streams();
+        let key = streams.last_key_value().map_or(0, |(key, _)| key + 1);
+        streams.insert(key, clone);
+        Some(key)
+    }
+
+    fn forget(&self, key: u64) {
+        self.streams().remove(&key);
     }
 
     fn shutdown_all(&self) {
-        for stream in self
-            .streams
-            .lock()
-            .expect("connection registry poisoned")
-            .drain(..)
-        {
+        for stream in std::mem::take(&mut *self.streams()).into_values() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
+    }
+
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.streams().len()
     }
 }
 
@@ -159,18 +171,29 @@ impl ServerCore {
                         // and exit.
                         break;
                     }
-                    conns.track(&stream);
+                    let key = conns.track(&stream);
                     let service = Arc::clone(&service);
                     let stop_flag = Arc::clone(&stop);
+                    let registry = Arc::clone(&conns);
                     let poke_addr = addr;
                     if let Ok(worker) = std::thread::Builder::new()
                         .name(format!("{name}-conn"))
-                        .spawn(move || conn_loop(stream, &*service, &stop_flag, poke_addr))
+                        .spawn(move || {
+                            conn_loop(stream, &*service, &stop_flag, poke_addr);
+                            if let Some(key) = key {
+                                registry.forget(key);
+                            }
+                        })
                     {
-                        workers
-                            .lock()
-                            .expect("worker registry poisoned")
-                            .push(worker);
+                        let mut workers = workers.lock().expect("worker registry poisoned");
+                        // Reap finished workers: a long-lived server holds
+                        // one thread per live connection, not per accept.
+                        for finished in workers.extract_if(.., |worker| worker.is_finished()) {
+                            let _ = finished.join();
+                        }
+                        workers.push(worker);
+                    } else if let Some(key) = key {
+                        conns.forget(key);
                     }
                 })?
         };
@@ -222,13 +245,15 @@ impl Drop for ServerCore {
     }
 }
 
-/// Serves one connection until end-of-stream, error, or shutdown.
+/// Serves one connection until end-of-stream, error, or shutdown, then
+/// shuts the stream down: the peer reads end-of-stream right behind the
+/// last reply, and a peer still writing fails instead of blocking.
 fn conn_loop(stream: TcpStream, service: &dyn Service, stop: &AtomicBool, poke_addr: SocketAddr) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    let mut writer = &stream;
     let mut inbuf = Vec::new();
     let mut out = Vec::new();
     let mut batch = OpBatch::new();
@@ -254,7 +279,12 @@ fn conn_loop(stream: TcpStream, service: &dyn Service, stop: &AtomicBool, poke_a
         });
         match request {
             Ok(Some(ServiceReply::Message(reply))) => {
-                reply.encode_frame_into(&mut out);
+                // A reply over the frame cap would be refused by the
+                // peer's reader: answer with a typed error instead (the
+                // request was read whole, so the stream stays in step).
+                if let Err(err) = reply.encode_frame_into(&mut out) {
+                    encode_error(&err, &mut out);
+                }
                 if writer.write_all(&out).is_err() {
                     break;
                 }
@@ -271,14 +301,99 @@ fn conn_loop(stream: TcpStream, service: &dyn Service, stop: &AtomicBool, poke_a
             Err(err) => {
                 // Malformed frame: answer with a typed error, then
                 // close (the stream position is unrecoverable).
-                NetMessage::ErrorReply {
-                    code: ERR_BAD_REQUEST,
-                    detail: err.to_string(),
-                }
-                .encode_frame_into(&mut out);
+                encode_error(&err, &mut out);
                 let _ = writer.write_all(&out);
                 break;
             }
         }
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Encodes the [`NetMessage::ErrorReply`] for `err` into `out`.
+fn encode_error(err: &WireError, out: &mut Vec<u8>) {
+    // `detail` is one error's text: far under any frame cap.
+    let _ = NetMessage::ErrorReply {
+        code: ERR_BAD_REQUEST,
+        detail: err.to_string(),
+    }
+    .encode_frame_into(out);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use super::*;
+
+    /// Answers pings, ignores everything else; ping 0's answer is one
+    /// byte over the frame cap.
+    struct Echo;
+
+    impl Service for Echo {
+        fn handle(&self, msg: NetMessage) -> ServiceReply {
+            match msg {
+                NetMessage::Ping { nonce: 0 } => ServiceReply::Message(NetMessage::ErrorReply {
+                    code: 0,
+                    detail: "x".repeat(crate::MAX_FRAME_LEN as usize),
+                }),
+                NetMessage::Ping { nonce } => ServiceReply::Message(NetMessage::Pong { nonce }),
+                _ => ServiceReply::Silent,
+            }
+        }
+    }
+
+    /// A connection leaves the registry when its loop ends: after 64
+    /// connections were served and closed, only the one still open is
+    /// tracked — and shutdown still fails that one's blocked read.
+    #[test]
+    fn a_server_forgets_every_connection_that_ended() -> Result<(), WireError> {
+        let mut core = ServerCore::spawn("127.0.0.1:0", "echo", Arc::new(Echo))?;
+        let mut idle = TcpStream::connect(core.addr())?;
+        for nonce in 1..=64 {
+            let mut stream = TcpStream::connect(core.addr())?;
+            NetMessage::Ping { nonce }.write_to(&mut stream)?;
+            let reply = NetMessage::read_from(&mut stream)?;
+            assert_eq!(reply, Some(NetMessage::Pong { nonce }));
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while core.conns.tracked() > 1 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(core.conns.tracked(), 1, "only the idle connection");
+        core.shutdown();
+        assert_eq!(core.conns.tracked(), 0);
+        idle.set_read_timeout(Some(Duration::from_secs(5)))?;
+        assert_eq!(
+            NetMessage::read_from(&mut idle)?,
+            None,
+            "closed by shutdown"
+        );
+        Ok(())
+    }
+
+    /// A reply the peer's reader would refuse is not sent: the request
+    /// gets a typed error in its place, and the connection serves on.
+    #[test]
+    fn an_oversized_reply_becomes_a_typed_error() -> Result<(), WireError> {
+        let mut core = ServerCore::spawn("127.0.0.1:0", "echo", Arc::new(Echo))?;
+        let mut stream = TcpStream::connect(core.addr())?;
+        NetMessage::Ping { nonce: 0 }.write_to(&mut stream)?;
+        let reply = NetMessage::read_from(&mut stream)?;
+        assert!(
+            matches!(
+                &reply,
+                Some(NetMessage::ErrorReply { code: ERR_BAD_REQUEST, detail })
+                    if detail.contains("exceeds")
+            ),
+            "{reply:?}"
+        );
+        NetMessage::Ping { nonce: 7 }.write_to(&mut stream)?;
+        assert_eq!(
+            NetMessage::read_from(&mut stream)?,
+            Some(NetMessage::Pong { nonce: 7 })
+        );
+        core.shutdown();
+        Ok(())
     }
 }

@@ -36,20 +36,29 @@
 //! The property suite (`tests/properties.rs`) feeds random byte
 //! prefixes through [`Frame::parse`] to pin the no-panic guarantee.
 //!
+//! # The byte layer
+//!
+//! Integers, strings and lengths go through [`ghba_core::codec`], the
+//! codec the write-ahead log and the checkpoint use too. This module
+//! adds the wire's own: the magic, the version and the frame cap.
+//!
 //! # The in-place frame
 //!
 //! There is one frame writer and one frame reader. A frame is written in
-//! place into a caller's buffer: [`ByteWriter::open_frame`] clears it and
-//! writes a placeholder length, the magic and the version, the message
-//! is encoded after them, and [`ByteWriter::close_frame`] patches the
-//! length. [`WireCodec::read_payload_into`] reads a frame's payload into
-//! a caller's buffer, with every check above made before the buffer
-//! grows. [`Frame::from_payload`], [`WireCodec::write_payload`] and
-//! [`WireCodec::read_payload`] are thin wrappers over the two, so a
-//! connection that keeps its buffers frames every message without
-//! allocating or copying its payload a second time.
+//! place into a caller's buffer: [`open_frame`] clears it, reserves the
+//! length and writes the magic and the version, the message is encoded
+//! after them, and [`close_frame`] patches the length — or refuses a
+//! frame over [`MAX_FRAME_LEN`] with [`WireError::Oversized`] and leaves
+//! the buffer empty, so the encoder never writes a frame its decoder
+//! refuses. [`WireCodec::read_payload_into`] reads a frame's payload
+//! into a caller's buffer, with every check above made before the
+//! buffer grows. [`Frame::from_payload`] is a thin wrapper over the
+//! writer, so a connection that keeps its buffers frames every message
+//! without allocating or copying its payload a second time.
 
-use std::io::{Read, Write};
+use std::io::Read;
+
+use ghba_core::codec::{ByteReader, ByteWriter, CodecError, LenSlot};
 
 /// `"GHBA"` as a little-endian `u32` — the first payload word of every
 /// frame.
@@ -189,161 +198,42 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// A cursor over a frame body that returns [`WireError::Truncated`]
-/// instead of panicking when the bytes run out.
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Wraps `buf` with the cursor at its start.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
+/// The codec's typed failures as the wire reports them (a frame over
+/// the cap is refused on the way out as it is on the way in).
+impl From<CodecError> for WireError {
+    fn from(err: CodecError) -> Self {
+        match err {
+            CodecError::Truncated { needed, available } => {
+                WireError::Truncated { needed, available }
+            }
+            CodecError::BadUtf8 => WireError::BadUtf8,
+            CodecError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
+            CodecError::TooLarge { len, cap } => WireError::Oversized {
+                len: len.min(u32::MAX as usize) as u32,
+                max: cap.min(u32::MAX as usize) as u32,
+            },
         }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a length-prefixed UTF-8 string, borrowed from the frame.
-    pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, WireError> {
-        self.str_ref().map(str::to_owned)
-    }
-
-    /// Asserts the body is fully consumed (the end-of-message check).
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
     }
 }
 
-/// Append-only encoder into a caller's buffer (the write twin of
-/// [`ByteReader`]).
-///
-/// [`ByteWriter::new`] appends a bare payload; [`ByteWriter::open_frame`]
-/// is the one place a frame starts: it writes a placeholder length, the
-/// magic and the version, the message is encoded after them in place,
-/// and [`ByteWriter::close_frame`] patches the length. A connection that
-/// keeps its buffer therefore frames every message without allocating
-/// or copying the payload a second time.
-#[derive(Debug)]
-pub struct ByteWriter<'a> {
-    buf: &'a mut Vec<u8>,
+/// Clears `buf` and opens a frame in it: the reserved length, the magic
+/// and the version. Encode the message with the returned writer, then
+/// [`close_frame`].
+pub fn open_frame(buf: &mut Vec<u8>) -> (ByteWriter<'_>, LenSlot) {
+    buf.clear();
+    let mut w = ByteWriter::new(buf);
+    let len = w.reserve_len(0);
+    w.u32(WIRE_MAGIC);
+    w.u16(WIRE_VERSION);
+    (w, len)
 }
 
-impl<'a> ByteWriter<'a> {
-    /// A writer appending to `buf`.
-    #[must_use]
-    pub fn new(buf: &'a mut Vec<u8>) -> Self {
-        ByteWriter { buf }
-    }
-
-    /// Clears `buf` and opens a frame in it: placeholder length, magic,
-    /// version. Encode the message, then [`close_frame`](Self::close_frame).
-    #[must_use]
-    pub fn open_frame(buf: &'a mut Vec<u8>) -> Self {
-        buf.clear();
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&WIRE_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        ByteWriter { buf }
-    }
-
-    /// Patches the length prefix of the frame [`open_frame`](Self::open_frame)
-    /// started: everything after the prefix.
-    pub fn close_frame(self) {
-        debug_assert_eq!(
-            self.buf[4..8],
-            WIRE_MAGIC.to_le_bytes(),
-            "not an open frame"
-        );
-        let len = (self.buf.len() - 4) as u32;
-        self.buf[..4].copy_from_slice(&len.to_le_bytes());
-    }
-
-    /// Appends raw bytes.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
+/// Patches the length of the frame [`open_frame`] started: everything
+/// after the prefix. A frame over [`MAX_FRAME_LEN`], which every reader
+/// refuses, is [`WireError::Oversized`] and leaves the buffer empty.
+pub fn close_frame(mut w: ByteWriter<'_>, len: LenSlot) -> Result<(), WireError> {
+    w.patch_len(len, MAX_FRAME_LEN as usize)?;
+    Ok(())
 }
 
 /// One complete wire frame: length prefix + header + message body, as
@@ -354,18 +244,18 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Frames an already-encoded message payload (`tag` + body).
-    #[must_use]
-    pub fn from_payload(payload: &[u8]) -> Frame {
+    /// Frames an already-encoded message payload (`tag` + body);
+    /// [`WireError::Oversized`] over [`MAX_FRAME_LEN`].
+    pub fn from_payload(payload: &[u8]) -> Result<Frame, WireError> {
         let mut bytes = Vec::with_capacity(4 + FRAME_HEADER - 1 + payload.len());
-        let mut w = ByteWriter::open_frame(&mut bytes);
+        let (mut w, len) = open_frame(&mut bytes);
         w.bytes(payload);
-        w.close_frame();
-        Frame { bytes }
+        close_frame(w, len)?;
+        Ok(Frame { bytes })
     }
 
-    /// Wraps the bytes of a frame [`ByteWriter::open_frame`] wrote and
-    /// [`ByteWriter::close_frame`] closed.
+    /// Wraps the bytes of a frame [`open_frame`] wrote and
+    /// [`close_frame`] closed.
     pub(crate) fn from_closed(bytes: Vec<u8>) -> Frame {
         Frame { bytes }
     }
@@ -382,62 +272,58 @@ impl Frame {
     /// (see the module docs for the full catalogue).
     pub fn parse(bytes: &[u8]) -> Result<(&[u8], usize), WireError> {
         let mut reader = ByteReader::new(bytes);
-        let len = reader.u32()?;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        if (len as usize) < FRAME_HEADER {
-            // Too short for magic + version + tag: no decodable message
-            // can live here.
-            return Err(WireError::RuntFrame { len });
-        }
-        if reader.remaining() < len as usize {
+        let len = check_len(reader.u32()?)?;
+        if reader.remaining() < len {
             return Err(WireError::Truncated {
-                needed: len as usize,
+                needed: len,
                 available: reader.remaining(),
             });
         }
-        let magic = reader.u32()?;
-        if magic != WIRE_MAGIC {
-            return Err(WireError::BadMagic { found: magic });
-        }
-        let version = reader.u16()?;
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion { found: version });
-        }
-        let payload_len = len as usize - (FRAME_HEADER - 1);
-        let start = 4 + FRAME_HEADER - 1;
-        Ok((&bytes[start..start + payload_len], 4 + len as usize))
+        check_header(&mut reader)?;
+        Ok((reader.take(len - (FRAME_HEADER - 1))?, 4 + len))
     }
 }
 
-/// Stream-level codec: blocking frame reads/writes over any
-/// `Read`/`Write` (a `TcpStream`, a unix pipe, an in-memory buffer).
+/// The checks a length prefix gets before anything it counts is read.
+fn check_len(len: u32) -> Result<usize, WireError> {
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversized {
+            len,
+            max: MAX_FRAME_LEN,
+        });
+    }
+    if (len as usize) < FRAME_HEADER {
+        // Too short for magic + version + tag: no decodable message can
+        // live here.
+        return Err(WireError::RuntFrame { len });
+    }
+    Ok(len as usize)
+}
+
+/// Reads and checks the magic and the version behind the length.
+fn check_header(reader: &mut ByteReader<'_>) -> Result<(), WireError> {
+    let magic = reader.u32()?;
+    if magic != WIRE_MAGIC {
+        return Err(WireError::BadMagic { found: magic });
+    }
+    let version = reader.u16()?;
+    if version != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion { found: version });
+    }
+    Ok(())
+}
+
+/// Stream-level codec: blocking frame reads over any `Read` (a
+/// `TcpStream`, a unix pipe, an in-memory buffer). A frame is written
+/// with one `write_all` of the buffer [`close_frame`] closed.
 #[derive(Debug)]
 pub struct WireCodec;
 
 impl WireCodec {
-    /// Writes one frame carrying `payload` (`tag` + body) and flushes.
-    pub fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-        w.write_all(Frame::from_payload(payload).bytes())?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Reads one frame's message payload. Returns `Ok(None)` on a clean
-    /// end-of-stream (the peer closed between frames); end-of-stream
-    /// *inside* a frame is an error like any other short read.
-    pub fn read_payload(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-        let mut payload = Vec::new();
-        Ok(Self::read_payload_into(r, &mut payload)?.then_some(payload))
-    }
-
     /// Reads one frame's message payload into `payload`, replacing its
     /// contents and keeping its allocation. Returns `Ok(false)` on a
-    /// clean end-of-stream between frames.
+    /// clean end-of-stream between frames; end-of-stream *inside* a
+    /// frame is an error like any other short read.
     pub fn read_payload_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, WireError> {
         let mut len_buf = [0u8; 4];
         let mut filled = 0;
@@ -454,31 +340,14 @@ impl WireCodec {
             }
             filled += n;
         }
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Oversized {
-                len,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        if (len as usize) < FRAME_HEADER {
-            return Err(WireError::RuntFrame { len });
-        }
+        let len = check_len(u32::from_le_bytes(len_buf))?;
         // Magic + version are checked from the stack before the buffer
         // grows, and the payload is read straight into it.
         let mut header = [0u8; FRAME_HEADER - 1];
         r.read_exact(&mut header)?;
-        let mut reader = ByteReader::new(&header);
-        let magic = reader.u32()?;
-        if magic != WIRE_MAGIC {
-            return Err(WireError::BadMagic { found: magic });
-        }
-        let version = reader.u16()?;
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion { found: version });
-        }
+        check_header(&mut ByteReader::new(&header))?;
         // Only growth is zero-filled; `read_exact` overwrites the rest.
-        payload.resize(len as usize - header.len(), 0);
+        payload.resize(len - header.len(), 0);
         r.read_exact(payload)?;
         Ok(true)
     }
@@ -488,13 +357,23 @@ impl WireCodec {
 mod tests {
     use super::*;
 
+    /// The wire bytes of `payloads`, framed back to back.
+    fn stream(payloads: &[&[u8]]) -> Result<Vec<u8>, WireError> {
+        let mut bytes = Vec::new();
+        for payload in payloads {
+            bytes.extend_from_slice(Frame::from_payload(payload)?.bytes());
+        }
+        Ok(bytes)
+    }
+
     #[test]
-    fn frame_round_trips_through_parse() {
+    fn frame_round_trips_through_parse() -> Result<(), WireError> {
         let payload = [7u8, 1, 2, 3];
-        let frame = Frame::from_payload(&payload);
-        let (parsed, consumed) = Frame::parse(frame.bytes()).expect("well-formed");
+        let frame = Frame::from_payload(&payload)?;
+        let (parsed, consumed) = Frame::parse(frame.bytes())?;
         assert_eq!(parsed, payload);
         assert_eq!(consumed, frame.bytes().len());
+        Ok(())
     }
 
     #[test]
@@ -507,9 +386,29 @@ mod tests {
         ));
     }
 
+    /// The encoder holds the decoder's cap: a frame whose length is
+    /// exactly [`MAX_FRAME_LEN`] closes and parses, one byte more is
+    /// refused with the buffer left empty.
     #[test]
-    fn runt_and_truncated_frames_are_typed() {
-        let frame = Frame::from_payload(&[9u8]);
+    fn a_frame_over_the_cap_is_refused_on_the_way_out() -> Result<(), WireError> {
+        let at_cap = MAX_FRAME_LEN as usize - (FRAME_HEADER - 1);
+        let payload = vec![3u8; at_cap + 1];
+        let frame = Frame::from_payload(&payload[..at_cap])?;
+        assert_eq!(Frame::parse(frame.bytes())?.0.len(), at_cap);
+        let mut buf = Vec::new();
+        let (mut w, len) = open_frame(&mut buf);
+        w.bytes(&payload);
+        assert!(matches!(
+            close_frame(w, len),
+            Err(WireError::Oversized { len, max: MAX_FRAME_LEN }) if len == MAX_FRAME_LEN + 1
+        ));
+        assert!(buf.is_empty(), "nothing of the refused frame is left");
+        Ok(())
+    }
+
+    #[test]
+    fn runt_and_truncated_frames_are_typed() -> Result<(), WireError> {
+        let frame = Frame::from_payload(&[9u8])?;
         let cut = &frame.bytes()[..frame.bytes().len() - 1];
         assert!(matches!(
             Frame::parse(cut),
@@ -522,68 +421,51 @@ mod tests {
             Frame::parse(&bytes),
             Err(WireError::RuntFrame { .. })
         ));
+        Ok(())
     }
 
     #[test]
-    fn bad_magic_and_version_are_typed() {
-        let mut frame = Frame::from_payload(&[1u8]).bytes().to_vec();
+    fn bad_magic_and_version_are_typed() -> Result<(), WireError> {
+        let mut frame = Frame::from_payload(&[1u8])?.bytes().to_vec();
         frame[4] ^= 0xFF;
         assert!(matches!(
             Frame::parse(&frame),
             Err(WireError::BadMagic { .. })
         ));
-        let mut frame = Frame::from_payload(&[1u8]).bytes().to_vec();
+        let mut frame = Frame::from_payload(&[1u8])?.bytes().to_vec();
         frame[8] = 0xEE;
         assert!(matches!(
             Frame::parse(&frame),
             Err(WireError::UnsupportedVersion { .. })
         ));
+        Ok(())
     }
 
     #[test]
-    fn codec_round_trips_over_a_buffer_and_signals_clean_eof() {
-        let mut buf = Vec::new();
-        WireCodec::write_payload(&mut buf, &[42u8, 9]).expect("write");
-        WireCodec::write_payload(&mut buf, &[7u8]).expect("write");
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(
-            WireCodec::read_payload(&mut cursor).expect("first"),
-            Some(vec![42, 9])
-        );
-        assert_eq!(
-            WireCodec::read_payload(&mut cursor).expect("second"),
-            Some(vec![7])
-        );
-        assert!(WireCodec::read_payload(&mut cursor).expect("eof").is_none());
-    }
-
-    #[test]
-    fn mid_frame_eof_is_an_error_not_a_clean_close() {
-        let mut buf = Vec::new();
-        WireCodec::write_payload(&mut buf, &[1u8, 2, 3]).expect("write");
-        buf.truncate(buf.len() - 2);
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(WireCodec::read_payload(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn read_payload_into_reuses_its_buffer_and_refuses_before_growing() {
-        let mut stream = Vec::new();
-        WireCodec::write_payload(&mut stream, &[1u8; 40]).expect("write");
-        WireCodec::write_payload(&mut stream, &[2u8, 3]).expect("write");
-        let mut cursor = std::io::Cursor::new(stream);
+    fn mid_frame_eof_is_an_error_not_a_clean_close() -> Result<(), WireError> {
+        let mut bytes = stream(&[&[1u8, 2, 3]])?;
+        bytes.truncate(bytes.len() - 2);
         let mut payload = Vec::new();
-        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload).expect("first"));
+        assert!(WireCodec::read_payload_into(&mut bytes.as_slice(), &mut payload).is_err());
+        Ok(())
+    }
+
+    #[test]
+    fn read_payload_into_reuses_its_buffer_and_refuses_before_growing() -> Result<(), WireError> {
+        let bytes = stream(&[&[1u8; 40], &[2u8, 3]])?;
+        let mut cursor = bytes.as_slice();
+        let mut payload = Vec::new();
+        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload)?);
         assert_eq!(payload, [1u8; 40]);
         let held = payload.as_ptr();
-        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload).expect("second"));
+        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload)?);
         assert_eq!(payload, [2, 3]);
         assert_eq!(
             payload.as_ptr(),
             held,
             "a shorter payload reuses the buffer"
         );
-        assert!(!WireCodec::read_payload_into(&mut cursor, &mut payload).expect("eof"));
+        assert!(!WireCodec::read_payload_into(&mut cursor, &mut payload)?);
 
         let mut bytes = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 16]);
@@ -593,38 +475,59 @@ mod tests {
             Err(WireError::Oversized { .. })
         ));
         assert_eq!(fresh.capacity(), 0, "refused before any allocation");
+        Ok(())
     }
 
     #[test]
-    fn an_open_frame_replaces_the_buffer_and_matches_from_payload() {
+    fn an_open_frame_replaces_the_buffer_and_matches_from_payload() -> Result<(), WireError> {
         let mut buf = vec![0xAA; 64];
-        let mut w = ByteWriter::open_frame(&mut buf);
+        let (mut w, len) = open_frame(&mut buf);
         w.u8(7);
-        w.string("path");
-        w.close_frame();
+        w.str("path");
+        close_frame(w, len)?;
         let mut payload = Vec::new();
         let mut p = ByteWriter::new(&mut payload);
         p.u8(7);
-        p.string("path");
-        assert_eq!(buf, Frame::from_payload(&payload).bytes());
+        p.str("path");
+        assert_eq!(buf, Frame::from_payload(&payload)?.bytes());
+        Ok(())
     }
 
+    /// Each codec failure lands on the wire variant of the same name; a
+    /// region over its cap is [`WireError::Oversized`].
     #[test]
-    fn byte_reader_truncation_is_typed_everywhere() {
-        let mut r = ByteReader::new(&[1, 2]);
-        assert!(matches!(r.u64(), Err(WireError::Truncated { .. })));
-        let mut r = ByteReader::new(&[5, 0, 0, 0, b'a']);
-        assert!(matches!(r.string(), Err(WireError::Truncated { .. })));
-        let mut r = ByteReader::new(&[2, 0, 0, 0, 0xFF, 0xFE]);
-        assert!(matches!(r.string(), Err(WireError::BadUtf8)));
-    }
-
-    #[test]
-    fn trailing_bytes_fail_finish() {
-        let r = ByteReader::new(&[1, 2, 3]);
+    fn codec_errors_map_onto_wire_errors() {
         assert!(matches!(
-            r.finish(),
-            Err(WireError::TrailingBytes { extra: 3 })
+            WireError::from(CodecError::Truncated {
+                needed: 8,
+                available: 2
+            }),
+            WireError::Truncated {
+                needed: 8,
+                available: 2
+            }
+        ));
+        assert!(matches!(
+            WireError::from(CodecError::BadUtf8),
+            WireError::BadUtf8
+        ));
+        assert!(matches!(
+            WireError::from(CodecError::TrailingBytes { extra: 3 }),
+            WireError::TrailingBytes { extra: 3 }
+        ));
+        assert!(matches!(
+            WireError::from(CodecError::TooLarge { len: 17, cap: 16 }),
+            WireError::Oversized { len: 17, max: 16 }
+        ));
+        assert!(matches!(
+            WireError::from(CodecError::TooLarge {
+                len: usize::MAX,
+                cap: 16
+            }),
+            WireError::Oversized {
+                len: u32::MAX,
+                max: 16
+            }
         ));
     }
 }

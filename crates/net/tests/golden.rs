@@ -104,7 +104,7 @@ fn canonical_messages() -> Vec<NetMessage> {
 fn encode_all(messages: &[NetMessage]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for msg in messages {
-        bytes.extend_from_slice(msg.to_frame().bytes());
+        bytes.extend_from_slice(msg.to_frame().expect("fits one frame").bytes());
     }
     bytes
 }
@@ -138,9 +138,14 @@ fn canonical_messages_reencode_byte_identically() {
 fn encode_frame_into_matches_the_framed_payload() {
     let mut frame = Vec::new();
     for msg in canonical_messages() {
-        msg.encode_frame_into(&mut frame);
-        assert_eq!(frame, Frame::from_payload(&msg.encode()).bytes(), "{msg:?}");
-        assert_eq!(frame, msg.to_frame().bytes(), "{msg:?}");
+        msg.encode_frame_into(&mut frame).expect("fits one frame");
+        let framed = Frame::from_payload(&msg.encode()).expect("fits one frame");
+        assert_eq!(frame, framed.bytes(), "{msg:?}");
+        assert_eq!(
+            frame,
+            msg.to_frame().expect("fits one frame").bytes(),
+            "{msg:?}"
+        );
     }
 }
 

@@ -19,12 +19,14 @@
 //! * the replicas' background reconcilers run on an hour-long cadence,
 //!   so no background drain can fire mid-phase.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use ghba_core::{EntryPolicy, GhbaConfig, OpBatch, OpOutcome};
 use ghba_net::{
-    execute_sharded, record_batches, FleetSpec, LoopbackNet, NetClient, Rendezvous, ReplicaConfig,
-    ReplicaServer,
+    execute_sharded, record_batches, FleetSpec, LoopbackNet, NetClient, NetMessage, Rendezvous,
+    ReplicaConfig, ReplicaServer, WireError, MAX_FRAME_LEN,
 };
 use ghba_trace::{ClientPartition, WorkloadProfile};
 
@@ -600,4 +602,96 @@ fn fleet_liveness_and_late_joining_clients() {
         .sum();
     assert!(served >= 2, "replicas count served batches (got {served})");
     net.shutdown();
+}
+
+/// A batch whose frame would exceed [`MAX_FRAME_LEN`] (5,000 creates of
+/// 4 KB paths on a one-replica fleet: ≈ 20.6 MB) is refused by the
+/// client with `Oversized` before any byte is sent, instead of a frame
+/// the replica's reader refuses while the client blocks writing the
+/// rest. The connection stays usable and nothing of the batch applied.
+#[test]
+fn an_oversized_batch_is_refused_before_it_is_sent() {
+    let net =
+        LoopbackNet::launch(FleetSpec::new(1, SERVERS, base_config())).expect("fleet launches");
+    let client = net.client().expect("client connects");
+    let paths: Vec<String> = (0..5_000)
+        .map(|i| {
+            let stem = format!("/big/{i:05}/");
+            stem.clone() + &"x".repeat(4_096 - stem.len())
+        })
+        .collect();
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+    for path in &paths {
+        batch.push_create(path.as_str());
+    }
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = client;
+        let outcome = client.execute(&batch);
+        let _ = done.send((client, outcome));
+    });
+    let (mut client, outcome) = result
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the oversized batch returns instead of hanging");
+    assert!(
+        matches!(
+            outcome,
+            Err(WireError::Oversized {
+                max: MAX_FRAME_LEN,
+                ..
+            })
+        ),
+        "{outcome:?}"
+    );
+
+    let mut small = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+    small.push_create("/small/after");
+    small.push_lookup("/small/after");
+    let outcomes = client.execute(&small).expect("the next batch is served");
+    assert!(outcomes[1].home().is_some());
+    for chunk in paths.chunks(500) {
+        let mut lookups = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+        for path in chunk {
+            lookups.push_lookup(path.as_str());
+        }
+        let outcomes = client.execute(&lookups).expect("lookups are served");
+        assert!(
+            outcomes.iter().all(|outcome| outcome.home().is_none()),
+            "no path of the refused batch exists"
+        );
+    }
+    net.shutdown();
+}
+
+/// A server that refuses a frame answers with a typed `ErrorReply` and
+/// then closes the connection: the peer reads end-of-stream right
+/// behind the reply, on the replica and on the rendezvous alike.
+#[test]
+fn a_refused_frame_is_answered_then_closed() {
+    let rendezvous = Rendezvous::spawn("127.0.0.1:0").expect("rendezvous binds");
+    let replica = ReplicaServer::spawn(
+        ReplicaConfig::new(0, 2, base_config()).with_rendezvous(rendezvous.addr().to_string()),
+    )
+    .expect("replica spawns");
+    for addr in [replica.addr(), rendezvous.addr()] {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        stream
+            .write_all(&(MAX_FRAME_LEN + 1).to_le_bytes())
+            .expect("length prefix");
+        let reply = NetMessage::read_from(&mut stream);
+        assert!(
+            matches!(reply, Ok(Some(NetMessage::ErrorReply { .. }))),
+            "{addr}: {reply:?}"
+        );
+        let after = NetMessage::read_from(&mut stream);
+        assert!(
+            matches!(after, Ok(None)),
+            "{addr}: end-of-stream, not {after:?}"
+        );
+    }
+    replica.shutdown();
+    rendezvous.shutdown();
 }

@@ -134,11 +134,11 @@ impl BatchTransport for FrameChecker {
             let seq = self.next_seq;
             self.next_seq += 1;
             let frame = &mut self.frames[replica];
-            NetMessage::encode_execute_frame_into(frame, seq, batch, list.iter().copied());
+            NetMessage::encode_execute_frame_into(frame, seq, batch, list.iter().copied())?;
             let sub = materialize(batch, list);
             assert_eq!(
                 frame.as_slice(),
-                Frame::from_payload(&NetMessage::encode_execute_batch(seq, &sub)).bytes(),
+                Frame::from_payload(&NetMessage::encode_execute_batch(seq, &sub))?.bytes(),
                 "replica {replica}'s frame differs from its materialised sub-batch's"
             );
             outcomes.push(self.fleet.execute_on(replica, &sub)?);
@@ -191,7 +191,7 @@ proptest! {
             batch.push(op);
         }
         let msg = NetMessage::ExecuteBatch { seq, batch };
-        let frame = msg.to_frame();
+        let frame = msg.to_frame().expect("fits one frame");
         let (decoded, consumed) = NetMessage::parse_frame(frame.bytes())
             .expect("well-formed frame must parse");
         prop_assert_eq!(consumed, frame.bytes().len());
@@ -208,7 +208,7 @@ proptest! {
         for op in ops {
             batch.push(op);
         }
-        let frame = NetMessage::ExecuteBatch { seq: 1, batch }.to_frame();
+        let frame = NetMessage::ExecuteBatch { seq: 1, batch }.to_frame().expect("fits one frame");
         let bytes = frame.bytes();
         let cut = (cut as usize) % bytes.len();
         prop_assert!(
@@ -242,7 +242,7 @@ proptest! {
         for op in ops {
             batch.push(op);
         }
-        let frame = NetMessage::ExecuteBatch { seq: 2, batch }.to_frame();
+        let frame = NetMessage::ExecuteBatch { seq: 2, batch }.to_frame().expect("fits one frame");
         let mut bytes = frame.bytes().to_vec();
         let index = (flip as usize) % bytes.len();
         bytes[index] ^= 1 << (flip % 8);
@@ -269,7 +269,7 @@ proptest! {
             })
             .collect();
         let msg = NetMessage::BatchReply { seq: 9, outcomes };
-        let (decoded, _) = NetMessage::parse_frame(msg.to_frame().bytes()).expect("parses");
+        let (decoded, _) = NetMessage::parse_frame(msg.to_frame().expect("fits one frame").bytes()).expect("parses");
         prop_assert_eq!(decoded, msg);
     }
 }
