@@ -7,7 +7,7 @@
 //! * [`memory`] — the Table 5 per-MDS memory overhead comparison
 //!   (BFA8 / BFA16 / HBA / G-HBA).
 //! * False-rate formulas, including Equation 1, live in
-//!   [`ghba_bloom::analysis`] and are re-exported as [`falserate`].
+//!   [`ghba_bloom::analysis`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,14 +16,6 @@
 pub mod eq;
 pub mod memory;
 pub mod optimal;
-
-/// False-positive-rate analysis (Equation 1 and the standard formulas),
-/// re-exported from the Bloom filter substrate.
-pub mod falserate {
-    pub use ghba_bloom::analysis::{
-        array_ambiguity, optimal_fpp, optimal_hash_count, segment_false_hit, standard_fpp,
-    };
-}
 
 pub use eq::{normalized_throughput, operation_latency, space_overhead, LatencyTerms};
 pub use memory::MemoryModel;

@@ -26,4 +26,4 @@ mod hba;
 
 pub use bfa::BfaCluster;
 pub use hashing::{expected_hash_migrations, HashPlacement};
-pub use hba::{HbaCluster, HbaReconfigHandle};
+pub use hba::HbaCluster;

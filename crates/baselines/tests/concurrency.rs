@@ -1,166 +1,27 @@
-//! Snapshot concurrency for the mirror-based baselines:
-//! HBA/BFA lookups served *through* retire/restore reconfiguration.
+//! Concurrency for the mirror-based baselines: HBA/BFA batches through
+//! the pin-once pipeline.
 //!
 //! Counterpart of the G-HBA `concurrency` suite in `ghba-core`:
 //!
-//! * **Stress** — reader threads hammer the side-effect-free
-//!   `lookup_concurrent` walk while an [`HbaReconfigHandle`] oscillates
-//!   a victim server's published mirror out of and back into the array.
-//!   Lookups must keep resolving the true home (via the array when the
-//!   mirror is live, via broadcast while it is retired).
-//! * **Degradation** — with a mirror retired and no restore racing, the
-//!   walk provably falls back to the broadcast level and still resolves.
 //! * **Equivalence** — the pin-once `execute_concurrent` entry matches
 //!   the `&mut self` `execute` entry batch by batch, and both account
 //!   repeated lookups and broadcast false positives per occurrence.
 //! * **Invariants** — every test ends on `check_invariants` (the slab
 //!   tracks exactly the live servers and mirrors their published
 //!   filters), and a property test holds it — and ground truth — after
-//!   every step of arbitrary create/remove/join/leave/concurrent-batch/
-//!   retire+restore interleavings on HBA and BFA8.
+//!   every step of arbitrary create/remove/join/leave/concurrent-batch
+//!   interleavings on HBA and BFA8.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use ghba_baselines::{BfaCluster, HbaCluster};
-use ghba_core::{EntryPolicy, GhbaConfig, MdsId, MetadataService, OpBatch, OpOutcome, QueryLevel};
+use ghba_core::{EntryPolicy, GhbaConfig, MdsId, MetadataService, OpBatch, OpOutcome};
 use proptest::prelude::*;
 
 fn config() -> GhbaConfig {
     GhbaConfig::default()
         .with_filter_capacity(2_000)
         .with_seed(37)
-}
-
-/// Readers resolve concurrently while the handle oscillates one mirror
-/// per round out of and back into the published array. Every outcome
-/// must still name the ground-truth home — through the array when the
-/// victim's mirror is live, through broadcast while it is retired — at
-/// whatever epoch the reader happened to pin.
-#[test]
-fn hba_lookups_resolve_through_retire_restore_churn() {
-    let mut cluster = HbaCluster::with_servers(config(), 8);
-    let paths: Vec<String> = (0..120).map(|i| format!("/churn/f{i}")).collect();
-    for path in &paths {
-        cluster.create_file(path);
-    }
-    cluster.flush_all_updates();
-    let truths: Vec<MdsId> = paths
-        .iter()
-        .map(|p| cluster.true_home(p).expect("created"))
-        .collect();
-    let handle = cluster.reconfig_handle();
-    let start_epoch = handle.epoch();
-    let stop = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        let cluster = &cluster;
-        let truths = &truths;
-        let paths = &paths;
-        let stop = &stop;
-        let readers: Vec<_> = (0..2)
-            .map(|r| {
-                scope.spawn(move || {
-                    let mut seen = 0u64;
-                    loop {
-                        for (i, path) in paths.iter().enumerate() {
-                            let entry = MdsId(((i + r * 3) % 8) as u16);
-                            let outcome = cluster.lookup_concurrent(entry, path);
-                            assert_eq!(
-                                outcome.home,
-                                Some(truths[i]),
-                                "concurrent lookup lost {path} mid-retire"
-                            );
-                            assert!(
-                                outcome.epoch >= start_epoch,
-                                "pinned an epoch older than the pre-churn snapshot"
-                            );
-                            seen += 1;
-                        }
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    seen
-                })
-            })
-            .collect();
-
-        // Churn: pull a different mirror out of the published array each
-        // round, then push it straight back — two successor-snapshot
-        // publishes per round, racing the readers above.
-        for round in 0..10u16 {
-            let victim = MdsId(round % 8);
-            let filter = handle.retire_mds(victim).expect("victim is published");
-            assert!(handle.restore_mds(victim, &filter), "victim restores");
-        }
-        stop.store(true, Ordering::Relaxed);
-        for reader in readers {
-            assert!(reader.join().expect("reader panicked") > 0);
-        }
-    });
-
-    assert!(
-        handle.epoch() > start_epoch,
-        "the churn loop should have published at least one reconfiguration"
-    );
-    // The owner's mutating paths must be coherent with the final
-    // (fully restored) published array.
-    for (i, path) in paths.iter().enumerate() {
-        assert_eq!(cluster.lookup_from(MdsId(0), path).home, Some(truths[i]));
-    }
-    cluster.check_invariants().expect("every mirror restored");
-}
-
-/// With a mirror retired and nothing racing, lookups homed at the
-/// victim provably degrade to the broadcast level yet still resolve;
-/// restoring the saved filter brings the array level back. Double
-/// retire and double restore are refused.
-#[test]
-fn hba_retired_mirror_degrades_to_broadcast() {
-    let config = config().with_lru_capacity(0); // pin walks past L1
-    let mut cluster = HbaCluster::with_servers(config, 6);
-    let paths: Vec<String> = (0..80).map(|i| format!("/deg/f{i}")).collect();
-    for path in &paths {
-        cluster.create_file(path);
-    }
-    cluster.flush_all_updates();
-    let victim = cluster.true_home(&paths[0]).expect("created");
-    let entry = MdsId(u16::from(victim.0 == 0));
-
-    let handle = cluster.reconfig_handle();
-    let filter = handle.retire_mds(victim).expect("first retire succeeds");
-    assert!(
-        handle.retire_mds(victim).is_none(),
-        "double retire must be refused"
-    );
-
-    for path in &paths {
-        let truth = cluster.true_home(path).expect("created");
-        let outcome = cluster.lookup_concurrent(entry, path);
-        assert_eq!(outcome.home, Some(truth), "{path} lost while retired");
-        if truth == victim && entry != victim {
-            assert_eq!(
-                outcome.level,
-                QueryLevel::L4Global,
-                "{path} homed at the retired mirror must broadcast"
-            );
-        }
-    }
-
-    assert!(handle.restore_mds(victim, &filter), "restore succeeds");
-    assert!(
-        !handle.restore_mds(victim, &filter),
-        "double restore must be refused"
-    );
-    let outcome = cluster.lookup_concurrent(entry, &paths[0]);
-    assert_eq!(outcome.home, Some(victim));
-    assert_ne!(
-        outcome.level,
-        QueryLevel::L4Global,
-        "restored mirror serves from the array again"
-    );
-    cluster.check_invariants().expect("mirror restored intact");
 }
 
 /// The pin-once `execute_concurrent` pipeline matches the `&mut self`
@@ -335,11 +196,9 @@ enum Step {
     Remove(u16),
     AddMds,
     RemoveMds(u8),
-    /// A mixed `(kind, file)` batch through `execute_concurrent`; with
-    /// `Some(pick)` a mirror is retired between the batch and the owner
-    /// drain, then restored and pushed.
-    Batch(Vec<(u8, u16)>, Option<u8>),
-    RetireRestore(u8),
+    /// A mixed `(kind, file)` batch through `execute_concurrent`, then
+    /// the owner drain.
+    Batch(Vec<(u8, u16)>),
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -348,13 +207,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
         1 => (0u16..60).prop_map(Step::Remove),
         1 => Just(Step::AddMds),
         1 => any::<u8>().prop_map(Step::RemoveMds),
-        3 => (
-            proptest::collection::vec((0u8..8, 0u16..60), 1..16),
-            any::<bool>(),
-            any::<u8>(),
-        )
-            .prop_map(|(ops, retire, pick)| Step::Batch(ops, retire.then_some(pick))),
-        1 => any::<u8>().prop_map(Step::RetireRestore),
+        3 => proptest::collection::vec((0u8..8, 0u16..60), 1..16).prop_map(Step::Batch),
     ]
 }
 
@@ -392,7 +245,7 @@ fn drive_mirror<S: MetadataService>(
                     hba(&mut scheme).remove_mds(victim).expect("removable");
                 }
             }
-            Step::Batch(items, retire) => {
+            Step::Batch(items) => {
                 let mut batch = OpBatch::new();
                 let mut expect_found = Vec::new();
                 for (kind, f) in items {
@@ -427,33 +280,7 @@ fn drive_mirror<S: MetadataService>(
                         prop_assert_eq!(query.found(), *found, "step {} op {}", n, i);
                     }
                 }
-                let cluster = hba(&mut scheme);
-                match retire {
-                    Some(pick) => {
-                        let ids = cluster.server_ids();
-                        let victim = ids[*pick as usize % ids.len()];
-                        let handle = cluster.reconfig_handle();
-                        let filter = handle.retire_mds(victim).expect("published");
-                        cluster.drain_concurrent();
-                        prop_assert!(handle.restore_mds(victim, &filter));
-                        cluster.push_update(victim);
-                    }
-                    None => {
-                        cluster.drain_concurrent();
-                    }
-                }
-            }
-            Step::RetireRestore(pick) => {
-                let cluster = hba(&mut scheme);
-                let ids = cluster.server_ids();
-                let victim = ids[*pick as usize % ids.len()];
-                let handle = cluster.reconfig_handle();
-                let filter = handle.retire_mds(victim).expect("published");
-                for path in &live {
-                    let outcome = cluster.lookup_concurrent(ids[0], path);
-                    prop_assert_eq!(outcome.home, cluster.true_home(path), "retired: {}", path);
-                }
-                prop_assert!(handle.restore_mds(victim, &filter));
+                hba(&mut scheme).drain_concurrent();
             }
         }
         let cluster = hba(&mut scheme);
@@ -474,9 +301,8 @@ fn drive_mirror<S: MetadataService>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any interleaving of owner writes, membership changes, concurrent
-    /// batches and handle-driven retire+restore leaves the full mirror
-    /// structurally sound and every live path at its true home — on HBA
+    /// Any interleaving of owner writes, membership changes and concurrent
+    /// batches leaves the full mirror structurally sound and every live path at its true home — on HBA
     /// and on BFA8 alike.
     #[test]
     fn mirror_invariants_hold_under_arbitrary_interleavings(
@@ -487,7 +313,7 @@ proptest! {
             .with_filter_capacity(500)
             // Gate 1: every owner-side write publishes, so the mirror's
             // columns move between the concurrent batches (which never
-            // publish) and around the retire-before-drain interleaving.
+            // publish).
             .with_update_threshold(16)
             .with_write_shards(4)
             .with_seed(seed);

@@ -74,23 +74,6 @@ pub fn segment_false_hit(theta: usize, bits_per_item: f64) -> f64 {
     theta as f64 * f0 * (1.0 - f0).powi(theta as i32 - 1)
 }
 
-/// Probability that **zero or multiple** false positives occur across an
-/// array of `theta` independent filters, i.e. the complement of exactly-one.
-/// Useful when modelling multi-hit escalation penalties.
-#[must_use]
-pub fn array_ambiguity(theta: usize, bits_per_item: f64) -> f64 {
-    if theta == 0 {
-        return 0.0;
-    }
-    let f0 = optimal_fpp(bits_per_item);
-    let none = (1.0 - f0).powi(theta as i32);
-    let exactly_one = segment_false_hit(theta, bits_per_item);
-    // P(at least one) − P(exactly one) = P(two or more); ambiguity also
-    // includes multi-hit caused by the true home plus one false positive,
-    // but for a pure-noise array this is the base rate.
-    (1.0 - none - exactly_one).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,16 +143,5 @@ mod tests {
         let loose = segment_false_hit(10, 8.0);
         let tight = segment_false_hit(10, 16.0);
         assert!(tight < loose);
-    }
-
-    #[test]
-    fn array_ambiguity_bounded() {
-        for theta in [1usize, 5, 20, 100] {
-            for bpi in [2.0, 8.0, 16.0] {
-                let p = array_ambiguity(theta, bpi);
-                assert!((0.0..=1.0).contains(&p), "theta={theta} bpi={bpi} p={p}");
-            }
-        }
-        assert_eq!(array_ambiguity(0, 8.0), 0.0);
     }
 }

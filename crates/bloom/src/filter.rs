@@ -230,18 +230,12 @@ impl BloomFilter {
     }
 
     /// Estimated false-positive probability from the *observed* fill ratio:
-    /// `(ones/m)^k`. Unlike [`theoretical_fpp`](BloomFilter::theoretical_fpp)
-    /// this needs no item count.
+    /// `(ones/m)^k`. Unlike the textbook formula for `n` items
+    /// ([`standard_fpp`](crate::analysis::standard_fpp)) this needs no item
+    /// count.
     #[must_use]
     pub fn estimated_fpp(&self) -> f64 {
         self.fill_ratio().powi(self.hashes as i32)
-    }
-
-    /// Textbook false-positive probability for `n` items:
-    /// `(1 − e^{−kn/m})^k` (Broder & Mitzenmacher).
-    #[must_use]
-    pub fn theoretical_fpp(&self, n: usize) -> f64 {
-        analysis::standard_fpp(self.bits, n, self.hashes)
     }
 
     fn check_compatible(&self, other: &BloomFilter) -> Result<(), BloomError> {

@@ -182,8 +182,8 @@ impl Fingerprint {
         }
     }
 
-    /// The 128-bit near-exact identity under `seed`. Equals
-    /// [`fingerprint128`] for the same item and seed.
+    /// The 128-bit near-exact identity under `seed` (the exact-LRU
+    /// bookkeeping behind the L1 array).
     #[inline]
     #[must_use]
     pub fn identity128(&self, seed: u64) -> u128 {
@@ -349,14 +349,6 @@ pub fn index_pair<T: Hash + ?Sized>(item: &T, seed: u64) -> (u64, u64) {
     Fingerprint::of(item).pair(seed)
 }
 
-/// A 128-bit fingerprint of `item`, used where near-exact identity is needed
-/// (e.g. the exact-LRU bookkeeping behind the L1 array).
-#[inline]
-#[must_use]
-pub fn fingerprint128<T: Hash + ?Sized>(item: &T, seed: u64) -> u128 {
-    Fingerprint::of(item).identity128(seed)
-}
-
 /// Iterator over the `k` probe indices of an item in a filter of `m` bits.
 ///
 /// Produced by [`probe_indices`] and [`Fingerprint::probes`]; see the module
@@ -503,7 +495,10 @@ mod tests {
     fn fingerprints_distinguish_items() {
         let mut seen = HashSet::new();
         for i in 0..50_000u64 {
-            assert!(seen.insert(fingerprint128(&i, 0)), "collision at {i}");
+            assert!(
+                seen.insert(Fingerprint::of(&i).identity128(0)),
+                "collision at {i}"
+            );
         }
     }
 

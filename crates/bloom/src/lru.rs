@@ -48,8 +48,6 @@ pub struct LruBloomArray<I> {
     /// (sequence older than `residents`) are skipped at eviction time.
     order: VecDeque<(u64, u128)>,
     next_seq: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl<I: Copy + Eq> LruBloomArray<I> {
@@ -75,8 +73,6 @@ impl<I: Copy + Eq> LruBloomArray<I> {
             residents: HashMap::new(),
             order: VecDeque::new(),
             next_seq: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -96,13 +92,6 @@ impl<I: Copy + Eq> LruBloomArray<I> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.residents.is_empty()
-    }
-
-    /// `(unique hits, misses)` observed so far via
-    /// [`query_counted`](LruBloomArray::query_counted).
-    #[must_use]
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     fn filter_mut(&mut self, home: I) -> &mut CountingBloomFilter {
@@ -220,18 +209,6 @@ impl<I: Copy + Eq> LruBloomArray<I> {
         }
     }
 
-    /// Like [`query`](LruBloomArray::query) but also updates the hit/miss
-    /// counters reported by [`hit_stats`](LruBloomArray::hit_stats).
-    pub fn query_counted<T: Hash + ?Sized>(&mut self, item: &T) -> Hit<I> {
-        let hit = self.query(item);
-        if hit.is_unique() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
-    }
-
     /// Forgets every resident whose home is `home` (used when that MDS
     /// leaves the system or fails).
     pub fn purge_home(&mut self, home: I) {
@@ -296,15 +273,6 @@ mod tests {
         assert_eq!(lru.query("a"), Hit::None);
         assert_eq!(lru.query("b"), Hit::Unique(2));
         assert_eq!(lru.len(), 1);
-    }
-
-    #[test]
-    fn hit_stats_count_unique_only() {
-        let mut lru = LruBloomArray::new(4, 2048, 4, 5);
-        lru.record("a", 1u32);
-        let _ = lru.query_counted("a"); // hit
-        let _ = lru.query_counted("zz"); // miss
-        assert_eq!(lru.hit_stats(), (1, 1));
     }
 
     #[test]

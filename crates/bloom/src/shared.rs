@@ -45,8 +45,8 @@
 //! # Concurrency
 //!
 //! The probe seam is deliberately **read-shared**: every query entry
-//! point ([`SharedShapeArray::query_fp`], [`query_fp_masked`],
-//! [`query_batch`], [`and_rows`]) takes `&self`, and the working memory
+//! point ([`SharedShapeArray::query_fp`], [`query_batch`],
+//! [`and_rows`]) takes `&self`, and the working memory
 //! of a probe (its rows, its row-AND words) is the caller's — a
 //! [`ProbeBatch`] or the caller's own buffers. The array itself holds no
 //! interior mutability anywhere (plain `Vec`s and a `HashMap`, no
@@ -57,7 +57,6 @@
 //! Compile-time assertions below pin the seam so
 //! an accidental `Cell` can never silently revoke it.
 //!
-//! [`query_fp_masked`]: SharedShapeArray::query_fp_masked
 //! [`query_batch`]: SharedShapeArray::query_batch
 //! [`and_rows`]: SharedShapeArray::and_rows
 //!
@@ -154,7 +153,8 @@ pub struct SharedShapeArray<I> {
     items: Vec<usize>,
 }
 
-/// A precomputed candidate-slot mask for masked queries.
+/// A precomputed candidate-slot mask: the slots a row-AND is read under
+/// ([`SharedShapeArray::positives_under`]).
 ///
 /// Build one with [`SharedShapeArray::subset_mask`] or
 /// [`SharedShapeArray::mask_all_except`]; masks stay valid until the array's
@@ -178,8 +178,8 @@ impl SlotMask {
     }
 }
 
-/// A batch of fingerprints (each with an optional candidate [`SlotMask`])
-/// resolved together by [`SharedShapeArray::query_batch`].
+/// A batch of fingerprints resolved together by
+/// [`SharedShapeArray::query_batch`].
 ///
 /// Metadata servers see many concurrent lookups at once (queued client
 /// requests, a drained multicast mailbox); probing them one at a time pays
@@ -194,12 +194,11 @@ impl SlotMask {
 /// carries `query_batch`'s two scratch buffers (the row table and the
 /// row-AND words), so a reused batch allocates only the result vector.
 /// Duplicate fingerprints are not merged here — each queued item is
-/// reduced and read under its own mask; the cluster dedups a run upstream,
+/// reduced and classified on its own; the cluster dedups a run upstream,
 /// before it ever builds a batch.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeBatch {
     fps: Vec<Fingerprint>,
-    masks: Vec<Option<SlotMask>>,
     /// `query_batch` scratch: `k` probe rows per fingerprint, item-major.
     rows: Vec<u32>,
     /// `query_batch` scratch: the current item's row-AND, `stride` words.
@@ -231,7 +230,6 @@ impl ProbeBatch {
     pub fn with_capacity(capacity: usize) -> Self {
         ProbeBatch {
             fps: Vec::with_capacity(capacity),
-            masks: Vec::with_capacity(capacity),
             ..ProbeBatch::default()
         }
     }
@@ -240,16 +238,6 @@ impl ProbeBatch {
     /// batch's result vector.
     pub fn push(&mut self, fp: Fingerprint) -> usize {
         self.fps.push(fp);
-        self.masks.push(None);
-        self.fps.len() - 1
-    }
-
-    /// Queues `fp` restricted to the candidate slots of `mask` (the batch
-    /// equivalent of [`SharedShapeArray::query_fp_masked`]); returns its
-    /// index in the batch's result vector.
-    pub fn push_masked(&mut self, fp: Fingerprint, mask: SlotMask) -> usize {
-        self.fps.push(fp);
-        self.masks.push(Some(mask));
         self.fps.len() - 1
     }
 
@@ -268,7 +256,6 @@ impl ProbeBatch {
     /// Empties the batch, keeping its allocations for reuse.
     pub fn clear(&mut self) {
         self.fps.clear();
-        self.masks.clear();
     }
 
     /// Derives every queued fingerprint's `k` probe rows for the filter
@@ -571,8 +558,7 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     }
 
     /// The id whose filter `slot` holds, if the slot is live.
-    #[must_use]
-    pub fn id_at(&self, slot: usize) -> Option<I> {
+    fn id_at(&self, slot: usize) -> Option<I> {
         self.slots.get(slot).copied().flatten()
     }
 
@@ -1050,66 +1036,47 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         self.classify(&self.and_fp(fp))
     }
 
-    /// Masked hash-once probe: only slots in `mask` are candidates.
-    /// # Panics
-    ///
-    /// Panics if `mask` predates a capacity growth of this array (a stale
-    /// mask would silently exclude every slot beyond the old capacity).
-    #[must_use]
-    pub fn query_fp_masked(&self, fp: &Fingerprint, mask: &SlotMask) -> Hit<I> {
-        self.classify_under(&mut self.and_fp(fp), mask)
-    }
-
-    /// Convenience: probe only the slots of `ids` (builds a transient mask).
+    /// [`query_fp`](SharedShapeArray::query_fp) with only the slots of
+    /// `ids` as candidates (through a transient mask) — the reference a
+    /// row-AND read under a mask
+    /// ([`positives_under`](SharedShapeArray::positives_under)) is tested
+    /// against.
     pub fn query_fp_among<T: IntoIterator<Item = I>>(&self, fp: &Fingerprint, ids: T) -> Hit<I> {
         let mask = self.subset_mask(ids);
-        self.query_fp_masked(fp, &mask)
+        let mut anded = self.and_fp(fp);
+        for (word, candidates) in anded.iter_mut().zip(&mask.words) {
+            *word &= candidates;
+        }
+        self.classify(&anded)
     }
 
     /// Resolves a whole [`ProbeBatch`], returning one [`Hit`] per queued
     /// fingerprint, in push order.
     ///
-    /// Answers are **bit-identical** to calling [`query_fp`] /
-    /// [`query_fp_masked`] once per fingerprint (the property tests assert
-    /// it). The work is the cluster's pinned walk's, primitive for
-    /// primitive: every probe row derived up front
-    /// ([`ProbeBatch::derive_rows_into`]), the rows of the item two ahead
-    /// prefetched ([`prefetch_rows`](SharedShapeArray::prefetch_rows)),
-    /// one unmasked row-AND per item
-    /// ([`and_rows`](SharedShapeArray::and_rows)), and the survivors read
-    /// under the item's own mask — so timing this times the production
-    /// kernel. The batch's scratch is reused across calls; only the result
-    /// vector is allocated.
+    /// Answers are **bit-identical** to calling [`query_fp`] once per
+    /// fingerprint (the property tests assert it). The work is the
+    /// cluster's pinned walk's, primitive for primitive: every probe row
+    /// derived up front ([`ProbeBatch::derive_rows_into`]), the rows of
+    /// the item two ahead prefetched
+    /// ([`prefetch_rows`](SharedShapeArray::prefetch_rows)), and one
+    /// row-AND per item ([`and_rows`](SharedShapeArray::and_rows)) — so
+    /// timing this times the production kernel. The batch's scratch is
+    /// reused across calls; only the result vector is allocated.
     ///
     /// [`query_fp`]: SharedShapeArray::query_fp
-    /// [`query_fp_masked`]: SharedShapeArray::query_fp_masked
-    ///
-    /// # Panics
-    ///
-    /// Panics if a queued [`SlotMask`] predates a capacity growth of this
-    /// array (same rule as
-    /// [`query_fp_masked`](SharedShapeArray::query_fp_masked)).
     #[must_use]
     pub fn query_batch(&self, batch: &mut ProbeBatch) -> Vec<Hit<I>> {
-        let ProbeBatch {
-            fps,
-            masks,
-            rows,
-            anded,
-        } = batch;
+        let ProbeBatch { fps, rows, anded } = batch;
         derive_rows(fps, self.shape, rows);
         let k = self.shape.hashes as usize;
-        let mut hits = Vec::with_capacity(masks.len());
-        for (at, mask) in masks.iter().enumerate() {
+        let mut hits = Vec::with_capacity(fps.len());
+        for at in 0..fps.len() {
             if let Some(ahead) = rows.get((at + 2) * k..(at + 3) * k) {
                 self.prefetch_rows(ahead);
             }
             let item = &rows[at * k..(at + 1) * k];
             self.and_rows(item.iter().map(|&row| row as usize), anded);
-            hits.push(match mask {
-                Some(mask) => self.classify_under(anded, mask),
-                None => self.classify(anded),
-            });
+            hits.push(self.classify(anded));
         }
         hits
     }
@@ -1169,8 +1136,8 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
     /// The positives of an [`and_rows`](SharedShapeArray::and_rows)
     /// result under `mask`: how many slots of `anded ∧ mask` are set, and
     /// the id of the slot when exactly one is — the count and unique
-    /// candidate [`query_fp_masked`](SharedShapeArray::query_fp_masked)
-    /// reports, without materializing a [`Hit`].
+    /// candidate [`query_fp_among`](SharedShapeArray::query_fp_among)
+    /// reports for the mask's slots, without materializing a [`Hit`].
     ///
     /// # Panics
     ///
@@ -1194,20 +1161,6 @@ impl<I: Copy + Eq + Hash> SharedShapeArray<I> {
         let rows = fp.probes(self.shape.seed, self.shape.bits, self.shape.hashes);
         self.and_rows(rows, &mut anded);
         anded
-    }
-
-    /// Narrows an [`and_rows`](SharedShapeArray::and_rows) result to the
-    /// candidates of `mask` in place and classifies what is left.
-    fn classify_under(&self, anded: &mut [u64], mask: &SlotMask) -> Hit<I> {
-        assert_eq!(
-            mask.words.len(),
-            self.stride,
-            "SlotMask predates a capacity growth; rebuild it"
-        );
-        for (word, candidates) in anded.iter_mut().zip(&mask.words) {
-            *word &= candidates;
-        }
-        self.classify(anded)
     }
 
     fn classify(&self, mask: &[u64]) -> Hit<I> {
@@ -1436,25 +1389,23 @@ mod tests {
         assert_eq!(array.query_fp_among(&fp, [3u16]), Hit::None);
         let mask = array.mask_all_except(1);
         assert_eq!(mask.len(), 2);
-        assert_eq!(array.query_fp_masked(&fp, &mask), Hit::Unique(2));
+        let (shape, mut anded) = (shape(), Vec::new());
+        array.and_rows(fp.probes(shape.seed, shape.bits, shape.hashes), &mut anded);
+        assert_eq!(array.positives_under(&anded, &mask), (1, Some(2)));
     }
 
-    /// Duplicates under differing masks each get their own mask's answer:
-    /// the batch merges nothing, whatever repeats in it.
+    /// Every duplicate gets its own answer: the batch merges nothing,
+    /// whatever repeats in it.
     #[test]
-    fn query_batch_answers_duplicates_under_their_own_masks() {
+    fn query_batch_answers_every_duplicate() {
         let array = array_with(&[(1, &["hot", "x"]), (2, &["cold"]), (3, &["hot"])]);
         let hot = Fingerprint::of("hot");
         let cold = Fingerprint::of("cold");
         let mut batch = ProbeBatch::new();
-        // One fingerprint unmasked twice, under one mask twice and under
-        // another mask, with a distinct fingerprint in between.
+        // One fingerprint twice, with a distinct fingerprint in between.
         batch.push(hot);
         batch.push(cold);
         batch.push(hot);
-        batch.push_masked(hot, array.subset_mask([1u16]));
-        batch.push_masked(hot, array.subset_mask([1u16]));
-        batch.push_masked(hot, array.subset_mask([3u16]));
         let hits = array.query_batch(&mut batch);
         assert_eq!(
             hits,
@@ -1462,9 +1413,6 @@ mod tests {
                 Hit::Multiple(vec![1, 3]),
                 Hit::Unique(2),
                 Hit::Multiple(vec![1, 3]),
-                Hit::Unique(1),
-                Hit::Unique(1),
-                Hit::Unique(3),
             ]
         );
     }
@@ -1786,29 +1734,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_masks_match_query_fp_among() {
-        let array = array_with(&[(1, &["dup"]), (2, &["dup"]), (3, &[])]);
-        let fp = Fingerprint::of("dup");
-        let mut batch = ProbeBatch::new();
-        batch.push_masked(fp, array.subset_mask([1u16]));
-        batch.push_masked(fp, array.subset_mask([3u16]));
-        batch.push_masked(fp, array.mask_all_except(1));
-        batch.push(fp);
-        let hits = array.query_batch(&mut batch);
-        assert_eq!(hits[0], array.query_fp_among(&fp, [1u16]));
-        assert_eq!(hits[1], array.query_fp_among(&fp, [3u16]));
-        assert_eq!(
-            hits[2],
-            array.query_fp_masked(&fp, &array.mask_all_except(1))
-        );
-        assert_eq!(hits[3], array.query_fp(&fp));
-        assert_eq!(hits[0], Hit::Unique(1));
-        assert_eq!(hits[1], Hit::None);
-        assert_eq!(hits[2], Hit::Unique(2));
-        assert_eq!(hits[3], Hit::Multiple(vec![1, 2]));
-    }
-
-    #[test]
     fn empty_batch_returns_nothing() {
         let array = array_with(&[(1, &["a"])]);
         assert!(array.query_batch(&mut ProbeBatch::new()).is_empty());
@@ -1847,18 +1772,6 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(batch.push(Fingerprint::of("b")), 0);
         assert_eq!(array.query_batch(&mut batch), vec![Hit::Unique(2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "predates a capacity growth")]
-    fn batch_stale_mask_panics() {
-        let mut array = array_with(&[(1, &["a"])]);
-        let mut batch = ProbeBatch::new();
-        batch.push_masked(Fingerprint::of("a"), array.subset_mask([1u16]));
-        for id in 10u16..90 {
-            array.push(id).unwrap(); // forces a capacity growth
-        }
-        let _ = array.query_batch(&mut batch);
     }
 
     /// Probe rows travel as `u32`s, so a wider filter is refused where the

@@ -16,6 +16,22 @@ fn clear_bit(filter: &BloomFilter, row: usize) -> BloomFilter {
     BloomFilter::from_bytes(&bytes).expect("a valid filter stays valid")
 }
 
+/// `hit` with only the candidates in `ids` left: what the same probe
+/// answers with `ids` as the candidate set.
+fn restrict(hit: &Hit<u16>, ids: &[u16]) -> Hit<u16> {
+    let kept: Vec<u16> = hit
+        .candidates()
+        .iter()
+        .copied()
+        .filter(|id| ids.contains(id))
+        .collect();
+    match kept[..] {
+        [] => Hit::None,
+        [id] => Hit::Unique(id),
+        _ => Hit::Multiple(kept),
+    }
+}
+
 fn arb_items() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-z/]{1,24}", 0..200)
 }
@@ -386,12 +402,13 @@ proptest! {
         let expected = restricted.query(&probe);
         let mask = sliced.subset_mask(unique_subset.iter().copied());
         prop_assert_eq!(mask.len(), unique_subset.len());
-        prop_assert_eq!(sliced.query_fp_masked(&fp, &mask), expected);
+        prop_assert_eq!(sliced.query_fp_among(&fp, unique_subset.iter().copied()), expected);
     }
 
     /// The PR-2 acceptance property: a [`ProbeBatch`] of B fingerprints
-    /// returns bit-identical `Hit`s to B sequential `query_fp` /
-    /// `query_fp_among` calls — across masks, pushes, and removals.
+    /// returns bit-identical `Hit`s to B sequential `query_fp` calls —
+    /// across pushes and removals — and restricting a batch answer to a
+    /// candidate subset is `query_fp_among` over that subset.
     #[test]
     fn probe_batch_matches_sequential(
         inserts in proptest::collection::vec(("[a-z]{1,12}", 0u16..70), 0..250),
@@ -412,27 +429,29 @@ proptest! {
             sliced.remove(id % homes);
         }
         // Half the probes are existing items, half arbitrary; every other
-        // probe is masked to an arbitrary candidate subset (possibly
-        // naming removed or never-pushed ids, which masks must ignore).
+        // probe's answer is restricted to an arbitrary candidate subset
+        // (possibly naming removed or never-pushed ids, which masks must
+        // ignore).
         let mut batch = ghba_bloom::ProbeBatch::new();
         let mut expected = Vec::new();
-        for (i, (item, subset)) in probes.iter().enumerate() {
+        for (i, (item, _)) in probes.iter().enumerate() {
             let item = inserts.get(i).map_or(item.as_str(), |(it, _)| it.as_str());
             let fp = Fingerprint::of(item);
-            if i % 2 == 0 {
-                expected.push(sliced.query_fp(&fp));
-                batch.push(fp);
-            } else {
-                expected.push(sliced.query_fp_among(&fp, subset.iter().copied()));
-                batch.push_masked(fp, sliced.subset_mask(subset.iter().copied()));
-            }
+            expected.push(sliced.query_fp(&fp));
+            batch.push(fp);
         }
-        prop_assert_eq!(sliced.query_batch(&mut batch), expected);
+        let hits = sliced.query_batch(&mut batch);
+        prop_assert_eq!(&hits, &expected);
+        for (i, (item, subset)) in probes.iter().enumerate().filter(|(i, _)| i % 2 == 1) {
+            let item = inserts.get(i).map_or(item.as_str(), |(it, _)| it.as_str());
+            let among = sliced.query_fp_among(&Fingerprint::of(item), subset.iter().copied());
+            prop_assert_eq!(among, restrict(&hits[i], subset));
+        }
     }
 
     /// A batch drowning in duplicate fingerprints (the flash-crowd shape)
-    /// answers bit-identically to sequential queries, each duplicate
-    /// under its own mask.
+    /// answers bit-identically to sequential queries, and each duplicate's
+    /// answer restricted to its own candidate subset is `query_fp_among`'s.
     #[test]
     fn probe_batch_dedup_matches_sequential(
         inserts in proptest::collection::vec(("[a-z]{1,10}", 0u16..40), 0..150),
@@ -448,13 +467,11 @@ proptest! {
         for (item, home) in &inserts {
             sliced.insert(*home, item).unwrap();
         }
-        // Mostly the hot item (unmasked and under repeated masks), with a
-        // sprinkle of distinct items: exercises lane-equal groups with
-        // equal masks (fanned out), differing masks (one shared row-AND,
-        // masks applied at classification), and the all-distinct fast
-        // path in the same suite.
+        // Mostly the hot item (whole and under repeated subsets), with a
+        // sprinkle of distinct items.
         let mut batch = ghba_bloom::ProbeBatch::new();
         let mut expected = Vec::new();
+        let mut subsets = Vec::new();
         for &(kind, id) in &pattern {
             let (item, subset): (&str, Vec<u16>) = match kind {
                 0 => (hot.as_str(), vec![]),
@@ -463,21 +480,25 @@ proptest! {
                 _ => ("absent-item", vec![id]),
             };
             let fp = Fingerprint::of(item);
-            if subset.is_empty() {
-                expected.push(sliced.query_fp(&fp));
-                batch.push(fp);
-            } else {
-                expected.push(sliced.query_fp_among(&fp, subset.iter().copied()));
-                batch.push_masked(fp, sliced.subset_mask(subset.iter().copied()));
+            expected.push(sliced.query_fp(&fp));
+            batch.push(fp);
+            subsets.push((fp, subset));
+        }
+        let hits = sliced.query_batch(&mut batch);
+        prop_assert_eq!(&hits, &expected);
+        for (hit, (fp, subset)) in hits.iter().zip(&subsets) {
+            if !subset.is_empty() {
+                let among = sliced.query_fp_among(fp, subset.iter().copied());
+                prop_assert_eq!(among, restrict(hit, subset));
             }
         }
-        prop_assert_eq!(sliced.query_batch(&mut batch), expected);
     }
 
-    /// Cross-mask duplicates at wide stride:
-    /// one hot fingerprint queued under many *different* candidate masks
-    /// — the shape a flash crowd entering through different servers
-    /// produces — answers bit-identically to sequential masked queries.
+    /// Cross-subset duplicates at wide stride: one hot fingerprint queued
+    /// many times, read under many *different* candidate subsets — the
+    /// shape a flash crowd entering through different servers produces —
+    /// answers bit-identically to sequential queries, whole and
+    /// restricted.
     #[test]
     fn probe_batch_cross_mask_dedup_matches_sequential(
         inserts in proptest::collection::vec(("[a-z]{1,10}", 0u16..130), 0..200),
@@ -486,9 +507,7 @@ proptest! {
         subsets in proptest::collection::vec(proptest::collection::vec(0u16..140, 0..12), 2..24),
         seed in any::<u64>(),
     ) {
-        // 130 slots ⇒ stride 3: the wide-stride kernel with in-kernel
-        // classification runs, and mixed-mask groups must bypass its
-        // (unmasked) verdict for their masked members.
+        // 130 slots ⇒ stride 3: the wide-stride kernel runs.
         let shape = FilterShape { bits: 4096, hashes: 5, seed };
         let mut sliced = SharedShapeArray::new(shape);
         for id in 0..130u16 {
@@ -503,19 +522,17 @@ proptest! {
         let fp = Fingerprint::of(&hot);
         let mut batch = ghba_bloom::ProbeBatch::new();
         let mut expected = Vec::new();
-        for (i, subset) in subsets.iter().enumerate() {
-            // Interleave unmasked duplicates so groups mix None with
-            // Some masks too (subsets may name never-pushed ids ≥ 130,
-            // which masks ignore).
-            if i % 3 == 2 {
-                expected.push(sliced.query_fp(&fp));
-                batch.push(fp);
-            } else {
-                expected.push(sliced.query_fp_among(&fp, subset.iter().copied()));
-                batch.push_masked(fp, sliced.subset_mask(subset.iter().copied()));
-            }
+        for _ in &subsets {
+            expected.push(sliced.query_fp(&fp));
+            batch.push(fp);
         }
-        prop_assert_eq!(sliced.query_batch(&mut batch), expected);
+        let hits = sliced.query_batch(&mut batch);
+        prop_assert_eq!(&hits, &expected);
+        // Subsets may name never-pushed ids ≥ 130, which masks ignore.
+        for (hit, subset) in hits.iter().zip(&subsets) {
+            let among = sliced.query_fp_among(&fp, subset.iter().copied());
+            prop_assert_eq!(among, restrict(hit, subset));
+        }
     }
 
     /// `ProbeBatch::derive_rows_into` yields exactly the per-fingerprint
@@ -596,7 +613,8 @@ proptest! {
 
     /// The slab identity the pinned walk rests on: one unmasked row-AND
     /// (`and_rows`) read under any candidate mask (`positives_under`)
-    /// answers exactly like a masked probe — same positive count, same id
+    /// answers exactly like a probe among the mask's ids
+    /// (`query_fp_among`) — same positive count, same id
     /// when unique, nothing on an early exit — at stride 1 and beyond,
     /// after removals and after a capacity growth; and a mask that
     /// predates the growth still panics instead of dropping slots.
@@ -623,10 +641,12 @@ proptest! {
         for id in &removed {
             sliced.remove(*id);
         }
-        let masks: Vec<_> = subsets
+        let others: Vec<u16> = sliced.ids().filter(|&id| id != 0).collect();
+        prop_assert_eq!(sliced.mask_all_except(0), sliced.subset_mask(others.iter().copied()));
+        let candidates: Vec<&Vec<u16>> = subsets.iter().chain([&others]).collect();
+        let masks: Vec<_> = candidates
             .iter()
-            .map(|subset| sliced.subset_mask(subset.iter().copied()))
-            .chain([sliced.mask_all_except(0)])
+            .map(|ids| sliced.subset_mask(ids.iter().copied()))
             .collect();
         let mut anded = Vec::new();
         for probe in probes.iter().chain(inserts.iter().map(|(item, _)| item)) {
@@ -634,8 +654,8 @@ proptest! {
             let survived = sliced.and_rows(fp.probes(shape.seed, shape.bits, shape.hashes), &mut anded);
             prop_assert_eq!(survived, anded.iter().any(|&word| word != 0));
             prop_assert_eq!(survived, sliced.query_fp(&fp) != Hit::None);
-            for mask in &masks {
-                let expected = sliced.query_fp_masked(&fp, mask);
+            for (mask, ids) in masks.iter().zip(&candidates) {
+                let expected = sliced.query_fp_among(&fp, ids.iter().copied());
                 let (positives, unique) = sliced.positives_under(&anded, mask);
                 prop_assert_eq!(positives as usize, expected.candidates().len());
                 match expected {

@@ -1,6 +1,7 @@
-//! The cluster engine: construction, the one pinned L1→L4 walk, file
-//! create/remove, and the pin-once `&self` pipeline's write records and
-//! their drain — written once, generic over the replica layout.
+//! The cluster engine: construction, the one pinned L1→L4 walk, and the
+//! one write path — the pin-once `&self` pipeline's write records and
+//! their drain, which an owner's create or remove takes too, drained at
+//! once — written once, generic over the replica layout.
 //!
 //! [`Cluster`] is everything that does not depend on where replicas
 //! live; its [`Topology`] parameter decides the rest. There are exactly
@@ -31,9 +32,9 @@
 //!   overlay, which a batch's own writes do move, is consulted per walk.
 //! * **Where live verdicts come from.** Every server's live filter is one
 //!   column of the cluster's *live slab*, at the slot its published
-//!   filter has in the pinned slab. When every server is clean and has
-//!   its published column, the two columns are one, and the published
-//!   row-AND the walk takes anyway answers every live probe. Otherwise
+//!   filter has in the pinned slab. When every server is clean, the two
+//!   columns are one, and the published row-AND the walk takes anyway
+//!   answers every live probe. Otherwise
 //!   the pin *reads live*: each walk ANDs its rows over the live slab
 //!   once too, and reads every verdict — L2's entry, L3's members, L4's
 //!   sweep — from that word. The arena decides this once per pin
@@ -74,7 +75,6 @@ use crate::config::GhbaConfig;
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, IdMap, MdsId, MembershipEpoch};
 use crate::mds::{published_shape, row_indices, LiveSlab, Mds};
-use crate::metadata::CompactPath;
 use crate::op::{resolve_unique, EntryPolicy, PathKey, WalkItem, WalkKey};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::reconfig::ReconfigReport;
@@ -329,12 +329,12 @@ pub struct Cluster<T: Topology> {
     /// independent in-memory twin, not a second writer of the same log.
     pub(crate) wal: Option<Box<crate::wal::Wal>>,
     /// The probe-row derivation of [`published_shape`], its fastmod magic
-    /// computed once: the write path (drain, replay, remove) never
-    /// divides to place a row.
-    rows: RowDeriver,
-    /// Scratch the drain and the `&mut` remove keep: the `k` probe rows
-    /// of the record being applied, and a remove's live row-AND.
-    row_scratch: (Vec<u32>, Vec<u64>),
+    /// computed once: the write path (drain, replay, remove, re-homing)
+    /// never divides to place a row.
+    pub(crate) rows: RowDeriver,
+    /// The drain's scratch: the `k` probe rows of the record being
+    /// applied (and of each file a departure re-homes).
+    pub(crate) row_scratch: Vec<u32>,
     topology: PhantomData<T>,
 }
 
@@ -426,10 +426,10 @@ impl<T: Topology> Cluster<T> {
 
     /// The current membership epoch. Advanced at least once by every
     /// reconfiguration path (join, leave, fail-stop, split, merge,
-    /// rebalance, mirror retire/restore — compound operations advance
-    /// it per internal step, so this is an invalidation fence, not an
-    /// operation counter); derived routing state cached under an older
-    /// epoch is stale and must be rebuilt.
+    /// rebalance — compound operations advance it per internal step, so
+    /// this is an invalidation fence, not an operation counter); derived
+    /// routing state cached under an older epoch is stale and must be
+    /// rebuilt.
     #[must_use]
     pub fn membership_epoch(&self) -> MembershipEpoch {
         self.routes.pin().epoch
@@ -527,7 +527,7 @@ impl<T: Topology> Cluster<T> {
 
     /// `id`'s published filter as its replicas hold it: its column in the
     /// current snapshot's slab, copied out (O(m); nothing keeps the
-    /// copy). `None` when that slab has no column for `id`.
+    /// copy). `None` for an unknown server.
     #[must_use]
     pub fn published_filter(&self, id: MdsId) -> Option<BloomFilter> {
         self.routes.pin().slab.extract(id)
@@ -547,17 +547,19 @@ impl<T: Topology> Cluster<T> {
     /// snapshot — Eq. §3.4's update trigger. Exact, and read only where
     /// the two can differ: the blocks of rows the server's dirty-block
     /// bitmap marks, so a server that changed little pays little. `None`
-    /// for an unknown server or one without a published column (a
-    /// handle retired it).
+    /// for an unknown server.
     #[must_use]
     pub fn drift_bits(&self, id: MdsId) -> Option<usize> {
         let mds = self.mdss.get(&id)?;
         let snap = self.routes.pin();
-        let slot = snap.slab.slot_of(id)?;
-        debug_assert_eq!(slot, mds.slot(), "{id}'s columns share a slot");
+        debug_assert_eq!(
+            snap.slab.slot_of(id),
+            Some(mds.slot()),
+            "{id}'s columns share a slot"
+        );
         Some(
             snap.slab
-                .column_distance(&self.live, slot, mds.dirty_blocks()),
+                .column_distance(&self.live, mds.slot(), mds.dirty_blocks()),
         )
     }
 
@@ -610,25 +612,7 @@ impl<T: Topology> Cluster<T> {
     ///
     /// Panics if `home` is not a member of the cluster.
     pub fn create_file_at(&mut self, path: &str, home: MdsId) {
-        self.create_fp(path, &Fingerprint::of(path), home);
-    }
-
-    /// Pre-hashed variant of [`create_file_at`](Cluster::create_file_at)
-    /// for the batched op pipeline: reuses the key's admission
-    /// fingerprint instead of re-hashing the path bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is not a member of the cluster.
-    pub fn create_file_keyed(&mut self, key: &PathKey, home: MdsId) {
-        self.create_fp(key.compact_path().clone(), key.fingerprint(), home);
-    }
-
-    fn create_fp(&mut self, path: impl Into<CompactPath>, fp: &Fingerprint, home: MdsId) {
-        self.maybe_drain();
-        let mds = self.mdss.get_mut(&home).expect("home must exist");
-        mds.create_local_fp(&mut self.live, path, fp);
-        self.maybe_publish(home);
+        self.create_drained(&PathKey::new(path), home);
     }
 
     /// Removes `path` from its home (if any), returning the former home.
@@ -637,25 +621,34 @@ impl<T: Topology> Cluster<T> {
     ///
     /// [`lookup`]: Cluster::lookup
     pub fn remove_file(&mut self, path: &str) -> Option<MdsId> {
-        self.remove_fp(path.as_bytes(), &Fingerprint::of(path))
+        self.remove_drained(&PathKey::new(path))
     }
 
-    /// Pre-hashed variant of [`remove_file`](Cluster::remove_file).
-    pub fn remove_file_keyed(&mut self, key: &PathKey) -> Option<MdsId> {
-        self.remove_fp(key.compact_path().as_bytes(), key.fingerprint())
-    }
-
-    fn remove_fp(&mut self, path: &[u8], fp: &Fingerprint) -> Option<MdsId> {
+    /// The owner's create: the pin-once pipeline's write record, drained
+    /// at once — so it reaches the WAL, when one is attached, like any
+    /// drain — then the gated publish of its home.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is not a member of the cluster (before anything
+    /// is recorded or logged).
+    pub(crate) fn create_drained(&mut self, key: &PathKey, home: MdsId) {
+        assert!(self.mdss.contains_key(&home), "home must exist");
         self.maybe_drain();
-        let (mut rows, mut anded) = std::mem::take(&mut self.row_scratch);
-        let home = self.locate_home(path, fp, &mut rows, &mut anded);
-        if let Some(home) = home {
-            let mds = self.mdss.get_mut(&home).expect("home exists");
-            mds.remove_local_rows(&mut self.live, path, fp, row_indices(&rows));
-            self.maybe_publish(home);
-        }
-        self.row_scratch = (rows, anded);
-        home
+        self.apply_create_shared(key, home);
+        self.drain_concurrent();
+        self.maybe_publish(home);
+    }
+
+    /// The owner's remove: [`create_drained`](Self::create_drained)'s
+    /// epilogue around the `&self` remove, whose home the live slab
+    /// locates.
+    pub(crate) fn remove_drained(&mut self, key: &PathKey) -> Option<MdsId> {
+        self.maybe_drain();
+        let home = self.apply_remove_shared(key, &mut WalkArena::default())?;
+        self.drain_concurrent();
+        self.maybe_publish(home);
+        Some(home)
     }
 
     /// Ground-truth home of `path` (authoritative store sweep, no filter
@@ -754,20 +747,21 @@ impl<T: Topology> Cluster<T> {
 
     /// Whether a pin on `slab` reads live verdicts from the live slab:
     /// yes when some server is dirty — its live column is not its
-    /// published one — or has no column in `slab` (a handle retired it).
-    /// Otherwise every server's live column *is* its published column, at
-    /// the same slot, and the published row-AND answers every live probe.
-    /// One pass over the servers; no id is hashed. A pure function of
-    /// `(pin, cluster)`: no `Mds` mutates and nothing publishes while the
-    /// arena's owner borrows the cluster, and a column a handle retires
-    /// after the pin is still in the pinned slab.
+    /// published one. Otherwise every server's live column *is* its
+    /// published column, at the same slot (every server has one), and the
+    /// published row-AND answers every live probe. One pass over the
+    /// servers; no id is hashed. A pure function of `(pin, cluster)`: no
+    /// `Mds` mutates and no column is published while the arena's owner
+    /// borrows the cluster.
     fn reads_live(&self, slab: &SharedShapeArray<MdsId>) -> bool {
         debug_assert!(
-            slab.slot_ids()
-                .all(|(slot, id)| self.mdss.get(&id).is_some_and(|mds| mds.slot() == slot)),
-            "a published column is not at its server's live slot"
+            slab.len() == self.mdss.len()
+                && slab
+                    .slot_ids()
+                    .all(|(slot, id)| self.mdss.get(&id).is_some_and(|mds| mds.slot() == slot)),
+            "the published slab is not every server at its live slot"
         );
-        slab.len() != self.mdss.len() || !self.mdss.values().all(Mds::is_clean)
+        !self.mdss.values().all(Mds::is_clean)
     }
 
     /// The L1 → L2 → \[L3\] → L4 escalation of walked item `at` against a
@@ -790,7 +784,7 @@ impl<T: Topology> Cluster<T> {
     /// one live verdict per server it asks at L2 (the entry), L3 (the
     /// group's members) and L4 (everyone). Every verdict is one bit of
     /// one word: the server's [`Mds::slot`] of the published row-AND when
-    /// the pin has only clean servers with columns, of the live slab's
+    /// the pin has only clean servers, of the live slab's
     /// row-AND — `k` more rows, prefetched beside the published ones —
     /// otherwise. No server's own filter word is loaded, and L4 visits
     /// only the servers whose bit survived (plus a pending create's
@@ -1253,11 +1247,12 @@ impl<T: Topology> Cluster<T> {
     /// because a path always hashes to the same shard). Each record's
     /// probe rows are derived once, division-free, and serve its home's
     /// counters and live column; each record is consumed: a create's
-    /// [`CompactPath`] moves into its store's bucket, a remove's is
-    /// dropped — a short path is never allocated on the way, and a long
-    /// one's box made when the write was recorded is the only one it gets.
+    /// [`CompactPath`](crate::CompactPath) moves into its store's bucket,
+    /// a remove's is dropped — a short path is never allocated on the
+    /// way, and a long one's box made when the write was recorded is the
+    /// only one it gets.
     pub(crate) fn apply_write_records(&mut self, records: Vec<WriteRecord>) {
-        let rows = &mut self.row_scratch.0;
+        let rows = &mut self.row_scratch;
         for WriteRecord { path, fp, kind } in records {
             rows.clear();
             self.rows.rows_into(&fp, rows);
@@ -1269,7 +1264,7 @@ impl<T: Topology> Cluster<T> {
                         .create_local_rows(&mut self.live, path, &fp, row_indices(rows));
                 }
                 WriteKind::Remove(home) => {
-                    // The home may have retired since the record was
+                    // The home may have left since the record was
                     // appended; its store went with it.
                     if let Some(mds) = self.mdss.get_mut(&home) {
                         mds.remove_local_rows(
@@ -1323,10 +1318,7 @@ impl<T: Topology> Cluster<T> {
     /// exactly what its counters say, and its published column differs
     /// from it only where the server's dirty-block bitmap says it may
     /// (the walk's live verdicts and every publish depend on it;
-    /// invariants 7, 9 and 10 below). A mirror an
-    /// [`HbaReconfigHandle`](crate::HbaReconfigHandle) retired and has
-    /// not restored is reported as a lost column — retirement is a
-    /// degraded state, not an invariant-preserving one.
+    /// invariants 7, 9 and 10 below).
     ///
     /// The grouped layout adds the properties §2.2 and §3.1–3.2 argue
     /// for:
@@ -1496,7 +1488,7 @@ mod tests {
     /// store, counters, dirty blocks, both cadence counters — and the live
     /// slab exactly where the same writes through `create_local_fp` /
     /// `remove_local_fp` leave a twin: creates, re-creates, removes, a
-    /// remove of an absent path, a remove at a home that has retired.
+    /// remove of an absent path, a remove at a home that has left.
     #[test]
     fn drained_records_apply_like_fingerprint_mutations() {
         let mut cluster = GhbaCluster::with_servers(batch_config(), 6);

@@ -33,6 +33,12 @@
 //!   occurrence in stream order and **fold the statistics before
 //!   returning**.
 //!
+//! Writes take one path from either entry: a create or remove is a
+//! shard-log record that the drain replays into the stores (appending it
+//! to the write-ahead log first, when one is attached). The `&self`
+//! entries leave it for the owner's next drain; a `&mut` entry drains it
+//! at once and then runs its home's gated replica update.
+//!
 //! Mixed op batches run through one driver over one set of hooks:
 //! `execute` hands it the cluster itself, `execute_concurrent` a
 //! per-batch value binding `&self` to the snapshot pinned at admission.
@@ -123,7 +129,7 @@ pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
 pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};
 pub use mds::{published_shape, Mds, META_ENTRY_BYTES};
 pub use metadata::{CompactPath, FileAttrs, MetadataStore, INLINE_PATH_BYTES};
-pub use mirror::{FullMirror, HbaCluster, HbaReconfigHandle, RetiredColumn};
+pub use mirror::{FullMirror, HbaCluster};
 pub use op::{EntryPolicy, MetadataOp, OpBatch, OpOutcome, PathKey};
 pub use query::{LevelCounts, QueryLevel, QueryOutcome};
 pub use reconcile::Reconciler;

@@ -183,9 +183,11 @@ impl Mds {
         !existed
     }
 
-    /// Inserts `path` into the store, the counting filter and the live
-    /// column (`live`, the cluster's live slab) — with `path`'s
-    /// admission-time fingerprint, so no byte is hashed here.
+    /// [`create_local_rows`](Mds::create_local_rows) over `fp`'s own
+    /// (division-derived) probe sequence: the reference the drain's
+    /// replay is tested against. (The cluster creates with rows it
+    /// derived once; tests create by fingerprint.)
+    #[cfg(test)]
     pub(crate) fn create_local_fp(
         &mut self,
         live: &mut LiveSlab,
@@ -196,12 +198,14 @@ impl Mds {
         self.create_local_rows(live, path, fp, fp.probes(seed, bits, hashes));
     }
 
-    /// [`create_local_fp`](Mds::create_local_fp) for a caller that also
-    /// holds `fp`'s probe rows for [`published_shape`] — a drain derives
-    /// them division-free, once for the counters and the column — and
-    /// whose [`CompactPath`] (a drained record's) moves into the store's
-    /// bucket as it is. A new path sets its rows' cells and marks the
-    /// blocks of the cells that flipped.
+    /// Inserts `path` into the store, the counting filter and the live
+    /// column (`live`, the cluster's live slab), with `path`'s
+    /// admission-time fingerprint and its probe rows for
+    /// [`published_shape`] — the drain derives them division-free, once
+    /// for the counters and the column — so no byte is hashed here. A
+    /// [`CompactPath`] (a drained record's) moves into the store's bucket
+    /// as it is. A new path sets its rows' cells and marks the blocks of
+    /// the cells that flipped.
     pub(crate) fn create_local_rows(
         &mut self,
         live: &mut LiveSlab,

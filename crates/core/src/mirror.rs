@@ -18,12 +18,10 @@
 
 use std::sync::Arc;
 
-use ghba_bloom::BloomFilter;
-
 use crate::cluster::{Cluster, Topology};
-use crate::ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
+use crate::ids::{GroupEpoch, GroupId, MdsId};
 use crate::reconfig::ReconfigReport;
-use crate::snapshot::{RouteCell, RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
+use crate::snapshot::{RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
 use crate::update::UpdateReport;
 
 /// The full-mirror replica layout of HBA: every server holds every other
@@ -164,85 +162,4 @@ fn publish<'a>(mut edit: RouteEdit<'a>, op: SlabOp<'a>) {
     edit.bump_epoch();
     edit.push_op(op);
     edit.commit();
-}
-
-impl HbaCluster {
-    /// A cloneable handle that retires/restores published mirrors
-    /// concurrently with lookups (see [`HbaReconfigHandle`]).
-    #[must_use]
-    pub fn reconfig_handle(&self) -> HbaReconfigHandle {
-        HbaReconfigHandle {
-            routes: Arc::clone(&self.routes),
-        }
-    }
-}
-
-/// A cloneable, thread-safe handle that retires and restores servers'
-/// published mirrors **concurrently with lookups** — HBA's analogue of
-/// the G-HBA [`ReconfigHandle`](crate::ReconfigHandle). Retiring a
-/// server drops its column from the published slab (probes skip it; the
-/// broadcast fallback still resolves its files), restoring puts the
-/// retired column back where it was; each publishes one successor
-/// snapshot with a bumped epoch, so pinned walks finish against the
-/// mirror they admitted under.
-///
-/// Owner pushes for a retired server (its slab column is gone) are
-/// safe: `push_update` checks the published mirror under the writer
-/// lock and no-ops, leaving the drift to publish after the restore.
-#[derive(Debug, Clone)]
-pub struct HbaReconfigHandle {
-    routes: RouteCell,
-}
-
-/// A published column [`HbaReconfigHandle::retire_mds`] took out of the
-/// mirror: the filter and the slot it held, which is the server's slot
-/// in the cluster's live slab too. Hand it back to
-/// [`restore_mds`](HbaReconfigHandle::restore_mds), and the column
-/// returns to that slot — the two slabs keep one layout. Nothing can
-/// publish a retired column, so the restored one is exactly what the
-/// server last published.
-#[derive(Debug, Clone)]
-pub struct RetiredColumn {
-    id: MdsId,
-    slot: usize,
-    filter: BloomFilter,
-}
-
-impl HbaReconfigHandle {
-    /// The membership epoch of the currently published snapshot.
-    #[must_use]
-    pub fn epoch(&self) -> MembershipEpoch {
-        self.routes.pin().epoch
-    }
-
-    /// Drops `id`'s column from the published mirror and returns it
-    /// (hand it back to
-    /// [`restore_mds`](HbaReconfigHandle::restore_mds)), or `None` if
-    /// the mirror holds no such column.
-    #[must_use]
-    pub fn retire_mds(&self, id: MdsId) -> Option<RetiredColumn> {
-        // Checked under the edit's writer lock, so racing handles
-        // cannot both retire (or both restore) one column.
-        let edit = RouteEdit::begin(&self.routes);
-        let slot = edit.work.slab.slot_of(id)?;
-        let filter = edit.work.slab.extract(id)?;
-        publish(edit, SlabOp::Remove(id));
-        Some(RetiredColumn { id, slot, filter })
-    }
-
-    /// Restores `id`'s retired column at the slot it held. Returns
-    /// `false` (without publishing) when `column` was retired from
-    /// another server, when the mirror already has a column for `id`, or
-    /// when its slot went to another server (the retired one left and a
-    /// newcomer took its place).
-    pub fn restore_mds(&self, id: MdsId, column: &RetiredColumn) -> bool {
-        let edit = RouteEdit::begin(&self.routes);
-        let slab = &edit.work.slab;
-        if column.id != id || slab.contains_id(id) || slab.id_at(column.slot).is_some() {
-            return false;
-        }
-        let RetiredColumn { slot, filter, .. } = column;
-        publish(edit, SlabOp::PushFilter(id, *slot, filter.clone()));
-        true
-    }
 }

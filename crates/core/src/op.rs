@@ -47,9 +47,9 @@
 //!
 //! * **`&mut` entry.** Each fused run drains pending `&self` state,
 //!   pins a snapshot, walks, fills the L1 LRU per occurrence in stream
-//!   order, and folds the walk statistics before returning. Writes hit
-//!   the authoritative stores directly, with their gated delta
-//!   publishes.
+//!   order, and folds the walk statistics before returning. Each write
+//!   is the `&self` entry's shard-log record, drained at once, then its
+//!   home's gated delta publish.
 //! * **`&self` entry — pin once per batch.** Every fused read run of
 //!   the batch walks the one snapshot pinned at admission, through the
 //!   one walk arena of that pin: a write ends a run, not the plans the

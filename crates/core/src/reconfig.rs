@@ -27,7 +27,7 @@ use ghba_bloom::{Fingerprint, Hit};
 use crate::cluster::{Cluster, GhbaCluster, Grouped, Topology};
 use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
-use crate::mds::Mds;
+use crate::mds::{row_indices, Mds};
 use crate::metadata::CompactPath;
 use crate::snapshot::{RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
 use crate::update::UpdateReport;
@@ -384,10 +384,13 @@ impl<T: Topology> Cluster<T> {
     pub(crate) fn rehome_files(&mut self, files: Vec<CompactPath>, target: MdsId) -> u64 {
         let moved = files.len() as u64;
         let target_mds = self.mdss.get_mut(&target).expect("target exists");
+        let rows = &mut self.row_scratch;
         for path in files {
             // An evacuated store hands over paths, not fingerprints.
             let fp = Fingerprint::of(&path);
-            target_mds.create_local_fp(&mut self.live, path, &fp);
+            rows.clear();
+            self.rows.rows_into(&fp, rows);
+            target_mds.create_local_rows(&mut self.live, path, &fp, row_indices(rows));
         }
         moved + self.push_update(target).messages
     }

@@ -48,10 +48,12 @@ pub trait MetadataService {
     /// L1 LRU**, per occurrence in stream order, so a later run (or a
     /// repeated `(entry, path)` pair, which splits the run) observes
     /// it; lookup statistics are **folded into the scheme's stats
-    /// before the call returns**; writes apply to the authoritative
-    /// stores in stream order with their gated grouped delta publishes;
-    /// renames migrate end-to-end. Outcomes are bit-identical to
-    /// executing every op as its own 1-op batch.
+    /// before the call returns**; each write, in stream order, is the
+    /// `&self` entry's shard-log record drained at once — so it reaches
+    /// the WAL, when one is attached, before its effects apply — then
+    /// its home's gated delta publish; renames migrate end-to-end.
+    /// Outcomes are bit-identical to executing every op as its own 1-op
+    /// batch.
     fn execute(&mut self, batch: &OpBatch) -> Vec<OpOutcome>;
 
     /// Executes a typed op batch through a **shared reference**: the
@@ -167,11 +169,11 @@ impl<T: Topology> VectoredScheme for Cluster<T> {
     }
 
     fn apply_create(&mut self, key: &PathKey, home: MdsId) {
-        self.create_file_keyed(key, home);
+        self.create_drained(key, home);
     }
 
     fn apply_remove(&mut self, key: &PathKey) -> Option<MdsId> {
-        self.remove_file_keyed(key)
+        self.remove_drained(key)
     }
 }
 

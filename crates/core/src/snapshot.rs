@@ -147,9 +147,6 @@ impl<T, W> CellWriter<'_, T, W> {
 pub(crate) enum SlabOp<'a> {
     /// Give a joining server an empty column at its live slab's slot.
     Push(MdsId, usize),
-    /// Give a server back its column at `slot`, holding `filter` (a
-    /// retired server's published snapshot).
-    PushFilter(MdsId, usize, BloomFilter),
     /// Drop a departing server's column.
     Remove(MdsId),
     /// Publish: copy the origins' live cells into their published ones
@@ -171,12 +168,6 @@ fn apply_slab_ops(slab: &mut SharedShapeArray<MdsId>, ops: &[SlabOp<'_>]) -> Vec
             SlabOp::Push(id, slot) => slab
                 .push_at(*id, *slot)
                 .expect("a joining server's live slot is free in the published slab"),
-            SlabOp::PushFilter(id, slot, filter) => {
-                slab.push_at(*id, *slot)
-                    .expect("a restored column's slot is free");
-                slab.replace_filter(*id, filter)
-                    .expect("restored column matches the slab shape");
-            }
             SlabOp::Remove(id) => {
                 slab.remove(*id);
             }
@@ -938,11 +929,9 @@ mod tests {
         };
         let mut published = Arc::new(SharedShapeArray::<MdsId>::new(shape));
         let mut spare = SlabSpare::new((*published).clone());
-        let mut filter = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
-        filter.insert("hello");
         let rounds: Vec<Vec<SlabOp>> = vec![
             vec![SlabOp::Push(MdsId(0), 0), SlabOp::Push(MdsId(1), 1)],
-            vec![SlabOp::PushFilter(MdsId(2), 2, filter)],
+            vec![SlabOp::Push(MdsId(2), 2)],
             vec![SlabOp::Remove(MdsId(1))],
         ];
         for ops in &rounds {

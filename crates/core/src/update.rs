@@ -37,8 +37,6 @@
 use core::time::Duration;
 use std::sync::Arc;
 
-use ghba_bloom::SharedShapeArray;
-
 use crate::cluster::{Cluster, Topology};
 use crate::ids::MdsId;
 use crate::snapshot::{RouteEdit, SlabOp};
@@ -74,9 +72,7 @@ impl<T: Topology> Cluster<T> {
     /// mutation: after a check comes up under threshold, another `gate`
     /// mutations must accumulate before the next one (the
     /// `drift_exact_checks` counter makes the cadence observable). It
-    /// reads only the origin's dirty blocks ([`drift_bits`]); a server a
-    /// handle retired has no published column to drift from, and is not
-    /// checked until its column is back.
+    /// reads only the origin's dirty blocks ([`drift_bits`]).
     ///
     /// [`drift_bits`]: Cluster::drift_bits
     pub(crate) fn maybe_publish(&mut self, origin: MdsId) -> Option<UpdateReport> {
@@ -99,9 +95,7 @@ impl<T: Topology> Cluster<T> {
     /// foreign group under G-HBA, **all** other servers under HBA (the
     /// Figure 12 contrast) — returning the cost report. A no-op (with
     /// `refreshed: false`) when the live column matches the published
-    /// one, or when a handle retired `origin`'s mirror: the drift then
-    /// stays unconsumed, so the first push after the restore folds the
-    /// accumulated drift into the restored column.
+    /// one.
     ///
     /// # Panics
     ///
@@ -124,33 +118,26 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// The one column publisher: copies the live cells of every server of
-    /// `origins` (ascending) that has a published column into it, over
-    /// the blocks it dirtied, through one routing edit — one writer lock,
-    /// one masked pass per slab (the successor's and the recycled
-    /// spare's), one pointer swap however many servers drifted — then
-    /// accounts each origin whose copy changed a word against that one
-    /// successor. Every origin with a column restarts its cadence, moved
-    /// or not. Returns the summed cost (latency: the slowest push; the
-    /// default report when no word changed, and then nothing is
-    /// published either). A flush barrier (`logged`) is written ahead to
-    /// the attached WAL first (see [`log_flush`](Cluster::log_flush)).
+    /// `origins` (ascending) into its published column, over the blocks
+    /// it dirtied, through one routing edit — one writer lock, one masked
+    /// pass per slab (the successor's and the recycled spare's), one
+    /// pointer swap however many servers drifted — then accounts each
+    /// origin whose copy changed a word against that one successor.
+    /// Every origin restarts its cadence, moved or not. Returns the
+    /// summed cost (latency: the slowest push; the default report when
+    /// no word changed, and then nothing is published either). A flush
+    /// barrier (`logged`) is written ahead to the attached WAL first (see
+    /// [`log_flush`](Cluster::log_flush)).
     fn publish_columns(&mut self, origins: &[MdsId], logged: bool) -> UpdateReport {
         let routes = Arc::clone(&self.routes);
-        // Take the writer lock *before* reading a column, so a concurrent
-        // retire cannot drop an origin's column between the check and
-        // the publish.
         let mut edit = RouteEdit::begin(&routes);
         if logged {
-            self.log_flush(origins, &edit.work.slab);
+            self.log_flush(origins);
         }
-        let (mut published, mut dirty, mut copies) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut dirty, mut copies) = (Vec::new(), Vec::new());
         for &origin in origins {
             let mds = self.mdss.get(&origin).expect("origin must exist");
-            if !edit.work.slab.contains_id(origin) {
-                continue;
-            }
             debug_assert_eq!(edit.work.slab.slot_of(origin), Some(mds.slot()));
-            published.push(origin);
             if mds.dirty_blocks().iter().any(|&blocks| blocks != 0) {
                 dirty.push(origin);
                 copies.push((mds.slot(), mds.dirty_blocks(), mds.item_count()));
@@ -168,7 +155,7 @@ impl<T: Topology> Cluster<T> {
             edit.push_op(SlabOp::Copy(&self.live, copies));
             edit.commit()
         };
-        for origin in &published {
+        for origin in origins {
             self.mdss
                 .get_mut(origin)
                 .expect("origin must exist")
@@ -176,7 +163,7 @@ impl<T: Topology> Cluster<T> {
         }
         let snap = self.routes.pin();
         #[cfg(debug_assertions)]
-        for &origin in &published {
+        for &origin in origins {
             let mds = &self.mdss[&origin];
             let all = vec![u64::MAX; mds.dirty_blocks().len()];
             debug_assert_eq!(
@@ -205,22 +192,22 @@ impl<T: Topology> Cluster<T> {
 
     /// Write-ahead for a flush barrier over `origins`, decided before
     /// any server or column changes: the record is appended only when
-    /// the flush will change durable state — some origin with a column in
-    /// `slab` whose publish restarts its drift cadence (the counters a
-    /// checkpoint captures; a server with none to restart is clean and
-    /// has no drift to publish either). A flush that changes nothing
+    /// the flush will change durable state — some origin whose publish
+    /// restarts its drift cadence (the counters a checkpoint captures; a
+    /// server with none to restart is clean and has no drift to publish
+    /// either). A flush that changes nothing
     /// logs nothing, so an idle tick leaves the log as it was; it only
     /// lets a [`GroupCommit`](crate::SyncPolicy::GroupCommit) tail reach
     /// disk once its interval has passed ([`Wal::sync_if_due`]).
     ///
     /// [`Wal::sync_if_due`]: crate::Wal::sync_if_due
-    fn log_flush(&mut self, origins: &[MdsId], slab: &SharedShapeArray<MdsId>) {
+    fn log_flush(&mut self, origins: &[MdsId]) {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
         let changes = origins
             .iter()
-            .any(|&id| slab.contains_id(id) && self.mdss[&id].publish_changes_state());
+            .any(|&id| self.mdss[&id].publish_changes_state());
         if changes {
             wal.append_flush()
                 .expect("WAL append failed: cannot publish unlogged flush");
@@ -276,13 +263,8 @@ mod tests {
     /// `push_update` per server on a twin: same summed report, same
     /// update statistics, same columns — through exactly one successor
     /// snapshot, which carries every delta while a pin taken before it
-    /// carries none. `retired` names servers whose mirror a handle
-    /// dropped (no column: their drift must stay unconsumed on both).
-    fn flush_equals_pushes<T: Topology>(
-        mut flushed: Cluster<T>,
-        mut pushed: Cluster<T>,
-        retired: &[MdsId],
-    ) {
+    /// carries none.
+    fn flush_equals_pushes<T: Topology>(mut flushed: Cluster<T>, mut pushed: Cluster<T>) {
         let ids = flushed.server_ids();
         let stale: BTreeMap<MdsId, _> = ids
             .iter()
@@ -298,14 +280,13 @@ mod tests {
         let mut summed = UpdateReport::default();
         for &id in &ids {
             let report = pushed.push_update(id);
-            let expect_refresh = id != QUIET && !retired.contains(&id);
-            assert_eq!(report.refreshed, expect_refresh, "{id}");
+            assert_eq!(report.refreshed, id != QUIET, "{id}");
             summed.messages += report.messages;
             summed.bytes += report.bytes;
             summed.latency = summed.latency.max(report.latency);
             summed.refreshed |= report.refreshed;
         }
-        let refreshed = ids.len() - 1 - retired.len();
+        let refreshed = ids.len() - 1;
         assert_eq!(pushed.routes.publishes(), pushed_swaps + refreshed as u64);
         assert!(total.refreshed && total.messages > 0);
         assert_eq!(total, summed);
@@ -325,14 +306,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&before, &after));
         for &id in &ids {
             let published = after.slab.extract(id);
-            if retired.contains(&id) {
-                assert!(published.is_none() && stale[&id].is_none(), "{id}");
-                assert!(
-                    !flushed.mds(id).expect("live").is_clean(),
-                    "{id}: drift consumed"
-                );
-                continue;
-            }
             assert_eq!(before.slab.extract(id), stale[&id], "{id}");
             assert_eq!(flushed.drift_bits(id), Some(0), "{id}");
             assert_eq!(published == stale[&id], id == QUIET, "{id}");
@@ -347,7 +320,7 @@ mod tests {
     #[test]
     fn one_flush_publishes_what_a_push_per_server_would_grouped() {
         let flushed = drifted::<crate::Grouped>();
-        flush_equals_pushes(flushed.clone(), flushed.clone(), &[]);
+        flush_equals_pushes(flushed.clone(), flushed.clone());
         let mut flushed = flushed;
         flushed.flush_all_updates();
         flushed.check_invariants().expect("slab mirrors published");
@@ -374,22 +347,11 @@ mod tests {
 
     #[test]
     fn one_flush_publishes_what_a_push_per_server_would_mirrored() {
-        let retired = MdsId(2);
-        let build = || {
-            let cluster: HbaCluster = drifted();
-            let handle = cluster.reconfig_handle();
-            let filter = handle.retire_mds(retired).expect("published");
-            (cluster, handle, filter)
-        };
-        let (flushed, ..) = build();
-        let (pushed, ..) = build();
-        flush_equals_pushes(flushed, pushed, &[retired]);
-        // The retired server's drift waited for its column to come back.
-        let (mut cluster, handle, filter) = build();
-        cluster.flush_all_updates();
-        assert!(handle.restore_mds(retired, &filter));
-        assert!(cluster.push_update(retired).refreshed);
-        cluster.check_invariants().expect("slab mirrors published");
+        let flushed: HbaCluster = drifted();
+        flush_equals_pushes(flushed.clone(), flushed.clone());
+        let mut flushed = flushed;
+        flushed.flush_all_updates();
+        flushed.check_invariants().expect("slab mirrors published");
     }
 
     /// Regression: once `mutations_since_publish` passed the gate but
@@ -533,11 +495,8 @@ mod tests {
     /// Two rounds of writes through both entries on 70 servers (two slab
     /// words), each published by one flush held to the reference. Round
     /// two has an origin whose only write was a re-create and one whose
-    /// create and remove cancel out — neither is refreshed — and, between
-    /// its writes and its flush, whatever `between` does (a mirror retired,
-    /// written to and restored).
+    /// create and remove cancel out — neither is refreshed.
     fn masked_publish_matches_the_reference<T: Topology>(
-        between: impl Fn(&mut Cluster<T>),
     ) -> (Cluster<T>, BTreeMap<MdsId, BloomFilter>) {
         let config = GhbaConfig::default()
             .with_filter_capacity(400)
@@ -577,7 +536,6 @@ mod tests {
         }
         concurrent(&mut cluster, 1, EntryPolicy::Pinned(MdsId(66)));
         cluster.drain_concurrent();
-        between(&mut cluster);
         let dirty = |cluster: &Cluster<T>, id| !cluster.mds(id).expect("live").is_clean();
         assert!(dirty(&cluster, RECREATED) && dirty(&cluster, GHOST));
         let stale = [RECREATED, GHOST].map(|id| cluster.published_filter(id));
@@ -594,7 +552,7 @@ mod tests {
     /// of a checkpoint whose published filters are the reference's.
     #[test]
     fn masked_publish_matches_the_reference_grouped() {
-        let (mut cluster, columns) = masked_publish_matches_the_reference::<crate::Grouped>(|_| {});
+        let (mut cluster, columns) = masked_publish_matches_the_reference::<crate::Grouped>();
         let capture = cluster.capture_checkpoint();
         let mut expected = capture.clone();
         for server in &mut expected.servers {
@@ -603,23 +561,8 @@ mod tests {
         assert_eq!(capture.to_bytes(), expected.to_bytes());
     }
 
-    /// A server whose mirror was retired, written to while retired and
-    /// restored is published by the flush like any other.
     #[test]
     fn masked_publish_matches_the_reference_mirrored() {
-        const BACK: MdsId = MdsId(7);
-        let (cluster, _) = masked_publish_matches_the_reference::<crate::FullMirror>(|cluster| {
-            let handle = cluster.reconfig_handle();
-            let column = handle.retire_mds(BACK).expect("published");
-            for i in 0..30 {
-                cluster.create_file_at(&format!("/ref/back{i}"), BACK);
-            }
-            assert!(cluster.published_filter(BACK).is_none());
-            assert!(handle.restore_mds(BACK, &column));
-        });
-        for i in 0..30 {
-            let published = cluster.published_filter(BACK).expect("restored");
-            assert!(published.contains(&format!("/ref/back{i}")));
-        }
+        masked_publish_matches_the_reference::<crate::FullMirror>();
     }
 }

@@ -10,6 +10,10 @@
 //! every resolved [`WriteRecord`], in drain order — is
 //! appended (and, per policy, synced) **before any effect is applied**,
 //! so nothing the cluster ever published can be missing from the log.
+//! Every namespace write takes this path: an owner's write is the same
+//! record, drained at once — a drain of its own, so one appended record
+//! (synced under [`SyncPolicy::EveryBatch`]) and one step towards
+//! `checkpoint_every` per write.
 //! [`flush_all_updates`](crate::GhbaCluster::flush_all_updates) barriers are
 //! logged the same way, so the publish *history* (which filters were
 //! refreshed when) replays exactly, not just the namespace — except a
@@ -122,9 +126,14 @@
 //!   policies (the networked e2e recipe already does).
 //! * `FileAttrs` inode numbers (reassigned on replay; never observable
 //!   through an [`OpOutcome`](crate::OpOutcome)).
-//! * Owner-side direct mutations (`create_file_at` and friends) bypass
-//!   the shard logs; they are captured by the *next checkpoint* only.
-//!   The replica pipeline never uses them.
+//! * The owner's gated per-write publish. An owner write (the `&mut`
+//!   [`execute`](crate::MetadataService::execute), `create_file_at`,
+//!   `remove_file`) is a shard-log record drained — and logged — at
+//!   once, but the `maybe_publish` → `push_update` that may follow it
+//!   is not logged: a recovered cluster has every home back, and
+//!   publishes that drift at its first flush instead. Logging it needs
+//!   a record kind of its own (ROADMAP direction 11). The replica
+//!   pipeline never publishes per write.
 //! * Within-group replica *placement* for controller-reshaped clusters:
 //!   the checkpoint records group membership and epochs exactly, and
 //!   recovery rebuilds replica placement deterministically

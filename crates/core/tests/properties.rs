@@ -179,9 +179,6 @@ enum LiveStep {
     Push(u8),
     Join,
     Leave(u8),
-    /// Under HBA: retire a server's mirror, write to the server, restore
-    /// the mirror and publish it.
-    RetireWriteRestore(u8, u16),
 }
 
 fn arb_live_step() -> impl Strategy<Value = LiveStep> {
@@ -196,7 +193,6 @@ fn arb_live_step() -> impl Strategy<Value = LiveStep> {
         2 => any::<u8>().prop_map(LiveStep::Push),
         1 => Just(LiveStep::Join),
         1 => any::<u8>().prop_map(LiveStep::Leave),
-        1 => (any::<u8>(), 0u16..300).prop_map(|(pick, f)| LiveStep::RetireWriteRestore(pick, f)),
     ]
 }
 
@@ -206,9 +202,9 @@ fn arb_live_step() -> impl Strategy<Value = LiveStep> {
 /// its counters' projection, a published column differs from its live
 /// one only in the server's dirty blocks, a clean server's two columns
 /// are one. Pending writes of the `&self` entry stay pending across
-/// owner steps that do not drain. `$retire` handles `RetireWriteRestore`.
+/// owner steps that do not drain.
 macro_rules! drive_live_stream {
-    ($name:ident, $cluster:ty, $retire:expr) => {
+    ($name:ident, $cluster:ty) => {
         fn $name(steps: &[LiveStep], seed: u64) -> Result<(), TestCaseError> {
             let config = GhbaConfig::default()
                 .with_max_group_size(8)
@@ -269,10 +265,6 @@ macro_rules! drive_live_stream {
                             cluster.remove_mds(pick(*at)).expect("removable");
                         }
                     }
-                    LiveStep::RetireWriteRestore(at, f) => {
-                        let retire: fn(&mut $cluster, MdsId, &str) = $retire;
-                        retire(&mut cluster, pick(*at), &path(*f));
-                    }
                 }
                 if let Err(violation) = cluster.check_invariants() {
                     return Err(TestCaseError::fail(format!(
@@ -294,19 +286,9 @@ macro_rules! drive_live_stream {
     };
 }
 
-drive_live_stream!(drive_grouped, GhbaCluster, |_, _, _| {});
+drive_live_stream!(drive_grouped, GhbaCluster);
 
-drive_live_stream!(drive_mirrored, HbaCluster, |cluster, victim, path| {
-    let handle = cluster.reconfig_handle();
-    let column = handle.retire_mds(victim).expect("published");
-    cluster.create_file_at(path, victim);
-    cluster
-        .check_invariants()
-        .expect_err("a retired mirror is a lost column");
-    assert!(handle.restore_mds(victim, &column));
-    cluster.push_update(victim);
-    assert!(cluster.mds(victim).expect("live").is_clean());
-});
+drive_live_stream!(drive_mirrored, HbaCluster);
 
 fn test_config(seed: u64) -> GhbaConfig {
     GhbaConfig::default()
@@ -387,8 +369,7 @@ proptest! {
     /// The live slab stays exact, and the published slab its lagging
     /// twin, under arbitrary streams of creates, re-creates, removes,
     /// absent removes, drains, flushes, pushes, joins and leaves through
-    /// both entries — on G-HBA, and on HBA with mirrors retired, written
-    /// to and restored along the way.
+    /// both entries — on G-HBA and on HBA.
     #[test]
     fn live_slab_is_exact_under_arbitrary_streams(
         steps in proptest::collection::vec(arb_live_step(), 1..40),

@@ -843,6 +843,111 @@ fn recovery_refuses_a_mismatched_configuration() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The owner-side stream of the two owner-write tests: the workload's
+/// 120 creates as four `execute` batches of 30, then its first 20 paths
+/// removed through one more.
+fn run_owner_workload(cluster: &mut GhbaCluster) {
+    let paths = workload_paths();
+    for (w, chunk) in paths.chunks(30).enumerate() {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: w });
+        for path in chunk {
+            batch.push_create(path);
+        }
+        cluster.execute(&batch);
+    }
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 3 });
+    for path in &paths[..20] {
+        batch.push_remove(path);
+    }
+    cluster.execute(&batch);
+}
+
+/// An owner write is durable: a create or a remove through the `&mut`
+/// entry — `execute`, `create_file_at`, `remove_file` — is a shard-log
+/// record drained at once, so it reaches the WAL like any drain, and a
+/// cluster recovered from the log alone has every home back.
+#[test]
+fn owner_writes_recover_every_home() {
+    let dir = temp_dir("owner-writes");
+    let opts = options(SyncPolicy::EveryBatch, 0);
+    let paths = workload_paths();
+    let at = "/wal/owner/at";
+    let names = || paths.iter().map(String::as_str).chain([at]);
+    let homes: Vec<Option<MdsId>> = {
+        let mut cluster = GhbaCluster::with_servers(test_config(), 6);
+        let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+        cluster.attach_wal(wal);
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+        for path in &paths {
+            batch.push_create(path);
+        }
+        cluster.execute(&batch);
+        cluster.create_file_at(at, MdsId(3));
+        assert!(cluster.remove_file(&paths[0]).is_some());
+        assert_eq!(cluster.pending_concurrent_writes(), 0);
+        names().map(|path| cluster.true_home(path)).collect()
+    };
+    assert_eq!(homes[0], None);
+    assert_eq!(homes[paths.len()], Some(MdsId(3)));
+    let recovered = GhbaCluster::recover(test_config(), 6, &dir, opts).expect("recover");
+    recovered.check_invariants().expect("recovered invariants");
+    let created = &paths[1..];
+    let back = created
+        .iter()
+        .zip(&homes[1..])
+        .filter(|&(path, &home)| recovered.true_home(path) == home)
+        .count();
+    assert_eq!(
+        back,
+        created.len(),
+        "recovered {back} of the {} paths created through execute",
+        created.len()
+    );
+    let recovered_homes: Vec<Option<MdsId>> = names().map(|p| recovered.true_home(p)).collect();
+    assert_eq!(recovered_homes, homes);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// What an owner write still leaves unlogged: the gated per-write
+/// publish (`maybe_publish` → `push_update`) after its drain. Where no
+/// gated push fires (`update_threshold_bits` 2,048 for this stream),
+/// the recovered durable state is the unlogged twin's exactly; where
+/// they fire (threshold 8: every write crosses it), the published
+/// columns and cadence counters they moved are not in the log, and
+/// recovery still puts every path at its home.
+#[test]
+fn owner_gated_publishes_are_what_stays_unlogged() {
+    for (threshold, pushes) in [(2_048, false), (8, true)] {
+        let config = test_config().with_update_threshold(threshold);
+        let dir = temp_dir(&format!("owner-gate-{threshold}"));
+        let opts = options(SyncPolicy::EveryBatch, 0);
+        let mut twin = GhbaCluster::with_servers(config.clone(), 6);
+        run_owner_workload(&mut twin);
+        assert_eq!(
+            twin.stats().update_latency.count() > 0,
+            pushes,
+            "threshold {threshold}"
+        );
+        {
+            let mut cluster = GhbaCluster::with_servers(config.clone(), 6);
+            let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+            cluster.attach_wal(wal);
+            run_owner_workload(&mut cluster);
+        }
+        let mut recovered = GhbaCluster::recover(config, 6, &dir, opts).expect("recover");
+        recovered.check_invariants().expect("recovered invariants");
+        if pushes {
+            for path in workload_paths() {
+                assert_eq!(recovered.true_home(&path), twin.true_home(&path), "{path}");
+            }
+        } else {
+            assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+            assert_lookups_identical(&recovered, &twin);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
