@@ -9,7 +9,7 @@
 //! goes through the existing [`ReconfigHandle`], so every applied
 //! action is one pointer-swap publish: in-flight walks finish on their
 //! pinned snapshot and untouched groups keep their per-group epochs —
-//! and therefore their warm mask caches — through every decision.
+//! and therefore their warm plans — through every decision.
 //!
 //! # The hysteresis / cooldown contract
 //!

@@ -23,13 +23,14 @@
 //! writes mutate `Mds` state between runs). A one-item run walks with
 //! no dedup map.
 //!
-//! * **Plans.** What a walk needs that depends only on `(pin, entry)` —
-//!   the entry's `&Mds`, group, L2 candidate state and modelled probe
-//!   cost; its group's L3 state with each member's `&Mds` and probe
-//!   cost — is resolved once per arena (`EntryPlan` / `GroupPlan`).
-//!   Sound because neither `mdss`, the live slab nor the pinned snapshot
-//!   can change while the arena's owner borrows the cluster; the
-//!   overlay, which a batch's own writes do move, is consulted per walk.
+//! * **Plans.** What a walk needs that depends only on the snapshot —
+//!   the entry's group, L2 candidate mask and held count; its group's L3
+//!   mask with each member's slot and held count — is planned once per
+//!   *snapshot*, not per pin: the pinned [`RouteSnapshot`]'s plan table
+//!   keeps it for every later walk pinned there, on any thread, and
+//!   hands what still holds to the successor. The overlay, which a
+//!   batch's own writes do move, is consulted per walk, and so is a
+//!   memory budget's resident count (see `array_probe`).
 //! * **Where live verdicts come from.** Every server's live filter is one
 //!   column of the cluster's *live slab*, at the slot its published
 //!   filter has in the pinned slab. When every server is clean, the two
@@ -66,7 +67,7 @@ use core::time::Duration;
 use std::sync::{Arc, Mutex};
 
 use ghba_bloom::{BloomFilter, Fingerprint, Hit, ProbeBatch, RowDeriver, SharedShapeArray};
-use ghba_simnet::{Counters, DetRng, LatencyStats};
+use ghba_simnet::{Counters, DetRng, LatencyModel, LatencyStats};
 
 use crate::concurrent::{
     ConcurrentStats, NamespaceShards, OverlayEntry, WalkTally, WriteKind, WriteRecord,
@@ -78,7 +79,9 @@ use crate::mds::{published_shape, row_indices, LiveSlab, Mds};
 use crate::op::{resolve_unique, EntryPolicy, PathKey, WalkItem, WalkKey};
 use crate::query::{LevelCounts, QueryLevel, QueryOutcome};
 use crate::reconfig::ReconfigReport;
-use crate::snapshot::{route_cell, ReconfigHandle, RouteCell, RouteSnapshot, SharedL2, SharedL3};
+use crate::snapshot::{
+    plan, route_cell, L2Plan, PlanTable, ReconfigHandle, RouteCell, RouteSnapshot,
+};
 use crate::update::UpdateReport;
 
 /// Aggregate statistics of a cluster's lifetime.
@@ -102,57 +105,29 @@ pub struct ClusterStats {
     pub splits: u64,
     /// Group merges performed.
     pub merges: u64,
-    /// L2/L3 mask-cache consultations answered from cache since the last
-    /// [`reset_stats`](Cluster::reset_stats) (the figure-binary view
-    /// of [`mask_cache_stats`](Cluster::mask_cache_stats), which
+    /// L2/L3 plan consultations answered by a plan already built since
+    /// the last [`reset_stats`](Cluster::reset_stats) (the figure-binary
+    /// view of [`mask_cache_stats`](Cluster::mask_cache_stats), which
     /// keeps lifetime totals).
     pub mask_cache_hits: u64,
-    /// L2/L3 mask-cache consultations that had to (re)build their entry
-    /// since the last reset.
+    /// L2/L3 plan consultations that had to build their plan since the
+    /// last reset.
     pub mask_cache_misses: u64,
     /// Named auxiliary counters (verification round trips, drops, …).
     pub counters: Counters,
 }
 
-/// What every walk entering at one server reuses under a pin: all of it
-/// a pure function of `(pin, entry)`, because no [`Mds`] mutates while
-/// the arena's owner holds the cluster by reference.
-#[derive(Debug)]
-struct EntryPlan<'a> {
-    mds: &'a Mds,
-    /// The (pseudo-)group the entry's walks are attributed to.
-    gid: GroupId,
-    /// The entry's L2 candidate state and the modelled cost of probing
-    /// it, built when the first walk from this entry reaches L2 — an L1
-    /// hit consults nothing.
-    l2: Option<(Arc<SharedL2>, Duration)>,
-}
-
-/// One group's L3 stage under a pin: the shared state plus each member
-/// (in `l3.member_held` order) with the modelled cost of its own array
-/// probe.
-#[derive(Debug)]
-struct GroupPlan<'a> {
-    l3: Arc<SharedL3>,
-    members: Vec<(MdsId, &'a Mds, Duration)>,
-}
-
 /// Everything the pinned walk keeps between the fused runs of one pin:
-/// the entry and group plans (indexed by `MdsId.0` / `GroupId.0`; a
-/// lock-free L0 in front of whatever longer-lived mask cache the
-/// topology keeps, valid exactly as long as the snapshot stays pinned
-/// and the cluster stays borrowed), whether the pin reads live verdicts
-/// from the live slab (decided by its first run), the current run's
-/// probe rows, the row-AND scratch of both slabs, and the tally every
-/// run's splice counts into.
+/// whether the pin reads live verdicts from the live slab (decided by its
+/// first run), the current run's probe rows, the row-AND scratch of both
+/// slabs, and the tally every run's splice counts into. (The walk's
+/// plans are the pinned snapshot's: see [`PlanTable`].)
 /// Whoever owns the pin owns the arena and hands the tally over once,
 /// when the pin's last run has returned ([`Cluster::absorb_walks`]) —
 /// an arena dropped without that (its batch panicked) has recorded
 /// nothing.
 #[derive(Debug, Default)]
-pub(crate) struct WalkArena<'a> {
-    entries: Vec<Option<EntryPlan<'a>>>,
-    groups: Vec<Option<GroupPlan<'a>>>,
+pub(crate) struct WalkArena {
     reads_live: Option<bool>,
     probes: ProbeBatch,
     /// `k` rows per walked item, item-major.
@@ -165,21 +140,12 @@ pub(crate) struct WalkArena<'a> {
     tally: WalkTally,
 }
 
-/// Slot `id` of an id-indexed plan table, grown on demand.
-fn plan_slot<P>(plans: &mut Vec<Option<P>>, id: u16) -> &mut Option<P> {
-    let at = usize::from(id);
-    if plans.len() <= at {
-        plans.resize_with(at + 1, || None);
-    }
-    &mut plans[at]
-}
-
 /// One pinned walk's result: the outcome, the group it is attributed to
 /// and the false-hit tallies `[l1, l2, l3, l4 disk checks]`, recorded
-/// per occurrence by the run's splice — plus how its `[L2, L3]` mask
+/// per occurrence by the run's splice — plus how its `[L2, L3]` plan
 /// consults were answered (`None` = level not reached, `Some(false)` =
-/// built), recorded once per walk: a plan or shared-cache answer counts
-/// as a mask-cache hit, only a genuine build as a miss.
+/// built), recorded once per walk: a plan some walk already built counts
+/// as a mask-cache hit, only the walk that builds it as a miss.
 #[derive(Debug)]
 struct Walked {
     outcome: QueryOutcome,
@@ -203,25 +169,14 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
     /// mask consults and load telemetry are attributed there.
     fn walk_group(snap: &RouteSnapshot, entry: MdsId) -> GroupId;
 
-    /// `entry`'s L2 candidate state — which published columns it probes
-    /// locally and how many replicas that is — and whether a cache
-    /// answered (`false` = built here). Consulted once per entry and
-    /// pin: the walk arena keeps the answer.
-    fn l2(
-        cluster: &Cluster<Self>,
-        snap: &RouteSnapshot,
-        entry: MdsId,
-        gid: GroupId,
-    ) -> (Arc<SharedL2>, bool);
-
-    /// The L3 group-multicast stage's state and whether a cache answered
-    /// it, or `None` when the layout has no level between the entry's
-    /// own array and the broadcast.
-    fn l3(
-        cluster: &Cluster<Self>,
-        snap: &RouteSnapshot,
-        gid: GroupId,
-    ) -> Option<(Arc<SharedL3>, bool)>;
+    /// Builds `entry`'s L2 plan under `snap` — which published columns
+    /// it probes locally and how many replicas that is — priced by
+    /// `model`. Called once per entry and snapshot: the snapshot's
+    /// [`PlanTable`] keeps the plan. (The L3 group-multicast stage is the
+    /// snapshot's own [`build_l3`](RouteSnapshot::build_l3); a layout
+    /// without groups has no L3 slot, so no level between the entry's
+    /// own array and the broadcast.)
+    fn l2(snap: &RouteSnapshot, entry: MdsId, gid: GroupId, model: &LatencyModel) -> L2Plan;
 
     /// Replicas `id` holds (the memory charge behind Table 5).
     fn held_replicas(cluster: &Cluster<Self>, snap: &RouteSnapshot, id: MdsId) -> usize;
@@ -341,7 +296,7 @@ pub struct Cluster<T: Topology> {
 impl<T: Topology> Clone for Cluster<T> {
     /// Clones the cluster into an **independent** instance: the clone
     /// gets its own snapshot cell seeded with the currently published
-    /// snapshot and its own (cold) mask cache. Immutable storage (the
+    /// snapshot and its own (cold) plan table. Immutable storage (the
     /// slab, per-group placement) is shared structurally via `Arc` until
     /// either side's next edit copies-on-write, so the clone is cheap
     /// and the two clusters can never observe each other's subsequent
@@ -355,9 +310,9 @@ impl<T: Topology> Clone for Cluster<T> {
             "clone with undrained concurrent writes pending"
         );
         let mut snapshot = (*self.routes.pin()).clone();
-        // Cached masks are validated by `(group, epoch)` alone, and two
-        // diverging clusters mint the same epochs for different layouts.
-        snapshot.masks = Arc::default();
+        // Cold, not shared: one twin's walks must not answer the other's
+        // plan consults.
+        snapshot.plans = Arc::new(PlanTable::cold(&snapshot));
         Cluster {
             config: self.config.clone(),
             mdss: self.mdss.clone(),
@@ -436,10 +391,10 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// L2/L3 mask-cache accounting, both scopes, one source of truth —
-    /// a hit is a mask consultation answered from cache (a pin's plan
-    /// reused by a later walk counts too), a miss one that had to build
-    /// the entry. `lifetime_*` spans the cluster's whole life; `window_*`
-    /// is the reset-scoped view the figure binaries read (cleared by
+    /// a hit is a walk that read a plan some walk already built on its
+    /// snapshot, a miss the walk that built it. `lifetime_*` spans the
+    /// cluster's whole life; `window_*` is the reset-scoped view the
+    /// figure binaries read (cleared by
     /// [`reset_stats`](Cluster::reset_stats)). Consults recorded on
     /// `&self` walks but not yet drained are folded into both scopes,
     /// so this is exact at any moment without a drain barrier.
@@ -764,12 +719,25 @@ impl<T: Topology> Cluster<T> {
         !self.mdss.values().all(Mds::is_clean)
     }
 
+    /// The modelled cost of `id`'s probe of the `held` replicas it holds
+    /// and its own filter: `resident`, the plan's all-in-memory cost —
+    /// unless a memory budget spills some, which every drain can move, so
+    /// it is priced from the live budget at each use.
+    fn array_probe(&self, id: MdsId, held: usize, resident: Duration) -> Duration {
+        if self.config.memory_per_mds.is_none() {
+            return resident;
+        }
+        let spilled = held - self.mdss[&id].resident_replicas(held);
+        self.config.latency.array_probe(held + 1, spilled)
+    }
+
     /// The L1 → L2 → \[L3\] → L4 escalation of walked item `at` against a
     /// pinned snapshot, from `&self` — **the** walk: every read entry of
     /// every scheme, `&mut` or `&self`, single or batched, resolves
-    /// through it. What depends only on `(pin, entry)` comes from `arena`
-    /// (the topology supplies the L2 candidate state and — iff it has a
-    /// group level — the L3 stage, once per arena); the item's probe rows
+    /// through it. What depends only on the snapshot comes from its plan
+    /// table (the topology builds the L2 plan and, iff the layout has
+    /// groups, the snapshot the L3 plan, each once per snapshot); the
+    /// item's probe rows
     /// serve every level: one unmasked row-AND of the slab that L2 and L3
     /// each read under their own mask — `(mask ∧ live) ∧ rows =
     /// mask ∧ (live ∧ rows)` — and every live-filter probe. The walk
@@ -780,9 +748,13 @@ impl<T: Topology> Cluster<T> {
     /// # What a walk reads
     ///
     /// The `k` rows of its published row-AND (prefetched two items ahead
-    /// by [`walk_chunk`](Self::walk_chunk)), the L1 LRU array if any, and
-    /// one live verdict per server it asks at L2 (the entry), L3 (the
-    /// group's members) and L4 (everyone). Every verdict is one bit of
+    /// by [`walk_chunk`](Self::walk_chunk)), the L1 LRU array if any, its
+    /// entry's L2 plan slot and, past L2, its group's L3 slot — each a
+    /// bounds-checked index and one `OnceLock::get` into the pinned
+    /// snapshot's [`PlanTable`], once the first walk needing it built it
+    /// — and one live verdict per server it asks at L2 (the entry), L3
+    /// (the group's members, at the slots their plan lists) and L4
+    /// (everyone). Every verdict is one bit of
     /// one word: the server's [`Mds::slot`] of the published row-AND when
     /// the pin has only clean servers, of the live slab's
     /// row-AND — `k` more rows, prefetched beside the published ones —
@@ -810,16 +782,14 @@ impl<T: Topology> Cluster<T> {
     /// reports the **highest-id** server that stores it
     /// ([`locate_home`](Self::locate_home), the remove's locator, takes
     /// the lowest first).
-    fn walk_pinned<'a>(
-        &'a self,
+    fn walk_pinned(
+        &self,
         snap: &RouteSnapshot,
         (entry, path, fp): WalkItem<'_>,
         at: usize,
-        arena: &mut WalkArena<'a>,
+        arena: &mut WalkArena,
     ) -> Walked {
         let WalkArena {
-            entries,
-            groups,
             reads_live,
             rows,
             anded,
@@ -830,12 +800,10 @@ impl<T: Topology> Cluster<T> {
         let rows = &rows[at * k..(at + 1) * k];
         let model = &self.config.latency;
 
-        let entry_plan = plan_slot(entries, entry.0).get_or_insert_with(|| EntryPlan {
-            mds: self.mdss.get(&entry).expect("unknown entry MDS"),
-            gid: T::walk_group(snap, entry),
-            l2: None,
-        });
-        let (entry_mds, gid) = (entry_plan.mds, entry_plan.gid);
+        let entry_mds = self.mdss.get(&entry).expect("unknown entry MDS");
+        let l2_slot = snap.plans.l2(entry);
+        let planned = l2_slot.get();
+        let gid = planned.map_or_else(|| T::walk_group(snap, entry), |l2| l2.gid);
 
         let overlay = self.shards.overlay_keyed(path, &fp);
         let mut latency = model.dispatch;
@@ -889,15 +857,12 @@ impl<T: Topology> Cluster<T> {
 
         // ---- L2: the entry's own array (its held replicas — θ of them
         // under G-HBA, all N − 1 under HBA) plus its live filter. ----
-        consults[0] = Some(true);
-        let (l2, l2_probe) = &*entry_plan.l2.get_or_insert_with(|| {
-            let (l2, cached) = T::l2(self, snap, entry, gid);
-            consults[0] = Some(cached);
-            let resident = entry_mds.resident_replicas(l2.held);
-            let probe = model.array_probe(l2.held + 1, l2.held - resident);
-            (l2, probe)
-        });
-        latency += *l2_probe;
+        let (l2, built) = match planned {
+            Some(l2) => (&**l2, false),
+            None => plan(l2_slot, || T::l2(snap, entry, gid, model)),
+        };
+        consults[0] = Some(!built);
+        latency += self.array_probe(entry, l2.held, l2.probe);
         snap.slab.and_rows(row_indices(rows), anded);
         let anded = &*anded;
         // The word every live verdict is read from: the published
@@ -916,21 +881,20 @@ impl<T: Topology> Cluster<T> {
         // decrements at drain), so a stale positive survives until the
         // drain — it fails verification and costs accounting, never a
         // wrong home.
-        let probes_live = |id: MdsId, mds: &Mds| {
+        let probes_live = |id: MdsId, slot: usize| {
             if overlay == OverlayEntry::Created(id) {
                 return true;
             }
-            let slot = mds.slot();
             let positive = verdicts[slot / 64] >> (slot % 64) & 1 == 1;
             debug_assert_eq!(
                 positive,
-                mds.counts().contains_fp(&fp),
+                self.mdss[&id].counts().contains_fp(&fp),
                 "{id}'s verdict differs from its counting filter"
             );
             positive
         };
         let (mut positives, mut candidate) = snap.slab.positives_under(anded, &l2.mask);
-        let entry_live = probes_live(entry, entry_mds);
+        let entry_live = probes_live(entry, entry_mds.slot());
         if entry_live {
             positives += 1;
             candidate = Some(entry);
@@ -950,50 +914,34 @@ impl<T: Topology> Cluster<T> {
         }
 
         // ---- L3: multicast within the entry's group, if any. ----
-        let group = match plan_slot(groups, gid.0) {
-            Some(group) => {
-                consults[1] = Some(true);
-                Some(&*group)
-            }
-            vacant => {
-                *vacant = T::l3(self, snap, gid).map(|(l3, cached)| {
-                    consults[1] = Some(cached);
-                    let members = l3
-                        .member_held
-                        .iter()
-                        .map(|&(member, held)| {
-                            let mds = &self.mdss[&member];
-                            let resident = mds.resident_replicas(held);
-                            (member, mds, model.array_probe(held + 1, held - resident))
-                        })
-                        .collect();
-                    GroupPlan { l3, members }
-                });
-                vacant.as_ref()
-            }
-        };
-        if let Some(GroupPlan { l3, members }) = group {
-            let peer_count = members.len().saturating_sub(1);
+        let group = snap.plans.l3(gid).map(|slot| {
+            let (l3, built) = plan(slot, || snap.build_l3(gid, model));
+            consults[1] = Some(!built);
+            l3
+        });
+        if let Some(l3) = group {
+            let peer_count = l3.members.len().saturating_sub(1);
             // Peers probe their held replicas in parallel: pay the slowest.
-            let worst_probe = members
+            let worst_probe = l3
+                .members
                 .iter()
-                .filter(|&&(member, ..)| member != entry)
-                .map(|&(.., probe)| probe)
+                .filter(|member| member.id != entry)
+                .map(|member| self.array_probe(member.id, member.held, member.probe))
                 .max()
                 .unwrap_or(Duration::ZERO);
             messages += 2 * peer_count as u32;
             latency += model.multicast_rtt(peer_count) + worst_probe;
             let (mut positives, mut candidate) = snap.slab.positives_under(anded, &l3.mask);
-            for &(member, mds, _) in members {
+            for member in &l3.members {
                 // The entry's own verdict stands from L2.
-                let live = if member == entry {
+                let live = if member.id == entry {
                     entry_live
                 } else {
-                    probes_live(member, mds)
+                    probes_live(member.id, member.slot)
                 };
                 if live {
                     positives += 1;
-                    candidate = Some(member);
+                    candidate = Some(member.id);
                 }
             }
             if let (1, Some(candidate)) = (positives, candidate) {
@@ -1061,11 +1009,11 @@ impl<T: Topology> Cluster<T> {
     /// of the live slab — are all a walk reads from filters: every live
     /// verdict comes out of their AND (see
     /// [`walk_pinned`](Self::walk_pinned)'s *What a walk reads*).
-    fn walk_chunk<'a>(
-        &'a self,
+    fn walk_chunk(
+        &self,
         snap: &RouteSnapshot,
         items: &[WalkItem<'_>],
-        arena: &mut WalkArena<'a>,
+        arena: &mut WalkArena,
     ) -> Vec<Walked> {
         arena.probes.clear();
         for &(_, _, fp) in items {
@@ -1108,11 +1056,11 @@ impl<T: Topology> Cluster<T> {
     /// records nothing.
     ///
     /// `arena` must have served only runs of this cluster under `snap`.
-    pub(crate) fn lookup_fused_pinned<'a>(
-        &'a self,
+    pub(crate) fn lookup_fused_pinned(
+        &self,
         snap: &RouteSnapshot,
         items: &[WalkItem<'_>],
-        arena: &mut WalkArena<'a>,
+        arena: &mut WalkArena,
     ) -> Vec<QueryOutcome> {
         let (resolved, assign) = if items.len() == 1 {
             (self.walk_chunk(snap, items, arena), vec![0])
@@ -1145,7 +1093,7 @@ impl<T: Topology> Cluster<T> {
 
     /// Folds what `arena`'s runs counted into the atomic recorders: the
     /// one hand-over per pin.
-    pub(crate) fn absorb_walks(&self, arena: &WalkArena<'_>) {
+    pub(crate) fn absorb_walks(&self, arena: &WalkArena) {
         self.cstats.absorb(&arena.tally);
     }
 
@@ -1176,7 +1124,7 @@ impl<T: Topology> Cluster<T> {
     pub(crate) fn apply_remove_shared(
         &self,
         key: &PathKey,
-        arena: &mut WalkArena<'_>,
+        arena: &mut WalkArena,
     ) -> Option<MdsId> {
         let home = match self.shards.overlay(key) {
             OverlayEntry::Created(home) => home,
@@ -1341,12 +1289,12 @@ impl<T: Topology> Cluster<T> {
     ///    column in one bulk load, every block of a dirty server marked)
     ///    write a published column, so this holds from `&self` with
     ///    undrained concurrent writes pending too. O(m) per server;
-    /// 8. **no stale mask**: every cached L2/L3 entry of the snapshot's
-    ///    shared mask cache whose `(gid, tag)` is valid under the pinned
-    ///    snapshot equals the mask and held counts rebuilt from that
-    ///    snapshot — an epoch bump missed by any reconfiguration path
+    /// 8. **no stale plan** (both layouts, checked last): every filled
+    ///    slot of the pinned snapshot's plan table equals the plan built
+    ///    afresh from that snapshot — an epoch bump a reconfiguration
+    ///    path missed, or a plan carried across an edit that moved it,
     ///    shows up here, not as a wrong candidate set in a walk — and no
-    ///    departed server still owns a cached L2 entry;
+    ///    departed server or dissolved group has one;
     /// 9. **clean == published** (both layouts, checked with 7): a clean
     ///    server's live column equals its published column bit for bit
     ///    ([`Mds::is_clean`]) — a pin of clean servers answers every live
@@ -1398,14 +1346,32 @@ impl<T: Topology> Cluster<T> {
                 return Err(format!("clean {id}'s live column is not its published"));
             }
         }
-        T::check_layout(self, &snap)
+        T::check_layout(self, &snap)?;
+        let model = &self.config.latency;
+        for (id, planned) in snap.plans.l2_plans() {
+            if !self.mdss.contains_key(&id) {
+                return Err(format!("departed {id} still has an L2 plan"));
+            }
+            if **planned != T::l2(&snap, id, T::walk_group(&snap, id), model) {
+                return Err(format!("{id}'s L2 plan is stale"));
+            }
+        }
+        for (gid, planned) in snap.plans.l3_plans() {
+            if snap.group(gid).is_none() {
+                return Err(format!("dissolved {gid} still has an L3 plan"));
+            }
+            if **planned != snap.build_l3(gid, model) {
+                return Err(format!("{gid}'s L3 plan is stale"));
+            }
+        }
+        Ok(())
     }
 }
 
 impl GhbaCluster {
     /// The configuration version of `gid` under the currently published
     /// snapshot (default epoch for groups never touched — including
-    /// groups that do not exist, which no valid cache entry can name).
+    /// groups that do not exist).
     #[must_use]
     pub fn group_epoch(&self, gid: GroupId) -> GroupEpoch {
         self.routes.pin().group_epoch(gid)
@@ -1621,11 +1587,11 @@ mod tests {
         cluster.check_invariants().expect("invariants hold");
     }
 
-    /// A single-group rebalance invalidates only that group's masks in
-    /// the snapshot-resident shared cache: entries of other groups keep
-    /// answering from cache across the publish, while the touched group
+    /// A single-group rebalance re-plans only that group: the successor
+    /// snapshot inherits every other group's plans, whose entries keep
+    /// answering from them across the publish, while the touched group
     /// rebuilds. Misses walk all of L2 → L3 → L4, so every lookup here
-    /// consults exactly one L2 and one L3 mask.
+    /// consults exactly one L2 and one L3 plan.
     #[test]
     fn rebalance_keeps_other_groups_masks_warm() {
         let mut cluster = GhbaCluster::with_servers(batch_config(), 15);
@@ -1658,7 +1624,7 @@ mod tests {
         assert_eq!(misses_rebuilt, misses_after + 2, "L2 + L3 both rebuild");
         cluster.check_invariants().expect("no stale mask");
         // A departure, graceful or fail-stop, takes the departed entry's
-        // cached L2 mask with it (invariant 8 rejects a leaked one).
+        // L2 plan with it (invariant 8 rejects a leaked one).
         cluster.remove_mds(MdsId(3)).expect("removable");
         cluster.check_invariants().expect("departed entry evicted");
         cluster.fail_mds(MdsId(7)).expect("failable");

@@ -86,15 +86,14 @@ impl fmt::Display for MembershipEpoch {
 /// counts it altered: a single-group rebalance bumps one group, a split
 /// bumps the two halves, a merge bumps the surviving group, while a
 /// join/leave/fail — which places or drops a replica in *every* group —
-/// bumps them all. Cached L2/L3 candidate masks are tagged with the
-/// epoch of the group they were built under and validated lazily, so a
-/// rebalance of one group leaves every other group's masks warm (the
-/// all-or-nothing flush this replaces cold-started the whole cache on
-/// any reconfiguration).
+/// bumps them all. A successor snapshot inherits the L2/L3 plans of
+/// every group whose epoch did not move, so a rebalance of one group
+/// leaves every other group's plans warm (the all-or-nothing flush this
+/// replaces cold-started every mask on any reconfiguration).
 ///
 /// Group ids are never recycled (the allocator is monotonic), so a
-/// fresh group starting at the default epoch can never collide with a
-/// stale cache entry from a departed group of the same id.
+/// fresh group starting at the default epoch can never inherit the plan
+/// of a departed group of the same id.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupEpoch(pub u64);
 

@@ -31,10 +31,10 @@
 //! that feeds member-imbalance rates.
 //!
 //! False-hit accounting is recorded with full fidelity. Mask-consult
-//! rates cover the snapshot-resident shared cache, tagged and validated
-//! per `(group, GroupEpoch)` — so a group's `mask_hit_rate` staying
-//! ≥ 0.99 through someone *else's* reconfiguration is the observable
-//! form of the per-group-epoch guarantee. The controller's decisions
+//! rates cover the snapshot's plan table, whose plans a successor
+//! inherits per `(group, GroupEpoch)` — so a group's `mask_hit_rate`
+//! staying ≥ 0.99 through someone *else's* reconfiguration is the
+//! observable form of the per-group-epoch guarantee. The controller's decisions
 //! deliberately depend only on traffic share, shape, and member
 //! imbalance (see [`crate::adapt`]).
 
@@ -507,7 +507,8 @@ pub(crate) fn build_report(
 /// or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaskCacheStats {
-    /// Consults answered from cache over the cluster's lifetime.
+    /// Consults answered by a plan already built, over the cluster's
+    /// lifetime.
     pub lifetime_hits: u64,
     /// Consults that had to build their mask, lifetime.
     pub lifetime_misses: u64,

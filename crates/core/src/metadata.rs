@@ -21,10 +21,14 @@
 //! # A short path lives in its bucket
 //!
 //! A key's path is a [`CompactPath`]: up to [`INLINE_PATH_BYTES`] bytes
-//! held inline, longer ones boxed. A bucket — lane 8 bytes, path 32,
-//! [`FileAttrs`] 24 — is 64 bytes, a cache line's width, so a
-//! verification compares the lane and the path bytes in the bucket the
-//! probe has already loaded. With a boxed `str` key the path was a third dependent miss
+//! held inline, longer ones boxed. A bucket is 64 bytes, laid out path
+//! (bytes 0..32), lane (32..40), [`FileAttrs`] (40..64). It is not one
+//! cache line: the table's buckets start 16 bytes into a line (hashbrown
+//! aligns its allocation to 16, and glibc hands back line + 16 for
+//! blocks of this size — every table probed, 1k–50k entries, did), so
+//! each bucket straddles two lines. The 40 bytes a verification reads —
+//! the path and the lane — sit in the first of them, the one the probe
+//! loads. With a boxed `str` key the path was a third dependent miss
 //! behind the control byte and the bucket, and on `read_hot` the first
 //! load of it was the walk's largest stall.
 //!
@@ -50,9 +54,9 @@ pub struct FileAttrs {
 }
 
 /// The most bytes a [`CompactPath`] holds inline: 30 makes the type 32
-/// bytes and a store bucket 64. (At 22 a bucket is 56 bytes, its
-/// offset within a cache line drifts from bucket to bucket, and far more
-/// of them straddle two lines.)
+/// bytes and a store bucket 64. (At 22 a bucket is 56 bytes and its
+/// offset within a cache line drifts from bucket to bucket, so the bytes
+/// a verification reads cross into a second line far more often.)
 pub const INLINE_PATH_BYTES: usize = 30;
 
 /// A pathname held inline when it has at most [`INLINE_PATH_BYTES`]
@@ -463,7 +467,9 @@ mod tests {
 
     /// `peak_rss_mb` rests on this: a short path lives in its bucket, and
     /// a bucket is 64 bytes (a `String` key made 48 plus a heap block per
-    /// path). A 2,048-bucket table is then 133 KB, just over glibc's
+    /// path) — not a cache line: it starts 16 bytes into one, and only
+    /// its first 48 bytes, the path and lane a verification reads among
+    /// them, share that line. A 2,048-bucket table is then 133 KB, just over glibc's
     /// 128 KiB mmap threshold: freeing one raises the allocator's dynamic
     /// thresholds, which is what `net_mixed`'s `peak_rss_mb` sees.
     #[test]

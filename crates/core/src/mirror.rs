@@ -16,12 +16,12 @@
 //! state is a [`RouteSnapshot`] with no groups: just the slab and the
 //! membership epoch.
 
-use std::sync::Arc;
+use ghba_simnet::LatencyModel;
 
 use crate::cluster::{Cluster, Topology};
-use crate::ids::{GroupEpoch, GroupId, MdsId};
+use crate::ids::{GroupId, MdsId};
 use crate::reconfig::ReconfigReport;
-use crate::snapshot::{RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
+use crate::snapshot::{L2Plan, RouteEdit, RouteSnapshot, SlabOp};
 use crate::update::UpdateReport;
 
 /// The full-mirror replica layout of HBA: every server holds every other
@@ -61,27 +61,10 @@ impl Topology for FullMirror {
     }
 
     /// Every published column but the entry's own (its fresher live
-    /// filter stands in for that one): built per plan, never cached — so
-    /// HBA's mask-miss count is one per entry per pin: per
-    /// `execute_concurrent` batch (it was per fused run before the
-    /// batch kept its plans across writes), per run on the `&mut` entry.
-    fn l2(
-        cluster: &HbaCluster,
-        snap: &RouteSnapshot,
-        entry: MdsId,
-        gid: GroupId,
-    ) -> (Arc<SharedL2>, bool) {
-        let built = SharedL2 {
-            gid,
-            tag: GroupEpoch::default(),
-            mask: snap.slab.mask_all_except(entry),
-            held: cluster.mdss.len() - 1,
-        };
-        (Arc::new(built), false)
-    }
-
-    fn l3(_: &HbaCluster, _: &RouteSnapshot, _: GroupId) -> Option<(Arc<SharedL3>, bool)> {
-        None
+    /// filter stands in for that one).
+    fn l2(snap: &RouteSnapshot, entry: MdsId, gid: GroupId, model: &LatencyModel) -> L2Plan {
+        let held = snap.slab.len() - 1;
+        L2Plan::new(gid, snap.slab.mask_all_except(entry), held, model)
     }
 
     fn held_replicas(cluster: &HbaCluster, _: &RouteSnapshot, _: MdsId) -> usize {

@@ -23,13 +23,14 @@ use core::fmt;
 use std::sync::Arc;
 
 use ghba_bloom::{Fingerprint, Hit};
+use ghba_simnet::LatencyModel;
 
 use crate::cluster::{Cluster, GhbaCluster, Grouped, Topology};
 use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
 use crate::mds::{row_indices, Mds};
 use crate::metadata::CompactPath;
-use crate::snapshot::{RouteEdit, RouteSnapshot, SharedL2, SharedL3, SlabOp};
+use crate::snapshot::{L2Plan, RouteEdit, RouteSnapshot, SlabOp};
 use crate::update::UpdateReport;
 
 /// What one reconfiguration operation cost.
@@ -184,7 +185,7 @@ impl RouteEdit<'_> {
 
         // Only the two halves changed: their membership and placements
         // moved, every other group's replica layout is untouched — the
-        // per-group epochs keep those masks warm.
+        // per-group epochs keep those plans warm.
         self.touch_group(gid);
         self.touch_group(new_gid);
         self.bump_epoch();
@@ -435,25 +436,9 @@ impl Topology for Grouped {
         snap.group_of(entry).expect("entry has a group")
     }
 
-    /// The θ replicas `entry` holds, from the snapshot-resident shared
-    /// cache when its `(gid, GroupEpoch)` tag is still valid.
-    fn l2(
-        _: &GhbaCluster,
-        snap: &RouteSnapshot,
-        entry: MdsId,
-        gid: GroupId,
-    ) -> (Arc<SharedL2>, bool) {
-        match snap.masks.l2(entry, gid, snap.group_epoch(gid)) {
-            Some(cached) => (cached, true),
-            None => (snap.masks.put_l2(entry, snap.build_l2(entry, gid)), false),
-        }
-    }
-
-    fn l3(_: &GhbaCluster, snap: &RouteSnapshot, gid: GroupId) -> Option<(Arc<SharedL3>, bool)> {
-        Some(match snap.masks.l3(gid, snap.group_epoch(gid)) {
-            Some(cached) => (cached, true),
-            None => (snap.masks.put_l3(gid, snap.build_l3(gid)), false),
-        })
+    /// The θ replicas `entry` holds.
+    fn l2(snap: &RouteSnapshot, entry: MdsId, gid: GroupId, model: &LatencyModel) -> L2Plan {
+        snap.build_l2(entry, gid, model)
     }
 
     fn held_replicas(_: &GhbaCluster, snap: &RouteSnapshot, id: MdsId) -> usize {
@@ -643,7 +628,7 @@ impl Topology for Grouped {
             edit.rebalance_into(g, &mut report);
         }
 
-        // 4. Forget the server (and its cached mask).
+        // 4. Forget the server.
         edit.forget_server(id);
         cluster.forget_mds(id);
         if edit.work.groups[&gid].is_empty() {
@@ -730,7 +715,7 @@ impl Topology for Grouped {
                 ));
             }
         }
-        snap.masks.check_against(snap)
+        Ok(())
     }
 }
 

@@ -64,12 +64,12 @@ pub trait MetadataService {
     /// Contract of this `&self` entry: the batch runs on the calling
     /// thread (parallelism is many threads submitting batches, each
     /// under its own pin). Every fused run of the batch walks that one
-    /// pin through one walk arena — what depends only on `(pin, entry)`
-    /// is planned once per batch, not once per run, which no outcome,
-    /// statistic or
-    /// counter can tell from 1-op batches (except that HBA, which
-    /// builds its L2 mask per plan instead of caching it, counts that
-    /// build once per batch); the walk **never fills L1**, and its
+    /// pin through one walk arena, and the walk's L2 and L3 plans —
+    /// functions of the snapshot alone — are built once per snapshot, by
+    /// the first walk on any thread that needs each, and read by every
+    /// later one; so no outcome, statistic or counter, mask consults
+    /// included, can tell a fused batch from 1-op batches on either
+    /// layout. The walk **never fills L1**, and its
     /// statistics reach the wait-free atomic counters once, after the
     /// batch's last op — a batch that panics records none. Writes
     /// append to fingerprint-sharded overlay logs, one shard lock each,
@@ -182,12 +182,12 @@ impl<T: Topology> VectoredScheme for Cluster<T> {
 /// to take, valid across successor publishes, never blocks a publisher
 /// while held — dropped when the batch's outcomes are assembled. The
 /// pin's walk arena lives as long: under `&self` no `Mds` mutates and
-/// the pin is fixed, so what the batch's first run planned holds for
+/// the pin is fixed, so what the batch's first run decided holds for
 /// its last, however many writes it recorded in between.
 struct PinnedBatch<'a, T: Topology> {
     cluster: &'a Cluster<T>,
     snap: Arc<RouteSnapshot>,
-    arena: WalkArena<'a>,
+    arena: WalkArena,
 }
 
 impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {

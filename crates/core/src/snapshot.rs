@@ -15,19 +15,25 @@
 //! * Writers serialise on a writer mutex that readers never touch, so a
 //!   reader waits at most one pointer swap and a publisher at most one
 //!   `Arc` clone; neither ever waits for a *pin* or an open *edit*.
+//! * The one mutable part of a snapshot is its [`PlanTable`]: the walk's
+//!   L2/L3 plans, each built by the first walk that needs it and valid
+//!   for as long as the snapshot lives — a plan is a function of the
+//!   snapshot alone. A successor starts with every plan whose group the
+//!   edit left alone (see [`PlanTable::successor`]).
 //!
 //! Both replica layouts of the cluster engine publish through the same
 //! snapshot type — the full mirror's is a [`RouteSnapshot`] with no
 //! groups.
 
 use core::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use core::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use ghba_bloom::{BloomFilter, SharedShapeArray, SlotMask};
+use ghba_simnet::LatencyModel;
 
 use crate::group::Group;
 use crate::ids::{GroupEpoch, GroupId, IdMap, MdsId, MembershipEpoch};
-use std::collections::HashMap;
 
 /// A publication cell: readers [`pin`](SnapshotCell::pin) the current
 /// immutable snapshot, a writer (serialised by an internal mutex that
@@ -252,147 +258,164 @@ impl SlabSpare {
     }
 }
 
-/// One entry server's shared L2 state: its held-replica candidate mask
-/// plus the held count the probe-latency model needs, tagged with the
-/// `(gid, GroupEpoch)` it was built under: the tag (plus the `gid`
-/// check covering servers that changed groups in a split or merge) is
-/// the entry's entire validity condition.
+/// One entry server's L2 plan: the (pseudo-)group its walks are
+/// attributed to, the candidate mask over the published columns of the
+/// replicas it holds, how many that is, and the modelled cost of probing
+/// them and its own filter with every replica resident.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct SharedL2 {
+pub(crate) struct L2Plan {
     pub(crate) gid: GroupId,
-    pub(crate) tag: GroupEpoch,
     pub(crate) mask: SlotMask,
     pub(crate) held: usize,
+    pub(crate) probe: Duration,
 }
 
-/// One group's shared L3 state: the member list with held counts (the
-/// multicast latency inputs) and the group-mirror candidate mask,
-/// tagged like [`SharedL2`].
+impl L2Plan {
+    /// The plan of an entry of `gid` probing the `held` replicas of
+    /// `mask`, priced by `model`.
+    pub(crate) fn new(gid: GroupId, mask: SlotMask, held: usize, model: &LatencyModel) -> Self {
+        L2Plan {
+            gid,
+            mask,
+            held,
+            probe: model.array_probe(held + 1, 0),
+        }
+    }
+}
+
+/// One member as its group's L3 plan asks it: the slab slot its verdict
+/// bit sits at, the replicas it holds and its resident probe cost (see
+/// [`L2Plan`]).
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct SharedL3 {
-    pub(crate) tag: GroupEpoch,
+pub(crate) struct PlanMember {
+    pub(crate) id: MdsId,
+    pub(crate) slot: usize,
+    pub(crate) held: usize,
+    pub(crate) probe: Duration,
+}
+
+/// One group's L3 plan: the group-mirror candidate mask and the members
+/// the multicast asks.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct L3Plan {
     pub(crate) mask: SlotMask,
-    pub(crate) member_held: Vec<(MdsId, usize)>,
+    pub(crate) members: Vec<PlanMember>,
 }
 
-/// Cross-snapshot shared candidate-mask cache for the pinned walk.
+/// One slot of a [`PlanTable`]: empty until the first walk that needs
+/// its plan builds it.
+pub(crate) type PlanSlot<P> = OnceLock<Arc<P>>;
+
+/// `slot`'s plan, built by `build` unless a walk already did, and whether
+/// this call built it. Walks racing to fill one slot build it once: the
+/// others wait for that build and read it.
+pub(crate) fn plan<P>(slot: &PlanSlot<P>, build: impl FnOnce() -> P) -> (&P, bool) {
+    let mut built = false;
+    let plan = slot.get_or_init(|| {
+        built = true;
+        Arc::new(build())
+    });
+    (plan, built)
+}
+
+/// A snapshot's walk plans: one slot per server id for its L2 plan, one
+/// per group id for its L3 plan — a layout without groups allocates no
+/// group id, so it has no L3 slot.
 ///
-/// Slot masks and membership snapshots depend only on cluster layout
-/// (slot assignment, group placement) — state that **writes never
-/// touch**; only reconfiguration invalidates them. Anything budget- or
-/// filter-dependent is deliberately *not* cached here: live-filter
-/// verdicts are recomputed per walk, probe durations once per pin's
-/// plan — which is sound because no `Mds` (and so no memory budget)
-/// mutates while the plan's owner holds the cluster by reference, and
-/// a plan never outlives its pin (the `&mut` entry, whose writes do
-/// mutate `Mds` state, plans per run).
+/// A plan is a function of the snapshot alone: the slab's slot layout
+/// and the placement of one group. Writes never touch either; only a
+/// reconfiguration does. So the first walk that needs a slot fills it
+/// and every later walk pinned to the snapshot — this batch's, the next
+/// batch's, another thread's — reads it with one index and one
+/// `OnceLock::get`. Nothing budget-dependent is planned: a memory budget
+/// moves `Mds::resident_replicas` at every drain, so under one the walk
+/// prices each probe from the live budget instead of the plan's
+/// resident cost.
 ///
-/// The cache object is shared (one `Arc`, cloned into every successor
-/// [`RouteSnapshot`]), so masks built by one reader warm every later
-/// reader on any snapshot generation. Validity is per entry: each
-/// cached mask carries the `(gid, GroupEpoch)` it was built under, and
-/// a consulting reader accepts it only when its *own* pinned snapshot
-/// reports the same group epoch. Group epochs bump exactly when an
-/// edit changes state masks depend on (`touch_group`; membership
-/// events touch every group because they shift slab layout), so:
-///
-/// * groups untouched by a split/merge/rebalance keep their masks warm
-///   through the publish — the observable form of the per-group-epoch
-///   contract on the concurrent path, and what the adaptive
-///   controller's reconfigurations rely on to leave cold groups'
-///   serving costs alone;
-/// * a reader pinned to a pre-edit snapshot that races a post-edit
-///   reader can at worst overwrite the other's entry with one tagged
-///   for its own epoch (both remain correct for their consumers; the
-///   loser rebuilds — a miss, never a wrong mask).
-///
-/// Entries are keyed by ids that are never recycled and evicted with
-/// their key: a merge drops its dissolved group's L3 entry
-/// ([`RouteEdit::remove_group`]), a departure the departed server's L2
-/// entry ([`RouteEdit::forget_server`]), so the maps stay bounded by the
-/// live layout.
+/// A successor snapshot starts with every plan of its predecessor that
+/// still holds ([`successor`](PlanTable::successor)): a flush keeps them
+/// all, a rebalance, split or merge re-plans the groups it touched, a
+/// join or departure everything.
 #[derive(Debug, Default)]
-pub(crate) struct SharedMaskCache {
-    l2: RwLock<HashMap<MdsId, Arc<SharedL2>>>,
-    l3: RwLock<HashMap<GroupId, Arc<SharedL3>>>,
+pub(crate) struct PlanTable {
+    l2: Box<[PlanSlot<L2Plan>]>,
+    l3: Box<[PlanSlot<L3Plan>]>,
 }
 
-impl SharedMaskCache {
-    /// The cached L2 state of `entry` if it was built under `(gid,
-    /// tag)` — the consulting snapshot's view of the entry's group.
-    pub(crate) fn l2(&self, entry: MdsId, gid: GroupId, tag: GroupEpoch) -> Option<Arc<SharedL2>> {
-        let map = self.l2.read().expect("mask cache poisoned");
-        map.get(&entry)
-            .filter(|e| e.gid == gid && e.tag == tag)
-            .cloned()
+impl PlanTable {
+    /// A table with no plan, sized to `snap`'s server and group ids.
+    pub(crate) fn cold(snap: &RouteSnapshot) -> Self {
+        let servers = snap.slab.ids().map(|id| usize::from(id.0) + 1).max();
+        PlanTable {
+            l2: (0..servers.unwrap_or(0)).map(|_| OnceLock::new()).collect(),
+            l3: (0..snap.next_group).map(|_| OnceLock::new()).collect(),
+        }
     }
 
-    /// Publishes a freshly built L2 state (last writer wins).
-    pub(crate) fn put_l2(&self, entry: MdsId, fresh: SharedL2) -> Arc<SharedL2> {
-        let fresh = Arc::new(fresh);
-        self.l2
-            .write()
-            .expect("mask cache poisoned")
-            .insert(entry, Arc::clone(&fresh));
-        fresh
-    }
-
-    /// The cached L3 state of `gid` if it was built under `tag`.
-    pub(crate) fn l3(&self, gid: GroupId, tag: GroupEpoch) -> Option<Arc<SharedL3>> {
-        let map = self.l3.read().expect("mask cache poisoned");
-        map.get(&gid).filter(|e| e.tag == tag).cloned()
-    }
-
-    /// Publishes a freshly built L3 state (last writer wins).
-    pub(crate) fn put_l3(&self, gid: GroupId, fresh: SharedL3) -> Arc<SharedL3> {
-        let fresh = Arc::new(fresh);
-        self.l3
-            .write()
-            .expect("mask cache poisoned")
-            .insert(gid, Arc::clone(&fresh));
-        fresh
-    }
-
-    /// Evicts a dissolved group's L3 state. Its former members' L2
-    /// entries self-invalidate by tag and are overwritten on their next
-    /// consultation.
-    fn evict_group(&self, gid: GroupId) {
-        self.l3.write().expect("mask cache poisoned").remove(&gid);
-    }
-
-    /// Evicts a departed server's L2 state (no walk can enter there
-    /// again: server ids are never recycled).
-    fn evict_entry(&self, entry: MdsId) {
-        self.l2.write().expect("mask cache poisoned").remove(&entry);
-    }
-
-    /// Checks every cached entry that is valid under `snap` — its
-    /// `(gid, tag)` matches what `snap` reports — against the state
-    /// rebuilt from `snap`: a mismatch is a stale mask a pinned walk
-    /// would have served. Entries tagged for another epoch are skipped;
-    /// no walk pinned to `snap` accepts them. An L2 entry of a server
-    /// `snap` no longer lists is a leak: departures evict theirs.
-    pub(crate) fn check_against(&self, snap: &RouteSnapshot) -> Result<(), String> {
-        for (&entry, cached) in self.l2.read().expect("mask cache poisoned").iter() {
-            if snap.group_of(entry).is_none() {
-                return Err(format!(
-                    "cached L2 mask of departed {entry} was never evicted"
-                ));
-            }
-            let valid = snap.group_of(entry) == Some(cached.gid)
-                && snap.group_epoch(cached.gid) == cached.tag;
-            if valid && **cached != snap.build_l2(entry, cached.gid) {
-                return Err(format!("cached L2 mask of {entry} is stale"));
+    /// `next`'s table, seeded with every plan of `base`'s table that
+    /// still holds under `next`: none when the edit between them moved a
+    /// slab slot (`relayout`: a join or a departure), otherwise each plan
+    /// whose group kept its epoch and its storage — an L2 plan whose
+    /// entry also stayed in that group. Every edit that moves a group's
+    /// placement bumps its epoch and copies its storage on write; a
+    /// restored group shape, which sets epochs outright, is new storage.
+    fn successor(base: &RouteSnapshot, next: &RouteSnapshot, relayout: bool) -> Self {
+        let table = PlanTable::cold(next);
+        if relayout {
+            return table;
+        }
+        let kept = |gid: GroupId| {
+            base.group_epoch(gid) == next.group_epoch(gid)
+                && match (base.groups.get(&gid), next.groups.get(&gid)) {
+                    (Some(was), Some(is)) => Arc::ptr_eq(was, is),
+                    (was, is) => was.is_none() && is.is_none(),
+                }
+        };
+        // Without a relayout the server ids are the same and group ids
+        // only grow, so every kept plan's slot exists and is empty.
+        for (id, plan) in base.plans.l2_plans() {
+            if next.group_of(id) == base.group_of(id) && kept(plan.gid) {
+                let _ = table.l2[usize::from(id.0)].set(Arc::clone(plan));
             }
         }
-        for (&gid, cached) in self.l3.read().expect("mask cache poisoned").iter() {
-            let valid = snap.group(gid).is_some() && snap.group_epoch(gid) == cached.tag;
-            if valid && **cached != snap.build_l3(gid) {
-                return Err(format!("cached L3 mask of {gid} is stale"));
+        for (gid, plan) in base.plans.l3_plans() {
+            if next.group(gid).is_some() && kept(gid) {
+                let _ = table.l3[usize::from(gid.0)].set(Arc::clone(plan));
             }
         }
-        Ok(())
+        table
     }
+
+    /// `entry`'s L2 slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is past the snapshot's server ids.
+    pub(crate) fn l2(&self, entry: MdsId) -> &PlanSlot<L2Plan> {
+        &self.l2[usize::from(entry.0)]
+    }
+
+    /// `gid`'s L3 slot; `None` past the snapshot's group ids — for every
+    /// id, under a layout without groups.
+    pub(crate) fn l3(&self, gid: GroupId) -> Option<&PlanSlot<L3Plan>> {
+        self.l3.get(usize::from(gid.0))
+    }
+
+    /// The filled L2 slots, by server id.
+    pub(crate) fn l2_plans(&self) -> impl Iterator<Item = (MdsId, &Arc<L2Plan>)> {
+        filled(&self.l2).map(|(at, plan)| (MdsId(at), plan))
+    }
+
+    /// The filled L3 slots, by group id.
+    pub(crate) fn l3_plans(&self) -> impl Iterator<Item = (GroupId, &Arc<L3Plan>)> {
+        filled(&self.l3).map(|(at, plan)| (GroupId(at), plan))
+    }
+}
+
+/// The filled slots of one plan table, with their ids.
+fn filled<P>(slots: &[PlanSlot<P>]) -> impl Iterator<Item = (u16, &Arc<P>)> {
+    let ids = (0..=u16::MAX).zip(slots);
+    ids.filter_map(|(at, slot)| Some((at, slot.get()?)))
 }
 
 /// The immutable routing state one lookup walks against: everything the
@@ -419,11 +442,10 @@ pub struct RouteSnapshot {
     /// the snapshot so concurrent reconfiguration handles allocate
     /// consistently under the writer lock.
     pub(crate) next_group: u16,
-    /// The shared candidate-mask cache for pinned walks — one object
-    /// per cluster, cloned (shared) into every successor snapshot so
-    /// masks stay warm across publishes for groups whose epoch did not
-    /// move. See [`SharedMaskCache`].
-    pub(crate) masks: Arc<SharedMaskCache>,
+    /// This snapshot's walk plans, filled by the walks pinned to it (see
+    /// [`PlanTable`]). A working copy shares its base's table until
+    /// [`RouteEdit::commit`] gives the successor its own.
+    pub(crate) plans: Arc<PlanTable>,
 }
 
 impl RouteSnapshot {
@@ -436,13 +458,12 @@ impl RouteSnapshot {
             group_epochs: IdMap::new(),
             epoch: MembershipEpoch::default(),
             next_group: 0,
-            masks: Arc::new(SharedMaskCache::default()),
+            plans: Arc::default(),
         }
     }
 
     /// The configuration version of `gid` under this snapshot (default
-    /// for groups never touched — including groups that do not exist,
-    /// which no valid cache entry can name).
+    /// for groups never touched — including groups that do not exist).
     #[must_use]
     pub fn group_epoch(&self, gid: GroupId) -> GroupEpoch {
         self.group_epochs.get(&gid).copied().unwrap_or_default()
@@ -469,37 +490,37 @@ impl RouteSnapshot {
         }
     }
 
-    /// Builds `entry`'s L2 state from this snapshot: the candidate mask
-    /// over the replicas it holds, tagged with its group's epoch.
-    pub(crate) fn build_l2(&self, entry: MdsId, gid: GroupId) -> SharedL2 {
+    /// Builds the L2 plan of `entry`, a member of `gid`: the candidate
+    /// mask over the replicas it holds.
+    pub(crate) fn build_l2(&self, entry: MdsId, gid: GroupId, model: &LatencyModel) -> L2Plan {
         let held = self.replicas_held_by(entry);
-        SharedL2 {
-            gid,
-            tag: self.group_epoch(gid),
-            mask: self.slab.subset_mask(held.iter().copied()),
-            held: held.len(),
-        }
+        let mask = self.slab.subset_mask(held.iter().copied());
+        L2Plan::new(gid, mask, held.len(), model)
     }
 
-    /// Builds `gid`'s L3 state from this snapshot. The group's replicas
-    /// collectively mirror every server outside it, so one masked slab
-    /// probe covers all of them.
+    /// Builds `gid`'s L3 plan. The group's replicas collectively mirror
+    /// every server outside it, so one masked slab probe covers all of
+    /// them.
     ///
     /// # Panics
     ///
     /// Panics if `gid` is not a live group.
-    pub(crate) fn build_l3(&self, gid: GroupId) -> SharedL3 {
+    pub(crate) fn build_l3(&self, gid: GroupId, model: &LatencyModel) -> L3Plan {
         let group = self.group(gid).expect("group is live");
-        SharedL3 {
-            tag: self.group_epoch(gid),
+        let member = |id: MdsId| {
+            let held = group.replicas_held_by(id).len();
+            PlanMember {
+                id,
+                slot: self.slab.slot_of(id).expect("a member has a column"),
+                held,
+                probe: model.array_probe(held + 1, 0),
+            }
+        };
+        L3Plan {
             mask: self
                 .slab
                 .subset_mask(group.replica_origins().iter().copied()),
-            member_held: group
-                .members()
-                .iter()
-                .map(|&member| (member, group.replicas_held_by(member).len()))
-                .collect(),
+            members: group.members().iter().copied().map(member).collect(),
         }
     }
 }
@@ -573,21 +594,15 @@ impl<'a> RouteEdit<'a> {
         gid
     }
 
-    /// Removes a dissolved group, its epoch entry and its cached L3
-    /// mask.
+    /// Removes a dissolved group and its epoch entry.
     pub(crate) fn remove_group(&mut self, gid: GroupId) -> Option<Arc<Group>> {
-        let group = self.work.groups.remove(&gid);
         self.work.group_epochs.remove(&gid);
-        if group.is_some() {
-            self.work.masks.evict_group(gid);
-        }
-        group
+        self.work.groups.remove(&gid)
     }
 
-    /// Unindexes a departed server and evicts its cached L2 mask.
+    /// Unindexes a departed server.
     pub(crate) fn forget_server(&mut self, id: MdsId) {
         self.work.group_of.remove(&id);
-        self.work.masks.evict_entry(id);
     }
 
     /// Advances the membership epoch (see
@@ -596,10 +611,10 @@ impl<'a> RouteEdit<'a> {
         self.work.epoch.bump();
     }
 
-    /// Records that this edit changed state `gid`'s derived masks
-    /// depend on (membership, replica placement, or held counts): only
-    /// that group's cached masks go cold, every other group's stay warm
-    /// through the publish.
+    /// Records that this edit changed state `gid`'s plans depend on
+    /// (membership, replica placement, or held counts): only that
+    /// group's plans go cold, every other group's are carried into the
+    /// successor.
     pub(crate) fn touch_group(&mut self, gid: GroupId) {
         self.work.group_epochs.get_or_default(gid).bump();
     }
@@ -613,6 +628,17 @@ impl<'a> RouteEdit<'a> {
         }
     }
 
+    /// Gives the successor its own plan table, seeded with the plans of
+    /// the published snapshot that still hold ([`PlanTable::successor`]).
+    fn plan_successor(&mut self) {
+        let relayout = self
+            .ops
+            .iter()
+            .any(|op| matches!(op, SlabOp::Push(..) | SlabOp::Remove(..)));
+        let base = self.writer.base();
+        self.work.plans = Arc::new(PlanTable::successor(&base, &self.work, relayout));
+    }
+
     /// Publishes the successor snapshot with one pointer swap, folding
     /// the queued slab ops through the spare-slab recycling protocol.
     /// Returns the changed-word counts of the edit's [`SlabOp::Copy`], one
@@ -623,6 +649,7 @@ impl<'a> RouteEdit<'a> {
         if self.ops.is_empty() {
             // The slab is untouched: the successor shares the published
             // slab's storage and the spare stays a valid mirror.
+            self.plan_successor();
             self.writer.publish(self.work);
             return Vec::new();
         }
@@ -633,6 +660,7 @@ impl<'a> RouteEdit<'a> {
         }
         let published = Arc::new(slab);
         self.work.slab = Arc::clone(&published);
+        self.plan_successor();
         let prev = self.writer.publish(self.work);
         let displaced = match Arc::try_unwrap(prev) {
             Ok(snapshot) => Arc::try_unwrap(snapshot.slab).ok(),

@@ -149,7 +149,7 @@ impl<T: Topology> Cluster<T> {
             Vec::new()
         } else {
             // No epoch bump: a publish refreshes filter *content* under
-            // the same layout, so cached masks stay valid, and in-flight
+            // the same layout, so every plan carries over, and in-flight
             // pinned walks keep probing the exact bits they admitted
             // against.
             edit.push_op(SlabOp::Copy(&self.live, copies));

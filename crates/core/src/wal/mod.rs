@@ -117,8 +117,8 @@
 //!
 //! # What is *not* durable
 //!
-//! * L1 LRU caches and candidate-mask caches — caches, cold after
-//!   recovery (outcome-invisible at `lru_capacity = 0`).
+//! * L1 LRU caches and the walk's plans — caches, cold after recovery
+//!   (outcome-invisible at `lru_capacity = 0`).
 //! * Statistics, telemetry windows, and load reports.
 //! * The position of the deterministic RNG stream —
 //!   [`EntryPolicy::Random`](crate::EntryPolicy) draws resume from the

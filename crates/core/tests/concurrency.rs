@@ -452,6 +452,82 @@ fn panicking_batch_records_nothing() {
     assert_eq!(cluster.mask_cache_stats(), mask_before);
 }
 
+/// A snapshot plans once: four threads released together run
+/// `execute_concurrent` against one pinned snapshot and race to fill its
+/// plan table, and each slot is built by exactly one walk — the mask
+/// misses are the distinct plans built (one L2 plan per entry, one L3
+/// plan per group; every entry walks one absent path past L3), whatever
+/// the interleaving, and every other consult is a hit.
+#[test]
+fn racing_batches_build_each_plan_once() {
+    const SERVERS: usize = 24;
+    const THREADS: usize = 4;
+    for round in 0..8u64 {
+        let mut cluster =
+            GhbaCluster::with_servers(config().with_lru_capacity(0).with_seed(round), SERVERS);
+        for i in 0..72 {
+            cluster.create_file(&format!("/race/f{i}"));
+        }
+        cluster.flush_all_updates();
+        cluster.reset_stats();
+        let epoch = cluster.membership_epoch();
+        // Thread `t` enters op `i` at server `(t + i) % 24`: the first 24
+        // ops of every batch walk an absent path from every entry, the
+        // rest stored ones, never one `(entry, path)` pair twice.
+        let batches: Vec<OpBatch> = (0..THREADS)
+            .map(|t| {
+                let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: t });
+                for i in 0..96 {
+                    match i / SERVERS {
+                        0 => batch.push_lookup(format!("/race/absent{t}")),
+                        _ => batch.push_lookup(format!("/race/f{}", (i + t) % 72)),
+                    }
+                }
+                batch
+            })
+            .collect();
+        let start = std::sync::Barrier::new(THREADS);
+        let outcomes: Vec<Vec<OpOutcome>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = batches
+                .iter()
+                .map(|batch| {
+                    let (cluster, start) = (&cluster, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        cluster.execute_concurrent(batch)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().expect("worker panicked"))
+                .collect()
+        });
+        cluster.drain_concurrent();
+        let queries = outcomes
+            .iter()
+            .flatten()
+            .map(|o| o.query().expect("lookup"));
+        let past_l2 = queries.clone().filter(|q| q.level != QueryLevel::L2Segment);
+        assert!(
+            queries.clone().all(|q| q.epoch == epoch),
+            "one pinned snapshot"
+        );
+        let consults = (queries.count() + past_l2.count()) as u64;
+        let mask = cluster.mask_cache_stats();
+        assert_eq!(
+            mask.window_hits + mask.window_misses,
+            consults,
+            "round {round}"
+        );
+        assert_eq!(
+            mask.window_misses,
+            (SERVERS + cluster.group_count()) as u64,
+            "round {round}: a plan built twice"
+        );
+    }
+}
+
 /// A seeded mixed batch of 64 ops under `policy`. The head is scripted
 /// for a cluster of [`REUSE_SERVERS`] servers (so under round robin op
 /// 12 enters where op 0 did) over the paths `/reuse/base{from..}`; the
@@ -511,11 +587,11 @@ const REUSE_SERVERS: usize = 12;
 /// one arena of the batch's pin, the tally absorbed once — leaves
 /// outcomes, statistics, load report and mask-consult counters where the
 /// same ops issued as 1-op batches (a fresh arena each) leave them on a
-/// twin. `$exact_masks`: the layout caches its masks, so hits and misses
-/// agree too, not just their sum (HBA builds its L2 mask per plan: once
-/// per entry per batch fused, once per walk alone). A reconfiguration
-/// published between two batches (`$reconfigure`) is what the next
-/// batch's fresh arena plans against.
+/// twin. `$exact_masks`: hits and misses agree too, not just their sum —
+/// on both layouts, since plans live in the pinned snapshot, built once
+/// each by whichever batch first needs them, fused or 1-op. A
+/// reconfiguration published between two batches (`$reconfigure`) is
+/// what the next batch's walks plan against.
 macro_rules! plan_reuse_is_invisible {
     ($name:ident, $cluster:ty, $exact_masks:expr, $reconfigure:expr) => {
         #[test]
@@ -644,7 +720,7 @@ plan_reuse_is_invisible!(
 plan_reuse_is_invisible!(
     plan_reuse_across_writes_is_invisible_mirrored,
     HbaCluster,
-    false,
+    true,
     |cluster: &mut HbaCluster| {
         cluster.add_mds();
     }

@@ -290,6 +290,158 @@ drive_live_stream!(drive_grouped, GhbaCluster);
 
 drive_live_stream!(drive_mirrored, HbaCluster);
 
+/// One step of the plan-table stream: a lookup batch through either
+/// entry, the owner's writes and drains, and every reconfiguration that
+/// can move a plan.
+#[derive(Debug, Clone)]
+enum PlanStep {
+    /// Lookups of these files, round robin from the server `at` picks,
+    /// through the `&self` entry (`true`) or the `&mut` one.
+    Lookups(Vec<u16>, u8, bool),
+    /// An owner create (`true`, at the server `at` picks) or remove.
+    Write(u16, u8, bool),
+    /// `&self` creates of these files from the server `at` picks, then
+    /// a drain.
+    Drain(Vec<u16>, u8),
+    Flush,
+    Rebalance(u8),
+    Split(u8),
+    Merge(u8, u8),
+    Join,
+    Leave(u8),
+    Fail(u8),
+}
+
+fn arb_plan_step() -> impl Strategy<Value = PlanStep> {
+    let files = || proptest::collection::vec(0u16..240, 1..24);
+    prop_oneof![
+        6 => (files(), any::<u8>(), any::<bool>())
+            .prop_map(|(files, at, concurrent)| PlanStep::Lookups(files, at, concurrent)),
+        2 => (0u16..240, any::<u8>(), any::<bool>())
+            .prop_map(|(f, at, create)| PlanStep::Write(f, at, create)),
+        1 => (files(), any::<u8>()).prop_map(|(files, at)| PlanStep::Drain(files, at)),
+        1 => Just(PlanStep::Flush),
+        2 => any::<u8>().prop_map(PlanStep::Rebalance),
+        1 => any::<u8>().prop_map(PlanStep::Split),
+        1 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| PlanStep::Merge(a, b)),
+        1 => Just(PlanStep::Join),
+        1 => any::<u8>().prop_map(PlanStep::Leave),
+        1 => any::<u8>().prop_map(PlanStep::Fail),
+    ]
+}
+
+/// Drives a [`PlanStep`] stream against a cluster of 62–70 servers under
+/// a memory budget that spills replicas. Before each lookup batch the
+/// cluster is cloned — the twin starts with a cold plan table — and both
+/// run the batch: outcomes, latencies, level counts and false-hit
+/// counters must agree, so no plan the cluster carried across a publish,
+/// nor a probe cost it planned, differs from one built afresh.
+fn drive_plans(steps: &[PlanStep], seed: u64) -> Result<(), TestCaseError> {
+    let config = GhbaConfig::default()
+        .with_max_group_size(8)
+        .with_filter_capacity(64)
+        .with_lru_capacity(16)
+        .with_update_threshold(32)
+        .with_memory_per_mds(PLAN_BUDGET)
+        .with_seed(seed);
+    let mut cluster = GhbaCluster::with_servers(config, 62);
+    let handle = cluster.reconfig_handle();
+    let path = |f: u16| path_of("plan", u32::from(f));
+    for f in 0..160 {
+        cluster.create_file(&path(f));
+    }
+    let spills = |cluster: &GhbaCluster| {
+        cluster.server_ids().into_iter().any(|id| {
+            let held = cluster.replicas_held_by(id).len();
+            cluster.mds(id).expect("live").resident_replicas(held) < held
+        })
+    };
+    prop_assert!(spills(&cluster), "the budget spills no replica");
+    for (n, step) in steps.iter().enumerate() {
+        let ids = cluster.server_ids();
+        let pick = |at: u8| ids[usize::from(at) % ids.len()];
+        let gids = handle.group_ids();
+        let group = |at: u8| gids[usize::from(at) % gids.len()];
+        match step {
+            PlanStep::Lookups(files, at, concurrent) => {
+                cluster.drain_concurrent();
+                let mut twin = cluster.clone();
+                let start = usize::from(*at);
+                let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start });
+                files.iter().for_each(|&f| batch.push_lookup(path(f)));
+                let (got, want) = if *concurrent {
+                    let got = cluster.execute_concurrent(&batch);
+                    (got, twin.execute_concurrent(&batch))
+                } else {
+                    (cluster.execute(&batch), twin.execute(&batch))
+                };
+                prop_assert_eq!(got, want, "step {}", n);
+                cluster.drain_concurrent();
+                twin.drain_concurrent();
+                let (got, want) = (cluster.stats(), twin.stats());
+                prop_assert_eq!(&got.levels, &want.levels, "step {}", n);
+                prop_assert_eq!(&got.lookup_latency, &want.lookup_latency, "step {}", n);
+                let counters = |stats: &ghba_core::ClusterStats| {
+                    stats
+                        .counters
+                        .iter()
+                        .map(|(l, c)| (l.to_owned(), c))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(counters(got), counters(want), "step {}", n);
+            }
+            PlanStep::Write(f, at, true) => cluster.create_file_at(&path(*f), pick(*at)),
+            PlanStep::Write(f, _, false) => {
+                cluster.remove_file(&path(*f));
+            }
+            PlanStep::Drain(files, at) => {
+                let entry = EntryPolicy::Pinned(pick(*at));
+                let mut batch = OpBatch::new().with_entry(entry);
+                files.iter().for_each(|&f| batch.push_create(path(f)));
+                cluster.execute_concurrent(&batch);
+                cluster.drain_concurrent();
+            }
+            PlanStep::Flush => {
+                cluster.flush_all_updates();
+            }
+            PlanStep::Rebalance(at) => {
+                let _ = handle.rebalance_group(group(*at));
+            }
+            PlanStep::Split(at) => {
+                let _ = handle.split_group(group(*at));
+            }
+            PlanStep::Merge(a, b) => {
+                handle.merge_groups(group(*a), group(*b));
+            }
+            PlanStep::Join => {
+                if cluster.server_count() < 70 {
+                    cluster.add_mds();
+                }
+            }
+            PlanStep::Leave(at) => {
+                if cluster.server_count() > 62 {
+                    cluster.remove_mds(pick(*at)).expect("removable");
+                }
+            }
+            PlanStep::Fail(at) => {
+                if cluster.server_count() > 62 {
+                    cluster.fail_mds(pick(*at)).expect("failable");
+                }
+            }
+        }
+        if let Err(violation) = cluster.check_invariants() {
+            return Err(TestCaseError::fail(format!(
+                "step {n} ({step:?}): {violation}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// A per-server memory budget (bytes) under which [`drive_plans`]'s
+/// servers spill some of their replicas to disk.
+const PLAN_BUDGET: usize = 4_096;
+
 fn test_config(seed: u64) -> GhbaConfig {
     GhbaConfig::default()
         .with_max_group_size(3)
@@ -379,6 +531,19 @@ proptest! {
         drive_mirrored(&steps, seed)?;
     }
 
+    /// A plan carried across publishes is the plan built afresh: lookup
+    /// batches through both entries agree with a twin cloned — cold —
+    /// before each, under arbitrary handle rebalances, splits and
+    /// merges, joins, leaves and fail-stops past 64 servers, and owner
+    /// writes and drains under a memory budget.
+    #[test]
+    fn carried_plans_equal_cold_plans(
+        steps in proptest::collection::vec(arb_plan_step(), 1..30),
+        seed in 0u64..1000,
+    ) {
+        drive_plans(&steps, seed)?;
+    }
+
     /// Group sizes never exceed M; group count tracks ceil(N/M) from below.
     #[test]
     fn group_sizes_bounded(n in 1usize..40, m in 1usize..8) {
@@ -397,14 +562,13 @@ proptest! {
     /// reconfiguration events (join, graceful leave, fail-stop,
     /// standalone single-group rebalances, and online-controller ticks
     /// planning real split/merge/rebalance actions from live
-    /// telemetry) with mixed op batches, the snapshot-resident shared
-    /// mask cache — the one every walk consults — never holds a stale
-    /// mask. Invariant 8 of `check_invariants` (every cached L2/L3
-    /// entry valid under the published snapshot equals the mask and
-    /// held counts rebuilt from it) is checked after every step, and
-    /// every lookup of every batch names its ground-truth home.
+    /// telemetry) with mixed op batches, the published snapshot's plan
+    /// table — the one every walk reads — never holds a stale plan.
+    /// Invariant 8 of `check_invariants` (every filled L2/L3 slot equals
+    /// the plan rebuilt from the snapshot) is checked after every step,
+    /// and every lookup of every batch names its ground-truth home.
     #[test]
-    fn shared_mask_cache_never_serves_a_stale_mask(
+    fn plan_table_never_serves_a_stale_plan(
         ops in proptest::collection::vec(arb_stream_op(), 1..36),
         seed in 0u64..500,
     ) {
