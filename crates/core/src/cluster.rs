@@ -57,20 +57,21 @@
 //!   sweep ≈ 430 → ≈ 115 ns, `locate_home` ≈ 380 → ≈ 280 ns, and the
 //!   traced `cluster.execute_ns_per_op` 450 → 366 (seed 11).
 //! * **Tally.** The splice counts lookups per occurrence and mask
-//!   consults per walk into the arena's plain `WalkTally`, folded into
-//!   the atomic recorders once per arena, by its owner, after its last
-//!   run returned: one RMW per non-zero word, none if a run panicked.
+//!   consults per walk into the arena's plain `WalkTally`, which its
+//!   owner adds to the cluster's one unfolded tally once per arena,
+//!   under one lock, after its last run returned: one plain add per
+//!   word, nothing if a run panicked.
 
 use core::fmt;
 use core::marker::PhantomData;
 use core::time::Duration;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ghba_bloom::{BloomFilter, Fingerprint, Hit, ProbeBatch, RowDeriver, SharedShapeArray};
 use ghba_simnet::{Counters, DetRng, LatencyModel, LatencyStats};
 
 use crate::concurrent::{
-    ConcurrentStats, NamespaceShards, OverlayEntry, WalkTally, WriteKind, WriteRecord,
+    NamespaceShards, OverlayEntry, Telemetry, WalkTally, WriteKind, WriteRecord,
 };
 use crate::config::GhbaConfig;
 use crate::group::Group;
@@ -265,18 +266,14 @@ pub struct Cluster<T: Topology> {
     /// [`drain_concurrent`](Cluster::drain_concurrent) at the next
     /// `&mut` entry point.
     pub(crate) shards: NamespaceShards,
-    /// Atomic statistics recorded by `&self` walks, folded
-    /// into [`Cluster::stats`] at the same drain points.
-    pub(crate) cstats: ConcurrentStats,
-    /// Lifetime `(hits, misses)` of L2/L3 mask consults already folded
-    /// out of `cstats` (the reset-scoped view lives in `stats`).
-    mask_lifetime: (u64, u64),
-    /// Owner-side fold of the per-group load windows recorded by
-    /// `cstats` on the `&self` walks (see [`crate::load`]). Behind a
-    /// mutex so [`load_report`](Cluster::load_report) works from
-    /// `&self` (a controller samples while lookups run); touched only
-    /// at report cadence, never on the walk hot path.
-    pub(crate) load_fold: Mutex<crate::load::LoadFold>,
+    /// What the walks counted that nobody has folded yet, the decayed
+    /// load windows and the lifetime mask counts (see
+    /// [`crate::load`]). A pin's owner adds its tally under the lock
+    /// once per pin; the `&mut` entry points fold it into
+    /// [`Cluster::stats`] at the same drain points, without locking; a
+    /// [`load_report`](Cluster::load_report) from `&self` closes its load
+    /// window under the lock (a controller samples while lookups run).
+    telemetry: Mutex<Telemetry>,
     /// The attached write-ahead log, if any (see [`crate::wal`]): every
     /// shard-log drain and flush barrier is appended here before its
     /// effects apply. Boxed to keep the common (undurable) cluster
@@ -300,7 +297,10 @@ impl<T: Topology> Clone for Cluster<T> {
     /// slab, per-group placement) is shared structurally via `Arc` until
     /// either side's next edit copies-on-write, so the clone is cheap
     /// and the two clusters can never observe each other's subsequent
-    /// reconfigurations.
+    /// reconfigurations. The clone carries what the walks counted: the
+    /// unfolded tally, the load windows and the lifetime mask counts, so
+    /// once both sides fold, their statistics, mask accounting and load
+    /// reports agree.
     fn clone(&self) -> Self {
         // Pending `&self`-path writes are not cloned: drain them (any
         // `&mut` entry point) before cloning a cluster that executed
@@ -322,9 +322,7 @@ impl<T: Topology> Clone for Cluster<T> {
             rng: Mutex::new(self.rng.lock().expect("rng poisoned").clone()),
             stats: self.stats.clone(),
             shards: NamespaceShards::new(self.config.write_shards),
-            cstats: ConcurrentStats::new(),
-            mask_lifetime: self.mask_lifetime,
-            load_fold: Mutex::new(crate::load::LoadFold::new()),
+            telemetry: Mutex::new(self.telemetry().clone()),
             wal: None,
             rows: self.rows,
             row_scratch: Default::default(),
@@ -350,9 +348,7 @@ impl<T: Topology> Cluster<T> {
             rng: Mutex::new(rng),
             stats: ClusterStats::default(),
             shards,
-            cstats: ConcurrentStats::new(),
-            mask_lifetime: (0, 0),
-            load_fold: Mutex::new(crate::load::LoadFold::new()),
+            telemetry: Mutex::default(),
             wal: None,
             rows: RowDeriver::new(shape),
             row_scratch: Default::default(),
@@ -400,11 +396,8 @@ impl<T: Topology> Cluster<T> {
     /// so this is exact at any moment without a drain barrier.
     #[must_use]
     pub fn mask_cache_stats(&self) -> crate::load::MaskCacheStats {
-        crate::load::MaskCacheStats::assemble(
-            self.mask_lifetime,
-            (self.stats.mask_cache_hits, self.stats.mask_cache_misses),
-            self.cstats.pending_mask(),
-        )
+        let window = (self.stats.mask_cache_hits, self.stats.mask_cache_misses);
+        self.telemetry().mask_cache_stats(window)
     }
 
     /// Closes the open telemetry window and returns a
@@ -415,15 +408,23 @@ impl<T: Topology> Cluster<T> {
     /// construction), rates window-decayed across successive calls (see
     /// [`crate::load`]). Works from `&self` — a controller samples on
     /// its own cadence while lookups and reconfigurations run — and
-    /// deliberately does **not** drain the pending write shards or the
-    /// stats mirror; those still fold at the owner's next `&mut` entry.
+    /// deliberately does **not** drain the pending write shards or fold
+    /// the pending statistics; those still fold at the owner's next
+    /// `&mut` entry.
     #[must_use]
     pub fn load_report(&self) -> crate::load::LoadReport {
         let snap = self.routes.pin();
         let shape = T::load_shape(self, &snap);
-        let mut fold = self.load_fold.lock().expect("load fold poisoned");
-        let fresh = fold.close_window(&self.cstats);
-        fold.report(snap.epoch, fresh, &shape)
+        self.telemetry().load_report(snap.epoch, &shape)
+    }
+
+    /// The telemetry, locked. A poisoned lock is taken as it is: the
+    /// tally is plain sums, so a panic under the lock leaves at worst
+    /// one pin's counts partly added, and every other count stands.
+    fn telemetry(&self) -> MutexGuard<'_, Telemetry> {
+        self.telemetry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The active configuration.
@@ -681,10 +682,10 @@ impl<T: Topology> Cluster<T> {
     /// Looks `path` up from `entry` through a **shared reference**: the
     /// same pinned walk as [`lookup_from`](Cluster::lookup_from)
     /// without its `&mut` epilogue. Level and latency statistics are
-    /// recorded into wait-free atomic counters (folded into
-    /// [`stats`](Cluster::stats) at the next `&mut` drain point),
-    /// pending same-era writes are observed through the namespace-shard
-    /// overlay, and **no L1 cache fill is performed** (the walk is
+    /// added to the cluster's unfolded tally once, under its lock
+    /// (folded into [`stats`](Cluster::stats) at the next `&mut` drain
+    /// point), pending same-era writes are observed through the
+    /// namespace-shard overlay, and **no L1 cache fill is performed** (the walk is
     /// read-only on `Mds` state) — so any number of threads may call it
     /// while a reconfiguration handle publishes successor snapshots and
     /// other threads execute concurrent write batches.
@@ -1050,8 +1051,8 @@ impl<T: Topology> Cluster<T> {
     /// false-hit and per-group load statistics **per occurrence** —
     /// duplicates are real traffic, and the group controller must see the
     /// flash crowd it exists to split — and mask consults per walk into
-    /// `arena`'s [`WalkTally`]. Nothing reaches the atomic recorders
-    /// here: the arena's owner folds the tally in once
+    /// `arena`'s [`WalkTally`]. Nothing reaches the cluster's tally
+    /// here: the arena's owner adds the arena's in once
     /// ([`absorb_walks`](Self::absorb_walks)), so a run whose walk panics
     /// records nothing.
     ///
@@ -1091,10 +1092,10 @@ impl<T: Topology> Cluster<T> {
             .collect()
     }
 
-    /// Folds what `arena`'s runs counted into the atomic recorders: the
-    /// one hand-over per pin.
+    /// Adds what `arena`'s runs counted to the cluster's unfolded tally:
+    /// the one hand-over per pin, one lock.
     pub(crate) fn absorb_walks(&self, arena: &WalkArena) {
-        self.cstats.absorb(&arena.tally);
+        self.telemetry().absorb(&arena.tally);
     }
 
     /// One fused run under its own arena, absorbed on return: the entries
@@ -1140,24 +1141,28 @@ impl<T: Topology> Cluster<T> {
         Some(home)
     }
 
-    /// Drains pending concurrent state if any exists: the cheap
-    /// two-atomic-load gate every `&mut` entry point passes through.
+    /// Folds the pending statistics and drains pending writes if any
+    /// exist: the cheap gate every `&mut` entry point passes through (an
+    /// unlocked look at the tally, one atomic load).
     pub(crate) fn maybe_drain(&mut self) {
-        if self.shards.is_dirty() || self.cstats.is_dirty() {
+        self.fold_stats();
+        if self.shards.is_dirty() {
             self.drain_concurrent();
         }
     }
 
-    /// Folds the atomic recorders into [`stats`](Cluster::stats) and
-    /// the lifetime mask counters.
+    /// Moves what the walks counted into [`stats`](Cluster::stats) and
+    /// the lifetime mask counts: `&mut`, so the tally is read through
+    /// `Mutex::get_mut`, with no lock taken.
     fn fold_stats(&mut self) {
-        let (hits, misses) = self.cstats.fold_into(&mut self.stats);
-        self.mask_lifetime.0 += hits;
-        self.mask_lifetime.1 += misses;
+        // Poison is taken as it is: see `telemetry`.
+        let telemetry = self.telemetry.get_mut();
+        let telemetry = telemetry.unwrap_or_else(PoisonError::into_inner);
+        telemetry.fold_into(&mut self.stats);
     }
 
     /// Reconciles everything the `&self` pipeline deferred: folds the
-    /// atomic statistics into [`stats`](Cluster::stats), takes the
+    /// pending statistics into [`stats`](Cluster::stats), takes the
     /// namespace shards' ordered write logs, appends them to the WAL if
     /// one is attached, and replays them against the authoritative
     /// stores and live filters (shard-index order; per-path order is
@@ -1241,7 +1246,7 @@ impl<T: Topology> Cluster<T> {
     /// Every `&mut` read entry: drain, pin one snapshot, run the pinned
     /// walk, then apply the one thing the `&self` entries cannot — the
     /// L1 LRU fill, per occurrence in stream order — and fold the
-    /// atomic recorders so [`stats`](Cluster::stats) is current when
+    /// pending statistics so [`stats`](Cluster::stats) is current when
     /// the call returns.
     pub(crate) fn lookup_items(&mut self, items: &[WalkItem<'_>]) -> Vec<QueryOutcome> {
         self.maybe_drain();
@@ -1576,10 +1581,10 @@ mod tests {
         // A poisoned read phase applies no effects at all (all-or-
         // nothing splice): statistics, mask counters and load windows
         // saw none of the batch, the walks before the panic included.
-        assert_eq!(cluster.stats().lookup_latency.count(), 0);
-        assert!(!cluster.cstats.is_dirty());
         assert_eq!(cluster.mask_cache_stats(), mask_before);
         assert_eq!(cluster.load_report().fresh_lookups, 0);
+        cluster.drain_concurrent();
+        assert_eq!(cluster.stats().lookup_latency.count(), 0);
         // The cluster keeps serving.
         items[80].0 = MdsId(0);
         let outcomes = cluster.lookup_items(&items);

@@ -1,15 +1,18 @@
-//! Shared-reference execution support: atomic statistics and sharded
-//! write ownership.
+//! Shared-reference execution support: what the walks counted, and
+//! sharded write ownership.
 //!
-//! PR 6 made individual lookups flow through reconfiguration (each pins
-//! an immutable snapshot), but left two gaps that this module closes:
+//! Pinned walks run from `&self` on any number of threads while
+//! reconfiguration publishes successor snapshots. What they leave for the
+//! cluster's owner lives here:
 //!
-//! * **Stats from `&self`** — [`ConcurrentStats`] mirrors the hot
-//!   counters of `ClusterStats` (level counts, lookup latency,
-//!   mask-cache hits, false-hit counters) word-for-word in atomics, so
-//!   pinned walks running from a shared reference can record accounting
-//!   that the owner later folds into the authoritative `ClusterStats`
-//!   at a drain point.
+//! * **Counts** — a pin's runs count levels, latency, false hits, mask
+//!   consults and per-group load into a plain [`WalkTally`], and the
+//!   pin's owner adds it once, under one lock, to the cluster's
+//!   [`Telemetry`]: the one tally of what the walks counted that nobody
+//!   has folded yet, beside the decayed load windows it feeds. The owner
+//!   folds the tally into `ClusterStats` at its next `&mut` entry point,
+//!   through `Mutex::get_mut` with no lock taken; a load report closes
+//!   the load window under the lock.
 //! * **Writes from `&self`** — [`NamespaceShards`] partitions the
 //!   namespace by fingerprint hash into independently locked shards.
 //!   Creates and removes append ordered *write records* to their shard's
@@ -33,13 +36,12 @@
 //!   is boxed once here), the drain moves it into the store bucket, and
 //!   an overlay hit compares its bytes in the record it already read.
 //!
-//! Neither type performs any synchronization beyond its own locks and
-//! atomics: folding or draining requires the caller to hold `&mut` on
-//! the owning cluster (or otherwise guarantee that no concurrent
-//! recorder is live), which is exactly what the drain hooks on the
-//! clusters' `&mut` entry points provide.
+//! Draining the shards requires the caller to hold `&mut` on the owning
+//! cluster (or otherwise guarantee that no write is being recorded
+//! concurrently), which is exactly what the drain hooks on the clusters'
+//! `&mut` entry points provide.
 
-use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, Ordering};
 use core::time::Duration;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -48,83 +50,20 @@ use ghba_bloom::{BuildLaneHasher, Fingerprint};
 use ghba_simnet::LatencyStats;
 
 use crate::cluster::ClusterStats;
-use crate::ids::{GroupId, MdsId};
-use crate::load::{add_nonzero, LoadRecorder, LoadTally};
+use crate::ids::{GroupId, MdsId, MembershipEpoch};
+use crate::load::{LoadReport, LoadTally, LoadWindows, MaskCacheStats};
 use crate::mds::Mds;
 use crate::metadata::CompactPath;
 use crate::op::PathKey;
 use crate::query::QueryLevel;
 
-/// Lock-free mirror of `LatencyStats`: same bucket geometry, atomic
-/// words, drained wholesale into the real accumulator via
-/// `LatencyStats::merge_parts`.
-#[derive(Debug)]
-struct AtomicLatency {
-    count: AtomicU64,
-    sum_nanos: AtomicU64,
-    min_nanos: AtomicU64,
-    max_nanos: AtomicU64,
-    buckets: [AtomicU64; 64],
-}
-
-impl AtomicLatency {
-    fn new() -> Self {
-        AtomicLatency {
-            count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            min_nanos: AtomicU64::new(u64::MAX),
-            max_nanos: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Adds locally accumulated samples: one RMW per non-zero word.
-    fn absorb(&self, samples: &LatencyStats) {
-        let (count, sum_nanos, min_nanos, max_nanos, buckets) = samples.parts();
-        if count == 0 {
-            return;
-        }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        // Truncating: the atomic word wraps the same way.
-        self.sum_nanos
-            .fetch_add(sum_nanos as u64, Ordering::Relaxed);
-        self.min_nanos.fetch_min(min_nanos, Ordering::Relaxed);
-        self.max_nanos.fetch_max(max_nanos, Ordering::Relaxed);
-        for (bucket, &n) in self.buckets.iter().zip(buckets) {
-            add_nonzero(bucket, n);
-        }
-    }
-
-    /// Resets the accumulator and returns the drained parts in
-    /// `merge_parts` order. Every `&mut` read folds right after its
-    /// walk, so the common drain holds one sample: only non-zero words
-    /// pay an atomic swap (the caller guarantees no live recorder, so a
-    /// word read as zero stays zero).
-    fn drain(&self) -> (u64, u128, u64, u64, [u64; 64]) {
-        let mut buckets = [0u64; 64];
-        if self.count.load(Ordering::Relaxed) == 0 {
-            return (0, 0, u64::MAX, 0, buckets);
-        }
-        let count = self.count.swap(0, Ordering::Relaxed);
-        let sum = u128::from(self.sum_nanos.swap(0, Ordering::Relaxed));
-        let min = self.min_nanos.swap(u64::MAX, Ordering::Relaxed);
-        let max = self.max_nanos.swap(0, Ordering::Relaxed);
-        for (slot, bucket) in buckets.iter_mut().zip(&self.buckets) {
-            if bucket.load(Ordering::Relaxed) != 0 {
-                *slot = bucket.swap(0, Ordering::Relaxed);
-            }
-        }
-        (count, sum, min, max, buckets)
-    }
-}
-
 /// What the fused runs of one pin counted, in plain words: each run's
 /// splice records every lookup **occurrence** (level, latency, false
 /// hits, load attribution) and every walk's mask consults here, and the
-/// pin's owner folds the lot into the atomics once
-/// ([`ConcurrentStats::absorb`]) after its last run returned — so a
-/// batch one of whose walks panics has recorded nothing.
-#[derive(Debug, Default)]
+/// pin's owner adds the lot to the cluster's [`Telemetry`] once
+/// ([`Telemetry::absorb`]) after its last run returned — so a batch one
+/// of whose walks panics has recorded nothing.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WalkTally {
     levels: [u64; 5],
     lookup: LatencyStats,
@@ -168,136 +107,103 @@ impl WalkTally {
         self.mask[usize::from(!hit)] += 1;
         self.load.mask(gid, hit);
     }
-}
 
-/// Atomic accounting for walks performed from `&self`.
-///
-/// Every counter mirrors a field (or named counter) of `ClusterStats`.
-/// Recording is wait-free ([`absorb`](ConcurrentStats::absorb) once per
-/// pin: per `execute_concurrent` batch, per run elsewhere);
-/// [`fold_into`](ConcurrentStats::fold_into)
-/// drains everything into the owner's stats and must only run once the
-/// caller holds `&mut` on the owning cluster (no live recorders).
-#[derive(Debug)]
-pub(crate) struct ConcurrentStats {
-    dirty: AtomicBool,
-    levels: [AtomicU64; 5],
-    lookup: AtomicLatency,
-    mask_hits: AtomicU64,
-    mask_misses: AtomicU64,
-    l1_false: AtomicU64,
-    l2_false: AtomicU64,
-    l3_false: AtomicU64,
-    l4_disk: AtomicU64,
-    /// Per-group load telemetry (see [`crate::load`]). Deliberately
-    /// outside the `dirty` protocol: it is drained by the load report,
-    /// not by the stats fold, so recording load never forces the
-    /// `maybe_drain` slow path on the next `&mut` entry.
-    load: LoadRecorder,
-}
-
-impl Default for ConcurrentStats {
-    fn default() -> Self {
-        ConcurrentStats::new()
+    /// Adds `other`'s counts, word by word.
+    fn add(&mut self, other: &WalkTally) {
+        for (total, n) in self.levels.iter_mut().zip(other.levels) {
+            *total += n;
+        }
+        self.lookup.merge(&other.lookup);
+        for (total, n) in self.falses.iter_mut().zip(other.falses) {
+            *total += n;
+        }
+        for (total, n) in self.mask.iter_mut().zip(other.mask) {
+            *total += n;
+        }
+        self.load.add(&other.load);
     }
 }
 
-impl ConcurrentStats {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        ConcurrentStats {
-            dirty: AtomicBool::new(false),
-            levels: std::array::from_fn(|_| AtomicU64::new(0)),
-            lookup: AtomicLatency::new(),
-            mask_hits: AtomicU64::new(0),
-            mask_misses: AtomicU64::new(0),
-            l1_false: AtomicU64::new(0),
-            l2_false: AtomicU64::new(0),
-            l3_false: AtomicU64::new(0),
-            l4_disk: AtomicU64::new(0),
-            load: LoadRecorder::new(),
+/// What the walks counted that nobody has folded yet, beside the decayed
+/// load windows its load part folds into. The cluster keeps one behind a
+/// mutex: a pin's owner adds its tally under the lock
+/// ([`absorb`](Telemetry::absorb)), the owner moves the rest into
+/// `ClusterStats` through `&mut` ([`fold_into`](Telemetry::fold_into)),
+/// and a load report closes the load window under the lock
+/// ([`load_report`](Telemetry::load_report)).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Telemetry {
+    /// Every absorbed pin's counts, summed.
+    pending: WalkTally,
+    /// Decayed per-group rates, one window per load report.
+    windows: LoadWindows,
+    /// Lifetime `(hits, misses)` of the mask consults already folded
+    /// into `ClusterStats`, which keeps the reset-scoped view.
+    mask_lifetime: (u64, u64),
+}
+
+impl Telemetry {
+    /// Adds one pin's tally: one plain add per word.
+    pub fn absorb(&mut self, tally: &WalkTally) {
+        self.pending.add(tally);
+    }
+
+    /// Moves the pending levels, latency, false hits and mask consults
+    /// into `stats` and the lifetime mask counts. The load part stays:
+    /// it is the open window of the next load report.
+    pub fn fold_into(&mut self, stats: &mut ClusterStats) {
+        let pending = &mut self.pending;
+        if pending.lookup.count() == 0 && pending.mask == [0, 0] {
+            return;
         }
-    }
-
-    /// Whether anything has been recorded since the last fold.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Acquire)
-    }
-
-    /// Folds one pin's [`WalkTally`] in: one RMW per non-zero word.
-    /// Load telemetry deliberately stays outside the `dirty` protocol —
-    /// its windows are closed by
-    /// [`LoadFold::close_window`](crate::load::LoadFold::close_window),
-    /// not by the stats fold.
-    pub fn absorb(&self, tally: &WalkTally) {
-        for (word, &n) in self.levels.iter().zip(&tally.levels) {
-            add_nonzero(word, n);
-        }
-        self.lookup.absorb(&tally.lookup);
-        let [l1, l2, l3, l4_disk] = tally.falses;
-        add_nonzero(&self.l1_false, l1);
-        add_nonzero(&self.l2_false, l2);
-        add_nonzero(&self.l3_false, l3);
-        add_nonzero(&self.l4_disk, l4_disk);
-        let [hits, misses] = tally.mask;
-        add_nonzero(&self.mask_hits, hits);
-        add_nonzero(&self.mask_misses, misses);
-        if tally.lookup.count() + hits + misses > 0 {
-            self.dirty.store(true, Ordering::Release);
-        }
-        self.load.absorb(&tally.load);
-    }
-
-    /// Not-yet-folded mask consults `(hits, misses)` — peeked, not
-    /// drained, so a `&self` reader can assemble an up-to-date
-    /// [`MaskCacheStats`](crate::load::MaskCacheStats) view without a
-    /// drain barrier.
-    pub fn pending_mask(&self) -> (u64, u64) {
-        (
-            self.mask_hits.load(Ordering::Relaxed),
-            self.mask_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    pub(crate) fn load_recorder(&self) -> &LoadRecorder {
-        &self.load
-    }
-
-    /// Drains every counter into `stats` and returns the folded
-    /// `(mask_hits, mask_misses)` pair so callers with a separate
-    /// lifetime view of the mask cache can absorb it too.
-    ///
-    /// Requires external synchronization: no recorder may be live.
-    pub fn fold_into(&self, stats: &mut ClusterStats) -> (u64, u64) {
-        self.dirty.store(false, Ordering::Release);
-        stats.levels.l1 += self.levels[0].swap(0, Ordering::Relaxed);
-        stats.levels.l2 += self.levels[1].swap(0, Ordering::Relaxed);
-        stats.levels.l3 += self.levels[2].swap(0, Ordering::Relaxed);
-        stats.levels.l4 += self.levels[3].swap(0, Ordering::Relaxed);
-        stats.levels.nonexistent += self.levels[4].swap(0, Ordering::Relaxed);
-
-        let (count, sum, min, max, buckets) = self.lookup.drain();
+        let [l1, l2, l3, l4, nonexistent] = core::mem::take(&mut pending.levels);
+        stats.levels.l1 += l1;
+        stats.levels.l2 += l2;
+        stats.levels.l3 += l3;
+        stats.levels.l4 += l4;
+        stats.levels.nonexistent += nonexistent;
         stats
             .lookup_latency
-            .merge_parts(count, sum, min, max, &buckets);
-
-        for (label, counter) in [
-            ("l1_false_hits", &self.l1_false),
-            ("l2_false_hits", &self.l2_false),
-            ("l3_false_hits", &self.l3_false),
-            ("l4_false_positive_disk_checks", &self.l4_disk),
-        ] {
-            let n = counter.swap(0, Ordering::Relaxed);
+            .merge(&core::mem::take(&mut pending.lookup));
+        let labels = [
+            "l1_false_hits",
+            "l2_false_hits",
+            "l3_false_hits",
+            "l4_false_positive_disk_checks",
+        ];
+        for (label, n) in labels.into_iter().zip(core::mem::take(&mut pending.falses)) {
             if n > 0 {
                 stats.counters.add(label, n);
             }
         }
-
-        let hits = self.mask_hits.swap(0, Ordering::Relaxed);
-        let misses = self.mask_misses.swap(0, Ordering::Relaxed);
+        let [hits, misses] = core::mem::take(&mut pending.mask);
         stats.mask_cache_hits += hits;
         stats.mask_cache_misses += misses;
-        (hits, misses)
+        self.mask_lifetime.0 += hits;
+        self.mask_lifetime.1 += misses;
+    }
+
+    /// Closes the open load window — folds the pending load into the
+    /// decayed rates and clears it — and reports the rates under the
+    /// live `shape`.
+    pub fn load_report(
+        &mut self,
+        epoch: MembershipEpoch,
+        shape: &[(GroupId, Vec<MdsId>)],
+    ) -> LoadReport {
+        let closed = &mut self.pending.load;
+        let fresh = closed.lookups();
+        self.windows.fold(closed);
+        closed.clear();
+        self.windows.report(epoch, fresh, shape)
+    }
+
+    /// Both scopes of mask-consult accounting: the lifetime counts and
+    /// `window` (the reset-scoped folded pair), each with the pending
+    /// consults added.
+    pub fn mask_cache_stats(&self, window: (u64, u64)) -> MaskCacheStats {
+        let [hits, misses] = self.pending.mask;
+        MaskCacheStats::assemble(self.mask_lifetime, window, (hits, misses))
     }
 }
 
@@ -512,22 +418,6 @@ mod tests {
         assert!(!shards.is_dirty());
         assert_eq!(shards.overlay(&key), OverlayEntry::Untracked);
         assert!(shards.take_all().is_empty());
-    }
-
-    #[test]
-    fn atomic_latency_matches_latency_stats_geometry() {
-        let atomic = AtomicLatency::new();
-        let mut reference = LatencyStats::new();
-        for nanos in [0u64, 1, 7, 1024, 65_537, 1_000_000_000] {
-            let mut one = LatencyStats::new();
-            one.record(Duration::from_nanos(nanos));
-            atomic.absorb(&one);
-            reference.record(Duration::from_nanos(nanos));
-        }
-        let (count, sum, min, max, buckets) = atomic.drain();
-        let mut folded = LatencyStats::new();
-        folded.merge_parts(count, sum, min, max, &buckets);
-        assert_eq!(folded, reference);
     }
 
     /// Two pending paths sharing all 128 fingerprint bits (forged: no

@@ -24,10 +24,10 @@
 //! Every read entry is that walk plus a thin epilogue:
 //!
 //! * `&self` entries ([`Cluster::lookup_concurrent`],
-//!   [`MetadataService::execute_concurrent`]) record statistics into
-//!   wait-free atomic counters and **never fill L1**; the owner folds
-//!   them (and replays pending writes) at its next `&mut` entry or an
-//!   explicit [`Cluster::drain_concurrent`].
+//!   [`MetadataService::execute_concurrent`]) add their statistics to
+//!   one mutex-guarded tally, once per pin, and **never fill L1**; the
+//!   owner folds it (and replays pending writes) at its next `&mut`
+//!   entry or an explicit [`Cluster::drain_concurrent`].
 //! * `&mut` entries ([`Cluster::lookup_from`], [`MetadataService::execute`])
 //!   drain first, run the same walk, then apply the L1 LRU fill per
 //!   occurrence in stream order and **fold the statistics before
@@ -45,7 +45,7 @@
 //!
 //! The cluster is one engine too. [`Cluster`] owns everything that does
 //! not depend on where replicas live — servers, snapshot cell, rng,
-//! stats, shard logs, atomic recorders, load fold, optional
+//! stats, shard logs, the unfolded tally and load windows, optional
 //! WAL, and the walk, driver hooks, update cadence and drain —
 //! and is parameterised by a sealed replica layout with exactly two
 //! implementations: [`Grouped`] ([`GhbaCluster`]) and [`FullMirror`]
@@ -126,7 +126,7 @@ pub use concurrent::{WriteKind, WriteRecord};
 pub use config::GhbaConfig;
 pub use group::{Group, IdFilterArray};
 pub use ids::{GroupEpoch, GroupId, MdsId, MembershipEpoch};
-pub use load::{GroupLoad, LoadFold, LoadReport, MaskCacheStats};
+pub use load::{GroupLoad, LoadReport, MaskCacheStats};
 pub use mds::{published_shape, Mds, META_ENTRY_BYTES};
 pub use metadata::{CompactPath, FileAttrs, MetadataStore, INLINE_PATH_BYTES};
 pub use mirror::{FullMirror, HbaCluster};

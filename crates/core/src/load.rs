@@ -4,31 +4,29 @@
 //! The paper derives an interior-optimal group size M* offline (fig6/
 //! fig7); closing the loop online needs the cluster to *observe* where
 //! its traffic lands. This module provides that observation surface in
-//! three pieces:
+//! two pieces, and hands consumers a [`LoadReport`]:
 //!
-//! * `LoadRecorder` (private) — fixed-capacity tables of wait-free atomic
-//!   counters, embedded in `ConcurrentStats`. The pinned walk's splice
-//!   (every read entry, `&mut` or `&self`) counts each lookup occurrence
-//!   into a plain `LoadTally`, folded in once per pin — per
-//!   `execute_concurrent` batch, per run elsewhere — with one relaxed
-//!   `fetch_add` per non-zero word. No locks, callable from
-//!   `&self` while reconfiguration publishes successor snapshots.
-//! * `LoadWindows` (private) — the owner-side fold state: each call to
+//! * `LoadTally` (private) — plain per-group and per-entry-server counts.
+//!   The pinned walk's splice (every read entry, `&mut` or `&self`)
+//!   counts each lookup occurrence into the tally of the pin's arena;
+//!   the pin's owner adds it once — per `execute_concurrent` batch, per
+//!   run elsewhere — to the cluster's one unfolded tally, under the lock
+//!   that guards the cluster's telemetry (one plain add per word).
+//! * `LoadWindows` (private) — the decayed rates: each call to
 //!   [`GhbaCluster::load_report`](crate::GhbaCluster::load_report)
-//!   closes one *window* (swap-to-zero on the atomics) and folds it
-//!   into exponentially decayed per-group rates, so a controller
-//!   sampling on a cadence sees smoothed recent load, not a lifetime
-//!   average and not one noisy tick.
-//! * [`LoadReport`] — the stable snapshot handed to consumers: one
+//!   closes one *window* (takes the unfolded tally's counts and clears
+//!   them) and folds it into exponentially decayed per-group rates, so a
+//!   controller sampling on a cadence sees smoothed recent load, not a
+//!   lifetime average and not one noisy tick. The report is one
 //!   [`GroupLoad`] row per live group (shape from the pinned routing
 //!   snapshot, rates from the decayed windows), plus window totals.
 //!
-//! The recorder's group table is indexed directly by [`GroupId`] (ids
-//! are monotonic and never recycled); ids at or past the table capacity
-//! share the final slot, so an extremely long split history degrades to
-//! aggregated accounting for the newest groups rather than unbounded
-//! memory or a lock. The same scheme covers the per-entry-server table
-//! that feeds member-imbalance rates.
+//! A tally's group table is indexed directly by [`GroupId`] (ids are
+//! monotonic and never recycled) and grows on demand; ids at or past
+//! `LOAD_GROUP_SLOTS - 1` share the final slot, so an extremely long
+//! split history degrades to aggregated accounting for the newest groups
+//! rather than a table that grows with it. The same scheme covers the
+//! per-entry-server table that feeds member-imbalance rates.
 //!
 //! False-hit accounting is recorded with full fidelity. Mask-consult
 //! rates cover the snapshot's plan table, whose plans a successor
@@ -38,80 +36,51 @@
 //! deliberately depend only on traffic share, shape, and member
 //! imbalance (see [`crate::adapt`]).
 
-use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::BTreeMap;
 
 use crate::ids::{GroupId, MdsId, MembershipEpoch};
 use crate::query::QueryLevel;
 
-/// Group slots in the atomic table. Group ids `>= LOAD_GROUP_SLOTS - 1`
+/// Group slots a tally keeps. Group ids `>= LOAD_GROUP_SLOTS - 1`
 /// aggregate into the final slot.
 pub(crate) const LOAD_GROUP_SLOTS: usize = 2048;
 /// Entry-server slots; same overflow rule.
 pub(crate) const LOAD_ENTRY_SLOTS: usize = 2048;
 
-/// One group's wait-free counters for the current (open) window.
-#[derive(Debug)]
-struct GroupSlot {
-    /// Walks whose entry server belonged to this group.
-    lookups: AtomicU64,
-    /// Of those, walks that escalated to the L3 group multicast.
-    l3_walks: AtomicU64,
-    /// Of those, walks that escalated to the L4 global multicast
-    /// (including misses).
-    l4_walks: AtomicU64,
-    /// False hits charged to walks entering through this group.
-    false_hits: AtomicU64,
-    /// L2/L3 mask consults answered from a cache or a pin's plan.
-    mask_hits: AtomicU64,
-    /// L2/L3 mask consults that had to build the mask.
-    mask_misses: AtomicU64,
-}
-
-impl GroupSlot {
-    fn new() -> Self {
-        GroupSlot {
-            lookups: AtomicU64::new(0),
-            l3_walks: AtomicU64::new(0),
-            l4_walks: AtomicU64::new(0),
-            false_hits: AtomicU64::new(0),
-            mask_hits: AtomicU64::new(0),
-            mask_misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One group's raw counts for a just-closed window (see
-/// [`LoadRecorder::drain_window`]).
+/// One group's raw counts in the open window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct RawGroupWindow {
-    pub lookups: u64,
-    pub l3_walks: u64,
-    pub l4_walks: u64,
-    pub false_hits: u64,
-    pub mask_hits: u64,
-    pub mask_misses: u64,
+    /// Walks whose entry server belonged to this group.
+    lookups: u64,
+    /// Of those, walks that escalated to the L3 group multicast.
+    l3_walks: u64,
+    /// Of those, walks that escalated to the L4 global multicast
+    /// (including misses).
+    l4_walks: u64,
+    /// False hits charged to walks entering through this group.
+    false_hits: u64,
+    /// L2/L3 mask consults answered by a plan already built.
+    mask_hits: u64,
+    /// L2/L3 mask consults that had to build the plan.
+    mask_misses: u64,
 }
 
-/// The raw contents of one closed window: per-slot group counts plus
-/// per-slot entry-server lookup counts (only non-zero slots reported).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RawLoadWindow {
-    pub groups: Vec<(usize, RawGroupWindow)>,
-    pub entries: Vec<(usize, u64)>,
-}
-
-impl RawLoadWindow {
-    /// Total walks recorded in this window.
-    pub(crate) fn total_lookups(&self) -> u64 {
-        self.groups.iter().map(|(_, g)| g.lookups).sum()
+impl RawGroupWindow {
+    fn add(&mut self, other: &RawGroupWindow) {
+        self.lookups += other.lookups;
+        self.l3_walks += other.l3_walks;
+        self.l4_walks += other.l4_walks;
+        self.false_hits += other.false_hits;
+        self.mask_hits += other.mask_hits;
+        self.mask_misses += other.mask_misses;
     }
 }
 
-/// One pin's load — walks and mask consults — counted in plain words by
-/// its runs' splices and folded into the [`LoadRecorder`] once. Both
-/// tables are indexed by recorder slot and grow on demand.
-#[derive(Debug, Default)]
+/// Load — walks and mask consults — counted in plain words: a pin's
+/// runs' splices count into one, and the cluster sums every pin's into
+/// the one it folds at report cadence. Both tables are indexed by slot
+/// (`group_slot`, `entry_slot`) and grow on demand.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LoadTally {
     groups: Vec<RawGroupWindow>,
     entries: Vec<u64>,
@@ -156,22 +125,33 @@ impl LoadTally {
             window.mask_misses += 1;
         }
     }
-}
 
-/// Fixed-capacity atomic tables recording per-group and per-entry
-/// traffic from `&self`. Owned by
-/// `ConcurrentStats`; see the module docs.
-#[derive(Debug)]
-pub(crate) struct LoadRecorder {
-    groups: Box<[GroupSlot]>,
-    entries: Box<[AtomicU64]>,
-}
+    /// Adds `other`'s counts, slot by slot.
+    pub(crate) fn add(&mut self, other: &LoadTally) {
+        if self.groups.len() < other.groups.len() {
+            self.groups
+                .resize(other.groups.len(), RawGroupWindow::default());
+        }
+        for (mine, theirs) in self.groups.iter_mut().zip(&other.groups) {
+            mine.add(theirs);
+        }
+        if self.entries.len() < other.entries.len() {
+            self.entries.resize(other.entries.len(), 0);
+        }
+        for (mine, theirs) in self.entries.iter_mut().zip(&other.entries) {
+            *mine += theirs;
+        }
+    }
 
-/// Folds a locally counted `n` into a shared statistic: no RMW for zero.
-#[inline]
-pub(crate) fn add_nonzero(word: &AtomicU64, n: u64) {
-    if n > 0 {
-        word.fetch_add(n, Ordering::Relaxed);
+    /// Walks counted.
+    pub(crate) fn lookups(&self) -> u64 {
+        self.groups.iter().map(|g| g.lookups).sum()
+    }
+
+    /// Forgets every count, keeping the tables' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.groups.clear();
+        self.entries.clear();
     }
 }
 
@@ -185,58 +165,6 @@ fn entry_slot(entry: MdsId) -> usize {
     (entry.0 as usize).min(LOAD_ENTRY_SLOTS - 1)
 }
 
-impl LoadRecorder {
-    pub(crate) fn new() -> Self {
-        LoadRecorder {
-            groups: (0..LOAD_GROUP_SLOTS).map(|_| GroupSlot::new()).collect(),
-            entries: (0..LOAD_ENTRY_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Adds a pin's locally counted load into the open window: one RMW
-    /// per non-zero word.
-    pub(crate) fn absorb(&self, tally: &LoadTally) {
-        for (slot, window) in self.groups.iter().zip(&tally.groups) {
-            add_nonzero(&slot.lookups, window.lookups);
-            add_nonzero(&slot.l3_walks, window.l3_walks);
-            add_nonzero(&slot.l4_walks, window.l4_walks);
-            add_nonzero(&slot.false_hits, window.false_hits);
-            add_nonzero(&slot.mask_hits, window.mask_hits);
-            add_nonzero(&slot.mask_misses, window.mask_misses);
-        }
-        for (slot, &count) in self.entries.iter().zip(&tally.entries) {
-            add_nonzero(slot, count);
-        }
-    }
-
-    /// Closes the open window: swaps every counter to zero and returns
-    /// the non-zero slots. Wait-free recorders may interleave; a count
-    /// recorded during the drain lands in exactly one window.
-    pub(crate) fn drain_window(&self) -> RawLoadWindow {
-        let mut raw = RawLoadWindow::default();
-        for (index, slot) in self.groups.iter().enumerate() {
-            let window = RawGroupWindow {
-                lookups: slot.lookups.swap(0, Ordering::Relaxed),
-                l3_walks: slot.l3_walks.swap(0, Ordering::Relaxed),
-                l4_walks: slot.l4_walks.swap(0, Ordering::Relaxed),
-                false_hits: slot.false_hits.swap(0, Ordering::Relaxed),
-                mask_hits: slot.mask_hits.swap(0, Ordering::Relaxed),
-                mask_misses: slot.mask_misses.swap(0, Ordering::Relaxed),
-            };
-            if window != RawGroupWindow::default() {
-                raw.groups.push((index, window));
-            }
-        }
-        for (index, slot) in self.entries.iter().enumerate() {
-            let count = slot.swap(0, Ordering::Relaxed);
-            if count > 0 {
-                raw.entries.push((index, count));
-            }
-        }
-        raw
-    }
-}
-
 /// Decayed per-group rates, folded once per closed window.
 #[derive(Debug, Clone, Copy, Default)]
 struct DecayedGroup {
@@ -248,10 +176,10 @@ struct DecayedGroup {
     mask_misses: f64,
 }
 
-/// Owner-side window fold state: exponentially decayed per-group and
-/// per-entry rates. One instance per cluster, behind a mutex touched
-/// only at report cadence (never on the walk hot path).
-#[derive(Debug)]
+/// Exponentially decayed per-group and per-entry rates, one window
+/// folded in per load report. Kept beside the cluster's unfolded tally,
+/// under its telemetry lock, and touched at report cadence only.
+#[derive(Debug, Clone)]
 pub(crate) struct LoadWindows {
     window: u64,
     /// Weight of history when a new window folds in: `decayed = alpha *
@@ -263,8 +191,8 @@ pub(crate) struct LoadWindows {
     entries: BTreeMap<usize, f64>,
 }
 
-impl LoadWindows {
-    pub(crate) fn new() -> Self {
+impl Default for LoadWindows {
+    fn default() -> Self {
         LoadWindows {
             window: 0,
             alpha: 0.5,
@@ -272,10 +200,11 @@ impl LoadWindows {
             entries: BTreeMap::new(),
         }
     }
+}
 
-    /// Folds one closed raw window into the decayed rates and returns
-    /// the new window index.
-    pub(crate) fn fold(&mut self, raw: &RawLoadWindow) -> u64 {
+impl LoadWindows {
+    /// Folds one closed window's counts into the decayed rates.
+    pub(crate) fn fold(&mut self, closed: &LoadTally) {
         self.window += 1;
         for decayed in self.groups.values_mut() {
             decayed.lookups *= self.alpha;
@@ -288,7 +217,8 @@ impl LoadWindows {
         for rate in self.entries.values_mut() {
             *rate *= self.alpha;
         }
-        for &(slot, ref window) in &raw.groups {
+        let counted = closed.groups.iter().enumerate();
+        for (slot, window) in counted.filter(|(_, w)| **w != RawGroupWindow::default()) {
             let decayed = self.groups.entry(slot).or_default();
             decayed.lookups += window.lookups as f64;
             decayed.l3_walks += window.l3_walks as f64;
@@ -297,14 +227,13 @@ impl LoadWindows {
             decayed.mask_hits += window.mask_hits as f64;
             decayed.mask_misses += window.mask_misses as f64;
         }
-        for &(slot, count) in &raw.entries {
+        for (slot, &count) in closed.entries.iter().enumerate().filter(|&(_, &n)| n > 0) {
             *self.entries.entry(slot).or_default() += count as f64;
         }
         // Drop rows decayed to dust so dissolved groups and retired
         // servers do not accumulate forever.
         self.groups.retain(|_, d| d.lookups >= 1e-3);
         self.entries.retain(|_, rate| *rate >= 1e-3);
-        self.window
     }
 
     fn group(&self, gid: GroupId) -> DecayedGroup {
@@ -319,6 +248,71 @@ impl LoadWindows {
             .get(&entry_slot(entry))
             .copied()
             .unwrap_or_default()
+    }
+
+    /// The [`LoadReport`] of the decayed rates under the live shape
+    /// `(gid, members)`, for the window whose raw walk count was
+    /// `fresh_lookups`.
+    pub(crate) fn report(
+        &self,
+        epoch: MembershipEpoch,
+        fresh_lookups: u64,
+        shape: &[(GroupId, Vec<MdsId>)],
+    ) -> LoadReport {
+        let total: f64 = shape.iter().map(|&(gid, _)| self.group(gid).lookups).sum();
+        let groups = shape
+            .iter()
+            .map(|(gid, members)| {
+                let decayed = self.group(*gid);
+                let rates: Vec<f64> = members.iter().map(|&m| self.entry_rate(m)).collect();
+                let member_total: f64 = rates.iter().sum();
+                let imbalance = if members.is_empty() || member_total <= f64::EPSILON {
+                    1.0
+                } else {
+                    let mean = member_total / members.len() as f64;
+                    rates.iter().copied().fold(0.0_f64, f64::max) / mean
+                };
+                let consults = decayed.mask_hits + decayed.mask_misses;
+                GroupLoad {
+                    gid: *gid,
+                    members: members.len(),
+                    lookups: decayed.lookups,
+                    share: if total > f64::EPSILON {
+                        decayed.lookups / total
+                    } else {
+                        0.0
+                    },
+                    l3_share: if decayed.lookups > f64::EPSILON {
+                        decayed.l3_walks / decayed.lookups
+                    } else {
+                        0.0
+                    },
+                    l4_share: if decayed.lookups > f64::EPSILON {
+                        decayed.l4_walks / decayed.lookups
+                    } else {
+                        0.0
+                    },
+                    false_hit_rate: if decayed.lookups > f64::EPSILON {
+                        decayed.false_hits / decayed.lookups
+                    } else {
+                        0.0
+                    },
+                    mask_hit_rate: if consults > f64::EPSILON {
+                        decayed.mask_hits / consults
+                    } else {
+                        1.0
+                    },
+                    imbalance,
+                }
+            })
+            .collect();
+        LoadReport {
+            window: self.window,
+            epoch,
+            fresh_lookups,
+            total,
+            groups,
+        }
     }
 }
 
@@ -351,8 +345,8 @@ pub struct GroupLoad {
 }
 
 /// A stable snapshot of cluster load, one row per live group. Produced
-/// by [`GhbaCluster::load_report`](crate::GhbaCluster::load_report)
-/// (and the HBA baseline's mirror), consumed by
+/// by [`Cluster::load_report`](crate::Cluster::load_report) (either
+/// layout), consumed by
 /// [`GroupController`](crate::adapt::GroupController).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
@@ -383,126 +377,12 @@ impl LoadReport {
     }
 }
 
-/// Owner-side fold state for one cluster: closes the recorder's open
-/// window and keeps the exponentially decayed rates. `GhbaCluster`
-/// holds one behind a mutex touched only at report cadence; the HBA
-/// baseline holds its own for the mirrored report.
-#[derive(Debug)]
-pub struct LoadFold {
-    windows: LoadWindows,
-}
-
-impl Default for LoadFold {
-    fn default() -> Self {
-        LoadFold::new()
-    }
-}
-
-impl LoadFold {
-    /// Creates an empty fold (window 0, no history).
-    #[must_use]
-    pub fn new() -> Self {
-        LoadFold {
-            windows: LoadWindows::new(),
-        }
-    }
-
-    /// Closes `stats`' open load window and folds it into the decayed
-    /// rates, returning the raw walk count of the just-closed window.
-    pub(crate) fn close_window(&mut self, stats: &crate::concurrent::ConcurrentStats) -> u64 {
-        let raw = stats.load_recorder().drain_window();
-        let fresh = raw.total_lookups();
-        self.windows.fold(&raw);
-        fresh
-    }
-
-    /// Builds the stable [`LoadReport`] snapshot from the folded rates
-    /// plus the live shape `(gid, members)` and the window's raw walk
-    /// count.
-    #[must_use]
-    pub fn report(
-        &self,
-        epoch: MembershipEpoch,
-        fresh_lookups: u64,
-        shape: &[(GroupId, Vec<MdsId>)],
-    ) -> LoadReport {
-        build_report(&self.windows, epoch, fresh_lookups, shape)
-    }
-}
-
-/// Builds a [`LoadReport`] from the decayed windows plus the live shape
-/// `(gid, members)` — shared by the G-HBA cluster and the HBA mirror.
-pub(crate) fn build_report(
-    windows: &LoadWindows,
-    epoch: MembershipEpoch,
-    fresh_lookups: u64,
-    shape: &[(GroupId, Vec<MdsId>)],
-) -> LoadReport {
-    let total: f64 = shape
-        .iter()
-        .map(|&(gid, _)| windows.group(gid).lookups)
-        .sum();
-    let groups = shape
-        .iter()
-        .map(|(gid, members)| {
-            let decayed = windows.group(*gid);
-            let rates: Vec<f64> = members.iter().map(|&m| windows.entry_rate(m)).collect();
-            let member_total: f64 = rates.iter().sum();
-            let imbalance = if members.is_empty() || member_total <= f64::EPSILON {
-                1.0
-            } else {
-                let mean = member_total / members.len() as f64;
-                rates.iter().copied().fold(0.0_f64, f64::max) / mean
-            };
-            let consults = decayed.mask_hits + decayed.mask_misses;
-            GroupLoad {
-                gid: *gid,
-                members: members.len(),
-                lookups: decayed.lookups,
-                share: if total > f64::EPSILON {
-                    decayed.lookups / total
-                } else {
-                    0.0
-                },
-                l3_share: if decayed.lookups > f64::EPSILON {
-                    decayed.l3_walks / decayed.lookups
-                } else {
-                    0.0
-                },
-                l4_share: if decayed.lookups > f64::EPSILON {
-                    decayed.l4_walks / decayed.lookups
-                } else {
-                    0.0
-                },
-                false_hit_rate: if decayed.lookups > f64::EPSILON {
-                    decayed.false_hits / decayed.lookups
-                } else {
-                    0.0
-                },
-                mask_hit_rate: if consults > f64::EPSILON {
-                    decayed.mask_hits / consults
-                } else {
-                    1.0
-                },
-                imbalance,
-            }
-        })
-        .collect();
-    LoadReport {
-        window: windows.window,
-        epoch,
-        fresh_lookups,
-        total,
-        groups,
-    }
-}
-
 /// Unified L2/L3 mask-cache accounting: **one documented accessor, two
 /// scopes**: the lifetime view (spanning every walk since
 /// construction) and the reset-scoped view (the
 /// [`ClusterStats`](crate::ClusterStats) fields, cleared by
-/// `reset_stats`). Both also fold in consults still sitting in the
-/// atomic recorders, so a `&self` reader — the load report, a
+/// `reset_stats`). Both also count the consults still in the
+/// cluster's unfolded tally, so a `&self` reader — the load report, a
 /// controller, a bench — sees every consult that has happened, drained
 /// or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -520,10 +400,9 @@ pub struct MaskCacheStats {
 
 impl MaskCacheStats {
     /// Assembles the unified view from the lifetime accumulator, the
-    /// reset-scoped fold, and not-yet-folded atomic consults. Exposed
-    /// so baselines mirroring the accessor assemble identically.
+    /// reset-scoped fold, and the not-yet-folded consults.
     #[must_use]
-    pub fn assemble(
+    pub(crate) fn assemble(
         lifetime: (u64, u64),
         window: (u64, u64),
         pending: (u64, u64),
@@ -570,52 +449,57 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recorder_attributes_walks_and_masks_per_group() {
-        let recorder = LoadRecorder::new();
-        let mut tally = LoadTally::default();
+    fn tallies_attribute_walks_and_masks_per_group() {
+        let (mut tally, mut other) = (LoadTally::default(), LoadTally::default());
         tally.walk(GroupId(0), MdsId(0), QueryLevel::L2Segment, 0);
         tally.walk(GroupId(0), MdsId(1), QueryLevel::L3Group, 1);
-        tally.walk(GroupId(2), MdsId(5), QueryLevel::L4Global, 2);
-        tally.mask(GroupId(0), true);
-        tally.mask(GroupId(0), false);
-        recorder.absorb(&tally);
-        let raw = recorder.drain_window();
-        assert_eq!(raw.total_lookups(), 3);
-        let g0 = raw.groups.iter().find(|&&(s, _)| s == 0).expect("g0").1;
+        other.walk(GroupId(2), MdsId(5), QueryLevel::L4Global, 2);
+        other.mask(GroupId(0), true);
+        other.mask(GroupId(0), false);
+        tally.add(&other);
+        assert_eq!(tally.lookups(), 3);
+        let g0 = tally.groups[0];
         assert_eq!(g0.lookups, 2);
         assert_eq!(g0.l3_walks, 1);
         assert_eq!(g0.l4_walks, 0);
         assert_eq!(g0.false_hits, 1);
         assert_eq!((g0.mask_hits, g0.mask_misses), (1, 1));
-        let g2 = raw.groups.iter().find(|&&(s, _)| s == 2).expect("g2").1;
+        assert_eq!(tally.groups[1], RawGroupWindow::default());
+        let g2 = tally.groups[2];
         assert_eq!((g2.lookups, g2.l3_walks, g2.l4_walks), (1, 1, 1));
         assert_eq!(g2.false_hits, 2);
-        // Drained: the next window is empty.
-        assert!(recorder.drain_window().groups.is_empty());
+        assert_eq!(tally.entries, [1, 1, 0, 0, 0, 1]);
+        // Cleared: the next window starts empty.
+        tally.clear();
+        assert_eq!(tally.lookups(), 0);
+        assert!(tally.entries.is_empty());
     }
 
     #[test]
     fn overflow_ids_share_the_final_slot() {
-        let recorder = LoadRecorder::new();
+        let last = GroupId((LOAD_GROUP_SLOTS - 1) as u16);
         let mut tally = LoadTally::default();
         tally.walk(GroupId(u16::MAX), MdsId(u16::MAX), QueryLevel::L2Segment, 0);
-        tally.walk(
-            GroupId((LOAD_GROUP_SLOTS - 1) as u16),
-            MdsId(9),
-            QueryLevel::L2Segment,
-            0,
-        );
-        recorder.absorb(&tally);
-        let raw = recorder.drain_window();
-        assert_eq!(raw.groups.len(), 1);
-        assert_eq!(raw.groups[0].0, LOAD_GROUP_SLOTS - 1);
-        assert_eq!(raw.groups[0].1.lookups, 2);
+        tally.walk(last, MdsId(9), QueryLevel::L2Segment, 0);
+        assert_eq!(tally.groups.len(), LOAD_GROUP_SLOTS);
+        assert_eq!(tally.entries.len(), LOAD_ENTRY_SLOTS);
+        assert_eq!(tally.groups[LOAD_GROUP_SLOTS - 1].lookups, 2);
+        let mut windows = LoadWindows::default();
+        windows.fold(&tally);
+        let shape = [
+            (last, vec![MdsId(9)]),
+            (GroupId(u16::MAX), vec![MdsId(u16::MAX)]),
+        ];
+        let report = windows.report(MembershipEpoch(0), tally.lookups(), &shape);
+        assert_eq!(report.fresh_lookups, 2);
+        for row in &report.groups {
+            assert_eq!(row.lookups, 2.0, "{:?} reads the shared slot", row.gid);
+        }
     }
 
     #[test]
     fn windows_decay_and_reports_rank_hot_groups() {
-        let recorder = LoadRecorder::new();
-        let mut windows = LoadWindows::new();
+        let mut windows = LoadWindows::default();
         let shape = vec![
             (GroupId(0), vec![MdsId(0), MdsId(1)]),
             (GroupId(1), vec![MdsId(2), MdsId(3)]),
@@ -628,10 +512,8 @@ mod tests {
         for _ in 0..10 {
             tally.walk(GroupId(1), MdsId(2), QueryLevel::L2Segment, 0);
         }
-        recorder.absorb(&tally);
-        let raw = recorder.drain_window();
-        windows.fold(&raw);
-        let report = build_report(&windows, MembershipEpoch(3), raw.total_lookups(), &shape);
+        windows.fold(&tally);
+        let report = windows.report(MembershipEpoch(3), tally.lookups(), &shape);
         assert_eq!(report.window, 1);
         assert_eq!(report.fresh_lookups, 100);
         assert_eq!(report.servers(), 4);
@@ -640,8 +522,8 @@ mod tests {
         assert!((g0.l3_share - 1.0).abs() < 1e-9);
         assert!((g0.imbalance - 2.0).abs() < 1e-9, "one of two members hot");
         // Window 2: silence. Rates halve, shares persist.
-        windows.fold(&recorder.drain_window());
-        let report = build_report(&windows, MembershipEpoch(3), 0, &shape);
+        windows.fold(&LoadTally::default());
+        let report = windows.report(MembershipEpoch(3), 0, &shape);
         let g0 = report.group(GroupId(0)).expect("g0");
         assert!((g0.lookups - 45.0).abs() < 1e-9, "alpha 0.5 halves");
         assert!((g0.share - 0.9).abs() < 1e-9);
@@ -650,9 +532,9 @@ mod tests {
 
     #[test]
     fn idle_groups_report_neutral_rates() {
-        let windows = LoadWindows::new();
+        let windows = LoadWindows::default();
         let shape = vec![(GroupId(7), vec![MdsId(0)])];
-        let report = build_report(&windows, MembershipEpoch(0), 0, &shape);
+        let report = windows.report(MembershipEpoch(0), 0, &shape);
         let g = report.group(GroupId(7)).expect("g7");
         assert_eq!(g.share, 0.0);
         assert_eq!(g.mask_hit_rate, 1.0);

@@ -53,8 +53,8 @@
 //! * **`&self` entry — pin once per batch.** Every fused read run of
 //!   the batch walks the one snapshot pinned at admission, through the
 //!   one walk arena of that pin: a write ends a run, not the plans the
-//!   runs before it built, and the batch's statistics are folded into
-//!   the atomic recorders once, after its last op. A reconfiguration
+//!   runs before it built, and the batch's statistics are added to the
+//!   cluster's unfolded tally once, after its last op. A reconfiguration
 //!   publishing mid-batch is observed by the *next* batch (and its fresh
 //!   arena), never by half of this one. The walk never fills L1.
 //! * **`&self` writes are ordered per shard, not per batch.** Mutations

@@ -70,8 +70,9 @@ pub trait MetadataService {
     /// later one; so no outcome, statistic or counter, mask consults
     /// included, can tell a fused batch from 1-op batches on either
     /// layout. The walk **never fills L1**, and its
-    /// statistics reach the wait-free atomic counters once, after the
-    /// batch's last op — a batch that panics records none. Writes
+    /// statistics reach the cluster's unfolded tally once, under one
+    /// lock, after the batch's last op — a batch that panics records
+    /// none. Writes
     /// append to fingerprint-sharded overlay logs, one shard lock each,
     /// visible to the same era's walks through that overlay and the
     /// home's live probe (so a pending create resolves at its true

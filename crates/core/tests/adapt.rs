@@ -18,7 +18,7 @@
 use ghba_analysis::AnalyticModel;
 use ghba_core::{
     AdaptAction, ControllerConfig, EntryPolicy, GhbaCluster, GhbaConfig, GroupController, GroupId,
-    LoadFold, MdsId, MembershipEpoch, MetadataService, OpBatch, TargetM,
+    GroupLoad, LoadReport, MdsId, MembershipEpoch, MetadataService, OpBatch, TargetM,
 };
 use ghba_simnet::DetRng;
 use proptest::prelude::*;
@@ -367,33 +367,32 @@ fn an_overnight_trough_merges_back_toward_m_star() {
 
 /// Builds a synthetic `LoadReport` from fuzzed rows: `groups` is a
 /// list of (members, lookup-weight) pairs.
-fn synth_report(window: u64, rows: &[(u8, u32)]) -> ghba_core::LoadReport {
-    let fold = LoadFold::new();
-    let mut next = 0u16;
-    let shape: Vec<(GroupId, Vec<MdsId>)> = rows
+fn synth_report(window: u64, rows: &[(u8, u32)]) -> LoadReport {
+    let lookups: Vec<f64> = rows.iter().map(|&(_, w)| f64::from(w) + 1.0).collect();
+    let total: f64 = lookups.iter().sum();
+    let groups = rows
         .iter()
+        .zip(&lookups)
         .enumerate()
-        .map(|(i, &(members, _))| {
-            let members: Vec<MdsId> = (0..members.clamp(1, 12))
-                .map(|_| {
-                    next += 1;
-                    MdsId(next)
-                })
-                .collect();
-            (GroupId(i as u16), members)
+        .map(|(i, (&(members, _), &lookups))| GroupLoad {
+            gid: GroupId(i as u16),
+            members: usize::from(members.clamp(1, 12)),
+            lookups,
+            share: lookups / total,
+            l3_share: 0.0,
+            l4_share: 0.0,
+            false_hit_rate: 0.0,
+            mask_hit_rate: 1.0,
+            imbalance: 1.0,
         })
         .collect();
-    let mut report = fold.report(MembershipEpoch(window), u64::MAX, &shape);
-    report.window = window;
-    for (row, &(_, weight)) in report.groups.iter_mut().zip(rows) {
-        row.lookups = f64::from(weight) + 1.0;
+    LoadReport {
+        window,
+        epoch: MembershipEpoch(window),
+        fresh_lookups: u64::MAX,
+        total,
+        groups,
     }
-    let total: f64 = report.groups.iter().map(|g| g.lookups).sum();
-    report.total = total;
-    for row in &mut report.groups {
-        row.share = row.lookups / total;
-    }
-    report
 }
 
 proptest! {

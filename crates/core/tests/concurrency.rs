@@ -31,6 +31,22 @@ fn config() -> GhbaConfig {
         .with_seed(71)
 }
 
+/// The named counters of `stats`, by label.
+fn counters(stats: &ClusterStats) -> BTreeMap<String, u64> {
+    stats
+        .counters
+        .iter()
+        .map(|(label, n)| (label.to_owned(), n))
+        .collect()
+}
+
+/// `report` with every group's mask hit rate set to 1: what is left
+/// comes from per-occurrence counts, which no plan reuse can move.
+fn without_mask_rates(mut report: LoadReport) -> LoadReport {
+    report.groups.iter_mut().for_each(|g| g.mask_hit_rate = 1.0);
+    report
+}
+
 /// Readers resolve concurrently with a handle publishing rebalances,
 /// splits, and merges. Those reconfigurations move replica *placement*,
 /// never file homes, so every concurrent outcome must still name the
@@ -377,25 +393,14 @@ fn fused_runs_tally_what_one_op_batches_record() {
             got.lookup_latency, want.lookup_latency,
             "concurrent={concurrent}"
         );
-        let counters = |stats: &ClusterStats| {
-            stats
-                .counters
-                .iter()
-                .map(|(l, n)| (l.to_owned(), n))
-                .collect::<BTreeMap<_, _>>()
-        };
         assert_eq!(counters(got), counters(want), "false-hit counters");
         // Everything in the load report but the mask hit rate (consults
         // are per walk, below) comes from per-occurrence counts.
-        let per_occurrence = |mut report: LoadReport| {
-            report.groups.iter_mut().for_each(|g| g.mask_hit_rate = 1.0);
-            report
-        };
-        let got = per_occurrence(fused.load_report());
+        let got = without_mask_rates(fused.load_report());
         assert_eq!(got.fresh_lookups, 96);
         assert_eq!(
             got,
-            per_occurrence(single.load_report()),
+            without_mask_rates(single.load_report()),
             "concurrent={concurrent}"
         );
 
@@ -457,7 +462,10 @@ fn panicking_batch_records_nothing() {
 /// plan table, and each slot is built by exactly one walk — the mask
 /// misses are the distinct plans built (one L2 plan per entry, one L3
 /// plan per group; every entry walks one absent path past L3), whatever
-/// the interleaving, and every other consult is a hit.
+/// the interleaving, and every other consult is a hit. What the racing
+/// walks counted folds as if they had not raced: levels, latency,
+/// false hits and the load report (its mask hit rate aside) equal a
+/// twin's that ran the four batches one after another.
 #[test]
 fn racing_batches_build_each_plan_once() {
     const SERVERS: usize = 24;
@@ -470,6 +478,7 @@ fn racing_batches_build_each_plan_once() {
         }
         cluster.flush_all_updates();
         cluster.reset_stats();
+        let mut twin = cluster.clone();
         let epoch = cluster.membership_epoch();
         // Thread `t` enters op `i` at server `(t + i) % 24`: the first 24
         // ops of every batch walk an absent path from every entry, the
@@ -525,7 +534,103 @@ fn racing_batches_build_each_plan_once() {
             (SERVERS + cluster.group_count()) as u64,
             "round {round}: a plan built twice"
         );
+
+        for batch in &batches {
+            twin.execute_concurrent(batch);
+        }
+        twin.drain_concurrent();
+        let (got, want) = (cluster.stats(), twin.stats());
+        assert_eq!(got.levels.total(), (THREADS * 96) as u64);
+        assert_eq!(got.levels, want.levels, "round {round}");
+        assert_eq!(got.lookup_latency, want.lookup_latency, "round {round}");
+        assert_eq!(counters(got), counters(want), "round {round}");
+        assert_eq!(
+            without_mask_rates(cluster.load_report()),
+            without_mask_rates(twin.load_report()),
+            "round {round}"
+        );
     }
+}
+
+/// A clone carries what its walks counted: lookups run through
+/// `execute_concurrent` but not yet folded — after one load window
+/// closed over some of them — reach the twin's statistics, mask
+/// accounting and load report exactly as they reach the original's once
+/// both sides drain.
+#[test]
+fn a_clone_carries_what_its_walks_counted() {
+    let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
+    for i in 0..40 {
+        cluster.create_file(&format!("/carry/f{i}"));
+    }
+    cluster.flush_all_updates();
+    cluster.reset_stats();
+    // Paths 40..50 are absent: their walks reach L4 and build L3 plans.
+    let batch = |start: usize| {
+        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start });
+        (0..48).for_each(|i| batch.push_lookup(format!("/carry/f{}", (i * 7 + start) % 50)));
+        batch
+    };
+    assert_eq!(cluster.execute_concurrent(&batch(0)).len(), 48);
+    assert_eq!(cluster.load_report().fresh_lookups, 48);
+    assert_eq!(cluster.execute_concurrent(&batch(5)).len(), 48);
+
+    let mut twin = cluster.clone();
+    cluster.drain_concurrent();
+    twin.drain_concurrent();
+    let (got, want) = (twin.stats(), cluster.stats());
+    assert_eq!(want.levels.total(), 96);
+    assert_eq!(got.levels, want.levels);
+    assert_eq!(got.lookup_latency, want.lookup_latency);
+    assert_eq!(counters(got), counters(want), "false-hit counters");
+    assert_eq!(twin.mask_cache_stats(), cluster.mask_cache_stats());
+    let report = cluster.load_report();
+    assert_eq!((report.window, report.fresh_lookups), (2, 48));
+    assert_eq!(twin.load_report(), report);
+}
+
+/// A load window closed mid-traffic counts every lookup once: three
+/// threads run lookup batches through `execute_concurrent` while the
+/// test thread closes windows in a loop, and the windows' fresh lookups
+/// plus one final report's sum to the lookups issued.
+#[test]
+fn a_window_closed_mid_traffic_counts_every_lookup_once() {
+    const THREADS: usize = 3;
+    const BATCHES: usize = 60;
+    let mut cluster = GhbaCluster::with_servers(config(), 12);
+    for i in 0..30 {
+        cluster.create_file(&format!("/window/f{i}"));
+    }
+    cluster.flush_all_updates();
+    let cluster = &cluster;
+    let (issued, reported) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut issued = 0;
+                    for b in 0..BATCHES {
+                        let start = t * 5 + b;
+                        let mut batch =
+                            OpBatch::new().with_entry(EntryPolicy::RoundRobin { start });
+                        (0..16 + b % 17)
+                            .for_each(|i| batch.push_lookup(format!("/window/f{}", (i + b) % 36)));
+                        issued += cluster.execute_concurrent(&batch).len() as u64;
+                    }
+                    issued
+                })
+            })
+            .collect();
+        let mut reported = 0;
+        while !workers.iter().all(|worker| worker.is_finished()) {
+            reported += cluster.load_report().fresh_lookups;
+        }
+        let issued: u64 = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("worker panicked"))
+            .sum();
+        (issued, reported)
+    });
+    assert_eq!(reported + cluster.load_report().fresh_lookups, issued);
 }
 
 /// A seeded mixed batch of 64 ops under `policy`. The head is scripted
@@ -628,12 +733,6 @@ macro_rules! plan_reuse_is_invisible {
                 let (got, want) = (fused.stats(), single.stats());
                 assert_eq!(got.levels, want.levels);
                 assert_eq!(got.lookup_latency, want.lookup_latency);
-                let counters = |stats: &ClusterStats| {
-                    let counters = stats.counters.iter();
-                    counters
-                        .map(|(l, n)| (l.to_owned(), n))
-                        .collect::<BTreeMap<_, _>>()
-                };
                 assert_eq!(counters(got), counters(want), "false-hit counters");
                 let (got, want) = (fused.mask_cache_stats(), single.mask_cache_stats());
                 assert_eq!(
@@ -641,11 +740,12 @@ macro_rules! plan_reuse_is_invisible {
                     want.window_hits + want.window_misses,
                     "one consult per slab level a walk reached"
                 );
-                let comparable = |mut report: LoadReport| {
-                    if !$exact_masks {
-                        report.groups.iter_mut().for_each(|g| g.mask_hit_rate = 1.0);
+                let comparable = |report: LoadReport| {
+                    if $exact_masks {
+                        report
+                    } else {
+                        without_mask_rates(report)
                     }
-                    report
                 };
                 if $exact_masks {
                     assert_eq!(got, want);
@@ -785,12 +885,6 @@ macro_rules! slab_answer_is_invisible {
                 let (got, want) = (cluster.stats(), twin.stats());
                 assert_eq!(got.levels, want.levels);
                 assert_eq!(got.lookup_latency, want.lookup_latency);
-                let counters = |stats: &ClusterStats| {
-                    let counters = stats.counters.iter();
-                    counters
-                        .map(|(l, n)| (l.to_owned(), n))
-                        .collect::<BTreeMap<_, _>>()
-                };
                 assert_eq!(counters(got), counters(want), "false-hit counters");
                 assert_eq!(cluster.mask_cache_stats(), twin.mask_cache_stats());
                 assert_eq!(cluster.load_report(), twin.load_report());

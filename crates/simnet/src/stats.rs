@@ -140,46 +140,6 @@ impl LatencyStats {
         self.max()
     }
 
-    /// Merges raw accumulator fields collected elsewhere — the bridge for
-    /// atomic (lock-free) recorders that mirror this accumulator's layout
-    /// word by word and fold into the owning `LatencyStats` at a drain
-    /// point. `min_nanos` must be `u64::MAX` (not zero) when `count == 0`,
-    /// matching [`LatencyStats::new`]; `buckets` uses the same ×2
-    /// logarithmic geometry as [`record`](LatencyStats::record).
-    pub fn merge_parts(
-        &mut self,
-        count: u64,
-        sum_nanos: u128,
-        min_nanos: u64,
-        max_nanos: u64,
-        buckets: &[u64; 64],
-    ) {
-        if count == 0 {
-            return;
-        }
-        self.count += count;
-        self.sum_nanos += sum_nanos;
-        self.min_nanos = self.min_nanos.min(min_nanos);
-        self.max_nanos = self.max_nanos.max(max_nanos);
-        for (a, b) in self.buckets.iter_mut().zip(buckets) {
-            *a += b;
-        }
-    }
-
-    /// The raw accumulator fields, in
-    /// [`merge_parts`](LatencyStats::merge_parts) order — how a locally
-    /// filled accumulator folds into an atomic recorder.
-    #[must_use]
-    pub fn parts(&self) -> (u64, u128, u64, u64, &[u64; 64]) {
-        (
-            self.count,
-            self.sum_nanos,
-            self.min_nanos,
-            self.max_nanos,
-            &self.buckets,
-        )
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.count += other.count;
