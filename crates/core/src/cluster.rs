@@ -29,8 +29,9 @@
 //!   *snapshot*, not per pin: the pinned [`RouteSnapshot`]'s plan table
 //!   keeps it for every later walk pinned there, on any thread, and
 //!   hands what still holds to the successor. The overlay, which a
-//!   batch's own writes do move, is consulted per walk, and so is a
-//!   memory budget's resident count (see `array_probe`).
+//!   batch's own writes do move, is consulted per walk, and so is how
+//!   many of the planned held replicas a memory budget keeps resident
+//!   (see `array_probe`).
 //! * **Where live verdicts come from.** Every server's live filter is one
 //!   column of the cluster's *live slab*, at the slot its published
 //!   filter has in the pinned slab. When every server is clean, the two
@@ -67,7 +68,7 @@ use core::marker::PhantomData;
 use core::time::Duration;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ghba_bloom::{BloomFilter, Fingerprint, Hit, ProbeBatch, RowDeriver, SharedShapeArray};
+use ghba_bloom::{BloomFilter, Fingerprint, Hit, RowDeriver, SharedShapeArray};
 use ghba_simnet::{Counters, DetRng, LatencyModel, LatencyStats};
 
 use crate::concurrent::{
@@ -130,7 +131,6 @@ pub struct ClusterStats {
 #[derive(Debug, Default)]
 pub(crate) struct WalkArena {
     reads_live: Option<bool>,
-    probes: ProbeBatch,
     /// `k` rows per walked item, item-major.
     rows: Vec<u32>,
     /// The current item's row-AND of the pinned slab.
@@ -179,7 +179,7 @@ pub(crate) trait Topology: fmt::Debug + Send + Sync + Sized + 'static {
     /// own array and the broadcast.)
     fn l2(snap: &RouteSnapshot, entry: MdsId, gid: GroupId, model: &LatencyModel) -> L2Plan;
 
-    /// Replicas `id` holds (the memory charge behind Table 5).
+    /// Replicas `id` holds (its filter memory behind Table 5).
     fn held_replicas(cluster: &Cluster<Self>, snap: &RouteSnapshot, id: MdsId) -> usize;
 
     /// The `(group, members)` rows of a load report.
@@ -722,8 +722,9 @@ impl<T: Topology> Cluster<T> {
 
     /// The modelled cost of `id`'s probe of the `held` replicas it holds
     /// and its own filter: `resident`, the plan's all-in-memory cost —
-    /// unless a memory budget spills some, which every drain can move, so
-    /// it is priced from the live budget at each use.
+    /// unless a memory budget spills some. How many spill follows the
+    /// server's charges, which every drain can move, so it is priced from
+    /// the server at each use.
     fn array_probe(&self, id: MdsId, held: usize, resident: Duration) -> Duration {
         if self.config.memory_per_mds.is_none() {
             return resident;
@@ -1000,8 +1001,9 @@ impl<T: Topology> Cluster<T> {
     }
 
     /// Walks the distinct items of a run: derives every item's `k` probe
-    /// rows up front (one shared-modulus fastmod pass, no hardware
-    /// division), then runs [`walk_pinned`](Self::walk_pinned) per item
+    /// rows up front through the cluster's [`RowDeriver`] (the write
+    /// path's: its fastmod magic computed once, no hardware division),
+    /// then runs [`walk_pinned`](Self::walk_pinned) per item
     /// against `arena`'s plans, with the slab rows of the item two ahead
     /// prefetched: the walk is bound by its scattered row reads, and a
     /// host that shares its cache decides from moment to moment how many
@@ -1016,14 +1018,12 @@ impl<T: Topology> Cluster<T> {
         items: &[WalkItem<'_>],
         arena: &mut WalkArena,
     ) -> Vec<Walked> {
-        arena.probes.clear();
-        for &(_, _, fp) in items {
-            arena.probes.push(fp);
-        }
-        arena
-            .probes
-            .derive_rows_into(snap.slab.shape(), &mut arena.rows);
         let k = snap.slab.shape().hashes as usize;
+        arena.rows.clear();
+        arena.rows.reserve(items.len() * k);
+        for (_, _, fp) in items {
+            self.rows.rows_into(fp, &mut arena.rows);
+        }
         let reads_live = *arena
             .reads_live
             .get_or_insert_with(|| self.reads_live(&snap.slab));
@@ -1614,7 +1614,10 @@ mod tests {
             .into_iter()
             .find(|&id| cluster.group_of(id) != Some(touched))
             .expect("another group exists");
-        cluster.rebalance_group(touched);
+        cluster
+            .reconfig_handle()
+            .rebalance_group(touched)
+            .expect("the group is live");
         let (hits_before, misses_before) = cluster.mask_cache_stats().lifetime();
         let _ = cluster.lookup_from(other_entry, "/w/absent");
         let (hits_after, misses_after) = cluster.mask_cache_stats().lifetime();

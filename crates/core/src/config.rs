@@ -137,13 +137,6 @@ impl GhbaConfig {
         self
     }
 
-    /// Returns `self` with a different latency model.
-    #[must_use]
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Returns `self` with a per-MDS memory budget in bytes.
     #[must_use]
     pub fn with_memory_per_mds(mut self, bytes: usize) -> Self {
@@ -157,13 +150,6 @@ impl GhbaConfig {
     #[must_use]
     pub fn with_write_shards(mut self, shards: usize) -> Self {
         self.write_shards = shards;
-        self
-    }
-
-    /// Returns `self` with unlimited per-MDS memory.
-    #[must_use]
-    pub fn with_unlimited_memory(mut self) -> Self {
-        self.memory_per_mds = None;
         self
     }
 
@@ -244,7 +230,6 @@ mod tests {
         assert_eq!(c.update_threshold_bits, 64);
         assert_eq!(c.seed, 1);
         assert_eq!(c.memory_per_mds, Some(1024));
-        assert!(c.with_unlimited_memory().memory_per_mds.is_none());
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //! * join/leave placement and its [`ReconfigReport`];
 //! * who a replica update reaches (one holder per foreign group, located
 //!   through the IDBFA, vs everyone else);
-//! * the held-replica count behind the memory charge;
+//! * the held-replica count behind a server's filter memory (Table 5);
 //! * the rows of a load report;
 //! * its own structural invariants, the scheme name and the rng fork.
 //!

@@ -1,6 +1,6 @@
 //! Per-server state: the metadata store, the counting filter behind the
-//! server's live column, the L1 LRU array, the memory budget and the
-//! publish cadence.
+//! server's live column, the L1 LRU array, the RAM charges that price
+//! replica spill, and the publish cadence.
 //!
 //! A server's Bloom filter exists twice, and each copy is **one column**
 //! of one of the cluster's two bit-sliced slabs, at the same slot
@@ -27,17 +27,10 @@ use ghba_bloom::{
     BloomFilter, CountingBloomFilter, FilterShape, Fingerprint, LruBloomArray, RowDeriver,
     SharedShapeArray,
 };
-use ghba_simnet::MemoryBudget;
 
 use crate::config::GhbaConfig;
 use crate::ids::MdsId;
 use crate::metadata::{CompactPath, MetadataStore};
-
-/// Charge labels within each server's [`MemoryBudget`].
-const CHARGE_LOCAL: &str = "local";
-const CHARGE_LRU: &str = "lru";
-const CHARGE_REPLICAS: &str = "replicas";
-const CHARGE_METACACHE: &str = "metacache";
 
 /// Bytes of cache one metadata entry occupies (inode + dentry + slack).
 pub const META_ENTRY_BYTES: usize = 512;
@@ -70,6 +63,25 @@ fn mark_block(dirty: &mut [u64], row: usize) {
     dirty[block / 64] |= 1 << (block % 64);
 }
 
+/// A server's RAM under [`GhbaConfig::memory_per_mds`]: its capacity and
+/// the charges that outrank replicas, in bytes. The server's own filter
+/// and counters, and its LRU array, come first; the metadata cache next;
+/// replicas get what is left, so they spill first (the Figures 8–10
+/// mechanism). How many replicas a server holds is its caller's to say
+/// ([`Mds::resident_replicas`]): placement moves without a store
+/// mutation, so nothing here is cached from it.
+#[derive(Debug, Clone, Copy)]
+struct Ram {
+    capacity: usize,
+    /// Own filter and counters: fixed at construction.
+    local: usize,
+    /// The LRU array, which grows as homes are seen: sampled at every
+    /// store mutation.
+    lru: usize,
+    /// [`META_ENTRY_BYTES`] per stored file, sampled with the LRU.
+    metacache: usize,
+}
+
 /// One metadata server.
 #[derive(Debug, Clone)]
 pub struct Mds {
@@ -85,13 +97,12 @@ pub struct Mds {
     /// arrived by another route while the server was dirty).
     dirty: Vec<u64>,
     lru: Option<LruBloomArray<MdsId>>,
-    memory: Option<MemoryBudget>,
+    ram: Option<Ram>,
     mutations_since_publish: u64,
     /// Mutations since the last *exact* drift check (or publish), so the
     /// drift distance runs at the gated cadence instead of on every
     /// mutation once the publish gate is passed.
     mutations_since_drift_check: u64,
-    replica_charge_count: usize,
 }
 
 impl Mds {
@@ -108,21 +119,24 @@ impl Mds {
                 config.seed ^ 0x14B_0A11,
             )
         });
-        let memory = config.memory_per_mds.map(MemoryBudget::new);
-        let mut mds = Mds {
+        let counts = CountingBloomFilter::new(bits, hashes, seed);
+        let ram = config.memory_per_mds.map(|capacity| Ram {
+            capacity,
+            local: filter_bytes(&counts) + counts.memory_bytes(),
+            lru: lru.as_ref().map_or(0, LruBloomArray::memory_bytes),
+            metacache: 0,
+        });
+        Mds {
             id,
             slot,
             store: MetadataStore::new(),
-            counts: CountingBloomFilter::new(bits, hashes, seed),
+            counts,
             dirty: vec![0; bits.div_ceil(64).div_ceil(64)],
             lru,
-            memory,
+            ram,
             mutations_since_publish: 0,
             mutations_since_drift_check: 0,
-            replica_charge_count: 0,
-        };
-        mds.recharge_memory();
-        mds
+        }
     }
 
     /// This server's id.
@@ -179,7 +193,7 @@ impl Mds {
         }
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
-        self.recharge_metacache();
+        self.sample_charges();
         !existed
     }
 
@@ -259,7 +273,7 @@ impl Mds {
         debug_assert!(removed.is_ok(), "live filter desynchronized from store");
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
-        self.recharge_metacache();
+        self.sample_charges();
         true
     }
 
@@ -394,20 +408,23 @@ impl Mds {
     /// sized once for it and takes each [`CompactPath`] as it is, each
     /// path is hashed once over its bytes (a checkpoint stores no
     /// fingerprint, and the decoder already checked the UTF-8), and each
-    /// file's probe rows come from one `RowDeriver` (no division). The
-    /// live column is returned as a filter built while inserting, for the
-    /// caller to load into the live slab with everyone else's in one
-    /// pass; nothing else keeps it.
+    /// file's probe rows come from `deriver`, the cluster's (its magic
+    /// computed once: no division). The live column is returned as a
+    /// filter built while inserting, for the caller to load into the live
+    /// slab with everyone else's in one pass; nothing else keeps it.
     ///
     /// The hash belongs here, not in the decoder: beside the inserts its
     /// byte loop overlaps their cache misses, and in the decoder it does
     /// not (restoring 200k files, the decode took ≈ 5 ms longer for a
     /// restore ≈ 3 ms shorter).
-    pub(crate) fn restore_files(&mut self, files: Vec<CompactPath>) -> BloomFilter {
+    pub(crate) fn restore_files(
+        &mut self,
+        files: Vec<CompactPath>,
+        deriver: &RowDeriver,
+    ) -> BloomFilter {
         let shape = self.counts.shape();
         let mut column = BloomFilter::new(shape.bits, shape.hashes, shape.seed);
         self.store.reserve(files.len());
-        let deriver = RowDeriver::new(shape);
         let mut rows = Vec::new();
         for path in files {
             let fp = Fingerprint::of(&path);
@@ -446,27 +463,21 @@ impl Mds {
         paths
     }
 
-    /// Updates the replica memory charge to `count` replicas of this
-    /// cluster's filter size.
-    pub fn set_replica_charge(&mut self, count: usize) {
-        self.replica_charge_count = count;
-        self.recharge_memory();
-    }
-
-    /// Number of this server's held replicas that are resident in RAM
-    /// (the rest spill to disk). Equals `held` when no budget is set.
+    /// Number of this server's `held` replicas that are resident in RAM
+    /// (the rest spill to disk): what its capacity leaves after the
+    /// charges that outrank replicas, in whole filters. Equals `held`
+    /// when no budget is set.
     #[must_use]
     pub fn resident_replicas(&self, held: usize) -> usize {
-        match &self.memory {
-            Some(budget) => budget.resident_items(CHARGE_REPLICAS, held),
+        match &self.ram {
+            Some(ram) => {
+                let free = ram
+                    .capacity
+                    .saturating_sub(ram.local + ram.lru + ram.metacache);
+                held.min(free / filter_bytes(&self.counts))
+            }
             None => held,
         }
-    }
-
-    /// Bytes of one plain filter of this cluster's shape — one published
-    /// column, one replica.
-    fn filter_bytes(&self) -> usize {
-        self.counts.counter_len().div_ceil(64) * 8
     }
 
     /// Total bytes of filter structures this server keeps (its own filter,
@@ -474,58 +485,52 @@ impl Mds {
     /// Table 5.
     #[must_use]
     pub fn filter_memory_bytes(&self, held: usize) -> usize {
-        self.filter_bytes()
+        filter_bytes(&self.counts)
             + self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes)
-            + held * self.filter_bytes()
+            + held * filter_bytes(&self.counts)
     }
 
     /// Expected cost of serving one metadata access at this server: a
     /// memory probe when the entry is cached, a disk access otherwise,
     /// blended by the cache-resident fraction of the metadata working set.
     ///
-    /// The metadata cache is the *lowest*-priority memory charge: Bloom
-    /// filter replicas evict it first (they are probed on every query),
-    /// which is how memory pressure turns into the latency growth of
+    /// The metadata cache outranks the Bloom filter replicas: a real MDS
+    /// keeps its hot dentries and inodes and pages cold replicas out, so
+    /// a growing cache spills replicas first (see `Ram`); only what the
+    /// local structures and the LRU array leave bounds the cache, which
+    /// is how memory pressure turns into the latency growth of
     /// Figures 8–10. Without a memory budget everything is resident and
     /// the cost is the memory probe alone — the blend's exact value
     /// (`mul_f64(0.0)` is zero), without its float round trip on every
     /// verification.
     #[must_use]
     pub fn metadata_access_cost(&self, model: &ghba_simnet::LatencyModel) -> core::time::Duration {
-        match &self.memory {
-            Some(budget) => {
-                let resident = budget.resident_fraction(CHARGE_METACACHE);
+        match &self.ram {
+            Some(ram) if ram.metacache > 0 => {
+                let cached = ram
+                    .metacache
+                    .min(ram.capacity.saturating_sub(ram.local + ram.lru));
+                let resident = cached as f64 / ram.metacache as f64;
                 model.memory_probe + model.disk_access.mul_f64(1.0 - resident)
             }
-            None => model.memory_probe,
+            _ => model.memory_probe,
         }
     }
 
-    fn recharge_metacache(&mut self) {
-        if let Some(budget) = &mut self.memory {
-            // Metadata cache outranks replicas: a real MDS keeps its hot
-            // dentries/inodes pinned and pages cold Bloom filter replicas
-            // out — so growing cache demand progressively spills replicas
-            // (the Figures 8–10 mechanism).
-            budget.charge(CHARGE_METACACHE, 1, self.store.len() * META_ENTRY_BYTES);
-            // The LRU array grows as homes are seen; keep its charge
-            // honest so replicas feel true memory pressure.
-            let lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
-            budget.charge(CHARGE_LRU, 0, lru);
+    /// Samples the charges a store mutation moves: the metadata cache,
+    /// and the LRU array, which grows as homes are seen.
+    fn sample_charges(&mut self) {
+        if let Some(ram) = &mut self.ram {
+            ram.metacache = self.store.len() * META_ENTRY_BYTES;
+            ram.lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
         }
     }
+}
 
-    fn recharge_memory(&mut self) {
-        let local = self.filter_bytes() + self.counts.memory_bytes();
-        let lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
-        let replicas = self.replica_charge_count * self.filter_bytes();
-        if let Some(budget) = &mut self.memory {
-            budget.charge(CHARGE_LOCAL, 0, local);
-            budget.charge(CHARGE_LRU, 0, lru);
-            budget.charge(CHARGE_REPLICAS, 2, replicas);
-        }
-        self.recharge_metacache();
-    }
+/// Bytes of one plain filter of `counts`' shape (the cluster's) — one
+/// published column, one replica.
+fn filter_bytes(counts: &CountingBloomFilter) -> usize {
+    counts.counter_len().div_ceil(64) * 8
 }
 
 #[cfg(test)]
@@ -729,16 +734,20 @@ mod tests {
         assert_eq!(mds.resident_replicas(50), 50);
     }
 
+    /// A server's memory holds a fixed number of replicas, whatever it
+    /// is asked about: the resident count is `min(held, c)` for one `c`,
+    /// here strictly between none and all of 20.
     #[test]
     fn tight_memory_spills_replicas() {
         let filter_bytes = test_config().filter_bits().div_ceil(64) * 8;
         // Room for local structures plus ~3 replicas.
         let config = test_config().with_memory_per_mds(filter_bytes * 14);
-        let (mut mds, _) = server(&config);
-        mds.set_replica_charge(10);
-        let resident = mds.resident_replicas(10);
-        assert!(resident < 10, "expected spill, all resident");
-        assert!(resident > 0, "expected some residency");
+        let (mds, _) = server(&config);
+        let c = mds.resident_replicas(20);
+        assert!(0 < c && c < 20, "{c} of 20 resident");
+        for held in 0..=20 {
+            assert_eq!(mds.resident_replicas(held), held.min(c), "{held} held");
+        }
     }
 
     #[test]

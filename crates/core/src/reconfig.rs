@@ -370,10 +370,9 @@ impl<T: Topology> Cluster<T> {
         Ok(())
     }
 
-    /// The common epilogue of every membership change: memory charges
-    /// follow the new placement, the report joins the lifetime stats.
+    /// The common epilogue of every membership change: the report joins
+    /// the lifetime stats.
     fn account_reconfig(&mut self, report: &ReconfigReport) {
-        self.refresh_replica_charges();
         self.stats.migrated_replicas += report.migrated_replicas;
         self.stats.reconfig_messages += report.messages;
     }
@@ -407,23 +406,6 @@ impl<T: Topology> Cluster<T> {
             if let Some(lru) = mds.lru_mut() {
                 lru.purge_home(id);
             }
-        }
-    }
-
-    /// Re-derives every server's replica memory charge from the published
-    /// placement (called after any reconfiguration).
-    pub(crate) fn refresh_replica_charges(&mut self) {
-        let snap = self.routes.pin();
-        let held: Vec<(MdsId, usize)> = self
-            .mdss
-            .keys()
-            .map(|&id| (id, T::held_replicas(self, &snap, id)))
-            .collect();
-        for (id, count) in held {
-            self.mdss
-                .get_mut(&id)
-                .expect("listed server exists")
-                .set_replica_charge(count);
         }
     }
 }
@@ -785,40 +767,5 @@ impl GhbaCluster {
         edit.commit();
         self.account_reconfig(&report);
         Ok(report)
-    }
-
-    /// Moves replicas from the heaviest to the lightest member until the
-    /// spread is at most one. Returns the number of moves. Placement
-    /// moved, so the membership epoch advances — but only **this
-    /// group's** [`GroupEpoch`](crate::GroupEpoch): a rebalance shuffles
-    /// held replicas among the group's members and touches nothing any
-    /// other group's masks depend on, which is exactly the case the
-    /// per-group invalidation keeps warm.
-    ///
-    /// Public so churn workloads and operator-driven re-balancing can
-    /// trigger the single-group reconfiguration path directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gid` is not a live group.
-    pub fn rebalance_group(&mut self, gid: GroupId) -> u64 {
-        let moves = self
-            .reconfig_handle()
-            .rebalance_group(gid)
-            .unwrap_or_else(|| panic!("{gid} is not live"));
-        if moves > 0 {
-            // Unlike a handle-driven rebalance, the owner's leaves the
-            // memory charges correct on its own; only this group's
-            // members' held counts moved.
-            let snap = self.routes.pin();
-            for &member in snap.group(gid).expect("group is live").members() {
-                let held = snap.replicas_held_by(member).len();
-                self.mdss
-                    .get_mut(&member)
-                    .expect("group member exists")
-                    .set_replica_charge(held);
-            }
-        }
-        moves
     }
 }

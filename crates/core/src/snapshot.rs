@@ -327,10 +327,11 @@ pub(crate) fn plan<P>(slot: &PlanSlot<P>, build: impl FnOnce() -> P) -> (&P, boo
 /// reconfiguration does. So the first walk that needs a slot fills it
 /// and every later walk pinned to the snapshot — this batch's, the next
 /// batch's, another thread's — reads it with one index and one
-/// `OnceLock::get`. Nothing budget-dependent is planned: a memory budget
-/// moves `Mds::resident_replicas` at every drain, so under one the walk
-/// prices each probe from the live budget instead of the plan's
-/// resident cost.
+/// `OnceLock::get`. Nothing budget-dependent is planned: under a memory
+/// budget a server's resident replica count follows its metadata cache
+/// and LRU array, which every drain can move, so the walk asks the
+/// server at each probe (`Mds::resident_replicas` of the plan's held
+/// count) instead of using the plan's resident cost.
 ///
 /// A successor snapshot starts with every plan of its predecessor that
 /// still holds ([`successor`](PlanTable::successor)): a flush keeps them
@@ -722,7 +723,9 @@ impl ReconfigHandle {
 
     /// Rebalances `gid` (heaviest-to-lightest replica moves until the
     /// spread is ≤ 1) and publishes the result. Returns the number of
-    /// moves, or `None` if the group is no longer live.
+    /// moves, or `None` if the group is no longer live. Only `gid`'s
+    /// [`GroupEpoch`](crate::GroupEpoch) advances: the moves stay among
+    /// its members, so every other group keeps its plans.
     #[must_use]
     pub fn rebalance_group(&self, gid: GroupId) -> Option<u64> {
         let mut edit = RouteEdit::begin(&self.routes);

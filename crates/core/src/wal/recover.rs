@@ -172,7 +172,7 @@ impl GhbaCluster {
                 ));
             }
             let mds = self.mdss.get_mut(&state.id).expect("roster validated");
-            live.push((state.id, mds.restore_files(state.files)));
+            live.push((state.id, mds.restore_files(state.files, &self.rows)));
             mds.restore_counters(state.since_publish, state.since_drift);
             columns.push((state.id, published));
         }
@@ -249,7 +249,6 @@ impl GhbaCluster {
                 .insert(shape.gid, GroupEpoch(shape.epoch));
         }
         edit.commit();
-        self.refresh_replica_charges();
         Ok(())
     }
 

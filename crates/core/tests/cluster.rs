@@ -452,3 +452,35 @@ fn memory_pressure_increases_latency() {
         "tight memory ({slow:?}) not slower than roomy ({fast:?})"
     );
 }
+
+/// A split through the reconfiguration handle moves replicas without
+/// touching a store, so a server's memory holds exactly as many
+/// replicas after it as before: `mds0` goes from 2 held replicas to 11,
+/// and still only 1 of them is resident.
+#[test]
+fn a_handle_split_prices_spill_from_the_new_placement() {
+    let config = GhbaConfig::default()
+        .with_filter_capacity(2_000)
+        .with_max_group_size(4)
+        .with_lru_capacity(0)
+        .with_seed(7)
+        .with_memory_per_mds(56 * 1024);
+    let mut cluster = GhbaCluster::with_servers(config, 12);
+    for i in 0..240 {
+        cluster.create_file(&format!("/s/f{i}"));
+    }
+    cluster.drain_concurrent();
+    let mds0 = MdsId(0);
+    let resident = |cluster: &GhbaCluster| {
+        let held = cluster.replicas_held_by(mds0).len();
+        let mds = cluster.mds(mds0).expect("live");
+        (held, mds.resident_replicas(held))
+    };
+    assert_eq!(resident(&cluster), (2, 1));
+    let gid = cluster.group_of(mds0).expect("grouped");
+    cluster
+        .reconfig_handle()
+        .split_group(gid)
+        .expect("a full group splits");
+    assert_eq!(resident(&cluster), (11, 1));
+}

@@ -140,7 +140,8 @@ fn apply_stream_op(
                 .collect();
             if !gids.is_empty() {
                 let gid = gids[*pick as usize % gids.len()];
-                cluster.rebalance_group(gid);
+                let moved = cluster.reconfig_handle().rebalance_group(gid);
+                moved.expect("the group is live");
             }
             None
         }
@@ -335,7 +336,9 @@ fn arb_plan_step() -> impl Strategy<Value = PlanStep> {
 /// cluster is cloned — the twin starts with a cold plan table — and both
 /// run the batch: outcomes, latencies, level counts and false-hit
 /// counters must agree, so no plan the cluster carried across a publish,
-/// nor a probe cost it planned, differs from one built afresh.
+/// nor a probe cost it planned, differs from one built afresh. A split,
+/// merge or rebalance through the handle touches no store, so across one
+/// every spilling server keeps the number of replicas its memory holds.
 fn drive_plans(steps: &[PlanStep], seed: u64) -> Result<(), TestCaseError> {
     let config = GhbaConfig::default()
         .with_max_group_size(8)
@@ -350,14 +353,31 @@ fn drive_plans(steps: &[PlanStep], seed: u64) -> Result<(), TestCaseError> {
     for f in 0..160 {
         cluster.create_file(&path(f));
     }
-    let spills = |cluster: &GhbaCluster| {
-        cluster.server_ids().into_iter().any(|id| {
-            let held = cluster.replicas_held_by(id).len();
-            cluster.mds(id).expect("live").resident_replicas(held) < held
-        })
+    // A server's held replicas and how many of them are resident.
+    let residency = |cluster: &GhbaCluster, id: MdsId| {
+        let held = cluster.replicas_held_by(id).len();
+        (held, cluster.mds(id).expect("live").resident_replicas(held))
     };
-    prop_assert!(spills(&cluster), "the budget spills no replica");
+    // Every spilling server and the replicas its memory holds.
+    let capacities = |cluster: &GhbaCluster| -> Vec<(MdsId, usize)> {
+        let ids = cluster.server_ids().into_iter();
+        ids.filter_map(|id| match residency(cluster, id) {
+            (held, resident) if resident < held => Some((id, resident)),
+            _ => None,
+        })
+        .collect()
+    };
+    prop_assert!(
+        !capacities(&cluster).is_empty(),
+        "the budget spills no replica"
+    );
     for (n, step) in steps.iter().enumerate() {
+        let before = match step {
+            PlanStep::Split(_) | PlanStep::Merge(..) | PlanStep::Rebalance(_) => {
+                capacities(&cluster)
+            }
+            _ => Vec::new(),
+        };
         let ids = cluster.server_ids();
         let pick = |at: u8| ids[usize::from(at) % ids.len()];
         let gids = handle.group_ids();
@@ -428,6 +448,20 @@ fn drive_plans(steps: &[PlanStep], seed: u64) -> Result<(), TestCaseError> {
                     cluster.fail_mds(pick(*at)).expect("failable");
                 }
             }
+        }
+        // A handle step moves replicas, not files: no store changed, so
+        // each server's memory holds as many replicas as before it.
+        for &(id, capacity) in &before {
+            let (held, resident) = residency(&cluster, id);
+            prop_assert_eq!(
+                resident,
+                held.min(capacity),
+                "step {} ({:?}): {} holds {}",
+                n,
+                step,
+                id,
+                held
+            );
         }
         if let Err(violation) = cluster.check_invariants() {
             return Err(TestCaseError::fail(format!(

@@ -10,10 +10,9 @@
 //! * [`DetRng`] — seeded xoshiro256++ randomness with independent stream
 //!   forking, so every figure regenerates byte-identically;
 //! * [`LatencyModel`] — the memory-probe / LAN / multicast / disk cost
-//!   model that gives simulated operations their latencies;
-//! * [`MemoryBudget`] — per-node RAM accounting with priority spill, the
-//!   mechanism behind the paper's memory-pressure experiments
-//!   (Figures 8–10);
+//!   model that gives simulated operations their latencies (a replica
+//!   spilled from a server's RAM pays the disk access; the servers keep
+//!   their own charges);
 //! * [`LatencyStats`] / [`Counters`] — run statistics.
 //!
 //! Design note: the original work drove a Linux prototype; we replace the
@@ -28,13 +27,11 @@
 mod clock;
 mod events;
 mod latency;
-mod memory;
 mod rng;
 mod stats;
 
 pub use clock::SimTime;
 pub use events::EventQueue;
 pub use latency::LatencyModel;
-pub use memory::{gib, mib, MemoryBudget};
 pub use rng::DetRng;
 pub use stats::{Counters, LatencyStats};
