@@ -180,7 +180,7 @@ fn hba_broadcast_false_positives_are_counted() {
         }
         assert_eq!(hba.stats().levels.nonexistent, absent.len() as u64);
         assert_eq!(
-            hba.stats().counters.get("l4_false_positive_disk_checks"),
+            hba.stats().counters.l4_false_positive_disk_checks,
             expected,
             "concurrent={concurrent}"
         );

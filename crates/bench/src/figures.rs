@@ -478,8 +478,8 @@ pub fn fig14(out: &mut impl Write) -> io::Result<()> {
     let stream = || intensify(&WorkloadProfile::hp(), tif, 0xF14);
     let paths: Vec<String> = stream().hot_paths(pop as u64 / u64::from(tif)).collect();
     // Map every read record onto a pre-populated path so the figure
-    // measures hit latency, as the paper does; writes pass through and
-    // grow the metadata and LRU charges.
+    // measures hit latency, as the paper does; reads grow the LRU charge,
+    // and writes pass through and grow the metadata charge.
     let records = || {
         stream().map(|mut record| {
             if record.op.is_read() {

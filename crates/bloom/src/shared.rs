@@ -264,12 +264,13 @@ impl ProbeBatch {
     /// `FastMod` magic across the whole batch instead of one hardware
     /// division per probe.
     ///
-    /// The rows serve the slab ([`SharedShapeArray::prefetch_rows`],
-    /// [`SharedShapeArray::and_rows`]) and every *non-slab* filter of the
-    /// same family alike: an L4 global sweep probes each server's live
-    /// filter with the rows the slab levels used
-    /// ([`BloomFilter::contains_rows`]). Row `j` of fingerprint `q`
-    /// lands at `out[q * k + j]`, identical to
+    /// The rows serve every slab of the family alike
+    /// ([`SharedShapeArray::prefetch_rows`],
+    /// [`SharedShapeArray::and_rows`]): an L4 global sweep reads the live
+    /// slab's row-AND with the rows the published slab's levels used, and
+    /// a plain filter of the same family takes them too
+    /// ([`BloomFilter::contains_rows`]). Row `j` of fingerprint `q` lands
+    /// at `out[q * k + j]`, identical to
     /// [`Fingerprint::probes`](Fingerprint::probes) for the same shape.
     ///
     /// `shape` must be a slab's shape: [`SharedShapeArray::with_capacity`]

@@ -25,15 +25,16 @@
 //!    [`min_window_lookups`](ControllerConfig::min_window_lookups)
 //!    fresh walks is treated as idle and planned as empty.
 //! 2. **The hot and cold thresholds are separated by construction.**
-//!    A split requires share ≥
-//!    [`hot_share`](ControllerConfig::hot_share) × fair (default
-//!    1.6×); a merge requires *both* partners at share ≤
-//!    [`cold_share`](ControllerConfig::cold_share) × fair (default
-//!    0.5×). A freshly split group's halves inherit roughly half its
-//!    share each, landing between the thresholds, so a split is never
+//!    A split requires share ≥ [`HOT_SHARE`] × fair (1.6×); a merge
+//!    requires *both* partners at share ≤ [`COLD_SHARE`] × fair (0.5×).
+//!    A freshly split group's halves inherit roughly half its share
+//!    each, landing between the thresholds, so a split is never
 //!    immediately undone — and a merged pair of cold groups sums to at
 //!    most 2 × cold × fair ≤ fair, so a merge never creates a hot
-//!    group.
+//!    group. A merge never grows past ⌈[`MERGE_HEADROOM`] × M*⌉
+//!    members, and a group is rebalanced only once its imbalance
+//!    reaches [`IMBALANCE_LIMIT`] on at least [`MIN_REBALANCE_RATE`]
+//!    decayed lookups per member.
 //! 3. **Cooldowns.** Every group named by a planned action (including
 //!    the id a split mints, registered at actuation) is barred from
 //!    further actions for [`cooldown_ticks`](ControllerConfig::cooldown_ticks)
@@ -121,27 +122,28 @@ impl TargetM {
     }
 }
 
-/// Tuning knobs for [`GroupController`]; the defaults encode the
-/// hysteresis/cooldown contract in the module docs.
+/// Split trigger: a group's share ≥ `HOT_SHARE` × its fair share.
+pub const HOT_SHARE: f64 = 1.6;
+/// Merge trigger: both partners at share ≤ `COLD_SHARE` × fair.
+pub const COLD_SHARE: f64 = 0.5;
+/// Rebalance trigger: member imbalance ≥ this (max/mean ≥ 1).
+pub const IMBALANCE_LIMIT: f64 = 1.5;
+/// Imbalance is a max/mean *estimator*: at low per-member rates it is
+/// dominated by Poisson noise (relative spread ~1/√rate), and a
+/// controller that rebalances on noise churns uniform traffic forever. A
+/// group is considered for rebalance only once its window-decayed
+/// lookups reach `MIN_REBALANCE_RATE × members`.
+pub const MIN_REBALANCE_RATE: f64 = 32.0;
+/// Merged groups may not exceed `ceil(MERGE_HEADROOM × M*)` members (and
+/// never the handle's hard maximum).
+pub const MERGE_HEADROOM: f64 = 1.25;
+
+/// Tuning knobs for [`GroupController`]; with the thresholds above, the
+/// defaults encode the hysteresis/cooldown contract in the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// How M* is derived each tick.
     pub target: TargetM,
-    /// Split trigger: share ≥ `hot_share` × fair share.
-    pub hot_share: f64,
-    /// Merge trigger: both partners at share ≤ `cold_share` × fair.
-    pub cold_share: f64,
-    /// Rebalance trigger: member imbalance ≥ this (max/mean ≥ 1).
-    pub imbalance_limit: f64,
-    /// Imbalance is a max/mean *estimator*: at low per-member rates it
-    /// is dominated by Poisson noise (relative spread ~1/√rate), and a
-    /// controller that rebalances on noise churns uniform traffic
-    /// forever. A group is considered for rebalance only once its
-    /// window-decayed lookups reach `min_rebalance_rate × members`.
-    pub min_rebalance_rate: f64,
-    /// Merged groups may not exceed `ceil(merge_headroom × M*)`
-    /// members (and never the handle's hard maximum).
-    pub merge_headroom: f64,
     /// Ticks a group stays untouchable after an action names it.
     pub cooldown_ticks: u64,
     /// Hard per-tick cap on emitted actions.
@@ -154,11 +156,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             target: TargetM::PaperModel,
-            hot_share: 1.6,
-            cold_share: 0.5,
-            imbalance_limit: 1.5,
-            min_rebalance_rate: 32.0,
-            merge_headroom: 1.25,
             cooldown_ticks: 2,
             max_actions_per_tick: 2,
             min_window_lookups: 64,
@@ -275,8 +272,7 @@ impl GroupController {
             return Vec::new();
         }
         let target = self.cfg.target.group_size(servers, max_group_size);
-        let merge_cap =
-            ((self.cfg.merge_headroom * target as f64).ceil() as usize).min(max_group_size);
+        let merge_cap = ((MERGE_HEADROOM * target as f64).ceil() as usize).min(max_group_size);
         let split_floor = max_group_size / 2 + 1;
 
         let mut plan: Vec<AdaptAction> = Vec::new();
@@ -289,9 +285,7 @@ impl GroupController {
             .iter()
             .filter(|g| {
                 let fair = g.members as f64 / servers as f64;
-                !self.on_cooldown(g.gid)
-                    && g.members > split_floor
-                    && g.share >= self.cfg.hot_share * fair
+                !self.on_cooldown(g.gid) && g.members > split_floor && g.share >= HOT_SHARE * fair
             })
             .collect();
         hot.sort_by(|a, b| b.share.total_cmp(&a.share).then(a.gid.0.cmp(&b.gid.0)));
@@ -311,7 +305,7 @@ impl GroupController {
                 let fair = g.members as f64 / servers as f64;
                 !self.on_cooldown(g.gid)
                     && !plan.iter().any(|a| a.touches().0 == g.gid)
-                    && g.share <= self.cfg.cold_share * fair
+                    && g.share <= COLD_SHARE * fair
             })
             .collect();
         cold.sort_by(|a, b| a.share.total_cmp(&b.share).then(a.gid.0.cmp(&b.gid.0)));
@@ -334,8 +328,8 @@ impl GroupController {
             .filter(|g| {
                 !self.on_cooldown(g.gid)
                     && g.members >= 2
-                    && g.lookups >= self.cfg.min_rebalance_rate * g.members as f64
-                    && g.imbalance >= self.cfg.imbalance_limit
+                    && g.lookups >= MIN_REBALANCE_RATE * g.members as f64
+                    && g.imbalance >= IMBALANCE_LIMIT
                     && !plan
                         .iter()
                         .any(|x| x.touches().0 == g.gid || x.touches().1 == Some(g.gid))

@@ -69,7 +69,7 @@ use core::time::Duration;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ghba_bloom::{BloomFilter, Fingerprint, Hit, RowDeriver, SharedShapeArray};
-use ghba_simnet::{Counters, DetRng, LatencyModel, LatencyStats};
+use ghba_simnet::{DetRng, LatencyModel, LatencyStats};
 
 use crate::concurrent::{
     NamespaceShards, OverlayEntry, Telemetry, WalkTally, WriteKind, WriteRecord,
@@ -115,8 +115,30 @@ pub struct ClusterStats {
     /// L2/L3 plan consultations that had to build their plan since the
     /// last reset.
     pub mask_cache_misses: u64,
-    /// Named auxiliary counters (verification round trips, drops, …).
-    pub counters: Counters,
+    /// The cluster's event counts: false hits, drift checks, IDBFA
+    /// update misroutes.
+    pub counters: EventCounts,
+}
+
+/// Events [`ClusterStats`] counts beside its series, one field each.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// L1 hits whose predicted home did not store the file.
+    pub l1_false_hits: u64,
+    /// L2 hits whose predicted home did not store the file.
+    pub l2_false_hits: u64,
+    /// L3 hits whose predicted home did not store the file.
+    pub l3_false_hits: u64,
+    /// L4 positives a disk check found not to store the file.
+    pub l4_false_positive_disk_checks: u64,
+    /// Exact drift distances computed by the publish gate.
+    pub drift_exact_checks: u64,
+    /// G-HBA replica updates sent to an IDBFA candidate that holds no
+    /// replica of the origin, which drops them.
+    pub idbfa_dropped_updates: u64,
+    /// G-HBA replica updates multicast to a whole group because its
+    /// IDBFA named no holder.
+    pub idbfa_fallback_multicasts: u64,
 }
 
 /// Everything the pinned walk keeps between the fused runs of one pin:

@@ -165,17 +165,12 @@ impl Telemetry {
         stats
             .lookup_latency
             .merge(&core::mem::take(&mut pending.lookup));
-        let labels = [
-            "l1_false_hits",
-            "l2_false_hits",
-            "l3_false_hits",
-            "l4_false_positive_disk_checks",
-        ];
-        for (label, n) in labels.into_iter().zip(core::mem::take(&mut pending.falses)) {
-            if n > 0 {
-                stats.counters.add(label, n);
-            }
-        }
+        let [l1, l2, l3, l4] = core::mem::take(&mut pending.falses);
+        let counters = &mut stats.counters;
+        counters.l1_false_hits += l1;
+        counters.l2_false_hits += l2;
+        counters.l3_false_hits += l3;
+        counters.l4_false_positive_disk_checks += l4;
         let [hits, misses] = core::mem::take(&mut pending.mask);
         stats.mask_cache_hits += hits;
         stats.mask_cache_misses += misses;

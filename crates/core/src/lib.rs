@@ -64,8 +64,10 @@
 //! * the rows of a load report;
 //! * its own structural invariants, the scheme name and the rng fork.
 //!
-//! L2/L3 candidate masks of the grouped layout live in one
-//! snapshot-resident cache validated per `(group, GroupEpoch)`.
+//! The walk's L2/L3 plans (candidate masks, held counts, probe costs)
+//! live in the pinned route snapshot's plan table, for both layouts:
+//! each is built by the first walk that needs it and carried into the
+//! successor snapshot while its group keeps its `GroupEpoch`.
 //!
 //! Group membership is elastic: joins trigger light-weight replica
 //! migration and, on overflow, group splits; departures trigger merges
@@ -121,7 +123,7 @@ mod update;
 pub mod wal;
 
 pub use adapt::{AdaptAction, ControllerConfig, GroupController, TargetM};
-pub use cluster::{Cluster, ClusterStats, GhbaCluster, Grouped};
+pub use cluster::{Cluster, ClusterStats, EventCounts, GhbaCluster, Grouped};
 pub use concurrent::{WriteKind, WriteRecord};
 pub use config::GhbaConfig;
 pub use group::{Group, IdFilterArray};

@@ -179,43 +179,32 @@ struct DecayedGroup {
 /// Exponentially decayed per-group and per-entry rates, one window
 /// folded in per load report. Kept beside the cluster's unfolded tally,
 /// under its telemetry lock, and touched at report cadence only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LoadWindows {
     window: u64,
-    /// Weight of history when a new window folds in: `decayed = alpha *
-    /// decayed + fresh`. At the default 0.5 a group's rate halves every
-    /// quiet window, so a flash crowd fades from the report within a
-    /// few ticks of ending.
-    alpha: f64,
     groups: BTreeMap<usize, DecayedGroup>,
     entries: BTreeMap<usize, f64>,
 }
 
-impl Default for LoadWindows {
-    fn default() -> Self {
-        LoadWindows {
-            window: 0,
-            alpha: 0.5,
-            groups: BTreeMap::new(),
-            entries: BTreeMap::new(),
-        }
-    }
-}
+/// Weight of history when a new window folds in: `decayed = ALPHA *
+/// decayed + fresh`. A group's rate halves every quiet window, so a
+/// flash crowd fades from the report within a few ticks of ending.
+const ALPHA: f64 = 0.5;
 
 impl LoadWindows {
     /// Folds one closed window's counts into the decayed rates.
     pub(crate) fn fold(&mut self, closed: &LoadTally) {
         self.window += 1;
         for decayed in self.groups.values_mut() {
-            decayed.lookups *= self.alpha;
-            decayed.l3_walks *= self.alpha;
-            decayed.l4_walks *= self.alpha;
-            decayed.false_hits *= self.alpha;
-            decayed.mask_hits *= self.alpha;
-            decayed.mask_misses *= self.alpha;
+            decayed.lookups *= ALPHA;
+            decayed.l3_walks *= ALPHA;
+            decayed.l4_walks *= ALPHA;
+            decayed.false_hits *= ALPHA;
+            decayed.mask_hits *= ALPHA;
+            decayed.mask_misses *= ALPHA;
         }
         for rate in self.entries.values_mut() {
-            *rate *= self.alpha;
+            *rate *= ALPHA;
         }
         let counted = closed.groups.iter().enumerate();
         for (slot, window) in counted.filter(|(_, w)| **w != RawGroupWindow::default()) {
@@ -415,32 +404,11 @@ impl MaskCacheStats {
         }
     }
 
-    /// Lifetime hit rate (`1.0` when nothing was consulted).
-    #[must_use]
-    pub fn lifetime_rate(&self) -> f64 {
-        rate(self.lifetime_hits, self.lifetime_misses)
-    }
-
-    /// Reset-scoped hit rate (`1.0` when nothing was consulted).
-    #[must_use]
-    pub fn window_rate(&self) -> f64 {
-        rate(self.window_hits, self.window_misses)
-    }
-
     /// Lifetime `(hits, misses)` — the shape the pre-unification
     /// accessor returned.
     #[must_use]
     pub fn lifetime(&self) -> (u64, u64) {
         (self.lifetime_hits, self.lifetime_misses)
-    }
-}
-
-fn rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        1.0
-    } else {
-        hits as f64 / total as f64
     }
 }
 
@@ -546,7 +514,5 @@ mod tests {
         let stats = MaskCacheStats::assemble((100, 10), (40, 5), (6, 4));
         assert_eq!(stats.lifetime(), (106, 14));
         assert_eq!((stats.window_hits, stats.window_misses), (46, 9));
-        assert!(stats.lifetime_rate() > stats.window_rate());
-        assert_eq!(MaskCacheStats::default().lifetime_rate(), 1.0);
     }
 }

@@ -1,5 +1,5 @@
 //! Per-server state: the metadata store, the counting filter behind the
-//! server's live column, the L1 LRU array, the RAM charges that price
+//! server's live column, the L1 LRU array, the RAM capacity that prices
 //! replica spill, and the publish cadence.
 //!
 //! A server's Bloom filter exists twice, and each copy is **one column**
@@ -63,25 +63,6 @@ fn mark_block(dirty: &mut [u64], row: usize) {
     dirty[block / 64] |= 1 << (block % 64);
 }
 
-/// A server's RAM under [`GhbaConfig::memory_per_mds`]: its capacity and
-/// the charges that outrank replicas, in bytes. The server's own filter
-/// and counters, and its LRU array, come first; the metadata cache next;
-/// replicas get what is left, so they spill first (the Figures 8–10
-/// mechanism). How many replicas a server holds is its caller's to say
-/// ([`Mds::resident_replicas`]): placement moves without a store
-/// mutation, so nothing here is cached from it.
-#[derive(Debug, Clone, Copy)]
-struct Ram {
-    capacity: usize,
-    /// Own filter and counters: fixed at construction.
-    local: usize,
-    /// The LRU array, which grows as homes are seen: sampled at every
-    /// store mutation.
-    lru: usize,
-    /// [`META_ENTRY_BYTES`] per stored file, sampled with the LRU.
-    metacache: usize,
-}
-
 /// One metadata server.
 #[derive(Debug, Clone)]
 pub struct Mds {
@@ -97,7 +78,9 @@ pub struct Mds {
     /// arrived by another route while the server was dirty).
     dirty: Vec<u64>,
     lru: Option<LruBloomArray<MdsId>>,
-    ram: Option<Ram>,
+    /// [`GhbaConfig::memory_per_mds`]: the RAM that prices replica spill
+    /// (see [`Mds::resident_replicas`]).
+    capacity: Option<usize>,
     mutations_since_publish: u64,
     /// Mutations since the last *exact* drift check (or publish), so the
     /// drift distance runs at the gated cadence instead of on every
@@ -119,21 +102,14 @@ impl Mds {
                 config.seed ^ 0x14B_0A11,
             )
         });
-        let counts = CountingBloomFilter::new(bits, hashes, seed);
-        let ram = config.memory_per_mds.map(|capacity| Ram {
-            capacity,
-            local: filter_bytes(&counts) + counts.memory_bytes(),
-            lru: lru.as_ref().map_or(0, LruBloomArray::memory_bytes),
-            metacache: 0,
-        });
         Mds {
             id,
             slot,
             store: MetadataStore::new(),
-            counts,
+            counts: CountingBloomFilter::new(bits, hashes, seed),
             dirty: vec![0; bits.div_ceil(64).div_ceil(64)],
             lru,
-            ram,
+            capacity: config.memory_per_mds,
             mutations_since_publish: 0,
             mutations_since_drift_check: 0,
         }
@@ -193,7 +169,6 @@ impl Mds {
         }
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
-        self.sample_charges();
         !existed
     }
 
@@ -273,7 +248,6 @@ impl Mds {
         debug_assert!(removed.is_ok(), "live filter desynchronized from store");
         self.mutations_since_publish += 1;
         self.mutations_since_drift_check += 1;
-        self.sample_charges();
         true
     }
 
@@ -467,13 +441,17 @@ impl Mds {
     /// (the rest spill to disk): what its capacity leaves after the
     /// charges that outrank replicas, in whole filters. Equals `held`
     /// when no budget is set.
+    ///
+    /// The server's own filter and counters, and its LRU array, come
+    /// first; the metadata cache next; replicas get what is left, so
+    /// they spill first (the Figures 8–10 mechanism). Each charge is read
+    /// here, from what the server holds now: the LRU array grows on
+    /// lookups and the cache on writes, and placement moves with neither.
     #[must_use]
     pub fn resident_replicas(&self, held: usize) -> usize {
-        match &self.ram {
-            Some(ram) => {
-                let free = ram
-                    .capacity
-                    .saturating_sub(ram.local + ram.lru + ram.metacache);
+        match self.capacity {
+            Some(capacity) => {
+                let free = capacity.saturating_sub(self.local_bytes() + self.metacache_bytes());
                 held.min(free / filter_bytes(&self.counts))
             }
             None => held,
@@ -496,7 +474,8 @@ impl Mds {
     ///
     /// The metadata cache outranks the Bloom filter replicas: a real MDS
     /// keeps its hot dentries and inodes and pages cold replicas out, so
-    /// a growing cache spills replicas first (see `Ram`); only what the
+    /// a growing cache spills replicas first (see
+    /// [`resident_replicas`](Mds::resident_replicas)); only what the
     /// local structures and the LRU array leave bounds the cache, which
     /// is how memory pressure turns into the latency growth of
     /// Figures 8–10. Without a memory budget everything is resident and
@@ -505,25 +484,28 @@ impl Mds {
     /// verification.
     #[must_use]
     pub fn metadata_access_cost(&self, model: &ghba_simnet::LatencyModel) -> core::time::Duration {
-        match &self.ram {
-            Some(ram) if ram.metacache > 0 => {
-                let cached = ram
-                    .metacache
-                    .min(ram.capacity.saturating_sub(ram.local + ram.lru));
-                let resident = cached as f64 / ram.metacache as f64;
+        let metacache = self.metacache_bytes();
+        match self.capacity {
+            Some(capacity) if metacache > 0 => {
+                let cached = metacache.min(capacity.saturating_sub(self.local_bytes()));
+                let resident = cached as f64 / metacache as f64;
                 model.memory_probe + model.disk_access.mul_f64(1.0 - resident)
             }
             _ => model.memory_probe,
         }
     }
 
-    /// Samples the charges a store mutation moves: the metadata cache,
-    /// and the LRU array, which grows as homes are seen.
-    fn sample_charges(&mut self) {
-        if let Some(ram) = &mut self.ram {
-            ram.metacache = self.store.len() * META_ENTRY_BYTES;
-            ram.lru = self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes);
-        }
+    /// The charges that outrank the metadata cache: the server's own
+    /// filter and counters, and its LRU array.
+    fn local_bytes(&self) -> usize {
+        filter_bytes(&self.counts)
+            + self.counts.memory_bytes()
+            + self.lru.as_ref().map_or(0, LruBloomArray::memory_bytes)
+    }
+
+    /// [`META_ENTRY_BYTES`] per stored file.
+    fn metacache_bytes(&self) -> usize {
+        self.store.len() * META_ENTRY_BYTES
     }
 }
 

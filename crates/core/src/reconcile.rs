@@ -41,7 +41,6 @@
 //! [`GhbaCluster::drain_concurrent`]: crate::GhbaCluster::drain_concurrent
 //! [`execute_concurrent`]: crate::MetadataService::execute_concurrent
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -58,9 +57,6 @@ struct State {
     /// Crash semantics: skip the final shutdown tick too (see
     /// [`Reconciler::abort`]).
     abandon: bool,
-    /// Manual wakeups requested via [`Reconciler::trigger`] and not yet
-    /// served.
-    triggers: u64,
 }
 
 /// A dedicated thread running a reconciliation closure at a fixed
@@ -78,14 +74,12 @@ struct State {
 /// let reconciler = ghba_core::Reconciler::spawn(Duration::from_millis(1), move || {
 ///     counter.fetch_add(1, Ordering::Relaxed);
 /// });
-/// reconciler.trigger();
 /// reconciler.shutdown(); // joins; a final tick has run
 /// assert!(drains.load(Ordering::Relaxed) >= 1);
 /// ```
 #[derive(Debug)]
 pub struct Reconciler {
     signal: Arc<Signal>,
-    ticks: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -96,9 +90,8 @@ impl std::fmt::Debug for Signal {
 }
 
 impl Reconciler {
-    /// Spawns the cadence thread: `tick` runs once every `cadence` (and
-    /// immediately on [`trigger`](Reconciler::trigger)), plus one final
-    /// time during shutdown.
+    /// Spawns the cadence thread: `tick` runs once every `cadence`, plus
+    /// one final time during shutdown.
     ///
     /// # Panics
     ///
@@ -106,9 +99,7 @@ impl Reconciler {
     #[must_use]
     pub fn spawn(cadence: Duration, mut tick: impl FnMut() + Send + 'static) -> Self {
         let signal = Arc::new(Signal::default());
-        let ticks = Arc::new(AtomicU64::new(0));
         let thread_signal = Arc::clone(&signal);
-        let thread_ticks = Arc::clone(&ticks);
         let handle = std::thread::Builder::new()
             .name("ghba-reconciler".into())
             .spawn(move || {
@@ -117,27 +108,21 @@ impl Reconciler {
                     if state.stop {
                         break;
                     }
-                    if state.triggers > 0 {
-                        state.triggers -= 1;
-                    } else {
-                        let (next, timeout) = thread_signal
-                            .wake
-                            .wait_timeout(state, cadence)
-                            .expect("reconciler signal");
-                        state = next;
-                        if state.stop {
-                            break;
-                        }
-                        if !timeout.timed_out() && state.triggers == 0 {
-                            // Spurious wakeup: neither cadence nor a
-                            // trigger — sleep again.
-                            continue;
-                        }
-                        state.triggers = state.triggers.saturating_sub(1);
+                    let (next, timeout) = thread_signal
+                        .wake
+                        .wait_timeout(state, cadence)
+                        .expect("reconciler signal");
+                    state = next;
+                    if state.stop {
+                        break;
+                    }
+                    if !timeout.timed_out() {
+                        // Spurious wakeup: the cadence has not elapsed —
+                        // sleep again.
+                        continue;
                     }
                     drop(state);
                     tick();
-                    thread_ticks.fetch_add(1, Ordering::Release);
                     state = thread_signal.state.lock().expect("reconciler signal");
                 }
                 let abandon = state.abandon;
@@ -148,31 +133,12 @@ impl Reconciler {
                 // The shutdown tick: drain whatever accumulated since
                 // the last cadence so teardown strands nothing.
                 tick();
-                thread_ticks.fetch_add(1, Ordering::Release);
             })
             .expect("spawn reconciler thread");
         Reconciler {
             signal,
-            ticks,
             handle: Some(handle),
         }
-    }
-
-    /// Ticks completed so far (cadence, triggered, and shutdown ticks
-    /// alike).
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Acquire)
-    }
-
-    /// Requests an immediate out-of-cadence tick (e.g. after a burst of
-    /// writes the caller wants reconciled now). Queues if the thread is
-    /// mid-tick; never blocks.
-    pub fn trigger(&self) {
-        let mut state = self.signal.state.lock().expect("reconciler signal");
-        state.triggers += 1;
-        drop(state);
-        self.signal.wake.notify_one();
     }
 
     /// Stops the cadence thread and joins it. The thread runs one final
@@ -229,6 +195,7 @@ impl Drop for Reconciler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     #[test]
@@ -246,23 +213,15 @@ mod tests {
 
     #[test]
     fn cadence_drives_ticks() {
-        let reconciler = Reconciler::spawn(Duration::from_millis(2), || {});
+        let count = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&count);
+        let reconciler = Reconciler::spawn(Duration::from_millis(2), move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
         let deadline = Instant::now() + Duration::from_secs(60);
-        while reconciler.ticks() < 3 {
+        while count.load(Ordering::Relaxed) < 3 {
             assert!(Instant::now() < deadline, "cadence never fired");
             std::thread::sleep(Duration::from_millis(2));
-        }
-        reconciler.shutdown();
-    }
-
-    #[test]
-    fn trigger_preempts_a_long_cadence() {
-        let reconciler = Reconciler::spawn(Duration::from_secs(300), || {});
-        reconciler.trigger();
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while reconciler.ticks() < 1 {
-            assert!(Instant::now() < deadline, "trigger never fired");
-            std::thread::sleep(Duration::from_millis(1));
         }
         reconciler.shutdown();
     }
@@ -275,7 +234,7 @@ mod tests {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         reconciler.shutdown();
-        // No cadence or trigger fired; exactly the shutdown tick ran.
+        // No cadence fired; exactly the shutdown tick ran.
         assert_eq!(count.load(Ordering::Relaxed), 1);
     }
 

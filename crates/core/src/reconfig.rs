@@ -462,17 +462,14 @@ impl Topology for Grouped {
                 Hit::Multiple(candidates) => {
                     // Send to every candidate; the non-holders drop it.
                     report.messages += candidates.len() as u64;
-                    cluster
-                        .stats
-                        .counters
-                        .add("idbfa_dropped_updates", candidates.len() as u64 - 1);
+                    cluster.stats.counters.idbfa_dropped_updates += candidates.len() as u64 - 1;
                 }
                 Hit::None => {
                     // Counting filters have no false negatives, so this
                     // means the group holds no replica (e.g. mid-
                     // reconfiguration); fall back to a group multicast.
                     report.messages += group.len() as u64;
-                    cluster.stats.counters.incr("idbfa_fallback_multicasts");
+                    cluster.stats.counters.idbfa_fallback_multicasts += 1;
                 }
             }
             report.bytes += delta_bytes;

@@ -82,7 +82,7 @@ impl<T: Topology> Cluster<T> {
             return None;
         }
         let drift = self.drift_bits(origin)?;
-        self.stats.counters.incr("drift_exact_checks");
+        self.stats.counters.drift_exact_checks += 1;
         if drift < threshold {
             self.mdss.get_mut(&origin)?.note_drift_checked();
             None
@@ -296,11 +296,7 @@ mod tests {
         assert_eq!(got.update_bytes, want.update_bytes);
         assert_eq!(got.update_latency, want.update_latency);
         assert_eq!(got.update_latency.count(), refreshed as u64);
-        let counters = |cluster: &Cluster<T>| -> BTreeMap<String, u64> {
-            let counters = cluster.stats().counters.iter();
-            counters.map(|(label, n)| (label.to_owned(), n)).collect()
-        };
-        assert_eq!(counters(&flushed), counters(&pushed));
+        assert_eq!(got.counters, want.counters);
 
         let after = flushed.routes.pin();
         assert!(!Arc::ptr_eq(&before, &after));
@@ -375,7 +371,7 @@ mod tests {
         for i in 0..mutations {
             cluster.create_file(&format!("/cadence/f{i}"));
         }
-        let checks = cluster.stats().counters.get("drift_exact_checks");
+        let checks = cluster.stats().counters.drift_exact_checks;
         assert!(checks >= 1, "the gate passed; at least one exact check");
         assert!(
             checks <= mutations / gate + 1,
@@ -476,11 +472,7 @@ mod tests {
         assert_eq!(got.update_messages, want.update_messages);
         assert_eq!(got.update_bytes, want.update_bytes);
         assert_eq!(got.update_latency, want.update_latency);
-        let counters = |stats: &ClusterStats| -> BTreeMap<String, u64> {
-            let counters = stats.counters.iter();
-            counters.map(|(label, n)| (label.to_owned(), n)).collect()
-        };
-        assert_eq!(counters(got), counters(&want));
+        assert_eq!(got.counters, want.counters);
         cluster
             .check_invariants()
             .expect("the publish keeps both slabs exact");

@@ -484,3 +484,37 @@ fn a_handle_split_prices_spill_from_the_new_placement() {
         .expect("a full group splits");
     assert_eq!(resident(&cluster), (11, 1));
 }
+
+/// Lookups grow a server's LRU array without touching its store, and
+/// the array is charged before any replica: once it outgrows the whole
+/// budget, no replica stays resident.
+#[test]
+fn lookups_grow_the_lru_charge_that_spills_replicas() {
+    let config = GhbaConfig::default()
+        .with_filter_capacity(2_000)
+        .with_max_group_size(4)
+        .with_seed(7)
+        .with_memory_per_mds(400 * 1024);
+    let mut cluster = GhbaCluster::with_servers(config, 12);
+    for i in 0..240 {
+        cluster.create_file(&format!("/s/f{i}"));
+    }
+    cluster.flush_all_updates();
+    let mds0 = MdsId(0);
+    let lru_bytes = |cluster: &GhbaCluster| {
+        let mds = cluster.mds(mds0).expect("live");
+        mds.lru().map_or(0, |lru| lru.memory_bytes())
+    };
+    let resident = |cluster: &GhbaCluster| cluster.mds(mds0).expect("live").resident_replicas(2);
+    assert_eq!(lru_bytes(&cluster), 0);
+    assert_eq!(resident(&cluster), 2);
+    for i in 0..240 {
+        cluster.lookup_from(mds0, &format!("/s/f{i}"));
+    }
+    assert!(
+        lru_bytes(&cluster) > 400 * 1024,
+        "{} LRU bytes",
+        lru_bytes(&cluster)
+    );
+    assert_eq!(resident(&cluster), 0);
+}

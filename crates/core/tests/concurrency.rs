@@ -20,8 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ghba_core::{
-    ClusterStats, EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, LoadReport, Mds, MdsId,
-    MetadataService, OpBatch, OpOutcome, QueryLevel,
+    EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, LoadReport, Mds, MdsId, MetadataService,
+    OpBatch, OpOutcome, QueryLevel,
 };
 
 fn config() -> GhbaConfig {
@@ -29,15 +29,6 @@ fn config() -> GhbaConfig {
         .with_filter_capacity(2_000)
         .with_max_group_size(5)
         .with_seed(71)
-}
-
-/// The named counters of `stats`, by label.
-fn counters(stats: &ClusterStats) -> BTreeMap<String, u64> {
-    stats
-        .counters
-        .iter()
-        .map(|(label, n)| (label.to_owned(), n))
-        .collect()
 }
 
 /// `report` with every group's mask hit rate set to 1: what is left
@@ -393,7 +384,7 @@ fn fused_runs_tally_what_one_op_batches_record() {
             got.lookup_latency, want.lookup_latency,
             "concurrent={concurrent}"
         );
-        assert_eq!(counters(got), counters(want), "false-hit counters");
+        assert_eq!(got.counters, want.counters, "false-hit counters");
         // Everything in the load report but the mask hit rate (consults
         // are per walk, below) comes from per-occurrence counts.
         let got = without_mask_rates(fused.load_report());
@@ -543,7 +534,7 @@ fn racing_batches_build_each_plan_once() {
         assert_eq!(got.levels.total(), (THREADS * 96) as u64);
         assert_eq!(got.levels, want.levels, "round {round}");
         assert_eq!(got.lookup_latency, want.lookup_latency, "round {round}");
-        assert_eq!(counters(got), counters(want), "round {round}");
+        assert_eq!(got.counters, want.counters, "round {round}");
         assert_eq!(
             without_mask_rates(cluster.load_report()),
             without_mask_rates(twin.load_report()),
@@ -582,7 +573,7 @@ fn a_clone_carries_what_its_walks_counted() {
     assert_eq!(want.levels.total(), 96);
     assert_eq!(got.levels, want.levels);
     assert_eq!(got.lookup_latency, want.lookup_latency);
-    assert_eq!(counters(got), counters(want), "false-hit counters");
+    assert_eq!(got.counters, want.counters, "false-hit counters");
     assert_eq!(twin.mask_cache_stats(), cluster.mask_cache_stats());
     let report = cluster.load_report();
     assert_eq!((report.window, report.fresh_lookups), (2, 48));
@@ -733,7 +724,7 @@ macro_rules! plan_reuse_is_invisible {
                 let (got, want) = (fused.stats(), single.stats());
                 assert_eq!(got.levels, want.levels);
                 assert_eq!(got.lookup_latency, want.lookup_latency);
-                assert_eq!(counters(got), counters(want), "false-hit counters");
+                assert_eq!(got.counters, want.counters, "false-hit counters");
                 let (got, want) = (fused.mask_cache_stats(), single.mask_cache_stats());
                 assert_eq!(
                     got.window_hits + got.window_misses,
@@ -885,7 +876,7 @@ macro_rules! slab_answer_is_invisible {
                 let (got, want) = (cluster.stats(), twin.stats());
                 assert_eq!(got.levels, want.levels);
                 assert_eq!(got.lookup_latency, want.lookup_latency);
-                assert_eq!(counters(got), counters(want), "false-hit counters");
+                assert_eq!(got.counters, want.counters, "false-hit counters");
                 assert_eq!(cluster.mask_cache_stats(), twin.mask_cache_stats());
                 assert_eq!(cluster.load_report(), twin.load_report());
             };

@@ -30,7 +30,7 @@ use ghba_core::{MdsId, OpBatch, OpOutcome};
 
 use crate::proto::NetMessage;
 use crate::route::{execute_sharded, BatchTransport, Pick};
-use crate::wire::{WireCodec, WireError};
+use crate::wire::{read_payload_into, WireError};
 
 /// One replica's counters, as sampled by [`NetClient::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,17 +87,6 @@ impl Default for RetryPolicy {
             attempts: 4,
             initial_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retry: every transport failure propagates immediately.
-    #[must_use]
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            attempts: 0,
-            ..RetryPolicy::default()
         }
     }
 }
@@ -262,7 +251,7 @@ impl NetClient {
     /// retry.
     fn receive(&mut self, replica: usize) -> Result<NetMessage, WireError> {
         let conn = &mut self.conns[replica];
-        if !WireCodec::read_payload_into(&mut conn.reader, &mut conn.inbuf)? {
+        if !read_payload_into(&mut conn.reader, &mut conn.inbuf)? {
             // A clean EOF is the same loss as a reset for our purposes:
             // classify as I/O so the retry path reconnects.
             return Err(WireError::Io(std::io::Error::new(

@@ -15,7 +15,8 @@
 //! # Layers
 //!
 //! * [`wire`] — length-prefixed, versioned binary framing
-//!   (`Frame`/`WireCodec`) with typed, panic-free decode errors;
+//!   (`open_frame`/`close_frame`, one reader `read_payload_into`) with
+//!   typed, panic-free decode errors;
 //! * [`proto`] — the [`NetMessage`] set: batch execution, membership
 //!   gossip, group-probe multicasts, drain barriers, stats;
 //! * [`route`] — fingerprint sharding, the [`BatchTransport`] seam,
@@ -55,4 +56,4 @@ pub use proto::NetMessage;
 pub use rendezvous::Rendezvous;
 pub use replica::{ReplicaConfig, ReplicaServer};
 pub use route::{execute_sharded, replica_config, replica_of, BatchTransport, Federation, Pick};
-pub use wire::{Frame, WireCodec, WireError, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};
+pub use wire::{WireError, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION};

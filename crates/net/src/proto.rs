@@ -51,7 +51,7 @@ use ghba_core::{
 };
 
 use crate::route::{split_halves, Pick};
-use crate::wire::{close_frame, open_frame, Frame, WireCodec, WireError};
+use crate::wire::{close_frame, open_frame, read_payload_into, WireError};
 
 /// Every message of wire version 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -534,30 +534,14 @@ impl NetMessage {
     }
 
     /// Encodes the message as one complete frame into `frame`, replacing
-    /// its contents and keeping its allocation: the bytes of
-    /// [`Frame::from_payload`] over [`encode`](NetMessage::encode)'s
-    /// payload, written in place — or [`WireError::Oversized`], `frame`
-    /// left empty, for a frame over [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN).
+    /// its contents and keeping its allocation: the length, the header
+    /// and [`encode`](NetMessage::encode)'s payload, written in place —
+    /// or [`WireError::Oversized`], `frame` left empty, for a frame over
+    /// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN).
     pub fn encode_frame_into(&self, frame: &mut Vec<u8>) -> Result<(), WireError> {
         let (mut w, len) = open_frame(frame);
         put_message(&mut w, self);
         close_frame(w, len)
-    }
-
-    /// The payload [`encode`](NetMessage::encode) produces for
-    /// [`NetMessage::ExecuteBatch`], from a **borrowed** batch: a sender
-    /// that keeps its batch does not clone every path into a message
-    /// just to serialise it.
-    #[must_use]
-    pub fn encode_execute_batch(seq: u64, batch: &OpBatch) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_execute_batch(
-            &mut ByteWriter::new(&mut payload),
-            seq,
-            batch,
-            (0..batch.len()).map(Pick::Op),
-        );
-        payload
     }
 
     /// Encodes the [`NetMessage::ExecuteBatch`] frame of the sub-batch
@@ -667,21 +651,6 @@ impl NetMessage {
         Ok(msg)
     }
 
-    /// Encodes into a complete wire [`Frame`] (length prefix + header +
-    /// payload); [`WireError::Oversized`] over the cap.
-    pub fn to_frame(&self) -> Result<Frame, WireError> {
-        let mut bytes = Vec::new();
-        self.encode_frame_into(&mut bytes)?;
-        Ok(Frame::from_closed(bytes))
-    }
-
-    /// Parses one framed message from the front of `bytes`, returning
-    /// it and the bytes consumed.
-    pub fn parse_frame(bytes: &[u8]) -> Result<(NetMessage, usize), WireError> {
-        let (payload, consumed) = Frame::parse(bytes)?;
-        Ok((NetMessage::decode(payload)?, consumed))
-    }
-
     /// Writes the message as one frame and flushes; an oversized frame
     /// is refused before any byte is written.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), WireError> {
@@ -695,7 +664,7 @@ impl NetMessage {
     /// Reads one framed message; `Ok(None)` on clean end-of-stream.
     pub fn read_from(r: &mut impl Read) -> Result<Option<NetMessage>, WireError> {
         let mut payload = Vec::new();
-        if !WireCodec::read_payload_into(r, &mut payload)? {
+        if !read_payload_into(r, &mut payload)? {
             return Ok(None);
         }
         NetMessage::decode(&payload).map(Some)
@@ -707,10 +676,11 @@ mod tests {
     use super::*;
 
     fn round_trip(msg: &NetMessage) -> Result<(), WireError> {
-        let frame = msg.to_frame()?;
-        let (decoded, consumed) = NetMessage::parse_frame(frame.bytes())?;
-        assert_eq!(&decoded, msg);
-        assert_eq!(consumed, frame.bytes().len());
+        let mut frame = Vec::new();
+        msg.encode_frame_into(&mut frame)?;
+        let mut cursor = frame.as_slice();
+        assert_eq!(NetMessage::read_from(&mut cursor)?.as_ref(), Some(msg));
+        assert!(cursor.is_empty(), "the frame is read whole");
         Ok(())
     }
 

@@ -53,7 +53,7 @@ use std::thread::JoinHandle;
 use ghba_core::{OpBatch, OpOutcome};
 
 use crate::proto::NetMessage;
-use crate::wire::{WireCodec, WireError};
+use crate::wire::{read_payload_into, WireError};
 
 /// Error code carried by [`NetMessage::ErrorReply`] for malformed
 /// requests.
@@ -258,7 +258,7 @@ fn conn_loop(stream: TcpStream, service: &dyn Service, stop: &AtomicBool, poke_a
     let mut out = Vec::new();
     let mut batch = OpBatch::new();
     loop {
-        let request = WireCodec::read_payload_into(&mut reader, &mut inbuf).and_then(|more| {
+        let request = read_payload_into(&mut reader, &mut inbuf).and_then(|more| {
             if !more {
                 return Ok(None);
             }

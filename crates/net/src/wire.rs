@@ -18,23 +18,32 @@
 //!
 //! # Robustness contract
 //!
-//! The decoder **never panics** on foreign bytes. Every malformed shape
-//! maps to a typed [`WireError`]:
+//! The reader never panics on foreign bytes. Every malformed shape maps
+//! to a typed [`WireError`]:
 //!
 //! * a length prefix above [`MAX_FRAME_LEN`] → [`WireError::Oversized`]
 //!   (rejected *before* allocating, so a hostile 4 GiB prefix cannot
 //!   balloon memory);
 //! * a length too short to hold the fixed header →
 //!   [`WireError::RuntFrame`];
-//! * bytes that end mid-frame → [`WireError::Truncated`];
 //! * wrong magic / unsupported version / unknown message tag →
 //!   [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] /
 //!   [`WireError::UnknownTag`];
-//! * bytes left over after a complete message body →
-//!   [`WireError::TrailingBytes`].
+//! * a field that runs past the end of its payload →
+//!   [`WireError::Truncated`]; bytes left over after a complete message
+//!   body → [`WireError::TrailingBytes`].
 //!
-//! The property suite (`tests/properties.rs`) feeds random byte
-//! prefixes through [`Frame::parse`] to pin the no-panic guarantee.
+//! A stream that ends is read as the sockets see it:
+//!
+//! * at a frame boundary, it is a clean end of stream (`Ok(false)`);
+//! * inside the 4-byte length prefix, it is [`WireError::Truncated`];
+//! * after the length prefix, it is [`WireError::Io`] with
+//!   [`UnexpectedEof`](std::io::ErrorKind::UnexpectedEof): a transport
+//!   loss, which the client reconnects on and a server closes the
+//!   connection on without a reply.
+//!
+//! The property suite (`tests/properties.rs`) pins both lists through
+//! [`read_payload_into`], the reader the sockets run.
 //!
 //! # The byte layer
 //!
@@ -49,12 +58,12 @@
 //! length and writes the magic and the version, the message is encoded
 //! after them, and [`close_frame`] patches the length — or refuses a
 //! frame over [`MAX_FRAME_LEN`] with [`WireError::Oversized`] and leaves
-//! the buffer empty, so the encoder never writes a frame its decoder
-//! refuses. [`WireCodec::read_payload_into`] reads a frame's payload
-//! into a caller's buffer, with every check above made before the
-//! buffer grows. [`Frame::from_payload`] is a thin wrapper over the
-//! writer, so a connection that keeps its buffers frames every message
-//! without allocating or copying its payload a second time.
+//! the buffer empty, so the encoder never writes a frame its reader
+//! refuses. A frame is sent with one `write_all` of that buffer.
+//! [`read_payload_into`] reads a frame's payload into a caller's buffer,
+//! with every check above made before the buffer grows, so a connection
+//! that keeps its buffers frames and reads every message without
+//! allocating.
 
 use std::io::Read;
 
@@ -96,7 +105,8 @@ pub enum WireError {
         /// The claimed payload length.
         len: u32,
     },
-    /// The buffer ended before the frame (or a field inside it) did.
+    /// The stream ended inside a frame's length prefix, or a field ran
+    /// past the end of its payload.
     Truncated {
         /// Bytes the decoder needed next.
         needed: usize,
@@ -236,54 +246,6 @@ pub fn close_frame(mut w: ByteWriter<'_>, len: LenSlot) -> Result<(), WireError>
     Ok(())
 }
 
-/// One complete wire frame: length prefix + header + message body, as
-/// the exact bytes that travel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    bytes: Vec<u8>,
-}
-
-impl Frame {
-    /// Frames an already-encoded message payload (`tag` + body);
-    /// [`WireError::Oversized`] over [`MAX_FRAME_LEN`].
-    pub fn from_payload(payload: &[u8]) -> Result<Frame, WireError> {
-        let mut bytes = Vec::with_capacity(4 + FRAME_HEADER - 1 + payload.len());
-        let (mut w, len) = open_frame(&mut bytes);
-        w.bytes(payload);
-        close_frame(w, len)?;
-        Ok(Frame { bytes })
-    }
-
-    /// Wraps the bytes of a frame [`open_frame`] wrote and
-    /// [`close_frame`] closed.
-    pub(crate) fn from_closed(bytes: Vec<u8>) -> Frame {
-        Frame { bytes }
-    }
-
-    /// The full wire bytes (length prefix included).
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Parses one frame from the front of `bytes`, returning the
-    /// message payload (`tag` + body) and the total bytes consumed.
-    /// Never panics: every malformed prefix maps to a [`WireError`]
-    /// (see the module docs for the full catalogue).
-    pub fn parse(bytes: &[u8]) -> Result<(&[u8], usize), WireError> {
-        let mut reader = ByteReader::new(bytes);
-        let len = check_len(reader.u32()?)?;
-        if reader.remaining() < len {
-            return Err(WireError::Truncated {
-                needed: len,
-                available: reader.remaining(),
-            });
-        }
-        check_header(&mut reader)?;
-        Ok((reader.take(len - (FRAME_HEADER - 1))?, 4 + len))
-    }
-}
-
 /// The checks a length prefix gets before anything it counts is read.
 fn check_len(len: u32) -> Result<usize, WireError> {
     if len > MAX_FRAME_LEN {
@@ -313,88 +275,92 @@ fn check_header(reader: &mut ByteReader<'_>) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Stream-level codec: blocking frame reads over any `Read` (a
-/// `TcpStream`, a unix pipe, an in-memory buffer). A frame is written
-/// with one `write_all` of the buffer [`close_frame`] closed.
-#[derive(Debug)]
-pub struct WireCodec;
-
-impl WireCodec {
-    /// Reads one frame's message payload into `payload`, replacing its
-    /// contents and keeping its allocation. Returns `Ok(false)` on a
-    /// clean end-of-stream between frames; end-of-stream *inside* a
-    /// frame is an error like any other short read.
-    pub fn read_payload_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, WireError> {
-        let mut len_buf = [0u8; 4];
-        let mut filled = 0;
-        while filled < len_buf.len() {
-            let n = r.read(&mut len_buf[filled..])?;
-            if n == 0 {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(WireError::Truncated {
-                    needed: len_buf.len(),
-                    available: filled,
-                });
+/// The one frame reader: reads one frame off `r` and leaves its message
+/// payload (`tag` + body) in `payload`, replacing its contents and
+/// keeping its allocation. The length and the header are checked before
+/// the buffer grows. Returns `Ok(false)` on a clean end of stream between
+/// frames; see the module docs for what a stream cut mid-frame returns.
+pub fn read_payload_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, WireError> {
+    let mut len_buf = [0u8; 4];
+    let mut filled = 0;
+    while filled < len_buf.len() {
+        let n = r.read(&mut len_buf[filled..])?;
+        if n == 0 {
+            if filled == 0 {
+                return Ok(false);
             }
-            filled += n;
+            return Err(WireError::Truncated {
+                needed: len_buf.len(),
+                available: filled,
+            });
         }
-        let len = check_len(u32::from_le_bytes(len_buf))?;
-        // Magic + version are checked from the stack before the buffer
-        // grows, and the payload is read straight into it.
-        let mut header = [0u8; FRAME_HEADER - 1];
-        r.read_exact(&mut header)?;
-        check_header(&mut ByteReader::new(&header))?;
-        // Only growth is zero-filled; `read_exact` overwrites the rest.
-        payload.resize(len - header.len(), 0);
-        r.read_exact(payload)?;
-        Ok(true)
+        filled += n;
     }
+    let len = check_len(u32::from_le_bytes(len_buf))?;
+    // Magic + version are checked from the stack before the buffer
+    // grows, and the payload is read straight into it.
+    let mut header = [0u8; FRAME_HEADER - 1];
+    r.read_exact(&mut header)?;
+    check_header(&mut ByteReader::new(&header))?;
+    // Only growth is zero-filled; `read_exact` overwrites the rest.
+    payload.resize(len - header.len(), 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The frame of `payload`, written in place.
+    fn frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
+        let mut buf = Vec::new();
+        let (mut w, len) = open_frame(&mut buf);
+        w.bytes(payload);
+        close_frame(w, len)?;
+        Ok(buf)
+    }
+
     /// The wire bytes of `payloads`, framed back to back.
     fn stream(payloads: &[&[u8]]) -> Result<Vec<u8>, WireError> {
         let mut bytes = Vec::new();
         for payload in payloads {
-            bytes.extend_from_slice(Frame::from_payload(payload)?.bytes());
+            bytes.extend_from_slice(&frame(payload)?);
         }
         Ok(bytes)
     }
 
+    /// `read_payload_into` over `bytes` from the front: the payload, or
+    /// the error.
+    fn read_one(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+        let mut payload = Vec::new();
+        match read_payload_into(&mut &bytes[..], &mut payload)? {
+            true => Ok(payload),
+            false => panic!("{} bytes read as a clean end of stream", bytes.len()),
+        }
+    }
+
     #[test]
-    fn frame_round_trips_through_parse() -> Result<(), WireError> {
+    fn frame_round_trips_through_the_reader() -> Result<(), WireError> {
         let payload = [7u8, 1, 2, 3];
-        let frame = Frame::from_payload(&payload)?;
-        let (parsed, consumed) = Frame::parse(frame.bytes())?;
-        assert_eq!(parsed, payload);
-        assert_eq!(consumed, frame.bytes().len());
+        let bytes = frame(&payload)?;
+        assert_eq!(bytes.len(), 4 + FRAME_HEADER - 1 + payload.len());
+        let mut cursor = bytes.as_slice();
+        let mut read = Vec::new();
+        assert!(read_payload_into(&mut cursor, &mut read)?);
+        assert_eq!(read, payload);
+        assert!(cursor.is_empty(), "the reader takes the frame whole");
         Ok(())
     }
 
-    #[test]
-    fn oversized_length_is_rejected_before_allocation() {
-        let mut bytes = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0u8; 16]);
-        assert!(matches!(
-            Frame::parse(&bytes),
-            Err(WireError::Oversized { .. })
-        ));
-    }
-
-    /// The encoder holds the decoder's cap: a frame whose length is
-    /// exactly [`MAX_FRAME_LEN`] closes and parses, one byte more is
+    /// The encoder holds the reader's cap: a frame whose length is
+    /// exactly [`MAX_FRAME_LEN`] closes and reads, one byte more is
     /// refused with the buffer left empty.
     #[test]
     fn a_frame_over_the_cap_is_refused_on_the_way_out() -> Result<(), WireError> {
         let at_cap = MAX_FRAME_LEN as usize - (FRAME_HEADER - 1);
         let payload = vec![3u8; at_cap + 1];
-        let frame = Frame::from_payload(&payload[..at_cap])?;
-        assert_eq!(Frame::parse(frame.bytes())?.0.len(), at_cap);
+        assert_eq!(read_one(&frame(&payload[..at_cap])?)?.len(), at_cap);
         let mut buf = Vec::new();
         let (mut w, len) = open_frame(&mut buf);
         w.bytes(&payload);
@@ -406,47 +372,45 @@ mod tests {
         Ok(())
     }
 
+    /// A cut inside the length prefix is `Truncated`; one after it is
+    /// the transport's `UnexpectedEof`; a runt length is refused.
     #[test]
-    fn runt_and_truncated_frames_are_typed() -> Result<(), WireError> {
-        let frame = Frame::from_payload(&[9u8])?;
-        let cut = &frame.bytes()[..frame.bytes().len() - 1];
+    fn runt_and_cut_frames_are_typed() -> Result<(), WireError> {
+        let bytes = frame(&[9u8])?;
         assert!(matches!(
-            Frame::parse(cut),
-            Err(WireError::Truncated { .. })
+            read_one(&bytes[..3]),
+            Err(WireError::Truncated {
+                needed: 4,
+                available: 3
+            })
         ));
-        let runt = 3u32.to_le_bytes();
-        let mut bytes = runt.to_vec();
-        bytes.extend_from_slice(&[0u8; 3]);
+        for cut in [4, 6, bytes.len() - 1] {
+            assert!(
+                matches!(read_one(&bytes[..cut]), Err(WireError::Io(ref e))
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "cut at {cut}"
+            );
+        }
+        let mut runt = 3u32.to_le_bytes().to_vec();
+        runt.extend_from_slice(&[0u8; 3]);
         assert!(matches!(
-            Frame::parse(&bytes),
-            Err(WireError::RuntFrame { .. })
+            read_one(&runt),
+            Err(WireError::RuntFrame { len: 3 })
         ));
         Ok(())
     }
 
     #[test]
     fn bad_magic_and_version_are_typed() -> Result<(), WireError> {
-        let mut frame = Frame::from_payload(&[1u8])?.bytes().to_vec();
-        frame[4] ^= 0xFF;
+        let mut bytes = frame(&[1u8])?;
+        bytes[4] ^= 0xFF;
+        assert!(matches!(read_one(&bytes), Err(WireError::BadMagic { .. })));
+        let mut bytes = frame(&[1u8])?;
+        bytes[8] = 0xEE;
         assert!(matches!(
-            Frame::parse(&frame),
-            Err(WireError::BadMagic { .. })
+            read_one(&bytes),
+            Err(WireError::UnsupportedVersion { found: 0xEE })
         ));
-        let mut frame = Frame::from_payload(&[1u8])?.bytes().to_vec();
-        frame[8] = 0xEE;
-        assert!(matches!(
-            Frame::parse(&frame),
-            Err(WireError::UnsupportedVersion { .. })
-        ));
-        Ok(())
-    }
-
-    #[test]
-    fn mid_frame_eof_is_an_error_not_a_clean_close() -> Result<(), WireError> {
-        let mut bytes = stream(&[&[1u8, 2, 3]])?;
-        bytes.truncate(bytes.len() - 2);
-        let mut payload = Vec::new();
-        assert!(WireCodec::read_payload_into(&mut bytes.as_slice(), &mut payload).is_err());
         Ok(())
     }
 
@@ -455,23 +419,23 @@ mod tests {
         let bytes = stream(&[&[1u8; 40], &[2u8, 3]])?;
         let mut cursor = bytes.as_slice();
         let mut payload = Vec::new();
-        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload)?);
+        assert!(read_payload_into(&mut cursor, &mut payload)?);
         assert_eq!(payload, [1u8; 40]);
         let held = payload.as_ptr();
-        assert!(WireCodec::read_payload_into(&mut cursor, &mut payload)?);
+        assert!(read_payload_into(&mut cursor, &mut payload)?);
         assert_eq!(payload, [2, 3]);
         assert_eq!(
             payload.as_ptr(),
             held,
             "a shorter payload reuses the buffer"
         );
-        assert!(!WireCodec::read_payload_into(&mut cursor, &mut payload)?);
+        assert!(!read_payload_into(&mut cursor, &mut payload)?);
 
         let mut bytes = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 16]);
         let mut fresh = Vec::new();
         assert!(matches!(
-            WireCodec::read_payload_into(&mut bytes.as_slice(), &mut fresh),
+            read_payload_into(&mut bytes.as_slice(), &mut fresh),
             Err(WireError::Oversized { .. })
         ));
         assert_eq!(fresh.capacity(), 0, "refused before any allocation");
@@ -479,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn an_open_frame_replaces_the_buffer_and_matches_from_payload() -> Result<(), WireError> {
+    fn an_open_frame_replaces_the_buffer() -> Result<(), WireError> {
         let mut buf = vec![0xAA; 64];
         let (mut w, len) = open_frame(&mut buf);
         w.u8(7);
@@ -489,7 +453,8 @@ mod tests {
         let mut p = ByteWriter::new(&mut payload);
         p.u8(7);
         p.str("path");
-        assert_eq!(buf, Frame::from_payload(&payload)?.bytes());
+        assert_eq!(buf.len(), 4 + FRAME_HEADER - 1 + payload.len());
+        assert_eq!(read_one(&buf)?, payload);
         Ok(())
     }
 

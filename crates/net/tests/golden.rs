@@ -6,7 +6,9 @@
 //! batch, a unicode pathname, and every `OpOutcome` shape. Any future
 //! touch of the codec must keep these bytes parsing — and re-encoding
 //! — **byte-identically**; a change that breaks this test breaks every
-//! peer already deployed on version 1.
+//! peer already deployed on version 1. The fixture is read the way the
+//! sockets read it (`NetMessage::read_from`, the one frame reader) and
+//! written the way they write (`encode_frame_into`).
 //!
 //! Regenerate (only alongside a deliberate `WIRE_VERSION` bump):
 //! `cargo test -p ghba-net --test golden -- --ignored regenerate`.
@@ -18,7 +20,7 @@ use ghba_core::{
     EntryPolicy, MdsId, MembershipEpoch, OpBatch, OpOutcome, QueryLevel, QueryOutcome,
 };
 use ghba_net::proto::NetMessage;
-use ghba_net::wire::Frame;
+use ghba_net::wire::read_payload_into;
 
 const GOLDEN: &[u8] = include_bytes!("data/frames.bin");
 
@@ -103,23 +105,24 @@ fn canonical_messages() -> Vec<NetMessage> {
 
 fn encode_all(messages: &[NetMessage]) -> Vec<u8> {
     let mut bytes = Vec::new();
+    let mut frame = Vec::new();
     for msg in messages {
-        bytes.extend_from_slice(msg.to_frame().expect("fits one frame").bytes());
+        msg.encode_frame_into(&mut frame).expect("fits one frame");
+        bytes.extend_from_slice(&frame);
     }
     bytes
 }
 
+/// The fixture's bytes, read frame by frame through the stream reader
+/// until its clean end of stream.
 #[test]
 fn golden_bytes_decode_to_the_canonical_messages() {
-    let expected = canonical_messages();
+    let mut reader = GOLDEN;
     let mut decoded = Vec::new();
-    let mut rest = GOLDEN;
-    while !rest.is_empty() {
-        let (msg, consumed) = NetMessage::parse_frame(rest).expect("golden frame parses");
+    while let Some(msg) = NetMessage::read_from(&mut reader).expect("golden frame reads") {
         decoded.push(msg);
-        rest = &rest[consumed..];
     }
-    assert_eq!(decoded, expected);
+    assert_eq!(decoded, canonical_messages());
 }
 
 #[test]
@@ -132,33 +135,17 @@ fn canonical_messages_reencode_byte_identically() {
     );
 }
 
-/// The in-place frame writer reproduces `Frame::from_payload` over the
-/// payload, message by message, in one reused buffer.
+/// Each frame's payload, as the reader leaves it, is the message's
+/// `encode()` — the payload the benchmark times.
 #[test]
-fn encode_frame_into_matches_the_framed_payload() {
-    let mut frame = Vec::new();
-    for msg in canonical_messages() {
-        msg.encode_frame_into(&mut frame).expect("fits one frame");
-        let framed = Frame::from_payload(&msg.encode()).expect("fits one frame");
-        assert_eq!(frame, framed.bytes(), "{msg:?}");
-        assert_eq!(
-            frame,
-            msg.to_frame().expect("fits one frame").bytes(),
-            "{msg:?}"
-        );
-    }
-}
-
-#[test]
-fn golden_stream_reads_through_the_codec() {
-    // The same bytes, consumed through the stream reader (BufReader
-    // semantics, clean EOF at the end).
+fn every_golden_payload_is_its_message_encoded() {
     let mut reader = GOLDEN;
-    let mut decoded = Vec::new();
-    while let Some(msg) = NetMessage::read_from(&mut reader).expect("stream reads") {
-        decoded.push(msg);
+    let mut payload = Vec::new();
+    for msg in canonical_messages() {
+        assert!(read_payload_into(&mut reader, &mut payload).expect("golden frame reads"));
+        assert_eq!(payload, msg.encode(), "{msg:?}");
     }
-    assert_eq!(decoded, canonical_messages());
+    assert!(!read_payload_into(&mut reader, &mut payload).expect("clean end of stream"));
 }
 
 /// Writes the fixture. Run only alongside a deliberate format change.

@@ -1,12 +1,17 @@
-//! Property tests for the wire codec: arbitrary `OpBatch`es (renames
-//! and empty batches included) survive the frame round trip exactly,
-//! and the decoder never panics on malformed bytes — truncations,
-//! corrupt prefixes, random garbage. The in-place writers and the
-//! kept-batch decoder are held to the plain ones: the frame a wave
-//! writes from its borrowed batch is the frame of the materialised
-//! sub-batch, and the decode of a frame sequence into one kept batch is
-//! `NetMessage::decode`'s, errors included. Paths span 1–64 bytes with
-//! non-ASCII characters, on both sides of the inline capacity.
+//! Property tests for the wire codec, read the way the sockets read:
+//! every frame goes through `wire::read_payload_into`, the one frame
+//! reader, and its payload is decoded in a replica connection's order —
+//! into one kept batch (`NetMessage::decode_execute_batch_into`), else
+//! `NetMessage::decode`. Arbitrary `OpBatch`es (renames and empty
+//! batches included) survive the round trip exactly, and nothing panics
+//! on malformed bytes — truncations, single-byte corruption, random
+//! garbage; a truncated stream fails as the module docs of `wire` say.
+//! The in-place writers and the kept-batch decoder are held to the plain
+//! ones: the frame a wave writes from its borrowed batch is the frame of
+//! the materialised sub-batch, and the decode of a frame sequence into
+//! one kept batch is `NetMessage::decode`'s, errors included. Paths span
+//! 1–64 bytes with non-ASCII characters, on both sides of the inline
+//! capacity.
 
 #[path = "../../core/tests/paths/mod.rs"]
 mod paths;
@@ -17,7 +22,7 @@ use proptest::test_runner::ProptestConfig;
 
 use ghba_core::{EntryPolicy, GhbaConfig, MdsId, MetadataOp, OpBatch, OpOutcome, PathKey};
 use ghba_net::proto::NetMessage;
-use ghba_net::wire::{Frame, WireError};
+use ghba_net::wire::{close_frame, open_frame, read_payload_into, WireError};
 use ghba_net::{execute_sharded, replica_of, BatchTransport, Federation, Pick};
 
 fn arb_policy() -> impl Strategy<Value = EntryPolicy> {
@@ -138,7 +143,10 @@ impl BatchTransport for FrameChecker {
             let sub = materialize(batch, list);
             assert_eq!(
                 frame.as_slice(),
-                Frame::from_payload(&NetMessage::encode_execute_batch(seq, &sub))?.bytes(),
+                framed(&NetMessage::ExecuteBatch {
+                    seq,
+                    batch: sub.clone()
+                }),
                 "replica {replica}'s frame differs from its materialised sub-batch's"
             );
             outcomes.push(self.fleet.execute_on(replica, &sub)?);
@@ -154,28 +162,110 @@ fn small_fleet(replicas: usize) -> Federation {
     Federation::new(&config, replicas, 3)
 }
 
-/// `NetMessage::decode_execute_batch_into` over `frames` in order with
-/// one kept batch, checked against `NetMessage::decode` frame by frame:
-/// same batch and `seq`, or the same error.
-fn check_kept_batch_decode(payloads: &[Vec<u8>]) {
-    let mut batch = OpBatch::new();
-    for (i, payload) in payloads.iter().enumerate() {
-        let kept = NetMessage::decode_execute_batch_into(payload, &mut batch);
-        match (NetMessage::decode(payload), kept) {
-            (Ok(NetMessage::ExecuteBatch { seq, batch: plain }), Ok(Some(kept_seq))) => {
-                assert_eq!(kept_seq, seq, "frame {i}");
-                assert_eq!(batch, plain, "frame {i}");
-            }
-            (Ok(other), Ok(None)) => {
-                assert!(
-                    !matches!(other, NetMessage::ExecuteBatch { .. }),
-                    "frame {i}"
-                );
-            }
-            (Err(plain), Err(kept)) => assert_eq!(kept.to_string(), plain.to_string()),
-            (plain, kept) => panic!("frame {i}: decode gave {plain:?}, kept batch {kept:?}"),
+/// The frame of `msg`.
+fn framed(msg: &NetMessage) -> Vec<u8> {
+    let mut frame = Vec::new();
+    msg.encode_frame_into(&mut frame).expect("fits one frame");
+    frame
+}
+
+/// `payloads`, each framed as it is (valid or not), back to back.
+fn stream_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut frame = Vec::new();
+    for payload in payloads {
+        let (mut w, len) = open_frame(&mut frame);
+        w.bytes(payload);
+        close_frame(w, len).expect("fits one frame");
+        bytes.extend_from_slice(&frame);
+    }
+    bytes
+}
+
+/// One frame off the front of `stream`, read the way a replica's
+/// connection reads it: `read_payload_into` (the outer error; `None` at a
+/// clean end of stream), then the payload decoded into the kept `batch`
+/// by `decode_execute_batch_into`, or by `decode` for any other message
+/// (the inner result). The kept-batch decode must equal
+/// `NetMessage::decode`'s of the same payload: the same batch and `seq`,
+/// or the same error.
+fn serve_read(
+    stream: &mut &[u8],
+    payload: &mut Vec<u8>,
+    batch: &mut OpBatch,
+) -> Result<Option<Result<NetMessage, WireError>>, WireError> {
+    if !read_payload_into(stream, payload)? {
+        return Ok(None);
+    }
+    let plain = NetMessage::decode(payload);
+    let decoded = match (NetMessage::decode_execute_batch_into(payload, batch), plain) {
+        (Ok(None), plain) => {
+            assert!(
+                !matches!(plain, Ok(NetMessage::ExecuteBatch { .. })),
+                "the kept batch passed over {plain:?}"
+            );
+            plain
+        }
+        (Ok(Some(seq)), Ok(plain)) => {
+            let kept = NetMessage::ExecuteBatch {
+                seq,
+                batch: batch.clone(),
+            };
+            assert_eq!(kept, plain);
+            Ok(kept)
+        }
+        (Err(kept), Err(plain)) => {
+            assert_eq!(kept.to_string(), plain.to_string());
+            Err(kept)
+        }
+        (kept, plain) => panic!("decode gave {plain:?}, the kept batch {kept:?}"),
+    };
+    Ok(Some(decoded))
+}
+
+/// Every frame of `stream` through [`serve_read`] with one kept batch,
+/// until a clean end of stream or a framing error (a frame whose payload
+/// does not decode was still read whole, so the read goes on): each
+/// frame's decode, and how the stream ended.
+fn read_stream(mut stream: &[u8]) -> (Vec<Result<NetMessage, WireError>>, Result<(), WireError>) {
+    let (mut payload, mut batch) = (Vec::new(), OpBatch::new());
+    let mut read = Vec::new();
+    loop {
+        match serve_read(&mut stream, &mut payload, &mut batch) {
+            Ok(Some(decoded)) => read.push(decoded),
+            Ok(None) => return (read, Ok(())),
+            Err(err) => return (read, Err(err)),
         }
     }
+}
+
+/// The one message `frame` holds, read and decoded as a replica does.
+fn read_back(frame: &[u8]) -> NetMessage {
+    let (mut read, end) = read_stream(frame);
+    end.expect("the stream ends cleanly");
+    assert_eq!(read.len(), 1, "one frame");
+    read.remove(0).expect("the frame decodes")
+}
+
+/// The `ExecuteBatch` payload of `batch` under `seq`.
+fn execute_payload(seq: u64, batch: OpBatch) -> Vec<u8> {
+    NetMessage::ExecuteBatch { seq, batch }.encode()
+}
+
+fn batch_of(policy: EntryPolicy, ops: Vec<MetadataOp>) -> OpBatch {
+    let mut batch = OpBatch::new().with_entry(policy);
+    for op in ops {
+        batch.push(op);
+    }
+    batch
+}
+
+/// `payloads` framed and read through one kept batch: every frame is
+/// read whole and decodes as `NetMessage::decode` decodes it.
+fn check_kept_batch_decode(payloads: &[Vec<u8>]) {
+    let (read, end) = read_stream(&stream_of(payloads));
+    end.expect("the stream ends cleanly");
+    assert_eq!(read.len(), payloads.len());
 }
 
 proptest! {
@@ -186,67 +276,61 @@ proptest! {
     #[test]
     fn arbitrary_batches_round_trip(input in arb_batch(), seq in proptest::prelude::any::<u64>()) {
         let (policy, ops) = input;
-        let mut batch = OpBatch::new().with_entry(policy);
-        for op in ops {
-            batch.push(op);
-        }
-        let msg = NetMessage::ExecuteBatch { seq, batch };
-        let frame = msg.to_frame().expect("fits one frame");
-        let (decoded, consumed) = NetMessage::parse_frame(frame.bytes())
-            .expect("well-formed frame must parse");
-        prop_assert_eq!(consumed, frame.bytes().len());
-        prop_assert_eq!(decoded, msg);
+        let msg = NetMessage::ExecuteBatch { seq, batch: batch_of(policy, ops) };
+        prop_assert_eq!(read_back(&framed(&msg)), msg);
     }
 
-    /// Truncating a valid frame at any point yields a typed error (or,
-    /// for a cut through the length prefix itself, a Truncated length),
-    /// never a panic and never a bogus decode.
+    /// A valid frame cut at any point fails as the wire's contract says:
+    /// a cut at 0 is a clean end of stream, a cut inside the length
+    /// prefix is `Truncated`, a cut after it the transport's
+    /// `UnexpectedEof` — never a panic and never a bogus decode.
     #[test]
     fn truncations_fail_typed(input in arb_batch(), cut in proptest::prelude::any::<u64>()) {
         let (policy, ops) = input;
-        let mut batch = OpBatch::new().with_entry(policy);
-        for op in ops {
-            batch.push(op);
+        let frame = framed(&NetMessage::ExecuteBatch { seq: 1, batch: batch_of(policy, ops) });
+        let cut = (cut as usize) % frame.len();
+        let (read, end) = read_stream(&frame[..cut]);
+        prop_assert!(read.is_empty(), "a frame cut to {cut} of {} bytes must not read", frame.len());
+        match cut {
+            0 => prop_assert!(end.is_ok(), "cut at 0: {end:?}"),
+            1..=3 => prop_assert!(
+                matches!(end, Err(WireError::Truncated { needed: 4, available }) if available == cut),
+                "cut at {cut}: {end:?}"
+            ),
+            _ => prop_assert!(
+                matches!(end, Err(WireError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                "cut at {cut}: {end:?}"
+            ),
         }
-        let frame = NetMessage::ExecuteBatch { seq: 1, batch }.to_frame().expect("fits one frame");
-        let bytes = frame.bytes();
-        let cut = (cut as usize) % bytes.len();
-        prop_assert!(
-            NetMessage::parse_frame(&bytes[..cut]).is_err(),
-            "a frame cut to {cut} of {} bytes must not parse",
-            bytes.len()
-        );
     }
 
-    /// Random byte prefixes never panic the parser: every outcome is a
-    /// clean `Ok` (an accidental valid frame) or a typed `WireError`.
+    /// Random bytes never panic the reader or either decoder: read as a
+    /// stream, framed as a payload, and framed behind an `ExecuteBatch`
+    /// tag (so the kept-batch decoder reads them), every outcome is a
+    /// clean `Ok` or a typed `WireError`, and both decoders agree.
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
-        if let Ok((_, consumed)) = NetMessage::parse_frame(&bytes) {
-            prop_assert!(consumed <= bytes.len());
+        let _ = read_stream(&bytes);
+        let mut payloads = vec![execute_payload(0, OpBatch::new())[..1].to_vec()];
+        payloads[0].extend_from_slice(&bytes);
+        if !bytes.is_empty() {
+            // (An empty payload has no tag: a runt frame.)
+            payloads.push(bytes);
         }
-        // The raw frame layer holds the same guarantee.
-        if let Ok((payload, consumed)) = Frame::parse(&bytes) {
-            prop_assert!(consumed <= bytes.len());
-            prop_assert!(payload.len() < consumed);
-        }
+        let (read, end) = read_stream(&stream_of(&payloads));
+        prop_assert!(end.is_ok(), "framed payloads read whole: {end:?}");
+        prop_assert_eq!(read.len(), payloads.len());
     }
 
-    /// Flipping any single byte of a valid frame never panics the
-    /// parser; flips that land in a fingerprint lane are caught as
-    /// CorruptFingerprint rather than admitted.
+    /// Flipping any single bit of a valid frame never panics the reader
+    /// or either decoder, and both decoders agree on what it holds.
     #[test]
     fn single_byte_corruption_never_panics(input in arb_batch(), flip in proptest::prelude::any::<u64>()) {
         let (policy, ops) = input;
-        let mut batch = OpBatch::new().with_entry(policy);
-        for op in ops {
-            batch.push(op);
-        }
-        let frame = NetMessage::ExecuteBatch { seq: 2, batch }.to_frame().expect("fits one frame");
-        let mut bytes = frame.bytes().to_vec();
+        let mut bytes = framed(&NetMessage::ExecuteBatch { seq: 2, batch: batch_of(policy, ops) });
         let index = (flip as usize) % bytes.len();
         bytes[index] ^= 1 << (flip % 8);
-        let _ = NetMessage::parse_frame(&bytes);
+        let _ = read_stream(&bytes);
     }
 
     /// Outcome replies round trip too — every OpOutcome shape.
@@ -269,8 +353,7 @@ proptest! {
             })
             .collect();
         let msg = NetMessage::BatchReply { seq: 9, outcomes };
-        let (decoded, _) = NetMessage::parse_frame(msg.to_frame().expect("fits one frame").bytes()).expect("parses");
-        prop_assert_eq!(decoded, msg);
+        prop_assert_eq!(read_back(&framed(&msg)), msg);
     }
 }
 
@@ -349,7 +432,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(seq, ops)| {
-                NetMessage::encode_execute_batch(seq as u64, &pool_batch(EntryPolicy::Random, ops))
+                execute_payload(seq as u64, pool_batch(EntryPolicy::Random, ops))
             })
             .collect();
         check_kept_batch_decode(&payloads);
@@ -370,12 +453,12 @@ fn kept_batch_decode_of_a_frame_sequence_matches_decode() {
     short.push_rename("/s", "/u");
     short.push_rename(pool_name(0), pool_name(1));
     let payloads = vec![
-        NetMessage::encode_execute_batch(1, &long),
+        execute_payload(1, long.clone()),
         NetMessage::Ping { nonce: 5 }.encode(),
-        NetMessage::encode_execute_batch(2, &short),
-        NetMessage::encode_execute_batch(3, &OpBatch::new()),
+        execute_payload(2, short),
+        execute_payload(3, OpBatch::new()),
         NetMessage::Drain.encode(),
-        NetMessage::encode_execute_batch(4, &long),
+        execute_payload(4, long),
     ];
     check_kept_batch_decode(&payloads);
 }
@@ -389,7 +472,7 @@ fn kept_batch_decode_fails_like_decode() {
     batch.push_lookup("/ok/a");
     batch.push_create("/ok/b");
     batch.push_lookup("/ok/c");
-    let clean = NetMessage::encode_execute_batch(9, &batch);
+    let clean = execute_payload(9, batch);
     // tag + seq + policy + count, then per op: tag, u32 len, path, 16 lane bytes.
     let second_op = 1 + 8 + 1 + 4 + (1 + 4 + 5 + 16);
     let mut bad_fp = clean.clone();

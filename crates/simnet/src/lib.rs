@@ -13,7 +13,7 @@
 //!   model that gives simulated operations their latencies (a replica
 //!   spilled from a server's RAM pays the disk access; the servers keep
 //!   their own charges);
-//! * [`LatencyStats`] / [`Counters`] — run statistics.
+//! * [`LatencyStats`] — latency distributions.
 //!
 //! Design note: the original work drove a Linux prototype; we replace the
 //! asynchronous runtime with *deterministic* simulation so results are
@@ -34,4 +34,4 @@ pub use clock::SimTime;
 pub use events::EventQueue;
 pub use latency::LatencyModel;
 pub use rng::DetRng;
-pub use stats::{Counters, LatencyStats};
+pub use stats::LatencyStats;

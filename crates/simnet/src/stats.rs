@@ -170,67 +170,6 @@ impl fmt::Display for LatencyStats {
     }
 }
 
-/// A labelled monotonic counter set, used for message and event counting.
-///
-/// Lives on per-lookup hot paths (`l1_false_hits` and friends fire on
-/// every query), so label resolution is an O(1) hash lookup into the
-/// entry list rather than a linear scan; iteration still reports counters
-/// in first-touch order.
-#[derive(Debug, Clone, Default)]
-pub struct Counters {
-    /// `(label, value)` in first-touch order (the reporting order).
-    entries: Vec<(String, u64)>,
-    /// label → position in `entries`.
-    index: std::collections::HashMap<String, usize>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    #[must_use]
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
-    /// Adds `amount` to the counter under `label`, creating it at zero.
-    pub fn add(&mut self, label: &str, amount: u64) {
-        if let Some(&at) = self.index.get(label) {
-            self.entries[at].1 += amount;
-        } else {
-            self.index.insert(label.to_owned(), self.entries.len());
-            self.entries.push((label.to_owned(), amount));
-        }
-    }
-
-    /// Increments the counter under `label` by one.
-    pub fn incr(&mut self, label: &str) {
-        self.add(label, 1);
-    }
-
-    /// Current value of `label` (zero if never touched).
-    #[must_use]
-    pub fn get(&self, label: &str) -> u64 {
-        self.index.get(label).map_or(0, |&at| self.entries[at].1)
-    }
-
-    /// Sum over all counters.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.entries.iter().map(|(_, v)| v).sum()
-    }
-
-    /// Iterates `(label, value)` pairs in first-touch order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(l, v)| (l.as_str(), *v))
-    }
-
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (label, value) in other.iter() {
-            self.add(label, value);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,50 +273,5 @@ mod tests {
         s.record(Duration::ZERO);
         assert_eq!(s.count(), 1);
         assert_eq!(s.min(), Duration::ZERO);
-    }
-
-    #[test]
-    fn counters_basics() {
-        let mut c = Counters::new();
-        c.incr("msg");
-        c.add("msg", 4);
-        c.incr("other");
-        assert_eq!(c.get("msg"), 5);
-        assert_eq!(c.get("other"), 1);
-        assert_eq!(c.get("ghost"), 0);
-        assert_eq!(c.total(), 6);
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::new();
-        a.add("x", 2);
-        let mut b = Counters::new();
-        b.add("x", 3);
-        b.add("y", 1);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 5);
-        assert_eq!(a.get("y"), 1);
-    }
-
-    #[test]
-    fn counters_preserve_first_touch_order() {
-        let mut c = Counters::new();
-        c.incr("b");
-        c.incr("a");
-        let labels: Vec<&str> = c.iter().map(|(l, _)| l).collect();
-        assert_eq!(labels, vec!["b", "a"]);
-    }
-
-    #[test]
-    fn counters_order_stable_under_interleaved_updates() {
-        let mut c = Counters::new();
-        for label in ["z", "m", "a", "z", "a", "q", "m", "z"] {
-            c.incr(label);
-        }
-        let entries: Vec<(&str, u64)> = c.iter().collect();
-        assert_eq!(entries, vec![("z", 3), ("m", 2), ("a", 2), ("q", 1)]);
-        assert_eq!(c.get("z"), 3);
-        assert_eq!(c.get("never"), 0);
     }
 }
