@@ -10,11 +10,11 @@ use std::io::{self, Write};
 
 use ghba::replay::{populate, replay};
 use ghba_analysis::{AnalyticModel, MemoryModel};
-use ghba_baselines::{expected_hash_migrations, HashPlacement, HbaCluster};
-use ghba_core::{GhbaCluster, GhbaConfig, MdsId, MetadataService, UpdateReport};
+use ghba_core::{GhbaCluster, GhbaConfig, HbaCluster, MdsId, MetadataService, UpdateReport};
 use ghba_trace::{intensify, TraceRecord, TraceStats, WorkloadGenerator, WorkloadProfile};
 
 use crate::common::{budget, filter_bytes, header, ms, p_lru_of, row, sim_config, sized};
+use crate::hashing::{expected_hash_migrations, HashPlacement};
 
 /// Builds a populated G-HBA cluster for one (N, M, workload) cell and
 /// measures mean lookup latency over a replay slice.

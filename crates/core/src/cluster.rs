@@ -6,7 +6,7 @@
 //! [`Cluster`] is everything that does not depend on where replicas
 //! live; its [`Topology`] parameter decides the rest. There are exactly
 //! two layouts: [`Grouped`] (G-HBA, [`GhbaCluster`]; placement in
-//! [`crate::reconfig`]) and [`FullMirror`](crate::FullMirror) (HBA/BFA,
+//! [`crate::reconfig`]) and [`FullMirror`](crate::FullMirror) (HBA,
 //! [`HbaCluster`](crate::HbaCluster); in [`crate::mirror`]). The
 //! membership wrappers live in [`crate::reconfig`], the replica-update
 //! protocol in [`crate::update`].
@@ -239,13 +239,13 @@ pub struct Grouped;
 /// # Examples
 ///
 /// ```
-/// use ghba_core::{GhbaCluster, GhbaConfig};
+/// use ghba_core::{GhbaCluster, GhbaConfig, MetadataService};
 ///
 /// let mut cluster = GhbaCluster::with_servers(
 ///     GhbaConfig::default().with_filter_capacity(1_000),
 ///     12,
 /// );
-/// let home = cluster.create_file("/projects/paper.tex");
+/// let home = cluster.create("/projects/paper.tex");
 /// let outcome = cluster.lookup("/projects/paper.tex");
 /// assert_eq!(outcome.home, Some(home));
 /// ```
@@ -541,17 +541,6 @@ impl<T: Topology> Cluster<T> {
         )
     }
 
-    /// A uniformly random server: the draw `rng.choose(&server_ids())`
-    /// makes, without listing the ids.
-    fn pick_random_mds(&self) -> MdsId {
-        let at = self
-            .rng
-            .lock()
-            .expect("rng poisoned")
-            .index(self.mdss.len());
-        *self.mdss.keys().nth(at).expect("index below server count")
-    }
-
     /// Resolves the serving MDS for op `op_index` of a batch under
     /// `policy` (see [`EntryPolicy`]) among `ids` — this cluster's
     /// [`server_ids`](Cluster::server_ids), listed once per batch.
@@ -570,19 +559,6 @@ impl<T: Topology> Cluster<T> {
             })
     }
 
-    /// Creates metadata for `path` at a uniformly random home MDS (the
-    /// paper populates servers randomly), returning the home.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster has no servers.
-    pub fn create_file(&mut self, path: &str) -> MdsId {
-        assert!(!self.mdss.is_empty(), "cluster has no servers");
-        let home = self.pick_random_mds();
-        self.create_file_at(path, home);
-        home
-    }
-
     /// Creates metadata for `path` at a specific home (used by tests and
     /// by re-homing during departures).
     ///
@@ -591,15 +567,6 @@ impl<T: Topology> Cluster<T> {
     /// Panics if `home` is not a member of the cluster.
     pub fn create_file_at(&mut self, path: &str, home: MdsId) {
         self.create_drained(&PathKey::new(path), home);
-    }
-
-    /// Removes `path` from its home (if any), returning the former home.
-    /// The caller typically locates the home with a [`lookup`] first; this
-    /// method does the authoritative sweep directly.
-    ///
-    /// [`lookup`]: Cluster::lookup
-    pub fn remove_file(&mut self, path: &str) -> Option<MdsId> {
-        self.remove_drained(&PathKey::new(path))
     }
 
     /// The owner's create: the pin-once pipeline's write record, drained
@@ -671,19 +638,6 @@ impl<T: Topology> Cluster<T> {
             "live filter missed a stored path"
         );
         home
-    }
-
-    /// Looks `path` up starting from a uniformly random entry MDS (the
-    /// paper's client model: "Each request can randomly choose an MDS to
-    /// carry out query operations").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster has no servers.
-    pub fn lookup(&mut self, path: &str) -> QueryOutcome {
-        assert!(!self.mdss.is_empty(), "cluster has no servers");
-        let entry = self.pick_random_mds();
-        self.lookup_from(entry, path)
     }
 
     /// Looks `path` up starting from a chosen entry MDS, walking the
@@ -1393,6 +1347,13 @@ impl<T: Topology> Cluster<T> {
         }
         Ok(())
     }
+
+    /// The group a server belongs to under the currently published
+    /// snapshot; `None` under HBA, whose layout has no groups.
+    #[must_use]
+    pub fn group_of(&self, id: MdsId) -> Option<GroupId> {
+        self.routes.pin().group_of(id)
+    }
 }
 
 impl GhbaCluster {
@@ -1430,13 +1391,6 @@ impl GhbaCluster {
         self.routes.pin().groups.values().map(|g| g.len()).collect()
     }
 
-    /// The group a server belongs to (under the currently published
-    /// snapshot).
-    #[must_use]
-    pub fn group_of(&self, id: MdsId) -> Option<GroupId> {
-        self.routes.pin().group_of(id)
-    }
-
     /// A group under the currently published snapshot. Returns a shared
     /// handle to the immutable group object: subsequent reconfigurations
     /// replace the snapshot rather than mutating it, so the handle stays
@@ -1471,7 +1425,7 @@ mod tests {
     fn populated_cluster() -> GhbaCluster {
         let mut cluster = GhbaCluster::with_servers(batch_config(), 15);
         for i in 0..300 {
-            cluster.create_file(&format!("/b/f{i}"));
+            cluster.create(&format!("/b/f{i}"));
         }
         cluster.flush_all_updates();
         cluster
@@ -1623,7 +1577,7 @@ mod tests {
     fn rebalance_keeps_other_groups_masks_warm() {
         let mut cluster = GhbaCluster::with_servers(batch_config(), 15);
         for i in 0..200 {
-            cluster.create_file(&format!("/w/f{i}"));
+            cluster.create(&format!("/w/f{i}"));
         }
         cluster.flush_all_updates();
         // Warm every entry's masks once.

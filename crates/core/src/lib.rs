@@ -78,7 +78,7 @@
 //! # Quick start
 //!
 //! ```
-//! use ghba_core::{GhbaCluster, GhbaConfig, QueryLevel};
+//! use ghba_core::{GhbaCluster, GhbaConfig, MetadataService};
 //!
 //! let config = GhbaConfig::default()
 //!     .with_max_group_size(4)
@@ -86,7 +86,7 @@
 //!     .with_seed(7);
 //! let mut cluster = GhbaCluster::with_servers(config, 10);
 //!
-//! let home = cluster.create_file("/data/experiment/run-1.log");
+//! let home = cluster.create("/data/experiment/run-1.log");
 //! let outcome = cluster.lookup("/data/experiment/run-1.log");
 //! assert_eq!(outcome.home, Some(home));
 //!

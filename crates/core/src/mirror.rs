@@ -37,13 +37,13 @@ pub struct FullMirror;
 /// # Examples
 ///
 /// ```
-/// use ghba_core::{GhbaConfig, HbaCluster};
+/// use ghba_core::{GhbaConfig, HbaCluster, MetadataService};
 ///
 /// let mut hba = HbaCluster::with_servers(
 ///     GhbaConfig::default().with_filter_capacity(1_000),
 ///     8,
 /// );
-/// let home = hba.create_file("/a/b");
+/// let home = hba.create("/a/b");
 /// assert_eq!(hba.lookup("/a/b").home, Some(home));
 /// ```
 pub type HbaCluster = Cluster<FullMirror>;

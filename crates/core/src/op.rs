@@ -547,10 +547,9 @@ pub(crate) trait VectoredScheme {
     /// filter array), which makes a repeated `(entry, path)` pair
     /// order-sensitive within the run — the pipeline then splits the run
     /// so the later lookup observes the earlier one's fill, exactly as a
-    /// sequential stream would. Schemes without an L1 level (BFA, or
-    /// clusters configured with `lru_capacity = 0`) and the `&self`
-    /// entries (which never fill L1) return `false` and fuse straight
-    /// through flash-crowd repeats.
+    /// sequential stream would. Clusters without an L1 level
+    /// (`lru_capacity = 0`) and the `&self` entries (which never fill L1)
+    /// return `false` and fuse straight through flash-crowd repeats.
     fn repeat_sensitive(&self) -> bool;
 
     /// Resolves a fused run of concurrent lookups — one walk of the

@@ -30,7 +30,7 @@ use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
 use crate::mds::{row_indices, Mds};
 use crate::metadata::CompactPath;
-use crate::snapshot::{L2Plan, RouteEdit, RouteSnapshot, SlabOp};
+use crate::snapshot::{L2Plan, RouteEdit, RouteSnapshot, SlabOp, GROUP_IDS_SPENT};
 use crate::update::UpdateReport;
 
 /// What one reconfiguration operation cost.
@@ -328,10 +328,20 @@ impl<T: Topology> Cluster<T> {
 
     /// Like [`add_mds`](Cluster::add_mds), also returning the cost
     /// report for this single operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything changes, once all `u16::MAX` server ids
+    /// have been issued (ids are never recycled). Under G-HBA it also
+    /// panics when the join must found or split a group and every group
+    /// id is spent; the published routes are then left as they were.
     pub fn add_mds_reported(&mut self) -> (MdsId, ReconfigReport) {
-        self.maybe_drain();
         let id = MdsId(self.next_mds);
-        self.next_mds += 1;
+        self.next_mds = self
+            .next_mds
+            .checked_add(1)
+            .expect("the u16 server id space is spent: server ids are never recycled");
+        self.maybe_drain();
         // The live slab allocates the slot; the join's edit gives the
         // published slab the same one.
         let slot = self.live.push(id).expect("server ids are never recycled");
@@ -485,7 +495,6 @@ impl Topology for Grouped {
         let max_group_size = cluster.config.max_group_size;
         let routes = Arc::clone(&cluster.routes);
         let mut edit = RouteEdit::begin(&routes);
-        edit.push_op(SlabOp::Push(id, cluster.mdss[&id].slot()));
 
         // Choose the smallest group with room; otherwise the smallest
         // group outright (it will split).
@@ -495,6 +504,17 @@ impl Topology for Grouped {
             .values()
             .min_by_key(|g| (g.len() >= max_group_size, g.len(), g.id()))
             .map(|g| g.id());
+        // Founding the first group or splitting a full one takes a fresh
+        // group id. Checked under the writer lock, so no handle spends
+        // the last one first; the edit is dropped unpublished before the
+        // panic, so the writer mutex stays usable.
+        let takes_group_id =
+            target.is_none_or(|gid| edit.work.groups[&gid].len() >= max_group_size);
+        if takes_group_id && !edit.work.group_id_left() {
+            drop(edit);
+            panic!("{GROUP_IDS_SPENT}");
+        }
+        edit.push_op(SlabOp::Push(id, cluster.mdss[&id].slot()));
         let gid = match target {
             Some(gid) => gid,
             None => {

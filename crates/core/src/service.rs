@@ -1,13 +1,15 @@
 //! The scheme-agnostic metadata service interface.
 //!
-//! The paper compares G-HBA against HBA, pure Bloom filter arrays, and
-//! hash-based placement. [`MetadataService`] is the seam those schemes
-//! share, so benchmarks and trace replay treat every scheme uniformly.
+//! The paper compares G-HBA against HBA, whose servers each mirror every
+//! filter. [`MetadataService`] is the seam the two layouts share, so
+//! figures and trace replay drive either one through one interface.
 //!
-//! The seam is **vectored**: the one required operation is
-//! [`execute`](MetadataService::execute), which takes a typed, pre-hashed
-//! [`OpBatch`] (mixed creates/lookups/removes/renames under an explicit
-//! [`EntryPolicy`](crate::EntryPolicy)) and returns per-op
+//! The seam is **vectored**: the required operations are
+//! [`execute`](MetadataService::execute) and its shared-reference twin
+//! [`execute_concurrent`](MetadataService::execute_concurrent), which
+//! take a typed, pre-hashed [`OpBatch`] (mixed
+//! creates/lookups/removes/renames under an explicit
+//! [`EntryPolicy`](crate::EntryPolicy)) and return per-op
 //! [`OpOutcome`]s. The classic string calls (`create`, `lookup`,
 //! `remove`, …) are provided shims expressed as 1-op batches under
 //! [`EntryPolicy::Random`](crate::EntryPolicy::Random), the paper's
@@ -26,11 +28,11 @@ use crate::snapshot::RouteSnapshot;
 
 /// A distributed metadata lookup scheme under test.
 ///
-/// Implemented once for the cluster engine — [`GhbaCluster`](crate::GhbaCluster)
-/// and [`HbaCluster`](crate::HbaCluster) share that impl — and by the BFA
-/// wrapper in `ghba-baselines`. Only [`execute`](MetadataService::execute) and the
-/// three descriptive methods are required; every string-call entry point
-/// is a 1-op-batch shim.
+/// Implemented once, for the cluster engine: [`GhbaCluster`](crate::GhbaCluster)
+/// and [`HbaCluster`](crate::HbaCluster) share that impl. The two
+/// batch entries and the three descriptive methods are required; every
+/// string-call entry point is a 1-op-batch shim, and the cluster has no
+/// other string API.
 pub trait MetadataService {
     /// Scheme name for reports ("G-HBA", "HBA", …).
     fn scheme_name(&self) -> &'static str;
@@ -94,16 +96,7 @@ pub trait MetadataService {
     /// probe until the drain: same home, different latency). Under
     /// concurrency every resolved home is the true home at pin time
     /// modulo this era's pending writes.
-    ///
-    /// The default panics: schemes opt in by overriding. G-HBA, HBA, and
-    /// BFA all do.
-    fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome> {
-        let _ = batch;
-        panic!(
-            "{} does not implement concurrent batch execution",
-            self.scheme_name()
-        );
-    }
+    fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome>;
 
     /// Average bytes of Bloom filter structures per MDS (own filter, LRU
     /// array, held replicas) — the Table 5 quantity.
@@ -160,8 +153,8 @@ impl<T: Topology> VectoredScheme for Cluster<T> {
     }
 
     fn repeat_sensitive(&self) -> bool {
-        // No LRU level ⇒ no per-entry fill a repeat could observe (this
-        // is every BFA, which runs with `lru_capacity = 0`).
+        // No LRU level (`lru_capacity = 0`) ⇒ no per-entry fill a repeat
+        // could observe.
         self.config().lru_capacity > 0
     }
 
@@ -216,9 +209,9 @@ impl<T: Topology> VectoredScheme for PinnedBatch<'_, T> {
     }
 }
 
-/// The one implementation behind G-HBA and HBA (BFA wraps the latter):
-/// both entries hand the shared driver the same hooks, so the schemes
-/// differ in their replica layout and nowhere else.
+/// The one implementation, behind G-HBA and HBA: both entries hand the
+/// shared driver the same hooks, so the schemes differ in their replica
+/// layout and nowhere else.
 impl<T: Topology> MetadataService for Cluster<T> {
     fn scheme_name(&self) -> &'static str {
         T::NAME

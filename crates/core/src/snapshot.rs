@@ -441,7 +441,8 @@ pub struct RouteSnapshot {
     pub(crate) epoch: MembershipEpoch,
     /// Monotonic group-id allocator (ids are never recycled); lives in
     /// the snapshot so concurrent reconfiguration handles allocate
-    /// consistently under the writer lock.
+    /// consistently under the writer lock. A checkpoint stores it as a
+    /// `u16`, so ids `0..u16::MAX` are all there are.
     pub(crate) next_group: u16,
     /// This snapshot's walk plans, filled by the walks pinned to it (see
     /// [`PlanTable`]). A working copy shares its base's table until
@@ -449,7 +450,16 @@ pub struct RouteSnapshot {
     pub(crate) plans: Arc<PlanTable>,
 }
 
+/// The panic message of a group id allocation with none left.
+pub(crate) const GROUP_IDS_SPENT: &str =
+    "the u16 group id space is spent: group ids are never recycled";
+
 impl RouteSnapshot {
+    /// Whether a group id is left to allocate.
+    pub(crate) fn group_id_left(&self) -> bool {
+        self.next_group < u16::MAX
+    }
+
     /// An empty routing state (no servers, no groups).
     pub(crate) fn empty(slab: SharedShapeArray<MdsId>) -> Self {
         RouteSnapshot {
@@ -589,9 +599,15 @@ impl<'a> RouteEdit<'a> {
     }
 
     /// Allocates the next group id (monotonic, never recycled).
+    ///
+    /// # Panics
+    ///
+    /// Panics when none is left; every caller checks
+    /// [`group_id_left`](RouteSnapshot::group_id_left) first, under this
+    /// edit, and refuses before it mutates anything.
     pub(crate) fn alloc_group_id(&mut self) -> GroupId {
         let gid = GroupId(self.work.next_group);
-        self.work.next_group += 1;
+        self.work.next_group = gid.0.checked_add(1).expect(GROUP_IDS_SPENT);
         gid
     }
 
@@ -740,14 +756,15 @@ impl ReconfigHandle {
     }
 
     /// Splits `gid` per §3.2 and publishes the result. Returns the new
-    /// group's id, or `None` when the group is missing or too small for
-    /// the split rule to leave both halves non-empty.
+    /// group's id, or `None` when the group is missing, too small for
+    /// the split rule to leave both halves non-empty, or every group id
+    /// is spent (ids are never recycled).
     #[must_use]
     pub fn split_group(&self, gid: GroupId) -> Option<GroupId> {
         let mut edit = RouteEdit::begin(&self.routes);
         let take = self.max_group_size / 2 + 1;
         let len = edit.work.groups.get(&gid).map(|g| g.len())?;
-        if len <= take {
+        if len <= take || !edit.work.group_id_left() {
             return None;
         }
         let (new_gid, _report) = edit.split(gid, self.max_group_size);
@@ -947,6 +964,49 @@ mod tests {
             drops.load(Ordering::SeqCst),
             PUBLISHES as usize + 1,
             "each snapshot reclaimed exactly once"
+        );
+    }
+
+    /// Group ids are never recycled, so a long-lived controller can
+    /// spend them all. With none left, a split is refused before its edit
+    /// changes anything — the routes stay sound and every file resolves —
+    /// and a join that must split a full group panics without poisoning
+    /// the writer: the handle still publishes after both.
+    #[test]
+    fn a_split_with_no_group_id_left_is_refused() {
+        use crate::{GhbaCluster, GhbaConfig, MetadataService};
+        let config = GhbaConfig::default()
+            .with_max_group_size(4)
+            .with_filter_capacity(500)
+            .with_seed(5);
+        let mut cluster = GhbaCluster::with_servers(config, 8);
+        let paths: Vec<String> = (0..40).map(|i| format!("/ids/f{i}")).collect();
+        for path in &paths {
+            cluster.create(path);
+        }
+        cluster.flush_all_updates();
+        let mut edit = RouteEdit::begin(&cluster.routes);
+        edit.work.next_group = u16::MAX;
+        edit.commit();
+
+        let handle = cluster.reconfig_handle();
+        let full = handle.group_ids()[0];
+        assert_eq!(handle.group_members(full).map(|m| m.len()), Some(4));
+        assert_eq!(handle.split_group(full), None, "no group id is left");
+        cluster
+            .check_invariants()
+            .expect("a refused split changes nothing");
+        for path in &paths {
+            assert_eq!(cluster.lookup(path).home, cluster.true_home(path));
+        }
+
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.add_mds()));
+        let payload = joined.expect_err("every group is full: the join must split one");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some(GROUP_IDS_SPENT));
+        assert!(
+            handle.rebalance_group(full).is_some(),
+            "the writer still publishes"
         );
     }
 

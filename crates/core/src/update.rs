@@ -253,7 +253,7 @@ mod tests {
             }
         }
         for i in 0..20u16 {
-            cluster.remove_file(&format!("/flush/f{}", i * 5));
+            cluster.remove(&format!("/flush/f{}", i * 5));
         }
         assert_eq!(cluster.stats().update_messages, 0, "nothing published yet");
         cluster
@@ -328,7 +328,7 @@ mod tests {
         // the flush copies the marked blocks, changes no word and swaps
         // nothing in.
         flushed.create_file_at("/flush/ghost", QUIET);
-        assert_eq!(flushed.remove_file("/flush/ghost"), Some(QUIET));
+        assert_eq!(flushed.remove("/flush/ghost"), Some(QUIET));
         assert!(flushed
             .mds(QUIET)
             .expect("live")
@@ -369,7 +369,7 @@ mod tests {
         // threshold, so no publish ever resolves the pressure.
         let mutations = gate * 2 - 10;
         for i in 0..mutations {
-            cluster.create_file(&format!("/cadence/f{i}"));
+            cluster.create(&format!("/cadence/f{i}"));
         }
         let checks = cluster.stats().counters.drift_exact_checks;
         assert!(checks >= 1, "the gate passed; at least one exact check");
@@ -397,11 +397,11 @@ mod tests {
         let mut cluster = GhbaCluster::with_servers(config, 12);
         for round in 0..3 {
             for i in 0..40 {
-                cluster.create_file(&format!("/sync/r{round}/f{i}"));
+                cluster.create(&format!("/sync/r{round}/f{i}"));
             }
             if round == 1 {
                 for i in 0..10 {
-                    cluster.remove_file(&format!("/sync/r0/f{i}"));
+                    cluster.remove(&format!("/sync/r0/f{i}"));
                 }
             }
             cluster.flush_all_updates();
@@ -519,12 +519,12 @@ mod tests {
         // Round two leaves RECREATED and GHOST to their one write each.
         cluster.create_file_at("/ref/f5", RECREATED);
         cluster.create_file_at("/ref/ghost", GHOST);
-        assert_eq!(cluster.remove_file("/ref/ghost"), Some(GHOST));
+        assert_eq!(cluster.remove("/ref/ghost"), Some(GHOST));
         for i in (0..700u16)
             .step_by(9)
             .filter(|i| ![5, 6].contains(&(i % 70)))
         {
-            cluster.remove_file(&format!("/ref/f{i}"));
+            cluster.remove(&format!("/ref/f{i}"));
         }
         concurrent(&mut cluster, 1, EntryPolicy::Pinned(MdsId(66)));
         cluster.drain_concurrent();

@@ -80,7 +80,7 @@ fn actuate_splits_the_hot_group_on_a_real_cluster() {
     let hot_gid = cluster.group_of(MdsId(0)).expect("grouped");
     let groups_before = cluster.group_count();
     for i in 0..96 {
-        cluster.create_file(&format!("/hot/f{i}"));
+        cluster.create(&format!("/hot/f{i}"));
     }
     let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(0)));
     for i in 0..96 {

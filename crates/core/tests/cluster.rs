@@ -1,9 +1,13 @@
-//! Behavioural tests for the G-HBA cluster: query hierarchy, elastic
-//! membership, the update protocol, and structural invariants.
+//! Behavioural tests for the cluster engine: query hierarchy, elastic
+//! membership, the update protocol, and structural invariants — on
+//! G-HBA's groups, and where a test says so on HBA's full mirror too.
+
+#[macro_use]
+mod layouts;
 
 use ghba_core::{
-    EntryPolicy, GhbaCluster, GhbaConfig, Mds, MdsId, MetadataService, OpBatch, QueryLevel,
-    ReconfigError,
+    EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, Mds, MdsId, MetadataService, OpBatch,
+    QueryLevel, ReconfigError,
 };
 
 fn small_config() -> GhbaConfig {
@@ -14,14 +18,18 @@ fn small_config() -> GhbaConfig {
         .with_seed(11)
 }
 
-fn populated(servers: usize, files: usize) -> GhbaCluster {
-    let mut cluster = GhbaCluster::with_servers(small_config(), servers);
-    for i in 0..files {
-        cluster.create_file(&format!("/data/d{}/f{i}", i % 37));
-    }
-    cluster.flush_all_updates();
-    cluster.reset_stats();
-    cluster
+/// A `$cluster` of `$servers` under [`small_config`] holding `$files`
+/// paths at random homes, published, its statistics reset.
+macro_rules! populated {
+    ($cluster:ty, $servers:expr, $files:expr) => {{
+        let mut cluster = <$cluster>::with_servers(small_config(), $servers);
+        for i in 0..$files {
+            cluster.create(&format!("/data/d{}/f{i}", i % 37));
+        }
+        cluster.flush_all_updates();
+        cluster.reset_stats();
+        cluster
+    }};
 }
 
 #[test]
@@ -37,40 +45,63 @@ fn grouping_respects_max_size() {
     }
 }
 
+/// Every created file resolves to its home on either layout; a freshly
+/// published full mirror needs one verify round trip at most, never a
+/// group multicast.
 #[test]
 fn every_created_file_is_findable() {
-    let mut cluster = populated(12, 300);
-    for i in 0..300 {
-        let path = format!("/data/d{}/f{i}", i % 37);
-        let expected = cluster.true_home(&path).expect("file exists");
-        let outcome = cluster.lookup(&path);
-        assert_eq!(outcome.home, Some(expected), "path {path}");
-        assert!(outcome.found());
-        assert!(outcome.latency > core::time::Duration::ZERO);
-    }
+    on_each_layout!({
+        let mut cluster = populated!(Cluster, 12, 300);
+        for i in 0..300 {
+            let path = format!("/data/d{}/f{i}", i % 37);
+            let expected = cluster.true_home(&path).expect("file exists");
+            let outcome = cluster.lookup(&path);
+            assert_eq!(outcome.home, Some(expected), "path {path}");
+            assert!(outcome.found());
+            assert!(outcome.latency > core::time::Duration::ZERO);
+            if MIRRORED {
+                assert!(outcome.messages <= 2, "{path}: {outcome:?}");
+            }
+        }
+    });
 }
 
 #[test]
 fn nonexistent_files_resolve_to_miss_via_l4() {
-    let mut cluster = populated(12, 100);
-    let outcome = cluster.lookup("/definitely/not/created");
-    assert!(!outcome.found());
-    assert_eq!(outcome.level, QueryLevel::Nonexistent);
-    // A miss must have swept the whole system.
-    assert!(outcome.messages >= 2 * (12 - 1));
+    on_each_layout!({
+        let mut cluster = populated!(Cluster, 12, 100);
+        let outcome = cluster.lookup("/definitely/not/created");
+        assert!(!outcome.found());
+        assert_eq!(outcome.level, QueryLevel::Nonexistent);
+        // A miss must have swept the whole system.
+        assert!(outcome.messages >= 2 * (12 - 1));
+    });
 }
 
+/// The entry server caches (path → home) in its LRU, so the same lookup
+/// from the same entry resolves at L1 — on either layout, and never
+/// without an LRU level (a BFA8: 8 bits per file, `lru_capacity(0)`).
 #[test]
 fn repeated_lookups_hit_l1() {
-    let mut cluster = populated(12, 200);
-    let path = "/data/d1/f1";
-    let first = cluster.lookup_from(ghba_core::MdsId(0), path);
-    assert!(first.found());
-    // The entry server cached (path → home) in its LRU: same entry again
-    // must resolve at L1.
-    let second = cluster.lookup_from(ghba_core::MdsId(0), path);
-    assert_eq!(second.level, QueryLevel::L1Lru);
-    assert!(second.latency < first.latency || first.level == QueryLevel::L1Lru);
+    on_each_layout!({
+        let mut cluster = populated!(Cluster, 12, 200);
+        let path = "/data/d1/f1";
+        let first = cluster.lookup_from(MdsId(0), path);
+        assert!(first.found());
+        let second = cluster.lookup_from(MdsId(0), path);
+        assert_eq!(second.level, QueryLevel::L1Lru);
+        assert!(second.latency < first.latency || first.level == QueryLevel::L1Lru);
+
+        let bfa8 = small_config().with_bits_per_file(8.0).with_lru_capacity(0);
+        let mut cluster = Cluster::with_servers(bfa8, 6);
+        cluster.create("/x");
+        cluster.flush_all_updates();
+        for _ in 0..10 {
+            let outcome = cluster.lookup_from(MdsId(0), "/x");
+            assert!(outcome.found());
+            assert_ne!(outcome.level, QueryLevel::L1Lru);
+        }
+    });
 }
 
 #[test]
@@ -79,7 +110,7 @@ fn stale_replicas_push_queries_to_l4_until_update() {
     // the published replicas, so remote entry servers need L4.
     let config = small_config().with_update_threshold(1_000_000);
     let mut cluster = GhbaCluster::with_servers(config, 8);
-    let home = cluster.create_file("/fresh/file");
+    let home = cluster.create("/fresh/file");
     let entry = cluster
         .server_ids()
         .into_iter()
@@ -110,7 +141,7 @@ fn stale_replicas_push_queries_to_l4_until_update() {
 fn same_group_lookup_resolves_by_l3_even_when_stale() {
     let config = small_config().with_update_threshold(1_000_000);
     let mut cluster = GhbaCluster::with_servers(config, 8);
-    let home = cluster.create_file("/group/local");
+    let home = cluster.create("/group/local");
     let gid = cluster.group_of(home).unwrap();
     let peer = cluster
         .server_ids()
@@ -129,23 +160,32 @@ fn same_group_lookup_resolves_by_l3_even_when_stale() {
     }
 }
 
+/// A join keeps every invariant. Under G-HBA it migrates little: without
+/// a split far below HBA's N, with one (the rebuild of two groups'
+/// coverage) still below ~2N. Under HBA the newcomer pulls all N
+/// replicas and installs its own filter on all N servers.
 #[test]
-fn join_preserves_invariants_and_migrates_little() {
-    let mut cluster = populated(12, 100);
-    let n_before = cluster.server_count() as u64;
-    let (id, report) = cluster.add_mds_reported();
-    assert_eq!(cluster.server_count(), 13);
-    assert!(cluster.mds(id).is_some());
-    cluster.check_invariants().expect("invariants after join");
-    // Without a split, migrations stay far below HBA's N; a split pays
-    // the rebuild of two groups' coverage, still bounded by ~2N.
-    let bound = if report.split { 2 * n_before } else { n_before };
-    assert!(
-        report.migrated_replicas < bound,
-        "migrated {} ≥ bound {}",
-        report.migrated_replicas,
-        bound
-    );
+fn join_preserves_invariants_and_prices_migrations() {
+    on_each_layout!({
+        let mut cluster = populated!(Cluster, 12, 100);
+        let n_before = cluster.server_count() as u64;
+        let (id, report) = cluster.add_mds_reported();
+        assert_eq!(cluster.server_count(), 13);
+        assert!(cluster.mds(id).is_some());
+        cluster.check_invariants().expect("invariants after join");
+        if MIRRORED {
+            assert_eq!(report.migrated_replicas, n_before);
+            assert_eq!(report.messages, 2 * n_before);
+        } else {
+            let bound = if report.split { 2 * n_before } else { n_before };
+            assert!(
+                report.migrated_replicas < bound,
+                "migrated {} ≥ bound {}",
+                report.migrated_replicas,
+                bound
+            );
+        }
+    });
 }
 
 #[test]
@@ -189,20 +229,21 @@ fn join_into_full_groups_splits() {
 
 #[test]
 fn leave_preserves_files_and_invariants() {
-    let mut cluster = populated(12, 200);
-    let total_before = cluster.total_files();
-    let victim = ghba_core::MdsId(3);
-    let report = cluster.remove_mds(victim).expect("removable");
-    assert_eq!(cluster.server_count(), 11);
-    assert!(cluster.mds(victim).is_none());
-    assert_eq!(cluster.total_files(), total_before, "files lost");
-    cluster.check_invariants().expect("invariants after leave");
-    // Files that lived on the victim are still findable.
-    for i in 0..200 {
-        let path = format!("/data/d{}/f{i}", i % 37);
-        assert!(cluster.lookup(&path).found(), "lost {path}");
-    }
-    let _ = report;
+    on_each_layout!({
+        let mut cluster = populated!(Cluster, 12, 200);
+        let total_before = cluster.total_files();
+        let victim = MdsId(3);
+        cluster.remove_mds(victim).expect("removable");
+        assert_eq!(cluster.server_count(), 11);
+        assert!(cluster.mds(victim).is_none());
+        assert_eq!(cluster.total_files(), total_before, "files lost");
+        cluster.check_invariants().expect("invariants after leave");
+        // Files that lived on the victim are still findable.
+        for i in 0..200 {
+            let path = format!("/data/d{}/f{i}", i % 37);
+            assert!(cluster.lookup(&path).found(), "lost {path}");
+        }
+    });
 }
 
 /// Servers are indexed by id, and ids are never recycled: a graceful
@@ -212,13 +253,13 @@ fn leave_preserves_files_and_invariants() {
 /// fresh id past the holes.
 #[test]
 fn holes_in_the_id_space_keep_order_and_homes() {
-    let mut cluster = populated(12, 240);
+    let mut cluster = populated!(GhbaCluster, 12, 240);
     cluster.remove_mds(MdsId(5)).expect("removable");
     cluster.fail_mds(MdsId(8)).expect("failable");
     let joined = cluster.add_mds();
     assert_eq!(joined, MdsId(12));
     for i in 240..300 {
-        cluster.create_file(&format!("/data/d{}/f{i}", i % 37));
+        cluster.create(&format!("/data/d{}/f{i}", i % 37));
     }
     let ids = cluster.server_ids();
     assert_eq!(ids.len(), 11);
@@ -253,18 +294,20 @@ fn departures_trigger_merges() {
 
 #[test]
 fn cannot_remove_last_server() {
-    let mut cluster = GhbaCluster::with_servers(small_config(), 1);
-    let id = cluster.server_ids()[0];
-    assert_eq!(cluster.remove_mds(id), Err(ReconfigError::LastServer));
-    assert_eq!(
-        cluster.remove_mds(ghba_core::MdsId(999)),
-        Err(ReconfigError::UnknownMds(ghba_core::MdsId(999)))
-    );
+    on_each_layout!({
+        let mut cluster = Cluster::with_servers(small_config(), 1);
+        let id = cluster.server_ids()[0];
+        assert_eq!(cluster.remove_mds(id), Err(ReconfigError::LastServer));
+        assert_eq!(
+            cluster.remove_mds(MdsId(999)),
+            Err(ReconfigError::UnknownMds(MdsId(999)))
+        );
+    });
 }
 
 #[test]
 fn churn_storm_preserves_invariants() {
-    let mut cluster = populated(10, 150);
+    let mut cluster = populated!(GhbaCluster, 10, 150);
     for round in 0..12 {
         if round % 3 == 0 {
             let victim = cluster.server_ids()[round % cluster.server_count()];
@@ -281,21 +324,29 @@ fn churn_storm_preserves_invariants() {
     }
 }
 
+/// A push reaches one server per other group under G-HBA — 12 servers
+/// at M = 4 are 3 groups, so 2 recipient groups; IDBFA multi-hits may add
+/// the occasional extra message, never fewer — and every other server
+/// under HBA.
 #[test]
-fn update_protocol_contacts_one_server_per_group() {
-    let mut cluster = GhbaCluster::with_servers(small_config(), 12); // 3 groups
-    let home = cluster.create_file("/update/test");
-    for i in 0..50 {
-        cluster.create_file_at(&format!("/update/more{i}"), home);
-    }
-    let report = cluster.push_update(home);
-    assert!(report.refreshed);
-    // 3 groups, home's own group excluded → 2 recipient groups. IDBFA
-    // multi-hits may add the occasional extra message, never fewer.
-    assert!(report.messages >= 2, "messages {}", report.messages);
-    assert!(report.messages <= 6, "messages {}", report.messages);
-    assert!(report.bytes > 0);
-    assert!(report.latency > core::time::Duration::ZERO);
+fn update_fanout_follows_the_layout() {
+    on_each_layout!({
+        let mut cluster = Cluster::with_servers(small_config(), 12);
+        let home = cluster.create("/update/test");
+        for i in 0..50 {
+            cluster.create_file_at(&format!("/update/more{i}"), home);
+        }
+        let report = cluster.push_update(home);
+        assert!(report.refreshed);
+        if MIRRORED {
+            assert_eq!(report.messages, 11);
+        } else {
+            assert!(report.messages >= 2, "messages {}", report.messages);
+            assert!(report.messages <= 6, "messages {}", report.messages);
+        }
+        assert!(report.bytes > 0);
+        assert!(report.latency > core::time::Duration::ZERO);
+    });
 }
 
 #[test]
@@ -314,10 +365,10 @@ fn automatic_updates_fire_on_threshold() {
 
 #[test]
 fn removing_files_updates_membership() {
-    let mut cluster = populated(8, 50);
+    let mut cluster = populated!(GhbaCluster, 8, 50);
     let path = "/data/d1/f1";
     assert!(cluster.lookup(path).found());
-    let home = cluster.remove_file(path).expect("file existed");
+    let home = cluster.remove(path).expect("file existed");
     assert!(cluster.true_home(path).is_none());
     cluster.flush_all_updates();
     let outcome = cluster.lookup(path);
@@ -381,7 +432,7 @@ fn clean_servers_publish_their_live_filters() {
 
 #[test]
 fn level_counters_track_outcomes() {
-    let mut cluster = populated(12, 300);
+    let mut cluster = populated!(GhbaCluster, 12, 300);
     for i in 0..300 {
         let path = format!("/data/d{}/f{i}", i % 37);
         cluster.lookup(&path);
@@ -407,12 +458,26 @@ fn metadata_service_trait_is_usable() {
     exercise(&mut cluster);
 }
 
+/// A full mirror holds every other server's filter: its filter memory
+/// per server grows with N, and with the bits per file — a BFA16 (16
+/// bits per file, no LRU level) holds twice a BFA8's.
+#[test]
+fn mirror_memory_scales_with_servers_and_bits_per_file() {
+    let memory = |config: GhbaConfig, servers: usize| {
+        HbaCluster::with_servers(config, servers).filter_memory_per_mds()
+    };
+    assert!(memory(small_config(), 20) > memory(small_config(), 5) * 3);
+    let bfa = |bits: f64| small_config().with_bits_per_file(bits).with_lru_capacity(0);
+    let ratio = memory(bfa(16.0), 10) as f64 / memory(bfa(8.0), 10) as f64;
+    assert!((ratio - 2.0).abs() < 0.05, "ratio {ratio}");
+}
+
 #[test]
 fn deterministic_given_seed() {
     let run = || {
         let mut cluster = GhbaCluster::with_servers(small_config(), 10);
         for i in 0..100 {
-            cluster.create_file(&format!("/det/f{i}"));
+            cluster.create(&format!("/det/f{i}"));
         }
         let mut fingerprint = Vec::new();
         for i in 0..100 {
@@ -434,7 +499,7 @@ fn memory_pressure_increases_latency() {
     let measure = |config: GhbaConfig| {
         let mut cluster = GhbaCluster::with_servers(config, 12);
         for i in 0..400 {
-            cluster.create_file(&format!("/mem/f{i}"));
+            cluster.create(&format!("/mem/f{i}"));
         }
         cluster.flush_all_updates();
         cluster.reset_stats();
@@ -467,7 +532,7 @@ fn a_handle_split_prices_spill_from_the_new_placement() {
         .with_memory_per_mds(56 * 1024);
     let mut cluster = GhbaCluster::with_servers(config, 12);
     for i in 0..240 {
-        cluster.create_file(&format!("/s/f{i}"));
+        cluster.create(&format!("/s/f{i}"));
     }
     cluster.drain_concurrent();
     let mds0 = MdsId(0);
@@ -497,7 +562,7 @@ fn lookups_grow_the_lru_charge_that_spills_replicas() {
         .with_memory_per_mds(400 * 1024);
     let mut cluster = GhbaCluster::with_servers(config, 12);
     for i in 0..240 {
-        cluster.create_file(&format!("/s/f{i}"));
+        cluster.create(&format!("/s/f{i}"));
     }
     cluster.flush_all_updates();
     let mds0 = MdsId(0);

@@ -1,8 +1,7 @@
-//! Snapshot concurrency: G-HBA lookups served *through*
-//! reconfiguration.
+//! Snapshot concurrency: lookups and batches served *through*
+//! reconfiguration, on G-HBA's groups and HBA's full mirror.
 //!
-//! Three families of guarantees (the HBA/BFA counterparts live in the
-//! baselines crate's `concurrency` suite):
+//! Four families of guarantees:
 //!
 //! * **Stress** — reader threads hammer the side-effect-free
 //!   `lookup_concurrent` walk while a reconfiguration handle publishes
@@ -10,11 +9,19 @@
 //!   home and carry an epoch no older than the pre-churn snapshot.
 //! * **Equivalence** — the pin-once `execute_concurrent` entry matches
 //!   the `&mut self` `execute` entry batch by batch, at every
-//!   write-shard count.
+//!   write-shard count, and both account repeated lookups and broadcast
+//!   false positives per occurrence.
 //! * **Write races** — whole mixed batches (creates, lookups,
 //!   cross-shard renames) run from `&self` on many threads, racing
 //!   each other and reconfiguration churn, and the post-drain state
 //!   must be exactly what each batch reported.
+//! * **Mirror invariants** — a property test holds `check_invariants`
+//!   and ground truth after every step of arbitrary
+//!   create/remove/join/leave/concurrent-batch interleavings on HBA and
+//!   on a BFA8 (HBA at 8 bits per file with no LRU level).
+
+#[macro_use]
+mod layouts;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,6 +30,7 @@ use ghba_core::{
     EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, LoadReport, Mds, MdsId, MetadataService,
     OpBatch, OpOutcome, QueryLevel,
 };
+use proptest::prelude::*;
 
 fn config() -> GhbaConfig {
     GhbaConfig::default()
@@ -47,7 +55,7 @@ fn lookups_resolve_through_reconfig_churn() {
     let mut cluster = GhbaCluster::with_servers(config(), 20);
     let paths: Vec<String> = (0..150).map(|i| format!("/churn/f{i}")).collect();
     for path in &paths {
-        cluster.create_file(path);
+        cluster.create(path);
     }
     cluster.flush_all_updates();
     let truths: Vec<MdsId> = paths
@@ -155,8 +163,8 @@ fn assert_outcomes_match(round: usize, funnel: &[OpOutcome], pinned: &[OpOutcome
 /// Single-threaded replay: the pin-once `execute_concurrent` pipeline
 /// produces the same outcomes as the `&mut self` funnel for mixed
 /// batches — creates, hits, misses, renames, removes — at every
-/// write-shard count, and after `drain_concurrent` + flush both
-/// clusters converge to the same homes.
+/// write-shard count on either layout, and after `drain_concurrent` +
+/// flush both clusters converge to the same homes.
 ///
 /// Set up to meet the three conditions of the
 /// [`MetadataService::execute_concurrent`] contract: (a) L1 is disabled,
@@ -166,66 +174,68 @@ fn assert_outcomes_match(round: usize, funnel: &[OpOutcome], pinned: &[OpOutcome
 /// no lookup follows a remove of the same fingerprint.
 #[test]
 fn concurrent_pipeline_matches_funnel_across_shard_counts() {
-    for shards in [1usize, 4, 32] {
-        let cfg = config()
-            .with_lru_capacity(0)
-            .with_update_threshold(1 << 24)
-            .with_write_shards(shards);
-        let mut funnel = GhbaCluster::with_servers(cfg.clone(), 12);
-        let mut pinned = GhbaCluster::with_servers(cfg, 12);
+    on_each_layout!({
+        for shards in [1usize, 4, 32] {
+            let cfg = config()
+                .with_lru_capacity(0)
+                .with_update_threshold(1 << 24)
+                .with_write_shards(shards);
+            let mut funnel = Cluster::with_servers(cfg.clone(), 12);
+            let mut pinned = Cluster::with_servers(cfg, 12);
 
-        let mut live: Vec<String> = (0..30).map(|i| format!("/mix/seed{i}")).collect();
-        for path in &live {
-            funnel.create_file(path);
-            pinned.create_file(path);
-        }
-        funnel.flush_all_updates();
-        pinned.flush_all_updates();
-
-        for round in 0..5 {
-            let rename_src = live.remove(0);
-            let remove_tgt = live.remove(0);
-            let moved = format!("/mix/r{round}/moved");
-            let created: Vec<String> = (0..6).map(|j| format!("/mix/r{round}/f{j}")).collect();
-
-            let mut batch = OpBatch::new().with_entry(EntryPolicy::Random);
-            for path in live.iter().take(6) {
-                batch.push_lookup(path);
+            let mut live: Vec<String> = (0..30).map(|i| format!("/mix/seed{i}")).collect();
+            for path in &live {
+                funnel.create(path);
+                pinned.create(path);
             }
-            for path in &created {
-                batch.push_create(path);
-            }
-            for path in &created {
-                batch.push_lookup(path);
-            }
-            batch.push_lookup(format!("/mix/r{round}/absent"));
-            batch.push_rename(&rename_src, &moved);
-            batch.push_lookup(&moved);
-            batch.push_remove(&remove_tgt);
-            batch.push_remove(format!("/mix/r{round}/never-created"));
-
-            let funnel_out = funnel.execute(&batch);
-            let pinned_out = pinned.execute_concurrent(&batch);
-            assert_outcomes_match(round, &funnel_out, &pinned_out);
-
-            pinned.drain_concurrent();
             funnel.flush_all_updates();
             pinned.flush_all_updates();
-            live.push(moved);
-            live.extend(created);
-        }
 
-        funnel.check_invariants().expect("funnel invariants");
-        pinned.check_invariants().expect("pinned invariants");
-        for path in &live {
-            let truth = funnel.true_home(path).expect("live in funnel");
-            assert_eq!(
-                pinned.true_home(path),
-                Some(truth),
-                "clusters disagree on the home of {path} with {shards} shards"
-            );
+            for round in 0..5 {
+                let rename_src = live.remove(0);
+                let remove_tgt = live.remove(0);
+                let moved = format!("/mix/r{round}/moved");
+                let created: Vec<String> = (0..6).map(|j| format!("/mix/r{round}/f{j}")).collect();
+
+                let mut batch = OpBatch::new().with_entry(EntryPolicy::Random);
+                for path in live.iter().take(6) {
+                    batch.push_lookup(path);
+                }
+                for path in &created {
+                    batch.push_create(path);
+                }
+                for path in &created {
+                    batch.push_lookup(path);
+                }
+                batch.push_lookup(format!("/mix/r{round}/absent"));
+                batch.push_rename(&rename_src, &moved);
+                batch.push_lookup(&moved);
+                batch.push_remove(&remove_tgt);
+                batch.push_remove(format!("/mix/r{round}/never-created"));
+
+                let funnel_out = funnel.execute(&batch);
+                let pinned_out = pinned.execute_concurrent(&batch);
+                assert_outcomes_match(round, &funnel_out, &pinned_out);
+
+                pinned.drain_concurrent();
+                funnel.flush_all_updates();
+                pinned.flush_all_updates();
+                live.push(moved);
+                live.extend(created);
+            }
+
+            funnel.check_invariants().expect("funnel invariants");
+            pinned.check_invariants().expect("pinned invariants");
+            for path in &live {
+                let truth = funnel.true_home(path).expect("live in funnel");
+                assert_eq!(
+                    pinned.true_home(path),
+                    Some(truth),
+                    "clusters disagree on the home of {path} with {shards} shards"
+                );
+            }
         }
-    }
+    });
 }
 
 /// A `&self` remove names the ground-truth home whichever way it finds
@@ -242,7 +252,7 @@ fn concurrent_remove_locates_true_home_beside_pending_overlay_entries() {
     for era_creates in [1usize, 300] {
         let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
         let stored: Vec<String> = (0..40).map(|i| format!("/loc/f{i}")).collect();
-        let homes: Vec<MdsId> = stored.iter().map(|p| cluster.create_file(p)).collect();
+        let homes: Vec<MdsId> = stored.iter().map(|p| cluster.create(p)).collect();
         let new_home = MdsId(0);
         let foreign = cluster
             .server_ids()
@@ -339,10 +349,11 @@ fn concurrent_writes_publish_nothing_before_the_owner_flush() {
 /// Duplicates are traffic: a flash-crowd batch — the same hot paths
 /// through every entry, each `(entry, path)` pair repeated four times
 /// in one run — walks each pair once but accounts every occurrence.
-/// Through either entry it leaves the statistics, the load report (what
-/// the `GroupController` splits on) and the mask-consult counters
-/// exactly where the same ops issued as 1-op batches leave them, except
-/// that a repeated pair consults its masks once.
+/// Through either entry, on either layout, it leaves the statistics,
+/// the load report (what the `GroupController` splits on) and the
+/// mask-consult counters exactly where the same ops issued as 1-op
+/// batches leave them, except that a repeated pair consults its masks
+/// once.
 #[test]
 fn fused_runs_tally_what_one_op_batches_record() {
     const SERVERS: usize = 12;
@@ -350,80 +361,83 @@ fn fused_runs_tally_what_one_op_batches_record() {
     // Op `i` enters at server `e = i % 12` (round robin) for path
     // `(e + i / 12 % 2) % 5`: 24 distinct pairs, four occurrences each.
     let path_of = |i: usize| paths[(i % SERVERS + i / SERVERS % 2) % paths.len()];
-    for concurrent in [true, false] {
-        let build = || {
-            let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), SERVERS);
-            for path in &paths[..4] {
-                cluster.create_file(path);
+    on_each_layout!({
+        for concurrent in [true, false] {
+            let build = || {
+                let mut cluster = Cluster::with_servers(config().with_lru_capacity(0), SERVERS);
+                for path in &paths[..4] {
+                    cluster.create(path);
+                }
+                cluster.flush_all_updates();
+                cluster.reset_stats();
+                cluster
+            };
+            let mut fused = build();
+            let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+            (0..96).for_each(|i| batch.push_lookup(path_of(i)));
+            let outcomes = if concurrent {
+                fused.execute_concurrent(&batch)
+            } else {
+                fused.execute(&batch)
+            };
+            fused.drain_concurrent();
+            let mut single = build();
+            for (i, outcome) in outcomes.iter().enumerate() {
+                let mut one = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: i });
+                one.push_lookup(path_of(i));
+                assert_eq!(&single.execute_concurrent(&one)[0], outcome, "op {i}");
             }
-            cluster.flush_all_updates();
-            cluster.reset_stats();
-            cluster
-        };
-        let mut fused = build();
-        let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
-        (0..96).for_each(|i| batch.push_lookup(path_of(i)));
-        let outcomes = if concurrent {
-            fused.execute_concurrent(&batch)
-        } else {
-            fused.execute(&batch)
-        };
-        fused.drain_concurrent();
-        let mut single = build();
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let mut one = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: i });
-            one.push_lookup(path_of(i));
-            assert_eq!(&single.execute_concurrent(&one)[0], outcome, "op {i}");
+            single.drain_concurrent();
+
+            let (got, want) = (fused.stats(), single.stats());
+            assert_eq!(got.levels.total(), 96);
+            assert_eq!(got.levels, want.levels, "concurrent={concurrent}");
+            assert_eq!(
+                got.lookup_latency, want.lookup_latency,
+                "concurrent={concurrent}"
+            );
+            assert_eq!(got.counters, want.counters, "false-hit counters");
+            // Everything in the load report but the mask hit rate (consults
+            // are per walk, below) comes from per-occurrence counts.
+            let got = without_mask_rates(fused.load_report());
+            assert_eq!(got.fresh_lookups, 96);
+            assert_eq!(
+                got,
+                without_mask_rates(single.load_report()),
+                "concurrent={concurrent}"
+            );
+
+            // One consult per slab level reached per distinct walk: L2
+            // always (no L1 here), and L3 when a G-HBA walk went past L2
+            // (a full mirror has no L3). Misses are masks actually built
+            // on this cold cluster: one per entry plus one per group whose
+            // walks reached L3.
+            let walks: BTreeMap<_, _> = outcomes
+                .iter()
+                .enumerate()
+                .map(|(i, outcome)| outcome.query().map(|q| ((q.entry, path_of(i)), q.level)))
+                .collect::<Option<_>>()
+                .expect("lookups resolve");
+            assert_eq!(walks.len(), 24);
+            let past_l2 = walks
+                .iter()
+                .filter(|&(_, &level)| !MIRRORED && level != QueryLevel::L2Segment);
+            let groups: BTreeSet<_> = past_l2
+                .clone()
+                .map(|(&(e, _), _)| fused.group_of(e))
+                .collect();
+            let mask = fused.mask_cache_stats();
+            let consults = (walks.len() + past_l2.count()) as u64;
+            assert_eq!(
+                mask.window_hits + mask.window_misses,
+                consults,
+                "concurrent={concurrent}"
+            );
+            let built = (SERVERS + groups.len()) as u64;
+            assert_eq!(single.mask_cache_stats().window_misses, built);
+            assert_eq!(mask.window_misses, built, "concurrent={concurrent}");
         }
-        single.drain_concurrent();
-
-        let (got, want) = (fused.stats(), single.stats());
-        assert_eq!(got.levels.total(), 96);
-        assert_eq!(got.levels, want.levels, "concurrent={concurrent}");
-        assert_eq!(
-            got.lookup_latency, want.lookup_latency,
-            "concurrent={concurrent}"
-        );
-        assert_eq!(got.counters, want.counters, "false-hit counters");
-        // Everything in the load report but the mask hit rate (consults
-        // are per walk, below) comes from per-occurrence counts.
-        let got = without_mask_rates(fused.load_report());
-        assert_eq!(got.fresh_lookups, 96);
-        assert_eq!(
-            got,
-            without_mask_rates(single.load_report()),
-            "concurrent={concurrent}"
-        );
-
-        // One consult per slab level reached per distinct walk (L2
-        // always — no L1 here — and L3 when the walk went past L2);
-        // misses are masks actually built on this cold cluster: one per
-        // entry plus one per group whose walks reached L3.
-        let walks: BTreeMap<_, _> = outcomes
-            .iter()
-            .enumerate()
-            .map(|(i, outcome)| outcome.query().map(|q| ((q.entry, path_of(i)), q.level)))
-            .collect::<Option<_>>()
-            .expect("lookups resolve");
-        assert_eq!(walks.len(), 24);
-        let past_l2 = walks
-            .iter()
-            .filter(|&(_, &level)| level != QueryLevel::L2Segment);
-        let groups: BTreeSet<_> = past_l2
-            .clone()
-            .map(|(&(e, _), _)| fused.group_of(e))
-            .collect();
-        let mask = fused.mask_cache_stats();
-        let consults = (walks.len() + past_l2.count()) as u64;
-        assert_eq!(
-            mask.window_hits + mask.window_misses,
-            consults,
-            "concurrent={concurrent}"
-        );
-        let built = (SERVERS + groups.len()) as u64;
-        assert_eq!(single.mask_cache_stats().window_misses, built);
-        assert_eq!(mask.window_misses, built, "concurrent={concurrent}");
-    }
+    });
 }
 
 /// A batch that panics (its pinned entry is unknown) has recorded
@@ -431,7 +445,7 @@ fn fused_runs_tally_what_one_op_batches_record() {
 #[test]
 fn panicking_batch_records_nothing() {
     let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
-    cluster.create_file("/poison/f");
+    cluster.create("/poison/f");
     cluster.flush_all_updates();
     cluster.reset_stats();
     let mut batch = OpBatch::new().with_entry(EntryPolicy::Pinned(MdsId(999)));
@@ -465,7 +479,7 @@ fn racing_batches_build_each_plan_once() {
         let mut cluster =
             GhbaCluster::with_servers(config().with_lru_capacity(0).with_seed(round), SERVERS);
         for i in 0..72 {
-            cluster.create_file(&format!("/race/f{i}"));
+            cluster.create(&format!("/race/f{i}"));
         }
         cluster.flush_all_updates();
         cluster.reset_stats();
@@ -552,7 +566,7 @@ fn racing_batches_build_each_plan_once() {
 fn a_clone_carries_what_its_walks_counted() {
     let mut cluster = GhbaCluster::with_servers(config().with_lru_capacity(0), 12);
     for i in 0..40 {
-        cluster.create_file(&format!("/carry/f{i}"));
+        cluster.create(&format!("/carry/f{i}"));
     }
     cluster.flush_all_updates();
     cluster.reset_stats();
@@ -590,7 +604,7 @@ fn a_window_closed_mid_traffic_counts_every_lookup_once() {
     const BATCHES: usize = 60;
     let mut cluster = GhbaCluster::with_servers(config(), 12);
     for i in 0..30 {
-        cluster.create_file(&format!("/window/f{i}"));
+        cluster.create(&format!("/window/f{i}"));
     }
     cluster.flush_all_updates();
     let cluster = &cluster;
@@ -696,7 +710,7 @@ macro_rules! plan_reuse_is_invisible {
                 let cfg = config().with_lru_capacity(0);
                 let mut cluster = <$cluster>::with_servers(cfg, REUSE_SERVERS);
                 for i in 0..60 {
-                    cluster.create_file(&format!("/reuse/base{i}"));
+                    cluster.create(&format!("/reuse/base{i}"));
                 }
                 cluster.flush_all_updates();
                 cluster.reset_stats();
@@ -990,7 +1004,7 @@ fn concurrent_batches_race_reconfig_churn() {
     let mut cluster = GhbaCluster::with_servers(config(), 16);
     for t in 0..THREADS {
         for i in 0..40 {
-            cluster.create_file(&format!("/race/t{t}/base{i}"));
+            cluster.create(&format!("/race/t{t}/base{i}"));
         }
     }
     cluster.flush_all_updates();
@@ -1131,7 +1145,7 @@ fn cross_shard_renames_from_many_threads() {
     let mut cluster = GhbaCluster::with_servers(config().with_write_shards(8), 12);
     for t in 0..THREADS {
         for i in 0..25 {
-            cluster.create_file(&format!("/xs/t{t}/src{i}"));
+            cluster.create(&format!("/xs/t{t}/src{i}"));
         }
     }
     cluster.flush_all_updates();
@@ -1189,5 +1203,183 @@ fn cross_shard_renames_from_many_threads() {
             "{to} did not land where its batch reported"
         );
         assert_eq!(cluster.lookup_from(MdsId(0), to).home, Some(*home));
+    }
+}
+
+/// The broadcast level pays a disk verification for every server whose
+/// live filter answers positive without storing the path — and must
+/// count it (`l4_false_positive_disk_checks`) on the full mirror, as the
+/// G-HBA walk always has. Filters sized for 16 files hold ~70 each, so
+/// absent paths light up most servers at the broadcast.
+#[test]
+fn hba_broadcast_false_positives_are_counted() {
+    let cfg = config().with_filter_capacity(16).with_lru_capacity(0);
+    let absent: Vec<String> = (0..24).map(|i| format!("/fp/absent{i}")).collect();
+    let mut batch = OpBatch::new().with_entry(EntryPolicy::RoundRobin { start: 0 });
+    for path in &absent {
+        batch.push_lookup(path);
+    }
+    for concurrent in [false, true] {
+        let mut hba = HbaCluster::with_servers(cfg.clone(), 6);
+        for i in 0..400 {
+            hba.create(&format!("/fp/f{i}"));
+        }
+        hba.flush_all_updates();
+        hba.reset_stats();
+        // An absent path always escalates to the broadcast, where no
+        // positive server stores it.
+        let expected: u64 = absent
+            .iter()
+            .map(|path| {
+                hba.server_ids()
+                    .into_iter()
+                    .filter(|&id| hba.mds(id).expect("live").probe_live(path))
+                    .count() as u64
+            })
+            .sum();
+        assert!(expected > 0, "filters too roomy for the test to bite");
+        if concurrent {
+            let _ = hba.execute_concurrent(&batch);
+            hba.drain_concurrent();
+        } else {
+            let _ = hba.execute(&batch);
+        }
+        assert_eq!(hba.stats().levels.nonexistent, absent.len() as u64);
+        assert_eq!(
+            hba.stats().counters.l4_false_positive_disk_checks,
+            expected,
+            "concurrent={concurrent}"
+        );
+        hba.check_invariants()
+            .expect("lookups leave the mirror alone");
+    }
+}
+
+/// One step of the mirror interleaving stream.
+#[derive(Debug, Clone)]
+enum Step {
+    Create(u16),
+    Remove(u16),
+    AddMds,
+    RemoveMds(u8),
+    /// A mixed `(kind, file)` batch through `execute_concurrent`, then
+    /// the owner drain.
+    Batch(Vec<(u8, u16)>),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0u16..60).prop_map(Step::Create),
+        1 => (0u16..60).prop_map(Step::Remove),
+        1 => Just(Step::AddMds),
+        1 => any::<u8>().prop_map(Step::RemoveMds),
+        3 => proptest::collection::vec((0u8..8, 0u16..60), 1..16).prop_map(Step::Batch),
+    ]
+}
+
+/// Drives `steps` against `hba`, checking the structural invariants and
+/// every live path's ground truth after every step.
+fn drive_mirror(hba: &mut HbaCluster, steps: &[Step]) -> Result<(), TestCaseError> {
+    let path_of = |f: u16| format!("/m/f{f}");
+    let mut live: BTreeSet<String> = BTreeSet::new();
+    let mut fresh = 0u32;
+    for (n, step) in steps.iter().enumerate() {
+        match step {
+            Step::Create(f) => {
+                if live.insert(path_of(*f)) {
+                    hba.create(&path_of(*f));
+                }
+            }
+            Step::Remove(f) => {
+                let removed = hba.remove(&path_of(*f));
+                prop_assert_eq!(removed.is_some(), live.remove(&path_of(*f)));
+            }
+            Step::AddMds => {
+                if hba.server_count() < 10 {
+                    hba.add_mds();
+                }
+            }
+            Step::RemoveMds(pick) => {
+                let ids = hba.server_ids();
+                if ids.len() > 3 {
+                    let victim = ids[*pick as usize % ids.len()];
+                    hba.remove_mds(victim).expect("removable");
+                }
+            }
+            Step::Batch(items) => {
+                let mut batch = OpBatch::new();
+                let mut expect_found = Vec::new();
+                for (kind, f) in items {
+                    let path = path_of(*f);
+                    // A path lives at one home: creating a live one again
+                    // is a lookup here.
+                    match kind % 4 {
+                        1 if live.insert(path.clone()) => batch.push_create(path),
+                        0 | 1 => {
+                            expect_found.push(Some(live.contains(&path)));
+                            batch.push_lookup(path);
+                            continue;
+                        }
+                        2 => {
+                            live.remove(&path);
+                            batch.push_remove(path);
+                        }
+                        _ => {
+                            let to = format!("/m/r{fresh}");
+                            fresh += 1;
+                            if live.remove(&path) {
+                                live.insert(to.clone());
+                            }
+                            batch.push_rename(path, to);
+                        }
+                    }
+                    expect_found.push(None);
+                }
+                let outcomes = hba.execute_concurrent(&batch);
+                for (i, (outcome, expected)) in outcomes.iter().zip(&expect_found).enumerate() {
+                    if let (OpOutcome::Resolved(query), Some(found)) = (outcome, expected) {
+                        prop_assert_eq!(query.found(), *found, "step {} op {}", n, i);
+                    }
+                }
+                hba.drain_concurrent();
+            }
+        }
+        if let Err(violation) = hba.check_invariants() {
+            return Err(TestCaseError::fail(format!("step {n}: {violation}")));
+        }
+        prop_assert_eq!(hba.total_files(), live.len(), "step {}", n);
+        let entry = hba.server_ids()[0];
+        for path in &live {
+            let truth = hba.true_home(path);
+            prop_assert!(truth.is_some(), "step {}: lost {}", n, path);
+            prop_assert_eq!(hba.lookup_concurrent(entry, path).home, truth);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any interleaving of owner writes, membership changes and concurrent
+    /// batches leaves the full mirror structurally sound and every live
+    /// path at its true home — on HBA, and on a BFA8 (8 bits per file, no
+    /// LRU level) alike.
+    #[test]
+    fn mirror_invariants_hold_under_arbitrary_interleavings(
+        steps in proptest::collection::vec(arb_step(), 1..40),
+        seed in 0u64..1000,
+    ) {
+        let cfg = GhbaConfig::default()
+            .with_filter_capacity(500)
+            // Gate 1: every owner-side write publishes, so the mirror's
+            // columns move between the concurrent batches (which never
+            // publish).
+            .with_update_threshold(16)
+            .with_write_shards(4)
+            .with_seed(seed);
+        let bfa8 = cfg.clone().with_bits_per_file(8.0).with_lru_capacity(0);
+        drive_mirror(&mut HbaCluster::with_servers(cfg, 6), &steps)?;
+        drive_mirror(&mut HbaCluster::with_servers(bfa8, 6), &steps)?;
     }
 }

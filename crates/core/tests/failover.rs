@@ -1,7 +1,7 @@
 //! Failure-injection tests: the §4.5 fail-over path (crash semantics, as
 //! opposed to graceful departure).
 
-use ghba_core::{GhbaCluster, GhbaConfig, MdsId, ReconfigError};
+use ghba_core::{GhbaCluster, GhbaConfig, MdsId, MetadataService, ReconfigError};
 
 fn config() -> GhbaConfig {
     GhbaConfig::default()
@@ -15,7 +15,7 @@ fn crash_loses_only_the_victims_files() {
     let mut cluster = GhbaCluster::with_servers(config(), 10);
     let mut homes = Vec::new();
     for i in 0..200 {
-        homes.push((i, cluster.create_file(&format!("/f/{i}"))));
+        homes.push((i, cluster.create(&format!("/f/{i}"))));
     }
     cluster.flush_all_updates();
     let victim = MdsId(3);
@@ -45,7 +45,7 @@ fn crash_loses_only_the_victims_files() {
 fn crashed_server_filters_are_purged_everywhere() {
     let mut cluster = GhbaCluster::with_servers(config(), 8);
     for i in 0..100 {
-        cluster.create_file(&format!("/p/{i}"));
+        cluster.create(&format!("/p/{i}"));
     }
     cluster.flush_all_updates();
     // Warm LRUs so stale entries naming the victim would exist.
@@ -72,7 +72,7 @@ fn crashed_server_filters_are_purged_everywhere() {
 fn service_survives_cascading_failures() {
     let mut cluster = GhbaCluster::with_servers(config(), 12);
     for i in 0..150 {
-        cluster.create_file(&format!("/c/{i}"));
+        cluster.create(&format!("/c/{i}"));
     }
     cluster.flush_all_updates();
     for round in 0..6 {
@@ -110,6 +110,6 @@ fn crash_and_rejoin_restores_capacity() {
     assert_eq!(cluster.server_count(), 9);
     assert_ne!(replacement, victim, "ids are never reused");
     cluster.check_invariants().expect("healthy after rejoin");
-    let home = cluster.create_file("/after/rejoin");
+    let home = cluster.create("/after/rejoin");
     assert_eq!(cluster.lookup("/after/rejoin").home, Some(home));
 }

@@ -235,7 +235,7 @@ macro_rules! drive_live_stream {
                     LiveStep::Remove(f) => {
                         cluster.drain_concurrent();
                         let truth = cluster.true_home(&path(*f));
-                        prop_assert_eq!(cluster.remove_file(&path(*f)), truth, "step {}", n);
+                        prop_assert_eq!(cluster.remove(&path(*f)), truth, "step {}", n);
                     }
                     LiveStep::Concurrent(ops, at) => {
                         cluster.execute_concurrent(&batch(ops, *at, &ids));
@@ -351,7 +351,7 @@ fn drive_plans(steps: &[PlanStep], seed: u64) -> Result<(), TestCaseError> {
     let handle = cluster.reconfig_handle();
     let path = |f: u16| path_of("plan", u32::from(f));
     for f in 0..160 {
-        cluster.create_file(&path(f));
+        cluster.create(&path(f));
     }
     // A server's held replicas and how many of them are resident.
     let residency = |cluster: &GhbaCluster, id: MdsId| {
@@ -405,7 +405,7 @@ fn drive_plans(steps: &[PlanStep], seed: u64) -> Result<(), TestCaseError> {
             }
             PlanStep::Write(f, at, true) => cluster.create_file_at(&path(*f), pick(*at)),
             PlanStep::Write(f, _, false) => {
-                cluster.remove_file(&path(*f));
+                cluster.remove(&path(*f));
             }
             PlanStep::Drain(files, at) => {
                 let entry = EntryPolicy::Pinned(pick(*at));
@@ -495,7 +495,7 @@ proptest! {
                 Op::Create(f) => {
                     let path = path_of("p", u32::from(f));
                     if !live_paths.contains(&f) {
-                        cluster.create_file(&path);
+                        cluster.create(&path);
                         live_paths.insert(f);
                     }
                 }
@@ -514,7 +514,7 @@ proptest! {
                     // The remove locates its home through the live
                     // filters; the store sweep is the ground truth.
                     let truth = cluster.true_home(&path);
-                    let removed = cluster.remove_file(&path);
+                    let removed = cluster.remove(&path);
                     prop_assert_eq!(removed, truth, "step {}: filter-guided locate", step);
                     prop_assert_eq!(removed.is_some(), live_paths.remove(&f));
                 }

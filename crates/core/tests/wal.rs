@@ -883,7 +883,7 @@ fn owner_writes_recover_every_home() {
         }
         cluster.execute(&batch);
         cluster.create_file_at(at, MdsId(3));
-        assert!(cluster.remove_file(&paths[0]).is_some());
+        assert!(cluster.remove(&paths[0]).is_some());
         assert_eq!(cluster.pending_concurrent_writes(), 0);
         names().map(|path| cluster.true_home(path)).collect()
     };

@@ -16,10 +16,10 @@
 //! replicas therefore work on one wave concurrently, and a path is
 //! copied once: from the batch into the frame.
 //!
-//! [`RetryPolicy`] stays per replica inside a wave. A transport loss on
-//! replica `r` reconnects `r` and resends the frame still in its
-//! out-buffer, under the same `seq`; a reply already read from another
-//! replica is kept and never requested again.
+//! Retry stays per replica inside a wave. A transport loss on replica
+//! `r` reconnects `r` and resends the frame still in its out-buffer,
+//! under the same `seq`; a reply already read from another replica is
+//! kept and never requested again.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -55,41 +55,14 @@ struct Conn {
     inbuf: Vec<u8>,
 }
 
-/// Bounded reconnect policy for lost replica connections.
-///
-/// When a request hits an I/O failure (or the replica closes the
-/// connection mid-stream), the client re-fetches the replica map from
-/// the rendezvous — a restarted replica re-registers under a **new**
-/// address — reconnects, and retries the request, sleeping an
-/// exponentially growing backoff between attempts. Retries are
-/// **at-least-once**: a request whose reply was lost may have been
-/// served before the connection died, so a retried create can observe
-/// its own first attempt. The loss scenarios this targets (replica
-/// crash and restart) discard the dead process's unreconciled state
-/// anyway, which is why the bound is small rather than infinite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Reconnect-and-retry attempts per request (`0` disables retry —
-    /// the first failure propagates, the pre-PR-9 behaviour).
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles per attempt.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling, so a long outage never sleeps unboundedly.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Four attempts, 25ms → 200ms backoff: rides out a replica
-    /// restart (~100ms re-register) without masking a real outage for
-    /// more than ~0.6s.
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            initial_backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_millis(200),
-        }
-    }
-}
+/// Reconnect-and-retry attempts per request after a transport loss.
+/// With the backoff below this rides out a replica restart (~100 ms to
+/// re-register) without masking a real outage for more than ~0.6 s.
+const RETRY_ATTEMPTS: u32 = 4;
+/// Sleep before the first retry; doubles per attempt.
+const RETRY_INITIAL_BACKOFF: Duration = Duration::from_millis(25);
+/// Backoff ceiling, so a long outage never sleeps unboundedly.
+const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(200);
 
 /// A connected client of the whole fleet.
 ///
@@ -101,7 +74,6 @@ pub struct NetClient {
     next_seq: u64,
     /// Rendezvous address, kept for reconnect map re-fetches.
     rendezvous: String,
-    retry: RetryPolicy,
     /// Reconnects that led to a successful retry, across all replicas.
     reconnects: u64,
 }
@@ -123,8 +95,7 @@ impl NetClient {
     /// from its WAL, still holding its stale map entry until it
     /// re-registers or liveness prunes it — is retried like an
     /// incomplete map rather than surfaced, so a fresh client rides
-    /// out a restart the same way an existing client's
-    /// [`RetryPolicy`] does.
+    /// out a restart the same way an existing client's retry does.
     ///
     /// # Errors
     ///
@@ -176,17 +147,8 @@ impl NetClient {
             conns,
             next_seq: 0,
             rendezvous: rendezvous.to_string(),
-            retry: RetryPolicy::default(),
             reconnects: 0,
         })
-    }
-
-    /// Overrides the reconnect/retry policy (builder style); see
-    /// [`RetryPolicy`].
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Connections re-established by the retry path so far.
@@ -213,15 +175,24 @@ impl NetClient {
     /// Reads replica `replica`'s reply to the frame in its out-buffer,
     /// whose send had outcome `sent`. On a transport loss (an I/O error
     /// on either side, or the replica closing the connection),
-    /// re-fetches the replica map from the rendezvous, reconnects, and
-    /// resends the frame under [`RetryPolicy`].
+    /// re-fetches the replica map from the rendezvous — a restarted
+    /// replica re-registers under a **new** address — reconnects, and
+    /// resends the frame, up to [`RETRY_ATTEMPTS`] times with a backoff
+    /// doubling from [`RETRY_INITIAL_BACKOFF`] to [`RETRY_MAX_BACKOFF`].
+    ///
+    /// Retries are **at-least-once**: a request whose reply was lost may
+    /// have been served before the connection died, so a retried create
+    /// can observe its own first attempt. The losses this targets
+    /// (replica crash and restart) discard the dead process's
+    /// unreconciled state anyway, which is why the bound is small rather
+    /// than infinite.
     fn reply(
         &mut self,
         replica: usize,
         sent: Result<(), WireError>,
     ) -> Result<NetMessage, WireError> {
-        let mut backoff = self.retry.initial_backoff;
-        let mut attempts_left = self.retry.attempts;
+        let mut backoff = RETRY_INITIAL_BACKOFF;
+        let mut attempts_left = RETRY_ATTEMPTS;
         let mut attempt = sent.and_then(|()| self.receive(replica));
         loop {
             match attempt {
@@ -233,7 +204,7 @@ impl NetClient {
             }
             attempts_left -= 1;
             std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(self.retry.max_backoff);
+            backoff = (backoff * 2).min(RETRY_MAX_BACKOFF);
             match self.reconnect(replica) {
                 Ok(()) => self.reconnects += 1,
                 // The replica may still be re-registering: the next

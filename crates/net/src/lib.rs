@@ -50,7 +50,7 @@ mod serve;
 pub mod wire;
 
 pub use batching::{record_batches, RecordBatches};
-pub use client::{send_shutdown, NetClient, ReplicaStats, RetryPolicy};
+pub use client::{send_shutdown, NetClient, ReplicaStats};
 pub use loopback::{FleetSpec, LoopbackNet};
 pub use proto::NetMessage;
 pub use rendezvous::Rendezvous;

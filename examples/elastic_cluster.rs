@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example elastic_cluster`
 
-use ghba::core::{GhbaCluster, GhbaConfig};
+use ghba::core::{GhbaCluster, GhbaConfig, MetadataService};
 
 fn main() {
     let config = GhbaConfig::default()
@@ -14,7 +14,7 @@ fn main() {
     let mut cluster = GhbaCluster::with_servers(config, 8);
 
     for i in 0..300 {
-        cluster.create_file(&format!("/workload/dir{}/file{i}", i % 17));
+        cluster.create(&format!("/workload/dir{}/file{i}", i % 17));
     }
     cluster.flush_all_updates();
     println!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use ghba::core::{GhbaCluster, GhbaConfig, MdsId};
+use ghba::core::{GhbaCluster, GhbaConfig, MdsId, MetadataService};
 
 fn main() {
     // A 12-server cluster with groups of at most 4 (so three groups, each
@@ -29,7 +29,7 @@ fn main() {
         "/data/physics/run-0042/events.dat",
     ];
     for path in paths {
-        let home = cluster.create_file(path);
+        let home = cluster.create(path);
         println!("created {path} at {home}");
     }
 

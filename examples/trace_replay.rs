@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use ghba::baselines::HbaCluster;
-use ghba::core::{GhbaCluster, GhbaConfig, MetadataService};
+use ghba::core::{GhbaCluster, GhbaConfig, HbaCluster, MetadataService};
 use ghba::replay::{populate, replay};
 use ghba::trace::{intensify, WorkloadProfile};
 

@@ -11,10 +11,12 @@
 //! * [`bloom`] — Bloom filter toolkit (plain/counting filters, arrays,
 //!   LRU arrays, false-rate analysis);
 //! * [`simnet`] — deterministic simulation substrate (virtual clock,
-//!   seeded RNG, latency and memory models);
+//!   seeded RNG, latency model);
 //! * [`trace`] — synthetic INS/RES/HP workloads with TIF intensification;
-//! * [`core`] — the G-HBA cluster itself;
-//! * [`baselines`] — HBA, BFA, and hash-placement comparators;
+//! * [`core`] — the one cluster engine under its two replica layouts:
+//!   G-HBA's groups ([`GhbaCluster`](core::GhbaCluster)) and the HBA
+//!   baseline's full mirror ([`HbaCluster`](core::HbaCluster)), both
+//!   driven through [`MetadataService`](core::MetadataService);
 //! * [`analysis`] — the paper's closed-form models (Equations 1–4,
 //!   optimal group size, Table 5);
 //! * [`net`] — the multi-process networked deployment (binary wire
@@ -24,7 +26,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ghba::core::{GhbaCluster, GhbaConfig};
+//! use ghba::core::{GhbaCluster, GhbaConfig, MetadataService};
 //! use ghba::trace::{WorkloadGenerator, WorkloadProfile};
 //!
 //! let config = GhbaConfig::default().with_filter_capacity(5_000).with_seed(1);
@@ -33,7 +35,7 @@
 //! // Populate and replay a slice of an HP-like workload.
 //! let generator = WorkloadGenerator::new(WorkloadProfile::hp(), 1);
 //! for i in 0..1_000 {
-//!     cluster.create_file(&generator.path_of(i));
+//!     cluster.create(&generator.path_of(i));
 //! }
 //! cluster.flush_all_updates();
 //! let report = ghba::replay::replay(&mut cluster, generator.take(2_000));
@@ -43,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 pub use ghba_analysis as analysis;
-pub use ghba_baselines as baselines;
 pub use ghba_bloom as bloom;
 pub use ghba_core as core;
 pub use ghba_net as net;

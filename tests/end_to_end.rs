@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: workload → replay → cluster, scheme
 //! comparisons, and determinism guarantees.
 
-use ghba::baselines::{BfaCluster, HbaCluster};
-use ghba::core::{GhbaCluster, GhbaConfig, MetadataService};
+use ghba::core::{GhbaCluster, GhbaConfig, HbaCluster, MetadataService};
 use ghba::replay::{populate, replay};
 use ghba::trace::{intensify, WorkloadGenerator, WorkloadProfile};
 
@@ -57,7 +56,9 @@ fn replay_is_deterministic() {
 fn all_schemes_agree_on_ground_truth() {
     let mut grouped = GhbaCluster::with_servers(config(), 12);
     let mut mirror = HbaCluster::with_servers(config(), 12);
-    let mut bfa = BfaCluster::with_servers(config(), 12, 8.0);
+    // BFA8: the full mirror at 8 bits per file with no LRU level.
+    let mut bfa =
+        HbaCluster::with_servers(config().with_bits_per_file(8.0).with_lru_capacity(0), 12);
     let services: [&mut dyn MetadataService; 3] = [&mut grouped, &mut mirror, &mut bfa];
     for service in services {
         for i in 0..100 {

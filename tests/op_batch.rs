@@ -1,12 +1,12 @@
 //! Acceptance tests for the vectored operations API: mixed-op batches are
-//! outcome-equivalent to sequential one-op-per-call execution across all
-//! three schemes, renames migrate end to end, and `replay()` never
-//! flushes its window because a write arrived.
+//! outcome-equivalent to sequential one-op-per-call execution on G-HBA,
+//! HBA and BFA8 (the full mirror at 8 bits per file with no LRU level),
+//! renames migrate end to end, and `replay()` never flushes its window
+//! because a write arrived.
 
-use ghba::baselines::{BfaCluster, HbaCluster};
 use ghba::core::{
-    EntryPolicy, GhbaCluster, GhbaConfig, MdsId, MetadataOp, MetadataService, OpBatch, OpOutcome,
-    QueryOutcome,
+    EntryPolicy, GhbaCluster, GhbaConfig, HbaCluster, MdsId, MetadataOp, MetadataService, OpBatch,
+    OpOutcome, QueryOutcome,
 };
 use ghba::replay::replay;
 use ghba::simnet::SimTime;
@@ -20,6 +20,11 @@ fn config(seed: u64) -> GhbaConfig {
         .with_bits_per_file(12.0)
         .with_update_threshold(64)
         .with_seed(seed)
+}
+
+/// `config` as a BFA8: 8 bits per file and no LRU level.
+fn bfa8(config: GhbaConfig) -> GhbaConfig {
+    config.with_bits_per_file(8.0).with_lru_capacity(0)
 }
 
 /// One generated op over a small path pool (duplicates are the point:
@@ -98,7 +103,7 @@ proptest! {
 
     /// The tentpole acceptance property: `execute` on a shuffled mixed
     /// batch is outcome-equivalent (homes, levels, latencies, messages)
-    /// to the sequential one-op-per-call shim, for all three schemes.
+    /// to the sequential one-op-per-call shim, on G-HBA, HBA and BFA8.
     #[test]
     fn mixed_batch_matches_sequential_all_schemes(
         ops in proptest::collection::vec(arb_op(), 1..80),
@@ -124,9 +129,9 @@ proptest! {
         let want = sequential(&mut one_by_one, &ops, EntryPolicy::Random);
         prop_assert_eq!(&got, &want, "HBA diverged");
 
-        // BFA (8 bits/file, no LRU level).
-        let mut batched = BfaCluster::with_servers(config(seed), servers, 8.0);
-        let mut one_by_one = BfaCluster::with_servers(config(seed), servers, 8.0);
+        // BFA8.
+        let mut batched = HbaCluster::with_servers(bfa8(config(seed)), servers);
+        let mut one_by_one = HbaCluster::with_servers(bfa8(config(seed)), servers);
         seed_files(&mut batched);
         seed_files(&mut one_by_one);
         let got = batched.execute(&batch_of(&ops, EntryPolicy::Random));
@@ -136,21 +141,29 @@ proptest! {
 
     /// The same equivalence under the deterministic round-robin policy
     /// (no RNG involved at all): op `i` is served by server
-    /// `(start + i) % N` in both modes.
+    /// `(start + i) % N` in both modes, on G-HBA and on HBA.
     #[test]
     fn mixed_batch_matches_sequential_round_robin(
         ops in proptest::collection::vec(arb_op(), 1..60),
         seed in 0u64..200,
         start in 0usize..32,
     ) {
+        let policy = EntryPolicy::RoundRobin { start };
         let mut batched = GhbaCluster::with_servers(config(seed), 9);
         let mut one_by_one = GhbaCluster::with_servers(config(seed), 9);
         seed_files(&mut batched);
         seed_files(&mut one_by_one);
-        let policy = EntryPolicy::RoundRobin { start };
         let got = batched.execute(&batch_of(&ops, policy));
         let want = sequential(&mut one_by_one, &ops, policy);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, want, "G-HBA diverged");
+
+        let mut batched = HbaCluster::with_servers(config(seed), 9);
+        let mut one_by_one = HbaCluster::with_servers(config(seed), 9);
+        seed_files(&mut batched);
+        seed_files(&mut one_by_one);
+        let got = batched.execute(&batch_of(&ops, policy));
+        let want = sequential(&mut one_by_one, &ops, policy);
+        prop_assert_eq!(got, want, "HBA diverged");
     }
 }
 
@@ -160,7 +173,7 @@ proptest! {
 fn rename_round_trip_all_schemes() {
     let mut grouped = GhbaCluster::with_servers(config(7), 10);
     let mut mirror = HbaCluster::with_servers(config(7), 10);
-    let mut bfa = BfaCluster::with_servers(config(7), 10, 8.0);
+    let mut bfa = HbaCluster::with_servers(bfa8(config(7)), 10);
     let services: [&mut dyn MetadataService; 3] = [&mut grouped, &mut mirror, &mut bfa];
     for service in services {
         let mut batch = OpBatch::new();
@@ -223,6 +236,10 @@ impl MetadataService for Recorder {
                 .collect(),
         );
         self.inner.execute(batch)
+    }
+
+    fn execute_concurrent(&self, batch: &OpBatch) -> Vec<OpOutcome> {
+        self.inner.execute_concurrent(batch)
     }
 
     fn filter_memory_per_mds(&self) -> usize {
