@@ -331,7 +331,7 @@ pub fn fig11(out: &mut impl Write) -> io::Result<()> {
         let mut cluster = GhbaCluster::with_servers(config, n);
         cluster.reset_stats();
         let report = loop {
-            let (_, report) = cluster.add_mds_reported();
+            let (_, report) = cluster.add_mds();
             if !report.split {
                 break report;
             }
@@ -512,8 +512,8 @@ pub fn fig15(out: &mut impl Write) -> io::Result<()> {
     let mut ghba = GhbaCluster::with_servers(config.clone(), n);
     let mut hba = HbaCluster::with_servers(config, n);
     for k in 1..=10 {
-        let ghba_msgs = ghba.add_mds_reported().1.messages;
-        let hba_msgs = hba.add_mds_reported().1.messages;
+        let ghba_msgs = ghba.add_mds().1.messages;
+        let hba_msgs = hba.add_mds().1.messages;
         row(
             out,
             &[k.to_string(), ghba_msgs.to_string(), hba_msgs.to_string()],

@@ -30,12 +30,6 @@ impl HashPlacement {
         HashPlacement { members, seed }
     }
 
-    /// Members in placement order.
-    #[must_use]
-    pub fn members(&self) -> &[MdsId] {
-        &self.members
-    }
-
     /// The member that holds `origin`'s replica: `members[h(origin) mod
     /// M′]`.
     #[must_use]
@@ -53,27 +47,6 @@ impl HashPlacement {
             .iter()
             .zip(before)
             .filter(|&(&origin, old)| self.target_of(origin) != old)
-            .count()
-    }
-
-    /// Removes a member, returning the migration count over `origins`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaver` is not a member or is the last member.
-    pub fn leave_and_count_migrations(&mut self, leaver: MdsId, origins: &[MdsId]) -> usize {
-        assert!(self.members.len() > 1, "cannot empty the placement");
-        let before: Vec<MdsId> = origins.iter().map(|&o| self.target_of(o)).collect();
-        let pos = self
-            .members
-            .iter()
-            .position(|&m| m == leaver)
-            .expect("leaver is a member");
-        self.members.remove(pos);
-        origins
-            .iter()
-            .zip(before)
-            .filter(|&(&origin, old)| self.target_of(origin) != old || old == leaver)
             .count()
     }
 }
@@ -104,7 +77,7 @@ mod tests {
         let placement = HashPlacement::new(ids(0..5), 7);
         for origin in ids(10..60) {
             let t = placement.target_of(origin);
-            assert!(placement.members().contains(&t));
+            assert!(placement.members.contains(&t));
             assert_eq!(t, placement.target_of(origin));
         }
     }
@@ -141,19 +114,6 @@ mod tests {
         let hash_moved = placement.join_and_count_migrations(MdsId(6), &origins);
         let ghba_moved = origins.len() / 7; // (N−M′)/(M′+1)
         assert!(hash_moved > ghba_moved * 3, "{hash_moved} vs {ghba_moved}");
-    }
-
-    #[test]
-    fn leave_counts_orphans_as_migrations() {
-        let mut placement = HashPlacement::new(ids(0..3), 9);
-        let origins = ids(50..150);
-        let orphaned: Vec<MdsId> = origins
-            .iter()
-            .copied()
-            .filter(|&o| placement.target_of(o) == MdsId(1))
-            .collect();
-        let moved = placement.leave_and_count_migrations(MdsId(1), &origins);
-        assert!(moved >= orphaned.len());
     }
 
     #[test]

@@ -361,7 +361,8 @@ impl GroupController {
     /// Plans against `report` and applies the plan through `handle`,
     /// returning the actions the handle accepted. A split's minted
     /// group id is put on cooldown too, so the new group gets the same
-    /// settling time as its parent.
+    /// settling time as its parent (and none a dissolved group that held
+    /// the id left behind).
     pub fn actuate(&mut self, report: &LoadReport, handle: &ReconfigHandle) -> Vec<AdaptAction> {
         let plan = self.plan(report, handle.max_group_size());
         let mut applied = Vec::with_capacity(plan.len());

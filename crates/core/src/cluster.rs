@@ -107,14 +107,6 @@ pub struct ClusterStats {
     pub splits: u64,
     /// Group merges performed.
     pub merges: u64,
-    /// L2/L3 plan consultations answered by a plan already built since
-    /// the last [`reset_stats`](Cluster::reset_stats) (the figure-binary
-    /// view of [`mask_cache_stats`](Cluster::mask_cache_stats), which
-    /// keeps lifetime totals).
-    pub mask_cache_hits: u64,
-    /// L2/L3 plan consultations that had to build their plan since the
-    /// last reset.
-    pub mask_cache_misses: u64,
     /// The cluster's event counts: false hits, drift checks, IDBFA
     /// update misroutes.
     pub counters: EventCounts,
@@ -259,7 +251,7 @@ pub type GhbaCluster = Cluster<Grouped>;
 pub struct Cluster<T: Topology> {
     pub(crate) config: GhbaConfig,
     /// Every server, indexed by its id: one slot per id ever issued up to
-    /// the highest (ids are never recycled, so a departure leaves a
+    /// the highest (server ids are never reused, so a departure leaves a
     /// 360-byte hole on x86-64).
     pub(crate) mdss: IdMap<MdsId, Mds>,
     /// Every server's live filter, bit-sliced: the one copy of it,
@@ -408,18 +400,15 @@ impl<T: Topology> Cluster<T> {
         self.routes.pin().epoch
     }
 
-    /// L2/L3 mask-cache accounting, both scopes, one source of truth —
-    /// a hit is a walk that read a plan some walk already built on its
-    /// snapshot, a miss the walk that built it. `lifetime_*` spans the
-    /// cluster's whole life; `window_*` is the reset-scoped view the
-    /// figure binaries read (cleared by
-    /// [`reset_stats`](Cluster::reset_stats)). Consults recorded on
-    /// `&self` walks but not yet drained are folded into both scopes,
-    /// so this is exact at any moment without a drain barrier.
+    /// L2/L3 mask-cache accounting over the cluster's whole life (not
+    /// cleared by [`reset_stats`](Cluster::reset_stats)) — a hit is a
+    /// walk that read a plan some walk already built on its snapshot, a
+    /// miss the walk that built it. Consults recorded on `&self` walks
+    /// but not yet drained are counted, so this is exact at any moment
+    /// without a drain barrier.
     #[must_use]
     pub fn mask_cache_stats(&self) -> crate::load::MaskCacheStats {
-        let window = (self.stats.mask_cache_hits, self.stats.mask_cache_misses);
-        self.telemetry().mask_cache_stats(window)
+        self.telemetry().mask_cache_stats()
     }
 
     /// Closes the open telemetry window and returns a
@@ -1613,37 +1602,5 @@ mod tests {
         cluster.check_invariants().expect("departed entry evicted");
         cluster.fail_mds(MdsId(7)).expect("failable");
         cluster.check_invariants().expect("failed entry evicted");
-    }
-
-    /// `ClusterStats` mirrors the mask-cache counters for the figure
-    /// binaries, respecting `reset_stats`.
-    #[test]
-    fn cluster_stats_surface_mask_cache_counters() {
-        let mut cluster = populated_cluster();
-        cluster.reset_stats();
-        let _ = cluster.lookup_from(MdsId(0), "/b/absent1");
-        let _ = cluster.lookup_from(MdsId(0), "/b/absent2");
-        let stats = cluster.stats();
-        assert_eq!(stats.mask_cache_misses, 2, "first walk builds L2 + L3");
-        assert_eq!(stats.mask_cache_hits, 2, "second walk answers from cache");
-        let unified = cluster.mask_cache_stats();
-        assert!(
-            unified.lifetime_hits >= 2 && unified.lifetime_misses >= 2,
-            "lifetime counters keep totals"
-        );
-        assert_eq!(
-            (unified.window_hits, unified.window_misses),
-            (stats.mask_cache_hits, stats.mask_cache_misses),
-            "the unified accessor's window scope is the figure-binary view"
-        );
-        cluster.reset_stats();
-        assert_eq!(cluster.stats().mask_cache_hits, 0);
-        let after = cluster.mask_cache_stats();
-        assert_eq!(
-            unified.lifetime(),
-            after.lifetime(),
-            "reset only clears the window scope"
-        );
-        assert_eq!(after.window_hits, 0, "window scope resets");
     }
 }

@@ -137,8 +137,7 @@ pub(crate) struct Telemetry {
     pending: WalkTally,
     /// Decayed per-group rates, one window per load report.
     windows: LoadWindows,
-    /// Lifetime `(hits, misses)` of the mask consults already folded
-    /// into `ClusterStats`, which keeps the reset-scoped view.
+    /// Lifetime `(hits, misses)` of the mask consults already folded.
     mask_lifetime: (u64, u64),
 }
 
@@ -148,8 +147,8 @@ impl Telemetry {
         self.pending.add(tally);
     }
 
-    /// Moves the pending levels, latency, false hits and mask consults
-    /// into `stats` and the lifetime mask counts. The load part stays:
+    /// Moves the pending levels, latency and false hits into `stats` and
+    /// the mask consults into the lifetime counts. The load part stays:
     /// it is the open window of the next load report.
     pub fn fold_into(&mut self, stats: &mut ClusterStats) {
         let pending = &mut self.pending;
@@ -172,15 +171,15 @@ impl Telemetry {
         counters.l3_false_hits += l3;
         counters.l4_false_positive_disk_checks += l4;
         let [hits, misses] = core::mem::take(&mut pending.mask);
-        stats.mask_cache_hits += hits;
-        stats.mask_cache_misses += misses;
         self.mask_lifetime.0 += hits;
         self.mask_lifetime.1 += misses;
     }
 
     /// Closes the open load window — folds the pending load into the
     /// decayed rates and clears it — and reports the rates under the
-    /// live `shape`.
+    /// live `shape`. The decayed rows of groups `shape` does not list go,
+    /// so a group that reuses a dissolved group's id starts with no load
+    /// history.
     pub fn load_report(
         &mut self,
         epoch: MembershipEpoch,
@@ -188,17 +187,15 @@ impl Telemetry {
     ) -> LoadReport {
         let closed = &mut self.pending.load;
         let fresh = closed.lookups();
-        self.windows.fold(closed);
+        self.windows.fold(closed, shape);
         closed.clear();
         self.windows.report(epoch, fresh, shape)
     }
 
-    /// Both scopes of mask-consult accounting: the lifetime counts and
-    /// `window` (the reset-scoped folded pair), each with the pending
-    /// consults added.
-    pub fn mask_cache_stats(&self, window: (u64, u64)) -> MaskCacheStats {
+    /// The lifetime mask-consult counts, pending consults included.
+    pub fn mask_cache_stats(&self) -> MaskCacheStats {
         let [hits, misses] = self.pending.mask;
-        MaskCacheStats::assemble(self.mask_lifetime, window, (hits, misses))
+        MaskCacheStats::assemble(self.mask_lifetime, (hits, misses))
     }
 }
 

@@ -1,9 +1,10 @@
 //! Identifier newtypes for servers and groups, and the dense map the
 //! serving state keys by them.
 //!
-//! Server and group ids are dense small integers issued by monotonic
-//! allocators and never recycled, so a table keyed by one is a vector
-//! indexed by it: an [`IdMap`]. The cluster's servers and the routing
+//! Server and group ids are dense small integers: server ids are issued
+//! in order and never reused, and a new group takes the lowest id no live
+//! group holds. So a table keyed by one is a vector indexed by it: an
+//! [`IdMap`]. The cluster's servers and the routing
 //! snapshot's group tables are `IdMap`s, so a walk's verification of a
 //! candidate, the L4 sweep over the servers whose bit survived, and the
 //! drain of each write record reach their server by index — one bounds
@@ -91,9 +92,11 @@ impl fmt::Display for MembershipEpoch {
 /// leaves every other group's plans warm (the all-or-nothing flush this
 /// replaces cold-started every mask on any reconfiguration).
 ///
-/// Group ids are never recycled (the allocator is monotonic), so a
-/// fresh group starting at the default epoch can never inherit the plan
-/// of a departed group of the same id.
+/// Group ids are reused: a dissolved group's id goes to the next group
+/// a split or a founding join creates, and its epoch restarts at the
+/// default. That group inherits no plan of the dissolved one, because a
+/// successor carries a plan only while the group's storage is the same
+/// `Arc`, and a new group is new storage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupEpoch(pub u64);
 
@@ -134,12 +137,12 @@ impl DenseId for GroupId {
 /// a lookup that is a bounds check and a tag test.
 ///
 /// Iteration yields entries in ascending id order, exactly as a
-/// `BTreeMap` would, and every iterator knows its length. Because ids
-/// are never recycled, the vector holds one slot per id ever inserted up
-/// to the highest — a removed id leaves a hole, nothing compacts — so
-/// its size is bounded by the allocator's position, not by the live
-/// count: one slot per server ever issued (≈ 360 B each for the
-/// cluster's servers) and one per group ever allocated.
+/// `BTreeMap` would, and every iterator knows its length. The vector
+/// holds one slot per id up to the highest ever inserted — a removed id
+/// leaves a hole, nothing compacts. Server ids are never reused, so the
+/// cluster's servers take one slot per server ever issued (≈ 360 B
+/// each); group ids are, so a group table takes one slot per group that
+/// ever existed at once, not one per group ever created.
 #[derive(Clone)]
 pub(crate) struct IdMap<K, V> {
     slots: Vec<Option<(K, V)>>,

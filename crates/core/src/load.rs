@@ -21,12 +21,14 @@
 //!   [`GroupLoad`] row per live group (shape from the pinned routing
 //!   snapshot, rates from the decayed windows), plus window totals.
 //!
-//! A tally's group table is indexed directly by [`GroupId`] (ids are
-//! monotonic and never recycled) and grows on demand; ids at or past
-//! `LOAD_GROUP_SLOTS - 1` share the final slot, so an extremely long
-//! split history degrades to aggregated accounting for the newest groups
-//! rather than a table that grows with it. The same scheme covers the
-//! per-entry-server table that feeds member-imbalance rates.
+//! A tally's group table is indexed directly by [`GroupId`] and grows on
+//! demand. A new group takes the lowest id no live group holds, so the
+//! table is as long as the most groups that were ever live at once, not
+//! as the split history; and a report drops the decayed rows of groups
+//! its shape does not list, so a reused id starts with no load history.
+//! The per-entry-server table that feeds member-imbalance rates is
+//! indexed by server id, and server ids are never reused: ids at or past
+//! `LOAD_ENTRY_SLOTS - 1` share its final slot.
 //!
 //! False-hit accounting is recorded with full fidelity. Mask-consult
 //! rates cover the snapshot's plan table, whose plans a successor
@@ -41,10 +43,8 @@ use std::collections::BTreeMap;
 use crate::ids::{GroupId, MdsId, MembershipEpoch};
 use crate::query::QueryLevel;
 
-/// Group slots a tally keeps. Group ids `>= LOAD_GROUP_SLOTS - 1`
-/// aggregate into the final slot.
-pub(crate) const LOAD_GROUP_SLOTS: usize = 2048;
-/// Entry-server slots; same overflow rule.
+/// Entry-server slots a tally keeps. Server ids `>= LOAD_ENTRY_SLOTS -
+/// 1` aggregate into the final slot.
 pub(crate) const LOAD_ENTRY_SLOTS: usize = 2048;
 
 /// One group's raw counts in the open window.
@@ -78,8 +78,8 @@ impl RawGroupWindow {
 
 /// Load — walks and mask consults — counted in plain words: a pin's
 /// runs' splices count into one, and the cluster sums every pin's into
-/// the one it folds at report cadence. Both tables are indexed by slot
-/// (`group_slot`, `entry_slot`) and grow on demand.
+/// the one it folds at report cadence. Both tables grow on demand: the
+/// group table is indexed by group id, the entry table by `entry_slot`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LoadTally {
     groups: Vec<RawGroupWindow>,
@@ -88,7 +88,7 @@ pub(crate) struct LoadTally {
 
 impl LoadTally {
     fn group(&mut self, gid: GroupId) -> &mut RawGroupWindow {
-        let slot = group_slot(gid);
+        let slot = usize::from(gid.0);
         if self.groups.len() <= slot {
             self.groups.resize(slot + 1, RawGroupWindow::default());
         }
@@ -156,11 +156,6 @@ impl LoadTally {
 }
 
 #[inline]
-fn group_slot(gid: GroupId) -> usize {
-    (gid.0 as usize).min(LOAD_GROUP_SLOTS - 1)
-}
-
-#[inline]
 fn entry_slot(entry: MdsId) -> usize {
     (entry.0 as usize).min(LOAD_ENTRY_SLOTS - 1)
 }
@@ -182,7 +177,7 @@ struct DecayedGroup {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LoadWindows {
     window: u64,
-    groups: BTreeMap<usize, DecayedGroup>,
+    groups: BTreeMap<GroupId, DecayedGroup>,
     entries: BTreeMap<usize, f64>,
 }
 
@@ -192,8 +187,9 @@ pub(crate) struct LoadWindows {
 const ALPHA: f64 = 0.5;
 
 impl LoadWindows {
-    /// Folds one closed window's counts into the decayed rates.
-    pub(crate) fn fold(&mut self, closed: &LoadTally) {
+    /// Folds one closed window's counts into the decayed rates, keeping
+    /// the rows of the groups the live `shape` lists.
+    pub(crate) fn fold(&mut self, closed: &LoadTally, shape: &[(GroupId, Vec<MdsId>)]) {
         self.window += 1;
         for decayed in self.groups.values_mut() {
             decayed.lookups *= ALPHA;
@@ -206,9 +202,9 @@ impl LoadWindows {
         for rate in self.entries.values_mut() {
             *rate *= ALPHA;
         }
-        let counted = closed.groups.iter().enumerate();
-        for (slot, window) in counted.filter(|(_, w)| **w != RawGroupWindow::default()) {
-            let decayed = self.groups.entry(slot).or_default();
+        let counted = (0..=u16::MAX).map(GroupId).zip(&closed.groups);
+        for (gid, window) in counted.filter(|(_, w)| **w != RawGroupWindow::default()) {
+            let decayed = self.groups.entry(gid).or_default();
             decayed.lookups += window.lookups as f64;
             decayed.l3_walks += window.l3_walks as f64;
             decayed.l4_walks += window.l4_walks as f64;
@@ -219,17 +215,15 @@ impl LoadWindows {
         for (slot, &count) in closed.entries.iter().enumerate().filter(|&(_, &n)| n > 0) {
             *self.entries.entry(slot).or_default() += count as f64;
         }
-        // Drop rows decayed to dust so dissolved groups and retired
-        // servers do not accumulate forever.
-        self.groups.retain(|_, d| d.lookups >= 1e-3);
+        // Drop dissolved groups' rows — their ids may be reused — and
+        // retired servers' rows once they decay to dust.
+        let live = |gid: &GroupId| shape.iter().any(|(live, _)| live == gid);
+        self.groups.retain(|gid, d| live(gid) && d.lookups >= 1e-3);
         self.entries.retain(|_, rate| *rate >= 1e-3);
     }
 
     fn group(&self, gid: GroupId) -> DecayedGroup {
-        self.groups
-            .get(&group_slot(gid))
-            .copied()
-            .unwrap_or_default()
+        self.groups.get(&gid).copied().unwrap_or_default()
     }
 
     fn entry_rate(&self, entry: MdsId) -> f64 {
@@ -366,13 +360,10 @@ impl LoadReport {
     }
 }
 
-/// Unified L2/L3 mask-cache accounting: **one documented accessor, two
-/// scopes**: the lifetime view (spanning every walk since
-/// construction) and the reset-scoped view (the
-/// [`ClusterStats`](crate::ClusterStats) fields, cleared by
-/// `reset_stats`). Both also count the consults still in the
-/// cluster's unfolded tally, so a `&self` reader — the load report, a
-/// controller, a bench — sees every consult that has happened, drained
+/// L2/L3 mask-cache accounting over every walk since construction
+/// (`reset_stats` does not clear it), counting the consults still in the
+/// cluster's unfolded tally too, so a `&self` reader — the load report,
+/// a controller, a bench — sees every consult that has happened, drained
 /// or not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaskCacheStats {
@@ -381,26 +372,16 @@ pub struct MaskCacheStats {
     pub lifetime_hits: u64,
     /// Consults that had to build their mask, lifetime.
     pub lifetime_misses: u64,
-    /// Hits since the last `reset_stats` (the figure-binary scope).
-    pub window_hits: u64,
-    /// Misses since the last `reset_stats`.
-    pub window_misses: u64,
 }
 
 impl MaskCacheStats {
-    /// Assembles the unified view from the lifetime accumulator, the
-    /// reset-scoped fold, and the not-yet-folded consults.
+    /// Assembles the view from the lifetime accumulator and the
+    /// not-yet-folded consults.
     #[must_use]
-    pub(crate) fn assemble(
-        lifetime: (u64, u64),
-        window: (u64, u64),
-        pending: (u64, u64),
-    ) -> MaskCacheStats {
+    pub(crate) fn assemble(lifetime: (u64, u64), pending: (u64, u64)) -> MaskCacheStats {
         MaskCacheStats {
             lifetime_hits: lifetime.0 + pending.0,
             lifetime_misses: lifetime.1 + pending.1,
-            window_hits: window.0 + pending.0,
-            window_misses: window.1 + pending.1,
         }
     }
 
@@ -444,25 +425,29 @@ mod tests {
     }
 
     #[test]
-    fn overflow_ids_share_the_final_slot() {
-        let last = GroupId((LOAD_GROUP_SLOTS - 1) as u16);
+    fn overflow_entries_share_the_final_slot() {
         let mut tally = LoadTally::default();
-        tally.walk(GroupId(u16::MAX), MdsId(u16::MAX), QueryLevel::L2Segment, 0);
-        tally.walk(last, MdsId(9), QueryLevel::L2Segment, 0);
-        assert_eq!(tally.groups.len(), LOAD_GROUP_SLOTS);
+        tally.walk(GroupId(0), MdsId(u16::MAX), QueryLevel::L2Segment, 0);
+        tally.walk(GroupId(0), MdsId(9), QueryLevel::L2Segment, 0);
         assert_eq!(tally.entries.len(), LOAD_ENTRY_SLOTS);
-        assert_eq!(tally.groups[LOAD_GROUP_SLOTS - 1].lookups, 2);
+        assert_eq!(tally.entries[LOAD_ENTRY_SLOTS - 1], 1);
+        assert_eq!(tally.entries[9], 1);
+    }
+
+    /// A report keeps only the rows of the groups its shape lists, so a
+    /// dissolved group's history is gone before its id is reused.
+    #[test]
+    fn dissolved_groups_leave_no_history_for_a_reused_id() {
         let mut windows = LoadWindows::default();
-        windows.fold(&tally);
-        let shape = [
-            (last, vec![MdsId(9)]),
-            (GroupId(u16::MAX), vec![MdsId(u16::MAX)]),
-        ];
-        let report = windows.report(MembershipEpoch(0), tally.lookups(), &shape);
-        assert_eq!(report.fresh_lookups, 2);
-        for row in &report.groups {
-            assert_eq!(row.lookups, 2.0, "{:?} reads the shared slot", row.gid);
-        }
+        let mut tally = LoadTally::default();
+        tally.walk(GroupId(1), MdsId(2), QueryLevel::L2Segment, 0);
+        let both = [(GroupId(0), vec![MdsId(0)]), (GroupId(1), vec![MdsId(2)])];
+        windows.fold(&tally, &both);
+        let report = windows.report(MembershipEpoch(0), 1, &both);
+        assert_eq!(report.groups[1].lookups, 1.0);
+        windows.fold(&LoadTally::default(), &both[..1]);
+        let reused = windows.report(MembershipEpoch(1), 0, &both);
+        assert_eq!(reused.groups[1].lookups, 0.0, "group 1 starts clean");
     }
 
     #[test]
@@ -480,7 +465,7 @@ mod tests {
         for _ in 0..10 {
             tally.walk(GroupId(1), MdsId(2), QueryLevel::L2Segment, 0);
         }
-        windows.fold(&tally);
+        windows.fold(&tally, &shape);
         let report = windows.report(MembershipEpoch(3), tally.lookups(), &shape);
         assert_eq!(report.window, 1);
         assert_eq!(report.fresh_lookups, 100);
@@ -490,7 +475,7 @@ mod tests {
         assert!((g0.l3_share - 1.0).abs() < 1e-9);
         assert!((g0.imbalance - 2.0).abs() < 1e-9, "one of two members hot");
         // Window 2: silence. Rates halve, shares persist.
-        windows.fold(&LoadTally::default());
+        windows.fold(&LoadTally::default(), &shape);
         let report = windows.report(MembershipEpoch(3), 0, &shape);
         let g0 = report.group(GroupId(0)).expect("g0");
         assert!((g0.lookups - 45.0).abs() < 1e-9, "alpha 0.5 halves");
@@ -510,9 +495,8 @@ mod tests {
     }
 
     #[test]
-    fn mask_cache_stats_unify_scopes() {
-        let stats = MaskCacheStats::assemble((100, 10), (40, 5), (6, 4));
+    fn mask_cache_stats_count_pending_consults() {
+        let stats = MaskCacheStats::assemble((100, 10), (6, 4));
         assert_eq!(stats.lifetime(), (106, 14));
-        assert_eq!((stats.window_hits, stats.window_misses), (46, 9));
     }
 }

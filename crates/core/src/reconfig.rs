@@ -30,7 +30,7 @@ use crate::group::Group;
 use crate::ids::{GroupId, MdsId};
 use crate::mds::{row_indices, Mds};
 use crate::metadata::CompactPath;
-use crate::snapshot::{L2Plan, RouteEdit, RouteSnapshot, SlabOp, GROUP_IDS_SPENT};
+use crate::snapshot::{L2Plan, RouteEdit, RouteSnapshot, SlabOp};
 use crate::update::UpdateReport;
 
 /// What one reconfiguration operation cost.
@@ -195,8 +195,7 @@ impl RouteEdit<'_> {
 
     /// Merges group `b` into group `a` (light-weight: holders keep their
     /// replicas; only duplicate and now-internal replicas are dropped).
-    /// `b`'s id (and its stale cache entries, which can never validate
-    /// again) retires.
+    /// `b`'s id is free again: the next split or founding join reuses it.
     pub(crate) fn merge(&mut self, a: GroupId, b: GroupId) -> ReconfigReport {
         let mut report = ReconfigReport::default();
         let b_group = self.remove_group(b).expect("merge source exists");
@@ -316,35 +315,24 @@ impl<T: Topology> Cluster<T> {
     /// suitable group (§3.1), splitting it if it overflows `M` (§3.2);
     /// under HBA the newcomer receives **all `N` existing replicas** (to
     /// hold the full mirror) and broadcasts its own filter to everyone —
-    /// the cost Figures 11/15 contrast. Returns the new server's id;
-    /// per-operation costs are in the accumulated
-    /// [`stats`](Cluster::stats) and the returned report of
-    /// [`add_mds_reported`].
-    ///
-    /// [`add_mds_reported`]: Cluster::add_mds_reported
-    pub fn add_mds(&mut self) -> MdsId {
-        self.add_mds_reported().0
-    }
-
-    /// Like [`add_mds`](Cluster::add_mds), also returning the cost
-    /// report for this single operation.
+    /// the cost Figures 11/15 contrast. Returns the new server's id and
+    /// this operation's cost report; the cost also joins the accumulated
+    /// [`stats`](Cluster::stats).
     ///
     /// # Panics
     ///
     /// Panics, before anything changes, once all `u16::MAX` server ids
-    /// have been issued (ids are never recycled). Under G-HBA it also
-    /// panics when the join must found or split a group and every group
-    /// id is spent; the published routes are then left as they were.
-    pub fn add_mds_reported(&mut self) -> (MdsId, ReconfigReport) {
+    /// have been issued (server ids are never reused).
+    pub fn add_mds(&mut self) -> (MdsId, ReconfigReport) {
         let id = MdsId(self.next_mds);
         self.next_mds = self
             .next_mds
             .checked_add(1)
-            .expect("the u16 server id space is spent: server ids are never recycled");
+            .expect("the u16 server id space is spent: server ids are never reused");
         self.maybe_drain();
         // The live slab allocates the slot; the join's edit gives the
         // published slab the same one.
-        let slot = self.live.push(id).expect("server ids are never recycled");
+        let slot = self.live.push(id).expect("server ids are never reused");
         self.mdss.insert(id, Mds::new(id, slot, &self.config));
         let report = T::join(self, id);
         self.account_reconfig(&report);
@@ -504,16 +492,6 @@ impl Topology for Grouped {
             .values()
             .min_by_key(|g| (g.len() >= max_group_size, g.len(), g.id()))
             .map(|g| g.id());
-        // Founding the first group or splitting a full one takes a fresh
-        // group id. Checked under the writer lock, so no handle spends
-        // the last one first; the edit is dropped unpublished before the
-        // panic, so the writer mutex stays usable.
-        let takes_group_id =
-            target.is_none_or(|gid| edit.work.groups[&gid].len() >= max_group_size);
-        if takes_group_id && !edit.work.group_id_left() {
-            drop(edit);
-            panic!("{GROUP_IDS_SPENT}");
-        }
         edit.push_op(SlabOp::Push(id, cluster.mdss[&id].slot()));
         let gid = match target {
             Some(gid) => gid,

@@ -344,12 +344,14 @@ pub(crate) struct PlanTable {
 }
 
 impl PlanTable {
-    /// A table with no plan, sized to `snap`'s server and group ids.
+    /// A table with no plan, sized to `snap`'s highest server id and
+    /// highest live group id.
     pub(crate) fn cold(snap: &RouteSnapshot) -> Self {
         let servers = snap.slab.ids().map(|id| usize::from(id.0) + 1).max();
+        let groups = snap.groups.keys().map(|gid| usize::from(gid.0) + 1).max();
         PlanTable {
             l2: (0..servers.unwrap_or(0)).map(|_| OnceLock::new()).collect(),
-            l3: (0..snap.next_group).map(|_| OnceLock::new()).collect(),
+            l3: (0..groups.unwrap_or(0)).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -372,8 +374,8 @@ impl PlanTable {
                     (was, is) => was.is_none() && is.is_none(),
                 }
         };
-        // Without a relayout the server ids are the same and group ids
-        // only grow, so every kept plan's slot exists and is empty.
+        // Without a relayout the server ids are the same, and a kept
+        // plan's group is live in `next`, so its slot exists and is empty.
         for (id, plan) in base.plans.l2_plans() {
             if next.group_of(id) == base.group_of(id) && kept(plan.gid) {
                 let _ = table.l2[usize::from(id.0)].set(Arc::clone(plan));
@@ -432,6 +434,8 @@ pub struct RouteSnapshot {
     pub(crate) slab: Arc<SharedShapeArray<MdsId>>,
     /// Live groups; copy-on-write per group, so an edit touching one
     /// group shares every other group's storage with its predecessor.
+    /// A dissolved group's id goes to the next group created
+    /// ([`RouteEdit::alloc_group_id`]).
     pub(crate) groups: IdMap<GroupId, Arc<Group>>,
     /// Server → group membership index.
     pub(crate) group_of: IdMap<MdsId, GroupId>,
@@ -439,27 +443,13 @@ pub struct RouteSnapshot {
     pub(crate) group_epochs: IdMap<GroupId, GroupEpoch>,
     /// The membership epoch this snapshot was published under.
     pub(crate) epoch: MembershipEpoch,
-    /// Monotonic group-id allocator (ids are never recycled); lives in
-    /// the snapshot so concurrent reconfiguration handles allocate
-    /// consistently under the writer lock. A checkpoint stores it as a
-    /// `u16`, so ids `0..u16::MAX` are all there are.
-    pub(crate) next_group: u16,
     /// This snapshot's walk plans, filled by the walks pinned to it (see
     /// [`PlanTable`]). A working copy shares its base's table until
     /// [`RouteEdit::commit`] gives the successor its own.
     pub(crate) plans: Arc<PlanTable>,
 }
 
-/// The panic message of a group id allocation with none left.
-pub(crate) const GROUP_IDS_SPENT: &str =
-    "the u16 group id space is spent: group ids are never recycled";
-
 impl RouteSnapshot {
-    /// Whether a group id is left to allocate.
-    pub(crate) fn group_id_left(&self) -> bool {
-        self.next_group < u16::MAX
-    }
-
     /// An empty routing state (no servers, no groups).
     pub(crate) fn empty(slab: SharedShapeArray<MdsId>) -> Self {
         RouteSnapshot {
@@ -468,7 +458,6 @@ impl RouteSnapshot {
             group_of: IdMap::new(),
             group_epochs: IdMap::new(),
             epoch: MembershipEpoch::default(),
-            next_group: 0,
             plans: Arc::default(),
         }
     }
@@ -598,17 +587,14 @@ impl<'a> RouteEdit<'a> {
         self.work.groups.insert(group.id(), Arc::new(group));
     }
 
-    /// Allocates the next group id (monotonic, never recycled).
-    ///
-    /// # Panics
-    ///
-    /// Panics when none is left; every caller checks
-    /// [`group_id_left`](RouteSnapshot::group_id_left) first, under this
-    /// edit, and refuses before it mutates anything.
+    /// The lowest group id no live group holds: a dissolved group's id
+    /// is reused, so every id is below the most groups ever live at
+    /// once. One is always free — groups are non-empty, so a split or a
+    /// founding join never leaves more groups than servers, and there
+    /// are fewer than 2¹⁶ server ids.
     pub(crate) fn alloc_group_id(&mut self) -> GroupId {
-        let gid = GroupId(self.work.next_group);
-        self.work.next_group = gid.0.checked_add(1).expect(GROUP_IDS_SPENT);
-        gid
+        let free = (0..=u16::MAX).find(|&at| !self.work.groups.contains_key(&GroupId(at)));
+        GroupId(free.expect("fewer live groups than server ids"))
     }
 
     /// Removes a dissolved group and its epoch entry.
@@ -756,15 +742,15 @@ impl ReconfigHandle {
     }
 
     /// Splits `gid` per §3.2 and publishes the result. Returns the new
-    /// group's id, or `None` when the group is missing, too small for
-    /// the split rule to leave both halves non-empty, or every group id
-    /// is spent (ids are never recycled).
+    /// group's id — the lowest one no live group holds — or `None` when
+    /// the group is missing or too small for the split rule to leave
+    /// both halves non-empty.
     #[must_use]
     pub fn split_group(&self, gid: GroupId) -> Option<GroupId> {
         let mut edit = RouteEdit::begin(&self.routes);
         let take = self.max_group_size / 2 + 1;
         let len = edit.work.groups.get(&gid).map(|g| g.len())?;
-        if len <= take || !edit.work.group_id_left() {
+        if len <= take {
             return None;
         }
         let (new_gid, _report) = edit.split(gid, self.max_group_size);
@@ -967,47 +953,85 @@ mod tests {
         );
     }
 
-    /// Group ids are never recycled, so a long-lived controller can
-    /// spend them all. With none left, a split is refused before its edit
-    /// changes anything — the routes stay sound and every file resolves —
-    /// and a join that must split a full group panics without poisoning
-    /// the writer: the handle still publishes after both.
-    #[test]
-    fn a_split_with_no_group_id_left_is_refused() {
-        use crate::{GhbaCluster, GhbaConfig, MetadataService};
+    /// A cluster of `servers` under groups of at most 8, its files
+    /// created and published.
+    fn reshapeable(servers: usize) -> crate::GhbaCluster {
+        use crate::{GhbaConfig, MetadataService};
         let config = GhbaConfig::default()
-            .with_max_group_size(4)
+            .with_max_group_size(8)
             .with_filter_capacity(500)
+            .with_lru_capacity(0)
             .with_seed(5);
-        let mut cluster = GhbaCluster::with_servers(config, 8);
-        let paths: Vec<String> = (0..40).map(|i| format!("/ids/f{i}")).collect();
-        for path in &paths {
-            cluster.create(path);
+        let mut cluster = crate::GhbaCluster::with_servers(config, servers);
+        for i in 0..40 {
+            cluster.create(&format!("/ids/f{i}"));
         }
         cluster.flush_all_updates();
-        let mut edit = RouteEdit::begin(&cluster.routes);
-        edit.work.next_group = u16::MAX;
-        edit.commit();
-
-        let handle = cluster.reconfig_handle();
-        let full = handle.group_ids()[0];
-        assert_eq!(handle.group_members(full).map(|m| m.len()), Some(4));
-        assert_eq!(handle.split_group(full), None, "no group id is left");
         cluster
-            .check_invariants()
-            .expect("a refused split changes nothing");
-        for path in &paths {
-            assert_eq!(cluster.lookup(path).home, cluster.true_home(path));
-        }
+    }
 
-        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cluster.add_mds()));
-        let payload = joined.expect_err("every group is full: the join must split one");
-        let message = payload.downcast_ref::<String>().map(String::as_str);
-        assert_eq!(message, Some(GROUP_IDS_SPENT));
-        assert!(
-            handle.rebalance_group(full).is_some(),
-            "the writer still publishes"
+    /// Walks every file from every server, so each live group's L2 and
+    /// L3 plans are built on the published snapshot, then checks every
+    /// invariant — invariant 8 compares each filled plan slot to a
+    /// fresh build.
+    fn warm_and_check(cluster: &mut crate::GhbaCluster) {
+        for entry in cluster.server_ids() {
+            for i in 0..40 {
+                let path = format!("/ids/f{i}");
+                let outcome = cluster.lookup_from(entry, &path);
+                assert_eq!(outcome.home, cluster.true_home(&path));
+            }
+        }
+        cluster.check_invariants().expect("no stale plan");
+    }
+
+    /// A merge frees the dissolved group's id and the next split takes
+    /// it again, and the reused id carries none of the dissolved
+    /// group's warm plans.
+    #[test]
+    fn a_merged_away_group_id_is_minted_again() {
+        let mut cluster = reshapeable(8);
+        let handle = cluster.reconfig_handle();
+        assert_eq!(handle.group_ids(), [GroupId(0)]);
+        warm_and_check(&mut cluster);
+        assert_eq!(handle.split_group(GroupId(0)), Some(GroupId(1)));
+        warm_and_check(&mut cluster);
+        assert!(handle.merge_groups(GroupId(0), GroupId(1)));
+        warm_and_check(&mut cluster);
+        assert_eq!(
+            handle.split_group(GroupId(0)),
+            Some(GroupId(1)),
+            "the merged-away id is the lowest free one"
         );
+        warm_and_check(&mut cluster);
+    }
+
+    /// A controller that has split and merged thousands of times still
+    /// sees each new group as its own load row, and its snapshots plan
+    /// for the groups that exist, not for every group ever created.
+    #[test]
+    fn long_reshape_histories_keep_groups_apart() {
+        let mut cluster = reshapeable(16);
+        let handle = cluster.reconfig_handle();
+        assert_eq!(handle.group_ids(), [GroupId(0), GroupId(1)]);
+        for _ in 0..2_048 {
+            let minted = handle.split_group(GroupId(0)).expect("a full group splits");
+            assert!(handle.merge_groups(GroupId(0), minted));
+        }
+        let plan_slots = cluster.routes.pin().plans.l3.len();
+        let hot = handle.split_group(GroupId(0)).expect("splits");
+        let cold = handle.split_group(GroupId(1)).expect("splits");
+        for (gid, walks) in [(hot, 30), (cold, 10)] {
+            let entry = handle.group_members(gid).expect("live")[0];
+            for i in 0..walks {
+                let _ = cluster.lookup_from(entry, &format!("/ids/f{}", i % 40));
+            }
+        }
+        let report = cluster.load_report();
+        let lookups = |gid| report.group(gid).expect("a live group has a row").lookups;
+        assert_eq!((lookups(hot), lookups(cold)), (30.0, 10.0));
+        assert!(plan_slots <= 2, "{plan_slots} L3 slots for groups 0 and 1");
+        assert_eq!((hot, cold), (GroupId(2), GroupId(3)));
     }
 
     #[test]

@@ -91,8 +91,10 @@ pub struct Checkpoint {
     pub wal_seq: u64,
     /// The configuration the checkpoint is only valid under.
     pub guard: ConfigGuard,
-    /// The snapshot's monotonic group-id allocator position.
-    pub next_group: u16,
+    /// One past the highest live group id (0 with no group): every
+    /// shape's id is below it. Group ids are reused, so it is at most the
+    /// number of servers.
+    pub group_id_bound: u16,
     /// Every live group's shape, ascending by id.
     pub groups: Vec<GroupShape>,
     /// Every server's durable state, ascending by id: its paths in
@@ -176,7 +178,7 @@ pub(super) struct CheckpointView<'a, S> {
     epoch: u64,
     wal_seq: u64,
     guard: ConfigGuard,
-    next_group: u16,
+    group_id_bound: u16,
     groups: Cow<'a, [GroupShape]>,
     servers: S,
 }
@@ -201,7 +203,7 @@ impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
             w.u64(self.guard.filter_bits);
             w.u32(self.guard.filter_hashes);
             w.u64(self.guard.write_shards);
-            w.u16(self.next_group);
+            w.u16(self.group_id_bound);
             w.list(self.groups.iter(), |w, group| {
                 w.u16(group.gid.0);
                 w.u64(group.epoch);
@@ -232,7 +234,7 @@ impl<'a, S: ExactSizeIterator<Item = ServerView<'a>>> CheckpointView<'a, S> {
             epoch: self.epoch,
             wal_seq: self.wal_seq,
             guard: self.guard,
-            next_group: self.next_group,
+            group_id_bound: self.group_id_bound,
             groups: self.groups.into_owned(),
             servers: self.servers.map(ServerView::into_owned).collect(),
         }
@@ -269,7 +271,7 @@ impl<T: Topology> Cluster<T> {
             epoch: snap.epoch.0,
             wal_seq,
             guard: ConfigGuard::of(&self.config),
-            next_group: snap.next_group,
+            group_id_bound: snap.groups.keys().last().map_or(0, |gid| gid.0 + 1),
             groups: Cow::Owned(groups),
             servers: self
                 .mdss
@@ -286,7 +288,7 @@ impl Checkpoint {
             epoch: self.epoch,
             wal_seq: self.wal_seq,
             guard: self.guard.clone(),
-            next_group: self.next_group,
+            group_id_bound: self.group_id_bound,
             groups: Cow::Borrowed(&self.groups),
             servers: self.servers.iter().map(ServerView::of_state),
         }
@@ -340,7 +342,7 @@ impl Checkpoint {
             filter_hashes: r.u32()?,
             write_shards: r.u64()?,
         };
-        let next_group = r.u16()?;
+        let group_id_bound = r.u16()?;
         // Struct fields are read in the order they are written.
         let groups = r.list(1 << 16, |r| {
             Ok::<_, CodecError>(GroupShape {
@@ -363,7 +365,7 @@ impl Checkpoint {
             epoch,
             wal_seq,
             guard,
-            next_group,
+            group_id_bound,
             groups,
             servers,
         })

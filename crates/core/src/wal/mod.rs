@@ -138,9 +138,9 @@
 //!   the checkpoint records group membership and epochs exactly, and
 //!   recovery rebuilds replica placement deterministically
 //!   (lightest-member-first), which can differ from a path-dependent
-//!   pre-crash placement — identical homes and levels, possibly
-//!   different modelled multicast latencies. Unreshaped clusters (the
-//!   deployment default) recover bit-identically.
+//!   pre-crash placement — identical homes, but a lookup may resolve at
+//!   another level (L2 where it was L3) and modelled latency. Unreshaped
+//!   clusters (the deployment default) recover bit-identically.
 //! * Reconfiguration after the last checkpoint. A join, leave, split or
 //!   merge is not logged, so a restart rebuilds the shape the last
 //!   checkpoint holds (or the startup shape) and replays the tail onto

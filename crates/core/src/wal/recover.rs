@@ -146,8 +146,7 @@ impl GhbaCluster {
         }
         let shape_matches = {
             let snap = self.routes.pin();
-            checkpoint.next_group == snap.next_group
-                && checkpoint.epoch == snap.epoch.0
+            checkpoint.epoch == snap.epoch.0
                 && checkpoint.groups.len() == snap.groups.len()
                 && checkpoint.groups.iter().all(|shape| {
                     snap.group_epoch(shape.gid).0 == shape.epoch
@@ -194,8 +193,8 @@ impl GhbaCluster {
 
     /// Restores a checkpointed group shape that differs from the
     /// deterministic startup shape (a controller reshaped the cluster
-    /// before the capture): exact membership, group epochs, allocator
-    /// position, and membership epoch; replica placement is rebuilt
+    /// before the capture): exact membership, group epochs and
+    /// membership epoch; replica placement is rebuilt
     /// deterministically (see the module docs).
     fn restore_group_shape(&mut self, checkpoint: &Checkpoint) -> Result<(), WalError> {
         let mut seen: BTreeSet<MdsId> = BTreeSet::new();
@@ -204,9 +203,9 @@ impl GhbaCluster {
             if shape.members.is_empty() {
                 return Err(WalError::Corrupt(format!("empty group {}", shape.gid)));
             }
-            if shape.gid.0 >= checkpoint.next_group || !gids.insert(shape.gid) {
+            if shape.gid.0 >= checkpoint.group_id_bound || !gids.insert(shape.gid) {
                 return Err(WalError::Corrupt(format!(
-                    "group shape allocator inconsistency at {}",
+                    "group {} is repeated or past the id bound",
                     shape.gid
                 )));
             }
@@ -241,7 +240,6 @@ impl GhbaCluster {
         for shape in &checkpoint.groups {
             edit.rebuild_coverage(shape.gid);
         }
-        edit.work.next_group = checkpoint.next_group;
         edit.work.epoch = MembershipEpoch(checkpoint.epoch);
         for shape in &checkpoint.groups {
             edit.work

@@ -169,7 +169,7 @@ fn join_preserves_invariants_and_prices_migrations() {
     on_each_layout!({
         let mut cluster = populated!(Cluster, 12, 100);
         let n_before = cluster.server_count() as u64;
-        let (id, report) = cluster.add_mds_reported();
+        let (id, report) = cluster.add_mds();
         assert_eq!(cluster.server_count(), 13);
         assert!(cluster.mds(id).is_some());
         cluster.check_invariants().expect("invariants after join");
@@ -196,7 +196,7 @@ fn join_without_split_matches_papers_bound() {
     let mut cluster = GhbaCluster::with_servers(small_config(), 13);
     cluster.reset_stats();
     let (id, report) = loop {
-        let (id, report) = cluster.add_mds_reported();
+        let (id, report) = cluster.add_mds();
         if !report.split {
             break (id, report);
         }
@@ -219,7 +219,7 @@ fn join_into_full_groups_splits() {
     // 8 servers, M=4 → groups 4+4, all full: the 9th join must split.
     let mut cluster = GhbaCluster::with_servers(small_config(), 8);
     cluster.reset_stats();
-    let (_, report) = cluster.add_mds_reported();
+    let (_, report) = cluster.add_mds();
     assert!(report.split);
     assert_eq!(cluster.stats().splits, 1);
     assert!(cluster.group_sizes().iter().all(|&s| s <= 4));
@@ -246,7 +246,7 @@ fn leave_preserves_files_and_invariants() {
     });
 }
 
-/// Servers are indexed by id, and ids are never recycled: a graceful
+/// Servers are indexed by id, and server ids are never reused: a graceful
 /// leave and a fail-stop in the middle of the id range leave two holes
 /// that every by-id path must step over — the roster still ascends,
 /// every stored file resolves to its true home, and a newcomer takes a
@@ -256,7 +256,7 @@ fn holes_in_the_id_space_keep_order_and_homes() {
     let mut cluster = populated!(GhbaCluster, 12, 240);
     cluster.remove_mds(MdsId(5)).expect("removable");
     cluster.fail_mds(MdsId(8)).expect("failable");
-    let joined = cluster.add_mds();
+    let (joined, _) = cluster.add_mds();
     assert_eq!(joined, MdsId(12));
     for i in 240..300 {
         cluster.create(&format!("/data/d{}/f{i}", i % 37));

@@ -429,13 +429,13 @@ fn fused_runs_tally_what_one_op_batches_record() {
             let mask = fused.mask_cache_stats();
             let consults = (walks.len() + past_l2.count()) as u64;
             assert_eq!(
-                mask.window_hits + mask.window_misses,
+                mask.lifetime_hits + mask.lifetime_misses,
                 consults,
                 "concurrent={concurrent}"
             );
             let built = (SERVERS + groups.len()) as u64;
-            assert_eq!(single.mask_cache_stats().window_misses, built);
-            assert_eq!(mask.window_misses, built, "concurrent={concurrent}");
+            assert_eq!(single.mask_cache_stats().lifetime_misses, built);
+            assert_eq!(mask.lifetime_misses, built, "concurrent={concurrent}");
         }
     });
 }
@@ -530,12 +530,12 @@ fn racing_batches_build_each_plan_once() {
         let consults = (queries.count() + past_l2.count()) as u64;
         let mask = cluster.mask_cache_stats();
         assert_eq!(
-            mask.window_hits + mask.window_misses,
+            mask.lifetime_hits + mask.lifetime_misses,
             consults,
             "round {round}"
         );
         assert_eq!(
-            mask.window_misses,
+            mask.lifetime_misses,
             (SERVERS + cluster.group_count()) as u64,
             "round {round}: a plan built twice"
         );
@@ -741,8 +741,8 @@ macro_rules! plan_reuse_is_invisible {
                 assert_eq!(got.counters, want.counters, "false-hit counters");
                 let (got, want) = (fused.mask_cache_stats(), single.mask_cache_stats());
                 assert_eq!(
-                    got.window_hits + got.window_misses,
-                    want.window_hits + want.window_misses,
+                    got.lifetime_hits + got.lifetime_misses,
+                    want.lifetime_hits + want.lifetime_misses,
                     "one consult per slab level a walk reached"
                 );
                 let comparable = |report: LoadReport| {

@@ -106,7 +106,7 @@ fn crash_and_rejoin_restores_capacity() {
     let victim = MdsId(4);
     cluster.fail_mds(victim).expect("crashable");
     assert_eq!(cluster.server_count(), 8);
-    let replacement = cluster.add_mds();
+    let (replacement, _) = cluster.add_mds();
     assert_eq!(cluster.server_count(), 9);
     assert_ne!(replacement, victim, "ids are never reused");
     cluster.check_invariants().expect("healthy after rejoin");

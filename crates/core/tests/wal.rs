@@ -578,6 +578,56 @@ fn recovery_restores_a_reshaped_group_layout() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Recovery after merges and splits that reused a group id restores the
+/// shape the checkpoint holds, and an id freed before the checkpoint is
+/// the next one minted on both sides: restore sets no allocator, both
+/// clusters take the lowest id no live group holds.
+#[test]
+fn recovery_after_reused_group_ids_mints_the_same_next_id() {
+    let dir = temp_dir("reuse");
+    let config = test_config().with_max_group_size(6);
+    let opts = options(SyncPolicy::EveryBatch, 0);
+    // From groups 0 and 1 of six: split 0 (→ 2), merge 0 into 2, split
+    // 1 (→ 0 again), merge 1 into 0, leaving a hole at 1.
+    let reshape = |cluster: &GhbaCluster| {
+        let handle = cluster.reconfig_handle();
+        assert_eq!(handle.group_ids(), [GroupId(0), GroupId(1)]);
+        assert_eq!(handle.split_group(GroupId(0)), Some(GroupId(2)));
+        assert!(handle.merge_groups(GroupId(2), GroupId(0)));
+        assert_eq!(handle.split_group(GroupId(1)), Some(GroupId(0)));
+        assert!(handle.merge_groups(GroupId(0), GroupId(1)));
+        assert_eq!(handle.group_ids(), [GroupId(0), GroupId(2)]);
+    };
+    let mut twin = GhbaCluster::with_servers(config.clone(), 12);
+    reshape(&twin);
+    run_workload(&mut twin);
+    {
+        let mut cluster = GhbaCluster::with_servers(config.clone(), 12);
+        let (wal, _) = Wal::open(&dir, opts).expect("fresh wal");
+        cluster.attach_wal(wal);
+        reshape(&cluster);
+        run_workload(&mut cluster);
+        assert_installed_checkpoint_is_the_capture(&mut cluster, &dir);
+        assert_eq!(cluster.capture_checkpoint().group_id_bound, 3);
+    }
+    let mut recovered = GhbaCluster::recover(config, 12, &dir, opts).expect("recover");
+    recovered.check_invariants().expect("recovered invariants");
+    assert_eq!(recovered.membership_epoch(), twin.membership_epoch());
+    assert_eq!(durable_state(&mut recovered), durable_state(&mut twin));
+    // Replica placement is rebuilt, not restored (see the `wal` module
+    // docs), so the level a lookup resolves at may differ; its home not.
+    for path in workload_paths() {
+        assert_eq!(recovered.true_home(&path), twin.true_home(&path));
+        assert_eq!(recovered.lookup(&path).home, twin.true_home(&path));
+    }
+    for cluster in [&recovered, &twin] {
+        let minted = cluster.reconfig_handle().split_group(GroupId(0));
+        assert_eq!(minted, Some(GroupId(1)), "the hole is the lowest free id");
+    }
+    recovered.check_invariants().expect("split after recovery");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Recovery of a cluster wider than one slab word (70 servers: stride 2)
 /// from checkpoint + tail: the restore's bulk column load maps slots past
 /// 63 to the second word of every row.

@@ -27,7 +27,7 @@ fn main() {
     // Grow by five servers: joins use light-weight migration; a join into
     // a full group triggers a split.
     for _ in 0..5 {
-        let (id, report) = cluster.add_mds_reported();
+        let (id, report) = cluster.add_mds();
         println!(
             "join  {id}: migrated {:>3} replicas, {:>3} messages{}{} → groups {:?}",
             report.migrated_replicas,

@@ -133,10 +133,10 @@ fn join_traffic_is_2n_for_hba_and_a_fraction_of_it_for_ghba() {
     let mut mirror = HbaCluster::with_servers(config, 60);
     // HBA: the newcomer fetches every existing replica and every
     // existing server installs the newcomer's — two messages each.
-    assert_eq!(mirror.add_mds_reported().1.messages, 2 * 60);
-    assert_eq!(mirror.add_mds_reported().1.messages, 2 * 61);
+    assert_eq!(mirror.add_mds().1.messages, 2 * 60);
+    assert_eq!(mirror.add_mds().1.messages, 2 * 61);
     // G-HBA: one replica install per group plus light migration.
-    let report = grouped.add_mds_reported().1;
+    let report = grouped.add_mds().1;
     assert!(!report.split, "⌈60 / 7⌉ groups leave room for one more");
     assert!(
         report.messages * 3 < 2 * 60,
