@@ -34,13 +34,13 @@
 //!
 //! The byte pass at admission is the only one an operation pays:
 //! admission → filters → write overlay → store. The hash tables *behind*
-//! the filters — the per-server metadata store, the pending-write
-//! overlay, the run dedup of the walk — are keyed by the same
-//! fingerprint through [`BuildLaneHasher`], which finishes the already
-//! computed first lane with one multiply-xorshift instead of running a
-//! byte-wise hash (SipHash) over the path again. Every such table still
-//! compares the path bytes on a hit, so the fingerprint only ever
-//! *locates*; it never decides.
+//! the filters are keyed by the same fingerprint: the pending-write
+//! overlay and the run dedup of the walk through [`BuildLaneHasher`],
+//! which finishes the already computed first lane with one
+//! multiply-xorshift instead of running a byte-wise hash (SipHash) over
+//! the path again, and the per-server metadata store by homing the lane
+//! itself (one multiply). Every such table still compares the path bytes
+//! on a hit, so the fingerprint only ever *locates*; it never decides.
 //!
 //! **Trust model, stated once.** These tables are keyed by the same
 //! unseeded FNV lanes as the filters, so they are **not HashDoS-hardened**:

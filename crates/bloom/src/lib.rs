@@ -55,4 +55,4 @@ pub use error::{BloomError, FilterShape};
 pub use filter::BloomFilter;
 pub use hash::{BuildLaneHasher, Fingerprint};
 pub use lru::LruBloomArray;
-pub use shared::{Hit, ProbeBatch, RowDeriver, SharedShapeArray, SlotMask};
+pub use shared::{prefetch_slot, Hit, ProbeBatch, RowDeriver, SharedShapeArray, SlotMask};

@@ -439,28 +439,33 @@ fn advise_hugepages(words: &[u64]) {
     let _ = words;
 }
 
-/// Hints the prefetcher at one slab word (into L1).
+/// Hints the prefetcher at `slice[at]` (into L1); an index past the end
+/// — an empty slice included — is a no-op. The one prefetch hint: slab
+/// rows ([`SharedShapeArray::prefetch_rows`]) and the metadata store's
+/// buckets both go through it.
 #[inline(always)]
-fn prefetch_word(slab: &[u64], word_offset: usize) {
+pub fn prefetch_slot<T>(slice: &[T], at: usize) {
+    let Some(slot) = slice.get(at) else {
+        return;
+    };
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a pure hint (no dereference), and callers pass
-    // offsets inside the slab.
+    // SAFETY: prefetch is a pure hint (no dereference) at a live element.
     #[allow(unsafe_code)]
     unsafe {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(slab.as_ptr().add(word_offset).cast::<i8>(), _MM_HINT_T0);
+        _mm_prefetch((slot as *const T).cast::<i8>(), _MM_HINT_T0);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (slab, word_offset);
+    let _ = slot;
 }
 
 /// Hints the prefetcher at a whole probe row (both cache lines when the
 /// row spans more than one).
 #[inline(always)]
 fn prefetch_row(slab: &[u64], stride: usize, row: usize) {
-    prefetch_word(slab, row * stride);
+    prefetch_slot(slab, row * stride);
     if stride > 8 {
-        prefetch_word(slab, row * stride + 8);
+        prefetch_slot(slab, row * stride + 8);
     }
 }
 
@@ -1249,13 +1254,20 @@ mod tests {
         array
     }
 
-    /// A prefetch is a hint: rows past the array are skipped, not read.
+    /// A prefetch is a hint: rows past the array are skipped, not read,
+    /// and so is a slot past the end of a slice, or of an empty one.
     #[test]
     fn prefetch_rows_ignores_rows_outside_the_array() {
         let array = array_with(&[(1, &["a"])]);
         let bits = shape().bits as u32;
         array.prefetch_rows(&[0, bits - 1, bits, u32::MAX]);
         assert_eq!(array.query("a"), Hit::Unique(1));
+        let words = [7u64; 3];
+        for at in [0, 2, 3, usize::MAX] {
+            prefetch_slot(&words, at);
+            prefetch_slot::<u64>(&[], at);
+        }
+        assert_eq!(words, [7; 3]);
     }
 
     #[test]

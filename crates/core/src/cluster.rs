@@ -45,9 +45,14 @@
 //!   its own).
 //! * **Rows.** `walk_chunk` derives every item's `k` probe rows in one
 //!   pass and prefetches them two items ahead — in the pinned slab, and
-//!   in the live slab when the pin reads live; the walk ANDs them over
-//!   each slab once ([`SharedShapeArray::and_rows`]) and reads L2 and L3
-//!   as the published result under each level's mask. A slab row is a
+//!   in the live slab when the pin reads live. It ANDs them over each
+//!   slab once ([`SharedShapeArray::and_rows`]) one item ahead of the
+//!   walk, and asks every server the item's verdict word names to
+//!   prefetch the store bucket the item is homed at
+//!   ([`MetadataStore::prefetch`](crate::MetadataStore)): the
+//!   verification the walk ends with then finds its line in cache. The
+//!   walk reads L2 and L3 as the published result under each level's
+//!   mask. A slab row is a
 //!   few words however many servers there are, so a walk's scattered
 //!   reads stay within a working set a shared cache is less likely to
 //!   evict. On `write_churn`, where every server stays dirty, a walk
@@ -135,9 +140,10 @@ pub struct EventCounts {
 
 /// Everything the pinned walk keeps between the fused runs of one pin:
 /// whether the pin reads live verdicts from the live slab (decided by its
-/// first run), the current run's probe rows, the row-AND scratch of both
-/// slabs, and the tally every run's splice counts into. (The walk's
-/// plans are the pinned snapshot's: see [`PlanTable`].)
+/// first run), the current run's probe rows, the row-ANDs of the item
+/// being walked and of the next one, and the tally every run's splice
+/// counts into. (The walk's plans are the pinned snapshot's: see
+/// [`PlanTable`].)
 /// Whoever owns the pin owns the arena and hands the tally over once,
 /// when the pin's last run has returned ([`Cluster::absorb_walks`]) —
 /// an arena dropped without that (its batch panicked) has recorded
@@ -147,12 +153,32 @@ pub(crate) struct WalkArena {
     reads_live: Option<bool>,
     /// `k` rows per walked item, item-major.
     rows: Vec<u32>,
-    /// The current item's row-AND of the pinned slab.
-    anded: Vec<u64>,
-    /// The current item's row-AND of the live slab, when the pin reads
-    /// live.
-    live_anded: Vec<u64>,
+    /// The row-ANDs of the item being walked.
+    ands: RowAnds,
+    /// The row-ANDs of the next item, computed one item ahead.
+    ahead: RowAnds,
     tally: WalkTally,
+}
+
+/// One item's row-ANDs: of the pinned slab, and of the live slab when
+/// the pin reads live.
+#[derive(Debug, Default)]
+struct RowAnds {
+    published: Vec<u64>,
+    live: Vec<u64>,
+}
+
+impl RowAnds {
+    /// The word every live verdict is read from: the published row-AND
+    /// when every live column is its published one, the live slab's own
+    /// otherwise (see `reads_live`).
+    fn verdicts(&self, reads_live: bool) -> &[u64] {
+        if reads_live {
+            &self.live
+        } else {
+            &self.published
+        }
+    }
 }
 
 /// One pinned walk's result: the outcome, the group it is attributed to
@@ -714,8 +740,9 @@ impl<T: Topology> Cluster<T> {
     ///
     /// # What a walk reads
     ///
-    /// The `k` rows of its published row-AND (prefetched two items ahead
-    /// by [`walk_chunk`](Self::walk_chunk)), the L1 LRU array if any, its
+    /// Its published row-AND, which [`walk_chunk`](Self::walk_chunk)
+    /// computed an item ahead from `k` rows it prefetched two items
+    /// ahead, the L1 LRU array if any, its
     /// entry's L2 plan slot and, past L2, its group's L3 slot — each a
     /// bounds-checked index and one `OnceLock::get` into the pinned
     /// snapshot's [`PlanTable`], once the first walk needing it built it
@@ -724,13 +751,16 @@ impl<T: Topology> Cluster<T> {
     /// (everyone). Every verdict is one bit of
     /// one word: the server's [`Mds::slot`] of the published row-AND when
     /// the pin has only clean servers, of the live slab's
-    /// row-AND — `k` more rows, prefetched beside the published ones —
-    /// otherwise. No server's own filter word is loaded, and L4 visits
-    /// only the servers whose bit survived (plus a pending create's
-    /// home), in slot order, keeping the highest id that stores the path.
-    /// A verification and each store check of the L4 sweep reach their
-    /// server by index into the cluster's [`IdMap`] — a bounds check, no
-    /// tree search (the drain reaches each record's home the same way).
+    /// row-AND — `k` more rows, prefetched beside the published ones and
+    /// ANDed an item ahead too — otherwise. No server's own filter word
+    /// is loaded, and L4 visits only the servers whose bit survived (plus
+    /// a pending create's home), in slot order, keeping the highest id
+    /// that stores the path. A verification and each store check of the
+    /// L4 sweep reach their server by index into the cluster's [`IdMap`]
+    /// — a bounds check, no tree search (the drain reaches each record's
+    /// home the same way) — and read the tag and the store bucket of the
+    /// slot the path is homed at, which the same one-ahead pass
+    /// prefetched for every server whose bit is set.
     /// On `read_hot`, where every server is clean, a walk went from ≈ 680
     /// cycles to ≈ 560 when clean servers started answering from the
     /// published row-AND (the entry probe ≈ 68 → 43, the L3
@@ -753,18 +783,9 @@ impl<T: Topology> Cluster<T> {
         &self,
         snap: &RouteSnapshot,
         (entry, path, fp): WalkItem<'_>,
-        at: usize,
-        arena: &mut WalkArena,
+        anded: &[u64],
+        verdicts: &[u64],
     ) -> Walked {
-        let WalkArena {
-            reads_live,
-            rows,
-            anded,
-            live_anded,
-            ..
-        } = arena;
-        let k = snap.slab.shape().hashes as usize;
-        let rows = &rows[at * k..(at + 1) * k];
         let model = &self.config.latency;
 
         let entry_mds = self.mdss.get(&entry).expect("unknown entry MDS");
@@ -830,17 +851,6 @@ impl<T: Topology> Cluster<T> {
         };
         consults[0] = Some(!built);
         latency += self.array_probe(entry, l2.held, l2.probe);
-        snap.slab.and_rows(row_indices(rows), anded);
-        let anded = &*anded;
-        // The word every live verdict is read from: the published
-        // row-AND when every live column is its published one, the live
-        // slab's own otherwise (see `reads_live`).
-        let verdicts: &[u64] = if reads_live.expect("walk_chunk decides it") {
-            self.live.and_rows(row_indices(rows), live_anded);
-            live_anded
-        } else {
-            anded
-        };
         // Whether `id`'s live filter answers positive, overlaid with this
         // era's pending writes: a pending create at `id` probes positive
         // even though the real filter has not been touched yet. A pending
@@ -970,12 +980,14 @@ impl<T: Topology> Cluster<T> {
     /// path's: its fastmod magic computed once, no hardware division),
     /// then runs [`walk_pinned`](Self::walk_pinned) per item
     /// against `arena`'s plans, with the slab rows of the item two ahead
-    /// prefetched: the walk is bound by its scattered row reads, and a
-    /// host that shares its cache decides from moment to moment how many
-    /// of them miss — asking early takes most of that out of an item's
-    /// time. Those `k` rows — and, when the pin reads live, the same rows
-    /// of the live slab — are all a walk reads from filters: every live
-    /// verdict comes out of their AND (see
+    /// prefetched and the row-ANDs of the item one ahead computed
+    /// ([`and_ahead`](Self::and_ahead)): the walk is bound by its
+    /// scattered reads — rows, then the bucket its verification checks —
+    /// and a host that shares its cache decides from moment to moment how
+    /// many of them miss; asking early takes most of that out of an
+    /// item's time. Those `k` rows — and, when the pin reads live, the
+    /// same rows of the live slab — are all a walk reads from filters:
+    /// every live verdict comes out of their AND (see
     /// [`walk_pinned`](Self::walk_pinned)'s *What a walk reads*).
     fn walk_chunk(
         &self,
@@ -992,17 +1004,52 @@ impl<T: Topology> Cluster<T> {
         let reads_live = *arena
             .reads_live
             .get_or_insert_with(|| self.reads_live(&snap.slab));
+        let WalkArena {
+            rows, ands, ahead, ..
+        } = arena;
+        let rows_of = |at: usize| &rows[at * k..(at + 1) * k];
+        if let Some((_, _, fp)) = items.first() {
+            self.and_ahead(snap, fp, rows_of(0), reads_live, ahead);
+        }
         let mut out = Vec::with_capacity(items.len());
         for (at, &item) in items.iter().enumerate() {
-            if let Some(ahead) = arena.rows.get((at + 2) * k..(at + 3) * k) {
-                snap.slab.prefetch_rows(ahead);
+            if let Some(later) = rows.get((at + 2) * k..(at + 3) * k) {
+                snap.slab.prefetch_rows(later);
                 if reads_live {
-                    self.live.prefetch_rows(ahead);
+                    self.live.prefetch_rows(later);
                 }
             }
-            out.push(self.walk_pinned(snap, item, at, arena));
+            core::mem::swap(ands, ahead);
+            if let Some((_, _, fp)) = items.get(at + 1) {
+                self.and_ahead(snap, fp, rows_of(at + 1), reads_live, ahead);
+            }
+            let verdicts = ands.verdicts(reads_live);
+            out.push(self.walk_pinned(snap, item, &ands.published, verdicts));
         }
         out
+    }
+
+    /// An item's row-ANDs, computed an item before its walk: `rows` over
+    /// the pinned slab, and over the live slab when the pin reads live —
+    /// the word its verdicts come from. Every server that word names is
+    /// one the walk may verify at, so each one's store is asked to
+    /// prefetch the tag and bucket of the slot `fp` is homed at: the
+    /// verification then finds its lines in cache.
+    fn and_ahead(
+        &self,
+        snap: &RouteSnapshot,
+        fp: &Fingerprint,
+        rows: &[u32],
+        reads_live: bool,
+        ands: &mut RowAnds,
+    ) {
+        snap.slab.and_rows(row_indices(rows), &mut ands.published);
+        if reads_live {
+            self.live.and_rows(row_indices(rows), &mut ands.live);
+        }
+        for id in self.live.ids_in(ands.verdicts(reads_live)) {
+            self.mdss[&id].store().prefetch(fp);
+        }
     }
 
     /// Resolves a fused run of lookups against one pinned snapshot from
@@ -1099,7 +1146,7 @@ impl<T: Topology> Cluster<T> {
                 key.compact_path().as_bytes(),
                 key.fingerprint(),
                 &mut arena.rows,
-                &mut arena.anded,
+                &mut arena.ands.live,
             )?,
         };
         self.shards.record_remove(key, home);

@@ -133,6 +133,12 @@ impl Mds {
         &self.store
     }
 
+    /// Makes room in the store for `additional` more files, so a batch
+    /// of arrivals (a departing peer's files) grows its table once.
+    pub(crate) fn reserve_files(&mut self, additional: usize) {
+        self.store.reserve(additional);
+    }
+
     /// Number of files homed here.
     #[must_use]
     pub fn file_count(&self) -> usize {

@@ -382,6 +382,7 @@ impl<T: Topology> Cluster<T> {
     pub(crate) fn rehome_files(&mut self, files: Vec<CompactPath>, target: MdsId) -> u64 {
         let moved = files.len() as u64;
         let target_mds = self.mdss.get_mut(&target).expect("target exists");
+        target_mds.reserve_files(files.len());
         let rows = &mut self.row_scratch;
         for path in files {
             // An evacuated store hands over paths, not fingerprints.
